@@ -391,16 +391,37 @@ pub struct AppResult {
     pub processes_spawned: u64,
 }
 
-/// FNV-1a digest over a deterministic recursive walk of a filesystem:
-/// path, type, size, and full contents of every regular file (symlink
-/// targets included). Timestamps are deliberately excluded so runs whose
-/// virtual clocks diverged (fault injection) still compare equal when the
-/// bytes do.
+/// Digest over a deterministic recursive walk of a filesystem: path,
+/// type, size, and full contents of every regular file (symlink targets
+/// included). Timestamps are deliberately excluded so runs whose virtual
+/// clocks diverged (fault injection) still compare equal when the bytes
+/// do.
+///
+/// Word-at-a-time (FNV-1a over 64-bit words, byte strings entering as
+/// their canonical [`gvfs::digest`]) and never reads zeros: file contents
+/// are walked in 64 KB steps of the file offset, an all-zero step only
+/// lengthens the current zero run, and a run is mixed in as its length.
+/// The steps are a function of the contents alone, so a hole and a
+/// stored all-zero chunk digest identically. The value is only ever
+/// compared between runs of one build, never recorded.
 pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
+    const STEP: u64 = 64 * 1024;
+    // Domain separators: a zero run's length can never pass for data.
+    const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;
+    const DATA: u64 = 0x4441_5441_5f5f_5f5f;
+    fn mix_word(h: &mut u64, w: u64) {
+        *h = (*h ^ w).wrapping_mul(0x100_0000_01b3);
+    }
     fn mix(h: &mut u64, bytes: &[u8]) {
-        for &b in bytes {
-            *h ^= b as u64;
-            *h = h.wrapping_mul(0x100_0000_01b3);
+        let d = gvfs::digest::digest(bytes);
+        mix_word(h, d.0);
+        mix_word(h, d.1);
+    }
+    fn end_zero_run(h: &mut u64, zeros: &mut u64) {
+        if *zeros > 0 {
+            mix_word(h, ZERO_RUN);
+            mix_word(h, *zeros);
+            *zeros = 0;
         }
     }
     let mut f = fs.lock();
@@ -419,22 +440,27 @@ pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
                 continue;
             };
             mix(&mut h, p.as_bytes());
-            mix(&mut h, &attr.size.to_le_bytes());
+            mix_word(&mut h, attr.size);
             match attr.ftype {
                 FileType::Directory => stack.push((p, handle)),
                 FileType::Regular => {
+                    let mut zeros = 0u64;
                     let mut off = 0u64;
                     while off < attr.size {
-                        let len = (attr.size - off).min(1 << 20) as usize;
-                        let Ok((data, _)) = f.read(handle, off, len, 0) else {
-                            break;
-                        };
-                        if data.is_empty() {
-                            break;
+                        let len = (attr.size - off).min(STEP);
+                        if f.is_zero_range(handle, off, len as usize) == Ok(true) {
+                            zeros += len;
+                        } else {
+                            let Ok((data, _)) = f.read(handle, off, len as usize, 0) else {
+                                break;
+                            };
+                            end_zero_run(&mut h, &mut zeros);
+                            mix_word(&mut h, DATA);
+                            mix(&mut h, &data);
                         }
-                        mix(&mut h, &data);
-                        off += data.len() as u64;
+                        off += len;
                     }
+                    end_zero_run(&mut h, &mut zeros);
                 }
                 FileType::Symlink => {
                     if let Ok(target) = f.readlink(handle) {
@@ -633,4 +659,74 @@ fn drive_runs(
 #[allow(unused)]
 fn assert_impls() {
     fn takes_fileio(_: &dyn FileIo) {}
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A filesystem holding one file, `size` bytes long, with `writes`
+    /// applied in order.
+    fn fs_with(size: u64, writes: &[(u64, &[u8])]) -> Arc<Mutex<Fs>> {
+        let mut fs = Fs::new(0);
+        let root = fs.root();
+        let dir = fs.mkdir(root, "vm", 0o755, 0).unwrap();
+        let file = fs.create(dir, "disk.vmdk", 0o644, 0).unwrap();
+        for (off, bytes) in writes {
+            fs.write(file, *off, bytes, 0).unwrap();
+        }
+        fs.setattr(file, Some(size), None, 0).unwrap();
+        Arc::new(Mutex::new(fs))
+    }
+
+    #[test]
+    fn fs_digest_is_content_defined() {
+        const STEP: usize = 64 * 1024;
+        let size = 5 * STEP as u64 + 100;
+        let data: Vec<u8> = (0..STEP + 777).map(|i| (i * 31 % 251) as u8 | 1).collect();
+        let at = STEP as u64 + 13;
+        let base = fs_digest(&fs_with(size, &[(at, &data)]));
+        assert_eq!(base, fs_digest(&fs_with(size, &[(at, &data)])));
+
+        // A hole and stored zeros are the same contents. Zeroing a chunk
+        // that once held data keeps it allocated, unlike a hole.
+        let zeros = vec![0u8; STEP];
+        let stored = fs_with(
+            size,
+            &[
+                (at, &data),
+                (4 * STEP as u64, &[7u8; 64]),
+                (4 * STEP as u64, &zeros),
+            ],
+        );
+        assert_eq!(base, fs_digest(&stored));
+
+        // Any single-byte flip shows: inside the data, at its edges, and
+        // in what was a zero run (first byte, step boundary, last byte).
+        let data_end = at + data.len() as u64;
+        for pos in [
+            0,
+            at - 1,
+            at,
+            at + 4,
+            data_end - 1,
+            data_end,
+            3 * STEP as u64,
+            4 * STEP as u64 - 1,
+            size - 1,
+        ] {
+            let mut byte = [1u8];
+            if (at..data_end).contains(&pos) {
+                byte[0] = data[(pos - at) as usize] ^ 0x80;
+            }
+            let flipped = fs_digest(&fs_with(size, &[(at, &data), (pos, &byte)]));
+            assert_ne!(base, flipped, "flip at {pos} undetected");
+        }
+
+        // Any size change shows, also when only trailing zeros differ.
+        for other in [size - 1, size + 1, size + STEP as u64, size - 100, 0] {
+            let resized = fs_digest(&fs_with(other, &[(at, &data)]));
+            assert_ne!(base, resized, "size {other} digests like {size}");
+        }
+    }
 }

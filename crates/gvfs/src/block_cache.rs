@@ -145,6 +145,8 @@ struct Inner {
     stamp: u64,
     next_seq: HashMap<(u64, u64), u64>, // (fileid, gen) -> expected next block
     bytes_stored: u64,
+    /// Times a resident frame was dropped (eviction or `clear`).
+    removals: u64,
 }
 
 impl Inner {
@@ -208,6 +210,7 @@ impl BlockCache {
                 stamp: 0,
                 next_seq: HashMap::new(),
                 bytes_stored: 0,
+                removals: 0,
             }),
         }
     }
@@ -294,31 +297,48 @@ impl BlockCache {
 
     /// Look up a block; a hit pays local-disk time and returns the data.
     pub fn lookup(&self, env: &Env, tag: Tag) -> Option<Vec<u8>> {
+        self.lookup_range(env, tag, 0, usize::MAX).map(|(d, _)| d)
+    }
+
+    /// Look up a block and copy out only `[start, start + count)` of it
+    /// (clipped to the block's length, which is returned alongside so
+    /// the caller can tell a short EOF-tail block). A hit pays
+    /// local-disk time for the frame exactly like [`BlockCache::lookup`].
+    pub fn lookup_range(
+        &self,
+        env: &Env,
+        tag: Tag,
+        start: usize,
+        count: usize,
+    ) -> Option<(Vec<u8>, usize)> {
         let found = {
             let mut inner = self.inner.lock();
             let set = self.set_index(&tag);
             inner.stamp += 1;
             let stamp = inner.stamp;
-            let frames = &mut inner.sets[set];
-            match frames.iter_mut().find(|f| f.tag == tag) {
-                Some(f) => {
-                    f.stamp = stamp;
-                    Some(f.data.clone())
-                }
-                None => None,
-            }
+            inner.sets[set].iter_mut().find(|f| f.tag == tag).map(|f| {
+                f.stamp = stamp;
+                let len = f.data.len();
+                let from = start.min(len);
+                let to = start.saturating_add(count).min(len);
+                (f.data[from..to].to_vec(), len)
+            })
         };
-        match found {
-            Some(data) => {
-                self.tel.hits.inc();
-                self.charge_io(env, &tag);
-                Some(data)
-            }
-            None => {
-                self.tel.misses.inc();
-                None
-            }
+        if found.is_some() {
+            self.tel.hits.inc();
+            self.charge_io(env, &tag);
+        } else {
+            self.tel.misses.inc();
         }
+        found
+    }
+
+    /// How many times a resident frame has been dropped, by eviction or
+    /// [`BlockCache::clear`]. While this has not moved, every block that
+    /// was resident still is — which lets a caller tracking a set of
+    /// blocks skip re-checking each one with [`BlockCache::contains`].
+    pub fn removals(&self) -> u64 {
+        self.inner.lock().removals
     }
 
     /// Whether a block is present, without charging time or recency.
@@ -369,6 +389,7 @@ impl BlockCache {
                             .map(|(i, _)| i)
                             .unwrap_or(0); // set is non-empty: len >= assoc >= 1
                         let victim = inner.sets[set].swap_remove(victim_idx);
+                        inner.removals += 1;
                         self.tel.evictions.inc();
                         // Debit what the victim actually held, not the
                         // nominal block size — tail blocks are shorter.
@@ -489,6 +510,7 @@ impl BlockCache {
         }
         inner.bytes_stored = 0;
         inner.next_seq.clear();
+        inner.removals += 1;
     }
 }
 

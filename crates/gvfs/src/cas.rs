@@ -145,6 +145,11 @@ pub struct ContentStore {
     /// remaining eviction candidate is pinned (`cas.pin_blocked_evictions`
     /// when registered; unregistered otherwise).
     pin_blocked: Counter,
+    /// Incremented when a reference file asks for a chunk it holds a pin
+    /// on and the chunk is not resident — a pin-discipline bug, served
+    /// as zeros so dispatch stays panic-free (the proxy attaches its
+    /// `recovered_errors` counter).
+    broken_pins: Counter,
 }
 
 impl ContentStore {
@@ -159,6 +164,7 @@ impl ContentStore {
             }),
             capacity,
             pin_blocked: Counter::new(),
+            broken_pins: Counter::new(),
         }
     }
 
@@ -166,6 +172,13 @@ impl ContentStore {
     /// (builder-style, before the store is shared).
     pub fn with_pin_blocked_counter(mut self, counter: Counter) -> Self {
         self.pin_blocked = counter;
+        self
+    }
+
+    /// Attach the counter that surfaces reads through a pin that found
+    /// no resident entry (builder-style, before the store is shared).
+    pub fn with_broken_pin_counter(mut self, counter: Counter) -> Self {
+        self.broken_pins = counter;
         self
     }
 
@@ -294,16 +307,49 @@ impl ContentStore {
     /// Fetch the preimage of `d`, refreshing its recency. Host-side
     /// only; see the module docs for why no simulation time is charged.
     pub fn get(&self, d: &Digest) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
+        self.get_range(d, 0, usize::MAX)
+    }
+
+    /// Fetch `[offset, offset + len)` of `d`'s preimage (clipped to its
+    /// length), refreshing its recency. Decodes only the bytes it
+    /// returns ([`codec::decompress_range`]). Recency moves only after a
+    /// successful decode, so a corrupt entry keeps its one LRU row.
+    pub fn get_range(&self, d: &Digest, offset: usize, len: usize) -> Option<Vec<u8>> {
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         let e = inner.map.get_mut(d)?;
-        let old = e.stamp;
-        e.stamp = stamp;
-        let bytes = codec::decompress(&e.packed).ok()?;
-        inner.lru.remove(&old);
-        inner.lru.insert(stamp, *d);
+        let bytes = codec::decompress_range(&e.packed, offset, len).ok()?;
+        inner.stamp += 1;
+        inner.lru.remove(&e.stamp);
+        e.stamp = inner.stamp;
+        inner.lru.insert(e.stamp, *d);
         Some(bytes)
+    }
+
+    /// [`ContentStore::get_range`] for a chunk the caller holds a pin
+    /// on. The pin guarantees residency, so a miss is a pin-discipline
+    /// bug: it is counted and served as `len` zeros (clipped to the
+    /// recipe's `chunk_len`) rather than panicking a dispatch path.
+    pub(crate) fn get_pinned_range(
+        &self,
+        d: &Digest,
+        chunk_len: u32,
+        offset: usize,
+        len: usize,
+    ) -> Vec<u8> {
+        self.get_range(d, offset, len).unwrap_or_else(|| {
+            self.broken_pins.inc();
+            let chunk_len = chunk_len as usize;
+            vec![0u8; offset.saturating_add(len).min(chunk_len) - offset.min(chunk_len)]
+        })
+    }
+
+    /// Damage `d`'s stored stream so every decode of it fails.
+    #[cfg(test)]
+    fn corrupt_entry(&self, d: &Digest) {
+        if let Some(e) = self.inner.lock().map.get_mut(d) {
+            e.packed.truncate(e.packed.len() - 1);
+        }
     }
 
     /// Logical bytes currently indexed.
@@ -333,6 +379,64 @@ mod tests {
         cas.insert(&a);
         assert_eq!(cas.entries(), 1);
         assert_eq!(cas.logical_bytes(), 4096);
+    }
+
+    #[test]
+    fn get_range_slices_the_preimage_and_touches_recency() {
+        let cas = ContentStore::new(10_000);
+        let a: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
+        let b = vec![9u8; 4096];
+        let da = cas.insert(&a);
+        let db = cas.insert(&b);
+        assert_eq!(cas.get_range(&da, 100, 50).unwrap(), &a[100..150]);
+        assert_eq!(cas.get_range(&da, 4090, 50).unwrap(), &a[4090..]);
+        assert!(cas.get_range(&da, 5000, 50).unwrap().is_empty());
+        assert!(cas.get_range(&digest(b"absent"), 0, 1).is_none());
+        // The range read made `a` the most recent: `b` pays.
+        cas.insert(&[3u8; 4096]);
+        assert!(cas.contains(&da));
+        assert!(!cas.contains(&db));
+    }
+
+    #[test]
+    fn failed_decode_leaves_recency_untouched() {
+        // Touching the stamp before a decode that then fails would
+        // strand the old LRU row: the next touch adds a second row for
+        // the digest, and evicting through the stale one drops an entry
+        // the fresh row still lists.
+        let cas = ContentStore::new(10_000);
+        let a: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
+        let da = cas.insert(&a);
+        let db = cas.insert(&[2u8; 4096]);
+        cas.corrupt_entry(&da);
+        assert!(cas.get(&da).is_none());
+        assert!(cas.get_range(&da, 0, 16).is_none());
+        {
+            let inner = cas.inner.lock();
+            assert_eq!(inner.lru.len(), inner.map.len(), "duplicate LRU rows");
+            let rows: Vec<Digest> = inner.lru.values().copied().collect();
+            assert_eq!(rows, [da, db], "a failed read must not refresh recency");
+            assert!(inner.lru.iter().all(|(s, d)| inner.map[d].stamp == *s));
+        }
+        // `a` is still the LRU victim, and leaves exactly one row behind.
+        cas.insert(&[3u8; 4096]);
+        assert!(!cas.contains(&da));
+        assert!(cas.contains(&db));
+        assert_eq!(cas.inner.lock().lru.len(), 2);
+    }
+
+    #[test]
+    fn a_read_through_a_broken_pin_is_counted_and_served_as_zeros() {
+        let broken = Counter::new();
+        let cas = ContentStore::new(1 << 20).with_broken_pin_counter(broken.clone());
+        let a = vec![7u8; 1000];
+        let d = cas.insert_pinned(&a);
+        assert_eq!(cas.get_pinned_range(&d, 1000, 990, 50), [7u8; 10]);
+        assert_eq!(broken.get(), 0);
+        let gone = digest(b"never inserted");
+        assert_eq!(cas.get_pinned_range(&gone, 1000, 990, 50), [0u8; 10]);
+        assert_eq!(cas.get_pinned_range(&gone, 1000, 0, 1000), vec![0u8; 1000]);
+        assert_eq!(broken.get(), 2);
     }
 
     #[test]

@@ -124,6 +124,16 @@ fn be_u64(bytes: &[u8]) -> Result<u64, CodecError> {
 
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
+    decompress_range(stream, 0, MAX_DECOMPRESS_LEN)
+}
+
+/// Decompress only `[offset, offset + len)` of the original bytes
+/// (clipped to the original length). The result equals that slice of
+/// [`decompress`]'s output and fails exactly when `decompress` fails —
+/// every record header is walked and validated either way — but only the
+/// overlap is allocated and materialised, so a 32 KB read of a 1 MiB
+/// chunk costs 32 KB of host work plus the header walk.
+pub fn decompress_range(stream: &[u8], offset: usize, len: usize) -> Result<Vec<u8>, CodecError> {
     if stream.len() < 12 || &stream[..4] != MAGIC {
         return Err(CodecError::BadMagic);
     }
@@ -131,10 +141,14 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
     if orig_len > MAX_DECOMPRESS_LEN {
         return Err(CodecError::TooLarge);
     }
+    let start = offset.min(orig_len);
+    let end = offset.saturating_add(len).min(orig_len);
     // Blessed sink for the wire-declared length: caps the speculative
     // reservation, while the check above bounds all later growth.
     let mut out: Vec<u8> =
-        xdr::bounded_alloc(orig_len, MAX_DECOMPRESS_LEN).map_err(|_| CodecError::TooLarge)?;
+        xdr::bounded_alloc(end - start, MAX_DECOMPRESS_LEN).map_err(|_| CodecError::TooLarge)?;
+    // Original bytes accounted for by the records walked so far.
+    let mut pos = 0usize;
     let mut i = 12;
     while i < stream.len() {
         let tag = stream[i];
@@ -142,18 +156,21 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
         if stream.len() < i + 4 {
             return Err(CodecError::Truncated);
         }
-        let len = be_u32(&stream[i..i + 4])? as usize;
+        let rec = be_u32(&stream[i..i + 4])? as usize;
         i += 4;
         // A record claiming to expand past the declared original length
         // can only come from a corrupt stream; bail before allocating —
         // run-length records otherwise let a few bytes of header demand
         // gigabytes of output.
-        if out.len() + len > orig_len {
+        if pos + rec > orig_len {
             return Err(CodecError::LengthMismatch);
         }
+        // The part of this record the caller asked for.
+        let lo = start.max(pos);
+        let take = end.min(pos + rec).saturating_sub(lo);
         match tag {
             // lint:allow(bounded-decode): growth bounded by orig_len <= MAX_DECOMPRESS_LEN above
-            0 => out.resize(out.len() + len, 0),
+            0 => out.resize(out.len() + take, 0),
             1 => {
                 if stream.len() < i + 1 {
                     return Err(CodecError::Truncated);
@@ -161,19 +178,23 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
                 let b = stream[i];
                 i += 1;
                 // lint:allow(bounded-decode): growth bounded by orig_len <= MAX_DECOMPRESS_LEN above
-                out.resize(out.len() + len, b);
+                out.resize(out.len() + take, b);
             }
             2 => {
-                if stream.len() < i + len {
+                if stream.len() < i + rec {
                     return Err(CodecError::Truncated);
                 }
-                out.extend_from_slice(&stream[i..i + len]);
-                i += len;
+                if take > 0 {
+                    let from = i + (lo - pos);
+                    out.extend_from_slice(&stream[from..from + take]);
+                }
+                i += rec;
             }
             _ => return Err(CodecError::Truncated),
         }
+        pos += rec;
     }
-    if out.len() != orig_len {
+    if pos != orig_len {
         return Err(CodecError::LengthMismatch);
     }
     Ok(out)
@@ -315,6 +336,53 @@ mod tests {
         s.extend_from_slice(&(1u32 << 30).to_be_bytes());
         s.push(0xAB);
         assert_eq!(decompress(&s), Err(CodecError::LengthMismatch));
+    }
+
+    #[test]
+    fn a_range_of_a_huge_run_allocates_only_the_request() {
+        // A valid stream of MAX_DECOMPRESS_LEN zeros is 17 bytes; reading
+        // 32 bytes out of its middle must not materialise the run.
+        let mut s = Vec::new();
+        s.extend_from_slice(MAGIC);
+        s.extend_from_slice(&(MAX_DECOMPRESS_LEN as u64).to_be_bytes());
+        s.push(0); // zero-run tag
+        s.extend_from_slice(&(MAX_DECOMPRESS_LEN as u32).to_be_bytes());
+        let got = decompress_range(&s, MAX_DECOMPRESS_LEN / 2, 32).unwrap();
+        assert_eq!(got, vec![0u8; 32]);
+        assert!(got.capacity() < 4096, "capacity {}", got.capacity());
+        // Ranges at and past the end clip like a slice of the whole.
+        assert_eq!(
+            decompress_range(&s, MAX_DECOMPRESS_LEN - 5, 32).unwrap(),
+            [0u8; 5]
+        );
+        assert!(decompress_range(&s, MAX_DECOMPRESS_LEN, 32)
+            .unwrap()
+            .is_empty());
+        assert!(decompress_range(&s, usize::MAX, usize::MAX)
+            .unwrap()
+            .is_empty());
+        // The header walk still rejects what `decompress` rejects, even
+        // when the damage lies outside the requested range.
+        s.push(9); // unknown record tag after the run
+        assert_eq!(decompress_range(&s, 0, 32), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn ranges_slice_every_record_kind() {
+        // zero run | byte run | literal | zero run, split at a 7-byte cap
+        // so ranges start and end inside, at and across record edges.
+        let mut data = vec![0u8; 100];
+        data.extend(std::iter::repeat_n(0x5A, 40));
+        data.extend((0..60u8).map(|i| i.wrapping_mul(37)));
+        data.extend(vec![0u8; MIN_RUN]);
+        for s in [compress(&data), compress_with_record_cap(&data, 7)] {
+            for off in 0..=data.len() + 1 {
+                for len in [0, 1, 6, 7, 8, 50, data.len()] {
+                    let want = &data[off.min(data.len())..(off + len).min(data.len())];
+                    assert_eq!(decompress_range(&s, off, len).unwrap(), want, "{off}+{len}");
+                }
+            }
+        }
     }
 
     #[test]

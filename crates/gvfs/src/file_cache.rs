@@ -84,29 +84,23 @@ impl RefFile {
         self.recipe.iter().map(|(_, l)| *l as u64).sum()
     }
 
-    /// Bytes of chunk `i`, from the overlay or the pinned CAS entry.
-    /// Pins guarantee residency; a miss would be a pin-discipline bug,
-    /// so release builds serve zeros rather than panic.
-    fn chunk_bytes_of(&self, i: usize) -> Vec<u8> {
-        if let Some(b) = self.overlay.get(&(i as u32)) {
-            return b.clone();
-        }
-        let (d, len) = self.recipe[i];
-        match self.cas.get(&d) {
-            Some(b) => b,
-            None => {
-                debug_assert!(false, "pinned recipe chunk missing from CAS");
-                vec![0u8; len as usize]
-            }
-        }
+    /// `[off, off + len)` of the still-shared chunk `i`, decoded out of
+    /// its pinned CAS entry. Pins guarantee residency; a miss is a
+    /// pin-discipline bug, which the store counts and serves as zeros.
+    fn shared_range(&self, i: usize, off: usize, len: usize) -> Vec<u8> {
+        let (d, clen) = self.recipe[i];
+        self.cas.get_pinned_range(&d, clen, off, len)
     }
 
     /// Assemble the full current contents (host-side; no time charged,
     /// mirroring the uncharged digest in [`FileCache::install`]).
     fn assemble(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.total() as usize);
-        for i in 0..self.recipe.len() {
-            out.extend_from_slice(&self.chunk_bytes_of(i));
+        for (i, &(_, clen)) in self.recipe.iter().enumerate() {
+            match self.overlay.get(&(i as u32)) {
+                Some(b) => out.extend_from_slice(b),
+                None => out.extend_from_slice(&self.shared_range(i, 0, clen as usize)),
+            }
         }
         out
     }
@@ -138,11 +132,14 @@ impl RefFile {
             if s >= e {
                 continue;
             }
-            if self.overlay.contains_key(&(i as u32)) {
-                disk += e - s;
+            let (lo, n) = ((s - cstart) as usize, (e - s) as usize);
+            match self.overlay.get(&(i as u32)) {
+                Some(b) => {
+                    disk += e - s;
+                    out.extend_from_slice(&b[lo..lo + n]);
+                }
+                None => out.extend_from_slice(&self.shared_range(i, lo, n)),
             }
-            let chunk = self.chunk_bytes_of(i);
-            out.extend_from_slice(&chunk[(s - cstart) as usize..(e - cstart) as usize]);
         }
         (out, disk)
     }
@@ -176,13 +173,7 @@ impl RefFile {
             }
             let chunk = match self.overlay.entry(i as u32) {
                 std::collections::btree_map::Entry::Vacant(slot) => {
-                    let buf = match self.cas.get(&d) {
-                        Some(b) => b,
-                        None => {
-                            debug_assert!(false, "pinned recipe chunk missing from CAS");
-                            vec![0u8; clen as usize]
-                        }
-                    };
+                    let buf = self.cas.get_pinned_range(&d, clen, 0, clen as usize);
                     self.cas.unpin(&d);
                     breaks += 1;
                     io += clen as u64;
@@ -243,20 +234,48 @@ pub struct FileKey {
     pub generation: u64,
 }
 
+/// What upstream is known to hold for a cached file.
+enum Synced {
+    /// Nothing (never synced, or an upload is in flight).
+    Unknown,
+    /// Contents with this digest.
+    Digest(Digest),
+    /// Exactly the recipe a reference entry was installed from, whose
+    /// contents nobody has had to digest yet. Only a reference with an
+    /// empty overlay is ever in this state: [`FileCache::write`]
+    /// resolves it before the first copy-on-write break.
+    Recipe,
+}
+
 struct CachedFile {
     backing: Backing,
     size: u64,
     dirty: bool,
     last_use: u64,
-    /// Digest of the contents upstream last acknowledged holding (set on
-    /// install — the file arrived *from* upstream — and after a
-    /// successful upload). A dirty file whose current digest still
-    /// matches was rewritten with identical bytes; its upload can be
-    /// skipped. Host-side bookkeeping only: no simulated time.
-    synced: Option<Digest>,
+    /// The contents upstream last acknowledged holding (set on install —
+    /// the file arrived *from* upstream — and after a successful
+    /// upload). A dirty file whose current digest still matches was
+    /// rewritten with identical bytes; its upload can be skipped.
+    /// Host-side bookkeeping only: no simulated time.
+    synced: Synced,
 }
 
 impl CachedFile {
+    /// The synced digest, first digesting the pristine contents of a
+    /// reference whose digest was left unresolved at install (a
+    /// non-persistent clone's memory state is never asked, and never
+    /// pays for assembling the file).
+    fn resolve_synced(&mut self) -> Option<Digest> {
+        if let (Synced::Recipe, Backing::Reference(r)) = (&self.synced, &self.backing) {
+            debug_assert!(r.overlay.is_empty(), "unresolved digest after a break");
+            self.synced = Synced::Digest(digest(&r.assemble()));
+        }
+        match self.synced {
+            Synced::Digest(d) => Some(d),
+            Synced::Unknown | Synced::Recipe => None,
+        }
+    }
+
     /// Bytes this entry occupies on the cache disk: full files in full,
     /// reference files only their private overlay.
     fn disk_bytes(&self) -> u64 {
@@ -350,7 +369,7 @@ impl FileCache {
                     size,
                     dirty: false,
                     last_use: stamp,
-                    synced: Some(digest(contents)),
+                    synced: Synced::Digest(digest(contents)),
                 },
             ) {
                 let old_bytes = old.disk_bytes();
@@ -391,10 +410,6 @@ impl FileCache {
             dirty_chunks: BTreeSet::new(),
         };
         let size = rf.total();
-        // Host-side digest of the assembled contents, mirroring the
-        // uncharged `digest(contents)` of a materialized install: the
-        // recipe came *from* upstream, so upstream holds exactly this.
-        let synced = digest(&rf.assemble());
         {
             let mut inner = self.inner.lock();
             inner.stamp += 1;
@@ -406,7 +421,9 @@ impl FileCache {
                     size,
                     dirty: false,
                     last_use: stamp,
-                    synced: Some(synced),
+                    // The recipe came *from* upstream, so upstream holds
+                    // exactly this; its digest is resolved on demand.
+                    synced: Synced::Recipe,
                 },
             ) {
                 let old_bytes = old.disk_bytes();
@@ -458,7 +475,11 @@ impl FileCache {
     /// Digest of the contents upstream last acknowledged for this file
     /// (`None` when the file is absent or was never synced).
     pub fn synced_digest(&self, key: FileKey) -> Option<Digest> {
-        self.inner.lock().files.get(&key).and_then(|f| f.synced)
+        let mut inner = self.inner.lock();
+        inner
+            .files
+            .get_mut(&key)
+            .and_then(CachedFile::resolve_synced)
     }
 
     /// Record that upstream now durably holds contents with this digest
@@ -466,7 +487,7 @@ impl FileCache {
     pub fn set_synced(&self, key: FileKey, d: Digest) {
         let mut inner = self.inner.lock();
         if let Some(f) = inner.files.get_mut(&key) {
-            f.synced = Some(d);
+            f.synced = Synced::Digest(d);
         }
     }
 
@@ -480,7 +501,7 @@ impl FileCache {
     pub fn clear_synced(&self, key: FileKey) {
         let mut inner = self.inner.lock();
         if let Some(f) = inner.files.get_mut(&key) {
-            f.synced = None;
+            f.synced = Synced::Unknown;
         }
     }
 
@@ -531,6 +552,10 @@ impl FileCache {
             let stamp = inner.stamp;
             match inner.files.get_mut(&key) {
                 Some(f) => {
+                    // A reference still owing its synced digest settles
+                    // it now: past this write the pristine contents can
+                    // no longer be assembled.
+                    f.resolve_synced();
                     // Growth is incompatible with a recipe-bounded
                     // backing: materialize to a full entry first (the
                     // assembled shared bytes become disk-resident and
@@ -927,6 +952,38 @@ mod tests {
             assert_eq!(mid, &content[1000..1100]);
             assert!(!eof2);
             assert_eq!(cas.pinned_bytes(), 2500);
+            cc.validate_accounting();
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn reference_synced_digest_is_the_pristine_one_however_late_it_is_asked() {
+        let sim = Simulation::new();
+        let c = cache(&sim.handle(), 1 << 20);
+        let cc = c.clone();
+        sim.spawn("t", move |env| {
+            let cas = Arc::new(ContentStore::new(1 << 20));
+            let content = golden(3000);
+            let eager = digest(&content);
+            for k in 1..=4 {
+                let recipe = pinned_recipe(&cas, &content, 1024);
+                cc.install_reference(&env, key(k), cas.clone(), 1024, recipe, 0);
+            }
+            // Asked first, then written.
+            assert_eq!(cc.synced_digest(key(1)), Some(eager));
+            assert!(cc.write(&env, key(1), 1500, b"DIVERGED"));
+            assert_eq!(cc.synced_digest(key(1)), Some(eager));
+            // Written first (a break, then an extension that converts the
+            // entry to a full file), asked afterwards.
+            assert!(cc.write(&env, key(2), 1500, b"DIVERGED"));
+            assert_eq!(cc.synced_digest(key(2)), Some(eager));
+            assert!(cc.write(&env, key(3), 2990, b"past-the-end-tail"));
+            assert!(!cc.is_reference(key(3)));
+            assert_eq!(cc.synced_digest(key(3)), Some(eager));
+            // An upload starting before anyone asked still forgets it.
+            cc.clear_synced(key(4));
+            assert_eq!(cc.synced_digest(key(4)), None);
             cc.validate_accounting();
         });
         sim.run();

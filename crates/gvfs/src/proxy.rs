@@ -381,6 +381,11 @@ struct ProxyState {
     /// read. Removal on demand hit counts `prefetch_hits`; found evicted
     /// counts `prefetch_wasted`.
     prefetched: BTreeSet<Tag>,
+    /// The block cache's removal count as of which every `prefetched`
+    /// block was resident: the count at the last reclaim scan, pulled
+    /// back to the count from before its insert when a block joins the
+    /// set (`reclaim_wasted_prefetches`).
+    prefetched_checked_at: u64,
     /// Blocks a demand miss is currently fetching upstream. The kernel
     /// client pipelines its own readahead as parallel READs, so the
     /// demand READ for block b+1 is often already in flight when block
@@ -571,6 +576,23 @@ pub struct Proxy {
     state: Arc<Mutex<ProxyState>>,
 }
 
+/// Forget, and return the number of, prefetched blocks that fell out of
+/// the cache without ever serving a demand read — wasted effort. Costs a
+/// scan of `prefetched` only when the cache has dropped a frame since
+/// every tracked block was last known resident; otherwise none can be
+/// gone.
+fn reclaim_wasted_prefetches(st: &mut ProxyState, bc: &BlockCache) -> u64 {
+    let removals = bc.removals();
+    if removals == st.prefetched_checked_at {
+        debug_assert!(st.prefetched.iter().all(|t| bc.contains(*t)));
+        return 0;
+    }
+    let tracked = st.prefetched.len();
+    st.prefetched.retain(|t| bc.contains(*t));
+    st.prefetched_checked_at = removals;
+    (tracked - st.prefetched.len()) as u64
+}
+
 fn key_of(h: Handle) -> FileKey {
     FileKey {
         fileid: h.fileid,
@@ -688,6 +710,7 @@ impl Proxy {
         });
         let cas = if cfg.dedup.enabled {
             let store = ContentStore::new(cfg.dedup.cas_bytes);
+            let store = store.with_broken_pin_counter(tel.recovered_errors.clone());
             let store = match &cow_pin_blocked {
                 Some(c) => store.with_pin_blocked_counter(c.clone()),
                 None => store,
@@ -781,6 +804,7 @@ impl Proxy {
                 streaks: HashMap::new(),
                 inflight_prefetch: BTreeMap::new(),
                 prefetched: BTreeSet::new(),
+                prefetched_checked_at: 0,
                 inflight_demand: BTreeSet::new(),
                 wb_queue: BTreeMap::new(),
                 acked: BTreeMap::new(),
@@ -1330,7 +1354,12 @@ impl Proxy {
                 if let Some(sig) = waiter {
                     sig.wait(env);
                 }
-                if let Some(data) = bc.lookup(env, tag) {
+                // A hit copies out only the bytes this READ asked for
+                // (none when it starts past the end of a short EOF-tail
+                // block).
+                if let Some((data, block_len)) =
+                    bc.lookup_range(env, tag, in_block as usize, a.count as usize)
+                {
                     if claimed {
                         let mut st = self.state.lock();
                         st.inflight_demand.remove(&tag);
@@ -1342,20 +1371,12 @@ impl Proxy {
                         // block means the sequential stream is live.
                         self.maybe_prefetch(env, cred, key, tag, bs, a.count, zm, size_hint);
                     }
-                    let start = in_block as usize;
-                    let take = if start >= data.len() {
-                        // Reading past the end of a short (EOF tail)
-                        // block: nothing there.
-                        0
-                    } else {
-                        (a.count as usize).min(data.len() - start)
-                    };
-                    let eof = data.len() < bs as usize
+                    let eof = block_len < bs as usize
                         || self
                             .known_size(key)
-                            .map(|s| a.offset + take as u64 >= s)
+                            .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
-                    return Self::read_reply(xid, data[start..start + take].to_vec(), eof);
+                    return Self::read_reply(xid, data, eof);
                 }
                 if !claimed {
                     // Waited on a prefetch that failed to land: claim the
@@ -1508,17 +1529,7 @@ impl Proxy {
                 2 | 3 => return,
                 _ => depth as u64,
             };
-            // Reclaim: prefetched blocks that fell out of the cache
-            // without ever serving a demand read were wasted effort.
-            let gone: Vec<Tag> = st
-                .prefetched
-                .iter()
-                .filter(|t| !bc.contains(**t))
-                .copied()
-                .collect();
-            for t in &gone {
-                st.prefetched.remove(t);
-            }
+            let wasted = reclaim_wasted_prefetches(&mut st, &bc);
             let mut cands: Vec<Tag> = Vec::new();
             for b in (tag.block + 1)..=(tag.block + depth) {
                 if let Some(s) = size {
@@ -1547,7 +1558,7 @@ impl Proxy {
                     .insert(t, simnet::Signal::new(env.handle()));
                 cands.push(t);
             }
-            (cands, gone.len() as u64)
+            (cands, wasted)
         };
         if wasted > 0 {
             self.tel.prefetch_wasted.add(wasted);
@@ -1587,6 +1598,10 @@ impl Proxy {
                             if let Some(cas) = &ctx.cas {
                                 cas.insert(&r.data);
                             }
+                            // Taken before the insert: the frame can be
+                            // evicted again while the insert still pays
+                            // its disk time or the write-back below runs.
+                            let removals = ctx.bc.removals();
                             if let Some((etag, edata)) = ctx.bc.insert(env, t, r.data, false) {
                                 writeback_evicted_block(
                                     env,
@@ -1605,6 +1620,7 @@ impl Proxy {
                             {
                                 let mut st = ctx.state.lock();
                                 st.prefetched.insert(t);
+                                st.prefetched_checked_at = st.prefetched_checked_at.min(removals);
                                 st.inflight_prefetch.remove(&t)
                             }
                         }
@@ -1619,31 +1635,6 @@ impl Proxy {
                 },
             );
         });
-    }
-
-    /// Count prefetched blocks that fell out of the cache without ever
-    /// serving a demand read. Runs on every flush so the wasted counter
-    /// converges even when no further misses re-trigger `maybe_prefetch`.
-    fn reclaim_wasted_prefetches(&self) {
-        let Some(bc) = &self.block_cache else {
-            return;
-        };
-        let wasted = {
-            let mut st = self.state.lock();
-            let gone: Vec<Tag> = st
-                .prefetched
-                .iter()
-                .filter(|t| !bc.contains(**t))
-                .copied()
-                .collect();
-            for t in &gone {
-                st.prefetched.remove(t);
-            }
-            gone.len() as u64
-        };
-        if wasted > 0 {
-            self.tel.prefetch_wasted.add(wasted);
-        }
     }
 
     // -- WRITE --------------------------------------------------------------
@@ -2416,8 +2407,13 @@ impl Proxy {
             report.file_wire_bytes += t.1;
         }
         self.tel.blocks_written_back.add(report.blocks);
-        // Wasted-prefetch reconciliation piggybacks on the flush signal.
-        self.reclaim_wasted_prefetches();
+        // Wasted-prefetch reconciliation piggybacks on the flush signal,
+        // so the counter converges even when no further misses
+        // re-trigger `maybe_prefetch`.
+        if let Some(bc) = &self.block_cache {
+            let wasted = reclaim_wasted_prefetches(&mut self.state.lock(), bc);
+            self.tel.prefetch_wasted.add(wasted);
+        }
         // Size overrides deliberately survive the flush: `known_size` is
         // consulted by later write-backs and GETATTR patching, and the
         // meta-data fallback still reports the pre-session file size.

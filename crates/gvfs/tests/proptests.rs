@@ -327,6 +327,130 @@ proptest! {
         }
     }
 
+    /// A range decode is a slice of the whole decode, for mixed
+    /// run/literal payloads and arbitrary ranges: empty, whole,
+    /// straddling the end, past it.
+    #[test]
+    fn codec_range_decode_is_a_slice_of_the_whole(
+        pieces in proptest::collection::vec((any::<u8>(), 1usize..600, any::<bool>()), 1..30),
+        off in 0usize..12_000,
+        len in 0usize..12_000,
+    ) {
+        let data = runs_and_literals(&pieces);
+        let s = codec::compress(&data);
+        let n = data.len();
+        for (o, l) in [(off, len), (0, n), (off, 0), (off % (n + 1), usize::MAX), (n, 1)] {
+            let want = &data[o.min(n)..o.saturating_add(l).min(n)];
+            prop_assert_eq!(codec::decompress_range(&s, o, l).unwrap(), want);
+        }
+    }
+
+    /// Damage is judged alike: under any truncation or byte flip the
+    /// range decoder fails exactly when, and as, the whole decoder fails
+    /// (every record header is validated either way), and where both
+    /// still decode, the range is still the slice and no longer than
+    /// asked for. Neither panics.
+    #[test]
+    fn codec_range_decode_fails_exactly_when_the_whole_decode_fails(
+        pieces in proptest::collection::vec((any::<u8>(), 1usize..600, any::<bool>()), 1..30),
+        off in 0usize..12_000,
+        len in 0usize..12_000,
+        damage in proptest::collection::vec((any::<bool>(), 0.0f64..1.0, 1u8..=255), 1..12),
+    ) {
+        let s = codec::compress(&runs_and_literals(&pieces));
+        for (truncate, at, flip) in damage {
+            let mut bad = s.clone();
+            let pos = ((bad.len() as f64) * at) as usize;
+            if truncate {
+                bad.truncate(pos);
+            } else {
+                bad[pos] ^= flip;
+            }
+            match (codec::decompress(&bad), codec::decompress_range(&bad, off, len)) {
+                (Ok(whole), Ok(part)) => {
+                    let n = whole.len();
+                    prop_assert_eq!(&part[..], &whole[off.min(n)..(off + len).min(n)]);
+                    prop_assert!(part.len() <= len);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(
+                    false,
+                    "whole {:?} vs range {:?}",
+                    a.map(|v| v.len()),
+                    b.map(|v| v.len())
+                ),
+            }
+        }
+    }
+
+    /// A reference-backed file reads like the dense bytes it stands for:
+    /// random in-bounds writes (copy-on-write breaks), chunk-wise dirty
+    /// takes (overlay chunks that are clean again) and unaligned reads
+    /// straddling shared chunks, private chunks and the end, against a
+    /// plain `Vec<u8>` model. The synced digest, whenever it is first
+    /// asked for — before or after the first write — is the digest of the
+    /// pristine contents.
+    #[test]
+    fn reference_file_reads_like_its_dense_model(
+        len in 1usize..5_000,
+        seed in any::<u64>(),
+        ask_synced_at in 0usize..40,
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..5_200, 1usize..1_500, any::<u8>()),
+            1..40,
+        ),
+    ) {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let cache = Arc::new(FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 20));
+        let cas = Arc::new(ContentStore::new(1 << 20));
+        let mul = seed | 1;
+        let golden: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 7) as u8).collect();
+        sim.spawn("ops", move |env| {
+            let key = FileKey { fileid: 1, generation: 1 };
+            let recipe: Vec<(Digest, u32)> = golden
+                .chunks(512)
+                .map(|c| (cas.insert_pinned(c), c.len() as u32))
+                .collect();
+            cache.install_reference(&env, key, cas.clone(), 512, recipe, 0);
+            let mut model = golden.clone();
+            for (step, (op, off, n, byte)) in ops.into_iter().enumerate() {
+                if step == ask_synced_at {
+                    assert_eq!(cache.synced_digest(key), Some(gvfs::digest::digest(&golden)));
+                }
+                match op {
+                    0 | 1 => {
+                        let (data, eof) = cache.read(&env, key, off as u64, n as u32).unwrap();
+                        let end = (off + n).min(len);
+                        assert_eq!(data, &model[off.min(len)..end], "read {off}+{n}");
+                        assert_eq!(eof, off + data.len() >= len);
+                    }
+                    2 => {
+                        // In bounds: the entry stays a reference.
+                        let off = off % len;
+                        let bytes = vec![byte; n.min(len - off)];
+                        assert!(cache.write(&env, key, off as u64, &bytes));
+                        model[off..off + bytes.len()].copy_from_slice(&bytes);
+                    }
+                    3 => {
+                        if let Some(dc) = cache.take_dirty_chunks(&env, key) {
+                            assert_eq!(dc.full_digest, gvfs::digest::digest(&model));
+                            for (at, bytes) in dc.ranges {
+                                let at = at as usize;
+                                assert_eq!(bytes, &model[at..at + bytes.len()]);
+                            }
+                        }
+                    }
+                    _ => unreachable!(),
+                }
+                assert!(cache.is_reference(key));
+                cache.validate_accounting();
+            }
+            assert_eq!(cache.read(&env, key, 0, len as u32).unwrap().0, model);
+        });
+        sim.run();
+    }
+
     /// MetaFile serialization round-trips for arbitrary zero maps.
     #[test]
     fn meta_file_round_trips(
@@ -404,4 +528,22 @@ proptest! {
         };
         prop_assert_eq!(range, blockwise);
     }
+}
+
+/// `(byte, n, literal)` pieces laid end to end: `n` copies of `byte`
+/// (a run record once long enough) or `n` run-free bytes seeded by it.
+fn runs_and_literals(pieces: &[(u8, usize, bool)]) -> Vec<u8> {
+    let mut data = Vec::new();
+    for &(b, n, literal) in pieces {
+        if literal {
+            let mut x = u32::from(b) | 0x100;
+            data.extend((0..n).map(|_| {
+                x = x.wrapping_mul(1664525).wrapping_add(1013904223);
+                (x >> 24) as u8
+            }));
+        } else {
+            data.extend(std::iter::repeat_n(b, n));
+        }
+    }
+    data
 }

@@ -41,6 +41,19 @@ struct Rig {
 /// endpoint; a kernel-facing RPC client authenticated with a middleware
 /// credential.
 fn build_rig(sim: &Simulation, write_policy: WritePolicy, meta_handling: bool) -> Rig {
+    // Most tests pin exact hit/miss and wire-byte counts, so they keep
+    // read-ahead off and the cache far larger than anything they read.
+    let geometry = BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024);
+    build_rig_with(sim, write_policy, meta_handling, geometry, 0)
+}
+
+fn build_rig_with(
+    sim: &Simulation,
+    write_policy: WritePolicy,
+    meta_handling: bool,
+    geometry: BlockCacheConfig,
+    read_ahead: usize,
+) -> Rig {
     let h: SimHandle = sim.handle();
 
     // --- image server machine -------------------------------------------
@@ -98,11 +111,7 @@ fn build_rig(sim: &Simulation, write_policy: WritePolicy, meta_handling: bool) -
     let (session_id, cred) = mw.establish_session(&mapper, "alice", 0, u64::MAX / 2);
 
     let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let block_cache = Arc::new(BlockCache::new(
-        &h,
-        cache_disk.clone(),
-        BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024),
-    ));
+    let block_cache = Arc::new(BlockCache::new(&h, cache_disk.clone(), geometry));
     let file_cache = Arc::new(FileCache::new(cache_disk, 4 << 30));
     let upstream = RpcClient::new(wan_ep.channel, cred.clone());
     let chan_client = ChannelClient::new(upstream.clone(), CodecModel::default());
@@ -113,11 +122,10 @@ fn build_rig(sim: &Simulation, write_policy: WritePolicy, meta_handling: bool) -
             meta_handling,
             per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
-            // These tests pin exact hit/miss and wire-byte counts, so
-            // keep read-ahead off; chunking stays on (1 MiB files are a
-            // single chunk, preserving the channel-fetch assertions).
+            // Chunking stays on (1 MiB files are a single chunk,
+            // preserving the channel-fetch assertions).
             transfer: TransferTuning {
-                read_ahead: 0,
+                read_ahead,
                 ..TransferTuning::default()
             },
             // These tests pin exact wire-byte counts for the plain
@@ -254,6 +262,68 @@ fn second_read_hits_proxy_disk_cache_and_skips_wan() {
         assert_eq!(bc.misses, 32);
     });
     sim.run();
+}
+
+#[test]
+fn prefetch_accounting_under_eviction_matches_the_eager_scan() {
+    // A 4-frame block cache under an 8-block read-ahead window: the
+    // prefetcher evicts its own blocks before the reader gets to them.
+    // The reclaim that counts those as wasted rescans `prefetched` only
+    // when the cache's removal count has moved; the numbers pinned below
+    // are what an eager rescan on every miss and every flush counts for
+    // the same run (measured with one). In debug builds the reclaim also
+    // asserts, each time it skips, that a scan would find nothing.
+    let sim = Simulation::new();
+    let geometry = BlockCacheConfig {
+        banks: 1,
+        sets_per_bank: 1,
+        assoc: 4,
+        block_size: 32 * 1024,
+    };
+    let rig = build_rig_with(&sim, WritePolicy::WriteBack, false, geometry, 8);
+    let payload: Vec<u8> = (0..48u32 * 32 * 1024)
+        .map(|i| (i % 239) as u8 | 1)
+        .collect();
+    seed_file(&rig.fs, "a.bin", &payload, None);
+    seed_file(&rig.fs, "b.bin", &payload[..20 * 32 * 1024], None);
+    let nfs = Nfs3Client::new(rig.client_rpc.clone());
+    let proxy = rig.proxy.clone();
+    let cred = rig.session_cred.clone();
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        let (a, _) = nfs.lookup(&env, root, "a.bin").unwrap();
+        let (b, _) = nfs.lookup(&env, root, "b.bin").unwrap();
+        let read = |env: &Env, fh, block: u64| {
+            let r = nfs.read(env, fh, block * 32 * 1024, 32 * 1024).unwrap();
+            let at = (block * 32 * 1024) as usize;
+            assert_eq!(r.data, &payload[at..at + r.data.len()]);
+        };
+        // One sequential stream, then two interleaved ones, then a
+        // re-read of blocks long since evicted.
+        for block in 0..24 {
+            read(&env, a, block);
+        }
+        proxy.flush(&env, &cred);
+        for block in 0..20 {
+            read(&env, a, 24 + block);
+            read(&env, b, block);
+        }
+        for block in [3, 4, 5, 6, 30, 31] {
+            read(&env, a, block);
+        }
+        proxy.flush(&env, &cred);
+    });
+    let tel = sim.handle().telemetry().clone();
+    sim.run();
+    let snap = tel.snapshot();
+    let count = |name: &str| snap.counter("gvfs", &format!("client-proxy.{name}"));
+    let (issued, hits, wasted) = (
+        count("prefetch_issued"),
+        count("prefetch_hits"),
+        count("prefetch_wasted"),
+    );
+    assert!(snap.counter("gvfs", "block-cache.evictions") > 300);
+    assert_eq!((issued, hits, wasted), (374, 10, 316));
 }
 
 #[test]

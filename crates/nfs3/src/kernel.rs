@@ -524,17 +524,32 @@ impl FileIo for KernelClient {
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
 
-        // Scan the cache: copy hits, collect misses.
-        // BTreeMap: the copy-out loop below iterates it (lint: determinism).
-        let mut assembled: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // The part of block `b` the request covers, as a range of the
+        // block and as the offset of its first byte in the result.
+        let end = offset + len as u64;
+        let span = |b: u64| {
+            let block_start = b * bs;
+            let from = offset.max(block_start);
+            let to = end.min(block_start + bs);
+            (
+                (from - block_start) as usize..(to - block_start) as usize,
+                (from - offset) as usize,
+            )
+        };
+
+        // Scan the cache in block order: hits are copied straight into
+        // the result, misses leave a gap of zeros for the fetch to fill.
+        let mut out = Vec::with_capacity(len);
         let mut misses = Vec::new();
         {
             let mut st = self.state.lock();
             for b in first..=last {
+                let (range, _) = span(b);
                 if let Some(blk) = st.cache.get(&(h.fileid, b)) {
-                    assembled.insert(b, blk.data.clone());
+                    out.extend_from_slice(&blk.data[range]);
                     self.tel.cache_hits.inc();
                 } else {
+                    out.resize(out.len() + range.len(), 0);
                     misses.push(b);
                     self.tel.cache_misses.inc();
                 }
@@ -548,34 +563,15 @@ impl FileIo for KernelClient {
             let mut evicted_all = Vec::new();
             {
                 let mut st = self.state.lock();
-                for (b, data) in &fetched {
-                    if let Some(ev) = st.cache.insert(
-                        (h.fileid, *b),
-                        Block {
-                            data: data.clone(),
-                            dirty: false,
-                        },
-                    ) {
+                for (b, data) in fetched {
+                    let (range, at) = span(b);
+                    out[at..at + range.len()].copy_from_slice(&data[range]);
+                    if let Some(ev) = st.cache.insert((h.fileid, b), Block { data, dirty: false }) {
                         evicted_all.push(ev);
                     }
                 }
             }
             self.writeback_evicted(env, evicted_all, h)?;
-            for (b, data) in fetched {
-                assembled.insert(b, data);
-            }
-        }
-        // Assemble the byte range from block copies.
-        let mut out = vec![0u8; len];
-        for (b, data) in assembled {
-            let block_start = b * bs;
-            let copy_from = offset.max(block_start);
-            let copy_to = (offset + len as u64).min(block_start + bs);
-            if copy_from >= copy_to {
-                continue;
-            }
-            let src = &data[(copy_from - block_start) as usize..(copy_to - block_start) as usize];
-            out[(copy_from - offset) as usize..(copy_to - offset) as usize].copy_from_slice(src);
         }
         Ok(out)
     }

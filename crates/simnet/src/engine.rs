@@ -338,13 +338,17 @@ struct KernelInner {
 type Job = Box<dyn FnOnce() + Send>;
 
 struct PoolQueue {
-    /// Jobs claimed by a parked worker but not yet picked up. A job is
-    /// only queued when `idle` was positive (and decremented) — otherwise
-    /// a fresh thread is spawned with the job directly — so nothing here
-    /// ever waits on a busy worker.
+    /// Jobs handed to a parked worker but not yet picked up. A job is
+    /// only queued while `parked` exceeds the jobs already waiting —
+    /// otherwise a fresh thread is spawned with the job directly — so
+    /// nothing here ever waits on a busy worker.
     jobs: std::collections::VecDeque<Job>,
-    /// Workers parked on the condvar and not yet claimed by a job.
-    idle: usize,
+    /// Workers inside `cv.wait`, counted by the workers themselves on
+    /// the way in and out. Exact whatever wakes them: the condvar is
+    /// `std`'s, which wakes spuriously — a worker that has released the
+    /// queue lock but not yet gone to sleep is woken by the next
+    /// `notify_one` *in addition to* the sleeper that notify picked.
+    parked: usize,
     /// Set when the last [`SimHandle`] drops; parked workers exit.
     closed: bool,
 }
@@ -375,7 +379,7 @@ impl WorkerPool {
             shared: Arc::new(PoolShared {
                 q: Mutex::new(PoolQueue {
                     jobs: std::collections::VecDeque::new(),
-                    idle: 0,
+                    parked: 0,
                     closed: false,
                 }),
                 cv: Condvar::new(),
@@ -389,8 +393,8 @@ impl WorkerPool {
     fn execute(&self, job: Job) {
         {
             let mut q = self.shared.q.lock();
-            if q.idle > 0 {
-                q.idle -= 1; // claim the worker for this job
+            if q.parked > q.jobs.len() {
+                // A parked worker no earlier job has spoken for.
                 q.jobs.push_back(job);
                 self.shared.cv.notify_one();
                 return;
@@ -421,17 +425,17 @@ fn worker_loop(shared: Arc<PoolShared>, first_job: Job) {
         let mut q = shared.q.lock();
         job = loop {
             if let Some(j) = q.jobs.pop_front() {
-                // Consumes one claim: either ours (we registered below and
-                // an `execute` decremented `idle` for it) or, if we just
-                // finished a job and grabbed a queued one, the claim of a
-                // parked sibling — which re-registers when it wakes empty.
+                // Ours, or — if we just finished a job — one a parked
+                // sibling was woken for; it parks again on finding the
+                // queue empty.
                 break j;
             }
             if q.closed {
                 return;
             }
-            q.idle += 1;
+            q.parked += 1;
             shared.cv.wait(&mut q);
+            q.parked -= 1;
         };
     }
 }
@@ -1134,6 +1138,63 @@ impl Default for Simulation {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering as AO};
+
+    #[test]
+    fn workers_woken_for_nothing_are_not_counted_twice() {
+        // std's condvar may wake a waiter nobody notified. A worker that
+        // wakes to an empty queue used to register itself as idle a
+        // second time; once the real idle workers ran out, `execute`
+        // queued a process for a worker that did not exist, the baton
+        // passed to that process, and the run hung with every thread
+        // parked. Wake-ups without a job are forced here by notifying
+        // with nothing queued.
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let pool = WorkerPool::new();
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        // Start a job that reports in and then blocks until released.
+        let blocking = || {
+            let (release, released) = mpsc::channel::<()>();
+            let started = started_tx.clone();
+            pool.execute(Box::new(move || {
+                started.send(()).expect("test alive");
+                let _ = released.recv();
+            }));
+            release
+        };
+        let wait_started = |what: &str| {
+            started_rx
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{what} was queued for a worker that does not exist"));
+        };
+        let wait_parked = |n: usize| {
+            for _ in 0..10_000 {
+                if pool.shared.q.lock().parked == n {
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            panic!("workers never parked");
+        };
+        // Two workers, both parked.
+        let (a, b) = (blocking(), blocking());
+        wait_started("first job");
+        wait_started("second job");
+        drop((a, b));
+        wait_parked(2);
+        for _ in 0..3 {
+            pool.shared.cv.notify_all();
+            std::thread::sleep(Duration::from_millis(20));
+            wait_parked(2);
+        }
+        // Three processes: one per parked worker, a fresh thread for the
+        // third. All three must start.
+        let held = [blocking(), blocking(), blocking()];
+        wait_started("a job");
+        wait_started("a job");
+        wait_started("the job beyond the parked workers");
+        drop(held);
+    }
 
     #[test]
     fn empty_simulation_finishes_at_zero() {

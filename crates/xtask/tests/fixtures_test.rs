@@ -31,6 +31,15 @@ fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
             include_str!("fixtures/bounded-decode-gossip/good.rs"),
         ),
         (
+            // Third bounded-decode pair: the codec's range decoder, which
+            // must size its output by the clipped request, never by what
+            // the stream declares.
+            "bounded-decode",
+            "crates/gvfs/src/codec.rs",
+            include_str!("fixtures/bounded-decode-range/bad.rs"),
+            include_str!("fixtures/bounded-decode-range/good.rs"),
+        ),
+        (
             "exact-accounting",
             "crates/gvfs/src/file_cache.rs",
             include_str!("fixtures/exact-accounting/bad.rs"),
