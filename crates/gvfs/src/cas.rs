@@ -3,9 +3,12 @@
 //! Generalizes the zero-block map into "serve locally anything whose
 //! bytes the near side already has": every block-cache frame and
 //! file-cache chunk a proxy holds is indexed by its [`crate::digest`]
-//! digest, and the file channel's recipe path
-//! ([`crate::channel::ChannelClient::fetch_dedup`]) consults the index
-//! before asking the WAN for a payload.
+//! digest, and the file channel's recipe path consults the index before
+//! asking the WAN for a payload — in either of its outcomes:
+//! [`crate::channel::ChannelClient::fetch_dedup`] copies resident
+//! chunks out to assemble the file,
+//! [`crate::channel::ChannelClient::fetch_recipe_pinned`] pins them in
+//! place for a reference file.
 //!
 //! ## Cost model
 //!

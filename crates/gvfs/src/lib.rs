@@ -48,7 +48,7 @@ pub use block_cache::{BlockCache, BlockCacheConfig, BlockCacheStats, Tag, WriteP
 pub use cas::{ContentStore, DedupTel, DedupTuning};
 pub use channel::{
     decode_gossip, encode_gossip, ChannelClient, DedupFetch, FileChannelServer, PinnedRecipe,
-    CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
+    RecipeFetch, CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
 pub use codec::CodecModel;
 pub use digest::Digest;

@@ -50,10 +50,11 @@ use nfs3::proto::{
 use crate::block_cache::{BlockCache, Tag, WritePolicy};
 use crate::cas::{ContentStore, DedupTel, DedupTuning};
 use crate::channel::{
-    chanproc, decode_gossip, encode_gossip, ChannelClient, CHANNEL_PROGRAM, CHANNEL_V1,
-    MAX_GOSSIP_DIGESTS,
+    self, batchable, blob_reply_len, chanproc, decode_blob_args, decode_chunk_args, decode_gossip,
+    decode_recipe_args, encode_gossip, read_blob_reply, ChannelClient, RecipeFetch,
+    CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
-use crate::codec::{self, CodecModel};
+use crate::codec::CodecModel;
 use crate::digest::{self, Digest};
 use crate::file_cache::{CowTuning, FileCache, FileKey};
 use crate::fleet::FleetTuning;
@@ -359,16 +360,16 @@ const RECIPE_REPLY_CAP: usize = 4096;
 struct ProxyState {
     meta: HashMap<FileKey, Option<Arc<MetaFile>>>,
     sizes: HashMap<FileKey, u64>,
-    /// Single-flight guard: file-channel fetches in progress. Concurrent
+    /// Single-flight guard ([`Proxy::join_or_claim`]): fetches in
+    /// progress, each with the signal its waiters park on. Concurrent
     /// READ misses on the same file (the kernel client's parallel read
     /// workers) must trigger ONE whole-file transfer, with the rest
-    /// blocking until the file cache is populated.
-    inflight_fetch: HashMap<FileKey, simnet::Signal>,
-    /// Cached file-channel FETCH replies (results bytes), for second-level
-    /// proxies serving repeated clonings on a LAN.
-    chan_replies: HashMap<FileKey, xdr::Bytes>,
-    /// Cached FETCH_CHUNK replies keyed by (file, offset, count) — the
-    /// chunked analogue of `chan_replies`.
+    /// blocking until the file cache is populated; concurrent blob
+    /// fetches coalesce by content digest.
+    inflight: BTreeMap<FlightKey, simnet::Signal>,
+    /// Cached `FETCH_CHUNK` replies (results bytes) keyed by
+    /// (file, offset, count), for second-level proxies serving repeated
+    /// clonings on a LAN.
     chan_chunk_replies: HashMap<(FileKey, u64, u32), xdr::Bytes>,
     /// Per-file sequential-miss detector: (last missed block, run length).
     streaks: HashMap<FileKey, (u64, u32)>,
@@ -419,13 +420,9 @@ struct ProxyState {
     /// verified against their digest before insertion and LRU-bounded
     /// by the CAS byte cap.
     chan_blob_replies: BlobReplyCache,
-    /// Single-flight guard for blob fetches, keyed by content digest
-    /// (not file handle): concurrent clonings of *different* images
-    /// coalesce on the chunks they share.
-    inflight_blob: BTreeMap<Digest, simnet::Signal>,
     /// Blob misses waiting to join the next upstream batch envelope
     /// (fleet batching only): `(digest, original request args)` in
-    /// arrival order. Each entry also holds a signal in `inflight_blob`.
+    /// arrival order. Each entry also holds a signal in `inflight`.
     batch_pending: Vec<(Digest, xdr::Bytes)>,
     /// Whether a batch leader is currently collecting `batch_pending`
     /// (fleet batching only). New misses arriving while true just park;
@@ -454,12 +451,68 @@ struct ProxyState {
     peer_digests: BTreeMap<u32, BTreeSet<Digest>>,
 }
 
-/// Write-back queue back-pressure policy (satellite of the fleet work):
-/// `cap == 0` is the historical unbounded queue; the telemetry cells are
-/// registered only when a cap is configured, so legacy snapshots carry
-/// no new counters.
+impl ProxyState {
+    /// Take the next upstream envelope's worth of parked blob misses: at
+    /// most `max_batch` (itself bounded by what an envelope may carry).
+    fn take_blob_round(&mut self, max_batch: usize) -> Vec<(Digest, xdr::Bytes)> {
+        let max_batch = max_batch.clamp(1, oncrpc::MAX_BATCH_ITEMS);
+        let take = self.batch_pending.len().min(max_batch);
+        self.batch_pending.drain(..take).collect()
+    }
+
+    /// Up to `batch` entries of the gossip log from `cursor` on, and the
+    /// cursor after them.
+    fn gossip_delta(&self, cursor: usize, batch: usize) -> (Vec<Digest>, usize) {
+        let start = cursor.min(self.gossip_log.len());
+        let end = (start + batch).min(self.gossip_log.len());
+        (self.gossip_log[start..end].to_vec(), end)
+    }
+}
+
+/// One downstream call being served: what every handler needs to answer
+/// it or to pass it upstream.
+#[derive(Clone, Copy)]
+struct Call<'a> {
+    env: &'a Env,
+    xid: u32,
+    cred: &'a oncrpc::OpaqueAuth,
+}
+
+/// What a single-flight is keyed by: a file being fetched whole, or a
+/// blob by content digest (not file handle), so concurrent clonings of
+/// *different* images coalesce on the chunks they share.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum FlightKey {
+    File(FileKey),
+    Blob(Digest),
+}
+
+/// How often one request may join or claim a flight before it gives up.
+/// A request re-enters when the fetch it waited on failed; unbounded,
+/// woken waiters would stampede the retry slot forever.
+const MAX_FLIGHT_ATTEMPTS: u32 = 3;
+
+/// Where evicted dirty blocks go: everything it takes to push one
+/// upstream or, failing that, to park it on the retry queue. Owned by
+/// the proxy and cloned into its detached read-ahead workers, whose
+/// inserts evict too (the proxy itself sits behind an `Arc` owned by the
+/// listener; workers only hold the pieces they touch).
 #[derive(Clone)]
-struct WbPolicy {
+struct WbSink {
+    upstream: RpcClient,
+    // Arc: detached prefetch workers share the state (and the Mutex
+    // inside keeps critical sections short — no suspends under it).
+    state: Arc<Mutex<ProxyState>>,
+    file_cache: Option<Arc<FileCache>>,
+    /// Block size of the attached block cache (32 KB until one is).
+    bs: u64,
+    written_back: Counter,
+    recovered_errors: Counter,
+    wb_queued: Counter,
+    /// Write-back queue back-pressure (satellite of the fleet work):
+    /// `cap == 0` is the historical unbounded queue; the telemetry cells
+    /// are registered only when a cap is configured, so legacy snapshots
+    /// carry no new counters.
     cap: usize,
     /// Parked blocks shed by the cap (oldest-tag first).
     shed: Option<Counter>,
@@ -467,27 +520,86 @@ struct WbPolicy {
     high_water: Option<Counter>,
 }
 
-/// Park a failed write-back on the retry queue, enforcing the fleet cap.
-/// Must run under the state lock (takes `&mut ProxyState`); shedding is
-/// deterministic (oldest tag in `BTreeMap` order goes first).
-fn park_wb_entry(st: &mut ProxyState, wb_queued: &Counter, wb: &WbPolicy, tag: Tag, data: Vec<u8>) {
-    wb_queued.inc();
-    st.wb_queue.insert(tag, data);
-    if wb.cap > 0 && st.wb_queue.len() > wb.cap {
-        // Bounded memory beats durability of the oldest parked block
-        // under a sustained upstream outage; the shed is surfaced via
-        // telemetry rather than silently dropped.
-        if st.wb_queue.pop_first().is_some() {
-            if let Some(shed) = &wb.shed {
-                shed.inc();
+impl WbSink {
+    /// This sink, writing upstream under `cred`.
+    fn with_cred(&self, cred: &oncrpc::OpaqueAuth) -> WbSink {
+        WbSink {
+            upstream: self.upstream.with_cred(cred.clone()),
+            ..self.clone()
+        }
+    }
+
+    /// Park a failed write-back on the retry queue, enforcing the fleet
+    /// cap. Must run under the state lock (takes `&mut ProxyState`);
+    /// shedding is deterministic (oldest tag in `BTreeMap` order goes
+    /// first).
+    fn park(&self, st: &mut ProxyState, tag: Tag, data: Vec<u8>) {
+        self.wb_queued.inc();
+        st.wb_queue.insert(tag, data);
+        if self.cap > 0 && st.wb_queue.len() > self.cap {
+            // Bounded memory beats durability of the oldest parked block
+            // under a sustained upstream outage; the shed is surfaced via
+            // telemetry rather than silently dropped.
+            if st.wb_queue.pop_first().is_some() {
+                if let Some(shed) = &self.shed {
+                    shed.inc();
+                }
+            }
+        }
+        if let Some(hw) = &self.high_water {
+            let depth = st.wb_queue.len() as u64;
+            let seen = hw.get();
+            if depth > seen {
+                hw.add(depth - seen);
             }
         }
     }
-    if let Some(hw) = &wb.high_water {
-        let depth = st.wb_queue.len() as u64;
-        let seen = hw.get();
-        if depth > seen {
-            hw.add(depth - seen);
+
+    /// Best known size of a file: local override (absorbed writes), then
+    /// meta-data, then the file cache.
+    fn known_size(&self, key: FileKey) -> Option<u64> {
+        {
+            let st = self.state.lock();
+            if let Some(s) = st.sizes.get(&key) {
+                return Some(*s);
+            }
+            if let Some(Some(m)) = st.meta.get(&key) {
+                return Some(m.file_size);
+            }
+        }
+        self.file_cache.as_ref().and_then(|fc| fc.size_of(key))
+    }
+
+    /// Push an evicted dirty block upstream, truncated to the best-known
+    /// file size. Success counts into `written_back`; a failed WRITE
+    /// parks the block on the write-back retry queue (degraded mode) for
+    /// the next flush to drain, instead of dropping the bytes.
+    fn write_back(&self, env: &Env, tag: Tag, data: Vec<u8>) {
+        let key = tag_key(tag);
+        let off = tag.block * self.bs;
+        let mut payload = data;
+        if let Some(size) = self.known_size(key) {
+            if off >= size {
+                return;
+            }
+            payload.truncate(((size - off).min(self.bs)) as usize);
+        }
+        let nfs = nfs3::Nfs3Client::new(self.upstream.clone());
+        let h = handle_of(key);
+        // The UNSTABLE WRITE below may reach the server even when its
+        // reply is lost, so any remembered durable ack for this block
+        // stops being trustworthy the moment the write is issued (A-B-A):
+        // only a fresh WRITE+COMMIT verifier agreement in the flush path
+        // reinstates it.
+        self.state.lock().acked.remove(&tag);
+        if nfs
+            .write(env, h, off, payload.clone(), StableHow::Unstable)
+            .is_ok()
+        {
+            self.written_back.inc();
+        } else {
+            self.recovered_errors.inc();
+            self.park(&mut self.state.lock(), tag, payload);
         }
     }
 }
@@ -529,6 +641,16 @@ struct GossipCtl {
     peer_served: Counter,
 }
 
+impl GossipCtl {
+    /// Merge digests `sender` advertises into what we believe it holds.
+    /// Must run under the state lock.
+    fn learn(&self, st: &mut ProxyState, sender: u32, digests: Vec<Digest>) {
+        let inv = st.peer_digests.entry(sender).or_default();
+        let learned = digests.into_iter().filter(|d| inv.insert(*d)).count();
+        self.digests_learned.add(learned as u64);
+    }
+}
+
 /// A GVFS proxy instance. Implements [`RpcHandler`], so it plugs directly
 /// into an [`oncrpc::Listener`].
 pub struct Proxy {
@@ -553,15 +675,14 @@ pub struct Proxy {
     /// replies (write-back mode answers both locally, so it speaks for
     /// the stability of its own cache disk).
     write_verf: u64,
-    /// Write-back queue cap/shed policy (counters registered only when
-    /// `cfg.fleet` configures a cap).
-    wb: WbPolicy,
-    /// Upstream batch envelopes issued by fleet blob coalescing
-    /// (registered only when `cfg.fleet` enables batching).
-    fleet_batches: Option<Counter>,
-    /// Sub-calls those envelopes carried (`items / batches` = achieved
-    /// coalescing factor).
-    fleet_batched_items: Option<Counter>,
+    /// Where evicted dirty blocks go; carries the write-back queue
+    /// cap/shed policy.
+    wb: WbSink,
+    /// Upstream batch envelopes issued by fleet blob coalescing, and
+    /// the sub-calls they carried (`items / batches` = achieved
+    /// coalescing factor); registered only when `cfg.fleet` enables
+    /// batching.
+    fleet_batches: Option<(Counter, Counter)>,
     /// Intra-region digest gossip runtime (present iff `cfg.fleet.gossip`
     /// and dedup are both enabled).
     gossip: Option<GossipCtl>,
@@ -571,8 +692,6 @@ pub struct Proxy {
     /// CAS evictions refused under pin pressure (same registration
     /// gate; the counter is shared with the content store).
     cow_pin_blocked: Option<Counter>,
-    // Arc: detached prefetch workers share the state (and the Mutex
-    // inside keeps critical sections short — no suspends under it).
     state: Arc<Mutex<ProxyState>>,
 }
 
@@ -600,91 +719,26 @@ fn key_of(h: Handle) -> FileKey {
     }
 }
 
-/// Best known size of a file: local override (absorbed writes), then
-/// meta-data, then the file cache. A free function so detached prefetch
-/// workers share it with [`Proxy::known_size`].
-fn known_size_in(
-    state: &Mutex<ProxyState>,
-    file_cache: &Option<Arc<FileCache>>,
-    key: FileKey,
-) -> Option<u64> {
-    {
-        let st = state.lock();
-        if let Some(s) = st.sizes.get(&key) {
-            return Some(*s);
-        }
-        if let Some(Some(m)) = st.meta.get(&key) {
-            return Some(m.file_size);
-        }
-    }
-    file_cache.as_ref().and_then(|fc| fc.size_of(key))
-}
-
-/// Push an evicted dirty block upstream, truncated to the best-known
-/// file size. Success counts into `written_back`; a failed WRITE parks
-/// the block on the write-back retry queue (degraded mode) for the next
-/// flush to drain, instead of dropping the bytes.
-#[allow(clippy::too_many_arguments)]
-fn writeback_evicted_block(
-    env: &Env,
-    upstream: &RpcClient,
-    state: &Mutex<ProxyState>,
-    file_cache: &Option<Arc<FileCache>>,
-    bs: u64,
-    written_back: &Counter,
-    recovered_errors: &Counter,
-    wb_queued: &Counter,
-    wb: &WbPolicy,
-    tag: Tag,
-    data: Vec<u8>,
-) {
-    let key = FileKey {
-        fileid: tag.fileid,
-        generation: tag.generation,
-    };
-    let off = tag.block * bs;
-    let mut payload = data;
-    if let Some(size) = known_size_in(state, file_cache, key) {
-        if off >= size {
-            return;
-        }
-        payload.truncate(((size - off).min(bs)) as usize);
-    }
-    let nfs = nfs3::Nfs3Client::new(upstream.clone());
-    let h = Handle {
-        fileid: tag.fileid,
-        generation: tag.generation,
-    };
-    // The UNSTABLE WRITE below may reach the server even when its reply
-    // is lost, so any remembered durable ack for this block stops being
-    // trustworthy the moment the write is issued (A-B-A): only a fresh
-    // WRITE+COMMIT verifier agreement in the flush path reinstates it.
-    state.lock().acked.remove(&tag);
-    if nfs
-        .write(env, h, off, payload.clone(), StableHow::Unstable)
-        .is_ok()
-    {
-        written_back.inc();
-    } else {
-        recovered_errors.inc();
-        park_wb_entry(&mut state.lock(), wb_queued, wb, tag, payload);
+fn handle_of(key: FileKey) -> Handle {
+    Handle {
+        fileid: key.fileid,
+        generation: key.generation,
     }
 }
 
-/// Everything a detached read-ahead worker needs, detached from `&Proxy`
-/// (the proxy sits behind an `Arc` owned by the listener; workers only
-/// hold the pieces they touch).
-#[derive(Clone)]
-struct PrefetchCtx {
-    upstream: RpcClient,
-    bc: Arc<BlockCache>,
-    state: Arc<Mutex<ProxyState>>,
-    file_cache: Option<Arc<FileCache>>,
-    cas: Option<Arc<ContentStore>>,
-    written_back: Counter,
-    recovered_errors: Counter,
-    wb_queued: Counter,
-    wb: WbPolicy,
+fn tag_key(tag: Tag) -> FileKey {
+    FileKey {
+        fileid: tag.fileid,
+        generation: tag.generation,
+    }
+}
+
+fn tag_of(key: FileKey, block: u64) -> Tag {
+    Tag {
+        fileid: key.fileid,
+        generation: key.generation,
+        block,
+    }
 }
 
 impl Proxy {
@@ -700,14 +754,15 @@ impl Proxy {
         // verifier to change when the *server* instance changes; two
         // proxies must never share one).
         let write_verf = simnet::splitmix64(digest::seed64(tel.inst.as_bytes()));
+        let counter = |suffix: &str| {
+            tel.registry
+                .counter("gvfs", format!("{}.{suffix}", tel.inst))
+        };
         // Copy-on-write is meaningful only with a CAS to resolve recipes
         // against; with dedup off the knob is inert (and registers no
         // telemetry, keeping legacy snapshots byte-identical).
         let cow_on = cfg.cow.enabled && cfg.dedup.enabled;
-        let cow_pin_blocked = cow_on.then(|| {
-            tel.registry
-                .counter("gvfs", format!("{}.cas.pin_blocked_evictions", tel.inst))
-        });
+        let cow_pin_blocked = cow_on.then(|| counter("cas.pin_blocked_evictions"));
         let cas = if cfg.dedup.enabled {
             let store = ContentStore::new(cfg.dedup.cas_bytes);
             let store = store.with_broken_pin_counter(tel.recovered_errors.clone());
@@ -719,33 +774,18 @@ impl Proxy {
         } else {
             None
         };
-        let cow_installs = cow_on.then(|| {
-            tel.registry
-                .counter("gvfs", format!("{}.cow.ref_installs", tel.inst))
-        });
+        let cow_installs = cow_on.then(|| counter("cow.ref_installs"));
         let blob_reply_cap = cfg.dedup.cas_bytes;
         // Fleet telemetry registers only when the knobs are on, so a
         // legacy configuration's snapshot carries exactly the historical
         // counter set.
-        let wb = WbPolicy {
-            cap: cfg.fleet.wb_queue_cap,
-            shed: (cfg.fleet.wb_queue_cap > 0).then(|| {
-                tel.registry
-                    .counter("gvfs", format!("{}.wb_shed", tel.inst))
-            }),
-            high_water: (cfg.fleet.wb_queue_cap > 0).then(|| {
-                tel.registry
-                    .counter("gvfs", format!("{}.wb_high_water", tel.inst))
-            }),
-        };
-        let fleet_batches = cfg.fleet.batch_fetch.then(|| {
-            tel.registry
-                .counter("gvfs", format!("{}.fleet.batches", tel.inst))
-        });
-        let fleet_batched_items = cfg.fleet.batch_fetch.then(|| {
-            tel.registry
-                .counter("gvfs", format!("{}.fleet.batched_items", tel.inst))
-        });
+        let wb_cap = cfg.fleet.wb_queue_cap;
+        let wb_shed = (wb_cap > 0).then(|| counter("wb_shed"));
+        let wb_high_water = (wb_cap > 0).then(|| counter("wb_high_water"));
+        let fleet_batches = cfg
+            .fleet
+            .batch_fetch
+            .then(|| (counter("fleet.batches"), counter("fleet.batched_items")));
         // Gossip needs the digest-keyed reply cache both as the
         // inventory being advertised and as the store peer fetches are
         // served from, so it is inert without dedup (same dependency as
@@ -757,25 +797,46 @@ impl Proxy {
                 next: 0,
                 sent_cursor: BTreeMap::new(),
             }),
-            rounds: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.rounds", tel.inst)),
-            digests_learned: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.digests_learned", tel.inst)),
-            peer_hits: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.peer_hits", tel.inst)),
-            peer_bytes: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.peer_bytes", tel.inst)),
-            peer_misses: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.peer_misses", tel.inst)),
-            peer_served: tel
-                .registry
-                .counter("gvfs", format!("{}.gossip.peer_served", tel.inst)),
+            rounds: counter("gossip.rounds"),
+            digests_learned: counter("gossip.digests_learned"),
+            peer_hits: counter("gossip.peer_hits"),
+            peer_bytes: counter("gossip.peer_bytes"),
+            peer_misses: counter("gossip.peer_misses"),
+            peer_served: counter("gossip.peer_served"),
         });
+        let state = Arc::new(Mutex::new(ProxyState {
+            meta: HashMap::new(),
+            sizes: HashMap::new(),
+            inflight: BTreeMap::new(),
+            chan_chunk_replies: HashMap::new(),
+            streaks: HashMap::new(),
+            inflight_prefetch: BTreeMap::new(),
+            prefetched: BTreeSet::new(),
+            prefetched_checked_at: 0,
+            inflight_demand: BTreeSet::new(),
+            wb_queue: BTreeMap::new(),
+            acked: BTreeMap::new(),
+            chan_recipe_replies: HashMap::new(),
+            chan_blob_replies: BlobReplyCache::new(blob_reply_cap),
+            batch_pending: Vec::new(),
+            batch_open: false,
+            batch_uncounted: BTreeSet::new(),
+            gossip_log: Vec::new(),
+            gossip_reply_cursor: BTreeMap::new(),
+            peer_digests: BTreeMap::new(),
+        }));
+        let wb = WbSink {
+            upstream: upstream.clone(),
+            state: state.clone(),
+            file_cache: None,
+            bs: 32 * 1024,
+            written_back: tel.blocks_written_back.clone(),
+            recovered_errors: tel.recovered_errors.clone(),
+            wb_queued: tel.wb_queued.clone(),
+            cap: wb_cap,
+            shed: wb_shed,
+            high_water: wb_high_water,
+        };
         Proxy {
             cfg,
             upstream,
@@ -791,44 +852,23 @@ impl Proxy {
             write_verf,
             wb,
             fleet_batches,
-            fleet_batched_items,
             gossip,
             cow_installs,
             cow_pin_blocked,
-            state: Arc::new(Mutex::new(ProxyState {
-                meta: HashMap::new(),
-                sizes: HashMap::new(),
-                inflight_fetch: HashMap::new(),
-                chan_replies: HashMap::new(),
-                chan_chunk_replies: HashMap::new(),
-                streaks: HashMap::new(),
-                inflight_prefetch: BTreeMap::new(),
-                prefetched: BTreeSet::new(),
-                prefetched_checked_at: 0,
-                inflight_demand: BTreeSet::new(),
-                wb_queue: BTreeMap::new(),
-                acked: BTreeMap::new(),
-                chan_recipe_replies: HashMap::new(),
-                chan_blob_replies: BlobReplyCache::new(blob_reply_cap),
-                inflight_blob: BTreeMap::new(),
-                batch_pending: Vec::new(),
-                batch_open: false,
-                batch_uncounted: BTreeSet::new(),
-                gossip_log: Vec::new(),
-                gossip_reply_cursor: BTreeMap::new(),
-                peer_digests: BTreeMap::new(),
-            })),
+            state,
         }
     }
 
     /// Attach a block-based disk cache.
     pub fn with_block_cache(mut self, cache: Arc<BlockCache>) -> Self {
+        self.wb.bs = cache.config().block_size as u64;
         self.block_cache = Some(cache);
         self
     }
 
     /// Attach a file cache and the channel client used to fill it.
     pub fn with_file_channel(mut self, cache: Arc<FileCache>, chan: ChannelClient) -> Self {
+        self.wb.file_cache = Some(cache.clone());
         self.file_cache = Some(cache);
         self.codec = *chan.codec();
         self.chan = Some(chan);
@@ -901,13 +941,10 @@ impl Proxy {
     /// ratio is the achieved batching factor. Zeros when batching is
     /// off.
     pub fn fleet_batch_stats(&self) -> (u64, u64) {
-        (
-            self.fleet_batches.as_ref().map(|c| c.get()).unwrap_or(0),
-            self.fleet_batched_items
-                .as_ref()
-                .map(|c| c.get())
-                .unwrap_or(0),
-        )
+        match &self.fleet_batches {
+            Some((batches, items)) => (batches.get(), items.get()),
+            None => (0, 0),
+        }
     }
 
     /// Reset counters.
@@ -952,23 +989,26 @@ impl Proxy {
     // -- forwarding ---------------------------------------------------------
 
     /// Forward a call upstream and wrap the outcome for the downstream xid.
-    #[allow(clippy::too_many_arguments)]
     fn forward(
         &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
+        c: Call<'_>,
         prog: u32,
         vers: u32,
         proc: u32,
         args: xdr::Bytes,
     ) -> RpcMessage {
+        let Call { env, xid, cred } = c;
         self.tel.forwarded.inc();
         let client = self.upstream.with_cred(cred.clone());
         match client.call_dl(env, prog, vers, proc, &args) {
             Ok(results) => RpcMessage::success(xid, results),
             Err(e) => Self::error_reply(xid, e),
         }
+    }
+
+    /// Forward a file-channel call upstream.
+    fn forward_chan(&self, c: Call<'_>, proc: u32, args: xdr::Bytes) -> RpcMessage {
+        self.forward(c, CHANNEL_PROGRAM, CHANNEL_V1, proc, args)
     }
 
     fn error_reply(xid: u32, e: RpcError) -> RpcMessage {
@@ -1028,10 +1068,8 @@ impl Proxy {
         self.state.lock().meta.get(&key).cloned().flatten()
     }
 
-    /// Best known size of a file: local override (absorbed writes), then
-    /// meta-data, then unknown.
     fn known_size(&self, key: FileKey) -> Option<u64> {
-        known_size_in(&self.state, &self.file_cache, key)
+        self.wb.known_size(key)
     }
 
     fn bump_size(&self, key: FileKey, end: u64) {
@@ -1049,20 +1087,12 @@ impl Proxy {
         if self.cas.is_none() || len == 0 {
             return;
         }
-        let bs = self
-            .block_cache
-            .as_ref()
-            .map(|b| b.config().block_size as u64)
-            .unwrap_or(32 * 1024);
+        let bs = self.wb.bs;
         let first = offset / bs;
         let last = (offset + len - 1) / bs;
         let mut st = self.state.lock();
         for block in first..=last {
-            st.acked.remove(&Tag {
-                fileid: key.fileid,
-                generation: key.generation,
-                block,
-            });
+            st.acked.remove(&tag_of(key, block));
         }
     }
 
@@ -1087,17 +1117,12 @@ impl Proxy {
         RpcMessage::success(xid, enc.into_bytes())
     }
 
-    fn handle_read(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_read(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, cred } = c;
         let parsed: Result<ReadArgs, _> = xdr::from_bytes(&args);
         let a = match parsed {
             Ok(a) => a,
-            Err(_) => return self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::READ, args),
+            Err(_) => return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::READ, args),
         };
         self.tel.reads.inc();
         let key = key_of(a.file.0);
@@ -1116,189 +1141,11 @@ impl Proxy {
             None
         };
 
-        // 2. File channel: fetch the whole file on first access, with
-        // single-flight de-duplication across concurrent readers.
+        // 2. File channel: fetch the whole file on first access.
         if let (Some(m), Some(fc), Some(chan)) = (&meta, &self.file_cache, &self.chan) {
             if m.channel.is_some() {
-                // Bounded single-flight: a request re-enters the loop when
-                // a fetch it waited on failed (the old unbounded loop let
-                // woken waiters stampede the retry slot forever).
-                const MAX_FETCH_ATTEMPTS: u32 = 3;
-                let mut attempts = 0u32;
-                loop {
-                    if let Some((data, eof)) = fc.read(env, key, a.offset, a.count) {
-                        self.tel.file_cache_reads.inc();
-                        return Self::read_reply(xid, data, eof);
-                    }
-                    attempts += 1;
-                    if attempts > MAX_FETCH_ATTEMPTS {
-                        self.tel.recovered_errors.inc();
-                        return Self::read_error_reply(xid, Status::Io);
-                    }
-                    // Join an in-progress fetch, or claim the fetch.
-                    let waiter = {
-                        let mut st = self.state.lock();
-                        match st.inflight_fetch.get(&key) {
-                            Some(sig) => Some(sig.clone()),
-                            None => {
-                                st.inflight_fetch
-                                    .insert(key, simnet::Signal::new(env.handle()));
-                                None
-                            }
-                        }
-                    };
-                    match waiter {
-                        Some(sig) => {
-                            sig.wait(env);
-                            // Re-check the file cache (fetch may have
-                            // failed; then we claim the retry slot).
-                            continue;
-                        }
-                        None => {
-                            let t = &self.cfg.transfer;
-                            // Recipe-driven fetch when dedup is on: chunks
-                            // the CAS already holds never cross the WAN.
-                            // Any dedup failure falls back to the plain
-                            // chunked transfer (correctness never depends
-                            // on the CAS).
-                            // With fleet batching on, the misses travel
-                            // in multi-digest envelopes: `max_batch`
-                            // records per upstream round-trip instead of
-                            // one, windows of envelopes in flight.
-                            let dedup_batch = if self.cfg.fleet.batch_fetch {
-                                self.cfg.fleet.max_batch.max(1)
-                            } else {
-                                1
-                            };
-                            // Copy-on-write: resolve the recipe straight
-                            // into the CAS (pinning every record) and
-                            // install the file as a reference — zero
-                            // cache-disk install for resident content, a
-                            // warm clone's dominant saving. Any failure
-                            // falls back to the materializing fetch; the
-                            // helper released its pins.
-                            let mut installed_ref = false;
-                            if self.cfg.cow.enabled {
-                                if let Some(cas) = &self.cas {
-                                    if let Ok(pr) = chan.fetch_recipe_pinned(
-                                        env,
-                                        a.file.0,
-                                        m.content_map.as_ref(),
-                                        t.chunk_bytes,
-                                        t.channel_window,
-                                        dedup_batch,
-                                        cas,
-                                        &self.dtel,
-                                        Some(&self.ttel),
-                                    ) {
-                                        let chunk = pr.recipe.chunk_bytes;
-                                        fc.install_reference(
-                                            env,
-                                            key,
-                                            cas.clone(),
-                                            chunk,
-                                            pr.recipe.records,
-                                            pr.fresh_bytes,
-                                        );
-                                        if let Some(c) = &self.cow_installs {
-                                            c.inc();
-                                        }
-                                        self.tel.channel_fetches.inc();
-                                        self.tel.channel_wire_bytes.add(pr.wire);
-                                        let tr = &self.tel.registry;
-                                        if tr.trace_enabled() {
-                                            tr.trace(
-                                                TraceEvent::new(env.now(), "gvfs", "channel_fetch")
-                                                    .bytes(pr.wire)
-                                                    .label("proxy", self.tel.inst.clone()),
-                                            );
-                                        }
-                                        installed_ref = true;
-                                    }
-                                }
-                            }
-                            let result = if installed_ref {
-                                true
-                            } else {
-                                let fetched = match &self.cas {
-                                    Some(cas) => chan
-                                        .fetch_dedup_batched(
-                                            env,
-                                            a.file.0,
-                                            m.content_map.as_ref(),
-                                            t.chunk_bytes,
-                                            t.channel_window,
-                                            dedup_batch,
-                                            cas,
-                                            &self.dtel,
-                                            Some(&self.ttel),
-                                        )
-                                        .map(|df| (df.contents, df.wire))
-                                        .or_else(|_| {
-                                            self.tel.recovered_errors.inc();
-                                            chan.fetch_chunked(
-                                                env,
-                                                a.file.0,
-                                                t.chunk_bytes,
-                                                t.channel_window,
-                                                Some(&self.ttel),
-                                            )
-                                        }),
-                                    None => chan.fetch_chunked(
-                                        env,
-                                        a.file.0,
-                                        t.chunk_bytes,
-                                        t.channel_window,
-                                        Some(&self.ttel),
-                                    ),
-                                };
-                                match fetched {
-                                    Ok((contents, wire)) => {
-                                        #[cfg(feature = "debug-trace")]
-                                        eprintln!(
-                                            "[gvfs] channel fetch ok: {} bytes, {} wire",
-                                            contents.len(),
-                                            wire
-                                        );
-                                        // Dedup saves WAN transfer and
-                                        // origin work; the assembled file
-                                        // is written to the local cache
-                                        // disk in full either way (a CAS
-                                        // hit is host memory, not
-                                        // cache-disk residency).
-                                        fc.install(env, key, &contents);
-                                        self.tel.channel_fetches.inc();
-                                        self.tel.channel_wire_bytes.add(wire);
-                                        let tr = &self.tel.registry;
-                                        if tr.trace_enabled() {
-                                            tr.trace(
-                                                TraceEvent::new(env.now(), "gvfs", "channel_fetch")
-                                                    .bytes(wire)
-                                                    .label("proxy", self.tel.inst.clone()),
-                                            );
-                                        }
-                                        true
-                                    }
-                                    Err(_e) => {
-                                        #[cfg(feature = "debug-trace")]
-                                        eprintln!("[gvfs] channel fetch failed: {_e:?}");
-                                        false
-                                    }
-                                }
-                            };
-                            let sig = { self.state.lock().inflight_fetch.remove(&key) };
-                            if let Some(sig) = sig {
-                                sig.set();
-                            }
-                            if result {
-                                if let Some((data, eof)) = fc.read(env, key, a.offset, a.count) {
-                                    self.tel.file_cache_reads.inc();
-                                    return Self::read_reply(xid, data, eof);
-                                }
-                            }
-                            break; // channel unusable: block path below
-                        }
-                    }
+                if let Some(reply) = self.read_via_channel(c, &a, m, fc, chan) {
+                    return reply;
                 }
             }
         }
@@ -1329,11 +1176,7 @@ impl Proxy {
             let bs = bc.config().block_size as u64;
             let in_block = a.offset % bs;
             if in_block + a.count as u64 <= bs {
-                let tag = Tag {
-                    fileid: key.fileid,
-                    generation: key.generation,
-                    block: a.offset / bs,
-                };
+                let tag = tag_of(key, a.offset / bs);
                 let zm = meta.as_ref().and_then(|m| m.zero_map.as_ref());
                 let size_hint = meta.as_ref().map(|m| m.file_size);
                 // Atomically either join an in-flight prefetch of this
@@ -1369,7 +1212,7 @@ impl Proxy {
                         self.tel.prefetch_hits.inc();
                         // Keep the pipeline rolling: hitting a prefetched
                         // block means the sequential stream is live.
-                        self.maybe_prefetch(env, cred, key, tag, bs, a.count, zm, size_hint);
+                        self.maybe_prefetch(env, cred, tag, a.count, zm, size_hint);
                     }
                     let eof = block_len < bs as usize
                         || self
@@ -1388,22 +1231,13 @@ impl Proxy {
                 // stream, then forward. The prefetch workers run
                 // detached; their upstream READs queue behind this
                 // demand miss on the WAN, overlapping its latency.
-                self.maybe_prefetch(env, cred, key, tag, bs, a.count, zm, size_hint);
-                let reply = self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::READ, args);
+                self.maybe_prefetch(env, cred, tag, a.count, zm, size_hint);
+                let reply = self.forward(c, NFS_PROGRAM, NFS_V3, proc3::READ, args);
                 {
                     let mut st = self.state.lock();
                     st.inflight_demand.remove(&tag);
                 }
-                if let RpcMessage::Reply {
-                    body:
-                        ReplyBody::Accepted {
-                            stat: AcceptStat::Success,
-                            results,
-                            ..
-                        },
-                    ..
-                } = &reply
-                {
+                if let Some(results) = success_results(&reply) {
                     if let Some((data, eof)) = parse_read_results(results) {
                         if eof {
                             // Server-confirmed size: lets warm hits report
@@ -1422,7 +1256,197 @@ impl Proxy {
         }
 
         // 5. Plain forwarding (unaligned or cacheless).
-        self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::READ, args)
+        self.forward(c, NFS_PROGRAM, NFS_V3, proc3::READ, args)
+    }
+
+    /// READ of a channel-marked file: serve it from the file cache,
+    /// filling the cache first — single-flight, so however many readers
+    /// miss at once there is one whole-file transfer. `None` means the
+    /// channel is unusable and the block path takes over.
+    fn read_via_channel(
+        &self,
+        Call { env, xid, .. }: Call<'_>,
+        a: &ReadArgs,
+        m: &MetaFile,
+        fc: &FileCache,
+        chan: &ChannelClient,
+    ) -> Option<RpcMessage> {
+        let key = key_of(a.file.0);
+        let cached = || {
+            let (data, eof) = fc.read(env, key, a.offset, a.count)?;
+            self.tel.file_cache_reads.inc();
+            Some(Self::read_reply(xid, data, eof))
+        };
+        for _ in 0..MAX_FLIGHT_ATTEMPTS {
+            if let Some(reply) = cached() {
+                return Some(reply);
+            }
+            if self
+                .join_or_claim(env, FlightKey::File(key), |_, _| ())
+                .is_none()
+            {
+                // Re-check the file cache (the fetch we waited on may
+                // have failed; then we claim the retry slot).
+                continue;
+            }
+            let filled = self.fill_file_cache(env, a.file.0, m, fc, chan);
+            self.land(FlightKey::File(key));
+            return if filled { cached() } else { None };
+        }
+        cached().or_else(|| {
+            self.tel.recovered_errors.inc();
+            Some(Self::read_error_reply(xid, Status::Io))
+        })
+    }
+
+    /// Fill the file cache with `h` through the file channel. Returns
+    /// whether the file is now installed.
+    fn fill_file_cache(
+        &self,
+        env: &Env,
+        h: Handle,
+        m: &MetaFile,
+        fc: &FileCache,
+        chan: &ChannelClient,
+    ) -> bool {
+        match self.fetch_and_install(env, h, m, fc, chan) {
+            Ok(wire) => {
+                #[cfg(feature = "debug-trace")]
+                eprintln!("[gvfs] channel fetch ok: {wire} wire bytes");
+                self.tel.channel_fetches.inc();
+                self.tel.channel_wire_bytes.add(wire);
+                let tr = &self.tel.registry;
+                if tr.trace_enabled() {
+                    tr.trace(
+                        TraceEvent::new(env.now(), "gvfs", "channel_fetch")
+                            .bytes(wire)
+                            .label("proxy", self.tel.inst.clone()),
+                    );
+                }
+                true
+            }
+            Err(_e) => {
+                #[cfg(feature = "debug-trace")]
+                eprintln!("[gvfs] channel fetch failed: {_e:?}");
+                false
+            }
+        }
+    }
+
+    /// The file channel's action list for `h`, ending in the install;
+    /// returns the compressed bytes that crossed the wire.
+    fn fetch_and_install(
+        &self,
+        env: &Env,
+        h: Handle,
+        m: &MetaFile,
+        fc: &FileCache,
+        chan: &ChannelClient,
+    ) -> Result<u64, channel::ChannelError> {
+        let key = key_of(h);
+        let t = &self.cfg.transfer;
+        let mut deduped = None;
+        if let Some(cas) = &self.cas {
+            let rq = RecipeFetch {
+                recipe_hint: m.content_map.as_ref(),
+                chunk_bytes: t.chunk_bytes,
+                window: t.channel_window,
+                // With fleet batching on, the misses travel in
+                // multi-digest envelopes: `max_batch` records per
+                // upstream round-trip instead of one, windows of
+                // envelopes in flight.
+                batch: if self.cfg.fleet.batch_fetch {
+                    self.cfg.fleet.max_batch.max(1)
+                } else {
+                    1
+                },
+                cas,
+                dtel: &self.dtel,
+                tel: Some(&self.ttel),
+            };
+            // Copy-on-write: resolve the recipe straight into the CAS
+            // (pinning every record) and install the file as a reference
+            // — zero cache-disk install for resident content, a warm
+            // clone's dominant saving. Any failure falls back to the
+            // materializing fetch; the helper released its pins.
+            if self.cfg.cow.enabled {
+                if let Ok(pr) = chan.fetch_recipe_pinned(env, h, &rq) {
+                    fc.install_reference(
+                        env,
+                        key,
+                        cas.clone(),
+                        pr.recipe.chunk_bytes,
+                        pr.recipe.records,
+                        pr.fresh_bytes,
+                    );
+                    if let Some(c) = &self.cow_installs {
+                        c.inc();
+                    }
+                    return Ok(pr.wire);
+                }
+            }
+            // Recipe-driven fetch when dedup is on: chunks the CAS
+            // already holds never cross the WAN. Any dedup failure falls
+            // back to the plain chunked transfer (correctness never
+            // depends on the CAS).
+            match chan.fetch_dedup(env, h, &rq) {
+                Ok(df) => deduped = Some((df.contents, df.wire)),
+                Err(_) => self.tel.recovered_errors.inc(),
+            }
+        }
+        let (contents, wire) = match deduped {
+            Some(fetched) => fetched,
+            None => {
+                chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.ttel))?
+            }
+        };
+        // Dedup saves WAN transfer and origin work; the assembled file
+        // is written to the local cache disk in full either way (a CAS
+        // hit is host memory, not cache-disk residency).
+        fc.install(env, key, &contents);
+        Ok(wire)
+    }
+
+    /// Single-flight, one step: if a flight for `key` is in progress,
+    /// wait for it to land and return `None`; otherwise register one —
+    /// running `on_claim` under the same acquisition of the state lock,
+    /// with the signal the flight's waiters will park on — and return
+    /// `Some` of its result. The claimant must [`Proxy::land`] the
+    /// flight whatever becomes of its fetch.
+    fn join_or_claim<R>(
+        &self,
+        env: &Env,
+        key: FlightKey,
+        on_claim: impl FnOnce(&mut ProxyState, &simnet::Signal) -> R,
+    ) -> Option<R> {
+        let joined = {
+            let mut st = self.state.lock();
+            match st.inflight.get(&key) {
+                Some(sig) => Err(sig.clone()),
+                None => {
+                    let sig = simnet::Signal::new(env.handle());
+                    let claimed = on_claim(&mut st, &sig);
+                    st.inflight.insert(key, sig);
+                    Ok(claimed)
+                }
+            }
+        };
+        match joined {
+            Ok(claimed) => Some(claimed),
+            Err(sig) => {
+                sig.wait(env);
+                None
+            }
+        }
+    }
+
+    /// Land `key`'s flight: forget it and wake its waiters — outside the
+    /// state lock.
+    fn land(&self, key: FlightKey) {
+        let sig = { self.state.lock().inflight.remove(&key) };
+        if let Some(sig) = sig {
+            sig.set();
+        }
     }
 
     fn install_clean(&self, env: &Env, tag: Tag, data: Vec<u8>, cred: &oncrpc::OpaqueAuth) {
@@ -1442,24 +1466,7 @@ impl Proxy {
     }
 
     fn writeback_block(&self, env: &Env, cred: &oncrpc::OpaqueAuth, tag: Tag, data: Vec<u8>) {
-        let bs = self
-            .block_cache
-            .as_ref()
-            .map(|b| b.config().block_size as u64)
-            .unwrap_or(32 * 1024);
-        writeback_evicted_block(
-            env,
-            &self.upstream.with_cred(cred.clone()),
-            &self.state,
-            &self.file_cache,
-            bs,
-            &self.tel.blocks_written_back,
-            &self.tel.recovered_errors,
-            &self.tel.wb_queued,
-            &self.wb,
-            tag,
-            data,
-        );
+        self.wb.with_cred(cred).write_back(env, tag, data);
     }
 
     /// Sequential read-ahead: track per-file block streaks; once two
@@ -1480,18 +1487,16 @@ impl Proxy {
     /// at EOF before the first upstream reply has taught `known_size` —
     /// without it every short file costs a full window of empty
     /// beyond-EOF READs.
-    #[allow(clippy::too_many_arguments)]
     fn maybe_prefetch(
         &self,
         env: &Env,
         cred: &oncrpc::OpaqueAuth,
-        key: FileKey,
         tag: Tag,
-        bs: u64,
         lead: u32,
         zero_map: Option<&crate::meta::ZeroMap>,
         size_hint: Option<u64>,
     ) {
+        let (key, bs) = (tag_key(tag), self.wb.bs);
         let depth = self.cfg.transfer.read_ahead;
         if depth == 0 {
             return;
@@ -1542,11 +1547,7 @@ impl Proxy {
                         continue;
                     }
                 }
-                let t = Tag {
-                    fileid: key.fileid,
-                    generation: key.generation,
-                    block: b,
-                };
+                let t = tag_of(key, b);
                 if st.inflight_prefetch.contains_key(&t)
                     || st.inflight_demand.contains(&t)
                     || st.prefetched.contains(&t)
@@ -1567,17 +1568,8 @@ impl Proxy {
             return;
         }
         self.tel.prefetch_issued.add(candidates.len() as u64);
-        let ctx = PrefetchCtx {
-            upstream: self.upstream.with_cred(cred.clone()),
-            bc,
-            state: self.state.clone(),
-            file_cache: self.file_cache.clone(),
-            cas: self.cas.clone(),
-            written_back: self.tel.blocks_written_back.clone(),
-            recovered_errors: self.tel.recovered_errors.clone(),
-            wb_queued: self.tel.wb_queued.clone(),
-            wb: self.wb.clone(),
-        };
+        let sink = self.wb.with_cred(cred);
+        let cas = self.cas.clone();
         let ttel = self.ttel.clone();
         let window = depth.max(1);
         env.spawn(format!("{}-prefetch", self.tel.inst), move |env| {
@@ -1588,43 +1580,28 @@ impl Proxy {
                 candidates,
                 Some(&ttel),
                 move |env, t| {
-                    let nfs = nfs3::Nfs3Client::new(ctx.upstream.clone());
-                    let h = Handle {
-                        fileid: t.fileid,
-                        generation: t.generation,
-                    };
+                    let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
+                    let h = handle_of(tag_key(t));
                     let sig = match nfs.read(env, h, t.block * bs, bs as u32) {
                         Ok(r) if !r.data.is_empty() => {
-                            if let Some(cas) = &ctx.cas {
+                            if let Some(cas) = &cas {
                                 cas.insert(&r.data);
                             }
                             // Taken before the insert: the frame can be
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
-                            let removals = ctx.bc.removals();
-                            if let Some((etag, edata)) = ctx.bc.insert(env, t, r.data, false) {
-                                writeback_evicted_block(
-                                    env,
-                                    &ctx.upstream,
-                                    &ctx.state,
-                                    &ctx.file_cache,
-                                    bs,
-                                    &ctx.written_back,
-                                    &ctx.recovered_errors,
-                                    &ctx.wb_queued,
-                                    &ctx.wb,
-                                    etag,
-                                    edata,
-                                );
+                            let removals = bc.removals();
+                            if let Some((etag, edata)) = bc.insert(env, t, r.data, false) {
+                                sink.write_back(env, etag, edata);
                             }
                             {
-                                let mut st = ctx.state.lock();
+                                let mut st = sink.state.lock();
                                 st.prefetched.insert(t);
                                 st.prefetched_checked_at = st.prefetched_checked_at.min(removals);
                                 st.inflight_prefetch.remove(&t)
                             }
                         }
-                        _ => ctx.state.lock().inflight_prefetch.remove(&t),
+                        _ => sink.state.lock().inflight_prefetch.remove(&t),
                     };
                     // Wake any demand miss parked on this block — outside
                     // the state lock.
@@ -1652,17 +1629,12 @@ impl Proxy {
         RpcMessage::success(xid, enc.into_bytes())
     }
 
-    fn handle_write(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_write(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, cred } = c;
         let parsed: Result<WriteArgs, _> = xdr::from_bytes(&args);
         let a = match parsed {
             Ok(a) => a,
-            Err(_) => return self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::WRITE, args),
+            Err(_) => return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args),
         };
         self.tel.writes.inc();
         let key = key_of(a.file.0);
@@ -1702,11 +1674,7 @@ impl Proxy {
                 let boff = (pos - bstart) as usize;
                 let take = ((bstart + bs).min(end) - pos) as usize;
                 let chunk = &a.data[(pos - a.offset) as usize..(pos - a.offset) as usize + take];
-                let tag = Tag {
-                    fileid: key.fileid,
-                    generation: key.generation,
-                    block,
-                };
+                let tag = tag_of(key, block);
                 if !bc.update(env, tag, boff, chunk, true) {
                     // Absent frame. Full-block writes insert directly;
                     // partial writes within the current file need
@@ -1729,15 +1697,7 @@ impl Proxy {
                                 // original WRITE upstream untouched.
                                 self.tel.recovered_errors.inc();
                                 self.invalidate_acked_range(key, a.offset, a.data.len() as u64);
-                                return self.forward(
-                                    env,
-                                    xid,
-                                    cred,
-                                    NFS_PROGRAM,
-                                    NFS_V3,
-                                    proc3::WRITE,
-                                    args,
-                                );
+                                return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args);
                             }
                         };
                         if base.len() < boff + take {
@@ -1760,11 +1720,7 @@ impl Proxy {
         if let Some(bc) = &self.block_cache {
             let bs = bc.config().block_size as u64;
             if a.offset % bs == 0 && a.data.len() as u64 <= bs {
-                let tag = Tag {
-                    fileid: key.fileid,
-                    generation: key.generation,
-                    block: a.offset / bs,
-                };
+                let tag = tag_of(key, a.offset / bs);
                 if !bc.update(env, tag, 0, &a.data, false) && a.data.len() as u64 == bs {
                     if let Some((etag, edata)) = bc.insert(env, tag, a.data.clone(), false) {
                         self.writeback_block(env, cred, etag, edata);
@@ -1774,22 +1730,16 @@ impl Proxy {
             self.bump_size(key, a.offset + a.data.len() as u64);
         }
         self.invalidate_acked_range(key, a.offset, a.data.len() as u64);
-        self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::WRITE, args)
+        self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args)
     }
 
     // -- GETATTR / COMMIT / LOOKUP -----------------------------------------
 
     /// Patch the size in a GETATTR reply if we hold absorbed writes that
     /// grew the file beyond what the server knows.
-    fn handle_getattr(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_getattr(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
         let fh: Result<Fh3, _> = xdr::from_bytes(&args);
-        let reply = self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::GETATTR, args);
+        let reply = self.forward(c, NFS_PROGRAM, NFS_V3, proc3::GETATTR, args);
         let fh = match fh {
             Ok(f) => f,
             Err(_) => return reply,
@@ -1808,53 +1758,31 @@ impl Proxy {
             Some(s) => s,
             None => return reply,
         };
-        if let RpcMessage::Reply {
-            xid,
-            body:
-                ReplyBody::Accepted {
-                    stat: AcceptStat::Success,
-                    results,
-                    verf,
-                },
-        } = reply
-        {
-            let mut dec = Decoder::new(&results);
-            let patched = (|| -> Option<Vec<u8>> {
-                let status = dec.get_u32().ok()?;
-                if status != Status::Ok.as_u32() {
-                    return None;
-                }
-                let mut attr = Fattr3::decode(&mut dec).ok()?.0;
-                if attr.size >= local {
-                    return None;
-                }
-                attr.size = local;
-                let mut enc = Encoder::new();
-                enc.put_u32(Status::Ok.as_u32());
-                Fattr3(attr).encode(&mut enc);
-                Some(enc.into_bytes())
-            })();
-            let results = patched.map(xdr::Bytes::from).unwrap_or(results);
-            RpcMessage::Reply {
-                xid,
-                body: ReplyBody::Accepted {
-                    stat: AcceptStat::Success,
-                    results,
-                    verf,
-                },
+        // A forwarded success carries no verifier, so a patched reply can
+        // be built afresh.
+        let patched = success_results(&reply).and_then(|results| {
+            let mut dec = Decoder::new(results);
+            let status = dec.get_u32().ok()?;
+            if status != Status::Ok.as_u32() {
+                return None;
             }
-        } else {
-            reply
+            let mut attr = Fattr3::decode(&mut dec).ok()?.0;
+            if attr.size >= local {
+                return None;
+            }
+            attr.size = local;
+            let mut enc = Encoder::new();
+            enc.put_u32(Status::Ok.as_u32());
+            Fattr3(attr).encode(&mut enc);
+            Some(enc.into_bytes())
+        });
+        match patched {
+            Some(results) => RpcMessage::success(c.xid, results),
+            None => reply,
         }
     }
 
-    fn handle_commit(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_commit(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
         if self.cfg.write_policy == WritePolicy::WriteBack && self.block_cache.is_some() {
             // Data is stable on the proxy's local cache disk; the real
             // upstream flush happens on a middleware signal.
@@ -1862,33 +1790,16 @@ impl Proxy {
             enc.put_u32(Status::Ok.as_u32());
             WccData(None).encode(&mut enc);
             enc.put_u64(self.write_verf);
-            return RpcMessage::success(xid, enc.into_bytes());
+            return RpcMessage::success(c.xid, enc.into_bytes());
         }
-        self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::COMMIT, args)
+        self.forward(c, NFS_PROGRAM, NFS_V3, proc3::COMMIT, args)
     }
 
-    fn handle_lookup(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_lookup(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, cred, .. } = c;
         let parsed: Result<DirOpArgs3, _> = xdr::from_bytes(&args);
-        let reply = self.forward(env, xid, cred, NFS_PROGRAM, NFS_V3, proc3::LOOKUP, args);
-        if let (
-            Ok(dirop),
-            RpcMessage::Reply {
-                body:
-                    ReplyBody::Accepted {
-                        stat: AcceptStat::Success,
-                        results,
-                        ..
-                    },
-                ..
-            },
-        ) = (parsed, &reply)
-        {
+        let reply = self.forward(c, NFS_PROGRAM, NFS_V3, proc3::LOOKUP, args);
+        if let (Ok(dirop), Some(results)) = (parsed, success_results(&reply)) {
             let mut dec = Decoder::new(results);
             if dec.get_u32() == Ok(Status::Ok.as_u32()) {
                 if let Ok(fh) = Fh3::decode(&mut dec) {
@@ -1962,11 +1873,7 @@ impl Proxy {
                 let mut send: Vec<(u64, Vec<u8>, Option<Digest>)> = Vec::new();
                 let mut sk: Vec<(u64, Vec<u8>, u64)> = Vec::new();
                 for (block, data, d) in digested {
-                    let tag = Tag {
-                        fileid,
-                        generation,
-                        block,
-                    };
+                    let tag = tag_of(key, block);
                     match st.acked.get(&tag) {
                         Some((ad, verf)) if *ad == d => sk.push((block, data, *verf)),
                         _ => {
@@ -2038,11 +1945,7 @@ impl Proxy {
                         report.blocks += 1;
                         report.block_bytes += data.len() as u64;
                         if let Some(d) = dg {
-                            let tag = Tag {
-                                fileid,
-                                generation,
-                                block,
-                            };
+                            let tag = tag_of(key, block);
                             newly_acked.push((tag, (d, verf)));
                         }
                     }
@@ -2075,11 +1978,7 @@ impl Proxy {
                     self.dtel.acked_skips.inc();
                     self.dtel.bytes_avoided.add(data.len() as u64);
                 } else {
-                    stale.push(Tag {
-                        fileid,
-                        generation,
-                        block,
-                    });
+                    stale.push(tag_of(key, block));
                     requeue
                         .entry((fileid, generation))
                         .or_default()
@@ -2170,18 +2069,14 @@ impl Proxy {
                                     dtel.bytes_avoided.add(n);
                                     continue;
                                 }
-                                let h = Handle {
-                                    fileid: key.fileid,
-                                    generation: key.generation,
-                                };
+                                let h = handle_of(key);
                                 // Torn-upload guard, exactly as below.
                                 fc.clear_synced(key);
                                 match chan.upload_ranges(
                                     env,
                                     h,
                                     dc.total,
-                                    &dc.ranges,
-                                    true,
+                                    dc.ranges,
                                     tuning.channel_window,
                                     Some(&ttel),
                                 ) {
@@ -2230,10 +2125,7 @@ impl Proxy {
                             } else {
                                 None
                             };
-                            let h = Handle {
-                                fileid: key.fileid,
-                                generation: key.generation,
-                            };
+                            let h = handle_of(key);
                             // Torn-upload guard: from here until the
                             // upload reports success, upstream may hold
                             // any prefix of the new chunks — forget the
@@ -2244,7 +2136,6 @@ impl Proxy {
                                 env,
                                 h,
                                 &contents,
-                                true,
                                 tuning.chunk_bytes,
                                 tuning.channel_window,
                                 Some(&ttel),
@@ -2332,10 +2223,7 @@ impl Proxy {
             remaining = self.write_back_pass(env, cred, remaining, &mut report);
             let mut still_failed = Vec::new();
             for (key, contents, d) in failed_files {
-                let h = Handle {
-                    fileid: key.fileid,
-                    generation: key.generation,
-                };
+                let h = handle_of(key);
                 // The synced digest was already cleared before the first
                 // attempt and only a success below reinstates it, so a
                 // torn retry leaves upstream marked unknown.
@@ -2344,7 +2232,6 @@ impl Proxy {
                         env,
                         h,
                         &contents,
-                        true,
                         self.cfg.transfer.chunk_bytes,
                         self.cfg.transfer.channel_window,
                         Some(&self.ttel),
@@ -2376,17 +2263,8 @@ impl Proxy {
                 for (block, data) in blocks {
                     report.failed_blocks += 1;
                     report.failed_block_bytes += data.len() as u64;
-                    park_wb_entry(
-                        &mut st,
-                        &self.tel.wb_queued,
-                        &self.wb,
-                        Tag {
-                            fileid,
-                            generation,
-                            block,
-                        },
-                        data,
-                    );
+                    self.wb
+                        .park(&mut st, tag_of(FileKey { fileid, generation }, block), data);
                 }
             }
         }
@@ -2463,37 +2341,16 @@ impl Proxy {
             let sent = *p.sent_cursor.get(&pid).unwrap_or(&0);
             (p.my_id, pid, client, sent)
         };
-        let (delta, end) = {
-            let st = self.state.lock();
-            let start = sent.min(st.gossip_log.len());
-            let end = (start + batch).min(st.gossip_log.len());
-            (st.gossip_log[start..end].to_vec(), end)
-        };
+        let (delta, end) = self.state.lock().gossip_delta(sent, batch);
         g.rounds.inc();
         let args = encode_gossip(my_id, &delta);
-        let Ok(results) = client.call_dl(
-            env,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::GOSSIP_DIGESTS,
-            &args,
-        ) else {
+        let Ok(results) = channel::call(&client, env, chanproc::GOSSIP_DIGESTS, &args) else {
             return;
         };
         let Some((sender, digests)) = decode_gossip(&results) else {
             return;
         };
-        {
-            let mut st = self.state.lock();
-            let inv = st.peer_digests.entry(sender).or_default();
-            let mut learned = 0u64;
-            for d in digests {
-                if inv.insert(d) {
-                    learned += 1;
-                }
-            }
-            g.digests_learned.add(learned);
-        }
+        g.learn(&mut self.state.lock(), sender, digests);
         g.peers.lock().sent_cursor.insert(peer_id, end);
     }
 
@@ -2511,19 +2368,11 @@ impl Proxy {
         let my_id = g.peers.lock().my_id;
         let delta = {
             let mut st = self.state.lock();
-            let inv = st.peer_digests.entry(sender).or_default();
-            let mut learned = 0u64;
-            for d in digests {
-                if inv.insert(d) {
-                    learned += 1;
-                }
-            }
-            g.digests_learned.add(learned);
-            let start =
-                (*st.gossip_reply_cursor.get(&sender).unwrap_or(&0)).min(st.gossip_log.len());
-            let end = (start + batch).min(st.gossip_log.len());
+            g.learn(&mut st, sender, digests);
+            let told = *st.gossip_reply_cursor.get(&sender).unwrap_or(&0);
+            let (delta, end) = st.gossip_delta(told, batch);
             st.gossip_reply_cursor.insert(sender, end);
-            st.gossip_log[start..end].to_vec()
+            delta
         };
         RpcMessage::success(xid, encode_gossip(my_id, &delta))
     }
@@ -2536,18 +2385,8 @@ impl Proxy {
         let Some(g) = &self.gossip else {
             return RpcMessage::accept_error(xid, AcceptStat::ProcUnavail);
         };
-        let want = {
-            let mut dec = Decoder::new(args);
-            match (
-                Fh3::decode(&mut dec),
-                dec.get_u64(),
-                dec.get_u32(),
-                dec.get_u64(),
-                dec.get_u64(),
-            ) {
-                (Ok(_), Ok(_), Ok(_), Ok(d0), Ok(d1)) => Digest(d0, d1),
-                _ => return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs),
-            }
+        let Some((_, _, _, want)) = decode_blob_args(args) else {
+            return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
         let cached = { self.state.lock().chan_blob_replies.get(&want) };
         match cached {
@@ -2582,20 +2421,12 @@ impl Proxy {
                 .find(|(id, _)| *id == holder)
                 .map(|(_, c)| c.clone())
         }?;
-        let reply = client.call_dl(
-            env,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_BLOBS_PEER,
-            args,
-        );
-        match reply {
+        match channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args) {
             // Same guard as every other ingestion point: peer replies
             // are digest-verified before they may be cached or served.
-            Ok(results) if self.verify_blob_reply(env, &results, want) => {
+            Ok(results) if read_blob_reply(env, &self.codec, &results, want).is_ok() => {
                 g.peer_hits.inc();
-                let mut dec = Decoder::new(&results);
-                if let (Ok(_), Ok(chunk_len)) = (dec.get_u32(), dec.get_u64()) {
+                if let Some(chunk_len) = blob_reply_len(&results) {
                     g.peer_bytes.add(chunk_len);
                 }
                 Some(results)
@@ -2611,236 +2442,115 @@ impl Proxy {
         }
     }
 
-    /// Record a fresh digest-cache insertion in the gossip log (no-op
-    /// with gossip off). Must run under the state lock, right where the
-    /// insert happened.
-    fn note_blob_cached(&self, st: &mut ProxyState, d: Digest) {
-        if self.gossip.is_some() {
-            st.gossip_log.push(d);
-        }
-    }
-
     // -- file channel passthrough with caching --------------------------------
 
-    fn handle_channel(
+    fn handle_channel(&self, c: Call<'_>, proc: u32, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, .. } = c;
+        let dedup = self.cas.is_some();
+        match proc {
+            // Second-level caching for the chunked channel: each
+            // compressed chunk reply is replayed from local state, so an
+            // intermediate proxy serves repeat chunked fetches without
+            // re-crossing the WAN.
+            chanproc::FETCH_CHUNK => {
+                let key = decode_chunk_args(&args).map(|(h, off, count)| (key_of(h), off, count));
+                self.replay_or_forward(c, proc, args, key, usize::MAX, |st| {
+                    &mut st.chan_chunk_replies
+                })
+            }
+            // Recipes are tiny but each one otherwise costs a WAN round
+            // trip per cloning.
+            chanproc::FETCH_RECIPE if dedup => {
+                let key = decode_recipe_args(&args).map(|(h, cb)| (key_of(h), cb));
+                self.replay_or_forward(c, proc, args, key, RECIPE_REPLY_CAP, |st| {
+                    &mut st.chan_recipe_replies
+                })
+            }
+            chanproc::FETCH_BLOBS if dedup => match decode_blob_args(&args) {
+                Some((_, _, _, want)) => self.serve_blob(c, want, args),
+                None => self.forward_chan(c, proc, args),
+            },
+            chanproc::FETCH_BLOBS_BATCH if dedup && self.cfg.fleet.batch_fetch => {
+                self.handle_channel_blob_envelope(c, args)
+            }
+            chanproc::GOSSIP_DIGESTS => self.handle_gossip_digests(xid, &args),
+            chanproc::FETCH_BLOBS_PEER => self.handle_channel_blob_peer(env, xid, &args),
+            _ => self.forward_chan(c, proc, args),
+        }
+    }
+
+    /// Replay a cached reply for `key` from the map `cache` selects, or
+    /// forward the call and remember a successful reply under it (a call
+    /// whose args did not decode has no key and is only forwarded).
+    /// Replies are an optimization: a map that reaches `cap` is cleared
+    /// (HashMap victim picks would be nondeterministic) and refills.
+    fn replay_or_forward<K: std::hash::Hash + Eq + Copy>(
         &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
+        c: Call<'_>,
         proc: u32,
         args: xdr::Bytes,
+        key: Option<K>,
+        cap: usize,
+        cache: impl Fn(&mut ProxyState) -> &mut HashMap<K, xdr::Bytes>,
     ) -> RpcMessage {
-        if proc == chanproc::FETCH_CHUNK {
-            return self.handle_channel_chunk(env, xid, cred, args);
-        }
-        if proc == chanproc::FETCH_RECIPE {
-            return self.handle_channel_recipe(env, xid, cred, args);
-        }
-        if proc == chanproc::FETCH_BLOBS {
-            return self.handle_channel_blob(env, xid, cred, args);
-        }
-        if proc == chanproc::FETCH_BLOBS_BATCH && self.cfg.fleet.batch_fetch && self.cas.is_some() {
-            return self.handle_channel_blob_envelope(env, xid, cred, args);
-        }
-        if proc == chanproc::GOSSIP_DIGESTS {
-            return self.handle_gossip_digests(xid, &args);
-        }
-        if proc == chanproc::FETCH_BLOBS_PEER {
-            return self.handle_channel_blob_peer(env, xid, &args);
-        }
-        if proc != chanproc::FETCH {
-            return self.forward(env, xid, cred, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
-        }
-        let fh: Result<Fh3, _> = xdr::from_bytes(&args);
-        let key = match &fh {
-            Ok(f) => Some(key_of(f.0)),
-            Err(_) => None,
-        };
-        // Second-level cache: replay a previously fetched compressed
-        // stream from the local disk instead of re-crossing the WAN.
+        let Call { env, xid, .. } = c;
         if let Some(k) = key {
-            let cached = { self.state.lock().chan_replies.get(&k).cloned() };
-            if let Some(results) = cached {
-                if let Some(fc) = &self.file_cache {
-                    // Charge the local-disk read of the stored stream.
-                    let _ = fc;
-                }
-                env.sleep(self.cfg.per_op_cpu);
-                return RpcMessage::success(xid, results);
-            }
-        }
-        let reply = self.forward(env, xid, cred, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
-        if let (
-            Some(k),
-            RpcMessage::Reply {
-                body:
-                    ReplyBody::Accepted {
-                        stat: AcceptStat::Success,
-                        results,
-                        ..
-                    },
-                ..
-            },
-        ) = (key, &reply)
-        {
-            self.state.lock().chan_replies.insert(k, results.clone());
-        }
-        reply
-    }
-
-    /// Second-level caching for the chunked channel: each compressed
-    /// chunk reply is replayed from local state keyed by
-    /// `(file, offset, count)`, so an intermediate proxy serves repeat
-    /// chunked fetches without re-crossing the WAN.
-    fn handle_channel_chunk(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
-        let key = {
-            let mut dec = Decoder::new(&args);
-            match (Fh3::decode(&mut dec), dec.get_u64(), dec.get_u32()) {
-                (Ok(fh), Ok(off), Ok(count)) => Some((key_of(fh.0), off, count)),
-                _ => None,
-            }
-        };
-        if let Some(k) = key {
-            let cached = { self.state.lock().chan_chunk_replies.get(&k).cloned() };
+            let cached = { cache(&mut self.state.lock()).get(&k).cloned() };
             if let Some(results) = cached {
                 env.sleep(self.cfg.per_op_cpu);
                 return RpcMessage::success(xid, results);
             }
         }
-        let reply = self.forward(
-            env,
-            xid,
-            cred,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_CHUNK,
-            args,
-        );
-        if let (
-            Some(k),
-            RpcMessage::Reply {
-                body:
-                    ReplyBody::Accepted {
-                        stat: AcceptStat::Success,
-                        results,
-                        ..
-                    },
-                ..
-            },
-        ) = (key, &reply)
-        {
-            self.state
-                .lock()
-                .chan_chunk_replies
-                .insert(k, results.clone());
-        }
-        reply
-    }
-
-    /// Second-level caching for `FETCH_RECIPE` replies, keyed by
-    /// (file, chunk size). Recipes are tiny but each one otherwise costs
-    /// a WAN round trip per cloning.
-    fn handle_channel_recipe(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
-        if self.cas.is_none() {
-            return self.forward(
-                env,
-                xid,
-                cred,
-                CHANNEL_PROGRAM,
-                CHANNEL_V1,
-                chanproc::FETCH_RECIPE,
-                args,
-            );
-        }
-        let key = {
-            let mut dec = Decoder::new(&args);
-            match (Fh3::decode(&mut dec), dec.get_u32()) {
-                (Ok(fh), Ok(cb)) => Some((key_of(fh.0), cb)),
-                _ => None,
-            }
-        };
-        if let Some(k) = key {
-            let cached = { self.state.lock().chan_recipe_replies.get(&k).cloned() };
-            if let Some(results) = cached {
-                env.sleep(self.cfg.per_op_cpu);
-                return RpcMessage::success(xid, results);
-            }
-        }
-        let reply = self.forward(
-            env,
-            xid,
-            cred,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_RECIPE,
-            args,
-        );
-        if let (
-            Some(k),
-            RpcMessage::Reply {
-                body:
-                    ReplyBody::Accepted {
-                        stat: AcceptStat::Success,
-                        results,
-                        ..
-                    },
-                ..
-            },
-        ) = (key, &reply)
-        {
+        let reply = self.forward_chan(c, proc, args);
+        if let (Some(k), Some(results)) = (key, success_results(&reply)) {
             let mut st = self.state.lock();
-            // Safety valve: recipes are an optimization — on overflow
-            // clear the map (HashMap victim picks would be
-            // nondeterministic) and let it refill.
-            if st.chan_recipe_replies.len() >= RECIPE_REPLY_CAP {
-                st.chan_recipe_replies.clear();
+            let map = cache(&mut st);
+            if map.len() >= cap {
+                map.clear();
             }
-            st.chan_recipe_replies.insert(k, results.clone());
+            map.insert(k, results.clone());
         }
         reply
     }
 
-    /// Check that a successful `FETCH_BLOBS` reply's payload really
-    /// hashes to `want` (reply wire format: u32 status, u64 chunk_len,
-    /// bool compressed, opaque payload). Charges decompression and
-    /// digest CPU — the price of guarding a digest-keyed shared cache
-    /// against a range-serving origin.
-    fn verify_blob_reply(&self, env: &Env, results: &[u8], want: Digest) -> bool {
-        let mut dec = Decoder::new(results);
-        if dec.get_u32() != Ok(0) {
-            return false;
-        }
-        let (Ok(chunk_len), Ok(compressed), Ok(payload)) =
-            (dec.get_u64(), dec.get_bool(), dec.get_opaque_var())
-        else {
-            return false;
+    /// Serve `want` from the digest-keyed reply cache, charging the
+    /// per-op CPU and counting the dedup hit: served from
+    /// content-addressed local state, the chunk's logical bytes never
+    /// re-crossed the upstream link. (The first serve after a batch
+    /// round is the original requester — its bytes DID cross once, so
+    /// `batch_uncounted` excludes it.)
+    fn cached_blob(&self, env: &Env, want: Digest) -> Option<xdr::Bytes> {
+        let (results, count_hit) = {
+            let mut st = self.state.lock();
+            let results = st.chan_blob_replies.get(&want)?;
+            (results, !st.batch_uncounted.remove(&want))
         };
-        let contents = if compressed {
-            env.sleep(self.codec.decompress_time(chunk_len));
-            match codec::decompress(&payload) {
-                Ok(c) => c,
-                Err(_) => return false,
+        env.sleep(self.cfg.per_op_cpu);
+        if count_hit {
+            if let Some(chunk_len) = blob_reply_len(&results) {
+                self.dtel.recipe_hits.inc();
+                self.dtel.bytes_avoided.add(chunk_len);
             }
-        } else {
-            payload
-        };
-        if contents.len() as u64 != chunk_len {
-            return false;
         }
-        env.sleep(self.codec.digest_time(contents.len() as u64));
-        digest::digest(&contents) == want
+        Some(results)
+    }
+
+    /// Land the blob flight for `want`: cache the reply if the fetch
+    /// produced a verified one (logging the digest for gossip, and, after
+    /// a batch round, marking it uncounted for its original requester),
+    /// then wake that digest's waiters.
+    fn land_blob(&self, want: Digest, verified: Option<xdr::Bytes>, from_batch: bool) {
+        if let Some(results) = verified {
+            let mut st = self.state.lock();
+            st.chan_blob_replies.insert(want, results);
+            if from_batch {
+                st.batch_uncounted.insert(want);
+            }
+            if self.gossip.is_some() {
+                st.gossip_log.push(want);
+            }
+        }
+        self.land(FlightKey::Blob(want));
     }
 
     /// Second-level caching for `FETCH_BLOBS` replies, keyed by *content
@@ -2848,260 +2558,89 @@ impl Proxy {
     /// through one LAN proxy share every common chunk, and concurrent
     /// fetches of the same digest — even for different files —
     /// single-flight on the content (the digest travels in the request
-    /// precisely so intermediaries can do this).
-    fn handle_channel_blob(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
-        if self.cas.is_none() {
-            return self.forward(
-                env,
-                xid,
-                cred,
-                CHANNEL_PROGRAM,
-                CHANNEL_V1,
-                chanproc::FETCH_BLOBS,
-                args,
-            );
+    /// precisely so intermediaries can do this): one upstream fetch per
+    /// distinct chunk no matter how many clonings want it at once.
+    ///
+    /// What the claimant of a flight does is the only difference fleet
+    /// batching makes. Without it the claimant fetches alone. With it,
+    /// concurrent misses for *distinct* digests coalesce into one
+    /// `FETCH_BLOBS_BATCH` upstream envelope: the claimant parks its
+    /// miss, and a single *batch leader* lingers
+    /// [`FleetTuning::batch_window`] of virtual time so the burst can
+    /// gather, then drains the pending misses in rounds of at most
+    /// [`FleetTuning::max_batch`] sub-calls — one WAN round-trip (and one
+    /// tunnel per-message cost) per round instead of one per chunk.
+    fn serve_blob(&self, c: Call<'_>, want: Digest, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, cred } = c;
+        enum Claim {
+            Alone,
+            Lead,
+            Ride(simnet::Signal),
         }
-        let want = {
-            let mut dec = Decoder::new(&args);
-            match (
-                Fh3::decode(&mut dec),
-                dec.get_u64(),
-                dec.get_u32(),
-                dec.get_u64(),
-                dec.get_u64(),
-            ) {
-                (Ok(_), Ok(_), Ok(_), Ok(d0), Ok(d1)) => Some(Digest(d0, d1)),
-                _ => None,
-            }
-        };
-        let Some(want) = want else {
-            return self.forward(
-                env,
-                xid,
-                cred,
-                CHANNEL_PROGRAM,
-                CHANNEL_V1,
-                chanproc::FETCH_BLOBS,
-                args,
-            );
-        };
-        if self.cfg.fleet.batch_fetch {
-            return self.handle_channel_blob_batched(env, xid, cred, want, args);
-        }
-        // Bounded single-flight per digest (same discipline as the
-        // file-fetch guard in `handle_read`): one upstream fetch per
-        // distinct chunk no matter how many clonings want it at once.
-        const MAX_BLOB_ATTEMPTS: u32 = 3;
-        let mut attempts = 0u32;
-        loop {
-            let cached = { self.state.lock().chan_blob_replies.get(&want) };
-            if let Some(results) = cached {
-                env.sleep(self.cfg.per_op_cpu);
-                // Served from content-addressed local state: the chunk's
-                // logical bytes never re-crossed the upstream link.
-                let mut dec = Decoder::new(&results);
-                if let (Ok(_), Ok(chunk_len)) = (dec.get_u32(), dec.get_u64()) {
-                    self.dtel.recipe_hits.inc();
-                    self.dtel.bytes_avoided.add(chunk_len);
-                }
+        let batching = self.cfg.fleet.batch_fetch;
+        for _ in 0..MAX_FLIGHT_ATTEMPTS {
+            if let Some(results) = self.cached_blob(env, want) {
                 return RpcMessage::success(xid, results);
             }
-            attempts += 1;
-            if attempts > MAX_BLOB_ATTEMPTS {
-                break;
-            }
-            let waiter = {
-                let mut st = self.state.lock();
-                match st.inflight_blob.get(&want) {
-                    Some(sig) => Some(sig.clone()),
-                    None => {
-                        st.inflight_blob
-                            .insert(want, simnet::Signal::new(env.handle()));
-                        None
-                    }
+            let claim = self.join_or_claim(env, FlightKey::Blob(want), |st, sig| {
+                if !batching {
+                    return Claim::Alone;
                 }
-            };
-            match waiter {
-                Some(sig) => {
-                    sig.wait(env);
-                    // Re-check the digest cache (the fetch may have
-                    // failed; then we claim the retry slot).
-                    continue;
+                st.batch_pending.push((want, args.clone()));
+                if st.batch_open {
+                    // A leader is already collecting: park on our own
+                    // signal and ride its envelope.
+                    Claim::Ride(sig.clone())
+                } else {
+                    st.batch_open = true;
+                    Claim::Lead
                 }
-                None => {
-                    // Gossip: a sibling shard that already holds this
-                    // chunk serves it over the LAN; only a peer miss
-                    // rides the WAN.
-                    if let Some(results) = self.try_peer_fetch(env, want, &args) {
-                        {
-                            let mut st = self.state.lock();
-                            st.chan_blob_replies.insert(want, results.clone());
-                            self.note_blob_cached(&mut st, want);
-                        }
-                        let sig = { self.state.lock().inflight_blob.remove(&want) };
-                        if let Some(s) = sig {
-                            s.set();
-                        }
-                        return RpcMessage::success(xid, results);
-                    }
-                    let reply = self.forward(
-                        env,
-                        xid,
-                        cred,
-                        CHANNEL_PROGRAM,
-                        CHANNEL_V1,
-                        chanproc::FETCH_BLOBS,
-                        args.clone(),
-                    );
-                    if let RpcMessage::Reply {
-                        body:
-                            ReplyBody::Accepted {
-                                stat: AcceptStat::Success,
-                                results,
-                                ..
-                            },
-                        ..
-                    } = &reply
-                    {
-                        // Only a channel-level Ok is content — caching a
-                        // NoEnt/Stale under a digest would replay the
-                        // error to every other file sharing the chunk —
-                        // and only a payload that actually hashes to the
-                        // requested digest may be keyed by it: the
-                        // origin serves by byte range and ignores the
-                        // digest, so a stale recipe would otherwise
-                        // poison this shared cache permanently for every
-                        // file sharing the chunk. Decompression and
-                        // digesting are charged at codec throughput,
-                        // like the client-side verification in
-                        // `fetch_blob`.
-                        if self.verify_blob_reply(env, results, want) {
-                            let mut st = self.state.lock();
-                            st.chan_blob_replies.insert(want, results.clone());
-                            self.note_blob_cached(&mut st, want);
-                        }
-                    }
-                    let sig = { self.state.lock().inflight_blob.remove(&want) };
-                    if let Some(s) = sig {
-                        s.set();
-                    }
-                    return reply;
-                }
-            }
-        }
-        self.forward(
-            env,
-            xid,
-            cred,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_BLOBS,
-            args,
-        )
-    }
-
-    /// Fleet-batched variant of the blob miss path: concurrent misses
-    /// for *distinct* digests coalesce into one `FETCH_BLOBS_BATCH`
-    /// upstream envelope. The per-digest single-flight is preserved
-    /// (one signal per digest in `inflight_blob`); on top of it a single
-    /// *batch leader* lingers [`FleetTuning::batch_window`] of virtual
-    /// time so the burst can gather, then drains the pending misses in
-    /// rounds of at most [`FleetTuning::max_batch`] sub-calls — one WAN
-    /// round-trip (and one tunnel per-message cost) per round instead of
-    /// one per chunk.
-    fn handle_channel_blob_batched(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        want: Digest,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
-        enum Role {
-            Wait(simnet::Signal),
-            Leader,
-        }
-        const MAX_BLOB_ATTEMPTS: u32 = 3;
-        let mut attempts = 0u32;
-        loop {
-            let (cached, count_hit) = {
-                let mut st = self.state.lock();
-                match st.chan_blob_replies.get(&want) {
-                    Some(r) => (Some(r), !st.batch_uncounted.remove(&want)),
-                    None => (None, false),
-                }
-            };
-            if let Some(results) = cached {
-                env.sleep(self.cfg.per_op_cpu);
-                if count_hit {
-                    // Served from content-addressed local state: these
-                    // logical bytes never re-crossed the upstream link.
-                    // (The first serve after a batch round is the
-                    // original requester — its bytes DID cross once, so
-                    // it is excluded above.)
-                    let mut dec = Decoder::new(&results);
-                    if let (Ok(_), Ok(chunk_len)) = (dec.get_u32(), dec.get_u64()) {
-                        self.dtel.recipe_hits.inc();
-                        self.dtel.bytes_avoided.add(chunk_len);
-                    }
-                }
-                return RpcMessage::success(xid, results);
-            }
-            attempts += 1;
-            if attempts > MAX_BLOB_ATTEMPTS {
-                break;
-            }
-            let role = {
-                let mut st = self.state.lock();
-                match st.inflight_blob.get(&want) {
-                    Some(sig) => Role::Wait(sig.clone()),
-                    None => {
-                        let sig = simnet::Signal::new(env.handle());
-                        st.inflight_blob.insert(want, sig.clone());
-                        st.batch_pending.push((want, args.clone()));
-                        if st.batch_open {
-                            // A leader is already collecting: park on
-                            // our own signal and ride its envelope.
-                            Role::Wait(sig)
-                        } else {
-                            st.batch_open = true;
-                            Role::Leader
-                        }
-                    }
-                }
-            };
-            match role {
-                Role::Wait(sig) => {
-                    sig.wait(env);
-                    // Re-check the digest cache (the batched fetch may
-                    // have failed for this item; then we claim the
-                    // retry slot).
-                    continue;
-                }
-                Role::Leader => {
+            });
+            // Whoever waited re-checks the digest cache next: the fetch
+            // may have failed (for this item); then it claims the retry
+            // slot.
+            match claim {
+                None => {}
+                Some(Claim::Ride(sig)) => sig.wait(env),
+                Some(Claim::Lead) => {
                     if self.cfg.fleet.batch_window > SimDuration::ZERO {
                         env.sleep(self.cfg.fleet.batch_window);
                     }
                     self.drain_blob_batches(env, cred);
-                    continue;
                 }
+                Some(Claim::Alone) => return self.fetch_blob_alone(c, want, args),
             }
         }
-        self.forward(
-            env,
-            xid,
-            cred,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_BLOBS,
-            args,
-        )
+        match self.cached_blob(env, want) {
+            Some(results) => RpcMessage::success(xid, results),
+            None => self.forward_chan(c, chanproc::FETCH_BLOBS, args),
+        }
+    }
+
+    /// An unbatched claimant's fetch: from a sibling shard if gossip
+    /// says one holds the chunk, else upstream.
+    fn fetch_blob_alone(&self, c: Call<'_>, want: Digest, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, .. } = c;
+        // Gossip: a sibling shard that already holds this chunk serves
+        // it over the LAN; only a peer miss rides the WAN.
+        if let Some(results) = self.try_peer_fetch(env, want, &args) {
+            self.land_blob(want, Some(results.clone()), false);
+            return RpcMessage::success(xid, results);
+        }
+        let reply = self.forward_chan(c, chanproc::FETCH_BLOBS, args);
+        // Only a channel-level Ok is content — caching a NoEnt/Stale
+        // under a digest would replay the error to every other file
+        // sharing the chunk — and only a payload that actually hashes to
+        // the requested digest may be keyed by it: the origin serves by
+        // byte range and ignores the digest, so a stale recipe would
+        // otherwise poison this shared cache permanently for every file
+        // sharing the chunk. Decompression and digesting are charged at
+        // codec throughput, like the client-side verification.
+        let verified = success_results(&reply)
+            .filter(|results| read_blob_reply(env, &self.codec, results, want).is_ok())
+            .cloned();
+        self.land_blob(want, verified, false);
+        reply
     }
 
     /// One leader's drain: take up to `max_batch` parked blob misses,
@@ -3119,34 +2658,31 @@ impl Proxy {
     /// i.e. genuine backlog) does the same leader loop for another
     /// round, so no parked waiter is ever left without a leader.
     fn drain_blob_batches(&self, env: &Env, cred: &oncrpc::OpaqueAuth) {
-        let max_batch = self.cfg.fleet.max_batch.clamp(1, oncrpc::MAX_BATCH_ITEMS);
+        let max_batch = self.cfg.fleet.max_batch;
         loop {
-            let (round, released): (Vec<(Digest, xdr::Bytes)>, bool) = {
+            let (round, released) = {
                 let mut st = self.state.lock();
-                if st.batch_pending.is_empty() {
-                    st.batch_open = false;
-                    return;
-                }
-                let take = st.batch_pending.len().min(max_batch);
-                let round: Vec<(Digest, xdr::Bytes)> = st.batch_pending.drain(..take).collect();
+                let round = st.take_blob_round(max_batch);
                 let released = st.batch_pending.is_empty();
                 if released {
                     st.batch_open = false;
                 }
                 (round, released)
             };
-            self.send_blob_round(env, cred, &round);
+            if !round.is_empty() {
+                self.send_blob_round(env, cred, &round);
+            }
             if released {
                 return;
             }
         }
     }
 
-    /// One upstream `FETCH_BLOBS_BATCH` round: envelope the parked
-    /// misses, digest-verify and cache each successful item, then wake
-    /// that digest's waiters. On an envelope-level failure every waiter
-    /// re-claims and retries (falling back to single calls after the
-    /// bounded attempts, like the unbatched path).
+    /// One round of parked misses. With gossip, first serve what a
+    /// sibling shard already holds over the LAN — waiters on a
+    /// peer-served digest wake here, exactly as they would after the
+    /// envelope round — and send only the genuinely region-cold
+    /// remainder upstream.
     fn send_blob_round(
         &self,
         env: &Env,
@@ -3156,24 +2692,10 @@ impl Proxy {
         if self.gossip.is_none() {
             return self.send_blob_round_upstream(env, cred, round);
         }
-        // Gossip pass: serve what a sibling shard already holds over the
-        // LAN, and send only the genuinely region-cold remainder in the
-        // upstream envelope. Waiters on a peer-served digest wake here,
-        // exactly as they would after the envelope round.
         let mut remaining: Vec<(Digest, xdr::Bytes)> = Vec::with_capacity(round.len());
         for (want, args) in round {
             match self.try_peer_fetch(env, *want, args) {
-                Some(results) => {
-                    {
-                        let mut st = self.state.lock();
-                        st.chan_blob_replies.insert(*want, results);
-                        self.note_blob_cached(&mut st, *want);
-                    }
-                    let sig = { self.state.lock().inflight_blob.remove(want) };
-                    if let Some(s) = sig {
-                        s.set();
-                    }
-                }
+                Some(results) => self.land_blob(*want, Some(results), false),
                 None => remaining.push((*want, args.clone())),
             }
         }
@@ -3183,7 +2705,11 @@ impl Proxy {
     }
 
     /// The WAN half of a blob round: one `FETCH_BLOBS_BATCH` envelope
-    /// upstream for every item still unresolved after the peer pass.
+    /// upstream for every item still unresolved after the peer pass;
+    /// digest-verify and cache each successful item, then wake that
+    /// digest's waiters. On an envelope-level failure every waiter
+    /// re-claims and retries (falling back to single calls after the
+    /// bounded attempts, like the unbatched path).
     fn send_blob_round_upstream(
         &self,
         env: &Env,
@@ -3198,44 +2724,30 @@ impl Proxy {
             })
             .collect();
         self.tel.forwarded.inc();
-        if let Some(c) = &self.fleet_batches {
-            c.inc();
-        }
-        if let Some(c) = &self.fleet_batched_items {
-            c.add(items.len() as u64);
+        if let Some((batches, batched_items)) = &self.fleet_batches {
+            batches.inc();
+            batched_items.add(items.len() as u64);
         }
         let client = self.upstream.with_cred(cred.clone());
-        let replies = client.call_batch(
-            env,
-            CHANNEL_PROGRAM,
-            CHANNEL_V1,
-            chanproc::FETCH_BLOBS_BATCH,
-            &items,
-        );
+        let args = oncrpc::batch::encode_batch(&items);
+        let replies = channel::call(&client, env, chanproc::FETCH_BLOBS_BATCH, &args)
+            .ok()
+            .and_then(|res| oncrpc::batch::decode_batch_reply(&res).ok());
         let per_item: Vec<Option<Vec<u8>>> = match replies {
-            Ok(rs) if rs.len() == round.len() => rs
+            Some(rs) if rs.len() == round.len() => rs
                 .into_iter()
                 .map(|r| if r.ok() { Some(r.result) } else { None })
                 .collect(),
             _ => vec![None; round.len()],
         };
         for ((want, _), result) in round.iter().zip(per_item) {
-            if let Some(result) = result {
-                // Same guard as the single-call path: only a
-                // channel-level Ok whose payload actually hashes to
-                // the requested digest may be keyed by it.
-                let results: xdr::Bytes = result.into();
-                if self.verify_blob_reply(env, &results, *want) {
-                    let mut st = self.state.lock();
-                    st.chan_blob_replies.insert(*want, results);
-                    st.batch_uncounted.insert(*want);
-                    self.note_blob_cached(&mut st, *want);
-                }
-            }
-            let sig = { self.state.lock().inflight_blob.remove(want) };
-            if let Some(s) = sig {
-                s.set();
-            }
+            // Same guard as the single-call path: only a channel-level
+            // Ok whose payload actually hashes to the requested digest
+            // may be keyed by it.
+            let verified = result
+                .map(xdr::Bytes::from)
+                .filter(|results| read_blob_reply(env, &self.codec, results, *want).is_ok());
+            self.land_blob(*want, verified, true);
         }
     }
 
@@ -3250,28 +2762,10 @@ impl Proxy {
     /// retry. A per-item failure surfaces in its slot without poisoning
     /// its neighbours, the same contract the origin's envelope handler
     /// keeps.
-    fn handle_channel_blob_envelope(
-        &self,
-        env: &Env,
-        xid: u32,
-        cred: &oncrpc::OpaqueAuth,
-        args: xdr::Bytes,
-    ) -> RpcMessage {
+    fn handle_channel_blob_envelope(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
+        let Call { env, xid, cred } = c;
         let Ok(items) = oncrpc::batch::decode_batch(&args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
-        };
-        let digest_of = |args: &[u8]| -> Option<Digest> {
-            let mut dec = Decoder::new(args);
-            match (
-                Fh3::decode(&mut dec),
-                dec.get_u64(),
-                dec.get_u32(),
-                dec.get_u64(),
-                dec.get_u64(),
-            ) {
-                (Ok(_), Ok(_), Ok(_), Ok(d0), Ok(d1)) => Some(Digest(d0, d1)),
-                _ => None,
-            }
         };
         // Phase 1: park every fresh miss under one lock acquisition,
         // then drain our own rounds right away. Unlike the single-blob
@@ -3288,15 +2782,15 @@ impl Proxy {
                 if item.proc != chanproc::FETCH_BLOBS {
                     continue;
                 }
-                let Some(want) = digest_of(&item.args) else {
+                let Some((_, _, _, want)) = decode_blob_args(&item.args) else {
                     continue;
                 };
-                if st.chan_blob_replies.get(&want).is_some() || st.inflight_blob.contains_key(&want)
-                {
+                let flight = FlightKey::Blob(want);
+                if st.chan_blob_replies.get(&want).is_some() || st.inflight.contains_key(&flight) {
                     continue;
                 }
-                st.inflight_blob
-                    .insert(want, simnet::Signal::new(env.handle()));
+                st.inflight
+                    .insert(flight, simnet::Signal::new(env.handle()));
                 st.batch_pending.push((want, item.args.clone().into()));
                 parked += 1;
             }
@@ -3306,14 +2800,9 @@ impl Proxy {
         // covers them and our signals still fire). A round can also pick
         // up loose single-blob misses parked by a collecting leader;
         // that leader finding the queue already empty is fine.
-        let max_batch = self.cfg.fleet.max_batch.clamp(1, oncrpc::MAX_BATCH_ITEMS);
         let mut taken = 0usize;
         while taken < parked {
-            let round: Vec<(Digest, xdr::Bytes)> = {
-                let mut st = self.state.lock();
-                let take = st.batch_pending.len().min(max_batch);
-                st.batch_pending.drain(..take).collect()
-            };
+            let round = { self.state.lock().take_blob_round(self.cfg.fleet.max_batch) };
             if round.is_empty() {
                 break;
             }
@@ -3321,47 +2810,35 @@ impl Proxy {
             self.send_blob_round(env, cred, &round);
         }
         // Phase 2: resolve each item through its ordinary per-item
-        // handler (our own misses are now cached or in flight).
+        // handler (our own misses are now cached or in flight). An item
+        // that may not ride a batch — a mutation, by the origin's own
+        // rule — fails in its slot and never goes upstream.
         let replies: Vec<oncrpc::BatchReplyItem> = items
-            .iter()
+            .into_iter()
             .map(|item| {
-                let iargs: xdr::Bytes = item.args.clone().into();
-                let msg = match item.proc {
-                    chanproc::FETCH_BLOBS => self.handle_channel_blob(env, xid, cred, iargs),
-                    chanproc::FETCH_CHUNK => self.handle_channel_chunk(env, xid, cred, iargs),
-                    chanproc::FETCH_RECIPE => self.handle_channel_recipe(env, xid, cred, iargs),
-                    _ => self.forward(
-                        env,
-                        xid,
-                        cred,
-                        CHANNEL_PROGRAM,
-                        CHANNEL_V1,
-                        item.proc,
-                        iargs,
-                    ),
-                };
-                match msg {
-                    RpcMessage::Reply {
-                        body:
-                            ReplyBody::Accepted {
-                                stat: AcceptStat::Success,
-                                results,
-                                ..
-                            },
-                        ..
-                    } => oncrpc::BatchReplyItem {
-                        stat: oncrpc::BATCH_OK,
-                        result: results.to_vec(),
-                    },
-                    _ => oncrpc::BatchReplyItem {
-                        stat: oncrpc::BATCH_ITEM_FAILED,
-                        result: Vec::new(),
-                    },
-                }
+                let served = batchable(item.proc)
+                    .then(|| self.handle_channel(c, item.proc, item.args.into()));
+                let results = served.as_ref().and_then(success_results);
+                channel::batch_reply_item(results.map(|r| r.to_vec()))
             })
             .collect();
-        let body: xdr::Bytes = oncrpc::batch::encode_batch_reply(&replies).into();
-        RpcMessage::success(xid, body)
+        RpcMessage::success(xid, oncrpc::batch::encode_batch_reply(&replies))
+    }
+}
+
+/// The result bytes of a reply, if it is an accepted success.
+fn success_results(reply: &RpcMessage) -> Option<&xdr::Bytes> {
+    match reply {
+        RpcMessage::Reply {
+            body:
+                ReplyBody::Accepted {
+                    stat: AcceptStat::Success,
+                    results,
+                    ..
+                },
+            ..
+        } => Some(results),
+        _ => None,
     }
 }
 
@@ -3424,19 +2901,24 @@ impl RpcHandler for Proxy {
             None => cred,
         };
 
+        let c = Call {
+            env,
+            xid,
+            cred: &cred,
+        };
         let reply = if prog == CHANNEL_PROGRAM {
-            self.handle_channel(env, xid, &cred, proc, args)
+            self.handle_channel(c, proc, args)
         } else if prog != NFS_PROGRAM || vers != NFS_V3 {
             // MOUNT and anything else passes straight through.
-            self.forward(env, xid, &cred, prog, vers, proc, args)
+            self.forward(c, prog, vers, proc, args)
         } else {
             match proc {
-                proc3::READ => self.handle_read(env, xid, &cred, args),
-                proc3::WRITE => self.handle_write(env, xid, &cred, args),
-                proc3::GETATTR => self.handle_getattr(env, xid, &cred, args),
-                proc3::COMMIT => self.handle_commit(env, xid, &cred, args),
-                proc3::LOOKUP => self.handle_lookup(env, xid, &cred, args),
-                _ => self.forward(env, xid, &cred, prog, vers, proc, args),
+                proc3::READ => self.handle_read(c, args),
+                proc3::WRITE => self.handle_write(c, args),
+                proc3::GETATTR => self.handle_getattr(c, args),
+                proc3::COMMIT => self.handle_commit(c, args),
+                proc3::LOOKUP => self.handle_lookup(c, args),
+                _ => self.forward(c, prog, vers, proc, args),
             }
         };
         xdr::to_bytes(&reply).into()

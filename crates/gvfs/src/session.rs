@@ -72,7 +72,6 @@ impl Middleware {
     /// size, while the content-map record size sets the dedup/transfer
     /// unit — fleet runs use small records so a cold transfer is many
     /// round-trips and proxy-tier batching has something to coalesce.
-    #[allow(clippy::too_many_arguments)]
     pub fn generate_meta_chunked(
         fs: &mut Fs,
         dir_path: &str,

@@ -28,10 +28,10 @@ use simnet::{Counter, Env, Gauge, Histogram, SimDuration, Telemetry};
 /// [`crate::ProxyConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferTuning {
-    /// File-channel chunk size in bytes. Whole-file FETCH/UPLOAD is split
+    /// File-channel chunk size in bytes. A whole-file transfer is split
     /// into pieces of this size so compression, WAN transfer and
-    /// decompression of successive chunks overlap. `0` disables chunking
-    /// (monolithic transfers, as before).
+    /// decompression of successive chunks overlap. `0` means "do not
+    /// split": the file travels as a single chunk.
     pub chunk_bytes: u32,
     /// Max in-flight chunk RPCs per file-channel transfer. `1` reproduces
     /// the old serial compress→ship→uncompress pipeline.
@@ -61,21 +61,6 @@ impl Default for TransferTuning {
             read_ahead: 8,
             flush_retry_rounds: 4,
             flush_retry_backoff: SimDuration::from_millis(500),
-        }
-    }
-}
-
-impl TransferTuning {
-    /// Fully serial tuning: every path behaves as before the transfer
-    /// engine existed (tests use this as the equivalence baseline).
-    pub fn serial() -> Self {
-        TransferTuning {
-            chunk_bytes: 0,
-            channel_window: 1,
-            flush_window: 1,
-            read_ahead: 0,
-            flush_retry_rounds: 0,
-            flush_retry_backoff: SimDuration::ZERO,
         }
     }
 }

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use gvfs::digest::digest;
 use gvfs::{
     ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FileChannelServer, FleetTuning,
-    Proxy, ProxyConfig, TransferTuning, WritePolicy,
+    Proxy, ProxyConfig, RecipeFetch, TransferTuning, WritePolicy,
 };
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
 use parking_lot::Mutex;
@@ -85,7 +85,7 @@ impl FaultPlan {
 
 /// One fetch run: an origin channel server behind a faulted WAN, an
 /// optional shard proxy (dedup + the given fleet tuning) in between, and
-/// a single client doing `fetch_dedup_batched` with the given envelope
+/// a single client doing `fetch_dedup` with the given envelope
 /// size. Returns the reassembled contents and, when a shard was present,
 /// its `(envelopes, sub-calls)` batch counters.
 fn run_fetch(
@@ -159,7 +159,19 @@ fn run_fetch(
         let cas = ContentStore::new(1 << 30);
         let dtel = DedupTel::unregistered();
         let df = chan
-            .fetch_dedup_batched(&env, fh, None, CHUNK, window, batch, &cas, &dtel, None)
+            .fetch_dedup(
+                &env,
+                fh,
+                &RecipeFetch {
+                    recipe_hint: None,
+                    chunk_bytes: CHUNK,
+                    window,
+                    batch,
+                    cas: &cas,
+                    dtel: &dtel,
+                    tel: None,
+                },
+            )
             .unwrap();
         *got2.lock() = Some(df.contents);
     });

@@ -15,8 +15,8 @@ use gvfs::channel::chanproc;
 use gvfs::digest::{chunk_digests, digest};
 use gvfs::{
     BlockCache, BlockCacheConfig, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
-    Digest, FileCache, FileChannelServer, FileKey, Proxy, ProxyConfig, TransferTuning, WritePolicy,
-    CHANNEL_PROGRAM, CHANNEL_V1,
+    Digest, FileCache, FileChannelServer, FileKey, Proxy, ProxyConfig, RecipeFetch, TransferTuning,
+    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use nfs3::{Fh3, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
@@ -407,7 +407,19 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
             let cas = ContentStore::new(1 << 30);
             let dtel = DedupTel::unregistered();
             let df = chan
-                .fetch_dedup(&env, fh, None, CHUNK, 4, &cas, &dtel, None)
+                .fetch_dedup(
+                    &env,
+                    fh,
+                    &RecipeFetch {
+                        recipe_hint: None,
+                        chunk_bytes: CHUNK,
+                        window: 4,
+                        batch: 1,
+                        cas: &cas,
+                        dtel: &dtel,
+                        tel: None,
+                    },
+                )
                 .unwrap();
             assert_eq!(df.contents, want, "client {i} got wrong bytes");
         }));

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use gvfs::digest::digest;
 use gvfs::{
     ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FileChannelServer, FleetTuning,
-    Proxy, ProxyConfig, TransferTuning, WritePolicy,
+    Proxy, ProxyConfig, RecipeFetch, TransferTuning, WritePolicy,
 };
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
 use parking_lot::Mutex;
@@ -230,7 +230,19 @@ fn run_pair(
             let cas = ContentStore::new(1 << 30);
             let dtel = DedupTel::unregistered();
             let df = chan
-                .fetch_dedup_batched(&env, fh, None, CHUNK, 4, 8, &cas, &dtel, None)
+                .fetch_dedup(
+                    &env,
+                    fh,
+                    &RecipeFetch {
+                        recipe_hint: None,
+                        chunk_bytes: CHUNK,
+                        window: 4,
+                        batch: 8,
+                        cas: &cas,
+                        dtel: &dtel,
+                        tel: None,
+                    },
+                )
                 .unwrap();
             let mut o = out2.lock();
             if slot == 0 {

@@ -3,7 +3,7 @@
 use gvfs::block_cache::{BlockCache, BlockCacheConfig, Tag};
 use gvfs::meta::{generate_content_map, ContentMap, MetaFile, ZeroMap};
 use gvfs::{codec, Digest, FileChannelSpec};
-use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer};
+use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, RecipeFetch};
 use gvfs::{FileCache, FileKey};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use proptest::prelude::*;
@@ -162,16 +162,17 @@ proptest! {
         prop_assert_eq!(cas.pinned_bytes(), 0);
     }
 
-    /// Chunked FETCH reassembles byte-identically to the monolithic
-    /// fetch, and chunked UPLOAD lands byte-identically on the server,
-    /// for arbitrary contents across chunk-size / window combinations
-    /// (including chunk sizes that don't divide the file length and
-    /// windows larger than the chunk count).
+    /// A chunked fetch reassembles the file byte-identically, and a
+    /// chunked upload lands byte-identically on the server, for
+    /// arbitrary contents across chunk-size / window combinations
+    /// (including chunk sizes that don't divide the file length, windows
+    /// larger than the chunk count, the serial window 1 and the unsplit
+    /// chunk size 0 — together the whole-file serial transfer).
     #[test]
     fn chunked_channel_round_trips(
         len in 0usize..200_000,
         seed in any::<u64>(),
-        chunk_kib in 1u32..48,
+        chunk_kib in 0u32..48,
         window in 1usize..8,
     ) {
         let sim = Simulation::new();
@@ -202,7 +203,7 @@ proptest! {
             let chunk = chunk_kib << 10;
             let (got, _) = chan.fetch_chunked(&env, fh, chunk, window, None).unwrap();
             assert_eq!(got, data, "fetch chunk={chunk} window={window}");
-            chan.upload_chunked(&env, fh, &reversed, true, chunk, window, None).unwrap();
+            chan.upload_chunked(&env, fh, &reversed, chunk, window, None).unwrap();
             let mut f = fs2.lock();
             assert_eq!(f.size(fh).unwrap() as usize, reversed.len());
             if !reversed.is_empty() {
@@ -216,14 +217,15 @@ proptest! {
     /// The recipe/blob dedup fetch reassembles byte-identically to what
     /// the monolithic chunked fetch would return, for arbitrary contents,
     /// chunk boundaries (including ones that don't divide the length),
-    /// window sizes, CAS pre-population (cold / partially warm), and
-    /// with the recipe either hinted from meta-data or fetched via
-    /// `FETCH_RECIPE`. A repeat fetch moves zero fresh bytes.
+    /// window sizes (the serial window 1 included), CAS pre-population
+    /// (cold / partially warm), and with the recipe either hinted from
+    /// meta-data or fetched via `FETCH_RECIPE` (where chunk size 0 asks
+    /// for the 1 MB default). A repeat fetch moves zero fresh bytes.
     #[test]
     fn dedup_fetch_matches_chunked_fetch(
         len in 0usize..200_000,
         seed in any::<u64>(),
-        chunk_kib in 1u32..48,
+        chunk_kib in 0u32..48,
         window in 1usize..8,
         warm_mask in any::<u64>(),
         hint in any::<bool>(),
@@ -244,35 +246,40 @@ proptest! {
         let mul = seed | 1;
         let data: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 5) as u8).collect();
         let chunk = chunk_kib << 10;
+        let record = if chunk == 0 { 1 << 20 } else { chunk };
         let (fh, cmap) = {
             let mut f = fs.lock();
             let root = f.root();
             let hdl = f.create(root, "img", 0o644, 0).unwrap();
             f.write(hdl, 0, &data, 0).unwrap();
-            let cmap = generate_content_map(&mut f, hdl, chunk).unwrap();
+            let cmap = generate_content_map(&mut f, hdl, record).unwrap();
             (hdl, cmap)
         };
         // Pre-populate the CAS with an arbitrary subset of the chunks.
         let cas = ContentStore::new(1 << 30);
-        for (i, ch) in data.chunks(chunk as usize).enumerate() {
+        for (i, ch) in data.chunks(record as usize).enumerate() {
             if warm_mask >> (i % 64) & 1 == 1 {
                 cas.insert(ch);
             }
         }
         sim.spawn("client", move |env| {
             let dtel = DedupTel::unregistered();
-            let hint_map = if hint { Some(&cmap) } else { None };
-            let df = chan
-                .fetch_dedup(&env, fh, hint_map, chunk, window, &cas, &dtel, None)
-                .unwrap();
+            let rq = RecipeFetch {
+                recipe_hint: if hint { Some(&cmap) } else { None },
+                chunk_bytes: chunk,
+                window,
+                batch: 1,
+                cas: &cas,
+                dtel: &dtel,
+                tel: None,
+            };
+            let df = chan.fetch_dedup(&env, fh, &rq).unwrap();
             assert_eq!(df.contents, data, "chunk={chunk} window={window}");
             assert!(df.fresh_bytes <= len as u64);
             // Every byte either crossed the wire or was avoided.
             assert_eq!(df.fresh_bytes + dtel.bytes_avoided.get(), len as u64);
             // Every chunk is now CAS-resident: a second fetch is pure hits.
-            let df2 = chan
-                .fetch_dedup(&env, fh, hint_map, chunk, window, &cas, &dtel, None)
-                .unwrap();
+            let df2 = chan.fetch_dedup(&env, fh, &rq).unwrap();
             assert_eq!(df2.contents, data);
             assert_eq!(df2.fresh_bytes, 0);
             assert_eq!(df2.wire, 0);
