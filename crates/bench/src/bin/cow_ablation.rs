@@ -1,48 +1,28 @@
 //! CoW ablation — the CI guard for copy-on-write golden-snapshot
-//! cloning (DESIGN.md §5.9):
-//!
-//! 1. runs reduced-scale cloning probes (WAN-S1 warm repeat, Fig 6
-//!    WAN-S2 / WAN-S3) with CoW reference cloning on and off — dedup on
-//!    in *both* lanes, so the comparison isolates the reference-file
-//!    install path from the CAS itself,
-//! 2. reports the timings and `cow.*` counters side by side, and
-//!    enforces the warm-site contract: the Fig 6 S2 clone-latency sum
-//!    with CoW on must be at least 40% below the `CowTuning::off()`
-//!    lane,
-//! 3. compares every `CowTuning::off()` timing bit-for-bit
-//!    (`f64::to_bits`) against the committed baseline
-//!    `reports/cow_off_baseline.txt` and fails if any diverges — the
-//!    executable proof that the off() path still reproduces the
-//!    materialized-install data paths exactly.
-//!
-//! `--write-baseline` regenerates the baseline file (use only when an
-//! intentional change to the non-CoW paths shifts the numbers).
-
-use std::path::PathBuf;
+//! cloning (DESIGN.md §5.9): reduced-scale cloning probes (WAN-S1 warm
+//! repeat, Fig 6 WAN-S2 / WAN-S3) with CoW reference cloning on and off
+//! — dedup on in *both* lanes, so the comparison isolates the
+//! reference-file install path from the CAS itself — timings and `cow.*`
+//! counters side by side, and every `CowTuning::off()` timing
+//! bit-for-bit against `reports/cow_off_baseline.txt` (driver and flags:
+//! [`gvfs_bench::ablation`]). On top, the warm-site contract: the Fig 6
+//! S2 clone-latency sum with CoW on must be at least 40% below the
+//! `CowTuning::off()` lane.
 
 use gvfs::CowTuning;
-use gvfs_bench::report::{render_table, scenario_report, write_report};
-use gvfs_bench::{run_cloning, CloneParams, CloneResult, CloneScenario};
-
-const BASELINE_PATH: &str = "reports/cow_off_baseline.txt";
+use gvfs_bench::ablation::{run, Ablation, Probe};
+use gvfs_bench::{CloneParams, CloneScenario};
+use simnet::SimDuration;
 
 /// Minimum saving CoW must buy on the Fig 6 S2 probe's clone-latency
 /// sum (the warm-site acceptance bar).
 const S2_MIN_SAVING_PCT: f64 = 40.0;
 
-struct Probe {
-    name: &'static str,
-    scenario: CloneScenario,
-    clones: usize,
-    image_scale: u64,
-}
-
-/// Reduced-scale probes: small enough for CI, large enough that the
-/// reference-install, CoW-break and diverged-flush paths all carry real
-/// traffic. S1's repeats are the warmest case (same image over and
-/// over); S2's sibling images share all but ~4% of their content, so
-/// later clones install as near-complete recipes; S3 adds the LAN
-/// second-level proxy in front.
+/// Large enough that the reference-install, CoW-break and
+/// diverged-flush paths all carry real traffic. S1's repeats are the
+/// warmest case (same image over and over); S2's sibling images share
+/// all but ~4% of their content, so later clones install as
+/// near-complete recipes; S3 adds the LAN second-level proxy in front.
 const PROBES: &[Probe] = &[
     Probe {
         name: "fig6-s1",
@@ -64,164 +44,68 @@ const PROBES: &[Probe] = &[
     },
 ];
 
-/// Sum of per-clone end-to-end latencies (the figure's headline).
-fn latency_sum(res: &CloneResult) -> f64 {
-    res.times.iter().map(|t| t.total.as_secs_f64()).sum()
+fn params(p: &Probe, on: bool) -> CloneParams {
+    // VMM CPU terms scale with the image (as in the fleet scenario): at
+    // 1/8 size an unscaled 9 s compute floor would bury the data path
+    // this ablation measures.
+    let scaled = |secs: u64| SimDuration::from_nanos(secs * 1_000_000_000 / p.image_scale);
+    CloneParams {
+        clones: p.clones,
+        image_scale: Some(p.image_scale),
+        device_cpu: scaled(6),
+        configure_cpu: scaled(3),
+        cow: if on {
+            CowTuning::on()
+        } else {
+            CowTuning::off()
+        },
+        ..CloneParams::default()
+    }
 }
 
-fn main() {
-    let mut json_path = Some(PathBuf::from("reports/cow_ablation.json"));
-    let mut write_baseline = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--write-baseline" => write_baseline = true,
-            "--no-json" => json_path = None,
-            "--json" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-                json_path = Some(PathBuf::from(p));
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: cow_ablation [--json PATH] [--no-json] [--write-baseline]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+/// The warm-site bar, on the probes' savings.
+fn warm_site_bar(savings: &[(&'static str, f64)]) -> bool {
+    match savings.iter().find(|(name, _)| *name == "fig6-s2") {
+        Some((_, saving)) if *saving >= S2_MIN_SAVING_PCT => {
+            println!(
+                "warm-site bar: fig6-s2 clone-latency sum {saving:.1}% lower with CoW \
+                 (>= {S2_MIN_SAVING_PCT:.0}%)"
+            );
+            true
         }
-    }
-
-    println!("CoW ablation: copy-on-write reference cloning on/off (dedup on in both lanes)\n");
-    let mut rows = Vec::new();
-    let mut scenarios = Vec::new();
-    let mut off_bits = Vec::new();
-    let mut s2_saving = None;
-    for p in PROBES {
-        let mut sums = [0.0f64; 2];
-        for (slot, enabled) in [(0usize, false), (1usize, true)] {
-            // VMM CPU terms scale with the image (as in the fleet
-            // scenario): at 1/8 size an unscaled 9 s compute floor
-            // would bury the data path this ablation measures.
-            let scaled = |full: simnet::SimDuration| {
-                simnet::SimDuration::from_nanos(full.as_nanos() / p.image_scale)
-            };
-            let params = CloneParams {
-                clones: p.clones,
-                image_scale: Some(p.image_scale),
-                device_cpu: scaled(simnet::SimDuration::from_secs(6)),
-                configure_cpu: scaled(simnet::SimDuration::from_secs(3)),
-                cow: if enabled {
-                    CowTuning::on()
-                } else {
-                    CowTuning::off()
-                },
-                ..CloneParams::default()
-            };
-            let res = run_cloning(p.scenario, &params);
-            sums[slot] = latency_sum(&res);
-            let label = format!("{} cow={}", p.name, if enabled { "on" } else { "off" });
-            scenarios.push(scenario_report(
-                &label,
-                res.total_virtual_secs,
-                &res.snapshot,
-            ));
-            if enabled {
-                let installs = res.snapshot.counter_sum("gvfs", ".cow.ref_installs");
-                let pin_blocked = res
-                    .snapshot
-                    .counter_sum("gvfs", ".cas.pin_blocked_evictions");
-                let saving = (1.0 - sums[1] / sums[0]) * 100.0;
-                if p.name == "fig6-s2" {
-                    s2_saving = Some(saving);
-                }
-                rows.push(vec![
-                    p.name.to_string(),
-                    format!("{:.3}", sums[0]),
-                    format!("{:.3}", sums[1]),
-                    format!("{saving:.1}%"),
-                    format!("{installs}"),
-                    format!("{pin_blocked}"),
-                ]);
-            } else {
-                off_bits.push((p.name, res.total_virtual_secs));
-            }
-        }
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Probe",
-                "off Σ (s)",
-                "on Σ (s)",
-                "saved",
-                "ref installs",
-                "pin-blocked"
-            ],
-            &rows,
-        )
-    );
-    if let Some(path) = &json_path {
-        write_report(path, "cow_ablation", scenarios);
-    }
-
-    let rendered: String = off_bits
-        .iter()
-        .map(|(name, secs)| format!("{name} {:016x}\n", secs.to_bits()))
-        .collect();
-    if write_baseline {
-        if let Some(parent) = std::path::Path::new(BASELINE_PATH).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(BASELINE_PATH, &rendered).expect("write baseline");
-        println!("baseline: wrote {BASELINE_PATH}");
-        return;
-    }
-
-    let mut failed = false;
-    match s2_saving {
-        Some(saving) if saving >= S2_MIN_SAVING_PCT => {
-            println!("warm-site bar: fig6-s2 clone-latency sum {saving:.1}% lower with CoW (>= {S2_MIN_SAVING_PCT:.0}%)");
-        }
-        Some(saving) => {
+        Some((_, saving)) => {
             eprintln!(
                 "warm-site bar FAILED: fig6-s2 clone-latency sum only {saving:.1}% lower with \
                  CoW (bar: {S2_MIN_SAVING_PCT:.0}%)"
             );
-            failed = true;
+            false
         }
         None => {
             eprintln!("warm-site bar FAILED: fig6-s2 probe missing");
-            failed = true;
+            false
         }
     }
+}
 
-    match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(committed) => {
-            if committed == rendered {
-                println!("baseline: CowTuning::off() matches {BASELINE_PATH} bit-for-bit");
-            } else {
-                eprintln!(
-                    "baseline MISMATCH: CowTuning::off() no longer reproduces the \
-                     committed numbers.\n--- committed\n{committed}--- measured\n{rendered}\
-                     If the change to the non-CoW paths is intentional, rerun with \
-                     --write-baseline and commit the result."
-                );
-                failed = true;
-            }
-        }
-        Err(e) => {
-            eprintln!(
-                "baseline: cannot read {BASELINE_PATH} ({e}); run with --write-baseline first"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+fn main() {
+    let ablation = Ablation {
+        name: "cow_ablation",
+        banner: "CoW ablation: copy-on-write reference cloning on/off (dedup on in both lanes)",
+        knob: "cow",
+        off: "CowTuning::off()",
+        probes: PROBES,
+        params,
+        // Sum of per-clone end-to-end latencies (the figure's headline).
+        measure: ("Σ (s)", |res| res.total_secs()),
+        extra: &[
+            ("ref installs", |snap| {
+                snap.counter_sum("gvfs", ".cow.ref_installs").to_string()
+            }),
+            ("pin-blocked", |snap| {
+                snap.counter_sum("gvfs", ".cas.pin_blocked_evictions")
+                    .to_string()
+            }),
+        ],
+    };
+    run(&ablation, warm_site_bar);
 }

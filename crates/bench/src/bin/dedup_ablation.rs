@@ -1,35 +1,17 @@
 //! Dedup ablation — the CI guard for content-addressed redundancy
-//! elimination (DESIGN.md §5.5):
-//!
-//! 1. runs the channel ablation (one WAN-S1 cloning) and reduced-scale
-//!    Fig 6 WAN-S2 / WAN-S3 probes with dedup on and off,
-//! 2. reports the timings and `dedup.*` counters side by side,
-//! 3. compares every `DedupTuning::off()` timing bit-for-bit
-//!    (`f64::to_bits`) against the committed baseline
-//!    `reports/dedup_off_baseline.txt` and fails if any diverges —
-//!    the executable proof that the off() path still reproduces the
-//!    pre-CAS data paths exactly.
-//!
-//! `--write-baseline` regenerates the baseline file (use only when an
-//! intentional change to the non-dedup paths shifts the numbers).
+//! elimination (DESIGN.md §5.5): the channel ablation (one WAN-S1
+//! cloning) and reduced-scale Fig 6 WAN-S2 / WAN-S3 probes with dedup on
+//! and off, timings and `dedup.*` counters side by side, and every
+//! `DedupTuning::off()` timing bit-for-bit against
+//! `reports/dedup_off_baseline.txt` (driver and flags:
+//! [`gvfs_bench::ablation`]).
 
-use std::path::PathBuf;
+use gvfs::{CowTuning, DedupTuning};
+use gvfs_bench::ablation::{run, Ablation, Probe};
+use gvfs_bench::{CloneParams, CloneScenario};
 
-use gvfs::DedupTuning;
-use gvfs_bench::report::{render_table, scenario_report, write_report};
-use gvfs_bench::{run_cloning, CloneParams, CloneScenario};
-
-const BASELINE_PATH: &str = "reports/dedup_off_baseline.txt";
-
-struct Probe {
-    name: &'static str,
-    scenario: CloneScenario,
-    clones: usize,
-    image_scale: u64,
-}
-
-/// Reduced-scale probes: small enough for CI, large enough that the
-/// recipe, blob and LAN-share paths all carry real traffic.
+/// Large enough that the recipe, blob and LAN-share paths all carry real
+/// traffic.
 const PROBES: &[Probe] = &[
     Probe {
         name: "channel-s1x1",
@@ -51,125 +33,40 @@ const PROBES: &[Probe] = &[
     },
 ];
 
+fn params(p: &Probe, on: bool) -> CloneParams {
+    CloneParams {
+        clones: p.clones,
+        image_scale: Some(p.image_scale),
+        dedup: if on {
+            DedupTuning::default()
+        } else {
+            DedupTuning::off()
+        },
+        // This ablation isolates dedup; CoW cloning has its own
+        // (cow_ablation), which holds dedup fixed instead.
+        cow: CowTuning::off(),
+        ..CloneParams::default()
+    }
+}
+
 fn main() {
-    let mut json_path = Some(PathBuf::from("reports/dedup_ablation.json"));
-    let mut write_baseline = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--write-baseline" => write_baseline = true,
-            "--no-json" => json_path = None,
-            "--json" => {
-                let p = args.next().unwrap_or_else(|| {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                });
-                json_path = Some(PathBuf::from(p));
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: dedup_ablation [--json PATH] [--no-json] [--write-baseline]");
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    println!("Dedup ablation: content-addressed redundancy elimination on/off\n");
-    let mut rows = Vec::new();
-    let mut scenarios = Vec::new();
-    let mut off_bits = Vec::new();
-    for p in PROBES {
-        let mut secs = [0.0f64; 2];
-        for (slot, enabled) in [(0usize, false), (1usize, true)] {
-            let params = CloneParams {
-                clones: p.clones,
-                image_scale: Some(p.image_scale),
-                dedup: if enabled {
-                    DedupTuning::default()
-                } else {
-                    DedupTuning::off()
-                },
-                // This ablation isolates dedup; CoW cloning has its own
-                // (cow_ablation), which holds dedup fixed instead.
-                cow: gvfs::CowTuning::off(),
-                ..CloneParams::default()
-            };
-            let res = run_cloning(p.scenario, &params);
-            secs[slot] = res.total_virtual_secs;
-            let label = format!("{} dedup={}", p.name, if enabled { "on" } else { "off" });
-            scenarios.push(scenario_report(
-                &label,
-                res.total_virtual_secs,
-                &res.snapshot,
-            ));
-            if enabled {
-                let avoided = res.snapshot.counter_sum("gvfs", ".dedup.bytes_avoided");
-                let skips = res.snapshot.counter_sum("gvfs", ".dedup.acked_skips");
-                rows.push(vec![
-                    p.name.to_string(),
-                    format!("{:.3}", secs[0]),
-                    format!("{:.3}", secs[1]),
-                    format!("{:.1}%", (1.0 - secs[1] / secs[0]) * 100.0),
-                    format!("{:.1}", avoided as f64 / (1 << 20) as f64),
-                    format!("{skips}"),
-                ]);
-            } else {
-                off_bits.push((p.name, res.total_virtual_secs));
-            }
-        }
-    }
-    println!(
-        "{}",
-        render_table(
-            &[
-                "Probe",
-                "off (s)",
-                "on (s)",
-                "saved",
-                "avoided MiB",
-                "acked skips"
-            ],
-            &rows,
-        )
-    );
-    if let Some(path) = &json_path {
-        write_report(path, "dedup_ablation", scenarios);
-    }
-
-    let rendered: String = off_bits
-        .iter()
-        .map(|(name, secs)| format!("{name} {:016x}\n", secs.to_bits()))
-        .collect();
-    if write_baseline {
-        if let Some(parent) = std::path::Path::new(BASELINE_PATH).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(BASELINE_PATH, &rendered).expect("write baseline");
-        println!("baseline: wrote {BASELINE_PATH}");
-        return;
-    }
-    match std::fs::read_to_string(BASELINE_PATH) {
-        Ok(committed) => {
-            if committed == rendered {
-                println!("baseline: DedupTuning::off() matches {BASELINE_PATH} bit-for-bit");
-            } else {
-                eprintln!(
-                    "baseline MISMATCH: DedupTuning::off() no longer reproduces the \
-                     committed numbers.\n--- committed\n{committed}--- measured\n{rendered}\
-                     If the change to the non-dedup paths is intentional, rerun with \
-                     --write-baseline and commit the result."
-                );
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!(
-                "baseline: cannot read {BASELINE_PATH} ({e}); run with --write-baseline first"
-            );
-            std::process::exit(1);
-        }
-    }
+    let ablation = Ablation {
+        name: "dedup_ablation",
+        banner: "Dedup ablation: content-addressed redundancy elimination on/off",
+        knob: "dedup",
+        off: "DedupTuning::off()",
+        probes: PROBES,
+        params,
+        measure: ("(s)", |res| res.total_virtual_secs),
+        extra: &[
+            ("avoided MiB", |snap| {
+                let avoided = snap.counter_sum("gvfs", ".dedup.bytes_avoided");
+                format!("{:.1}", avoided as f64 / (1 << 20) as f64)
+            }),
+            ("acked skips", |snap| {
+                snap.counter_sum("gvfs", ".dedup.acked_skips").to_string()
+            }),
+        ],
+    };
+    run(&ablation, |_| true);
 }

@@ -31,7 +31,7 @@ use vfs::{Disk, DiskModel, LocalIo, LocalIoConfig, MountTable};
 use vmm::{clone_vm, diverge_image, install_image, CloneConfig, CloneTimes, VmConfig, VmImageSpec};
 use workloads::scp::ScpModel;
 
-use crate::scenarios::{build_client, build_server, ClientProxyOptions, NetParams};
+use crate::scenarios::{build_client, build_server, ClientProxyOptions, NetParams, ServerSide};
 
 /// Sequential cloning scenarios of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,6 +158,17 @@ impl CloneParams {
         self.cow.enabled && self.dedup.enabled
     }
 
+    /// How the GVFS cloning scenarios clone: VMM costs from these
+    /// parameters, and a CoW memory copy when CoW is in effect.
+    fn clone_config(&self) -> CloneConfig {
+        CloneConfig {
+            vm: self.vm_config(),
+            configure_cpu: self.configure_cpu,
+            cow_memory: self.cow_active(),
+            ..CloneConfig::default()
+        }
+    }
+
     pub(crate) fn vm_config(&self) -> VmConfig {
         VmConfig {
             guest_cache_fraction: 0.12,
@@ -236,52 +247,43 @@ pub(crate) fn install_goldens(
 
 use vfs::Fs;
 
-/// One compute host: local disk, client-side caching proxy, kernel mount.
-pub(crate) struct ComputeHost {
-    pub(crate) local: Arc<LocalIo>,
-    pub(crate) table: MountTable,
-    pub(crate) proxy: Option<Arc<Proxy>>,
+/// The WAN image server every GVFS cloning scenario clones from.
+fn build_wan_server(h: &SimHandle, params: &CloneParams) -> ServerSide {
+    let net = &params.net;
+    let up = Link::from_mbps(h, "wan-up", net.wan_up_mbps, net.wan_oneway);
+    let down = Link::from_mbps(h, "wan-down", net.wan_down_mbps, net.wan_oneway);
+    build_server(h, up, down, 768 << 20, true)
 }
 
+/// One compute host — local disk, client-side caching proxy, kernel
+/// mount — as the mount table its clonings run against.
 pub(crate) fn build_compute_host(
     h: &SimHandle,
     upstream: RpcChannel,
     cred: OpaqueAuth,
     params: &CloneParams,
-    with_caches: bool,
     kernel_cfg: KernelConfig,
     env: &Env,
-) -> ComputeHost {
+) -> MountTable {
     let client = build_client(
         h,
         upstream,
         cred.clone(),
-        if with_caches {
-            Some(ClientProxyOptions {
-                block_cache: true,
-                file_channel: true,
-                write_policy: WritePolicy::WriteBack,
-                cache_bytes: params.proxy_cache_bytes,
-                dedup: params.dedup,
-                fleet: params.fleet,
-                cow: params.cow,
-            })
-        } else {
-            None
-        },
+        Some(ClientProxyOptions {
+            block_cache: true,
+            file_channel: true,
+            write_policy: WritePolicy::WriteBack,
+            cache_bytes: params.proxy_cache_bytes,
+            dedup: params.dedup,
+            fleet: params.fleet,
+            cow: params.cow,
+        }),
         None,
     );
     let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred));
     let kc = KernelClient::mount(env, nfs, "/exports", kernel_cfg).unwrap();
     let local = LocalIo::new(client.cache_disk.clone(), LocalIoConfig::default(), 0);
-    let table = MountTable::new()
-        .mount("/", local.clone())
-        .mount("/mnt/gvfs", kc);
-    ComputeHost {
-        local,
-        table,
-        proxy: client.proxy,
-    }
+    MountTable::new().mount("/", local).mount("/mnt/gvfs", kc)
 }
 
 /// Result of a sequential cloning scenario: per-clone step times.
@@ -359,14 +361,7 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
             });
         }
         CloneScenario::WanS1 | CloneScenario::WanS2 => {
-            let up = Link::from_mbps(&h, "wan-up", params.net.wan_up_mbps, params.net.wan_oneway);
-            let down = Link::from_mbps(
-                &h,
-                "wan-down",
-                params.net.wan_down_mbps,
-                params.net.wan_oneway,
-            );
-            let server = build_server(&h, up, down, 768 << 20, true);
+            let server = build_wan_server(&h, params);
             let distinct = if scenario == CloneScenario::WanS1 {
                 1
             } else {
@@ -384,43 +379,22 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
                     server.channel.clone(),
                     cred.clone(),
                     &params2,
-                    true,
                     kcfg,
                     &env,
                 );
-                let cfg = CloneConfig {
-                    vm: params2.vm_config(),
-                    configure_cpu: params2.configure_cpu,
-                    cow_memory: params2.cow_active(),
-                    ..CloneConfig::default()
-                };
+                let cfg = params2.clone_config();
                 for i in 0..n {
                     let spec = &specs[i % specs.len()];
-                    let (times, vm) = clone_vm(
-                        &env,
-                        &host.table,
-                        "/mnt/gvfs",
-                        spec,
-                        &format!("/clone{i}"),
-                        cfg,
-                    )
-                    .unwrap();
+                    let (times, vm) =
+                        clone_vm(&env, &host, "/mnt/gvfs", spec, &format!("/clone{i}"), cfg)
+                            .unwrap();
                     vm.shutdown(&env).unwrap();
                     out2.lock().push(times);
                 }
-                let _ = &host.local;
-                let _ = &host.proxy;
             });
         }
         CloneScenario::WanS3 => {
-            let up = Link::from_mbps(&h, "wan-up", params.net.wan_up_mbps, params.net.wan_oneway);
-            let down = Link::from_mbps(
-                &h,
-                "wan-down",
-                params.net.wan_down_mbps,
-                params.net.wan_oneway,
-            );
-            let server = build_server(&h, up, down, 768 << 20, true);
+            let server = build_wan_server(&h, params);
             let distinct = params.images.unwrap_or(n).max(1);
             let specs = install_goldens(&server.fs, params, distinct);
             let mw = Middleware::new();
@@ -465,12 +439,7 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
             let h2 = h.clone();
             let lan_channel = lan_ep.channel;
             sim.spawn("cloner", move |env: Env| {
-                let cfg = CloneConfig {
-                    vm: params2.vm_config(),
-                    configure_cpu: params2.configure_cpu,
-                    cow_memory: params2.cow_active(),
-                    ..CloneConfig::default()
-                };
+                let cfg = params2.clone_config();
                 // Warm-up: another compute server on the same LAN clones
                 // each image first (not timed).
                 let warm_host = build_compute_host(
@@ -478,14 +447,13 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
                     lan_channel.clone(),
                     cred.clone(),
                     &params2,
-                    true,
                     kcfg,
                     &env,
                 );
                 for (i, spec) in specs.iter().enumerate() {
                     let (_, vm) = clone_vm(
                         &env,
-                        &warm_host.table,
+                        &warm_host,
                         "/mnt/gvfs",
                         spec,
                         &format!("/warm{i}"),
@@ -503,21 +471,14 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
                     lan_channel.clone(),
                     cred.clone(),
                     &params2,
-                    true,
                     kcfg,
                     &env,
                 );
                 for i in 0..n {
                     let spec = &specs[i % specs.len()];
-                    let (times, vm) = clone_vm(
-                        &env,
-                        &host.table,
-                        "/mnt/gvfs",
-                        spec,
-                        &format!("/clone{i}"),
-                        cfg,
-                    )
-                    .unwrap();
+                    let (times, vm) =
+                        clone_vm(&env, &host, "/mnt/gvfs", spec, &format!("/clone{i}"), cfg)
+                            .unwrap();
                     vm.shutdown(&env).unwrap();
                     out2.lock().push(times);
                 }
@@ -560,156 +521,92 @@ pub struct ParallelResult {
 /// Table 1's WAN-P: `clones` compute servers clone in parallel from one
 /// image server, sharing its WAN connection; then repeat warm.
 pub fn run_parallel_cloning(params: &CloneParams) -> ParallelResult {
-    let sim = Simulation::new();
-    let h = sim.handle();
-    if params.trace {
-        h.telemetry().set_trace(true);
-    }
-    let n = params.clones;
-    let up = Link::from_mbps(&h, "wan-up", params.net.wan_up_mbps, params.net.wan_oneway);
-    let down = Link::from_mbps(
-        &h,
-        "wan-down",
-        params.net.wan_down_mbps,
-        params.net.wan_oneway,
-    );
-    let server = build_server(&h, up, down, 768 << 20, true);
-    // Setup is O(images), not O(clones): host `i` clones image
-    // `i % images` (one image per host when `images` is unset).
-    let distinct = params.images.unwrap_or(n).max(1);
-    let specs = install_goldens(&server.fs, params, distinct);
-    let mw = Middleware::new();
-    let kcfg = KernelConfig {
-        cache_bytes: params.kernel_cache_bytes,
-        ..KernelConfig::default()
-    };
-    let cold = Arc::new(Mutex::new(0.0f64));
-    let warm = Arc::new(Mutex::new(0.0f64));
-    let params2 = *params;
-    let h2 = h.clone();
-    let cold2 = cold.clone();
-    let warm2 = warm.clone();
-    let mapper = server.mapper.clone();
-    let channel = server.channel.clone();
-    sim.spawn("coordinator", move |env: Env| {
-        let cfg = CloneConfig {
-            vm: params2.vm_config(),
-            configure_cpu: params2.configure_cpu,
-            cow_memory: params2.cow_active(),
-            ..CloneConfig::default()
-        };
-        // Build the 8 compute hosts (each its own session + caches).
-        let hosts: Vec<(ComputeHost, VmImageSpec)> = (0..n)
-            .map(|i| {
-                let (_sid, cred) =
-                    mw.establish_session(&mapper, &format!("user{i}"), 0, u64::MAX / 2);
-                (
-                    build_compute_host(&h2, channel.clone(), cred, &params2, true, kcfg, &env),
-                    specs[i % specs.len()].clone(),
-                )
-            })
-            .collect();
-        let hosts = Arc::new(hosts);
-        for (pass, sink) in [(0usize, cold2.clone()), (1usize, warm2.clone())] {
-            let t0 = env.now();
-            let mut joins = Vec::new();
-            for i in 0..hosts.len() {
-                let hosts = hosts.clone();
-                joins.push(env.spawn(format!("clone-p{pass}-{i}"), move |env| {
-                    let (host, spec) = &hosts[i];
-                    let (_, vm) = clone_vm(
-                        &env,
-                        &host.table,
-                        "/mnt/gvfs",
-                        spec,
-                        &format!("/p{pass}clone{i}"),
-                        cfg,
-                    )
-                    .unwrap();
-                    vm.shutdown(&env).unwrap();
-                }));
-            }
-            for j in joins {
-                j.join(&env);
-            }
-            *sink.lock() = (env.now() - t0).as_secs_f64();
-        }
-    });
-    let end = sim.run();
-    let cold_secs = *cold.lock();
-    let warm_secs = *warm.lock();
-    ParallelResult {
-        cold_secs,
-        warm_secs,
-        total_virtual_secs: end.as_secs_f64(),
-        snapshot: h.telemetry().snapshot(),
-        events_processed: h.events_processed(),
-        processes_spawned: h.processes_spawned(),
-    }
+    run_two_pass_cloning(params, true)
 }
 
 /// Sequential total for Table 1's first row: same 8 images, same
 /// configuration, but cloned one after another on one compute server
 /// (cold pass), then all over again (warm pass).
 pub fn run_sequential_for_table1(params: &CloneParams) -> ParallelResult {
+    run_two_pass_cloning(params, false)
+}
+
+/// Both rows of Table 1: `clones` clonings timed as a cold pass and
+/// again as a warm pass — either every clone on a compute host of its
+/// own (own session, own caches), all at once, or all of them in turn
+/// on one host.
+fn run_two_pass_cloning(params: &CloneParams, parallel: bool) -> ParallelResult {
     let sim = Simulation::new();
     let h = sim.handle();
     if params.trace {
         h.telemetry().set_trace(true);
     }
     let n = params.clones;
-    let up = Link::from_mbps(&h, "wan-up", params.net.wan_up_mbps, params.net.wan_oneway);
-    let down = Link::from_mbps(
-        &h,
-        "wan-down",
-        params.net.wan_down_mbps,
-        params.net.wan_oneway,
-    );
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = build_wan_server(&h, params);
+    // Setup is O(images), not O(clones): clone `i` uses image
+    // `i % images` (one image per clone when `images` is unset).
     let distinct = params.images.unwrap_or(n).max(1);
     let specs = install_goldens(&server.fs, params, distinct);
     let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "seq-user", 0, u64::MAX / 2);
     let kcfg = KernelConfig {
         cache_bytes: params.kernel_cache_bytes,
         ..KernelConfig::default()
     };
-    let cold = Arc::new(Mutex::new(0.0f64));
-    let warm = Arc::new(Mutex::new(0.0f64));
+    let pass_secs = Arc::new(Mutex::new([0.0f64; 2]));
     let params2 = *params;
     let h2 = h.clone();
-    let cold2 = cold.clone();
-    let warm2 = warm.clone();
+    let pass_secs2 = pass_secs.clone();
+    let mapper = server.mapper.clone();
     let channel = server.channel.clone();
-    sim.spawn("cloner", move |env: Env| {
-        let host = build_compute_host(&h2, channel, cred, &params2, true, kcfg, &env);
-        let cfg = CloneConfig {
-            vm: params2.vm_config(),
-            configure_cpu: params2.configure_cpu,
-            cow_memory: params2.cow_active(),
-            ..CloneConfig::default()
-        };
-        for (pass, sink) in [(0usize, cold2.clone()), (1usize, warm2.clone())] {
+    let driver = if parallel { "coordinator" } else { "cloner" };
+    sim.spawn(driver, move |env: Env| {
+        let cfg = params2.clone_config();
+        let hosts: Vec<MountTable> = (0..if parallel { n } else { 1 })
+            .map(|i| {
+                let user = if parallel {
+                    format!("user{i}")
+                } else {
+                    "seq-user".to_string()
+                };
+                let (_sid, cred) = mw.establish_session(&mapper, &user, 0, u64::MAX / 2);
+                build_compute_host(&h2, channel.clone(), cred, &params2, kcfg, &env)
+            })
+            .collect();
+        let shared = Arc::new((hosts, specs));
+        let tag = if parallel { 'p' } else { 's' };
+        for pass in 0..2 {
             let t0 = env.now();
+            let mut joins = Vec::new();
             for i in 0..n {
-                let spec = &specs[i % specs.len()];
-                let (_, vm) = clone_vm(
-                    &env,
-                    &host.table,
-                    "/mnt/gvfs",
-                    spec,
-                    &format!("/s{pass}clone{i}"),
-                    cfg,
-                )
-                .unwrap();
-                vm.shutdown(&env).unwrap();
+                let shared = shared.clone();
+                let clone_one = move |env: &Env| {
+                    let (hosts, specs) = &*shared;
+                    let (_, vm) = clone_vm(
+                        env,
+                        &hosts[i % hosts.len()],
+                        "/mnt/gvfs",
+                        &specs[i % specs.len()],
+                        &format!("/{tag}{pass}clone{i}"),
+                        cfg,
+                    )
+                    .unwrap();
+                    vm.shutdown(env).unwrap();
+                };
+                if parallel {
+                    let name = format!("clone-p{pass}-{i}");
+                    joins.push(env.spawn(name, move |env| clone_one(&env)));
+                } else {
+                    clone_one(&env);
+                }
             }
-            *sink.lock() = (env.now() - t0).as_secs_f64();
+            for j in joins {
+                j.join(&env);
+            }
+            pass_secs2.lock()[pass] = (env.now() - t0).as_secs_f64();
         }
     });
     let end = sim.run();
-    let cold_secs = *cold.lock();
-    let warm_secs = *warm.lock();
+    let [cold_secs, warm_secs] = *pass_secs.lock();
     ParallelResult {
         cold_secs,
         warm_secs,

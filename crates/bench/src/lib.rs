@@ -15,10 +15,12 @@
 //! | `fleet` | extra: fleet-scale cloning — sharded proxy tree, batching, p50/p95/p99 |
 //!
 //! The library half holds the scenario builders ([`scenarios`],
-//! [`cloning`], [`fleet`]) and report formatting ([`report`]).
+//! [`cloning`], [`fleet`]), the on/off ablation driver ([`ablation`])
+//! and report formatting ([`report`]).
 
 #![warn(missing_docs)]
 
+pub mod ablation;
 pub mod cloning;
 pub mod fleet;
 pub mod perfjson;

@@ -75,7 +75,8 @@ pub fn compare_line(what: &str, paper: &str, measured: &str) -> String {
 /// the report file, `--no-dedup` runs with `DedupTuning::off()` (the
 /// pre-CAS data paths) in the binaries that honor it, `--no-cow` runs
 /// with `CowTuning::off()` (materialized clone installs; DESIGN.md
-/// §5.9) in the binaries that honor it, and
+/// §5.9) in the binaries that honor it, `--write-baseline` makes the
+/// ablation binaries regenerate their off-lane baseline file, and
 /// `--sched-chaos <seed>` runs every simulation under
 /// `SchedPolicy::chaos(seed)` — reports must stay byte-identical to a
 /// run without the flag (DESIGN.md §5.7).
@@ -89,6 +90,8 @@ pub struct BenchCli {
     pub no_dedup: bool,
     /// Disable copy-on-write reference cloning (DESIGN.md §5.9).
     pub no_cow: bool,
+    /// Regenerate the off-lane baseline file (ablation binaries).
+    pub write_baseline: bool,
     /// Chaos-scheduler seed, when `--sched-chaos` was given. The policy
     /// is already installed process-wide by `parse`; this records the
     /// seed for logging. Deliberately NOT part of any JSON report —
@@ -104,6 +107,7 @@ impl BenchCli {
             trace: false,
             no_dedup: false,
             no_cow: false,
+            write_baseline: false,
             sched_chaos: None,
         };
         let mut args = std::env::args().skip(1);
@@ -113,6 +117,7 @@ impl BenchCli {
                 "--no-json" => cli.json_path = None,
                 "--no-dedup" => cli.no_dedup = true,
                 "--no-cow" => cli.no_cow = true,
+                "--write-baseline" => cli.write_baseline = true,
                 "--json" => {
                     let p = args.next().unwrap_or_else(|| {
                         eprintln!("--json requires a path argument");
@@ -134,7 +139,7 @@ impl BenchCli {
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {name} [--json PATH] [--no-json] [--trace] [--no-dedup] \
-                         [--no-cow] [--sched-chaos SEED]"
+                         [--no-cow] [--write-baseline] [--sched-chaos SEED]"
                     );
                     std::process::exit(0);
                 }

@@ -1,10 +1,10 @@
 //! Per-proxy content-addressed store (CAS).
 //!
 //! Generalizes the zero-block map into "serve locally anything whose
-//! bytes the near side already has": every block-cache frame and
-//! file-cache chunk a proxy holds is indexed by its [`crate::digest`]
-//! digest, and the file channel's recipe path consults the index before
-//! asking the WAN for a payload — in either of its outcomes:
+//! bytes the near side already has": every file-channel chunk a proxy
+//! fetches is indexed by its [`crate::digest`] digest, and the file
+//! channel's recipe path consults the index before asking the WAN for a
+//! payload — in either of its outcomes:
 //! [`crate::channel::ChannelClient::fetch_dedup`] copies resident
 //! chunks out to assemble the file,
 //! [`crate::channel::ChannelClient::fetch_recipe_pinned`] pins them in
@@ -47,7 +47,7 @@ use crate::digest::{digest, Digest};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DedupTuning {
     /// Master switch. When false the proxy never consults recipes,
-    /// never skips acked writes, and never indexes frames.
+    /// never skips acked writes, and keeps no content index.
     pub enabled: bool,
     /// CAS capacity in logical (uncompressed) bytes indexed.
     pub cas_bytes: u64,

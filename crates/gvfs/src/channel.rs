@@ -170,8 +170,8 @@ impl From<xdr::Error> for ChannelError {
 
 /// Cap on digests per [`chanproc::GOSSIP_DIGESTS`] message in either
 /// direction, enforced by the bounded decoder below (lint:
-/// bounded-decode). [`FleetTuning::gossip_batch`](crate::FleetTuning)
-/// must stay at or below this.
+/// bounded-decode). The proxy's gossip message size must stay at or
+/// below this.
 pub const MAX_GOSSIP_DIGESTS: usize = 1024;
 
 fn put_digest(enc: &mut Encoder, d: &Digest) {
@@ -1264,8 +1264,7 @@ impl ChannelClient {
     /// Compress and upload a whole file in pipelined chunks (write-back
     /// path), the reverse of [`ChannelClient::fetch_chunked`]: client
     /// compression of chunk `k+1` overlaps the WAN transfer of chunk
-    /// `k`. `chunk_bytes == 0` means "do not split": the file goes as
-    /// one chunk at offset 0.
+    /// `k`. The file is cut by [`chunk_ranges`].
     pub fn upload_chunked(
         &self,
         env: &Env,
@@ -1275,22 +1274,30 @@ impl ChannelClient {
         window: usize,
         tel: Option<&TransferTel>,
     ) -> Result<u64, ChannelError> {
-        let step = if chunk_bytes == 0 {
-            contents.len().max(1)
-        } else {
-            chunk_bytes as usize
-        };
-        let mut chunks: Vec<(u64, Vec<u8>)> = contents
-            .chunks(step)
-            .enumerate()
-            .map(|(i, c)| ((i * step) as u64, c.to_vec()))
-            .collect();
-        if chunks.is_empty() {
-            // An empty file still has to be cut to length upstream.
-            chunks.push((0, Vec::new()));
-        }
+        let chunks = chunk_ranges(contents, chunk_bytes);
         self.upload_ranges(env, h, contents.len() as u64, chunks, window, tel)
     }
+}
+
+/// Cut a whole file into the `(offset, bytes)` ranges a chunked upload
+/// sends. `chunk_bytes == 0` means "do not split": the file goes as one
+/// chunk at offset 0.
+pub fn chunk_ranges(contents: &[u8], chunk_bytes: u32) -> Vec<(u64, Vec<u8>)> {
+    let step = if chunk_bytes == 0 {
+        contents.len().max(1)
+    } else {
+        chunk_bytes as usize
+    };
+    let mut chunks: Vec<(u64, Vec<u8>)> = contents
+        .chunks(step)
+        .enumerate()
+        .map(|(i, c)| ((i * step) as u64, c.to_vec()))
+        .collect();
+    if chunks.is_empty() {
+        // An empty file still has to be cut to length upstream.
+        chunks.push((0, Vec::new()));
+    }
+    chunks
 }
 
 #[cfg(test)]

@@ -212,27 +212,39 @@ enum Backing {
     Reference(RefFile),
 }
 
-/// Diverged state of a reference-backed file, handed to the flush path
-/// by [`FileCache::take_dirty_chunks`]: only the broken chunks travel.
-pub struct DirtyChunks {
-    /// Current logical file size (reference files never grow past their
-    /// recipe; growth converts them to full entries first).
-    pub total: u64,
-    /// `(offset, bytes)` per diverged chunk, ascending, non-overlapping.
-    pub ranges: Vec<(u64, Vec<u8>)>,
-    /// Digest of the *full* current contents — what upstream holds after
-    /// the ranges are applied over the golden base (for `set_synced`).
-    pub full_digest: Digest,
+/// What must travel upstream for a dirty file, handed to the flush path
+/// by [`FileCache::take_dirty`].
+pub enum DirtyFile {
+    /// The full current contents.
+    Whole(Vec<u8>),
+    /// Only the diverged chunks of a reference-backed file: upstream
+    /// still holds the golden base the recipe came from.
+    Diverged {
+        /// Current logical file size (reference files never grow past
+        /// their recipe; growth converts them to full entries first).
+        total: u64,
+        /// `(offset, bytes)` per diverged chunk, ascending,
+        /// non-overlapping.
+        ranges: Vec<(u64, Vec<u8>)>,
+        /// Digest of the *full* current contents — what upstream holds
+        /// after the ranges are applied over the golden base (for
+        /// `set_synced`).
+        full_digest: Digest,
+    },
 }
 
-/// Identity of a cached file (fileid + generation from the NFS handle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileKey {
-    /// Inode number.
-    pub fileid: u64,
-    /// Handle generation.
-    pub generation: u64,
+impl DirtyFile {
+    /// Payload bytes an upload of this carries.
+    pub fn payload_bytes(&self) -> u64 {
+        match self {
+            DirtyFile::Whole(contents) => contents.len() as u64,
+            DirtyFile::Diverged { ranges, .. } => ranges.iter().map(|(_, b)| b.len() as u64).sum(),
+        }
+    }
 }
+
+/// Identity of a cached file: fileid + generation, i.e. the NFS handle.
+pub type FileKey = vfs::Handle;
 
 /// What upstream is known to hold for a cached file.
 enum Synced {
@@ -492,7 +504,7 @@ impl FileCache {
     }
 
     /// Forget what upstream holds for this file. Called *before* every
-    /// upload attempt: a failed `upload_chunked` may already have
+    /// upload attempt: a failed chunked upload may already have
     /// durably applied leading chunks upstream (a torn file), so from
     /// the moment an upload starts until it succeeds the upstream copy
     /// must be treated as unknown — otherwise a VM rewriting the
@@ -609,80 +621,56 @@ impl FileCache {
         }
     }
 
-    /// Full contents of a resident file (for upload), paying the disk
-    /// read; clears the dirty bit. On a reference file only the private
-    /// overlay is read off the disk (shared chunks assemble from the
-    /// pinned CAS) and the whole dirty-chunk set is consumed — the
-    /// backing stays a reference, so the ledger is untouched.
-    pub fn take_dirty_contents(&self, env: &Env, key: FileKey) -> Option<Vec<u8>> {
-        let (data, disk_read) = {
-            let mut inner = self.inner.lock();
-            let f = inner.files.get_mut(&key)?;
-            if !f.dirty {
-                return None;
-            }
-            f.dirty = false;
-            match &mut f.backing {
-                Backing::Full(sparse) => {
-                    let data = sparse.read_range(0, f.size as usize);
-                    let n = data.len() as u64;
-                    (data, n)
-                }
-                Backing::Reference(r) => {
-                    r.dirty_chunks.clear();
-                    (r.assemble(), r.overlay_bytes())
-                }
-            }
-        };
-        self.disk.sequential_io(env, disk_read);
-        Some(data)
-    }
-
-    /// Diverged chunks of a dirty *reference* file, for a flush that
-    /// uploads only the broken ranges (upstream still holds the golden
-    /// base the recipe came from). Clears the dirty state; the chunks
-    /// stay privately resident. Returns `None` for absent, clean, or
-    /// full-backed files — and for a reference re-marked dirty with no
-    /// recorded chunk set (e.g. after a failed upload), which must take
-    /// the whole-file path instead.
-    pub fn take_dirty_chunks(&self, env: &Env, key: FileKey) -> Option<DirtyChunks> {
+    /// What must travel upstream for a dirty resident file, paying the
+    /// disk read for it; clears the dirty state. A dirty *reference* file
+    /// with a recorded chunk set yields, when `diverged_only` allows it,
+    /// just those chunks (they stay privately resident). Everything else
+    /// — full-backed files, and a reference re-marked dirty with no chunk
+    /// set, e.g. after a failed upload — yields the full contents: on a
+    /// reference only the private overlay is read off the disk (shared
+    /// chunks assemble from the pinned CAS) and the backing stays a
+    /// reference, so the ledger is untouched. `None` when the file is
+    /// absent or clean.
+    pub fn take_dirty(&self, env: &Env, key: FileKey, diverged_only: bool) -> Option<DirtyFile> {
         let (out, disk_read) = {
             let mut inner = self.inner.lock();
             let f = inner.files.get_mut(&key)?;
             if !f.dirty {
                 return None;
             }
-            let size = f.size;
-            let Backing::Reference(r) = &mut f.backing else {
-                return None;
-            };
-            if r.dirty_chunks.is_empty() {
-                return None;
-            }
-            let mut ranges = Vec::with_capacity(r.dirty_chunks.len());
-            let mut disk = 0u64;
-            for &i in r.dirty_chunks.iter() {
-                let b = match r.overlay.get(&i) {
-                    Some(b) => b.clone(),
-                    None => {
-                        debug_assert!(false, "dirty chunk without overlay bytes");
-                        continue;
-                    }
-                };
-                disk += b.len() as u64;
-                ranges.push((r.chunk_offset(i as usize), b));
-            }
-            let full_digest = digest(&r.assemble());
-            r.dirty_chunks.clear();
             f.dirty = false;
-            (
-                DirtyChunks {
-                    total: size,
-                    ranges,
-                    full_digest,
-                },
-                disk,
-            )
+            let total = f.size;
+            match &mut f.backing {
+                Backing::Full(sparse) => {
+                    let data = sparse.read_range(0, total as usize);
+                    let n = data.len() as u64;
+                    (DirtyFile::Whole(data), n)
+                }
+                Backing::Reference(r) if diverged_only && !r.dirty_chunks.is_empty() => {
+                    let mut ranges = Vec::with_capacity(r.dirty_chunks.len());
+                    let mut disk = 0u64;
+                    for &i in r.dirty_chunks.iter() {
+                        let Some(b) = r.overlay.get(&i) else {
+                            debug_assert!(false, "dirty chunk without overlay bytes");
+                            continue;
+                        };
+                        disk += b.len() as u64;
+                        ranges.push((r.chunk_offset(i as usize), b.clone()));
+                    }
+                    let full_digest = digest(&r.assemble());
+                    r.dirty_chunks.clear();
+                    let diverged = DirtyFile::Diverged {
+                        total,
+                        ranges,
+                        full_digest,
+                    };
+                    (diverged, disk)
+                }
+                Backing::Reference(r) => {
+                    r.dirty_chunks.clear();
+                    (DirtyFile::Whole(r.assemble()), r.overlay_bytes())
+                }
+            }
         };
         self.disk.sequential_io(env, disk_read);
         Some(out)
@@ -792,6 +780,14 @@ mod tests {
         }
     }
 
+    /// The full contents a whole-file take hands over.
+    fn take_whole(c: &FileCache, env: &Env, k: FileKey) -> Option<Vec<u8>> {
+        match c.take_dirty(env, k, false)? {
+            DirtyFile::Whole(contents) => Some(contents),
+            DirtyFile::Diverged { .. } => panic!("whole-file take yielded ranges"),
+        }
+    }
+
     #[test]
     fn install_read_round_trip_with_eof() {
         let sim = Simulation::new();
@@ -820,10 +816,10 @@ mod tests {
             assert!(cc.write(&env, key(1), 8, b"XYZ"));
             assert_eq!(cc.size_of(key(1)), Some(11));
             assert_eq!(cc.dirty_files(), vec![key(1)]);
-            let contents = cc.take_dirty_contents(&env, key(1)).unwrap();
+            let contents = take_whole(&cc, &env, key(1)).unwrap();
             assert_eq!(contents, b"01234567XYZ");
             assert!(cc.dirty_files().is_empty());
-            assert!(cc.take_dirty_contents(&env, key(1)).is_none());
+            assert!(take_whole(&cc, &env, key(1)).is_none());
         });
         sim.run();
     }
@@ -860,11 +856,11 @@ mod tests {
             // digest equal to the current contents' digest.
             assert!(cc.write(&env, key(1), 0, b"suspend state"));
             assert_eq!(cc.dirty_files(), vec![key(1)]);
-            let contents = cc.take_dirty_contents(&env, key(1)).unwrap();
+            let contents = take_whole(&cc, &env, key(1)).unwrap();
             assert_eq!(cc.synced_digest(key(1)), Some(digest(&contents)));
             // A real change diverges; set_synced records the new upload.
             assert!(cc.write(&env, key(1), 0, b"SUSPEND"));
-            let contents = cc.take_dirty_contents(&env, key(1)).unwrap();
+            let contents = take_whole(&cc, &env, key(1)).unwrap();
             assert_ne!(cc.synced_digest(key(1)), Some(digest(&contents)));
             cc.set_synced(key(1), digest(&contents));
             assert_eq!(cc.synced_digest(key(1)), Some(digest(&contents)));
@@ -1017,21 +1013,28 @@ mod tests {
             assert_eq!(data, want);
             // Flush hands over exactly the diverged chunk.
             assert_eq!(cc.dirty_files(), vec![key(1)]);
-            let dc = cc.take_dirty_chunks(&env, key(1)).unwrap();
-            assert_eq!(dc.total, 4096);
-            assert_eq!(dc.ranges.len(), 1);
-            assert_eq!(dc.ranges[0].0, 1024);
-            assert_eq!(dc.ranges[0].1, &want[1024..2048]);
-            assert_eq!(dc.full_digest, digest(&want));
+            let Some(DirtyFile::Diverged {
+                total,
+                ranges,
+                full_digest,
+            }) = cc.take_dirty(&env, key(1), true)
+            else {
+                panic!("a diverged-only take of a broken chunk yields ranges");
+            };
+            assert_eq!(total, 4096);
+            assert_eq!(ranges.len(), 1);
+            assert_eq!(ranges[0].0, 1024);
+            assert_eq!(ranges[0].1, &want[1024..2048]);
+            assert_eq!(full_digest, digest(&want));
             assert!(cc.dirty_files().is_empty());
-            assert!(cc.take_dirty_chunks(&env, key(1)).is_none());
+            assert!(cc.take_dirty(&env, key(1), true).is_none());
             cc.validate_accounting();
         });
         sim.run();
     }
 
     #[test]
-    fn take_dirty_contents_on_partial_divergence_keeps_the_ledger_exact() {
+    fn whole_file_take_on_partial_divergence_keeps_the_ledger_exact() {
         // The satellite-1 audit: a whole-file take on a partially
         // diverged reference must neither convert the entry (double
         // charge) nor drop overlay bytes (under charge).
@@ -1047,18 +1050,21 @@ mod tests {
             let before = cc.bytes_stored();
             assert_eq!(before, 1024);
             cc.clear_synced(key(1));
-            let took = cc.take_dirty_contents(&env, key(1)).unwrap();
+            let took = take_whole(&cc, &env, key(1)).unwrap();
             let mut want = content.clone();
             want[..8].copy_from_slice(b"new-head");
             assert_eq!(took, want);
             assert_eq!(cc.bytes_stored(), before, "ledger moved on take");
             assert!(cc.is_reference(key(1)), "take must not convert");
-            assert!(cc.take_dirty_chunks(&env, key(1)).is_none());
+            assert!(cc.take_dirty(&env, key(1), true).is_none());
             cc.validate_accounting();
-            // Re-dirtying after a failed upload keeps the full-file path.
+            // Re-dirtying after a failed upload keeps the full-file path,
+            // even for a taker that would accept ranges.
             cc.mark_dirty(key(1));
-            assert!(cc.take_dirty_chunks(&env, key(1)).is_none());
-            assert_eq!(cc.take_dirty_contents(&env, key(1)).unwrap(), want);
+            assert!(matches!(
+                cc.take_dirty(&env, key(1), true),
+                Some(DirtyFile::Whole(took)) if took == want
+            ));
             cc.validate_accounting();
         });
         sim.run();
@@ -1137,8 +1143,10 @@ mod tests {
             assert!(cc.contains(key(3)));
             // Once it carries private bytes it competes like any file.
             assert!(cc.write(&env, key(1), 0, b"p"));
-            let dc = cc.take_dirty_chunks(&env, key(1)).unwrap();
-            assert_eq!(dc.ranges.len(), 1);
+            assert!(matches!(
+                cc.take_dirty(&env, key(1), true),
+                Some(DirtyFile::Diverged { ranges, .. }) if ranges.len() == 1
+            ));
             cc.install(&env, key(4), &[4u8; 2000]);
             assert!(!cc.contains(key(1)), "diverged reference now evictable");
             assert_eq!(cas.pinned_bytes(), 0, "eviction must release pins");

@@ -1,9 +1,9 @@
-//! Fleet-scale tuning knobs: RPC batching/coalescing at proxy tiers and
-//! the write-back queue safety cap.
+//! Fleet-scale tuning: which of the three fleet configurations a proxy
+//! runs in.
 //!
 //! A fleet cloning run pushes hundreds of near-simultaneous clone
 //! requests through a sharded proxy tree (origin → per-site shard
-//! proxies → per-host client proxies). Two pressure points appear that
+//! proxies → per-host client proxies). Three pressure points appear that
 //! the single-user scenarios never exercise:
 //!
 //! * **Upstream round-trips.** Under bursty arrivals a shard proxy sees
@@ -12,119 +12,79 @@
 //!   single-flight already collapses duplicate digests; batching
 //!   additionally coalesces *adjacent distinct* digests into one
 //!   `FETCH_BLOBS_BATCH` envelope, paying one WAN round-trip (and one
-//!   SSH-tunnel per-message cost) for up to [`FleetTuning::max_batch`]
-//!   chunks.
+//!   SSH-tunnel per-message cost) for a whole round of chunks.
 //! * **Write-back queue growth.** Divergent clone writes that fail
 //!   upstream park on the proxy's retry queue; with hundreds of writers
-//!   and a saturated WAN the queue is unbounded. The cap bounds it with
-//!   a deterministic shed-oldest policy surfaced via telemetry.
+//!   and a saturated WAN the queue is unbounded. A batching proxy caps
+//!   it with a deterministic shed-oldest policy surfaced via telemetry.
+//! * **One WAN crossing per site.** Sibling shards of a region exchange
+//!   digest inventories (gossip) and serve each other's blob misses over
+//!   the LAN, so a cold golden image crosses the WAN once per *region*.
+//!
+//! Every call site picks one of three presets and sets nothing
+//! individually, so that is all there is to pick: [`FleetTuning::off`],
+//! [`FleetTuning::shard`], [`FleetTuning::region`]. The sizes behind
+//! them (envelope size, collection window, queue cap, gossip message
+//! size) each have one value in use and are constants next to the code
+//! that applies them, in `proxy.rs`; the gossip period is the scenario
+//! driver's (`gvfs-bench`). Batching and gossip both need dedup — the
+//! digest-keyed reply cache is how batch members receive their payloads,
+//! the inventory gossip advertises and the store peer fetches are served
+//! from — and are inert without it.
 //!
 //! Ablation discipline (same contract as
 //! [`DedupTuning::off`](crate::cas::DedupTuning::off)): with
 //! [`FleetTuning::off`] every data path behaves exactly as before this
-//! module existed — byte-for-byte identical reports.
+//! module existed — byte-for-byte identical reports, identical telemetry
+//! registrations.
 
-use simnet::SimDuration;
-
-/// Fleet-scale batching and back-pressure knobs, set per proxy by
-/// middleware (shard proxies batch toward the origin; client proxies
-/// usually leave this off because their upstream hop is a LAN).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The fleet configuration of one proxy, set by middleware: shard
+/// proxies batch toward the origin (and gossip within a region); client
+/// proxies usually stay [`FleetTuning::off`] because their upstream hop
+/// is a LAN.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetTuning {
-    /// Coalesce concurrent `FETCH_BLOBS` misses into batched
-    /// `FETCH_BLOBS_BATCH` upstream calls. Requires dedup (the digest
-    /// keyed reply cache is how batch members receive their payloads).
-    pub batch_fetch: bool,
-    /// Maximum sub-calls per upstream batch envelope. Bounded by
-    /// [`oncrpc::MAX_BATCH_ITEMS`]; values ≤ 1 make each "batch" a
-    /// single-item envelope (useful only for wire-format testing).
-    pub max_batch: usize,
-    /// How long a batch leader lingers after its own miss to let
-    /// concurrent misses join the envelope. Virtual time; zero means the
-    /// leader only picks up misses that arrived while it waited for the
-    /// state lock.
-    pub batch_window: SimDuration,
-    /// Cap on parked write-back retry-queue entries; `0` = unbounded
-    /// (the pre-fleet behaviour). When full, the oldest parked block is
-    /// shed (counted in `wb_shed`, high-water mark in `wb_high_water`):
-    /// under a sustained upstream outage bounded memory wins over
-    /// durability of the oldest parked divergence bytes.
-    pub wb_queue_cap: usize,
-    /// Intra-region digest gossip: sibling shard proxies periodically
-    /// exchange inventories of the blob digests they hold (seeded
-    /// anti-entropy rounds over the LAN) and serve each other's blob
-    /// misses peer-to-peer before falling back to the WAN. A cold golden
-    /// image then crosses the WAN once per *region* instead of once per
-    /// site. Requires dedup (the digest-keyed reply cache is both the
-    /// inventory being gossiped and the store peer fetches serve from).
-    pub gossip: bool,
-    /// Virtual-time period between one shard's anti-entropy rounds
-    /// (each round pushes the local inventory delta to one peer,
-    /// round-robin, and pulls that peer's delta back).
-    pub gossip_interval: SimDuration,
-    /// Maximum digests carried per gossip message in either direction.
-    /// Bounds the decode cost (lint: bounded-decode) and the LAN burst;
-    /// a backlog simply drains over successive rounds.
-    pub gossip_batch: usize,
+    batching: bool,
+    gossip: bool,
 }
 
 impl FleetTuning {
-    /// Fleet features fully disabled: the pre-fleet data paths,
-    /// byte-for-byte. This is the default.
+    /// Fleet features fully disabled — no batching, unbounded write-back
+    /// retry queue, no gossip: the pre-fleet data paths, byte-for-byte.
+    /// This is the default.
     pub fn off() -> Self {
-        FleetTuning {
-            batch_fetch: false,
-            max_batch: 1,
-            batch_window: SimDuration::ZERO,
-            wb_queue_cap: 0,
-            gossip: false,
-            gossip_interval: SimDuration::ZERO,
-            gossip_batch: 0,
-        }
+        FleetTuning::default()
     }
 
-    /// Batching preset for a shard proxy in a fleet run: up to 32 chunks
-    /// per envelope, 2 ms collection window (a fraction of the WAN
-    /// round-trip it saves), write-back queue capped at 4096 blocks.
-    /// Gossip stays off — this is the PR 8/9 configuration, kept
-    /// byte-for-byte so the committed fleet reports do not move.
+    /// A shard proxy in a fleet run: concurrent blob misses coalesce
+    /// into `FETCH_BLOBS_BATCH` envelopes and the write-back retry queue
+    /// is capped. Gossip stays off — this is the PR 8/9 configuration,
+    /// kept byte-for-byte so the committed fleet reports do not move.
     pub fn shard() -> Self {
         FleetTuning {
-            batch_fetch: true,
-            max_batch: 32,
-            batch_window: SimDuration::from_millis(2),
-            wb_queue_cap: 4096,
+            batching: true,
             gossip: false,
-            gossip_interval: SimDuration::ZERO,
-            gossip_batch: 0,
         }
     }
 
-    /// [`FleetTuning::shard`] plus intra-region digest gossip: 100 ms
-    /// anti-entropy period (tens of rounds inside one cold cloning
-    /// wave), 512 digests per message (64 KiB chunks × 512 ≈ one golden
-    /// image's working set crosses the inventory channel in a handful of
-    /// rounds).
+    /// [`FleetTuning::shard`] plus intra-region digest gossip and peer
+    /// serving.
     pub fn region() -> Self {
         FleetTuning {
+            batching: true,
             gossip: true,
-            gossip_interval: SimDuration::from_millis(100),
-            gossip_batch: 512,
-            ..FleetTuning::shard()
         }
     }
 
-    /// Whether any knob differs from [`FleetTuning::off`] (used to skip
-    /// the extra telemetry registration on legacy configurations, so
-    /// pre-fleet snapshots stay identical).
-    pub fn is_off(&self) -> bool {
-        *self == FleetTuning::off()
+    /// Whether blob misses are batched upstream (and, with that, the
+    /// write-back retry queue capped).
+    pub fn batching(&self) -> bool {
+        self.batching
     }
-}
 
-impl Default for FleetTuning {
-    fn default() -> Self {
-        FleetTuning::off()
+    /// Whether sibling shards gossip digests and serve each other.
+    pub fn gossip(&self) -> bool {
+        self.gossip
     }
 }
 
@@ -134,36 +94,28 @@ mod tests {
 
     #[test]
     fn default_is_off() {
-        assert!(FleetTuning::default().is_off());
         assert_eq!(FleetTuning::default(), FleetTuning::off());
+        assert!(!FleetTuning::off().batching());
+        assert!(!FleetTuning::off().gossip());
     }
 
     #[test]
-    fn shard_preset_is_bounded_and_on() {
+    fn shard_preset_batches_without_gossip() {
         let t = FleetTuning::shard();
-        assert!(t.batch_fetch);
-        assert!(!t.is_off());
-        assert!(t.max_batch >= 2);
-        assert!(t.max_batch <= oncrpc::MAX_BATCH_ITEMS);
-        assert!(t.batch_window > SimDuration::ZERO);
-        assert!(t.wb_queue_cap > 0);
+        assert!(t.batching());
+        assert_ne!(t, FleetTuning::off());
         // The committed PR 8/9 fleet reports were produced under this
         // preset; gossip must stay out of it.
-        assert!(!t.gossip);
+        assert!(!t.gossip());
     }
 
     #[test]
     fn region_preset_is_shard_plus_gossip() {
         let r = FleetTuning::region();
-        let s = FleetTuning::shard();
-        assert!(r.gossip);
-        assert!(r.gossip_interval > SimDuration::ZERO);
-        assert!(r.gossip_batch > 0);
+        assert!(r.gossip());
         // Everything that is not gossip matches the shard preset, so a
         // gossip-ablation diff isolates exactly the gossip effect.
-        assert_eq!(
-            (r.batch_fetch, r.max_batch, r.batch_window, r.wb_queue_cap),
-            (s.batch_fetch, s.max_batch, s.batch_window, s.wb_queue_cap)
-        );
+        assert_eq!(r.batching(), FleetTuning::shard().batching());
+        assert_ne!(r, FleetTuning::shard());
     }
 }

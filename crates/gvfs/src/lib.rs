@@ -52,7 +52,7 @@ pub use channel::{
 };
 pub use codec::CodecModel;
 pub use digest::Digest;
-pub use file_cache::{CowTuning, DirtyChunks, FileCache, FileCacheStats, FileKey};
+pub use file_cache::{CowTuning, DirtyFile, FileCache, FileCacheStats, FileKey};
 pub use fleet::FleetTuning;
 pub use identity::{IdentityMapper, MappedAccount};
 pub use meta::{

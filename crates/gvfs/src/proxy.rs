@@ -12,6 +12,10 @@
 //! *per user / per application*: cache size, write policy and meta-data
 //! handling are all [`ProxyConfig`] fields, which is the paper's central
 //! argument for user-level (rather than kernel) extensions.
+//!
+//! Absorbed writes live on the proxy's cache disk until a middleware
+//! signal ([`Proxy::flush`]) or an eviction sends them upstream — both
+//! through `WbSink`: the one block sender and the one file uploader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -25,22 +29,24 @@ use simnet::{Env, SimDuration};
 use vfs::Handle;
 use xdr::{Decode, Decoder, Encode, Encoder};
 
-/// Dirty blocks grouped by `(fileid, generation)`: `(offset, data)` runs
-/// awaiting write-back. BTreeMap: flush() iterates it, and write-back
-/// order must be deterministic (lint: determinism).
-type DirtyByFile = BTreeMap<(u64, u64), Vec<(u64, Vec<u8>)>>;
+/// Dirty blocks grouped by file: `(block, data)` runs awaiting
+/// write-back. BTreeMap: flush() iterates it, and write-back order must
+/// be deterministic (lint: determinism).
+type DirtyByFile = BTreeMap<FileKey, Vec<(u64, Vec<u8>)>>;
 
 /// One write-back slot: `(block, payload, content digest when dedup is
-/// on, write verifier if the WRITE succeeded)`. The payload stays in
-/// the slot so a failed or verifier-mismatched write can requeue its
-/// bytes; the digest — computed (and charged) once before the send —
-/// is what a durable ack records.
+/// on, write verifier if the WRITE succeeded)`. The payload stays in the
+/// slot so a failed or verifier-mismatched write can requeue its bytes;
+/// the digest — computed once before the send — is what an ack records.
 type WriteBackSlot = Option<(u64, Vec<u8>, Option<Digest>, Option<u64>)>;
 
-/// Channel uploads that failed upstream, kept with their contents (and
-/// the content digest, when dedup computed one) for the bounded flush
-/// retry rounds.
-type FailedUploads = Arc<Mutex<Vec<(FileKey, Vec<u8>, Option<Digest>)>>>;
+/// A dedup skip candidate: `(block, payload, verifier of its ack)`.
+type SkipCandidate = (u64, Vec<u8>, u64);
+
+/// A dirty file on its way upstream, `(file, what must travel, digest of
+/// the full contents when dedup computed one)`: what
+/// [`WbSink::upload_file`] sends and a failed upload keeps for a retry.
+type PendingUpload = (FileKey, DirtyFile, Option<Digest>);
 
 use nfs3::args::{ReadArgs, WriteArgs};
 use nfs3::proto::{
@@ -50,13 +56,13 @@ use nfs3::proto::{
 use crate::block_cache::{BlockCache, Tag, WritePolicy};
 use crate::cas::{ContentStore, DedupTel, DedupTuning};
 use crate::channel::{
-    self, batchable, blob_reply_len, chanproc, decode_blob_args, decode_chunk_args, decode_gossip,
-    decode_recipe_args, encode_gossip, read_blob_reply, ChannelClient, RecipeFetch,
+    self, batchable, blob_reply_len, chanproc, chunk_ranges, decode_blob_args, decode_chunk_args,
+    decode_gossip, decode_recipe_args, encode_gossip, read_blob_reply, ChannelClient, RecipeFetch,
     CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
 use crate::codec::CodecModel;
 use crate::digest::{self, Digest};
-use crate::file_cache::{CowTuning, FileCache, FileKey};
+use crate::file_cache::{CowTuning, DirtyFile, FileCache, FileKey};
 use crate::fleet::FleetTuning;
 use crate::identity::IdentityMapper;
 use crate::meta::{is_meta_name, meta_name_for, MetaFile};
@@ -84,10 +90,9 @@ pub struct ProxyConfig {
     /// [`DedupTuning::off()`] every WAN path behaves exactly as before
     /// the CAS existed (byte-for-byte identical reports).
     pub dedup: DedupTuning,
-    /// Fleet-scale batching/back-pressure knobs. With
-    /// [`FleetTuning::off()`] (the default) every path behaves exactly
-    /// as before the fleet work existed (byte-for-byte identical
-    /// reports, identical telemetry registrations).
+    /// Fleet preset (blob batching + write-back queue cap, then digest
+    /// gossip). [`FleetTuning::off()`], the default, leaves every path,
+    /// report byte and telemetry registration as before the fleet work.
     pub fleet: FleetTuning,
     /// Copy-on-write reference files: install channel fetches as
     /// CAS-resolved recipes instead of materialized copies. Requires
@@ -287,6 +292,7 @@ impl PxTel {
 /// bytes never exceed the byte cap. Unbounded growth here would hold
 /// every distinct chunk of a cloning run in host memory twice (once in
 /// the CAS, once as a cached reply).
+#[derive(Default)]
 struct BlobReplyCache {
     // BTreeMap both ways: iteration feeds eviction, which must be
     // deterministic (lint: determinism).
@@ -301,11 +307,8 @@ struct BlobReplyCache {
 impl BlobReplyCache {
     fn new(cap: u64) -> Self {
         BlobReplyCache {
-            entries: BTreeMap::new(),
-            lru: BTreeMap::new(),
-            bytes: 0,
             cap,
-            stamp: 0,
+            ..BlobReplyCache::default()
         }
     }
 
@@ -357,6 +360,28 @@ const ACKED_CAP: usize = 1 << 16;
 /// clears the whole map rather than picking victims.
 const RECIPE_REPLY_CAP: usize = 4096;
 
+/// Sub-calls per upstream `FETCH_BLOBS_BATCH` envelope under fleet
+/// batching: one WAN round-trip carries up to this many chunks.
+const MAX_BATCH: usize = 32;
+const _: () = assert!(MAX_BATCH <= oncrpc::MAX_BATCH_ITEMS);
+
+/// How long a batch leader lingers after its own miss to let concurrent
+/// misses join the envelope — virtual time, a fraction of the WAN
+/// round-trip it saves.
+const BATCH_WINDOW: SimDuration = SimDuration::from_millis(2);
+
+/// Cap on parked write-back retry-queue entries under the fleet presets
+/// ([`WbSink::park`] sheds the oldest past it).
+const WB_QUEUE_CAP: usize = 4096;
+
+/// Digests per gossip message in either direction: 64 KiB chunks × 512 ≈
+/// one golden image's working set crosses the inventory channel in a
+/// handful of rounds. Bounds the decode cost (lint: bounded-decode) and
+/// the LAN burst; a backlog simply drains over successive rounds.
+const GOSSIP_BATCH: usize = 512;
+const _: () = assert!(GOSSIP_BATCH <= MAX_GOSSIP_DIGESTS);
+
+#[derive(Default)]
 struct ProxyState {
     meta: HashMap<FileKey, Option<Arc<MetaFile>>>,
     sizes: HashMap<FileKey, u64>,
@@ -453,18 +478,17 @@ struct ProxyState {
 
 impl ProxyState {
     /// Take the next upstream envelope's worth of parked blob misses: at
-    /// most `max_batch` (itself bounded by what an envelope may carry).
-    fn take_blob_round(&mut self, max_batch: usize) -> Vec<(Digest, xdr::Bytes)> {
-        let max_batch = max_batch.clamp(1, oncrpc::MAX_BATCH_ITEMS);
-        let take = self.batch_pending.len().min(max_batch);
+    /// most [`MAX_BATCH`].
+    fn take_blob_round(&mut self) -> Vec<(Digest, xdr::Bytes)> {
+        let take = self.batch_pending.len().min(MAX_BATCH);
         self.batch_pending.drain(..take).collect()
     }
 
-    /// Up to `batch` entries of the gossip log from `cursor` on, and the
-    /// cursor after them.
-    fn gossip_delta(&self, cursor: usize, batch: usize) -> (Vec<Digest>, usize) {
+    /// Up to [`GOSSIP_BATCH`] entries of the gossip log from `cursor` on,
+    /// and the cursor after them.
+    fn gossip_delta(&self, cursor: usize) -> (Vec<Digest>, usize) {
         let start = cursor.min(self.gossip_log.len());
-        let end = (start + batch).min(self.gossip_log.len());
+        let end = (start + GOSSIP_BATCH).min(self.gossip_log.len());
         (self.gossip_log[start..end].to_vec(), end)
     }
 }
@@ -492,32 +516,45 @@ enum FlightKey {
 /// woken waiters would stampede the retry slot forever.
 const MAX_FLIGHT_ATTEMPTS: u32 = 3;
 
-/// Where evicted dirty blocks go: everything it takes to push one
-/// upstream or, failing that, to park it on the retry queue. Owned by
-/// the proxy and cloned into its detached read-ahead workers, whose
-/// inserts evict too (the proxy itself sits behind an `Arc` owned by the
-/// listener; workers only hold the pieces they touch).
+/// The one way out for dirty data — eviction, the flush pass and the
+/// flush retry rounds all leave through here: everything it takes to
+/// push dirty blocks and dirty cached files upstream or, failing that, to
+/// park a block on the retry queue. Owned by the proxy and cloned into
+/// its detached read-ahead workers, whose inserts evict too, and into the
+/// flush's file helper (the proxy itself sits behind an `Arc` owned by
+/// the listener; workers only hold the pieces they touch).
 #[derive(Clone)]
 struct WbSink {
     upstream: RpcClient,
     // Arc: detached prefetch workers share the state (and the Mutex
     // inside keeps critical sections short — no suspends under it).
     state: Arc<Mutex<ProxyState>>,
-    file_cache: Option<Arc<FileCache>>,
+    /// The file cache and the channel that fills and flushes it.
+    files: Option<(Arc<FileCache>, ChannelClient)>,
     /// Block size of the attached block cache (32 KB until one is).
     bs: u64,
+    /// Whether dedup is on: flush sends are digested and may be skipped.
+    dedup: bool,
+    /// CPU-cost model for the proxy's own digest/codec work (flush-side
+    /// digesting, blob verification). Mirrors the channel client's model
+    /// when a file channel is attached, so dedup CPU is priced the same
+    /// on every path.
+    codec: CodecModel,
+    /// Chunk size and window of file uploads.
+    transfer: TransferTuning,
+    ttel: TransferTel,
+    dtel: DedupTel,
     written_back: Counter,
     recovered_errors: Counter,
     wb_queued: Counter,
-    /// Write-back queue back-pressure (satellite of the fleet work):
-    /// `cap == 0` is the historical unbounded queue; the telemetry cells
-    /// are registered only when a cap is configured, so legacy snapshots
-    /// carry no new counters.
-    cap: usize,
+    /// Whether the retry queue is bounded by [`WB_QUEUE_CAP`] (the fleet
+    /// presets) rather than the historical unbounded queue; the two cells
+    /// below are registered only then.
+    capped: bool,
     /// Parked blocks shed by the cap (oldest-tag first).
-    shed: Option<Counter>,
+    shed: Counter,
     /// High-water mark of the parked-queue depth.
-    high_water: Option<Counter>,
+    high_water: Counter,
 }
 
 impl WbSink {
@@ -531,27 +568,20 @@ impl WbSink {
 
     /// Park a failed write-back on the retry queue, enforcing the fleet
     /// cap. Must run under the state lock (takes `&mut ProxyState`);
-    /// shedding is deterministic (oldest tag in `BTreeMap` order goes
-    /// first).
+    /// shedding is deterministic (lowest tag in `BTreeMap` order first).
     fn park(&self, st: &mut ProxyState, tag: Tag, data: Vec<u8>) {
         self.wb_queued.inc();
         st.wb_queue.insert(tag, data);
-        if self.cap > 0 && st.wb_queue.len() > self.cap {
-            // Bounded memory beats durability of the oldest parked block
-            // under a sustained upstream outage; the shed is surfaced via
-            // telemetry rather than silently dropped.
-            if st.wb_queue.pop_first().is_some() {
-                if let Some(shed) = &self.shed {
-                    shed.inc();
-                }
-            }
+        // Bounded memory beats durability of the oldest parked block
+        // under a sustained upstream outage; the shed is surfaced via
+        // telemetry rather than silently dropped.
+        if self.capped && st.wb_queue.len() > WB_QUEUE_CAP && st.wb_queue.pop_first().is_some() {
+            self.shed.inc();
         }
-        if let Some(hw) = &self.high_water {
-            let depth = st.wb_queue.len() as u64;
-            let seen = hw.get();
-            if depth > seen {
-                hw.add(depth - seen);
-            }
+        let depth = st.wb_queue.len() as u64;
+        let seen = self.high_water.get();
+        if depth > seen {
+            self.high_water.add(depth - seen);
         }
     }
 
@@ -567,39 +597,161 @@ impl WbSink {
                 return Some(m.file_size);
             }
         }
-        self.file_cache.as_ref().and_then(|fc| fc.size_of(key))
+        self.files.as_ref().and_then(|(fc, _)| fc.size_of(key))
     }
 
-    /// Push an evicted dirty block upstream, truncated to the best-known
-    /// file size. Success counts into `written_back`; a failed WRITE
-    /// parks the block on the write-back retry queue (degraded mode) for
-    /// the next flush to drain, instead of dropping the bytes.
-    fn write_back(&self, env: &Env, tag: Tag, data: Vec<u8>) {
-        let key = tag_key(tag);
-        let off = tag.block * self.bs;
-        let mut payload = data;
-        if let Some(size) = self.known_size(key) {
-            if off >= size {
-                return;
+    /// The one way a dirty block leaves the proxy: WRITE `blocks` of file
+    /// `key` upstream at stability `stable`, at most `window` in flight,
+    /// each first clipped to the best-known file size (one wholly past it
+    /// is dropped). Returns one slot per WRITE issued — each keeps its
+    /// payload, so a failure can requeue the bytes instead of dropping
+    /// them — and the skip candidates.
+    ///
+    /// Dedup: a block of an UNSTABLE batch whose digest upstream already
+    /// durably acknowledged under a verifier is a skip *candidate* — the
+    /// COMMIT covering the batch must still return that same verifier
+    /// (same server instance, data still stable) before the skip counts,
+    /// so no acknowledged byte is ever dedup-skipped incorrectly (a
+    /// restarted server rotates its verifier). A `FILE_SYNC` send has no
+    /// covering COMMIT to validate against, so it never skips.
+    fn send_blocks(
+        &self,
+        env: &Env,
+        key: FileKey,
+        blocks: Vec<(u64, Vec<u8>)>,
+        stable: StableHow,
+        window: usize,
+    ) -> (Vec<WriteBackSlot>, Vec<SkipCandidate>) {
+        let bs = self.bs;
+        let size = self.known_size(key);
+        let may_skip = self.dedup && stable == StableHow::Unstable;
+        // Every block that may skip is digested once here, *outside* the
+        // state lock (digesting suspends; no suspend may run under a
+        // lock), at the codec's digest throughput — the CPU price the
+        // fetch path pays per blob. The digest rides the slot so a
+        // durable ack records it without rehashing.
+        let mut clipped: Vec<(u64, Vec<u8>, Option<Digest>)> = Vec::with_capacity(blocks.len());
+        for (block, mut data) in blocks {
+            let off = block * bs;
+            if let Some(s) = size {
+                if off >= s {
+                    continue;
+                }
+                data.truncate(((s - off).min(bs)) as usize);
             }
-            payload.truncate(((size - off).min(self.bs)) as usize);
+            let d = may_skip.then(|| {
+                env.sleep(self.codec.digest_time(data.len() as u64));
+                digest::digest(&data)
+            });
+            clipped.push((block, data, d));
+        }
+        let mut jobs = Vec::with_capacity(clipped.len());
+        let mut skips = Vec::new();
+        {
+            let mut st = self.state.lock();
+            for (block, data, d) in clipped {
+                let tag = tag_of(key, block);
+                match (d, st.acked.get(&tag)) {
+                    (Some(d), Some((ad, verf))) if *ad == d => skips.push((block, data, *verf)),
+                    _ => {
+                        // About to issue a WRITE for this block: the
+                        // server may apply it even when the reply is
+                        // lost, so the remembered ack (if any) dies now —
+                        // a block later reverted to the old bytes must
+                        // not skip over the server's unconfirmed
+                        // intermediate content (A-B-A). Only a fresh
+                        // WRITE+COMMIT verifier agreement in the flush
+                        // pass reinstates it.
+                        st.acked.remove(&tag);
+                        jobs.push((block, data, d));
+                    }
+                }
+            }
         }
         let nfs = nfs3::Nfs3Client::new(self.upstream.clone());
-        let h = handle_of(key);
-        // The UNSTABLE WRITE below may reach the server even when its
-        // reply is lost, so any remembered durable ack for this block
-        // stops being trustworthy the moment the write is issued (A-B-A):
-        // only a fresh WRITE+COMMIT verifier agreement in the flush path
-        // reinstates it.
-        self.state.lock().acked.remove(&tag);
-        if nfs
-            .write(env, h, off, payload.clone(), StableHow::Unstable)
-            .is_ok()
-        {
-            self.written_back.inc();
-        } else {
-            self.recovered_errors.inc();
-            self.park(&mut self.state.lock(), tag, payload);
+        let slots = run_windowed(
+            env,
+            "flush-wb",
+            window,
+            jobs,
+            Some(&self.ttel),
+            move |env, (block, data, d)| {
+                let verf = nfs
+                    .write(env, key, block * bs, data.clone(), stable)
+                    .ok()
+                    .map(|r| r.verf);
+                Some((block, data, d, verf))
+            },
+        );
+        (slots, skips)
+    }
+
+    /// Push an evicted dirty block upstream. Success counts into
+    /// `written_back`; a failed WRITE parks the block on the retry queue
+    /// (degraded mode) for the next flush to drain, not dropping the bytes.
+    ///
+    /// The WRITE goes `FILE_SYNC` — durable on reply (RFC 1813 §3.3.7).
+    /// Nothing would ever COMMIT an UNSTABLE one: the flush pass COMMITs
+    /// only files that still have pending blocks and compares verifiers
+    /// only for its own slots, and in write-back mode the guest's COMMIT
+    /// is answered locally, so a server restart would silently zero
+    /// bytes the guest was told are stable.
+    fn write_back(&self, env: &Env, tag: Tag, data: Vec<u8>) {
+        let blocks = vec![(tag.block, data)];
+        let (slots, _) = self.send_blocks(env, tag_key(tag), blocks, StableHow::FileSync, 1);
+        for (_, payload, _, verf) in slots.into_iter().flatten() {
+            if verf.is_some() {
+                self.written_back.inc();
+            } else {
+                self.recovered_errors.inc();
+                self.park(&mut self.state.lock(), tag, payload);
+            }
+        }
+    }
+
+    /// The one way a dirty cached file leaves the proxy: upload what must
+    /// travel of a file whose contents digest to `digest`, counting it
+    /// into `report` — unless upstream is known to hold exactly that
+    /// already. Returns whether upstream now holds the contents; on
+    /// `false` the caller keeps the payload for a retry round.
+    fn upload_file(&self, env: &Env, up: &PendingUpload, report: &mut FlushReport) -> bool {
+        let (key, dirty, digest) = up;
+        let Some((fc, chan)) = &self.files else {
+            return false;
+        };
+        // Dedup: a dirty file rewritten with the exact bytes upstream
+        // already holds (a VM session re-suspending identical memory
+        // state) skips the whole upload. Channel uploads are durable
+        // server writes, so the synced digest survives server restarts.
+        if digest.is_some() && fc.synced_digest(*key) == *digest {
+            self.dtel.acked_skips.inc();
+            self.dtel.bytes_avoided.add(dirty.payload_bytes());
+            return true;
+        }
+        // Torn-upload guard: from here until the upload reports success,
+        // upstream may hold any prefix of the new chunks — forget the
+        // synced digest so a rewrite back to the old bytes can never
+        // skip the repair upload. Only the success below reinstates it,
+        // so a torn retry leaves upstream marked unknown as well.
+        fc.clear_synced(*key);
+        let (total, ranges) = match dirty {
+            DirtyFile::Diverged { total, ranges, .. } => (*total, ranges.clone()),
+            DirtyFile::Whole(c) => (c.len() as u64, chunk_ranges(c, self.transfer.chunk_bytes)),
+        };
+        let window = self.transfer.channel_window;
+        match chan.upload_ranges(env, *key, total, ranges, window, Some(&self.ttel)) {
+            Ok(wire) => {
+                report.files += 1;
+                report.file_wire_bytes += wire;
+                if let Some(d) = digest {
+                    fc.set_synced(*key, *d);
+                }
+                true
+            }
+            Err(_) => {
+                self.recovered_errors.inc();
+                false
+            }
         }
     }
 }
@@ -607,6 +759,7 @@ impl WbSink {
 /// Peer wiring for intra-region digest gossip, set once by middleware
 /// via [`Proxy::set_gossip_peers`] after the sibling shards' channels
 /// exist.
+#[derive(Default)]
 struct GossipPeers {
     /// This shard's id as it appears in gossip messages.
     my_id: u32,
@@ -621,7 +774,7 @@ struct GossipPeers {
     sent_cursor: BTreeMap<u32, usize>,
 }
 
-/// Gossip runtime state + telemetry (present iff `cfg.fleet.gossip` and
+/// Gossip runtime state + telemetry (present iff `cfg.fleet.gossip()` and
 /// dedup are both on; registration is gated exactly like the other
 /// fleet counters so gossip-off snapshots stay byte-identical).
 struct GossipCtl {
@@ -655,43 +808,32 @@ impl GossipCtl {
 /// into an [`oncrpc::Listener`].
 pub struct Proxy {
     cfg: ProxyConfig,
-    upstream: RpcClient,
-    chan: Option<ChannelClient>,
     block_cache: Option<Arc<BlockCache>>,
-    file_cache: Option<Arc<FileCache>>,
     identity: Option<Arc<IdentityMapper>>,
     tel: PxTel,
-    ttel: TransferTel,
-    dtel: DedupTel,
-    /// Content-addressed store over this proxy's resident cache bytes
+    /// Content-addressed store over the chunks this proxy fetched
     /// (present iff `cfg.dedup.enabled`).
     cas: Option<Arc<ContentStore>>,
-    /// CPU-cost model for the proxy's own digest/codec work (flush-side
-    /// digesting, blob verification). Mirrors the channel client's model
-    /// when a file channel is attached, so dedup CPU is priced the same
-    /// on every path.
-    codec: CodecModel,
     /// Per-instance write verifier returned in absorbed WRITE/COMMIT
     /// replies (write-back mode answers both locally, so it speaks for
     /// the stability of its own cache disk).
     write_verf: u64,
-    /// Where evicted dirty blocks go; carries the write-back queue
-    /// cap/shed policy.
+    /// The way out for dirty data, with the upstream client, caches'
+    /// channel and transfer/dedup telemetry the read side shares with it.
     wb: WbSink,
-    /// Upstream batch envelopes issued by fleet blob coalescing, and
-    /// the sub-calls they carried (`items / batches` = achieved
-    /// coalescing factor); registered only when `cfg.fleet` enables
-    /// batching.
-    fleet_batches: Option<(Counter, Counter)>,
-    /// Intra-region digest gossip runtime (present iff `cfg.fleet.gossip`
-    /// and dedup are both enabled).
+    /// Upstream batch envelopes issued by fleet blob coalescing, and the
+    /// sub-calls they carried (`items / batches` = achieved coalescing
+    /// factor); registered only when `cfg.fleet` batches.
+    fleet_batches: (Counter, Counter),
+    /// Intra-region digest gossip runtime (present iff
+    /// `cfg.fleet.gossip()` and dedup are both enabled).
     gossip: Option<GossipCtl>,
     /// Channel fetches installed as reference files (registered only
     /// when the cow knob is active, i.e. cow *and* dedup enabled).
-    cow_installs: Option<Counter>,
+    cow_installs: Counter,
     /// CAS evictions refused under pin pressure (same registration
     /// gate; the counter is shared with the content store).
-    cow_pin_blocked: Option<Counter>,
+    cow_pin_blocked: Counter,
     state: Arc<Mutex<ProxyState>>,
 }
 
@@ -710,20 +852,6 @@ fn reclaim_wasted_prefetches(st: &mut ProxyState, bc: &BlockCache) -> u64 {
     st.prefetched.retain(|t| bc.contains(*t));
     st.prefetched_checked_at = removals;
     (tracked - st.prefetched.len()) as u64
-}
-
-fn key_of(h: Handle) -> FileKey {
-    FileKey {
-        fileid: h.fileid,
-        generation: h.generation,
-    }
-}
-
-fn handle_of(key: FileKey) -> Handle {
-    Handle {
-        fileid: key.fileid,
-        generation: key.generation,
-    }
 }
 
 fn tag_key(tag: Tag) -> FileKey {
@@ -748,8 +876,6 @@ impl Proxy {
     pub fn new(cfg: ProxyConfig, upstream: RpcClient) -> Self {
         let registry = upstream.channel().handle().telemetry().clone();
         let tel = PxTel::register(registry, &cfg.name);
-        let ttel = TransferTel::register(&tel.registry, &tel.inst);
-        let dtel = DedupTel::register(&tel.registry, &tel.inst);
         // Per-instance seed for the write verifier (RFC 1813 requires the
         // verifier to change when the *server* instance changes; two
         // proxies must never share one).
@@ -758,45 +884,40 @@ impl Proxy {
             tel.registry
                 .counter("gvfs", format!("{}.{suffix}", tel.inst))
         };
-        // Copy-on-write is meaningful only with a CAS to resolve recipes
-        // against; with dedup off the knob is inert (and registers no
-        // telemetry, keeping legacy snapshots byte-identical).
-        let cow_on = cfg.cow.enabled && cfg.dedup.enabled;
-        let cow_pin_blocked = cow_on.then(|| counter("cas.pin_blocked_evictions"));
-        let cas = if cfg.dedup.enabled {
-            let store = ContentStore::new(cfg.dedup.cas_bytes);
-            let store = store.with_broken_pin_counter(tel.recovered_errors.clone());
-            let store = match &cow_pin_blocked {
-                Some(c) => store.with_pin_blocked_counter(c.clone()),
-                None => store,
-            };
-            Some(Arc::new(store))
-        } else {
-            None
+        // A counter that belongs to a knob: registered iff the knob is
+        // on — so a legacy configuration's snapshot carries exactly the
+        // historical counter set — and free-standing otherwise.
+        let counter_if = |on: bool, suffix: &str| {
+            if on {
+                counter(suffix)
+            } else {
+                Counter::new()
+            }
         };
-        let cow_installs = cow_on.then(|| counter("cow.ref_installs"));
-        let blob_reply_cap = cfg.dedup.cas_bytes;
-        // Fleet telemetry registers only when the knobs are on, so a
-        // legacy configuration's snapshot carries exactly the historical
-        // counter set.
-        let wb_cap = cfg.fleet.wb_queue_cap;
-        let wb_shed = (wb_cap > 0).then(|| counter("wb_shed"));
-        let wb_high_water = (wb_cap > 0).then(|| counter("wb_high_water"));
-        let fleet_batches = cfg
-            .fleet
-            .batch_fetch
-            .then(|| (counter("fleet.batches"), counter("fleet.batched_items")));
+        // Copy-on-write is meaningful only with a CAS to resolve recipes
+        // against; with dedup off the knob is inert.
+        let cow_on = cfg.cow.enabled && cfg.dedup.enabled;
+        let cow_installs = counter_if(cow_on, "cow.ref_installs");
+        let cow_pin_blocked = counter_if(cow_on, "cas.pin_blocked_evictions");
+        let cas = cfg.dedup.enabled.then(|| {
+            let store = ContentStore::new(cfg.dedup.cas_bytes)
+                .with_broken_pin_counter(tel.recovered_errors.clone())
+                .with_pin_blocked_counter(cow_pin_blocked.clone());
+            Arc::new(store)
+        });
+        // The fleet presets bound the write-back retry queue along with
+        // batching blob misses.
+        let batching = cfg.fleet.batching();
+        let fleet_batches = (
+            counter_if(batching, "fleet.batches"),
+            counter_if(batching, "fleet.batched_items"),
+        );
         // Gossip needs the digest-keyed reply cache both as the
         // inventory being advertised and as the store peer fetches are
         // served from, so it is inert without dedup (same dependency as
         // batching); the counters register only when it is live.
-        let gossip = (cfg.fleet.gossip && cfg.dedup.enabled).then(|| GossipCtl {
-            peers: Mutex::new(GossipPeers {
-                my_id: 0,
-                peers: Vec::new(),
-                next: 0,
-                sent_cursor: BTreeMap::new(),
-            }),
+        let gossip = (cfg.fleet.gossip() && cfg.dedup.enabled).then(|| GossipCtl {
+            peers: Mutex::default(),
             rounds: counter("gossip.rounds"),
             digests_learned: counter("gossip.digests_learned"),
             peer_hits: counter("gossip.peer_hits"),
@@ -805,50 +926,32 @@ impl Proxy {
             peer_served: counter("gossip.peer_served"),
         });
         let state = Arc::new(Mutex::new(ProxyState {
-            meta: HashMap::new(),
-            sizes: HashMap::new(),
-            inflight: BTreeMap::new(),
-            chan_chunk_replies: HashMap::new(),
-            streaks: HashMap::new(),
-            inflight_prefetch: BTreeMap::new(),
-            prefetched: BTreeSet::new(),
-            prefetched_checked_at: 0,
-            inflight_demand: BTreeSet::new(),
-            wb_queue: BTreeMap::new(),
-            acked: BTreeMap::new(),
-            chan_recipe_replies: HashMap::new(),
-            chan_blob_replies: BlobReplyCache::new(blob_reply_cap),
-            batch_pending: Vec::new(),
-            batch_open: false,
-            batch_uncounted: BTreeSet::new(),
-            gossip_log: Vec::new(),
-            gossip_reply_cursor: BTreeMap::new(),
-            peer_digests: BTreeMap::new(),
+            chan_blob_replies: BlobReplyCache::new(cfg.dedup.cas_bytes),
+            ..ProxyState::default()
         }));
         let wb = WbSink {
-            upstream: upstream.clone(),
+            upstream,
             state: state.clone(),
-            file_cache: None,
+            files: None,
             bs: 32 * 1024,
+            dedup: cfg.dedup.enabled,
+            codec: CodecModel::default(),
+            transfer: cfg.transfer,
+            ttel: TransferTel::register(&tel.registry, &tel.inst),
+            dtel: DedupTel::register(&tel.registry, &tel.inst),
             written_back: tel.blocks_written_back.clone(),
             recovered_errors: tel.recovered_errors.clone(),
             wb_queued: tel.wb_queued.clone(),
-            cap: wb_cap,
-            shed: wb_shed,
-            high_water: wb_high_water,
+            capped: batching,
+            shed: counter_if(batching, "wb_shed"),
+            high_water: counter_if(batching, "wb_high_water"),
         };
         Proxy {
             cfg,
-            upstream,
-            chan: None,
             block_cache: None,
-            file_cache: None,
             identity: None,
             tel,
-            ttel,
-            dtel,
             cas,
-            codec: CodecModel::default(),
             write_verf,
             wb,
             fleet_batches,
@@ -868,10 +971,8 @@ impl Proxy {
 
     /// Attach a file cache and the channel client used to fill it.
     pub fn with_file_channel(mut self, cache: Arc<FileCache>, chan: ChannelClient) -> Self {
-        self.wb.file_cache = Some(cache.clone());
-        self.file_cache = Some(cache);
-        self.codec = *chan.codec();
-        self.chan = Some(chan);
+        self.wb.codec = *chan.codec();
+        self.wb.files = Some((cache, chan));
         self
     }
 
@@ -905,19 +1006,13 @@ impl Proxy {
             wb_drained: self.tel.wb_drained.get(),
             verf_mismatches: self.tel.verf_mismatches.get(),
             flush_retry_rounds: self.tel.flush_retry_rounds.get(),
-            dedup_bytes_avoided: self.dtel.bytes_avoided.get(),
-            dedup_recipe_hits: self.dtel.recipe_hits.get(),
-            dedup_blob_fetches: self.dtel.blob_fetches.get(),
-            dedup_acked_skips: self.dtel.acked_skips.get(),
-            cow_ref_installs: self.cow_installs.as_ref().map(|c| c.get()).unwrap_or(0),
-            cas_pin_blocked: self.cow_pin_blocked.as_ref().map(|c| c.get()).unwrap_or(0),
+            dedup_bytes_avoided: self.wb.dtel.bytes_avoided.get(),
+            dedup_recipe_hits: self.wb.dtel.recipe_hits.get(),
+            dedup_blob_fetches: self.wb.dtel.blob_fetches.get(),
+            dedup_acked_skips: self.wb.dtel.acked_skips.get(),
+            cow_ref_installs: self.cow_installs.get(),
+            cas_pin_blocked: self.cow_pin_blocked.get(),
         }
-    }
-
-    /// This proxy's write verifier (what absorbed WRITE/COMMIT replies
-    /// carry).
-    pub fn write_verf(&self) -> u64 {
-        self.write_verf
     }
 
     /// Dirty blocks currently parked on the write-back retry queue.
@@ -925,50 +1020,10 @@ impl Proxy {
         self.state.lock().wb_queue.len()
     }
 
-    /// Parked write-back blocks shed by the fleet queue cap (0 when no
-    /// cap is configured).
-    pub fn wb_shed(&self) -> u64 {
-        self.wb.shed.as_ref().map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// High-water mark of the write-back retry queue depth (0 when no
-    /// cap is configured — the mark is only tracked under a cap).
-    pub fn wb_high_water(&self) -> u64 {
-        self.wb.high_water.as_ref().map(|c| c.get()).unwrap_or(0)
-    }
-
-    /// `(envelopes, sub-calls)` issued by fleet blob coalescing; the
-    /// ratio is the achieved batching factor. Zeros when batching is
-    /// off.
+    /// `(envelopes, sub-calls)` issued by fleet blob coalescing (their
+    /// ratio is the achieved batching factor); zeros when batching is off.
     pub fn fleet_batch_stats(&self) -> (u64, u64) {
-        match &self.fleet_batches {
-            Some((batches, items)) => (batches.get(), items.get()),
-            None => (0, 0),
-        }
-    }
-
-    /// Reset counters.
-    pub fn reset_stats(&self) {
-        self.tel.calls.reset();
-        self.tel.reads.reset();
-        self.tel.writes.reset();
-        self.tel.forwarded.reset();
-        self.tel.zero_filtered.reset();
-        self.tel.file_cache_reads.reset();
-        self.tel.channel_fetches.reset();
-        self.tel.channel_wire_bytes.reset();
-        self.tel.writes_absorbed.reset();
-        self.tel.blocks_written_back.reset();
-        self.dtel.bytes_avoided.reset();
-        self.dtel.recipe_hits.reset();
-        self.dtel.blob_fetches.reset();
-        self.dtel.acked_skips.reset();
-        if let Some(c) = &self.cow_installs {
-            c.reset();
-        }
-        if let Some(c) = &self.cow_pin_blocked {
-            c.reset();
-        }
+        (self.fleet_batches.0.get(), self.fleet_batches.1.get())
     }
 
     /// The content-addressed store, when dedup is enabled.
@@ -979,11 +1034,6 @@ impl Proxy {
     /// The attached block cache, if any.
     pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.block_cache.as_ref()
-    }
-
-    /// The attached file cache, if any.
-    pub fn file_cache(&self) -> Option<&Arc<FileCache>> {
-        self.file_cache.as_ref()
     }
 
     // -- forwarding ---------------------------------------------------------
@@ -999,7 +1049,7 @@ impl Proxy {
     ) -> RpcMessage {
         let Call { env, xid, cred } = c;
         self.tel.forwarded.inc();
-        let client = self.upstream.with_cred(cred.clone());
+        let client = self.wb.upstream.with_cred(cred.clone());
         match client.call_dl(env, prog, vers, proc, &args) {
             Ok(results) => RpcMessage::success(xid, results),
             Err(e) => Self::error_reply(xid, e),
@@ -1036,11 +1086,10 @@ impl Proxy {
         if !self.cfg.meta_handling || is_meta_name(name) {
             return;
         }
-        let key = key_of(subject);
-        if self.state.lock().meta.contains_key(&key) {
+        if self.state.lock().meta.contains_key(&subject) {
             return;
         }
-        let nfs = nfs3::Nfs3Client::new(self.upstream.with_cred(cred.clone()));
+        let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
         #[cfg(feature = "debug-trace")]
         eprintln!("[gvfs] meta discovery for {name}");
         let meta = (|| -> Option<Arc<MetaFile>> {
@@ -1061,15 +1110,11 @@ impl Proxy {
         })();
         #[cfg(feature = "debug-trace")]
         eprintln!("[gvfs] meta for {name}: {}", meta.is_some());
-        self.state.lock().meta.insert(key, meta);
+        self.state.lock().meta.insert(subject, meta);
     }
 
     fn meta_for(&self, key: FileKey) -> Option<Arc<MetaFile>> {
         self.state.lock().meta.get(&key).cloned().flatten()
-    }
-
-    fn known_size(&self, key: FileKey) -> Option<u64> {
-        self.wb.known_size(key)
     }
 
     fn bump_size(&self, key: FileKey, end: u64) {
@@ -1125,10 +1170,10 @@ impl Proxy {
             Err(_) => return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::READ, args),
         };
         self.tel.reads.inc();
-        let key = key_of(a.file.0);
+        let key = a.file.0;
 
         // 1. File cache ("read locally" of an installed file).
-        if let Some(fc) = &self.file_cache {
+        if let Some((fc, _)) = &self.wb.files {
             if let Some((data, eof)) = fc.read(env, key, a.offset, a.count) {
                 self.tel.file_cache_reads.inc();
                 return Self::read_reply(xid, data, eof);
@@ -1142,7 +1187,7 @@ impl Proxy {
         };
 
         // 2. File channel: fetch the whole file on first access.
-        if let (Some(m), Some(fc), Some(chan)) = (&meta, &self.file_cache, &self.chan) {
+        if let (Some(m), Some((fc, chan))) = (&meta, &self.wb.files) {
             if m.channel.is_some() {
                 if let Some(reply) = self.read_via_channel(c, &a, m, fc, chan) {
                     return reply;
@@ -1153,7 +1198,7 @@ impl Proxy {
         // 3. Zero map: serve all-zero ranges locally.
         if let Some(m) = &meta {
             if let Some(zm) = &m.zero_map {
-                let size = self.known_size(key).unwrap_or(m.file_size);
+                let size = self.wb.known_size(key).unwrap_or(m.file_size);
                 if zm.range_is_zero(a.offset, a.count) {
                     self.tel.zero_filtered.inc();
                     if a.offset >= size {
@@ -1216,6 +1261,7 @@ impl Proxy {
                     }
                     let eof = block_len < bs as usize
                         || self
+                            .wb
                             .known_size(key)
                             .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
@@ -1247,7 +1293,7 @@ impl Proxy {
                         // Only a block-aligned reply covers the block from
                         // its first byte, so only that can be installed.
                         if !data.is_empty() && in_block == 0 {
-                            self.install_clean(env, tag, data, cred);
+                            self.insert_block(c, bc, tag, data, false);
                         }
                     }
                 }
@@ -1271,7 +1317,7 @@ impl Proxy {
         fc: &FileCache,
         chan: &ChannelClient,
     ) -> Option<RpcMessage> {
-        let key = key_of(a.file.0);
+        let key = a.file.0;
         let cached = || {
             let (data, eof) = fc.read(env, key, a.offset, a.count)?;
             self.tel.file_cache_reads.inc();
@@ -1343,7 +1389,6 @@ impl Proxy {
         fc: &FileCache,
         chan: &ChannelClient,
     ) -> Result<u64, channel::ChannelError> {
-        let key = key_of(h);
         let t = &self.cfg.transfer;
         let mut deduped = None;
         if let Some(cas) = &self.cas {
@@ -1352,17 +1397,17 @@ impl Proxy {
                 chunk_bytes: t.chunk_bytes,
                 window: t.channel_window,
                 // With fleet batching on, the misses travel in
-                // multi-digest envelopes: `max_batch` records per
+                // multi-digest envelopes: `MAX_BATCH` records per
                 // upstream round-trip instead of one, windows of
                 // envelopes in flight.
-                batch: if self.cfg.fleet.batch_fetch {
-                    self.cfg.fleet.max_batch.max(1)
+                batch: if self.cfg.fleet.batching() {
+                    MAX_BATCH
                 } else {
                     1
                 },
                 cas,
-                dtel: &self.dtel,
-                tel: Some(&self.ttel),
+                dtel: &self.wb.dtel,
+                tel: Some(&self.wb.ttel),
             };
             // Copy-on-write: resolve the recipe straight into the CAS
             // (pinning every record) and install the file as a reference
@@ -1373,15 +1418,13 @@ impl Proxy {
                 if let Ok(pr) = chan.fetch_recipe_pinned(env, h, &rq) {
                     fc.install_reference(
                         env,
-                        key,
+                        h,
                         cas.clone(),
                         pr.recipe.chunk_bytes,
                         pr.recipe.records,
                         pr.fresh_bytes,
                     );
-                    if let Some(c) = &self.cow_installs {
-                        c.inc();
-                    }
+                    self.cow_installs.inc();
                     return Ok(pr.wire);
                 }
             }
@@ -1397,13 +1440,13 @@ impl Proxy {
         let (contents, wire) = match deduped {
             Some(fetched) => fetched,
             None => {
-                chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.ttel))?
+                chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.wb.ttel))?
             }
         };
         // Dedup saves WAN transfer and origin work; the assembled file
         // is written to the local cache disk in full either way (a CAS
         // hit is host memory, not cache-disk residency).
-        fc.install(env, key, &contents);
+        fc.install(env, h, &contents);
         Ok(wire)
     }
 
@@ -1449,24 +1492,12 @@ impl Proxy {
         }
     }
 
-    fn install_clean(&self, env: &Env, tag: Tag, data: Vec<u8>, cred: &oncrpc::OpaqueAuth) {
-        if let Some(bc) = &self.block_cache {
-            // Index the frame in the CAS: block frames (32 KB) and channel
-            // chunks (1 MB) live in disjoint length classes, so this only
-            // dedupes against other block frames — bookkeeping that keeps
-            // every resident frame content-addressable.
-            if let Some(cas) = &self.cas {
-                cas.insert(&data);
-            }
-            if let Some((etag, edata)) = bc.insert(env, tag, data, false) {
-                // A dirty block fell out: write it upstream now.
-                self.writeback_block(env, cred, etag, edata);
-            }
+    /// Insert a frame into the block cache; a dirty block that falls out
+    /// is written upstream now.
+    fn insert_block(&self, c: Call<'_>, bc: &BlockCache, tag: Tag, data: Vec<u8>, dirty: bool) {
+        if let Some((etag, edata)) = bc.insert(c.env, tag, data, dirty) {
+            self.wb.with_cred(c.cred).write_back(c.env, etag, edata);
         }
-    }
-
-    fn writeback_block(&self, env: &Env, cred: &oncrpc::OpaqueAuth, tag: Tag, data: Vec<u8>) {
-        self.wb.with_cred(cred).write_back(env, tag, data);
     }
 
     /// Sequential read-ahead: track per-file block streaks; once two
@@ -1506,7 +1537,7 @@ impl Proxy {
         };
         // `known_size` (server-confirmed) beats the meta hint; the hint
         // still clips beyond-EOF speculation before the first EOF reply.
-        let size = self.known_size(key).or(size_hint);
+        let size = self.wb.known_size(key).or(size_hint);
         let (candidates, wasted) = {
             let mut st = self.state.lock();
             let run = match st.streaks.get(&key).copied() {
@@ -1569,8 +1600,7 @@ impl Proxy {
         }
         self.tel.prefetch_issued.add(candidates.len() as u64);
         let sink = self.wb.with_cred(cred);
-        let cas = self.cas.clone();
-        let ttel = self.ttel.clone();
+        let ttel = sink.ttel.clone();
         let window = depth.max(1);
         env.spawn(format!("{}-prefetch", self.tel.inst), move |env| {
             run_windowed(
@@ -1581,12 +1611,8 @@ impl Proxy {
                 Some(&ttel),
                 move |env, t| {
                     let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
-                    let h = handle_of(tag_key(t));
-                    let sig = match nfs.read(env, h, t.block * bs, bs as u32) {
+                    let sig = match nfs.read(env, tag_key(t), t.block * bs, bs as u32) {
                         Ok(r) if !r.data.is_empty() => {
-                            if let Some(cas) = &cas {
-                                cas.insert(&r.data);
-                            }
                             // Taken before the insert: the frame can be
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
@@ -1637,11 +1663,11 @@ impl Proxy {
             Err(_) => return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args),
         };
         self.tel.writes.inc();
-        let key = key_of(a.file.0);
+        let key = a.file.0;
 
         // File-cache resident files absorb writes there (dirty upload on
         // flush).
-        if let Some(fc) = &self.file_cache {
+        if let Some((fc, _)) = &self.wb.files {
             if fc.contains(key) && !self.cfg.read_only_share {
                 fc.write(env, key, a.offset, &a.data);
                 self.bump_size(key, a.offset + a.data.len() as u64);
@@ -1680,15 +1706,13 @@ impl Proxy {
                     // partial writes within the current file need
                     // read-modify-write from upstream first.
                     let full = boff == 0 && take as u64 == bs;
-                    let existing_size = self.known_size(key).unwrap_or(0);
+                    let existing_size = self.wb.known_size(key).unwrap_or(0);
                     if full || bstart >= existing_size {
                         let mut data = vec![0u8; boff + take];
                         data[boff..].copy_from_slice(chunk);
-                        if let Some((etag, edata)) = bc.insert(env, tag, data, true) {
-                            self.writeback_block(env, cred, etag, edata);
-                        }
+                        self.insert_block(c, bc, tag, data, true);
                     } else {
-                        let nfs = nfs3::Nfs3Client::new(self.upstream.with_cred(cred.clone()));
+                        let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
                         let mut base = match nfs.read(env, a.file.0, bstart, bs as u32) {
                             Ok(r) => r.data,
                             Err(_) => {
@@ -1704,9 +1728,7 @@ impl Proxy {
                             base.resize(boff + take, 0);
                         }
                         base[boff..boff + take].copy_from_slice(chunk);
-                        if let Some((etag, edata)) = bc.insert(env, tag, base, true) {
-                            self.writeback_block(env, cred, etag, edata);
-                        }
+                        self.insert_block(c, bc, tag, base, true);
                     }
                 }
                 pos += take as u64;
@@ -1722,9 +1744,7 @@ impl Proxy {
             if a.offset % bs == 0 && a.data.len() as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
                 if !bc.update(env, tag, 0, &a.data, false) && a.data.len() as u64 == bs {
-                    if let Some((etag, edata)) = bc.insert(env, tag, a.data.clone(), false) {
-                        self.writeback_block(env, cred, etag, edata);
-                    }
+                    self.insert_block(c, bc, tag, a.data.clone(), false);
                 }
             }
             self.bump_size(key, a.offset + a.data.len() as u64);
@@ -1744,12 +1764,12 @@ impl Proxy {
             Ok(f) => f,
             Err(_) => return reply,
         };
-        let key = key_of(fh.0);
+        let key = fh.0;
         let override_size = {
             let st = self.state.lock();
             st.sizes.get(&key).copied()
         };
-        let fc_size = self.file_cache.as_ref().and_then(|fc| fc.size_of(key));
+        let fc_size = self.wb.files.as_ref().and_then(|(fc, _)| fc.size_of(key));
         let local = match (override_size, fc_size) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
@@ -1826,127 +1846,35 @@ impl Proxy {
         pending: DirtyByFile,
         report: &mut FlushReport,
     ) -> DirtyByFile {
-        let Some(bc) = &self.block_cache else {
-            return BTreeMap::new();
-        };
         let fw = self.cfg.transfer.flush_window.max(1);
-        let bs = bc.config().block_size as u64;
+        let sink = self.wb.with_cred(cred);
+        let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
         let mut requeue: DirtyByFile = BTreeMap::new();
-        for ((fileid, generation), blocks) in pending {
-            let h = Handle { fileid, generation };
-            let key = FileKey { fileid, generation };
-            let size = self.known_size(key);
-            // Clip each block to the file's logical size up front.
-            let mut jobs: Vec<(u64, Vec<u8>)> = Vec::new();
-            for (block, mut data) in blocks {
-                let off = block * bs;
-                if let Some(s) = size {
-                    if off >= s {
-                        continue;
-                    }
-                    data.truncate(((s - off).min(bs)) as usize);
-                }
-                jobs.push((block, data));
-            }
-            // Dedup: a block whose digest upstream already durably
-            // acknowledged under a verifier is a skip *candidate* — the
-            // covering COMMIT below must still return that same verifier
-            // (same server instance, data still stable) before the skip
-            // counts. A restarted server rotates its verifier, failing
-            // the validation and requeueing the bytes: no acknowledged
-            // byte is ever dedup-skipped incorrectly.
-            //
-            // Every outgoing block is digested once here, *outside* the
-            // state lock (digesting suspends; no suspend may run under a
-            // lock) and charged at the codec's digest throughput — the
-            // same CPU price the fetch path pays per blob. The digest
-            // rides the slot so a durable ack records it without
-            // rehashing.
-            let (jobs, skips) = if self.cas.is_some() {
-                let mut digested: Vec<(u64, Vec<u8>, Digest)> = Vec::with_capacity(jobs.len());
-                for (block, data) in jobs {
-                    env.sleep(self.codec.digest_time(data.len() as u64));
-                    let d = digest::digest(&data);
-                    digested.push((block, data, d));
-                }
-                let mut st = self.state.lock();
-                let mut send: Vec<(u64, Vec<u8>, Option<Digest>)> = Vec::new();
-                let mut sk: Vec<(u64, Vec<u8>, u64)> = Vec::new();
-                for (block, data, d) in digested {
-                    let tag = tag_of(key, block);
-                    match st.acked.get(&tag) {
-                        Some((ad, verf)) if *ad == d => sk.push((block, data, *verf)),
-                        _ => {
-                            // About to issue an UNSTABLE WRITE for this
-                            // block: the server may apply it even when
-                            // the reply is lost, so the remembered ack
-                            // (if any) dies now — a block later reverted
-                            // to the old bytes must not skip over the
-                            // server's unconfirmed intermediate content
-                            // (A-B-A).
-                            st.acked.remove(&tag);
-                            send.push((block, data, Some(d)));
-                        }
-                    }
-                }
-                (send, sk)
-            } else {
-                (
-                    jobs.into_iter().map(|(b, d)| (b, d, None)).collect(),
-                    Vec::new(),
-                )
-            };
-            if jobs.is_empty() && skips.is_empty() {
+        for (key, blocks) in pending {
+            // Bounded in-flight UNSTABLE WRITEs per file (a window of 1
+            // is the serial flush: the sends run inline, one at a time);
+            // the COMMIT below only runs once all of them returned, so
+            // ordering toward the server stays deterministic.
+            let (slots, skips) = sink.send_blocks(env, key, blocks, StableHow::Unstable, fw);
+            if slots.is_empty() && skips.is_empty() {
                 continue;
             }
-            let nfs = nfs3::Nfs3Client::new(self.upstream.with_cred(cred.clone()));
-            // Each slot keeps its payload so a failure can requeue the
-            // bytes instead of dropping them.
-            let slots: Vec<WriteBackSlot> = if fw == 1 {
-                jobs.into_iter()
-                    .map(|(block, data, dg)| {
-                        let verf = nfs
-                            .write(env, h, block * bs, data.clone(), StableHow::Unstable)
-                            .ok()
-                            .map(|r| r.verf);
-                        Some((block, data, dg, verf))
-                    })
-                    .collect()
-            } else {
-                // Bounded in-flight UNSTABLE WRITEs per file; the COMMIT
-                // below only runs once all of them returned, so ordering
-                // toward the server stays deterministic.
-                let w = nfs.clone();
-                run_windowed(
-                    env,
-                    "flush-wb",
-                    fw,
-                    jobs,
-                    Some(&self.ttel),
-                    move |env, (block, data, dg)| {
-                        let verf = w
-                            .write(env, h, block * bs, data.clone(), StableHow::Unstable)
-                            .ok()
-                            .map(|r| r.verf);
-                        Some((block, data, dg, verf))
-                    },
-                )
-            };
-            let commit_verf = nfs.commit(env, h).ok();
+            let commit_verf = nfs.commit(env, key).ok();
             if commit_verf.is_none() {
                 self.tel.recovered_errors.inc();
             }
             let mut mismatch = false;
-            let dedup_on = self.cas.is_some();
-            let mut newly_acked: Vec<(Tag, (Digest, u64))> = Vec::new();
+            let mut again: Vec<(u64, Vec<u8>)> = Vec::new();
+            // Nothing below suspends, so the durable-ack map is brought
+            // up to date under one acquisition of the state lock.
+            let mut st = self.state.lock();
             for slot in slots {
                 match slot {
                     Some((block, data, dg, Some(verf))) if Some(verf) == commit_verf => {
                         report.blocks += 1;
                         report.block_bytes += data.len() as u64;
                         if let Some(d) = dg {
-                            let tag = tag_of(key, block);
-                            newly_acked.push((tag, (d, verf)));
+                            st.acked.insert(tag_of(key, block), (d, verf));
                         }
                     }
                     Some((block, data, _dg, wrote)) => {
@@ -1955,10 +1883,7 @@ impl Proxy {
                         } else {
                             self.tel.recovered_errors.inc();
                         }
-                        requeue
-                            .entry((fileid, generation))
-                            .or_default()
-                            .push((block, data));
+                        again.push((block, data));
                     }
                     None => {
                         // A write worker died with the payload: nothing
@@ -1972,39 +1897,25 @@ impl Proxy {
             // COMMIT's verifier still matches the one its acknowledgement
             // was recorded under. Otherwise the server restarted (or the
             // COMMIT failed) — drop the stale entry and requeue the bytes.
-            let mut stale: Vec<Tag> = Vec::new();
             for (block, data, acked_verf) in skips {
                 if commit_verf == Some(acked_verf) {
-                    self.dtel.acked_skips.inc();
-                    self.dtel.bytes_avoided.add(data.len() as u64);
+                    self.wb.dtel.acked_skips.inc();
+                    self.wb.dtel.bytes_avoided.add(data.len() as u64);
                 } else {
-                    stale.push(tag_of(key, block));
-                    requeue
-                        .entry((fileid, generation))
-                        .or_default()
-                        .push((block, data));
+                    st.acked.remove(&tag_of(key, block));
+                    again.push((block, data));
                 }
             }
+            // Safety valve; first-key order keeps the shed deterministic.
+            while st.acked.len() > ACKED_CAP {
+                st.acked.pop_first();
+            }
+            drop(st);
             if mismatch {
                 self.tel.verf_mismatches.inc();
             }
-            if dedup_on && (!newly_acked.is_empty() || !stale.is_empty()) {
-                let mut st = self.state.lock();
-                for tag in stale {
-                    st.acked.remove(&tag);
-                }
-                for (tag, entry) in newly_acked {
-                    st.acked.insert(tag, entry);
-                }
-                // Safety valve: shed entries past the cap (an ack is an
-                // optimization — dropping one costs a resend, nothing
-                // more). First-key order keeps the shed deterministic.
-                while st.acked.len() > ACKED_CAP {
-                    let Some(&k) = st.acked.keys().next() else {
-                        break;
-                    };
-                    st.acked.remove(&k);
-                }
+            if !again.is_empty() {
+                requeue.insert(key, again);
             }
         }
         requeue
@@ -2024,265 +1935,134 @@ impl Proxy {
     /// dropped.
     pub fn flush(&self, env: &Env, cred: &oncrpc::OpaqueAuth) -> FlushReport {
         let mut report = FlushReport::default();
-        let fw = self.cfg.transfer.flush_window.max(1);
+        let tuning = self.cfg.transfer;
 
-        // Dirty file-cache uploads overlap the block write-back: one
-        // helper process drives the channel uploads while this process
-        // drives the block path. With a serial window the uploads run
-        // inline after the blocks, preserving the old RPC order.
-        let mut file_helper = None;
-        type SerialUploads = Option<Box<dyn FnOnce(&Env)>>;
-        let mut serial_uploads: SerialUploads = None;
-        let file_totals: Arc<Mutex<(u64, u64)>> = Arc::new(Mutex::new((0, 0)));
-        let failed_uploads: FailedUploads = Arc::new(Mutex::new(Vec::new()));
-        if let (Some(fc), Some(chan)) = (&self.file_cache, &self.chan) {
+        // First upload attempt of every dirty cached file: what it sent,
+        // and the uploads that failed, kept with their payload for the
+        // retry rounds.
+        let uploaded: Arc<Mutex<(FlushReport, Vec<PendingUpload>)>> = Arc::default();
+        let mut upload_files = None;
+        if let Some((fc, _)) = &self.wb.files {
             let dirty_files = fc.dirty_files();
             if !dirty_files.is_empty() {
-                let fc = fc.clone();
-                let chan = chan.clone();
-                let tuning = self.cfg.transfer;
-                let ttel = self.ttel.clone();
-                let dtel = self.dtel.clone();
-                let dedup_on = self.cas.is_some();
-                let cow_on = self.cfg.cow.enabled && dedup_on;
-                let codec = self.codec;
-                let recovered = self.tel.recovered_errors.clone();
-                let totals = file_totals.clone();
-                let failed = failed_uploads.clone();
-                let upload_files = move |env: &Env| {
+                let (fc, sink, out) = (fc.clone(), self.wb.clone(), uploaded.clone());
+                let cow_on = self.cfg.cow.enabled && sink.dedup;
+                upload_files = Some(move |env: &Env| {
+                    let (mut sent, mut failed) = (FlushReport::default(), Vec::new());
                     for key in dirty_files {
                         // Diverged-only flush: a dirty *reference* file
                         // uploads just its broken chunks (upstream still
                         // holds the golden base its recipe resolves
                         // against; the size-preserving chunk write keeps
-                        // every untouched range). The whole-file path
-                        // below stays the fallback — including for a
-                        // reference re-marked dirty after a failed
-                        // upload, whose chunk set is gone.
-                        if cow_on {
-                            if let Some(dc) = fc.take_dirty_chunks(env, key) {
-                                env.sleep(codec.digest_time(dc.total));
-                                if fc.synced_digest(key) == Some(dc.full_digest) {
-                                    dtel.acked_skips.inc();
-                                    let n: u64 =
-                                        dc.ranges.iter().map(|(_, b)| b.len() as u64).sum();
-                                    dtel.bytes_avoided.add(n);
-                                    continue;
-                                }
-                                let h = handle_of(key);
-                                // Torn-upload guard, exactly as below.
-                                fc.clear_synced(key);
-                                match chan.upload_ranges(
-                                    env,
-                                    h,
-                                    dc.total,
-                                    dc.ranges,
-                                    tuning.channel_window,
-                                    Some(&ttel),
-                                ) {
-                                    Ok(wire) => {
-                                        let mut t = totals.lock();
-                                        t.0 += 1;
-                                        t.1 += wire;
-                                        fc.set_synced(key, dc.full_digest);
-                                    }
-                                    Err(_) => {
-                                        recovered.inc();
-                                        // Hand the retry machinery the
-                                        // full contents (the bounded
-                                        // rounds resend whole files).
-                                        fc.mark_dirty(key);
-                                        if let Some(contents) = fc.take_dirty_contents(env, key) {
-                                            failed.lock().push((
-                                                key,
-                                                contents,
-                                                Some(dc.full_digest),
-                                            ));
-                                        }
-                                    }
-                                }
-                                continue;
+                        // every untouched range). The whole file stays
+                        // the fallback — including for a reference
+                        // re-marked dirty after a failed upload, whose
+                        // chunk set is gone.
+                        let Some(dirty) = fc.take_dirty(env, key, cow_on) else {
+                            continue;
+                        };
+                        let (total, d) = match &dirty {
+                            DirtyFile::Diverged {
+                                total, full_digest, ..
+                            } => (*total, Some(*full_digest)),
+                            DirtyFile::Whole(c) => {
+                                (c.len() as u64, sink.dedup.then(|| digest::digest(c)))
+                            }
+                        };
+                        // The digest is charged at codec throughput — the
+                        // same CPU the fetch path pays per verified blob.
+                        if d.is_some() {
+                            env.sleep(sink.codec.digest_time(total));
+                        }
+                        let mut up = (key, dirty, d);
+                        if sink.upload_file(env, &up, &mut sent) {
+                            continue;
+                        }
+                        if let DirtyFile::Diverged { .. } = up.1 {
+                            // Hand the retry machinery the full contents
+                            // (the bounded rounds resend whole files).
+                            fc.mark_dirty(key);
+                            match fc.take_dirty(env, key, false) {
+                                Some(whole) => up.1 = whole,
+                                None => continue,
                             }
                         }
-                        if let Some(contents) = fc.take_dirty_contents(env, key) {
-                            // Dedup: a dirty file rewritten with the exact
-                            // bytes upstream already holds (a VM session
-                            // re-suspending identical memory state) skips
-                            // the whole upload. Channel uploads are
-                            // durable server writes, so the synced digest
-                            // survives server restarts. The digest is
-                            // charged at codec throughput — the same CPU
-                            // the fetch path pays per verified blob.
-                            let d = if dedup_on {
-                                env.sleep(codec.digest_time(contents.len() as u64));
-                                let d = digest::digest(&contents);
-                                if fc.synced_digest(key) == Some(d) {
-                                    dtel.acked_skips.inc();
-                                    dtel.bytes_avoided.add(contents.len() as u64);
-                                    continue;
-                                }
-                                Some(d)
-                            } else {
-                                None
-                            };
-                            let h = handle_of(key);
-                            // Torn-upload guard: from here until the
-                            // upload reports success, upstream may hold
-                            // any prefix of the new chunks — forget the
-                            // synced digest so a rewrite back to the old
-                            // bytes can never skip the repair upload.
-                            fc.clear_synced(key);
-                            match chan.upload_chunked(
-                                env,
-                                h,
-                                &contents,
-                                tuning.chunk_bytes,
-                                tuning.channel_window,
-                                Some(&ttel),
-                            ) {
-                                Ok(wire) => {
-                                    let mut t = totals.lock();
-                                    t.0 += 1;
-                                    t.1 += wire;
-                                    if let Some(d) = d {
-                                        fc.set_synced(key, d);
-                                    }
-                                }
-                                Err(_) => {
-                                    recovered.inc();
-                                    failed.lock().push((key, contents, d));
-                                }
-                            }
-                        }
+                        failed.push(up);
                     }
-                };
-                if fw > 1 {
-                    file_helper = Some(
-                        env.spawn(format!("{}-flush-files", self.tel.inst), move |env| {
-                            upload_files(&env)
-                        }),
-                    );
-                } else {
-                    // Serial mode: run inline after the block path, in
-                    // the same order as the pre-engine code.
-                    serial_uploads = Some(Box::new(upload_files));
-                }
+                    *out.lock() = (sent, failed);
+                });
             }
         }
+        // Dirty file-cache uploads overlap the block write-back: one
+        // helper process drives the channel uploads while this process
+        // drives the block path. With a serial window the uploads run
+        // inline after the blocks, preserving the old RPC order.
+        let helper = upload_files
+            .take_if(|_| tuning.flush_window > 1)
+            .map(|upload| {
+                env.spawn(format!("{}-flush-files", self.tel.inst), move |env| {
+                    upload(&env)
+                })
+            });
 
         // Block write-back: dirty blocks from the cache, plus everything
         // still parked on the retry queue from earlier failed evictions
         // or a previous degraded flush.
         let mut pending: DirtyByFile = BTreeMap::new();
         if let Some(bc) = &self.block_cache {
-            let mut have: BTreeSet<Tag> = BTreeSet::new();
-            for (tag, data) in bc.take_dirty(env) {
-                have.insert(tag);
-                pending
-                    .entry((tag.fileid, tag.generation))
-                    .or_default()
-                    .push((tag.block, data));
-            }
-            let queued = { std::mem::take(&mut self.state.lock().wb_queue) };
-            for (tag, data) in queued {
-                self.tel.wb_drained.inc();
-                // A fresher dirty copy of the same block wins.
-                if have.contains(&tag) {
-                    continue;
-                }
-                pending
-                    .entry((tag.fileid, tag.generation))
-                    .or_default()
-                    .push((tag.block, data));
-            }
-            for blocks in pending.values_mut() {
-                blocks.sort_unstable_by_key(|(b, _)| *b);
+            let dirty = bc.take_dirty(env);
+            let mut blocks = { std::mem::take(&mut self.state.lock().wb_queue) };
+            self.tel.wb_drained.add(blocks.len() as u64);
+            // A fresher dirty copy of the same block wins. Tag order is
+            // file, then block: each file's run comes out sorted.
+            blocks.extend(dirty);
+            for (tag, data) in blocks {
+                let run = pending.entry(tag_key(tag)).or_default();
+                run.push((tag.block, data));
             }
         }
         let mut remaining = self.write_back_pass(env, cred, pending, &mut report);
 
-        if let Some(upload) = serial_uploads {
+        if let Some(upload) = upload_files {
             upload(env);
         }
-        if let Some(j) = file_helper {
+        if let Some(j) = helper {
             j.join(env);
         }
+        let (sent, mut failed_files) = std::mem::take(&mut *uploaded.lock());
+        report.files += sent.files;
+        report.file_wire_bytes += sent.file_wire_bytes;
 
         // Degraded-mode drain: bounded retry rounds with doubling
         // backoff, resending both failed blocks and failed file uploads
         // until they land or the rounds run out.
-        let mut failed_files: Vec<(FileKey, Vec<u8>, Option<Digest>)> =
-            std::mem::take(&mut *failed_uploads.lock());
-        let base = self.cfg.transfer.flush_retry_backoff;
-        for round in 0..self.cfg.transfer.flush_retry_rounds {
+        for round in 0..tuning.flush_retry_rounds {
             if remaining.is_empty() && failed_files.is_empty() {
                 break;
             }
             self.tel.flush_retry_rounds.inc();
-            env.sleep(base * (1u64 << round.min(3)));
+            env.sleep(tuning.flush_retry_backoff * (1u64 << round.min(3)));
             remaining = self.write_back_pass(env, cred, remaining, &mut report);
-            let mut still_failed = Vec::new();
-            for (key, contents, d) in failed_files {
-                let h = handle_of(key);
-                // The synced digest was already cleared before the first
-                // attempt and only a success below reinstates it, so a
-                // torn retry leaves upstream marked unknown.
-                let retried = self.chan.as_ref().map(|chan| {
-                    chan.upload_chunked(
-                        env,
-                        h,
-                        &contents,
-                        self.cfg.transfer.chunk_bytes,
-                        self.cfg.transfer.channel_window,
-                        Some(&self.ttel),
-                    )
-                });
-                match retried {
-                    Some(Ok(wire)) => {
-                        report.files += 1;
-                        report.file_wire_bytes += wire;
-                        if let Some(d) = d {
-                            if let Some(fc) = &self.file_cache {
-                                fc.set_synced(key, d);
-                            }
-                        }
-                    }
-                    _ => {
-                        self.tel.recovered_errors.inc();
-                        still_failed.push((key, contents, d));
-                    }
-                }
-            }
-            failed_files = still_failed;
+            failed_files.retain(|up| !self.wb.upload_file(env, up, &mut report));
         }
 
         // Park the survivors for the next flush signal.
-        if !remaining.is_empty() {
-            let mut st = self.state.lock();
-            for ((fileid, generation), blocks) in remaining {
-                for (block, data) in blocks {
-                    report.failed_blocks += 1;
-                    report.failed_block_bytes += data.len() as u64;
-                    self.wb
-                        .park(&mut st, tag_of(FileKey { fileid, generation }, block), data);
-                }
+        for (key, blocks) in remaining {
+            for (block, data) in blocks {
+                report.failed_blocks += 1;
+                report.failed_block_bytes += data.len() as u64;
+                self.wb
+                    .park(&mut self.state.lock(), tag_of(key, block), data);
             }
         }
-        for (key, _contents, _d) in failed_files {
+        for (key, ..) in failed_files {
             report.failed_files += 1;
             // The contents are still resident in the file cache; re-mark
-            // the file dirty so the next flush retries the upload. The
-            // synced digest stays cleared: the failed attempts may have
-            // left a torn copy upstream, so nothing short of a completed
-            // upload may skip.
-            if let Some(fc) = &self.file_cache {
+            // the file dirty so the next flush retries the upload (the
+            // synced digest stays cleared until an upload completes).
+            if let Some((fc, _)) = &self.wb.files {
                 fc.mark_dirty(key);
             }
-        }
-        {
-            let t = file_totals.lock();
-            report.files += t.0;
-            report.file_wire_bytes += t.1;
         }
         self.tel.blocks_written_back.add(report.blocks);
         // Wasted-prefetch reconciliation piggybacks on the flush signal,
@@ -2305,7 +2085,7 @@ impl Proxy {
     /// Wire this shard to its region siblings: `my_id` is the id it
     /// signs gossip messages with, `peers` the sibling shards' LAN
     /// clients. No-op unless the proxy was built with
-    /// `FleetTuning::gossip` (and dedup) on. Called once by middleware
+    /// [`FleetTuning::region`] (and dedup) on. Called once by middleware
     /// after all the region's channels exist.
     pub fn set_gossip_peers(&self, my_id: u32, peers: Vec<(u32, RpcClient)>) {
         if let Some(g) = &self.gossip {
@@ -2323,10 +2103,9 @@ impl Proxy {
     /// lost to the LAN is simply retransmitted next period — the log is
     /// append-only and deltas are idempotent set-unions, which is the
     /// whole convergence argument. Driven by a per-shard middleware
-    /// process on [`FleetTuning::gossip_interval`].
+    /// process on the scenario's gossip period.
     pub fn gossip_round(&self, env: &Env) {
         let Some(g) = &self.gossip else { return };
-        let batch = self.cfg.fleet.gossip_batch.clamp(1, MAX_GOSSIP_DIGESTS);
         // Lock order: never hold the peer table and the proxy state at
         // once (the state lock is taken inside RPC handlers that a
         // concurrent sibling round may be driving into us right now).
@@ -2341,7 +2120,7 @@ impl Proxy {
             let sent = *p.sent_cursor.get(&pid).unwrap_or(&0);
             (p.my_id, pid, client, sent)
         };
-        let (delta, end) = self.state.lock().gossip_delta(sent, batch);
+        let (delta, end) = self.state.lock().gossip_delta(sent);
         g.rounds.inc();
         let args = encode_gossip(my_id, &delta);
         let Ok(results) = channel::call(&client, env, chanproc::GOSSIP_DIGESTS, &args) else {
@@ -2364,13 +2143,12 @@ impl Proxy {
         let Some((sender, digests)) = decode_gossip(args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
-        let batch = self.cfg.fleet.gossip_batch.clamp(1, MAX_GOSSIP_DIGESTS);
         let my_id = g.peers.lock().my_id;
         let delta = {
             let mut st = self.state.lock();
             g.learn(&mut st, sender, digests);
             let told = *st.gossip_reply_cursor.get(&sender).unwrap_or(&0);
-            let (delta, end) = st.gossip_delta(told, batch);
+            let (delta, end) = st.gossip_delta(told);
             st.gossip_reply_cursor.insert(sender, end);
             delta
         };
@@ -2424,7 +2202,7 @@ impl Proxy {
         match channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args) {
             // Same guard as every other ingestion point: peer replies
             // are digest-verified before they may be cached or served.
-            Ok(results) if read_blob_reply(env, &self.codec, &results, want).is_ok() => {
+            Ok(results) if read_blob_reply(env, &self.wb.codec, &results, want).is_ok() => {
                 g.peer_hits.inc();
                 if let Some(chunk_len) = blob_reply_len(&results) {
                     g.peer_bytes.add(chunk_len);
@@ -2453,7 +2231,7 @@ impl Proxy {
             // intermediate proxy serves repeat chunked fetches without
             // re-crossing the WAN.
             chanproc::FETCH_CHUNK => {
-                let key = decode_chunk_args(&args).map(|(h, off, count)| (key_of(h), off, count));
+                let key = decode_chunk_args(&args);
                 self.replay_or_forward(c, proc, args, key, usize::MAX, |st| {
                     &mut st.chan_chunk_replies
                 })
@@ -2461,7 +2239,7 @@ impl Proxy {
             // Recipes are tiny but each one otherwise costs a WAN round
             // trip per cloning.
             chanproc::FETCH_RECIPE if dedup => {
-                let key = decode_recipe_args(&args).map(|(h, cb)| (key_of(h), cb));
+                let key = decode_recipe_args(&args);
                 self.replay_or_forward(c, proc, args, key, RECIPE_REPLY_CAP, |st| {
                     &mut st.chan_recipe_replies
                 })
@@ -2470,7 +2248,7 @@ impl Proxy {
                 Some((_, _, _, want)) => self.serve_blob(c, want, args),
                 None => self.forward_chan(c, proc, args),
             },
-            chanproc::FETCH_BLOBS_BATCH if dedup && self.cfg.fleet.batch_fetch => {
+            chanproc::FETCH_BLOBS_BATCH if dedup && self.cfg.fleet.batching() => {
                 self.handle_channel_blob_envelope(c, args)
             }
             chanproc::GOSSIP_DIGESTS => self.handle_gossip_digests(xid, &args),
@@ -2528,8 +2306,8 @@ impl Proxy {
         env.sleep(self.cfg.per_op_cpu);
         if count_hit {
             if let Some(chunk_len) = blob_reply_len(&results) {
-                self.dtel.recipe_hits.inc();
-                self.dtel.bytes_avoided.add(chunk_len);
+                self.wb.dtel.recipe_hits.inc();
+                self.wb.dtel.bytes_avoided.add(chunk_len);
             }
         }
         Some(results)
@@ -2566,9 +2344,9 @@ impl Proxy {
     /// concurrent misses for *distinct* digests coalesce into one
     /// `FETCH_BLOBS_BATCH` upstream envelope: the claimant parks its
     /// miss, and a single *batch leader* lingers
-    /// [`FleetTuning::batch_window`] of virtual time so the burst can
+    /// [`BATCH_WINDOW`] of virtual time so the burst can
     /// gather, then drains the pending misses in rounds of at most
-    /// [`FleetTuning::max_batch`] sub-calls — one WAN round-trip (and one
+    /// [`MAX_BATCH`] sub-calls — one WAN round-trip (and one
     /// tunnel per-message cost) per round instead of one per chunk.
     fn serve_blob(&self, c: Call<'_>, want: Digest, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, cred } = c;
@@ -2577,7 +2355,7 @@ impl Proxy {
             Lead,
             Ride(simnet::Signal),
         }
-        let batching = self.cfg.fleet.batch_fetch;
+        let batching = self.cfg.fleet.batching();
         for _ in 0..MAX_FLIGHT_ATTEMPTS {
             if let Some(results) = self.cached_blob(env, want) {
                 return RpcMessage::success(xid, results);
@@ -2603,9 +2381,7 @@ impl Proxy {
                 None => {}
                 Some(Claim::Ride(sig)) => sig.wait(env),
                 Some(Claim::Lead) => {
-                    if self.cfg.fleet.batch_window > SimDuration::ZERO {
-                        env.sleep(self.cfg.fleet.batch_window);
-                    }
+                    env.sleep(BATCH_WINDOW);
                     self.drain_blob_batches(env, cred);
                 }
                 Some(Claim::Alone) => return self.fetch_blob_alone(c, want, args),
@@ -2637,13 +2413,13 @@ impl Proxy {
         // sharing the chunk. Decompression and digesting are charged at
         // codec throughput, like the client-side verification.
         let verified = success_results(&reply)
-            .filter(|results| read_blob_reply(env, &self.codec, results, want).is_ok())
+            .filter(|results| read_blob_reply(env, &self.wb.codec, results, want).is_ok())
             .cloned();
         self.land_blob(want, verified, false);
         reply
     }
 
-    /// One leader's drain: take up to `max_batch` parked blob misses,
+    /// One leader's drain: take up to [`MAX_BATCH`] parked blob misses,
     /// fetch them in one upstream `FETCH_BLOBS_BATCH` envelope,
     /// digest-verify and cache each successful item, then wake that
     /// digest's waiters. Leadership (`batch_open`) is released the
@@ -2654,15 +2430,14 @@ impl Proxy {
     /// leader that kept collecting until its RPC returned would funnel
     /// every miss through one serial round-trip pipeline, and under
     /// bursty load that *adds* tail latency instead of removing it.
-    /// Only when a round leaves items behind (pending > `max_batch`,
+    /// Only when a round leaves items behind (pending > [`MAX_BATCH`],
     /// i.e. genuine backlog) does the same leader loop for another
     /// round, so no parked waiter is ever left without a leader.
     fn drain_blob_batches(&self, env: &Env, cred: &oncrpc::OpaqueAuth) {
-        let max_batch = self.cfg.fleet.max_batch;
         loop {
             let (round, released) = {
                 let mut st = self.state.lock();
-                let round = st.take_blob_round(max_batch);
+                let round = st.take_blob_round();
                 let released = st.batch_pending.is_empty();
                 if released {
                     st.batch_open = false;
@@ -2724,11 +2499,9 @@ impl Proxy {
             })
             .collect();
         self.tel.forwarded.inc();
-        if let Some((batches, batched_items)) = &self.fleet_batches {
-            batches.inc();
-            batched_items.add(items.len() as u64);
-        }
-        let client = self.upstream.with_cred(cred.clone());
+        self.fleet_batches.0.inc();
+        self.fleet_batches.1.add(items.len() as u64);
+        let client = self.wb.upstream.with_cred(cred.clone());
         let args = oncrpc::batch::encode_batch(&items);
         let replies = channel::call(&client, env, chanproc::FETCH_BLOBS_BATCH, &args)
             .ok()
@@ -2746,7 +2519,7 @@ impl Proxy {
             // may be keyed by it.
             let verified = result
                 .map(xdr::Bytes::from)
-                .filter(|results| read_blob_reply(env, &self.codec, results, *want).is_ok());
+                .filter(|results| read_blob_reply(env, &self.wb.codec, results, *want).is_ok());
             self.land_blob(*want, verified, true);
         }
     }
@@ -2802,7 +2575,7 @@ impl Proxy {
         // that leader finding the queue already empty is fine.
         let mut taken = 0usize;
         while taken < parked {
-            let round = { self.state.lock().take_blob_round(self.cfg.fleet.max_batch) };
+            let round = { self.state.lock().take_blob_round() };
             if round.is_empty() {
                 break;
             }

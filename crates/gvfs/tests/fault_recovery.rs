@@ -40,8 +40,36 @@ struct Rig {
 }
 
 /// A write-back client proxy talking to an NFSv3 server over a lossy
-/// WAN, with a WAN-sized retransmission policy on the upstream stub.
+/// WAN, with a WAN-sized retransmission policy on the upstream stub and
+/// a block cache that holds every block the tests dirty.
 fn build_rig(sim: &Simulation) -> Rig {
+    build_rig_with_cache(
+        sim,
+        BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32),
+    )
+}
+
+fn build_rig_with_cache(sim: &Simulation, cache: BlockCacheConfig) -> Rig {
+    let transfer = TransferTuning {
+        read_ahead: 0,
+        ..TransferTuning::default()
+    };
+    build_rig_with(
+        sim,
+        cache,
+        transfer,
+        gvfs::FleetTuning::off(),
+        RetryPolicy::wan(),
+    )
+}
+
+fn build_rig_with(
+    sim: &Simulation,
+    cache: BlockCacheConfig,
+    transfer: TransferTuning,
+    fleet: gvfs::FleetTuning,
+    policy: RetryPolicy,
+) -> Rig {
     let h = sim.handle();
     let server_disk = Disk::new(&h, DiskModel::server_array());
     let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
@@ -62,7 +90,7 @@ fn build_rig(sim: &Simulation) -> Rig {
     ep.listener.serve("nfsd", handler, 8);
 
     let cred = OpaqueAuth::sys(&AuthSys::new("fault", 1, 1));
-    let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(RetryPolicy::wan());
+    let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(policy);
     let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
     let proxy = Proxy::new(
         ProxyConfig {
@@ -71,23 +99,16 @@ fn build_rig(sim: &Simulation) -> Rig {
             meta_handling: false,
             per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
-            transfer: TransferTuning {
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
+            transfer,
             // These tests pin exact write/commit counts per fault
             // schedule; the dedup'd flush path has its own suite.
             dedup: DedupTuning::off(),
-            fleet: gvfs::FleetTuning::off(),
+            fleet,
             cow: gvfs::CowTuning::off(),
         },
         upstream,
     )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk,
-        BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32),
-    )))
+    .with_block_cache(Arc::new(BlockCache::new(&h, cache_disk, cache)))
     .into_handler();
 
     let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
@@ -237,6 +258,137 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
     );
     assert!(stats.flush_retry_rounds >= 1);
     assert_server_bytes_exact(&rig.fs, fh);
+}
+
+/// A block cache too small for the dirty set evicts most of it before
+/// any flush; the guest's WRITEs and COMMIT were all answered by the
+/// proxy, so those bytes are acknowledged. A server restart between the
+/// evictions and the flush must not lose them: eviction write-backs are
+/// durable on reply (`FILE_SYNC`), not UNSTABLE writes that no COMMIT
+/// ever covers.
+#[test]
+fn evicted_dirty_blocks_survive_a_server_restart_before_the_flush() {
+    let sim = Simulation::new();
+    // One eight-frame set for 32 dirty blocks.
+    let rig = build_rig_with_cache(
+        &sim,
+        BlockCacheConfig {
+            banks: 1,
+            sets_per_bank: 1,
+            assoc: 8,
+            block_size: BS as u32,
+        },
+    );
+    let fh = seed_file(&rig.fs, "evict.img");
+
+    let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
+    let out2 = out.clone();
+    let (nfs, proxy, cred, server) = (
+        rig.nfs,
+        rig.proxy.clone(),
+        rig.cred.clone(),
+        rig.server.clone(),
+    );
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        nfs.lookup(&env, root, "evict.img").unwrap();
+        dirty_all(&env, &nfs, fh);
+        server.restart(env.now().as_nanos());
+        *out2.lock() = Some(proxy.flush(&env, &cred));
+    });
+    sim.run();
+
+    let report = out.lock().unwrap();
+    let evicted = rig.proxy.block_cache().unwrap().stats().dirty_evictions;
+    assert_eq!(evicted, BLOCKS - 8, "the cache must evict dirty blocks");
+    assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
+    assert_eq!(report.blocks, 8, "the flush carries what stayed resident");
+    assert_eq!(rig.proxy.stats().blocks_written_back, BLOCKS);
+    assert_server_bytes_exact(&rig.fs, fh);
+}
+
+/// Under a fleet preset the write-back retry queue is capped. A flush
+/// into a dead WAN parks every block it could not send; the one block
+/// over the cap sheds the lowest tag, and the shed and the high-water
+/// mark are counted. Once the WAN heals, the next flush drains exactly
+/// what stayed parked.
+#[test]
+fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
+    const CAP: u64 = 4096;
+    const SMALL: u64 = 512;
+    let small_block = |b: u64| vec![(b % 251) as u8 + 1; SMALL as usize];
+
+    let sim = Simulation::new();
+    let rig = build_rig_with(
+        &sim,
+        // Room for every dirty block: nothing leaves by eviction.
+        BlockCacheConfig {
+            banks: 1,
+            sets_per_bank: 64,
+            assoc: 256,
+            block_size: SMALL as u32,
+        },
+        // No retry rounds: what fails is parked at once.
+        TransferTuning {
+            read_ahead: 0,
+            flush_retry_rounds: 0,
+            ..TransferTuning::default()
+        },
+        gvfs::FleetTuning::shard(),
+        // Calls into the outage give up quickly instead of riding it out.
+        RetryPolicy {
+            first_timeout: SimDuration::from_millis(100),
+            max_timeout: SimDuration::from_millis(100),
+            max_attempts: 2,
+            jitter_frac: 0.0,
+        },
+    );
+    let fh = {
+        let mut f = rig.fs.lock();
+        let root = f.root();
+        let fh = f.create(root, "queue.img", 0o644, 0).unwrap();
+        f.setattr(fh, Some((CAP + 1) * SMALL), None, 0).unwrap();
+        fh
+    };
+    for (link, seed) in [(&rig.wan_up, 41), (&rig.wan_down, 42)] {
+        link.install_faults(LinkFaultPlan::new(seed).outage(secs(10), secs(1000)));
+    }
+
+    let (nfs, proxy, cred) = (rig.nfs, rig.proxy.clone(), rig.cred.clone());
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        nfs.lookup(&env, root, "queue.img").unwrap();
+        for b in 0..=CAP {
+            let how = nfs3::proto::StableHow::Unstable;
+            nfs.write(&env, fh, b * SMALL, small_block(b), how).unwrap();
+        }
+        let now = env.now();
+        env.sleep(secs(10).saturating_since(now));
+        let dead = proxy.flush(&env, &cred);
+        assert_eq!((dead.blocks, dead.failed_blocks), (0, CAP + 1));
+        assert_eq!(proxy.wb_queue_len() as u64, CAP);
+        let now = env.now();
+        env.sleep(secs(1000).saturating_since(now));
+        let healed = proxy.flush(&env, &cred);
+        assert_eq!((healed.blocks, healed.failed_blocks), (CAP, 0));
+        assert_eq!(proxy.wb_queue_len(), 0);
+    });
+    let tel = sim.handle().telemetry().clone();
+    sim.run();
+
+    let snap = tel.snapshot();
+    assert_eq!(snap.counter_sum("gvfs", ".wb_shed"), 1);
+    assert_eq!(snap.counter_sum("gvfs", ".wb_high_water"), CAP);
+    assert_eq!(rig.proxy.stats().wb_queued, CAP + 1);
+    assert_eq!(rig.proxy.block_cache().unwrap().stats().dirty_evictions, 0);
+    // Block 0 — the lowest tag — is the one that was shed.
+    let mut f = rig.fs.lock();
+    let (first, _) = f.read(fh, 0, SMALL as usize, 0).unwrap();
+    assert_eq!(first, vec![0u8; SMALL as usize]);
+    for b in 1..=CAP {
+        let (data, _) = f.read(fh, b * SMALL, SMALL as usize, 0).unwrap();
+        assert_eq!(data, small_block(b), "block {b} lost");
+    }
 }
 
 /// Degraded mode: while the WAN is down, reads that hit the proxy's

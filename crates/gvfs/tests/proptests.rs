@@ -79,7 +79,7 @@ proptest! {
     /// whole-file and chunk-wise dirty takes, sync-state flips, and
     /// clears, with a capacity small enough to force evictions. This is
     /// the PR 9 shared/private-split audit: in particular a
-    /// `take_dirty_contents` + `clear_synced` cycle on a partially
+    /// whole-file `take_dirty` + `clear_synced` cycle on a partially
     /// diverged reference must neither double-charge nor under-charge.
     #[test]
     fn file_cache_byte_accounting_never_drifts(
@@ -135,10 +135,10 @@ proptest! {
                         let _ = c.read(&env, key, off, len as u32);
                     }
                     5 => {
-                        let _ = c.take_dirty_contents(&env, key);
+                        let _ = c.take_dirty(&env, key, false);
                     }
                     6 => {
-                        let _ = c.take_dirty_chunks(&env, key);
+                        let _ = c.take_dirty(&env, key, true);
                     }
                     7 => {
                         if flag {
@@ -440,12 +440,19 @@ proptest! {
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
                     3 => {
-                        if let Some(dc) = cache.take_dirty_chunks(&env, key) {
-                            assert_eq!(dc.full_digest, gvfs::digest::digest(&model));
-                            for (at, bytes) in dc.ranges {
-                                let at = at as usize;
-                                assert_eq!(bytes, &model[at..at + bytes.len()]);
+                        match cache.take_dirty(&env, key, true) {
+                            Some(gvfs::DirtyFile::Diverged { total, ranges, full_digest }) => {
+                                assert_eq!(total, len as u64);
+                                assert_eq!(full_digest, gvfs::digest::digest(&model));
+                                for (at, bytes) in ranges {
+                                    let at = at as usize;
+                                    assert_eq!(bytes, &model[at..at + bytes.len()]);
+                                }
                             }
+                            Some(gvfs::DirtyFile::Whole(_)) => {
+                                panic!("an in-bounds write must leave a chunk set")
+                            }
+                            None => {}
                         }
                     }
                     _ => unreachable!(),
