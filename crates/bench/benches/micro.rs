@@ -1,17 +1,19 @@
 //! Criterion microbenchmarks for the hot data paths: the XDR codec, the
 //! zero-aware compressor, the set-associative block cache's index math,
-//! the sparse byte store, and an end-to-end RPC round trip on the
-//! simulated transport. These guard the *wall-clock* cost of running the
-//! figures, not virtual-time results.
+//! the sparse byte store, the content pool behind it, and an end-to-end
+//! RPC round trip and kernel-client read miss on the simulated
+//! transport. These guard the *wall-clock* cost of running the figures,
+//! not virtual-time results.
 
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use gvfs::{codec, BlockCache, BlockCacheConfig, Tag};
+use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use simnet::{Env, Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel, SparseBytes};
+use vfs::{Disk, DiskModel, FileIo, SparseBytes, CHUNK_SIZE};
 use xdr::{Decoder, Encoder};
 
 fn bench_xdr(c: &mut Criterion) {
@@ -70,8 +72,45 @@ fn bench_codec(c: &mut Criterion) {
     g.finish();
 }
 
+/// Payloads per timed sample of the content-pool benchmarks: one 64 KB
+/// `share` is a few microseconds, too short to time alone, and 1 MiB
+/// stays cache-resident, as a chunk is in situ (it was just copied out
+/// of a write buffer or decoded from a READ reply).
+const BATCH: usize = 16;
+
+/// `BATCH` 64 KB payloads, pairwise different iff `distinct`.
+fn payloads(distinct: bool) -> Vec<Vec<u8>> {
+    (0..BATCH as u64)
+        .map(|i| {
+            let mut v = vec![0xA5u8; CHUNK_SIZE];
+            v[..8].copy_from_slice(&(i * u64::from(distinct)).to_le_bytes());
+            v
+        })
+        .collect()
+}
+
+fn bench_shared(c: &mut Criterion) {
+    // The pool's hash is private; `share` is how it is measured. A hit
+    // is hash + full compare, a miss is hash + pooling (and the drop of
+    // the batch, which is what makes the next sample miss again).
+    let mut g = c.benchmark_group("shared");
+    g.throughput(Throughput::Bytes((BATCH * CHUNK_SIZE) as u64));
+    for (name, distinct) in [("share_hit_64k", false), ("share_miss_64k", true)] {
+        // Every share of the hit batch hits, the first included.
+        let _resident = (!distinct).then(|| payloads(false).pop().map(vfs::share));
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || payloads(distinct),
+                |batch| batch.into_iter().map(vfs::share).collect::<Vec<_>>(),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
 fn bench_sparse(c: &mut Criterion) {
-    let mut g = c.benchmark_group("sparse_bytes");
+    let mut g = c.benchmark_group("sparse");
     g.bench_function("write_read_sparse_far_offset", |b| {
         b.iter_batched(
             SparseBytes::new,
@@ -89,6 +128,27 @@ fn bench_sparse(c: &mut Criterion) {
         s.write_at(512 << 20, &[1]);
         b.iter(|| s.is_zero_range(0, 512 << 20))
     });
+    // Whole-chunk writes go through the content pool: the same chunk
+    // written BATCH times is held once, distinct chunks BATCH times.
+    g.throughput(Throughput::Bytes((BATCH * CHUNK_SIZE) as u64));
+    for (name, distinct) in [
+        ("write_whole_chunk_repeated", false),
+        ("write_whole_chunk_distinct", true),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter_batched(
+                || payloads(distinct),
+                |batch| {
+                    let mut s = SparseBytes::new();
+                    for (i, chunk) in batch.iter().enumerate() {
+                        s.write_at((i * CHUNK_SIZE) as u64, chunk);
+                    }
+                    s
+                },
+                BatchSize::LargeInput,
+            )
+        });
+    }
     g.finish();
 }
 
@@ -154,12 +214,64 @@ fn bench_rpc_roundtrip(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_kernel(c: &mut Criterion) {
+    // A READ miss entering the kernel buffer cache as a clean,
+    // content-shared block: 128 cold 32 KB reads over a fast link.
+    const BLOCK: usize = 32 * 1024;
+    const BLOCKS: usize = 128;
+    let mut g = c.benchmark_group("kernel");
+    g.throughput(Throughput::Bytes((BLOCKS * BLOCK) as u64));
+    g.bench_function("insert_clean_block_32k", |b| {
+        b.iter_batched(
+            || {
+                let sim = Simulation::new();
+                let h = sim.handle();
+                let disk = Disk::new(&h, DiskModel::server_array());
+                let (fs, server) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
+                {
+                    let mut fs = fs.lock();
+                    let root = fs.root();
+                    let f = fs.create(root, "f", 0o644, 0).unwrap();
+                    let data: Vec<u8> = (0..BLOCKS * BLOCK).map(|i| (i / 7) as u8).collect();
+                    fs.write(f, 0, &data, 0).unwrap();
+                }
+                let mount = MountServer::new(fs, vec!["/".to_string()]);
+                let up = Link::new(&h, "up", 1e9, SimDuration::from_micros(50));
+                let down = Link::new(&h, "down", 1e9, SimDuration::from_micros(50));
+                let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
+                let handler = Dispatcher::new()
+                    .register(server)
+                    .register(mount)
+                    .into_handler();
+                ep.listener.serve("nfsd", handler, 8);
+                let nfs = Nfs3Client::new(RpcClient::new(
+                    ep.channel,
+                    OpaqueAuth::sys(&AuthSys::new("b", 1, 1)),
+                ));
+                sim.spawn("client", move |env: Env| {
+                    let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
+                    let f = kc.lookup_path(&env, "/f").unwrap();
+                    for blk in 0..BLOCKS {
+                        kc.read(&env, f, (blk * BLOCK) as u64, BLOCK as u32)
+                            .unwrap();
+                    }
+                });
+                sim
+            },
+            |sim| sim.run(),
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_xdr, bench_codec, bench_sparse, bench_block_cache, bench_rpc_roundtrip
+    targets = bench_xdr, bench_codec, bench_shared, bench_sparse, bench_block_cache,
+        bench_rpc_roundtrip, bench_kernel
 }
 criterion_main!(benches);

@@ -74,18 +74,29 @@ pub fn ctx_switches() -> (u64, u64) {
         let Ok(status) = std::fs::read_to_string(task.path().join("status")) else {
             continue; // thread exited mid-scan
         };
-        let field = |key: &str| {
-            status
-                .lines()
-                .find(|l| l.starts_with(key))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0u64)
-        };
-        vol += field("voluntary_ctxt_switches:");
-        nonvol += field("nonvoluntary_ctxt_switches:");
+        vol += status_field(&status, "voluntary_ctxt_switches:").unwrap_or(0);
+        nonvol += status_field(&status, "nonvoluntary_ctxt_switches:").unwrap_or(0);
     }
     (vol, nonvol)
+}
+
+/// The number after `key` in the text of a `/proc/<pid>/status` file.
+fn status_field(status: &str, key: &str) -> Option<u64> {
+    status
+        .lines()
+        .find(|l| l.starts_with(key))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|v| v.parse().ok())
+}
+
+/// Peak resident set of this process so far, in MiB (`VmHWM` of
+/// `/proc/self/status`). Monotone within one process: a scenario
+/// measured after a heavier one reports the heavier one's peak, so
+/// compare like with like (same scenario order, or one scenario per
+/// process). `None` where unsupported.
+pub fn vm_hwm_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    Some(status_field(&status, "VmHWM:")? as f64 / 1024.0)
 }
 
 /// Measure one scenario `runs` times; enforce virtual-time determinism
@@ -125,7 +136,7 @@ pub fn measure(name: &str, runs: usize, f: impl Fn() -> Measure) -> JsonValue {
     }
     let m = first.expect("runs >= 1");
     let med = median(&mut walls);
-    JsonValue::object([
+    let mut entry = JsonValue::object([
         ("name", JsonValue::Str(name.to_string())),
         ("wall_secs_median", JsonValue::Float(med)),
         (
@@ -145,7 +156,11 @@ pub fn measure(name: &str, runs: usize, f: impl Fn() -> Measure) -> JsonValue {
             "sim_bytes_per_sec",
             JsonValue::Float(m.sim_bytes as f64 / med),
         ),
-    ])
+    ]);
+    if let Some(mb) = vm_hwm_mb() {
+        entry.push_field(OPTIONAL_VM_HWM_MB, JsonValue::Float(mb));
+    }
+    entry
 }
 
 /// Field lookup in a [`JsonValue::Object`].
@@ -189,6 +204,11 @@ pub const SCENARIO_NUMBER_FIELDS: [&str; 8] = [
     "rpc_roundtrips_per_sec",
     "sim_bytes_per_sec",
 ];
+
+/// Optional numeric scenario field: the process's `VmHWM` in MiB when
+/// the scenario finished ([`vm_hwm_mb`]; monotone within one process).
+/// Entries recorded before PR 18 do not carry it.
+const OPTIONAL_VM_HWM_MB: &str = "vm_hwm_mb";
 
 /// Required scenario names for a schema id, if it is one we know.
 fn scenarios_for(schema: &str) -> Option<&'static [&'static str]> {
@@ -268,6 +288,11 @@ pub fn validate(doc: &JsonValue) -> Vec<String> {
                         "entry #{i} scenario {name}: missing number {field}"
                     ));
                 }
+            }
+            if get(s, OPTIONAL_VM_HWM_MB).is_some_and(|v| as_number(v).is_none()) {
+                errs.push(format!(
+                    "entry #{i} scenario {name}: {OPTIONAL_VM_HWM_MB} must be a number"
+                ));
             }
             seen.push(name);
         }
@@ -581,5 +606,45 @@ mod tests {
         assert!(!validate(&doc("gvfs.bogus.v9", &PERF_SCENARIOS)).is_empty());
         // A fleet doc missing churn_1000 must fail.
         assert!(!validate(&doc(FLEET_SCHEMA, &["fleet_smoke"])).is_empty());
+    }
+
+    #[test]
+    fn vm_hwm_mb_is_recorded_where_supported_and_must_be_numeric() {
+        let m = Measure {
+            events: 1,
+            rpc_roundtrips: 1,
+            sim_bytes: 1,
+            virtual_secs: 1.0,
+            procs: 1,
+        };
+        let doc = |hwm: Option<JsonValue>| {
+            let scenarios = FLEET_SCENARIOS.iter().map(|name| {
+                let mut s = measure(name, 1, || m);
+                if let (Some(v), JsonValue::Object(fields)) = (&hwm, &mut s) {
+                    fields.retain(|(k, _)| k != OPTIONAL_VM_HWM_MB);
+                    fields.push((OPTIONAL_VM_HWM_MB.to_string(), v.clone()));
+                }
+                s
+            });
+            JsonValue::object([
+                ("schema", JsonValue::Str(FLEET_SCHEMA.to_string())),
+                (
+                    "trajectory",
+                    JsonValue::Array(vec![JsonValue::object([
+                        ("label", JsonValue::Str("t".into())),
+                        ("mode", JsonValue::Str("bench".into())),
+                        ("runs", JsonValue::Uint(1)),
+                        ("scenarios", JsonValue::Array(scenarios.collect())),
+                    ])]),
+                ),
+            ])
+        };
+        let measured = doc(None);
+        assert_eq!(validate(&measured), Vec::<String>::new());
+        if vm_hwm_mb().is_some() {
+            assert!(format!("{measured}").contains(OPTIONAL_VM_HWM_MB));
+        }
+        assert!(validate(&doc(Some(JsonValue::Float(12.5)))).is_empty());
+        assert!(!validate(&doc(Some(JsonValue::Str("big".into())))).is_empty());
     }
 }

@@ -26,8 +26,10 @@
 //! throughput, on flush (dirty blocks and files) exactly as on fetch
 //! (blob verification). Only the index operations themselves —
 //! insert/lookup, O(1) map work dwarfed by the proxy's per-op CPU
-//! charge — are free. Host-side, entries are kept codec-compressed to
-//! bound real memory.
+//! charge — are free. Host-side, entries are kept codec-compressed and
+//! content-shared ([`vfs::share`]) to bound real memory: the stores of
+//! a fleet's proxies hold one copy of each compressed golden chunk
+//! between them.
 //!
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
@@ -35,6 +37,7 @@
 use parking_lot::Mutex;
 use simnet::{Counter, Telemetry};
 use std::collections::BTreeMap;
+use vfs::{share, SharedBytes};
 
 use crate::codec;
 use crate::digest::{digest, Digest};
@@ -114,9 +117,10 @@ impl DedupTel {
 }
 
 struct Entry {
-    /// Host-side codec-compressed payload (memory economy only; the
-    /// simulated bytes live on the cache disk).
-    packed: Vec<u8>,
+    /// Host-side codec-compressed payload, shared with every other
+    /// store holding the same chunk (memory economy only; the simulated
+    /// bytes live on the cache disk).
+    packed: SharedBytes,
     /// Logical (uncompressed) length.
     len: u32,
     /// Last-touch stamp (monotonic).
@@ -219,7 +223,7 @@ impl ContentStore {
             inner.lru.insert(stamp, d);
             return d;
         }
-        let packed = codec::compress(bytes);
+        let packed = share(codec::compress(bytes));
         inner.bytes += bytes.len() as u64;
         inner.map.insert(
             d,
@@ -351,7 +355,7 @@ impl ContentStore {
     #[cfg(test)]
     fn corrupt_entry(&self, d: &Digest) {
         if let Some(e) = self.inner.lock().map.get_mut(d) {
-            e.packed.truncate(e.packed.len() - 1);
+            std::sync::Arc::make_mut(&mut e.packed).pop();
         }
     }
 

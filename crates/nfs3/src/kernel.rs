@@ -6,7 +6,10 @@
 //! * a bounded **memory buffer cache** (the "memory file system buffer" of
 //!   Figure 2, step 1) holding real data blocks — capacity misses on
 //!   multi-GB VM state are exactly the behaviour that motivates GVFS's
-//!   proxy *disk* caches;
+//!   proxy *disk* caches. On the host a clean block is content-shared
+//!   ([`vfs::share`]): the mounts of a fleet that buffer the same golden
+//!   image hold one copy of each of its blocks between them, and the
+//!   first write into such a block copies it;
 //! * an **attribute cache** and a **dentry cache** with timeouts, giving
 //!   close-to-open consistency semantics;
 //! * **write staging**: writes dirty cache blocks and are pushed with
@@ -27,7 +30,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::telemetry::Counter;
 use simnet::{Env, SimDuration};
-use vfs::{Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap};
+use vfs::{share, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, SharedBytes};
 
 use crate::client::{Nfs3Client, NfsError};
 use crate::proto::{StableHow, Status};
@@ -94,7 +97,9 @@ pub struct KernelStats {
 }
 
 struct Block {
-    data: Vec<u8>,
+    /// Clean blocks read from the server are pooled by content; a block
+    /// born dirty is private, and writes go through `Arc::make_mut`.
+    data: SharedBytes,
     dirty: bool,
 }
 
@@ -386,7 +391,7 @@ impl KernelClient {
         for k in keys {
             if let Some(blk) = st.cache.get_mut(&k) {
                 blk.dirty = false;
-                let data = blk.data.clone();
+                let data = Vec::clone(&blk.data);
                 out.push((
                     Handle {
                         fileid: k.0,
@@ -427,7 +432,7 @@ impl KernelClient {
                     st.dirty_bytes = st.dirty_bytes.saturating_sub(bs);
                 }
                 if fileid == h.fileid {
-                    stragglers.push((b, blk.data));
+                    stragglers.push((b, Arc::unwrap_or_clone(blk.data)));
                     flush_needed = true;
                 }
                 // Dirty data for another file evicted here would need its
@@ -566,6 +571,7 @@ impl FileIo for KernelClient {
                 for (b, data) in fetched {
                     let (range, at) = span(b);
                     out[at..at + range.len()].copy_from_slice(&data[range]);
+                    let data = share(data);
                     if let Some(ev) = st.cache.insert((h.fileid, b), Block { data, dirty: false }) {
                         evicted_all.push(ev);
                     }
@@ -604,22 +610,19 @@ impl FileIo for KernelClient {
                 }
             }
         }
+        let mut evicted_all = Vec::new();
         if !rmw.is_empty() {
             let fetched = self.fetch_blocks(env, h, rmw)?;
             let mut st = self.state.lock();
-            for (b, d) in fetched {
-                st.cache.insert(
-                    (h.fileid, b),
-                    Block {
-                        data: d,
-                        dirty: false,
-                    },
-                );
+            for (b, data) in fetched {
+                let data = share(data);
+                if let Some(ev) = st.cache.insert((h.fileid, b), Block { data, dirty: false }) {
+                    evicted_all.push(ev);
+                }
             }
         }
 
         // Apply the write into cache blocks, marking dirty.
-        let mut evicted_all = Vec::new();
         {
             let mut st = self.state.lock();
             for b in first..=last {
@@ -627,34 +630,33 @@ impl FileIo for KernelClient {
                 let from = offset.max(bstart);
                 let to = (offset + data.len() as u64).min(bstart + bs);
                 let src = &data[(from - offset) as usize..(to - offset) as usize];
-                let was_dirty = match st.cache.get_mut(&(h.fileid, b)) {
-                    Some(blk) => {
-                        let was = blk.dirty;
-                        blk.data[(from - bstart) as usize..(to - bstart) as usize]
-                            .copy_from_slice(src);
-                        blk.dirty = true;
-                        Some(was)
+                let key = (h.fileid, b);
+                let within = (from - bstart) as usize..(to - bstart) as usize;
+                let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
+                    Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
+                    std::mem::replace(&mut blk.dirty, true)
+                } else {
+                    // Not cached. A block this call's own inserts evicted
+                    // a moment ago — an edge block cached or just fetched
+                    // for its bytes outside the write — is taken back
+                    // from the eviction list with those bytes (and its
+                    // dirty accounting); anything else starts from zeros.
+                    let mut blk = match evicted_all.iter().rposition(|(k, _)| *k == key) {
+                        Some(i) => evicted_all.remove(i).1,
+                        None => Block {
+                            data: Arc::new(vec![0u8; bs as usize]),
+                            dirty: false,
+                        },
+                    };
+                    Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
+                    let was = std::mem::replace(&mut blk.dirty, true);
+                    if let Some(ev) = st.cache.insert(key, blk) {
+                        evicted_all.push(ev);
                     }
-                    None => None,
+                    was
                 };
-                match was_dirty {
-                    Some(true) => {}
-                    Some(false) => st.dirty_bytes += bs,
-                    None => {
-                        let mut block = vec![0u8; bs as usize];
-                        block[(from - bstart) as usize..(to - bstart) as usize]
-                            .copy_from_slice(src);
-                        if let Some(ev) = st.cache.insert(
-                            (h.fileid, b),
-                            Block {
-                                data: block,
-                                dirty: true,
-                            },
-                        ) {
-                            evicted_all.push(ev);
-                        }
-                        st.dirty_bytes += bs;
-                    }
+                if !was_dirty {
+                    st.dirty_bytes += bs;
                 }
             }
             let end = offset + data.len() as u64;

@@ -266,12 +266,12 @@ proptest! {
     /// ago, over unaligned ranges that start and end anywhere —
     /// mid-block, across the end of the file, past it.
     ///
-    /// Writes replace one whole block and are flushed at once: this is a
-    /// test of the read path, and `KernelClient::write` loses bytes when
-    /// a write spanning several blocks evicts, by its own inserts, a
-    /// cached partially-covered block before reaching it (the block is
-    /// then rebuilt from zeros) — a defect of the write path that takes
-    /// a cache this small to reach, left to a change of its own.
+    /// Writes are as unaligned as the reads and span up to six blocks,
+    /// all the cache holds, so a write's own inserts evict blocks it has
+    /// yet to reach — its partially covered edges, cached or just
+    /// fetched for read-modify-write — and dirty blocks of earlier
+    /// writes, which stay staged until a read's fetch or a later write
+    /// pushes them out or an invalidation flushes the file first.
     #[test]
     fn kernel_client_reads_match_a_dense_model(
         len in 1usize..20_000,
@@ -306,18 +306,26 @@ proptest! {
                         assert_eq!(got, &model[off.min(model.len())..end], "read {off}+{n}");
                     }
                     6 => {
-                        let off = off % model.len() / BS as usize * BS as usize;
-                        let bytes = vec![byte; (BS as usize).min(model.len() - off)];
+                        let off = off % model.len();
+                        let bytes = vec![byte; n.min(model.len() - off)];
                         kc.write(&env, h, off as u64, &bytes).unwrap();
-                        kc.close(&env, h).unwrap();
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
-                    7 => kc.invalidate_caches(),
+                    7 => {
+                        kc.close(&env, h).unwrap();
+                        kc.invalidate_caches();
+                    }
                     _ => unreachable!(),
                 }
             }
             let whole = kc.read(&env, h, 0, model.len() as u32 + 7).unwrap();
             assert_eq!(whole, model);
+            // Every acknowledged byte reaches the server, and the dirty
+            // accounting returns to zero (`invalidate_caches` asserts it).
+            kc.close(&env, h).unwrap();
+            kc.invalidate_caches();
+            let whole = kc.read(&env, h, 0, model.len() as u32 + 7).unwrap();
+            assert_eq!(whole, model, "after flush and remount");
         });
         sim.run();
     }

@@ -8,8 +8,17 @@
 //! file contents live in fixed-size chunks allocated on first write;
 //! reads of unwritten ranges yield zeros, exactly like holes in a real
 //! filesystem.
+//!
+//! Chunks are [`SharedBytes`]: a chunk written whole goes through the
+//! content pool ([`share`]), so the clones of one golden image — and a
+//! `clone()` of a store — hold one host copy of it between them, and a
+//! later partial write copies the chunk first when anyone else holds it
+//! ([`Arc::make_mut`]). Sharing is invisible to every accessor here.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use crate::shared::{share, SharedBytes};
 
 /// Chunk granularity for sparse allocation (64 KB).
 pub const CHUNK_SIZE: usize = 64 * 1024;
@@ -18,7 +27,7 @@ pub const CHUNK_SIZE: usize = 64 * 1024;
 #[derive(Debug, Clone, Default)]
 pub struct SparseBytes {
     len: u64,
-    chunks: BTreeMap<u64, Box<[u8]>>,
+    chunks: BTreeMap<u64, SharedBytes>,
 }
 
 impl SparseBytes {
@@ -54,7 +63,7 @@ impl SparseBytes {
             let within = (new_len % CHUNK_SIZE as u64) as usize;
             if within > 0 {
                 if let Some(chunk) = self.chunks.get_mut(&boundary) {
-                    chunk[within..].fill(0);
+                    Arc::make_mut(chunk)[within..].fill(0);
                 }
             }
         }
@@ -93,10 +102,11 @@ impl SparseBytes {
     }
 
     /// Write `data` at `offset`, extending the logical length if needed.
-    /// Writing all-zero data into a hole does not allocate a chunk. A
-    /// zero-length write still extends the file to `offset` (it behaves
-    /// like the degenerate end of a write ending at `offset`), matching
-    /// the dense reference model the property tests check against.
+    /// Writing all-zero data into a hole does not allocate a chunk (over
+    /// an existing chunk it keeps it allocated). A zero-length write
+    /// still extends the file to `offset` (it behaves like the
+    /// degenerate end of a write ending at `offset`), matching the dense
+    /// reference model the property tests check against.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) {
         let end = offset + data.len() as u64;
         let mut pos = 0usize;
@@ -106,15 +116,18 @@ impl SparseBytes {
             let within = (abs % CHUNK_SIZE as u64) as usize;
             let take = (CHUNK_SIZE - within).min(data.len() - pos);
             let src = &data[pos..pos + take];
-            match self.chunks.get_mut(&chunk_idx) {
-                Some(chunk) => chunk[within..within + take].copy_from_slice(src),
-                None => {
-                    if src.iter().any(|&b| b != 0) {
-                        let mut chunk = vec![0u8; CHUNK_SIZE].into_boxed_slice();
-                        chunk[within..within + take].copy_from_slice(src);
-                        self.chunks.insert(chunk_idx, chunk);
-                    }
+            let nonzero = || src.iter().any(|&b| b != 0);
+            if take == CHUNK_SIZE {
+                // A whole chunk replaces what was there: shared content.
+                if self.chunks.contains_key(&chunk_idx) || nonzero() {
+                    self.chunks.insert(chunk_idx, share(src.to_vec()));
                 }
+            } else if let Some(chunk) = self.chunks.get_mut(&chunk_idx) {
+                Arc::make_mut(chunk)[within..within + take].copy_from_slice(src);
+            } else if nonzero() {
+                let mut chunk = vec![0u8; CHUNK_SIZE];
+                chunk[within..within + take].copy_from_slice(src);
+                self.chunks.insert(chunk_idx, Arc::new(chunk));
             }
             pos += take;
         }

@@ -1,55 +1,118 @@
 //! Property-based invariants for the filesystem substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use vfs::{Fs, LruMap, SparseBytes};
+use vfs::{Fs, LruMap, SparseBytes, CHUNK_SIZE};
+
+/// A `SparseBytes` next to the dense model it must match and the set of
+/// chunks the allocation rule says exist: a chunk is allocated by the
+/// first non-zero byte written into it and stays until truncated away,
+/// whatever is written over it and however its bytes are held.
+#[derive(Clone, Default)]
+struct Modelled {
+    sparse: SparseBytes,
+    dense: Vec<u8>,
+    chunks: BTreeSet<usize>,
+}
+
+impl Modelled {
+    fn write(&mut self, off: usize, data: &[u8]) {
+        self.sparse.write_at(off as u64, data);
+        let end = off + data.len();
+        if self.dense.len() < end {
+            self.dense.resize(end, 0);
+        }
+        self.dense[off..end].copy_from_slice(data);
+        let mut pos = 0;
+        while pos < data.len() {
+            let abs = off + pos;
+            let take = (CHUNK_SIZE - abs % CHUNK_SIZE).min(data.len() - pos);
+            if data[pos..pos + take].iter().any(|&b| b != 0) {
+                self.chunks.insert(abs / CHUNK_SIZE);
+            }
+            pos += take;
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.sparse.truncate(n as u64);
+        if n < self.dense.len() {
+            self.chunks.retain(|&c| c < n.div_ceil(CHUNK_SIZE));
+        }
+        self.dense.resize(n, 0);
+    }
+
+    fn check(&self) -> Result<(), TestCaseError> {
+        prop_assert_eq!(self.sparse.len(), self.dense.len() as u64);
+        prop_assert_eq!(
+            self.sparse.allocated(),
+            (self.chunks.len() * CHUNK_SIZE) as u64
+        );
+        prop_assert!(self.sparse.read_range(0, self.dense.len() + 1) == self.dense);
+        Ok(())
+    }
+}
+
+/// Whole-chunk contents that recur, so chunk-aligned writes share: all
+/// zeros (allocates nothing in a hole, keeps an existing chunk), a
+/// fill, and a pattern.
+fn palette(pick: u8) -> Vec<u8> {
+    match pick {
+        0 => vec![0u8; CHUNK_SIZE],
+        1 => vec![0xAA; CHUNK_SIZE],
+        _ => (0..CHUNK_SIZE).map(|i| (i / 3) as u8).collect(),
+    }
+}
 
 proptest! {
     /// SparseBytes matches a dense reference model under arbitrary
-    /// write/truncate/read sequences.
+    /// write/truncate/read sequences — unaligned writes, chunk-aligned
+    /// whole-chunk writes of recurring content, truncation — applied to
+    /// two stores, one of which is replaced mid-sequence by a `clone()`
+    /// of the other. Both keep taking writes and both are compared in
+    /// full after every step: a write through one owner of a shared
+    /// chunk must never show through another.
     #[test]
     fn sparse_bytes_matches_dense_model(
         ops in proptest::collection::vec(
-            prop_oneof![
+            (any::<bool>(), prop_oneof![
                 // (offset, data) write
-                (0u64..300_000, proptest::collection::vec(any::<u8>(), 0..5_000)).prop_map(|(o, d)| (0u8, o, d)),
+                (0usize..300_000, proptest::collection::vec(any::<u8>(), 0..5_000)).prop_map(|(o, d)| (0u8, o, d)),
+                // (first chunk, palette picks) chunk-aligned whole-chunk write
+                (0usize..5, proptest::collection::vec(0u8..3, 1..4)).prop_map(|(c, picks)| (0u8, c * CHUNK_SIZE, picks.into_iter().flat_map(palette).collect())),
                 // truncate
-                (0u64..300_000).prop_map(|n| (1u8, n, Vec::new())),
-            ],
+                (0usize..300_000).prop_map(|n| (1u8, n, Vec::new())),
+                // replace this store by a clone of the other
+                (0usize..1).prop_map(|n| (2u8, n, Vec::new())),
+            ]),
             1..25
         )
     ) {
-        let mut sparse = SparseBytes::new();
-        let mut dense: Vec<u8> = Vec::new();
-        for (kind, off, data) in ops {
+        let mut stores = [Modelled::default(), Modelled::default()];
+        for (which, (kind, off, data)) in ops {
+            let which = which as usize;
             match kind {
-                0 => {
-                    sparse.write_at(off, &data);
-                    let end = off as usize + data.len();
-                    if dense.len() < end {
-                        dense.resize(end, 0);
-                    }
-                    dense[off as usize..end].copy_from_slice(&data);
-                }
-                _ => {
-                    sparse.truncate(off);
-                    dense.resize(off as usize, 0);
-                }
+                0 => stores[which].write(off, &data),
+                1 => stores[which].truncate(off),
+                _ => stores[which] = stores[1 - which].clone(),
             }
-            prop_assert_eq!(sparse.len(), dense.len() as u64);
+            stores[0].check()?;
+            stores[1].check()?;
         }
-        // Full-content equality.
-        prop_assert_eq!(sparse.read_range(0, dense.len()), dense.clone());
-        // Random window equality.
-        if !dense.is_empty() {
-            let mid = dense.len() / 2;
-            prop_assert_eq!(sparse.read_range(mid as u64, 1000),
-                dense[mid..(mid + 1000).min(dense.len())].to_vec());
+        for Modelled { sparse, dense, .. } in &stores {
+            // Random window equality.
+            if !dense.is_empty() {
+                let mid = dense.len() / 2;
+                prop_assert_eq!(sparse.read_range(mid as u64, 1000),
+                    dense[mid..(mid + 1000).min(dense.len())].to_vec());
+            }
+            // is_zero_range agrees with the dense model.
+            let probe = dense.len() / 3;
+            let window = 70_000.min(dense.len().saturating_sub(probe));
+            let dense_zero = dense[probe..probe + window].iter().all(|&b| b == 0);
+            prop_assert_eq!(sparse.is_zero_range(probe as u64, window), dense_zero);
         }
-        // is_zero_range agrees with the dense model.
-        let probe = dense.len() / 3;
-        let window = 700.min(dense.len().saturating_sub(probe));
-        let dense_zero = dense[probe..probe + window].iter().all(|&b| b == 0);
-        prop_assert_eq!(sparse.is_zero_range(probe as u64, window), dense_zero);
     }
 
     /// The LRU map never exceeds capacity, and membership matches a
