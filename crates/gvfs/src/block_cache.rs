@@ -14,13 +14,25 @@
 //! the access pattern is sequential, positioning otherwise) — the whole
 //! point of the design is that a local disk is much closer than a
 //! wide-area server.
+//!
+//! The paper's frames live on that disk; ours live in host memory, so a
+//! frame's payload is a [`SharedBytes`]. A frame inserted clean is pooled
+//! by content ([`vfs::share`]) — a guest disk is mostly holes, and the
+//! zero block, or any block the kernel client's buffer also holds, exists
+//! once however many frames carry it. A frame born dirty is private.
+//! Every mutation goes through [`Arc::make_mut`]: it writes in place
+//! when the frame is the only holder and copies first when the pool, a
+//! twin frame or a flush in progress ([`BlockCache::take_dirty`] hands
+//! out references, not copies) still reads the old bytes. None of this
+//! is visible in virtual time, in the byte accounting or in a counter.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simnet::telemetry::Counter;
 use simnet::{Env, SimHandle};
-use vfs::Disk;
+use vfs::{share, Disk, SharedBytes};
 
 /// Write policy for cached writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +145,9 @@ impl BcTel {
 
 struct Frame {
     tag: Tag,
-    data: Vec<u8>,
+    /// Pooled by content when inserted clean, private when born dirty;
+    /// mutated only through [`Arc::make_mut`].
+    data: SharedBytes,
     dirty: bool,
     stamp: u64,
 }
@@ -356,8 +370,12 @@ impl BlockCache {
         tag: Tag,
         data: Vec<u8>,
         dirty: bool,
-    ) -> Option<(Tag, Vec<u8>)> {
+    ) -> Option<(Tag, SharedBytes)> {
         debug_assert!(data.len() <= self.cfg.block_size as usize);
+        // Pooled before the cache lock is taken: the pool stays a leaf
+        // lock. A frame born dirty is about to be written again and
+        // stays private.
+        let data = if dirty { Arc::new(data) } else { share(data) };
         let mut evicted = None;
         {
             let mut inner = self.inner.lock();
@@ -447,10 +465,13 @@ impl BlockCache {
                     } else {
                         0
                     };
+                    // Copies first when the pool or a flush in progress
+                    // still holds these bytes; writes in place otherwise.
+                    let data = Arc::make_mut(&mut f.data);
                     if old_len < end {
-                        f.data.resize(end, 0);
+                        data.resize(end, 0);
                     }
-                    f.data[offset_in_block..end].copy_from_slice(bytes);
+                    data[offset_in_block..end].copy_from_slice(bytes);
                     f.dirty = f.dirty || mark_dirty;
                     f.stamp = stamp;
                     Some(grown)
@@ -479,8 +500,10 @@ impl BlockCache {
     /// Take every dirty block (clearing dirty bits), sorted by
     /// (fileid, block) — the flush path for middleware-driven write-back.
     /// Pays local-disk time to stream the dirty frames back off the cache
-    /// disk.
-    pub fn take_dirty(&self, env: &Env) -> Vec<(Tag, Vec<u8>)> {
+    /// disk. The payloads are references to the frames' own bytes, and a
+    /// snapshot all the same: a later [`BlockCache::update`] of a frame
+    /// the caller still holds copies it first.
+    pub fn take_dirty(&self, env: &Env) -> Vec<(Tag, SharedBytes)> {
         let mut out = Vec::new();
         {
             let mut inner = self.inner.lock();
@@ -488,7 +511,7 @@ impl BlockCache {
                 for f in set.iter_mut() {
                     if f.dirty {
                         f.dirty = false;
-                        out.push((f.tag, f.data.clone()));
+                        out.push((f.tag, Arc::clone(&f.data)));
                     }
                 }
             }
@@ -649,6 +672,48 @@ mod tests {
             assert_eq!(keys, vec![(4, 1), (4, 9), (5, 3)]);
             assert_eq!(c.dirty_frames(), 0);
             assert!(c.take_dirty(&env).is_empty());
+        });
+        sim.run();
+    }
+
+    impl BlockCache {
+        /// The allocation a resident frame holds.
+        fn frame_data(&self, tag: Tag) -> Option<SharedBytes> {
+            let inner = self.inner.lock();
+            let frame = inner.sets[self.set_index(&tag)]
+                .iter()
+                .find(|f| f.tag == tag)?;
+            Some(Arc::clone(&frame.data))
+        }
+    }
+
+    #[test]
+    fn clean_frames_of_equal_content_are_one_allocation_and_writes_unshare() {
+        let sim = Simulation::new();
+        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let c = cache.clone();
+        sim.spawn("t", move |env| {
+            let same =
+                |a: Tag, b: Tag| Arc::ptr_eq(&c.frame_data(a).unwrap(), &c.frame_data(b).unwrap());
+            c.insert(&env, tag(1, 0), vec![5; 1024], false);
+            c.insert(&env, tag(2, 7), vec![5; 1024], false);
+            c.insert(&env, tag(3, 1), vec![5; 1024], true);
+            assert!(same(tag(1, 0), tag(2, 7)), "clean twins share");
+            assert!(!same(tag(1, 0), tag(3, 1)), "a frame born dirty is private");
+            // A write into one twin copies first: the other, and the
+            // pool, keep the old bytes.
+            assert!(c.update(&env, tag(1, 0), 10, b"new", true));
+            assert!(!same(tag(1, 0), tag(2, 7)));
+            assert_eq!(c.lookup(&env, tag(2, 7)).unwrap(), vec![5; 1024]);
+            // A flush holds references, not copies — and still a
+            // snapshot: the next write leaves what it was handed alone.
+            let flushed = c.take_dirty(&env);
+            let (_, held) = flushed.iter().find(|(t, _)| *t == tag(3, 1)).unwrap();
+            assert!(Arc::ptr_eq(held, &c.frame_data(tag(3, 1)).unwrap()));
+            assert!(c.update(&env, tag(3, 1), 0, b"later", true));
+            assert_eq!(**held, vec![5; 1024]);
+            assert_eq!(&c.lookup(&env, tag(3, 1)).unwrap()[..5], b"later");
+            c.validate_accounting();
         });
         sim.run();
     }

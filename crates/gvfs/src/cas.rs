@@ -29,7 +29,10 @@
 //! charge — are free. Host-side, entries are kept codec-compressed and
 //! content-shared ([`vfs::share`]) to bound real memory: the stores of
 //! a fleet's proxies hold one copy of each compressed golden chunk
-//! between them.
+//! between them. A chunk fetched by `FETCH_BLOBS` is kept in the very
+//! stream it crossed the wire in, under the digest it was verified
+//! against on arrival (a [`Blob`]); only bytes that reach the store
+//! uncompressed are digested and compressed here.
 //!
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
@@ -142,9 +145,42 @@ struct Inner {
     stamp: u64,
 }
 
-/// The content-addressed store. Keys are always computed from the stored
-/// bytes inside [`ContentStore::insert`], so the index can never claim a
-/// digest it does not hold the preimage of.
+/// A chunk in the form it crossed the wire — codec-compressed — together
+/// with the digest and length its decompressed bytes have been checked
+/// against. The fields are private and the constructor has exactly one
+/// caller, the branch of the channel's reply reader that has just passed
+/// that check, so a `Blob` is the proof that `digest` names `packed`'s
+/// preimage: [`ContentStore::insert_blob`] indexes it without digesting
+/// or compressing the bytes a second time.
+#[derive(Debug)]
+pub struct Blob {
+    digest: Digest,
+    len: u32,
+    packed: Vec<u8>,
+}
+
+impl Blob {
+    /// Wrap `contents`, which the caller has just verified to digest to
+    /// `digest`. `wire` is the compressed stream they were decoded from,
+    /// moved in; a reply that travelled uncompressed is compressed here.
+    pub(crate) fn verified(digest: Digest, contents: &[u8], wire: Option<Vec<u8>>) -> Blob {
+        Blob {
+            digest,
+            len: contents.len() as u32,
+            packed: wire.unwrap_or_else(|| codec::compress(contents)),
+        }
+    }
+
+    /// Logical (uncompressed) length.
+    pub(crate) fn len(&self) -> u32 {
+        self.len
+    }
+}
+
+/// The content-addressed store. A key is either computed from the stored
+/// bytes inside [`ContentStore::insert`] or carried by a [`Blob`], whose
+/// only constructor runs after the same digest was verified — so the
+/// index can never claim a digest it does not hold the preimage of.
 pub struct ContentStore {
     inner: Mutex<Inner>,
     capacity: u64,
@@ -207,8 +243,24 @@ impl ContentStore {
 
     fn insert_inner(&self, bytes: &[u8], pin: bool) -> Digest {
         let d = digest(bytes);
-        if bytes.len() as u64 > self.capacity {
-            return d;
+        self.index(d, bytes.len() as u64, pin, || codec::compress(bytes));
+        d
+    }
+
+    /// Index a fetched chunk in the wire form it was verified in, taking
+    /// a pin on it if `pin`: [`ContentStore::insert`] /
+    /// [`ContentStore::insert_pinned`] without the digest and the
+    /// compression, which the blob's one constructor vouches for. An
+    /// oversized blob is not retained.
+    pub fn insert_blob(&self, blob: Blob, pin: bool) {
+        self.index(blob.digest, blob.len as u64, pin, || blob.packed);
+    }
+
+    /// The body of every insert: index `len` logical bytes under `d`,
+    /// asking for the compressed stream only when the content is new.
+    fn index(&self, d: Digest, len: u64, pin: bool, packed: impl FnOnce() -> Vec<u8>) {
+        if len > self.capacity {
+            return;
         }
         let mut inner = self.inner.lock();
         inner.stamp += 1;
@@ -221,15 +273,15 @@ impl ContentStore {
             }
             inner.lru.remove(&old);
             inner.lru.insert(stamp, d);
-            return d;
+            return;
         }
-        let packed = share(codec::compress(bytes));
-        inner.bytes += bytes.len() as u64;
+        let packed = share(packed());
+        inner.bytes += len;
         inner.map.insert(
             d,
             Entry {
                 packed,
-                len: bytes.len() as u32,
+                len: len as u32,
                 stamp,
                 pins: u32::from(pin),
             },
@@ -259,7 +311,6 @@ impl ContentStore {
                 inner.bytes -= e.len as u64;
             }
         }
-        d
     }
 
     /// Take a pin on `d`, preventing its eviction until a matching
@@ -471,6 +522,99 @@ mod tests {
         assert_eq!(d, digest(&big));
         assert!(!cas.contains(&d));
         assert_eq!(cas.logical_bytes(), 0);
+    }
+
+    /// `bytes` as the blob a verified fetch reply would have made of it.
+    fn blob_of(bytes: &[u8]) -> Blob {
+        Blob::verified(digest(bytes), bytes, Some(codec::compress(bytes)))
+    }
+
+    #[test]
+    fn a_store_fed_blobs_equals_a_store_fed_bytes() {
+        // Eight 3000-byte chunks through a 10,000-byte store: every
+        // insert past the third evicts, re-inserts refresh recency, and
+        // the pins steer which entry pays.
+        let chunk = |i: u8| -> Vec<u8> {
+            (0..3000u32)
+                .map(|j| (j as u8).wrapping_mul(i) ^ i)
+                .collect()
+        };
+        let feed: [(u8, bool); 12] = [
+            (1, false),
+            (2, true),
+            (3, false),
+            (1, false),
+            (4, false),
+            (2, false),
+            (5, true),
+            (6, false),
+            (3, true),
+            (7, false),
+            (5, false),
+            (8, false),
+        ];
+        let (by_bytes, by_blob) = (ContentStore::new(10_000), ContentStore::new(10_000));
+        let same = |what: &str| {
+            for i in 1..=8 {
+                let d = digest(&chunk(i));
+                assert_eq!(
+                    by_bytes.contains(&d),
+                    by_blob.contains(&d),
+                    "{what}: chunk {i}"
+                );
+                assert_eq!(by_bytes.len_of(&d), by_blob.len_of(&d), "{what}: chunk {i}");
+            }
+            assert_eq!(by_bytes.logical_bytes(), by_blob.logical_bytes(), "{what}");
+            assert_eq!(by_bytes.pinned_bytes(), by_blob.pinned_bytes(), "{what}");
+            assert_eq!(by_bytes.entries(), by_blob.entries(), "{what}");
+        };
+        for (step, (i, pin)) in feed.into_iter().enumerate() {
+            let bytes = chunk(i);
+            let d = if pin {
+                by_bytes.insert_pinned(&bytes)
+            } else {
+                by_bytes.insert(&bytes)
+            };
+            by_blob.insert_blob(blob_of(&bytes), pin);
+            same(&format!("step {step}"));
+            // Reads — which move recency, and so the next victim — agree.
+            assert_eq!(by_bytes.get(&d), by_blob.get(&d), "step {step}");
+            assert_eq!(
+                by_bytes.get_range(&d, 100, 50),
+                by_blob.get_range(&d, 100, 50)
+            );
+            if by_bytes.contains(&d) {
+                assert_eq!(by_blob.get(&d).unwrap(), bytes);
+            }
+        }
+        assert!(
+            by_bytes.entries() < 8,
+            "the capacity must have forced evictions"
+        );
+        for (i, _) in feed.into_iter().filter(|(_, pin)| *pin) {
+            let d = digest(&chunk(i));
+            by_bytes.unpin(&d);
+            by_blob.unpin(&d);
+        }
+        same("unpinned");
+        assert_eq!(by_blob.pinned_bytes(), 0);
+    }
+
+    #[test]
+    fn an_oversized_blob_is_not_retained() {
+        let cas = ContentStore::new(100);
+        let big = vec![1u8; 1000];
+        cas.insert_blob(blob_of(&big), true);
+        assert!(!cas.contains(&digest(&big)));
+        assert_eq!((cas.logical_bytes(), cas.pinned_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_blob_of_an_uncompressed_reply_is_compressed_on_the_way_in() {
+        let cas = ContentStore::new(1 << 20);
+        let a: Vec<u8> = (0..5000u32).map(|i| (i / 9) as u8).collect();
+        cas.insert_blob(Blob::verified(digest(&a), &a, None), false);
+        assert_eq!(cas.get(&digest(&a)).unwrap(), a);
     }
 
     #[test]

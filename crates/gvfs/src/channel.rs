@@ -33,7 +33,7 @@ use simnet::{Env, Resource};
 use vfs::{Disk, Fs, Handle};
 use xdr::{Decode, Decoder, Encode, Encoder};
 
-use crate::cas::{ContentStore, DedupTel};
+use crate::cas::{Blob, ContentStore, DedupTel};
 use crate::codec::{self, CodecModel};
 use crate::digest::{digest, Digest};
 use crate::meta::ContentMap;
@@ -306,37 +306,63 @@ fn payload_reply(total: Option<u64>, len: u64, compressed: bool, payload: &[u8])
     enc.into_bytes()
 }
 
-/// Read `len | compressed | payload` off a payload reply: decompress
-/// (charging `codec`), check the length, and — where the caller expects
-/// a digest — digest the contents (charged too) and verify them. Returns
-/// the contents and the wire bytes the payload cost.
-fn read_payload(
+/// The `len | compressed | payload` tail of a payload reply, decoded.
+struct Payload {
+    /// The uncompressed length the reply declares.
+    len: u64,
+    contents: Vec<u8>,
+    /// The compressed stream `contents` was decoded from, if the payload
+    /// travelled compressed.
+    packed: Option<Vec<u8>>,
+    /// Bytes the payload cost on the wire.
+    wire: u64,
+}
+
+/// Decode a payload reply's tail, decompressing it (charging `codec`).
+fn decode_payload(
     env: &Env,
     codec: &CodecModel,
     dec: &mut Decoder,
-    want: Option<Digest>,
-) -> Result<(Vec<u8>, u64), ChannelError> {
+) -> Result<Payload, ChannelError> {
     let len = dec.get_u64()?;
     let compressed = dec.get_bool()?;
     let payload = dec.get_opaque_var()?;
     let wire = payload.len() as u64;
-    let contents = if compressed {
+    let (contents, packed) = if compressed {
         env.sleep(codec.decompress_time(len));
-        codec::decompress(&payload).map_err(|_| ChannelError::Status(ChanStatus::BadStream))?
+        let contents =
+            codec::decompress(&payload).map_err(|_| ChannelError::Status(ChanStatus::BadStream))?;
+        (contents, Some(payload))
     } else {
-        payload
+        (payload, None)
     };
-    if let Some(want) = want {
-        // Verify the content actually matches the recipe (a regenerated
-        // server file would silently corrupt the reassembly otherwise).
-        env.sleep(codec.digest_time(contents.len() as u64));
-        if contents.len() as u64 != len || digest(&contents) != want {
-            return Err(ChannelError::Status(ChanStatus::BadStream));
-        }
-    } else if contents.len() as u64 != len {
-        return Err(ChannelError::Decode);
+    Ok(Payload {
+        len,
+        contents,
+        packed,
+        wire,
+    })
+}
+
+/// Read a blob payload off a reply: decompress, then digest the contents
+/// (both charged to `codec`) and verify length and digest against what
+/// the recipe promised. Only a payload that passes becomes a [`Blob`] —
+/// this is the one place that makes one.
+fn read_payload(
+    env: &Env,
+    codec: &CodecModel,
+    dec: &mut Decoder,
+    want: Digest,
+) -> BlobFetchResult<Vec<u8>> {
+    let p = decode_payload(env, codec, dec)?;
+    // Verify the content actually matches the recipe (a regenerated
+    // server file would silently corrupt the reassembly otherwise).
+    env.sleep(codec.digest_time(p.contents.len() as u64));
+    if p.contents.len() as u64 != p.len || digest(&p.contents) != want {
+        return Err(ChannelError::Status(ChanStatus::BadStream));
     }
-    Ok((contents, wire))
+    let blob = Blob::verified(want, &p.contents, p.packed);
+    Ok((blob, p.contents, p.wire))
 }
 
 /// Read a `FETCH_CHUNK` reply: `(file total, chunk contents, wire bytes)`.
@@ -348,13 +374,16 @@ fn read_chunk_reply(
     let mut dec = Decoder::new(res);
     read_status(&mut dec)?;
     let total = dec.get_u64()?;
-    let (contents, wire) = read_payload(env, codec, &mut dec, None)?;
-    Ok((total, contents, wire))
+    let p = decode_payload(env, codec, &mut dec)?;
+    if p.contents.len() as u64 != p.len {
+        return Err(ChannelError::Decode);
+    }
+    Ok((total, p.contents, p.wire))
 }
 
 /// Read a `FETCH_BLOBS` reply — a single call's, a batch item's or a
-/// peer's — verifying the contents against `want`: `(contents, wire
-/// bytes)`. Proxies call this before a reply may enter their
+/// peer's — verifying the contents against `want`: `(blob, contents,
+/// wire bytes)`. Proxies call this before a reply may enter their
 /// digest-keyed cache; the decompression and digest CPU it charges is
 /// the price of guarding a shared cache against a range-serving origin.
 pub(crate) fn read_blob_reply(
@@ -362,10 +391,10 @@ pub(crate) fn read_blob_reply(
     codec: &CodecModel,
     res: &[u8],
     want: Digest,
-) -> BlobFetchResult {
+) -> BlobFetchResult<Vec<u8>> {
     let mut dec = Decoder::new(res);
     read_status(&mut dec)?;
-    read_payload(env, codec, &mut dec, Some(want))
+    read_payload(env, codec, &mut dec, want)
 }
 
 /// The uncompressed chunk length a successful `FETCH_BLOBS` reply
@@ -768,9 +797,17 @@ pub struct PinnedRecipe {
     pub fresh_bytes: u64,
 }
 
-/// One blob's outcome inside a batched fetch: the verified chunk
-/// contents plus the wire bytes it cost, or that slot's failure.
-pub type BlobFetchResult = Result<(Vec<u8>, u64), ChannelError>;
+/// One blob's outcome inside a fetch: the verified chunk in its wire
+/// form, what the caller kept of its contents (`T`), and the wire bytes
+/// it cost — or that slot's failure.
+pub type BlobFetchResult<T> = Result<(Blob, T, u64), ChannelError>;
+
+/// What a fetch keeps of each verified blob's decompressed contents,
+/// applied inside the transfer worker the moment the blob is verified:
+/// everything ([`std::convert::identity`], to assemble a file) or
+/// nothing ([`drop`], when only the CAS entry is wanted — the worker then
+/// holds the compressed form alone while the rest of the window lands).
+pub type Keep<T> = fn(Vec<u8>) -> T;
 
 /// What a recipe-driven fetch resolves against and how its misses
 /// travel; shared by both outcomes ([`ChannelClient::fetch_dedup`]
@@ -958,24 +995,32 @@ impl ChannelClient {
     /// Fetch one recipe chunk's payload; the expected digest travels in
     /// the request (content-addressed proxy caching) and is verified
     /// against the decompressed bytes here.
-    fn fetch_blob(&self, env: &Env, h: Handle, (offset, len, want): Group) -> BlobFetchResult {
+    fn fetch_blob<T>(
+        &self,
+        env: &Env,
+        h: Handle,
+        (offset, len, want): Group,
+        keep: Keep<T>,
+    ) -> BlobFetchResult<T> {
         let args = encode_blob_args(h, offset, len, want);
         let res = self.call(env, chanproc::FETCH_BLOBS, &args)?;
-        read_blob_reply(env, &self.codec, &res, want)
+        let (blob, contents, wire) = read_blob_reply(env, &self.codec, &res, want)?;
+        Ok((blob, keep(contents), wire))
     }
 
     /// Fetch several recipe chunks in one `FETCH_BLOBS_BATCH` envelope —
     /// one upstream round-trip for the whole slice. Each returned slot
-    /// is the same `(contents, wire_bytes)` the equivalent single
-    /// `FETCH_BLOBS` call would produce, verified against its digest; a
-    /// per-item server failure surfaces as that slot's error without
-    /// poisoning its neighbours.
-    pub fn fetch_blobs_batch(
+    /// is what the equivalent single `FETCH_BLOBS` call would produce,
+    /// verified against its digest (`keep` runs on an item's contents
+    /// before the next item is decoded); a per-item server failure
+    /// surfaces as that slot's error without poisoning its neighbours.
+    pub fn fetch_blobs_batch<T>(
         &self,
         env: &Env,
         h: Handle,
         wants: &[(u64, u32, Digest)],
-    ) -> Result<Vec<BlobFetchResult>, ChannelError> {
+        keep: Keep<T>,
+    ) -> Result<Vec<BlobFetchResult<T>>, ChannelError> {
         let items: Vec<oncrpc::BatchItem> = wants
             .iter()
             .map(|&(offset, len, want)| oncrpc::BatchItem {
@@ -996,7 +1041,8 @@ impl ChannelClient {
                 if !r.ok() {
                     return Err(ChannelError::Status(ChanStatus::BadStream));
                 }
-                read_blob_reply(env, &self.codec, &r.result, want)
+                let (blob, contents, wire) = read_blob_reply(env, &self.codec, &r.result, want)?;
+                Ok((blob, keep(contents), wire))
             })
             .collect())
     }
@@ -1033,16 +1079,17 @@ impl ChannelClient {
     /// `rq.batch` groups. One slot per group, in order; item-level
     /// failures surface in their slot, an envelope-level failure fails
     /// the whole fetch.
-    fn fetch_groups(
+    fn fetch_groups<T: Send + 'static>(
         &self,
         env: &Env,
         h: Handle,
         groups: &[Group],
         rq: &RecipeFetch<'_>,
-    ) -> Result<Vec<BlobFetchResult>, ChannelError> {
+        keep: Keep<T>,
+    ) -> Result<Vec<BlobFetchResult<T>>, ChannelError> {
         let me = self.clone();
         let window = rq.window.max(1);
-        let slots: Vec<BlobFetchResult> = if rq.batch > 1 {
+        let slots: Vec<BlobFetchResult<T>> = if rq.batch > 1 {
             let envelopes: Vec<Vec<Group>> = groups.chunks(rq.batch).map(|c| c.to_vec()).collect();
             let rounds = run_windowed(
                 env,
@@ -1050,7 +1097,7 @@ impl ChannelClient {
                 window,
                 envelopes,
                 rq.tel,
-                move |env, wants| Some(me.fetch_blobs_batch(env, h, &wants)),
+                move |env, wants| Some(me.fetch_blobs_batch(env, h, &wants, keep)),
             );
             let mut flat = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS as usize)?;
             for round in rounds {
@@ -1064,7 +1111,7 @@ impl ChannelClient {
                 window,
                 groups.to_vec(),
                 rq.tel,
-                move |env, group| Some(me.fetch_blob(env, h, group)),
+                move |env, group| Some(me.fetch_blob(env, h, group, keep)),
             )
             .into_iter()
             .map(|slot| slot.unwrap_or(Err(ChannelError::Decode)))
@@ -1104,12 +1151,12 @@ impl ChannelClient {
             xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS as usize)?;
         let mut wire = 0u64;
         let mut fresh_bytes = 0u64;
-        for slot in self.fetch_groups(env, h, &groups, rq)? {
-            let (data, w) = slot?;
+        for slot in self.fetch_groups(env, h, &groups, rq, std::convert::identity)? {
+            let (blob, data, w) = slot?;
             rq.dtel.blob_fetches.inc();
             wire += w;
             fresh_bytes += data.len() as u64;
-            rq.cas.insert(&data);
+            rq.cas.insert_blob(blob, false);
             fetched.push(data);
         }
         let mut contents = xdr::bounded_alloc(recipe.total as usize, MAX_RECIPE_BYTES as usize)?;
@@ -1182,17 +1229,18 @@ impl ChannelClient {
         // Second pass: fetch the misses and insert them pre-pinned.
         let mut wire = 0u64;
         let mut fresh_bytes = 0u64;
+        // Nothing here looks at contents, so each blob's are dropped the
+        // moment it is verified and the window waits in compressed form.
         for (slot, (_, _, d)) in self
-            .fetch_groups(env, h, &groups, rq)?
+            .fetch_groups(env, h, &groups, rq, drop)?
             .into_iter()
             .zip(&groups)
         {
-            let (data, w) = slot?;
+            let (blob, (), w) = slot?;
             rq.dtel.blob_fetches.inc();
             wire += w;
-            fresh_bytes += data.len() as u64;
-            let got = cas.insert_pinned(&data);
-            debug_assert_eq!(got, *d, "blob digest verified by decode");
+            fresh_bytes += blob.len() as u64;
+            cas.insert_blob(blob, true);
             // An oversized payload is not retained by the CAS and
             // therefore cannot anchor a reference file.
             if !cas.contains(d) {

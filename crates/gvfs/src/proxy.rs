@@ -26,22 +26,22 @@ use oncrpc::{ProgramError, RpcClient, RpcError};
 use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
 use simnet::{Env, SimDuration};
-use vfs::Handle;
+use vfs::{Handle, SharedBytes};
 use xdr::{Decode, Decoder, Encode, Encoder};
 
 /// Dirty blocks grouped by file: `(block, data)` runs awaiting
 /// write-back. BTreeMap: flush() iterates it, and write-back order must
 /// be deterministic (lint: determinism).
-type DirtyByFile = BTreeMap<FileKey, Vec<(u64, Vec<u8>)>>;
+type DirtyByFile = BTreeMap<FileKey, Vec<(u64, SharedBytes)>>;
 
 /// One write-back slot: `(block, payload, content digest when dedup is
 /// on, write verifier if the WRITE succeeded)`. The payload stays in the
 /// slot so a failed or verifier-mismatched write can requeue its bytes;
 /// the digest — computed once before the send — is what an ack records.
-type WriteBackSlot = Option<(u64, Vec<u8>, Option<Digest>, Option<u64>)>;
+type WriteBackSlot = Option<(u64, SharedBytes, Option<Digest>, Option<u64>)>;
 
 /// A dedup skip candidate: `(block, payload, verifier of its ack)`.
-type SkipCandidate = (u64, Vec<u8>, u64);
+type SkipCandidate = (u64, SharedBytes, u64);
 
 /// A dirty file on its way upstream, `(file, what must travel, digest of
 /// the full contents when dedup computed one)`: what
@@ -423,7 +423,7 @@ struct ProxyState {
     /// bounded-backoff retry rounds; until then the bytes live here
     /// instead of being dropped. BTreeMap: drained in deterministic
     /// order (lint: determinism).
-    wb_queue: BTreeMap<Tag, Vec<u8>>,
+    wb_queue: BTreeMap<Tag, SharedBytes>,
     /// Per-block digest + write verifier upstream last *durably*
     /// acknowledged (WRITE and COMMIT verifiers agreed, RFC 1813
     /// §3.3.7). A later flush finding the same digest under the same
@@ -569,7 +569,7 @@ impl WbSink {
     /// Park a failed write-back on the retry queue, enforcing the fleet
     /// cap. Must run under the state lock (takes `&mut ProxyState`);
     /// shedding is deterministic (lowest tag in `BTreeMap` order first).
-    fn park(&self, st: &mut ProxyState, tag: Tag, data: Vec<u8>) {
+    fn park(&self, st: &mut ProxyState, tag: Tag, data: SharedBytes) {
         self.wb_queued.inc();
         st.wb_queue.insert(tag, data);
         // Bounded memory beats durability of the oldest parked block
@@ -618,7 +618,7 @@ impl WbSink {
         &self,
         env: &Env,
         key: FileKey,
-        blocks: Vec<(u64, Vec<u8>)>,
+        blocks: Vec<(u64, SharedBytes)>,
         stable: StableHow,
         window: usize,
     ) -> (Vec<WriteBackSlot>, Vec<SkipCandidate>) {
@@ -630,14 +630,19 @@ impl WbSink {
         // lock), at the codec's digest throughput — the CPU price the
         // fetch path pays per blob. The digest rides the slot so a
         // durable ack records it without rehashing.
-        let mut clipped: Vec<(u64, Vec<u8>, Option<Digest>)> = Vec::with_capacity(blocks.len());
+        let mut clipped: Vec<(u64, SharedBytes, Option<Digest>)> = Vec::with_capacity(blocks.len());
         for (block, mut data) in blocks {
             let off = block * bs;
             if let Some(s) = size {
                 if off >= s {
                     continue;
                 }
-                data.truncate(((s - off).min(bs)) as usize);
+                // Only the EOF-tail block is ever cut; every other
+                // payload travels as the frame's own allocation.
+                let keep = (s - off).min(bs) as usize;
+                if keep < data.len() {
+                    data = Arc::new(data[..keep].to_vec());
+                }
             }
             let d = may_skip.then(|| {
                 env.sleep(self.codec.digest_time(data.len() as u64));
@@ -677,7 +682,7 @@ impl WbSink {
             Some(&self.ttel),
             move |env, (block, data, d)| {
                 let verf = nfs
-                    .write(env, key, block * bs, data.clone(), stable)
+                    .write(env, key, block * bs, data.as_slice(), stable)
                     .ok()
                     .map(|r| r.verf);
                 Some((block, data, d, verf))
@@ -696,7 +701,7 @@ impl WbSink {
     /// only for its own slots, and in write-back mode the guest's COMMIT
     /// is answered locally, so a server restart would silently zero
     /// bytes the guest was told are stable.
-    fn write_back(&self, env: &Env, tag: Tag, data: Vec<u8>) {
+    fn write_back(&self, env: &Env, tag: Tag, data: SharedBytes) {
         let blocks = vec![(tag.block, data)];
         let (slots, _) = self.send_blocks(env, tag_key(tag), blocks, StableHow::FileSync, 1);
         for (_, payload, _, verf) in slots.into_iter().flatten() {
@@ -1864,7 +1869,7 @@ impl Proxy {
                 self.tel.recovered_errors.inc();
             }
             let mut mismatch = false;
-            let mut again: Vec<(u64, Vec<u8>)> = Vec::new();
+            let mut again: Vec<(u64, SharedBytes)> = Vec::new();
             // Nothing below suspends, so the durable-ack map is brought
             // up to date under one acquisition of the state lock.
             let mut st = self.state.lock();

@@ -7,7 +7,10 @@
 //!   before the filesystem is touched, so a valid chunk set ends at
 //!   exactly `total` whatever order it lands in;
 //! * both recipe outcomes (materialize, pin) report the error that
-//!   actually happened, and the pinning one releases every pin it took.
+//!   actually happened, and the pinning one releases every pin it took;
+//! * a `FETCH_BLOBS` reply whose payload is not the recipe's chunk never
+//!   becomes a `cas::Blob`: nothing reaches the CAS but by passing the
+//!   digest check.
 
 // Test-harness code: clippy's allow-unwrap-in-tests only covers
 // #[test]-marked fns, not integration-test helpers.
@@ -23,8 +26,8 @@ use gvfs::{
     CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::{
-    AuthSys, BatchItem, Dispatcher, OpaqueAuth, RetryPolicy, RpcChannel, RpcClient, RpcError,
-    WireSpec,
+    AuthSys, BatchItem, BatchReplyItem, Dispatcher, OpaqueAuth, ProgramError, RetryPolicy,
+    RpcChannel, RpcClient, RpcError, RpcProgram, WireSpec, BATCH_OK,
 };
 use parking_lot::Mutex;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, Simulation};
@@ -348,4 +351,123 @@ fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
         assert_eq!(left, 0, "pins leaked");
     });
     sim.run();
+}
+
+/// An origin that answers every `FETCH_BLOBS`, alone or in an envelope,
+/// with one canned reply.
+struct CannedOrigin(Vec<u8>);
+
+impl RpcProgram for CannedOrigin {
+    fn program(&self) -> u32 {
+        CHANNEL_PROGRAM
+    }
+
+    fn version(&self) -> u32 {
+        CHANNEL_V1
+    }
+
+    fn call(
+        &self,
+        _env: &Env,
+        _cred: &OpaqueAuth,
+        proc: u32,
+        args: &[u8],
+    ) -> Result<Vec<u8>, ProgramError> {
+        let item = BatchReplyItem {
+            stat: BATCH_OK,
+            result: self.0.clone(),
+        };
+        match proc {
+            chanproc::FETCH_BLOBS => Ok(item.result),
+            chanproc::FETCH_BLOBS_BATCH => {
+                let asked =
+                    oncrpc::batch::decode_batch(args).map_err(|_| ProgramError::GarbageArgs)?;
+                Ok(oncrpc::batch::encode_batch_reply(&vec![item; asked.len()]))
+            }
+            _ => Err(ProgramError::ProcUnavail),
+        }
+    }
+}
+
+/// A `FETCH_BLOBS` reply: `Ok | len | compressed | payload`.
+fn blob_reply(len: u64, compressed: bool, payload: &[u8]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_u32(0);
+    enc.put_u64(len);
+    enc.put_bool(compressed);
+    enc.put_opaque_var(payload);
+    enc.into_bytes()
+}
+
+#[test]
+fn a_blob_reply_that_fails_verification_never_reaches_the_cas() {
+    let chunk: Vec<u8> = (0..CHUNK).map(|i| (i % 251) as u8).collect();
+    let mut other = chunk.clone();
+    other[7] ^= 1;
+    let recipe = ContentMap {
+        chunk_bytes: CHUNK,
+        total: CHUNK as u64,
+        records: vec![(gvfs::digest::digest(&chunk), CHUNK)],
+    };
+    let packed = gvfs::codec::compress(&chunk);
+    let len = CHUNK as u64;
+    // (what the origin answers, whether it is the recipe's chunk)
+    let replies = [
+        ("honest, compressed", blob_reply(len, true, &packed), true),
+        ("honest, raw", blob_reply(len, false, &chunk), true),
+        (
+            "other bytes",
+            blob_reply(len, true, &gvfs::codec::compress(&other)),
+            false,
+        ),
+        ("other bytes, raw", blob_reply(len, false, &other), false),
+        (
+            "another length",
+            blob_reply(len, true, &gvfs::codec::compress(&chunk[..900])),
+            false,
+        ),
+        (
+            "a length it does not have",
+            blob_reply(len - 1, true, &packed),
+            false,
+        ),
+        (
+            "no stream at all",
+            blob_reply(len, true, &packed[..packed.len() / 2]),
+            false,
+        ),
+    ];
+    for (what, reply, honest) in replies {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let up = Link::new(&h, "up", 1e9, SimDuration::from_micros(100));
+        let down = Link::new(&h, "down", 1e9, SimDuration::from_micros(100));
+        let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
+        let origin = Dispatcher::new().register(Arc::new(CannedOrigin(reply)));
+        ep.listener.serve("origin", origin.into_handler(), 2);
+        let chan = ChannelClient::new(RpcClient::new(ep.channel, cred()), CodecModel::default());
+        let (recipe, chunk) = (recipe.clone(), chunk.clone());
+        sim.spawn("client", move |env: Env| {
+            let fh = Handle {
+                fileid: 5,
+                generation: 1,
+            };
+            for batch in [1, 4] {
+                let cas = ContentStore::new(1 << 20);
+                let (pinned, materialized, left) =
+                    resolve_both(&env, &chan, fh, &recipe, batch, &cas);
+                if honest {
+                    assert_eq!((pinned, materialized), (Ok(()), Ok(())), "{what}");
+                    assert_eq!(cas.get(&recipe.records[0].0).unwrap(), chunk, "{what}");
+                    assert_eq!(left, CHUNK as u64, "{what}");
+                } else {
+                    let bad_stream = Err(ChannelError::Status(ChanStatus::BadStream));
+                    assert_eq!(pinned, bad_stream, "{what}, batch {batch}");
+                    assert_eq!(materialized, bad_stream, "{what}, batch {batch}");
+                    assert_eq!((cas.entries(), left), (0, 0), "{what}: reached the CAS");
+                }
+            }
+        });
+        sim.run();
+    }
 }

@@ -320,7 +320,7 @@ fn render_fixture() -> String {
         // a stale blob, a mutation (refused), a chunk, a recipe, garbage.
         let wants: Vec<(u64, u32, Digest)> =
             vec![(0, CHUNK, d0), (CHUNK as u64, CHUNK, recipe.records[1].0)];
-        let slots = chan.fetch_blobs_batch(&env, fh, &wants).unwrap();
+        let slots = chan.fetch_blobs_batch(&env, fh, &wants, drop).unwrap();
         assert!(slots.iter().all(|s| s.is_ok()));
         let mixed = oncrpc::batch::encode_batch(&[
             BatchItem {

@@ -786,3 +786,107 @@ fn blob_cache_rejects_payload_digest_mismatch() {
     });
     sim.run();
 }
+
+/// Both outcomes of one recipe — pinned in place, materialized — against
+/// the numbers the same fetch produced before fetched blobs kept their
+/// wire form into the CAS: same wire and fresh bytes, same CAS contents
+/// and pins, same virtual instant at the end. What moved is host-side
+/// only: the CAS no longer digests and compresses what the reply reader
+/// just decompressed and verified.
+#[test]
+fn recipe_outcomes_leave_the_cas_as_they_always_did() {
+    const CHUNK: u32 = 64 * 1024;
+
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let fs = Arc::new(Mutex::new(Fs::new(0)));
+    let disk = Disk::new(&h, DiskModel::server_array());
+    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
+    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
+    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
+    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
+    wan.listener.serve(
+        "chan-server",
+        Dispatcher::new().register(chan_server).into_handler(),
+        8,
+    );
+    // Six chunks and a tail: dense, a hole, a repeat of the first, a
+    // run, half-zero, dense again, then 1,000 bytes.
+    let dense = |salt: u64| -> Vec<u8> {
+        (0..CHUNK as u64)
+            .map(|i| ((i ^ salt).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 17) as u8)
+            .collect()
+    };
+    let mut data = dense(1);
+    data.extend(vec![0u8; CHUNK as usize]);
+    data.extend(dense(1));
+    data.extend(vec![0x5Au8; CHUNK as usize]);
+    data.extend(
+        dense(2)
+            .into_iter()
+            .enumerate()
+            .map(|(i, b)| if i % 2048 < 1024 { 0 } else { b }),
+    );
+    data.extend(dense(3));
+    data.extend(&dense(4)[..1000]);
+    let fh = {
+        let mut f = fs.lock();
+        let root = f.root();
+        let fh = f.create(root, "img", 0o644, 0).unwrap();
+        f.write(fh, 0, &data, 0).unwrap();
+        fh
+    };
+    let recipe = gvfs::generate_content_map(&mut fs.lock(), fh, CHUNK).unwrap();
+    let cred = OpaqueAuth::sys(&AuthSys::new("c", 1, 1));
+    let chan = ChannelClient::new(
+        RpcClient::new(wan.channel, cred).with_policy(RetryPolicy::wan()),
+        CodecModel::default(),
+    );
+    sim.spawn("client", move |env: Env| {
+        // (records per envelope, wire bytes of either outcome, virtual
+        // nanoseconds when both are done) — recorded at PR 18.
+        for (batch, wire, end_ns) in [(1, 165_258u64, 287_156_312u64), (4, 165_258, 582_702_200)] {
+            let (pinned_cas, copied_cas) = (ContentStore::new(1 << 30), ContentStore::new(1 << 30));
+            let dtel = DedupTel::unregistered();
+            let rq = |cas| RecipeFetch {
+                recipe_hint: Some(&recipe),
+                chunk_bytes: CHUNK,
+                window: 4,
+                batch,
+                cas,
+                dtel: &dtel,
+                tel: None,
+            };
+            let pinned = chan
+                .fetch_recipe_pinned(&env, fh, &rq(&pinned_cas))
+                .unwrap();
+            let copied = chan.fetch_dedup(&env, fh, &rq(&copied_cas)).unwrap();
+            assert_eq!(copied.contents, data);
+            assert_eq!(pinned.recipe, recipe);
+            assert_eq!((pinned.wire, copied.wire), (wire, wire), "batch {batch}");
+            // Six distinct chunks cross the wire; the repeat rides its twin.
+            let fresh = 5 * CHUNK as u64 + 1000;
+            assert_eq!((pinned.fresh_bytes, copied.fresh_bytes), (fresh, fresh));
+            for cas in [&pinned_cas, &copied_cas] {
+                assert_eq!((cas.entries(), cas.logical_bytes()), (6, fresh));
+                for ((d, l), chunk) in recipe.records.iter().zip(data.chunks(CHUNK as usize)) {
+                    assert_eq!(cas.len_of(d), Some(*l));
+                    assert_eq!(cas.get(d).unwrap(), chunk);
+                }
+            }
+            // One pin per record occurrence, the repeat's included.
+            assert_eq!(pinned_cas.pinned_bytes(), fresh);
+            for (d, _) in &recipe.records {
+                pinned_cas.unpin(d);
+            }
+            assert_eq!(
+                (pinned_cas.pinned_bytes(), copied_cas.pinned_bytes()),
+                (0, 0)
+            );
+            assert_eq!(dtel.blob_fetches.get(), 12);
+            assert_eq!(dtel.recipe_hits.get(), 2);
+            assert_eq!(env.now().as_nanos(), end_ns, "batch {batch}");
+        }
+    });
+    sim.run();
+}

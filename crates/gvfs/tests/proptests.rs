@@ -72,6 +72,117 @@ proptest! {
         cache.validate_accounting();
     }
 
+    /// The block cache against a model of what each resident frame must
+    /// hold, with frames that share their bytes: clean inserts drawn
+    /// from a three-content palette (so equal frames are one pooled
+    /// allocation) next to random payloads, frames born dirty, `update`s
+    /// at random offsets into pooled, private and flush-held frames
+    /// alike, and `take_dirty` mid-sequence. Every payload a flush was
+    /// handed is re-checked after each later step — an update of a tag
+    /// the flush still holds must never show through to it — and the
+    /// 2-way geometry keeps evicting: a dirty victim comes back with the
+    /// model's bytes, a clean one vanishes silently and only if clean.
+    #[test]
+    fn block_cache_matches_a_model_under_sharing(
+        ops in proptest::collection::vec(
+            (0u8..8, 0u64..24, any::<u8>(), 0usize..1024, any::<bool>()),
+            1..150,
+        )
+    ) {
+        const BS: usize = 1024;
+        fn content(pick: u8, len: usize) -> Vec<u8> {
+            match pick % 5 {
+                0 => vec![0u8; BS],
+                1 => vec![0xAA; BS],
+                2 => (0..BS).map(|i| (i / 3) as u8).collect(),
+                _ => (0..=len).map(|i| (i as u8).wrapping_mul(pick | 1) ^ pick).collect(),
+            }
+        }
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let cache = Arc::new(BlockCache::new(
+            &h,
+            Disk::new(&h, DiskModel::scsi_2004()),
+            BlockCacheConfig {
+                banks: 2,
+                sets_per_bank: 2,
+                assoc: 2,
+                block_size: BS as u32,
+            },
+        ));
+        let c = cache.clone();
+        sim.spawn("ops", move |env| {
+            // tag -> (bytes, dirty) of every frame that may be resident.
+            let mut model: std::collections::BTreeMap<Tag, (Vec<u8>, bool)> = Default::default();
+            // What flushes were handed, next to a private copy of it.
+            let mut flushed: Vec<(Vec<u8>, vfs::SharedBytes)> = Vec::new();
+            for (op, t, pick, at, dirty) in ops {
+                let tag = Tag {
+                    fileid: 1 + t / 12,
+                    generation: 1,
+                    block: t % 12,
+                };
+                match op {
+                    0..=3 => {
+                        let data = content(pick, at);
+                        let was_dirty = model.get(&tag).is_some_and(|(_, d)| *d);
+                        if let Some((etag, edata)) = c.insert(&env, tag, data.clone(), dirty) {
+                            let (bytes, was) = model.remove(&etag).expect("victim was resident");
+                            assert!(was, "a clean victim must not be handed out");
+                            assert_eq!(*edata, bytes, "evicted {etag:?}");
+                        }
+                        model.insert(tag, (data, dirty || was_dirty));
+                    }
+                    4 | 5 => {
+                        let n = (BS - at).min(1 + pick as usize);
+                        let bytes = vec![pick; n];
+                        let hit = c.update(&env, tag, at, &bytes, dirty);
+                        assert_eq!(hit, model.contains_key(&tag), "update {tag:?}");
+                        if let Some((data, d)) = model.get_mut(&tag) {
+                            if data.len() < at + n {
+                                data.resize(at + n, 0);
+                            }
+                            data[at..at + n].copy_from_slice(&bytes);
+                            *d |= dirty;
+                        }
+                    }
+                    6 => {
+                        let got = c.take_dirty(&env);
+                        let want: Vec<(Tag, &Vec<u8>)> = model
+                            .iter()
+                            .filter(|(_, (_, d))| *d)
+                            .map(|(t, (b, _))| (*t, b))
+                            .collect();
+                        assert_eq!(got.len(), want.len());
+                        for ((gt, gb), (wt, wb)) in got.iter().zip(&want) {
+                            assert_eq!((gt, &**gb), (wt, *wb));
+                        }
+                        flushed.extend(got.into_iter().map(|(_, b)| (Vec::clone(&b), b)));
+                        model.values_mut().for_each(|(_, d)| *d = false);
+                    }
+                    _ => {
+                        let _ = c.lookup(&env, tag);
+                    }
+                }
+                // Clean frames leave silently; everything else is there
+                // and reads like the model.
+                model.retain(|t, (_, d)| c.contains(*t) || {
+                    assert!(!*d, "dirty {t:?} vanished");
+                    false
+                });
+                for (t, (bytes, _)) in &model {
+                    assert_eq!(c.lookup(&env, *t).as_ref(), Some(bytes), "{t:?}");
+                }
+                for (then, held) in &flushed {
+                    assert_eq!(then, &**held, "a flush's payload changed under it");
+                }
+                assert_eq!(c.dirty_frames(), model.values().filter(|(_, d)| *d).count() as u64);
+                c.validate_accounting();
+            }
+        });
+        sim.run();
+    }
+
     /// `FileCache::bytes_stored` tracks the exact sum of disk-resident
     /// payloads — full files plus the *private overlay* of
     /// reference-backed files — through arbitrary interleavings of full

@@ -49,13 +49,35 @@ pub struct WriteArgs {
     pub data: Vec<u8>,
 }
 
+impl WriteArgs {
+    /// Encode WRITE3 arguments around a payload the caller only borrows.
+    /// The one WRITE encoder: the [`Encode`] impl goes through it too.
+    pub fn encode_borrowed(
+        enc: &mut Encoder,
+        file: &Fh3,
+        offset: u64,
+        count: u32,
+        stable: StableHow,
+        data: &[u8],
+    ) {
+        file.encode(enc);
+        enc.put_u64(offset);
+        enc.put_u32(count);
+        enc.put_u32(stable.as_u32());
+        enc.put_opaque_var(data);
+    }
+}
+
 impl Encode for WriteArgs {
     fn encode(&self, enc: &mut Encoder) {
-        self.file.encode(enc);
-        enc.put_u64(self.offset);
-        enc.put_u32(self.count);
-        enc.put_u32(self.stable.as_u32());
-        enc.put_opaque_var(&self.data);
+        Self::encode_borrowed(
+            enc,
+            &self.file,
+            self.offset,
+            self.count,
+            self.stable,
+            &self.data,
+        );
     }
 }
 

@@ -181,24 +181,21 @@ impl Nfs3Client {
         }
     }
 
-    /// WRITE `data` at `offset` with the given stability.
+    /// WRITE `data` at `offset` with the given stability. The payload is
+    /// only borrowed: a caller holding it behind a reference count sends
+    /// it without a copy of its own.
     pub fn write(
         &self,
         env: &Env,
         h: Handle,
         offset: u64,
-        data: Vec<u8>,
+        data: impl AsRef<[u8]>,
         stable: StableHow,
     ) -> NfsResult<WriteRes> {
-        let count = data.len() as u32;
-        let args = WriteArgs {
-            file: Fh3(h),
-            offset,
-            count,
-            stable,
-            data,
-        };
-        let res = self.call(env, proc3::WRITE, &xdr::to_bytes(&args))?;
+        let data = data.as_ref();
+        let mut enc = Encoder::new();
+        WriteArgs::encode_borrowed(&mut enc, &Fh3(h), offset, data.len() as u32, stable, data);
+        let res = self.call(env, proc3::WRITE, enc.as_bytes())?;
         let mut dec = Decoder::new(&res);
         match Self::status_of(&mut dec)? {
             Status::Ok => {

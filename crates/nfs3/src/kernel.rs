@@ -100,14 +100,14 @@ struct Block {
     /// Clean blocks read from the server are pooled by content; a block
     /// born dirty is private, and writes go through `Arc::make_mut`.
     data: SharedBytes,
-    dirty: bool,
+    /// While the block is dirty, the handle it was dirtied through: what
+    /// its write-back goes through, whichever file's traffic evicts it.
+    dirty: Option<Handle>,
 }
 
 struct KcState {
     cache: LruMap<(u64, u64), Block>,
     dirty_bytes: u64,
-    // BTreeMap: sync() scans these to recover handles, so iteration order
-    // must be deterministic (lint: determinism).
     dcache: BTreeMap<String, (Handle, u64)>, // path -> (handle, expires_ns)
     acache: BTreeMap<Handle, (Attr, u64)>,
     local_size: HashMap<u64, u64>, // fileid -> size as seen through our writes
@@ -384,22 +384,15 @@ impl KernelClient {
         let keys: Vec<(u64, u64)> = st
             .cache
             .iter_mru()
-            .filter(|((f, _), blk)| blk.dirty && only_file.is_none_or(|of| *f == of))
+            .filter(|((f, _), blk)| blk.dirty.is_some() && only_file.is_none_or(|of| *f == of))
             .map(|(k, _)| *k)
             .collect();
         let mut out = Vec::with_capacity(keys.len());
         for k in keys {
             if let Some(blk) = st.cache.get_mut(&k) {
-                blk.dirty = false;
-                let data = Vec::clone(&blk.data);
-                out.push((
-                    Handle {
-                        fileid: k.0,
-                        generation: 0, // filled by caller per-file
-                    },
-                    k.1,
-                    data,
-                ));
+                if let Some(h) = blk.dirty.take() {
+                    out.push((h, k.1, Vec::clone(&blk.data)));
+                }
             }
         }
         st.dirty_bytes = st.dirty_bytes.saturating_sub(out.len() as u64 * self.bs());
@@ -414,33 +407,25 @@ impl KernelClient {
     }
 
     /// Handle eviction results: a dirty block falling out of the LRU
-    /// triggers a batched write-back of the file's dirty set (the kernel
-    /// coalesces write-back rather than dribbling single pages).
-    fn writeback_evicted(
-        &self,
-        env: &Env,
-        evicted: Vec<((u64, u64), Block)>,
-        h: Handle,
-    ) -> IoResult<()> {
+    /// triggers a batched write-back of its file's dirty set (the kernel
+    /// coalesces write-back rather than dribbling single pages) — through
+    /// the handle the block was dirtied through, so a block pushed out by
+    /// a read or write of another file is written back like any other.
+    fn writeback_evicted(&self, env: &Env, evicted: Vec<((u64, u64), Block)>) -> IoResult<()> {
         let bs = self.bs();
-        let mut flush_needed = false;
-        let mut stragglers = Vec::new();
-        for ((fileid, b), blk) in evicted {
-            if blk.dirty {
+        // BTreeMap: one batch per file, in fileid order (lint: determinism).
+        let mut stragglers: BTreeMap<Handle, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
+        for ((_, b), blk) in evicted {
+            if let Some(h) = blk.dirty {
                 {
                     let mut st = self.state.lock();
                     st.dirty_bytes = st.dirty_bytes.saturating_sub(bs);
                 }
-                if fileid == h.fileid {
-                    stragglers.push((b, Arc::unwrap_or_clone(blk.data)));
-                    flush_needed = true;
-                }
-                // Dirty data for another file evicted here would need its
-                // handle; our workloads only hold one hot written file at
-                // a time, and flush_file on close covers the rest.
+                let blocks = stragglers.entry(h).or_default();
+                blocks.push((b, Arc::unwrap_or_clone(blk.data)));
             }
         }
-        if flush_needed {
+        for (h, stragglers) in stragglers {
             // The evicted blocks themselves plus everything else dirty in
             // the file, in one pipelined batch.
             let mut batch: Vec<(u64, Vec<u8>)> = self
@@ -572,12 +557,13 @@ impl FileIo for KernelClient {
                     let (range, at) = span(b);
                     out[at..at + range.len()].copy_from_slice(&data[range]);
                     let data = share(data);
-                    if let Some(ev) = st.cache.insert((h.fileid, b), Block { data, dirty: false }) {
+                    let clean = Block { data, dirty: None };
+                    if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                         evicted_all.push(ev);
                     }
                 }
             }
-            self.writeback_evicted(env, evicted_all, h)?;
+            self.writeback_evicted(env, evicted_all)?;
         }
         Ok(out)
     }
@@ -616,7 +602,8 @@ impl FileIo for KernelClient {
             let mut st = self.state.lock();
             for (b, data) in fetched {
                 let data = share(data);
-                if let Some(ev) = st.cache.insert((h.fileid, b), Block { data, dirty: false }) {
+                let clean = Block { data, dirty: None };
+                if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                     evicted_all.push(ev);
                 }
             }
@@ -634,7 +621,7 @@ impl FileIo for KernelClient {
                 let within = (from - bstart) as usize..(to - bstart) as usize;
                 let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
                     Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
-                    std::mem::replace(&mut blk.dirty, true)
+                    blk.dirty.replace(h).is_some()
                 } else {
                     // Not cached. A block this call's own inserts evicted
                     // a moment ago — an edge block cached or just fetched
@@ -645,11 +632,11 @@ impl FileIo for KernelClient {
                         Some(i) => evicted_all.remove(i).1,
                         None => Block {
                             data: Arc::new(vec![0u8; bs as usize]),
-                            dirty: false,
+                            dirty: None,
                         },
                     };
                     Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
-                    let was = std::mem::replace(&mut blk.dirty, true);
+                    let was = blk.dirty.replace(h).is_some();
                     if let Some(ev) = st.cache.insert(key, blk) {
                         evicted_all.push(ev);
                     }
@@ -670,7 +657,7 @@ impl FileIo for KernelClient {
         for _ in first..=last {
             env.sleep(self.cfg.hit_cost);
         }
-        self.writeback_evicted(env, evicted_all, h)?;
+        self.writeback_evicted(env, evicted_all)?;
 
         // Back-pressure: too much dirty data forces a synchronous flush,
         // like the kernel's dirty-ratio writeback.
@@ -762,41 +749,19 @@ impl FileIo for KernelClient {
     }
 
     fn sync(&self, env: &Env) -> IoResult<()> {
-        // Flush every file with dirty blocks.
+        // Flush every file with dirty blocks, each through the handle
+        // its blocks were dirtied through.
         loop {
-            let next_file = {
-                let st = self.state.lock();
-                let nf = st
+            let next = {
+                self.state
+                    .lock()
                     .cache
                     .iter_mru()
-                    .find(|(_, blk)| blk.dirty)
-                    .map(|((f, _), _)| *f);
-                nf
+                    .find_map(|(_, blk)| blk.dirty)
             };
-            let fileid = match next_file {
-                Some(f) => f,
-                None => break,
-            };
-            // Recover a usable handle for the file: generation is not
-            // tracked per block, so find it in the dcache/acache.
-            let h = {
-                let st = self.state.lock();
-                let found = st
-                    .acache
-                    .keys()
-                    .chain(st.dcache.values().map(|(h, _)| h))
-                    .find(|h| h.fileid == fileid)
-                    .copied();
-                found
-            };
-            match h {
+            match next {
                 Some(h) => self.flush_file(env, h)?,
-                None => {
-                    // No handle — drop the dirty bits (cannot happen in
-                    // practice: writes require a handle, which populates
-                    // the attribute cache).
-                    let _ = self.collect_dirty(Some(fileid));
-                }
+                None => break,
             }
         }
         Ok(())

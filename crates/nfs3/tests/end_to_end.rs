@@ -49,7 +49,7 @@ fn mount_create_write_read_round_trip() {
                 &env,
                 file,
                 (i * 32 * 1024) as u64,
-                chunk.to_vec(),
+                chunk,
                 nfs3::proto::StableHow::Unstable,
             )
             .unwrap();
@@ -259,11 +259,11 @@ fn wan_latency_dominates_small_reads() {
 }
 
 proptest! {
-    /// `KernelClient::read` against a dense `Vec<u8>` model: a 6-block
-    /// buffer cache under a 20-block file keeps evicting, so every read
-    /// assembles from a random mix of cached blocks (left by earlier
-    /// reads and writes), fetched blocks and blocks evicted a moment
-    /// ago, over unaligned ranges that start and end anywhere —
+    /// `KernelClient::read` against dense `Vec<u8>` models of two files:
+    /// a 6-block buffer cache under two 20-block files keeps evicting, so
+    /// every read assembles from a random mix of cached blocks (left by
+    /// earlier reads and writes), fetched blocks and blocks evicted a
+    /// moment ago, over unaligned ranges that start and end anywhere —
     /// mid-block, across the end of the file, past it.
     ///
     /// Writes are as unaligned as the reads and span up to six blocks,
@@ -271,13 +271,16 @@ proptest! {
     /// yet to reach — its partially covered edges, cached or just
     /// fetched for read-modify-write — and dirty blocks of earlier
     /// writes, which stay staged until a read's fetch or a later write
-    /// pushes them out or an invalidation flushes the file first.
+    /// pushes them out or an invalidation flushes the files first. Each
+    /// op picks its file, so the dirty blocks a read or write pushes out
+    /// are as often the *other* file's, and must reach the server through
+    /// that file's handle.
     #[test]
     fn kernel_client_reads_match_a_dense_model(
         len in 1usize..20_000,
         seed in any::<u64>(),
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..21_000, 1usize..5_000, any::<u8>()),
+            (0u8..8, 0usize..21_000, 1usize..5_000, any::<u8>(), 0usize..2),
             1..60,
         ),
     ) {
@@ -285,7 +288,10 @@ proptest! {
         let sim = Simulation::new();
         let (server, nfs) = fast(&sim);
         let mul = seed | 1;
-        let mut model: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 7) as u8).collect();
+        let fill = |salt: u64| -> Vec<u8> {
+            (0..len as u64).map(|i| ((i ^ salt).wrapping_mul(mul) >> 7) as u8).collect()
+        };
+        let mut models = [fill(0), fill(0x5EED)];
         sim.spawn("client", move |env: Env| {
             let cfg = KernelConfig {
                 rsize: BS,
@@ -295,15 +301,24 @@ proptest! {
                 ..KernelConfig::default()
             };
             let kc = KernelClient::mount(&env, nfs, "/", cfg).unwrap();
-            let h = kc.create_path(&env, "f").unwrap();
-            server.fs().lock().write(h, 0, &model, 0).unwrap();
-            kc.close(&env, h).unwrap();
-            for (op, off, n, byte) in ops {
+            let files = ["f", "g"].map(|name| kc.create_path(&env, name).unwrap());
+            for (h, model) in files.iter().zip(&models) {
+                server.fs().lock().write(*h, 0, model, 0).unwrap();
+                kc.close(&env, *h).unwrap();
+            }
+            let remount = |kc: &KernelClient| {
+                for h in files {
+                    kc.close(&env, h).unwrap();
+                }
+                kc.invalidate_caches();
+            };
+            for (op, off, n, byte, which) in ops {
+                let (h, model) = (files[which], &mut models[which]);
                 match op {
                     0..=5 => {
                         let got = kc.read(&env, h, off as u64, n as u32).unwrap();
                         let end = (off + n).min(model.len());
-                        assert_eq!(got, &model[off.min(model.len())..end], "read {off}+{n}");
+                        assert_eq!(got, &model[off.min(model.len())..end], "read {which}:{off}+{n}");
                     }
                     6 => {
                         let off = off % model.len();
@@ -311,21 +326,21 @@ proptest! {
                         kc.write(&env, h, off as u64, &bytes).unwrap();
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
-                    7 => {
-                        kc.close(&env, h).unwrap();
-                        kc.invalidate_caches();
-                    }
+                    7 => remount(&kc),
                     _ => unreachable!(),
                 }
             }
-            let whole = kc.read(&env, h, 0, model.len() as u32 + 7).unwrap();
-            assert_eq!(whole, model);
+            let check_all = |when: &str| {
+                for (h, model) in files.iter().zip(&models) {
+                    let whole = kc.read(&env, *h, 0, model.len() as u32 + 7).unwrap();
+                    assert_eq!(&whole, model, "{when}");
+                }
+            };
+            check_all("at the end");
             // Every acknowledged byte reaches the server, and the dirty
             // accounting returns to zero (`invalidate_caches` asserts it).
-            kc.close(&env, h).unwrap();
-            kc.invalidate_caches();
-            let whole = kc.read(&env, h, 0, model.len() as u32 + 7).unwrap();
-            assert_eq!(whole, model, "after flush and remount");
+            remount(&kc);
+            check_all("after flush and remount");
         });
         sim.run();
     }

@@ -6,10 +6,10 @@ use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 use simnet::{splitmix64, Counter, Env, Gauge, Histogram, SimDuration, Telemetry};
-use xdr::Bytes;
+use xdr::{Bytes, Encoder};
 
 use crate::auth::OpaqueAuth;
-use crate::msg::{AcceptStat, CallHeader, RejectStat, ReplyBody, RpcMessage};
+use crate::msg::{self, AcceptStat, CallHeader, RejectStat, ReplyBody, RpcMessage};
 use crate::transport::RpcChannel;
 
 /// Errors surfaced by [`RpcClient::call`].
@@ -348,18 +348,17 @@ impl RpcClient {
     }
 
     fn encode_call(&self, xid: u32, target: CallTarget, args: &[u8]) -> Vec<u8> {
-        let msg = RpcMessage::Call {
-            header: CallHeader {
-                xid,
-                prog: target.prog,
-                vers: target.vers,
-                proc: target.proc,
-                cred: self.cred.clone(),
-                verf: OpaqueAuth::none(),
-            },
-            args: args.into(),
+        let header = CallHeader {
+            xid,
+            prog: target.prog,
+            vers: target.vers,
+            proc: target.proc,
+            cred: self.cred.clone(),
+            verf: OpaqueAuth::none(),
         };
-        xdr::to_bytes(&msg)
+        let mut enc = Encoder::new();
+        msg::encode_call(&mut enc, &header, args);
+        enc.into_bytes()
     }
 
     /// Decode one reply against the xid we sent. A reply bearing some

@@ -155,22 +155,28 @@ impl RpcMessage {
     }
 }
 
+/// Encode a call message: the header, then `args` appended once. The one
+/// call encoder — [`RpcMessage::Call`]'s [`Encode`] impl goes through it,
+/// and a client holding its arguments as a slice calls it directly
+/// instead of first copying them into a message.
+pub fn encode_call(enc: &mut Encoder, header: &CallHeader, args: &[u8]) {
+    enc.put_u32(header.xid);
+    enc.put_u32(MSG_CALL);
+    enc.put_u32(RPC_VERSION);
+    enc.put_u32(header.prog);
+    enc.put_u32(header.vers);
+    enc.put_u32(header.proc);
+    header.cred.encode(enc);
+    header.verf.encode(enc);
+    // Args are raw XDR already; append without a length prefix, exactly
+    // as on the wire.
+    enc.put_opaque_fixed_unpadded(args);
+}
+
 impl Encode for RpcMessage {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            RpcMessage::Call { header, args } => {
-                enc.put_u32(header.xid);
-                enc.put_u32(MSG_CALL);
-                enc.put_u32(RPC_VERSION);
-                enc.put_u32(header.prog);
-                enc.put_u32(header.vers);
-                enc.put_u32(header.proc);
-                header.cred.encode(enc);
-                header.verf.encode(enc);
-                // Args are raw XDR already; append without a length prefix,
-                // exactly as on the wire.
-                enc.put_opaque_fixed_unpadded(args);
-            }
+            RpcMessage::Call { header, args } => encode_call(enc, header, args),
             RpcMessage::Reply { xid, body } => {
                 enc.put_u32(*xid);
                 enc.put_u32(MSG_REPLY);

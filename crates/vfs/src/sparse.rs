@@ -5,9 +5,14 @@
 //! is overwhelmingly zero-filled after boot (the paper's zero-block
 //! filtering removes 60,452 of 65,750 reads when resuming such a VM).
 //! Storing them densely would make the reproduction needlessly heavy, so
-//! file contents live in fixed-size chunks allocated on first write;
-//! reads of unwritten ranges yield zeros, exactly like holes in a real
-//! filesystem.
+//! file contents live in chunks of a fixed *span* allocated on first
+//! write; reads of unwritten ranges yield zeros, exactly like holes in a
+//! real filesystem. A chunk's vector ends where its data ends — at the
+//! highest byte ever written into its span — and the rest of the span
+//! reads as zeros like any hole, so a 159-byte config file or a short
+//! redo log costs the host a page, not 64 KB. [`SparseBytes::allocated`]
+//! still counts whole chunks: it is what the modelled filesystem reports
+//! as used, not what the host holds.
 //!
 //! Chunks are [`SharedBytes`]: a chunk written whole goes through the
 //! content pool ([`share`]), so the clones of one golden image — and a
@@ -22,6 +27,14 @@ use crate::shared::{share, SharedBytes};
 
 /// Chunk granularity for sparse allocation (64 KB).
 pub const CHUNK_SIZE: usize = 64 * 1024;
+
+/// Host capacity for a chunk holding `len` bytes: the next 4 KB multiple.
+/// Exact growth in page steps — `Vec`'s doubling would hand back half of
+/// what short chunks save, and an append stream must not reallocate per
+/// record.
+fn chunk_capacity(len: usize) -> usize {
+    len.next_multiple_of(4096).min(CHUNK_SIZE)
+}
 
 /// A sparse, growable byte array.
 #[derive(Debug, Clone, Default)]
@@ -52,18 +65,20 @@ impl SparseBytes {
     }
 
     /// Set the logical length; shrinking drops whole chunks beyond the new
-    /// end and zeroes the tail of the boundary chunk.
+    /// end and shortens the boundary chunk.
     pub fn truncate(&mut self, new_len: u64) {
         if new_len < self.len {
             let first_dead_chunk = new_len.div_ceil(CHUNK_SIZE as u64);
             self.chunks.retain(|&idx, _| idx < first_dead_chunk);
-            // Zero the tail of the boundary chunk so a later re-extend
-            // reads zeros there.
+            // End the boundary chunk at the new length so a later
+            // re-extend reads zeros there.
             let boundary = new_len / CHUNK_SIZE as u64;
             let within = (new_len % CHUNK_SIZE as u64) as usize;
-            if within > 0 {
-                if let Some(chunk) = self.chunks.get_mut(&boundary) {
-                    Arc::make_mut(chunk)[within..].fill(0);
+            if let Some(chunk) = self.chunks.get_mut(&boundary) {
+                if chunk.len() > within {
+                    let chunk = Arc::make_mut(chunk);
+                    chunk.truncate(within);
+                    chunk.shrink_to(chunk_capacity(within));
                 }
             }
         }
@@ -86,7 +101,11 @@ impl SparseBytes {
             let within = (abs % CHUNK_SIZE as u64) as usize;
             let take = (CHUNK_SIZE - within).min(n - pos);
             if let Some(chunk) = self.chunks.get(&chunk_idx) {
-                out[pos..pos + take].copy_from_slice(&chunk[within..within + take]);
+                // Past the chunk's own end the span stays zero.
+                if within < chunk.len() {
+                    let have = take.min(chunk.len() - within);
+                    out[pos..pos + have].copy_from_slice(&chunk[within..within + have]);
+                }
             }
             pos += take;
         }
@@ -123,10 +142,17 @@ impl SparseBytes {
                     self.chunks.insert(chunk_idx, share(src.to_vec()));
                 }
             } else if let Some(chunk) = self.chunks.get_mut(&chunk_idx) {
-                Arc::make_mut(chunk)[within..within + take].copy_from_slice(src);
+                let chunk = Arc::make_mut(chunk);
+                let end = within + take;
+                if chunk.len() < end {
+                    chunk.reserve_exact(chunk_capacity(end) - chunk.len());
+                    chunk.resize(end, 0);
+                }
+                chunk[within..end].copy_from_slice(src);
             } else if nonzero() {
-                let mut chunk = vec![0u8; CHUNK_SIZE];
-                chunk[within..within + take].copy_from_slice(src);
+                let mut chunk = Vec::with_capacity(chunk_capacity(within + take));
+                chunk.resize(within, 0);
+                chunk.extend_from_slice(src);
                 self.chunks.insert(chunk_idx, Arc::new(chunk));
             }
             pos += take;
@@ -144,8 +170,9 @@ impl SparseBytes {
         let last = (end - 1) / CHUNK_SIZE as u64;
         for (idx, chunk) in self.chunks.range(first..=last) {
             let chunk_start = idx * CHUNK_SIZE as u64;
-            let lo = offset.saturating_sub(chunk_start).min(CHUNK_SIZE as u64) as usize;
-            let hi = (end - chunk_start).min(CHUNK_SIZE as u64) as usize;
+            // Clipped to the chunk's own end: beyond it the span is zero.
+            let lo = offset.saturating_sub(chunk_start).min(chunk.len() as u64) as usize;
+            let hi = (end - chunk_start).min(chunk.len() as u64) as usize;
             if chunk[lo..hi].iter().any(|&b| b != 0) {
                 return false;
             }
@@ -216,6 +243,61 @@ mod tests {
         assert!(s.is_zero_range(0, CHUNK_SIZE * 2));
         assert!(!s.is_zero_range(CHUNK_SIZE as u64 * 2, 1));
         assert!(s.is_zero_range(CHUNK_SIZE as u64 * 2 + 1, CHUNK_SIZE));
+    }
+
+    /// Host bytes the chunks' vectors hold, as opposed to `allocated()`.
+    fn capacity(s: &SparseBytes) -> usize {
+        s.chunks.values().map(|c| c.capacity()).sum()
+    }
+
+    #[test]
+    fn a_small_file_costs_a_page_not_a_chunk() {
+        let mut s = SparseBytes::new();
+        s.write_at(0, &[b'x'; 159]);
+        assert!(capacity(&s) <= 4096, "held {}", capacity(&s));
+        // What the modelled filesystem reports as used does not change.
+        assert_eq!(s.allocated(), CHUNK_SIZE as u64);
+        assert_eq!(s.read_range(0, 200), vec![b'x'; 159]);
+    }
+
+    #[test]
+    fn an_append_stream_grows_in_pages_to_exactly_one_chunk() {
+        let mut s = SparseBytes::new();
+        for i in 0..16u64 {
+            s.write_at(i * 4096, &[i as u8 + 1; 4096]);
+            assert_eq!(capacity(&s), (i as usize + 1) * 4096);
+        }
+        assert_eq!(capacity(&s), CHUNK_SIZE);
+        // Records smaller than a page reallocate once a page, not once
+        // a record.
+        let mut s = SparseBytes::new();
+        let mut grown = 0;
+        for i in 0..640u64 {
+            let before = capacity(&s);
+            s.write_at(i * 100, &[7; 100]);
+            grown += usize::from(capacity(&s) != before);
+        }
+        assert_eq!(grown, (64_000usize).div_ceil(4096));
+    }
+
+    #[test]
+    fn a_short_chunks_tail_reads_as_zeros() {
+        let mut s = SparseBytes::new();
+        s.write_at(10, b"data");
+        s.truncate(3 * CHUNK_SIZE as u64);
+        // Past the chunk's own end, inside its span and beyond it.
+        assert_eq!(s.read_range(12, 6), [b't', b'a', 0, 0, 0, 0]);
+        assert_eq!(s.read_range(100, 50), vec![0u8; 50]);
+        let across = s.read_range(CHUNK_SIZE as u64 - 8, 16);
+        assert_eq!(across, vec![0u8; 16]);
+        assert!(s.is_zero_range(14, CHUNK_SIZE));
+        assert!(s.is_zero_range(5_000, 10));
+        assert!(!s.is_zero_range(13, CHUNK_SIZE));
+        // Shrinking ends the chunk at the cut; the regrown range is a hole.
+        s.truncate(12);
+        s.truncate(20);
+        assert_eq!(s.read_range(10, 10), [b'd', b'a', 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(capacity(&s) <= 4096);
     }
 
     #[test]

@@ -50,6 +50,14 @@ impl Modelled {
             (self.chunks.len() * CHUNK_SIZE) as u64
         );
         prop_assert!(self.sparse.read_range(0, self.dense.len() + 1) == self.dense);
+        // The file's last chunk-length of bytes: where a short chunk's
+        // implicit tail is, when there is one.
+        let tail = self.dense.len().saturating_sub(CHUNK_SIZE);
+        prop_assert_eq!(
+            self.sparse
+                .is_zero_range(tail as u64, self.dense.len() - tail),
+            self.dense[tail..].iter().all(|&b| b == 0)
+        );
         Ok(())
     }
 }
@@ -68,7 +76,9 @@ fn palette(pick: u8) -> Vec<u8> {
 proptest! {
     /// SparseBytes matches a dense reference model under arbitrary
     /// write/truncate/read sequences — unaligned writes, chunk-aligned
-    /// whole-chunk writes of recurring content, truncation — applied to
+    /// whole-chunk writes of recurring content, truncation, and what
+    /// short chunks live on: sub-page writes at small offsets, append
+    /// streams, truncate-then-extend inside one chunk — applied to
     /// two stores, one of which is replaced mid-sequence by a `clone()`
     /// of the other. Both keep taking writes and both are compared in
     /// full after every step: a write through one owner of a shared
@@ -81,8 +91,14 @@ proptest! {
                 (0usize..300_000, proptest::collection::vec(any::<u8>(), 0..5_000)).prop_map(|(o, d)| (0u8, o, d)),
                 // (first chunk, palette picks) chunk-aligned whole-chunk write
                 (0usize..5, proptest::collection::vec(0u8..3, 1..4)).prop_map(|(c, picks)| (0u8, c * CHUNK_SIZE, picks.into_iter().flat_map(palette).collect())),
+                // sub-page write at a small offset
+                (0usize..9_000, proptest::collection::vec(any::<u8>(), 1..300)).prop_map(|(o, d)| (0u8, o, d)),
+                // (records, record) append stream at the current end
+                (1usize..40, proptest::collection::vec(any::<u8>(), 1..2_000)).prop_map(|(n, d)| (3u8, n, d)),
                 // truncate
                 (0usize..300_000).prop_map(|n| (1u8, n, Vec::new())),
+                // (cut, regrowth) truncate then extend inside chunk 0
+                (0usize..CHUNK_SIZE, 0usize..CHUNK_SIZE).prop_map(|(cut, grow)| (4u8, cut, vec![0; grow])),
                 // replace this store by a clone of the other
                 (0usize..1).prop_map(|n| (2u8, n, Vec::new())),
             ]),
@@ -95,7 +111,17 @@ proptest! {
             match kind {
                 0 => stores[which].write(off, &data),
                 1 => stores[which].truncate(off),
-                _ => stores[which] = stores[1 - which].clone(),
+                2 => stores[which] = stores[1 - which].clone(),
+                3 => for _ in 0..off {
+                    let end = stores[which].dense.len();
+                    stores[which].write(end, &data);
+                    stores[which].check()?;
+                },
+                _ => {
+                    stores[which].truncate(off);
+                    stores[which].check()?;
+                    stores[which].truncate((off + data.len()).min(CHUNK_SIZE));
+                }
             }
             stores[0].check()?;
             stores[1].check()?;
