@@ -409,7 +409,6 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
                     name: "lan-cache-proxy".into(),
                     write_policy: WritePolicy::WriteThrough,
                     meta_handling: true,
-                    per_op_cpu: SimDuration::from_micros(40),
                     read_only_share: true,
                     transfer: TransferTuning::default(),
                     dedup: params.dedup,

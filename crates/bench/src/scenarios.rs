@@ -227,7 +227,6 @@ pub fn build_server(
                 name: "server-proxy".into(),
                 write_policy: WritePolicy::WriteThrough,
                 meta_handling: false,
-                per_op_cpu: SimDuration::from_micros(40),
                 read_only_share: false,
                 transfer: TransferTuning::default(),
                 // The server-side proxy sits on the server's own LAN; a
@@ -323,7 +322,6 @@ pub fn build_client(
             name: "client-proxy".into(),
             write_policy: opts.write_policy,
             meta_handling: opts.file_channel,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: opts.dedup,

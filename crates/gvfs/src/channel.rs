@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use oncrpc::{OpaqueAuth, ProgramError, RpcClient, RpcProgram};
 use parking_lot::Mutex;
-use simnet::{Env, Resource};
+use simnet::{run_windowed, Env, Resource, TransferTel};
 use vfs::{Disk, Fs, Handle};
 use xdr::{Decode, Decoder, Encode, Encoder};
 
@@ -37,7 +37,6 @@ use crate::cas::{Blob, ContentStore, DedupTel};
 use crate::codec::{self, CodecModel};
 use crate::digest::{digest, Digest};
 use crate::meta::ContentMap;
-use crate::transfer::{run_windowed, TransferTel};
 
 /// Cap on recipe records a client will decode from a reply (matches the
 /// meta parser's bound: 16 M records ≈ 16 TB at 1 MB chunks).
@@ -222,6 +221,12 @@ fn fh_args(h: Handle, rest: impl FnOnce(&mut Encoder)) -> Vec<u8> {
 
 fn get_fh(dec: &mut Decoder) -> xdr::Result<Handle> {
     Ok(nfs3::Fh3::decode(dec)?.0)
+}
+
+/// The file a call's args name: every channel procedure that has one
+/// leads with its handle.
+pub(crate) fn decode_args_file(args: &[u8]) -> Option<Handle> {
+    get_fh(&mut Decoder::new(args)).ok()
 }
 
 /// `FETCH_CHUNK` args: file, byte offset, byte count.
@@ -766,7 +771,7 @@ pub(crate) fn call(
     proc: u32,
     args: &[u8],
 ) -> Result<xdr::Bytes, oncrpc::RpcError> {
-    rpc.call_dl(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args)
+    rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args)
 }
 
 /// Result of a materializing recipe fetch ([`ChannelClient::fetch_dedup`]).

@@ -21,9 +21,9 @@
 //!   server-side proxies.
 //! * [`session`] — middleware session management: establish per-user
 //!   proxy chains, signal write-back flushes (session-based consistency).
-//! * [`transfer`] — bounded-window pipelined RPC fan-out shared by the
-//!   chunked file channel, parallel write-back flush and proxy
-//!   read-ahead.
+//! * [`transfer`] — the knobs of the overlapped WAN paths (chunked file
+//!   channel, parallel write-back flush, proxy read-ahead), which all
+//!   fan out through [`simnet::run_windowed`].
 //! * [`digest`] + [`cas`] — content-addressed redundancy elimination:
 //!   the canonical 128-bit content hash, per-proxy content store, and
 //!   the recipe/blob channel path that ships only bytes the near side
@@ -61,4 +61,4 @@ pub use meta::{
 };
 pub use proxy::{FlushReport, Proxy, ProxyConfig, ProxyStats};
 pub use session::{GvfsSession, Middleware};
-pub use transfer::{run_windowed, TransferTel, TransferTuning};
+pub use transfer::TransferTuning;

@@ -18,6 +18,7 @@
 //! through `WbSink`: the one block sender and the one file uploader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use oncrpc::msg::{AcceptStat, CallHeader, RejectStat, ReplyBody, RpcMessage};
@@ -25,9 +26,8 @@ use oncrpc::transport::RpcHandler;
 use oncrpc::{ProgramError, RpcClient, RpcError};
 use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
-use simnet::{Env, SimDuration};
+use simnet::{run_windowed, Env, SimDuration, TransferTel};
 use vfs::{Handle, SharedBytes};
-use xdr::{Decode, Decoder, Encode, Encoder};
 
 /// Dirty blocks grouped by file: `(block, data)` runs awaiting
 /// write-back. BTreeMap: flush() iterates it, and write-back order must
@@ -48,17 +48,19 @@ type SkipCandidate = (u64, SharedBytes, u64);
 /// [`WbSink::upload_file`] sends and a failed upload keeps for a retry.
 type PendingUpload = (FileKey, DirtyFile, Option<Digest>);
 
-use nfs3::args::{ReadArgs, WriteArgs};
-use nfs3::proto::{
-    proc3, DirOpArgs3, Fattr3, Fh3, PostOpAttr, StableHow, Status, WccData, NFS_PROGRAM, NFS_V3,
+use nfs3::args::{ReadArgs, SetattrArgs, WriteArgs};
+use nfs3::proto::{proc3, DirOpArgs3, Fh3, ReadRes, StableHow, Status, NFS_PROGRAM, NFS_V3};
+use nfs3::results::{
+    decode_getattr, decode_lookup, decode_read, encode_commit, encode_fail_postop, encode_getattr,
+    encode_read, encode_write,
 };
 
 use crate::block_cache::{BlockCache, Tag, WritePolicy};
 use crate::cas::{ContentStore, DedupTel, DedupTuning};
 use crate::channel::{
-    self, batchable, blob_reply_len, chanproc, chunk_ranges, decode_blob_args, decode_chunk_args,
-    decode_gossip, decode_recipe_args, encode_gossip, read_blob_reply, ChannelClient, RecipeFetch,
-    CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
+    self, batchable, blob_reply_len, chanproc, chunk_ranges, decode_args_file, decode_blob_args,
+    decode_chunk_args, decode_gossip, decode_recipe_args, encode_gossip, read_blob_reply,
+    ChannelClient, RecipeFetch, CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
 use crate::codec::CodecModel;
 use crate::digest::{self, Digest};
@@ -66,7 +68,7 @@ use crate::file_cache::{CowTuning, DirtyFile, FileCache, FileKey};
 use crate::fleet::FleetTuning;
 use crate::identity::IdentityMapper;
 use crate::meta::{is_meta_name, meta_name_for, MetaFile};
-use crate::transfer::{run_windowed, TransferTel, TransferTuning};
+use crate::transfer::TransferTuning;
 
 /// Proxy configuration — middleware sets these per user / per application.
 #[derive(Debug, Clone)]
@@ -77,8 +79,6 @@ pub struct ProxyConfig {
     pub write_policy: WritePolicy,
     /// Interpret meta-data files (zero maps, file channel).
     pub meta_handling: bool,
-    /// CPU cost per proxied call.
-    pub per_op_cpu: SimDuration,
     /// When true the block cache is treated as shared read-only: absorbed
     /// writes are disabled regardless of policy (paper: "different
     /// proxies [may] share disk caches for read-only data").
@@ -109,7 +109,6 @@ impl Default for ProxyConfig {
             name: "gvfs-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
@@ -286,79 +285,96 @@ impl PxTel {
     }
 }
 
-/// Digest-keyed `FETCH_BLOBS` reply cache with the same bounded
-/// discipline as [`ContentStore`]: a monotonic touch stamp drives
-/// deterministic least-recently-touched eviction, and the stored reply
-/// bytes never exceed the byte cap. Unbounded growth here would hold
-/// every distinct chunk of a cloning run in host memory twice (once in
-/// the CAS, once as a cached reply).
-#[derive(Default)]
-struct BlobReplyCache {
+/// A channel reply cache with the same bounded discipline as
+/// [`ContentStore`]: a monotonic touch stamp drives deterministic
+/// least-recently-touched eviction, and the stored reply bytes never
+/// exceed the byte budget. Unbounded growth here would hold every
+/// distinct chunk of a cloning run in host memory twice (once in the
+/// CAS, once as a cached reply). One type behind all three caches: chunk
+/// replies by (file, offset, count), recipe replies by (file, chunk
+/// size), blob replies by content digest.
+struct ReplyCache<K> {
     // BTreeMap both ways: iteration feeds eviction, which must be
     // deterministic (lint: determinism).
-    entries: BTreeMap<Digest, (u64, xdr::Bytes)>,
-    /// Touch stamp → digest, oldest first.
-    lru: BTreeMap<u64, Digest>,
+    entries: BTreeMap<K, (u64, xdr::Bytes)>,
+    /// Touch stamp → key, oldest first.
+    lru: BTreeMap<u64, K>,
     bytes: u64,
     cap: u64,
     stamp: u64,
 }
 
-impl BlobReplyCache {
-    fn new(cap: u64) -> Self {
-        BlobReplyCache {
-            cap,
-            ..BlobReplyCache::default()
+/// Byte budget of a reply cache unless told otherwise: the default CAS
+/// budget. The chunk- and the recipe-reply cache have it each; blob
+/// replies are bounded by the configured CAS budget.
+const REPLY_CACHE_BYTES: u64 = 4 << 30;
+
+impl<K> Default for ReplyCache<K> {
+    fn default() -> Self {
+        ReplyCache {
+            entries: BTreeMap::new(),
+            lru: BTreeMap::new(),
+            bytes: 0,
+            cap: REPLY_CACHE_BYTES,
+            stamp: 0,
         }
     }
+}
 
-    fn get(&mut self, d: &Digest) -> Option<xdr::Bytes> {
+impl<K: Ord + Copy> ReplyCache<K> {
+    fn get(&mut self, k: &K) -> Option<xdr::Bytes> {
         self.stamp += 1;
         let stamp = self.stamp;
-        let e = self.entries.get_mut(d)?;
+        let e = self.entries.get_mut(k)?;
         self.lru.remove(&e.0);
         e.0 = stamp;
-        self.lru.insert(stamp, *d);
+        self.lru.insert(stamp, *k);
         Some(e.1.clone())
     }
 
-    fn insert(&mut self, d: Digest, reply: xdr::Bytes) {
+    fn remove(&mut self, k: &K) {
+        if let Some((stamp, body)) = self.entries.remove(k) {
+            self.lru.remove(&stamp);
+            self.bytes -= body.len() as u64;
+        }
+    }
+
+    fn insert(&mut self, k: K, reply: xdr::Bytes) {
         let len = reply.len() as u64;
         if len > self.cap {
             return;
         }
-        if let Some((old_stamp, old)) = self.entries.remove(&d) {
-            self.lru.remove(&old_stamp);
-            self.bytes -= old.len() as u64;
-        }
+        self.remove(&k);
         while self.bytes + len > self.cap {
-            let Some((&oldest, &victim)) = self.lru.iter().next() else {
+            let Some((_, &victim)) = self.lru.iter().next() else {
                 break;
             };
-            self.lru.remove(&oldest);
-            if let Some((_, body)) = self.entries.remove(&victim) {
-                self.bytes -= body.len() as u64;
-            }
+            self.remove(&victim);
         }
         self.stamp += 1;
         let stamp = self.stamp;
         self.bytes += len;
-        self.entries.insert(d, (stamp, reply));
-        self.lru.insert(stamp, d);
+        self.entries.insert(k, (stamp, reply));
+        self.lru.insert(stamp, k);
+    }
+
+    /// Drop every reply keyed inside `keys`.
+    fn forget(&mut self, keys: RangeInclusive<K>) {
+        let doomed: Vec<K> = self.entries.range(keys).map(|(k, _)| *k).collect();
+        for k in doomed {
+            self.remove(&k);
+        }
     }
 }
+
+/// CPU cost per proxied call, and per reply served from local state.
+const PER_OP_CPU: SimDuration = SimDuration::from_micros(40);
 
 /// Safety valve on the durable-ack map: one entry per 32 KB block, so
 /// this covers 2 GiB of distinct tracked blocks before the flush pass
 /// starts shedding the lexicographically first entries. Losing an
 /// entry only costs a redundant resend, never correctness.
 const ACKED_CAP: usize = 1 << 16;
-
-/// Safety valve on cached `FETCH_RECIPE` replies (one per
-/// (file, chunk size); recipes are small, so a generous count cap
-/// suffices). HashMap iteration is nondeterministic, so overflow
-/// clears the whole map rather than picking victims.
-const RECIPE_REPLY_CAP: usize = 4096;
 
 /// Sub-calls per upstream `FETCH_BLOBS_BATCH` envelope under fleet
 /// batching: one WAN round-trip carries up to this many chunks.
@@ -395,29 +411,19 @@ struct ProxyState {
     /// Cached `FETCH_CHUNK` replies (results bytes) keyed by
     /// (file, offset, count), for second-level proxies serving repeated
     /// clonings on a LAN.
-    chan_chunk_replies: HashMap<(FileKey, u64, u32), xdr::Bytes>,
+    chan_chunk_replies: ReplyCache<(FileKey, u64, u32)>,
     /// Per-file sequential-miss detector: (last missed block, run length).
     streaks: HashMap<FileKey, (u64, u32)>,
-    /// Blocks a prefetch worker is currently fetching, with a signal set
-    /// once the fetch lands. Suppresses duplicate prefetches; a racing
-    /// demand miss waits on the signal instead of duplicating the
-    /// upstream READ.
-    inflight_prefetch: BTreeMap<Tag, simnet::Signal>,
-    /// Blocks installed by read-ahead and not yet touched by a demand
-    /// read. Removal on demand hit counts `prefetch_hits`; found evicted
-    /// counts `prefetch_wasted`.
-    prefetched: BTreeSet<Tag>,
-    /// The block cache's removal count as of which every `prefetched`
+    /// Where each block the read path has in hand stands
+    /// ([`BlockFlight`]): being fetched by a demand miss, being fetched by
+    /// a prefetch worker, or prefetched and not yet read. One entry per
+    /// block; the read-ahead engine skips every block that has one.
+    flights: BTreeMap<Tag, BlockFlight>,
+    /// The block cache's removal count as of which every `Prefetched`
     /// block was resident: the count at the last reclaim scan, pulled
-    /// back to the count from before its insert when a block joins the
-    /// set (`reclaim_wasted_prefetches`).
+    /// back to the count from before its insert when a block becomes
+    /// `Prefetched` (`reclaim_wasted_prefetches`).
     prefetched_checked_at: u64,
-    /// Blocks a demand miss is currently fetching upstream. The kernel
-    /// client pipelines its own readahead as parallel READs, so the
-    /// demand READ for block b+1 is often already in flight when block
-    /// b's hit triggers read-ahead — without this set the prefetcher
-    /// would fetch b+1 a second time over the WAN.
-    inflight_demand: BTreeSet<Tag>,
     /// Degraded-mode write-back retry queue: dirty blocks whose upstream
     /// WRITE (or the covering COMMIT) failed. Flush drains it with
     /// bounded-backoff retry rounds; until then the bytes live here
@@ -437,14 +443,14 @@ struct ProxyState {
     acked: BTreeMap<Tag, (Digest, u64)>,
     /// Cached `FETCH_RECIPE` replies keyed by (file, chunk size) — the
     /// recipe analogue of `chan_chunk_replies` for second-level
-    /// proxies. Bounded by [`RECIPE_REPLY_CAP`].
-    chan_recipe_replies: HashMap<(FileKey, u32), xdr::Bytes>,
+    /// proxies.
+    chan_recipe_replies: ReplyCache<(FileKey, u32)>,
     /// Cached `FETCH_BLOBS` replies keyed by *content digest*: eight
     /// distinct images sharing chunks dedupe on a second-level LAN
     /// proxy even though their file handles differ. Entries are
     /// verified against their digest before insertion and LRU-bounded
     /// by the CAS byte cap.
-    chan_blob_replies: BlobReplyCache,
+    chan_blob_replies: ReplyCache<Digest>,
     /// Blob misses waiting to join the next upstream batch envelope
     /// (fleet batching only): `(digest, original request args)` in
     /// arrival order. Each entry also holds a signal in `inflight`.
@@ -477,6 +483,18 @@ struct ProxyState {
 }
 
 impl ProxyState {
+    /// Forget every cached chunk and recipe reply of `key`. Runs *before*
+    /// a mutation of the file goes upstream, not after: a mutation whose
+    /// reply is lost may still have changed the origin, and a relay may
+    /// be stale about other sites' writes but never about one it
+    /// forwarded itself. Digest-keyed blob replies are content-addressed
+    /// and stay.
+    fn forget_file_replies(&mut self, key: FileKey) {
+        self.chan_chunk_replies
+            .forget((key, 0, 0)..=(key, u64::MAX, u32::MAX));
+        self.chan_recipe_replies.forget((key, 0)..=(key, u32::MAX));
+    }
+
     /// Take the next upstream envelope's worth of parked blob misses: at
     /// most [`MAX_BATCH`].
     fn take_blob_round(&mut self) -> Vec<(Digest, xdr::Bytes)> {
@@ -500,6 +518,25 @@ struct Call<'a> {
     env: &'a Env,
     xid: u32,
     cred: &'a oncrpc::OpaqueAuth,
+}
+
+/// Where a block stands with the read path.
+enum BlockFlight {
+    /// A demand miss is fetching it upstream. The kernel client
+    /// pipelines its own readahead as parallel READs, so the demand READ
+    /// for block b+1 is often already in flight when block b's hit
+    /// triggers read-ahead — without this the prefetcher would fetch b+1
+    /// a second time over the WAN.
+    Demand,
+    /// A prefetch worker is fetching it; the signal is set once the fetch
+    /// lands or fails. A racing demand miss waits on it instead of
+    /// duplicating the upstream READ.
+    Prefetching(simnet::Signal),
+    /// Installed by read-ahead and not yet touched by a demand read. A
+    /// demand hit forgets it and counts `prefetch_hits`; found evicted it
+    /// counts `prefetch_wasted`. A demand read that claims such a block
+    /// leaves the entry as it is.
+    Prefetched,
 }
 
 /// What a single-flight is keyed by: a file being fetched whole, or a
@@ -714,6 +751,22 @@ impl WbSink {
         }
     }
 
+    /// Insert a frame into the block cache; a dirty block that falls out
+    /// is written upstream now, under `cred`.
+    fn insert_block(
+        &self,
+        env: &Env,
+        cred: &oncrpc::OpaqueAuth,
+        bc: &BlockCache,
+        tag: Tag,
+        data: Vec<u8>,
+        dirty: bool,
+    ) {
+        if let Some((etag, edata)) = bc.insert(env, tag, data, dirty) {
+            self.with_cred(cred).write_back(env, etag, edata);
+        }
+    }
+
     /// The one way a dirty cached file leaves the proxy: upload what must
     /// travel of a file whose contents digest to `digest`, counting it
     /// into `report` — unless upstream is known to hold exactly that
@@ -844,19 +897,20 @@ pub struct Proxy {
 
 /// Forget, and return the number of, prefetched blocks that fell out of
 /// the cache without ever serving a demand read — wasted effort. Costs a
-/// scan of `prefetched` only when the cache has dropped a frame since
+/// scan of the flight table only when the cache has dropped a frame since
 /// every tracked block was last known resident; otherwise none can be
 /// gone.
 fn reclaim_wasted_prefetches(st: &mut ProxyState, bc: &BlockCache) -> u64 {
+    let gone = |t: &Tag, f: &BlockFlight| matches!(f, BlockFlight::Prefetched) && !bc.contains(*t);
     let removals = bc.removals();
     if removals == st.prefetched_checked_at {
-        debug_assert!(st.prefetched.iter().all(|t| bc.contains(*t)));
+        debug_assert!(!st.flights.iter().any(|(t, f)| gone(t, f)));
         return 0;
     }
-    let tracked = st.prefetched.len();
-    st.prefetched.retain(|t| bc.contains(*t));
+    let tracked = st.flights.len();
+    st.flights.retain(|t, f| !gone(t, f));
     st.prefetched_checked_at = removals;
-    (tracked - st.prefetched.len()) as u64
+    (tracked - st.flights.len()) as u64
 }
 
 fn tag_key(tag: Tag) -> FileKey {
@@ -931,7 +985,10 @@ impl Proxy {
             peer_served: counter("gossip.peer_served"),
         });
         let state = Arc::new(Mutex::new(ProxyState {
-            chan_blob_replies: BlobReplyCache::new(cfg.dedup.cas_bytes),
+            chan_blob_replies: ReplyCache {
+                cap: cfg.dedup.cas_bytes,
+                ..ReplyCache::default()
+            },
             ..ProxyState::default()
         }));
         let wb = WbSink {
@@ -942,7 +999,7 @@ impl Proxy {
             dedup: cfg.dedup.enabled,
             codec: CodecModel::default(),
             transfer: cfg.transfer,
-            ttel: TransferTel::register(&tel.registry, &tel.inst),
+            ttel: TransferTel::register(&tel.registry, "gvfs", &tel.inst),
             dtel: DedupTel::register(&tel.registry, &tel.inst),
             written_back: tel.blocks_written_back.clone(),
             recovered_errors: tel.recovered_errors.clone(),
@@ -1055,7 +1112,7 @@ impl Proxy {
         let Call { env, xid, cred } = c;
         self.tel.forwarded.inc();
         let client = self.wb.upstream.with_cred(cred.clone());
-        match client.call_dl(env, prog, vers, proc, &args) {
+        match client.call(env, prog, vers, proc, &args) {
             Ok(results) => RpcMessage::success(xid, results),
             Err(e) => Self::error_reply(xid, e),
         }
@@ -1095,8 +1152,6 @@ impl Proxy {
             return;
         }
         let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
-        #[cfg(feature = "debug-trace")]
-        eprintln!("[gvfs] meta discovery for {name}");
         let meta = (|| -> Option<Arc<MetaFile>> {
             let (meta_fh, attr) = nfs.lookup(env, dir, &meta_name_for(name)).ok()?;
             let size = attr.map(|a| a.size).unwrap_or(0);
@@ -1113,8 +1168,6 @@ impl Proxy {
             }
             MetaFile::from_bytes(&contents).map(Arc::new)
         })();
-        #[cfg(feature = "debug-trace")]
-        eprintln!("[gvfs] meta for {name}: {}", meta.is_some());
         self.state.lock().meta.insert(subject, meta);
     }
 
@@ -1148,23 +1201,9 @@ impl Proxy {
 
     // -- READ ---------------------------------------------------------------
 
-    fn read_reply(xid: u32, data: Vec<u8>, eof: bool) -> RpcMessage {
-        let mut enc = Encoder::new();
-        enc.put_u32(Status::Ok.as_u32());
-        PostOpAttr(None).encode(&mut enc);
-        enc.put_u32(data.len() as u32);
-        enc.put_bool(eof);
-        enc.put_opaque_var(&data);
-        RpcMessage::success(xid, enc.into_bytes())
-    }
-
-    /// An NFS READ failure reply (status + no attributes), matching the
-    /// server's resfail encoding.
-    fn read_error_reply(xid: u32, status: Status) -> RpcMessage {
-        let mut enc = Encoder::new();
-        enc.put_u32(status.as_u32());
-        PostOpAttr(None).encode(&mut enc);
-        RpcMessage::success(xid, enc.into_bytes())
+    /// A READ answered from local state (no attributes ride along).
+    fn local_read(xid: u32, data: &[u8], eof: bool) -> RpcMessage {
+        RpcMessage::success(xid, encode_read(None, data, eof))
     }
 
     fn handle_read(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
@@ -1181,7 +1220,7 @@ impl Proxy {
         if let Some((fc, _)) = &self.wb.files {
             if let Some((data, eof)) = fc.read(env, key, a.offset, a.count) {
                 self.tel.file_cache_reads.inc();
-                return Self::read_reply(xid, data, eof);
+                return Self::local_read(xid, &data, eof);
             }
         }
 
@@ -1201,17 +1240,17 @@ impl Proxy {
         }
 
         // 3. Zero map: serve all-zero ranges locally.
-        if let Some(m) = &meta {
-            if let Some(zm) = &m.zero_map {
-                let size = self.wb.known_size(key).unwrap_or(m.file_size);
+        if let Some(zm) = meta.as_ref().and_then(|m| m.zero_map.as_ref()) {
+            // The meta-data entry itself makes the size known.
+            if let Some(size) = self.wb.known_size(key) {
                 if zm.range_is_zero(a.offset, a.count) {
                     self.tel.zero_filtered.inc();
                     if a.offset >= size {
-                        return Self::read_reply(xid, Vec::new(), true);
+                        return Self::local_read(xid, &[], true);
                     }
                     let len = (a.count as u64).min(size - a.offset) as usize;
                     let eof = a.offset + len as u64 >= size;
-                    return Self::read_reply(xid, vec![0u8; len], eof);
+                    return Self::local_read(xid, &vec![0u8; len], eof);
                 }
             }
         }
@@ -1227,22 +1266,19 @@ impl Proxy {
             let in_block = a.offset % bs;
             if in_block + a.count as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
-                let zm = meta.as_ref().and_then(|m| m.zero_map.as_ref());
-                let size_hint = meta.as_ref().map(|m| m.file_size);
                 // Atomically either join an in-flight prefetch of this
                 // block (wait for it to land rather than duplicating the
                 // WAN READ), or claim the block as an in-flight demand
                 // read so the read-ahead engine skips it as a candidate.
-                let waiter = {
-                    let mut st = self.state.lock();
-                    match st.inflight_prefetch.get(&tag) {
-                        Some(sig) => Some(sig.clone()),
-                        None => {
-                            st.inflight_demand.insert(tag);
-                            None
-                        }
-                    }
+                let claim = |st: &mut ProxyState| match st
+                    .flights
+                    .entry(tag)
+                    .or_insert(BlockFlight::Demand)
+                {
+                    BlockFlight::Prefetching(sig) => Some(sig.clone()),
+                    _ => None,
                 };
+                let waiter = claim(&mut self.state.lock());
                 let claimed = waiter.is_none();
                 if let Some(sig) = waiter {
                     sig.wait(env);
@@ -1253,16 +1289,19 @@ impl Proxy {
                 if let Some((data, block_len)) =
                     bc.lookup_range(env, tag, in_block as usize, a.count as usize)
                 {
-                    if claimed {
+                    let was_prefetched = {
                         let mut st = self.state.lock();
-                        st.inflight_demand.remove(&tag);
-                    }
-                    let was_prefetched = { self.state.lock().prefetched.remove(&tag) };
+                        let was = matches!(st.flights.get(&tag), Some(BlockFlight::Prefetched));
+                        if was || claimed {
+                            st.flights.remove(&tag);
+                        }
+                        was
+                    };
                     if was_prefetched {
                         self.tel.prefetch_hits.inc();
                         // Keep the pipeline rolling: hitting a prefetched
                         // block means the sequential stream is live.
-                        self.maybe_prefetch(env, cred, tag, a.count, zm, size_hint);
+                        self.maybe_prefetch(env, cred, tag, a.count, meta.as_deref());
                     }
                     let eof = block_len < bs as usize
                         || self
@@ -1270,36 +1309,36 @@ impl Proxy {
                             .known_size(key)
                             .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
-                    return Self::read_reply(xid, data, eof);
-                }
-                if !claimed {
-                    // Waited on a prefetch that failed to land: claim the
-                    // block ourselves before forwarding.
-                    let mut st = self.state.lock();
-                    st.inflight_demand.insert(tag);
+                    return Self::local_read(xid, &data, eof);
                 }
                 // Miss: start read-ahead for a detected sequential
                 // stream, then forward. The prefetch workers run
                 // detached; their upstream READs queue behind this
                 // demand miss on the WAN, overlapping its latency.
-                self.maybe_prefetch(env, cred, tag, a.count, zm, size_hint);
+                self.maybe_prefetch(env, cred, tag, a.count, meta.as_deref());
+                // Claim the block (again) for the forward: the prefetch
+                // waited on failed to land, or the reclaim just dropped
+                // the evicted `Prefetched` entry that stood in for the
+                // claim.
+                claim(&mut self.state.lock());
                 let reply = self.forward(c, NFS_PROGRAM, NFS_V3, proc3::READ, args);
                 {
                     let mut st = self.state.lock();
-                    st.inflight_demand.remove(&tag);
+                    if matches!(st.flights.get(&tag), Some(BlockFlight::Demand)) {
+                        st.flights.remove(&tag);
+                    }
                 }
-                if let Some(results) = success_results(&reply) {
-                    if let Some((data, eof)) = parse_read_results(results) {
-                        if eof {
-                            // Server-confirmed size: lets warm hits report
-                            // EOF without re-asking upstream.
-                            self.bump_size(key, a.offset + data.len() as u64);
-                        }
-                        // Only a block-aligned reply covers the block from
-                        // its first byte, so only that can be installed.
-                        if !data.is_empty() && in_block == 0 {
-                            self.insert_block(c, bc, tag, data, false);
-                        }
+                let fetched = success_results(&reply).and_then(|res| decode_read(res).ok());
+                if let Some(ReadRes { data, eof, .. }) = fetched {
+                    if eof {
+                        // Server-confirmed size: lets warm hits report
+                        // EOF without re-asking upstream.
+                        self.bump_size(key, a.offset + data.len() as u64);
+                    }
+                    // Only a block-aligned reply covers the block from
+                    // its first byte, so only that can be installed.
+                    if !data.is_empty() && in_block == 0 {
+                        self.wb.insert_block(env, cred, bc, tag, data, false);
                     }
                 }
                 return reply;
@@ -1326,7 +1365,7 @@ impl Proxy {
         let cached = || {
             let (data, eof) = fc.read(env, key, a.offset, a.count)?;
             self.tel.file_cache_reads.inc();
-            Some(Self::read_reply(xid, data, eof))
+            Some(Self::local_read(xid, &data, eof))
         };
         for _ in 0..MAX_FLIGHT_ATTEMPTS {
             if let Some(reply) = cached() {
@@ -1346,7 +1385,10 @@ impl Proxy {
         }
         cached().or_else(|| {
             self.tel.recovered_errors.inc();
-            Some(Self::read_error_reply(xid, Status::Io))
+            Some(RpcMessage::success(
+                xid,
+                encode_fail_postop(Status::Io, None),
+            ))
         })
     }
 
@@ -1362,8 +1404,6 @@ impl Proxy {
     ) -> bool {
         match self.fetch_and_install(env, h, m, fc, chan) {
             Ok(wire) => {
-                #[cfg(feature = "debug-trace")]
-                eprintln!("[gvfs] channel fetch ok: {wire} wire bytes");
                 self.tel.channel_fetches.inc();
                 self.tel.channel_wire_bytes.add(wire);
                 let tr = &self.tel.registry;
@@ -1376,11 +1416,7 @@ impl Proxy {
                 }
                 true
             }
-            Err(_e) => {
-                #[cfg(feature = "debug-trace")]
-                eprintln!("[gvfs] channel fetch failed: {_e:?}");
-                false
-            }
+            Err(_) => false,
         }
     }
 
@@ -1497,30 +1533,22 @@ impl Proxy {
         }
     }
 
-    /// Insert a frame into the block cache; a dirty block that falls out
-    /// is written upstream now.
-    fn insert_block(&self, c: Call<'_>, bc: &BlockCache, tag: Tag, data: Vec<u8>, dirty: bool) {
-        if let Some((etag, edata)) = bc.insert(c.env, tag, data, dirty) {
-            self.wb.with_cred(c.cred).write_back(c.env, etag, edata);
-        }
-    }
-
     /// Sequential read-ahead: track per-file block streaks; once two
     /// consecutive blocks have been requested, fetch the next
     /// `transfer.read_ahead` blocks upstream into the block cache from a
     /// detached worker. The workers' READs queue behind the triggering
     /// demand miss on the WAN, so the stream's next blocks arrive while
     /// the application consumes the current one. A racing demand miss on
-    /// a block being prefetched waits on the block's signal in
-    /// `inflight_prefetch` rather than duplicating the upstream READ.
+    /// a block being prefetched waits on the block's signal in the flight
+    /// table rather than duplicating the upstream READ.
     ///
     /// `lead` is the triggering read's byte count: a candidate block whose
-    /// leading `lead` bytes the zero map proves zero is skipped, because
-    /// the demand stream's aligned read there will be zero-filtered
-    /// locally and never consult the block cache — prefetching it would
-    /// burn WAN bandwidth on a block nobody looks up. `size_hint` (the
-    /// meta file size, when the proxy handles meta-data) clips candidates
-    /// at EOF before the first upstream reply has taught `known_size` —
+    /// leading `lead` bytes the zero map of `meta` proves zero is skipped,
+    /// because the demand stream's aligned read there will be
+    /// zero-filtered locally and never consult the block cache —
+    /// prefetching it would burn WAN bandwidth on a block nobody looks up.
+    /// The file size in `meta` clips candidates at EOF before the first
+    /// upstream reply has taught `known_size` (which falls back to it) —
     /// without it every short file costs a full window of empty
     /// beyond-EOF READs.
     fn maybe_prefetch(
@@ -1529,8 +1557,7 @@ impl Proxy {
         cred: &oncrpc::OpaqueAuth,
         tag: Tag,
         lead: u32,
-        zero_map: Option<&crate::meta::ZeroMap>,
-        size_hint: Option<u64>,
+        meta: Option<&MetaFile>,
     ) {
         let (key, bs) = (tag_key(tag), self.wb.bs);
         let depth = self.cfg.transfer.read_ahead;
@@ -1540,9 +1567,8 @@ impl Proxy {
         let Some(bc) = self.block_cache.clone() else {
             return;
         };
-        // `known_size` (server-confirmed) beats the meta hint; the hint
-        // still clips beyond-EOF speculation before the first EOF reply.
-        let size = self.wb.known_size(key).or(size_hint);
+        let zero_map = meta.and_then(|m| m.zero_map.as_ref());
+        let size = self.wb.known_size(key);
         let (candidates, wasted) = {
             let mut st = self.state.lock();
             let run = match st.streaks.get(&key).copied() {
@@ -1584,15 +1610,11 @@ impl Proxy {
                     }
                 }
                 let t = tag_of(key, b);
-                if st.inflight_prefetch.contains_key(&t)
-                    || st.inflight_demand.contains(&t)
-                    || st.prefetched.contains(&t)
-                    || bc.contains(t)
-                {
+                if st.flights.contains_key(&t) || bc.contains(t) {
                     continue;
                 }
-                st.inflight_prefetch
-                    .insert(t, simnet::Signal::new(env.handle()));
+                let landing = simnet::Signal::new(env.handle());
+                st.flights.insert(t, BlockFlight::Prefetching(landing));
                 cands.push(t);
             }
             (cands, wasted)
@@ -1616,28 +1638,23 @@ impl Proxy {
                 Some(&ttel),
                 move |env, t| {
                     let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
-                    let sig = match nfs.read(env, tag_key(t), t.block * bs, bs as u32) {
+                    let was = match nfs.read(env, tag_key(t), t.block * bs, bs as u32) {
                         Ok(r) if !r.data.is_empty() => {
                             // Taken before the insert: the frame can be
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
                             let removals = bc.removals();
-                            if let Some((etag, edata)) = bc.insert(env, t, r.data, false) {
-                                sink.write_back(env, etag, edata);
-                            }
-                            {
-                                let mut st = sink.state.lock();
-                                st.prefetched.insert(t);
-                                st.prefetched_checked_at = st.prefetched_checked_at.min(removals);
-                                st.inflight_prefetch.remove(&t)
-                            }
+                            sink.insert_block(env, sink.upstream.cred(), &bc, t, r.data, false);
+                            let mut st = sink.state.lock();
+                            st.prefetched_checked_at = st.prefetched_checked_at.min(removals);
+                            st.flights.insert(t, BlockFlight::Prefetched)
                         }
-                        _ => sink.state.lock().inflight_prefetch.remove(&t),
+                        _ => sink.state.lock().flights.remove(&t),
                     };
                     // Wake any demand miss parked on this block — outside
                     // the state lock.
-                    if let Some(s) = sig {
-                        s.set();
+                    if let Some(BlockFlight::Prefetching(landed)) = was {
+                        landed.set();
                     }
                     Some(())
                 },
@@ -1647,17 +1664,13 @@ impl Proxy {
 
     // -- WRITE --------------------------------------------------------------
 
-    /// An absorbed WRITE's reply, carrying this proxy's own write
-    /// verifier: the proxy answers for its local cache disk, not for the
-    /// origin server, so it must not forge the server's verifier.
-    fn write_reply(&self, xid: u32, count: u32, committed: StableHow) -> RpcMessage {
-        let mut enc = Encoder::new();
-        enc.put_u32(Status::Ok.as_u32());
-        WccData(None).encode(&mut enc);
-        enc.put_u32(count);
-        enc.put_u32(committed.as_u32());
-        enc.put_u64(self.write_verf);
-        RpcMessage::success(xid, enc.into_bytes())
+    /// An absorbed WRITE's reply — stable on the local cache disk —
+    /// carrying this proxy's own write verifier: the proxy answers for
+    /// its local cache disk, not for the origin server, so it must not
+    /// forge the server's verifier.
+    fn absorbed_write(&self, xid: u32, count: u32) -> RpcMessage {
+        let results = encode_write(None, count, StableHow::FileSync, self.write_verf);
+        RpcMessage::success(xid, results)
     }
 
     fn handle_write(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
@@ -1677,7 +1690,7 @@ impl Proxy {
                 fc.write(env, key, a.offset, &a.data);
                 self.bump_size(key, a.offset + a.data.len() as u64);
                 self.tel.writes_absorbed.inc();
-                return self.write_reply(xid, a.data.len() as u32, StableHow::FileSync);
+                return self.absorbed_write(xid, a.data.len() as u32);
             }
         }
 
@@ -1715,7 +1728,7 @@ impl Proxy {
                     if full || bstart >= existing_size {
                         let mut data = vec![0u8; boff + take];
                         data[boff..].copy_from_slice(chunk);
-                        self.insert_block(c, bc, tag, data, true);
+                        self.wb.insert_block(env, cred, bc, tag, data, true);
                     } else {
                         let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
                         let mut base = match nfs.read(env, a.file.0, bstart, bs as u32) {
@@ -1725,22 +1738,21 @@ impl Proxy {
                                 // don't fabricate a zero base — hand the
                                 // original WRITE upstream untouched.
                                 self.tel.recovered_errors.inc();
-                                self.invalidate_acked_range(key, a.offset, a.data.len() as u64);
-                                return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args);
+                                return self.forward_write(c, &a, args);
                             }
                         };
                         if base.len() < boff + take {
                             base.resize(boff + take, 0);
                         }
                         base[boff..boff + take].copy_from_slice(chunk);
-                        self.insert_block(c, bc, tag, base, true);
+                        self.wb.insert_block(env, cred, bc, tag, base, true);
                     }
                 }
                 pos += take as u64;
             }
             self.bump_size(key, end);
             self.tel.writes_absorbed.inc();
-            return self.write_reply(xid, a.data.len() as u32, StableHow::FileSync);
+            return self.absorbed_write(xid, a.data.len() as u32);
         }
 
         // Write-through: keep the cache coherent, then forward.
@@ -1749,13 +1761,31 @@ impl Proxy {
             if a.offset % bs == 0 && a.data.len() as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
                 if !bc.update(env, tag, 0, &a.data, false) && a.data.len() as u64 == bs {
-                    self.insert_block(c, bc, tag, a.data.clone(), false);
+                    self.wb
+                        .insert_block(env, cred, bc, tag, a.data.clone(), false);
                 }
             }
             self.bump_size(key, a.offset + a.data.len() as u64);
         }
-        self.invalidate_acked_range(key, a.offset, a.data.len() as u64);
+        self.forward_write(c, &a, args)
+    }
+
+    /// Hand a decoded WRITE upstream as it came, after forgetting what
+    /// it is about to make stale: the durable acks of the blocks it
+    /// touches and the file's cached channel replies.
+    fn forward_write(&self, c: Call<'_>, a: &WriteArgs, args: xdr::Bytes) -> RpcMessage {
+        self.invalidate_acked_range(a.file.0, a.offset, a.data.len() as u64);
+        self.state.lock().forget_file_replies(a.file.0);
         self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args)
+    }
+
+    /// SETATTR changes what the file's cached channel replies describe
+    /// (a truncation most of all); they go before it is forwarded.
+    fn handle_setattr(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
+        if let Ok(a) = xdr::from_bytes::<SetattrArgs>(&args) {
+            self.state.lock().forget_file_replies(a.file.0);
+        }
+        self.forward(c, NFS_PROGRAM, NFS_V3, proc3::SETATTR, args)
     }
 
     // -- GETATTR / COMMIT / LOOKUP -----------------------------------------
@@ -1786,20 +1816,12 @@ impl Proxy {
         // A forwarded success carries no verifier, so a patched reply can
         // be built afresh.
         let patched = success_results(&reply).and_then(|results| {
-            let mut dec = Decoder::new(results);
-            let status = dec.get_u32().ok()?;
-            if status != Status::Ok.as_u32() {
-                return None;
-            }
-            let mut attr = Fattr3::decode(&mut dec).ok()?.0;
+            let mut attr = decode_getattr(results).ok()?;
             if attr.size >= local {
                 return None;
             }
             attr.size = local;
-            let mut enc = Encoder::new();
-            enc.put_u32(Status::Ok.as_u32());
-            Fattr3(attr).encode(&mut enc);
-            Some(enc.into_bytes())
+            Some(encode_getattr(attr))
         });
         match patched {
             Some(results) => RpcMessage::success(c.xid, results),
@@ -1811,11 +1833,7 @@ impl Proxy {
         if self.cfg.write_policy == WritePolicy::WriteBack && self.block_cache.is_some() {
             // Data is stable on the proxy's local cache disk; the real
             // upstream flush happens on a middleware signal.
-            let mut enc = Encoder::new();
-            enc.put_u32(Status::Ok.as_u32());
-            WccData(None).encode(&mut enc);
-            enc.put_u64(self.write_verf);
-            return RpcMessage::success(c.xid, enc.into_bytes());
+            return RpcMessage::success(c.xid, encode_commit(None, self.write_verf));
         }
         self.forward(c, NFS_PROGRAM, NFS_V3, proc3::COMMIT, args)
     }
@@ -1825,11 +1843,8 @@ impl Proxy {
         let parsed: Result<DirOpArgs3, _> = xdr::from_bytes(&args);
         let reply = self.forward(c, NFS_PROGRAM, NFS_V3, proc3::LOOKUP, args);
         if let (Ok(dirop), Some(results)) = (parsed, success_results(&reply)) {
-            let mut dec = Decoder::new(results);
-            if dec.get_u32() == Ok(Status::Ok.as_u32()) {
-                if let Ok(fh) = Fh3::decode(&mut dec) {
-                    self.discover_meta(env, cred, dirop.dir.0, &dirop.name, fh.0);
-                }
+            if let Ok((fh, _)) = decode_lookup(results) {
+                self.discover_meta(env, cred, dirop.dir.0, &dirop.name, fh);
             }
         }
         reply
@@ -2174,7 +2189,7 @@ impl Proxy {
         let cached = { self.state.lock().chan_blob_replies.get(&want) };
         match cached {
             Some(results) => {
-                env.sleep(self.cfg.per_op_cpu);
+                env.sleep(PER_OP_CPU);
                 g.peer_served.inc();
                 RpcMessage::success(xid, results)
             }
@@ -2237,17 +2252,13 @@ impl Proxy {
             // re-crossing the WAN.
             chanproc::FETCH_CHUNK => {
                 let key = decode_chunk_args(&args);
-                self.replay_or_forward(c, proc, args, key, usize::MAX, |st| {
-                    &mut st.chan_chunk_replies
-                })
+                self.replay_or_forward(c, proc, args, key, |st| &mut st.chan_chunk_replies)
             }
             // Recipes are tiny but each one otherwise costs a WAN round
             // trip per cloning.
             chanproc::FETCH_RECIPE if dedup => {
                 let key = decode_recipe_args(&args);
-                self.replay_or_forward(c, proc, args, key, RECIPE_REPLY_CAP, |st| {
-                    &mut st.chan_recipe_replies
-                })
+                self.replay_or_forward(c, proc, args, key, |st| &mut st.chan_recipe_replies)
             }
             chanproc::FETCH_BLOBS if dedup => match decode_blob_args(&args) {
                 Some((_, _, _, want)) => self.serve_blob(c, want, args),
@@ -2256,42 +2267,40 @@ impl Proxy {
             chanproc::FETCH_BLOBS_BATCH if dedup && self.cfg.fleet.batching() => {
                 self.handle_channel_blob_envelope(c, args)
             }
+            chanproc::UPLOAD_CHUNK => {
+                if let Some(file) = decode_args_file(&args) {
+                    self.state.lock().forget_file_replies(file);
+                }
+                self.forward_chan(c, proc, args)
+            }
             chanproc::GOSSIP_DIGESTS => self.handle_gossip_digests(xid, &args),
             chanproc::FETCH_BLOBS_PEER => self.handle_channel_blob_peer(env, xid, &args),
             _ => self.forward_chan(c, proc, args),
         }
     }
 
-    /// Replay a cached reply for `key` from the map `cache` selects, or
+    /// Replay a cached reply for `key` from the cache `cache` selects, or
     /// forward the call and remember a successful reply under it (a call
     /// whose args did not decode has no key and is only forwarded).
-    /// Replies are an optimization: a map that reaches `cap` is cleared
-    /// (HashMap victim picks would be nondeterministic) and refills.
-    fn replay_or_forward<K: std::hash::Hash + Eq + Copy>(
+    fn replay_or_forward<K: Ord + Copy>(
         &self,
         c: Call<'_>,
         proc: u32,
         args: xdr::Bytes,
         key: Option<K>,
-        cap: usize,
-        cache: impl Fn(&mut ProxyState) -> &mut HashMap<K, xdr::Bytes>,
+        cache: impl Fn(&mut ProxyState) -> &mut ReplyCache<K>,
     ) -> RpcMessage {
         let Call { env, xid, .. } = c;
         if let Some(k) = key {
-            let cached = { cache(&mut self.state.lock()).get(&k).cloned() };
+            let cached = { cache(&mut self.state.lock()).get(&k) };
             if let Some(results) = cached {
-                env.sleep(self.cfg.per_op_cpu);
+                env.sleep(PER_OP_CPU);
                 return RpcMessage::success(xid, results);
             }
         }
         let reply = self.forward_chan(c, proc, args);
         if let (Some(k), Some(results)) = (key, success_results(&reply)) {
-            let mut st = self.state.lock();
-            let map = cache(&mut st);
-            if map.len() >= cap {
-                map.clear();
-            }
-            map.insert(k, results.clone());
+            cache(&mut self.state.lock()).insert(k, results.clone());
         }
         reply
     }
@@ -2308,7 +2317,7 @@ impl Proxy {
             let results = st.chan_blob_replies.get(&want)?;
             (results, !st.batch_uncounted.remove(&want))
         };
-        env.sleep(self.cfg.per_op_cpu);
+        env.sleep(PER_OP_CPU);
         if count_hit {
             if let Some(chunk_len) = blob_reply_len(&results) {
                 self.wb.dtel.recipe_hits.inc();
@@ -2620,19 +2629,6 @@ fn success_results(reply: &RpcMessage) -> Option<&xdr::Bytes> {
     }
 }
 
-/// Parse READ3 success results into (data, eof).
-fn parse_read_results(results: &[u8]) -> Option<(Vec<u8>, bool)> {
-    let mut dec = Decoder::new(results);
-    if dec.get_u32().ok()? != Status::Ok.as_u32() {
-        return None;
-    }
-    let _attr = PostOpAttr::decode(&mut dec).ok()?;
-    let _count = dec.get_u32().ok()?;
-    let eof = dec.get_bool().ok()?;
-    let data = dec.get_opaque_var().ok()?;
-    Some((data, eof))
-}
-
 impl RpcHandler for Proxy {
     fn handle(&self, env: &Env, request: &xdr::Bytes) -> xdr::Bytes {
         let msg = match RpcMessage::decode_shared(request) {
@@ -2660,7 +2656,7 @@ impl RpcHandler for Proxy {
         if prog == NFS_PROGRAM {
             self.tel.nfs_proc_counter(proc).inc();
         }
-        env.sleep(self.cfg.per_op_cpu);
+        env.sleep(PER_OP_CPU);
 
         // Server-side proxies authenticate middleware sessions and map
         // them onto local shadow accounts.
@@ -2694,11 +2690,72 @@ impl RpcHandler for Proxy {
                 proc3::READ => self.handle_read(c, args),
                 proc3::WRITE => self.handle_write(c, args),
                 proc3::GETATTR => self.handle_getattr(c, args),
+                proc3::SETATTR => self.handle_setattr(c, args),
                 proc3::COMMIT => self.handle_commit(c, args),
                 proc3::LOOKUP => self.handle_lookup(c, args),
                 _ => self.forward(c, prog, vers, proc, args),
             }
         };
         xdr::to_bytes(&reply).into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn file(fileid: u64) -> FileKey {
+        let generation = 1;
+        FileKey { fileid, generation }
+    }
+
+    fn reply(n: usize) -> xdr::Bytes {
+        vec![0u8; n].into()
+    }
+
+    #[test]
+    fn chunk_reply_cache_stays_under_its_budget_and_evicts_least_recently_used_first() {
+        let mut cache = ReplyCache::<(FileKey, u64, u32)> {
+            cap: 100,
+            ..ReplyCache::default()
+        };
+        let (a, b, c) = ((file(1), 0, 40), (file(1), 40, 40), (file(2), 0, 40));
+        cache.insert(a, reply(40));
+        cache.insert(b, reply(40));
+        // Touch `a`: `b` is now the least recently used.
+        assert!(cache.get(&a).is_some());
+        cache.insert(c, reply(40));
+        assert!(
+            cache.get(&b).is_none(),
+            "the least recently used goes first"
+        );
+        assert!(cache.get(&a).is_some() && cache.get(&c).is_some());
+        // A reply over the whole budget is not cached; one that fits
+        // pushes out as many as it takes, oldest first.
+        cache.insert((file(3), 0, 0), reply(101));
+        assert_eq!((cache.bytes, cache.entries.len()), (80, 2));
+        cache.insert((file(3), 0, 0), reply(90));
+        assert_eq!((cache.bytes, cache.entries.len()), (90, 1));
+        // Replacing a key accounts the size difference.
+        cache.insert((file(3), 0, 0), reply(10));
+        assert_eq!((cache.bytes, cache.lru.len()), (10, 1));
+    }
+
+    #[test]
+    fn forgetting_a_file_drops_its_chunk_and_recipe_replies_only() {
+        let mut st = ProxyState::default();
+        for f in [1, 2, 3] {
+            st.chan_chunk_replies.insert((file(f), 0, 1024), reply(8));
+            st.chan_chunk_replies
+                .insert((file(f), u64::MAX, u32::MAX), reply(8));
+            st.chan_recipe_replies.insert((file(f), 1024), reply(8));
+        }
+        st.forget_file_replies(file(2));
+        let (chunks, recipes) = (&mut st.chan_chunk_replies, &mut st.chan_recipe_replies);
+        assert_eq!((chunks.entries.len(), chunks.bytes), (4, 32));
+        assert_eq!((recipes.entries.len(), recipes.bytes), (2, 16));
+        assert!(chunks.get(&(file(2), 0, 1024)).is_none());
+        assert!(chunks.get(&(file(1), u64::MAX, u32::MAX)).is_some());
+        assert!(recipes.get(&(file(3), 1024)).is_some());
     }
 }

@@ -131,7 +131,6 @@ fn run_fetch(
                     name: "shard".into(),
                     write_policy: WritePolicy::WriteThrough,
                     meta_handling: false,
-                    per_op_cpu: SimDuration::from_micros(40),
                     read_only_share: true,
                     transfer: TransferTuning::default(),
                     dedup: DedupTuning::default(),

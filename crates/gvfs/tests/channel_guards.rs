@@ -100,7 +100,7 @@ fn blob_args(h: Handle, offset: u64, len: u32, d: Digest) -> Vec<u8> {
 /// One raw `UPLOAD_CHUNK`; returns the reply's status word.
 fn upload(env: &Env, rpc: &RpcClient, args: &[u8]) -> u32 {
     let res = rpc
-        .call_dl(
+        .call(
             env,
             CHANNEL_PROGRAM,
             CHANNEL_V1,
@@ -126,7 +126,6 @@ fn mutation_in_an_envelope_is_refused_by_a_batching_shard() {
             name: "shard".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: true,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),

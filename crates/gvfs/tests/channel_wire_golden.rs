@@ -132,7 +132,7 @@ fn blob_args(h: Handle, offset: u64, len: u32, d: Digest) -> Vec<u8> {
 
 /// A raw channel call whose outcome only the tap cares about.
 fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) {
-    let _ = rpc.call_dl(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
+    let _ = rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
 }
 
 fn shard(name: &str, upstream: RpcClient) -> Arc<Proxy> {
@@ -141,7 +141,6 @@ fn shard(name: &str, upstream: RpcClient) -> Arc<Proxy> {
             name: name.into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: true,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
@@ -475,7 +474,7 @@ fn retired_whole_file_procedures_answer_proc_unavail() {
         });
         for rpc in [&origin_rpc, &proxy_rpc] {
             for (proc, args) in [(1u32, &fetch), (2, &upload)] {
-                match rpc.call_dl(&env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args) {
+                match rpc.call(&env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args) {
                     Err(oncrpc::RpcError::Accept(AcceptStat::ProcUnavail)) => {}
                     other => panic!("procedure {proc}: expected ProcUnavail, got {other:?}"),
                 }

@@ -79,7 +79,6 @@ fn build_rig(sim: &Simulation, cow: CowTuning) -> Rig {
             name: "cow-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,

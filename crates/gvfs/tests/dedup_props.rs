@@ -90,7 +90,6 @@ fn build_rig_with(
             name: "dedup-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer,
             dedup,
@@ -381,7 +380,6 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
             name: "lan-share".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: true,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
@@ -578,7 +576,6 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
             name: "upload-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,
@@ -722,7 +719,6 @@ fn blob_cache_rejects_payload_digest_mismatch() {
             name: "lan-share".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: true,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
@@ -751,7 +747,7 @@ fn blob_cache_rejects_payload_digest_mismatch() {
             enc.put_u32(CHUNK);
             enc.put_u64(d.0);
             enc.put_u64(d.1);
-            rpc.call_dl(
+            rpc.call(
                 env,
                 CHANNEL_PROGRAM,
                 CHANNEL_V1,

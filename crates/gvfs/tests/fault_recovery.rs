@@ -97,7 +97,6 @@ fn build_rig_with(
             name: "fault-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer,
             // These tests pin exact write/commit counts per fault

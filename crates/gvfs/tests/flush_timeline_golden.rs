@@ -223,7 +223,6 @@ fn render_session(flush_window: usize) -> String {
             name: "timeline-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,

@@ -157,7 +157,6 @@ fn run_pair(
                 name: name.into(),
                 write_policy: WritePolicy::WriteThrough,
                 meta_handling: false,
-                per_op_cpu: SimDuration::from_micros(40),
                 read_only_share: true,
                 transfer: TransferTuning::default(),
                 dedup: DedupTuning {

@@ -84,7 +84,6 @@ fn build_rig_with(
             name: "server-proxy".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::off(),
@@ -120,7 +119,6 @@ fn build_rig_with(
             name: "client-proxy".into(),
             write_policy,
             meta_handling,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             // Chunking stays on (1 MiB files are a single chunk,
             // preserving the channel-fetch assertions).
@@ -659,6 +657,215 @@ fn kernel_client_end_to_end_through_proxy_chain() {
         kc.invalidate_caches();
         let back = kc.read(&env, h, 0, 200_000).unwrap();
         assert_eq!(back, data);
+    });
+    sim.run();
+}
+
+/// A READ and a WRITE whose `offset + count` overflows `u64` — far past
+/// the `maxfilesize` FSINFO advertises — must come back as a decodable
+/// error from whichever hop first decodes them (`GARBAGE_ARGS`: they are
+/// not valid READ3/WRITE3 arguments of this server), and nothing on the
+/// way may have computed with the sum: the next call still succeeds.
+fn assert_hostile_offsets_are_refused(env: &Env, nfs: &Nfs3Client, fh: vfs::Handle) {
+    let garbage = nfs3::NfsError::Rpc(oncrpc::RpcError::Accept(oncrpc::AcceptStat::GarbageArgs));
+    let hostile = u64::MAX - 10;
+    let wrote = nfs.write(
+        env,
+        fh,
+        hostile,
+        vec![7u8; 32],
+        nfs3::proto::StableHow::Unstable,
+    );
+    assert_eq!(wrote.unwrap_err(), garbage);
+    assert_eq!(nfs.read(env, fh, hostile, 32).unwrap_err(), garbage);
+    // Just inside `u64`, still past the advertised maximum.
+    assert_eq!(nfs.read(env, fh, u64::MAX - 64, 32).unwrap_err(), garbage);
+}
+
+#[test]
+fn hostile_offsets_are_refused_through_a_write_back_block_cache() {
+    let sim = Simulation::new();
+    let rig = build_rig(&sim, WritePolicy::WriteBack, false);
+    let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 233) as u8).collect();
+    seed_file(&rig.fs, "disk.img", &payload, None);
+    let nfs = Nfs3Client::new(rig.client_rpc.clone());
+    let proxy = rig.proxy.clone();
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        let (fh, _) = nfs.lookup(&env, root, "disk.img").unwrap();
+        assert_hostile_offsets_are_refused(&env, &nfs, fh);
+        let r = nfs.read(&env, fh, 0, 32 * 1024).unwrap();
+        assert_eq!(r.data, &payload[..32 * 1024]);
+        assert_eq!(proxy.stats().writes_absorbed, 0);
+    });
+    sim.run();
+}
+
+#[test]
+fn hostile_offsets_are_refused_for_a_file_resident_in_the_file_cache() {
+    let sim = Simulation::new();
+    let rig = build_rig(&sim, WritePolicy::WriteBack, true);
+    let payload: Vec<u8> = (0..64 * 1024u32).map(|i| (i % 229) as u8).collect();
+    seed_file(&rig.fs, "golden.vmss", &payload, None);
+    let spec = FileChannelSpec {
+        compress: true,
+        writeback: true,
+    };
+    Middleware::generate_meta(
+        &mut rig.fs.lock(),
+        "",
+        "golden.vmss",
+        32 * 1024,
+        false,
+        Some(spec),
+    )
+    .unwrap();
+    let nfs = Nfs3Client::new(rig.client_rpc.clone());
+    let proxy = rig.proxy.clone();
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        let (fh, _) = nfs.lookup(&env, root, "golden.vmss").unwrap();
+        // The first READ installs the file through the channel.
+        nfs.read(&env, fh, 0, 32 * 1024).unwrap();
+        assert_eq!(proxy.stats().channel_fetches, 1);
+        assert_hostile_offsets_are_refused(&env, &nfs, fh);
+        let r = nfs.read(&env, fh, 32 * 1024, 32 * 1024).unwrap();
+        assert_eq!(r.data, &payload[32 * 1024..]);
+        assert_eq!(proxy.stats().writes_absorbed, 0);
+    });
+    sim.run();
+}
+
+/// Origin (NFS, MOUNT, file channel) behind a WAN, and in front of it a
+/// cacheless write-through relay — a LAN second-level proxy — whose only
+/// state is its channel reply caches. Returns the origin's filesystem
+/// and a stub that reaches the origin through the relay.
+fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Arc<Mutex<Fs>>, RpcClient) {
+    let h = sim.handle();
+    let disk = Disk::new(&h, DiskModel::server_array());
+    let (fs, server) = Nfs3Server::with_new_fs(&h, disk.clone(), ServerConfig::default());
+    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
+    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
+    let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
+    let wan_down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(17));
+    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::plain());
+    wan.listener.serve(
+        "origin",
+        Dispatcher::new()
+            .register(server)
+            .register(mount)
+            .register(chan_server)
+            .into_handler(),
+        4,
+    );
+    let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
+    let relay = Proxy::new(
+        ProxyConfig {
+            name: "relay".into(),
+            write_policy: WritePolicy::WriteThrough,
+            meta_handling: false,
+            dedup,
+            ..ProxyConfig::default()
+        },
+        RpcClient::new(wan.channel, cred.clone()),
+    )
+    .into_handler();
+    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
+    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+    let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
+    lan.listener.serve("relay", relay, 4);
+    (fs, RpcClient::new(lan.channel, cred))
+}
+
+const RELAY_CHUNK: u32 = 1024;
+
+/// Two versions of an eight-chunk image that differ in every chunk.
+fn relay_image(version: u8) -> Vec<u8> {
+    (0..8 * RELAY_CHUNK)
+        .map(|i| (i / RELAY_CHUNK * 31 + i % 241) as u8 ^ version)
+        .collect()
+}
+
+/// A relay may be stale about other sites' writes, never about one it
+/// forwarded itself: after an `UPLOAD_CHUNK` went through it, the chunk
+/// replies it cached for that file are gone.
+#[test]
+fn relay_serves_the_new_bytes_after_an_upload_it_forwarded() {
+    let sim = Simulation::new();
+    let (fs, rpc) = build_relay(&sim, DedupTuning::off());
+    let fh = seed_file(&fs, "img", &relay_image(0), None);
+    let chan = ChannelClient::new(rpc, CodecModel::default());
+    sim.spawn("client", move |env: Env| {
+        let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
+        assert_eq!(fetch(&env), relay_image(0));
+        // Served from the relay's reply cache.
+        assert_eq!(fetch(&env), relay_image(0));
+        chan.upload_chunked(&env, fh, &relay_image(1), RELAY_CHUNK, 2, None)
+            .unwrap();
+        assert_eq!(
+            fetch(&env),
+            relay_image(1),
+            "the relay replayed stale chunks"
+        );
+    });
+    sim.run();
+}
+
+/// The same with dedup on, where staleness would be silent: a stale
+/// recipe names the old digests, and digest-keyed blobs verify against
+/// it. The recipe reply must go; the content-addressed blobs may stay.
+#[test]
+fn relay_serves_the_new_recipe_after_an_upload_it_forwarded() {
+    let sim = Simulation::new();
+    let (fs, rpc) = build_relay(&sim, DedupTuning::default());
+    let fh = seed_file(&fs, "img", &relay_image(0), None);
+    let chan = ChannelClient::new(rpc, CodecModel::default());
+    sim.spawn("client", move |env: Env| {
+        let cas = gvfs::ContentStore::new(1 << 20);
+        let dtel = gvfs::DedupTel::unregistered();
+        let rq = gvfs::RecipeFetch {
+            recipe_hint: None,
+            chunk_bytes: RELAY_CHUNK,
+            window: 2,
+            batch: 1,
+            cas: &cas,
+            dtel: &dtel,
+            tel: None,
+        };
+        let fetch = |env: &Env| chan.fetch_dedup(env, fh, &rq).unwrap().contents;
+        assert_eq!(fetch(&env), relay_image(0));
+        chan.upload_chunked(&env, fh, &relay_image(1), RELAY_CHUNK, 2, None)
+            .unwrap();
+        assert_eq!(
+            fetch(&env),
+            relay_image(1),
+            "the relay replayed a stale recipe"
+        );
+    });
+    sim.run();
+}
+
+/// An NFS WRITE or SETATTR a write-through relay forwards mutates the
+/// file just as an upload does.
+#[test]
+fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
+    let sim = Simulation::new();
+    let (fs, rpc) = build_relay(&sim, DedupTuning::off());
+    let fh = seed_file(&fs, "img", &relay_image(0), None);
+    let chan = ChannelClient::new(rpc.clone(), CodecModel::default());
+    let nfs = Nfs3Client::new(rpc);
+    sim.spawn("client", move |env: Env| {
+        let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
+        assert_eq!(fetch(&env), relay_image(0));
+        let patch = vec![0xEEu8; 100];
+        nfs.write(&env, fh, 1500, &patch, nfs3::proto::StableHow::FileSync)
+            .unwrap();
+        let mut want = relay_image(0);
+        want[1500..1600].copy_from_slice(&patch);
+        assert_eq!(fetch(&env), want, "stale after a forwarded WRITE");
+        nfs.setattr(&env, fh, Some(3000), None).unwrap();
+        want.truncate(3000);
+        assert_eq!(fetch(&env), want, "stale after a forwarded SETATTR");
     });
     sim.run();
 }

@@ -48,7 +48,6 @@ fn record_paths_stay_registry_free_after_warmup() {
             name: "tel-proxy".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning {
                 read_ahead: 0,

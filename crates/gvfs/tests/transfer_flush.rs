@@ -63,7 +63,6 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
             name: "flush-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning {
                 flush_window,

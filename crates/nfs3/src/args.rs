@@ -2,8 +2,23 @@
 //! understand. The proxy decodes READ and WRITE calls to consult its block
 //! cache, so these types are shared between server, client and proxy.
 
-use crate::proto::{DirOpArgs3, Fh3, Sattr3, StableHow};
-use xdr::{Decode, Decoder, Encode, Encoder, Result as XdrResult};
+use crate::proto::{DirOpArgs3, Fh3, Sattr3, StableHow, MAX_FILE_SIZE};
+use xdr::{Decode, Decoder, Encode, Encoder, Error as XdrError, Result as XdrResult};
+
+/// Refuse a READ or WRITE range that ends past [`MAX_FILE_SIZE`] — which
+/// includes every one whose `offset + count` would overflow. Checked
+/// here, where the arguments are decoded, so the server, the proxy and
+/// every later hop refuse the same calls the same way (an undecodable
+/// call is `GARBAGE_ARGS`) and none of them computes with the sum first.
+fn check_range(offset: u64, count: u32) -> XdrResult<()> {
+    match offset.checked_add(count as u64) {
+        Some(end) if end <= MAX_FILE_SIZE => Ok(()),
+        _ => Err(XdrError::LengthOverLimit {
+            declared: count,
+            limit: MAX_FILE_SIZE.saturating_sub(offset).min(u32::MAX as u64) as u32,
+        }),
+    }
+}
 
 /// READ3 arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -26,11 +41,13 @@ impl Encode for ReadArgs {
 
 impl Decode for ReadArgs {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(ReadArgs {
+        let a = ReadArgs {
             file: Fh3::decode(dec)?,
             offset: dec.get_u64()?,
             count: dec.get_u32()?,
-        })
+        };
+        check_range(a.offset, a.count)?;
+        Ok(a)
     }
 }
 
@@ -83,13 +100,15 @@ impl Encode for WriteArgs {
 
 impl Decode for WriteArgs {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(WriteArgs {
+        let a = WriteArgs {
             file: Fh3::decode(dec)?,
             offset: dec.get_u64()?,
             count: dec.get_u32()?,
             stable: StableHow::from_u32(dec.get_u32()?)?,
             data: dec.get_opaque_var()?,
-        })
+        };
+        check_range(a.offset, a.count.max(a.data.len() as u32))?;
+        Ok(a)
     }
 }
 
@@ -293,6 +312,35 @@ mod tests {
         };
         let back: ReadArgs = xdr::from_bytes(&xdr::to_bytes(&a)).unwrap();
         assert_eq!(back, a);
+    }
+
+    #[test]
+    fn ranges_past_the_maximum_file_size_do_not_decode() {
+        let read = |offset, count| {
+            xdr::from_bytes::<ReadArgs>(&xdr::to_bytes(&ReadArgs {
+                file: fh(3),
+                offset,
+                count,
+            }))
+        };
+        assert!(read(MAX_FILE_SIZE - 8, 8).is_ok());
+        assert!(read(MAX_FILE_SIZE - 8, 9).is_err());
+        assert!(read(u64::MAX - 10, 32).is_err());
+        assert!(read(u64::MAX, 0).is_err());
+        let write = |offset, count, len| {
+            xdr::from_bytes::<WriteArgs>(&xdr::to_bytes(&WriteArgs {
+                file: fh(9),
+                offset,
+                count,
+                stable: StableHow::Unstable,
+                data: vec![1; len],
+            }))
+        };
+        assert!(write(MAX_FILE_SIZE - 8, 8, 8).is_ok());
+        // Neither the declared count nor the payload may overhang.
+        assert!(write(MAX_FILE_SIZE - 8, 9, 8).is_err());
+        assert!(write(MAX_FILE_SIZE - 8, 8, 9).is_err());
+        assert!(write(u64::MAX - 10, 32, 32).is_err());
     }
 
     #[test]

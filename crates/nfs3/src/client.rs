@@ -6,10 +6,11 @@
 use oncrpc::{RpcClient, RpcError};
 use simnet::Env;
 use vfs::{Attr, Handle};
-use xdr::{Decode, Decoder, Encode, Encoder};
+use xdr::{Decode, Decoder, Encoder};
 
 use crate::args::*;
 use crate::proto::*;
+use crate::results::*;
 
 /// Errors from typed NFS operations.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,13 +68,7 @@ impl Nfs3Client {
     }
 
     fn call(&self, env: &Env, proc: u32, args: &[u8]) -> NfsResult<xdr::Bytes> {
-        // Deadline-aware entry point: retransmits under the stub's
-        // RetryPolicy (if any); identical to plain call() without one.
-        Ok(self.rpc.call_dl(env, NFS_PROGRAM, NFS_V3, proc, args)?)
-    }
-
-    fn status_of(dec: &mut Decoder<'_>) -> NfsResult<Status> {
-        Ok(Status::from_u32(dec.get_u32()?)?)
+        Ok(self.rpc.call(env, NFS_PROGRAM, NFS_V3, proc, args)?)
     }
 
     /// MOUNT: obtain the root handle of an export.
@@ -81,7 +76,7 @@ impl Nfs3Client {
         let args = xdr::to_bytes(&export.to_string());
         let res = self
             .rpc
-            .call_dl(env, MOUNT_PROGRAM, MOUNT_V3, mountproc::MNT, &args)?;
+            .call(env, MOUNT_PROGRAM, MOUNT_V3, mountproc::MNT, &args)?;
         let mut dec = Decoder::new(&res);
         let status = dec.get_u32()?;
         if status != 0 {
@@ -101,12 +96,7 @@ impl Nfs3Client {
 
     /// GETATTR.
     pub fn getattr(&self, env: &Env, h: Handle) -> NfsResult<Attr> {
-        let res = self.call(env, proc3::GETATTR, &xdr::to_bytes(&Fh3(h)))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => Ok(Fattr3::decode(&mut dec)?.0),
-            s => Err(NfsError::Status(s)),
-        }
+        decode_getattr(&self.call(env, proc3::GETATTR, &xdr::to_bytes(&Fh3(h)))?)
     }
 
     /// SETATTR (size/mode subset).
@@ -121,12 +111,8 @@ impl Nfs3Client {
             file: Fh3(h),
             attrs: Sattr3 { mode, size },
         };
-        let res = self.call(env, proc3::SETATTR, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => Ok(()),
-            s => Err(NfsError::Status(s)),
-        }
+        open(&self.call(env, proc3::SETATTR, &xdr::to_bytes(&args))?)?;
+        Ok(())
     }
 
     /// LOOKUP a name, returning the handle and its attributes.
@@ -135,29 +121,15 @@ impl Nfs3Client {
             dir: Fh3(dir),
             name: name.to_string(),
         };
-        let res = self.call(env, proc3::LOOKUP, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let fh = Fh3::decode(&mut dec)?;
-                let obj_attr = PostOpAttr::decode(&mut dec)?.0;
-                Ok((fh.0, obj_attr))
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        decode_lookup(&self.call(env, proc3::LOOKUP, &xdr::to_bytes(&args))?)
     }
 
     /// READLINK.
     pub fn readlink(&self, env: &Env, h: Handle) -> NfsResult<String> {
         let res = self.call(env, proc3::READLINK, &xdr::to_bytes(&Fh3(h)))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let _attr = PostOpAttr::decode(&mut dec)?;
-                Ok(dec.get_string()?)
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        let mut dec = open(&res)?;
+        let _attr = PostOpAttr::decode(&mut dec)?;
+        Ok(dec.get_string()?)
     }
 
     /// READ up to `count` bytes at `offset`.
@@ -167,18 +139,7 @@ impl Nfs3Client {
             offset,
             count,
         };
-        let res = self.call(env, proc3::READ, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let attr = PostOpAttr::decode(&mut dec)?.0;
-                let _count = dec.get_u32()?;
-                let eof = dec.get_bool()?;
-                let data = dec.get_opaque_var()?;
-                Ok(ReadRes { attr, data, eof })
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        decode_read(&self.call(env, proc3::READ, &xdr::to_bytes(&args))?)
     }
 
     /// WRITE `data` at `offset` with the given stability. The payload is
@@ -195,39 +156,17 @@ impl Nfs3Client {
         let data = data.as_ref();
         let mut enc = Encoder::new();
         WriteArgs::encode_borrowed(&mut enc, &Fh3(h), offset, data.len() as u32, stable, data);
-        let res = self.call(env, proc3::WRITE, enc.as_bytes())?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let attr = WccData::decode(&mut dec)?.0;
-                let count = dec.get_u32()?;
-                let committed = StableHow::from_u32(dec.get_u32()?)?;
-                let verf = dec.get_u64()?;
-                Ok(WriteRes {
-                    attr,
-                    count,
-                    committed,
-                    verf,
-                })
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        decode_write(&self.call(env, proc3::WRITE, enc.as_bytes())?)
     }
 
     fn create_like(&self, env: &Env, proc: u32, args: &[u8]) -> NfsResult<Handle> {
         let res = self.call(env, proc, args)?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let has_fh = dec.get_bool()?;
-                if !has_fh {
-                    return Err(NfsError::Decode(xdr::Error::InvalidDiscriminant(0)));
-                }
-                let fh = Fh3::decode(&mut dec)?;
-                Ok(fh.0)
-            }
-            s => Err(NfsError::Status(s)),
+        let mut dec = open(&res)?;
+        let has_fh = dec.get_bool()?;
+        if !has_fh {
+            return Err(NfsError::Decode(xdr::Error::InvalidDiscriminant(0)));
         }
+        Ok(Fh3::decode(&mut dec)?.0)
     }
 
     /// CREATE (UNCHECKED).
@@ -278,12 +217,8 @@ impl Nfs3Client {
             dir: Fh3(dir),
             name: name.to_string(),
         };
-        let res = self.call(env, proc, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => Ok(()),
-            s => Err(NfsError::Status(s)),
-        }
+        open(&self.call(env, proc, &xdr::to_bytes(&args))?)?;
+        Ok(())
     }
 
     /// REMOVE a file or symlink.
@@ -315,12 +250,8 @@ impl Nfs3Client {
                 name: to_name.to_string(),
             },
         };
-        let res = self.call(env, proc3::RENAME, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => Ok(()),
-            s => Err(NfsError::Status(s)),
-        }
+        open(&self.call(env, proc3::RENAME, &xdr::to_bytes(&args))?)?;
+        Ok(())
     }
 
     /// READDIR: full listing (issues as many calls as cookies require).
@@ -339,23 +270,18 @@ impl Nfs3Client {
                 count: 8192,
             };
             let res = self.call(env, proc3::READDIR, &xdr::to_bytes(&args))?;
-            let mut dec = Decoder::new(&res);
-            match Self::status_of(&mut dec)? {
-                Status::Ok => {
-                    let _attr = PostOpAttr::decode(&mut dec)?;
-                    let _verf = dec.get_u64()?;
-                    while dec.get_bool()? {
-                        let fileid = dec.get_u64()?;
-                        let name = dec.get_string()?;
-                        cookie = dec.get_u64()?;
-                        out.push(DirEntry { fileid, name });
-                    }
-                    let eof = dec.get_bool()?;
-                    if eof {
-                        return Ok(out);
-                    }
-                }
-                s => return Err(NfsError::Status(s)),
+            let mut dec = open(&res)?;
+            let _attr = PostOpAttr::decode(&mut dec)?;
+            let _verf = dec.get_u64()?;
+            while dec.get_bool()? {
+                let fileid = dec.get_u64()?;
+                let name = dec.get_string()?;
+                cookie = dec.get_u64()?;
+                out.push(DirEntry { fileid, name });
+            }
+            let eof = dec.get_bool()?;
+            if eof {
+                return Ok(out);
             }
         }
     }
@@ -363,27 +289,22 @@ impl Nfs3Client {
     /// FSINFO.
     pub fn fsinfo(&self, env: &Env, root: Handle) -> NfsResult<FsInfo> {
         let res = self.call(env, proc3::FSINFO, &xdr::to_bytes(&Fh3(root)))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let _attr = PostOpAttr::decode(&mut dec)?;
-                let rtmax = dec.get_u32()?;
-                let _rtpref = dec.get_u32()?;
-                let _rtmult = dec.get_u32()?;
-                let wtmax = dec.get_u32()?;
-                let _wtpref = dec.get_u32()?;
-                let _wtmult = dec.get_u32()?;
-                let dtpref = dec.get_u32()?;
-                let maxfilesize = dec.get_u64()?;
-                Ok(FsInfo {
-                    rtmax,
-                    wtmax,
-                    dtpref,
-                    maxfilesize,
-                })
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        let mut dec = open(&res)?;
+        let _attr = PostOpAttr::decode(&mut dec)?;
+        let rtmax = dec.get_u32()?;
+        let _rtpref = dec.get_u32()?;
+        let _rtmult = dec.get_u32()?;
+        let wtmax = dec.get_u32()?;
+        let _wtpref = dec.get_u32()?;
+        let _wtmult = dec.get_u32()?;
+        let dtpref = dec.get_u32()?;
+        let maxfilesize = dec.get_u64()?;
+        Ok(FsInfo {
+            rtmax,
+            wtmax,
+            dtpref,
+            maxfilesize,
+        })
     }
 
     /// COMMIT unstable writes.
@@ -393,15 +314,7 @@ impl Nfs3Client {
             offset: 0,
             count: 0,
         };
-        let res = self.call(env, proc3::COMMIT, &xdr::to_bytes(&args))?;
-        let mut dec = Decoder::new(&res);
-        match Self::status_of(&mut dec)? {
-            Status::Ok => {
-                let _wcc = WccData::decode(&mut dec)?;
-                Ok(dec.get_u64()?)
-            }
-            s => Err(NfsError::Status(s)),
-        }
+        decode_commit(&self.call(env, proc3::COMMIT, &xdr::to_bytes(&args))?)
     }
 
     /// Resolve a slash-separated path with repeated LOOKUPs.
@@ -414,17 +327,3 @@ impl Nfs3Client {
         Ok(h)
     }
 }
-
-#[allow(unused)]
-fn _assert_traits() {
-    fn is_send<T: Send>() {}
-    is_send::<Nfs3Client>();
-}
-
-// Re-export for the Encode bound used above.
-use crate::proto::Sattr3 as _Sattr3Check;
-const _: () = {
-    fn _check(enc: &mut Encoder, s: &_Sattr3Check) {
-        s.encode(enc);
-    }
-};

@@ -24,21 +24,16 @@
 //! oblivious to whether they run on a local disk or an NFS mount that may
 //! have a chain of GVFS proxies behind it.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simnet::telemetry::Counter;
-use simnet::{Env, SimDuration};
+use simnet::{run_windowed, Env, SimDuration};
 use vfs::{share, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, SharedBytes};
 
 use crate::client::{Nfs3Client, NfsError};
 use crate::proto::{StableHow, Status};
-
-/// `(block, data)` results shared between read-gathering workers.
-type SharedBlockList = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
-/// Pending `(block, data)` writes shared between write-staging workers.
-type SharedBlockQueue = Arc<Mutex<VecDeque<(u64, Vec<u8>)>>>;
 
 /// Kernel client tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -248,131 +243,60 @@ impl KernelClient {
         Ok(a)
     }
 
-    /// Fetch the given blocks with bounded parallelism; returns (block,
-    /// data) pairs. Data is padded to the block size.
+    /// Fetch the given blocks, at most `max_inflight` READs in flight;
+    /// returns (block, data) pairs in the order asked for. Data is padded
+    /// to the block size.
     fn fetch_blocks(
         &self,
         env: &Env,
         h: Handle,
         blocks: Vec<u64>,
     ) -> IoResult<Vec<(u64, Vec<u8>)>> {
-        if blocks.is_empty() {
-            return Ok(Vec::new());
-        }
         let bs = self.bs();
-        let n = blocks.len();
-        let results: SharedBlockList = Arc::new(Mutex::new(Vec::with_capacity(n)));
-        let queue: Arc<Mutex<VecDeque<u64>>> = Arc::new(Mutex::new(blocks.into_iter().collect()));
-        let workers = self.cfg.max_inflight.min(n).max(1);
-        if workers == 1 {
-            // Fast path: no helper processes.
-            while let Some(b) = {
-                let q = queue.lock().pop_front();
-                q
-            } {
-                let res = self.nfs.read(env, h, b * bs, bs as u32).map_err(map_err)?;
+        let n = blocks.len() as u64;
+        let nfs = self.nfs.clone();
+        let window = self.cfg.max_inflight;
+        let slots = run_windowed(env, "nfs-read", window, blocks, None, move |env, b| {
+            Some(nfs.read(env, h, b * bs, bs as u32).map(|res| {
                 let mut data = res.data;
                 data.resize(bs as usize, 0);
-                results.lock().push((b, data));
-            }
-        } else {
-            let mut joins = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let queue = queue.clone();
-                let results = results.clone();
-                let nfs = self.nfs.clone();
-                let bs_w = bs;
-                joins.push(env.spawn(format!("nfs-read-{w}"), move |env| loop {
-                    let b = match queue.lock().pop_front() {
-                        Some(b) => b,
-                        None => return,
-                    };
-                    match nfs.read(&env, h, b * bs_w, bs_w as u32) {
-                        Ok(res) => {
-                            let mut data = res.data;
-                            data.resize(bs_w as usize, 0);
-                            results.lock().push((b, data));
-                        }
-                        Err(_) => return, // surfaces as a short result below
-                    }
-                }));
-            }
-            for j in joins {
-                j.join(env);
-            }
-        }
-        let mut out = Arc::try_unwrap(results)
-            .map_err(|_| IoError::Io("read worker leak".into()))?
-            .into_inner();
-        if out.len() != n {
-            return Err(IoError::Io("read RPC failed".into()));
-        }
-        self.tel.read_rpcs.add(n as u64);
-        self.tel.bytes_read.add(n as u64 * bs);
-        out.sort_unstable_by_key(|(b, _)| *b);
+                (b, data)
+            }))
+        });
+        let out = all_sent(slots)?;
+        self.tel.read_rpcs.add(n);
+        self.tel.bytes_read.add(n * bs);
         Ok(out)
     }
 
-    /// Push dirty blocks with bounded parallelism and COMMIT.
+    /// Push dirty blocks, at most `max_inflight` WRITEs in flight, and
+    /// COMMIT.
     fn write_blocks(&self, env: &Env, h: Handle, blocks: Vec<(u64, Vec<u8>)>) -> IoResult<()> {
         if blocks.is_empty() {
             return Ok(());
         }
         let bs = self.bs();
-        let n = blocks.len();
+        let n = blocks.len() as u64;
         // Do not write past the file's logical size: the tail block may
         // extend beyond EOF.
         let size = {
             let st = self.state.lock();
             st.local_size.get(&h.fileid).copied()
         };
-        let queue: SharedBlockQueue = Arc::new(Mutex::new(blocks.into_iter().collect()));
-        let failures = Arc::new(Mutex::new(0usize));
-        let workers = self.cfg.max_inflight.min(n).max(1);
-        if workers == 1 {
-            while let Some((b, data)) = {
-                let q = queue.lock().pop_front();
-                q
-            } {
-                let (off, data) = clip_to_size(b, data, bs, size);
-                if data.is_empty() {
-                    continue;
-                }
-                self.nfs
-                    .write(env, h, off, data, StableHow::Unstable)
-                    .map_err(map_err)?;
+        let nfs = self.nfs.clone();
+        let window = self.cfg.max_inflight;
+        let slots = run_windowed(env, "nfs-write", window, blocks, None, move |env, blk| {
+            let (off, data) = clip_to_size(blk.0, blk.1, bs, size);
+            if data.is_empty() {
+                return Some(Ok(()));
             }
-        } else {
-            let mut joins = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let queue = queue.clone();
-                let failures = failures.clone();
-                let nfs = self.nfs.clone();
-                joins.push(env.spawn(format!("nfs-write-{w}"), move |env| loop {
-                    let (b, data) = match queue.lock().pop_front() {
-                        Some(t) => t,
-                        None => return,
-                    };
-                    let (off, data) = clip_to_size(b, data, bs, size);
-                    if data.is_empty() {
-                        continue;
-                    }
-                    if nfs.write(&env, h, off, data, StableHow::Unstable).is_err() {
-                        *failures.lock() += 1;
-                        return;
-                    }
-                }));
-            }
-            for j in joins {
-                j.join(env);
-            }
-        }
-        if *failures.lock() > 0 {
-            return Err(IoError::Io("write RPC failed".into()));
-        }
+            let sent = nfs.write(env, h, off, data, StableHow::Unstable);
+            Some(sent.map(|_| ()))
+        });
+        all_sent(slots)?;
         self.nfs.commit(env, h).map_err(map_err)?;
-        self.tel.write_rpcs.add(n as u64);
-        self.tel.bytes_written.add(n as u64 * bs);
+        self.tel.write_rpcs.add(n);
+        self.tel.bytes_written.add(n * bs);
         self.tel.meta_rpcs.inc(); // the COMMIT
         Ok(())
     }
@@ -452,6 +376,18 @@ fn clip_to_size(b: u64, mut data: Vec<u8>, bs: u64, size: Option<u64>) -> (u64, 
         data.truncate(max);
     }
     (off, data)
+}
+
+/// The results of one windowed batch of RPCs, or the first failure in it
+/// (an empty slot is a worker that died with its job).
+fn all_sent<T>(slots: Vec<Option<Result<T, NfsError>>>) -> IoResult<Vec<T>> {
+    slots
+        .into_iter()
+        .map(|slot| match slot {
+            Some(sent) => sent.map_err(map_err),
+            None => Err(IoError::Io("RPC worker died".into())),
+        })
+        .collect()
 }
 
 fn map_err(e: NfsError) -> IoError {

@@ -2,7 +2,8 @@
 //!
 //! The distributed-file-system substrate of the GVFS reproduction:
 //!
-//! * [`proto`]/[`args`] — RFC 1813 wire types,
+//! * [`proto`]/[`args`]/[`results`] — RFC 1813 wire types: arguments
+//!   and, written once for server, client and proxy, the result bodies,
 //! * [`Nfs3Server`]/[`MountServer`] — a simulated kernel NFS server
 //!   exporting a [`vfs::Fs`] with disk and buffer-cache timing,
 //! * [`Nfs3Client`] — a typed client stub,
@@ -20,6 +21,7 @@ pub mod args;
 pub mod client;
 pub mod kernel;
 pub mod proto;
+pub mod results;
 pub mod server;
 
 pub use client::{Nfs3Client, NfsError, NfsResult};

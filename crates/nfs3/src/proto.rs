@@ -24,6 +24,11 @@ pub const MOUNT_V3: u32 = 3;
 /// to the NFS protocol limit of 32KB").
 pub const MAX_BLOCK: u32 = 32 * 1024;
 
+/// Maximum file size the server advertises in FSINFO (`maxfilesize`).
+/// No READ or WRITE range may end past it ([`crate::args`] refuses one
+/// that does), so every hop can add an offset and a count it decoded.
+pub const MAX_FILE_SIZE: u64 = u64::MAX >> 1;
+
 /// NFSv3 procedure numbers.
 pub mod proc3 {
     /// Do nothing (ping).

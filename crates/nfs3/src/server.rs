@@ -21,6 +21,7 @@ use xdr::{Decode, Encode, Encoder};
 
 use crate::args::*;
 use crate::proto::*;
+use crate::results::*;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -349,36 +350,20 @@ impl Nfs3Server {
         self.fs.lock().getattr(h)
     }
 
-    fn ok_header(status: Status) -> Encoder {
-        let mut enc = Encoder::new();
-        enc.put_u32(status.as_u32());
-        enc
-    }
-
     fn err_with_postop(&self, status: Status, h: Option<Handle>) -> Vec<u8> {
-        let mut enc = Self::ok_header(status);
-        let attr = h.and_then(|h| self.getattr_of(h).ok());
-        PostOpAttr(attr).encode(&mut enc);
-        enc.into_bytes()
+        encode_fail_postop(status, h.and_then(|h| self.getattr_of(h).ok()))
     }
 
     fn err_with_wcc(&self, status: Status, h: Option<Handle>) -> Vec<u8> {
-        let mut enc = Self::ok_header(status);
-        let attr = h.and_then(|h| self.getattr_of(h).ok());
-        WccData(attr).encode(&mut enc);
-        enc.into_bytes()
+        encode_fail_wcc(status, h.and_then(|h| self.getattr_of(h).ok()))
     }
 
     fn proc_getattr(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
         let fh: Fh3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
-        match self.getattr_of(fh.0) {
-            Ok(attr) => {
-                let mut enc = Self::ok_header(Status::Ok);
-                Fattr3(attr).encode(&mut enc);
-                Ok(enc.into_bytes())
-            }
-            Err(e) => Ok(Self::ok_header(e.into()).into_bytes()),
-        }
+        Ok(match self.getattr_of(fh.0) {
+            Ok(attr) => encode_getattr(attr),
+            Err(e) => encode_status(e.into()),
+        })
     }
 
     fn proc_setattr(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
@@ -390,7 +375,7 @@ impl Nfs3Server {
             .setattr(a.file.0, a.attrs.size, a.attrs.mode, now);
         match res {
             Ok(attr) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 WccData(Some(attr)).encode(&mut enc);
                 Ok(enc.into_bytes())
             }
@@ -401,20 +386,11 @@ impl Nfs3Server {
     fn proc_lookup(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
         let a: DirOpArgs3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let fs = self.fs.lock();
-        match fs.lookup(a.dir.0, &a.name) {
-            Ok(obj) => {
-                let mut enc = Self::ok_header(Status::Ok);
-                Fh3(obj).encode(&mut enc);
-                PostOpAttr(fs.getattr(obj).ok()).encode(&mut enc);
-                PostOpAttr(fs.getattr(a.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
-            }
-            Err(e) => {
-                let mut enc = Self::ok_header(e.into());
-                PostOpAttr(fs.getattr(a.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
-            }
-        }
+        let dir_attr = fs.getattr(a.dir.0).ok();
+        Ok(match fs.lookup(a.dir.0, &a.name) {
+            Ok(obj) => encode_lookup(obj, fs.getattr(obj).ok(), dir_attr),
+            Err(e) => encode_fail_postop(e.into(), dir_attr),
+        })
     }
 
     fn proc_access(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
@@ -423,7 +399,7 @@ impl Nfs3Server {
         let wanted = dec.get_u32().map_err(|_| ProgramError::GarbageArgs)?;
         match self.getattr_of(fh.0) {
             Ok(attr) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 PostOpAttr(Some(attr)).encode(&mut enc);
                 enc.put_u32(wanted); // grant everything requested
                 Ok(enc.into_bytes())
@@ -437,7 +413,7 @@ impl Nfs3Server {
         let fs = self.fs.lock();
         match fs.readlink(fh.0) {
             Ok(target) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 PostOpAttr(fs.getattr(fh.0).ok()).encode(&mut enc);
                 enc.put_string(&target);
                 Ok(enc.into_bytes())
@@ -460,12 +436,7 @@ impl Nfs3Server {
                 let attr = self.getattr_of(a.file.0).ok();
                 self.tel.reads.inc();
                 self.tel.read_bytes.add(data.len() as u64);
-                let mut enc = Self::ok_header(Status::Ok);
-                PostOpAttr(attr).encode(&mut enc);
-                enc.put_u32(data.len() as u32);
-                enc.put_bool(eof);
-                enc.put_opaque_var(&data);
-                Ok(enc.into_bytes())
+                Ok(encode_read(attr, &data, eof))
             }
             Err(e) => Ok(self.err_with_postop(e.into(), Some(a.file.0))),
         }
@@ -511,12 +482,7 @@ impl Nfs3Server {
                 };
                 let verf = self.state.lock().write_verf;
                 let attr = self.getattr_of(a.file.0).ok();
-                let mut enc = Self::ok_header(Status::Ok);
-                WccData(attr).encode(&mut enc);
-                enc.put_u32(a.data.len() as u32);
-                enc.put_u32(committed.as_u32());
-                enc.put_u64(verf);
-                Ok(enc.into_bytes())
+                Ok(encode_write(attr, a.data.len() as u32, committed, verf))
             }
             Err(e) => Ok(self.err_with_wcc(e.into(), Some(a.file.0))),
         }
@@ -536,7 +502,7 @@ impl Nfs3Server {
                 if let Some(sz) = a.attrs.size {
                     let _ = fs.setattr(h, Some(sz), None, now);
                 }
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 // post_op_fh3
                 enc.put_bool(true);
                 Fh3(h).encode(&mut enc);
@@ -562,7 +528,7 @@ impl Nfs3Server {
             now,
         ) {
             Ok(h) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 enc.put_bool(true);
                 Fh3(h).encode(&mut enc);
                 PostOpAttr(fs.getattr(h).ok()).encode(&mut enc);
@@ -582,7 +548,7 @@ impl Nfs3Server {
         let mut fs = self.fs.lock();
         match fs.symlink(a.whereto.dir.0, &a.whereto.name, &a.target, now) {
             Ok(h) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 enc.put_bool(true);
                 Fh3(h).encode(&mut enc);
                 PostOpAttr(fs.getattr(h).ok()).encode(&mut enc);
@@ -609,7 +575,7 @@ impl Nfs3Server {
             Ok(()) => Status::Ok,
             Err(e) => e.into(),
         };
-        let mut enc = Self::ok_header(status);
+        let mut enc = header(status);
         WccData(fs.getattr(a.dir.0).ok()).encode(&mut enc);
         Ok(enc.into_bytes())
     }
@@ -622,7 +588,7 @@ impl Nfs3Server {
             Ok(()) => Status::Ok,
             Err(e) => e.into(),
         };
-        let mut enc = Self::ok_header(status);
+        let mut enc = header(status);
         WccData(fs.getattr(a.from.dir.0).ok()).encode(&mut enc);
         WccData(fs.getattr(a.to.dir.0).ok()).encode(&mut enc);
         Ok(enc.into_bytes())
@@ -635,13 +601,14 @@ impl Nfs3Server {
         // with the first chunk; a stale one means the client's cookie
         // space is no longer valid (RFC 1813 §3.3.16 NFS3ERR_BAD_COOKIE).
         if a.cookie != 0 && a.cookieverf != READDIR_VERF {
-            let mut enc = Self::ok_header(Status::BadCookie);
-            PostOpAttr(fs.getattr(a.dir.0).ok()).encode(&mut enc);
-            return Ok(enc.into_bytes());
+            return Ok(encode_fail_postop(
+                Status::BadCookie,
+                fs.getattr(a.dir.0).ok(),
+            ));
         }
         match fs.readdir(a.dir.0) {
             Ok(entries) => {
-                let mut enc = Self::ok_header(Status::Ok);
+                let mut enc = header(Status::Ok);
                 PostOpAttr(fs.getattr(a.dir.0).ok()).encode(&mut enc);
                 enc.put_u64(READDIR_VERF);
                 let start = a.cookie as usize;
@@ -660,17 +627,13 @@ impl Nfs3Server {
                 enc.put_bool(idx >= entries.len()); // eof
                 Ok(enc.into_bytes())
             }
-            Err(e) => {
-                let mut enc = Self::ok_header(e.into());
-                PostOpAttr(fs.getattr(a.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
-            }
+            Err(e) => Ok(encode_fail_postop(e.into(), fs.getattr(a.dir.0).ok())),
         }
     }
 
     fn proc_fsinfo(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
         let fh: Fh3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
-        let mut enc = Self::ok_header(Status::Ok);
+        let mut enc = header(Status::Ok);
         PostOpAttr(self.getattr_of(fh.0).ok()).encode(&mut enc);
         let bs = self.cfg.block_size;
         enc.put_u32(bs); // rtmax
@@ -680,7 +643,7 @@ impl Nfs3Server {
         enc.put_u32(bs); // wtpref
         enc.put_u32(512); // wtmult
         enc.put_u32(bs); // dtpref
-        enc.put_u64(u64::MAX >> 1); // maxfilesize
+        enc.put_u64(MAX_FILE_SIZE); // maxfilesize
         enc.put_u32(0); // time_delta sec
         enc.put_u32(1); // time_delta nsec
         enc.put_u32(0x1b); // properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
@@ -700,11 +663,7 @@ impl Nfs3Server {
         if pending > 0 {
             self.disk.sequential_io(env, pending);
         }
-        let attr = self.getattr_of(a.file.0).ok();
-        let mut enc = Self::ok_header(Status::Ok);
-        WccData(attr).encode(&mut enc);
-        enc.put_u64(verf);
-        Ok(enc.into_bytes())
+        Ok(encode_commit(self.getattr_of(a.file.0).ok(), verf))
     }
 }
 

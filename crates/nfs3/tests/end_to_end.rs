@@ -345,3 +345,47 @@ proptest! {
         sim.run();
     }
 }
+
+/// A READ or WRITE whose `offset + count` overflows `u64` — far past the
+/// `maxfilesize` FSINFO advertises — is not a valid READ3/WRITE3 call of
+/// this server: it is refused as `GARBAGE_ARGS` before anything computes
+/// with the sum. One `nfsd` worker serves the connection, so the calls
+/// that follow prove it survived.
+#[test]
+fn hostile_offsets_get_a_decodable_error_and_the_worker_survives() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let disk = Disk::new(&h, DiskModel::server_array());
+    let (fs, server) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
+    let mount = MountServer::new(fs, vec!["/".to_string()]);
+    let link = |name: &str| Link::from_mbps(&h, name, 1000.0, SimDuration::from_micros(100));
+    let ep = oncrpc::endpoint(&h, link("up"), link("down"), WireSpec::plain());
+    let handler = Dispatcher::new().register(server).register(mount);
+    ep.listener.serve("nfsd", handler.into_handler(), 1);
+    let cred = OpaqueAuth::sys(&AuthSys::new("client", 500, 500));
+    let nfs = Nfs3Client::new(RpcClient::new(ep.channel, cred));
+    sim.spawn("client", move |env: Env| {
+        use nfs3::proto::StableHow;
+        let garbage =
+            nfs3::NfsError::Rpc(oncrpc::RpcError::Accept(oncrpc::AcceptStat::GarbageArgs));
+        let root = nfs.mount(&env, "/").unwrap();
+        let file = nfs.create(&env, root, "f").unwrap();
+        nfs.write(&env, file, 0, b"intact", StableHow::FileSync)
+            .unwrap();
+        let hostile = u64::MAX - 10;
+        let wrote = nfs.write(&env, file, hostile, [7u8; 32], StableHow::Unstable);
+        assert_eq!(wrote.unwrap_err(), garbage);
+        assert_eq!(nfs.read(&env, file, hostile, 32).unwrap_err(), garbage);
+        // Inside `u64`, but past the maximum file size FSINFO advertises.
+        let max = nfs.fsinfo(&env, root).unwrap().maxfilesize;
+        let wrote = nfs.write(&env, file, max - 3, [7u8; 4], StableHow::Unstable);
+        assert_eq!(wrote.unwrap_err(), garbage);
+        assert_eq!(nfs.read(&env, file, max, 1).unwrap_err(), garbage);
+        // Ending exactly at the maximum is a valid (empty) read.
+        assert!(nfs.read(&env, file, max - 8, 8).unwrap().data.is_empty());
+        let r = nfs.read(&env, file, 0, 32).unwrap();
+        assert_eq!(r.data, b"intact");
+        assert_eq!(nfs.getattr(&env, file).unwrap().size, 6);
+    });
+    sim.run();
+}

@@ -9,7 +9,7 @@
 //! replies.
 //!
 //! Because the envelope rides inside the args of one standard call,
-//! [`crate::RpcClient::call_batch`] goes through `call_dl` unchanged:
+//! [`crate::RpcClient::call_batch`] goes through `call` unchanged:
 //! retransmits reuse the one encoded request byte-for-byte under one xid
 //! (the duplicate-request-cache contract), and the server executes the
 //! whole envelope at most once. Batching therefore composes with every

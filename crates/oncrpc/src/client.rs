@@ -51,7 +51,7 @@ impl std::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-/// Retransmission policy for deadline-aware calls ([`RpcClient::call_dl`]).
+/// Retransmission policy of a stub ([`RpcClient::with_policy`]).
 ///
 /// A call keeps its xid across retransmits (that is what lets the
 /// server's duplicate-request cache recognise it); each attempt waits for
@@ -234,7 +234,7 @@ impl RpcClient {
         }
     }
 
-    /// Attach a retransmission policy; [`RpcClient::call_dl`] on the
+    /// Attach a retransmission policy; [`RpcClient::call`] on the
     /// returned stub retransmits per `policy` instead of waiting forever.
     pub fn with_policy(&self, policy: RetryPolicy) -> Self {
         RpcClient {
@@ -262,33 +262,19 @@ impl RpcClient {
     }
 
     /// Call `(prog, vers, proc)` with pre-encoded `args`, returning the
-    /// result bytes of a successful reply.
+    /// result bytes of a successful reply. The one entry point: with a
+    /// [`RetryPolicy`] attached, each attempt is bounded by a timeout and
+    /// the request is retransmitted — under the *same* xid, so the
+    /// server's duplicate-request cache can suppress re-execution — until
+    /// a matching reply arrives or attempts are exhausted
+    /// ([`RpcError::TimedOut`]); without one the call is a single shot
+    /// that waits for its reply.
     ///
     /// Every call records into the telemetry registry: a per-procedure
     /// virtual-time histogram `rpc/client.<prog>.proc<N>` plus call and
     /// error counters — this is the single choke point through which all
     /// client-side RPC traffic flows (kernel client, proxies, channel).
     pub fn call(
-        &self,
-        env: &Env,
-        prog: u32,
-        vers: u32,
-        proc: u32,
-        args: &[u8],
-    ) -> Result<Bytes, RpcError> {
-        let target = CallTarget { prog, vers, proc };
-        self.instrumented(env, prog, proc, |c, pt| c.call_inner(env, pt, target, args))
-    }
-
-    /// Deadline-aware variant of [`RpcClient::call`]: when a
-    /// [`RetryPolicy`] is attached, each attempt is bounded by a timeout
-    /// and the request is retransmitted — under the *same* xid, so the
-    /// server's duplicate-request cache can suppress re-execution — until
-    /// a matching reply arrives or attempts are exhausted
-    /// ([`RpcError::TimedOut`]). Without a policy this is identical to
-    /// [`RpcClient::call`]. All fault-exposed callers (the GVFS proxy
-    /// chain, the NFS client) go through this entry point.
-    pub fn call_dl(
         &self,
         env: &Env,
         prog: u32,
@@ -305,7 +291,7 @@ impl RpcClient {
 
     /// Issue many logical sub-calls as ONE wire round-trip: encodes
     /// `items` into a [`crate::batch`] envelope and sends it as a single
-    /// call to `batch_proc` via [`RpcClient::call_dl`]. Because the
+    /// call to `batch_proc` via [`RpcClient::call`]. Because the
     /// envelope is ordinary argument bytes, the retransmit path is
     /// untouched — one xid, one shared encoded request across attempts —
     /// so batching inherits the duplicate-request-cache byte-identity
@@ -319,7 +305,7 @@ impl RpcClient {
         items: &[crate::batch::BatchItem],
     ) -> Result<Vec<crate::batch::BatchReplyItem>, RpcError> {
         let args = crate::batch::encode_batch(items);
-        let reply = self.call_dl(env, prog, vers, batch_proc, &args)?;
+        let reply = self.call(env, prog, vers, batch_proc, &args)?;
         crate::batch::decode_batch_reply(&reply).map_err(RpcError::Decode)
     }
 
@@ -532,7 +518,7 @@ mod tests {
         let client =
             client_over(&sim, fast_link(&h, "up"), handler).with_policy(test_policy(1, 4, 4));
         sim.spawn("c", move |env| {
-            let res = client.call_dl(&env, PROG, 1, 1, &[]).unwrap();
+            let res = client.call(&env, PROG, 1, 1, &[]).unwrap();
             let v: u32 = xdr::from_bytes(&res).unwrap();
             assert_eq!(v, 5);
         });
@@ -567,7 +553,7 @@ mod tests {
         });
         let client = client_over(&sim, up, handler).with_policy(test_policy(1, 8, 8));
         sim.spawn("c", move |env| {
-            let res = client.call_dl(&env, PROG, 1, 1, &[]).unwrap();
+            let res = client.call(&env, PROG, 1, 1, &[]).unwrap();
             let v: u32 = xdr::from_bytes(&res).unwrap();
             assert_eq!(v, 9);
             // Deadlines 1,2,4,8 → attempts at t=0,1,3,7; the t=7 attempt
@@ -594,7 +580,7 @@ mod tests {
         });
         let client = client_over(&sim, up, handler).with_policy(test_policy(1, 4, 3));
         sim.spawn("c", move |env| {
-            let err = client.call_dl(&env, PROG, 1, 1, &[]).unwrap_err();
+            let err = client.call(&env, PROG, 1, 1, &[]).unwrap_err();
             assert_eq!(err, RpcError::TimedOut);
             // 1 s + 2 s + 4 s of per-attempt timeouts, no jitter.
             assert_eq!(env.now(), SimTime::ZERO + SimDuration::from_secs(7));
@@ -607,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn call_dl_without_policy_matches_legacy_call() {
+    fn call_without_policy_is_a_single_shot() {
         let sim = Simulation::new();
         let h = sim.handle();
         let handler = Arc::new(|_env: &Env, req: &[u8]| {
@@ -617,7 +603,7 @@ mod tests {
         let client = client_over(&sim, fast_link(&h, "up"), handler);
         assert!(client.policy().is_none());
         sim.spawn("c", move |env| {
-            let res = client.call_dl(&env, PROG, 1, 1, &[]).unwrap();
+            let res = client.call(&env, PROG, 1, 1, &[]).unwrap();
             let v: u32 = xdr::from_bytes(&res).unwrap();
             assert_eq!(v, 1);
         });

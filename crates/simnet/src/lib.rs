@@ -32,6 +32,7 @@
 
 pub mod arrival;
 mod engine;
+mod fanout;
 pub mod fault;
 mod link;
 pub mod sync;
@@ -44,6 +45,7 @@ pub use engine::{
     default_sched_policy, first_divergence, set_default_sched_policy, CancelToken, Env,
     EventRecord, ProcessHandle, SchedPolicy, SimHandle, Simulation, DEFAULT_EVENT_TRACE_CAP,
 };
+pub use fanout::{run_windowed, TransferTel};
 pub use fault::{splitmix64, DetRng, LinkFaultPlan, OutageWindow};
 pub use link::{Link, TransferOutcome};
 pub use sync::{

@@ -16,7 +16,6 @@ pub const RULE_EXACT_ACCOUNTING: &str = "exact-accounting";
 pub const RULE_PANIC_FREE: &str = "panic-free-dispatch";
 pub const RULE_LOCK_DISCIPLINE: &str = "lock-discipline";
 pub const RULE_BOUNDED_FANOUT: &str = "bounded-fanout";
-pub const RULE_DEADLINE: &str = "deadline-required";
 pub const RULE_CANONICAL_DIGEST: &str = "canonical-digest";
 pub const RULE_ALLOC_FREE_RECORD: &str = "allocation-free-record";
 pub const RULE_CAS_EVICTION: &str = "cas-eviction";
@@ -30,7 +29,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_PANIC_FREE,
     RULE_LOCK_DISCIPLINE,
     RULE_BOUNDED_FANOUT,
-    RULE_DEADLINE,
     RULE_CANONICAL_DIGEST,
     RULE_ALLOC_FREE_RECORD,
     RULE_CAS_EVICTION,
@@ -71,22 +69,17 @@ fn exact_accounting_scope(path: &str) -> bool {
         || path == "crates/simnet/src/telemetry.rs"
 }
 
-/// Scope of the bounded-fanout rule: gvfs modules that fan RPCs out over
-/// simnet. Per-item process spawns in a loop put unbounded load on the
-/// WAN; the transfer engine (`gvfs::transfer::run_windowed`) is the one
-/// place allowed to spawn workers from a loop, because its worker count
-/// is `min(window, jobs)` by construction.
+/// Scope of the bounded-fanout rule: the gvfs and nfs3 modules that fan
+/// RPCs out over simnet, plus simnet itself. Per-item process spawns in a
+/// loop put unbounded load on the WAN; the transfer engine
+/// (`simnet::run_windowed`, in `fanout.rs`) is the one place allowed to
+/// spawn workers from a loop, because its worker count is
+/// `min(window, jobs)` by construction.
 fn bounded_fanout_scope(path: &str) -> bool {
-    path.starts_with("crates/gvfs/src/") && path != "crates/gvfs/src/transfer.rs"
-}
-
-/// Scope of the deadline-required rule: modules that issue RPCs over
-/// links that can drop or sever messages (fault injection). A bare
-/// `RpcClient::call` there blocks forever when the reply is lost;
-/// `call_dl` applies the stub's deadline/retransmission policy and is
-/// byte-identical when no policy is attached.
-fn deadline_scope(path: &str) -> bool {
-    path.starts_with("crates/gvfs/src/") || path.starts_with("crates/nfs3/src/")
+    ["crates/gvfs/src/", "crates/nfs3/src/", "crates/simnet/src/"]
+        .iter()
+        .any(|scope| path.starts_with(scope))
+        && path != "crates/simnet/src/fanout.rs"
 }
 
 /// Scope of the canonical-digest rule: all gvfs modules except the
@@ -148,9 +141,6 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
     }
     if bounded_fanout_scope(path) {
         rule_bounded_fanout(path, toks, &mask, &mut out);
-    }
-    if deadline_scope(path) {
-        rule_deadline(path, toks, &mask, &mut out);
     }
     if canonical_digest_scope(path) {
         rule_canonical_digest(path, toks, &mask, &mut out);
@@ -867,7 +857,7 @@ fn rule_bounded_fanout(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Vi
                 line: m.line,
                 col: m.col,
                 message: "process spawn inside a loop is unbounded RPC fan-out; route the \
-                          jobs through `gvfs::transfer::run_windowed` (bounded window)"
+                          jobs through `simnet::run_windowed` (bounded window)"
                     .to_string(),
             });
         }
@@ -875,46 +865,7 @@ fn rule_bounded_fanout(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Vi
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: deadline-required
-// ---------------------------------------------------------------------------
-
-fn rule_deadline(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
-    for i in 0..toks.len() {
-        if mask[i] {
-            continue;
-        }
-        let t = &toks[i];
-        if !(t.is_punct(".")
-            && toks.get(i + 1).is_some_and(|t| t.is_ident("call"))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct("(")))
-        {
-            continue;
-        }
-        // `self.call(..)` is the blessed wrapper pattern: a typed helper
-        // (`Nfs3Client::call`, the dispatch trait's `call`) whose own
-        // body routes through `call_dl`. Any other receiver —
-        // `rpc.call(`, `client.call(`, `.with_cred(..).call(` — is
-        // treated as a raw RPC stub call. Documented over-approximation;
-        // bridge intentional exceptions with a waiver.
-        if i > 0 && toks[i - 1].is_ident("self") {
-            continue;
-        }
-        let m = &toks[i + 1];
-        out.push(Violation {
-            rule: RULE_DEADLINE,
-            file: path.to_string(),
-            line: m.line,
-            col: m.col,
-            message: "raw `.call(` blocks forever when the reply is lost; use `.call_dl(` \
-                      so the stub's deadline/retransmission policy applies (identical \
-                      behaviour when no policy is attached)"
-                .to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 8: canonical-digest
+// Rule 7: canonical-digest
 // ---------------------------------------------------------------------------
 
 /// Identifiers that signal an ad-hoc content hash implementation.
@@ -992,7 +943,7 @@ fn rule_canonical_digest(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<
 }
 
 // ---------------------------------------------------------------------------
-// Rule 9: allocation-free-record
+// Rule 8: allocation-free-record
 // ---------------------------------------------------------------------------
 
 /// Method names whose call (`.name(`) allocates or may reallocate.
@@ -1108,7 +1059,7 @@ fn rule_alloc_free_record(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec
 }
 
 // ---------------------------------------------------------------------------
-// Rule 10: cas-eviction
+// Rule 9: cas-eviction
 // ---------------------------------------------------------------------------
 
 /// Entry-dropping methods that, invoked on a content store outside

@@ -2,7 +2,7 @@
 //! processes at `min(window, jobs)`; a single helper spawn outside any
 //! loop is also fine.
 pub fn fetch_all(env: &Env, blocks: Vec<u64>, window: usize) {
-    let out = crate::transfer::run_windowed(env, "fetch", window, blocks, None, |env, b| {
+    let out = simnet::run_windowed(env, "fetch", window, blocks, None, |env, b| {
         Some(fetch_one(env, b))
     });
     let _ = out;

@@ -42,7 +42,6 @@ fn run_with_policy(policy: WritePolicy) -> (f64, f64) {
             name: format!("{policy:?}-proxy"),
             write_policy: policy,
             meta_handling: false,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),

@@ -49,7 +49,6 @@ fn main() {
             name: "client-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            per_op_cpu: SimDuration::from_micros(40),
             read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
