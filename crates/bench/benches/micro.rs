@@ -10,12 +10,15 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
 use gvfs::{codec, BlockCache, BlockCacheConfig, Tag};
-use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
+use nfs3::args::WriteArgs;
+use nfs3::proto::StableHow;
+use nfs3::results::{decode_read, encode_read};
+use nfs3::{Fh3, KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::msg::{encode_call, CallHeader};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, ReplyBody, RpcClient, RpcMessage, WireSpec};
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, FileIo, SparseBytes, CHUNK_SIZE};
-use xdr::{Decoder, Encoder};
+use xdr::{Decoder, Encode, Encoder};
 
 fn bench_xdr(c: &mut Criterion) {
     let mut g = c.benchmark_group("xdr");
@@ -70,11 +73,74 @@ fn bench_oncrpc(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(args.len() as u64));
     g.bench_function("encode_call_32k", |b| {
         b.iter(|| {
-            // As `RpcClient` does: a header per call (a credential clone).
+            // As `RpcClient` does: a header per call (a credential
+            // clone), into a buffer sized for header and arguments.
             let header = header.clone();
-            let mut enc = Encoder::new();
+            let mut enc = Encoder::with_capacity(40 + header.cred.body.len() + args.len());
             encode_call(&mut enc, &header, &args);
             enc.into_bytes()
+        })
+    });
+    g.finish();
+}
+
+fn bench_nfs3_hop(c: &mut Criterion) {
+    // One 32 KB payload across one hop, sender and receiver: everything
+    // that touches its bytes between a cache frame on one side and a
+    // cache frame on the other (DESIGN.md §5.11, "One copy per hop").
+    const BLOCK: usize = 32 * 1024;
+    let mut g = c.benchmark_group("nfs3");
+    g.throughput(Throughput::Bytes(BLOCK as u64));
+    let block: Vec<u8> = (0..BLOCK).map(|i| (i / 5) as u8).collect();
+    // The frame a proxy serves from; the receiver's pool already holds
+    // its content, as it does for most of a guest disk.
+    let frame = vfs::share(block.clone());
+    g.bench_function("read_reply_32k_hop", |b| {
+        b.iter(|| {
+            let wire = RpcMessage::success(7, encode_read(None, &frame, false)).into_wire();
+            let reply = RpcMessage::decode_shared(&wire).unwrap();
+            let RpcMessage::Reply {
+                body: ReplyBody::Accepted { results, .. },
+                ..
+            } = reply
+            else {
+                unreachable!("a successful reply");
+            };
+            vfs::share_slice(&decode_read(&results).unwrap().data)
+        })
+    });
+    let header = CallHeader {
+        xid: 7,
+        prog: 100_003,
+        vers: 3,
+        proc: 7,
+        cred: OpaqueAuth::sys(&AuthSys::new("b", 1, 1)),
+        verf: OpaqueAuth::none(),
+    };
+    let file = Fh3(vfs::Handle {
+        fileid: 9,
+        generation: 1,
+    });
+    g.bench_function("write_args_32k_hop", |b| {
+        b.iter(|| {
+            let args = WriteArgs {
+                file,
+                offset: 1 << 20,
+                count: BLOCK as u32,
+                stable: StableHow::Unstable,
+                data: &block,
+            };
+            let header = header.clone();
+            let room = 40 + header.cred.body.len() + WriteArgs::HEAD_LEN + BLOCK;
+            let mut enc = Encoder::with_capacity(room);
+            encode_call(&mut enc, &header, &[]);
+            args.encode(&mut enc);
+            let wire = enc.into_shared();
+            let RpcMessage::Call { args, .. } = RpcMessage::decode_shared(&wire).unwrap() else {
+                unreachable!("a call");
+            };
+            // Absorbed: the receiver's dirty frame.
+            std::sync::Arc::new(WriteArgs::from_bytes(&args).unwrap().data.to_vec())
         })
     });
     g.finish();
@@ -298,7 +364,7 @@ criterion_group! {
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_xdr, bench_oncrpc, bench_codec, bench_shared, bench_sparse, bench_block_cache,
+    targets = bench_xdr, bench_oncrpc, bench_nfs3_hop, bench_codec, bench_shared, bench_sparse, bench_block_cache,
         bench_rpc_roundtrip, bench_kernel
 }
 criterion_main!(benches);

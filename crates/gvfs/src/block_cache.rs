@@ -27,6 +27,7 @@
 //! is visible in virtual time, in the byte accounting or in a counter.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -311,20 +312,22 @@ impl BlockCache {
 
     /// Look up a block; a hit pays local-disk time and returns the data.
     pub fn lookup(&self, env: &Env, tag: Tag) -> Option<Vec<u8>> {
-        self.lookup_range(env, tag, 0, usize::MAX).map(|(d, _)| d)
+        let (frame, range) = self.lookup_range(env, tag, 0, usize::MAX)?;
+        Some(frame[range].to_vec())
     }
 
-    /// Look up a block and copy out only `[start, start + count)` of it
-    /// (clipped to the block's length, which is returned alongside so
-    /// the caller can tell a short EOF-tail block). A hit pays
-    /// local-disk time for the frame exactly like [`BlockCache::lookup`].
+    /// Look up a block and hand back the frame's own bytes with the part
+    /// of them that is `[start, start + count)`, clipped to the block's
+    /// length — nothing is copied, and the frame's length tells the
+    /// caller a short EOF-tail block. A hit pays local-disk time for the
+    /// frame exactly like [`BlockCache::lookup`].
     pub fn lookup_range(
         &self,
         env: &Env,
         tag: Tag,
         start: usize,
         count: usize,
-    ) -> Option<(Vec<u8>, usize)> {
+    ) -> Option<(SharedBytes, Range<usize>)> {
         let found = {
             let mut inner = self.inner.lock();
             let set = self.set_index(&tag);
@@ -333,9 +336,8 @@ impl BlockCache {
             inner.sets[set].iter_mut().find(|f| f.tag == tag).map(|f| {
                 f.stamp = stamp;
                 let len = f.data.len();
-                let from = start.min(len);
-                let to = start.saturating_add(count).min(len);
-                (f.data[from..to].to_vec(), len)
+                let range = start.min(len)..start.saturating_add(count).min(len);
+                (Arc::clone(&f.data), range)
             })
         };
         if found.is_some() {
@@ -371,11 +373,24 @@ impl BlockCache {
         data: Vec<u8>,
         dirty: bool,
     ) -> Option<(Tag, SharedBytes)> {
-        debug_assert!(data.len() <= self.cfg.block_size as usize);
-        // Pooled before the cache lock is taken: the pool stays a leaf
-        // lock. A frame born dirty is about to be written again and
-        // stays private.
+        // A frame born dirty is about to be written again and stays
+        // private.
         let data = if dirty { Arc::new(data) } else { share(data) };
+        self.insert_shared(env, tag, data, dirty)
+    }
+
+    /// [`BlockCache::insert`] of a payload already behind an `Arc` — a
+    /// clean block the caller pooled by content where it arrived
+    /// ([`vfs::share_slice`]), before any cache lock is taken: the pool
+    /// stays a leaf lock.
+    pub fn insert_shared(
+        &self,
+        env: &Env,
+        tag: Tag,
+        data: SharedBytes,
+        dirty: bool,
+    ) -> Option<(Tag, SharedBytes)> {
+        debug_assert!(data.len() <= self.cfg.block_size as usize);
         let mut evicted = None;
         {
             let mut inner = self.inner.lock();

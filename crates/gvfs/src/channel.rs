@@ -715,24 +715,16 @@ impl FileChannelServer {
                 })
             } else {
                 prev = None;
-                self.call(env, cred, item.proc, &item.args).ok()
+                self.serve(env, cred, item.proc, &item.args).ok()
             };
             replies.push(batch_reply_item(reply));
         }
         Ok(oncrpc::batch::encode_batch_reply(&replies))
     }
-}
 
-impl RpcProgram for FileChannelServer {
-    fn program(&self) -> u32 {
-        CHANNEL_PROGRAM
-    }
-
-    fn version(&self) -> u32 {
-        CHANNEL_V1
-    }
-
-    fn call(
+    /// Execute one channel procedure — a call of its own, or an item of
+    /// an envelope.
+    fn serve(
         &self,
         env: &Env,
         cred: &OpaqueAuth,
@@ -758,6 +750,26 @@ impl RpcProgram for FileChannelServer {
             chanproc::FETCH_BLOBS_BATCH => self.serve_envelope(env, cred, args),
             _ => Err(ProgramError::ProcUnavail),
         }
+    }
+}
+
+impl RpcProgram for FileChannelServer {
+    fn program(&self) -> u32 {
+        CHANNEL_PROGRAM
+    }
+
+    fn version(&self) -> u32 {
+        CHANNEL_V1
+    }
+
+    fn call(
+        &self,
+        env: &Env,
+        cred: &OpaqueAuth,
+        proc: u32,
+        args: &[u8],
+    ) -> Result<xdr::Bytes, ProgramError> {
+        self.serve(env, cred, proc, args).map(xdr::Bytes::from)
     }
 }
 

@@ -27,7 +27,7 @@ use oncrpc::{ProgramError, RpcClient, RpcError};
 use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
 use simnet::{run_windowed, Env, SimDuration, TransferTel};
-use vfs::{Handle, SharedBytes};
+use vfs::{share_slice, Handle, SharedBytes};
 
 /// Dirty blocks grouped by file: `(block, data)` runs awaiting
 /// write-back. BTreeMap: flush() iterates it, and write-back order must
@@ -759,10 +759,10 @@ impl WbSink {
         cred: &oncrpc::OpaqueAuth,
         bc: &BlockCache,
         tag: Tag,
-        data: Vec<u8>,
+        data: SharedBytes,
         dirty: bool,
     ) {
-        if let Some((etag, edata)) = bc.insert(env, tag, data, dirty) {
+        if let Some((etag, edata)) = bc.insert_shared(env, tag, data, dirty) {
             self.with_cred(cred).write_back(env, etag, edata);
         }
     }
@@ -1283,12 +1283,13 @@ impl Proxy {
                 if let Some(sig) = waiter {
                     sig.wait(env);
                 }
-                // A hit copies out only the bytes this READ asked for
-                // (none when it starts past the end of a short EOF-tail
-                // block).
-                if let Some((data, block_len)) =
+                // A hit encodes only the bytes this READ asked for (none
+                // when it starts past the end of a short EOF-tail block),
+                // straight out of the frame.
+                if let Some((frame, range)) =
                     bc.lookup_range(env, tag, in_block as usize, a.count as usize)
                 {
+                    let data = &frame[range];
                     let was_prefetched = {
                         let mut st = self.state.lock();
                         let was = matches!(st.flights.get(&tag), Some(BlockFlight::Prefetched));
@@ -1303,13 +1304,13 @@ impl Proxy {
                         // block means the sequential stream is live.
                         self.maybe_prefetch(env, cred, tag, a.count, meta.as_deref());
                     }
-                    let eof = block_len < bs as usize
+                    let eof = frame.len() < bs as usize
                         || self
                             .wb
                             .known_size(key)
                             .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
-                    return Self::local_read(xid, &data, eof);
+                    return Self::local_read(xid, data, eof);
                 }
                 // Miss: start read-ahead for a detected sequential
                 // stream, then forward. The prefetch workers run
@@ -1336,9 +1337,14 @@ impl Proxy {
                         self.bump_size(key, a.offset + data.len() as u64);
                     }
                     // Only a block-aligned reply covers the block from
-                    // its first byte, so only that can be installed.
-                    if !data.is_empty() && in_block == 0 {
-                        self.wb.insert_block(env, cred, bc, tag, data, false);
+                    // its first byte, so only that can be installed — and
+                    // only one no longer than was asked for fits a frame.
+                    // The block is pooled out of the reply, and the view
+                    // of it dropped, before the reply goes downstream:
+                    // it then travels as the allocation it arrived in.
+                    if !data.is_empty() && in_block == 0 && data.len() as u64 <= bs {
+                        self.wb
+                            .insert_block(env, cred, bc, tag, share_slice(&data), false);
                     }
                 }
                 return reply;
@@ -1639,12 +1645,13 @@ impl Proxy {
                 move |env, t| {
                     let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
                     let was = match nfs.read(env, tag_key(t), t.block * bs, bs as u32) {
-                        Ok(r) if !r.data.is_empty() => {
+                        Ok(r) if !r.data.is_empty() && r.data.len() as u64 <= bs => {
                             // Taken before the insert: the frame can be
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
                             let removals = bc.removals();
-                            sink.insert_block(env, sink.upstream.cred(), &bc, t, r.data, false);
+                            let data = share_slice(&r.data);
+                            sink.insert_block(env, sink.upstream.cred(), &bc, t, data, false);
                             let mut st = sink.state.lock();
                             st.prefetched_checked_at = st.prefetched_checked_at.min(removals);
                             st.flights.insert(t, BlockFlight::Prefetched)
@@ -1675,8 +1682,7 @@ impl Proxy {
 
     fn handle_write(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, cred } = c;
-        let parsed: Result<WriteArgs, _> = xdr::from_bytes(&args);
-        let a = match parsed {
+        let a = match WriteArgs::from_bytes(&args) {
             Ok(a) => a,
             Err(_) => return self.forward(c, NFS_PROGRAM, NFS_V3, proc3::WRITE, args),
         };
@@ -1687,7 +1693,7 @@ impl Proxy {
         // flush).
         if let Some((fc, _)) = &self.wb.files {
             if fc.contains(key) && !self.cfg.read_only_share {
-                fc.write(env, key, a.offset, &a.data);
+                fc.write(env, key, a.offset, a.data);
                 self.bump_size(key, a.offset + a.data.len() as u64);
                 self.tel.writes_absorbed.inc();
                 return self.absorbed_write(xid, a.data.len() as u32);
@@ -1726,26 +1732,29 @@ impl Proxy {
                     let full = boff == 0 && take as u64 == bs;
                     let existing_size = self.wb.known_size(key).unwrap_or(0);
                     if full || bstart >= existing_size {
-                        let mut data = vec![0u8; boff + take];
-                        data[boff..].copy_from_slice(chunk);
-                        self.wb.insert_block(env, cred, bc, tag, data, true);
+                        let mut data = Vec::with_capacity(boff + take);
+                        data.resize(boff, 0);
+                        data.extend_from_slice(chunk);
+                        self.wb
+                            .insert_block(env, cred, bc, tag, Arc::new(data), true);
                     } else {
                         let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
                         let mut base = match nfs.read(env, a.file.0, bstart, bs as u32) {
-                            Ok(r) => r.data,
+                            Ok(r) => r.data.to_vec(),
                             Err(_) => {
                                 // Base fetch for read-modify-write failed:
                                 // don't fabricate a zero base — hand the
                                 // original WRITE upstream untouched.
                                 self.tel.recovered_errors.inc();
-                                return self.forward_write(c, &a, args);
+                                return self.forward_write(c, &a, args.clone());
                             }
                         };
                         if base.len() < boff + take {
                             base.resize(boff + take, 0);
                         }
                         base[boff..boff + take].copy_from_slice(chunk);
-                        self.wb.insert_block(env, cred, bc, tag, base, true);
+                        self.wb
+                            .insert_block(env, cred, bc, tag, Arc::new(base), true);
                     }
                 }
                 pos += take as u64;
@@ -1760,19 +1769,20 @@ impl Proxy {
             let bs = bc.config().block_size as u64;
             if a.offset % bs == 0 && a.data.len() as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
-                if !bc.update(env, tag, 0, &a.data, false) && a.data.len() as u64 == bs {
+                if !bc.update(env, tag, 0, a.data, false) && a.data.len() as u64 == bs {
                     self.wb
-                        .insert_block(env, cred, bc, tag, a.data.clone(), false);
+                        .insert_block(env, cred, bc, tag, share_slice(a.data), false);
                 }
             }
             self.bump_size(key, a.offset + a.data.len() as u64);
         }
-        self.forward_write(c, &a, args)
+        self.forward_write(c, &a, args.clone())
     }
 
-    /// Hand a decoded WRITE upstream as it came, after forgetting what
-    /// it is about to make stale: the durable acks of the blocks it
-    /// touches and the file's cached channel replies.
+    /// Hand a decoded WRITE upstream as it came (`a` is a view of
+    /// `args`), after forgetting what it is about to make stale: the
+    /// durable acks of the blocks it touches and the file's cached
+    /// channel replies.
     fn forward_write(&self, c: Call<'_>, a: &WriteArgs, args: xdr::Bytes) -> RpcMessage {
         self.invalidate_acked_range(a.file.0, a.offset, a.data.len() as u64);
         self.state.lock().forget_file_replies(a.file.0);
@@ -2696,7 +2706,7 @@ impl RpcHandler for Proxy {
                 _ => self.forward(c, prog, vers, proc, args),
             }
         };
-        xdr::to_bytes(&reply).into()
+        reply.into_wire()
     }
 }
 

@@ -371,17 +371,17 @@ impl RpcProgram for CannedOrigin {
         _cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError> {
+    ) -> Result<xdr::Bytes, ProgramError> {
         let item = BatchReplyItem {
             stat: BATCH_OK,
             result: self.0.clone(),
         };
         match proc {
-            chanproc::FETCH_BLOBS => Ok(item.result),
+            chanproc::FETCH_BLOBS => Ok(item.result.into()),
             chanproc::FETCH_BLOBS_BATCH => {
                 let asked =
                     oncrpc::batch::decode_batch(args).map_err(|_| ProgramError::GarbageArgs)?;
-                Ok(oncrpc::batch::encode_batch_reply(&vec![item; asked.len()]))
+                Ok(oncrpc::batch::encode_batch_reply(&vec![item; asked.len()]).into())
             }
             _ => Err(ProgramError::ProcUnavail),
         }

@@ -76,7 +76,7 @@ struct Tap {
 fn describe(prog: u32, proc: u32, args: &[u8]) -> String {
     let fh = |h: Handle| format!("fh={}.{}", h.fileid, h.generation);
     if prog == NFS_PROGRAM && proc == proc3::WRITE {
-        let w: WriteArgs = xdr::from_bytes(args).unwrap();
+        let w = WriteArgs::from_bytes(args).unwrap();
         return format!(
             "{} off={} len={} stable={:?}",
             fh(w.file.0),

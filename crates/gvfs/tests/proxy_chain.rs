@@ -869,3 +869,183 @@ fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
     });
     sim.run();
 }
+
+/// An upstream that answers every READ with `answer` bytes of payload —
+/// whatever was asked for — and remembers where each reply it sent lay
+/// in memory (and, if `keep`, the reply itself, like a server's
+/// duplicate-request cache or a relay's reply cache would).
+struct CannedReads {
+    answer: usize,
+    keep: bool,
+    sent: Mutex<Vec<(usize, xdr::Bytes)>>,
+}
+
+impl CannedReads {
+    fn payload(&self) -> Vec<u8> {
+        (0..self.answer).map(|i| (i % 241) as u8 + 1).collect()
+    }
+}
+
+impl oncrpc::transport::RpcHandler for CannedReads {
+    fn handle(&self, _env: &Env, request: &xdr::Bytes) -> xdr::Bytes {
+        let oncrpc::RpcMessage::Call { header, .. } =
+            oncrpc::RpcMessage::decode_shared(request).unwrap()
+        else {
+            panic!("a call");
+        };
+        let results = nfs3::results::encode_read(None, &self.payload(), false);
+        let reply = oncrpc::RpcMessage::success(header.xid, results).into_wire();
+        let kept = if self.keep {
+            reply.clone()
+        } else {
+            reply.to_vec().into()
+        };
+        self.sent.lock().push((reply.as_ptr() as usize, kept));
+        reply
+    }
+}
+
+/// A client proxy (block cache of 32 KiB frames if `cache`, read-ahead
+/// `read_ahead` blocks) in front of `upstream`.
+fn proxy_over_canned_reads(
+    sim: &Simulation,
+    upstream: Arc<CannedReads>,
+    cache: bool,
+    read_ahead: usize,
+) -> Arc<Proxy> {
+    let h = sim.handle();
+    let up = Link::new(&h, "canned-up", 1e9, SimDuration::from_micros(100));
+    let down = Link::new(&h, "canned-down", 1e9, SimDuration::from_micros(100));
+    let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
+    ep.listener.serve("canned", upstream, 4);
+    let proxy = Proxy::new(
+        ProxyConfig {
+            name: "client-proxy".into(),
+            meta_handling: false,
+            transfer: TransferTuning {
+                read_ahead,
+                ..TransferTuning::default()
+            },
+            dedup: DedupTuning::off(),
+            ..ProxyConfig::default()
+        },
+        RpcClient::new(ep.channel, OpaqueAuth::none()),
+    );
+    if !cache {
+        return proxy.into_handler();
+    }
+    let geometry = BlockCacheConfig::with_capacity(64 << 20, 4, 16, 32 * 1024);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    proxy
+        .with_block_cache(Arc::new(BlockCache::new(&h, disk, geometry)))
+        .into_handler()
+}
+
+/// A READ call for `count` bytes at `offset` of some file, as it arrives
+/// at a proxy.
+fn read_call(xid: u32, offset: u64, count: u32) -> xdr::Bytes {
+    let args = nfs3::args::ReadArgs {
+        file: nfs3::Fh3(vfs::Handle {
+            fileid: 7,
+            generation: 1,
+        }),
+        offset,
+        count,
+    };
+    xdr::to_bytes(&oncrpc::RpcMessage::Call {
+        header: oncrpc::CallHeader {
+            xid,
+            prog: nfs3::NFS_PROGRAM,
+            vers: nfs3::NFS_V3,
+            proc: nfs3::proto::proc3::READ,
+            cred: OpaqueAuth::none(),
+            verf: OpaqueAuth::none(),
+        },
+        args: xdr::to_bytes(&args).into(),
+    })
+    .into()
+}
+
+/// An upstream that answers 40 KiB to a 32 KiB READ must not get that
+/// into a cache of 32 KiB frames — neither through a forwarded demand
+/// miss nor through the read-ahead it triggers: nothing is installed,
+/// the reply goes downstream as it came, and the worker lives on.
+#[test]
+fn a_reply_longer_than_asked_is_forwarded_but_never_installed() {
+    use oncrpc::transport::RpcHandler;
+    let sim = Simulation::new();
+    let upstream = Arc::new(CannedReads {
+        answer: 40 * 1024,
+        keep: false,
+        sent: Mutex::new(Vec::new()),
+    });
+    let proxy = proxy_over_canned_reads(&sim, upstream.clone(), true, 2);
+    sim.spawn("client", move |env: Env| {
+        for (xid, block) in [(1u32, 0u64), (2, 0), (3, 5)] {
+            let reply = proxy.handle(&env, &read_call(xid, block * 32 * 1024, 32 * 1024));
+            let oncrpc::RpcMessage::Reply { xid: got, body } =
+                oncrpc::RpcMessage::decode_shared(&reply).unwrap()
+            else {
+                panic!("a reply");
+            };
+            assert_eq!(got, xid);
+            let oncrpc::ReplyBody::Accepted { results, .. } = body else {
+                panic!("accepted");
+            };
+            let res = nfs3::results::decode_read(&results).unwrap();
+            assert_eq!(res.data, upstream.payload(), "forwarded untouched");
+        }
+        // Let the read-ahead workers finish.
+        env.sleep(SimDuration::from_millis(100));
+        let bc = proxy.block_cache().unwrap();
+        assert_eq!(bc.bytes_stored(), 0, "an over-long block was installed");
+        bc.validate_accounting();
+        let st = proxy.stats();
+        assert_eq!(
+            st.forwarded, 3,
+            "nothing was cached, so every READ went upstream"
+        );
+        assert!(
+            st.prefetch_issued > 0,
+            "the read-ahead path was not exercised"
+        );
+    });
+    sim.run();
+}
+
+/// A forwarded READ crosses the proxy by reference: the reply that goes
+/// downstream is the allocation that came from upstream, with the xid
+/// rewritten and nothing else — whether or not the proxy pooled the
+/// block into its cache on the way. While someone upstream still holds
+/// the reply (a duplicate-request cache, a relay's reply cache), it is
+/// an equal-bytes copy instead and the held reply keeps its own xid.
+#[test]
+fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
+    use oncrpc::transport::RpcHandler;
+    for (cache, keep) in [(false, false), (true, false), (false, true), (true, true)] {
+        let sim = Simulation::new();
+        let upstream = Arc::new(CannedReads {
+            answer: 32 * 1024,
+            keep,
+            sent: Mutex::new(Vec::new()),
+        });
+        let proxy = proxy_over_canned_reads(&sim, upstream.clone(), cache, 0);
+        sim.spawn("client", move |env: Env| {
+            let reply = proxy.handle(&env, &read_call(0xABCD, 0, 32 * 1024));
+            let (sent_at, sent) = upstream.sent.lock()[0].clone();
+            assert_eq!(&reply[..4], &0xABCDu32.to_be_bytes());
+            assert_ne!(&sent[..4], &reply[..4], "upstream saw the proxy's own xid");
+            assert_eq!(&reply[4..], &sent[4..]);
+            assert_eq!(
+                reply.as_ptr() as usize == sent_at,
+                !keep,
+                "cache {cache}, upstream keeps its reply {keep}"
+            );
+            if cache {
+                let bc = proxy.block_cache().unwrap();
+                assert_eq!(bc.bytes_stored(), 32 * 1024);
+            }
+        });
+        sim.run();
+    }
+}

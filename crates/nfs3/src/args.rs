@@ -51,9 +51,11 @@ impl Decode for ReadArgs {
     }
 }
 
-/// WRITE3 arguments.
+/// WRITE3 arguments, around a payload that is only borrowed: the sender
+/// encodes it straight out of wherever it lives, and the receiver
+/// decodes it as a slice of the call it arrived in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteArgs {
+pub struct WriteArgs<'a> {
     /// File to write.
     pub file: Fh3,
     /// Byte offset.
@@ -63,52 +65,37 @@ pub struct WriteArgs {
     /// Requested stability.
     pub stable: StableHow,
     /// Payload.
-    pub data: Vec<u8>,
+    pub data: &'a [u8],
 }
 
-impl WriteArgs {
-    /// Encode WRITE3 arguments around a payload the caller only borrows.
-    /// The one WRITE encoder: the [`Encode`] impl goes through it too.
-    pub fn encode_borrowed(
-        enc: &mut Encoder,
-        file: &Fh3,
-        offset: u64,
-        count: u32,
-        stable: StableHow,
-        data: &[u8],
-    ) {
-        file.encode(enc);
-        enc.put_u64(offset);
-        enc.put_u32(count);
-        enc.put_u32(stable.as_u32());
-        enc.put_opaque_var(data);
-    }
-}
+impl<'a> WriteArgs<'a> {
+    /// Bytes of the encoded arguments in front of the payload: handle,
+    /// offset, count, stability and the length word.
+    pub const HEAD_LEN: usize = 20 + 20;
 
-impl Encode for WriteArgs {
-    fn encode(&self, enc: &mut Encoder) {
-        Self::encode_borrowed(
-            enc,
-            &self.file,
-            self.offset,
-            self.count,
-            self.stable,
-            &self.data,
-        );
-    }
-}
-
-impl Decode for WriteArgs {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
+    /// Decode the arguments of a WRITE call, which must be all of `args`.
+    pub fn from_bytes(args: &'a [u8]) -> XdrResult<Self> {
+        let mut dec = Decoder::new(args);
         let a = WriteArgs {
-            file: Fh3::decode(dec)?,
+            file: Fh3::decode(&mut dec)?,
             offset: dec.get_u64()?,
             count: dec.get_u32()?,
             stable: StableHow::from_u32(dec.get_u32()?)?,
-            data: dec.get_opaque_var()?,
+            data: dec.get_opaque_var_ref()?,
         };
         check_range(a.offset, a.count.max(a.data.len() as u32))?;
+        dec.finish()?;
         Ok(a)
+    }
+}
+
+impl Encode for WriteArgs<'_> {
+    fn encode(&self, enc: &mut Encoder) {
+        self.file.encode(enc);
+        enc.put_u64(self.offset);
+        enc.put_u32(self.count);
+        enc.put_u32(self.stable.as_u32());
+        enc.put_opaque_var(self.data);
     }
 }
 
@@ -328,13 +315,14 @@ mod tests {
         assert!(read(u64::MAX - 10, 32).is_err());
         assert!(read(u64::MAX, 0).is_err());
         let write = |offset, count, len| {
-            xdr::from_bytes::<WriteArgs>(&xdr::to_bytes(&WriteArgs {
+            let wire = xdr::to_bytes(&WriteArgs {
                 file: fh(9),
                 offset,
                 count,
                 stable: StableHow::Unstable,
-                data: vec![1; len],
-            }))
+                data: &vec![1; len],
+            });
+            WriteArgs::from_bytes(&wire).map(|_| ())
         };
         assert!(write(MAX_FILE_SIZE - 8, 8, 8).is_ok());
         // Neither the declared count nor the payload may overhang.
@@ -350,10 +338,13 @@ mod tests {
             offset: 12345,
             count: 5,
             stable: StableHow::Unstable,
-            data: b"hello".to_vec(),
+            data: b"hello",
         };
-        let back: WriteArgs = xdr::from_bytes(&xdr::to_bytes(&a)).unwrap();
+        let wire = xdr::to_bytes(&a);
+        let back = WriteArgs::from_bytes(&wire).unwrap();
         assert_eq!(back, a);
+        // The payload is a slice of the call, not a copy of it.
+        assert!(wire.as_ptr_range().contains(&back.data.as_ptr()));
     }
 
     #[test]

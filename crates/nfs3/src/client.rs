@@ -6,7 +6,7 @@
 use oncrpc::{RpcClient, RpcError};
 use simnet::Env;
 use vfs::{Attr, Handle};
-use xdr::{Decode, Decoder, Encoder};
+use xdr::{Decode, Decoder, Encode};
 
 use crate::args::*;
 use crate::proto::*;
@@ -143,8 +143,8 @@ impl Nfs3Client {
     }
 
     /// WRITE `data` at `offset` with the given stability. The payload is
-    /// only borrowed: a caller holding it behind a reference count sends
-    /// it without a copy of its own.
+    /// only borrowed, and copied once: into the call that goes on the
+    /// wire.
     pub fn write(
         &self,
         env: &Env,
@@ -154,9 +154,20 @@ impl Nfs3Client {
         stable: StableHow,
     ) -> NfsResult<WriteRes> {
         let data = data.as_ref();
-        let mut enc = Encoder::new();
-        WriteArgs::encode_borrowed(&mut enc, &Fh3(h), offset, data.len() as u32, stable, data);
-        decode_write(&self.call(env, proc3::WRITE, enc.as_bytes())?)
+        let args = WriteArgs {
+            file: Fh3(h),
+            offset,
+            count: data.len() as u32,
+            stable,
+            data,
+        };
+        let args_len = WriteArgs::HEAD_LEN + xdr::padded(data.len());
+        let reply =
+            self.rpc
+                .call_with(env, NFS_PROGRAM, NFS_V3, proc3::WRITE, args_len, |enc| {
+                    args.encode(enc)
+                })?;
+        decode_write(&reply)
     }
 
     fn create_like(&self, env: &Env, proc: u32, args: &[u8]) -> NfsResult<Handle> {

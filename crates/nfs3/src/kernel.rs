@@ -30,7 +30,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simnet::telemetry::Counter;
 use simnet::{run_windowed, Env, SimDuration};
-use vfs::{share, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, SharedBytes};
+use vfs::{
+    share, share_slice, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, SharedBytes,
+};
 
 use crate::client::{Nfs3Client, NfsError};
 use crate::proto::{StableHow, Status};
@@ -245,21 +247,30 @@ impl KernelClient {
 
     /// Fetch the given blocks, at most `max_inflight` READs in flight;
     /// returns (block, data) pairs in the order asked for. Data is padded
-    /// to the block size.
+    /// or cut to the block size and pooled by content where it arrives,
+    /// in the worker that decoded the reply: a full block is hashed and
+    /// compared inside the reply and copied only if the pool lacks it
+    /// (and the copy is then made by the thread that made the reply
+    /// buffers, which is what keeps the allocator's arenas compact).
     fn fetch_blocks(
         &self,
         env: &Env,
         h: Handle,
         blocks: Vec<u64>,
-    ) -> IoResult<Vec<(u64, Vec<u8>)>> {
+    ) -> IoResult<Vec<(u64, SharedBytes)>> {
         let bs = self.bs();
         let n = blocks.len() as u64;
         let nfs = self.nfs.clone();
         let window = self.cfg.max_inflight;
         let slots = run_windowed(env, "nfs-read", window, blocks, None, move |env, b| {
             Some(nfs.read(env, h, b * bs, bs as u32).map(|res| {
-                let mut data = res.data;
-                data.resize(bs as usize, 0);
+                let data = if res.data.len() >= bs as usize {
+                    share_slice(&res.data[..bs as usize])
+                } else {
+                    let mut padded = res.data.to_vec();
+                    padded.resize(bs as usize, 0);
+                    share(padded)
+                };
                 (b, data)
             }))
         });
@@ -271,7 +282,7 @@ impl KernelClient {
 
     /// Push dirty blocks, at most `max_inflight` WRITEs in flight, and
     /// COMMIT.
-    fn write_blocks(&self, env: &Env, h: Handle, blocks: Vec<(u64, Vec<u8>)>) -> IoResult<()> {
+    fn write_blocks(&self, env: &Env, h: Handle, blocks: Vec<(u64, SharedBytes)>) -> IoResult<()> {
         if blocks.is_empty() {
             return Ok(());
         }
@@ -286,11 +297,11 @@ impl KernelClient {
         let nfs = self.nfs.clone();
         let window = self.cfg.max_inflight;
         let slots = run_windowed(env, "nfs-write", window, blocks, None, move |env, blk| {
-            let (off, data) = clip_to_size(blk.0, blk.1, bs, size);
-            if data.is_empty() {
+            let (off, len) = clip_to_size(blk.0, blk.1.len(), bs, size);
+            if len == 0 {
                 return Some(Ok(()));
             }
-            let sent = nfs.write(env, h, off, data, StableHow::Unstable);
+            let sent = nfs.write(env, h, off, &blk.1[..len], StableHow::Unstable);
             Some(sent.map(|_| ()))
         });
         all_sent(slots)?;
@@ -302,8 +313,10 @@ impl KernelClient {
     }
 
     /// Take dirty blocks (for `only_file` if given) out of the cache's
-    /// dirty set, returning them for writeback. Blocks stay cached clean.
-    fn collect_dirty(&self, only_file: Option<u64>) -> Vec<(Handle, u64, Vec<u8>)> {
+    /// dirty set, returning them for writeback. Blocks stay cached clean,
+    /// and the payloads returned are references to them: a write into
+    /// one while its write-back is in flight copies it first.
+    fn collect_dirty(&self, only_file: Option<u64>) -> Vec<(Handle, u64, SharedBytes)> {
         let mut st = self.state.lock();
         let keys: Vec<(u64, u64)> = st
             .cache
@@ -315,7 +328,7 @@ impl KernelClient {
         for k in keys {
             if let Some(blk) = st.cache.get_mut(&k) {
                 if let Some(h) = blk.dirty.take() {
-                    out.push((h, k.1, Vec::clone(&blk.data)));
+                    out.push((h, k.1, Arc::clone(&blk.data)));
                 }
             }
         }
@@ -326,7 +339,7 @@ impl KernelClient {
 
     fn flush_file(&self, env: &Env, h: Handle) -> IoResult<()> {
         let dirty = self.collect_dirty(Some(h.fileid));
-        let blocks: Vec<(u64, Vec<u8>)> = dirty.into_iter().map(|(_, b, d)| (b, d)).collect();
+        let blocks = dirty.into_iter().map(|(_, b, d)| (b, d)).collect();
         self.write_blocks(env, h, blocks)
     }
 
@@ -338,7 +351,7 @@ impl KernelClient {
     fn writeback_evicted(&self, env: &Env, evicted: Vec<((u64, u64), Block)>) -> IoResult<()> {
         let bs = self.bs();
         // BTreeMap: one batch per file, in fileid order (lint: determinism).
-        let mut stragglers: BTreeMap<Handle, Vec<(u64, Vec<u8>)>> = BTreeMap::new();
+        let mut stragglers: BTreeMap<Handle, Vec<(u64, SharedBytes)>> = BTreeMap::new();
         for ((_, b), blk) in evicted {
             if let Some(h) = blk.dirty {
                 {
@@ -346,13 +359,13 @@ impl KernelClient {
                     st.dirty_bytes = st.dirty_bytes.saturating_sub(bs);
                 }
                 let blocks = stragglers.entry(h).or_default();
-                blocks.push((b, Arc::unwrap_or_clone(blk.data)));
+                blocks.push((b, blk.data));
             }
         }
         for (h, stragglers) in stragglers {
             // The evicted blocks themselves plus everything else dirty in
             // the file, in one pipelined batch.
-            let mut batch: Vec<(u64, Vec<u8>)> = self
+            let mut batch: Vec<(u64, SharedBytes)> = self
                 .collect_dirty(Some(h.fileid))
                 .into_iter()
                 .map(|(_, b, d)| (b, d))
@@ -366,16 +379,14 @@ impl KernelClient {
     }
 }
 
-fn clip_to_size(b: u64, mut data: Vec<u8>, bs: u64, size: Option<u64>) -> (u64, Vec<u8>) {
+/// Where block `b` starts, and how many of its `len` bytes lie inside a
+/// file of `size` bytes.
+fn clip_to_size(b: u64, len: usize, bs: u64, size: Option<u64>) -> (u64, usize) {
     let off = b * bs;
-    if let Some(sz) = size {
-        if off >= sz {
-            return (off, Vec::new());
-        }
-        let max = (sz - off).min(bs) as usize;
-        data.truncate(max);
+    match size {
+        Some(sz) => (off, len.min(sz.saturating_sub(off).min(bs) as usize)),
+        None => (off, len),
     }
-    (off, data)
 }
 
 /// The results of one windowed batch of RPCs, or the first failure in it
@@ -492,7 +503,6 @@ impl FileIo for KernelClient {
                 for (b, data) in fetched {
                     let (range, at) = span(b);
                     out[at..at + range.len()].copy_from_slice(&data[range]);
-                    let data = share(data);
                     let clean = Block { data, dirty: None };
                     if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                         evicted_all.push(ev);
@@ -537,7 +547,6 @@ impl FileIo for KernelClient {
             let fetched = self.fetch_blocks(env, h, rmw)?;
             let mut st = self.state.lock();
             for (b, data) in fetched {
-                let data = share(data);
                 let clean = Block { data, dirty: None };
                 if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                     evicted_all.push(ev);
@@ -701,5 +710,85 @@ impl FileIo for KernelClient {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::args::ReadArgs;
+    use crate::proto::{proc3, Fh3, MOUNT_PROGRAM};
+    use crate::results::{encode_getattr, encode_read};
+    use oncrpc::{endpoint, OpaqueAuth, RpcClient, RpcMessage, WireSpec};
+    use simnet::{Link, Simulation};
+    use xdr::{Encode, Encoder};
+
+    /// A server whose READ replies carry twice what was asked for.
+    fn generous_server(_env: &Env, request: &[u8]) -> Vec<u8> {
+        let Ok(RpcMessage::Call { header, args }) = xdr::from_bytes(request) else {
+            panic!("a call");
+        };
+        let file = Handle {
+            fileid: 2,
+            generation: 1,
+        };
+        let results = match (header.prog, header.proc) {
+            (MOUNT_PROGRAM, _) => {
+                let mut enc = Encoder::new();
+                enc.put_u32(0);
+                Fh3(file).encode(&mut enc);
+                enc.into_shared()
+            }
+            (_, proc3::GETATTR) => encode_getattr(Attr {
+                ftype: FileType::Regular,
+                mode: 0o644,
+                nlink: 1,
+                uid: 0,
+                gid: 0,
+                size: 1 << 20,
+                used: 1 << 20,
+                fileid: file.fileid,
+                atime_ns: 0,
+                mtime_ns: 0,
+                ctime_ns: 0,
+            }),
+            (_, proc3::READ) => {
+                let a: ReadArgs = xdr::from_bytes(&args).expect("READ args");
+                let data: Vec<u8> = (a.offset..a.offset + 2 * a.count as u64)
+                    .map(|at| (at % 251) as u8)
+                    .collect();
+                encode_read(None, &data, false)
+            }
+            other => panic!("unexpected call {other:?}"),
+        };
+        RpcMessage::success(header.xid, results)
+            .into_wire()
+            .to_vec()
+    }
+
+    #[test]
+    fn a_reply_longer_than_a_block_is_cut_down_to_the_block() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        ep.listener.serve("generous", Arc::new(generous_server), 2);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        sim.spawn("client", move |env| {
+            let cfg = KernelConfig {
+                rsize: 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let got = kc.read(&env, kc.root(), 512, 3000).expect("read");
+            let want: Vec<u8> = (512u64..3512).map(|at| (at % 251) as u8).collect();
+            assert_eq!(got, want);
+            let st = kc.state.lock();
+            assert_eq!(st.cache.len(), 4);
+            for (_, blk) in st.cache.iter_mru() {
+                assert_eq!(blk.data.len(), 1024);
+            }
+        });
+        sim.run();
     }
 }

@@ -482,8 +482,8 @@ impl StableHow {
 pub struct ReadRes {
     /// Post-op file attributes.
     pub attr: Option<Attr>,
-    /// Bytes actually read.
-    pub data: Vec<u8>,
+    /// Bytes actually read: a view of the reply they arrived in.
+    pub data: xdr::Bytes,
     /// Whether this read reached end-of-file.
     pub eof: bool,
 }

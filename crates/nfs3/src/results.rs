@@ -8,16 +8,28 @@
 //! Every result is `status | arm`: the success arm per procedure, and one
 //! of two failure arms (`post_op_attr` for the read-side procedures,
 //! `wcc_data` for the mutating ones; GETATTR's is void).
+//!
+//! Results are encoded behind room for the RPC reply header
+//! ([`REPLY_HEADROOM`]), so the message that carries them is completed in
+//! place, and a READ payload is decoded as a view of the reply it came
+//! in: one copy on the sending side, none on the receiving side.
 
+use oncrpc::msg::REPLY_HEADROOM;
 use vfs::{Attr, Handle};
-use xdr::{Decode, Decoder, Encode, Encoder};
+use xdr::{Bytes, Decode, Decoder, Encode, Encoder};
 
 use crate::client::{NfsError, NfsResult};
 use crate::proto::{Fattr3, Fh3, PostOpAttr, ReadRes, StableHow, Status, WccData, WriteRes};
 
 /// Start a result with its status word.
 pub(crate) fn header(status: Status) -> Encoder {
-    let mut enc = Encoder::new();
+    // Room for any result without a payload: two sets of attributes.
+    sized_header(status, 256)
+}
+
+/// [`header`], with capacity for `room` more bytes.
+fn sized_header(status: Status, room: usize) -> Encoder {
+    let mut enc = Encoder::with_headroom(REPLY_HEADROOM, 4 + room);
     enc.put_u32(status.as_u32());
     enc
 }
@@ -33,31 +45,31 @@ pub(crate) fn open(results: &[u8]) -> NfsResult<Decoder<'_>> {
 }
 
 /// A result that is only its status (GETATTR's failure arm).
-pub fn encode_status(status: Status) -> Vec<u8> {
-    header(status).into_bytes()
+pub fn encode_status(status: Status) -> Bytes {
+    header(status).into_shared()
 }
 
 /// `status | post_op_attr`: the failure arm of READ, LOOKUP and the other
 /// read-side procedures.
-pub fn encode_fail_postop(status: Status, attr: Option<Attr>) -> Vec<u8> {
+pub fn encode_fail_postop(status: Status, attr: Option<Attr>) -> Bytes {
     let mut enc = header(status);
     PostOpAttr(attr).encode(&mut enc);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// `status | wcc_data`: the failure arm of WRITE, COMMIT and the other
 /// mutating procedures.
-pub fn encode_fail_wcc(status: Status, attr: Option<Attr>) -> Vec<u8> {
+pub fn encode_fail_wcc(status: Status, attr: Option<Attr>) -> Bytes {
     let mut enc = header(status);
     WccData(attr).encode(&mut enc);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// GETATTR3resok.
-pub fn encode_getattr(attr: Attr) -> Vec<u8> {
+pub fn encode_getattr(attr: Attr) -> Bytes {
     let mut enc = header(Status::Ok);
     Fattr3(attr).encode(&mut enc);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// Decode GETATTR3res.
@@ -67,12 +79,12 @@ pub fn decode_getattr(results: &[u8]) -> NfsResult<Attr> {
 
 /// LOOKUP3resok: the object's handle and attributes, then the
 /// directory's.
-pub fn encode_lookup(obj: Handle, obj_attr: Option<Attr>, dir_attr: Option<Attr>) -> Vec<u8> {
+pub fn encode_lookup(obj: Handle, obj_attr: Option<Attr>, dir_attr: Option<Attr>) -> Bytes {
     let mut enc = header(Status::Ok);
     Fh3(obj).encode(&mut enc);
     PostOpAttr(obj_attr).encode(&mut enc);
     PostOpAttr(dir_attr).encode(&mut enc);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// Decode LOOKUP3res into the object's handle and attributes.
@@ -82,34 +94,45 @@ pub fn decode_lookup(results: &[u8]) -> NfsResult<(Handle, Option<Attr>)> {
     Ok((fh.0, PostOpAttr::decode(&mut dec)?.0))
 }
 
-/// READ3resok (decoded as a [`ReadRes`]).
-pub fn encode_read(attr: Option<Attr>, data: &[u8], eof: bool) -> Vec<u8> {
-    let mut enc = header(Status::Ok);
+/// READ3resok (decoded as a [`ReadRes`]): the one copy `data` gets on
+/// its way out, into a buffer sized for it.
+pub fn encode_read(attr: Option<Attr>, data: &[u8], eof: bool) -> Bytes {
+    // post_op_attr, count, eof and the length word precede the payload.
+    let mut enc = sized_header(Status::Ok, 88 + 12 + xdr::padded(data.len()));
     PostOpAttr(attr).encode(&mut enc);
     enc.put_u32(data.len() as u32);
     enc.put_bool(eof);
     enc.put_opaque_var(data);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
-/// Decode READ3res.
-pub fn decode_read(results: &[u8]) -> NfsResult<ReadRes> {
+/// Decode READ3res; the data is a view of `results`, not a copy. A
+/// reply whose `count` disagrees with the length of its data does not
+/// decode.
+pub fn decode_read(results: &Bytes) -> NfsResult<ReadRes> {
     let mut dec = open(results)?;
     let attr = PostOpAttr::decode(&mut dec)?.0;
-    let _count = dec.get_u32()?;
+    let count = dec.get_u32()?;
     let eof = dec.get_bool()?;
-    let data = dec.get_opaque_var()?;
+    let data = dec.get_opaque_var_ref()?;
+    if data.len() != count as usize {
+        return Err(NfsError::Decode(xdr::Error::LengthOverLimit {
+            declared: data.len() as u32,
+            limit: count,
+        }));
+    }
+    let data = results.slice_ref(data);
     Ok(ReadRes { attr, data, eof })
 }
 
 /// WRITE3resok (decoded as a [`WriteRes`]).
-pub fn encode_write(attr: Option<Attr>, count: u32, committed: StableHow, verf: u64) -> Vec<u8> {
+pub fn encode_write(attr: Option<Attr>, count: u32, committed: StableHow, verf: u64) -> Bytes {
     let mut enc = header(Status::Ok);
     WccData(attr).encode(&mut enc);
     enc.put_u32(count);
     enc.put_u32(committed.as_u32());
     enc.put_u64(verf);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// Decode WRITE3res.
@@ -124,11 +147,11 @@ pub fn decode_write(results: &[u8]) -> NfsResult<WriteRes> {
 }
 
 /// COMMIT3resok.
-pub fn encode_commit(attr: Option<Attr>, verf: u64) -> Vec<u8> {
+pub fn encode_commit(attr: Option<Attr>, verf: u64) -> Bytes {
     let mut enc = header(Status::Ok);
     WccData(attr).encode(&mut enc);
     enc.put_u64(verf);
-    enc.into_bytes()
+    enc.into_shared()
 }
 
 /// Decode COMMIT3res into the write verifier.
@@ -163,7 +186,7 @@ mod tests {
     fn success_arms_round_trip() {
         let read = ReadRes {
             attr: Some(attr()),
-            data: b"payload".to_vec(),
+            data: b"payload".into(),
             eof: true,
         };
         let wire = encode_read(read.attr.clone(), &read.data, read.eof);
@@ -197,6 +220,7 @@ mod tests {
         assert_eq!(decode_commit(&wcc).unwrap_err(), stale);
         let void = encode_status(Status::Stale);
         assert_eq!(decode_getattr(&void).unwrap_err(), stale);
-        assert!(matches!(decode_read(&[0, 0]), Err(NfsError::Decode(_))));
+        let short = Bytes::from(&[0u8, 0]);
+        assert!(matches!(decode_read(&short), Err(NfsError::Decode(_))));
     }
 }

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry};
 use simnet::{splitmix64, Env, SimDuration, SimHandle};
 use vfs::{Disk, Fs, FsResult, Handle, LruMap};
-use xdr::{Decode, Encode, Encoder};
+use xdr::{Bytes, Decode, Encode, Encoder};
 
 use crate::args::*;
 use crate::proto::*;
@@ -79,7 +79,7 @@ pub struct ServerStats {
 struct DrcEntry {
     cred_hash: u64,
     proc: u32,
-    reply: Vec<u8>,
+    reply: Bytes,
 }
 
 /// Bound on cached replies; old entries age out LRU-style, matching the
@@ -350,15 +350,15 @@ impl Nfs3Server {
         self.fs.lock().getattr(h)
     }
 
-    fn err_with_postop(&self, status: Status, h: Option<Handle>) -> Vec<u8> {
+    fn err_with_postop(&self, status: Status, h: Option<Handle>) -> Bytes {
         encode_fail_postop(status, h.and_then(|h| self.getattr_of(h).ok()))
     }
 
-    fn err_with_wcc(&self, status: Status, h: Option<Handle>) -> Vec<u8> {
+    fn err_with_wcc(&self, status: Status, h: Option<Handle>) -> Bytes {
         encode_fail_wcc(status, h.and_then(|h| self.getattr_of(h).ok()))
     }
 
-    fn proc_getattr(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_getattr(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let fh: Fh3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         Ok(match self.getattr_of(fh.0) {
             Ok(attr) => encode_getattr(attr),
@@ -366,7 +366,7 @@ impl Nfs3Server {
         })
     }
 
-    fn proc_setattr(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_setattr(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: SetattrArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let res = self
@@ -377,13 +377,13 @@ impl Nfs3Server {
             Ok(attr) => {
                 let mut enc = header(Status::Ok);
                 WccData(Some(attr)).encode(&mut enc);
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => Ok(self.err_with_wcc(e.into(), Some(a.file.0))),
         }
     }
 
-    fn proc_lookup(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_lookup(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: DirOpArgs3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let fs = self.fs.lock();
         let dir_attr = fs.getattr(a.dir.0).ok();
@@ -393,7 +393,7 @@ impl Nfs3Server {
         })
     }
 
-    fn proc_access(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_access(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let mut dec = xdr::Decoder::new(args);
         let fh = Fh3::decode(&mut dec).map_err(|_| ProgramError::GarbageArgs)?;
         let wanted = dec.get_u32().map_err(|_| ProgramError::GarbageArgs)?;
@@ -402,13 +402,13 @@ impl Nfs3Server {
                 let mut enc = header(Status::Ok);
                 PostOpAttr(Some(attr)).encode(&mut enc);
                 enc.put_u32(wanted); // grant everything requested
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => Ok(self.err_with_postop(e.into(), None)),
         }
     }
 
-    fn proc_readlink(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_readlink(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let fh: Fh3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let fs = self.fs.lock();
         match fs.readlink(fh.0) {
@@ -416,7 +416,7 @@ impl Nfs3Server {
                 let mut enc = header(Status::Ok);
                 PostOpAttr(fs.getattr(fh.0).ok()).encode(&mut enc);
                 enc.put_string(&target);
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => {
                 drop(fs);
@@ -425,7 +425,7 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_read(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_read(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: ReadArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let count = a.count.min(MAX_BLOCK);
         let now = env.now().as_nanos();
@@ -442,10 +442,10 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_write(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
-        let a: WriteArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
+    fn proc_write(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
+        let a = WriteArgs::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
-        let res = self.fs.lock().write(a.file.0, a.offset, &a.data, now);
+        let res = self.fs.lock().write(a.file.0, a.offset, a.data, now);
         match res {
             Ok(_newlen) => {
                 let bytes = a.data.len() as u64;
@@ -488,7 +488,7 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_create(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_create(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: CreateArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let mut fs = self.fs.lock();
@@ -508,7 +508,7 @@ impl Nfs3Server {
                 Fh3(h).encode(&mut enc);
                 PostOpAttr(fs.getattr(h).ok()).encode(&mut enc);
                 WccData(fs.getattr(a.whereto.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => {
                 drop(fs);
@@ -517,7 +517,7 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_mkdir(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_mkdir(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: CreateArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let mut fs = self.fs.lock();
@@ -533,7 +533,7 @@ impl Nfs3Server {
                 Fh3(h).encode(&mut enc);
                 PostOpAttr(fs.getattr(h).ok()).encode(&mut enc);
                 WccData(fs.getattr(a.whereto.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => {
                 drop(fs);
@@ -542,7 +542,7 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_symlink(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_symlink(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: SymlinkArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let mut fs = self.fs.lock();
@@ -553,7 +553,7 @@ impl Nfs3Server {
                 Fh3(h).encode(&mut enc);
                 PostOpAttr(fs.getattr(h).ok()).encode(&mut enc);
                 WccData(fs.getattr(a.whereto.dir.0).ok()).encode(&mut enc);
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => {
                 drop(fs);
@@ -562,7 +562,7 @@ impl Nfs3Server {
         }
     }
 
-    fn proc_remove(&self, env: &Env, args: &[u8], is_rmdir: bool) -> Result<Vec<u8>, ProgramError> {
+    fn proc_remove(&self, env: &Env, args: &[u8], is_rmdir: bool) -> Result<Bytes, ProgramError> {
         let a: DirOpArgs3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let mut fs = self.fs.lock();
@@ -577,10 +577,10 @@ impl Nfs3Server {
         };
         let mut enc = header(status);
         WccData(fs.getattr(a.dir.0).ok()).encode(&mut enc);
-        Ok(enc.into_bytes())
+        Ok(enc.into_shared())
     }
 
-    fn proc_rename(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_rename(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: RenameArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let mut fs = self.fs.lock();
@@ -591,10 +591,10 @@ impl Nfs3Server {
         let mut enc = header(status);
         WccData(fs.getattr(a.from.dir.0).ok()).encode(&mut enc);
         WccData(fs.getattr(a.to.dir.0).ok()).encode(&mut enc);
-        Ok(enc.into_bytes())
+        Ok(enc.into_shared())
     }
 
-    fn proc_readdir(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_readdir(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: ReaddirArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let fs = self.fs.lock();
         // A continued listing must present the verifier we handed out
@@ -625,13 +625,13 @@ impl Nfs3Server {
                 }
                 enc.put_bool(false); // entry list terminator
                 enc.put_bool(idx >= entries.len()); // eof
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
             Err(e) => Ok(encode_fail_postop(e.into(), fs.getattr(a.dir.0).ok())),
         }
     }
 
-    fn proc_fsinfo(&self, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_fsinfo(&self, args: &[u8]) -> Result<Bytes, ProgramError> {
         let fh: Fh3 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let mut enc = header(Status::Ok);
         PostOpAttr(self.getattr_of(fh.0).ok()).encode(&mut enc);
@@ -647,10 +647,10 @@ impl Nfs3Server {
         enc.put_u32(0); // time_delta sec
         enc.put_u32(1); // time_delta nsec
         enc.put_u32(0x1b); // properties: LINK|SYMLINK|HOMOGENEOUS|CANSETTIME
-        Ok(enc.into_bytes())
+        Ok(enc.into_shared())
     }
 
-    fn proc_commit(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
+    fn proc_commit(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
         let a: CommitArgs = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
         let (pending, verf) = {
             let mut st = self.state.lock();
@@ -685,13 +685,13 @@ impl RpcProgram for Nfs3Server {
         cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError> {
+    ) -> Result<Bytes, ProgramError> {
         self.check_auth(cred, proc)?;
         self.tel.calls.inc();
         self.tel.proc_counter(proc).inc();
         env.sleep(self.cfg.op_cpu);
         match proc {
-            proc3::NULL => Ok(Vec::new()),
+            proc3::NULL => Ok(Bytes::new()),
             proc3::GETATTR => self.proc_getattr(args),
             proc3::SETATTR => self.proc_setattr(env, args),
             proc3::LOOKUP => self.proc_lookup(args),
@@ -721,7 +721,7 @@ impl RpcProgram for Nfs3Server {
         cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError> {
+    ) -> Result<Bytes, ProgramError> {
         if !is_nonidempotent(proc) {
             return self.call(env, cred, proc, args);
         }
@@ -791,9 +791,9 @@ impl RpcProgram for MountServer {
         _cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError> {
+    ) -> Result<Bytes, ProgramError> {
         match proc {
-            mountproc::NULL => Ok(Vec::new()),
+            mountproc::NULL => Ok(Bytes::new()),
             mountproc::MNT => {
                 let path: String = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
                 let exported = self
@@ -803,7 +803,7 @@ impl RpcProgram for MountServer {
                 let mut enc = Encoder::new();
                 if !exported {
                     enc.put_u32(13); // MNT3ERR_ACCES
-                    return Ok(enc.into_bytes());
+                    return Ok(enc.into_shared());
                 }
                 match self.fs.lock().resolve(&path) {
                     Ok(h) => {
@@ -814,9 +814,9 @@ impl RpcProgram for MountServer {
                     }
                     Err(_) => enc.put_u32(2), // MNT3ERR_NOENT
                 }
-                Ok(enc.into_bytes())
+                Ok(enc.into_shared())
             }
-            mountproc::UMNT => Ok(Vec::new()),
+            mountproc::UMNT => Ok(Bytes::new()),
             _ => Err(ProgramError::ProcUnavail),
         }
     }
@@ -941,7 +941,7 @@ mod tests {
                     offset,
                     count: data.len() as u32,
                     stable,
-                    data,
+                    data: &data,
                 })
             };
             // A committed prefix and an uncommitted suffix.

@@ -66,7 +66,7 @@ fn write_args(h: Handle, offset: u64, data: Vec<u8>, stable: StableHow) -> Vec<u
         offset,
         count: data.len() as u32,
         stable,
-        data,
+        data: &data,
     })
 }
 

@@ -282,10 +282,45 @@ impl RpcClient {
         proc: u32,
         args: &[u8],
     ) -> Result<Bytes, RpcError> {
-        let target = CallTarget { prog, vers, proc };
+        self.call_with(env, prog, vers, proc, args.len(), |enc| {
+            enc.put_opaque_fixed(args)
+        })
+    }
+
+    /// [`RpcClient::call`] for a caller that has its arguments as a
+    /// value, not as bytes: `encode_args` writes them — about `args_len`
+    /// bytes, whole words — straight behind the call header, so a WRITE
+    /// payload is copied once, into the buffer that goes on the wire.
+    pub fn call_with(
+        &self,
+        env: &Env,
+        prog: u32,
+        vers: u32,
+        proc: u32,
+        args_len: usize,
+        encode_args: impl FnOnce(&mut Encoder),
+    ) -> Result<Bytes, RpcError> {
+        // One xid and one encoded request for the whole logical call:
+        // retransmits send views of the same buffer, byte-identical by
+        // construction, which is how the server's DRC recognises them.
+        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
+        let header = CallHeader {
+            xid,
+            prog,
+            vers,
+            proc,
+            cred: self.cred.clone(),
+            verf: OpaqueAuth::none(),
+        };
+        // Six header words, two auth fields of two words and a body.
+        let mut enc = Encoder::with_capacity(40 + xdr::padded(header.cred.body.len()) + args_len);
+        msg::encode_call(&mut enc, &header, &[]);
+        encode_args(&mut enc);
+        debug_assert_eq!(enc.len() % 4, 0, "RPC payload must be word-aligned");
+        let request = enc.into_shared();
         self.instrumented(env, prog, proc, |c, pt| match c.policy {
-            Some(policy) => c.call_retry(env, pt, target, args, policy),
-            None => c.call_inner(env, pt, target, args),
+            Some(policy) => c.call_retry(env, pt, xid, request, policy),
+            None => c.call_inner(env, pt, xid, request),
         })
     }
 
@@ -333,20 +368,6 @@ impl RpcClient {
         result
     }
 
-    fn encode_call(&self, xid: u32, target: CallTarget, args: &[u8]) -> Vec<u8> {
-        let header = CallHeader {
-            xid,
-            prog: target.prog,
-            vers: target.vers,
-            proc: target.proc,
-            cred: self.cred.clone(),
-            verf: OpaqueAuth::none(),
-        };
-        let mut enc = Encoder::new();
-        msg::encode_call(&mut enc, &header, args);
-        enc.into_bytes()
-    }
-
     /// Decode one reply against the xid we sent. A reply bearing some
     /// other xid is a stray (stale retransmit answer, reordered delivery)
     /// and must be discarded — not treated as fatal for this call.
@@ -382,11 +403,9 @@ impl RpcClient {
         &self,
         env: &Env,
         pt: &ProgTel,
-        target: CallTarget,
-        args: &[u8],
+        xid: u32,
+        request: Bytes,
     ) -> Result<Bytes, RpcError> {
-        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
-        let request = self.encode_call(xid, target, args);
         let pending = self.chan.send_request(env, request);
         loop {
             let reply_bytes = pending.recv(env).ok_or(RpcError::Transport)?;
@@ -401,17 +420,10 @@ impl RpcClient {
         &self,
         env: &Env,
         pt: &ProgTel,
-        target: CallTarget,
-        args: &[u8],
+        xid: u32,
+        request: Bytes,
         policy: RetryPolicy,
     ) -> Result<Bytes, RpcError> {
-        // One xid for the whole logical call: retransmits must be
-        // recognisable as duplicates by the server's DRC.
-        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
-        // The encoded request is shared, not re-encoded, across attempts:
-        // every retransmission sends a view of the same buffer, so it is
-        // byte-identical by construction.
-        let request: Bytes = self.encode_call(xid, target, args).into();
         let attempts = policy.max_attempts.max(1);
         for attempt in 0..attempts {
             if attempt > 0 {
@@ -434,15 +446,6 @@ impl RpcClient {
         }
         Err(RpcError::TimedOut)
     }
-}
-
-/// The `(prog, vers, proc)` triple a call is addressed to, bundled so
-/// the internal call paths pass one value instead of three.
-#[derive(Clone, Copy)]
-struct CallTarget {
-    prog: u32,
-    vers: u32,
-    proc: u32,
 }
 
 /// Human-readable label for well-known program numbers (used in metric

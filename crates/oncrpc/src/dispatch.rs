@@ -31,14 +31,16 @@ pub trait RpcProgram: Send + Sync + 'static {
     /// Supported version.
     fn version(&self) -> u32;
     /// Execute a procedure: decode `args`, do the work (may block in
-    /// virtual time), return encoded results.
+    /// virtual time), return encoded results. Results encoded behind
+    /// [`crate::msg::REPLY_HEADROOM`] spare bytes go out without being
+    /// copied into a reply message.
     fn call(
         &self,
         env: &Env,
         cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError>;
+    ) -> Result<Bytes, ProgramError>;
 
     /// Like [`RpcProgram::call`], but with the transaction id of the
     /// request. Programs that maintain a duplicate-request cache (the
@@ -53,7 +55,7 @@ pub trait RpcProgram: Send + Sync + 'static {
         cred: &OpaqueAuth,
         proc: u32,
         args: &[u8],
-    ) -> Result<Vec<u8>, ProgramError> {
+    ) -> Result<Bytes, ProgramError> {
         self.call(env, cred, proc, args)
     }
 }
@@ -151,7 +153,7 @@ impl RpcHandler for Dispatcher {
                 }
             },
         };
-        xdr::to_bytes(&reply).into()
+        reply.into_wire()
     }
 }
 
@@ -180,16 +182,16 @@ mod tests {
             _cred: &OpaqueAuth,
             proc: u32,
             args: &[u8],
-        ) -> Result<Vec<u8>, ProgramError> {
+        ) -> Result<Bytes, ProgramError> {
             match proc {
-                0 => Ok(Vec::new()), // NULL
+                0 => Ok(Bytes::new()), // NULL
                 1 => {
                     let v: u32 = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
-                    Ok(xdr::to_bytes(&(v * 2)))
+                    Ok(xdr::to_bytes(&(v * 2)).into())
                 }
                 2 => {
                     let s: String = xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
-                    Ok(xdr::to_bytes(&s))
+                    Ok(xdr::to_bytes(&s).into())
                 }
                 _ => Err(ProgramError::ProcUnavail),
             }

@@ -153,6 +153,45 @@ impl RpcMessage {
             RpcMessage::Reply { xid, .. } => *xid,
         }
     }
+
+    /// The wire form of a message a server is about to send. A
+    /// successful reply goes through [`encode_success`], so its results
+    /// are not copied when they came with room for the header; anything
+    /// else is small and encoded afresh.
+    pub fn into_wire(self) -> Bytes {
+        match self {
+            RpcMessage::Reply {
+                xid,
+                body:
+                    ReplyBody::Accepted {
+                        verf,
+                        stat: AcceptStat::Success,
+                        results,
+                    },
+            } if verf == OpaqueAuth::none() => encode_success(xid, results),
+            other => xdr::to_bytes(&other).into(),
+        }
+    }
+}
+
+/// Length of the header of an accepted, successful reply with an
+/// `AUTH_NONE` verifier — everything in front of its results.
+pub const REPLY_HEADROOM: usize = 24;
+
+/// The wire form of [`RpcMessage::success`]`(xid, results)`: the fixed
+/// header, then `results`. Results encoded behind [`REPLY_HEADROOM`]
+/// spare bytes — or sliced out of an upstream reply, whose own header
+/// is that room — get the header written in front of them in place
+/// while nothing else holds their buffer ([`Bytes::prepend`]); a clone
+/// kept in a reply cache makes this a copy instead.
+pub fn encode_success(xid: u32, results: Bytes) -> Bytes {
+    debug_assert_eq!(results.len() % 4, 0, "RPC payload must be word-aligned");
+    // xid, then five words: REPLY, MSG_ACCEPTED, AUTH_NONE with an empty
+    // body, SUCCESS.
+    let mut head = [0u8; REPLY_HEADROOM];
+    head[..4].copy_from_slice(&xid.to_be_bytes());
+    head[4..8].copy_from_slice(&MSG_REPLY.to_be_bytes());
+    results.prepend(&head)
 }
 
 /// Encode a call message: the header, then `args` appended once. The one
@@ -368,6 +407,48 @@ mod tests {
         let back: RpcMessage = xdr::from_bytes(&bytes).unwrap();
         assert_eq!(back, m);
         assert_eq!(back.xid(), 99);
+    }
+
+    #[test]
+    fn into_wire_is_the_generic_encoding_whoever_else_holds_the_results() {
+        // Results behind headroom and owned by nobody else: the header
+        // lands in front of them, and they do not move.
+        let mut enc = Encoder::with_headroom(REPLY_HEADROOM, 8);
+        enc.put_u64(7);
+        let results = enc.into_shared();
+        let at = results.as_slice().as_ptr();
+        let generic = xdr::to_bytes(&RpcMessage::success(99, results.clone()));
+        let wire = RpcMessage::success(99, results).into_wire();
+        assert_eq!(wire, generic);
+        assert_eq!(wire[REPLY_HEADROOM..].as_ptr(), at);
+        // That wire is an upstream reply to whoever receives it: its own
+        // header is the room for the next hop's, so a forwarded reply is
+        // the same allocation with the xid rewritten …
+        let RpcMessage::Reply { body, .. } = RpcMessage::decode_shared(&wire).unwrap() else {
+            panic!("a reply");
+        };
+        let ReplyBody::Accepted { results, .. } = body else {
+            panic!("accepted");
+        };
+        let held = results.clone();
+        drop(wire);
+        // … unless a clone is still held (a reply cache, the DRC): then
+        // it is an equal-bytes copy and the held bytes stay as they were.
+        let copied = encode_success(5, results);
+        assert_eq!(copied, xdr::to_bytes(&RpcMessage::success(5, held.clone())));
+        assert_ne!(copied[REPLY_HEADROOM..].as_ptr(), at);
+        let forwarded = encode_success(6, held);
+        assert_eq!(forwarded[REPLY_HEADROOM..].as_ptr(), at);
+        assert_eq!(&forwarded[..4], &6u32.to_be_bytes());
+        assert_eq!(forwarded[4..], generic[4..]);
+        // Anything but a plain success is encoded afresh.
+        for m in [
+            RpcMessage::accept_error(5, AcceptStat::GarbageArgs),
+            RpcMessage::denied(1, RejectStat::AuthError(auth_stat::BADCRED)),
+            sample_call(),
+        ] {
+            assert_eq!(m.clone().into_wire(), xdr::to_bytes(&m));
+        }
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! An inode-based, sparse, in-memory filesystem ([`Fs`]) with
 //! generation-checked handles; a disk timing model ([`Disk`],
 //! [`DiskModel`]); an O(1) [`LruMap`] used to model bounded memory
-//! buffer caches; and the content pool ([`share`], [`SharedBytes`])
+//! buffer caches; and the content pool ([`share`], [`share_slice`],
+//! [`SharedBytes`])
 //! through which every store of immutable payload keeps identical
 //! bytes once on the host.
 //!
@@ -25,5 +26,5 @@ pub use disk::{Disk, DiskModel};
 pub use fs::{Attr, FileId, FileType, Fs, FsError, FsResult, Handle};
 pub use io::{FileIo, IoError, IoResult, LocalIo, LocalIoConfig, MountTable, OpenFile};
 pub use lru::LruMap;
-pub use shared::{share, SharedBytes};
+pub use shared::{share, share_slice, SharedBytes};
 pub use sparse::{SparseBytes, CHUNK_SIZE};

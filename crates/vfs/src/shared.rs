@@ -8,7 +8,8 @@
 //! interns by content: a process-wide pool of weak references, keyed by
 //! a hash of the bytes, hands back the live allocation that already
 //! holds exactly these bytes, or pools the vector it was given without
-//! copying it.
+//! copying it ([`share_slice`], for a borrowed block, copies on that
+//! miss and only then).
 //!
 //! * The hash only picks a bucket; a full byte compare decides, so a
 //!   collision costs a compare and never correctness. The hash is
@@ -37,6 +38,13 @@ pub type SharedBytes = Arc<Vec<u8>>;
 /// process-wide pool if there is one, otherwise `bytes` itself, moved
 /// (not copied) behind an `Arc` and pooled for later callers.
 pub fn share(bytes: Vec<u8>) -> SharedBytes {
+    POOL.share(bytes)
+}
+
+/// [`share`] for bytes the caller only borrows — a block inside a
+/// message off the wire: hashed and compared where they lie, and copied
+/// only when the pool has no live allocation holding them.
+pub fn share_slice(bytes: &[u8]) -> SharedBytes {
     POOL.share(bytes)
 }
 
@@ -69,11 +77,13 @@ impl Pool {
         }
     }
 
-    fn share(&self, bytes: Vec<u8>) -> SharedBytes {
-        self.share_in_bucket(hash(&bytes), bytes)
+    fn share(&self, bytes: impl AsRef<[u8]> + Into<Vec<u8>>) -> SharedBytes {
+        self.share_in_bucket(hash(bytes.as_ref()), bytes)
     }
 
-    fn share_in_bucket(&self, key: u64, bytes: Vec<u8>) -> SharedBytes {
+    /// A miss pools `bytes.into()`: an owned vector moves, a slice is
+    /// copied.
+    fn share_in_bucket(&self, key: u64, bytes: impl AsRef<[u8]> + Into<Vec<u8>>) -> SharedBytes {
         let mut guard = self.table.lock();
         let table = &mut *guard;
         let bucket = table.buckets.entry(key).or_default();
@@ -82,7 +92,7 @@ impl Pool {
         let mut hit = None;
         bucket.retain(|weak| match weak.upgrade() {
             Some(live) => {
-                if hit.is_none() && *live == bytes {
+                if hit.is_none() && **live == *bytes.as_ref() {
                     hit = Some(live);
                 }
                 true
@@ -93,7 +103,7 @@ impl Pool {
         if let Some(hit) = hit {
             return hit;
         }
-        let fresh = Arc::new(bytes);
+        let fresh = Arc::new(bytes.into());
         bucket.push(Arc::downgrade(&fresh));
         table.entries += 1;
         // Husks in buckets nobody visits again go when the table has
@@ -196,6 +206,23 @@ mod tests {
         assert_eq!(shared.as_ptr(), at, "a miss must move, not copy");
         let again = pool.share(payload(3));
         assert_eq!(again.as_ptr(), at);
+    }
+
+    #[test]
+    fn a_borrowed_payload_joins_the_allocation_an_owned_one_would() {
+        let pool = Pool::new();
+        let v = payload(4);
+        // A miss has to copy: the caller keeps its bytes.
+        let from_slice = pool.share(&v[..]);
+        assert_ne!(from_slice.as_ptr(), v.as_ptr());
+        assert_eq!(*from_slice, v);
+        // From then on either entry is a hit on that one allocation.
+        assert!(Arc::ptr_eq(&from_slice, &pool.share(&v[..])));
+        assert!(Arc::ptr_eq(&from_slice, &pool.share(v)));
+        assert_eq!(pool.entries(), 1);
+        // And through the process-wide pool.
+        let x = payload(0xB0_44_0E_ED);
+        assert!(Arc::ptr_eq(&share_slice(&x), &share(x.to_vec())));
     }
 
     #[test]

@@ -88,12 +88,29 @@ impl SparseBytes {
     /// Read `buf.len()` bytes at `offset`. Returns the number of bytes
     /// read, which is short only at end-of-file; holes read as zeros.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> usize {
-        if offset >= self.len {
-            return 0;
-        }
-        let n = buf.len().min((self.len - offset) as usize);
-        let out = &mut buf[..n];
-        out.fill(0);
+        let n = self.readable(offset, buf.len());
+        buf[..n].fill(0);
+        self.copy_into_zeroed(offset, &mut buf[..n]);
+        n
+    }
+
+    /// Read a range as a fresh vector (short at EOF).
+    pub fn read_range(&self, offset: u64, len: usize) -> Vec<u8> {
+        // Allocated zeroed at its final length: holes need no second fill.
+        let mut buf = vec![0u8; self.readable(offset, len)];
+        self.copy_into_zeroed(offset, &mut buf);
+        buf
+    }
+
+    /// How many of `len` bytes at `offset` lie inside the file.
+    fn readable(&self, offset: u64, len: usize) -> usize {
+        (self.len.saturating_sub(offset)).min(len as u64) as usize
+    }
+
+    /// Copy the allocated bytes of `[offset, offset + out.len())`, which
+    /// lies inside the file, over an all-zero `out`.
+    fn copy_into_zeroed(&self, offset: u64, out: &mut [u8]) {
+        let n = out.len();
         let mut pos = 0usize;
         while pos < n {
             let abs = offset + pos as u64;
@@ -109,15 +126,6 @@ impl SparseBytes {
             }
             pos += take;
         }
-        n
-    }
-
-    /// Read a range as a fresh vector (short at EOF).
-    pub fn read_range(&self, offset: u64, len: usize) -> Vec<u8> {
-        let mut buf = vec![0u8; len];
-        let n = self.read_at(offset, &mut buf);
-        buf.truncate(n);
-        buf
     }
 
     /// Write `data` at `offset`, extending the logical length if needed.

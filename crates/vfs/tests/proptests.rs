@@ -1,9 +1,10 @@
 //! Property-based invariants for the filesystem substrate.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use proptest::prelude::*;
-use vfs::{Fs, LruMap, SparseBytes, CHUNK_SIZE};
+use vfs::{share, share_slice, Fs, LruMap, SharedBytes, SparseBytes, CHUNK_SIZE};
 
 /// A `SparseBytes` next to the dense model it must match and the set of
 /// chunks the allocation rule says exist: a chunk is allocated by the
@@ -138,6 +139,57 @@ proptest! {
             let window = 70_000.min(dense.len().saturating_sub(probe));
             let dense_zero = dense[probe..probe + window].iter().all(|&b| b == 0);
             prop_assert_eq!(sparse.is_zero_range(probe as u64, window), dense_zero);
+        }
+    }
+
+    /// The content pool against a model of who holds what, under both
+    /// of its entries: whichever way a payload comes in — owned or
+    /// borrowed — it comes back as the allocation every other pooled
+    /// holder of those bytes has, holding exactly those bytes; dropping
+    /// holders never breaks that for the rest; and a write through one
+    /// holder (`Arc::make_mut`) shows through no other.
+    #[test]
+    fn pool_hands_out_one_allocation_per_content_through_either_entry(
+        ops in proptest::collection::vec((0u8..4, 0usize..6, any::<bool>()), 1..60)
+    ) {
+        // Contents no other test pools.
+        let content = |pick: usize| {
+            let mut v = b"pool-model".to_vec();
+            v.resize(300 + pick, 0xC0 + pick as u8);
+            v
+        };
+        // (holder, whether it is still the pooled allocation)
+        let mut holders: Vec<(SharedBytes, bool)> = Vec::new();
+        for (kind, pick, borrowed) in ops {
+            match kind {
+                0 | 1 => {
+                    let bytes = content(pick);
+                    let got = if borrowed { share_slice(&bytes) } else { share(bytes) };
+                    prop_assert_eq!(&*got, &content(pick));
+                    for (held, pooled) in &holders {
+                        if *pooled && **held == *got {
+                            prop_assert!(Arc::ptr_eq(held, &got));
+                        }
+                    }
+                    holders.push((got, true));
+                }
+                2 if !holders.is_empty() => {
+                    holders.swap_remove(pick % holders.len());
+                }
+                3 if !holders.is_empty() => {
+                    let at = pick % holders.len();
+                    let before: Vec<Vec<u8>> = holders.iter().map(|(h, _)| h.to_vec()).collect();
+                    let (held, pooled) = &mut holders[at];
+                    Arc::make_mut(held)[0] ^= 0xFF;
+                    *pooled = false;
+                    for (i, (h, _)) in holders.iter().enumerate() {
+                        if i != at {
+                            prop_assert_eq!(&**h, &before[i]);
+                        }
+                    }
+                }
+                _ => {}
+            }
         }
     }
 

@@ -287,10 +287,7 @@ impl VmMonitor {
                 st.guest_cache.insert(b, ());
             }
         }
-        // Deterministic page-ish payload so caches/codecs see real bytes.
-        let data: Vec<u8> = (0..len)
-            .map(|i| ((offset + i as u64) % 251) as u8)
-            .collect();
+        let data = guest_payload(offset, len);
         let redo_opt = { self.state.lock().redo.take() };
         match redo_opt {
             Some(mut redo) => {
@@ -368,6 +365,29 @@ impl VmMonitor {
     }
 }
 
+/// Deterministic page-ish payload of a guest write, so caches/codecs see
+/// real bytes: byte `i` is `(offset + i) % 251`, laid down a cycle at a
+/// time instead of divided out per byte.
+fn guest_payload(offset: u64, len: u32) -> Vec<u8> {
+    const CYCLE: [u8; 251] = {
+        let mut cycle = [0u8; 251];
+        let mut i = 0;
+        while i < cycle.len() {
+            cycle[i] = i as u8;
+            i += 1;
+        }
+        cycle
+    };
+    let mut data = Vec::with_capacity(len as usize);
+    let mut phase = (offset % 251) as usize;
+    while data.len() < len as usize {
+        let take = (CYCLE.len() - phase).min(len as usize - data.len());
+        data.extend_from_slice(&CYCLE[phase..phase + take]);
+        phase = 0;
+    }
+    data
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +395,15 @@ mod tests {
     use simnet::Simulation;
     use std::sync::Arc;
     use vfs::{Disk, DiskModel, FileIo, LocalIo, LocalIoConfig};
+
+    #[test]
+    fn guest_payload_is_the_offset_modulo_251_across_wraps() {
+        for offset in [0, 1, 250, 251, 4096, u64::MAX - 600] {
+            let want: Vec<u8> = (0..600).map(|i| ((offset + i) % 251) as u8).collect();
+            assert_eq!(guest_payload(offset, 600), want, "offset {offset}");
+        }
+        assert!(guest_payload(7, 0).is_empty());
+    }
 
     fn spec() -> VmImageSpec {
         VmImageSpec {

@@ -44,6 +44,35 @@ impl Bytes {
         }
     }
 
+    /// The part of `v` past its first `headroom` bytes, with those bytes
+    /// kept in front of the view for a later [`Bytes::prepend`].
+    pub(crate) fn past_headroom(v: Vec<u8>, headroom: usize) -> Bytes {
+        let len = v.len() - headroom;
+        Bytes {
+            buf: Arc::new(v),
+            off: headroom,
+            len,
+        }
+    }
+
+    /// `prefix ++ self`. When the backing buffer has `prefix.len()` bytes
+    /// of room in front of this view and no other view shares it, the
+    /// prefix is written there and the payload is not touched; otherwise
+    /// both are copied into a fresh buffer. Either way no other view
+    /// ever sees a byte change.
+    pub fn prepend(mut self, prefix: &[u8]) -> Bytes {
+        if let (Some(off), Some(buf)) = (
+            self.off.checked_sub(prefix.len()),
+            Arc::get_mut(&mut self.buf),
+        ) {
+            buf[off..self.off].copy_from_slice(prefix);
+            self.off = off;
+            self.len += prefix.len();
+            return self;
+        }
+        Bytes::from_vec([prefix, self.as_slice()].concat())
+    }
+
     /// Length of this view in bytes.
     pub fn len(&self) -> usize {
         self.len
@@ -216,6 +245,30 @@ mod tests {
         let b = Bytes::from_vec(vec![0; 16]);
         let other = [0u8; 4];
         let _ = b.slice_ref(&other);
+    }
+
+    #[test]
+    fn prepend_fills_headroom_in_place_only_for_a_sole_owner() {
+        let whole = Bytes::from_vec((0u8..16).collect());
+        let view = whole.slice(8, 16);
+        let at = view.as_slice().as_ptr();
+        // `whole` still shares the buffer: a copy, and `whole` unchanged.
+        let copied = view.prepend(&[0xAA; 8]);
+        assert_ne!(copied.as_slice()[8..].as_ptr(), at);
+        assert_eq!(&copied[..8], &[0xAA; 8]);
+        assert_eq!(&copied[8..], &whole[8..]);
+        assert_eq!(whole, (0u8..16).collect::<Vec<_>>());
+        // Sole owner with room in front: the payload does not move.
+        let view = whole.slice(8, 16);
+        drop(whole);
+        let joined = view.prepend(&[0xBB; 8]);
+        assert_eq!(joined.as_slice()[8..].as_ptr(), at);
+        assert_eq!(&joined[..8], &[0xBB; 8]);
+        assert_eq!(&joined[8..], &(8u8..16).collect::<Vec<_>>()[..]);
+        // Sole owner without enough room: a copy again.
+        let again = joined.prepend(&[0xCC]);
+        assert_eq!(again.len(), 17);
+        assert_ne!(again.as_slice()[9..].as_ptr(), at);
     }
 
     #[test]

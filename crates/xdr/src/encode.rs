@@ -1,6 +1,6 @@
 //! XDR encoder.
 
-use crate::padded;
+use crate::{padded, Bytes};
 
 /// Appends XDR-encoded items to a growable byte buffer.
 ///
@@ -9,40 +9,57 @@ use crate::padded;
 #[derive(Default, Debug)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// Leading bytes of `buf` that are not output: room a later
+    /// [`Bytes::prepend`] fills without moving what was encoded.
+    headroom: usize,
 }
 
 impl Encoder {
     /// Create an empty encoder.
     pub fn new() -> Self {
-        Encoder { buf: Vec::new() }
+        Encoder::default()
     }
 
     /// Create an encoder with pre-reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
-        Encoder {
-            // lint:allow(bounded-decode): encoder capacity is caller-chosen, never wire-derived
-            buf: Vec::with_capacity(cap),
-        }
+        Encoder::with_headroom(0, cap)
+    }
+
+    /// Create an encoder with capacity for `cap` bytes of output behind
+    /// `headroom` spare bytes, which [`Encoder::into_shared`] leaves in
+    /// front of the view it returns.
+    pub fn with_headroom(headroom: usize, cap: usize) -> Self {
+        // lint:allow(bounded-decode): encoder capacity is caller-chosen, never wire-derived
+        let mut buf = Vec::with_capacity(headroom + cap);
+        buf.extend(std::iter::repeat_n(0u8, headroom));
+        Encoder { buf, headroom }
     }
 
     /// Bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.headroom
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Consume the encoder, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.drain(..self.headroom);
         self.buf
+    }
+
+    /// Consume the encoder, returning the encoded bytes as a shared view
+    /// of its buffer — headroom, if any, stays in front of the view.
+    pub fn into_shared(self) -> Bytes {
+        Bytes::past_headroom(self.buf, self.headroom)
     }
 
     /// Borrow the encoded bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
+        &self.buf[self.headroom..]
     }
 
     /// Append an unsigned 32-bit word.
@@ -118,6 +135,27 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u64(0x0102_0304_0506_0708);
         assert_eq!(e.as_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+    }
+
+    #[test]
+    fn headroom_is_not_output_and_is_sized_once() {
+        let mut e = Encoder::with_headroom(24, 8);
+        assert!(e.is_empty());
+        let at = e.buf.as_ptr();
+        e.put_u64(0x0102_0304_0506_0708);
+        assert_eq!(e.buf.as_ptr(), at, "presized: no reallocation");
+        assert_eq!(e.len(), 8);
+        assert_eq!(e.as_bytes(), &[1, 2, 3, 4, 5, 6, 7, 8]);
+        let shared = e.into_shared();
+        assert_eq!(shared, [1u8, 2, 3, 4, 5, 6, 7, 8]);
+        // The room in front is what a prepend fills, in place.
+        let payload = shared.as_slice().as_ptr();
+        let framed = shared.prepend(&[9; 24]);
+        assert_eq!(framed.as_slice()[24..].as_ptr(), payload);
+        // The owned form drops the headroom instead.
+        let mut e = Encoder::with_headroom(24, 4);
+        e.put_u32(7);
+        assert_eq!(e.into_bytes(), vec![0, 0, 0, 7]);
     }
 
     #[test]

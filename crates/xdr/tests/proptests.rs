@@ -1,9 +1,41 @@
 //! Property-based round-trip tests for the XDR codec.
 
 use proptest::prelude::*;
-use xdr::{Decoder, Encoder};
+use xdr::{Bytes, Decoder, Encoder};
 
 proptest! {
+    #[test]
+    fn prepend_yields_prefix_then_view_for_any_headroom_and_owner_count(
+        headroom in 0usize..40,
+        prefix in proptest::collection::vec(any::<u8>(), 0..40),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+        tail in 0usize..8,
+        owners in 0usize..3,
+    ) {
+        // `payload` as a view with `headroom` bytes in front of it and
+        // `tail` behind, shared with `owners` other views.
+        let mut enc = Encoder::with_headroom(headroom, payload.len() + tail);
+        enc.put_opaque_fixed(&payload);
+        let encoded = enc.into_shared();
+        let view = encoded.slice(0, payload.len());
+        let others: Vec<Bytes> = (0..owners).map(|_| encoded.clone()).collect();
+        drop(encoded);
+        let before: Vec<Vec<u8>> = others.iter().map(Bytes::to_vec).collect();
+        let at = view.as_slice().as_ptr();
+        let joined = view.prepend(&prefix);
+        prop_assert_eq!(&joined[..prefix.len()], &prefix[..]);
+        prop_assert_eq!(&joined[prefix.len()..], &payload[..]);
+        // No other view ever sees a byte change.
+        for (other, was) in others.iter().zip(&before) {
+            prop_assert_eq!(&other[..], &was[..]);
+        }
+        // In place exactly when there was room and nobody else looking.
+        if !payload.is_empty() {
+            let in_place = joined[prefix.len()..].as_ptr() == at;
+            prop_assert_eq!(in_place, owners == 0 && prefix.len() <= headroom);
+        }
+    }
+
     #[test]
     fn u32_round_trips(v in any::<u32>()) {
         let mut e = Encoder::new();
