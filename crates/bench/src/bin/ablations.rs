@@ -7,14 +7,13 @@
 //! 4. in-text claim at full scale: reads filtered when resuming a 512 MB
 //!    post-boot image at 8 KB granularity (paper: 60,452 / 65,750).
 
-use gvfs::{DedupTuning, Middleware, WritePolicy};
+use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig};
 use gvfs_bench::report::{scenario_report, write_report, BenchCli};
 use gvfs_bench::{
-    build_client, build_server, run_app_scenario, run_cloning, AppParams, AppScenario,
-    ClientProxyOptions, CloneParams, CloneScenario, NetParams,
+    run_app_scenario, run_cloning, AppParams, AppScenario, CloneParams, CloneScenario, NetParams,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
-use oncrpc::RpcClient;
+use oncrpc::{OpaqueAuth, RpcClient};
 use simnet::{Link, Simulation};
 use vfs::FileIo;
 use vmm::{install_image, VmImageSpec};
@@ -41,7 +40,7 @@ fn zero_filter_counts(
         h.telemetry().set_trace(true);
     }
     let (up, down) = wan(&h);
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = ImageServer::start(&h, Listen::tunnel(up, down), 768 << 20, true);
     let spec = VmImageSpec {
         name: "postboot".into(),
         memory_bytes: memory_mb << 20,
@@ -61,27 +60,21 @@ fn zero_filter_counts(
         }
     }
     let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "u", 0, u64::MAX / 2);
-    let client = build_client(
-        &h,
-        server.channel.clone(),
-        cred.clone(),
-        Some(ClientProxyOptions {
-            block_cache: true,
-            file_channel: true,
-            write_policy: WritePolicy::WriteBack,
-            cache_bytes: 8 << 30,
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        }),
-        None,
+    let session = mw.start_session(
+        &server.mapper,
+        "u",
+        &RpcClient::new(server.channel.clone(), OpaqueAuth::none()),
+        ProxyConfig {
+            name: "client-proxy".into(),
+            ..ProxyConfig::default()
+        },
+        Some(BlockCacheConfig::paper(8 << 30)),
+        Some(8 << 30),
     );
-    let proxy = client.proxy.clone().unwrap();
     let out = std::sync::Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
     let out2 = out.clone();
     sim.spawn("resume", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred));
+        let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(
             &env,
             nfs,
@@ -100,7 +93,7 @@ fn zero_filter_counts(
             let data = kc.read(&env, fh, off, 256 * 1024).unwrap();
             off += data.len() as u64;
         }
-        let st = proxy.stats();
+        let st = session.proxy.stats();
         *out2.lock() = (st.reads, st.zero_filtered);
     });
     let end = sim.run();

@@ -20,18 +20,18 @@
 use std::sync::Arc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, CowTuning, DedupTuning, FileCache,
-    FileChannelSpec, FleetTuning, Middleware, Proxy, ProxyConfig, TransferTuning, WritePolicy,
+    BlockCacheConfig, CowTuning, DedupTuning, FileChannelSpec, FleetTuning, IdentityMapper,
+    ImageServer, Listen, Middleware, ProxyConfig, Tier, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
-use oncrpc::{OpaqueAuth, RpcChannel, RpcClient, WireSpec};
+use oncrpc::{AuthSys, OpaqueAuth, RpcChannel, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Env, Link, SimDuration, SimHandle, Simulation, Snapshot};
-use vfs::{Disk, DiskModel, LocalIo, LocalIoConfig, MountTable};
+use vfs::{Disk, DiskModel, Fs, LocalIo, LocalIoConfig, MountTable};
 use vmm::{clone_vm, diverge_image, install_image, CloneConfig, CloneTimes, VmConfig, VmImageSpec};
 use workloads::scp::ScpModel;
 
-use crate::scenarios::{build_client, build_server, ClientProxyOptions, NetParams, ServerSide};
+use crate::scenarios::NetParams;
 
 /// Sequential cloning scenarios of Figure 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,6 +151,46 @@ impl CloneParams {
         spec
     }
 
+    /// Configuration of a caching proxy tier called `name` in these
+    /// scenarios: the three tunings under test, everything else default.
+    fn tier_config(&self, name: String) -> ProxyConfig {
+        ProxyConfig {
+            name,
+            dedup: self.dedup,
+            fleet: self.fleet,
+            cow: self.cow,
+            ..ProxyConfig::default()
+        }
+    }
+
+    /// A LAN second-level proxy (the WAN-S3 cache, a fleet shard): shared
+    /// read-only block + file caches on a server-class disk, forwarding
+    /// to `upstream`, reachable over the LAN pair `<links>-up/-down`.
+    pub(crate) fn start_lan_tier(
+        &self,
+        h: &SimHandle,
+        name: String,
+        links: &str,
+        upstream: RpcClient,
+    ) -> Tier {
+        let lan = |dir| {
+            let name = format!("{links}-{dir}");
+            Link::from_mbps(h, name, self.net.lan_mbps, self.net.lan_oneway)
+        };
+        Tier::start(
+            ProxyConfig {
+                write_policy: WritePolicy::WriteThrough,
+                read_only_share: true,
+                ..self.tier_config(name)
+            },
+            Some(BlockCacheConfig::paper(self.proxy_cache_bytes)),
+            Some(self.proxy_cache_bytes),
+            &Disk::new(h, DiskModel::server_array()),
+            upstream,
+            Listen::tunnel(lan("up"), lan("down")),
+        )
+    }
+
     /// Whether CoW cloning is actually in effect: the knob is inert
     /// without a CAS to resolve recipes against, so dedup-off runs are
     /// bit-identical whatever `cow` says.
@@ -214,75 +254,64 @@ pub(crate) fn install_goldens(
     params: &CloneParams,
     n: usize,
 ) -> Vec<VmImageSpec> {
-    use vfs::Fs;
-    fn inner(fs: &mut Fs, params: &CloneParams, n: usize) -> Vec<VmImageSpec> {
-        let root = fs.root();
-        let dir = fs.mkdir(root, "exports", 0o755, 0).unwrap();
-        (0..n)
-            .map(|i| {
-                let spec = install_fleet_image(fs, dir, params, i);
-                // Middleware pre-processing: zero map + compressed file
-                // channel on the memory state (after divergence, so the
-                // content map describes the bytes actually served).
-                Middleware::generate_meta_chunked(
-                    fs,
-                    "exports",
-                    &spec.vmss_name(),
-                    32 * 1024,
-                    params.cas_chunk_bytes,
-                    true,
-                    Some(FileChannelSpec {
-                        compress: true,
-                        writeback: false,
-                    }),
-                )
-                .unwrap();
-                spec
-            })
-            .collect()
-    }
-    let mut guard = fs.lock();
-    inner(&mut guard, params, n)
+    let fs = &mut *fs.lock();
+    let root = fs.root();
+    let dir = fs.mkdir(root, "exports", 0o755, 0).unwrap();
+    (0..n)
+        .map(|i| {
+            let spec = install_fleet_image(fs, dir, params, i);
+            // Middleware pre-processing: zero map + compressed file
+            // channel on the memory state (after divergence, so the
+            // content map describes the bytes actually served).
+            Middleware::generate_meta_chunked(
+                fs,
+                "exports",
+                &spec.vmss_name(),
+                32 * 1024,
+                params.cas_chunk_bytes,
+                true,
+                Some(FileChannelSpec {
+                    compress: true,
+                    writeback: false,
+                }),
+            )
+            .unwrap();
+            spec
+        })
+        .collect()
 }
 
-use vfs::Fs;
-
 /// The WAN image server every GVFS cloning scenario clones from.
-fn build_wan_server(h: &SimHandle, params: &CloneParams) -> ServerSide {
+fn build_wan_server(h: &SimHandle, params: &CloneParams) -> ImageServer {
     let net = &params.net;
     let up = Link::from_mbps(h, "wan-up", net.wan_up_mbps, net.wan_oneway);
     let down = Link::from_mbps(h, "wan-down", net.wan_down_mbps, net.wan_oneway);
-    build_server(h, up, down, 768 << 20, true)
+    ImageServer::start(h, Listen::tunnel(up, down), 768 << 20, true)
 }
 
-/// One compute host — local disk, client-side caching proxy, kernel
-/// mount — as the mount table its clonings run against.
+/// One compute host — `user`'s session (local disk, client-side caching
+/// proxy toward `upstream`) under a kernel mount — as the mount table
+/// its clonings run against.
 pub(crate) fn build_compute_host(
-    h: &SimHandle,
+    mw: &Middleware,
+    mapper: &Arc<IdentityMapper>,
+    user: &str,
     upstream: RpcChannel,
-    cred: OpaqueAuth,
     params: &CloneParams,
     kernel_cfg: KernelConfig,
     env: &Env,
 ) -> MountTable {
-    let client = build_client(
-        h,
-        upstream,
-        cred.clone(),
-        Some(ClientProxyOptions {
-            block_cache: true,
-            file_channel: true,
-            write_policy: WritePolicy::WriteBack,
-            cache_bytes: params.proxy_cache_bytes,
-            dedup: params.dedup,
-            fleet: params.fleet,
-            cow: params.cow,
-        }),
-        None,
+    let session = mw.start_session(
+        mapper,
+        user,
+        &RpcClient::new(upstream, OpaqueAuth::none()),
+        params.tier_config("client-proxy".into()),
+        Some(BlockCacheConfig::paper(params.proxy_cache_bytes)),
+        Some(params.proxy_cache_bytes),
     );
-    let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred));
-    let kc = KernelClient::mount(env, nfs, "/exports", kernel_cfg).unwrap();
-    let local = LocalIo::new(client.cache_disk.clone(), LocalIoConfig::default(), 0);
+    let kc =
+        KernelClient::mount(env, Nfs3Client::new(session.rpc()), "/exports", kernel_cfg).unwrap();
+    let local = LocalIo::new(session.cache_disk, LocalIoConfig::default(), 0);
     MountTable::new().mount("/", local).mount("/mnt/gvfs", kc)
 }
 
@@ -369,15 +398,14 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
             };
             let specs = install_goldens(&server.fs, params, distinct);
             let mw = Middleware::new();
-            let (_sid, cred) = mw.establish_session(&server.mapper, "clone-user", 0, u64::MAX / 2);
             let params2 = *params;
             let out2 = out.clone();
-            let h2 = h.clone();
             sim.spawn("cloner", move |env: Env| {
                 let host = build_compute_host(
-                    &h2,
+                    &mw,
+                    &server.mapper,
+                    "clone-user",
                     server.channel.clone(),
-                    cred.clone(),
                     &params2,
                     kcfg,
                     &env,
@@ -398,57 +426,30 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
             let distinct = params.images.unwrap_or(n).max(1);
             let specs = install_goldens(&server.fs, params, distinct);
             let mw = Middleware::new();
-            let (_sid, cred) = mw.establish_session(&server.mapper, "clone-user", 0, u64::MAX / 2);
+            let (_sid, cred) = mw.establish_session(&server.mapper, "clone-user");
 
-            // The LAN second-level proxy: block + file caches, reachable
-            // from compute servers over the LAN, forwarding over the WAN.
-            let lan_proxy_disk = Disk::new(&h, DiskModel::server_array());
-            let upstream_client = RpcClient::new(server.channel.clone(), cred.clone());
-            let lan_proxy = Proxy::new(
-                ProxyConfig {
-                    name: "lan-cache-proxy".into(),
-                    write_policy: WritePolicy::WriteThrough,
-                    meta_handling: true,
-                    read_only_share: true,
-                    transfer: TransferTuning::default(),
-                    dedup: params.dedup,
-                    fleet: params.fleet,
-                    cow: params.cow,
-                },
-                upstream_client.clone(),
-            )
-            .with_block_cache(Arc::new(BlockCache::new(
-                &h,
-                lan_proxy_disk.clone(),
-                BlockCacheConfig::with_capacity(params.proxy_cache_bytes, 512, 16, 32 * 1024),
-            )))
-            .with_file_channel(
-                Arc::new(FileCache::new(lan_proxy_disk, params.proxy_cache_bytes)),
-                ChannelClient::new(upstream_client, CodecModel::default()),
-            )
-            .into_handler();
-            let lan_up = Link::from_mbps(&h, "lan-up", params.net.lan_mbps, params.net.lan_oneway);
-            let lan_down =
-                Link::from_mbps(&h, "lan-down", params.net.lan_mbps, params.net.lan_oneway);
-            let lan_ep = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::ssh_tunnel(50e6));
-            lan_ep.listener.serve("lan-cache-proxy", lan_proxy, 16);
+            // The LAN second-level proxy, forwarding over the WAN.
+            let wan = RpcClient::new(server.channel.clone(), cred);
+            let lan = params.start_lan_tier(&h, "lan-cache-proxy".into(), "lan", wan);
 
             let params2 = *params;
             let out2 = out.clone();
-            let h2 = h.clone();
-            let lan_channel = lan_ep.channel;
             sim.spawn("cloner", move |env: Env| {
                 let cfg = params2.clone_config();
+                let fresh_host = || {
+                    build_compute_host(
+                        &mw,
+                        &server.mapper,
+                        "clone-user",
+                        lan.channel.clone(),
+                        &params2,
+                        kcfg,
+                        &env,
+                    )
+                };
                 // Warm-up: another compute server on the same LAN clones
                 // each image first (not timed).
-                let warm_host = build_compute_host(
-                    &h2,
-                    lan_channel.clone(),
-                    cred.clone(),
-                    &params2,
-                    kcfg,
-                    &env,
-                );
+                let warm_host = fresh_host();
                 for (i, spec) in specs.iter().enumerate() {
                     let (_, vm) = clone_vm(
                         &env,
@@ -465,14 +466,7 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
                 // pass each when `images` is unset).
                 // Timed: a fresh compute server (cold local caches) whose
                 // misses hit the warm LAN proxy.
-                let host = build_compute_host(
-                    &h2,
-                    lan_channel.clone(),
-                    cred.clone(),
-                    &params2,
-                    kcfg,
-                    &env,
-                );
+                let host = fresh_host();
                 for i in 0..n {
                     let spec = &specs[i % specs.len()];
                     let (times, vm) =
@@ -553,7 +547,6 @@ fn run_two_pass_cloning(params: &CloneParams, parallel: bool) -> ParallelResult 
     };
     let pass_secs = Arc::new(Mutex::new([0.0f64; 2]));
     let params2 = *params;
-    let h2 = h.clone();
     let pass_secs2 = pass_secs.clone();
     let mapper = server.mapper.clone();
     let channel = server.channel.clone();
@@ -567,8 +560,7 @@ fn run_two_pass_cloning(params: &CloneParams, parallel: bool) -> ParallelResult 
                 } else {
                     "seq-user".to_string()
                 };
-                let (_sid, cred) = mw.establish_session(&mapper, &user, 0, u64::MAX / 2);
-                build_compute_host(&h2, channel.clone(), cred, &params2, kcfg, &env)
+                build_compute_host(&mw, &mapper, &user, channel.clone(), &params2, kcfg, &env)
             })
             .collect();
         let shared = Arc::new((hosts, specs));
@@ -646,7 +638,7 @@ pub fn pure_nfs_clone_secs(params: &CloneParams) -> f64 {
         params.net.wan_down_mbps,
         params.net.wan_oneway,
     );
-    let server = build_server(&h, up, down, 768 << 20, false);
+    let server = ImageServer::start(&h, Listen::plain(up, down), 768 << 20, false);
     let spec = {
         let mut fs = server.fs.lock();
         let root = fs.root();
@@ -659,7 +651,7 @@ pub fn pure_nfs_clone_secs(params: &CloneParams) -> f64 {
     let out2 = out.clone();
     let params2 = *params;
     sim.spawn("cloner", move |env: Env| {
-        let cred = OpaqueAuth::sys(&local_auth_sys());
+        let cred = OpaqueAuth::sys(&AuthSys::new("compute", 500, 500));
         let nfs = Nfs3Client::new(RpcClient::new(server.channel.clone(), cred));
         let kc = KernelClient::mount(
             &env,
@@ -695,9 +687,4 @@ pub fn pure_nfs_clone_secs(params: &CloneParams) -> f64 {
     sim.run();
     let secs = *out.lock();
     secs
-}
-
-// Small helper to avoid importing AuthSys at top with an alias clash.
-fn local_auth_sys() -> oncrpc::AuthSys {
-    oncrpc::AuthSys::new("compute", 500, 500)
 }

@@ -14,8 +14,9 @@
 //! | `fault_recovery` | extra: LaTeX under WAN loss/outage/server restart |
 //! | `fleet` | extra: fleet-scale cloning — sharded proxy tree, batching, p50/p95/p99 |
 //!
-//! The library half holds the scenario builders ([`scenarios`],
-//! [`cloning`], [`fleet`]), the on/off ablation driver ([`ablation`])
+//! The library half holds the scenarios ([`scenarios`], [`cloning`],
+//! [`fleet`]: parameters, topology and drivers — the server machine and
+//! every proxy tier are started by `gvfs::session`), the on/off ablation driver ([`ablation`])
 //! and report formatting ([`report`]).
 
 #![warn(missing_docs)]
@@ -33,6 +34,5 @@ pub use cloning::{
 };
 pub use fleet::{run_fleet, ArrivalMode, FleetParams, FleetResult, LatencySummary};
 pub use scenarios::{
-    build_client, build_server, fs_digest, run_app_scenario, AppParams, AppResult, AppRun,
-    AppScenario, ClientProxyOptions, FaultSpec, NetParams, ServerSide,
+    fs_digest, run_app_scenario, AppParams, AppResult, AppRun, AppScenario, FaultSpec, NetParams,
 };

@@ -60,11 +60,6 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// A paper-vs-measured comparison line for EXPERIMENTS.md-style output.
-pub fn compare_line(what: &str, paper: &str, measured: &str) -> String {
-    format!("  {what:<46} paper: {paper:>10}   measured: {measured:>10}")
-}
-
 // ---------------------------------------------------------------------------
 // JSON reports
 

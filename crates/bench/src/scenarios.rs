@@ -19,15 +19,13 @@
 use std::sync::Arc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, CowTuning, DedupTuning, FileCache,
-    FileChannelServer, FleetTuning, IdentityMapper, Middleware, Proxy, ProxyConfig, TransferTuning,
-    WritePolicy,
+    BlockCacheConfig, DedupTuning, GvfsSession, ImageServer, Listen, Middleware, ProxyConfig,
 };
-use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{Dispatcher, OpaqueAuth, RetryPolicy, RpcChannel, RpcClient, WireSpec};
+use nfs3::{KernelClient, KernelConfig, Nfs3Client};
+use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
 use parking_lot::Mutex;
-use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimHandle, SimTime, Simulation, Snapshot};
-use vfs::{Disk, DiskModel, FileIo, FileType, Fs, LocalIo, LocalIoConfig, MountTable};
+use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation, Snapshot};
+use vfs::{Disk, DiskModel, FileType, Fs, LocalIo, LocalIoConfig, MountTable};
 use vmm::{install_image, VmConfig, VmImageSpec, VmMonitor};
 use workloads::Workload;
 
@@ -160,198 +158,6 @@ impl Default for AppParams {
             fault: None,
             dedup: DedupTuning::default(),
         }
-    }
-}
-
-/// Server machine: kernel NFS server + MOUNT + file-channel program on a
-/// loopback endpoint, fronted by a server-side GVFS proxy (identity
-/// mapping) listening on the external link pair.
-pub struct ServerSide {
-    /// Image-server filesystem (pre-populate via this).
-    pub fs: Arc<Mutex<Fs>>,
-    /// Kernel NFS server.
-    pub server: Arc<Nfs3Server>,
-    /// Identity registry of the server-side proxy.
-    pub mapper: Arc<IdentityMapper>,
-    /// Channel into the machine from the external network.
-    pub channel: RpcChannel,
-    /// Request-direction external link.
-    pub up: Link,
-    /// Reply-direction external link.
-    pub down: Link,
-}
-
-/// Build a server machine reachable over `(up, down)` with SSH tunnelled
-/// wire costs. When `proxied` is false, the external endpoint serves the
-/// kernel server directly (pure-NFS baseline, AUTH_SYS) — no GVFS at all.
-pub fn build_server(
-    h: &SimHandle,
-    up: Link,
-    down: Link,
-    server_cache_bytes: u64,
-    proxied: bool,
-) -> ServerSide {
-    let disk = Disk::new(h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(
-        h,
-        disk.clone(),
-        ServerConfig {
-            memory_cache_bytes: server_cache_bytes,
-            ..ServerConfig::default()
-        },
-    );
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string(), "/exports".to_string()]);
-    // The paper's image servers are dual-processor nodes: two gzip
-    // streams at a time.
-    let cpu = simnet::Resource::new(h, 2);
-    let chan = FileChannelServer::with_cpu(fs.clone(), disk, CodecModel::default(), true, cpu);
-    let dispatcher = Dispatcher::new()
-        .register(server.clone())
-        .register(mount)
-        .register(chan)
-        .into_handler();
-    let mapper = Arc::new(IdentityMapper::new());
-    let wire = if proxied {
-        WireSpec::ssh_tunnel(50e6)
-    } else {
-        WireSpec::plain()
-    };
-    let channel = if proxied {
-        // Loopback endpoint for the kernel server.
-        let lo_up = Link::new(h, "srv-lo-up", 1e9, SimDuration::from_micros(20));
-        let lo_down = Link::new(h, "srv-lo-down", 1e9, SimDuration::from_micros(20));
-        let lo = oncrpc::endpoint(h, lo_up, lo_down, WireSpec::plain());
-        lo.listener.serve("nfsd", dispatcher, 8);
-        let srv_proxy = Proxy::new(
-            ProxyConfig {
-                name: "server-proxy".into(),
-                write_policy: WritePolicy::WriteThrough,
-                meta_handling: false,
-                read_only_share: false,
-                transfer: TransferTuning::default(),
-                // The server-side proxy sits on the server's own LAN; a
-                // CAS there can never avoid WAN bytes.
-                dedup: DedupTuning::off(),
-                fleet: FleetTuning::off(),
-                cow: CowTuning::off(),
-            },
-            RpcClient::new(lo.channel, OpaqueAuth::none()),
-        )
-        .with_identity(mapper.clone())
-        .into_handler();
-        let ext = oncrpc::endpoint(h, up.clone(), down.clone(), wire);
-        ext.listener.serve("server-proxy", srv_proxy, 16);
-        ext.channel
-    } else {
-        let ext = oncrpc::endpoint(h, up.clone(), down.clone(), wire);
-        ext.listener.serve("nfsd", dispatcher, 8);
-        ext.channel
-    };
-    ServerSide {
-        fs,
-        server,
-        mapper,
-        channel,
-        up,
-        down,
-    }
-}
-
-/// Client-side proxy options.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientProxyOptions {
-    /// Attach the block-based disk cache.
-    pub block_cache: bool,
-    /// Attach the file cache + channel client (meta-data handling).
-    pub file_channel: bool,
-    /// Write policy when caching.
-    pub write_policy: WritePolicy,
-    /// Block cache capacity.
-    pub cache_bytes: u64,
-    /// Content-addressed dedup tuning for this proxy.
-    pub dedup: DedupTuning,
-    /// Fleet batching/back-pressure tuning for this proxy.
-    pub fleet: FleetTuning,
-    /// Copy-on-write reference-file tuning for this proxy (inert
-    /// without `dedup`).
-    pub cow: CowTuning,
-}
-
-/// Client machine half: optional client-side proxy between the kernel
-/// client and `upstream`.
-pub struct ClientSide {
-    /// The proxy, when one was configured.
-    pub proxy: Option<Arc<Proxy>>,
-    /// Channel the kernel client mounts through.
-    pub channel: RpcChannel,
-    /// The local cache disk (shared with the compute host's local I/O in
-    /// the cloning scenarios).
-    pub cache_disk: Disk,
-}
-
-/// Build the client half on a compute server: a loopback endpoint served
-/// by a client-side proxy that forwards to `upstream` with `cred`.
-/// `options: None` means no proxy at all — the kernel client mounts the
-/// upstream channel directly. `policy` attaches a retransmission policy
-/// to the proxy's upstream stub (fault-injection runs); `None` keeps the
-/// fault-free single-shot behaviour.
-pub fn build_client(
-    h: &SimHandle,
-    upstream: RpcChannel,
-    cred: OpaqueAuth,
-    options: Option<ClientProxyOptions>,
-    policy: Option<RetryPolicy>,
-) -> ClientSide {
-    let cache_disk = Disk::new(h, DiskModel::scsi_2004());
-    let opts = match options {
-        Some(o) => o,
-        None => {
-            return ClientSide {
-                proxy: None,
-                channel: upstream,
-                cache_disk,
-            }
-        }
-    };
-    let mut upstream_client = RpcClient::new(upstream, cred);
-    if let Some(p) = policy {
-        upstream_client = upstream_client.with_policy(p);
-    }
-    let mut proxy = Proxy::new(
-        ProxyConfig {
-            name: "client-proxy".into(),
-            write_policy: opts.write_policy,
-            meta_handling: opts.file_channel,
-            read_only_share: false,
-            transfer: TransferTuning::default(),
-            dedup: opts.dedup,
-            fleet: opts.fleet,
-            cow: opts.cow,
-        },
-        upstream_client.clone(),
-    );
-    if opts.block_cache {
-        proxy = proxy.with_block_cache(Arc::new(BlockCache::new(
-            h,
-            cache_disk.clone(),
-            BlockCacheConfig::with_capacity(opts.cache_bytes, 512, 16, 32 * 1024),
-        )));
-    }
-    if opts.file_channel {
-        proxy = proxy.with_file_channel(
-            Arc::new(FileCache::new(cache_disk.clone(), opts.cache_bytes)),
-            ChannelClient::new(upstream_client, CodecModel::default()),
-        );
-    }
-    let proxy = proxy.into_handler();
-    let lo_up = Link::new(h, "cl-lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(h, "cl-lo-down", 1e9, SimDuration::from_micros(20));
-    let ep = oncrpc::endpoint(h, lo_up, lo_down, WireSpec::plain());
-    ep.listener.serve("client-proxy", proxy.clone(), 8);
-    ClientSide {
-        proxy: Some(proxy),
-        channel: ep.channel,
-        cache_disk,
     }
 }
 
@@ -525,7 +331,7 @@ pub fn run_app_scenario(
             sim.spawn("driver", move |env: Env| {
                 let vm = VmMonitor::attach(&env, &table, "/vm", image, VmConfig::default(), None)
                     .unwrap();
-                drive_runs(&env, &vm, &wl, runs, &out, || {}, None);
+                drive_runs(&env, &vm, &wl, runs, &out, None);
             });
         }
         AppScenario::Lan | AppScenario::Wan | AppScenario::WanC => {
@@ -544,7 +350,8 @@ pub fn run_app_scenario(
                     ),
                 ),
             };
-            let server = build_server(&h, up, down, params.server_cache_bytes, true);
+            let listen = Listen::tunnel(up.clone(), down.clone());
+            let server = ImageServer::start(&h, listen, params.server_cache_bytes, true);
             server_fs = Some(server.fs.clone());
             {
                 let mut fs = server.fs.lock();
@@ -556,10 +363,8 @@ pub fn run_app_scenario(
                 // Faults live on the external links only; loopback hops
                 // (kernel client → proxy, server proxy → kernel server)
                 // stay reliable, as a local socket would.
-                server.up.install_faults(fault.plan(fault.seed));
-                server
-                    .down
-                    .install_faults(fault.plan(fault.seed.wrapping_add(1)));
+                up.install_faults(fault.plan(fault.seed));
+                down.install_faults(fault.plan(fault.seed.wrapping_add(1)));
                 if let Some(at) = fault.restart_at_secs {
                     let srv = server.server.clone();
                     sim.spawn("chaos-restart", move |env: Env| {
@@ -569,44 +374,43 @@ pub fn run_app_scenario(
                 }
             }
             let mw = Middleware::new();
-            let (_sid, cred) = mw.establish_session(&server.mapper, "griduser", 0, u64::MAX / 2);
-            let opts = if kind == AppScenario::WanC {
-                Some(ClientProxyOptions {
-                    block_cache: true,
-                    file_channel: true,
-                    write_policy: WritePolicy::WriteBack,
-                    cache_bytes: params.proxy_cache_bytes,
-                    dedup: params.dedup,
-                    fleet: FleetTuning::off(),
-                    cow: CowTuning::off(),
-                })
+            // Fault-injection runs put a retransmission policy on whichever
+            // stub faces the (faulted) external channel.
+            let mut wan = RpcClient::new(server.channel.clone(), OpaqueAuth::none());
+            if params.fault.is_some() {
+                wan = wan.with_policy(RetryPolicy::wan());
+            }
+            // WAN+C: a client-side proxy with both disk caches. LAN/WAN:
+            // the paper's plain GVFS data path — the kernel client mounts
+            // the tunnelled server channel itself, no disk cache.
+            let (stub, session) = if kind == AppScenario::WanC {
+                let session = mw.start_session(
+                    &server.mapper,
+                    "griduser",
+                    &wan,
+                    ProxyConfig {
+                        name: "client-proxy".into(),
+                        dedup: params.dedup,
+                        ..ProxyConfig::default()
+                    },
+                    Some(BlockCacheConfig::paper(params.proxy_cache_bytes)),
+                    Some(params.proxy_cache_bytes),
+                );
+                (session.rpc(), Some(session))
             } else {
-                // LAN/WAN: proxies forward through tunnels but no disk
-                // cache (paper's plain GVFS data path).
-                None
+                let (_sid, cred) = mw.establish_session(&server.mapper, "griduser");
+                (wan.with_cred(cred), None)
             };
-            let policy = params.fault.map(|_| RetryPolicy::wan());
-            let client = build_client(&h, server.channel.clone(), cred.clone(), opts, policy);
-            let proxy = client.proxy.clone();
             let wl = workload.clone();
             let out = results.clone();
             sim.spawn("driver", move |env: Env| {
-                let mut stub = RpcClient::new(client.channel.clone(), cred.clone());
-                if client.proxy.is_none() {
-                    // No proxy in the path: the kernel client itself sits
-                    // on the (possibly faulted) external channel.
-                    if let Some(p) = policy {
-                        stub = stub.with_policy(p);
-                    }
-                }
                 let nfs = Nfs3Client::new(stub);
                 let kc = KernelClient::mount(&env, nfs, "/exports", kcfg).unwrap();
                 let table = MountTable::new().mount("/mnt/gvfs", kc.clone());
                 let vm =
                     VmMonitor::attach(&env, &table, "/mnt/gvfs", image, VmConfig::default(), None)
                         .unwrap();
-                let flush: Option<(Arc<Proxy>, OpaqueAuth)> = proxy.map(|p| (p, cred.clone()));
-                drive_runs(&env, &vm, &wl, runs, &out, move || {}, flush);
+                drive_runs(&env, &vm, &wl, runs, &out, session);
             });
         }
     }
@@ -630,8 +434,7 @@ fn drive_runs(
     wl: &Workload,
     runs: usize,
     out: &Arc<Mutex<AppResult>>,
-    _between: impl Fn(),
-    flush: Option<(Arc<Proxy>, OpaqueAuth)>,
+    session: Option<GvfsSession>,
 ) {
     for _run in 0..runs {
         let mut phases = Vec::with_capacity(wl.phases.len());
@@ -647,16 +450,11 @@ fn drive_runs(
         out.lock().runs.push(AppRun { phases, total });
     }
     vm.shutdown(env).unwrap();
-    if let Some((proxy, cred)) = flush {
+    if let Some(session) = session {
         let t0 = env.now();
-        proxy.flush(env, &cred);
+        session.flush(env);
         out.lock().flush_secs = Some((env.now() - t0).as_secs_f64());
     }
-}
-
-#[allow(unused)]
-fn assert_impls() {
-    fn takes_fileio(_: &dyn FileIo) {}
 }
 
 #[cfg(test)]

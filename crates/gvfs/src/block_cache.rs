@@ -72,7 +72,13 @@ impl BlockCacheConfig {
     /// The paper's experimental configuration: 512 banks, 16-way
     /// associative, 8 GB capacity, 32 KB blocks.
     pub fn paper_default() -> Self {
-        Self::with_capacity(8 << 30, 512, 16, 32 * 1024)
+        Self::paper(8 << 30)
+    }
+
+    /// The paper's geometry (512 banks, 16-way, 32 KB blocks) at another
+    /// capacity.
+    pub fn paper(capacity_bytes: u64) -> Self {
+        Self::with_capacity(capacity_bytes, 512, 16, 32 * 1024)
     }
 
     /// Derive sets-per-bank from a target capacity.

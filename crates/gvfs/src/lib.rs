@@ -60,5 +60,5 @@ pub use meta::{
     ZeroMap,
 };
 pub use proxy::{FlushReport, Proxy, ProxyConfig, ProxyStats};
-pub use session::{GvfsSession, Middleware};
+pub use session::{GvfsSession, ImageServer, Listen, Middleware, Tier};
 pub use transfer::TransferTuning;

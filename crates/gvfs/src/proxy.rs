@@ -390,6 +390,10 @@ const BATCH_WINDOW: SimDuration = SimDuration::from_millis(2);
 /// ([`WbSink::park`] sheds the oldest past it).
 const WB_QUEUE_CAP: usize = 4096;
 
+/// Backoff a flush sleeps before its first retry round; doubles each
+/// round, capped at 8x.
+const FLUSH_RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
+
 /// Digests per gossip message in either direction: 64 KiB chunks × 512 ≈
 /// one golden image's working set crosses the inventory channel in a
 /// handful of rounds. Bounds the decode cost (lint: bounded-decode) and
@@ -1096,6 +1100,11 @@ impl Proxy {
     /// The attached block cache, if any.
     pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
         self.block_cache.as_ref()
+    }
+
+    /// The attached file cache, if any.
+    pub fn file_cache(&self) -> Option<&Arc<FileCache>> {
+        self.wb.files.as_ref().map(|(cache, _)| cache)
     }
 
     // -- forwarding ---------------------------------------------------------
@@ -2071,7 +2080,7 @@ impl Proxy {
                 break;
             }
             self.tel.flush_retry_rounds.inc();
-            env.sleep(tuning.flush_retry_backoff * (1u64 << round.min(3)));
+            env.sleep(FLUSH_RETRY_BACKOFF * (1u64 << round.min(3)));
             remaining = self.write_back_pass(env, cred, remaining, &mut report);
             failed_files.retain(|up| !self.wb.upload_file(env, up, &mut report));
         }

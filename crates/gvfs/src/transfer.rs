@@ -1,8 +1,6 @@
 //! Knobs of the overlapped WAN paths. The bounded-window fan-out they
 //! tune is [`simnet::run_windowed`], shared with the kernel NFS client.
 
-use simnet::SimDuration;
-
 /// Knobs for the three overlapped WAN paths, carried by
 /// [`crate::ProxyConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,11 +22,9 @@ pub struct TransferTuning {
     /// Bounded retry rounds `Proxy::flush` runs to drain write-backs
     /// that failed upstream (WAN outage, server restart mid-flush). `0`
     /// disables retrying: failures park on the retry queue until the
-    /// next flush signal.
+    /// next flush signal. Rounds are spaced by a fixed backoff (500 ms,
+    /// doubling, capped at 8x).
     pub flush_retry_rounds: u32,
-    /// Backoff slept before the first retry round; doubles each round,
-    /// capped at 8x.
-    pub flush_retry_backoff: SimDuration,
 }
 
 impl Default for TransferTuning {
@@ -39,7 +35,6 @@ impl Default for TransferTuning {
             flush_window: 8,
             read_ahead: 8,
             flush_retry_rounds: 4,
-            flush_retry_backoff: SimDuration::from_millis(500),
         }
     }
 }

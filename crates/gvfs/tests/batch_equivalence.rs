@@ -15,14 +15,14 @@ use std::sync::Arc;
 
 use gvfs::digest::digest;
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FileChannelServer, FleetTuning,
-    Proxy, ProxyConfig, RecipeFetch, TransferTuning, WritePolicy,
+    ChannelClient, CodecModel, ContentStore, DedupTel, FleetTuning, ImageServer, Listen,
+    ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
+use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
-use vfs::{Disk, DiskModel, Fs};
+use vfs::{Disk, DiskModel};
 
 const CHUNK: u32 = 8 * 1024;
 
@@ -97,18 +97,11 @@ fn run_fetch(
 ) -> (Vec<u8>, (u64, u64)) {
     let sim = Simulation::new();
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
     faults.install(&wan_up, &wan_down);
-    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
-    wan.listener.serve(
-        "origin",
-        Dispatcher::new().register(chan_server).into_handler(),
-        8,
-    );
+    let origin = ImageServer::start(&h, Listen::tunnel(wan_up, wan_down), 768 << 20, false);
+    let fs = origin.fs;
 
     let fh = {
         let mut f = fs.lock();
@@ -122,29 +115,26 @@ fn run_fetch(
     // The channel the client ends up talking to: the WAN directly, or a
     // shard proxy one clean LAN hop closer.
     let (client_channel, shard_proxy) = match shard {
-        None => (wan.channel, None),
+        None => (origin.channel, None),
         Some(fleet) => {
-            let upstream =
-                RpcClient::new(wan.channel, cred.clone()).with_policy(RetryPolicy::wan());
-            let proxy = Proxy::new(
+            let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
+            let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+            let tier = Tier::start(
                 ProxyConfig {
                     name: "shard".into(),
                     write_policy: WritePolicy::WriteThrough,
                     meta_handling: false,
                     read_only_share: true,
-                    transfer: TransferTuning::default(),
-                    dedup: DedupTuning::default(),
                     fleet,
-                    cow: gvfs::CowTuning::off(),
+                    ..ProxyConfig::default()
                 },
-                upstream,
-            )
-            .into_handler();
-            let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
-            let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-            let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
-            lan.listener.serve("shard", proxy.clone(), 8);
-            (lan.channel, Some(proxy))
+                None,
+                None,
+                &Disk::new(&h, DiskModel::server_array()),
+                RpcClient::new(origin.channel, cred.clone()).with_policy(RetryPolicy::wan()),
+                Listen::plain(lan_up, lan_down),
+            );
+            (tier.channel, Some(tier.proxy))
         }
     };
 

@@ -21,9 +21,8 @@ use std::sync::Arc;
 use gvfs::channel::{chanproc, ChanStatus, ChannelError};
 use gvfs::meta::{generate_content_map, ContentMap};
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, DedupTuning, Digest,
-    FileChannelServer, FleetTuning, Proxy, ProxyConfig, RecipeFetch, TransferTuning, WritePolicy,
-    CHANNEL_PROGRAM, CHANNEL_V1,
+    ChannelClient, CodecModel, ContentStore, DedupTel, Digest, FleetTuning, ImageServer, Listen,
+    ProxyConfig, RecipeFetch, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::{
     AuthSys, BatchItem, BatchReplyItem, Dispatcher, OpaqueAuth, ProgramError, RetryPolicy,
@@ -44,18 +43,15 @@ fn cred() -> OpaqueAuth {
 /// links the caller may fault.
 fn origin(sim: &Simulation) -> (Arc<Mutex<Fs>>, RpcChannel, Link, Link) {
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
     let up = Link::from_mbps(&h, "wan-up", 100.0, SimDuration::from_millis(5));
     let down = Link::from_mbps(&h, "wan-down", 100.0, SimDuration::from_millis(5));
-    let ep = oncrpc::endpoint(&h, up.clone(), down.clone(), WireSpec::plain());
-    ep.listener.serve(
-        "origin",
-        Dispatcher::new().register(server).into_handler(),
-        4,
+    let server = ImageServer::start(
+        &h,
+        Listen::plain(up.clone(), down.clone()),
+        768 << 20,
+        false,
     );
-    (fs, ep.channel, up, down)
+    (server.fs, server.channel, up, down)
 }
 
 fn put_file(fs: &Mutex<Fs>, name: &str, data: &[u8]) -> Handle {
@@ -121,25 +117,24 @@ fn mutation_in_an_envelope_is_refused_by_a_batching_shard() {
     let victim = put_file(&fs, "victim", b"precious");
     let recipe = generate_content_map(&mut fs.lock(), img, CHUNK).unwrap();
 
-    let shard = Proxy::new(
+    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
+    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+    let shard = Tier::start(
         ProxyConfig {
             name: "shard".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
             read_only_share: true,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
             fleet: FleetTuning::shard(),
-            cow: CowTuning::off(),
+            ..ProxyConfig::default()
         },
+        None,
+        None,
+        &Disk::new(&h, DiskModel::server_array()),
         RpcClient::new(wan, cred()),
-    )
-    .into_handler();
-    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
-    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-    let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
-    lan.listener.serve("shard", shard, 4);
-    let rpc = RpcClient::new(lan.channel, cred());
+        Listen::plain(lan_up, lan_down),
+    );
+    let rpc = RpcClient::new(shard.channel, cred());
 
     let fs2 = fs.clone();
     sim.spawn("attacker", move |env: Env| {

@@ -29,9 +29,8 @@ use std::sync::Arc;
 use gvfs::channel::{chanproc, RecipeFetch};
 use gvfs::digest::{digest, Digest};
 use gvfs::{
-    encode_gossip, ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, DedupTuning,
-    FileChannelServer, FleetTuning, Proxy, ProxyConfig, TransferTuning, WritePolicy,
-    CHANNEL_PROGRAM, CHANNEL_V1,
+    encode_gossip, ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer,
+    FleetTuning, Proxy, ProxyConfig, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{
@@ -135,21 +134,23 @@ fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) {
     let _ = rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
 }
 
+/// A cacheless proxy (nothing on its disk) over `upstream`, for the
+/// caller to serve behind a tap.
+fn cacheless(cfg: ProxyConfig, upstream: RpcClient) -> Arc<Proxy> {
+    let disk = Disk::new(upstream.channel().handle(), DiskModel::server_array());
+    Tier::build(cfg, None, None, &disk, upstream)
+}
+
 fn shard(name: &str, upstream: RpcClient) -> Arc<Proxy> {
-    Proxy::new(
-        ProxyConfig {
-            name: name.into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            read_only_share: true,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
-            fleet: FleetTuning::region(),
-            cow: CowTuning::off(),
-        },
-        upstream,
-    )
-    .into_handler()
+    let cfg = ProxyConfig {
+        name: name.into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        read_only_share: true,
+        fleet: FleetTuning::region(),
+        ..ProxyConfig::default()
+    };
+    cacheless(cfg, upstream)
 }
 
 /// 2.5 chunks: a patterned chunk, an all-zero chunk, a half chunk.
@@ -463,7 +464,7 @@ fn retired_whole_file_procedures_answer_proc_unavail() {
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
     let origin = Dispatcher::new().register(server).into_handler();
     let origin_rpc = RpcClient::new(serve_tapped(&h, "origin", origin, &log), cred.clone());
-    let proxy = Proxy::new(ProxyConfig::default(), origin_rpc.clone()).into_handler();
+    let proxy = cacheless(ProxyConfig::default(), origin_rpc.clone());
     let proxy_rpc = RpcClient::new(serve_tapped(&h, "proxy", proxy, &log), cred);
     let fs2 = fs.clone();
     sim.spawn("driver", move |env: Env| {

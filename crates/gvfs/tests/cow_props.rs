@@ -12,11 +12,11 @@
 use std::sync::Arc;
 
 use gvfs::{
-    ChannelClient, CodecModel, CowTuning, DedupTuning, FileCache, FileChannelServer,
-    FileChannelSpec, Middleware, Proxy, ProxyConfig, TransferTuning, WritePolicy,
+    CowTuning, FileChannelSpec, ImageServer, Listen, Middleware, Proxy, ProxyConfig, Tier,
+    TransferTuning,
 };
-use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
+use nfs3::Nfs3Client;
+use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
@@ -45,60 +45,36 @@ struct Rig {
 /// from the CAS itself.
 fn build_rig(sim: &Simulation, cow: CowTuning) -> Rig {
     let h = sim.handle();
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let chan_disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), chan_disk, CodecModel::default(), true);
-    let handler = Dispatcher::new()
-        .register(server)
-        .register(mount)
-        .register(chan_server)
-        .into_handler();
-
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let ep = oncrpc::endpoint(
+    let origin = ImageServer::start(
         &h,
-        wan_up.clone(),
-        wan_down.clone(),
-        WireSpec::ssh_tunnel(50e6),
+        Listen::tunnel(wan_up.clone(), wan_down.clone()),
+        768 << 20,
+        false,
     );
-    ep.listener.serve("origin", handler, 8);
+    let fs = origin.fs;
 
     let cred = OpaqueAuth::sys(&AuthSys::new("cow", 1, 1));
-    let upstream = RpcClient::new(ep.channel.clone(), cred.clone()).with_policy(RetryPolicy::wan());
-    let chan = ChannelClient::new(
-        RpcClient::new(ep.channel, cred.clone()).with_policy(RetryPolicy::wan()),
-        CodecModel::default(),
-    );
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let fc = Arc::new(FileCache::new(cache_disk, 256 << 20));
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "cow-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
-            meta_handling: true,
-            read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,
                 read_ahead: 0,
                 ..TransferTuning::default()
             },
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
             cow,
+            ..ProxyConfig::default()
         },
-        upstream,
-    )
-    .with_file_channel(fc, chan)
-    .into_handler();
-
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy.clone(), 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
+        None,
+        Some(256 << 20),
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()).with_policy(RetryPolicy::wan()),
+        Listen::loopback(&h),
+    );
+    let proxy = tier.proxy;
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
     Rig {
         fs,

@@ -14,15 +14,15 @@ use std::sync::Arc;
 use gvfs::channel::chanproc;
 use gvfs::digest::{chunk_digests, digest};
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
-    Digest, FileCache, FileChannelServer, FileKey, Proxy, ProxyConfig, RecipeFetch, TransferTuning,
-    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    BlockCacheConfig, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, Digest,
+    FileChannelServer, FileKey, ImageServer, Listen, Proxy, ProxyConfig, RecipeFetch, Tier,
+    TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
-use nfs3::{Fh3, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
+use nfs3::{Fh3, Nfs3Client, Nfs3Server};
+use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcChannel, RpcClient, WireSpec};
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
+use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimHandle, SimTime, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Encode, Encoder};
 
@@ -31,6 +31,37 @@ const BLOCKS: u64 = 8;
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_nanos(v * 1_000_000)
+}
+
+/// The origin (NFS, MOUNT, file channel) behind an SSH-tunnelled WAN,
+/// with the WAN links for fault plans.
+fn wan_origin(h: &SimHandle) -> (ImageServer, Link, Link) {
+    let wan_up = Link::from_mbps(h, "wan-up", 6.0, SimDuration::from_millis(17));
+    let wan_down = Link::from_mbps(h, "wan-down", 14.0, SimDuration::from_millis(17));
+    let listen = Listen::tunnel(wan_up.clone(), wan_down.clone());
+    let origin = ImageServer::start(h, listen, 768 << 20, false);
+    (origin, wan_up, wan_down)
+}
+
+/// A cacheless, read-only-share LAN proxy in front of `origin`: all it
+/// keeps is its digest-keyed reply cache.
+fn lan_share(h: &SimHandle, origin: RpcChannel, cred: &OpaqueAuth) -> Tier {
+    let lan_up = Link::new(h, "lan-up", 1e9, SimDuration::from_micros(100));
+    let lan_down = Link::new(h, "lan-down", 1e9, SimDuration::from_micros(100));
+    Tier::start(
+        ProxyConfig {
+            name: "lan-share".into(),
+            write_policy: WritePolicy::WriteThrough,
+            meta_handling: false,
+            read_only_share: true,
+            ..ProxyConfig::default()
+        },
+        None,
+        None,
+        &Disk::new(h, DiskModel::server_array()),
+        RpcClient::new(origin, cred.clone()).with_policy(RetryPolicy::wan()),
+        Listen::plain(lan_up, lan_down),
+    )
 }
 
 struct Rig {
@@ -64,52 +95,31 @@ fn build_rig_with(
     policy: RetryPolicy,
 ) -> Rig {
     let h = sim.handle();
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let handler = Dispatcher::new()
-        .register(server.clone())
-        .register(mount)
-        .into_handler();
-
-    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
-    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let ep = oncrpc::endpoint(
-        &h,
-        wan_up.clone(),
-        wan_down.clone(),
-        WireSpec::ssh_tunnel(50e6),
-    );
-    ep.listener.serve("nfsd", handler, 8);
+    let (origin, wan_up, wan_down) = wan_origin(&h);
+    let (fs, server) = (origin.fs, origin.server);
 
     let cred = OpaqueAuth::sys(&AuthSys::new("dedup", 1, 1));
-    let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(policy);
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "dedup-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            read_only_share: false,
             transfer,
             dedup,
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        upstream,
-    )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk,
-        BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32),
-    )))
-    .into_handler();
-
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy.clone(), 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
+        Some(BlockCacheConfig::with_capacity(
+            256 << 20,
+            64,
+            16,
+            BS as u32,
+        )),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()).with_policy(policy),
+        Listen::loopback(&h),
+    );
+    let proxy = tier.proxy;
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
     Rig {
         fs,
@@ -344,17 +354,8 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
 
     let sim = Simulation::new();
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
-    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
-    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
-    wan.listener.serve(
-        "chan-server",
-        Dispatcher::new().register(chan_server).into_handler(),
-        8,
-    );
+    let (origin, ..) = wan_origin(&h);
+    let fs = origin.fs;
 
     let data: Vec<u8> = (0..LEN as u64)
         .map(|i| (i.wrapping_mul(0x9E3779B97F4A7C15) >> 23) as u8)
@@ -374,25 +375,8 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
         .len() as u64;
 
     let cred = OpaqueAuth::sys(&AuthSys::new("lan", 1, 1));
-    let upstream = RpcClient::new(wan.channel, cred.clone()).with_policy(RetryPolicy::wan());
-    let lan_proxy = Proxy::new(
-        ProxyConfig {
-            name: "lan-share".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            read_only_share: true,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        },
-        upstream,
-    )
-    .into_handler();
-    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
-    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-    let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
-    lan.listener.serve("lan-share", lan_proxy.clone(), 8);
+    let lan = lan_share(&h, origin.channel, &cred);
+    let lan_proxy = lan.proxy.clone();
 
     let mut joins = Vec::new();
     for (i, fh) in [(0, f1), (1, f2)] {
@@ -538,45 +522,18 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
 
     let sim = Simulation::new();
     let h = sim.handle();
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let chan_disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), chan_disk, CodecModel::default(), true);
-    let handler = Dispatcher::new()
-        .register(server)
-        .register(mount)
-        .register(chan_server)
-        .into_handler();
-
-    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
-    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let ep = oncrpc::endpoint(
-        &h,
-        wan_up.clone(),
-        wan_down.clone(),
-        WireSpec::ssh_tunnel(50e6),
-    );
-    ep.listener.serve("origin", handler, 8);
+    let (origin, wan_up, wan_down) = wan_origin(&h);
+    let fs = origin.fs;
     // Both directions die after the first upload chunk (or two) lands,
     // and stay dead through the tight policy's retransmits.
     wan_up.install_faults(LinkFaultPlan::new(11).outage(ms(5_250), ms(30_000)));
     wan_down.install_faults(LinkFaultPlan::new(13).outage(ms(5_250), ms(30_000)));
 
     let cred = OpaqueAuth::sys(&AuthSys::new("dedup", 1, 1));
-    let upstream = RpcClient::new(ep.channel.clone(), cred.clone()).with_policy(tight_policy());
-    let chan = ChannelClient::new(
-        RpcClient::new(ep.channel, cred.clone()).with_policy(tight_policy()),
-        CodecModel::default(),
-    );
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let fc = Arc::new(FileCache::new(cache_disk, 256 << 20));
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "upload-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,
                 channel_window: 2,
@@ -584,20 +541,17 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
                 flush_retry_rounds: 0,
                 ..TransferTuning::default()
             },
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        upstream,
-    )
-    .with_file_channel(fc.clone(), chan)
-    .into_handler();
-
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy.clone(), 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
+        None,
+        Some(256 << 20),
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()).with_policy(tight_policy()),
+        Listen::loopback(&h),
+    );
+    let proxy = tier.proxy;
+    let fc = proxy.file_cache().unwrap().clone();
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
     // Pseudo-random (incompressible) so every chunk really occupies the
     // WAN; version B differs from A in every chunk.
@@ -689,17 +643,8 @@ fn blob_cache_rejects_payload_digest_mismatch() {
 
     let sim = Simulation::new();
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
-    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
-    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
-    wan.listener.serve(
-        "chan-server",
-        Dispatcher::new().register(chan_server).into_handler(),
-        8,
-    );
+    let (origin, ..) = wan_origin(&h);
+    let fs = origin.fs;
 
     let data: Vec<u8> = (0..CHUNK as u64)
         .map(|i| (i.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 17) as u8)
@@ -713,25 +658,8 @@ fn blob_cache_rejects_payload_digest_mismatch() {
     };
 
     let cred = OpaqueAuth::sys(&AuthSys::new("lan", 1, 1));
-    let upstream = RpcClient::new(wan.channel, cred.clone()).with_policy(RetryPolicy::wan());
-    let lan_proxy = Proxy::new(
-        ProxyConfig {
-            name: "lan-share".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            read_only_share: true,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        },
-        upstream,
-    )
-    .into_handler();
-    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
-    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-    let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
-    lan.listener.serve("lan-share", lan_proxy.clone(), 8);
+    let lan = lan_share(&h, origin.channel, &cred);
+    let lan_proxy = lan.proxy.clone();
 
     let right = digest(&data);
     let wrong = digest(b"a digest from a stale recipe");

@@ -12,14 +12,14 @@
 use std::sync::Arc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, DedupTuning, FlushReport, Proxy, ProxyConfig, TransferTuning,
-    WritePolicy,
+    BlockCacheConfig, DedupTuning, FlushReport, GvfsSession, IdentityMapper, ImageServer, Listen,
+    Middleware, ProxyConfig, TransferTuning,
 };
-use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
+use nfs3::{Nfs3Client, Nfs3Server};
+use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
-use vfs::{Disk, DiskModel, Fs, Handle};
+use vfs::{Fs, Handle};
 
 const BS: u64 = 32 * 1024;
 const BLOCKS: u64 = 32;
@@ -31,17 +31,20 @@ fn secs(s: u64) -> SimTime {
 struct Rig {
     fs: Arc<Mutex<Fs>>,
     server: Arc<Nfs3Server>,
-    proxy: Arc<Proxy>,
+    /// Identity registry of the server-side proxy.
+    mapper: Arc<IdentityMapper>,
+    /// The session: client-side proxy, credential, flush and terminate.
+    session: Arc<GvfsSession>,
     /// Client stub below the proxy (loopback, no faults).
     nfs: Nfs3Client,
-    cred: OpaqueAuth,
     wan_up: Link,
     wan_down: Link,
 }
 
-/// A write-back client proxy talking to an NFSv3 server over a lossy
-/// WAN, with a WAN-sized retransmission policy on the upstream stub and
-/// a block cache that holds every block the tests dirty.
+/// A session whose write-back client proxy talks to the image server
+/// over a lossy WAN, with a WAN-sized retransmission policy on the
+/// upstream stub and a block cache that holds every block the tests
+/// dirty.
 fn build_rig(sim: &Simulation) -> Rig {
     build_rig_with_cache(
         sim,
@@ -71,57 +74,37 @@ fn build_rig_with(
     policy: RetryPolicy,
 ) -> Rig {
     let h = sim.handle();
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let handler = Dispatcher::new()
-        .register(server.clone())
-        .register(mount)
-        .into_handler();
-
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let ep = oncrpc::endpoint(
+    let server = ImageServer::start(
         &h,
-        wan_up.clone(),
-        wan_down.clone(),
-        WireSpec::ssh_tunnel(50e6),
+        Listen::tunnel(wan_up.clone(), wan_down.clone()),
+        768 << 20,
+        true,
     );
-    ep.listener.serve("nfsd", handler, 8);
-
-    let cred = OpaqueAuth::sys(&AuthSys::new("fault", 1, 1));
-    let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(policy);
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let proxy = Proxy::new(
+    let session = Middleware::new().start_session(
+        &server.mapper,
+        "fault",
+        &RpcClient::new(server.channel, OpaqueAuth::none()).with_policy(policy),
         ProxyConfig {
             name: "fault-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            read_only_share: false,
             transfer,
             // These tests pin exact write/commit counts per fault
             // schedule; the dedup'd flush path has its own suite.
             dedup: DedupTuning::off(),
             fleet,
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        upstream,
-    )
-    .with_block_cache(Arc::new(BlockCache::new(&h, cache_disk, cache)))
-    .into_handler();
-
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy.clone(), 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
-
+        Some(cache),
+        None,
+    );
     Rig {
-        fs,
-        server,
-        proxy,
-        nfs,
-        cred,
+        fs: server.fs,
+        server: server.server,
+        mapper: server.mapper,
+        nfs: Nfs3Client::new(session.rpc()),
+        session: Arc::new(session),
         wan_up,
         wan_down,
     }
@@ -190,7 +173,7 @@ fn flush_rides_out_wan_outage_losslessly() {
     let tel = sim.handle().telemetry().clone();
     let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
-    let (nfs, proxy, cred) = (rig.nfs, rig.proxy.clone(), rig.cred.clone());
+    let (nfs, session) = (rig.nfs, rig.session.clone());
     sim.spawn("client", move |env: Env| {
         let root = nfs.mount(&env, "/").unwrap();
         let (fh2, _) = nfs.lookup(&env, root, "redo.img").unwrap();
@@ -199,7 +182,7 @@ fn flush_rides_out_wan_outage_losslessly() {
         // Start the flush right as the outage begins.
         let now = env.now();
         env.sleep(secs(5).saturating_since(now));
-        let report = proxy.flush(&env, &cred);
+        let report = session.flush(&env);
         *out2.lock() = Some(report);
     });
     sim.run();
@@ -208,7 +191,7 @@ fn flush_rides_out_wan_outage_losslessly() {
     assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
     assert_eq!(report.blocks, BLOCKS);
     assert_eq!(report.block_bytes, BLOCKS * BS);
-    assert_eq!(rig.proxy.wb_queue_len(), 0);
+    assert_eq!(rig.session.proxy.wb_queue_len(), 0);
     assert_server_bytes_exact(&rig.fs, fh);
     // The outage was actually felt: calls retransmitted and/or timed out.
     let retrans = tel.counter("rpc", "client.nfs3.retransmits").get();
@@ -234,7 +217,7 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
 
     let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
-    let (nfs, proxy, cred) = (rig.nfs, rig.proxy.clone(), rig.cred.clone());
+    let (nfs, session) = (rig.nfs, rig.session.clone());
     sim.spawn("client", move |env: Env| {
         let root = nfs.mount(&env, "/").unwrap();
         let (fh2, _) = nfs.lookup(&env, root, "vm.img").unwrap();
@@ -242,7 +225,7 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
         dirty_all(&env, &nfs, fh);
         let now = env.now();
         env.sleep(secs(5).saturating_since(now));
-        let report = proxy.flush(&env, &cred);
+        let report = session.flush(&env);
         *out2.lock() = Some(report);
     });
     sim.run();
@@ -250,7 +233,7 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
     let report = out.lock().unwrap();
     assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
     assert_eq!(report.blocks, BLOCKS);
-    let stats = rig.proxy.stats();
+    let stats = rig.session.proxy.stats();
     assert!(
         stats.verf_mismatches >= 1,
         "restart must surface as a verifier mismatch: {stats:?}"
@@ -282,27 +265,28 @@ fn evicted_dirty_blocks_survive_a_server_restart_before_the_flush() {
 
     let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();
-    let (nfs, proxy, cred, server) = (
-        rig.nfs,
-        rig.proxy.clone(),
-        rig.cred.clone(),
-        rig.server.clone(),
-    );
+    let (nfs, session, server) = (rig.nfs, rig.session.clone(), rig.server.clone());
     sim.spawn("client", move |env: Env| {
         let root = nfs.mount(&env, "/").unwrap();
         nfs.lookup(&env, root, "evict.img").unwrap();
         dirty_all(&env, &nfs, fh);
         server.restart(env.now().as_nanos());
-        *out2.lock() = Some(proxy.flush(&env, &cred));
+        *out2.lock() = Some(session.flush(&env));
     });
     sim.run();
 
     let report = out.lock().unwrap();
-    let evicted = rig.proxy.block_cache().unwrap().stats().dirty_evictions;
+    let evicted = rig
+        .session
+        .proxy
+        .block_cache()
+        .unwrap()
+        .stats()
+        .dirty_evictions;
     assert_eq!(evicted, BLOCKS - 8, "the cache must evict dirty blocks");
     assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
     assert_eq!(report.blocks, 8, "the flush carries what stayed resident");
-    assert_eq!(rig.proxy.stats().blocks_written_back, BLOCKS);
+    assert_eq!(rig.session.proxy.stats().blocks_written_back, BLOCKS);
     assert_server_bytes_exact(&rig.fs, fh);
 }
 
@@ -353,7 +337,7 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
         link.install_faults(LinkFaultPlan::new(seed).outage(secs(10), secs(1000)));
     }
 
-    let (nfs, proxy, cred) = (rig.nfs, rig.proxy.clone(), rig.cred.clone());
+    let (nfs, session) = (rig.nfs, rig.session.clone());
     sim.spawn("client", move |env: Env| {
         let root = nfs.mount(&env, "/").unwrap();
         nfs.lookup(&env, root, "queue.img").unwrap();
@@ -363,14 +347,14 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
         }
         let now = env.now();
         env.sleep(secs(10).saturating_since(now));
-        let dead = proxy.flush(&env, &cred);
+        let dead = session.flush(&env);
         assert_eq!((dead.blocks, dead.failed_blocks), (0, CAP + 1));
-        assert_eq!(proxy.wb_queue_len() as u64, CAP);
+        assert_eq!(session.proxy.wb_queue_len() as u64, CAP);
         let now = env.now();
         env.sleep(secs(1000).saturating_since(now));
-        let healed = proxy.flush(&env, &cred);
+        let healed = session.flush(&env);
         assert_eq!((healed.blocks, healed.failed_blocks), (CAP, 0));
-        assert_eq!(proxy.wb_queue_len(), 0);
+        assert_eq!(session.proxy.wb_queue_len(), 0);
     });
     let tel = sim.handle().telemetry().clone();
     sim.run();
@@ -378,8 +362,16 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
     let snap = tel.snapshot();
     assert_eq!(snap.counter_sum("gvfs", ".wb_shed"), 1);
     assert_eq!(snap.counter_sum("gvfs", ".wb_high_water"), CAP);
-    assert_eq!(rig.proxy.stats().wb_queued, CAP + 1);
-    assert_eq!(rig.proxy.block_cache().unwrap().stats().dirty_evictions, 0);
+    assert_eq!(rig.session.proxy.stats().wb_queued, CAP + 1);
+    assert_eq!(
+        rig.session
+            .proxy
+            .block_cache()
+            .unwrap()
+            .stats()
+            .dirty_evictions,
+        0
+    );
     // Block 0 — the lowest tag — is the one that was shed.
     let mut f = rig.fs.lock();
     let (first, _) = f.read(fh, 0, SMALL as usize, 0).unwrap();
@@ -410,7 +402,7 @@ fn cache_hits_serve_during_outage_and_misses_fail_cleanly() {
     rig.wan_down
         .install_faults(LinkFaultPlan::new(22).outage(secs(5), secs(1_000_000)));
 
-    let proxy = rig.proxy.clone();
+    let proxy = rig.session.proxy.clone();
     let (nfs, fs) = (rig.nfs, rig.fs.clone());
     sim.spawn("client", move |env: Env| {
         let _ = &fs;
@@ -436,4 +428,65 @@ fn cache_hits_serve_during_outage_and_misses_fail_cleanly() {
         assert!(err.is_err(), "miss during outage must error, got {err:?}");
     });
     sim.run();
+}
+
+/// The user logs off during a WAN outage. `terminate` flushes, the flush
+/// cannot reach the server, and the report says so — so the session's
+/// identity must stay mapped: the failed blocks wait on the retry queue
+/// for the next flush, and the server-side proxy answers a revoked
+/// credential with an authentication error, which would strand bytes
+/// the guest was told are safe. A second `terminate` after the link
+/// heals drains the queue, and only then revokes.
+#[test]
+fn terminate_during_an_outage_keeps_the_identity_until_the_data_is_out() {
+    let sim = Simulation::new();
+    let rig = build_rig_with(
+        &sim,
+        BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32),
+        TransferTuning {
+            read_ahead: 0,
+            ..TransferTuning::default()
+        },
+        gvfs::FleetTuning::off(),
+        // Calls into the outage give up instead of riding it out, so the
+        // flush's own retry rounds run dry inside it.
+        RetryPolicy {
+            first_timeout: SimDuration::from_secs(2),
+            max_timeout: SimDuration::from_secs(2),
+            max_attempts: 2,
+            jitter_frac: 0.0,
+        },
+    );
+    let fh = seed_file(&rig.fs, "logoff.img");
+    for (link, seed) in [(&rig.wan_up, 51), (&rig.wan_down, 52)] {
+        link.install_faults(LinkFaultPlan::new(seed).outage(secs(10), secs(200)));
+    }
+
+    let (nfs, session, mapper) = (rig.nfs, rig.session.clone(), rig.mapper.clone());
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        nfs.lookup(&env, root, "logoff.img").unwrap();
+        dirty_all(&env, &nfs, fh);
+        let now = env.now();
+        env.sleep(secs(10).saturating_since(now));
+
+        let stranded = session.terminate(&env);
+        assert!(
+            env.now() < secs(200),
+            "the first terminate outlived the outage"
+        );
+        assert_eq!((stranded.blocks, stranded.failed_blocks), (0, BLOCKS));
+        assert_eq!(session.proxy.wb_queue_len() as u64, BLOCKS);
+        assert_eq!(mapper.len(), 1, "revoked with acknowledged data queued");
+
+        let now = env.now();
+        env.sleep(secs(200).saturating_since(now));
+        let drained = session.terminate(&env);
+        assert_eq!((drained.blocks, drained.failed_blocks), (BLOCKS, 0));
+        assert_eq!(session.proxy.wb_queue_len(), 0);
+        assert_eq!(mapper.len(), 0, "a clean terminate revokes the identity");
+    });
+    sim.run();
+    // What a fault-free session would have left on the server.
+    assert_server_bytes_exact(&rig.fs, fh);
 }

@@ -42,9 +42,9 @@ use std::sync::Arc;
 use gvfs::channel::chanproc;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, CowTuning, DedupTuning, FileCache,
-    FileChannelServer, FileChannelSpec, FileKey, FleetTuning, Middleware, Proxy, ProxyConfig,
-    TransferTuning, WritePolicy, CHANNEL_PROGRAM,
+    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, CowTuning, FileCache,
+    FileChannelServer, FileChannelSpec, FileKey, Middleware, Proxy, ProxyConfig, TransferTuning,
+    CHANNEL_PROGRAM,
 };
 use nfs3::args::{ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, StableHow};
@@ -203,6 +203,10 @@ fn render_session(flush_window: usize) -> String {
         RpcClient::new(ep.channel, cred.clone()).with_policy(policy),
         CodecModel::default(),
     );
+    // Hand-wired, not `gvfs::Tier`: the file cache and the block cache sit
+    // on a disk each here, a tier keeps both on one, and the pinned
+    // instants at `flush_window` 8 move by a disk access when uploads and
+    // block write-backs queue on the same arm.
     let fc = Arc::new(FileCache::new(
         Disk::new(&h, DiskModel::scsi_2004()),
         256 << 20,
@@ -221,18 +225,14 @@ fn render_session(flush_window: usize) -> String {
     let proxy = Proxy::new(
         ProxyConfig {
             name: "timeline-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
-            meta_handling: true,
-            read_only_share: false,
             transfer: TransferTuning {
                 chunk_bytes: CHUNK,
                 flush_window,
                 read_ahead: 0,
                 ..TransferTuning::default()
             },
-            dedup: DedupTuning::default(),
-            fleet: FleetTuning::off(),
             cow: CowTuning::on(),
+            ..ProxyConfig::default()
         },
         upstream,
     )

@@ -3,13 +3,23 @@
 use gvfs::block_cache::{BlockCache, BlockCacheConfig, Tag};
 use gvfs::meta::{generate_content_map, ContentMap, MetaFile, ZeroMap};
 use gvfs::{codec, Digest, FileChannelSpec};
-use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, RecipeFetch};
-use gvfs::{FileCache, FileKey};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, RecipeFetch};
+use gvfs::{FileCache, FileKey, ImageServer, Listen};
+use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
 use proptest::prelude::*;
 use simnet::{Link, SimDuration, Simulation};
 use std::sync::Arc;
 use vfs::{Disk, DiskModel, Fs};
+
+/// An origin behind a fast link: its filesystem and a channel client.
+fn channel_origin(sim: &Simulation) -> (Arc<parking_lot::Mutex<Fs>>, ChannelClient) {
+    let h = sim.handle();
+    let up = Link::from_mbps(&h, "up", 1000.0, SimDuration::from_micros(100));
+    let down = Link::from_mbps(&h, "down", 1000.0, SimDuration::from_micros(100));
+    let origin = ImageServer::start(&h, Listen::plain(up, down), 768 << 20, false);
+    let rpc = RpcClient::new(origin.channel, OpaqueAuth::sys(&AuthSys::new("c", 1, 1)));
+    (origin.fs, ChannelClient::new(rpc, CodecModel::default()))
+}
 
 proptest! {
     /// `bytes_stored` tracks the exact sum of resident frame payloads
@@ -287,17 +297,7 @@ proptest! {
         window in 1usize..8,
     ) {
         let sim = Simulation::new();
-        let h = sim.handle();
-        let fs = Arc::new(parking_lot::Mutex::new(Fs::new(0)));
-        let disk = Disk::new(&h, DiskModel::server_array());
-        let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
-        let up = Link::from_mbps(&h, "up", 1000.0, SimDuration::from_micros(100));
-        let down = Link::from_mbps(&h, "down", 1000.0, SimDuration::from_micros(100));
-        let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
-        ep.listener
-            .serve("chan", Dispatcher::new().register(server).into_handler(), 4);
-        let rpc = RpcClient::new(ep.channel, OpaqueAuth::sys(&AuthSys::new("c", 1, 1)));
-        let chan = ChannelClient::new(rpc, CodecModel::default());
+        let (fs, chan) = channel_origin(&sim);
 
         let mul = seed | 1;
         let data: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 5) as u8).collect();
@@ -342,17 +342,7 @@ proptest! {
         hint in any::<bool>(),
     ) {
         let sim = Simulation::new();
-        let h = sim.handle();
-        let fs = Arc::new(parking_lot::Mutex::new(Fs::new(0)));
-        let disk = Disk::new(&h, DiskModel::server_array());
-        let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
-        let up = Link::from_mbps(&h, "up", 1000.0, SimDuration::from_micros(100));
-        let down = Link::from_mbps(&h, "down", 1000.0, SimDuration::from_micros(100));
-        let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
-        ep.listener
-            .serve("chan", Dispatcher::new().register(server).into_handler(), 4);
-        let rpc = RpcClient::new(ep.channel, OpaqueAuth::sys(&AuthSys::new("c", 1, 1)));
-        let chan = ChannelClient::new(rpc, CodecModel::default());
+        let (fs, chan) = channel_origin(&sim);
 
         let mul = seed | 1;
         let data: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 5) as u8).collect();

@@ -15,14 +15,13 @@
 use std::sync::Arc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileCache,
-    FileChannelServer, FileChannelSpec, GvfsSession, IdentityMapper, Middleware, Proxy,
-    ProxyConfig, TransferTuning, WritePolicy,
+    BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileChannelSpec, ImageServer, Listen,
+    Middleware, Proxy, ProxyConfig, Tier, TransferTuning, WritePolicy,
 };
-use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+use nfs3::{KernelClient, KernelConfig, Nfs3Client, Nfs3Server};
+use oncrpc::{OpaqueAuth, RpcClient, WireSpec};
 use parking_lot::Mutex;
-use simnet::{Env, Link, SimDuration, SimHandle, Simulation};
+use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, FileIo, Fs};
 
 /// Everything a test needs from a wired GVFS deployment.
@@ -36,10 +35,10 @@ struct Rig {
     wan_down: Link,
 }
 
-/// Build: server endpoint on a WAN link; server-side proxy with identity
-/// mapping; client-side proxy with block + file caches on a local
-/// endpoint; a kernel-facing RPC client authenticated with a middleware
-/// credential.
+/// Build: the image-server machine (server-side proxy with identity
+/// mapping) on a WAN link; alice's session — a client-side proxy with
+/// block + file caches on the compute host's loopback; a kernel-facing
+/// RPC client authenticated with the session credential.
 fn build_rig(sim: &Simulation, write_policy: WritePolicy, meta_handling: bool) -> Rig {
     // Most tests pin exact hit/miss and wire-byte counts, so they keep
     // read-ahead off and the cache far larger than anything they read.
@@ -54,72 +53,23 @@ fn build_rig_with(
     geometry: BlockCacheConfig,
     read_ahead: usize,
 ) -> Rig {
-    let h: SimHandle = sim.handle();
-
-    // --- image server machine -------------------------------------------
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk.clone(), ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let chan_server = FileChannelServer::new(fs.clone(), server_disk, CodecModel::default(), true);
-
-    // Loopback on the server machine: kernel server listens here.
-    let lo_up = Link::new(&h, "srv-lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "srv-lo-down", 1e9, SimDuration::from_micros(20));
-    let srv_ep = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    srv_ep.listener.serve(
-        "nfsd",
-        Dispatcher::new()
-            .register(server.clone())
-            .register(mount)
-            .register(chan_server)
-            .into_handler(),
-        8,
-    );
-
-    // Server-side proxy: accepts WAN traffic, maps identities, forwards
-    // to the kernel server via loopback.
-    let mapper = Arc::new(IdentityMapper::new());
-    let srv_proxy = Proxy::new(
-        ProxyConfig {
-            name: "server-proxy".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            read_only_share: false,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::off(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        },
-        RpcClient::new(srv_ep.channel, OpaqueAuth::none()),
-    )
-    .with_identity(mapper.clone())
-    .into_handler();
-
+    let h = sim.handle();
     let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(17));
-    let wan_ep = oncrpc::endpoint(
+    let server = ImageServer::start(
         &h,
-        wan_up.clone(),
-        wan_down.clone(),
-        WireSpec::ssh_tunnel(50e6),
+        Listen::tunnel(wan_up.clone(), wan_down.clone()),
+        768 << 20,
+        true,
     );
-    wan_ep.listener.serve("server-proxy", srv_proxy, 8);
-
-    // --- compute server machine -----------------------------------------
-    let mw = Middleware::new();
-    let (session_id, cred) = mw.establish_session(&mapper, "alice", 0, u64::MAX / 2);
-
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let block_cache = Arc::new(BlockCache::new(&h, cache_disk.clone(), geometry));
-    let file_cache = Arc::new(FileCache::new(cache_disk, 4 << 30));
-    let upstream = RpcClient::new(wan_ep.channel, cred.clone());
-    let chan_client = ChannelClient::new(upstream.clone(), CodecModel::default());
-    let client_proxy = Proxy::new(
+    let session = Middleware::new().start_session(
+        &server.mapper,
+        "alice",
+        &RpcClient::new(server.channel, OpaqueAuth::none()),
         ProxyConfig {
             name: "client-proxy".into(),
             write_policy,
             meta_handling,
-            read_only_share: false,
             // Chunking stays on (1 MiB files are a single chunk,
             // preserving the channel-fetch assertions).
             transfer: TransferTuning {
@@ -129,31 +79,17 @@ fn build_rig_with(
             // These tests pin exact wire-byte counts for the plain
             // chunked channel; dedup'd fetches are covered separately.
             dedup: DedupTuning::off(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        upstream,
-    )
-    .with_block_cache(block_cache)
-    .with_file_channel(file_cache, chan_client)
-    .into_handler();
-    let proxy = client_proxy.clone();
-
-    // Kernel client talks to the local proxy over loopback.
-    let cl_up = Link::new(&h, "cl-lo-up", 1e9, SimDuration::from_micros(20));
-    let cl_down = Link::new(&h, "cl-lo-down", 1e9, SimDuration::from_micros(20));
-    let proxy_ep = oncrpc::endpoint(&h, cl_up, cl_down, WireSpec::plain());
-    proxy_ep.listener.serve("client-proxy", client_proxy, 8);
-
-    let client_rpc = RpcClient::new(proxy_ep.channel, cred.clone());
-    let _session = GvfsSession::new(session_id, cred.clone(), proxy.clone(), Some(mapper));
-
+        Some(geometry),
+        Some(4 << 30),
+    );
     Rig {
-        fs,
-        server,
-        proxy,
-        session_cred: cred,
-        client_rpc,
+        fs: server.fs,
+        server: server.server,
+        client_rpc: session.rpc(),
+        proxy: session.proxy,
+        session_cred: session.cred,
         wan_up,
         wan_down,
     }
@@ -742,24 +678,13 @@ fn hostile_offsets_are_refused_for_a_file_resident_in_the_file_cache() {
 /// and a stub that reaches the origin through the relay.
 fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Arc<Mutex<Fs>>, RpcClient) {
     let h = sim.handle();
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, disk.clone(), ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
     let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(17));
-    let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::plain());
-    wan.listener.serve(
-        "origin",
-        Dispatcher::new()
-            .register(server)
-            .register(mount)
-            .register(chan_server)
-            .into_handler(),
-        4,
-    );
+    let origin = ImageServer::start(&h, Listen::plain(wan_up, wan_down), 768 << 20, false);
     let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
-    let relay = Proxy::new(
+    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
+    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+    let relay = Tier::start(
         ProxyConfig {
             name: "relay".into(),
             write_policy: WritePolicy::WriteThrough,
@@ -767,14 +692,13 @@ fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Arc<Mutex<Fs>>, RpcClie
             dedup,
             ..ProxyConfig::default()
         },
-        RpcClient::new(wan.channel, cred.clone()),
-    )
-    .into_handler();
-    let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
-    let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-    let lan = oncrpc::endpoint(&h, lan_up, lan_down, WireSpec::plain());
-    lan.listener.serve("relay", relay, 4);
-    (fs, RpcClient::new(lan.channel, cred))
+        None,
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()),
+        Listen::plain(lan_up, lan_down),
+    );
+    (origin.fs, RpcClient::new(relay.channel, cred))
 }
 
 const RELAY_CHUNK: u32 = 1024;
@@ -918,7 +842,7 @@ fn proxy_over_canned_reads(
     let down = Link::new(&h, "canned-down", 1e9, SimDuration::from_micros(100));
     let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
     ep.listener.serve("canned", upstream, 4);
-    let proxy = Proxy::new(
+    Tier::build(
         ProxyConfig {
             name: "client-proxy".into(),
             meta_handling: false,
@@ -929,20 +853,13 @@ fn proxy_over_canned_reads(
             dedup: DedupTuning::off(),
             ..ProxyConfig::default()
         },
+        cache.then(|| BlockCacheConfig::with_capacity(64 << 20, 4, 16, 32 * 1024)),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
         RpcClient::new(ep.channel, OpaqueAuth::none()),
-    );
-    if !cache {
-        return proxy.into_handler();
-    }
-    let geometry = BlockCacheConfig::with_capacity(64 << 20, 4, 16, 32 * 1024);
-    let disk = Disk::new(&h, DiskModel::scsi_2004());
-    proxy
-        .with_block_cache(Arc::new(BlockCache::new(&h, disk, geometry)))
-        .into_handler()
+    )
 }
 
-/// A READ call for `count` bytes at `offset` of some file, as it arrives
-/// at a proxy.
 fn read_call(xid: u32, offset: u64, count: u32) -> xdr::Bytes {
     let args = nfs3::args::ReadArgs {
         file: nfs3::Fh3(vfs::Handle {

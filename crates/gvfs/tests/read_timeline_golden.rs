@@ -41,10 +41,7 @@
 
 use std::sync::Arc;
 
-use gvfs::{
-    BlockCache, BlockCacheConfig, DedupTuning, Middleware, Proxy, ProxyConfig, TransferTuning,
-    WritePolicy,
-};
+use gvfs::{BlockCacheConfig, DedupTuning, Middleware, ProxyConfig, Tier, TransferTuning};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, StableHow};
 use nfs3::{
@@ -164,23 +161,9 @@ fn render_session(read_ahead: usize) -> String {
     );
 
     let cred = OpaqueAuth::sys(&AuthSys::new("timeline", 1, 1));
-    // One fully associative set of 16 frames: plain LRU, so which blocks
-    // the second stream pushes out is easy to follow.
-    let bc = Arc::new(BlockCache::new(
-        &h,
-        Disk::new(&h, DiskModel::scsi_2004()),
-        BlockCacheConfig {
-            banks: 1,
-            sets_per_bank: 1,
-            assoc: 16,
-            block_size: BS as u32,
-        },
-    ));
-    let proxy = Proxy::new(
+    let proxy = Tier::build(
         ProxyConfig {
             name: "timeline-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
-            meta_handling: true,
             transfer: TransferTuning {
                 read_ahead,
                 ..TransferTuning::default()
@@ -188,10 +171,18 @@ fn render_session(read_ahead: usize) -> String {
             dedup: DedupTuning::off(),
             ..ProxyConfig::default()
         },
+        // One fully associative set of 16 frames: plain LRU, so which
+        // blocks the second stream pushes out is easy to follow.
+        Some(BlockCacheConfig {
+            banks: 1,
+            sets_per_bank: 1,
+            assoc: 16,
+            block_size: BS as u32,
+        }),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
         RpcClient::new(ep.channel, cred.clone()),
-    )
-    .with_block_cache(bc)
-    .into_handler();
+    );
 
     let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
     let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));

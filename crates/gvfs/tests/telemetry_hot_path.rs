@@ -15,10 +15,11 @@
 use std::sync::Arc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, DedupTuning, Proxy, ProxyConfig, TransferTuning, WritePolicy,
+    BlockCacheConfig, DedupTuning, ImageServer, Listen, ProxyConfig, Tier, TransferTuning,
+    WritePolicy,
 };
-use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+use nfs3::Nfs3Client;
+use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel};
@@ -28,43 +29,35 @@ fn record_paths_stay_registry_free_after_warmup() {
     let sim = Simulation::new();
     let h = sim.handle();
 
-    let server_disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let handler = Dispatcher::new()
-        .register(server)
-        .register(mount)
-        .into_handler();
-
     let up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(5));
     let down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(5));
-    let ep = oncrpc::endpoint(&h, up, down, WireSpec::ssh_tunnel(50e6));
-    ep.listener.serve("nfsd", handler, 8);
+    let origin = ImageServer::start(&h, Listen::tunnel(up, down), 768 << 20, false);
+    let fs = origin.fs;
 
     let cred = OpaqueAuth::sys(&AuthSys::new("tel", 1, 1));
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "tel-proxy".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            read_only_share: false,
             transfer: TransferTuning {
                 read_ahead: 0,
                 ..TransferTuning::default()
             },
             dedup: DedupTuning::off(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        RpcClient::new(ep.channel, cred.clone()),
-    )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk,
-        BlockCacheConfig::with_capacity(256 << 20, 64, 16, 32 * 1024),
-    )))
-    .into_handler();
+        Some(BlockCacheConfig::with_capacity(
+            256 << 20,
+            64,
+            16,
+            32 * 1024,
+        )),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()),
+        Listen::loopback(&h),
+    );
 
     let fh = {
         let mut f = fs.lock();
@@ -74,11 +67,7 @@ fn record_paths_stay_registry_free_after_warmup() {
         h
     };
 
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy, 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred));
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
 
     let resolutions = Arc::new(Mutex::new((0u64, 0u64)));
     let resolutions2 = resolutions.clone();

@@ -10,10 +10,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gvfs::{
-    BlockCache, BlockCacheConfig, DedupTuning, FlushReport, Proxy, ProxyConfig, TransferTuning,
-    WritePolicy,
-};
+use gvfs::{BlockCacheConfig, DedupTuning, FlushReport, Listen, ProxyConfig, Tier, TransferTuning};
 use nfs3::{args::WriteArgs, MountServer, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM};
 use oncrpc::{transport::RpcHandler, AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use parking_lot::Mutex;
@@ -61,13 +58,10 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
     ep.listener.serve("nfsd", recording, 8);
 
     let cred = OpaqueAuth::sys(&AuthSys::new("flush", 1, 1));
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "flush-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            read_only_share: false,
             transfer: TransferTuning {
                 flush_window,
                 read_ahead: 0,
@@ -75,17 +69,20 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
             },
             // Exact WRITE/COMMIT interleavings are pinned here.
             dedup: DedupTuning::off(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
+        Some(BlockCacheConfig::with_capacity(
+            256 << 20,
+            64,
+            16,
+            32 * 1024,
+        )),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
         RpcClient::new(ep.channel, cred.clone()),
-    )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk,
-        BlockCacheConfig::with_capacity(256 << 20, 64, 16, 32 * 1024),
-    )))
-    .into_handler();
+        Listen::loopback(&h),
+    );
+    let proxy = tier.proxy;
 
     // Seed two files on the server so the flush covers several files with
     // several blocks each (deterministic per-file commit ordering).
@@ -100,11 +97,7 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
         [a, b]
     };
 
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    lo.listener.serve("proxy", proxy.clone(), 8);
-    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
     let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
     let out2 = out.clone();

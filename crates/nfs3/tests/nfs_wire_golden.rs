@@ -28,11 +28,11 @@
 
 use std::sync::Arc;
 
-use gvfs::{BlockCache, BlockCacheConfig, Middleware, Proxy, ProxyConfig, WritePolicy};
+use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig, Tier};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, StableHow};
-use nfs3::{Fh3, MountServer, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM, NFS_V3};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, RpcProgram, WireSpec};
+use nfs3::{Fh3, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM, NFS_V3};
+use oncrpc::{AuthSys, OpaqueAuth, RpcClient, RpcProgram};
 use parking_lot::Mutex;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
@@ -169,9 +169,14 @@ fn render_server() -> String {
 fn render_proxy() -> String {
     let sim = Simulation::new();
     let h = sim.handle();
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, srv) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
-    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
+    let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+    let origin = ImageServer::start(
+        &h,
+        Listen::plain(link("o-up"), link("o-down")),
+        768 << 20,
+        false,
+    );
+    let fs = origin.fs;
     let bs = BS as usize;
     // Three full blocks and a 20-byte tail.
     let img = seed(&fs, "img", &payload(3, 3 * bs + 20), None);
@@ -180,40 +185,23 @@ fn render_proxy() -> String {
     let other = seed(&fs, "other", &payload(11, 30), None);
     Middleware::generate_meta(&mut fs.lock(), "", "mem", BS, true, None).unwrap();
 
-    let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
-    let origin = oncrpc::endpoint(&h, link("o-up"), link("o-down"), WireSpec::plain());
-    origin.listener.serve(
-        "nfsd",
-        Dispatcher::new()
-            .register(srv)
-            .register(mount)
-            .into_handler(),
-        4,
-    );
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
-    let cache = Arc::new(BlockCache::new(
-        &h,
-        Disk::new(&h, DiskModel::scsi_2004()),
-        BlockCacheConfig {
+    let front = Tier::start(
+        ProxyConfig {
+            name: "golden-proxy".into(),
+            ..ProxyConfig::default()
+        },
+        Some(BlockCacheConfig {
             banks: 1,
             sets_per_bank: 4,
             assoc: 4,
             block_size: BS,
-        },
-    ));
-    let proxy = Proxy::new(
-        ProxyConfig {
-            name: "golden-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
-            meta_handling: true,
-            ..ProxyConfig::default()
-        },
+        }),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
         RpcClient::new(origin.channel, cred.clone()),
-    )
-    .with_block_cache(cache)
-    .into_handler();
-    let front = oncrpc::endpoint(&h, link("p-up"), link("p-down"), WireSpec::plain());
-    front.listener.serve("proxy", proxy, 4);
+        Listen::plain(link("p-up"), link("p-down")),
+    );
     let rpc = RpcClient::new(front.channel, cred);
 
     let out: Arc<Mutex<Vec<String>>> = Arc::default();

@@ -79,7 +79,6 @@ struct Envelope {
 pub struct RpcChannel {
     handle: SimHandle,
     up: Link,
-    down: Link,
     wire: WireSpec,
     tx: Sender<Envelope>,
 }
@@ -178,11 +177,6 @@ impl RpcChannel {
     pub fn handle(&self) -> &SimHandle {
         &self.handle
     }
-
-    /// The downlink (reply direction) of this hop.
-    pub fn down_link(&self) -> &Link {
-        &self.down
-    }
 }
 
 /// Server-side handle: holds the request queue plus the reply path. Call
@@ -263,7 +257,6 @@ pub fn endpoint(handle: &SimHandle, up: Link, down: Link, wire: WireSpec) -> End
         channel: RpcChannel {
             handle: handle.clone(),
             up,
-            down: down.clone(),
             wire,
             tx,
         },

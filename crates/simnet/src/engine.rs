@@ -1006,11 +1006,6 @@ impl ProcessHandle {
     pub fn join(&self, env: &Env) {
         self.done.wait(env);
     }
-
-    /// Whether the process has already finished.
-    pub fn is_done(&self) -> bool {
-        self.done.is_set()
-    }
 }
 
 fn spawn_with_handle(

@@ -280,11 +280,6 @@ impl<T: Send + 'static> Receiver<T> {
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<T> {
-        self.inner.lock().queue.pop_front()
-    }
-
     /// Number of queued messages.
     pub fn len(&self) -> usize {
         self.inner.lock().queue.len()

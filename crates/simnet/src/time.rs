@@ -97,11 +97,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Fractional milliseconds (for reporting).
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Saturating addition.
     pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))

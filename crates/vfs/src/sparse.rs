@@ -85,15 +85,6 @@ impl SparseBytes {
         self.len = new_len;
     }
 
-    /// Read `buf.len()` bytes at `offset`. Returns the number of bytes
-    /// read, which is short only at end-of-file; holes read as zeros.
-    pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> usize {
-        let n = self.readable(offset, buf.len());
-        buf[..n].fill(0);
-        self.copy_into_zeroed(offset, &mut buf[..n]);
-        n
-    }
-
     /// Read a range as a fresh vector (short at EOF).
     pub fn read_range(&self, offset: u64, len: usize) -> Vec<u8> {
         // Allocated zeroed at its final length: holes need no second fill.

@@ -10,62 +10,43 @@
 
 use std::sync::Arc;
 
-use gvfs::Middleware;
-use gvfs::{
-    BlockCache, BlockCacheConfig, DedupTuning, Proxy, ProxyConfig, TransferTuning, WritePolicy,
-};
-use gvfs_bench::build_server;
+use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig, WritePolicy};
 use nfs3::proto::StableHow;
 use nfs3::Nfs3Client;
-use oncrpc::{RpcClient, WireSpec};
+use oncrpc::{OpaqueAuth, RpcClient};
 use simnet::{Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel};
 
 fn run_with_policy(policy: WritePolicy) -> (f64, f64) {
     let sim = Simulation::new();
     let h = sim.handle();
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let server = build_server(&h, wan_up, wan_down, 768 << 20, true);
+    let server = ImageServer::start(&h, Listen::tunnel(wan_up, wan_down), 768 << 20, true);
     {
         let mut fs = server.fs.lock();
         let root = fs.root();
         let dir = fs.mkdir(root, "exports", 0o755, 0).unwrap();
         fs.create(dir, "out.dat", 0o644, 0).unwrap();
     }
-    let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "batch-user", 0, u64::MAX / 2);
-
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let proxy = Proxy::new(
+    // The one field middleware sets differently per application.
+    let session = Middleware::new().start_session(
+        &server.mapper,
+        "batch-user",
+        &RpcClient::new(server.channel.clone(), OpaqueAuth::none()),
         ProxyConfig {
             name: format!("{policy:?}-proxy"),
             write_policy: policy,
             meta_handling: false,
-            read_only_share: false,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        RpcClient::new(server.channel.clone(), cred.clone()),
-    )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk,
-        BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024),
-    )))
-    .into_handler();
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let ep = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    ep.listener.serve("proxy", proxy.clone(), 8);
+        Some(BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024)),
+        None,
+    );
 
     let out = Arc::new(parking_lot::Mutex::new((0.0f64, 0.0f64)));
     let out2 = out.clone();
-    let channel = ep.channel;
     sim.spawn("batch-task", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(channel, cred.clone()));
+        let nfs = Nfs3Client::new(session.rpc());
         let root = nfs.mount(&env, "/exports").unwrap();
         let (fh, _) = nfs.lookup(&env, root, "out.dat").unwrap();
         // Write 16 MB of results.
@@ -84,7 +65,7 @@ fn run_with_policy(policy: WritePolicy) -> (f64, f64) {
         let write_time = (env.now() - t0).as_secs_f64();
         // Session ends: middleware signals write-back.
         let t1 = env.now();
-        proxy.flush(&env, &cred);
+        session.flush(&env);
         let flush_time = (env.now() - t1).as_secs_f64();
         *out2.lock() = (write_time, flush_time);
     });

@@ -7,25 +7,20 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use std::sync::Arc;
-
-use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileCache,
-    IdentityMapper, Middleware, Proxy, ProxyConfig, TransferTuning, WritePolicy,
-};
+use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig};
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
-use oncrpc::{RpcClient, WireSpec};
+use oncrpc::{OpaqueAuth, RpcClient};
 use simnet::{Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel, FileIo};
+use vfs::FileIo;
 
 fn main() {
     let sim = Simulation::new();
     let h = sim.handle();
 
-    // --- image server across the WAN -------------------------------------
+    // --- 1. image server across the WAN ----------------------------------
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
-    let server = gvfs_bench::build_server(&h, wan_up, wan_down, 768 << 20, true);
+    let server = ImageServer::start(&h, Listen::tunnel(wan_up, wan_down), 768 << 20, true);
 
     // Put a 64 MB file on it (setup-time, costs nothing).
     {
@@ -37,46 +32,23 @@ fn main() {
         fs.write(f, 0, &vec![0xAB; 1 << 20], 0).unwrap();
     }
 
-    // --- middleware session ----------------------------------------------
-    let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "alice", 0, u64::MAX / 2);
-
-    // --- compute server: client-side proxy with an 8 GB disk cache --------
-    let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
-    let upstream = RpcClient::new(server.channel.clone(), cred.clone());
-    let proxy = Proxy::new(
+    // --- 2. middleware session: identity + client-side proxy with an 8 GB
+    //        disk cache on the compute server ----------------------------
+    let session = Middleware::new().start_session(
+        &server.mapper,
+        "alice",
+        &RpcClient::new(server.channel.clone(), OpaqueAuth::none()),
         ProxyConfig {
             name: "client-proxy".into(),
-            write_policy: WritePolicy::WriteBack,
-            meta_handling: true,
-            read_only_share: false,
-            transfer: TransferTuning::default(),
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        upstream.clone(),
-    )
-    .with_block_cache(Arc::new(BlockCache::new(
-        &h,
-        cache_disk.clone(),
-        BlockCacheConfig::paper_default(),
-    )))
-    .with_file_channel(
-        Arc::new(FileCache::new(cache_disk, 8 << 30)),
-        ChannelClient::new(upstream, CodecModel::default()),
-    )
-    .into_handler();
-    let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
-    let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));
-    let ep = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
-    ep.listener.serve("client-proxy", proxy.clone(), 8);
+        Some(BlockCacheConfig::paper_default()),
+        Some(8 << 30),
+    );
 
-    // --- use it like a kernel would ---------------------------------------
-    let channel = ep.channel;
-    let mapper: Arc<IdentityMapper> = server.mapper.clone();
+    // --- 3. mount it like a kernel would ----------------------------------
     sim.spawn("user", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(channel, cred));
+        let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(&env, nfs, "/exports", KernelConfig::default()).unwrap();
         let file = kc.lookup_path(&env, "dataset.bin").unwrap();
 
@@ -97,14 +69,18 @@ fn main() {
             "speedup            : {:.1}x",
             cold.as_secs_f64() / warm.as_secs_f64()
         );
-        let st = proxy.stats();
+        let st = session.proxy.stats();
         println!(
             "proxy: {} reads, {} forwarded upstream, cache hits {}",
             st.reads,
             st.forwarded,
-            proxy.block_cache().unwrap().stats().hits
+            session.proxy.block_cache().unwrap().stats().hits
         );
-        println!("live middleware sessions: {}", mapper.len());
+        println!("live middleware sessions: {}", server.mapper.len());
+        // The user logs off: flush, then revoke the identity.
+        let report = session.terminate(&env);
+        assert_eq!((report.failed_blocks, report.failed_files), (0, 0));
+        println!("after terminate         : {}", server.mapper.len());
     });
     sim.run();
 }

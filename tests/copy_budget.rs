@@ -17,17 +17,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use gvfs::{BlockCacheConfig, DedupTuning, ImageServer, Listen, ProxyConfig, Tier, TransferTuning};
+use nfs3::{KernelClient, KernelConfig, Nfs3Client};
+use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
+use simnet::{Link, SimDuration, SimHandle, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
-use gvfs::{
-    BlockCache, BlockCacheConfig, CowTuning, DedupTuning, FleetTuning, Proxy, ProxyConfig,
-    TransferTuning, WritePolicy,
-};
-use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
-use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
-use simnet::{Link, SimDuration, SimHandle, Simulation};
 use vfs::{Disk, DiskModel, FileIo};
 
 const BLOCK: usize = 32 * 1024;
@@ -103,52 +98,47 @@ fn a_block_operation_stays_inside_its_copy_budget() {
     let h = sim.handle();
 
     // NFS server holding `/f`.
-    let disk = Disk::new(&h, DiskModel::server_array());
-    let (fs, server) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
+    let origin = ImageServer::start(
+        &h,
+        Listen::plain(lan(&h, "up"), lan(&h, "down")),
+        768 << 20,
+        false,
+    );
     {
-        let mut fs = fs.lock();
+        let mut fs = origin.fs.lock();
         let root = fs.root();
         let f = fs.create(root, "f", 0o644, 0).unwrap();
         for b in 0..BLOCKS {
             fs.write(f, b * BLOCK as u64, &block(b), 0).unwrap();
         }
     }
-    let mount = MountServer::new(fs, vec!["/".to_string()]);
-    let srv_ep = oncrpc::endpoint(&h, lan(&h, "up"), lan(&h, "down"), WireSpec::plain());
-    let nfsd = Dispatcher::new()
-        .register(server)
-        .register(mount)
-        .into_handler();
-    srv_ep.listener.serve("nfsd", nfsd, 2);
 
     // Write-back caching proxy in front of it, read-ahead off.
     let cred = OpaqueAuth::sys(&AuthSys::new("guest", 500, 500));
-    let cache = Arc::new(BlockCache::new(
-        &h,
-        Disk::new(&h, DiskModel::scsi_2004()),
-        BlockCacheConfig::with_capacity(64 << 20, 4, 16, BLOCK as u32),
-    ));
-    let proxy = Proxy::new(
+    let tier = Tier::start(
         ProxyConfig {
             name: "proxy".into(),
-            write_policy: WritePolicy::WriteBack,
             meta_handling: false,
-            read_only_share: false,
             transfer: TransferTuning {
                 read_ahead: 0,
                 ..TransferTuning::default()
             },
             dedup: DedupTuning::off(),
-            fleet: FleetTuning::off(),
-            cow: CowTuning::off(),
+            ..ProxyConfig::default()
         },
-        RpcClient::new(srv_ep.channel, cred.clone()),
-    )
-    .with_block_cache(cache.clone())
-    .into_handler();
-    let px_ep = oncrpc::endpoint(&h, lan(&h, "lo-up"), lan(&h, "lo-down"), WireSpec::plain());
-    px_ep.listener.serve("proxy", proxy, 2);
-    let nfs = Nfs3Client::new(RpcClient::new(px_ep.channel, cred));
+        Some(BlockCacheConfig::with_capacity(
+            64 << 20,
+            4,
+            16,
+            BLOCK as u32,
+        )),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()),
+        Listen::plain(lan(&h, "lo-up"), lan(&h, "lo-down")),
+    );
+    let cache = tier.proxy.block_cache().unwrap().clone();
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
 
     sim.spawn("guest", move |env| {
         // Every clean payload the run interns is already pooled.

@@ -3,23 +3,38 @@
 
 use std::sync::Arc;
 
-use gvfs::{DedupTuning, Middleware, WritePolicy};
-use gvfs_bench::{
-    build_client, build_server, run_cloning, ClientProxyOptions, CloneParams, CloneScenario,
-    NetParams,
-};
+use gvfs::{BlockCacheConfig, GvfsSession, ImageServer, Listen, Middleware, ProxyConfig};
+use gvfs_bench::{run_cloning, CloneParams, CloneScenario, NetParams};
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
-use oncrpc::{RpcClient, WireSpec};
+use oncrpc::{OpaqueAuth, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Link, SimDuration, Simulation};
 use vfs::FileIo;
 use vmm::{install_image, VmImageSpec};
 
-fn wan_pair(h: &simnet::SimHandle) -> (Link, Link) {
-    let net = NetParams::default();
-    (
-        Link::from_mbps(h, "wan-up", net.wan_up_mbps, net.wan_oneway),
-        Link::from_mbps(h, "wan-down", net.wan_down_mbps, net.wan_oneway),
+/// The image server behind the paper's WAN.
+fn wan_server(sim: &Simulation) -> ImageServer {
+    let (h, net) = (sim.handle(), NetParams::default());
+    let up = Link::from_mbps(&h, "wan-up", net.wan_up_mbps, net.wan_oneway);
+    let down = Link::from_mbps(&h, "wan-down", net.wan_down_mbps, net.wan_oneway);
+    ImageServer::start(&h, Listen::tunnel(up, down), 768 << 20, true)
+}
+
+/// `user`'s session against `server`: a write-back client-side proxy with
+/// a `cache_bytes` block cache and, with `file_channel`, meta-data
+/// handling over a file cache of the same size.
+fn session(server: &ImageServer, user: &str, cache_bytes: u64, file_channel: bool) -> GvfsSession {
+    Middleware::new().start_session(
+        &server.mapper,
+        user,
+        &RpcClient::new(server.channel.clone(), OpaqueAuth::none()),
+        ProxyConfig {
+            name: "client-proxy".into(),
+            meta_handling: file_channel,
+            ..ProxyConfig::default()
+        },
+        Some(BlockCacheConfig::paper(cache_bytes)),
+        file_channel.then_some(cache_bytes),
     )
 }
 
@@ -31,9 +46,7 @@ fn wan_pair(h: &simnet::SimHandle) -> (Link, Link) {
 #[test]
 fn zero_map_filters_the_large_majority_of_memory_state_reads() {
     let sim = Simulation::new();
-    let h = sim.handle();
-    let (up, down) = wan_pair(&h);
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = wan_server(&sim);
     // A 64 MB post-boot-style image (8% nonzero), zero map only.
     let spec = VmImageSpec {
         name: "postboot".into(),
@@ -51,27 +64,11 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
         Middleware::generate_meta(&mut fs, "exports", "postboot.vmss", 8 * 1024, true, None)
             .unwrap();
     }
-    let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "alice", 0, u64::MAX / 2);
-    let client = build_client(
-        &h,
-        server.channel.clone(),
-        cred.clone(),
-        Some(ClientProxyOptions {
-            block_cache: true,
-            file_channel: true,
-            write_policy: WritePolicy::WriteBack,
-            cache_bytes: 2 << 30,
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        }),
-        None,
-    );
-    let proxy = client.proxy.clone().unwrap();
+    let session = session(&server, "alice", 2 << 30, true);
+    let proxy = session.proxy.clone();
     let srv = server.server.clone();
     sim.spawn("resumer", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred));
+        let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(
             &env,
             nfs,
@@ -126,9 +123,7 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
 #[test]
 fn pipelined_readahead_never_duplicates_upstream_reads() {
     let sim = Simulation::new();
-    let h = sim.handle();
-    let (up, down) = wan_pair(&h);
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = wan_server(&sim);
     let file_bytes: u64 = 8 << 20;
     {
         let mut fs = server.fs.lock();
@@ -138,27 +133,11 @@ fn pipelined_readahead_never_duplicates_upstream_reads() {
         fs.setattr(f, Some(file_bytes), None, 0).unwrap();
         fs.write(f, 0, &vec![0xCD; 64 * 1024], 0).unwrap();
     }
-    let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "carol", 0, u64::MAX / 2);
-    let client = build_client(
-        &h,
-        server.channel.clone(),
-        cred.clone(),
-        Some(ClientProxyOptions {
-            block_cache: true,
-            file_channel: false,
-            write_policy: WritePolicy::WriteBack,
-            cache_bytes: 1 << 30,
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        }),
-        None,
-    );
-    let proxy = client.proxy.clone().unwrap();
+    let session = session(&server, "carol", 1 << 30, false);
+    let proxy = session.proxy.clone();
     let srv = server.server.clone();
     sim.spawn("streamer", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred));
+        let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(&env, nfs, "/exports", KernelConfig::default()).unwrap();
         let fh = kc.lookup_path(&env, "stream.bin").unwrap();
         srv.reset_stats();
@@ -188,9 +167,7 @@ fn pipelined_readahead_never_duplicates_upstream_reads() {
 #[test]
 fn end_to_end_byte_integrity_survives_cache_invalidation() {
     let sim = Simulation::new();
-    let h = sim.handle();
-    let (up, down) = wan_pair(&h);
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = wan_server(&sim);
     let payload: Vec<u8> = (0..2_000_000u32).map(|i| (i % 239) as u8).collect();
     {
         let mut fs = server.fs.lock();
@@ -199,27 +176,10 @@ fn end_to_end_byte_integrity_survives_cache_invalidation() {
         let f = fs.create(dir, "blob", 0o644, 0).unwrap();
         fs.write(f, 0, &payload, 0).unwrap();
     }
-    let mw = Middleware::new();
-    let (_sid, cred) = mw.establish_session(&server.mapper, "bob", 0, u64::MAX / 2);
-    let client = build_client(
-        &h,
-        server.channel.clone(),
-        cred.clone(),
-        Some(ClientProxyOptions {
-            block_cache: true,
-            file_channel: true,
-            write_policy: WritePolicy::WriteBack,
-            cache_bytes: 1 << 30,
-            dedup: DedupTuning::default(),
-            fleet: gvfs::FleetTuning::off(),
-            cow: gvfs::CowTuning::off(),
-        }),
-        None,
-    );
-    let proxy = client.proxy.clone().unwrap();
+    let session = session(&server, "bob", 1 << 30, true);
     let fs2 = server.fs.clone();
     sim.spawn("worker", move |env| {
-        let nfs = Nfs3Client::new(RpcClient::new(client.channel.clone(), cred.clone()));
+        let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(&env, nfs, "/exports", KernelConfig::default()).unwrap();
         let fh = kc.lookup_path(&env, "blob").unwrap();
         // Read everything (populates caches), overwrite a slice, close.
@@ -228,7 +188,7 @@ fn end_to_end_byte_integrity_survives_cache_invalidation() {
         kc.write(&env, fh, 777_777, b"GVFS-WAS-HERE").unwrap();
         kc.close(&env, fh).unwrap();
         // Middleware flushes write-back data to the server.
-        proxy.flush(&env, &cred);
+        session.flush(&env);
         // Server-side truth matches.
         let mut expect = payload.clone();
         expect[777_777..777_790].copy_from_slice(b"GVFS-WAS-HERE");
@@ -267,9 +227,7 @@ fn cloning_scenario_is_deterministic() {
 #[test]
 fn concurrent_sessions_are_isolated_by_identity() {
     let sim = Simulation::new();
-    let h = sim.handle();
-    let (up, down) = wan_pair(&h);
-    let server = build_server(&h, up, down, 768 << 20, true);
+    let server = wan_server(&sim);
     {
         let mut fs = server.fs.lock();
         let root = fs.root();
@@ -278,8 +236,7 @@ fn concurrent_sessions_are_isolated_by_identity() {
     let mw = Middleware::new();
     let uids = Arc::new(Mutex::new(Vec::new()));
     for i in 0..3 {
-        let (_sid, cred) =
-            mw.establish_session(&server.mapper, &format!("user{i}"), 0, u64::MAX / 2);
+        let (_sid, cred) = mw.establish_session(&server.mapper, &format!("user{i}"));
         let channel = server.channel.clone();
         let uids = uids.clone();
         sim.spawn(format!("user{i}"), move |env| {
@@ -303,7 +260,7 @@ fn direct_unproxied_mount_works() {
     let h = sim.handle();
     let up = Link::from_mbps(&h, "lan-up", 100.0, SimDuration::from_micros(200));
     let down = Link::from_mbps(&h, "lan-down", 100.0, SimDuration::from_micros(200));
-    let server = build_server(&h, up, down, 768 << 20, false);
+    let server = ImageServer::start(&h, Listen::plain(up, down), 768 << 20, false);
     {
         let mut fs = server.fs.lock();
         let root = fs.root();
@@ -320,7 +277,3 @@ fn direct_unproxied_mount_works() {
     });
     sim.run();
 }
-
-// Silence the unused-import lint for WireSpec used only in some cfgs.
-#[allow(dead_code)]
-fn _unused(_w: WireSpec) {}
