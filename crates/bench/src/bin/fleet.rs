@@ -30,7 +30,8 @@
 use gvfs::{CowTuning, DedupTuning, FleetTuning};
 use gvfs_bench::fleet::{run_fleet, ArrivalMode, FleetParams, FleetResult};
 use gvfs_bench::perfjson::{
-    append_trajectory, get, measure, rpc_roundtrips, sim_bytes, wall_time, Measure, FLEET_SCHEMA,
+    append_trajectory, check_label, get, measure, rpc_roundtrips, sim_bytes, wall_time, Measure,
+    FLEET_SCHEMA,
 };
 use gvfs_bench::report::{render_table, scenario_report, write_report};
 use simnet::{Env, JsonValue, SimDuration, Simulation};
@@ -144,8 +145,10 @@ fn parse_cli() -> Cli {
 }
 
 /// The scenario's report slice: the standard snapshot-derived body plus
-/// a `fleet` object with the latency percentiles and fleet telemetry.
-fn fleet_json(label: &str, r: &FleetResult) -> JsonValue {
+/// a `fleet` object with the latency percentiles and fleet telemetry and
+/// a `wan` object with the absolute byte counts the `--ten-k` gossip gate
+/// is computed from.
+fn fleet_json(label: &str, r: &FleetResult, sites: usize) -> JsonValue {
     let base = scenario_report(label, r.total_virtual_secs, &r.snapshot);
     let JsonValue::Object(mut fields) = base else {
         unreachable!("scenario_report returns an object");
@@ -175,6 +178,18 @@ fn fleet_json(label: &str, r: &FleetResult) -> JsonValue {
             ("wan_up_utilization", JsonValue::Float(r.wan_up_utilization)),
             ("batches", JsonValue::Uint(r.batches)),
             ("batched_items", JsonValue::Uint(r.batched_items)),
+        ]),
+    ));
+    fields.push((
+        "wan".to_string(),
+        JsonValue::object([
+            ("down_bytes", JsonValue::Uint(r.wan_down_bytes)),
+            (
+                "down_bytes_per_site",
+                JsonValue::Uint(r.wan_down_bytes / sites.max(1) as u64),
+            ),
+            ("gossip_peer_hits", JsonValue::Uint(r.gossip_peer_hits)),
+            ("gossip_peer_bytes", JsonValue::Uint(r.gossip_peer_bytes)),
         ]),
     ));
     JsonValue::Object(fields)
@@ -238,11 +253,14 @@ fn run_bench(cli: &Cli) {
     }
     // Trajectory hygiene: entries carry a per-PR label ("pr8-batched",
     // "pr10-wheel", ...) so the history reads as a sequence of changes;
-    // `perf --validate` rejects "dev" and duplicates, so demand one up
-    // front rather than writing an entry that fails validation.
+    // `perf --validate` rejects "dev" and duplicates, so check the label
+    // up front rather than measure an entry that fails validation.
     let label = cli.label.clone().unwrap_or_else(|| {
         usage("--bench requires --label NAME (a per-PR label like \"pr10-wheel\")")
     });
+    if let Err(e) = check_label(&cli.bench_json, &label) {
+        usage(&format!("--label: {e}"));
+    }
     let scenarios = vec![
         measure("churn_1000", cli.runs, churn_1000),
         measure("fleet_smoke", cli.runs, fleet_smoke),
@@ -289,29 +307,6 @@ const TEN_K_WALL_BUDGET_SECS: f64 = 300.0;
 /// of once per site, so well over half the cold bytes are avoidable;
 /// 40% leaves slack for chunks that arrive before gossip propagates.
 const TEN_K_WAN_REDUCTION_PCT: f64 = 40.0;
-
-/// The ten-k report slice: the standard fleet body plus a `wan` object
-/// with the absolute byte counts the gossip gate is computed from.
-/// (Kept out of `fleet_json` so `reports/fleet.json` stays byte-stable.)
-fn ten_k_json(label: &str, r: &FleetResult, sites: usize) -> JsonValue {
-    let base = fleet_json(label, r);
-    let JsonValue::Object(mut fields) = base else {
-        unreachable!("fleet_json returns an object");
-    };
-    fields.push((
-        "wan".to_string(),
-        JsonValue::object([
-            ("down_bytes", JsonValue::Uint(r.wan_down_bytes)),
-            (
-                "down_bytes_per_site",
-                JsonValue::Uint(r.wan_down_bytes / sites.max(1) as u64),
-            ),
-            ("gossip_peer_hits", JsonValue::Uint(r.gossip_peer_hits)),
-            ("gossip_peer_bytes", JsonValue::Uint(r.gossip_peer_bytes)),
-        ]),
-    ));
-    JsonValue::Object(fields)
-}
 
 /// The 10,240-clone scenario: gossip-off ablation and gossip-on lane on
 /// the identical diurnal arrival schedule, gated on WAN reduction and
@@ -364,7 +359,7 @@ fn run_ten_k(cli: &Cli) {
             format!("{}", r.gossip_peer_hits),
             format!("{:.1}s", wall),
         ]);
-        report.push(ten_k_json(label, &r, params.sites));
+        report.push(fleet_json(label, &r, params.sites));
         results.push((label, r, wall));
     }
 
@@ -547,7 +542,7 @@ fn main() {
             format!("{}", r.shard_queue_high_water.iter().max().unwrap_or(&0)),
             format!("{}", r.batches),
         ]);
-        report.push(fleet_json(label, &r));
+        report.push(fleet_json(label, &r, base.sites));
         results.push((label, r));
     }
 

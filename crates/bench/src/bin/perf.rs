@@ -13,25 +13,28 @@
 //!
 //! Results are appended as one labelled entry to the committed
 //! `BENCH_perf.json` trajectory file (schema `gvfs.perf.v1`) so engine
-//! regressions are visible PR-over-PR. Virtual-time results are checked
-//! for bit-identity across the N repeats: a deterministic simulation must
-//! produce the same event count, byte count, and final virtual clock
-//! every run, and the harness fails hard when it does not.
+//! regressions are visible PR-over-PR. The label (`--label`) must be
+//! new to that file and not `dev`; it is checked before any scenario
+//! runs, and `--no-write` skips both the check and the append.
+//! Virtual-time results are checked for bit-identity across the N
+//! repeats: a deterministic simulation must produce the same event
+//! count, byte count, and final virtual clock every run, and the harness
+//! fails hard when it does not.
 //!
 //! `--validate` checks either trajectory schema — `gvfs.perf.v1`
 //! (this binary's `BENCH_perf.json`) or `gvfs.fleet-perf.v1`
 //! (`BENCH_fleet.json`, written by `fleet --bench`).
 //!
 //! ```text
-//! cargo run -p gvfs-bench --release --bin perf            # full, 5 runs
-//! cargo run -p gvfs-bench --release --bin perf -- --smoke # CI-sized
+//! cargo run -p gvfs-bench --release --bin perf -- --label NAME          # full, 3 runs
+//! cargo run -p gvfs-bench --release --bin perf -- --smoke --label NAME  # CI-sized, 2 runs
 //! cargo run -p gvfs-bench --release --bin perf -- --validate BENCH_perf.json
 //! cargo run -p gvfs-bench --release --bin perf -- --validate BENCH_fleet.json
 //! ```
 
 use gvfs_bench::perfjson::{
-    append_trajectory, as_number, events_per_sec_of, get, measure, rpc_roundtrips, sim_bytes,
-    validate, JsonReader, Measure, PERF_SCENARIOS, PERF_SCHEMA,
+    append_trajectory, as_number, check_label, events_per_sec_of, get, measure, rpc_roundtrips,
+    sim_bytes, validate, JsonReader, Measure, PERF_SCENARIOS, PERF_SCHEMA,
 };
 use gvfs_bench::{
     run_app_scenario, run_parallel_cloning, run_sequential_for_table1, AppParams, AppScenario,
@@ -234,6 +237,13 @@ fn main() {
     let runs = cli.runs.unwrap_or(if cli.smoke { 2 } else { 3 });
     if runs == 0 {
         usage("--runs must be >= 1");
+    }
+    // The entry is appended only if its label passes the trajectory's
+    // rule; check that before measuring anything.
+    if !cli.no_write {
+        if let Err(e) = check_label(&cli.json_path, &cli.label) {
+            usage(&format!("--label: {e}"));
+        }
     }
     let mode = if cli.smoke { "smoke" } else { "full" };
     eprintln!("perf: mode={mode} runs={runs} label={}", cli.label);

@@ -14,7 +14,7 @@
 //! `shard()` they coalesce concurrent `FETCH_BLOBS` misses for the same
 //! golden content into batched multi-digest WAN round-trips
 //! (`FETCH_BLOBS_BATCH`); with `off()` every miss pays its own WAN call.
-//! Clone latency lands in a lock-cheap [`PercentileSketch`], so the
+//! Clone latency lands in a [`simnet::PercentileSketch`] histogram, so the
 //! report can state p50/p95/p99 under bursty arrivals instead of a mean
 //! that hides the tail.
 
@@ -402,7 +402,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
         }
     }
 
-    let latency = h.telemetry().sketch("fleet", "clone_latency_ns");
+    let latency = h.telemetry().histogram("fleet", "clone_latency_ns");
     let pop = params.population();
     let mut arrivals = params.arrival_process();
     let offsets = arrivals.take_offsets(params.clones);

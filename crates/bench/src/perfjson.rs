@@ -249,15 +249,8 @@ pub fn validate(doc: &JsonValue) -> Vec<String> {
     for (i, entry) in entries.iter().enumerate() {
         match get(entry, "label") {
             Some(JsonValue::Str(l)) => {
-                // Trajectory hygiene: entries are per-PR snapshots, so a
-                // placeholder label ("dev", empty) or a reused one makes
-                // the trajectory unreadable as history.
-                if l.is_empty() || l == "dev" {
-                    errs.push(format!(
-                        "entry #{i}: unlabeled (\"{l}\") — use a per-PR label like \"pr8-batched\""
-                    ));
-                } else if labels.contains(&l.as_str()) {
-                    errs.push(format!("entry #{i}: duplicate label \"{l}\""));
+                if let Some(e) = label_error(l, &labels) {
+                    errs.push(format!("entry #{i}: {e}"));
                 }
                 labels.push(l);
             }
@@ -303,6 +296,41 @@ pub fn validate(doc: &JsonValue) -> Vec<String> {
         }
     }
     errs
+}
+
+/// Trajectory hygiene: entries are per-PR snapshots, so a placeholder
+/// label ("dev", empty) or one already in `taken` makes the trajectory
+/// unreadable as history.
+fn label_error(label: &str, taken: &[&str]) -> Option<String> {
+    if label.is_empty() || label == "dev" {
+        Some(format!(
+            "unlabeled (\"{label}\") — use a per-PR label like \"pr8-batched\""
+        ))
+    } else if taken.contains(&label) {
+        Some(format!("duplicate label \"{label}\""))
+    } else {
+        None
+    }
+}
+
+/// Check that `label` may name a new entry of the trajectory at `path`
+/// under the rule [`validate`] applies, so a harness can refuse before it
+/// spends minutes measuring an entry [`append_trajectory`] would reject.
+pub fn check_label(path: &str, label: &str) -> Result<(), String> {
+    let doc = std::fs::read_to_string(path)
+        .ok()
+        .and_then(|text| JsonReader::parse(&text).ok());
+    let taken: Vec<&str> = match doc.as_ref().and_then(|d| get(d, "trajectory")) {
+        Some(JsonValue::Array(entries)) => entries
+            .iter()
+            .filter_map(|e| match get(e, "label") {
+                Some(JsonValue::Str(l)) => Some(l.as_str()),
+                _ => None,
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    label_error(label, &taken).map_or(Ok(()), |e| Err(format!("{path}: {e}")))
 }
 
 /// `events_per_sec` of a named scenario in a trajectory entry.

@@ -253,16 +253,6 @@ impl BlockCache {
         }
     }
 
-    /// Reset counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.tel.hits.reset();
-        self.tel.misses.reset();
-        self.tel.insertions.reset();
-        self.tel.evictions.reset();
-        self.tel.dirty_evictions.reset();
-        self.tel.dirty_writes.reset();
-    }
-
     /// Bytes currently stored.
     pub fn bytes_stored(&self) -> u64 {
         self.inner.lock().bytes_stored

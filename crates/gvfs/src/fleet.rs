@@ -35,8 +35,8 @@
 //! Ablation discipline (same contract as
 //! [`DedupTuning::off`](crate::cas::DedupTuning::off)): with
 //! [`FleetTuning::off`] every data path behaves exactly as before this
-//! module existed — byte-for-byte identical reports, identical telemetry
-//! registrations.
+//! module existed — the same virtual timeline; the fleet counters are
+//! registered either way and stay 0.
 
 /// The fleet configuration of one proxy, set by middleware: shard
 /// proxies batch toward the origin (and gossip within a region); client

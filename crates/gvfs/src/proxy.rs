@@ -91,15 +91,14 @@ pub struct ProxyConfig {
     /// the CAS existed (byte-for-byte identical reports).
     pub dedup: DedupTuning,
     /// Fleet preset (blob batching + write-back queue cap, then digest
-    /// gossip). [`FleetTuning::off()`], the default, leaves every path,
-    /// report byte and telemetry registration as before the fleet work.
+    /// gossip). [`FleetTuning::off()`], the default, leaves every path
+    /// and virtual instant as before the fleet work.
     pub fleet: FleetTuning,
     /// Copy-on-write reference files: install channel fetches as
     /// CAS-resolved recipes instead of materialized copies. Requires
     /// `dedup` (inert without a CAS); with [`CowTuning::off()`] (the
     /// default) every path behaves exactly as before reference files
-    /// existed (byte-for-byte identical reports, identical telemetry
-    /// registrations).
+    /// existed (identical virtual timeline).
     pub cow: CowTuning,
 }
 
@@ -589,8 +588,7 @@ struct WbSink {
     recovered_errors: Counter,
     wb_queued: Counter,
     /// Whether the retry queue is bounded by [`WB_QUEUE_CAP`] (the fleet
-    /// presets) rather than the historical unbounded queue; the two cells
-    /// below are registered only then.
+    /// presets) rather than the historical unbounded queue.
     capped: bool,
     /// Parked blocks shed by the cap (oldest-tag first).
     shed: Counter,
@@ -836,11 +834,10 @@ struct GossipPeers {
     sent_cursor: BTreeMap<u32, usize>,
 }
 
-/// Gossip runtime state + telemetry (present iff `cfg.fleet.gossip()` and
-/// dedup are both on; registration is gated exactly like the other
-/// fleet counters so gossip-off snapshots stay byte-identical).
+/// Gossip runtime state + telemetry. The peer table is present iff
+/// `cfg.fleet.gossip()` and dedup are both on; the counters always are.
 struct GossipCtl {
-    peers: Mutex<GossipPeers>,
+    peers: Option<Mutex<GossipPeers>>,
     /// Anti-entropy rounds this shard initiated.
     rounds: Counter,
     /// Digests learned about peers (both directions).
@@ -885,16 +882,15 @@ pub struct Proxy {
     wb: WbSink,
     /// Upstream batch envelopes issued by fleet blob coalescing, and the
     /// sub-calls they carried (`items / batches` = achieved coalescing
-    /// factor); registered only when `cfg.fleet` batches.
+    /// factor).
     fleet_batches: (Counter, Counter),
-    /// Intra-region digest gossip runtime (present iff
-    /// `cfg.fleet.gossip()` and dedup are both enabled).
-    gossip: Option<GossipCtl>,
-    /// Channel fetches installed as reference files (registered only
-    /// when the cow knob is active, i.e. cow *and* dedup enabled).
+    /// Intra-region digest gossip.
+    gossip: GossipCtl,
+    /// Channel fetches installed as reference files (cow *and* dedup
+    /// enabled).
     cow_installs: Counter,
-    /// CAS evictions refused under pin pressure (same registration
-    /// gate; the counter is shared with the content store).
+    /// CAS evictions refused under pin pressure (the counter is shared
+    /// with the content store).
     cow_pin_blocked: Counter,
     state: Arc<Mutex<ProxyState>>,
 }
@@ -947,21 +943,8 @@ impl Proxy {
             tel.registry
                 .counter("gvfs", format!("{}.{suffix}", tel.inst))
         };
-        // A counter that belongs to a knob: registered iff the knob is
-        // on — so a legacy configuration's snapshot carries exactly the
-        // historical counter set — and free-standing otherwise.
-        let counter_if = |on: bool, suffix: &str| {
-            if on {
-                counter(suffix)
-            } else {
-                Counter::new()
-            }
-        };
-        // Copy-on-write is meaningful only with a CAS to resolve recipes
-        // against; with dedup off the knob is inert.
-        let cow_on = cfg.cow.enabled && cfg.dedup.enabled;
-        let cow_installs = counter_if(cow_on, "cow.ref_installs");
-        let cow_pin_blocked = counter_if(cow_on, "cas.pin_blocked_evictions");
+        let cow_installs = counter("cow.ref_installs");
+        let cow_pin_blocked = counter("cas.pin_blocked_evictions");
         let cas = cfg.dedup.enabled.then(|| {
             let store = ContentStore::new(cfg.dedup.cas_bytes)
                 .with_broken_pin_counter(tel.recovered_errors.clone())
@@ -971,23 +954,20 @@ impl Proxy {
         // The fleet presets bound the write-back retry queue along with
         // batching blob misses.
         let batching = cfg.fleet.batching();
-        let fleet_batches = (
-            counter_if(batching, "fleet.batches"),
-            counter_if(batching, "fleet.batched_items"),
-        );
+        let fleet_batches = (counter("fleet.batches"), counter("fleet.batched_items"));
         // Gossip needs the digest-keyed reply cache both as the
         // inventory being advertised and as the store peer fetches are
         // served from, so it is inert without dedup (same dependency as
-        // batching); the counters register only when it is live.
-        let gossip = (cfg.fleet.gossip() && cfg.dedup.enabled).then(|| GossipCtl {
-            peers: Mutex::default(),
+        // batching).
+        let gossip = GossipCtl {
+            peers: (cfg.fleet.gossip() && cfg.dedup.enabled).then(Mutex::default),
             rounds: counter("gossip.rounds"),
             digests_learned: counter("gossip.digests_learned"),
             peer_hits: counter("gossip.peer_hits"),
             peer_bytes: counter("gossip.peer_bytes"),
             peer_misses: counter("gossip.peer_misses"),
             peer_served: counter("gossip.peer_served"),
-        });
+        };
         let state = Arc::new(Mutex::new(ProxyState {
             chan_blob_replies: ReplyCache {
                 cap: cfg.dedup.cas_bytes,
@@ -1009,8 +989,8 @@ impl Proxy {
             recovered_errors: tel.recovered_errors.clone(),
             wb_queued: tel.wb_queued.clone(),
             capped: batching,
-            shed: counter_if(batching, "wb_shed"),
-            high_water: counter_if(batching, "wb_high_water"),
+            shed: counter("wb_shed"),
+            high_water: counter("wb_high_water"),
         };
         Proxy {
             cfg,
@@ -2122,15 +2102,15 @@ impl Proxy {
     // -- intra-region digest gossip -------------------------------------------
 
     /// Wire this shard to its region siblings: `my_id` is the id it
-    /// signs gossip messages with, `peers` the sibling shards' LAN
+    /// signs gossip messages with, `siblings` the sibling shards' LAN
     /// clients. No-op unless the proxy was built with
     /// [`FleetTuning::region`] (and dedup) on. Called once by middleware
     /// after all the region's channels exist.
-    pub fn set_gossip_peers(&self, my_id: u32, peers: Vec<(u32, RpcClient)>) {
-        if let Some(g) = &self.gossip {
-            let mut p = g.peers.lock();
+    pub fn set_gossip_peers(&self, my_id: u32, siblings: Vec<(u32, RpcClient)>) {
+        if let Some(peers) = &self.gossip.peers {
+            let mut p = peers.lock();
             p.my_id = my_id;
-            p.peers = peers;
+            p.peers = siblings;
             p.next = 0;
             p.sent_cursor.clear();
         }
@@ -2144,12 +2124,13 @@ impl Proxy {
     /// whole convergence argument. Driven by a per-shard middleware
     /// process on the scenario's gossip period.
     pub fn gossip_round(&self, env: &Env) {
-        let Some(g) = &self.gossip else { return };
+        let g = &self.gossip;
+        let Some(peers) = &g.peers else { return };
         // Lock order: never hold the peer table and the proxy state at
         // once (the state lock is taken inside RPC handlers that a
         // concurrent sibling round may be driving into us right now).
         let (my_id, peer_id, client, sent) = {
-            let mut p = g.peers.lock();
+            let mut p = peers.lock();
             if p.peers.is_empty() {
                 return;
             }
@@ -2169,20 +2150,21 @@ impl Proxy {
             return;
         };
         g.learn(&mut self.state.lock(), sender, digests);
-        g.peers.lock().sent_cursor.insert(peer_id, end);
+        peers.lock().sent_cursor.insert(peer_id, end);
     }
 
     /// Serve a sibling's push: merge the digests it advertises, reply
     /// with our own bounded delta (per-sender cursor, so successive
     /// pushes from the same peer page through our whole log).
     fn handle_gossip_digests(&self, xid: u32, args: &[u8]) -> RpcMessage {
-        let Some(g) = &self.gossip else {
+        let g = &self.gossip;
+        let Some(peers) = &g.peers else {
             return RpcMessage::accept_error(xid, AcceptStat::ProcUnavail);
         };
         let Some((sender, digests)) = decode_gossip(args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
-        let my_id = g.peers.lock().my_id;
+        let my_id = peers.lock().my_id;
         let delta = {
             let mut st = self.state.lock();
             g.learn(&mut st, sender, digests);
@@ -2199,9 +2181,9 @@ impl Proxy {
     /// rather than forwarding upstream: the requester owns the fallback,
     /// so two shards can never ping-pong or double-fetch a miss.
     fn handle_channel_blob_peer(&self, env: &Env, xid: u32, args: &[u8]) -> RpcMessage {
-        let Some(g) = &self.gossip else {
+        if self.gossip.peers.is_none() {
             return RpcMessage::accept_error(xid, AcceptStat::ProcUnavail);
-        };
+        }
         let Some((_, _, _, want)) = decode_blob_args(args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
@@ -2209,7 +2191,7 @@ impl Proxy {
         match cached {
             Some(results) => {
                 env.sleep(PER_OP_CPU);
-                g.peer_served.inc();
+                self.gossip.peer_served.inc();
                 RpcMessage::success(xid, results)
             }
             // Stale advertisement (we evicted it) or a speculative probe:
@@ -2223,7 +2205,8 @@ impl Proxy {
     /// failure the advertisement is dropped (it was stale) and the
     /// caller falls back to the normal upstream path.
     fn try_peer_fetch(&self, env: &Env, want: Digest, args: &xdr::Bytes) -> Option<xdr::Bytes> {
-        let g = self.gossip.as_ref()?;
+        let g = &self.gossip;
+        let peers = g.peers.as_ref()?;
         let holder = {
             let st = self.state.lock();
             st.peer_digests
@@ -2232,7 +2215,7 @@ impl Proxy {
                 .map(|(id, _)| *id)
         }?;
         let client = {
-            let p = g.peers.lock();
+            let p = peers.lock();
             p.peers
                 .iter()
                 .find(|(id, _)| *id == holder)
@@ -2357,7 +2340,7 @@ impl Proxy {
             if from_batch {
                 st.batch_uncounted.insert(want);
             }
-            if self.gossip.is_some() {
+            if self.gossip.peers.is_some() {
                 st.gossip_log.push(want);
             }
         }
@@ -2497,7 +2480,7 @@ impl Proxy {
         cred: &oncrpc::OpaqueAuth,
         round: &[(Digest, xdr::Bytes)],
     ) {
-        if self.gossip.is_none() {
+        if self.gossip.peers.is_none() {
             return self.send_blob_round_upstream(env, cred, round);
         }
         let mut remaining: Vec<(Digest, xdr::Bytes)> = Vec::with_capacity(round.len());
@@ -2758,6 +2741,46 @@ mod tests {
         // Replacing a key accounts the size difference.
         cache.insert((file(3), 0, 0), reply(10));
         assert_eq!((cache.bytes, cache.lru.len()), (10, 1));
+    }
+
+    #[test]
+    fn registered_counters_do_not_depend_on_the_knobs() {
+        // One report schema per topology: the fleet and copy-on-write
+        // presets change what a proxy does, never which counters it
+        // registers.
+        let names = |fleet: FleetTuning, cow: CowTuning| {
+            let sim = simnet::Simulation::new();
+            let h = sim.handle();
+            let link = |name: &str| simnet::Link::new(&h, name, 1e9, SimDuration::from_micros(10));
+            let ep = oncrpc::endpoint(&h, link("up"), link("down"), oncrpc::WireSpec::plain());
+            let cfg = ProxyConfig {
+                name: "px".into(),
+                dedup: DedupTuning::default(),
+                fleet,
+                cow,
+                ..ProxyConfig::default()
+            };
+            let _proxy = Proxy::new(cfg, RpcClient::new(ep.channel, oncrpc::OpaqueAuth::none()));
+            h.telemetry()
+                .snapshot()
+                .counters
+                .iter()
+                .map(|c| (c.layer, c.name.trim_start_matches("px.").to_string()))
+                .collect::<BTreeSet<_>>()
+        };
+        let plain = names(FleetTuning::off(), CowTuning::off());
+        assert_eq!(plain, names(FleetTuning::region(), CowTuning::on()));
+        for knob_counter in [
+            "cow.ref_installs",
+            "fleet.batches",
+            "wb_shed",
+            "gossip.peer_hits",
+        ] {
+            assert!(
+                plain.contains(&("gvfs", knob_counter.to_string())),
+                "{knob_counter}"
+            );
+        }
     }
 
     #[test]

@@ -73,8 +73,8 @@ fn record_paths_stay_registry_free_after_warmup() {
     let resolutions2 = resolutions.clone();
     sim.spawn("client", move |env: Env| {
         // One operation mix, reused for both bursts: GETATTR + READ +
-        // WRITE covers the RPC client proc histograms and rare-counter
-        // paths, the proxy's per-proc counters, and the server's
+        // WRITE covers the RPC client proc histograms and failure
+        // counters, the proxy's per-proc counters, and the server's
         // per-proc counters for each procedure involved.
         let burst = |env: &Env, rounds: u64| {
             for i in 0..rounds {

@@ -189,17 +189,6 @@ impl KernelClient {
         }
     }
 
-    /// Reset counters.
-    pub fn reset_stats(&self) {
-        self.tel.read_rpcs.reset();
-        self.tel.write_rpcs.reset();
-        self.tel.meta_rpcs.reset();
-        self.tel.cache_hits.reset();
-        self.tel.cache_misses.reset();
-        self.tel.bytes_read.reset();
-        self.tel.bytes_written.reset();
-    }
-
     /// Drop all cached data and metadata, as a umount/mount cycle does.
     /// Benchmarks call this to start a phase with cold kernel caches
     /// (the paper: "initially setup with cold caches by un-mounting and

@@ -143,10 +143,8 @@ struct SrvTel {
     /// dispatch path never takes the registry lock (or formats a `String`
     /// key) per request.
     procs: Mutex<Vec<(u32, Counter)>>,
-    /// Registered on first DRC hit (not at construction): snapshots list
-    /// every registered metric, so an eager `drc.hits: 0` would add a
-    /// line to reports that the lazy resolution never produced.
-    drc_hits: std::sync::OnceLock<Counter>,
+    /// Retransmits answered from the duplicate-request cache.
+    drc_hits: Counter,
     reads: Counter,
     writes: Counter,
     read_bytes: Counter,
@@ -168,7 +166,7 @@ impl SrvTel {
             cache_hits: c("buffer_cache.hits"),
             cache_misses: c("buffer_cache.misses"),
             calls: c("calls"),
-            drc_hits: std::sync::OnceLock::new(),
+            drc_hits: c("drc.hits"),
             procs: Mutex::new(Vec::new()),
             registry: registry.clone(),
             inst,
@@ -284,17 +282,6 @@ impl Nfs3Server {
             cache_misses: self.tel.cache_misses.get(),
             calls: self.tel.calls.get(),
         }
-    }
-
-    /// Reset counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.tel.reads.reset();
-        self.tel.writes.reset();
-        self.tel.read_bytes.reset();
-        self.tel.write_bytes.reset();
-        self.tel.cache_hits.reset();
-        self.tel.cache_misses.reset();
-        self.tel.calls.reset();
     }
 
     /// Shared filesystem (scenario setup pre-populates images through it).
@@ -736,14 +723,7 @@ impl RpcProgram for Nfs3Server {
         if let Some(reply) = cached {
             // A retransmit of a call we already executed: replay the
             // stored reply. The operation's side effect happens once.
-            self.tel
-                .drc_hits
-                .get_or_init(|| {
-                    self.tel
-                        .registry
-                        .counter("nfs3", format!("{}.drc.hits", self.tel.inst))
-                })
-                .inc();
+            self.tel.drc_hits.inc();
             env.sleep(self.cfg.op_cpu);
             return Ok(reply);
         }
@@ -888,22 +868,21 @@ mod tests {
     }
 
     #[test]
-    fn drc_hits_counter_registers_on_first_hit_not_at_construction() {
-        // The `drc.hits` cell is an OnceLock resolved on the first
-        // replay (DESIGN.md §5.6): report snapshots list every
-        // registered metric, so an eager zero-valued registration would
-        // change committed reports. Pin both halves of that contract —
-        // absent before any hit, present (and correct) after.
+    fn drc_hits_counter_registers_at_construction_and_counts_hits() {
+        // `drc.hits` registers with the server's other counters
+        // (DESIGN.md §5.6): present at 0 before any retransmit, one per
+        // replayed reply, and a replay resolves no registry handle.
         let sim = Simulation::new();
         let (fs, srv) = setup(&sim);
         let tel = sim.handle().telemetry().clone();
-        let has_drc = |t: &simnet::Telemetry| {
+        let drc_hits = |t: &simnet::Telemetry| {
             t.snapshot()
                 .counters
                 .iter()
-                .any(|c| c.layer == "nfs3" && c.name.ends_with(".drc.hits"))
+                .find(|c| c.layer == "nfs3" && c.name.ends_with(".drc.hits"))
+                .map(|c| c.value)
         };
-        assert!(!has_drc(&tel), "drc.hits registered at construction");
+        assert_eq!(drc_hits(&tel), Some(0), "drc.hits missing at construction");
         let fs2 = fs.clone();
         let tel2 = tel.clone();
         sim.spawn("t", move |env| {
@@ -911,19 +890,16 @@ mod tests {
             let args = mkdir_args(root, "d");
             srv.call_with_xid(&env, 5, &sys_cred(), proc3::MKDIR, &args)
                 .unwrap();
-            // A fresh call (miss) must still not register the counter.
-            assert!(!has_drc(&tel2), "a DRC miss registered drc.hits");
-            srv.call_with_xid(&env, 5, &sys_cred(), proc3::MKDIR, &args)
-                .unwrap();
+            assert_eq!(drc_hits(&tel2), Some(0), "a DRC miss counted as a hit");
+            let before = tel2.debug_resolutions();
+            for _ in 0..3 {
+                srv.call_with_xid(&env, 5, &sys_cred(), proc3::MKDIR, &args)
+                    .unwrap();
+            }
+            assert_eq!(tel2.debug_resolutions(), before, "replay resolved a handle");
         });
         sim.run();
-        let snap = tel.snapshot();
-        let hit = snap
-            .counters
-            .iter()
-            .find(|c| c.layer == "nfs3" && c.name.ends_with(".drc.hits"))
-            .expect("replay registered drc.hits");
-        assert_eq!(hit.value, 1);
+        assert_eq!(drc_hits(&tel), Some(3));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
-use simnet::{splitmix64, Counter, Env, Gauge, Histogram, SimDuration, Telemetry};
+use simnet::{splitmix64, Counter, Env, Gauge, PercentileSketch, SimDuration, Telemetry};
 use xdr::{Bytes, Encoder};
 
 use crate::auth::OpaqueAuth;
@@ -118,50 +117,40 @@ enum ReplyMatch {
 }
 
 /// Telemetry handles for one program, resolved against the registry once
-/// and then recorded through lock-free shared cells. Metric names are
-/// exactly the ones the per-call resolution used to produce, so snapshots
-/// and reports are unchanged.
+/// (on the program's first call) and then recorded through lock-free
+/// shared cells. The failure counters register with `calls`, so every
+/// program a client spoke carries the same counter set, zero or not.
 struct ProgTel {
     prog: u32,
     outstanding: Gauge,
     calls: Counter,
-    // Failure counters register on first *increment* (OnceLock), not at
-    // construction: snapshots list every registered metric, and a
-    // `client.X.errors: 0` line that the lazy per-event resolution never
-    // produced would change committed reports.
-    errors: OnceLock<Counter>,
-    stale_replies: OnceLock<Counter>,
-    timeouts: OnceLock<Counter>,
-    retransmits: OnceLock<Counter>,
+    errors: Counter,
+    stale_replies: Counter,
+    timeouts: Counter,
+    retransmits: Counter,
     /// Per-procedure latency histograms; procedure numbers are tiny and
     /// few, so a sorted vec beats a map.
-    procs: Mutex<Vec<(u32, Histogram)>>,
+    procs: Mutex<Vec<(u32, PercentileSketch)>>,
 }
 
 impl ProgTel {
     fn register(tel: &Telemetry, prog: u32) -> ProgTel {
         let label = prog_label(prog);
+        let c = |name: &str| tel.counter("rpc", format!("client.{label}.{name}"));
         ProgTel {
             prog,
             outstanding: tel.gauge("rpc", format!("client.{label}.outstanding")),
-            calls: tel.counter("rpc", format!("client.{label}.calls")),
-            errors: OnceLock::new(),
-            stale_replies: OnceLock::new(),
-            timeouts: OnceLock::new(),
-            retransmits: OnceLock::new(),
+            calls: c("calls"),
+            errors: c("errors"),
+            stale_replies: c("stale_replies"),
+            timeouts: c("timeouts"),
+            retransmits: c("retransmits"),
             procs: Mutex::new(Vec::new()),
         }
     }
 
-    fn rare(&self, cell: &OnceLock<Counter>, tel: &Telemetry, name: &str) -> Counter {
-        cell.get_or_init(|| {
-            tel.counter("rpc", format!("client.{}.{}", prog_label(self.prog), name))
-        })
-        .clone()
-    }
-
     /// The latency histogram for `proc`, registering it on first use.
-    fn proc_hist(&self, tel: &Telemetry, proc: u32) -> Histogram {
+    fn proc_hist(&self, tel: &Telemetry, proc: u32) -> PercentileSketch {
         let mut procs = self.procs.lock();
         match procs.binary_search_by_key(&proc, |(p, _)| *p) {
             Ok(i) => procs[i].1.clone(),
@@ -363,7 +352,7 @@ impl RpcClient {
         pt.proc_hist(env.telemetry(), proc).record(env.now() - t0);
         pt.calls.inc();
         if result.is_err() {
-            pt.rare(&pt.errors, env.telemetry(), "errors").inc();
+            pt.errors.inc();
         }
         result
     }
@@ -371,7 +360,7 @@ impl RpcClient {
     /// Decode one reply against the xid we sent. A reply bearing some
     /// other xid is a stray (stale retransmit answer, reordered delivery)
     /// and must be discarded — not treated as fatal for this call.
-    fn match_reply(&self, env: &Env, pt: &ProgTel, xid: u32, reply_bytes: &Bytes) -> ReplyMatch {
+    fn match_reply(&self, pt: &ProgTel, xid: u32, reply_bytes: &Bytes) -> ReplyMatch {
         let reply = match RpcMessage::decode_shared(reply_bytes) {
             Ok(r) => r,
             Err(e) => return ReplyMatch::Done(Err(RpcError::Decode(e))),
@@ -379,8 +368,7 @@ impl RpcClient {
         match reply {
             RpcMessage::Reply { xid: rxid, body } => {
                 if rxid != xid {
-                    pt.rare(&pt.stale_replies, env.telemetry(), "stale_replies")
-                        .inc();
+                    pt.stale_replies.inc();
                     return ReplyMatch::Stale;
                 }
                 ReplyMatch::Done(match body {
@@ -409,7 +397,7 @@ impl RpcClient {
         let pending = self.chan.send_request(env, request);
         loop {
             let reply_bytes = pending.recv(env).ok_or(RpcError::Transport)?;
-            match self.match_reply(env, pt, xid, &reply_bytes) {
+            match self.match_reply(pt, xid, &reply_bytes) {
                 ReplyMatch::Done(result) => return result,
                 ReplyMatch::Stale => continue,
             }
@@ -427,19 +415,18 @@ impl RpcClient {
         let attempts = policy.max_attempts.max(1);
         for attempt in 0..attempts {
             if attempt > 0 {
-                pt.rare(&pt.retransmits, env.telemetry(), "retransmits")
-                    .inc();
+                pt.retransmits.inc();
             }
             let timeout = policy.base_timeout(attempt);
             let deadline = env.now() + timeout + policy.jitter(xid, attempt, timeout);
             let pending = self.chan.send_request(env, request.clone());
             while let Some(reply_bytes) = pending.recv_deadline(env, deadline) {
-                match self.match_reply(env, pt, xid, &reply_bytes) {
+                match self.match_reply(pt, xid, &reply_bytes) {
                     ReplyMatch::Done(result) => return result,
                     ReplyMatch::Stale => continue,
                 }
             }
-            pt.rare(&pt.timeouts, env.telemetry(), "timeouts").inc();
+            pt.timeouts.inc();
             // Abandoning `pending` here drops its private reply queue, so
             // a late reply to this attempt is discarded on arrival rather
             // than confusing a future call.
@@ -641,49 +628,42 @@ mod tests {
     }
 
     #[test]
-    fn rare_counters_register_on_first_increment_and_resolve_once() {
-        // DESIGN.md §5.6: failure counters live in OnceLock cells so the
-        // metric only exists in snapshots once the failure actually
-        // happened, and the registry resolution runs exactly once no
-        // matter how many times the path fires afterwards.
+    fn failure_counters_register_with_calls_and_count_exactly() {
+        // DESIGN.md §5.6: a program's failure counters register together
+        // with `calls`, so they are in every snapshot at 0 before any
+        // failure, count each failure exactly, and recording one takes
+        // no registry lock.
         let tel = Telemetry::new();
         let pt = ProgTel::register(&tel, PROG);
-        let names = |t: &Telemetry| -> Vec<String> {
+        let value = |t: &Telemetry, name: &str| {
             t.snapshot()
                 .counters
                 .iter()
-                .map(|c| c.name.clone())
-                .collect()
+                .find(|c| c.name == format!("client.prog{PROG}.{name}"))
+                .map(|c| c.value)
         };
-        assert!(
-            !names(&tel).iter().any(|n| n.ends_with(".timeouts")),
-            "timeouts registered before any timeout"
-        );
-        let before = tel.debug_resolutions();
-        pt.rare(&pt.timeouts, &tel, "timeouts").inc();
-        let after_first = tel.debug_resolutions();
-        pt.rare(&pt.timeouts, &tel, "timeouts").inc();
-        pt.rare(&pt.timeouts, &tel, "timeouts").inc();
-        let after_more = tel.debug_resolutions();
-        assert!(names(&tel).iter().any(|n| n.ends_with(".timeouts")));
-        assert_eq!(
-            after_more - after_first,
-            0,
-            "later increments must reuse the cached cell"
-        );
-        if cfg!(debug_assertions) {
-            assert_eq!(after_first - before, 1, "exactly one registry resolution");
+        for name in [
+            "calls",
+            "errors",
+            "stale_replies",
+            "timeouts",
+            "retransmits",
+        ] {
+            assert_eq!(value(&tel, name), Some(0), "{name} at construction");
         }
-        // The cell is shared: all three increments landed on one counter.
-        let snap = tel.snapshot();
-        let c = snap
-            .counters
-            .iter()
-            .find(|c| c.name.ends_with(".timeouts"))
-            .unwrap();
-        assert_eq!(c.value, 3);
-        // And the untouched cells stayed unregistered.
-        assert!(!names(&tel).iter().any(|n| n.ends_with(".errors")));
+        let before = tel.debug_resolutions();
+        for _ in 0..3 {
+            pt.timeouts.inc();
+        }
+        pt.errors.inc();
+        assert_eq!(
+            tel.debug_resolutions(),
+            before,
+            "hot path resolved a handle"
+        );
+        assert_eq!(value(&tel, "timeouts"), Some(3));
+        assert_eq!(value(&tel, "errors"), Some(1));
+        assert_eq!(value(&tel, "retransmits"), Some(0));
     }
 
     #[test]

@@ -66,7 +66,10 @@ pub trait RpcProgram: Send + Sync + 'static {
 pub struct Dispatcher {
     programs: HashMap<u32, Arc<dyn RpcProgram>>,
     /// `served.calls` / `served.garbage_requests`, resolved against the
-    /// registry on the first request and shared cells thereafter.
+    /// registry on the first request and shared cells thereafter: a
+    /// dispatcher is built without a registry (`Dispatcher::new()` takes
+    /// none), so the request's [`Env`] is the first place one exists.
+    /// These are the only counters that register after construction.
     served: OnceLock<Counter>,
     garbage: OnceLock<Counter>,
 }
@@ -108,9 +111,6 @@ impl RpcHandler for Dispatcher {
             // simulated transport expects a reply; answer GARBAGE_ARGS
             // with xid 0 so the caller fails fast instead of hanging.
             Err(_) => {
-                // Registered on first garbage request (not at first call):
-                // snapshots list every registered metric, so registering
-                // earlier would add a zero-valued line to reports.
                 self.garbage
                     .get_or_init(|| env.telemetry().counter("rpc", "served.garbage_requests"))
                     .inc();

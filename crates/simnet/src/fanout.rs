@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::telemetry::{Counter, Gauge, Histogram, Telemetry};
+use crate::telemetry::{Counter, Gauge, PercentileSketch, Telemetry};
 use crate::Env;
 
 /// Telemetry for one component's windowed transfers: window occupancy
@@ -38,7 +38,7 @@ pub struct TransferTel {
     /// Jobs submitted through [`run_windowed`].
     pub jobs: Counter,
     /// Time from submission to a worker picking the job up.
-    pub stall: Histogram,
+    pub stall: PercentileSketch,
 }
 
 impl TransferTel {

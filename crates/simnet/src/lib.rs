@@ -51,7 +51,5 @@ pub use link::{Link, TransferOutcome};
 pub use sync::{
     channel, Disconnected, Receiver, RecvTimeoutError, Resource, ResourceGuard, Sender, Signal,
 };
-pub use telemetry::{
-    Counter, Gauge, Histogram, JsonValue, PercentileSketch, Snapshot, Telemetry, TraceEvent,
-};
+pub use telemetry::{Counter, Gauge, JsonValue, PercentileSketch, Snapshot, Telemetry, TraceEvent};
 pub use time::{SimDuration, SimTime};

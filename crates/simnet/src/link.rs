@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use crate::engine::{Env, Pid, SimHandle};
 use crate::fault::{DetRng, LinkFaultPlan};
-use crate::telemetry::{Counter, Histogram, TraceEvent};
+use crate::telemetry::{Counter, PercentileSketch, TraceEvent};
 use crate::time::{SimDuration, SimTime};
 
 /// A flow is considered complete when fewer than this many bytes remain;
@@ -93,7 +93,7 @@ pub struct Link {
     messages: Counter,
     dropped: Counter,
     severed: Counter,
-    transfer_times: Histogram,
+    transfer_times: PercentileSketch,
 }
 
 impl Link {

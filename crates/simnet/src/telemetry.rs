@@ -18,9 +18,15 @@
 //! the underlying atomic — for same-named links this is deliberate and
 //! gives aggregate semantics.
 //!
-//! Histograms record [`SimDuration`] samples into 64 logarithmic (power of
-//! two nanoseconds) buckets, so quantile estimates are within 2× of the
-//! true value — plenty for "where did the virtual time go" questions.
+//! Every distribution — RPC latency, link transfer time, clone latency —
+//! is one type, [`PercentileSketch`]: log-linear buckets with quantile
+//! estimates within 12.5 % of the true value, and an exact count, sum and
+//! maximum.
+//!
+//! Components register their metrics when they are built, so a report's
+//! keys depend on the topology, not on which knobs were on or which
+//! events happened; counters only go up (a phase delta is `after -
+//! before`).
 //!
 //! The trace ring is off by default; [`Telemetry::set_trace`] turns it on
 //! (the bench binaries map `--trace` to it). When enabled, processes
@@ -38,10 +44,6 @@ use crate::time::{SimDuration, SimTime};
 
 /// Default capacity of the trace-event ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
-
-/// Number of logarithmic histogram buckets (bucket `i` holds samples with
-/// `floor(log2(ns)) == i-1`; bucket 0 holds zero-duration samples).
-pub const HIST_BUCKETS: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Counter
@@ -77,11 +79,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero (benchmarks reset between phases).
-    pub fn reset(&self) {
-        self.cell.store(0, Ordering::Relaxed);
     }
 }
 
@@ -165,12 +162,6 @@ impl Gauge {
     pub fn high_water(&self) -> u64 {
         self.inner.max.load(Ordering::Relaxed)
     }
-
-    /// Reset value and high-water mark to zero.
-    pub fn reset(&self) {
-        self.inner.value.store(0, Ordering::Relaxed);
-        self.inner.max.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for Gauge {
@@ -180,134 +171,11 @@ impl std::fmt::Debug for Gauge {
 }
 
 // ---------------------------------------------------------------------------
-// Histogram
-
-struct HistogramInner {
-    buckets: [AtomicU64; HIST_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-/// A histogram of virtual-time durations with logarithmic buckets.
-/// Cloning shares the underlying cells (same contract as [`Counter`]).
-#[derive(Clone)]
-pub struct Histogram {
-    inner: Arc<HistogramInner>,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS],
-                count: AtomicU64::new(0),
-                sum_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
-            }),
-        }
-    }
-}
-
-fn bucket_index(ns: u64) -> usize {
-    // 0 → bucket 0; otherwise floor(log2(ns)) + 1, capped at the last bucket.
-    if ns == 0 {
-        0
-    } else {
-        ((64 - ns.leading_zeros()) as usize).min(HIST_BUCKETS - 1)
-    }
-}
-
-impl Histogram {
-    /// A fresh, unregistered histogram (mostly for tests).
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Record one duration sample.
-    #[inline]
-    pub fn record(&self, d: SimDuration) {
-        let ns = d.as_nanos();
-        let h = &*self.inner;
-        h.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        h.count.fetch_add(1, Ordering::Relaxed);
-        h.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        h.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all samples, in nanoseconds.
-    pub fn sum_ns(&self) -> u64 {
-        self.inner.sum_ns.load(Ordering::Relaxed)
-    }
-
-    /// Largest recorded sample, in nanoseconds.
-    pub fn max_ns(&self) -> u64 {
-        self.inner.max_ns.load(Ordering::Relaxed)
-    }
-
-    /// Mean sample duration.
-    pub fn mean(&self) -> SimDuration {
-        match self.sum_ns().checked_div(self.count()) {
-            Some(ns) => SimDuration::from_nanos(ns),
-            None => SimDuration::ZERO,
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile (0.0–1.0).
-    /// Accurate to within the 2× bucket width.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                // Upper edge of bucket i: 2^i - 1 ns (bucket 0 is exactly 0;
-                // the i > 0 branch makes the subtraction exact, never clamped).
-                return if i == 0 { 0 } else { (1u64 << i) - 1 };
-            }
-        }
-        self.max_ns()
-    }
-
-    /// Reset all cells to zero.
-    pub fn reset(&self) {
-        let h = &*self.inner;
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        h.count.store(0, Ordering::Relaxed);
-        h.sum_ns.store(0, Ordering::Relaxed);
-        h.max_ns.store(0, Ordering::Relaxed);
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Histogram(count={}, sum={}ns, max={}ns)",
-            self.count(),
-            self.sum_ns(),
-            self.max_ns()
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
 // PercentileSketch
 
 /// Linear sub-buckets per power-of-two octave in a [`PercentileSketch`]
 /// (`2^SKETCH_SUB_BITS`). Eight sub-buckets bound the relative quantile
-/// error at 1/8 = 12.5%, four times tighter than [`Histogram`]'s 2×.
+/// error at 1/8 = 12.5%.
 pub const SKETCH_SUB_BITS: u32 = 3;
 
 /// Number of linear sub-buckets per octave.
@@ -356,11 +224,13 @@ struct SketchInner {
     max_ns: AtomicU64,
 }
 
-/// A lock-cheap percentile sketch: fixed log-linear buckets (8 linear
-/// sub-buckets per power-of-two octave) holding nanosecond samples, with
-/// relative quantile error ≤ 12.5%. The record path is index arithmetic
-/// plus four relaxed `fetch_add`/`fetch_max` operations — no locks and no
-/// allocation, ever (the `allocation-free-record` lint rule pins this).
+/// The one distribution type (registered by [`Telemetry::histogram`]):
+/// fixed log-linear buckets (8 linear sub-buckets per power-of-two
+/// octave) holding nanosecond samples, with relative quantile error
+/// ≤ 12.5% and exact count, sum and maximum. The record path is index
+/// arithmetic plus four relaxed `fetch_add`/`fetch_max` operations — no
+/// locks and no allocation, ever (the `allocation-free-record` lint rule
+/// pins this).
 /// Cloning shares the underlying cells (same contract as [`Counter`]).
 #[derive(Clone)]
 pub struct PercentileSketch {
@@ -440,17 +310,6 @@ impl PercentileSketch {
         }
         self.max_ns()
     }
-
-    /// Reset all cells to zero.
-    pub fn reset(&self) {
-        let s = &*self.inner;
-        for b in &s.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        s.count.store(0, Ordering::Relaxed);
-        s.sum_ns.store(0, Ordering::Relaxed);
-        s.max_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 impl std::fmt::Debug for PercentileSketch {
@@ -529,8 +388,7 @@ struct Ring {
 struct TelemetryInner {
     counters: Mutex<BTreeMap<(&'static str, String), Counter>>,
     gauges: Mutex<BTreeMap<(&'static str, String), Gauge>>,
-    histograms: Mutex<BTreeMap<(&'static str, String), Histogram>>,
-    sketches: Mutex<BTreeMap<(&'static str, String), PercentileSketch>>,
+    histograms: Mutex<BTreeMap<(&'static str, String), PercentileSketch>>,
     instances: Mutex<BTreeMap<String, u64>>,
     ring: Mutex<Ring>,
     trace_enabled: AtomicBool,
@@ -562,7 +420,6 @@ impl Telemetry {
                 counters: Mutex::new(BTreeMap::new()),
                 gauges: Mutex::new(BTreeMap::new()),
                 histograms: Mutex::new(BTreeMap::new()),
-                sketches: Mutex::new(BTreeMap::new()),
                 instances: Mutex::new(BTreeMap::new()),
                 ring: Mutex::new(Ring {
                     events: VecDeque::new(),
@@ -600,7 +457,7 @@ impl Telemetry {
     }
 
     /// Get or register the histogram `layer`/`name`.
-    pub fn histogram(&self, layer: &'static str, name: impl Into<String>) -> Histogram {
+    pub fn histogram(&self, layer: &'static str, name: impl Into<String>) -> PercentileSketch {
         self.note_resolution();
         self.inner
             .histograms
@@ -610,15 +467,10 @@ impl Telemetry {
             .clone()
     }
 
-    /// Get or register the percentile sketch `layer`/`name`.
+    /// [`Telemetry::histogram`] under the name the repository benchmark's
+    /// probes use.
     pub fn sketch(&self, layer: &'static str, name: impl Into<String>) -> PercentileSketch {
-        self.note_resolution();
-        self.inner
-            .sketches
-            .lock()
-            .entry((layer, name.into()))
-            .or_default()
-            .clone()
+        self.histogram(layer, name)
     }
 
     #[inline]
@@ -735,23 +587,8 @@ impl Telemetry {
                 sum_ns: h.sum_ns(),
                 max_ns: h.max_ns(),
                 p50_ns: h.quantile_ns(0.50),
+                p95_ns: h.quantile_ns(0.95),
                 p99_ns: h.quantile_ns(0.99),
-            })
-            .collect();
-        let sketches = self
-            .inner
-            .sketches
-            .lock()
-            .iter()
-            .map(|((layer, name), s)| SketchSample {
-                layer,
-                name: name.clone(),
-                count: s.count(),
-                sum_ns: s.sum_ns(),
-                max_ns: s.max_ns(),
-                p50_ns: s.quantile_ns(0.50),
-                p95_ns: s.quantile_ns(0.95),
-                p99_ns: s.quantile_ns(0.99),
             })
             .collect();
         let ring = self.inner.ring.lock();
@@ -759,7 +596,6 @@ impl Telemetry {
             counters,
             gauges,
             histograms,
-            sketches,
             events: ring.events.iter().cloned().collect(),
             events_dropped: ring.dropped,
         }
@@ -808,25 +644,6 @@ pub struct HistogramSample {
     pub max_ns: u64,
     /// Median estimate (bucket upper bound, ns).
     pub p50_ns: u64,
-    /// 99th-percentile estimate (bucket upper bound, ns).
-    pub p99_ns: u64,
-}
-
-/// One percentile sketch's summary at snapshot time.
-#[derive(Debug, Clone)]
-pub struct SketchSample {
-    /// Layer the sketch was registered under.
-    pub layer: &'static str,
-    /// Dotted metric name.
-    pub name: String,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples (ns).
-    pub sum_ns: u64,
-    /// Largest sample (ns).
-    pub max_ns: u64,
-    /// Median estimate (bucket upper bound, ns).
-    pub p50_ns: u64,
     /// 95th-percentile estimate (bucket upper bound, ns).
     pub p95_ns: u64,
     /// 99th-percentile estimate (bucket upper bound, ns).
@@ -842,10 +659,6 @@ pub struct Snapshot {
     pub gauges: Vec<GaugeSample>,
     /// All histograms, sorted by (layer, name).
     pub histograms: Vec<HistogramSample>,
-    /// All percentile sketches, sorted by (layer, name). Empty in every
-    /// scenario that registers none, which keeps pre-fleet report JSON
-    /// byte-identical (the field is omitted from output when empty).
-    pub sketches: Vec<SketchSample>,
     /// Trace events, oldest first (empty unless tracing was enabled).
     pub events: Vec<TraceEvent>,
     /// Events evicted from the ring due to capacity.
@@ -871,11 +684,11 @@ impl Snapshot {
             .sum()
     }
 
-    /// Sample summary of sketch `layer`/`name`, if registered.
-    pub fn sketch(&self, layer: &str, name: &str) -> Option<&SketchSample> {
-        self.sketches
+    /// Sample summary of histogram `layer`/`name`, if registered.
+    pub fn histogram(&self, layer: &str, name: &str) -> Option<&HistogramSample> {
+        self.histograms
             .iter()
-            .find(|s| s.layer == layer && s.name == name)
+            .find(|h| h.layer == layer && h.name == name)
     }
 
     /// High-water mark of gauge `layer`/`name`, or 0 if absent (test
@@ -902,6 +715,7 @@ impl Snapshot {
                     ("sum_ns", JsonValue::Uint(h.sum_ns)),
                     ("max_ns", JsonValue::Uint(h.max_ns)),
                     ("p50_ns", JsonValue::Uint(h.p50_ns)),
+                    ("p95_ns", JsonValue::Uint(h.p95_ns)),
                     ("p99_ns", JsonValue::Uint(h.p99_ns)),
                 ]),
             ));
@@ -921,23 +735,6 @@ impl Snapshot {
             ("gauges".to_string(), JsonValue::Object(gauges)),
             ("histograms".to_string(), JsonValue::Object(histograms)),
         ];
-        if !self.sketches.is_empty() {
-            let mut sketches = Vec::new();
-            for s in &self.sketches {
-                sketches.push((
-                    format!("{}.{}", s.layer, s.name),
-                    JsonValue::object([
-                        ("count", JsonValue::Uint(s.count)),
-                        ("sum_ns", JsonValue::Uint(s.sum_ns)),
-                        ("max_ns", JsonValue::Uint(s.max_ns)),
-                        ("p50_ns", JsonValue::Uint(s.p50_ns)),
-                        ("p95_ns", JsonValue::Uint(s.p95_ns)),
-                        ("p99_ns", JsonValue::Uint(s.p99_ns)),
-                    ]),
-                ));
-            }
-            fields.push(("sketches".to_string(), JsonValue::Object(sketches)));
-        }
         if !self.events.is_empty() || self.events_dropped > 0 {
             fields.push((
                 "events_dropped".to_string(),
@@ -1168,8 +965,6 @@ mod tests {
         );
         let json = snap.to_json().to_string();
         assert!(json.contains("\"high_water\": 4"));
-        g.reset();
-        assert_eq!(g.high_water(), 0);
     }
 
     #[test]
@@ -1192,34 +987,20 @@ mod tests {
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let h = Histogram::new();
+        let h = Telemetry::new().histogram("rpc", "client.nfs3.proc6");
         assert_eq!(h.quantile_ns(0.5), 0);
         for us in [1u64, 2, 4, 100, 100, 100, 10_000] {
             h.record(SimDuration::from_micros(us));
         }
         assert_eq!(h.count(), 7);
+        assert_eq!(h.sum_ns(), 10_307_000);
         assert_eq!(h.max_ns(), 10_000_000);
-        // Median sample is 100µs; the bucket upper bound holding it must
-        // be within [100µs, 200µs).
+        // Median sample is 100µs; the bucket upper bound holding it is
+        // within 12.5% above it.
         let p50 = h.quantile_ns(0.5);
-        assert!((100_000..200_000).contains(&p50), "p50={p50}");
-        assert!(h.quantile_ns(1.0) >= 8_000_000);
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum_ns(), 0);
-    }
-
-    #[test]
-    fn bucket_index_is_monotonic() {
-        let mut last = 0;
-        for ns in [0u64, 1, 2, 3, 4, 1023, 1024, u64::MAX] {
-            let b = bucket_index(ns);
-            assert!(b >= last);
-            last = b;
-        }
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 1);
-        assert_eq!(bucket_index(u64::MAX), HIST_BUCKETS - 1);
+        assert!((100_000..=112_500).contains(&p50), "p50={p50}");
+        // The top quantile is clamped to the observed maximum.
+        assert_eq!(h.quantile_ns(1.0), 10_000_000);
     }
 
     #[test]
@@ -1259,33 +1040,58 @@ mod tests {
 
     #[test]
     fn sketch_quantiles_are_within_the_advertised_error() {
-        let s = PercentileSketch::new();
-        assert_eq!(s.quantile_ns(0.99), 0);
-        // 1000 samples: 1µs, 2µs, …, 1000µs. True p50 = 500µs,
-        // p95 = 950µs, p99 = 990µs; each estimate must be within 12.5%.
-        for us in 1..=1000u64 {
-            s.record(SimDuration::from_micros(us));
+        // Each estimate is the upper bound of the bucket holding the
+        // rank-`ceil(q·n)` sample: never below it, at most 12.5% above.
+        fn check(samples: &mut [u64]) {
+            let s = PercentileSketch::new();
+            assert_eq!(s.quantile_ns(0.99), 0);
+            for &ns in samples.iter() {
+                s.record_ns(ns);
+            }
+            samples.sort_unstable();
+            assert_eq!(s.count(), samples.len() as u64);
+            assert_eq!(s.sum_ns(), samples.iter().sum::<u64>());
+            assert_eq!(s.max_ns(), *samples.last().unwrap());
+            for q in [0.01, 0.25, 0.50, 0.90, 0.95, 0.99, 0.999, 1.0] {
+                let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+                let truth = samples[rank - 1] as f64;
+                let est = s.quantile_ns(q) as f64;
+                let rel = (est - truth) / truth;
+                assert!(
+                    (0.0..=0.125).contains(&rel),
+                    "q={q}: est={est} truth={truth} rel={rel}"
+                );
+            }
         }
-        assert_eq!(s.count(), 1000);
-        assert_eq!(s.max_ns(), 1_000_000);
-        for (q, truth) in [(0.50, 500_000.0), (0.95, 950_000.0), (0.99, 990_000.0)] {
-            let est = s.quantile_ns(q) as f64;
-            let rel = (est - truth).abs() / truth;
-            assert!(rel <= 0.125, "q={q}: est={est} truth={truth} rel={rel}");
+        // 1000 samples: 1µs, 2µs, …, 1000µs.
+        check(&mut (1..=1000u64).map(|us| us * 1_000).collect::<Vec<_>>());
+        // An RPC-latency-like mix over five decades: LAN round trips of
+        // 20–500µs, WAN round trips of 34–120ms, and multi-second
+        // windowed transfers in the tail.
+        let mut x = 7u64;
+        let mut mix = Vec::new();
+        for i in 0..20_000u64 {
+            x = crate::fault::splitmix64(x);
+            let (lo, hi) = match i % 20 {
+                0 => (500_000_000, 5_000_000_000),
+                1..=5 => (34_000_000, 120_000_000),
+                _ => (20_000, 500_000),
+            };
+            mix.push(lo + x % (hi - lo));
         }
-        s.reset();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.quantile_ns(0.5), 0);
+        check(&mut mix);
     }
 
     #[test]
-    fn sketches_are_shared_by_name_and_snapshot_conditionally() {
+    fn histograms_are_shared_by_name_and_always_snapshot() {
         let t = Telemetry::new();
-        // No sketches registered → no "sketches" key in the JSON, so all
-        // pre-fleet report files stay byte-identical.
-        assert!(!t.snapshot().to_json().to_string().contains("sketches"));
+        // An empty registry still renders every section: a report's keys
+        // never depend on what happened to be recorded.
+        let empty = t.snapshot().to_json().to_string();
+        assert!(empty.contains("\"histograms\": {}"), "{empty}");
+        assert!(!empty.contains("sketches"));
 
-        let a = t.sketch("fleet", "clone.latency");
+        let a = t.histogram("fleet", "clone.latency");
         let b = t.sketch("fleet", "clone.latency");
         a.record(SimDuration::from_millis(5));
         b.record(SimDuration::from_millis(7));
@@ -1297,9 +1103,14 @@ mod tests {
         // locks.
         assert_eq!(t.debug_resolutions(), resolutions_before);
         let snap = t.snapshot();
-        let s = snap.sketch("fleet", "clone.latency").expect("registered");
-        assert_eq!(s.count, 1002);
-        assert!(snap.to_json().to_string().contains("\"sketches\""));
+        let h = snap
+            .histogram("fleet", "clone.latency")
+            .expect("registered");
+        assert_eq!(h.count, 1002);
+        assert_eq!(h.max_ns, 7_000_000);
+        let json = snap.to_json().to_string();
+        assert!(json.contains("\"fleet.clone.latency\": {"), "{json}");
+        assert!(json.contains("\"p95_ns\""));
     }
 
     #[test]

@@ -8,13 +8,13 @@ pub struct Sketch {
     sum_ns: AtomicU64,
 }
 
-fn bucket_index(ns: u64) -> usize {
+fn sketch_index(ns: u64) -> usize {
     (64 - ns.leading_zeros() as usize).min(63)
 }
 
 impl Sketch {
     pub fn record_ns(&self, ns: u64) {
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
+        self.buckets[sketch_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_ns.fetch_add(ns, Ordering::Relaxed);
     }

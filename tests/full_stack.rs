@@ -81,7 +81,7 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
         )
         .unwrap();
         let fh = kc.lookup_path(&env, "postboot.vmss").unwrap();
-        srv.reset_stats();
+        let reads_before = srv.stats().reads;
         // Read the entire memory state, like a VMM resume.
         let mut off = 0u64;
         while off < 64 << 20 {
@@ -104,13 +104,14 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
         // 32 KB blocks), plus the proxy's own read-ahead fetches —
         // exact accounting, no unexplained upstream traffic.
         let bc_hits = proxy.block_cache().unwrap().stats().hits;
+        let upstream_reads = srv.stats().reads - reads_before;
         assert_eq!(
-            srv.stats().reads + bc_hits,
+            upstream_reads + bc_hits,
             total_reads - st.zero_filtered + st.prefetch_issued
         );
         // Sub-block serving must make the cache a net win even here:
         // upstream reads stay below the non-zero remainder.
-        assert!(srv.stats().reads <= total_reads - st.zero_filtered);
+        assert!(upstream_reads <= total_reads - st.zero_filtered);
     });
     sim.run();
 }
@@ -140,7 +141,7 @@ fn pipelined_readahead_never_duplicates_upstream_reads() {
         let nfs = Nfs3Client::new(session.rpc());
         let kc = KernelClient::mount(&env, nfs, "/exports", KernelConfig::default()).unwrap();
         let fh = kc.lookup_path(&env, "stream.bin").unwrap();
-        srv.reset_stats();
+        let reads_before = srv.stats().reads;
         let data = kc.read(&env, fh, 0, file_bytes as u32).unwrap();
         assert_eq!(data.len() as u64, file_bytes);
         let st = proxy.stats();
@@ -149,11 +150,10 @@ fn pipelined_readahead_never_duplicates_upstream_reads() {
         // Every block crosses the WAN at most once (the read-ahead tail
         // may speculate a few junk blocks past the end of the stream).
         let tail = gvfs::TransferTuning::default().read_ahead as u64;
+        let upstream_reads = srv.stats().reads - reads_before;
         assert!(
-            srv.stats().reads <= blocks + tail,
-            "{} upstream reads for {} blocks: demand and prefetch overlap",
-            srv.stats().reads,
-            blocks
+            upstream_reads <= blocks + tail,
+            "{upstream_reads} upstream reads for {blocks} blocks: demand and prefetch overlap"
         );
         // And the read-ahead engine actually participated.
         assert!(st.prefetch_issued > 0 && st.prefetch_hits > 0);
