@@ -50,8 +50,12 @@ pub struct Ablation {
 
 /// Run the ablation. `gate` sees each probe's saving in percent (on
 /// against off) and says whether the binary's own bar holds; a failed
-/// gate or a baseline mismatch exits nonzero.
-pub fn run(ab: &Ablation, gate: impl FnOnce(&[(&'static str, f64)]) -> bool) {
+/// gate or a baseline mismatch exits nonzero, and a report that could not
+/// be written comes back as the error, after both checks have run.
+pub fn run(
+    ab: &Ablation,
+    gate: impl FnOnce(&[(&'static str, f64)]) -> bool,
+) -> std::io::Result<()> {
     let cli = BenchCli::parse(ab.name);
     println!("{}\n", ab.banner);
     let (unit, measure) = ab.measure;
@@ -102,18 +106,17 @@ pub fn run(ab: &Ablation, gate: impl FnOnce(&[(&'static str, f64)]) -> bool) {
     header.extend(ab.extra.iter().map(|(title, _)| title.to_string()));
     let header: Vec<&str> = header.iter().map(String::as_str).collect();
     println!("{}", render_table(&header, &rows));
-    if let Some(path) = &cli.json_path {
-        write_report(path, ab.name, scenarios);
-    }
+    let written = match &cli.json_path {
+        Some(path) => write_report(path, ab.name, scenarios),
+        None => Ok(()),
+    };
 
     let baseline = format!("reports/{}_off_baseline.txt", ab.knob);
     if cli.write_baseline {
-        if let Some(parent) = std::path::Path::new(&baseline).parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        std::fs::write(&baseline, &rendered).expect("write baseline");
+        std::fs::create_dir_all("reports")?;
+        std::fs::write(&baseline, &rendered)?;
         println!("baseline: wrote {baseline}");
-        return;
+        return written;
     }
     let mut ok = gate(&savings);
     let off = ab.off;
@@ -139,4 +142,5 @@ pub fn run(ab: &Ablation, gate: impl FnOnce(&[(&'static str, f64)]) -> bool) {
     if !ok {
         std::process::exit(1);
     }
+    written
 }

@@ -101,7 +101,7 @@ fn zero_filter_counts(
     (reads, filtered, end.as_secs_f64(), h.telemetry().snapshot())
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("ablations");
     let mut scenarios = Vec::new();
     println!("== Ablation 1: write-back vs write-through (SPECseis phase 1, WAN+C) ==");
@@ -181,6 +181,7 @@ fn main() {
         filtered as f64 / reads as f64 * 100.0
     );
     if let Some(path) = &cli.json_path {
-        write_report(path, "ablations", scenarios);
+        write_report(path, "ablations", scenarios)?;
     }
+    Ok(())
 }

@@ -87,7 +87,7 @@ fn warm_site_bar(savings: &[(&'static str, f64)]) -> bool {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let ablation = Ablation {
         name: "cow_ablation",
         banner: "CoW ablation: copy-on-write reference cloning on/off (dedup on in both lanes)",
@@ -107,5 +107,5 @@ fn main() {
             }),
         ],
     };
-    run(&ablation, warm_site_bar);
+    run(&ablation, warm_site_bar)
 }

@@ -49,7 +49,7 @@ fn params(p: &Probe, on: bool) -> CloneParams {
     }
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let ablation = Ablation {
         name: "dedup_ablation",
         banner: "Dedup ablation: content-addressed redundancy elimination on/off",
@@ -68,5 +68,5 @@ fn main() {
             }),
         ],
     };
-    run(&ablation, |_| true);
+    run(&ablation, |_| true)
 }

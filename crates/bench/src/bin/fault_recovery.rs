@@ -54,7 +54,7 @@ fn recovery_counters(snap: &Snapshot) -> Vec<(&'static str, u64)> {
     ]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("fault_recovery");
     let wl = generate(&LatexParams::default());
     println!("Failure domain: LaTeX WAN+C under loss, outage, and server restart\n");
@@ -204,7 +204,7 @@ fn main() {
                 ),
                 recovery,
             ],
-        );
+        )?;
     }
 
     // Hard acceptance checks (the CI fault job runs this binary).
@@ -214,4 +214,5 @@ fn main() {
         "fault injection was not actually exercised"
     );
     println!("\nOK: zero lost bytes under loss + outage + restart");
+    Ok(())
 }

@@ -8,7 +8,7 @@ use gvfs_bench::report::{mmss, render_table, scenario_report, write_report, Benc
 use gvfs_bench::{run_app_scenario, AppParams, AppScenario};
 use workloads::specseis::{generate, SpecseisParams};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("fig3_specseis");
     let params = AppParams {
         trace: cli.trace,
@@ -37,7 +37,7 @@ fn main() {
         per_scn.push((scn, run.clone()));
     }
     if let Some(path) = &cli.json_path {
-        write_report(path, "fig3_specseis", scenarios);
+        write_report(path, "fig3_specseis", scenarios)?;
     }
     println!(
         "{}",
@@ -74,4 +74,5 @@ fn main() {
         "  WAN+C total vs Local            (overhead)      {:.1}%",
         (wanc.total / local.total - 1.0) * 100.0
     );
+    Ok(())
 }

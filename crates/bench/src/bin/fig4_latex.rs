@@ -9,7 +9,7 @@ use simnet::SimDuration;
 use workloads::latex::{generate, LatexParams};
 use workloads::scp::ScpModel;
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("fig4_latex");
     let params = AppParams {
         trace: cli.trace,
@@ -45,7 +45,7 @@ fn main() {
         }
     }
     if let Some(path) = &cli.json_path {
-        write_report(path, "fig4_latex", scenarios);
+        write_report(path, "fig4_latex", scenarios)?;
     }
     println!(
         "{}",
@@ -99,4 +99,5 @@ fn main() {
         "  full-state upload    paper 4633s  estimated {:.0}s",
         ul.as_secs_f64()
     );
+    Ok(())
 }

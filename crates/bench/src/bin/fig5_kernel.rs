@@ -8,7 +8,7 @@ use gvfs_bench::report::{hmm, render_table, scenario_report, write_report, Bench
 use gvfs_bench::{run_app_scenario, AppParams, AppScenario};
 use workloads::kernel::{generate, KernelParams};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("fig5_kernel");
     let params = AppParams {
         trace: cli.trace,
@@ -27,7 +27,7 @@ fn main() {
             .iter()
             .map(|(scn, res)| scenario_report(scn.label(), res.total_virtual_secs, &res.snapshot))
             .collect();
-        write_report(path, "fig5_kernel", scenarios);
+        write_report(path, "fig5_kernel", scenarios)?;
     }
 
     for run_idx in 0..2 {
@@ -81,4 +81,5 @@ fn main() {
     println!("  run 2: WAN+C vs Local   paper +9%    measured {r2_local:+.0}%");
     println!("  run 2: WAN+C vs LAN     paper <+4%   measured {r2_lan:+.1}%");
     println!("  run 2: WAN+C vs WAN     paper >30% faster   measured {r2_wan:.0}% faster");
+    Ok(())
 }

@@ -10,7 +10,7 @@ use gvfs::{CowTuning, DedupTuning};
 use gvfs_bench::report::{render_table, scenario_report, write_report, BenchCli};
 use gvfs_bench::{pure_nfs_clone_secs, run_cloning, scp_baseline_secs, CloneParams, CloneScenario};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("fig6_cloning");
     let params = CloneParams {
         trace: cli.trace,
@@ -58,7 +58,7 @@ fn main() {
             .iter()
             .map(|res| scenario_report(&res.scenario, res.total_virtual_secs, &res.snapshot))
             .collect();
-        write_report(path, "fig6_cloning", scenarios);
+        write_report(path, "fig6_cloning", scenarios)?;
     }
 
     let s1 = keyed.iter().find(|r| r.scenario == "WAN-S1").unwrap();
@@ -102,4 +102,5 @@ fn main() {
             ]],
         )
     );
+    Ok(())
 }

@@ -10,16 +10,11 @@
 //! ```text
 //! cargo run -p gvfs-bench --release --bin fleet              # 512 clones, 4 sites
 //! cargo run -p gvfs-bench --release --bin fleet -- --smoke   # 64 clones, 2 sites
-//! cargo run -p gvfs-bench --release --bin fleet -- --bench   # wall-clock harness
 //! ```
 //!
 //! The default run writes `reports/fleet.json`; the report is a pure
 //! function of the seeds, so CI replays it and compares bytes (including
-//! under `--sched-chaos`). `--bench` instead measures host throughput
-//! (a 1000-process engine churn, a smoke fleet run, and the 10,240-clone
-//! `fleet_10k` scenario) and appends to the committed `BENCH_fleet.json`
-//! trajectory (schema `gvfs.fleet-perf.v1`, checked by `perf
-//! --validate`); it requires an explicit per-PR `--label`.
+//! under `--sched-chaos`).
 //!
 //! `--ten-k` runs the diurnal 10,240-clone / 16-site / 4-region fleet
 //! twice — digest gossip on and off — writes `reports/fleet10k.json`,
@@ -27,14 +22,12 @@
 //! must cut cold-region WAN-down bytes by at least 40%, and each lane
 //! must finish inside the printed wall-clock budget.
 
+use std::path::Path;
+
 use gvfs::{CowTuning, DedupTuning, FleetTuning};
 use gvfs_bench::fleet::{run_fleet, ArrivalMode, FleetParams, FleetResult};
-use gvfs_bench::perfjson::{
-    append_trajectory, check_label, get, measure, rpc_roundtrips, sim_bytes, wall_time, Measure,
-    FLEET_SCHEMA,
-};
-use gvfs_bench::report::{render_table, scenario_report, write_report};
-use simnet::{Env, JsonValue, SimDuration, Simulation};
+use gvfs_bench::perfjson::wall_time;
+use gvfs_bench::report::{render_table, write_report};
 
 struct Cli {
     smoke: bool,
@@ -43,10 +36,6 @@ struct Cli {
     seed: Option<u64>,
     rate: Option<f64>,
     clones: Option<usize>,
-    bench: bool,
-    bench_json: String,
-    runs: usize,
-    label: Option<String>,
     ten_k: bool,
 }
 
@@ -55,7 +44,7 @@ fn usage(err: &str) -> ! {
         eprintln!("fleet: {err}");
     }
     eprintln!(
-        "usage: fleet [--smoke] [--json PATH] [--no-json] [--trace] [--seed N] [--rate R]\n             [--clones N] [--sched-chaos SEED]\n       fleet --ten-k [--clones N] [--seed N] [--json PATH] [--no-json]\n       fleet --bench --label NAME [--runs N] [--bench-json PATH]"
+        "usage: fleet [--smoke] [--json PATH] [--no-json] [--trace] [--seed N] [--rate R]\n             [--clones N] [--sched-chaos SEED]\n       fleet --ten-k [--clones N] [--seed N] [--json PATH] [--no-json]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -68,10 +57,6 @@ fn parse_cli() -> Cli {
         seed: None,
         rate: None,
         clones: None,
-        bench: false,
-        bench_json: "BENCH_fleet.json".to_string(),
-        runs: 2,
-        label: None,
         ten_k: false,
     };
     let mut args = std::env::args().skip(1);
@@ -80,18 +65,12 @@ fn parse_cli() -> Cli {
             "--smoke" => cli.smoke = true,
             "--trace" => cli.trace = true,
             "--no-json" => cli.json_path = None,
-            "--bench" => cli.bench = true,
             "--ten-k" => cli.ten_k = true,
             "--json" => {
                 cli.json_path = Some(
                     args.next()
                         .unwrap_or_else(|| usage("--json requires a path")),
                 )
-            }
-            "--bench-json" => {
-                cli.bench_json = args
-                    .next()
-                    .unwrap_or_else(|| usage("--bench-json requires a path"))
             }
             "--seed" => {
                 cli.seed = Some(
@@ -114,18 +93,6 @@ fn parse_cli() -> Cli {
                         .unwrap_or_else(|| usage("--clones requires a positive integer")),
                 )
             }
-            "--runs" => {
-                cli.runs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--runs requires a positive integer"))
-            }
-            "--label" => {
-                cli.label = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--label requires a value")),
-                )
-            }
             "--sched-chaos" => {
                 let seed: u64 = args
                     .next()
@@ -144,157 +111,6 @@ fn parse_cli() -> Cli {
     cli
 }
 
-/// The scenario's report slice: the standard snapshot-derived body plus
-/// a `fleet` object with the latency percentiles and fleet telemetry and
-/// a `wan` object with the absolute byte counts the `--ten-k` gossip gate
-/// is computed from.
-fn fleet_json(label: &str, r: &FleetResult, sites: usize) -> JsonValue {
-    let base = scenario_report(label, r.total_virtual_secs, &r.snapshot);
-    let JsonValue::Object(mut fields) = base else {
-        unreachable!("scenario_report returns an object");
-    };
-    fields.push((
-        "fleet".to_string(),
-        JsonValue::object([
-            ("clones", JsonValue::Uint(r.latency.count)),
-            ("p50_secs", JsonValue::Float(r.latency.p50_secs)),
-            ("p95_secs", JsonValue::Float(r.latency.p95_secs)),
-            ("p99_secs", JsonValue::Float(r.latency.p99_secs)),
-            ("mean_secs", JsonValue::Float(r.latency.mean_secs)),
-            ("max_secs", JsonValue::Float(r.latency.max_secs)),
-            (
-                "shard_queue_high_water",
-                JsonValue::Array(
-                    r.shard_queue_high_water
-                        .iter()
-                        .map(|w| JsonValue::Uint(*w))
-                        .collect(),
-                ),
-            ),
-            (
-                "wan_down_utilization",
-                JsonValue::Float(r.wan_down_utilization),
-            ),
-            ("wan_up_utilization", JsonValue::Float(r.wan_up_utilization)),
-            ("batches", JsonValue::Uint(r.batches)),
-            ("batched_items", JsonValue::Uint(r.batched_items)),
-        ]),
-    ));
-    fields.push((
-        "wan".to_string(),
-        JsonValue::object([
-            ("down_bytes", JsonValue::Uint(r.wan_down_bytes)),
-            (
-                "down_bytes_per_site",
-                JsonValue::Uint(r.wan_down_bytes / sites.max(1) as u64),
-            ),
-            ("gossip_peer_hits", JsonValue::Uint(r.gossip_peer_hits)),
-            ("gossip_peer_bytes", JsonValue::Uint(r.gossip_peer_bytes)),
-        ]),
-    ));
-    JsonValue::Object(fields)
-}
-
-/// 1000 concurrent processes of pure engine churn: the fleet-scale
-/// scheduler-throughput floor (the PR 6 fig6 events/sec number is the
-/// regression bar).
-fn churn_1000() -> Measure {
-    let sim = Simulation::new();
-    let h = sim.handle();
-    for p in 0..1000u64 {
-        sim.spawn(format!("churn{p}"), move |env: Env| {
-            let mut s = p + 1;
-            for _ in 0..1_000 {
-                s = simnet::splitmix64(s);
-                env.sleep(SimDuration::from_micros(1 + s % 128));
-                env.yield_now();
-            }
-        });
-    }
-    let end = sim.run();
-    Measure {
-        events: h.events_processed(),
-        rpc_roundtrips: 0,
-        sim_bytes: 0,
-        virtual_secs: end.as_secs_f64(),
-        procs: h.processes_spawned(),
-    }
-}
-
-fn fleet_smoke() -> Measure {
-    let r = run_fleet(&FleetParams::smoke());
-    Measure {
-        events: r.events_processed,
-        rpc_roundtrips: rpc_roundtrips(&r.snapshot),
-        sim_bytes: sim_bytes(&r.snapshot),
-        virtual_secs: r.total_virtual_secs,
-        procs: r.processes_spawned,
-    }
-}
-
-/// The full 10,240-clone diurnal fleet with gossip on — the scenario the
-/// `--ten-k` report mode gates on, measured here for the trajectory.
-/// Single run: one lane takes minutes of wall time, and the report is a
-/// pure function of the seed anyway.
-fn fleet_10k() -> Measure {
-    let r = run_fleet(&FleetParams::ten_k());
-    Measure {
-        events: r.events_processed,
-        rpc_roundtrips: rpc_roundtrips(&r.snapshot),
-        sim_bytes: sim_bytes(&r.snapshot),
-        virtual_secs: r.total_virtual_secs,
-        procs: r.processes_spawned,
-    }
-}
-
-fn run_bench(cli: &Cli) {
-    if cli.runs == 0 {
-        usage("--runs must be >= 1");
-    }
-    // Trajectory hygiene: entries carry a per-PR label ("pr8-batched",
-    // "pr10-wheel", ...) so the history reads as a sequence of changes;
-    // `perf --validate` rejects "dev" and duplicates, so check the label
-    // up front rather than measure an entry that fails validation.
-    let label = cli.label.clone().unwrap_or_else(|| {
-        usage("--bench requires --label NAME (a per-PR label like \"pr10-wheel\")")
-    });
-    if let Err(e) = check_label(&cli.bench_json, &label) {
-        usage(&format!("--label: {e}"));
-    }
-    let scenarios = vec![
-        measure("churn_1000", cli.runs, churn_1000),
-        measure("fleet_smoke", cli.runs, fleet_smoke),
-        // fleet_10k is an *extra* scenario (not in FLEET_SCENARIOS), so
-        // entries from before this scenario existed still validate.
-        measure("fleet_10k", 1, fleet_10k),
-    ];
-    for s in &scenarios {
-        let name = match get(s, "name") {
-            Some(JsonValue::Str(n)) => n.clone(),
-            _ => unreachable!("scenario entries always carry a name"),
-        };
-        let num = |k: &str| {
-            get(s, k)
-                .and_then(gvfs_bench::perfjson::as_number)
-                .unwrap_or(0.0)
-        };
-        println!(
-            "{:<12} {:>10.3}s wall {:>14.0} events/sec {:>16.0} sim bytes/sec",
-            name,
-            num("wall_secs_median"),
-            num("events_per_sec"),
-            num("sim_bytes_per_sec")
-        );
-    }
-    let entry = JsonValue::object([
-        ("label", JsonValue::Str(label)),
-        ("mode", JsonValue::Str("bench".to_string())),
-        ("runs", JsonValue::Uint(cli.runs as u64)),
-        ("scenarios", JsonValue::Array(scenarios)),
-    ]);
-    append_trajectory(&cli.bench_json, FLEET_SCHEMA, entry);
-}
-
 /// Wall-clock budget for one 10,240-clone lane on the CI host. The
 /// budget is part of the scenario's contract — a run that no longer
 /// fits means the engine or the fleet wiring regressed — and is printed
@@ -311,7 +127,7 @@ const TEN_K_WAN_REDUCTION_PCT: f64 = 40.0;
 /// The 10,240-clone scenario: gossip-off ablation and gossip-on lane on
 /// the identical diurnal arrival schedule, gated on WAN reduction and
 /// wall-clock budget.
-fn run_ten_k(cli: &Cli) {
+fn run_ten_k(cli: &Cli) -> std::io::Result<()> {
     let mut base = FleetParams::ten_k();
     if let Some(seed) = cli.seed {
         base.seed = seed;
@@ -359,7 +175,7 @@ fn run_ten_k(cli: &Cli) {
             format!("{}", r.gossip_peer_hits),
             format!("{:.1}s", wall),
         ]);
-        report.push(fleet_json(label, &r, params.sites));
+        report.push(r.report(label));
         results.push((label, r, wall));
     }
 
@@ -415,27 +231,23 @@ fn run_ten_k(cli: &Cli) {
     }
 
     if let Some(path) = &cli.json_path {
-        write_report(std::path::Path::new(path), "fleet10k", report);
+        write_report(Path::new(path), "fleet10k", report)?;
     }
     if failed {
         std::process::exit(1);
     }
+    Ok(())
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut cli = parse_cli();
-    if cli.bench {
-        run_bench(&cli);
-        return;
-    }
     if cli.ten_k {
         // The ten-k report gets its own file unless --json overrode the
         // default, so the 512-clone report CI byte-compares is untouched.
         if cli.json_path.as_deref() == Some("reports/fleet.json") {
             cli.json_path = Some("reports/fleet10k.json".to_string());
         }
-        run_ten_k(&cli);
-        return;
+        return run_ten_k(&cli);
     }
 
     let mut base = if cli.smoke {
@@ -542,7 +354,7 @@ fn main() {
             format!("{}", r.shard_queue_high_water.iter().max().unwrap_or(&0)),
             format!("{}", r.batches),
         ]);
-        report.push(fleet_json(label, &r, base.sites));
+        report.push(r.report(label));
         results.push((label, r));
     }
 
@@ -614,9 +426,10 @@ fn main() {
     }
 
     if let Some(path) = &cli.json_path {
-        write_report(std::path::Path::new(path), "fleet", report);
+        write_report(Path::new(path), "fleet", report)?;
     }
     if ablation_failed {
         std::process::exit(1);
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use gvfs::{CowTuning, DedupTuning};
 use gvfs_bench::report::{render_table, scenario_report, write_report, BenchCli};
 use gvfs_bench::{run_parallel_cloning, run_sequential_for_table1, CloneParams};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let cli = BenchCli::parse("table1_parallel");
     let params = CloneParams {
         trace: cli.trace,
@@ -43,7 +43,7 @@ fn main() {
                 scenario_report("sequential (WAN-S1)", seq.total_virtual_secs, &seq.snapshot),
                 scenario_report("parallel (WAN-P)", par.total_virtual_secs, &par.snapshot),
             ],
-        );
+        )?;
     }
 
     println!(
@@ -74,4 +74,5 @@ fn main() {
         "  warm speedup   paper 200/32    = 6.3x   measured {:.1}x",
         seq.warm_secs / par.warm_secs
     );
+    Ok(())
 }

@@ -23,10 +23,11 @@ use std::sync::Arc;
 use gvfs::{CowTuning, DedupTuning, FleetTuning, ImageServer, Listen, Middleware, Tier};
 use nfs3::KernelConfig;
 use oncrpc::RpcClient;
-use simnet::{ArrivalProcess, Env, Gauge, Link, SimDuration, Simulation, Snapshot};
+use simnet::{ArrivalProcess, Env, Gauge, JsonValue, Link, SimDuration, Simulation, Snapshot};
 use vmm::{clone_vm, CloneConfig, ClonePopulation, GuestOp};
 
 use crate::cloning::{build_compute_host, install_goldens, CloneParams};
+use crate::report::scenario_report;
 use crate::scenarios::NetParams;
 
 /// How the clone requests arrive.
@@ -314,6 +315,60 @@ pub struct FleetResult {
     pub events_processed: u64,
     /// Processes spawned end-to-end.
     pub processes_spawned: u64,
+}
+
+impl FleetResult {
+    /// The run's slice of a `fleet` report, under `label`: the standard
+    /// snapshot-derived body plus a `fleet` object with the latency
+    /// percentiles and fleet telemetry and a `wan` object with the
+    /// absolute byte counts the `--ten-k` gossip gate is computed from.
+    pub fn report(&self, label: &str) -> JsonValue {
+        let sites = self.shard_queue_high_water.len();
+        let mut body = scenario_report(label, self.total_virtual_secs, &self.snapshot);
+        body.push_field(
+            "fleet",
+            JsonValue::object([
+                ("clones", JsonValue::Uint(self.latency.count)),
+                ("p50_secs", JsonValue::Float(self.latency.p50_secs)),
+                ("p95_secs", JsonValue::Float(self.latency.p95_secs)),
+                ("p99_secs", JsonValue::Float(self.latency.p99_secs)),
+                ("mean_secs", JsonValue::Float(self.latency.mean_secs)),
+                ("max_secs", JsonValue::Float(self.latency.max_secs)),
+                (
+                    "shard_queue_high_water",
+                    JsonValue::Array(
+                        self.shard_queue_high_water
+                            .iter()
+                            .map(|w| JsonValue::Uint(*w))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "wan_down_utilization",
+                    JsonValue::Float(self.wan_down_utilization),
+                ),
+                (
+                    "wan_up_utilization",
+                    JsonValue::Float(self.wan_up_utilization),
+                ),
+                ("batches", JsonValue::Uint(self.batches)),
+                ("batched_items", JsonValue::Uint(self.batched_items)),
+            ]),
+        );
+        body.push_field(
+            "wan",
+            JsonValue::object([
+                ("down_bytes", JsonValue::Uint(self.wan_down_bytes)),
+                (
+                    "down_bytes_per_site",
+                    JsonValue::Uint(self.wan_down_bytes / sites.max(1) as u64),
+                ),
+                ("gossip_peer_hits", JsonValue::Uint(self.gossip_peer_hits)),
+                ("gossip_peer_bytes", JsonValue::Uint(self.gossip_peer_bytes)),
+            ]),
+        );
+        body
+    }
 }
 
 /// Run one fleet scenario. Everything — arrivals, assignment, data path,

@@ -17,7 +17,9 @@
 //! The library half holds the scenarios ([`scenarios`], [`cloning`],
 //! [`fleet`]: parameters, topology and drivers — the server machine and
 //! every proxy tier are started by `gvfs::session`), the on/off ablation driver ([`ablation`])
-//! and report formatting ([`report`]).
+//! and report formatting ([`report`]); [`perfjson`] holds what the
+//! repository benchmark (`benchmark/`, the one wall-clock harness)
+//! imports from here.
 
 #![warn(missing_docs)]
 

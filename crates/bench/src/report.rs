@@ -2,7 +2,7 @@
 //! paper's reference numbers for side-by-side comparison — and the JSON
 //! report emitted by every binary from the telemetry registry.
 
-use std::io::Write;
+use std::io;
 use std::path::{Path, PathBuf};
 
 use simnet::{JsonValue, Snapshot};
@@ -214,21 +214,29 @@ pub fn scenario_report(label: &str, total_virtual_secs: f64, snap: &Snapshot) ->
 }
 
 /// Write `{benchmark, scenarios}` to `path` (creating parent
-/// directories), and say where it went on stderr.
-pub fn write_report(path: &Path, benchmark: &str, scenarios: Vec<JsonValue>) {
+/// directories), and say where it went on stderr. A report that could
+/// not be written is an error the binary must exit nonzero on: CI
+/// regenerates every committed report and diffs it, so a silently
+/// skipped write would leave the stale file looking current.
+pub fn write_report(path: &Path, benchmark: &str, scenarios: Vec<JsonValue>) -> io::Result<()> {
     let doc = JsonValue::object([
         ("benchmark", JsonValue::Str(benchmark.to_string())),
         ("scenarios", JsonValue::Array(scenarios)),
     ]);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            let _ = std::fs::create_dir_all(parent);
+    let write = || {
+        if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+            std::fs::create_dir_all(parent)?;
         }
-    }
-    match std::fs::File::create(path).and_then(|mut f| writeln!(f, "{doc}")) {
-        Ok(()) => eprintln!("report: wrote {}", path.display()),
-        Err(e) => eprintln!("report: FAILED to write {}: {e}", path.display()),
-    }
+        std::fs::write(path, format!("{doc}\n"))
+    };
+    write().map_err(|e| {
+        io::Error::new(
+            e.kind(),
+            format!("cannot write report {}: {e}", path.display()),
+        )
+    })?;
+    eprintln!("report: wrote {}", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -262,6 +270,19 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("Scenario"));
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn write_report_fails_when_the_parent_is_a_file() {
+        let blocker =
+            std::env::temp_dir().join(format!("gvfs-report-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, "a regular file, not a directory").unwrap();
+        let path = blocker.join("r.json");
+        let written = write_report(&path, "t", Vec::new());
+        std::fs::remove_file(&blocker).unwrap();
+        let err = written.expect_err("a report under a regular file cannot be written");
+        assert!(err.to_string().contains("r.json"), "{err}");
+        assert!(!path.exists());
     }
 
     #[test]

@@ -9,27 +9,12 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gvfs_bench::fleet::{run_fleet, ArrivalMode, FleetParams};
-use gvfs_bench::report::scenario_report;
-use simnet::JsonValue;
 
-/// Render the same report body the `fleet` binary writes: the full
-/// telemetry snapshot plus the latency percentiles and fleet counters.
+/// The report body the `fleet` binary writes for this run
+/// ([`gvfs_bench::FleetResult::report`]).
 fn report_bytes(params: &FleetParams) -> String {
     let r = run_fleet(params);
-    let mut body = scenario_report(&r.scenario, r.total_virtual_secs, &r.snapshot);
-    body.push_field(
-        "fleet",
-        JsonValue::object([
-            ("clones", JsonValue::Uint(r.latency.count)),
-            ("p50_secs", JsonValue::Float(r.latency.p50_secs)),
-            ("p95_secs", JsonValue::Float(r.latency.p95_secs)),
-            ("p99_secs", JsonValue::Float(r.latency.p99_secs)),
-            ("max_secs", JsonValue::Float(r.latency.max_secs)),
-            ("batches", JsonValue::Uint(r.batches)),
-            ("batched_items", JsonValue::Uint(r.batched_items)),
-        ]),
-    );
-    body.to_string()
+    r.report(&r.scenario).to_string()
 }
 
 /// One test fn, strictly sequential: the chaos policy is process-wide,
