@@ -13,8 +13,7 @@
 //! ```
 //!
 //! The default run writes `reports/fleet.json`; the report is a pure
-//! function of the seeds, so CI replays it and compares bytes (including
-//! under `--sched-chaos`).
+//! function of the seeds, so CI replays it and compares bytes.
 //!
 //! `--ten-k` runs the diurnal 10,240-clone / 16-site / 4-region fleet
 //! twice — digest gossip on and off — writes `reports/fleet10k.json`,
@@ -44,7 +43,7 @@ fn usage(err: &str) -> ! {
         eprintln!("fleet: {err}");
     }
     eprintln!(
-        "usage: fleet [--smoke] [--json PATH] [--no-json] [--trace] [--seed N] [--rate R]\n             [--clones N] [--sched-chaos SEED]\n       fleet --ten-k [--clones N] [--seed N] [--json PATH] [--no-json]"
+        "usage: fleet [--smoke] [--json PATH] [--no-json] [--trace] [--seed N] [--rate R]\n             [--clones N]\n       fleet --ten-k [--clones N] [--seed N] [--json PATH] [--no-json]"
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
@@ -92,17 +91,6 @@ fn parse_cli() -> Cli {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| usage("--clones requires a positive integer")),
                 )
-            }
-            "--sched-chaos" => {
-                let seed: u64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--sched-chaos requires a u64 seed"));
-                // Install process-wide so every Simulation::new() in
-                // library code runs under the adversarial schedule. The
-                // report must stay byte-identical (DESIGN.md §5.7).
-                simnet::set_default_sched_policy(simnet::SchedPolicy::chaos(seed));
-                eprintln!("fleet: schedule-chaos policy active (seed {seed})");
             }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument: {other}")),

@@ -70,11 +70,8 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 /// the report file, `--no-dedup` runs with `DedupTuning::off()` (the
 /// pre-CAS data paths) in the binaries that honor it, `--no-cow` runs
 /// with `CowTuning::off()` (materialized clone installs; DESIGN.md
-/// §5.9) in the binaries that honor it, `--write-baseline` makes the
-/// ablation binaries regenerate their off-lane baseline file, and
-/// `--sched-chaos <seed>` runs every simulation under
-/// `SchedPolicy::chaos(seed)` — reports must stay byte-identical to a
-/// run without the flag (DESIGN.md §5.7).
+/// §5.9) in the binaries that honor it, and `--write-baseline` makes the
+/// ablation binaries regenerate their off-lane baseline file.
 #[derive(Debug, Clone)]
 pub struct BenchCli {
     /// Where to write the JSON report; `None` with `--no-json`.
@@ -87,11 +84,6 @@ pub struct BenchCli {
     pub no_cow: bool,
     /// Regenerate the off-lane baseline file (ablation binaries).
     pub write_baseline: bool,
-    /// Chaos-scheduler seed, when `--sched-chaos` was given. The policy
-    /// is already installed process-wide by `parse`; this records the
-    /// seed for logging. Deliberately NOT part of any JSON report —
-    /// report bytes must not depend on the schedule.
-    pub sched_chaos: Option<u64>,
 }
 
 impl BenchCli {
@@ -103,7 +95,6 @@ impl BenchCli {
             no_dedup: false,
             no_cow: false,
             write_baseline: false,
-            sched_chaos: None,
         };
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
@@ -120,21 +111,10 @@ impl BenchCli {
                     });
                     cli.json_path = Some(PathBuf::from(p));
                 }
-                "--sched-chaos" => {
-                    let seed: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("--sched-chaos requires a u64 seed argument");
-                        std::process::exit(2);
-                    });
-                    cli.sched_chaos = Some(seed);
-                    // Install process-wide so every Simulation::new() in
-                    // library code runs under the adversarial schedule.
-                    simnet::set_default_sched_policy(simnet::SchedPolicy::chaos(seed));
-                    eprintln!("{name}: schedule-chaos policy active (seed {seed})");
-                }
                 "--help" | "-h" => {
                     eprintln!(
                         "usage: {name} [--json PATH] [--no-json] [--trace] [--no-dedup] \
-                         [--no-cow] [--write-baseline] [--sched-chaos SEED]"
+                         [--no-cow] [--write-baseline]"
                     );
                     std::process::exit(0);
                 }

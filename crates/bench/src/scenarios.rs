@@ -191,7 +191,7 @@ pub struct AppResult {
     /// Scheduler events the simulation processed end-to-end (the
     /// wall-clock harness divides this by host time for events/sec).
     pub events_processed: u64,
-    /// Processes (OS threads) the simulation spawned end-to-end.
+    /// Processes (coroutines) the simulation spawned end-to-end.
     pub processes_spawned: u64,
 }
 

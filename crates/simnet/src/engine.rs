@@ -1,101 +1,57 @@
 //! The discrete-event simulation kernel.
 //!
-//! Simulated actors ("processes") are ordinary closures that run on real OS
-//! threads, but **exactly one process executes at any instant**: the
-//! scheduler hands control to a process and blocks until that process either
-//! suspends on a simulation primitive (sleep, channel, resource, link
-//! transfer) or finishes. Events with equal timestamps fire in FIFO order
-//! (monotonic sequence numbers), so a given program produces the same
-//! timeline on every run.
+//! Simulated actors ("processes") are ordinary closures, each running as a
+//! stackful coroutine on the OS thread that calls [`Simulation::run`], and
+//! **exactly one process executes at any instant**: the scheduler switches
+//! into a process and gets control back when that process either suspends
+//! on a simulation primitive (sleep, channel, resource, link transfer) or
+//! finishes. Events with equal timestamps fire in FIFO order (monotonic
+//! sequence numbers), so a given program produces the same timeline on
+//! every run.
 //!
-//! This is the classic "SimPy with threads" construction: it buys natural,
-//! blocking, sequential code for workloads (a VM monitor model is literally
-//! a loop of `read`/`write`/`compute` calls) at the cost of one parked OS
-//! thread per live process.
+//! This is the classic SimPy construction: it buys natural, blocking,
+//! sequential code for workloads (a VM monitor model is literally a loop
+//! of `read`/`write`/`compute` calls). A handoff is a user-space register
+//! swap — the six callee-saved registers and the stack pointer, in
+//! `simnet_coro_switch` below — with no futex, no kernel context switch
+//! and one OS thread per simulation. Each process runs on a 512 KiB
+//! `mmap`ed stack with a guard page; a finished process's stack goes back
+//! on the run's free list, so a run maps as many stacks as it has
+//! processes alive at its peak.
 //!
-//! Two things keep the construction fast at fleet scale (10k+ processes):
-//! the event queue is a hierarchical timing wheel ([`crate::wheel`]) rather
-//! than a global binary heap, and the per-handoff blocking is a lock-free
-//! state machine over `park`/`unpark` rather than a mutex + condvar pair —
-//! a cross-thread baton handoff costs one futex wake plus one futex wait
-//! and nothing else.
+//! The event queue is a hierarchical timing wheel ([`crate::wheel`]) rather
+//! than a global binary heap, which keeps dispatch cheap at fleet scale
+//! (10k+ processes).
+//!
+//! All of the crate's `unsafe` code lives in this file (`xtask lint`'s
+//! `unsafe-confined` rule), and it rests on one checked invariant: a
+//! process only ever suspends from its own coroutine, on the thread inside
+//! its simulation's `run` (see [`Env::suspend`]).
 
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!(
+    "simnet's coroutine engine supports x86-64 Linux only: the stack switch is hand-written \
+     x86-64 assembly and process stacks are mapped with Linux mmap flags"
+);
+
+use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::ffi::c_void;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering as AtomicOrdering};
+use std::ptr::{self, NonNull};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
-use crate::fault::splitmix64;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
 
-/// How the kernel schedules at the OS level.
-///
-/// Every policy observes the same virtual-time contract: events fire in
-/// `(time, seq)` order, exactly one process runs at any instant. What a
-/// policy may vary is the *incidental* OS-level choreography — which
-/// thread performs a handoff, whether a self-wake takes the fast path,
-/// gratuitous `yield_now` calls. Those choices are invisible to a
-/// correctly synchronized simulation, which is precisely what makes
-/// [`SchedPolicy::chaos`] an oracle: run the same workload under several
-/// seeds and any divergence in the event timeline or reports is a real
-/// ordering bug, not noise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedPolicy {
-    /// Production behavior: FIFO tie-break, direct baton handoff,
-    /// self-wake fast path. The default.
-    Fifo,
-    /// Deterministic-but-adversarial schedule perturbation. At every
-    /// suspend the kernel draws from a seeded PRNG (draws are serialized
-    /// by the one-process-at-a-time invariant, so each seed replays
-    /// exactly) and may insert OS yields, route the handoff through a
-    /// pool worker, or force the slow self-wake path.
-    Chaos {
-        /// PRNG seed; each seed is one reproducible adversarial schedule.
-        seed: u64,
-    },
-    /// Test-only broken policy: violates the FIFO tie-break by swapping
-    /// equal-time wake events with seeded coin flips. Exists so tests can
-    /// prove the divergence oracle actually fires; never use it for
-    /// measurements.
-    #[doc(hidden)]
-    BrokenTieBreak {
-        /// Seed for the coin flips.
-        seed: u64,
-    },
-}
-
-impl SchedPolicy {
-    /// Shorthand for [`SchedPolicy::Chaos`] with the given seed.
-    pub fn chaos(seed: u64) -> Self {
-        SchedPolicy::Chaos { seed }
-    }
-}
-
-/// Process-wide default [`SchedPolicy`] picked up by [`Simulation::new`].
-/// Lets a binary-level flag (`--sched-chaos <seed>`) reach every
-/// simulation constructed inside library code without threading a
-/// parameter through every call site.
-static DEFAULT_POLICY: Mutex<SchedPolicy> = Mutex::new(SchedPolicy::Fifo);
-
-/// Set the process-wide default scheduling policy for simulations
-/// created afterwards via [`Simulation::new`].
-pub fn set_default_sched_policy(p: SchedPolicy) {
-    *DEFAULT_POLICY.lock() = p;
-}
-
-/// The current process-wide default scheduling policy.
-pub fn default_sched_policy() -> SchedPolicy {
-    *DEFAULT_POLICY.lock()
-}
-
 /// One dispatched event, as recorded by the event trace (see
-/// [`SimHandle::enable_event_trace`]). Two runs of the same workload must
-/// produce identical traces under any [`SchedPolicy`] that honors the
-/// virtual-time contract; [`first_divergence`] finds the first index
-/// where they do not.
+/// [`SimHandle::enable_event_trace`]). Two runs of the same workload
+/// produce identical traces; [`first_divergence`] finds the first index
+/// where two traces do not agree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EventRecord {
     /// Virtual time of the event, in nanoseconds.
@@ -124,9 +80,8 @@ impl std::fmt::Display for EventRecord {
 }
 
 /// Compare two event traces; `Some((index, a, b))` is the first position
-/// where they differ (`None` entries mean one trace ended early). This is
-/// the schedule-chaos oracle's report: the first diverging event pins
-/// where two schedules stopped agreeing.
+/// where they differ (`None` entries mean one trace ended early): the
+/// first event at which two runs stopped agreeing.
 pub fn first_divergence(
     a: &[EventRecord],
     b: &[EventRecord],
@@ -150,8 +105,8 @@ pub const DEFAULT_EVENT_TRACE_CAP: usize = 4 << 20;
 /// Identifier of a simulated process.
 pub(crate) type Pid = usize;
 
-/// Sentinel panic payload used to unwind a process thread when the
-/// simulation shuts down while the process is still blocked.
+/// Sentinel panic payload used to unwind a process when the simulation
+/// shuts down while the process is still blocked.
 struct SimAbort;
 
 /// Install (once) a panic hook that silences [`SimAbort`] unwinds — they
@@ -169,13 +124,22 @@ fn install_quiet_abort_hook() {
     });
 }
 
+/// The message of a caught panic, for the failure list `run()` re-raises.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "<non-string panic>".to_string())
+}
+
 enum EventKind {
     /// Resume the given process. Carries the process's control block so
     /// the dispatch hot path never indexes the (cache-cold, randomly
     /// accessed) `procs` table: the reference is cloned at schedule time,
     /// when the control block's cache line is typically already warm.
     Wake(Pid, Arc<ProcCtl>),
-    /// Run an arbitrary callback on the scheduler thread (used by the
+    /// Run an arbitrary callback on the scheduler's stack (used by the
     /// fluid-flow link model to complete transfers).
     Call(Box<dyn FnOnce() + Send>),
     /// Like `Call`, but carries a cancellation flag. A cancelled event is
@@ -208,34 +172,25 @@ const PROC_WAITING: u8 = 0;
 const PROC_RUNNING: u8 = 1;
 const PROC_DONE: u8 = 2;
 
-/// Per-process control block. The `state` transitions are a lock-free
-/// handoff protocol:
-///
-/// - Only the process's own thread stores `WAITING` (in `suspend`) and
-///   `DONE` (at body exit).
-/// - Only the current baton holder stores `RUNNING` (`set_running`),
-///   which is valid because exactly one wake per suspended process is
-///   ever in flight.
-/// - Blocking is `std::thread::park` with the state re-checked in a
-///   loop, so a banked unpark token (wake raced ahead of the park) and
-///   spurious wakeups are both benign.
-///
-/// Field order matters: `state`, `abort` and the thread slot are the
-/// per-handoff hot fields and sit together at the front so one cache
-/// line fetch covers a wake (the line is cold on every handoff — at
-/// 1000+ processes the wake order is effectively random).
+/// A process body, boxed until its coroutine first runs.
+type Job = Box<dyn FnOnce() + Send>;
+
+/// Per-process control block. Apart from `body`, filled in at spawn, its
+/// fields are read and written only by the thread inside the simulation's
+/// `run` (the scheduler and the one coroutine it has switched into), so
+/// relaxed atomics suffice; they are atomics only so that the block can
+/// ride in `Send` events.
 pub(crate) struct ProcCtl {
     state: AtomicU8,
     abort: AtomicBool,
-    /// OS thread hosting this process's body (a pool worker), registered
-    /// before the body's first state check. `set_running` unparks it;
-    /// when still `None` the worker has not started and will observe the
-    /// `RUNNING` state on its first check (the slot mutex orders the two).
-    thread: Mutex<Option<std::thread::Thread>>,
-    /// Shutdown-only: `run_proc` waits here until the body finishes (or
-    /// suspends again mid-unwind, which `suspend` signals too).
-    exit_mu: Mutex<bool>,
-    exit_cv: Condvar,
+    /// Saved stack pointer while the coroutine is switched out; null
+    /// until the process first runs.
+    sp: AtomicPtr<u8>,
+    /// Base of the process's stack mapping while it holds one.
+    stack: AtomicPtr<u8>,
+    /// The body, taken by the coroutine when it first runs (or dropped
+    /// unrun when the simulation shuts down first).
+    body: Mutex<Option<Job>>,
     name: String,
 }
 
@@ -244,50 +199,305 @@ impl ProcCtl {
         ProcCtl {
             state: AtomicU8::new(PROC_WAITING),
             abort: AtomicBool::new(false),
-            thread: Mutex::new(None),
-            exit_mu: Mutex::new(false),
-            exit_cv: Condvar::new(),
+            sp: AtomicPtr::new(ptr::null_mut()),
+            stack: AtomicPtr::new(ptr::null_mut()),
+            body: Mutex::new(None),
             name,
         }
     }
 
     #[inline]
     fn state(&self) -> u8 {
-        self.state.load(AtomicOrdering::Acquire)
+        self.state.load(AtomicOrdering::Relaxed)
     }
 
-    /// Mark the process runnable and wake its (possibly parked) host
-    /// thread. The release-ordered swap publishes everything the waker
-    /// did before the handoff to the woken process.
-    fn set_running(&self) {
-        let prev = self.state.swap(PROC_RUNNING, AtomicOrdering::AcqRel);
-        debug_assert_eq!(prev, PROC_WAITING, "woke a process that is running");
-        if let Some(t) = self.thread.lock().as_ref() {
-            t.unpark();
-        }
-    }
-
-    /// Park until marked `RUNNING`. Re-checks in a loop, so stale unpark
-    /// tokens from a previous process hosted on the same pool worker are
-    /// harmless.
-    fn wait_running(&self) {
-        while self.state.load(AtomicOrdering::Acquire) != PROC_RUNNING {
-            std::thread::park();
-        }
-    }
-
-    /// Record body completion and wake any shutdown-phase waiter.
-    fn finish(&self) {
-        self.state.store(PROC_DONE, AtomicOrdering::Release);
-        let mut ex = self.exit_mu.lock();
-        *ex = true;
-        self.exit_cv.notify_all();
+    fn set_state(&self, state: u8) {
+        self.state.store(state, AtomicOrdering::Relaxed);
     }
 }
 
+// ---------------------------------------------------------------------------
+// Coroutines: the stack switch and the stacks
+// ---------------------------------------------------------------------------
+
+// `simnet_coro_switch(save, load)` pushes the six callee-saved registers
+// of the System V ABI, stores the stack pointer to `*save`, loads `load`
+// as the stack pointer and pops the registers saved there: the suspended
+// side resumes by returning from its own call to the switch. Everything
+// else the ABI lets a callee clobber, the compiler already assumes lost
+// across this `extern "C"` call.
+//
+// `simnet_coro_start` is where a fresh stack's first switch returns to
+// (see `start_frame`): it calls `coro_entry`, whose address the frame
+// put in r12. `coro_entry` never returns. `.cfi_undefined rip` marks the
+// trampoline as the outermost frame, so a backtrace taken in a process
+// ends here instead of walking off the top of the stack.
+std::arch::global_asm!(
+    ".pushsection .text.simnet_coro,\"ax\",@progbits",
+    ".p2align 4",
+    ".globl simnet_coro_switch",
+    ".hidden simnet_coro_switch",
+    ".type simnet_coro_switch,@function",
+    "simnet_coro_switch:",
+    "push rbp",
+    "push rbx",
+    "push r12",
+    "push r13",
+    "push r14",
+    "push r15",
+    "mov [rdi], rsp",
+    "mov rsp, rsi",
+    "pop r15",
+    "pop r14",
+    "pop r13",
+    "pop r12",
+    "pop rbx",
+    "pop rbp",
+    "ret",
+    ".size simnet_coro_switch, . - simnet_coro_switch",
+    ".p2align 4",
+    ".globl simnet_coro_start",
+    ".hidden simnet_coro_start",
+    ".type simnet_coro_start,@function",
+    "simnet_coro_start:",
+    ".cfi_startproc",
+    ".cfi_undefined rip",
+    "call r12",
+    "ud2",
+    ".cfi_endproc",
+    ".size simnet_coro_start, . - simnet_coro_start",
+    ".popsection",
+);
+
+extern "C" {
+    fn simnet_coro_switch(save: *mut *mut u8, load: *mut u8);
+    fn simnet_coro_start();
+    fn mmap(addr: *mut c_void, len: usize, prot: i32, flags: i32, fd: i32, off: i64)
+        -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: i32) -> i32;
+    fn munmap(addr: *mut c_void, len: usize) -> i32;
+}
+
+/// Bytes mapped per process stack, guard page included. Process code is
+/// shallow (no deep recursion), so 512 KiB is ample.
+const STACK_BYTES: usize = 512 * 1024;
+/// The `PROT_NONE` page at the low end of every stack: an overflow faults
+/// instead of silently running into the neighbouring mapping.
+const GUARD_BYTES: usize = 4096;
+
+const PROT_NONE: i32 = 0;
+const PROT_READ: i32 = 1;
+const PROT_WRITE: i32 = 2;
+const MAP_PRIVATE: i32 = 0x02;
+const MAP_ANONYMOUS: i32 = 0x20;
+const MAP_NORESERVE: i32 = 0x4000;
+const MAP_STACK: i32 = 0x20000;
+
+/// Map one process stack. `MAP_NORESERVE`: a stack costs memory only for
+/// the pages its process actually touches.
+fn map_stack() -> NonNull<u8> {
+    // SAFETY: an anonymous private mapping with no address hint aliases
+    // nothing; the result is checked before use.
+    let base = unsafe {
+        mmap(
+            ptr::null_mut(),
+            STACK_BYTES,
+            PROT_READ | PROT_WRITE,
+            MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+            -1,
+            0,
+        )
+    };
+    assert!(
+        base as isize != -1,
+        "simnet: mapping a process stack failed: {}",
+        std::io::Error::last_os_error()
+    );
+    // SAFETY: the guard page is the first page of the mapping just made.
+    let rc = unsafe { mprotect(base, GUARD_BYTES, PROT_NONE) };
+    assert_eq!(
+        rc,
+        0,
+        "simnet: protecting a stack guard page failed: {}",
+        std::io::Error::last_os_error()
+    );
+    STACKS_MAPPED.with(|n| n.set(n.get() + 1));
+    NonNull::new(base.cast()).expect("mmap returned null")
+}
+
+/// The stack pointer a fresh stack's first switch loads: a frame whose
+/// six register slots are zero except r12 = `coro_entry`, and whose
+/// return address is the start trampoline. After the `ret` the stack
+/// pointer sits at the (16-byte aligned) top, so the trampoline's `call`
+/// enters `coro_entry` with the alignment the ABI requires.
+fn start_frame(stack: NonNull<u8>) -> *mut u8 {
+    // Popped in this order: r15 r14 r13 r12 rbx rbp, then `ret`.
+    let frame: [usize; 7] = [
+        0,
+        0,
+        0,
+        coro_entry as *const () as usize,
+        0,
+        0,
+        simnet_coro_start as *const () as usize,
+    ];
+    let top = stack.as_ptr().wrapping_add(STACK_BYTES).cast::<usize>();
+    let sp = top.wrapping_sub(frame.len());
+    // SAFETY: the seven words are the top 56 bytes of a writable mapping
+    // of STACK_BYTES that no process is using, and page alignment makes
+    // them word-aligned.
+    unsafe { ptr::copy_nonoverlapping(frame.as_ptr(), sp, frame.len()) };
+    sp.cast()
+}
+
+/// Where a process's coroutine begins, on its own stack: run the body,
+/// record a panic as a failure, and switch back to the scheduler for the
+/// last time. `extern "C"` with `catch_unwind` inside, so no unwind ever
+/// reaches the stack switch (one that escaped would abort the program).
+extern "C" fn coro_entry() -> ! {
+    let sched = SchedCtx::on_this_thread().expect("a coroutine started outside Simulation::run");
+    let ctl = sched
+        .current_proc()
+        .expect("a coroutine started with no process to run");
+    let body = ctl.body.lock().take();
+    if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(body) = body {
+            body();
+        }
+    })) {
+        if payload.downcast_ref::<SimAbort>().is_none() {
+            let msg = panic_message(&*payload);
+            sched
+                .handle
+                .inner
+                .lock()
+                .failures
+                .push(format!("process '{}' panicked: {msg}", ctl.name));
+        }
+    }
+    ctl.set_state(PROC_DONE);
+    sched.switch_out(ctl);
+    // The scheduler never resumes a finished process.
+    std::process::abort()
+}
+
+thread_local! {
+    /// The scheduler of the `Simulation::run` executing on this thread,
+    /// null outside one. `run` saves the previous value and restores it on
+    /// exit, so a simulation run from inside another's process nests.
+    static RUNNING: Cell<*const SchedCtx> = const { Cell::new(ptr::null()) };
+    /// Process stacks this thread has mapped. Each run recycles finished
+    /// processes' stacks, so this grows with peak live processes, not
+    /// with spawns.
+    static STACKS_MAPPED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Process stacks mapped on this thread so far (see `STACKS_MAPPED`).
+#[cfg(test)]
+pub(crate) fn stacks_mapped() -> u64 {
+    STACKS_MAPPED.with(Cell::get)
+}
+
+/// The scheduler side of one [`Simulation::run`], on that call's stack.
+struct SchedCtx {
+    handle: SimHandle,
+    /// The scheduler's stack pointer, saved while a process runs.
+    sp: Cell<*mut u8>,
+    /// The process switched into, null while the scheduler itself runs.
+    current: Cell<*const ProcCtl>,
+    /// Stacks of finished processes, ready for the next one to start.
+    free: RefCell<Vec<NonNull<u8>>>,
+}
+
+impl SchedCtx {
+    /// The scheduler running on this thread, if any.
+    fn on_this_thread<'a>() -> Option<&'a SchedCtx> {
+        let sched = RUNNING.with(Cell::get);
+        // SAFETY: a non-null RUNNING points at the SchedCtx of a
+        // `Simulation::run` frame still live on this thread: `run` sets it
+        // after placing the context and restores the previous value
+        // before the context is dropped.
+        unsafe { sched.as_ref() }
+    }
+
+    /// The process this scheduler has switched into, if any.
+    fn current_proc(&self) -> Option<&ProcCtl> {
+        // SAFETY: `current` is set from a live `Arc<ProcCtl>` that
+        // `resume`'s caller holds for the whole time the process runs, and
+        // is cleared when control comes back to the scheduler.
+        unsafe { self.current.get().as_ref() }
+    }
+
+    /// Switch from the scheduler into `ctl`'s coroutine, starting it on a
+    /// stack of its own the first time, until it suspends or finishes.
+    fn resume(&self, ctl: &Arc<ProcCtl>) {
+        debug_assert_eq!(ctl.state(), PROC_WAITING, "woke a process that is running");
+        if ctl.sp.load(AtomicOrdering::Relaxed).is_null() {
+            let stack = self.free.borrow_mut().pop().unwrap_or_else(map_stack);
+            ctl.stack.store(stack.as_ptr(), AtomicOrdering::Relaxed);
+            ctl.sp.store(start_frame(stack), AtomicOrdering::Relaxed);
+        }
+        ctl.set_state(PROC_RUNNING);
+        self.current.set(Arc::as_ptr(ctl));
+        // SAFETY: `ctl.sp` is either the start frame of a stack owned by
+        // this process or the value its own last `switch_out` saved; it
+        // was suspended on this thread (the `Env::suspend` affinity
+        // assert), so its registers and stack are exactly as it left them.
+        unsafe { simnet_coro_switch(self.sp.as_ptr(), ctl.sp.load(AtomicOrdering::Relaxed)) };
+        self.current.set(ptr::null());
+        if ctl.state() == PROC_DONE {
+            self.reclaim_stack(ctl);
+        }
+    }
+
+    /// From inside `ctl`'s coroutine: save its registers and give control
+    /// back to the scheduler. Returns when the scheduler resumes it.
+    fn switch_out(&self, ctl: &ProcCtl) {
+        // SAFETY: called only on `ctl`'s own stack while `ctl` is the
+        // process this scheduler switched into (asserted by the callers),
+        // so `self.sp` holds the scheduler's stack pointer saved by that
+        // `resume`, whose frame is still live below this coroutine.
+        unsafe { simnet_coro_switch(ctl.sp.as_ptr(), self.sp.get()) };
+    }
+
+    /// Put a process's stack back on the free list. Only for a process
+    /// that will never run again: finished, or abandoned at shutdown.
+    fn reclaim_stack(&self, ctl: &ProcCtl) {
+        ctl.sp.store(ptr::null_mut(), AtomicOrdering::Relaxed);
+        let stack = ctl.stack.swap(ptr::null_mut(), AtomicOrdering::Relaxed);
+        if let Some(stack) = NonNull::new(stack) {
+            self.free.borrow_mut().push(stack);
+        }
+    }
+}
+
+impl Drop for SchedCtx {
+    fn drop(&mut self) {
+        for stack in self.free.get_mut().drain(..) {
+            // SAFETY: every stack on the free list is a whole mapping made
+            // by `map_stack` whose process will never run again. A failed
+            // unmap only leaks the mapping.
+            unsafe { munmap(stack.as_ptr().cast(), STACK_BYTES) };
+        }
+    }
+}
+
+/// Restores the previous [`RUNNING`] scheduler when a run ends.
+struct RunningGuard(*const SchedCtx);
+
+impl Drop for RunningGuard {
+    fn drop(&mut self) {
+        RUNNING.with(|r| r.set(self.0));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The kernel
+// ---------------------------------------------------------------------------
+
 /// Capped event-trace buffer. Records past the cap are counted, not
-/// stored, and surface as a single `"truncated"` sentinel record so the
-/// chaos oracle can still compare (equally truncated) big-run traces.
+/// stored, and surface as a single `"truncated"` sentinel record so two
+/// (equally truncated) big-run traces can still be compared.
 struct TraceBuf {
     recs: Vec<EventRecord>,
     cap: usize,
@@ -323,129 +533,12 @@ struct KernelInner {
     procs: Vec<Arc<ProcCtl>>,
     failures: Vec<String>,
     events_processed: u64,
-    policy: SchedPolicy,
-    /// PRNG state for chaos/broken policies. Draws happen under this
-    /// mutex and only from the single running process (or the single
-    /// baton holder inside dispatch), so the draw sequence — and thus the
-    /// whole perturbation schedule — is a pure function of the seed.
-    rng: u64,
+    /// Set once `run()` observes quiescence; nothing dispatches any more
+    /// and events scheduled by unwinding processes stay unprocessed.
+    shutting_down: bool,
     /// When `Some`, every dispatched event is appended (cancelled events
     /// are skipped: they never advance time).
     trace: Option<TraceBuf>,
-}
-
-/// A process body, boxed for hand-off to a pool worker.
-type Job = Box<dyn FnOnce() + Send>;
-
-struct PoolQueue {
-    /// Jobs handed to a parked worker but not yet picked up. A job is
-    /// only queued while `parked` exceeds the jobs already waiting —
-    /// otherwise a fresh thread is spawned with the job directly — so
-    /// nothing here ever waits on a busy worker.
-    jobs: std::collections::VecDeque<Job>,
-    /// Workers inside `cv.wait`, counted by the workers themselves on
-    /// the way in and out. Exact whatever wakes them: the condvar is
-    /// `std`'s, which wakes spuriously — a worker that has released the
-    /// queue lock but not yet gone to sleep is woken by the next
-    /// `notify_one` *in addition to* the sleeper that notify picked.
-    parked: usize,
-    /// Set when the last [`SimHandle`] drops; parked workers exit.
-    closed: bool,
-}
-
-struct PoolShared {
-    q: Mutex<PoolQueue>,
-    cv: Condvar,
-}
-
-/// Reusable OS threads for process bodies.
-///
-/// A fresh thread per simulated process costs a `clone(2)`, a stack
-/// `mmap`/`munmap` pair and a page-fault storm — at tens of thousands of
-/// short-lived processes (parallel RPC fan-out) that kernel time, mostly
-/// TLB shootdowns, dominates the wall clock. Workers instead park between
-/// processes and are re-dispatched, so a run needs only as many OS threads
-/// as its peak count of *live* processes, with warm stacks.
-///
-/// Scheduling is unaffected: which OS thread executes a process body is
-/// invisible to the simulation, so timelines stay bit-identical.
-struct WorkerPool {
-    shared: Arc<PoolShared>,
-}
-
-impl WorkerPool {
-    fn new() -> Self {
-        WorkerPool {
-            shared: Arc::new(PoolShared {
-                q: Mutex::new(PoolQueue {
-                    jobs: std::collections::VecDeque::new(),
-                    parked: 0,
-                    closed: false,
-                }),
-                cv: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Run `job` on a parked worker, or a fresh thread if none is free.
-    /// A job occupies its worker for the process's whole lifetime
-    /// (including parks), so it must never wait behind a busy worker.
-    fn execute(&self, job: Job) {
-        {
-            let mut q = self.shared.q.lock();
-            if q.parked > q.jobs.len() {
-                // A parked worker no earlier job has spoken for.
-                q.jobs.push_back(job);
-                self.shared.cv.notify_one();
-                return;
-            }
-        }
-        let shared = self.shared.clone();
-        // Process code is shallow (no deep recursion), so 512 KB is ample.
-        std::thread::Builder::new()
-            .name("sim-worker".into())
-            .stack_size(512 * 1024)
-            .spawn(move || worker_loop(shared, job))
-            .expect("failed to spawn simulation worker thread");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        let mut q = self.shared.q.lock();
-        q.closed = true;
-        self.shared.cv.notify_all();
-    }
-}
-
-fn worker_loop(shared: Arc<PoolShared>, first_job: Job) {
-    let mut job = first_job;
-    loop {
-        job();
-        let mut q = shared.q.lock();
-        job = loop {
-            if let Some(j) = q.jobs.pop_front() {
-                // Ours, or — if we just finished a job — one a parked
-                // sibling was woken for; it parks again on finding the
-                // queue empty.
-                break j;
-            }
-            if q.closed {
-                return;
-            }
-            q.parked += 1;
-            shared.cv.wait(&mut q);
-            q.parked -= 1;
-        };
-    }
-}
-
-/// What `dispatch_until_wake`'s locked section decided: hand the baton to
-/// a process, run a callback inline, or report a drained queue.
-enum Dispatched {
-    Run(Pid, Arc<ProcCtl>),
-    Exec(Box<dyn FnOnce() + Send>),
-    Drained,
 }
 
 /// Shared, cloneable handle to the simulation kernel. Synchronization
@@ -455,17 +548,6 @@ enum Dispatched {
 pub struct SimHandle {
     inner: Arc<Mutex<KernelInner>>,
     telemetry: Telemetry,
-    pool: Arc<WorkerPool>,
-    /// Copy of the kernel policy, so the Fifo hot path never takes the
-    /// kernel lock just to learn that no chaos word is needed.
-    policy: SchedPolicy,
-    /// Set once `run()` observes quiescence; dispatching stops and events
-    /// scheduled by unwinding processes stay unprocessed.
-    shutting_down: Arc<AtomicBool>,
-    /// Set (and notified) by the baton holder that drains the event
-    /// queue; [`Simulation::run`] parks on it between the first wake and
-    /// quiescence.
-    quiesced: Arc<(Mutex<bool>, Condvar)>,
 }
 
 impl SimHandle {
@@ -487,9 +569,8 @@ impl SimHandle {
     /// Start recording every dispatched event (virtual time, sequence
     /// number, kind, woken pid), up to [`DEFAULT_EVENT_TRACE_CAP`]
     /// records. Call before the run; pair with
-    /// [`SimHandle::take_event_trace`]. Tracing is the raw material of
-    /// the schedule-chaos oracle: traces from different [`SchedPolicy`]
-    /// seeds must be identical.
+    /// [`SimHandle::take_event_trace`], and compare two traces with
+    /// [`first_divergence`].
     pub fn enable_event_trace(&self) {
         self.enable_event_trace_with_cap(DEFAULT_EVENT_TRACE_CAP);
     }
@@ -536,8 +617,9 @@ impl SimHandle {
         }
     }
 
-    /// Number of processes spawned so far (each one is an OS thread for
-    /// its lifetime; the wall-clock harness reports this).
+    /// Number of processes spawned so far (each one a coroutine with a
+    /// stack of its own for its lifetime; the wall-clock harness reports
+    /// this).
     pub fn processes_spawned(&self) -> u64 {
         self.inner.lock().procs.len() as u64
     }
@@ -561,7 +643,7 @@ impl SimHandle {
         k.wheel.push(time, seq, EventKind::Wake(pid, ctl));
     }
 
-    /// Schedule an arbitrary callback to run on the scheduler thread at
+    /// Schedule an arbitrary callback to run on the scheduler's stack at
     /// `time`. The callback must not block; it may schedule further events
     /// and wake processes.
     pub fn schedule_call(&self, time: SimTime, f: impl FnOnce() + Send + 'static) {
@@ -594,152 +676,49 @@ impl SimHandle {
         CancelToken(flag)
     }
 
-    fn spawn_inner(
-        &self,
-        name: String,
-        f: impl FnOnce(Env) + Send + 'static,
-    ) -> (Pid, Arc<ProcCtl>) {
+    fn spawn_inner(&self, name: String, f: impl FnOnce(Env) + Send + 'static) {
         let ctl = Arc::new(ProcCtl::new(name));
-        let pid;
-        {
-            // One kernel-lock acquisition covers registration AND the
-            // initial wake. Spawning used to take this lock three times
-            // (procs push, `now()`, `schedule_wake`); because the
-            // spawning process holds the baton until it suspends, nobody
-            // can interleave an event between those acquisitions, so
-            // folding them together allocates the identical sequence
-            // number and leaves the event timeline bit-for-bit unchanged
-            // while cutting spawn cost at fleet scale (1000+ tasks).
+        let pid = {
+            let mut k = self.inner.lock();
             assert!(
-                !self.shutting_down.load(AtomicOrdering::Acquire),
+                !k.shutting_down,
                 "cannot spawn a process while the simulation is shutting down"
             );
-            let mut k = self.inner.lock();
-            pid = k.procs.len();
             k.procs.push(ctl.clone());
-            let time = k.now;
-            let seq = k.seq;
-            k.seq += 1;
-            k.wheel.push(time, seq, EventKind::Wake(pid, ctl.clone()));
-        }
+            k.procs.len() - 1
+        };
         let env = Env {
             handle: self.clone(),
             pid,
             ctl: ctl.clone(),
         };
-        let thread_ctl = ctl.clone();
-        let handle = self.clone();
-        // Hand the body to a pool worker rather than a fresh OS thread:
-        // see [`WorkerPool`].
-        self.pool.execute(Box::new(move || {
-            // Register this OS thread as the process's host, then wait
-            // for the first wake. Registration goes first: a wake that
-            // found the slot empty relies on this worker observing the
-            // RUNNING state after taking the slot lock.
-            *thread_ctl.thread.lock() = Some(std::thread::current());
-            thread_ctl.wait_running();
-            let aborted_at_start = thread_ctl.abort.load(AtomicOrdering::Acquire);
-            if !aborted_at_start {
-                let result = panic::catch_unwind(AssertUnwindSafe(|| f(env)));
-                if let Err(payload) = result {
-                    if payload.downcast_ref::<SimAbort>().is_none() {
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "<non-string panic>".to_string());
-                        handle
-                            .inner
-                            .lock()
-                            .failures
-                            .push(format!("process '{}' panicked: {msg}", thread_ctl.name));
-                    }
-                }
-            }
-            thread_ctl.finish();
-            // A panicking `Call` closure must not take the worker down
-            // with it (the baton would be lost and the run would hang):
-            // record it like a process failure and declare quiescence so
-            // `run()` can surface it.
-            handle.pass_baton_guarded();
-        }));
-        (pid, ctl)
+        // The body is in place before the wake that starts it is queued.
+        let body: Job = Box::new(move || f(env));
+        *ctl.body.lock() = Some(body);
+        let mut k = self.inner.lock();
+        let time = k.now;
+        let seq = k.seq;
+        k.seq += 1;
+        k.wheel.push(time, seq, EventKind::Wake(pid, ctl));
     }
 
-    /// Hand control to `pid` and block until it suspends or finishes.
-    /// Only used by the shutdown phase of [`Simulation::run`]; during the
-    /// run itself control passes process-to-process (see
-    /// [`SimHandle::dispatch_until_wake`]).
-    fn run_proc(&self, pid: Pid) {
-        let ctl = self.inner.lock().procs[pid].clone();
-        if ctl.state() == PROC_DONE {
-            return;
-        }
-        debug_assert_eq!(ctl.state(), PROC_WAITING, "woke a process that is running");
-        ctl.set_running();
-        let mut ex = ctl.exit_mu.lock();
-        while !*ex && ctl.state() == PROC_RUNNING {
-            ctl.exit_cv.wait(&mut ex);
-        }
-    }
-
-    /// Pop and dispatch events until one hands control to a process (its
-    /// pid and control block are returned) or the queue drains (`None`).
-    /// `Call` events run inline on the calling thread — the baton holder
-    /// *is* the scheduler. Wakes for finished processes are skipped
-    /// (their timers may outlive them), exactly as the central loop used
-    /// to; the skip still advances `now` and counts as processed.
-    fn dispatch_until_wake(&self) -> Option<(Pid, Arc<ProcCtl>)> {
-        self.dispatch_after(|_| {})
-    }
-
-    /// [`SimHandle::dispatch_until_wake`] with a prologue that runs under
-    /// the *same* kernel-lock acquisition as the first dispatch pop.
-    /// `Env::sleep` passes its wake push here, collapsing what used to be
-    /// three lock round-trips per sleep (`now()`, `schedule_wake`,
-    /// dispatch) into one — on a contended lock line each extra
-    /// acquisition is a cross-core cache miss, which dominates the
-    /// handoff-heavy fleet workloads. Fusing is sound because the caller
-    /// holds the baton: no other thread can interleave an event between
-    /// the prologue and the pop.
-    fn dispatch_after<F: FnOnce(&mut KernelInner)>(&self, pre: F) -> Option<(Pid, Arc<ProcCtl>)> {
-        let mut pre = Some(pre);
+    /// Pop and dispatch events until one wakes a process (its control
+    /// block is returned) or the queue drains (`None`). `Call` events run
+    /// inline, on the calling (scheduler) stack. Wakes for finished
+    /// processes are skipped — their timers may outlive them — but still
+    /// advance `now` and count as processed.
+    fn dispatch_until_wake(&self) -> Option<Arc<ProcCtl>> {
         loop {
-            let step = {
+            let call = {
                 let mut k = self.inner.lock();
-                if let Some(p) = pre.take() {
-                    p(&mut k);
-                }
                 loop {
-                    let (mut time, mut seq, mut kind) = match k.wheel.pop() {
-                        Some(e) => e,
-                        None => break Dispatched::Drained,
-                    };
+                    let (time, seq, kind) = k.wheel.pop()?;
                     if let EventKind::CancellableCall(flag, _) = &kind {
                         if flag.load(AtomicOrdering::Relaxed) {
                             // Cancelled timer: discard without touching
                             // `now` or the processed-event count, so it
                             // leaves no trace on the timeline.
                             continue;
-                        }
-                    }
-                    if let SchedPolicy::BrokenTieBreak { .. } = k.policy {
-                        // Test-only: seeded coin flips swap equal-time
-                        // wake pairs, breaking the FIFO tie-break the
-                        // determinism contract rests on. The chaos
-                        // oracle must catch the resulting divergence.
-                        k.rng = splitmix64(k.rng);
-                        let flip = k.rng & 1 == 1;
-                        let swappable = matches!(kind, EventKind::Wake(..))
-                            && k.wheel.peek().is_some_and(|(pt, _, pk)| {
-                                pt == time && matches!(pk, EventKind::Wake(..))
-                            });
-                        if flip && swappable {
-                            let (ot, os, ok) = k.wheel.pop().expect("peeked event");
-                            k.wheel.push(time, seq, kind);
-                            time = ot;
-                            seq = os;
-                            kind = ok;
                         }
                     }
                     k.now = time;
@@ -751,63 +730,17 @@ impl SimHandle {
                         // The control block rides in the event (cloned at
                         // schedule time), so the hot path neither indexes
                         // `procs` nor touches a cold refcount here.
-                        EventKind::Wake(pid, ctl) => {
+                        EventKind::Wake(_, ctl) => {
                             if ctl.state() == PROC_DONE {
                                 continue;
                             }
-                            break Dispatched::Run(pid, ctl);
+                            return Some(ctl);
                         }
-                        EventKind::Call(f) | EventKind::CancellableCall(_, f) => {
-                            break Dispatched::Exec(f)
-                        }
+                        EventKind::Call(f) | EventKind::CancellableCall(_, f) => break f,
                     }
                 }
             };
-            match step {
-                Dispatched::Run(pid, ctl) => return Some((pid, ctl)),
-                Dispatched::Exec(f) => f(),
-                Dispatched::Drained => return None,
-            }
-        }
-    }
-
-    /// Pass the baton onward after the current process yields it: hand
-    /// control to the next runnable process, or signal quiescence so
-    /// [`Simulation::run`] can finish. No-op once shutdown has begun —
-    /// the main thread drives aborts itself and events scheduled by
-    /// unwinding processes must stay unprocessed.
-    fn pass_baton(&self) {
-        if self.shutting_down.load(AtomicOrdering::Acquire) {
-            return;
-        }
-        match self.dispatch_until_wake() {
-            Some((_pid, ctl)) => ctl.set_running(),
-            None => {
-                let (flag, cv) = &*self.quiesced;
-                *flag.lock() = true;
-                cv.notify_all();
-            }
-        }
-    }
-
-    /// [`SimHandle::pass_baton`] with the panic containment the process
-    /// exit path needs: a panicking `Call` closure is recorded as a
-    /// failure and quiescence is declared so `run()` can surface it,
-    /// instead of losing the baton and hanging the run.
-    fn pass_baton_guarded(&self) {
-        if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| self.pass_baton())) {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "<non-string panic>".to_string());
-            self.inner
-                .lock()
-                .failures
-                .push(format!("scheduled callback panicked: {msg}"));
-            let (flag, cv) = &*self.quiesced;
-            *flag.lock() = true;
-            cv.notify_all();
+            call();
         }
     }
 }
@@ -844,12 +777,8 @@ impl Env {
 
     /// Advance simulated time by `d` for this process.
     pub fn sleep(&self, d: SimDuration) {
-        // The wake push is fused into the suspend's first kernel-lock
-        // acquisition (see `dispatch_after`): reading `now`, allocating
-        // the sequence number and pushing the wake all happen under the
-        // lock that also pops the next event. The event timeline is
-        // identical to the unfused `now()` + `schedule_wake` + `suspend`
-        // sequence because this process holds the baton throughout.
+        // The wake push is fused into one kernel-lock acquisition: reading
+        // `now`, allocating the sequence number and pushing the wake.
         self.suspend_after(|k| {
             let t = k.now + d;
             let seq = k.seq;
@@ -882,114 +811,34 @@ impl Env {
     /// with the primitive under the primitive's lock, releases the lock,
     /// then suspends. Because only one process runs at a time, no wake can
     /// be lost in between.
+    ///
+    /// Panics unless called from this process's own body, on the thread
+    /// inside its simulation's `run`: an `Env` moved to another thread or
+    /// into another process must not switch stacks it does not own.
     pub(crate) fn suspend(&self) {
         self.suspend_after(|_| {});
     }
 
-    /// [`Env::suspend`] with a prologue run under the same kernel-lock
-    /// acquisition as the chaos draw (chaos policies) or the first
-    /// dispatch pop (everything else). `sleep` passes its wake push here.
-    /// The push lands before any dispatching in both branches, so the
-    /// sequence-number allocation — and therefore the event timeline —
-    /// is identical across policies and to the unfused code.
+    /// [`Env::suspend`] with a prologue run under the kernel lock before
+    /// control leaves the process; `sleep` passes its wake push here.
     fn suspend_after<F: FnOnce(&mut KernelInner)>(&self, pre: F) {
+        let sched = SchedCtx::on_this_thread()
+            .filter(|s| ptr::eq(s.current.get(), Arc::as_ptr(&self.ctl)))
+            .unwrap_or_else(|| {
+                panic!(
+                    "process '{}' must suspend on the thread running its own Simulation::run, \
+                     from its own body (was its Env moved to another thread or process?)",
+                    self.ctl.name
+                )
+            });
         debug_assert_eq!(self.ctl.state(), PROC_RUNNING);
-        // Only the owner thread makes the Running -> Waiting transition,
-        // so a plain store is enough; the release ordering publishes this
-        // process's work to whichever thread wakes it next.
-        self.ctl.state.store(PROC_WAITING, AtomicOrdering::Release);
-        if !matches!(self.handle.policy, SchedPolicy::Chaos { .. }) {
-            // Fifo / BrokenTieBreak hot path: no chaos perturbations.
-            let shutting_down = self.handle.shutting_down.load(AtomicOrdering::Acquire);
-            if shutting_down {
-                // Mid-unwind suspend during shutdown: the event is still
-                // scheduled (nothing will dispatch it), and `run_proc`
-                // must observe that this process yielded.
-                {
-                    let mut k = self.handle.inner.lock();
-                    pre(&mut k);
-                }
-                let _ex = self.ctl.exit_mu.lock();
-                self.ctl.exit_cv.notify_all();
-            } else {
-                // Pass the baton directly to the next runnable process
-                // instead of round-tripping through a central scheduler
-                // thread: one context switch per handoff instead of two.
-                // If the next event is our own wake (a sleep chain with no
-                // interleaved process), control never leaves this thread.
-                match self.handle.dispatch_after(pre) {
-                    Some((pid, _ctl)) if pid == self.pid => {
-                        debug_assert_eq!(self.ctl.state(), PROC_WAITING);
-                        self.ctl.state.store(PROC_RUNNING, AtomicOrdering::Release);
-                        return;
-                    }
-                    Some((_pid, ctl)) => ctl.set_running(),
-                    None => {
-                        let (flag, cv) = &*self.handle.quiesced;
-                        *flag.lock() = true;
-                        cv.notify_all();
-                    }
-                }
-            }
-            self.ctl.wait_running();
-            if self.ctl.abort.load(AtomicOrdering::Acquire) {
-                install_quiet_abort_hook();
-                panic::panic_any(SimAbort);
-            }
-            return;
-        }
-        // Under SchedPolicy::Chaos, perturb the OS-level choreography of
-        // this handoff. All three perturbations are semantically inert for
-        // correctly synchronized code — they stress thread interleavings
-        // without touching virtual-time event order. The prologue and the
-        // chaos draw share one lock acquisition; the draw still happens
-        // after the push, exactly where `chaos_word` used to draw it.
-        let w = {
+        {
             let mut k = self.handle.inner.lock();
             pre(&mut k);
-            k.rng = splitmix64(k.rng);
-            k.rng
-        };
-        for _ in 0..(w & 3) {
-            std::thread::yield_now();
         }
-        let via_pool = (w >> 3) & 7 == 0;
-        let slow_self = (w >> 6) & 1 == 1;
-        let shutting_down = self.handle.shutting_down.load(AtomicOrdering::Acquire);
-        if shutting_down {
-            // Mid-unwind suspend during shutdown: nothing dispatches, but
-            // `run_proc` must observe that this process yielded.
-            let _ex = self.ctl.exit_mu.lock();
-            self.ctl.exit_cv.notify_all();
-        } else if via_pool {
-            // Forced preemption: route the handoff through a pool worker
-            // (the classic central-scheduler shape — two context switches
-            // instead of one) rather than dispatching inline.
-            let h = self.handle.clone();
-            self.handle
-                .pool
-                .execute(Box::new(move || h.pass_baton_guarded()));
-        } else {
-            match self.handle.dispatch_until_wake() {
-                Some((pid, _ctl)) if pid == self.pid && !slow_self => {
-                    debug_assert_eq!(self.ctl.state(), PROC_WAITING);
-                    self.ctl.state.store(PROC_RUNNING, AtomicOrdering::Release);
-                    return;
-                }
-                // With `slow_self`, a self-wake skips the fast path above
-                // and goes through set_running + the park loop below like
-                // any other handoff (the wait loop falls straight through
-                // because the state is already Running).
-                Some((_pid, ctl)) => ctl.set_running(),
-                None => {
-                    let (flag, cv) = &*self.handle.quiesced;
-                    *flag.lock() = true;
-                    cv.notify_all();
-                }
-            }
-        }
-        self.ctl.wait_running();
-        if self.ctl.abort.load(AtomicOrdering::Acquire) {
+        self.ctl.set_state(PROC_WAITING);
+        sched.switch_out(&self.ctl);
+        if self.ctl.abort.load(AtomicOrdering::Relaxed) {
             install_quiet_abort_hook();
             panic::panic_any(SimAbort);
         }
@@ -1028,19 +877,8 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Create an empty simulation at time zero, under the process-wide
-    /// default scheduling policy (see [`set_default_sched_policy`]).
+    /// Create an empty simulation at time zero.
     pub fn new() -> Self {
-        Self::with_policy(default_sched_policy())
-    }
-
-    /// Create an empty simulation at time zero under an explicit
-    /// scheduling policy.
-    pub fn with_policy(policy: SchedPolicy) -> Self {
-        let seed = match policy {
-            SchedPolicy::Fifo => 0,
-            SchedPolicy::Chaos { seed } | SchedPolicy::BrokenTieBreak { seed } => seed,
-        };
         Simulation {
             handle: SimHandle {
                 inner: Arc::new(Mutex::new(KernelInner {
@@ -1050,15 +888,10 @@ impl Simulation {
                     procs: Vec::new(),
                     failures: Vec::new(),
                     events_processed: 0,
-                    policy,
-                    rng: splitmix64(seed ^ 0x5EED_CAFE_F00D_D00D),
+                    shutting_down: false,
                     trace: None,
                 })),
                 telemetry: Telemetry::new(),
-                pool: Arc::new(WorkerPool::new()),
-                policy,
-                shutting_down: Arc::new(AtomicBool::new(false)),
-                quiesced: Arc::new((Mutex::new(false), Condvar::new())),
             },
         }
     }
@@ -1079,37 +912,64 @@ impl Simulation {
     }
 
     /// Run the simulation to quiescence (empty event queue) and return the
-    /// final simulated time.
+    /// final simulated time. Every process runs as a coroutine on the
+    /// calling thread.
     ///
     /// Processes still blocked at quiescence (e.g. a server loop waiting on
     /// a request channel that will never receive again) are aborted
-    /// cleanly. Panics raised *inside* processes are collected and re-raised
-    /// here so test failures point at the real error.
+    /// cleanly: each is resumed once more and unwinds its stack. Panics
+    /// raised *inside* processes or scheduled callbacks are collected and
+    /// re-raised here so test failures point at the real error.
     pub fn run(self) -> SimTime {
         let handle = self.handle;
-        // Drive the first handoff from this thread, then park: control
-        // passes process-to-process (each suspending process dispatches
-        // its successor directly) until some baton holder drains the
-        // event queue and signals quiescence.
-        if let Some((_pid, ctl)) = handle.dispatch_until_wake() {
-            ctl.set_running();
-            let (flag, cv) = &*handle.quiesced;
-            let mut q = flag.lock();
-            while !*q {
-                cv.wait(&mut q);
+        let sched = SchedCtx {
+            handle: handle.clone(),
+            sp: Cell::new(ptr::null_mut()),
+            current: Cell::new(ptr::null()),
+            free: RefCell::new(Vec::new()),
+        };
+        let _running = RunningGuard(RUNNING.with(|r| r.replace(&sched)));
+
+        // A panicking callback stops the dispatching; it is reported with
+        // the process failures once the blocked processes are aborted.
+        let dispatched = panic::catch_unwind(AssertUnwindSafe(|| {
+            while let Some(ctl) = handle.dispatch_until_wake() {
+                sched.resume(&ctl);
             }
+        }));
+        if let Err(payload) = dispatched {
+            let msg = panic_message(&*payload);
+            handle
+                .inner
+                .lock()
+                .failures
+                .push(format!("scheduled callback panicked: {msg}"));
         }
 
-        // Quiescent: abort any process still blocked so its thread exits.
-        handle.shutting_down.store(true, AtomicOrdering::Release);
+        // Quiescent: abort every process still blocked, in spawn order, so
+        // its stack unwinds. A process that suspends again mid-unwind is
+        // abandoned where it stopped, never to run again. The unwind it
+        // was in then never finishes, so this thread keeps counting one
+        // panic in progress (`std::thread::panicking()` stays true here).
         let (final_time, procs) = {
-            let k = handle.inner.lock();
+            let mut k = handle.inner.lock();
+            k.shutting_down = true;
             (k.now, k.procs.clone())
         };
-        for (pid, ctl) in procs.iter().enumerate() {
-            if ctl.state() != PROC_DONE {
-                ctl.abort.store(true, AtomicOrdering::Release);
-                handle.run_proc(pid);
+        for ctl in &procs {
+            if ctl.state() == PROC_DONE {
+                continue;
+            }
+            ctl.abort.store(true, AtomicOrdering::Relaxed);
+            if ctl.sp.load(AtomicOrdering::Relaxed).is_null() {
+                // Never started: drop the body unrun.
+                drop(ctl.body.lock().take());
+                ctl.set_state(PROC_DONE);
+            } else {
+                sched.resume(ctl);
+                if ctl.state() != PROC_DONE {
+                    sched.reclaim_stack(ctl);
+                }
             }
         }
         let failures = {
@@ -1132,64 +992,8 @@ impl Default for Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::splitmix64;
     use std::sync::atomic::{AtomicU64, Ordering as AO};
-
-    #[test]
-    fn workers_woken_for_nothing_are_not_counted_twice() {
-        // std's condvar may wake a waiter nobody notified. A worker that
-        // wakes to an empty queue used to register itself as idle a
-        // second time; once the real idle workers ran out, `execute`
-        // queued a process for a worker that did not exist, the baton
-        // passed to that process, and the run hung with every thread
-        // parked. Wake-ups without a job are forced here by notifying
-        // with nothing queued.
-        use std::sync::mpsc;
-        use std::time::Duration;
-        let pool = WorkerPool::new();
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        // Start a job that reports in and then blocks until released.
-        let blocking = || {
-            let (release, released) = mpsc::channel::<()>();
-            let started = started_tx.clone();
-            pool.execute(Box::new(move || {
-                started.send(()).expect("test alive");
-                let _ = released.recv();
-            }));
-            release
-        };
-        let wait_started = |what: &str| {
-            started_rx
-                .recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("{what} was queued for a worker that does not exist"));
-        };
-        let wait_parked = |n: usize| {
-            for _ in 0..10_000 {
-                if pool.shared.q.lock().parked == n {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            panic!("workers never parked");
-        };
-        // Two workers, both parked.
-        let (a, b) = (blocking(), blocking());
-        wait_started("first job");
-        wait_started("second job");
-        drop((a, b));
-        wait_parked(2);
-        for _ in 0..3 {
-            pool.shared.cv.notify_all();
-            std::thread::sleep(Duration::from_millis(20));
-            wait_parked(2);
-        }
-        // Three processes: one per parked worker, a fresh thread for the
-        // third. All three must start.
-        let held = [blocking(), blocking(), blocking()];
-        wait_started("a job");
-        wait_started("a job");
-        wait_started("the job beyond the parked workers");
-        drop(held);
-    }
 
     #[test]
     fn empty_simulation_finishes_at_zero() {
@@ -1198,31 +1002,19 @@ mod tests {
     }
 
     #[test]
-    fn instantly_finishing_processes_quiesce_under_every_policy() {
-        // Parking-order assumption, pinned: a process that never
-        // suspends can finish — and signal quiescence — while the main
-        // thread is still on its way from the first dispatch to the
-        // `quiesced` wait loop. The (flag, condvar) pair makes the wait
-        // fall through on the already-set flag instead of sleeping
-        // forever. Chaos policies additionally route the final baton
-        // handoffs through the worker pool, stressing the same window
-        // from a different thread.
-        for policy in [
-            SchedPolicy::Fifo,
-            SchedPolicy::chaos(1),
-            SchedPolicy::chaos(7),
-        ] {
-            let sim = Simulation::with_policy(policy);
-            let ran = Arc::new(AtomicU64::new(0));
-            for i in 0..16 {
-                let ran = ran.clone();
-                sim.spawn(format!("f{i}"), move |_env| {
-                    ran.fetch_add(1, AO::SeqCst);
-                });
-            }
-            assert_eq!(sim.run(), SimTime::ZERO, "no process advanced time");
-            assert_eq!(ran.load(AO::SeqCst), 16, "every process ran");
+    fn instantly_finishing_processes_quiesce() {
+        // Processes that never suspend: each runs to completion on its
+        // first switch, and the run ends when the last one finishes.
+        let sim = Simulation::new();
+        let ran = Arc::new(AtomicU64::new(0));
+        for i in 0..16 {
+            let ran = ran.clone();
+            sim.spawn(format!("f{i}"), move |_env| {
+                ran.fetch_add(1, AO::SeqCst);
+            });
         }
+        assert_eq!(sim.run(), SimTime::ZERO, "no process advanced time");
+        assert_eq!(ran.load(AO::SeqCst), 16, "every process ran");
     }
 
     #[test]
@@ -1281,16 +1073,29 @@ mod tests {
 
     #[test]
     fn blocked_process_is_aborted_cleanly_at_quiescence() {
+        /// Suspends again while the abort unwinds through it.
+        struct SleepsOnDrop(Env);
+        impl Drop for SleepsOnDrop {
+            fn drop(&mut self) {
+                self.0.sleep(SimDuration::from_secs(1));
+            }
+        }
         let sim = Simulation::new();
         let h = sim.handle();
         let (_tx, rx) = crate::sync::channel::<u32>(&h);
+        let (_tx2, rx2) = crate::sync::channel::<u32>(&h);
         sim.spawn("server", move |env| {
             // This recv never completes; the simulation must still shut
             // down and not report the abort as a failure.
             let _ = rx.recv(&env);
             unreachable!("recv should have been aborted");
         });
-        sim.run();
+        sim.spawn("stubborn", move |env| {
+            let _suspends_mid_unwind = SleepsOnDrop(env.clone());
+            let _ = rx2.recv(&env);
+            unreachable!("recv should have been aborted");
+        });
+        assert_eq!(sim.run(), SimTime::ZERO);
     }
 
     #[test]
@@ -1299,6 +1104,77 @@ mod tests {
         let sim = Simulation::new();
         sim.spawn("bad", |_env| panic!("boom"));
         sim.run();
+    }
+
+    #[test]
+    #[should_panic(expected = "scheduled callback panicked: call boom")]
+    fn panicking_call_is_reported_by_run() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        // A blocked process must still be aborted before the report.
+        let (_tx, rx) = crate::sync::channel::<u32>(&h);
+        sim.spawn("waiter", move |env| {
+            let _ = rx.recv(&env);
+        });
+        h.schedule_call(SimTime::from_nanos(5), || panic!("call boom"));
+        sim.run();
+    }
+
+    #[test]
+    fn env_sent_to_another_thread_panics_at_sleep() {
+        let sim = Simulation::new();
+        let message = Arc::new(Mutex::new(String::new()));
+        let m = message.clone();
+        sim.spawn("p", move |env| {
+            let moved = env.clone();
+            let err = std::thread::spawn(move || moved.sleep(SimDuration::from_secs(5)))
+                .join()
+                .expect_err("a sleep on a foreign thread must panic");
+            *m.lock() = panic_message(&*err);
+            // The refused sleep scheduled nothing; the process still works.
+            env.sleep(SimDuration::from_secs(1));
+        });
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_secs(1));
+        let message = message.lock().clone();
+        assert!(
+            message.contains("must suspend on the thread running its own Simulation::run"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn ten_thousand_live_processes_reuse_their_stacks() {
+        const LIVE: usize = 10_000;
+        fn wave(h: &SimHandle, done: &Arc<AtomicU64>) {
+            for i in 0..LIVE {
+                let done = done.clone();
+                h.spawn(format!("w{i}"), move |env| {
+                    // Touch 64 KiB of this process's stack.
+                    std::hint::black_box(&mut [0u8; 64 << 10]);
+                    env.sleep(SimDuration::from_secs(1));
+                    done.fetch_add(1, AO::SeqCst);
+                });
+            }
+        }
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let done = Arc::new(AtomicU64::new(0));
+        // First wave: all alive at once, sleeping. The second starts from a
+        // callback after the first has finished, so it runs entirely on
+        // recycled stacks.
+        wave(&h, &done);
+        let (h2, d2) = (h.clone(), done.clone());
+        h.schedule_call(SimTime::ZERO + SimDuration::from_secs(2), move || {
+            wave(&h2, &d2)
+        });
+        let mapped_before = stacks_mapped();
+        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_secs(3));
+        assert_eq!(done.load(AO::SeqCst), 2 * LIVE as u64);
+        assert_eq!(
+            stacks_mapped() - mapped_before,
+            LIVE as u64,
+            "stacks mapped must equal peak live processes"
+        );
     }
 
     #[test]
@@ -1332,105 +1208,6 @@ mod tests {
         sim.run();
         assert_eq!(fired.load(AO::SeqCst), 77);
         assert!(!token.is_cancelled());
-    }
-
-    /// A workload with rich contention: equal-time wakes, channels,
-    /// resources, nested spawns. Returns (final time, event trace,
-    /// observed completion order).
-    fn contended_run(policy: SchedPolicy) -> (SimTime, Vec<EventRecord>, Vec<u64>) {
-        let sim = Simulation::with_policy(policy);
-        let h = sim.handle();
-        h.enable_event_trace();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let res = crate::sync::Resource::new(&h, 2);
-        let (tx, rx) = crate::sync::channel::<u64>(&h);
-        for i in 0..6u64 {
-            let order = order.clone();
-            let res = res.clone();
-            let tx = tx.clone();
-            sim.spawn(format!("p{i}"), move |env| {
-                env.sleep(SimDuration::from_millis(10)); // all collide at t=10ms
-                let _g = res.acquire(&env);
-                env.sleep(SimDuration::from_millis(5 * (i % 3)));
-                order.lock().push(i);
-                tx.send(i);
-            });
-        }
-        drop(tx);
-        let sink = order.clone();
-        sim.spawn("sink", move |env| {
-            while let Ok(v) = rx.recv(&env) {
-                sink.lock().push(100 + v);
-            }
-        });
-        let end = sim.run();
-        let trace = h.take_event_trace();
-        let got = order.lock().clone();
-        (end, trace, got)
-    }
-
-    #[test]
-    fn chaos_seeds_leave_timeline_identical() {
-        let (t0, trace0, order0) = contended_run(SchedPolicy::Fifo);
-        assert!(!trace0.is_empty());
-        for seed in 0..8u64 {
-            let (t, trace, order) = contended_run(SchedPolicy::chaos(seed));
-            assert_eq!(t, t0, "seed {seed}: final time diverged");
-            assert_eq!(order, order0, "seed {seed}: completion order diverged");
-            if let Some((i, a, b)) = first_divergence(&trace0, &trace) {
-                panic!(
-                    "seed {seed}: event trace diverged at index {i}: fifo={:?} chaos={:?}",
-                    a.map(|e| e.to_string()),
-                    b.map(|e| e.to_string())
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn broken_tie_break_is_caught_by_the_oracle() {
-        // The intentionally seeded ordering bug: BrokenTieBreak swaps
-        // equal-time wakes, so some seed must produce a diverging trace —
-        // proof the oracle detects real races rather than vacuously
-        // passing. (A correct policy passes the same check above.)
-        let (_, trace0, _) = contended_run(SchedPolicy::Fifo);
-        let mut caught = None;
-        for seed in 0..8u64 {
-            let (_, trace, _) = contended_run(SchedPolicy::BrokenTieBreak { seed });
-            if let Some((i, a, b)) = first_divergence(&trace0, &trace) {
-                caught = Some((seed, i, a, b));
-                break;
-            }
-        }
-        let (seed, i, a, b) = caught.expect("no BrokenTieBreak seed diverged — oracle is blind");
-        // The first-divergence report names both events.
-        let a = a.expect("fifo trace ended early");
-        let b = b.expect("broken trace ended early");
-        assert_eq!(
-            a.time_ns, b.time_ns,
-            "seed {seed}: tie-break bug must diverge within one instant (index {i})"
-        );
-        assert_ne!(a.seq, b.seq);
-    }
-
-    #[test]
-    fn chaos_is_deterministic_per_seed() {
-        let (t1, trace1, order1) = contended_run(SchedPolicy::chaos(3));
-        let (t2, trace2, order2) = contended_run(SchedPolicy::chaos(3));
-        assert_eq!(t1, t2);
-        assert_eq!(order1, order2);
-        assert_eq!(first_divergence(&trace1, &trace2), None);
-    }
-
-    #[test]
-    fn default_policy_is_picked_up_by_new() {
-        // Serialize against other tests touching the global default.
-        assert_eq!(default_sched_policy(), SchedPolicy::Fifo);
-        set_default_sched_policy(SchedPolicy::chaos(9));
-        let sim = Simulation::new();
-        let policy = sim.handle().inner.lock().policy;
-        set_default_sched_policy(SchedPolicy::Fifo);
-        assert_eq!(policy, SchedPolicy::Chaos { seed: 9 });
     }
 
     #[test]
@@ -1482,8 +1259,8 @@ mod tests {
 
     #[test]
     fn uncapped_scenarios_fit_default_cap() {
-        // The committed chaos-oracle scenarios run well under the default
-        // cap, so enabling the default trace changes nothing for them.
+        // A traced scenario well under the default cap carries no
+        // truncation sentinel.
         let sim = Simulation::new();
         let h = sim.handle();
         h.enable_event_trace();

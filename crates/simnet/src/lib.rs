@@ -1,9 +1,10 @@
 //! # simnet — deterministic discrete-event simulation substrate
 //!
 //! This crate provides the virtual-time foundation on which the GVFS
-//! reproduction runs: a discrete-event scheduler with thread-backed
-//! blocking processes, FIFO resources, channels, one-shot signals and a
-//! fluid-flow (processor-sharing) network link model.
+//! reproduction runs: a discrete-event scheduler whose blocking processes
+//! are coroutines on the calling thread, FIFO resources, channels,
+//! one-shot signals and a fluid-flow (processor-sharing) network link
+//! model.
 //!
 //! The paper ("Distributed File System Support for Virtual Machines in
 //! Grid Computing", HPDC 2004) evaluated GVFS on a real WAN between the
@@ -42,8 +43,8 @@ mod wheel;
 
 pub use arrival::ArrivalProcess;
 pub use engine::{
-    default_sched_policy, first_divergence, set_default_sched_policy, CancelToken, Env,
-    EventRecord, ProcessHandle, SchedPolicy, SimHandle, Simulation, DEFAULT_EVENT_TRACE_CAP,
+    first_divergence, CancelToken, Env, EventRecord, ProcessHandle, SimHandle, Simulation,
+    DEFAULT_EVENT_TRACE_CAP,
 };
 pub use fanout::{run_windowed, TransferTel};
 pub use fault::{splitmix64, DetRng, LinkFaultPlan, OutageWindow};

@@ -277,7 +277,9 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Key and value of the earliest entry without removing it.
+    /// Key and value of the earliest entry without removing it (the kernel
+    /// only pops; tests use this to check `prime` is idempotent).
+    #[cfg(test)]
     pub(crate) fn peek(&mut self) -> Option<(SimTime, u64, &T)> {
         self.prime();
         self.cur.peek().map(|e| (e.time, e.seq, &e.value))

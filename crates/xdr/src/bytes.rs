@@ -223,7 +223,7 @@ mod tests {
         assert_eq!(&*s, &[2, 3, 4]);
         assert_eq!(
             s.as_slice().as_ptr(),
-            unsafe { b.as_slice().as_ptr().add(1) },
+            b.as_slice()[1..].as_ptr(),
             "slice must not copy"
         );
     }

@@ -62,11 +62,6 @@ pub const RULE_DOUBLE_ACQUIRE: &str = "lock-double-acquire";
 /// foreign (and vice versa), so one waiver syntax serves both passes.
 pub const LOCKGRAPH_RULES: &[&str] = &[RULE_CYCLE, RULE_GUARD_SUSPEND, RULE_DOUBLE_ACQUIRE];
 
-/// Files whose locks are scheduler plumbing, not simulation state: the
-/// engine parks OS threads on its own condvars by design and is audited
-/// by the schedule-chaos oracle + TSan lane instead.
-const ENGINE_WHITELIST: &[&str] = &["crates/simnet/src/engine.rs"];
-
 /// Blocking calls on an `env` receiver that suspend the process.
 const SUSPEND_METHODS: &[&str] = &["suspend", "sleep", "wait", "recv", "acquire", "join"];
 
@@ -747,9 +742,6 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     let mut out = Analysis::default();
     let mut waivers: Vec<(String, Waiver)> = Vec::new();
     for (path, src) in files {
-        if ENGINE_WHITELIST.contains(&path.as_str()) {
-            continue;
-        }
         walk_file(path, src, &mut out, &mut waivers);
     }
     detect_cycles(&mut out);

@@ -6,7 +6,7 @@
 //! set of documented over-approximations (see DESIGN.md §5.2), bridged
 //! by inline waivers.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, Comment, Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// Rule identifiers, in report order.
@@ -19,6 +19,7 @@ pub const RULE_BOUNDED_FANOUT: &str = "bounded-fanout";
 pub const RULE_CANONICAL_DIGEST: &str = "canonical-digest";
 pub const RULE_ALLOC_FREE_RECORD: &str = "allocation-free-record";
 pub const RULE_CAS_EVICTION: &str = "cas-eviction";
+pub const RULE_UNSAFE_CONFINED: &str = "unsafe-confined";
 /// Meta-rule: malformed or unused waiver comments.
 pub const RULE_WAIVER: &str = "waiver";
 
@@ -32,6 +33,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_CANONICAL_DIGEST,
     RULE_ALLOC_FREE_RECORD,
     RULE_CAS_EVICTION,
+    RULE_UNSAFE_CONFINED,
     RULE_WAIVER,
 ];
 
@@ -44,10 +46,9 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Files where `std::thread` is legal: the simnet engine's one blessed
-/// worker-spawn site. The lock-discipline rule is also skipped there —
-/// the scheduler parks OS threads while coordinating by construction.
-const THREAD_WHITELIST: &[&str] = &["crates/simnet/src/engine.rs"];
+/// The one file allowed to hold `unsafe` code: the simnet engine's stack
+/// switch and stack mappings.
+const UNSAFE_HOME: &str = "crates/simnet/src/engine.rs";
 
 /// Scope of the bounded-decode rule: modules that decode untrusted wire
 /// bytes into sized allocations.
@@ -136,9 +137,7 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
     if panic_free_scope(path) {
         rule_panic_free(path, toks, &mask, &mut out);
     }
-    if !THREAD_WHITELIST.contains(&path) {
-        rule_lock_discipline(path, toks, &mask, &mut out);
-    }
+    rule_lock_discipline(path, toks, &mask, &mut out);
     if bounded_fanout_scope(path) {
         rule_bounded_fanout(path, toks, &mask, &mut out);
     }
@@ -151,6 +150,7 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
     if cas_eviction_scope(path) {
         rule_cas_eviction(path, toks, &mask, &mut out);
     }
+    rule_unsafe_confined(path, toks, &lexed.comments, &mask, &mut out);
 
     out.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
     out
@@ -394,7 +394,6 @@ const ITER_METHODS: &[&str] = &[
 
 fn rule_determinism(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
     let maps = hashmap_names(toks);
-    let thread_ok = THREAD_WHITELIST.contains(&path);
     for i in 0..toks.len() {
         if mask[i] {
             continue;
@@ -415,8 +414,7 @@ fn rule_determinism(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Viola
                 ),
             }),
             "thread"
-                if !thread_ok
-                    && i >= 3
+                if i >= 3
                     && toks[i - 1].is_punct(":")
                     && toks[i - 2].is_punct(":")
                     && toks[i - 3].is_ident("std") =>
@@ -426,8 +424,8 @@ fn rule_determinism(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Viola
                     file: path.to_string(),
                     line: t.line,
                     col: t.col,
-                    message: "`std::thread` outside the whitelisted simnet engine spawn site; \
-                              use `SimEnv::spawn` processes"
+                    message: "`std::thread` in simulation code; a simulation runs on one OS \
+                              thread, so use `SimEnv::spawn` processes"
                         .to_string(),
                 })
             }
@@ -702,7 +700,7 @@ fn rule_panic_free(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violat
 // ---------------------------------------------------------------------------
 
 /// Methods from `simnet::sync`/`engine` that can suspend the calling
-/// process (and therefore park the OS thread) when given a `SimEnv`.
+/// process (and therefore switch its coroutine out) when given a `SimEnv`.
 const SUSPEND_METHODS: &[&str] = &["suspend", "sleep", "wait", "recv", "acquire", "join"];
 
 fn rule_lock_discipline(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
@@ -1129,6 +1127,66 @@ fn rule_cas_eviction(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Viol
             });
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 10: unsafe-confined
+// ---------------------------------------------------------------------------
+
+/// `unsafe` belongs to the engine's coroutine switch and nowhere else, and
+/// even there every use carries its proof: an own-line `// SAFETY:`
+/// comment block ending on the line directly above.
+fn rule_unsafe_confined(
+    path: &str,
+    toks: &[Tok],
+    comments: &[Comment],
+    mask: &[bool],
+    out: &mut Vec<Violation>,
+) {
+    for (i, t) in toks.iter().enumerate() {
+        if mask[i] || !t.is_ident("unsafe") {
+            continue;
+        }
+        let message = if path != UNSAFE_HOME {
+            format!(
+                "`unsafe` outside `{UNSAFE_HOME}`; the engine's stack switch is the one place \
+                 the workspace trusts hand-checked code"
+            )
+        } else if !has_safety_comment(comments, t.line) {
+            "`unsafe` without a `// SAFETY:` comment directly above it; say why the \
+             operation is sound here"
+                .to_string()
+        } else {
+            continue;
+        };
+        out.push(Violation {
+            rule: RULE_UNSAFE_CONFINED,
+            file: path.to_string(),
+            line: t.line,
+            col: t.col,
+            message,
+        });
+    }
+}
+
+/// Whether the run of own-line comments ending on the line above `line`
+/// opens with `SAFETY:`.
+fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
+    let mut first = None;
+    let mut want = line.saturating_sub(1);
+    for c in comments.iter().rev().skip_while(|c| c.line >= line) {
+        if c.line != want || !c.own_line {
+            break;
+        }
+        first = Some(c);
+        want = want.saturating_sub(1);
+    }
+    first.is_some_and(|c| {
+        c.text
+            .trim_start_matches(['/', '*', '!'])
+            .trim_start()
+            .starts_with("SAFETY:")
+    })
 }
 
 /// Index of the `;` ending the statement starting at `i`, tracking nested

@@ -90,6 +90,12 @@ fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
             include_str!("fixtures/cas-eviction/good.rs"),
         ),
         (
+            "unsafe-confined",
+            "crates/simnet/src/engine.rs",
+            include_str!("fixtures/unsafe-confined/bad.rs"),
+            include_str!("fixtures/unsafe-confined/good.rs"),
+        ),
+        (
             "waiver",
             "crates/gvfs/src/file_cache.rs",
             include_str!("fixtures/waiver/bad.rs"),
@@ -138,6 +144,21 @@ fn bounded_fanout_exempts_only_the_engine_itself() {
     assert!(violations("crates/simnet/src/fanout.rs").is_empty());
     assert!(!violations("crates/simnet/src/link.rs").is_empty());
     assert!(!violations("crates/gvfs/src/transfer.rs").is_empty());
+}
+
+/// Proven `unsafe` passes only in the engine: anywhere else, the same code
+/// is a violation, and each `unsafe` token is one.
+#[test]
+fn unsafe_is_confined_to_the_engine() {
+    let good = include_str!("fixtures/unsafe-confined/good.rs");
+    assert!(lint_source("crates/simnet/src/engine.rs", good)
+        .violations
+        .is_empty());
+    for label in ["crates/simnet/src/sync.rs", "crates/xdr/src/bytes.rs"] {
+        let violations = lint_source(label, good).violations;
+        assert_eq!(violations.len(), 3, "{label}: {violations:?}");
+        assert!(violations.iter().all(|v| v.rule == "unsafe-confined"));
+    }
 }
 
 /// Build a one-file synthetic workspace at `root` whose single source
