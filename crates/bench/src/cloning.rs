@@ -163,9 +163,10 @@ impl CloneParams {
         }
     }
 
-    /// A LAN second-level proxy (the WAN-S3 cache, a fleet shard): shared
-    /// read-only block + file caches on a server-class disk, forwarding
-    /// to `upstream`, reachable over the LAN pair `<links>-up/-down`.
+    /// A LAN second-level proxy (the WAN-S3 cache, a fleet shard): a
+    /// write-through block cache on a server-class disk, and the channel
+    /// blobs it relays in its CAS, forwarding to `upstream`, reachable
+    /// over the LAN pair `<links>-up/-down`.
     pub(crate) fn start_lan_tier(
         &self,
         h: &SimHandle,
@@ -180,11 +181,10 @@ impl CloneParams {
         Tier::start(
             ProxyConfig {
                 write_policy: WritePolicy::WriteThrough,
-                read_only_share: true,
                 ..self.tier_config(name)
             },
             Some(BlockCacheConfig::paper(self.proxy_cache_bytes)),
-            Some(self.proxy_cache_bytes),
+            None,
             &Disk::new(h, DiskModel::server_array()),
             upstream,
             Listen::tunnel(lan("up"), lan("down")),

@@ -145,6 +145,25 @@ struct Inner {
     stamp: u64,
 }
 
+impl Inner {
+    /// `d`'s entry, made the most recently touched.
+    fn touch(&mut self, d: &Digest) -> Option<&mut Entry> {
+        let e = self.map.get_mut(d)?;
+        self.stamp += 1;
+        self.lru.remove(&e.stamp);
+        e.stamp = self.stamp;
+        self.lru.insert(e.stamp, *d);
+        Some(e)
+    }
+}
+
+/// A read through a CAS pin that found no resident, decodable entry: the
+/// residency guarantee the pin stands for was broken. Readers report it —
+/// a guest READ fails with `NFS3ERR_IO`, a flush keeps the file dirty —
+/// instead of inventing the bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BrokenPin;
+
 /// A chunk in the form it crossed the wire — codec-compressed — together
 /// with the digest and length its decompressed bytes have been checked
 /// against. The fields are private and the constructor has exactly one
@@ -189,9 +208,9 @@ pub struct ContentStore {
     /// when registered; unregistered otherwise).
     pin_blocked: Counter,
     /// Incremented when a reference file asks for a chunk it holds a pin
-    /// on and the chunk is not resident — a pin-discipline bug, served
-    /// as zeros so dispatch stays panic-free (the proxy attaches its
-    /// `recovered_errors` counter).
+    /// on and the chunk is not resident — a pin-discipline bug, reported
+    /// as [`BrokenPin`] (the proxy attaches its `recovered_errors`
+    /// counter).
     broken_pins: Counter,
 }
 
@@ -263,18 +282,14 @@ impl ContentStore {
             return;
         }
         let mut inner = self.inner.lock();
-        inner.stamp += 1;
-        let stamp = inner.stamp;
-        if let Some(e) = inner.map.get_mut(&d) {
-            let old = e.stamp;
-            e.stamp = stamp;
+        if let Some(e) = inner.touch(&d) {
             if pin {
                 e.pins += 1;
             }
-            inner.lru.remove(&old);
-            inner.lru.insert(stamp, d);
             return;
         }
+        inner.stamp += 1;
+        let stamp = inner.stamp;
         let packed = share(packed());
         inner.bytes += len;
         inner.map.insert(
@@ -373,38 +388,39 @@ impl ContentStore {
     /// returns ([`codec::decompress_range`]). Recency moves only after a
     /// successful decode, so a corrupt entry keeps its one LRU row.
     pub fn get_range(&self, d: &Digest, offset: usize, len: usize) -> Option<Vec<u8>> {
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        let e = inner.map.get_mut(d)?;
-        let bytes = codec::decompress_range(&e.packed, offset, len).ok()?;
-        inner.stamp += 1;
-        inner.lru.remove(&e.stamp);
-        e.stamp = inner.stamp;
-        inner.lru.insert(e.stamp, *d);
+        let mut inner = self.inner.lock();
+        let bytes = codec::decompress_range(&inner.map.get(d)?.packed, offset, len).ok()?;
+        inner.touch(d);
         Some(bytes)
     }
 
+    /// `d`'s entry as stored — its logical length and its compressed
+    /// stream — refreshing its recency like [`ContentStore::get_range`]
+    /// but decoding nothing: what a relay answers a `FETCH_BLOBS` with.
+    pub fn get_packed(&self, d: &Digest) -> Option<(u32, SharedBytes)> {
+        let mut inner = self.inner.lock();
+        let e = inner.touch(d)?;
+        Some((e.len, e.packed.clone()))
+    }
+
     /// [`ContentStore::get_range`] for a chunk the caller holds a pin
-    /// on. The pin guarantees residency, so a miss is a pin-discipline
-    /// bug: it is counted and served as `len` zeros (clipped to the
-    /// recipe's `chunk_len`) rather than panicking a dispatch path.
+    /// on. The pin guarantees residency, so a miss (or an entry that no
+    /// longer decodes) is a broken pin: it is counted and reported.
     pub(crate) fn get_pinned_range(
         &self,
         d: &Digest,
-        chunk_len: u32,
         offset: usize,
         len: usize,
-    ) -> Vec<u8> {
-        self.get_range(d, offset, len).unwrap_or_else(|| {
+    ) -> Result<Vec<u8>, BrokenPin> {
+        self.get_range(d, offset, len).ok_or_else(|| {
             self.broken_pins.inc();
-            let chunk_len = chunk_len as usize;
-            vec![0u8; offset.saturating_add(len).min(chunk_len) - offset.min(chunk_len)]
+            BrokenPin
         })
     }
 
     /// Damage `d`'s stored stream so every decode of it fails.
     #[cfg(test)]
-    fn corrupt_entry(&self, d: &Digest) {
+    pub(crate) fn corrupt_entry(&self, d: &Digest) {
         if let Some(e) = self.inner.lock().map.get_mut(d) {
             std::sync::Arc::make_mut(&mut e.packed).pop();
         }
@@ -484,17 +500,34 @@ mod tests {
     }
 
     #[test]
-    fn a_read_through_a_broken_pin_is_counted_and_served_as_zeros() {
+    fn a_read_through_a_broken_pin_is_counted_and_reported() {
         let broken = Counter::new();
         let cas = ContentStore::new(1 << 20).with_broken_pin_counter(broken.clone());
         let a = vec![7u8; 1000];
         let d = cas.insert_pinned(&a);
-        assert_eq!(cas.get_pinned_range(&d, 1000, 990, 50), [7u8; 10]);
+        assert_eq!(cas.get_pinned_range(&d, 990, 50), Ok(vec![7u8; 10]));
         assert_eq!(broken.get(), 0);
         let gone = digest(b"never inserted");
-        assert_eq!(cas.get_pinned_range(&gone, 1000, 990, 50), [0u8; 10]);
-        assert_eq!(cas.get_pinned_range(&gone, 1000, 0, 1000), vec![0u8; 1000]);
+        assert_eq!(cas.get_pinned_range(&gone, 990, 50), Err(BrokenPin));
+        cas.corrupt_entry(&d);
+        assert_eq!(cas.get_pinned_range(&d, 0, 1000), Err(BrokenPin));
         assert_eq!(broken.get(), 2);
+    }
+
+    #[test]
+    fn get_packed_hands_out_the_stored_stream_and_touches_recency() {
+        let cas = ContentStore::new(10_000);
+        let a: Vec<u8> = (0..4096u32).map(|i| (i * 3) as u8).collect();
+        let da = cas.insert(&a);
+        let db = cas.insert(&[9u8; 4096]);
+        let (len, packed) = cas.get_packed(&da).unwrap();
+        assert_eq!(len, 4096);
+        assert_eq!(codec::decompress(&packed).unwrap(), a);
+        assert!(cas.get_packed(&digest(b"absent")).is_none());
+        // `a` is now the most recent: `b` pays.
+        cas.insert(&[3u8; 4096]);
+        assert!(cas.contains(&da));
+        assert!(!cas.contains(&db));
     }
 
     #[test]

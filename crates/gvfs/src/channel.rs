@@ -73,22 +73,22 @@ pub mod chanproc {
     /// envelope of `(proc, args)` sub-calls (fetch procedures only, see
     /// [`batchable`](super::batchable)) and the result is the matching
     /// per-item reply envelope. One WAN round-trip — and one tunnel
-    /// per-message cost — covers the whole envelope; shard proxies in a
-    /// fleet cloning run coalesce adjacent `FETCH_BLOBS` misses into
-    /// this.
+    /// per-message cost — covers the whole envelope. A fleet client proxy
+    /// sends a cold file's misses in these, and a shard forwards each
+    /// envelope's own fresh misses upstream in one.
     pub const FETCH_BLOBS_BATCH: u32 = 7;
     /// Intra-region anti-entropy between sibling shard proxies: the
     /// caller pushes a bounded delta of blob digests it newly holds and
     /// the reply carries the receiver's own delta (tracked by a
     /// per-sender cursor). Proxy-to-proxy only — the origin has no
-    /// digest-keyed reply cache and answers `ProcUnavail`.
+    /// content store and answers `ProcUnavail`.
     pub const GOSSIP_DIGESTS: u32 = 8;
     /// Peer-to-peer blob fetch between sibling shard proxies. Args are
     /// the `FETCH_BLOBS` wire format; the receiver serves *only* from
-    /// its local digest-keyed reply cache (never forwards upstream, so
-    /// two shards can never ping-pong a miss) and fails the call on a
-    /// local miss. The reply is a `FETCH_BLOBS` reply, so the caller's
-    /// digest verification applies unchanged.
+    /// its content store (never forwards upstream, so two shards can
+    /// never ping-pong a miss) and fails the call on a local miss. The
+    /// reply is a `FETCH_BLOBS` reply, so the caller's digest
+    /// verification applies unchanged.
     pub const FETCH_BLOBS_PEER: u32 = 9;
 }
 
@@ -389,8 +389,8 @@ fn read_chunk_reply(
 /// Read a `FETCH_BLOBS` reply — a single call's, a batch item's or a
 /// peer's — verifying the contents against `want`: `(blob, contents,
 /// wire bytes)`. Proxies call this before a reply may enter their
-/// digest-keyed cache; the decompression and digest CPU it charges is
-/// the price of guarding a shared cache against a range-serving origin.
+/// content store; the decompression and digest CPU it charges is the
+/// price of guarding a shared store against a range-serving origin.
 pub(crate) fn read_blob_reply(
     env: &Env,
     codec: &CodecModel,
@@ -402,12 +402,11 @@ pub(crate) fn read_blob_reply(
     read_payload(env, codec, &mut dec, want)
 }
 
-/// The uncompressed chunk length a successful `FETCH_BLOBS` reply
-/// declares (for a proxy's bytes-avoided accounting; no verification).
-pub(crate) fn blob_reply_len(res: &[u8]) -> Option<u64> {
-    let mut dec = Decoder::new(res);
-    dec.get_u32().ok()?;
-    dec.get_u64().ok()
+/// A `FETCH_BLOBS` reply carrying a chunk of logical length `len` as the
+/// compressed stream `packed`: what a proxy answers out of its content
+/// store.
+pub(crate) fn blob_reply(len: u32, packed: &[u8]) -> Vec<u8> {
+    payload_reply(None, len as u64, true, packed)
 }
 
 /// `UPLOAD_CHUNK` args: file, byte offset, final file size, and the

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use simnet::Env;
 use vfs::{Disk, SparseBytes};
 
-use crate::cas::ContentStore;
+use crate::cas::{BrokenPin, ContentStore};
 use crate::digest::{digest, Digest};
 
 /// Knobs for copy-on-write reference installs, carried by
@@ -85,24 +85,23 @@ impl RefFile {
     }
 
     /// `[off, off + len)` of the still-shared chunk `i`, decoded out of
-    /// its pinned CAS entry. Pins guarantee residency; a miss is a
-    /// pin-discipline bug, which the store counts and serves as zeros.
-    fn shared_range(&self, i: usize, off: usize, len: usize) -> Vec<u8> {
-        let (d, clen) = self.recipe[i];
-        self.cas.get_pinned_range(&d, clen, off, len)
+    /// its pinned CAS entry. Pins guarantee residency; a miss is a broken
+    /// pin, which the store counts and this reports.
+    fn shared_range(&self, i: usize, off: usize, len: usize) -> Result<Vec<u8>, BrokenPin> {
+        self.cas.get_pinned_range(&self.recipe[i].0, off, len)
     }
 
     /// Assemble the full current contents (host-side; no time charged,
     /// mirroring the uncharged digest in [`FileCache::install`]).
-    fn assemble(&self) -> Vec<u8> {
+    fn assemble(&self) -> Result<Vec<u8>, BrokenPin> {
         let mut out = Vec::with_capacity(self.total() as usize);
         for (i, &(_, clen)) in self.recipe.iter().enumerate() {
             match self.overlay.get(&(i as u32)) {
                 Some(b) => out.extend_from_slice(b),
-                None => out.extend_from_slice(&self.shared_range(i, 0, clen as usize)),
+                None => out.extend_from_slice(&self.shared_range(i, 0, clen as usize)?),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Byte offset where chunk `i` starts.
@@ -113,10 +112,10 @@ impl RefFile {
     /// Read `[offset, offset+len)` clipped to the recipe, returning the
     /// bytes and how many of them came off the disk (private overlay —
     /// shared chunks serve from the pinned host-memory CAS for free).
-    fn read_range(&self, offset: u64, len: usize) -> (Vec<u8>, u64) {
+    fn read_range(&self, offset: u64, len: usize) -> Result<(Vec<u8>, u64), BrokenPin> {
         let total = self.total();
         if offset >= total || len == 0 {
-            return (Vec::new(), 0);
+            return Ok((Vec::new(), 0));
         }
         let end = total.min(offset + len as u64);
         let cb = self.chunk_bytes as u64;
@@ -138,10 +137,10 @@ impl RefFile {
                     disk += e - s;
                     out.extend_from_slice(&b[lo..lo + n]);
                 }
-                None => out.extend_from_slice(&self.shared_range(i, lo, n)),
+                None => out.extend_from_slice(&self.shared_range(i, lo, n)?),
             }
         }
-        (out, disk)
+        Ok((out, disk))
     }
 
     /// Copy-on-write break: materialize every chunk `[offset,
@@ -151,10 +150,11 @@ impl RefFile {
     /// break wrote (full length of newly materialized chunks + written
     /// spans of already-private ones), the ledger growth (overlay bytes
     /// added — newly private chunks now occupy cache disk), and how many
-    /// chunks broke.
-    fn cow_write(&mut self, offset: u64, bytes: &[u8]) -> (u64, u64, u64) {
+    /// chunks broke. A broken pin on a chunk to materialize fails the
+    /// write before anything changes.
+    fn cow_write(&mut self, offset: u64, bytes: &[u8]) -> Result<(u64, u64, u64), BrokenPin> {
         if bytes.is_empty() {
-            return (0, 0, 0);
+            return Ok((0, 0, 0));
         }
         let end = offset + bytes.len() as u64;
         let cb = self.chunk_bytes as u64;
@@ -162,34 +162,41 @@ impl RefFile {
         let last = ((end - 1) / cb) as usize;
         let mut io = 0u64;
         let mut grew = 0u64;
-        let mut breaks = 0u64;
+        let mut spans = Vec::with_capacity(last + 1 - first);
         for i in first..=last {
-            let (d, clen) = self.recipe[i];
+            let clen = self.recipe[i].1;
             let cstart = self.chunk_offset(i);
             let s = offset.max(cstart);
             let e = end.min(cstart + clen as u64);
             if s >= e {
                 continue;
             }
-            let chunk = match self.overlay.entry(i as u32) {
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    let buf = self.cas.get_pinned_range(&d, clen, 0, clen as usize);
-                    self.cas.unpin(&d);
-                    breaks += 1;
-                    io += clen as u64;
-                    grew += clen as u64;
-                    slot.insert(buf)
-                }
-                std::collections::btree_map::Entry::Occupied(o) => {
-                    io += e - s;
-                    o.into_mut()
-                }
+            // A still-shared chunk is read out of its pin before anything
+            // changes, so a broken pin leaves the entry as it was.
+            let shared = if self.overlay.contains_key(&(i as u32)) {
+                io += e - s;
+                None
+            } else {
+                io += clen as u64;
+                grew += clen as u64;
+                Some(self.shared_range(i, 0, clen as usize)?)
             };
-            chunk[(s - cstart) as usize..(e - cstart) as usize]
-                .copy_from_slice(&bytes[(s - offset) as usize..(e - offset) as usize]);
-            self.dirty_chunks.insert(i as u32);
+            spans.push((i, cstart, s, e, shared));
         }
-        (io, grew, breaks)
+        let mut breaks = 0u64;
+        for (i, cstart, s, e, shared) in spans {
+            if let Some(buf) = shared {
+                self.cas.unpin(&self.recipe[i].0);
+                self.overlay.insert(i as u32, buf);
+                breaks += 1;
+            }
+            if let Some(chunk) = self.overlay.get_mut(&(i as u32)) {
+                chunk[(s - cstart) as usize..(e - cstart) as usize]
+                    .copy_from_slice(&bytes[(s - offset) as usize..(e - offset) as usize]);
+                self.dirty_chunks.insert(i as u32);
+            }
+        }
+        Ok((io, grew, breaks))
     }
 }
 
@@ -277,15 +284,15 @@ impl CachedFile {
     /// reference whose digest was left unresolved at install (a
     /// non-persistent clone's memory state is never asked, and never
     /// pays for assembling the file).
-    fn resolve_synced(&mut self) -> Option<Digest> {
+    fn resolve_synced(&mut self) -> Result<Option<Digest>, BrokenPin> {
         if let (Synced::Recipe, Backing::Reference(r)) = (&self.synced, &self.backing) {
             debug_assert!(r.overlay.is_empty(), "unresolved digest after a break");
-            self.synced = Synced::Digest(digest(&r.assemble()));
+            self.synced = Synced::Digest(digest(&r.assemble()?));
         }
-        match self.synced {
+        Ok(match self.synced {
             Synced::Digest(d) => Some(d),
             Synced::Unknown | Synced::Recipe => None,
-        }
+        })
     }
 
     /// Bytes this entry occupies on the cache disk: full files in full,
@@ -485,13 +492,15 @@ impl FileCache {
     }
 
     /// Digest of the contents upstream last acknowledged for this file
-    /// (`None` when the file is absent or was never synced).
-    pub fn synced_digest(&self, key: FileKey) -> Option<Digest> {
+    /// (`None` when the file is absent or was never synced). A reference
+    /// whose pristine digest is still owed resolves it here, which fails
+    /// on a broken pin.
+    pub fn synced_digest(&self, key: FileKey) -> Result<Option<Digest>, BrokenPin> {
         let mut inner = self.inner.lock();
-        inner
-            .files
-            .get_mut(&key)
-            .and_then(CachedFile::resolve_synced)
+        match inner.files.get_mut(&key) {
+            Some(f) => f.resolve_synced(),
+            None => Ok(None),
+        }
     }
 
     /// Record that upstream now durably holds contents with this digest
@@ -521,13 +530,22 @@ impl FileCache {
     /// disk-resident bytes touched. A reference file's shared chunks are
     /// served out of the pinned host-memory CAS (that residency is what
     /// the pin buys — DESIGN.md §5.9), so only its private overlay bytes
-    /// charge the disk. Returns `None` if the file is not resident.
-    pub fn read(&self, env: &Env, key: FileKey, offset: u64, len: u32) -> Option<(Vec<u8>, bool)> {
-        let out = {
+    /// charge the disk. Returns `None` if the file is not resident, and
+    /// [`BrokenPin`] if a shared chunk the range needs is not.
+    pub fn read(
+        &self,
+        env: &Env,
+        key: FileKey,
+        offset: u64,
+        len: u32,
+    ) -> Result<Option<(Vec<u8>, bool)>, BrokenPin> {
+        let (data, eof, disk_bytes) = {
             let mut inner = self.inner.lock();
             inner.stamp += 1;
             let stamp = inner.stamp;
-            let f = inner.files.get_mut(&key)?;
+            let Some(f) = inner.files.get_mut(&key) else {
+                return Ok(None);
+            };
             f.last_use = stamp;
             let (data, disk_bytes) = match &f.backing {
                 Backing::Full(sparse) => {
@@ -538,17 +556,16 @@ impl FileCache {
                     let n = data.len().max(1) as u64;
                     (data, n)
                 }
-                Backing::Reference(r) => r.read_range(offset, len as usize),
+                Backing::Reference(r) => r.read_range(offset, len as usize)?,
             };
             let eof = offset + data.len() as u64 >= f.size;
             inner.stats.read_hits += 1;
-            Some((data, eof, disk_bytes))
+            (data, eof, disk_bytes)
         };
-        let (data, eof, disk_bytes) = out?;
         if disk_bytes > 0 {
             self.disk.stream_io(env, disk_bytes);
         }
-        Some((data, eof))
+        Ok(Some((data, eof)))
     }
 
     /// Write a range into a resident file, marking it dirty. On a
@@ -556,8 +573,15 @@ impl FileCache {
     /// chunk is materialized into the private overlay (charged as disk
     /// traffic, pin released), and only those chunks join the dirty set.
     /// A write extending past the recipe converts the entry to a full
-    /// file first. Returns false if the file is not resident.
-    pub fn write(&self, env: &Env, key: FileKey, offset: u64, bytes: &[u8]) -> bool {
+    /// file first. Returns false if the file is not resident; a broken
+    /// pin on a chunk the write needs fails it and changes nothing.
+    pub fn write(
+        &self,
+        env: &Env,
+        key: FileKey,
+        offset: u64,
+        bytes: &[u8],
+    ) -> Result<bool, BrokenPin> {
         let io_bytes = {
             let mut inner = self.inner.lock();
             inner.stamp += 1;
@@ -567,7 +591,7 @@ impl FileCache {
                     // A reference still owing its synced digest settles
                     // it now: past this write the pristine contents can
                     // no longer be assembled.
-                    f.resolve_synced();
+                    f.resolve_synced()?;
                     // Growth is incompatible with a recipe-bounded
                     // backing: materialize to a full entry first (the
                     // assembled shared bytes become disk-resident and
@@ -576,7 +600,7 @@ impl FileCache {
                     let mut materialize_delta = 0u64;
                     if let Backing::Reference(r) = &f.backing {
                         if offset + bytes.len() as u64 > f.size {
-                            let full = r.assemble();
+                            let full = r.assemble()?;
                             materialize_delta = f.size - r.overlay_bytes();
                             let mut sparse = SparseBytes::new();
                             sparse.write_at(0, &full);
@@ -599,7 +623,7 @@ impl FileCache {
                             (grew, bytes.len().max(1) as u64, 0u64)
                         }
                         Backing::Reference(r) => {
-                            let (io, grew, breaks) = r.cow_write(offset, bytes);
+                            let (io, grew, breaks) = r.cow_write(offset, bytes)?;
                             (grew, io.max(1), breaks)
                         }
                     };
@@ -615,9 +639,9 @@ impl FileCache {
         match io_bytes {
             Some(io) => {
                 self.disk.stream_io(env, io);
-                true
+                Ok(true)
             }
-            None => false,
+            None => Ok(false),
         }
     }
 
@@ -630,23 +654,28 @@ impl FileCache {
     /// reference only the private overlay is read off the disk (shared
     /// chunks assemble from the pinned CAS) and the backing stays a
     /// reference, so the ledger is untouched. `None` when the file is
-    /// absent or clean.
-    pub fn take_dirty(&self, env: &Env, key: FileKey, diverged_only: bool) -> Option<DirtyFile> {
+    /// absent or clean. A broken pin fails the take and leaves the file
+    /// dirty.
+    pub fn take_dirty(
+        &self,
+        env: &Env,
+        key: FileKey,
+        diverged_only: bool,
+    ) -> Result<Option<DirtyFile>, BrokenPin> {
         let (out, disk_read) = {
             let mut inner = self.inner.lock();
-            let f = inner.files.get_mut(&key)?;
-            if !f.dirty {
-                return None;
-            }
-            f.dirty = false;
+            let Some(f) = inner.files.get_mut(&key).filter(|f| f.dirty) else {
+                return Ok(None);
+            };
             let total = f.size;
-            match &mut f.backing {
+            let taken = match &mut f.backing {
                 Backing::Full(sparse) => {
                     let data = sparse.read_range(0, total as usize);
                     let n = data.len() as u64;
                     (DirtyFile::Whole(data), n)
                 }
                 Backing::Reference(r) if diverged_only && !r.dirty_chunks.is_empty() => {
+                    let full_digest = digest(&r.assemble()?);
                     let mut ranges = Vec::with_capacity(r.dirty_chunks.len());
                     let mut disk = 0u64;
                     for &i in r.dirty_chunks.iter() {
@@ -657,7 +686,6 @@ impl FileCache {
                         disk += b.len() as u64;
                         ranges.push((r.chunk_offset(i as usize), b.clone()));
                     }
-                    let full_digest = digest(&r.assemble());
                     r.dirty_chunks.clear();
                     let diverged = DirtyFile::Diverged {
                         total,
@@ -667,13 +695,16 @@ impl FileCache {
                     (diverged, disk)
                 }
                 Backing::Reference(r) => {
+                    let whole = DirtyFile::Whole(r.assemble()?);
                     r.dirty_chunks.clear();
-                    (DirtyFile::Whole(r.assemble()), r.overlay_bytes())
+                    (whole, r.overlay_bytes())
                 }
-            }
+            };
+            f.dirty = false;
+            taken
         };
         self.disk.sequential_io(env, disk_read);
-        Some(out)
+        Ok(Some(out))
     }
 
     /// Whether a resident file is reference-backed.
@@ -782,7 +813,7 @@ mod tests {
 
     /// The full contents a whole-file take hands over.
     fn take_whole(c: &FileCache, env: &Env, k: FileKey) -> Option<Vec<u8>> {
-        match c.take_dirty(env, k, false)? {
+        match c.take_dirty(env, k, false).unwrap()? {
             DirtyFile::Whole(contents) => Some(contents),
             DirtyFile::Diverged { .. } => panic!("whole-file take yielded ranges"),
         }
@@ -794,12 +825,12 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            assert!(cc.read(&env, key(1), 0, 10).is_none());
+            assert!(cc.read(&env, key(1), 0, 10).unwrap().is_none());
             cc.install(&env, key(1), b"memory state contents");
-            let (data, eof) = cc.read(&env, key(1), 0, 1024).unwrap();
+            let (data, eof) = cc.read(&env, key(1), 0, 1024).unwrap().unwrap();
             assert_eq!(data, b"memory state contents");
             assert!(eof);
-            let (mid, eof2) = cc.read(&env, key(1), 7, 5).unwrap();
+            let (mid, eof2) = cc.read(&env, key(1), 7, 5).unwrap().unwrap();
             assert_eq!(mid, b"state");
             assert!(!eof2);
         });
@@ -813,7 +844,7 @@ mod tests {
         let cc = c.clone();
         sim.spawn("t", move |env| {
             cc.install(&env, key(1), b"0123456789");
-            assert!(cc.write(&env, key(1), 8, b"XYZ"));
+            assert!(cc.write(&env, key(1), 8, b"XYZ").unwrap());
             assert_eq!(cc.size_of(key(1)), Some(11));
             assert_eq!(cc.dirty_files(), vec![key(1)]);
             let contents = take_whole(&cc, &env, key(1)).unwrap();
@@ -833,7 +864,7 @@ mod tests {
             cc.install(&env, key(1), &[1u8; 1000]);
             cc.install(&env, key(2), &[2u8; 1000]);
             // Touch 1 so 2 becomes LRU.
-            cc.read(&env, key(1), 0, 1).unwrap();
+            cc.read(&env, key(1), 0, 1).unwrap().unwrap();
             cc.install(&env, key(3), &[3u8; 1000]);
             assert!(cc.contains(key(1)));
             assert!(!cc.contains(key(2)));
@@ -849,21 +880,24 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            assert_eq!(cc.synced_digest(key(1)), None);
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), None);
             cc.install(&env, key(1), b"suspend state");
-            assert_eq!(cc.synced_digest(key(1)), Some(digest(b"suspend state")));
+            assert_eq!(
+                cc.synced_digest(key(1)).unwrap(),
+                Some(digest(b"suspend state"))
+            );
             // An identical rewrite dirties the file but leaves the synced
             // digest equal to the current contents' digest.
-            assert!(cc.write(&env, key(1), 0, b"suspend state"));
+            assert!(cc.write(&env, key(1), 0, b"suspend state").unwrap());
             assert_eq!(cc.dirty_files(), vec![key(1)]);
             let contents = take_whole(&cc, &env, key(1)).unwrap();
-            assert_eq!(cc.synced_digest(key(1)), Some(digest(&contents)));
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(digest(&contents)));
             // A real change diverges; set_synced records the new upload.
-            assert!(cc.write(&env, key(1), 0, b"SUSPEND"));
+            assert!(cc.write(&env, key(1), 0, b"SUSPEND").unwrap());
             let contents = take_whole(&cc, &env, key(1)).unwrap();
-            assert_ne!(cc.synced_digest(key(1)), Some(digest(&contents)));
+            assert_ne!(cc.synced_digest(key(1)).unwrap(), Some(digest(&contents)));
             cc.set_synced(key(1), digest(&contents));
-            assert_eq!(cc.synced_digest(key(1)), Some(digest(&contents)));
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(digest(&contents)));
         });
         sim.run();
     }
@@ -875,13 +909,16 @@ mod tests {
         let cc = c.clone();
         sim.spawn("t", move |env| {
             cc.install(&env, key(1), b"suspend state");
-            assert!(cc.synced_digest(key(1)).is_some());
+            assert!(cc.synced_digest(key(1)).unwrap().is_some());
             // An upload attempt starts: upstream state is now unknown
             // until set_synced records a completed upload.
             cc.clear_synced(key(1));
-            assert_eq!(cc.synced_digest(key(1)), None);
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), None);
             cc.set_synced(key(1), digest(b"suspend state"));
-            assert_eq!(cc.synced_digest(key(1)), Some(digest(b"suspend state")));
+            assert_eq!(
+                cc.synced_digest(key(1)).unwrap(),
+                Some(digest(b"suspend state"))
+            );
             // Absent files are a no-op, not a panic.
             cc.clear_synced(key(9));
         });
@@ -895,7 +932,7 @@ mod tests {
         let cc = c.clone();
         sim.spawn("t", move |env| {
             cc.install(&env, key(1), &[1u8; 1000]);
-            cc.write(&env, key(1), 0, b"dirty");
+            cc.write(&env, key(1), 0, b"dirty").unwrap();
             cc.install(&env, key(2), &[2u8; 1000]);
             cc.install(&env, key(3), &[3u8; 1000]);
             // Key 2 (clean LRU) went, key 1 stayed despite being older.
@@ -939,12 +976,12 @@ mod tests {
             assert!(cc.is_reference(key(1)));
             assert_eq!(cc.bytes_stored(), 0, "shared content charged disk");
             assert_eq!(cc.size_of(key(1)), Some(2500));
-            assert_eq!(cc.synced_digest(key(1)), Some(digest(&content)));
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(digest(&content)));
             // Reads assemble byte-identically, across chunk boundaries.
-            let (data, eof) = cc.read(&env, key(1), 0, 4096).unwrap();
+            let (data, eof) = cc.read(&env, key(1), 0, 4096).unwrap().unwrap();
             assert_eq!(data, content);
             assert!(eof);
-            let (mid, eof2) = cc.read(&env, key(1), 1000, 100).unwrap();
+            let (mid, eof2) = cc.read(&env, key(1), 1000, 100).unwrap().unwrap();
             assert_eq!(mid, &content[1000..1100]);
             assert!(!eof2);
             assert_eq!(cas.pinned_bytes(), 2500);
@@ -967,19 +1004,19 @@ mod tests {
                 cc.install_reference(&env, key(k), cas.clone(), 1024, recipe, 0);
             }
             // Asked first, then written.
-            assert_eq!(cc.synced_digest(key(1)), Some(eager));
-            assert!(cc.write(&env, key(1), 1500, b"DIVERGED"));
-            assert_eq!(cc.synced_digest(key(1)), Some(eager));
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(eager));
+            assert!(cc.write(&env, key(1), 1500, b"DIVERGED").unwrap());
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(eager));
             // Written first (a break, then an extension that converts the
             // entry to a full file), asked afterwards.
-            assert!(cc.write(&env, key(2), 1500, b"DIVERGED"));
-            assert_eq!(cc.synced_digest(key(2)), Some(eager));
-            assert!(cc.write(&env, key(3), 2990, b"past-the-end-tail"));
+            assert!(cc.write(&env, key(2), 1500, b"DIVERGED").unwrap());
+            assert_eq!(cc.synced_digest(key(2)).unwrap(), Some(eager));
+            assert!(cc.write(&env, key(3), 2990, b"past-the-end-tail").unwrap());
             assert!(!cc.is_reference(key(3)));
-            assert_eq!(cc.synced_digest(key(3)), Some(eager));
+            assert_eq!(cc.synced_digest(key(3)).unwrap(), Some(eager));
             // An upload starting before anyone asked still forgets it.
             cc.clear_synced(key(4));
-            assert_eq!(cc.synced_digest(key(4)), None);
+            assert_eq!(cc.synced_digest(key(4)).unwrap(), None);
             cc.validate_accounting();
         });
         sim.run();
@@ -996,20 +1033,20 @@ mod tests {
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
             // First write to chunk 1 breaks sharing for that chunk only.
-            assert!(cc.write(&env, key(1), 1500, b"DIVERGED"));
+            assert!(cc.write(&env, key(1), 1500, b"DIVERGED").unwrap());
             assert_eq!(cc.bytes_stored(), 1024, "exactly one chunk private");
             assert_eq!(cc.stats().cow_breaks, 1);
             assert_eq!(cas.pinned_bytes(), 3072, "broken chunk still pinned");
             cc.validate_accounting();
             // A second write to the same chunk breaks nothing further.
-            assert!(cc.write(&env, key(1), 1024, b"x"));
+            assert!(cc.write(&env, key(1), 1024, b"x").unwrap());
             assert_eq!(cc.stats().cow_breaks, 1);
             assert_eq!(cc.bytes_stored(), 1024);
             // Guest-visible contents match a materialized equivalent.
             let mut want = content.clone();
             want[1500..1508].copy_from_slice(b"DIVERGED");
             want[1024] = b'x';
-            let (data, _) = cc.read(&env, key(1), 0, 4096).unwrap();
+            let (data, _) = cc.read(&env, key(1), 0, 4096).unwrap().unwrap();
             assert_eq!(data, want);
             // Flush hands over exactly the diverged chunk.
             assert_eq!(cc.dirty_files(), vec![key(1)]);
@@ -1017,7 +1054,7 @@ mod tests {
                 total,
                 ranges,
                 full_digest,
-            }) = cc.take_dirty(&env, key(1), true)
+            }) = cc.take_dirty(&env, key(1), true).unwrap()
             else {
                 panic!("a diverged-only take of a broken chunk yields ranges");
             };
@@ -1027,7 +1064,7 @@ mod tests {
             assert_eq!(ranges[0].1, &want[1024..2048]);
             assert_eq!(full_digest, digest(&want));
             assert!(cc.dirty_files().is_empty());
-            assert!(cc.take_dirty(&env, key(1), true).is_none());
+            assert!(cc.take_dirty(&env, key(1), true).unwrap().is_none());
             cc.validate_accounting();
         });
         sim.run();
@@ -1046,7 +1083,7 @@ mod tests {
             let content = golden(3000);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
-            assert!(cc.write(&env, key(1), 0, b"new-head"));
+            assert!(cc.write(&env, key(1), 0, b"new-head").unwrap());
             let before = cc.bytes_stored();
             assert_eq!(before, 1024);
             cc.clear_synced(key(1));
@@ -1056,13 +1093,13 @@ mod tests {
             assert_eq!(took, want);
             assert_eq!(cc.bytes_stored(), before, "ledger moved on take");
             assert!(cc.is_reference(key(1)), "take must not convert");
-            assert!(cc.take_dirty(&env, key(1), true).is_none());
+            assert!(cc.take_dirty(&env, key(1), true).unwrap().is_none());
             cc.validate_accounting();
             // Re-dirtying after a failed upload keeps the full-file path,
             // even for a taker that would accept ranges.
             cc.mark_dirty(key(1));
             assert!(matches!(
-                cc.take_dirty(&env, key(1), true),
+                cc.take_dirty(&env, key(1), true).unwrap(),
                 Some(DirtyFile::Whole(took)) if took == want
             ));
             cc.validate_accounting();
@@ -1108,7 +1145,7 @@ mod tests {
             let content = golden(2000);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
-            assert!(cc.write(&env, key(1), 1990, b"past-the-end-tail"));
+            assert!(cc.write(&env, key(1), 1990, b"past-the-end-tail").unwrap());
             assert!(!cc.is_reference(key(1)));
             assert_eq!(cc.size_of(key(1)), Some(2007));
             assert_eq!(cc.bytes_stored(), 2007);
@@ -1116,7 +1153,7 @@ mod tests {
             let mut want = content.clone();
             want.resize(2007, 0);
             want[1990..].copy_from_slice(b"past-the-end-tail");
-            let (data, _) = cc.read(&env, key(1), 0, 4096).unwrap();
+            let (data, _) = cc.read(&env, key(1), 0, 4096).unwrap().unwrap();
             assert_eq!(data, want);
             cc.validate_accounting();
         });
@@ -1142,14 +1179,53 @@ mod tests {
             assert!(!cc.contains(key(2)));
             assert!(cc.contains(key(3)));
             // Once it carries private bytes it competes like any file.
-            assert!(cc.write(&env, key(1), 0, b"p"));
+            assert!(cc.write(&env, key(1), 0, b"p").unwrap());
             assert!(matches!(
-                cc.take_dirty(&env, key(1), true),
+                cc.take_dirty(&env, key(1), true).unwrap(),
                 Some(DirtyFile::Diverged { ranges, .. }) if ranges.len() == 1
             ));
             cc.install(&env, key(4), &[4u8; 2000]);
             assert!(!cc.contains(key(1)), "diverged reference now evictable");
             assert_eq!(cas.pinned_bytes(), 0, "eviction must release pins");
+            cc.validate_accounting();
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_broken_pin_fails_reads_writes_and_takes_instead_of_serving_zeros() {
+        let sim = Simulation::new();
+        let c = cache(&sim.handle(), 1 << 20);
+        let cc = c.clone();
+        sim.spawn("t", move |env| {
+            let cas = Arc::new(ContentStore::new(1 << 20));
+            let content = golden(3072);
+            for k in [1, 2] {
+                let recipe = pinned_recipe(&cas, &content, 1024);
+                cc.install_reference(&env, key(k), cas.clone(), 1024, recipe, 0);
+            }
+            // Key 1 diverges in chunk 0 (settling its synced digest)
+            // before chunk 1's entry breaks.
+            assert!(cc.write(&env, key(1), 0, b"y").unwrap());
+            cas.corrupt_entry(&digest(&content[1024..2048]));
+            // The pristine digest of an untouched reference needs every
+            // chunk, so key 2 can neither report it nor take a write.
+            assert_eq!(cc.synced_digest(key(2)), Err(BrokenPin));
+            assert_eq!(cc.write(&env, key(2), 0, b"z"), Err(BrokenPin));
+            // A read over the broken chunk fails; one beside it does not.
+            assert_eq!(cc.read(&env, key(1), 1000, 100), Err(BrokenPin));
+            let (tail, _) = cc.read(&env, key(1), 2048, 1024).unwrap().unwrap();
+            assert_eq!(tail, &content[2048..]);
+            // A write that must materialize the broken chunk changes
+            // nothing.
+            assert_eq!(cc.write(&env, key(1), 1500, b"x"), Err(BrokenPin));
+            assert_eq!((cc.bytes_stored(), cc.stats().cow_breaks), (1024, 1));
+            // The dirty file's upload needs the broken chunk too: it stays
+            // dirty, whichever way it is taken.
+            for diverged_only in [true, false] {
+                assert!(cc.take_dirty(&env, key(1), diverged_only).is_err());
+                assert_eq!(cc.dirty_files(), vec![key(1)]);
+            }
             cc.validate_accounting();
         });
         sim.run();

@@ -6,13 +6,13 @@
 //! proxies → per-host client proxies). Three pressure points appear that
 //! the single-user scenarios never exercise:
 //!
-//! * **Upstream round-trips.** Under bursty arrivals a shard proxy sees
-//!   many concurrent `FETCH_BLOBS` misses for *different* digests of the
-//!   same golden image within a few milliseconds. The per-digest
-//!   single-flight already collapses duplicate digests; batching
-//!   additionally coalesces *adjacent distinct* digests into one
-//!   `FETCH_BLOBS_BATCH` envelope, paying one WAN round-trip (and one
-//!   SSH-tunnel per-message cost) for a whole round of chunks.
+//! * **Upstream round-trips.** A cold clone needs many chunks of the
+//!   same golden image at once. The per-digest single-flight already
+//!   collapses duplicate digests; batching additionally carries
+//!   *distinct* digests together: a client proxy sends its misses in
+//!   `FETCH_BLOBS_BATCH` envelopes, and a shard forwards each envelope's
+//!   own fresh misses upstream as one, paying one WAN round-trip (and
+//!   one SSH-tunnel per-message cost) for a whole round of chunks.
 //! * **Write-back queue growth.** Divergent clone writes that fail
 //!   upstream park on the proxy's retry queue; with hundreds of writers
 //!   and a saturated WAN the queue is unbounded. A batching proxy caps
@@ -24,13 +24,12 @@
 //! Every call site picks one of three presets and sets nothing
 //! individually, so that is all there is to pick: [`FleetTuning::off`],
 //! [`FleetTuning::shard`], [`FleetTuning::region`]. The sizes behind
-//! them (envelope size, collection window, queue cap, gossip message
-//! size) each have one value in use and are constants next to the code
-//! that applies them, in `proxy.rs`; the gossip period is the scenario
-//! driver's (`gvfs-bench`). Batching and gossip both need dedup — the
-//! digest-keyed reply cache is how batch members receive their payloads,
-//! the inventory gossip advertises and the store peer fetches are served
-//! from — and are inert without it.
+//! them (envelope size, queue cap, gossip message size) each have one
+//! value in use and are constants next to the code that applies them, in
+//! `proxy.rs`; the gossip period is the scenario driver's (`gvfs-bench`).
+//! Batching and gossip both need dedup — the shard's CAS is how batch
+//! members receive their payloads, the inventory gossip advertises and
+//! the store peer fetches are served from — and are inert without it.
 //!
 //! Ablation discipline (same contract as
 //! [`DedupTuning::off`](crate::cas::DedupTuning::off)): with
@@ -56,10 +55,9 @@ impl FleetTuning {
         FleetTuning::default()
     }
 
-    /// A shard proxy in a fleet run: concurrent blob misses coalesce
-    /// into `FETCH_BLOBS_BATCH` envelopes and the write-back retry queue
-    /// is capped. Gossip stays off — this is the PR 8/9 configuration,
-    /// kept byte-for-byte so the committed fleet reports do not move.
+    /// A shard proxy in a fleet run: the misses of each downstream
+    /// `FETCH_BLOBS_BATCH` envelope travel upstream as one envelope and
+    /// the write-back retry queue is capped. Gossip stays off.
     pub fn shard() -> Self {
         FleetTuning {
             batching: true,
@@ -76,8 +74,8 @@ impl FleetTuning {
         }
     }
 
-    /// Whether blob misses are batched upstream (and, with that, the
-    /// write-back retry queue capped).
+    /// Whether the proxy fetches blob misses in envelopes (and, with
+    /// that, caps the write-back retry queue).
     pub fn batching(&self) -> bool {
         self.batching
     }

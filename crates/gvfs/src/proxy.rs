@@ -51,16 +51,16 @@ type PendingUpload = (FileKey, DirtyFile, Option<Digest>);
 use nfs3::args::{ReadArgs, SetattrArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, Fh3, ReadRes, StableHow, Status, NFS_PROGRAM, NFS_V3};
 use nfs3::results::{
-    decode_getattr, decode_lookup, decode_read, encode_commit, encode_fail_postop, encode_getattr,
-    encode_read, encode_write,
+    decode_getattr, decode_lookup, decode_read, encode_commit, encode_fail_postop, encode_fail_wcc,
+    encode_getattr, encode_read, encode_write,
 };
 
 use crate::block_cache::{BlockCache, Tag, WritePolicy};
-use crate::cas::{ContentStore, DedupTel, DedupTuning};
+use crate::cas::{Blob, BrokenPin, ContentStore, DedupTel, DedupTuning};
 use crate::channel::{
-    self, batchable, blob_reply_len, chanproc, chunk_ranges, decode_args_file, decode_blob_args,
-    decode_chunk_args, decode_gossip, decode_recipe_args, encode_gossip, read_blob_reply,
-    ChannelClient, RecipeFetch, CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
+    self, batchable, chanproc, chunk_ranges, decode_args_file, decode_blob_args, decode_chunk_args,
+    decode_gossip, decode_recipe_args, encode_gossip, read_blob_reply, ChannelClient, RecipeFetch,
+    CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
 use crate::codec::CodecModel;
 use crate::digest::{self, Digest};
@@ -79,10 +79,6 @@ pub struct ProxyConfig {
     pub write_policy: WritePolicy,
     /// Interpret meta-data files (zero maps, file channel).
     pub meta_handling: bool,
-    /// When true the block cache is treated as shared read-only: absorbed
-    /// writes are disabled regardless of policy (paper: "different
-    /// proxies [may] share disk caches for read-only data").
-    pub read_only_share: bool,
     /// Overlapped-WAN-transfer knobs: file-channel chunking, flush
     /// write-back window, sequential read-ahead depth.
     pub transfer: TransferTuning,
@@ -108,7 +104,6 @@ impl Default for ProxyConfig {
             name: "gvfs-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            read_only_share: false,
             transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
             fleet: FleetTuning::off(),
@@ -287,11 +282,10 @@ impl PxTel {
 /// A channel reply cache with the same bounded discipline as
 /// [`ContentStore`]: a monotonic touch stamp drives deterministic
 /// least-recently-touched eviction, and the stored reply bytes never
-/// exceed the byte budget. Unbounded growth here would hold every
-/// distinct chunk of a cloning run in host memory twice (once in the
-/// CAS, once as a cached reply). One type behind all three caches: chunk
-/// replies by (file, offset, count), recipe replies by (file, chunk
-/// size), blob replies by content digest.
+/// exceed the byte budget. One type behind both caches: chunk replies by
+/// (file, offset, count), recipe replies by (file, chunk size). Blob
+/// replies need no cache of their own: a relay answers them out of its
+/// CAS.
 struct ReplyCache<K> {
     // BTreeMap both ways: iteration feeds eviction, which must be
     // deterministic (lint: determinism).
@@ -304,8 +298,7 @@ struct ReplyCache<K> {
 }
 
 /// Byte budget of a reply cache unless told otherwise: the default CAS
-/// budget. The chunk- and the recipe-reply cache have it each; blob
-/// replies are bounded by the configured CAS budget.
+/// budget. The chunk- and the recipe-reply cache have it each.
 const REPLY_CACHE_BYTES: u64 = 4 << 30;
 
 impl<K> Default for ReplyCache<K> {
@@ -375,15 +368,11 @@ const PER_OP_CPU: SimDuration = SimDuration::from_micros(40);
 /// entry only costs a redundant resend, never correctness.
 const ACKED_CAP: usize = 1 << 16;
 
-/// Sub-calls per upstream `FETCH_BLOBS_BATCH` envelope under fleet
-/// batching: one WAN round-trip carries up to this many chunks.
+/// Sub-calls per `FETCH_BLOBS_BATCH` envelope under fleet batching, in
+/// the envelopes a client proxy sends and in the rounds a shard forwards
+/// them upstream in: one WAN round-trip carries up to this many chunks.
 const MAX_BATCH: usize = 32;
 const _: () = assert!(MAX_BATCH <= oncrpc::MAX_BATCH_ITEMS);
-
-/// How long a batch leader lingers after its own miss to let concurrent
-/// misses join the envelope — virtual time, a fraction of the WAN
-/// round-trip it saves.
-const BATCH_WINDOW: SimDuration = SimDuration::from_millis(2);
 
 /// Cap on parked write-back retry-queue entries under the fleet presets
 /// ([`WbSink::park`] sheds the oldest past it).
@@ -448,20 +437,6 @@ struct ProxyState {
     /// recipe analogue of `chan_chunk_replies` for second-level
     /// proxies.
     chan_recipe_replies: ReplyCache<(FileKey, u32)>,
-    /// Cached `FETCH_BLOBS` replies keyed by *content digest*: eight
-    /// distinct images sharing chunks dedupe on a second-level LAN
-    /// proxy even though their file handles differ. Entries are
-    /// verified against their digest before insertion and LRU-bounded
-    /// by the CAS byte cap.
-    chan_blob_replies: ReplyCache<Digest>,
-    /// Blob misses waiting to join the next upstream batch envelope
-    /// (fleet batching only): `(digest, original request args)` in
-    /// arrival order. Each entry also holds a signal in `inflight`.
-    batch_pending: Vec<(Digest, xdr::Bytes)>,
-    /// Whether a batch leader is currently collecting `batch_pending`
-    /// (fleet batching only). New misses arriving while true just park;
-    /// the leader drains them in bounded rounds.
-    batch_open: bool,
     /// Digests freshly cached by a batch round whose *original*
     /// requester has not been served yet. The first cache serve of such
     /// a digest skips the dedup-hit accounting (those bytes did cross
@@ -472,7 +447,7 @@ struct ProxyState {
     /// order (gossip only). Anti-entropy rounds push bounded deltas of
     /// this log to each peer, tracked by per-peer cursors — entries are
     /// 16 bytes, so even a 10k-clone run's log stays tiny relative to
-    /// the payload cache it indexes.
+    /// the CAS payloads it indexes.
     gossip_log: Vec<Digest>,
     /// Per-peer cursor into `gossip_log` for the *reply* direction of
     /// anti-entropy: how much of our log the named peer has already been
@@ -496,13 +471,6 @@ impl ProxyState {
         self.chan_chunk_replies
             .forget((key, 0, 0)..=(key, u64::MAX, u32::MAX));
         self.chan_recipe_replies.forget((key, 0)..=(key, u32::MAX));
-    }
-
-    /// Take the next upstream envelope's worth of parked blob misses: at
-    /// most [`MAX_BATCH`].
-    fn take_blob_round(&mut self) -> Vec<(Digest, xdr::Bytes)> {
-        let take = self.batch_pending.len().min(MAX_BATCH);
-        self.batch_pending.drain(..take).collect()
     }
 
     /// Up to [`GOSSIP_BATCH`] entries of the gossip log from `cursor` on,
@@ -783,10 +751,18 @@ impl WbSink {
         // already holds (a VM session re-suspending identical memory
         // state) skips the whole upload. Channel uploads are durable
         // server writes, so the synced digest survives server restarts.
-        if digest.is_some() && fc.synced_digest(*key) == *digest {
-            self.dtel.acked_skips.inc();
-            self.dtel.bytes_avoided.add(dirty.payload_bytes());
-            return true;
+        // A synced digest that cannot be resolved (a broken CAS pin)
+        // fails the upload.
+        if digest.is_some() {
+            match fc.synced_digest(*key) {
+                Ok(synced) if synced == *digest => {
+                    self.dtel.acked_skips.inc();
+                    self.dtel.bytes_avoided.add(dirty.payload_bytes());
+                    return true;
+                }
+                Ok(_) => {}
+                Err(BrokenPin) => return false,
+            }
         }
         // Torn-upload guard: from here until the upload reports success,
         // upstream may hold any prefix of the new chunks — forget the
@@ -870,8 +846,9 @@ pub struct Proxy {
     block_cache: Option<Arc<BlockCache>>,
     identity: Option<Arc<IdentityMapper>>,
     tel: PxTel,
-    /// Content-addressed store over the chunks this proxy fetched
-    /// (present iff `cfg.dedup.enabled`).
+    /// Content-addressed store over the chunks this proxy fetched for
+    /// itself or relayed for a proxy below it (present iff
+    /// `cfg.dedup.enabled`).
     cas: Option<Arc<ContentStore>>,
     /// Per-instance write verifier returned in absorbed WRITE/COMMIT
     /// replies (write-back mode answers both locally, so it speaks for
@@ -955,10 +932,9 @@ impl Proxy {
         // batching blob misses.
         let batching = cfg.fleet.batching();
         let fleet_batches = (counter("fleet.batches"), counter("fleet.batched_items"));
-        // Gossip needs the digest-keyed reply cache both as the
-        // inventory being advertised and as the store peer fetches are
-        // served from, so it is inert without dedup (same dependency as
-        // batching).
+        // Gossip needs the CAS both as the inventory being advertised and
+        // as the store peer fetches are served from, so it is inert
+        // without dedup (same dependency as batching).
         let gossip = GossipCtl {
             peers: (cfg.fleet.gossip() && cfg.dedup.enabled).then(Mutex::default),
             rounds: counter("gossip.rounds"),
@@ -968,13 +944,7 @@ impl Proxy {
             peer_misses: counter("gossip.peer_misses"),
             peer_served: counter("gossip.peer_served"),
         };
-        let state = Arc::new(Mutex::new(ProxyState {
-            chan_blob_replies: ReplyCache {
-                cap: cfg.dedup.cas_bytes,
-                ..ReplyCache::default()
-            },
-            ..ProxyState::default()
-        }));
+        let state = Arc::new(Mutex::new(ProxyState::default()));
         let wb = WbSink {
             upstream,
             state: state.clone(),
@@ -1195,6 +1165,31 @@ impl Proxy {
         RpcMessage::success(xid, encode_read(None, data, eof))
     }
 
+    /// A READ failed with `NFS3ERR_IO`.
+    fn read_io_error(xid: u32) -> RpcMessage {
+        RpcMessage::success(xid, encode_fail_postop(Status::Io, None))
+    }
+
+    /// A READ out of the file cache, if the file is resident there: its
+    /// bytes, or `NFS3ERR_IO` when a chunk it needs sits behind a broken
+    /// CAS pin.
+    fn file_cache_read(
+        &self,
+        env: &Env,
+        xid: u32,
+        fc: &FileCache,
+        a: &ReadArgs,
+    ) -> Option<RpcMessage> {
+        match fc.read(env, a.file.0, a.offset, a.count) {
+            Ok(Some((data, eof))) => {
+                self.tel.file_cache_reads.inc();
+                Some(Self::local_read(xid, &data, eof))
+            }
+            Ok(None) => None,
+            Err(BrokenPin) => Some(Self::read_io_error(xid)),
+        }
+    }
+
     fn handle_read(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, cred } = c;
         let parsed: Result<ReadArgs, _> = xdr::from_bytes(&args);
@@ -1207,9 +1202,8 @@ impl Proxy {
 
         // 1. File cache ("read locally" of an installed file).
         if let Some((fc, _)) = &self.wb.files {
-            if let Some((data, eof)) = fc.read(env, key, a.offset, a.count) {
-                self.tel.file_cache_reads.inc();
-                return Self::local_read(xid, &data, eof);
+            if let Some(reply) = self.file_cache_read(env, xid, fc, &a) {
+                return reply;
             }
         }
 
@@ -1357,11 +1351,7 @@ impl Proxy {
         chan: &ChannelClient,
     ) -> Option<RpcMessage> {
         let key = a.file.0;
-        let cached = || {
-            let (data, eof) = fc.read(env, key, a.offset, a.count)?;
-            self.tel.file_cache_reads.inc();
-            Some(Self::local_read(xid, &data, eof))
-        };
+        let cached = || self.file_cache_read(env, xid, fc, a);
         for _ in 0..MAX_FLIGHT_ATTEMPTS {
             if let Some(reply) = cached() {
                 return Some(reply);
@@ -1380,10 +1370,7 @@ impl Proxy {
         }
         cached().or_else(|| {
             self.tel.recovered_errors.inc();
-            Some(RpcMessage::success(
-                xid,
-                encode_fail_postop(Status::Io, None),
-            ))
+            Some(Self::read_io_error(xid))
         })
     }
 
@@ -1679,25 +1666,28 @@ impl Proxy {
         let key = a.file.0;
 
         // File-cache resident files absorb writes there (dirty upload on
-        // flush).
+        // flush). A write that needs a chunk behind a broken CAS pin
+        // fails with `NFS3ERR_IO` and changes nothing.
         if let Some((fc, _)) = &self.wb.files {
-            if fc.contains(key) && !self.cfg.read_only_share {
-                fc.write(env, key, a.offset, a.data);
-                self.bump_size(key, a.offset + a.data.len() as u64);
-                self.tel.writes_absorbed.inc();
-                return self.absorbed_write(xid, a.data.len() as u32);
+            match fc.write(env, key, a.offset, a.data) {
+                Ok(true) => {
+                    self.bump_size(key, a.offset + a.data.len() as u64);
+                    self.tel.writes_absorbed.inc();
+                    return self.absorbed_write(xid, a.data.len() as u32);
+                }
+                Ok(false) => {}
+                Err(BrokenPin) => {
+                    return RpcMessage::success(xid, encode_fail_wcc(Status::Io, None));
+                }
             }
         }
-
-        let write_back =
-            self.cfg.write_policy == WritePolicy::WriteBack && !self.cfg.read_only_share;
 
         // Write-back: absorb the write into the block cache. The labeled
         // block replaces the old `expect("checked above")` landmine: a
         // write-back policy without a cache attached now recovers by
         // falling through to the write-through path below.
         'write_back: {
-            if !write_back {
+            if self.cfg.write_policy != WritePolicy::WriteBack {
                 break 'write_back;
             }
             let Some(bc) = self.block_cache.as_ref() else {
@@ -1976,9 +1966,16 @@ impl Proxy {
                         // every untouched range). The whole file stays
                         // the fallback — including for a reference
                         // re-marked dirty after a failed upload, whose
-                        // chunk set is gone.
-                        let Some(dirty) = fc.take_dirty(env, key, cow_on) else {
-                            continue;
+                        // chunk set is gone. A take that meets a broken
+                        // CAS pin has nothing to send: the file stays
+                        // dirty and counts as failed.
+                        let dirty = match fc.take_dirty(env, key, cow_on) {
+                            Ok(Some(dirty)) => dirty,
+                            Ok(None) => continue,
+                            Err(BrokenPin) => {
+                                sent.failed_files += 1;
+                                continue;
+                            }
                         };
                         let (total, d) = match &dirty {
                             DirtyFile::Diverged {
@@ -2002,8 +1999,12 @@ impl Proxy {
                             // (the bounded rounds resend whole files).
                             fc.mark_dirty(key);
                             match fc.take_dirty(env, key, false) {
-                                Some(whole) => up.1 = whole,
-                                None => continue,
+                                Ok(Some(whole)) => up.1 = whole,
+                                Ok(None) => continue,
+                                Err(BrokenPin) => {
+                                    sent.failed_files += 1;
+                                    continue;
+                                }
                             }
                         }
                         failed.push(up);
@@ -2051,6 +2052,7 @@ impl Proxy {
         let (sent, mut failed_files) = std::mem::take(&mut *uploaded.lock());
         report.files += sent.files;
         report.file_wire_bytes += sent.file_wire_bytes;
+        report.failed_files += sent.failed_files;
 
         // Degraded-mode drain: bounded retry rounds with doubling
         // backoff, resending both failed blocks and failed file uploads
@@ -2176,23 +2178,22 @@ impl Proxy {
         RpcMessage::success(xid, encode_gossip(my_id, &delta))
     }
 
-    /// Serve a sibling shard's blob fetch from the local digest-keyed
-    /// reply cache — and *only* from it. A local miss fails the call
-    /// rather than forwarding upstream: the requester owns the fallback,
-    /// so two shards can never ping-pong or double-fetch a miss.
+    /// Serve a sibling shard's blob fetch from the CAS — and *only*
+    /// from it. A local miss fails the call rather than forwarding
+    /// upstream: the requester owns the fallback, so two shards can never
+    /// ping-pong or double-fetch a miss.
     fn handle_channel_blob_peer(&self, env: &Env, xid: u32, args: &[u8]) -> RpcMessage {
-        if self.gossip.peers.is_none() {
+        let (Some(cas), Some(_)) = (&self.cas, &self.gossip.peers) else {
             return RpcMessage::accept_error(xid, AcceptStat::ProcUnavail);
-        }
+        };
         let Some((_, _, _, want)) = decode_blob_args(args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
-        let cached = { self.state.lock().chan_blob_replies.get(&want) };
-        match cached {
-            Some(results) => {
+        match cas.get_packed(&want) {
+            Some((len, packed)) => {
                 env.sleep(PER_OP_CPU);
                 self.gossip.peer_served.inc();
-                RpcMessage::success(xid, results)
+                RpcMessage::success(xid, channel::blob_reply(len, &packed))
             }
             // Stale advertisement (we evicted it) or a speculative probe:
             // an error reply, never an upstream forward.
@@ -2201,10 +2202,15 @@ impl Proxy {
     }
 
     /// Try to satisfy a blob miss from a sibling shard that gossip says
-    /// holds it. Returns the verified reply bytes on success; on any
-    /// failure the advertisement is dropped (it was stale) and the
-    /// caller falls back to the normal upstream path.
-    fn try_peer_fetch(&self, env: &Env, want: Digest, args: &xdr::Bytes) -> Option<xdr::Bytes> {
+    /// holds it. Returns the verified blob and the peer's reply bytes on
+    /// success; on any failure the advertisement is dropped (it was
+    /// stale) and the caller falls back to the normal upstream path.
+    fn try_peer_fetch(
+        &self,
+        env: &Env,
+        want: Digest,
+        args: &xdr::Bytes,
+    ) -> Option<(Blob, xdr::Bytes)> {
         let g = &self.gossip;
         let peers = g.peers.as_ref()?;
         let holder = {
@@ -2221,25 +2227,25 @@ impl Proxy {
                 .find(|(id, _)| *id == holder)
                 .map(|(_, c)| c.clone())
         }?;
-        match channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args) {
-            // Same guard as every other ingestion point: peer replies
-            // are digest-verified before they may be cached or served.
-            Ok(results) if read_blob_reply(env, &self.wb.codec, &results, want).is_ok() => {
-                g.peer_hits.inc();
-                if let Some(chunk_len) = blob_reply_len(&results) {
-                    g.peer_bytes.add(chunk_len);
-                }
-                Some(results)
-            }
-            _ => {
-                g.peer_misses.inc();
-                let mut st = self.state.lock();
-                if let Some(inv) = st.peer_digests.get_mut(&holder) {
-                    inv.remove(&want);
-                }
-                None
+        // Same guard as every other ingestion point: peer replies are
+        // digest-verified before they may be stored or served.
+        let fetched = channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args)
+            .ok()
+            .and_then(|results| {
+                let (blob, ..) = read_blob_reply(env, &self.wb.codec, &results, want).ok()?;
+                Some((blob, results))
+            });
+        if let Some((blob, _)) = &fetched {
+            g.peer_hits.inc();
+            g.peer_bytes.add(blob.len() as u64);
+        } else {
+            g.peer_misses.inc();
+            let mut st = self.state.lock();
+            if let Some(inv) = st.peer_digests.get_mut(&holder) {
+                inv.remove(&want);
             }
         }
+        fetched
     }
 
     // -- file channel passthrough with caching --------------------------------
@@ -2307,36 +2313,30 @@ impl Proxy {
         reply
     }
 
-    /// Serve `want` from the digest-keyed reply cache, charging the
-    /// per-op CPU and counting the dedup hit: served from
-    /// content-addressed local state, the chunk's logical bytes never
-    /// re-crossed the upstream link. (The first serve after a batch
-    /// round is the original requester — its bytes DID cross once, so
-    /// `batch_uncounted` excludes it.)
-    fn cached_blob(&self, env: &Env, want: Digest) -> Option<xdr::Bytes> {
-        let (results, count_hit) = {
-            let mut st = self.state.lock();
-            let results = st.chan_blob_replies.get(&want)?;
-            (results, !st.batch_uncounted.remove(&want))
-        };
+    /// Serve `want` from the CAS, charging the per-op CPU and counting
+    /// the dedup hit: served from content-addressed local state, the
+    /// chunk's logical bytes never re-crossed the upstream link. (The
+    /// first serve after a batch round is the original requester — its
+    /// bytes DID cross once, so `batch_uncounted` excludes it.)
+    fn cached_blob(&self, env: &Env, want: Digest) -> Option<Vec<u8>> {
+        let (len, packed) = self.cas.as_ref()?.get_packed(&want)?;
+        let count_hit = !self.state.lock().batch_uncounted.remove(&want);
         env.sleep(PER_OP_CPU);
         if count_hit {
-            if let Some(chunk_len) = blob_reply_len(&results) {
-                self.wb.dtel.recipe_hits.inc();
-                self.wb.dtel.bytes_avoided.add(chunk_len);
-            }
+            self.wb.dtel.recipe_hits.inc();
+            self.wb.dtel.bytes_avoided.add(len as u64);
         }
-        Some(results)
+        Some(channel::blob_reply(len, &packed))
     }
 
-    /// Land the blob flight for `want`: cache the reply if the fetch
-    /// produced a verified one (logging the digest for gossip, and, after
-    /// a batch round, marking it uncounted for its original requester),
-    /// then wake that digest's waiters.
-    fn land_blob(&self, want: Digest, verified: Option<xdr::Bytes>, from_batch: bool) {
-        if let Some(results) = verified {
+    /// Land the blob flight for `want`: store the blob, unpinned, if the
+    /// fetch produced a verified one (logging the digest for gossip, and,
+    /// after a batch round, marking it uncounted for its original
+    /// requester), then wake that digest's waiters.
+    fn land_blob(&self, want: Digest, verified: Option<Blob>, from_batch: bool) {
+        if let (Some(blob), Some(cas)) = (verified, &self.cas) {
+            cas.insert_blob(blob, false);
             let mut st = self.state.lock();
-            st.chan_blob_replies.insert(want, results);
             if from_batch {
                 st.batch_uncounted.insert(want);
             }
@@ -2347,60 +2347,28 @@ impl Proxy {
         self.land(FlightKey::Blob(want));
     }
 
-    /// Second-level caching for `FETCH_BLOBS` replies, keyed by *content
-    /// digest* rather than file handle: eight distinct images cloned
-    /// through one LAN proxy share every common chunk, and concurrent
-    /// fetches of the same digest — even for different files —
-    /// single-flight on the content (the digest travels in the request
-    /// precisely so intermediaries can do this): one upstream fetch per
-    /// distinct chunk no matter how many clonings want it at once.
-    ///
-    /// What the claimant of a flight does is the only difference fleet
-    /// batching makes. Without it the claimant fetches alone. With it,
-    /// concurrent misses for *distinct* digests coalesce into one
-    /// `FETCH_BLOBS_BATCH` upstream envelope: the claimant parks its
-    /// miss, and a single *batch leader* lingers
-    /// [`BATCH_WINDOW`] of virtual time so the burst can
-    /// gather, then drains the pending misses in rounds of at most
-    /// [`MAX_BATCH`] sub-calls — one WAN round-trip (and one
-    /// tunnel per-message cost) per round instead of one per chunk.
+    /// A relayed `FETCH_BLOBS`, served by *content digest* rather than
+    /// file handle: eight distinct images cloned through one LAN proxy
+    /// share every common chunk in its CAS, and concurrent fetches of the
+    /// same digest — even for different files — single-flight on the
+    /// content (the digest travels in the request precisely so
+    /// intermediaries can do this): one upstream fetch per distinct chunk
+    /// no matter how many clonings want it at once. A lone miss travels
+    /// alone; misses are grouped only in the envelopes clients send
+    /// ([`Proxy::handle_channel_blob_envelope`]).
     fn serve_blob(&self, c: Call<'_>, want: Digest, args: xdr::Bytes) -> RpcMessage {
-        let Call { env, xid, cred } = c;
-        enum Claim {
-            Alone,
-            Lead,
-            Ride(simnet::Signal),
-        }
-        let batching = self.cfg.fleet.batching();
+        let Call { env, xid, .. } = c;
         for _ in 0..MAX_FLIGHT_ATTEMPTS {
             if let Some(results) = self.cached_blob(env, want) {
                 return RpcMessage::success(xid, results);
             }
-            let claim = self.join_or_claim(env, FlightKey::Blob(want), |st, sig| {
-                if !batching {
-                    return Claim::Alone;
-                }
-                st.batch_pending.push((want, args.clone()));
-                if st.batch_open {
-                    // A leader is already collecting: park on our own
-                    // signal and ride its envelope.
-                    Claim::Ride(sig.clone())
-                } else {
-                    st.batch_open = true;
-                    Claim::Lead
-                }
-            });
-            // Whoever waited re-checks the digest cache next: the fetch
-            // may have failed (for this item); then it claims the retry
-            // slot.
-            match claim {
-                None => {}
-                Some(Claim::Ride(sig)) => sig.wait(env),
-                Some(Claim::Lead) => {
-                    env.sleep(BATCH_WINDOW);
-                    self.drain_blob_batches(env, cred);
-                }
-                Some(Claim::Alone) => return self.fetch_blob_alone(c, want, args),
+            // Whoever waited re-checks the CAS next: the fetch may have
+            // failed; then it claims the retry slot.
+            if self
+                .join_or_claim(env, FlightKey::Blob(want), |_, _| ())
+                .is_some()
+            {
+                return self.fetch_blob_alone(c, want, args);
             }
         }
         match self.cached_blob(env, want) {
@@ -2409,67 +2377,33 @@ impl Proxy {
         }
     }
 
-    /// An unbatched claimant's fetch: from a sibling shard if gossip
+    /// A claimant's fetch of one blob: from a sibling shard if gossip
     /// says one holds the chunk, else upstream.
     fn fetch_blob_alone(&self, c: Call<'_>, want: Digest, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, .. } = c;
         // Gossip: a sibling shard that already holds this chunk serves
         // it over the LAN; only a peer miss rides the WAN.
-        if let Some(results) = self.try_peer_fetch(env, want, &args) {
-            self.land_blob(want, Some(results.clone()), false);
+        if let Some((blob, results)) = self.try_peer_fetch(env, want, &args) {
+            self.land_blob(want, Some(blob), false);
             return RpcMessage::success(xid, results);
         }
         let reply = self.forward_chan(c, chanproc::FETCH_BLOBS, args);
-        // Only a channel-level Ok is content — caching a NoEnt/Stale
+        // Only a channel-level Ok is content — storing a NoEnt/Stale
         // under a digest would replay the error to every other file
         // sharing the chunk — and only a payload that actually hashes to
         // the requested digest may be keyed by it: the origin serves by
         // byte range and ignores the digest, so a stale recipe would
-        // otherwise poison this shared cache permanently for every file
-        // sharing the chunk. Decompression and digesting are charged at
-        // codec throughput, like the client-side verification.
+        // otherwise poison the CAS for every file sharing the chunk.
+        // Decompression and digesting are charged at codec throughput,
+        // like the client-side verification.
         let verified = success_results(&reply)
-            .filter(|results| read_blob_reply(env, &self.wb.codec, results, want).is_ok())
-            .cloned();
+            .and_then(|results| read_blob_reply(env, &self.wb.codec, results, want).ok())
+            .map(|(blob, ..)| blob);
         self.land_blob(want, verified, false);
         reply
     }
 
-    /// One leader's drain: take up to [`MAX_BATCH`] parked blob misses,
-    /// fetch them in one upstream `FETCH_BLOBS_BATCH` envelope,
-    /// digest-verify and cache each successful item, then wake that
-    /// digest's waiters. Leadership (`batch_open`) is released the
-    /// moment the pending queue is emptied — *before* the envelope goes
-    /// on the wire — so the next miss elects a new leader and starts its
-    /// own collection window while this envelope is still in flight.
-    /// Coalescing must not cost the shard its upstream parallelism: a
-    /// leader that kept collecting until its RPC returned would funnel
-    /// every miss through one serial round-trip pipeline, and under
-    /// bursty load that *adds* tail latency instead of removing it.
-    /// Only when a round leaves items behind (pending > [`MAX_BATCH`],
-    /// i.e. genuine backlog) does the same leader loop for another
-    /// round, so no parked waiter is ever left without a leader.
-    fn drain_blob_batches(&self, env: &Env, cred: &oncrpc::OpaqueAuth) {
-        loop {
-            let (round, released) = {
-                let mut st = self.state.lock();
-                let round = st.take_blob_round();
-                let released = st.batch_pending.is_empty();
-                if released {
-                    st.batch_open = false;
-                }
-                (round, released)
-            };
-            if !round.is_empty() {
-                self.send_blob_round(env, cred, &round);
-            }
-            if released {
-                return;
-            }
-        }
-    }
-
-    /// One round of parked misses. With gossip, first serve what a
+    /// One round of claimed misses. With gossip, first serve what a
     /// sibling shard already holds over the LAN — waiters on a
     /// peer-served digest wake here, exactly as they would after the
     /// envelope round — and send only the genuinely region-cold
@@ -2486,7 +2420,7 @@ impl Proxy {
         let mut remaining: Vec<(Digest, xdr::Bytes)> = Vec::with_capacity(round.len());
         for (want, args) in round {
             match self.try_peer_fetch(env, *want, args) {
-                Some(results) => self.land_blob(*want, Some(results), false),
+                Some((blob, _)) => self.land_blob(*want, Some(blob), false),
                 None => remaining.push((*want, args.clone())),
             }
         }
@@ -2497,7 +2431,7 @@ impl Proxy {
 
     /// The WAN half of a blob round: one `FETCH_BLOBS_BATCH` envelope
     /// upstream for every item still unresolved after the peer pass;
-    /// digest-verify and cache each successful item, then wake that
+    /// digest-verify and store each successful item, then wake that
     /// digest's waiters. On an envelope-level failure every waiter
     /// re-claims and retries (falling back to single calls after the
     /// bounded attempts, like the unbatched path).
@@ -2534,72 +2468,59 @@ impl Proxy {
             // Ok whose payload actually hashes to the requested digest
             // may be keyed by it.
             let verified = result
-                .map(xdr::Bytes::from)
-                .filter(|results| read_blob_reply(env, &self.wb.codec, results, *want).is_ok());
+                .and_then(|results| read_blob_reply(env, &self.wb.codec, &results, *want).ok())
+                .map(|(blob, ..)| blob);
             self.land_blob(*want, verified, true);
         }
     }
 
     /// A downstream `FETCH_BLOBS_BATCH` envelope — a fleet client proxy
-    /// fetching a cold file in multi-digest rounds. Every not-cached,
-    /// not-already-in-flight digest in the envelope is parked in the
-    /// batch queue under one lock acquisition, so the whole envelope
-    /// coalesces into at most one upstream round (merged with whatever
-    /// the other hosts parked meanwhile); then each item resolves
-    /// through the same per-digest path a single `FETCH_BLOBS` takes —
-    /// digest-cache hit, waiter on the in-flight signal, or bounded
-    /// retry. A per-item failure surfaces in its slot without poisoning
-    /// its neighbours, the same contract the origin's envelope handler
-    /// keeps.
+    /// fetching a cold file in multi-digest rounds. The envelope is
+    /// already a collected batch, so it is the only grouping a relay
+    /// does: every digest in it the CAS lacks and no flight is fetching
+    /// gets a flight claimed in one pass over the state, and this
+    /// handler sends exactly those misses upstream itself, in order, in
+    /// rounds of at most [`MAX_BATCH`] — concurrent envelopes each keep
+    /// their own round in flight. Then each item resolves through the
+    /// same per-digest path a single `FETCH_BLOBS` takes — CAS hit,
+    /// waiter on the in-flight signal, or bounded retry. A per-item
+    /// failure surfaces in its slot without poisoning its neighbours,
+    /// the same contract the origin's envelope handler keeps.
     fn handle_channel_blob_envelope(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, cred } = c;
         let Ok(items) = oncrpc::batch::decode_batch(&args) else {
             return RpcMessage::accept_error(xid, AcceptStat::GarbageArgs);
         };
-        // Phase 1: park every fresh miss under one lock acquisition,
-        // then drain our own rounds right away. Unlike the single-blob
-        // path there is no leader election and no collect window: the
-        // downstream envelope *is* an already-collected batch, and every
-        // concurrent envelope handler draining its own round keeps
-        // several upstream envelopes in flight at once — a single
-        // looping leader would serialize the whole site's cold misses
-        // through one round-trip pipeline.
-        let mut parked = 0usize;
-        {
+        // Phase 1: the CAS is asked first and the state lock taken once
+        // after it — nothing suspends in between, so no other handler
+        // can land or claim a digest in the gap.
+        let uncached: Vec<(Digest, &[u8])> = items
+            .iter()
+            .filter(|item| item.proc == chanproc::FETCH_BLOBS)
+            .filter_map(|item| Some((decode_blob_args(&item.args)?.3, item.args.as_slice())))
+            .filter(|(want, _)| !self.cas.as_ref().is_some_and(|cas| cas.contains(want)))
+            .collect();
+        let fresh: Vec<(Digest, xdr::Bytes)> = {
             let mut st = self.state.lock();
-            for item in &items {
-                if item.proc != chanproc::FETCH_BLOBS {
-                    continue;
-                }
-                let Some((_, _, _, want)) = decode_blob_args(&item.args) else {
-                    continue;
-                };
-                let flight = FlightKey::Blob(want);
-                if st.chan_blob_replies.get(&want).is_some() || st.inflight.contains_key(&flight) {
-                    continue;
-                }
-                st.inflight
-                    .insert(flight, simnet::Signal::new(env.handle()));
-                st.batch_pending.push((want, item.args.clone().into()));
-                parked += 1;
-            }
-        }
-        // Drain until we have covered at least as many items as we
-        // parked (another handler may have taken ours — then its round
-        // covers them and our signals still fire). A round can also pick
-        // up loose single-blob misses parked by a collecting leader;
-        // that leader finding the queue already empty is fine.
-        let mut taken = 0usize;
-        while taken < parked {
-            let round = { self.state.lock().take_blob_round() };
-            if round.is_empty() {
-                break;
-            }
-            taken += round.len();
-            self.send_blob_round(env, cred, &round);
+            uncached
+                .into_iter()
+                .filter(|(want, _)| {
+                    let flight = FlightKey::Blob(*want);
+                    let fresh = !st.inflight.contains_key(&flight);
+                    if fresh {
+                        st.inflight
+                            .insert(flight, simnet::Signal::new(env.handle()));
+                    }
+                    fresh
+                })
+                .map(|(want, args)| (want, args.to_vec().into()))
+                .collect()
+        };
+        for round in fresh.chunks(MAX_BATCH) {
+            self.send_blob_round(env, cred, round);
         }
         // Phase 2: resolve each item through its ordinary per-item
-        // handler (our own misses are now cached or in flight). An item
+        // handler (our own misses are now stored or in flight). An item
         // that may not ride a batch — a mutation, by the origin's own
         // rule — fails in its slot and never goes upstream.
         let replies: Vec<oncrpc::BatchReplyItem> = items

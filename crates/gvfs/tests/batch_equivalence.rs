@@ -124,7 +124,6 @@ fn run_fetch(
                     name: "shard".into(),
                     write_policy: WritePolicy::WriteThrough,
                     meta_handling: false,
-                    read_only_share: true,
                     fleet,
                     ..ProxyConfig::default()
                 },

@@ -124,7 +124,6 @@ fn mutation_in_an_envelope_is_refused_by_a_batching_shard() {
             name: "shard".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            read_only_share: true,
             fleet: FleetTuning::shard(),
             ..ProxyConfig::default()
         },

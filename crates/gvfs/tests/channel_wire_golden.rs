@@ -146,7 +146,6 @@ fn shard(name: &str, upstream: RpcClient) -> Arc<Proxy> {
         name: name.into(),
         write_policy: WritePolicy::WriteThrough,
         meta_handling: false,
-        read_only_share: true,
         fleet: FleetTuning::region(),
         ..ProxyConfig::default()
     };

@@ -53,7 +53,6 @@ fn lan_share(h: &SimHandle, origin: RpcChannel, cred: &OpaqueAuth) -> Tier {
             name: "lan-share".into(),
             write_policy: WritePolicy::WriteThrough,
             meta_handling: false,
-            read_only_share: true,
             ..ProxyConfig::default()
         },
         None,
@@ -582,7 +581,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
         // The proxy holds A already (a prior fetch, modelled directly):
         // resident and synced at digest(A).
         fc.install(&env, key, &a);
-        assert_eq!(fc.synced_digest(key), Some(digest(&a)));
+        assert_eq!(fc.synced_digest(key).unwrap(), Some(digest(&a)));
 
         let root = nfs.mount(&env, "/").unwrap();
         let (fh2, _) = nfs.lookup(&env, root, "vm.mem").unwrap();
@@ -597,7 +596,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
         assert_eq!(r1.files, 0, "upload must not complete: {r1:?}");
         assert_eq!(r1.failed_files, 1, "upload must fail mid-outage: {r1:?}");
         assert_eq!(
-            fc.synced_digest(key),
+            fc.synced_digest(key).unwrap(),
             None,
             "a failed upload must leave the synced digest cleared"
         );
@@ -621,7 +620,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
             "nothing may skip against the cleared digest"
         );
         assert_eq!(
-            fc.synced_digest(key),
+            fc.synced_digest(key).unwrap(),
             Some(digest(&a)),
             "completed repair reinstates the synced digest"
         );

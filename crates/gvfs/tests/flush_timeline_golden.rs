@@ -344,7 +344,7 @@ fn render_session(flush_window: usize) -> String {
             fileid: fh.fileid,
             generation: fh.generation,
         };
-        let synced = fc.synced_digest(key).map(|d| d.to_hex());
+        let synced = fc.synced_digest(key).unwrap().map(|d| d.to_hex());
         out.push_str(&format!("synced {name} {synced:?}\n"));
     }
     // What the origin ends up holding, per file.

@@ -12,6 +12,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -103,6 +104,10 @@ struct PairOut {
     /// Digests pinned into shard B's CAS before the run that are still
     /// resident afterwards.
     pins_surviving: usize,
+    /// Distinct chunks of the file, and how many of them shard B's CAS
+    /// (where a shard keeps the blobs it relays) still holds afterwards.
+    file_chunks: usize,
+    file_chunks_in_b: usize,
 }
 
 /// Two sibling shard proxies in one region, both upstream of the same
@@ -152,7 +157,6 @@ fn run_pair(
                 name: name.into(),
                 write_policy: WritePolicy::WriteThrough,
                 meta_handling: false,
-                read_only_share: true,
                 dedup: DedupTuning {
                     enabled: true,
                     cas_bytes,
@@ -240,6 +244,8 @@ fn run_pair(
     let snapshot = h.telemetry().snapshot();
     let cas_b = shard_b.content_store().expect("dedup on implies a CAS");
     let pins_surviving = pinned_digests.iter().filter(|d| cas_b.contains(d)).count();
+    let file_digests: BTreeSet<_> = data.chunks(CHUNK as usize).map(digest).collect();
+    let file_chunks_in_b = file_digests.iter().filter(|d| cas_b.contains(d)).count();
     let mut o = out.lock();
     PairOut {
         a: o.0.take().expect("cloner A must complete"),
@@ -247,6 +253,8 @@ fn run_pair(
         peer_hits: snapshot.counter_sum("gvfs", ".gossip.peer_hits"),
         wan_down_bytes: snapshot.counter_sum("link", "wan-down.bytes"),
         pins_surviving,
+        file_chunks: file_digests.len(),
+        file_chunks_in_b,
     }
 }
 
@@ -319,7 +327,8 @@ fn gossip_serves_second_site_from_peer() {
 /// Pins survive *capacity pressure* caused by peer and gossip traffic:
 /// with a CAS so small that the file's chunks force evictions, the
 /// pinned entries are skipped (the store may overrun instead) and are
-/// still resident and re-pinnable after the run.
+/// still resident after the run — while the relayed file chunks did
+/// pass through that same CAS and were the ones evicted.
 #[test]
 fn gossip_churn_never_evicts_pinned_chunks() {
     let versions: Vec<u8> = (0..10).map(|i| (i % 5) as u8).collect();
@@ -335,5 +344,15 @@ fn gossip_churn_never_evicts_pinned_chunks() {
         on.pins_surviving,
         pinned.len(),
         "a pin is a residency guarantee"
+    );
+    assert!(
+        on.file_chunks_in_b > 0,
+        "relayed chunks must reach shard B's CAS"
+    );
+    assert!(
+        on.file_chunks_in_b < on.file_chunks,
+        "the capacity must have evicted relayed chunks ({} of {} resident)",
+        on.file_chunks_in_b,
+        on.file_chunks
     );
 }

@@ -524,11 +524,11 @@ proptest! {
             let mut model = golden.clone();
             for (step, (op, off, n, byte)) in ops.into_iter().enumerate() {
                 if step == ask_synced_at {
-                    assert_eq!(cache.synced_digest(key), Some(gvfs::digest::digest(&golden)));
+                    assert_eq!(cache.synced_digest(key).unwrap(), Some(gvfs::digest::digest(&golden)));
                 }
                 match op {
                     0 | 1 => {
-                        let (data, eof) = cache.read(&env, key, off as u64, n as u32).unwrap();
+                        let (data, eof) = cache.read(&env, key, off as u64, n as u32).unwrap().unwrap();
                         let end = (off + n).min(len);
                         assert_eq!(data, &model[off.min(len)..end], "read {off}+{n}");
                         assert_eq!(eof, off + data.len() >= len);
@@ -537,11 +537,11 @@ proptest! {
                         // In bounds: the entry stays a reference.
                         let off = off % len;
                         let bytes = vec![byte; n.min(len - off)];
-                        assert!(cache.write(&env, key, off as u64, &bytes));
+                        assert!(cache.write(&env, key, off as u64, &bytes).unwrap());
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
                     3 => {
-                        match cache.take_dirty(&env, key, true) {
+                        match cache.take_dirty(&env, key, true).unwrap() {
                             Some(gvfs::DirtyFile::Diverged { total, ranges, full_digest }) => {
                                 assert_eq!(total, len as u64);
                                 assert_eq!(full_digest, gvfs::digest::digest(&model));
@@ -561,7 +561,7 @@ proptest! {
                 assert!(cache.is_reference(key));
                 cache.validate_accounting();
             }
-            assert_eq!(cache.read(&env, key, 0, len as u32).unwrap().0, model);
+            assert_eq!(cache.read(&env, key, 0, len as u32).unwrap().unwrap().0, model);
         });
         sim.run();
     }

@@ -7,7 +7,8 @@
 //!   flavors (`AUTH_NONE`, `AUTH_SYS`, and the middleware-issued
 //!   `AUTH_GVFS` short-lived identity credential used by the Grid virtual
 //!   file system),
-//! * record marking (the framing used by RPC over stream transports),
+//! * the size of record marking, the framing used by RPC over stream
+//!   transports,
 //! * a simulated transport ([`transport`]) that carries RPC messages over
 //!   [`simnet::Link`]s with optional SSH-tunnel-style per-byte costs, and
 //! * a server-side dispatcher routing calls to registered programs.

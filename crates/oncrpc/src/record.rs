@@ -3,139 +3,9 @@
 //! RPC over a stream transport delimits messages with fragment headers: a
 //! 32-bit word whose top bit marks the final fragment and whose low 31
 //! bits give the fragment length. The simulated transport sends whole
-//! messages, but wire-size accounting and the (tested) framing functions
-//! here follow the real format so byte counts on the simulated links match
-//! what a real deployment would move.
-
-/// Flag bit marking the last fragment of a record.
-pub const LAST_FRAGMENT: u32 = 0x8000_0000;
-
-/// Maximum bytes in a single fragment.
-pub const MAX_FRAGMENT: usize = 0x7FFF_FFFF;
+//! messages, one fragment each, so all it needs of the format is the
+//! header's size: wire-size accounting charges it per message, and byte
+//! counts on the simulated links match what a real deployment would move.
 
 /// Size in bytes of one fragment header.
 pub const HEADER_LEN: usize = 4;
-
-/// Frame a message as a single-fragment record.
-pub fn frame(message: &[u8]) -> Vec<u8> {
-    assert!(
-        message.len() <= MAX_FRAGMENT,
-        "message too large for one fragment"
-    );
-    let mut out = Vec::with_capacity(message.len() + HEADER_LEN);
-    out.extend_from_slice(&(LAST_FRAGMENT | message.len() as u32).to_be_bytes());
-    out.extend_from_slice(message);
-    out
-}
-
-/// Frame a message split into fragments of at most `fragment_size` bytes.
-pub fn frame_fragmented(message: &[u8], fragment_size: usize) -> Vec<u8> {
-    assert!(fragment_size > 0 && fragment_size <= MAX_FRAGMENT);
-    let mut out = Vec::with_capacity(message.len() + HEADER_LEN * 2);
-    let mut chunks = message.chunks(fragment_size).peekable();
-    if message.is_empty() {
-        return frame(message);
-    }
-    while let Some(chunk) = chunks.next() {
-        let mut word = chunk.len() as u32;
-        if chunks.peek().is_none() {
-            word |= LAST_FRAGMENT;
-        }
-        out.extend_from_slice(&word.to_be_bytes());
-        out.extend_from_slice(chunk);
-    }
-    out
-}
-
-/// Errors from record parsing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecordError {
-    /// Stream ended mid-header or mid-fragment.
-    Truncated,
-    /// Stream continued after the last fragment of the first record.
-    TrailingData,
-}
-
-/// Reassemble one record from a framed byte stream; returns the message
-/// and the number of stream bytes consumed.
-pub fn parse(stream: &[u8]) -> Result<(Vec<u8>, usize), RecordError> {
-    let mut message = Vec::new();
-    let mut pos = 0;
-    loop {
-        if stream.len() < pos + HEADER_LEN {
-            return Err(RecordError::Truncated);
-        }
-        let word = u32::from_be_bytes([
-            stream[pos],
-            stream[pos + 1],
-            stream[pos + 2],
-            stream[pos + 3],
-        ]);
-        pos += HEADER_LEN;
-        let len = (word & !LAST_FRAGMENT) as usize;
-        if stream.len() < pos + len {
-            return Err(RecordError::Truncated);
-        }
-        message.extend_from_slice(&stream[pos..pos + len]);
-        pos += len;
-        if word & LAST_FRAGMENT != 0 {
-            return Ok((message, pos));
-        }
-    }
-}
-
-/// Bytes a message occupies on the wire framed as a single fragment.
-pub fn framed_len(message_len: usize) -> usize {
-    message_len + HEADER_LEN
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn single_fragment_round_trips() {
-        let msg = b"hello rpc world!";
-        let framed = frame(msg);
-        assert_eq!(framed.len(), framed_len(msg.len()));
-        let (back, used) = parse(&framed).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(used, framed.len());
-    }
-
-    #[test]
-    fn empty_message_frames_as_empty_last_fragment() {
-        let framed = frame(b"");
-        assert_eq!(framed, vec![0x80, 0, 0, 0]);
-        let (back, used) = parse(&framed).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(used, 4);
-    }
-
-    #[test]
-    fn fragmented_stream_reassembles() {
-        let msg: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
-        let framed = frame_fragmented(&msg, 300);
-        // 1000 bytes in 300-byte fragments = 4 fragments = 4 headers.
-        assert_eq!(framed.len(), 1000 + 4 * HEADER_LEN);
-        let (back, used) = parse(&framed).unwrap();
-        assert_eq!(back, msg);
-        assert_eq!(used, framed.len());
-    }
-
-    #[test]
-    fn truncated_streams_error() {
-        let framed = frame(b"abcdef");
-        assert_eq!(parse(&framed[..3]), Err(RecordError::Truncated));
-        assert_eq!(parse(&framed[..7]), Err(RecordError::Truncated));
-    }
-
-    #[test]
-    fn parse_reports_bytes_consumed_with_trailing_data() {
-        let mut framed = frame(b"abc");
-        framed.extend_from_slice(b"junk");
-        let (back, used) = parse(&framed).unwrap();
-        assert_eq!(back, b"abc");
-        assert_eq!(used, framed.len() - 4);
-    }
-}

@@ -170,18 +170,6 @@ impl Link {
         self.messages.get()
     }
 
-    /// Messages lost to the probabilistic drop process
-    /// (`link/<name>.dropped`).
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// Messages cut by outage windows, entering or in flight
-    /// (`link/<name>.severed`).
-    pub fn total_severed(&self) -> u64 {
-        self.severed.get()
-    }
-
     /// Install a deterministic fault plan on this link: per-message drops
     /// and outage windows. Each outage start schedules a scheduler
     /// callback that severs every in-flight flow at that instant (the
@@ -338,14 +326,6 @@ impl Link {
                     .label("link", self.name.to_string()),
             );
         }
-    }
-
-    /// Time a transfer of `bytes` would take on an otherwise idle link
-    /// (latency + serialization), without performing it. Used by analytic
-    /// baselines like the SCP full-copy model.
-    pub fn idle_transfer_time(&self, bytes: u64) -> SimDuration {
-        let st = self.state.lock();
-        st.latency + SimDuration::from_secs_f64(bytes as f64 / st.bytes_per_sec)
     }
 
     /// Advance every active flow to `now` at the current fair-share rate.
@@ -559,8 +539,8 @@ mod tests {
             assert!((env.now().as_secs_f64() - 2.1).abs() < 1e-6);
         });
         sim.run();
-        assert_eq!(link.total_dropped(), 0);
-        assert_eq!(link.total_severed(), 0);
+        assert_eq!(link.dropped.get(), 0);
+        assert_eq!(link.severed.get(), 0);
     }
 
     #[test]
@@ -582,7 +562,7 @@ mod tests {
             // Dropped messages still pay serialization: 50 × 10 ms.
             assert_eq!(end.as_nanos(), 500_000_000);
             let got = outcomes.lock().clone();
-            (got, link.total_dropped())
+            (got, link.dropped.get())
         };
         let (a, dropped_a) = run(11);
         let (b, dropped_b) = run(11);
@@ -622,7 +602,7 @@ mod tests {
             assert_eq!(env.now().as_nanos(), 4_000_000_000);
         });
         sim.run();
-        assert_eq!(link.total_severed(), 2);
+        assert_eq!(link.severed.get(), 2);
     }
 
     #[test]
@@ -630,7 +610,9 @@ mod tests {
         let sim = Simulation::new();
         let h = sim.handle();
         let link = Link::from_mbps(&h, "wan", 25.0, SimDuration::from_millis(17));
-        let est = link.idle_transfer_time(10_000_000);
+        // Latency plus serialization at the full 25 Mb/s.
+        let est =
+            SimDuration::from_millis(17) + SimDuration::from_secs_f64(10_000_000.0 / 25e6 * 8.0);
         let l = link.clone();
         sim.spawn("xfer", move |env| {
             let t0 = env.now();

@@ -540,16 +540,6 @@ impl Telemetry {
         ring.events.push_back(event);
     }
 
-    /// Change the ring capacity (drops oldest events if shrinking).
-    pub fn set_trace_capacity(&self, capacity: usize) {
-        let mut ring = self.inner.ring.lock();
-        ring.capacity = capacity.max(1);
-        while ring.events.len() > ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-    }
-
     /// Copy out the current metric values and trace events.
     pub fn snapshot(&self) -> Snapshot {
         let counters = self
@@ -689,15 +679,6 @@ impl Snapshot {
         self.histograms
             .iter()
             .find(|h| h.layer == layer && h.name == name)
-    }
-
-    /// High-water mark of gauge `layer`/`name`, or 0 if absent (test
-    /// helper).
-    pub fn gauge_high_water(&self, layer: &str, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .find(|g| g.layer == layer && g.name == name)
-            .map_or(0, |g| g.high_water)
     }
 
     /// Render the metrics (and events, if any) as a JSON value.
@@ -959,10 +940,11 @@ mod tests {
         g.dec();
         g.dec();
         let snap = t.snapshot();
-        assert_eq!(
-            snap.gauge_high_water("gvfs", "proxy.transfer.window_inflight"),
-            4
-        );
+        let sample = snap
+            .gauges
+            .iter()
+            .find(|g| g.name == "proxy.transfer.window_inflight");
+        assert_eq!(sample.map(|g| g.high_water), Some(4));
         let json = snap.to_json().to_string();
         assert!(json.contains("\"high_water\": 4"));
     }
@@ -1121,7 +1103,7 @@ mod tests {
         assert!(t.snapshot().events.is_empty());
 
         t.set_trace(true);
-        t.set_trace_capacity(4);
+        t.inner.ring.lock().capacity = 4;
         for i in 0..6u64 {
             t.trace(
                 TraceEvent::new(SimTime::from_nanos(i), "link", "transfer")

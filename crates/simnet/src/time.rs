@@ -41,11 +41,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked distance to a later instant.
-    pub fn checked_until(self, later: SimTime) -> Option<SimDuration> {
-        later.0.checked_sub(self.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -227,8 +222,6 @@ mod tests {
         let b = SimTime::from_nanos(20);
         assert_eq!((a - b), SimDuration::ZERO);
         assert_eq!((b - a).as_nanos(), 10);
-        assert_eq!(a.checked_until(b).unwrap().as_nanos(), 10);
-        assert!(b.checked_until(a).is_none());
     }
 
     #[test]

@@ -47,11 +47,6 @@ impl RedoLog {
         self.tail
     }
 
-    /// Number of live extents in the index.
-    pub fn extent_count(&self) -> usize {
-        self.index.len()
-    }
-
     /// Remove/split any indexed extents overlapping `[start, end)`.
     fn punch(&mut self, start: u64, end: u64) {
         // Collect overlapping extents (including one starting before).
@@ -218,7 +213,7 @@ mod tests {
             redo.write(&env, &*io, 0, &[1u8; 100]).unwrap();
             redo.write(&env, &*io, 500, &[2u8; 200]).unwrap();
             assert_eq!(redo.log_bytes(), 100 + 200 + 2 * 12);
-            assert_eq!(redo.extent_count(), 2);
+            assert_eq!(redo.index.len(), 2);
         });
         sim.run();
     }

@@ -26,7 +26,6 @@ pub mod latex;
 pub mod scp;
 pub mod specseis;
 
-use simnet::SimDuration;
 use vmm::GuestOp;
 
 /// A named group of guest operations (one bar segment in the figures).
@@ -66,17 +65,6 @@ impl Workload {
                 _ => None,
             })
             .sum()
-    }
-
-    /// Total pure-compute time across all phases.
-    pub fn compute_time(&self) -> SimDuration {
-        let mut t = SimDuration::ZERO;
-        for op in self.ops() {
-            if let GuestOp::Compute(d) = op {
-                t += *d;
-            }
-        }
-        t
     }
 
     fn ops(&self) -> impl Iterator<Item = &GuestOp> {
@@ -151,6 +139,7 @@ pub(crate) fn sequential_writes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::SimDuration;
 
     #[test]
     fn workload_accounting_sums_ops() {
@@ -171,7 +160,6 @@ mod tests {
         };
         assert_eq!(wl.bytes_read(), 100);
         assert_eq!(wl.bytes_written(), 50);
-        assert_eq!(wl.compute_time(), SimDuration::from_secs(5));
     }
 
     #[test]

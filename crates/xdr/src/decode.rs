@@ -22,15 +22,6 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Decode with a custom cap on variable-length items.
-    pub fn with_max_len(data: &'a [u8], max_len: u32) -> Self {
-        Decoder {
-            data,
-            pos: 0,
-            max_len,
-        }
-    }
-
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.data.len() - self.pos
@@ -205,7 +196,10 @@ mod tests {
         let mut e = Encoder::new();
         e.put_u32(1_000_000); // declared length far beyond the cap
         let b = e.into_bytes();
-        let mut d = Decoder::with_max_len(&b, 1024);
+        let mut d = Decoder {
+            max_len: 1024,
+            ..Decoder::new(&b)
+        };
         assert_eq!(
             d.get_opaque_var(),
             Err(Error::LengthOverLimit {

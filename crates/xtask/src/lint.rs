@@ -249,6 +249,17 @@ pub fn find_workspace_root() -> PathBuf {
     PathBuf::from(".")
 }
 
+/// How a report names the tree it scanned: relative to the workspace
+/// root (`.` for the workspace itself), so a committed report reads the
+/// same wherever the checkout lives.
+pub fn report_root(root: &Path) -> String {
+    match root.strip_prefix(find_workspace_root()) {
+        Ok(rel) if rel.as_os_str().is_empty() => ".".into(),
+        Ok(rel) => rel.to_string_lossy().into_owned(),
+        Err(_) => root.to_string_lossy().into_owned(),
+    }
+}
+
 /// All `crates/*/src/**/*.rs` files under `root`, workspace-relative with
 /// forward slashes, sorted for deterministic reports.
 pub fn collect_files(root: &Path) -> Vec<String> {
@@ -360,10 +371,7 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
     counts.sort_by(|a, b| a.0.cmp(&b.0));
     Json::Object(vec![
         ("schema".into(), Json::Str("gvfs.lint.v1".into())),
-        (
-            "root".into(),
-            Json::Str(root.to_string_lossy().into_owned()),
-        ),
+        ("root".into(), Json::Str(report_root(root))),
         ("files_scanned".into(), Json::Uint(r.files_scanned as u64)),
         (
             "clean".into(),

@@ -803,10 +803,7 @@ fn report_json(
         .collect();
     Json::Object(vec![
         ("schema".into(), Json::Str("gvfs.lockgraph.v1".into())),
-        (
-            "root".into(),
-            Json::Str(root.to_string_lossy().into_owned()),
-        ),
+        ("root".into(), Json::Str(lint::report_root(root))),
         ("files_scanned".into(), Json::Uint(files_scanned as u64)),
         (
             "clean".into(),

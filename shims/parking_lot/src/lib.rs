@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access and no registry cache, so
 //! external crates cannot be downloaded. This crate re-implements the
-//! `Mutex`/`MutexGuard`/`Condvar` API on top of `std::sync`, with
+//! `Mutex`/`MutexGuard` API on top of `std::sync`, with
 //! parking_lot's ergonomics: `lock()` returns a guard directly (poisoning
 //! is swallowed — a poisoned lock in this workspace means a simulation
 //! process panicked, and the scheduler already collects and re-raises
@@ -42,15 +42,15 @@ impl<T: ?Sized> Mutex<T> {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        MutexGuard { guard: Some(guard) }
+        MutexGuard { guard }
     }
 
     /// Try to acquire the lock without blocking.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
+            Ok(guard) => Some(MutexGuard { guard }),
             Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
+                guard: p.into_inner(),
             }),
             Err(sync::TryLockError::WouldBlock) => None,
         }
@@ -81,100 +81,32 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 }
 
 /// RAII guard returned by [`Mutex::lock`].
-///
-/// Holds the std guard in an `Option` so [`Condvar::wait`] can take it
-/// out, hand it to `std::sync::Condvar::wait` (which consumes guards),
-/// and put the returned guard back — preserving parking_lot's
-/// `wait(&mut guard)` signature.
 pub struct MutexGuard<'a, T: ?Sized> {
-    guard: Option<sync::MutexGuard<'a, T>>,
+    guard: sync::MutexGuard<'a, T>,
 }
 
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard.as_ref().expect("guard taken")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard.as_mut().expect("guard taken")
-    }
-}
-
-/// Condition variable compatible with [`Mutex`], `parking_lot`-flavoured:
-/// `wait` takes `&mut MutexGuard` instead of consuming it.
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guarded lock and block until notified; the
-    /// lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.guard.take().expect("guard taken");
-        let std_guard = match self.inner.wait(std_guard) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        guard.guard = Some(std_guard);
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiting threads.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Condvar::new()
+        &mut self.guard
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn lock_round_trip() {
         let m = Mutex::new(41);
         *m.lock() += 1;
         assert_eq!(*m.lock(), 42);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = pair.clone();
-        let t = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut ready = m.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-        });
-        {
-            let (m, cv) = &*pair;
-            *m.lock() = true;
-            cv.notify_all();
-        }
-        t.join().unwrap();
     }
 
     #[test]
