@@ -53,6 +53,7 @@ impl ZeroMap {
         ZeroMap {
             block_size,
             nblocks,
+            // lint:allow(bounded-decode): a local generator's map, sized from a file this process scanned, not from decoded bytes
             bits: vec![0; nblocks.div_ceil(64) as usize],
         }
     }
@@ -207,8 +208,10 @@ impl MetaFile {
                 if block_size == 0 || nblocks > (1 << 40) {
                     return None;
                 }
+                // Remaining input bounds the word count before any
+                // allocation: 8 bytes per word.
                 let nwords = nblocks.div_ceil(64) as usize;
-                let mut bits = Vec::with_capacity(nwords);
+                let mut bits = xdr::bounded_alloc(nwords, (data.len() - p) / 8).ok()?;
                 for _ in 0..nwords {
                     bits.push(u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?));
                 }
@@ -220,40 +223,32 @@ impl MetaFile {
             }
             _ => return None,
         };
-        // Content-map section: absent entirely in pre-CAS meta files,
-        // which remain parseable.
-        let content_map = if p == data.len() {
-            None
-        } else {
-            match take(&mut p, 1)?[0] {
-                0 => None,
-                1 => {
-                    let chunk_bytes = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
-                    let total = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                    let nrecords = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                    if chunk_bytes == 0 || nrecords > MAX_CONTENT_RECORDS {
-                        return None;
-                    }
-                    // Remaining input bounds the record count before any
-                    // allocation: 20 bytes per record.
-                    if data.len() - p < nrecords as usize * 20 {
-                        return None;
-                    }
-                    let mut records = Vec::with_capacity(nrecords as usize);
-                    for _ in 0..nrecords {
-                        let d0 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                        let d1 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                        let len = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
-                        records.push((Digest(d0, d1), len));
-                    }
-                    Some(ContentMap {
-                        chunk_bytes,
-                        total,
-                        records,
-                    })
+        let content_map = match take(&mut p, 1)?[0] {
+            0 => None,
+            1 => {
+                let chunk_bytes = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
+                let total = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
+                let nrecords = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
+                if chunk_bytes == 0 || nrecords > MAX_CONTENT_RECORDS {
+                    return None;
                 }
-                _ => return None,
+                // Remaining input bounds the record count before any
+                // allocation: 20 bytes per record.
+                let mut records =
+                    xdr::bounded_alloc(nrecords as usize, (data.len() - p) / 20).ok()?;
+                for _ in 0..nrecords {
+                    let d0 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
+                    let d1 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
+                    let len = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
+                    records.push((Digest(d0, d1), len));
+                }
+                Some(ContentMap {
+                    chunk_bytes,
+                    total,
+                    records,
+                })
             }
+            _ => return None,
         };
         if p != data.len() {
             return None;
@@ -296,6 +291,7 @@ pub fn generate_content_map(
     assert!(chunk_bytes > 0);
     let total = fs.size(h)?;
     let nchunks = total.div_ceil(chunk_bytes as u64);
+    // lint:allow(bounded-decode): a local generator's recipe, sized from a file this process scanned, not from decoded bytes
     let mut records = Vec::with_capacity(nchunks as usize);
     for c in 0..nchunks {
         let off = c * chunk_bytes as u64;
@@ -402,25 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_content_map_meta_still_parses() {
-        // A serialization ending right after the zero-map section (the
-        // pre-CAS layout) must parse with `content_map: None`.
-        let meta = MetaFile {
-            file_size: 10,
-            zero_map: None,
-            channel: None,
-            content_map: None,
-        };
-        let bytes = meta.to_bytes();
-        // Dropping the trailing content-map tag byte yields the old layout.
-        assert_eq!(
-            MetaFile::from_bytes(&bytes[..bytes.len() - 1]),
-            Some(meta.clone())
-        );
-        assert_eq!(MetaFile::from_bytes(&bytes), Some(meta));
-    }
-
-    #[test]
     fn malformed_meta_is_rejected() {
         assert_eq!(MetaFile::from_bytes(b""), None);
         assert_eq!(MetaFile::from_bytes(b"GVFSMETA1\n"), None);
@@ -458,6 +435,30 @@ mod tests {
         let count_at = good.len() - 20 - 8;
         huge[count_at..count_at + 8].copy_from_slice(&(1u64 << 20).to_be_bytes());
         assert_eq!(MetaFile::from_bytes(&huge), None);
+        // The pre-content-map layout, which ends right after the zero-map
+        // section, is not a meta file.
+        let tagged = MetaFile {
+            file_size: 10,
+            zero_map: None,
+            channel: None,
+            content_map: None,
+        }
+        .to_bytes();
+        assert_eq!(MetaFile::from_bytes(&tagged[..tagged.len() - 1]), None);
+    }
+
+    #[test]
+    fn zero_map_claim_beyond_the_input_is_rejected_without_allocating() {
+        // 32 bytes that claim 2^40 blocks: honouring the claim before
+        // checking the input would reserve 2^34 words (128 GiB).
+        let mut header = b"GVFSMETA1\n".to_vec();
+        header.extend_from_slice(&0u64.to_be_bytes()); // file size
+        header.push(0); // no channel actions
+        header.push(1); // a zero map follows
+        header.extend_from_slice(&4096u32.to_be_bytes());
+        header.extend_from_slice(&(1u64 << 40).to_be_bytes());
+        assert_eq!(header.len(), 32);
+        assert_eq!(MetaFile::from_bytes(&header), None);
     }
 
     #[test]

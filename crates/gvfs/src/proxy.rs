@@ -1112,9 +1112,10 @@ impl Proxy {
         }
         let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
         let meta = (|| -> Option<Arc<MetaFile>> {
-            let (meta_fh, attr) = nfs.lookup(env, dir, &meta_name_for(name)).ok()?;
-            let size = attr.map(|a| a.size).unwrap_or(0);
-            let mut contents = Vec::with_capacity(size as usize);
+            // The buffer grows with the READs that arrive: the size the
+            // upstream's attributes claim is not worth a reservation.
+            let (meta_fh, _) = nfs.lookup(env, dir, &meta_name_for(name)).ok()?;
+            let mut contents = Vec::new();
             let mut off = 0u64;
             loop {
                 let r = nfs.read(env, meta_fh, off, nfs3::MAX_BLOCK).ok()?;
@@ -2702,6 +2703,73 @@ mod tests {
                 "{knob_counter}"
             );
         }
+    }
+
+    #[test]
+    fn lookup_finishes_when_the_upstream_claims_a_huge_meta_file() {
+        // A hostile upstream: every LOOKUP names a 2^40-byte file, and
+        // every READ returns 32 bytes of meta header claiming 2^40 blocks.
+        // Neither claim may size an allocation in the proxy.
+        let sim = simnet::Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| simnet::Link::new(&h, name, 1e9, SimDuration::from_micros(10));
+        let mut header = b"GVFSMETA1\n".to_vec();
+        header.extend_from_slice(&0u64.to_be_bytes());
+        header.extend_from_slice(&[0, 1]);
+        header.extend_from_slice(&4096u32.to_be_bytes());
+        header.extend_from_slice(&(1u64 << 40).to_be_bytes());
+        let fh = Handle {
+            fileid: 7,
+            generation: 1,
+        };
+        let attr = vfs::Attr {
+            ftype: vfs::FileType::Regular,
+            mode: 0o644,
+            nlink: 1,
+            uid: 0,
+            gid: 0,
+            size: 1 << 40,
+            used: 0,
+            fileid: fh.fileid,
+            atime_ns: 0,
+            mtime_ns: 0,
+            ctime_ns: 0,
+        };
+        let upstream = oncrpc::endpoint(&h, link("up"), link("down"), oncrpc::WireSpec::plain());
+        let hostile = move |_env: &Env, request: &[u8]| -> Vec<u8> {
+            let Ok(RpcMessage::Call { header: call, .. }) =
+                RpcMessage::decode_shared(&request.to_vec().into())
+            else {
+                panic!("the proxy sends calls");
+            };
+            let results = match call.proc {
+                proc3::LOOKUP => nfs3::results::encode_lookup(fh, Some(attr.clone()), None),
+                proc3::READ => encode_read(Some(attr.clone()), &header, true),
+                other => panic!("unexpected procedure {other}"),
+            };
+            RpcMessage::success(call.xid, results).into_wire().to_vec()
+        };
+        upstream.listener.serve("hostile", Arc::new(hostile), 1);
+        let cfg = ProxyConfig {
+            name: "px".into(),
+            ..ProxyConfig::default()
+        };
+        let proxy = Proxy::new(
+            cfg,
+            RpcClient::new(upstream.channel, oncrpc::OpaqueAuth::none()),
+        );
+        let front = oncrpc::endpoint(&h, link("c-up"), link("c-down"), oncrpc::WireSpec::plain());
+        front.listener.serve("px", Arc::new(proxy), 1);
+        let client =
+            nfs3::Nfs3Client::new(RpcClient::new(front.channel, oncrpc::OpaqueAuth::none()));
+        let found = Arc::new(Mutex::new(None));
+        let out = found.clone();
+        sim.spawn("client", move |env| {
+            *out.lock() = Some(client.lookup(&env, fh, "vm.vmss").map(|(h, _)| h));
+        });
+        sim.run();
+        let found = found.lock().take().expect("the LOOKUP finished");
+        assert_eq!(found.ok(), Some(fh));
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Workspace maintenance tasks for the GVFS reproduction.
 //!
-//! Two tasks: `lint`, an invariant-lint engine enforcing the project
-//! rules that PR 1 fixed by hand (determinism, bounded decode, exact
-//! accounting, panic-free dispatch, lock discipline); and `lockgraph`,
-//! a lock-order analysis pass that tracks live guards through scopes,
-//! builds the cross-crate lock-order graph, and flags cycles, guards
-//! held across suspend points, and double acquisition. See DESIGN.md
-//! §5.2 / §5.7 and `lint-baseline.txt` / `lockgraph-baseline.txt` for
+//! One task: `lint`, the static-analysis pass. It runs the per-file
+//! invariant rules (determinism, bounded decode, exact accounting,
+//! panic-free dispatch, …) and the lock-order analysis, which tracks
+//! live guards through scopes, builds the cross-crate lock-order graph,
+//! and flags cycles, guards held across suspend points, and double
+//! acquisition. See DESIGN.md §5.2 / §5.7 and `lint-baseline.txt` for
 //! the grandfathering workflow.
 
 pub mod json;

@@ -1,8 +1,11 @@
-//! The `lint` subcommand: file walking, waiver application, baseline
-//! matching, and human/JSON reporting.
+//! The `lint` subcommand, the workspace's one static-analysis pass: one
+//! walk over `crates/*/src`, the per-file rules ([`crate::rules`]) and
+//! the lock-order analysis ([`crate::lockgraph`]) over each lexed file,
+//! one waiver application, one baseline, and one human/JSON/DOT report.
 
 use crate::json::Json;
-use crate::lexer::{lex, Comment};
+use crate::lexer::{lex, Comment, Lexed};
+use crate::lockgraph::{self, Analysis};
 use crate::rules::{self, Violation};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -19,37 +22,20 @@ pub struct Waiver {
     pub reason: String,
 }
 
-/// One file's lint outcome before baseline matching.
-pub struct FileResult {
+/// The pass's outcome over a set of files, before baseline matching.
+pub struct LintResult {
+    /// Every rule's findings that no waiver covers, plus the `waiver`
+    /// findings, sorted by file, line, column and rule.
     pub violations: Vec<Violation>,
+    /// The lock-order graph; its own findings are in `violations`.
+    pub graph: Analysis,
     pub waivers_declared: usize,
     pub waivers_used: usize,
 }
 
-/// Parse waiver comments out of a lexed file for the `lint` pass.
+/// Parse the `// lint:allow(<rule>): <reason>` comments of one file.
 /// Malformed waivers are reported as `waiver` violations immediately.
 pub fn parse_waivers(path: &str, comments: &[Comment], out: &mut Vec<Violation>) -> Vec<Waiver> {
-    parse_waivers_for(
-        path,
-        comments,
-        rules::ALL_RULES,
-        crate::lockgraph::LOCKGRAPH_RULES,
-        out,
-    )
-}
-
-/// Parse waiver comments, keeping only those naming a rule in
-/// `active_rules`. Waivers for `foreign_rules` are silently skipped —
-/// they belong to the other pass (lint vs lockgraph share the one
-/// `lint:allow(...)` syntax), so neither pass reports them as unknown or
-/// unused. A rule known to neither set is a malformed waiver.
-pub fn parse_waivers_for(
-    path: &str,
-    comments: &[Comment],
-    active_rules: &[&str],
-    foreign_rules: &[&str],
-    out: &mut Vec<Violation>,
-) -> Vec<Waiver> {
     let mut waivers = Vec::new();
     for c in comments {
         // A waiver must be the entire comment: `// lint:allow(rule): reason`.
@@ -76,10 +62,7 @@ pub fn parse_waivers_for(
             continue;
         };
         let rule = rest[..close].trim().to_string();
-        if foreign_rules.contains(&rule.as_str()) && !active_rules.contains(&rule.as_str()) {
-            continue; // other pass owns this waiver
-        }
-        if !active_rules.contains(&rule.as_str()) || rule == rules::RULE_WAIVER {
+        if !rules::ALL_RULES.contains(&rule.as_str()) || rule == rules::RULE_WAIVER {
             bad(&format!("waiver names unknown rule `{rule}`"), out);
             continue;
         }
@@ -101,47 +84,58 @@ pub fn parse_waivers_for(
     waivers
 }
 
-/// Run all rules on one file, then cancel violations covered by waivers.
-/// Unused waivers are themselves reported (a stale suppression hides the
-/// day the code regresses for real).
-pub fn lint_source(path: &str, src: &str) -> FileResult {
-    let mut violations = rules::check_file(path, src);
-    let lexed = lex(src);
-    let mut waiver_violations = Vec::new();
-    let waivers = parse_waivers(path, &lexed.comments, &mut waiver_violations);
-    let mut used = vec![false; waivers.len()];
+/// Run every rule over a set of (workspace-relative path, source) pairs:
+/// lex each file once, run the per-file rules and the lock-order
+/// analysis on it, then cancel the violations covered by waivers. Unused
+/// waivers are themselves reported (a stale suppression hides the day
+/// the code regresses for real).
+pub fn lint_sources(files: &[(String, String)]) -> LintResult {
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    let mut graph = lockgraph::analyze(files.iter().map(|(path, _)| path.as_str()).zip(&lexed));
+    let mut violations = std::mem::take(&mut graph.violations);
+    let mut waivers: Vec<(&str, Waiver)> = Vec::new();
+    for ((path, _), lexed) in files.iter().zip(&lexed) {
+        violations.extend(rules::check_file(path, lexed));
+        for w in parse_waivers(path, &lexed.comments, &mut violations) {
+            waivers.push((path, w));
+        }
+    }
 
+    let mut used = vec![false; waivers.len()];
     violations.retain(|v| {
-        for (i, w) in waivers.iter().enumerate() {
-            if w.rule == v.rule && w.applies_line == v.line {
-                used[i] = true;
-                return false;
-            }
+        let covering = waivers
+            .iter()
+            .position(|(path, w)| w.rule == v.rule && *path == v.file && w.applies_line == v.line);
+        if let Some(i) = covering {
+            used[i] = true;
         }
-        true
+        covering.is_none()
     });
-    for (i, w) in waivers.iter().enumerate() {
-        if !used[i] {
-            waiver_violations.push(Violation {
-                rule: rules::RULE_WAIVER,
-                file: path.to_string(),
-                line: w.decl_line,
-                col: 1,
-                message: format!(
-                    "unused waiver for `{}` (line {} triggers no such violation); remove it",
-                    w.rule, w.applies_line
-                ),
-            });
-        }
+    for ((path, w), _) in waivers.iter().zip(&used).filter(|(_, used)| !**used) {
+        violations.push(Violation {
+            rule: rules::RULE_WAIVER,
+            file: path.to_string(),
+            line: w.decl_line,
+            col: 1,
+            message: format!(
+                "unused waiver for `{}` (line {} triggers no such violation); remove it",
+                w.rule, w.applies_line
+            ),
+        });
     }
-    let used_count = used.iter().filter(|u| **u).count();
-    violations.extend(waiver_violations);
-    violations.sort_by(|a, b| (a.line, a.col, a.rule).cmp(&(b.line, b.col, b.rule)));
-    FileResult {
+    violations
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
+    LintResult {
         violations,
+        graph,
         waivers_declared: waivers.len(),
-        waivers_used: used_count,
+        waivers_used: used.iter().filter(|u| **u).count(),
     }
+}
+
+/// [`lint_sources`] over a one-file tree.
+pub fn lint_source(path: &str, src: &str) -> LintResult {
+    lint_sources(&[(path.to_string(), src.to_string())])
 }
 
 // ---------------------------------------------------------------------------
@@ -167,16 +161,10 @@ pub fn parse_baseline(text: &str) -> BTreeMap<String, u32> {
 }
 
 pub fn render_baseline(keys: &[String]) -> String {
-    render_baseline_for("lint", keys)
-}
-
-/// Shared baseline renderer; `tool` names the subcommand that owns the
-/// file (`lint` or `lockgraph`).
-pub fn render_baseline_for(tool: &str, keys: &[String]) -> String {
-    let mut out = format!(
-        "# xtask {tool} baseline — grandfathered violations.\n\
+    let mut out = String::from(
+        "# xtask lint baseline — grandfathered violations.\n\
          # Format: <rule>\\t<path>\\t<trimmed source line>\n\
-         # Regenerate with: cargo run -p xtask -- {tool} --write-baseline\n",
+         # Regenerate with: cargo run -p xtask -- lint --write-baseline\n",
     );
     for k in keys {
         out.push_str(k);
@@ -192,6 +180,7 @@ pub fn render_baseline_for(tool: &str, keys: &[String]) -> String {
 struct Options {
     root: PathBuf,
     json_path: Option<PathBuf>,
+    dot_path: Option<PathBuf>,
     baseline_path: PathBuf,
     write_baseline: bool,
 }
@@ -199,6 +188,7 @@ struct Options {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut root = None;
     let mut json_path = None;
+    let mut dot_path = None;
     let mut baseline_path = None;
     let mut write_baseline = false;
     let mut it = args.iter();
@@ -206,6 +196,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
             "--json" => json_path = Some(PathBuf::from(it.next().ok_or("--json needs a value")?)),
+            "--dot" => dot_path = Some(PathBuf::from(it.next().ok_or("--dot needs a value")?)),
             "--baseline" => {
                 baseline_path = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
             }
@@ -218,6 +209,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(Options {
         root,
         json_path,
+        dot_path,
         baseline_path,
         write_baseline,
     })
@@ -305,44 +297,42 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 struct RunReport {
     files_scanned: usize,
+    result: LintResult,
     fresh: Vec<(Violation, String)>, // violation + trimmed line text
     baselined: usize,
     stale_baseline: Vec<String>,
-    waivers_declared: usize,
-    waivers_used: usize,
 }
 
 fn run_lint(root: &Path, baseline: &BTreeMap<String, u32>) -> RunReport {
-    let files = collect_files(root);
+    let files: Vec<(String, String)> = collect_files(root)
+        .into_iter()
+        .filter_map(|rel| {
+            let src = std::fs::read_to_string(root.join(&rel)).ok()?;
+            Some((rel, src))
+        })
+        .collect();
+    let result = lint_sources(&files);
+    let sources: BTreeMap<&str, &str> = files
+        .iter()
+        .map(|(path, src)| (path.as_str(), src.as_str()))
+        .collect();
     let mut fresh = Vec::new();
     let mut baselined = 0usize;
     let mut remaining = baseline.clone();
-    let mut waivers_declared = 0usize;
-    let mut waivers_used = 0usize;
-
-    for rel in &files {
-        let Ok(src) = std::fs::read_to_string(root.join(rel)) else {
-            continue;
-        };
-        let lines: Vec<&str> = src.lines().collect();
-        let res = lint_source(rel, &src);
-        waivers_declared += res.waivers_declared;
-        waivers_used += res.waivers_used;
-        for v in res.violations {
-            let text = lines
-                .get(v.line.saturating_sub(1) as usize)
-                .copied()
-                .unwrap_or("")
-                .trim()
-                .to_string();
-            let key = baseline_key(&v, &text);
-            match remaining.get_mut(&key) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    baselined += 1;
-                }
-                _ => fresh.push((v, text)),
+    for v in &result.violations {
+        let text = sources
+            .get(v.file.as_str())
+            .and_then(|src| src.lines().nth(v.line.saturating_sub(1) as usize))
+            .unwrap_or("")
+            .trim()
+            .to_string();
+        let key = baseline_key(v, &text);
+        match remaining.get_mut(&key) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                baselined += 1;
             }
+            _ => fresh.push((v.clone(), text)),
         }
     }
     let stale_baseline: Vec<String> = remaining
@@ -352,12 +342,20 @@ fn run_lint(root: &Path, baseline: &BTreeMap<String, u32>) -> RunReport {
         .collect();
     RunReport {
         files_scanned: files.len(),
+        result,
         fresh,
         baselined,
         stale_baseline,
-        waivers_declared,
-        waivers_used,
     }
+}
+
+fn strs(items: impl IntoIterator<Item = impl ToString>) -> Json {
+    Json::Array(
+        items
+            .into_iter()
+            .map(|s| Json::Str(s.to_string()))
+            .collect(),
+    )
 }
 
 fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
@@ -369,8 +367,9 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
         })
         .collect();
     counts.sort_by(|a, b| a.0.cmp(&b.0));
+    let graph = &r.result.graph;
     Json::Object(vec![
-        ("schema".into(), Json::Str("gvfs.lint.v1".into())),
+        ("schema".into(), Json::Str("gvfs.lint.v2".into())),
         ("root".into(), Json::Str(report_root(root))),
         ("files_scanned".into(), Json::Uint(r.files_scanned as u64)),
         (
@@ -399,8 +398,11 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
         (
             "waivers".into(),
             Json::Object(vec![
-                ("declared".into(), Json::Uint(r.waivers_declared as u64)),
-                ("used".into(), Json::Uint(r.waivers_used as u64)),
+                (
+                    "declared".into(),
+                    Json::Uint(r.result.waivers_declared as u64),
+                ),
+                ("used".into(), Json::Uint(r.result.waivers_used as u64)),
             ]),
         ),
         (
@@ -408,18 +410,61 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
             Json::Object(vec![
                 ("entries".into(), Json::Uint(baseline_entries as u64)),
                 ("matched".into(), Json::Uint(r.baselined as u64)),
-                (
-                    "stale".into(),
-                    Json::Array(
-                        r.stale_baseline
-                            .iter()
-                            .map(|s| Json::Str(s.clone()))
-                            .collect(),
-                    ),
-                ),
+                ("stale".into(), strs(&r.stale_baseline)),
             ]),
         ),
+        (
+            "nodes".into(),
+            Json::Array(
+                graph
+                    .nodes
+                    .iter()
+                    .map(|(class, (count, files))| {
+                        Json::Object(vec![
+                            ("class".into(), Json::Str(class.clone())),
+                            ("acquisitions".into(), Json::Uint(*count)),
+                            ("files".into(), strs(files)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "edges".into(),
+            Json::Array(
+                graph
+                    .edges
+                    .iter()
+                    .map(|((from, to), sites)| {
+                        let in_cycle = graph.cycle_edges.contains(&(from.clone(), to.clone()));
+                        let count = sites.len() as u64;
+                        let sites = sites.iter().take(8).map(|s| {
+                            Json::Object(vec![
+                                ("file".into(), Json::Str(s.file.clone())),
+                                ("line".into(), Json::Uint(s.line as u64)),
+                                ("held_since_line".into(), Json::Uint(s.held_line as u64)),
+                            ])
+                        });
+                        Json::Object(vec![
+                            ("from".into(), Json::Str(from.clone())),
+                            ("to".into(), Json::Str(to.clone())),
+                            ("count".into(), Json::Uint(count)),
+                            ("in_cycle".into(), Json::Bool(in_cycle)),
+                            ("sites".into(), Json::Array(sites.collect())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
     ])
+}
+
+/// Write `contents` to `path`, creating its directory first.
+fn write_report(path: &Path, contents: String) -> Result<(), String> {
+    if let Some(parent) = path.parent() {
+        let _ = std::fs::create_dir_all(parent);
+    }
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 pub fn run(args: &[String]) -> ExitCode {
@@ -442,12 +487,8 @@ pub fn run(args: &[String]) -> ExitCode {
             .map(|(v, text)| baseline_key(v, text))
             .collect();
         keys.sort();
-        let rendered = render_baseline(&keys);
-        if let Err(e) = std::fs::write(&opts.baseline_path, rendered) {
-            eprintln!(
-                "xtask lint: cannot write {}: {e}",
-                opts.baseline_path.display()
-            );
+        if let Err(e) = write_report(&opts.baseline_path, render_baseline(&keys)) {
+            eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
         println!(
@@ -458,13 +499,19 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(json_path) = &opts.json_path {
-        if let Some(parent) = json_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let json = report_json(&report, &opts.root, baseline_entries).pretty();
-        if let Err(e) = std::fs::write(json_path, json) {
-            eprintln!("xtask lint: cannot write {}: {e}", json_path.display());
+    let json = opts.json_path.iter().map(|path| {
+        (
+            path,
+            report_json(&report, &opts.root, baseline_entries).pretty(),
+        )
+    });
+    let dot = opts
+        .dot_path
+        .iter()
+        .map(|path| (path, lockgraph::render_dot(&report.result.graph)));
+    for (path, contents) in json.chain(dot) {
+        if let Err(e) = write_report(path, contents) {
+            eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
     }
@@ -478,15 +525,19 @@ pub fn run(args: &[String]) -> ExitCode {
     for key in &report.stale_baseline {
         println!("stale-baseline: entry no longer matches any violation: {key}");
     }
+    let graph = &report.result.graph;
     println!(
-        "xtask lint: {} files scanned, {} violations ({} baselined), {} stale baseline entries, \
-         waivers {}/{} used",
+        "xtask lint: {} files scanned, {} lock classes, {} edges ({} in cycles), \
+         {} violations ({} baselined), {} stale baseline entries, waivers {}/{} used",
         report.files_scanned,
+        graph.nodes.len(),
+        graph.edges.len(),
+        graph.cycle_edges.len(),
         report.fresh.len(),
         report.baselined,
         report.stale_baseline.len(),
-        report.waivers_used,
-        report.waivers_declared,
+        report.result.waivers_used,
+        report.result.waivers_declared,
     );
     if report.fresh.is_empty() && report.stale_baseline.is_empty() {
         ExitCode::SUCCESS

@@ -1,7 +1,7 @@
-//! The `lockgraph` subcommand: a lock-order analysis pass.
+//! The lock-order analysis of `xtask lint`.
 //!
-//! Where the per-line lint rules match token windows, this pass walks the
-//! token stream of every workspace source file with lightweight scope
+//! Where the per-file rules in [`crate::rules`] match token windows, this
+//! analysis walks the token stream of every workspace source file with lightweight scope
 //! tracking: it records each lock-acquisition site (`Mutex`/`RwLock`
 //! guards via `.lock()`/`.read()`/`.write()`/`.try_*()`, and
 //! `simnet::sync::Resource` via `.acquire(env)`), tracks which guards are
@@ -13,11 +13,11 @@
 //!   two code paths acquire the same pair of locks in opposite orders, a
 //!   potential deadlock.
 //! - `lock-guard-suspend`: a guard held across a simnet suspend point
-//!   (`env` handed to a blocking call). This is the dataflow
-//!   generalization of the lint `lock-discipline` rule: instead of a
-//!   per-statement pattern it uses the live-guard set, so transient
-//!   guards (`x.lock().field` mid-expression) and `if let`-bound try
-//!   guards are covered too.
+//!   (`env` handed to a blocking call) — the one lock mistake that can
+//!   hang a simulation whose processes share one thread. It works from
+//!   the live-guard set rather than a per-statement pattern, so
+//!   let-bound guards, transient guards (`x.lock().field`
+//!   mid-expression) and `if let`-bound try guards are all covered.
 //! - `lock-double-acquire`: the same lock class acquired while already
 //!   held in the same scope — self-deadlock with non-reentrant mutexes.
 //!
@@ -30,8 +30,8 @@
 //! two files — both are deliberate: the analysis is intra-procedural and
 //! lexical, so class granularity matches what it can actually see.
 //! False positives from conflation are waived with
-//! `// lint:allow(<rule>): <reason>` (same syntax and machinery as the
-//! lint pass; each pass silently skips the other's rule names).
+//! `// lint:allow(<rule>): <reason>`, applied by [`crate::lint`] like
+//! every other rule's waivers.
 //!
 //! ## Known approximations
 //!
@@ -46,21 +46,9 @@
 //!   `match`/`for`, whose scrutinee temporaries live through the block).
 //!   This can under-report by a few tokens; it never over-reports.
 
-use crate::json::Json;
-use crate::lexer::{lex, Tok, TokKind};
-use crate::lint::{self, Waiver};
-use crate::rules::{self, test_mask, Violation};
+use crate::lexer::{Lexed, Tok, TokKind};
+use crate::rules::{test_mask, Violation, RULE_CYCLE, RULE_DOUBLE_ACQUIRE, RULE_GUARD_SUSPEND};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
-
-pub const RULE_CYCLE: &str = "lock-order-cycle";
-pub const RULE_GUARD_SUSPEND: &str = "lock-guard-suspend";
-pub const RULE_DOUBLE_ACQUIRE: &str = "lock-double-acquire";
-
-/// The rules owned by this pass. `lint` treats waivers naming these as
-/// foreign (and vice versa), so one waiver syntax serves both passes.
-pub const LOCKGRAPH_RULES: &[&str] = &[RULE_CYCLE, RULE_GUARD_SUSPEND, RULE_DOUBLE_ACQUIRE];
 
 /// Blocking calls on an `env` receiver that suspend the process.
 const SUSPEND_METHODS: &[&str] = &["suspend", "sleep", "wait", "recv", "acquire", "join"];
@@ -118,8 +106,6 @@ pub struct Analysis {
     pub edges: BTreeMap<(String, String), Vec<EdgeSite>>,
     /// Edges that participate in a cycle (for DOT highlighting).
     pub cycle_edges: BTreeSet<(String, String)>,
-    pub waivers_declared: usize,
-    pub waivers_used: usize,
 }
 
 /// `crates/gvfs/src/block_cache.rs` -> `gvfs::block_cache`.
@@ -316,25 +302,10 @@ fn closure_opener_before(toks: &[Tok], i: usize) -> bool {
         || p.is_ident("return")
 }
 
-fn walk_file(path: &str, src: &str, out: &mut Analysis, waivers: &mut Vec<(String, Waiver)>) {
-    let lexed = lex(src);
+fn walk_file(path: &str, lexed: &Lexed, out: &mut Analysis) {
     let toks = &lexed.toks;
     let mask = test_mask(toks);
     let prefix = class_prefix(path);
-
-    // Waivers for this pass; lint rules are foreign, malformed waivers
-    // are lint's to report (scratch vec discarded).
-    let mut scratch = Vec::new();
-    let file_waivers = lint::parse_waivers_for(
-        path,
-        &lexed.comments,
-        LOCKGRAPH_RULES,
-        rules::ALL_RULES,
-        &mut scratch,
-    );
-    for w in file_waivers {
-        waivers.push((path.to_string(), w));
-    }
 
     let mut depth = 0i32;
     let mut pdepth = 0i32;
@@ -736,173 +707,16 @@ fn detect_cycles(out: &mut Analysis) {
     }
 }
 
-/// Analyze a set of (workspace-relative path, source) pairs: walk each
-/// file, build the global graph, detect cycles, then apply waivers.
-pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
+/// Analyze a set of (workspace-relative path, lexed source) pairs: walk
+/// each file, build the global graph, detect cycles. Waivers and the
+/// report order are [`crate::lint`]'s.
+pub fn analyze<'a>(files: impl IntoIterator<Item = (&'a str, &'a Lexed)>) -> Analysis {
     let mut out = Analysis::default();
-    let mut waivers: Vec<(String, Waiver)> = Vec::new();
-    for (path, src) in files {
-        walk_file(path, src, &mut out, &mut waivers);
+    for (path, lexed) in files {
+        walk_file(path, lexed, &mut out);
     }
     detect_cycles(&mut out);
-
-    out.waivers_declared = waivers.len();
-    let mut used = vec![false; waivers.len()];
-    out.violations.retain(|v| {
-        for (i, (wpath, w)) in waivers.iter().enumerate() {
-            if w.rule == v.rule && *wpath == v.file && w.applies_line == v.line {
-                used[i] = true;
-                return false;
-            }
-        }
-        true
-    });
-    for (i, (wpath, w)) in waivers.iter().enumerate() {
-        if !used[i] {
-            out.violations.push(Violation {
-                rule: rules::RULE_WAIVER,
-                file: wpath.clone(),
-                line: w.decl_line,
-                col: 1,
-                message: format!(
-                    "unused waiver for `{}` (line {} triggers no such violation); remove it",
-                    w.rule, w.applies_line
-                ),
-            });
-        }
-    }
-    out.waivers_used = used.iter().filter(|u| **u).count();
-    out.violations.sort_by(|a, b| {
-        (a.file.clone(), a.line, a.col, a.rule).cmp(&(b.file.clone(), b.line, b.col, b.rule))
-    });
     out
-}
-
-// ---------------------------------------------------------------------------
-// Reports
-// ---------------------------------------------------------------------------
-
-fn report_json(
-    a: &Analysis,
-    root: &Path,
-    files_scanned: usize,
-    fresh: &[(Violation, String)],
-    baselined: usize,
-    stale: &[String],
-    baseline_entries: usize,
-) -> Json {
-    let mut rule_names: Vec<&str> = LOCKGRAPH_RULES.to_vec();
-    rule_names.push(rules::RULE_WAIVER);
-    rule_names.sort_unstable();
-    let counts: Vec<(String, Json)> = rule_names
-        .iter()
-        .map(|rule| {
-            let n = fresh.iter().filter(|(v, _)| v.rule == *rule).count() as u64;
-            (rule.to_string(), Json::Uint(n))
-        })
-        .collect();
-    Json::Object(vec![
-        ("schema".into(), Json::Str("gvfs.lockgraph.v1".into())),
-        ("root".into(), Json::Str(lint::report_root(root))),
-        ("files_scanned".into(), Json::Uint(files_scanned as u64)),
-        (
-            "clean".into(),
-            Json::Bool(fresh.is_empty() && stale.is_empty()),
-        ),
-        (
-            "nodes".into(),
-            Json::Array(
-                a.nodes
-                    .iter()
-                    .map(|(class, (count, files))| {
-                        Json::Object(vec![
-                            ("class".into(), Json::Str(class.clone())),
-                            ("acquisitions".into(), Json::Uint(*count)),
-                            (
-                                "files".into(),
-                                Json::Array(files.iter().map(|f| Json::Str(f.clone())).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "edges".into(),
-            Json::Array(
-                a.edges
-                    .iter()
-                    .map(|((from, to), sites)| {
-                        Json::Object(vec![
-                            ("from".into(), Json::Str(from.clone())),
-                            ("to".into(), Json::Str(to.clone())),
-                            ("count".into(), Json::Uint(sites.len() as u64)),
-                            (
-                                "in_cycle".into(),
-                                Json::Bool(a.cycle_edges.contains(&(from.clone(), to.clone()))),
-                            ),
-                            (
-                                "sites".into(),
-                                Json::Array(
-                                    sites
-                                        .iter()
-                                        .take(8)
-                                        .map(|s| {
-                                            Json::Object(vec![
-                                                ("file".into(), Json::Str(s.file.clone())),
-                                                ("line".into(), Json::Uint(s.line as u64)),
-                                                (
-                                                    "held_since_line".into(),
-                                                    Json::Uint(s.held_line as u64),
-                                                ),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "violations".into(),
-            Json::Array(
-                fresh
-                    .iter()
-                    .map(|(v, text)| {
-                        Json::Object(vec![
-                            ("rule".into(), Json::Str(v.rule.to_string())),
-                            ("file".into(), Json::Str(v.file.clone())),
-                            ("line".into(), Json::Uint(v.line as u64)),
-                            ("col".into(), Json::Uint(v.col as u64)),
-                            ("message".into(), Json::Str(v.message.clone())),
-                            ("snippet".into(), Json::Str(text.clone())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("counts".into(), Json::Object(counts)),
-        (
-            "waivers".into(),
-            Json::Object(vec![
-                ("declared".into(), Json::Uint(a.waivers_declared as u64)),
-                ("used".into(), Json::Uint(a.waivers_used as u64)),
-            ]),
-        ),
-        (
-            "baseline".into(),
-            Json::Object(vec![
-                ("entries".into(), Json::Uint(baseline_entries as u64)),
-                ("matched".into(), Json::Uint(baselined as u64)),
-                (
-                    "stale".into(),
-                    Json::Array(stale.iter().map(|s| Json::Str(s.clone())).collect()),
-                ),
-            ]),
-        ),
-    ])
 }
 
 /// Render the lock-order graph as GraphViz DOT; cycle edges are red.
@@ -927,184 +741,15 @@ pub fn render_dot(a: &Analysis) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Driver
-// ---------------------------------------------------------------------------
-
-struct Options {
-    root: PathBuf,
-    json_path: Option<PathBuf>,
-    dot_path: Option<PathBuf>,
-    baseline_path: PathBuf,
-    write_baseline: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut root = None;
-    let mut json_path = None;
-    let mut dot_path = None;
-    let mut baseline_path = None;
-    let mut write_baseline = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
-            "--json" => json_path = Some(PathBuf::from(it.next().ok_or("--json needs a value")?)),
-            "--dot" => dot_path = Some(PathBuf::from(it.next().ok_or("--dot needs a value")?)),
-            "--baseline" => {
-                baseline_path = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
-            }
-            "--write-baseline" => write_baseline = true,
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    let root = root.unwrap_or_else(lint::find_workspace_root);
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lockgraph-baseline.txt"));
-    Ok(Options {
-        root,
-        json_path,
-        dot_path,
-        baseline_path,
-        write_baseline,
-    })
-}
-
-pub fn run(args: &[String]) -> ExitCode {
-    let opts = match parse_args(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask lockgraph: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rels = lint::collect_files(&opts.root);
-    let mut files: Vec<(String, String)> = Vec::new();
-    for rel in &rels {
-        if let Ok(src) = std::fs::read_to_string(opts.root.join(rel)) {
-            files.push((rel.clone(), src));
-        }
-    }
-    let analysis = analyze_sources(&files);
-
-    // Baseline matching, same machinery as lint.
-    let baseline_text = std::fs::read_to_string(&opts.baseline_path).unwrap_or_default();
-    let baseline = lint::parse_baseline(&baseline_text);
-    let baseline_entries: usize = baseline.values().map(|n| *n as usize).sum();
-    let mut remaining = baseline.clone();
-    let sources: BTreeMap<&str, &str> = files
-        .iter()
-        .map(|(p, s)| (p.as_str(), s.as_str()))
-        .collect();
-    let mut fresh: Vec<(Violation, String)> = Vec::new();
-    let mut baselined = 0usize;
-    for v in &analysis.violations {
-        let text = sources
-            .get(v.file.as_str())
-            .and_then(|src| src.lines().nth(v.line.saturating_sub(1) as usize))
-            .unwrap_or("")
-            .trim()
-            .to_string();
-        let key = lint::baseline_key(v, &text);
-        match remaining.get_mut(&key) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                baselined += 1;
-            }
-            _ => fresh.push((v.clone(), text)),
-        }
-    }
-    let stale: Vec<String> = remaining
-        .into_iter()
-        .filter(|(_, n)| *n > 0)
-        .map(|(k, _)| k)
-        .collect();
-
-    if opts.write_baseline {
-        let mut keys: Vec<String> = fresh
-            .iter()
-            .map(|(v, text)| lint::baseline_key(v, text))
-            .collect();
-        keys.sort();
-        let rendered = lint::render_baseline_for("lockgraph", &keys);
-        if let Err(e) = std::fs::write(&opts.baseline_path, rendered) {
-            eprintln!(
-                "xtask lockgraph: cannot write {}: {e}",
-                opts.baseline_path.display()
-            );
-            return ExitCode::from(2);
-        }
-        println!(
-            "wrote {} entries to {}",
-            keys.len(),
-            opts.baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(json_path) = &opts.json_path {
-        if let Some(parent) = json_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        let json = report_json(
-            &analysis,
-            &opts.root,
-            files.len(),
-            &fresh,
-            baselined,
-            &stale,
-            baseline_entries,
-        )
-        .pretty();
-        if let Err(e) = std::fs::write(json_path, json) {
-            eprintln!("xtask lockgraph: cannot write {}: {e}", json_path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(dot_path) = &opts.dot_path {
-        if let Some(parent) = dot_path.parent() {
-            let _ = std::fs::create_dir_all(parent);
-        }
-        if let Err(e) = std::fs::write(dot_path, render_dot(&analysis)) {
-            eprintln!("xtask lockgraph: cannot write {}: {e}", dot_path.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    for (v, text) in &fresh {
-        println!("{}: {}:{}:{}: {}", v.rule, v.file, v.line, v.col, v.message);
-        if !text.is_empty() {
-            println!("    {text}");
-        }
-    }
-    for key in &stale {
-        println!("stale-baseline: entry no longer matches any violation: {key}");
-    }
-    println!(
-        "xtask lockgraph: {} files, {} lock classes, {} edges ({} in cycles), \
-         {} violations ({} baselined), {} stale baseline entries, waivers {}/{} used",
-        files.len(),
-        analysis.nodes.len(),
-        analysis.edges.len(),
-        analysis.cycle_edges.len(),
-        fresh.len(),
-        baselined,
-        stale.len(),
-        analysis.waivers_used,
-        analysis.waivers_declared,
-    );
-    if fresh.is_empty() && stale.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::lex;
+    use crate::lint::lint_source;
+    use crate::rules::RULE_WAIVER;
 
     fn analyze_one(src: &str) -> Analysis {
-        analyze_sources(&[("crates/gvfs/src/fixture.rs".to_string(), src.to_string())])
+        analyze([("crates/gvfs/src/fixture.rs", &lex(src))])
     }
 
     fn rules_of(a: &Analysis) -> Vec<&str> {
@@ -1142,8 +787,7 @@ mod tests {
 
     #[test]
     fn transient_guard_across_bare_env_arg_detected() {
-        // The lint lock-discipline rule misses this shape (no let binding);
-        // the dataflow pass must not.
+        // No let binding: only the live-guard set sees this guard.
         let src = r#"
             fn f(env: &Env) {
                 self.state.lock().fill(fetch(env, key));
@@ -1394,10 +1038,11 @@ mod tests {
             // lint:allow(lock-double-acquire): nothing here triggers this
             fn g() {}
         "#;
-        let a = analyze_one(src);
-        assert_eq!(rules_of(&a), vec![rules::RULE_WAIVER]);
-        assert_eq!(a.waivers_declared, 2);
-        assert_eq!(a.waivers_used, 1);
+        let res = lint_source("crates/gvfs/src/fixture.rs", src);
+        let rules: Vec<&str> = res.violations.iter().map(|v| v.rule).collect();
+        assert_eq!(rules, vec![RULE_WAIVER]);
+        assert_eq!(res.waivers_declared, 2);
+        assert_eq!(res.waivers_used, 1);
     }
 
     #[test]

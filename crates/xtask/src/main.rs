@@ -4,7 +4,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => xtask::lint::run(&args[1..]),
-        Some("lockgraph") => xtask::lockgraph::run(&args[1..]),
         Some(other) => {
             eprintln!("xtask: unknown task `{other}`");
             usage();
@@ -19,9 +18,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--json <path>] [--baseline <path>] \
-         [--write-baseline] [--root <dir>]\n       \
-         cargo run -p xtask -- lockgraph [--json <path>] [--dot <path>] \
+        "usage: cargo run -p xtask -- lint [--json <path>] [--dot <path>] \
          [--baseline <path>] [--write-baseline] [--root <dir>]"
     );
 }

@@ -6,20 +6,24 @@
 //! set of documented over-approximations (see DESIGN.md §5.2), bridged
 //! by inline waivers.
 
-use crate::lexer::{lex, Comment, Tok, TokKind};
+use crate::lexer::{Comment, Lexed, Tok, TokKind};
 use std::collections::BTreeSet;
 
-/// Rule identifiers, in report order.
+/// Rule identifiers, in report order. The per-file token rules live in
+/// this module; the three lock rules come from the lock-order analysis
+/// in [`crate::lockgraph`], which needs every file before it can judge.
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_BOUNDED_DECODE: &str = "bounded-decode";
 pub const RULE_EXACT_ACCOUNTING: &str = "exact-accounting";
 pub const RULE_PANIC_FREE: &str = "panic-free-dispatch";
-pub const RULE_LOCK_DISCIPLINE: &str = "lock-discipline";
 pub const RULE_BOUNDED_FANOUT: &str = "bounded-fanout";
 pub const RULE_CANONICAL_DIGEST: &str = "canonical-digest";
 pub const RULE_ALLOC_FREE_RECORD: &str = "allocation-free-record";
 pub const RULE_CAS_EVICTION: &str = "cas-eviction";
 pub const RULE_UNSAFE_CONFINED: &str = "unsafe-confined";
+pub const RULE_CYCLE: &str = "lock-order-cycle";
+pub const RULE_GUARD_SUSPEND: &str = "lock-guard-suspend";
+pub const RULE_DOUBLE_ACQUIRE: &str = "lock-double-acquire";
 /// Meta-rule: malformed or unused waiver comments.
 pub const RULE_WAIVER: &str = "waiver";
 
@@ -28,12 +32,14 @@ pub const ALL_RULES: &[&str] = &[
     RULE_BOUNDED_DECODE,
     RULE_EXACT_ACCOUNTING,
     RULE_PANIC_FREE,
-    RULE_LOCK_DISCIPLINE,
     RULE_BOUNDED_FANOUT,
     RULE_CANONICAL_DIGEST,
     RULE_ALLOC_FREE_RECORD,
     RULE_CAS_EVICTION,
     RULE_UNSAFE_CONFINED,
+    RULE_CYCLE,
+    RULE_GUARD_SUSPEND,
+    RULE_DOUBLE_ACQUIRE,
     RULE_WAIVER,
 ];
 
@@ -60,6 +66,8 @@ fn bounded_decode_scope(path: &str) -> bool {
         // The channel's gossip codec decodes digest inventories pushed
         // by *sibling shards* — still untrusted wire bytes.
         || path == "crates/gvfs/src/channel.rs"
+        // Meta-data files arrive as upstream READ replies (paper §3.2.2).
+        || path == "crates/gvfs/src/meta.rs"
 }
 
 /// Scope of the exact-accounting rule: byte-accounting and counter
@@ -119,10 +127,9 @@ fn panic_free_scope(path: &str) -> bool {
         || path == "crates/gvfs/src/proxy.rs"
 }
 
-/// Lex `src` and run every applicable rule. Waiver and baseline
-/// application happen in the engine, not here.
-pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
-    let lexed = lex(src);
+/// Run every per-file rule that applies to `path` over its lexed source.
+/// Waiver and baseline application happen in the engine, not here.
+pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Violation> {
     let toks = &lexed.toks;
     let mask = test_mask(toks);
     let mut out = Vec::new();
@@ -137,7 +144,6 @@ pub fn check_file(path: &str, src: &str) -> Vec<Violation> {
     if panic_free_scope(path) {
         rule_panic_free(path, toks, &mask, &mut out);
     }
-    rule_lock_discipline(path, toks, &mask, &mut out);
     if bounded_fanout_scope(path) {
         rule_bounded_fanout(path, toks, &mask, &mut out);
     }
@@ -696,117 +702,7 @@ fn rule_panic_free(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violat
 }
 
 // ---------------------------------------------------------------------------
-// Rule 5: lock-discipline
-// ---------------------------------------------------------------------------
-
-/// Methods from `simnet::sync`/`engine` that can suspend the calling
-/// process (and therefore switch its coroutine out) when given a `SimEnv`.
-const SUSPEND_METHODS: &[&str] = &["suspend", "sleep", "wait", "recv", "acquire", "join"];
-
-fn rule_lock_discipline(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
-    #[derive(Debug)]
-    struct Guard {
-        name: String,
-        depth: i32,
-        line: u32,
-    }
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0i32;
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    guards.retain(|g| g.depth <= depth);
-                }
-                _ => {}
-            }
-        }
-        if mask[i] {
-            continue;
-        }
-        // New guard binding: `let [mut] name = <expr>.lock();`
-        if t.is_ident("let") {
-            let name_idx = if toks.get(i + 1).is_some_and(|t| t.is_ident("mut")) {
-                i + 2
-            } else {
-                i + 1
-            };
-            if let Some(name_tok) = toks.get(name_idx) {
-                if name_tok.kind == TokKind::Ident {
-                    if let Some(end) = statement_end(toks, name_idx + 1) {
-                        if end >= 4
-                            && toks[end - 4].is_punct(".")
-                            && (toks[end - 3].is_ident("lock")
-                                || toks[end - 3].is_ident("read")
-                                || toks[end - 3].is_ident("write"))
-                            && toks[end - 2].is_punct("(")
-                            && toks[end - 1].is_punct(")")
-                        {
-                            guards.push(Guard {
-                                name: name_tok.text.clone(),
-                                depth,
-                                line: name_tok.line,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Explicit drop(name) releases the guard early.
-        if t.is_ident("drop")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Ident)
-            && toks.get(i + 3).is_some_and(|t| t.is_punct(")"))
-        {
-            let name = &toks[i + 2].text;
-            guards.retain(|g| &g.name != name);
-        }
-        if guards.is_empty() {
-            continue;
-        }
-        // Suspension hazard A: `env.suspend(` / `env.sleep(` receiver calls.
-        let env_recv = t.is_ident("env")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct("."))
-            && toks.get(i + 2).is_some_and(|t| {
-                t.kind == TokKind::Ident && matches!(t.text.as_str(), "suspend" | "sleep")
-            });
-        // Suspension hazard B: `.wait(..env..)` style — a suspend-set
-        // method call that receives `env` as an argument.
-        let env_arg = t.is_ident("env")
-            && i > 0
-            && (toks[i - 1].is_punct("(")
-                || toks[i - 1].is_punct(",")
-                || toks[i - 1].is_punct("&"))
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| t.is_punct(",") || t.is_punct(")"));
-        let suspend_call = t.is_punct(".")
-            && toks.get(i + 1).is_some_and(|t| {
-                t.kind == TokKind::Ident && SUSPEND_METHODS.contains(&t.text.as_str())
-            })
-            && toks.get(i + 2).is_some_and(|t| t.is_punct("("));
-        if env_recv || env_arg || suspend_call {
-            let g = &guards[guards.len() - 1];
-            out.push(Violation {
-                rule: RULE_LOCK_DISCIPLINE,
-                file: path.to_string(),
-                line: t.line,
-                col: t.col,
-                message: format!(
-                    "possible suspend/park while lock guard `{}` (bound line {}) is live; \
-                     scope the guard in a block or drop() it before suspending",
-                    g.name, g.line
-                ),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 6: bounded-fanout
+// Rule 5: bounded-fanout
 // ---------------------------------------------------------------------------
 
 fn rule_bounded_fanout(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
@@ -863,7 +759,7 @@ fn rule_bounded_fanout(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Vi
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: canonical-digest
+// Rule 6: canonical-digest
 // ---------------------------------------------------------------------------
 
 /// Identifiers that signal an ad-hoc content hash implementation.
@@ -941,7 +837,7 @@ fn rule_canonical_digest(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<
 }
 
 // ---------------------------------------------------------------------------
-// Rule 8: allocation-free-record
+// Rule 7: allocation-free-record
 // ---------------------------------------------------------------------------
 
 /// Method names whose call (`.name(`) allocates or may reallocate.
@@ -1057,7 +953,7 @@ fn rule_alloc_free_record(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec
 }
 
 // ---------------------------------------------------------------------------
-// Rule 9: cas-eviction
+// Rule 8: cas-eviction
 // ---------------------------------------------------------------------------
 
 /// Entry-dropping methods that, invoked on a content store outside
@@ -1130,7 +1026,7 @@ fn rule_cas_eviction(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Viol
 }
 
 // ---------------------------------------------------------------------------
-// Rule 10: unsafe-confined
+// Rule 9: unsafe-confined
 // ---------------------------------------------------------------------------
 
 /// `unsafe` belongs to the engine's coroutine switch and nowhere else, and
@@ -1187,27 +1083,4 @@ fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
             .trim_start()
             .starts_with("SAFETY:")
     })
-}
-
-/// Index of the `;` ending the statement starting at `i`, tracking nested
-/// delimiters. Returns None at EOF. Block expressions (`= { .. };`) are
-/// traversed, which is fine: a `.lock()` suffix can't end such a statement.
-fn statement_end(toks: &[Tok], mut i: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    while i < toks.len() {
-        let t = &toks[i];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                ";" if depth == 0 => return Some(i),
-                _ => {}
-            }
-            if depth < 0 {
-                return None; // ran off the enclosing block
-            }
-        }
-        i += 1;
-    }
-    None
 }

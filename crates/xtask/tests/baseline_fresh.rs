@@ -1,6 +1,7 @@
-//! The committed baseline must match a fresh run: no non-baselined
-//! violations in the tree (exit 0) and no stale baseline entries. This is
-//! the same invocation CI gates merges on.
+//! The real tree against the committed (empty) baseline: no
+//! non-baselined finding of any rule — per-file or lock-order — and no
+//! stale baseline entry or unused waiver (exit 0). This is the same
+//! invocation CI gates merges on.
 
 use std::path::Path;
 use std::process::Command;
@@ -16,7 +17,7 @@ fn committed_baseline_matches_fresh_run() {
         .expect("run xtask lint");
     assert!(
         out.status.success(),
-        "lint found non-baselined violations or stale baseline entries:\n{}",
+        "lint found non-baselined violations, stale baseline entries or unused waivers:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
 }

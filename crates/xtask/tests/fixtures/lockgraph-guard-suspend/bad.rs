@@ -1,5 +1,5 @@
-//! Bad: guards held across simnet suspend points, in shapes the old
-//! per-statement lock-discipline rule cannot see.
+//! Bad: guards held across simnet suspend points in shapes no `let`
+//! names — a temporary mid-statement and a match scrutinee.
 
 impl Proxy {
     // Transient guard: no let binding at all, the temporary guard from

@@ -1,5 +1,5 @@
-//! Bad: a waiver whose line triggers no lockgraph violation — stale
-//! suppressions are themselves violations, same as in the lint pass.
+//! Bad: a waiver whose line triggers no lock-order violation — stale
+//! suppressions are themselves violations, whatever rule they name.
 
 impl Cache {
     pub fn get(&self, key: Key) {

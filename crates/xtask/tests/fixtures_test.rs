@@ -1,13 +1,17 @@
-//! Fixture-based self-tests for the lint engine: each bad fixture must
-//! trigger exactly its rule (in-process and via the CLI exit code), and
-//! each good fixture must pass clean.
+//! Fixture-based self-tests for the per-file rules of `xtask lint`:
+//! each bad fixture must trigger exactly its rule (in-process and via
+//! the CLI exit code), and each good fixture must pass clean. The lock
+//! rules' fixtures live in `lockgraph_test.rs`; both suites share the
+//! checks in `common`.
 
-use std::path::PathBuf;
-use std::process::Command;
+mod common;
+
+use common::{check_bad_fixtures, check_cli_exit, check_good_fixtures, run_lint, write_tree, Case};
+use std::path::Path;
 use xtask::lint::lint_source;
 
 /// (rule, path label that puts the fixture in the rule's scope, bad, good)
-fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
+fn cases() -> Vec<Case> {
     vec![
         (
             "determinism",
@@ -50,12 +54,6 @@ fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
             "crates/nfs3/src/server.rs",
             include_str!("fixtures/panic-free-dispatch/bad.rs"),
             include_str!("fixtures/panic-free-dispatch/good.rs"),
-        ),
-        (
-            "lock-discipline",
-            "crates/gvfs/src/channel.rs",
-            include_str!("fixtures/lock-discipline/bad.rs"),
-            include_str!("fixtures/lock-discipline/good.rs"),
         ),
         (
             "bounded-fanout",
@@ -106,32 +104,12 @@ fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
 
 #[test]
 fn bad_fixtures_trigger_exactly_their_rule() {
-    for (rule, label, bad, _) in cases() {
-        let res = lint_source(label, bad);
-        assert!(
-            !res.violations.is_empty(),
-            "{rule}: bad fixture triggered no violations"
-        );
-        for v in &res.violations {
-            assert_eq!(
-                v.rule, rule,
-                "{rule}: bad fixture triggered foreign rule `{}` at line {}: {}",
-                v.rule, v.line, v.message
-            );
-        }
-    }
+    check_bad_fixtures(&cases());
 }
 
 #[test]
 fn good_fixtures_pass_clean() {
-    for (rule, label, _, good) in cases() {
-        let res = lint_source(label, good);
-        assert!(
-            res.violations.is_empty(),
-            "{rule}: good fixture raised {:?}",
-            res.violations
-        );
-    }
+    check_good_fixtures(&cases());
 }
 
 /// The engine's own spawn loop is the rule's one exemption, and the
@@ -161,52 +139,14 @@ fn unsafe_is_confined_to_the_engine() {
     }
 }
 
-/// Build a one-file synthetic workspace at `root` whose single source
-/// file sits at the scope label's path.
-fn write_tree(root: &PathBuf, label: &str, src: &str) {
-    let _ = std::fs::remove_dir_all(root);
-    let file = root.join(label);
-    std::fs::create_dir_all(file.parent().expect("label has a parent")).expect("mkdir");
-    std::fs::write(&file, src).expect("write fixture");
-}
-
-fn run_cli(root: &PathBuf) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lint")
-        .arg("--root")
-        .arg(root)
-        .arg("--baseline")
-        .arg(root.join("lint-baseline.txt")) // absent: empty baseline
-        .output()
-        .expect("run xtask lint")
-}
-
 #[test]
 fn cli_exits_nonzero_on_every_bad_fixture() {
-    for (rule, label, bad, _) in cases() {
-        let root = std::env::temp_dir().join(format!("xtask-lint-bad-{rule}"));
-        write_tree(&root, label, bad);
-        let out = run_cli(&root);
-        assert!(
-            !out.status.success(),
-            "{rule}: CLI exited 0 on a bad fixture\nstdout:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
+    check_cli_exit("lint", &cases(), true);
 }
 
 #[test]
 fn cli_exits_zero_on_every_good_fixture() {
-    for (rule, label, _, good) in cases() {
-        let root = std::env::temp_dir().join(format!("xtask-lint-good-{rule}"));
-        write_tree(&root, label, good);
-        let out = run_cli(&root);
-        assert!(
-            out.status.success(),
-            "{rule}: CLI exited nonzero on a good fixture\nstdout:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
+    check_cli_exit("lint", &cases(), false);
 }
 
 #[test]
@@ -215,17 +155,10 @@ fn json_report_is_written_in_telemetry_style() {
     let root = std::env::temp_dir().join(format!("xtask-lint-json-{rule}"));
     write_tree(&root, label, bad);
     let json_path = root.join("reports/lint.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lint")
-        .arg("--root")
-        .arg(&root)
-        .arg("--json")
-        .arg(&json_path)
-        .output()
-        .expect("run xtask lint");
+    let out = run_lint(&root, &[Path::new("--json"), &json_path]);
     assert!(!out.status.success());
     let text = std::fs::read_to_string(&json_path).expect("json written even on failure");
-    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v1\",\n"));
+    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v2\",\n"));
     assert!(text.contains("\"violations\": ["));
     assert!(text.contains("\"rule\": \"determinism\""));
     assert!(text.contains("\"clean\": false"));

@@ -1,166 +1,148 @@
-//! Fixture-based self-tests for the lockgraph pass: each bad fixture
-//! must trigger exactly its rule (in-process and via the CLI exit
-//! code), each good fixture must pass clean, and the real tree must
-//! stay clean against the committed (empty) baseline.
+//! Fixture-based self-tests for the lock-order analysis, run through
+//! `xtask lint`: each bad fixture must trigger exactly its lock rule
+//! (in-process and via the CLI exit code), each good fixture must pass
+//! clean, the JSON and DOT reports must carry the graph, and the real
+//! tree's lock graph must be clean against the committed baseline.
 
-use std::path::PathBuf;
-use std::process::Command;
-use xtask::lockgraph::analyze_sources;
+mod common;
 
-/// (rule, path label that gives the fixture a lock-class prefix, bad, good)
-fn cases() -> Vec<(&'static str, &'static str, &'static str, &'static str)> {
+use common::{check_bad_fixtures, check_cli_exit, check_good_fixtures, run_lint, write_tree, Case};
+use std::path::{Path, PathBuf};
+use xtask::lint::lint_source;
+
+/// The label the lock fixtures are linted under: it gives their lock
+/// classes the `gvfs::fixture::` prefix.
+const LOCK_LABEL: &str = "crates/gvfs/src/fixture.rs";
+
+fn cases() -> Vec<Case> {
     vec![
         (
             "lock-order-cycle",
-            "crates/gvfs/src/fixture.rs",
+            LOCK_LABEL,
             include_str!("fixtures/lockgraph-cycle/bad.rs"),
             include_str!("fixtures/lockgraph-cycle/good.rs"),
         ),
         (
+            // Let-bound guards held across a sleep and a `wait(env)`.
             "lock-guard-suspend",
-            "crates/gvfs/src/fixture.rs",
+            "crates/gvfs/src/channel.rs",
+            include_str!("fixtures/lock-guard-suspend/bad.rs"),
+            include_str!("fixtures/lock-guard-suspend/good.rs"),
+        ),
+        (
+            // Guards no `let` names: a temporary and a match scrutinee.
+            "lock-guard-suspend",
+            LOCK_LABEL,
             include_str!("fixtures/lockgraph-guard-suspend/bad.rs"),
             include_str!("fixtures/lockgraph-guard-suspend/good.rs"),
         ),
         (
             "lock-double-acquire",
-            "crates/gvfs/src/fixture.rs",
+            LOCK_LABEL,
             include_str!("fixtures/lockgraph-double/bad.rs"),
             include_str!("fixtures/lockgraph-double/good.rs"),
         ),
         (
+            // A stale lock-rule waiver; the good one waives a real
+            // finding of the lock-order analysis.
             "waiver",
-            "crates/gvfs/src/fixture.rs",
+            LOCK_LABEL,
             include_str!("fixtures/lockgraph-waived/bad.rs"),
             include_str!("fixtures/lockgraph-waived/good.rs"),
         ),
     ]
 }
 
-fn analyze(label: &str, src: &str) -> xtask::lockgraph::Analysis {
-    analyze_sources(&[(label.to_string(), src.to_string())])
-}
-
 #[test]
 fn bad_fixtures_trigger_exactly_their_rule() {
-    for (rule, label, bad, _) in cases() {
-        let a = analyze(label, bad);
-        assert!(
-            !a.violations.is_empty(),
-            "{rule}: bad fixture triggered no violations"
-        );
-        for v in &a.violations {
-            assert_eq!(
-                v.rule, rule,
-                "{rule}: bad fixture triggered foreign rule `{}` at line {}: {}",
-                v.rule, v.line, v.message
-            );
-        }
-    }
+    check_bad_fixtures(&cases());
 }
 
 #[test]
 fn good_fixtures_pass_clean() {
-    for (rule, label, _, good) in cases() {
-        let a = analyze(label, good);
-        assert!(
-            a.violations.is_empty(),
-            "{rule}: good fixture raised {:?}",
-            a.violations
-        );
-    }
+    check_good_fixtures(&cases());
+}
+
+/// The two hazards the let-bound fixture exists for, and nothing else.
+#[test]
+fn let_bound_guard_fixture_flags_both_suspends() {
+    let src = include_str!("fixtures/lock-guard-suspend/bad.rs");
+    let found: Vec<(&str, u32)> = lint_source("crates/gvfs/src/channel.rs", src)
+        .violations
+        .iter()
+        .map(|v| (v.rule, v.line))
+        .collect();
+    assert_eq!(
+        found,
+        [("lock-guard-suspend", 7), ("lock-guard-suspend", 14)],
+        "`env.sleep` at line 7 and `sig.wait(env)` at line 14"
+    );
 }
 
 #[test]
 fn waived_good_fixture_actually_exercises_the_waiver() {
     // The "clean" verdict above must come from the waiver being used,
     // not from the conflated double-acquire never firing.
-    let (_, label, _, good) = cases().remove(3);
-    let a = analyze(label, good);
-    assert_eq!(a.waivers_declared, 1);
-    assert_eq!(a.waivers_used, 1);
+    let res = lint_source(
+        LOCK_LABEL,
+        include_str!("fixtures/lockgraph-waived/good.rs"),
+    );
+    assert_eq!(res.waivers_declared, 1);
+    assert_eq!(res.waivers_used, 1);
 }
 
 #[test]
 fn cycle_fixture_marks_both_edges() {
-    let (_, label, bad, good) = cases().remove(0);
-    let a = analyze(label, bad);
-    assert_eq!(a.cycle_edges.len(), 2, "AB and BA edges both in the cycle");
-    let a = analyze(label, good);
-    assert!(a.cycle_edges.is_empty());
-    assert_eq!(a.edges.len(), 1, "consistent order still builds the edge");
-}
-
-/// Build a one-file synthetic workspace at `root` whose single source
-/// file sits at the scope label's path.
-fn write_tree(root: &PathBuf, label: &str, src: &str) {
-    let _ = std::fs::remove_dir_all(root);
-    let file = root.join(label);
-    std::fs::create_dir_all(file.parent().expect("label has a parent")).expect("mkdir");
-    std::fs::write(&file, src).expect("write fixture");
-}
-
-fn run_cli(root: &PathBuf) -> std::process::Output {
-    Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lockgraph")
-        .arg("--root")
-        .arg(root)
-        .arg("--baseline")
-        .arg(root.join("lockgraph-baseline.txt")) // absent: empty baseline
-        .output()
-        .expect("run xtask lockgraph")
+    let graph = lint_source(LOCK_LABEL, include_str!("fixtures/lockgraph-cycle/bad.rs")).graph;
+    assert_eq!(
+        graph.cycle_edges.len(),
+        2,
+        "AB and BA edges both in the cycle"
+    );
+    let graph = lint_source(LOCK_LABEL, include_str!("fixtures/lockgraph-cycle/good.rs")).graph;
+    assert!(graph.cycle_edges.is_empty());
+    assert_eq!(
+        graph.edges.len(),
+        1,
+        "consistent order still builds the edge"
+    );
 }
 
 #[test]
 fn cli_exits_nonzero_on_every_bad_fixture() {
-    for (rule, label, bad, _) in cases() {
-        let root = std::env::temp_dir().join(format!("xtask-lockgraph-bad-{rule}"));
-        write_tree(&root, label, bad);
-        let out = run_cli(&root);
-        assert!(
-            !out.status.success(),
-            "{rule}: CLI exited 0 on a bad fixture\nstdout:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
+    check_cli_exit("lockgraph", &cases(), true);
 }
 
 #[test]
 fn cli_exits_zero_on_every_good_fixture() {
-    for (rule, label, _, good) in cases() {
-        let root = std::env::temp_dir().join(format!("xtask-lockgraph-good-{rule}"));
-        write_tree(&root, label, good);
-        let out = run_cli(&root);
-        assert!(
-            out.status.success(),
-            "{rule}: CLI exited nonzero on a good fixture\nstdout:\n{}",
-            String::from_utf8_lossy(&out.stdout)
-        );
-    }
+    check_cli_exit("lockgraph", &cases(), false);
 }
 
 #[test]
 fn json_and_dot_reports_are_written() {
-    let (rule, label, bad, _) = cases().remove(0);
-    let root = std::env::temp_dir().join(format!("xtask-lockgraph-json-{rule}"));
-    write_tree(&root, label, bad);
-    let json_path = root.join("reports/lockgraph.json");
+    let root = std::env::temp_dir().join("xtask-lockgraph-json");
+    write_tree(
+        &root,
+        LOCK_LABEL,
+        include_str!("fixtures/lockgraph-cycle/bad.rs"),
+    );
+    let json_path = root.join("reports/lint.json");
     let dot_path = root.join("reports/lockgraph.dot");
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lockgraph")
-        .arg("--root")
-        .arg(&root)
-        .arg("--json")
-        .arg(&json_path)
-        .arg("--dot")
-        .arg(&dot_path)
-        .output()
-        .expect("run xtask lockgraph");
+    let out = run_lint(
+        &root,
+        &[
+            Path::new("--json"),
+            &json_path,
+            Path::new("--dot"),
+            &dot_path,
+        ],
+    );
     assert!(!out.status.success());
     let text = std::fs::read_to_string(&json_path).expect("json written even on failure");
-    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lockgraph.v1\",\n"));
+    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v2\",\n"));
     assert!(text.contains("\"rule\": \"lock-order-cycle\""));
     assert!(text.contains("\"clean\": false"));
+    assert!(text.contains("\"class\": \"gvfs::fixture::routing\""));
     assert!(text.contains("\"in_cycle\": true"));
     let dot = std::fs::read_to_string(&dot_path).expect("dot written even on failure");
     assert!(dot.starts_with("// Lock-order graph"));
@@ -169,18 +151,41 @@ fn json_and_dot_reports_are_written() {
 
 #[test]
 fn real_tree_is_clean_against_committed_baseline() {
-    // The acceptance bar: the pass runs on the actual workspace with the
-    // committed (empty) lockgraph-baseline.txt and exits 0.
+    // The acceptance bar for the lock half of the pass on the actual
+    // workspace: exit 0 with the committed baseline, no lock finding in
+    // the report, and no edge of the graph in a cycle.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let out = Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .arg("lockgraph")
-        .arg("--root")
-        .arg(&root)
-        .output()
-        .expect("run xtask lockgraph");
+    let out_dir = std::env::temp_dir().join("xtask-lockgraph-real-tree");
+    let _ = std::fs::remove_dir_all(&out_dir);
+    let json_path = out_dir.join("lint.json");
+    let dot_path = out_dir.join("lockgraph.dot");
+    let out = run_lint(
+        &root,
+        &[
+            Path::new("--json"),
+            &json_path,
+            Path::new("--dot"),
+            &dot_path,
+        ],
+    );
     assert!(
         out.status.success(),
-        "lockgraph failed on the real tree:\n{}",
+        "lint failed on the real tree:\n{}",
         String::from_utf8_lossy(&out.stdout)
     );
+    let text = std::fs::read_to_string(&json_path).expect("json written");
+    assert!(text.contains("\"clean\": true"));
+    for rule in [
+        "lock-order-cycle",
+        "lock-guard-suspend",
+        "lock-double-acquire",
+    ] {
+        assert!(
+            text.contains(&format!("\"{rule}\": 0")),
+            "{rule} counted on the real tree"
+        );
+    }
+    assert!(!text.contains("\"in_cycle\": true"));
+    let dot = std::fs::read_to_string(&dot_path).expect("dot written");
+    assert!(!dot.contains("color=red"), "cycle in the real tree:\n{dot}");
 }
