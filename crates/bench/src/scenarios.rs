@@ -260,7 +260,7 @@ pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
                             };
                             end_zero_run(&mut h, &mut zeros);
                             mix_word(&mut h, DATA);
-                            mix(&mut h, &data);
+                            mix(&mut h, &data.contiguous());
                         }
                         off += len;
                     }
@@ -469,7 +469,7 @@ mod tests {
         let dir = fs.mkdir(root, "vm", 0o755, 0).unwrap();
         let file = fs.create(dir, "disk.vmdk", 0o644, 0).unwrap();
         for (off, bytes) in writes {
-            fs.write(file, *off, bytes, 0).unwrap();
+            fs.write(file, *off, *bytes, 0).unwrap();
         }
         fs.setattr(file, Some(size), None, 0).unwrap();
         Arc::new(Mutex::new(fs))

@@ -579,14 +579,18 @@ impl FileChannelServer {
             DiskCharge::Positioned => self.disk.sequential_io(env, len),
             DiskCharge::Continuation => self.disk.stream_io(env, len),
         }
-        let payload = if self.compress {
+        // Borrowed straight out of the store when the range is one chunk.
+        let contents = contents.contiguous();
+        let packed;
+        let payload: &[u8] = if self.compress {
             let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
             env.sleep(self.codec.compress_time(len));
-            codec::compress(&contents)
+            packed = codec::compress(&contents);
+            &packed
         } else {
-            contents
+            &contents
         };
-        payload_reply(with_total.then_some(size), len, self.compress, &payload)
+        payload_reply(with_total.then_some(size), len, self.compress, payload)
     }
 
     /// Apply one `UPLOAD_CHUNK`: set the file's length to `total`, then
@@ -659,7 +663,7 @@ impl FileChannelServer {
                 let off = c * chunk_bytes as u64;
                 let len = ((total - off).min(chunk_bytes as u64)) as usize;
                 match fs.read(h, off, len, now) {
-                    Ok((data, _)) => records.push((digest(&data), len as u32)),
+                    Ok((data, _)) => records.push((digest(&data.contiguous()), len as u32)),
                     Err(e) => return Ok(status_reply(ChanStatus::from_fs(e))),
                 }
             }

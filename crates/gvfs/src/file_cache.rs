@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use simnet::Env;
-use vfs::{Disk, SparseBytes};
+use vfs::{Disk, Payload, SparseBytes};
 
 use crate::cas::{BrokenPin, ContentStore};
 use crate::digest::{digest, Digest};
@@ -538,7 +538,7 @@ impl FileCache {
         key: FileKey,
         offset: u64,
         len: u32,
-    ) -> Result<Option<(Vec<u8>, bool)>, BrokenPin> {
+    ) -> Result<Option<(Payload, bool)>, BrokenPin> {
         let (data, eof, disk_bytes) = {
             let mut inner = self.inner.lock();
             inner.stamp += 1;
@@ -556,7 +556,10 @@ impl FileCache {
                     let n = data.len().max(1) as u64;
                     (data, n)
                 }
-                Backing::Reference(r) => r.read_range(offset, len as usize)?,
+                Backing::Reference(r) => {
+                    let (data, disk_bytes) = r.read_range(offset, len as usize)?;
+                    (Payload::from(data), disk_bytes)
+                }
             };
             let eof = offset + data.len() as u64 >= f.size;
             inner.stats.read_hits += 1;
@@ -670,7 +673,7 @@ impl FileCache {
             let total = f.size;
             let taken = match &mut f.backing {
                 Backing::Full(sparse) => {
-                    let data = sparse.read_range(0, total as usize);
+                    let data = sparse.read_range(0, total as usize).to_vec();
                     let n = data.len() as u64;
                     (DirtyFile::Whole(data), n)
                 }

@@ -297,7 +297,7 @@ pub fn generate_content_map(
         let off = c * chunk_bytes as u64;
         let len = ((total - off).min(chunk_bytes as u64)) as u32;
         let (data, _) = fs.read(h, off, len as usize, 0)?;
-        records.push((digest(&data), len));
+        records.push((digest(&data.contiguous()), len));
     }
     Ok(ContentMap {
         chunk_bytes,

@@ -27,7 +27,7 @@ use oncrpc::{ProgramError, RpcClient, RpcError};
 use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
 use simnet::{run_windowed, Env, SimDuration, TransferTel};
-use vfs::{share_slice, Handle, SharedBytes};
+use vfs::{share_slice, Handle, Payload, PayloadRef, SharedBytes};
 
 /// Dirty blocks grouped by file: `(block, data)` runs awaiting
 /// write-back. BTreeMap: flush() iterates it, and write-back order must
@@ -1162,7 +1162,7 @@ impl Proxy {
     // -- READ ---------------------------------------------------------------
 
     /// A READ answered from local state (no attributes ride along).
-    fn local_read(xid: u32, data: &[u8], eof: bool) -> RpcMessage {
+    fn local_read(xid: u32, data: PayloadRef<'_>, eof: bool) -> RpcMessage {
         RpcMessage::success(xid, encode_read(None, data, eof))
     }
 
@@ -1184,7 +1184,7 @@ impl Proxy {
         match fc.read(env, a.file.0, a.offset, a.count) {
             Ok(Some((data, eof))) => {
                 self.tel.file_cache_reads.inc();
-                Some(Self::local_read(xid, &data, eof))
+                Some(Self::local_read(xid, (&data).into(), eof))
             }
             Ok(None) => None,
             Err(BrokenPin) => Some(Self::read_io_error(xid)),
@@ -1230,11 +1230,11 @@ impl Proxy {
                 if zm.range_is_zero(a.offset, a.count) {
                     self.tel.zero_filtered.inc();
                     if a.offset >= size {
-                        return Self::local_read(xid, &[], true);
+                        return Self::local_read(xid, PayloadRef::Slice(&[]), true);
                     }
                     let len = (a.count as u64).min(size - a.offset) as usize;
                     let eof = a.offset + len as u64 >= size;
-                    return Self::local_read(xid, &vec![0u8; len], eof);
+                    return Self::local_read(xid, (&Payload::zeros(len)).into(), eof);
                 }
             }
         }
@@ -1294,7 +1294,7 @@ impl Proxy {
                             .known_size(key)
                             .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
-                    return Self::local_read(xid, data, eof);
+                    return Self::local_read(xid, data.into(), eof);
                 }
                 // Miss: start read-ahead for a detected sequential
                 // stream, then forward. The prefetch workers run

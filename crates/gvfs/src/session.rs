@@ -475,12 +475,15 @@ mod tests {
         let mh = fs.resolve("images/.gvfs_meta.vm.vmss").unwrap();
         let size = fs.size(mh).unwrap();
         let (bytes, _) = fs.read(mh, 0, size as usize, 0).unwrap();
-        assert_eq!(MetaFile::from_bytes(&bytes).unwrap(), meta);
+        assert_eq!(MetaFile::from_bytes(&bytes.to_vec()).unwrap(), meta);
         // Regeneration replaces, not duplicates.
         Middleware::generate_meta(&mut fs, "images", "vm.vmss", 32 * 1024, false, None).unwrap();
         let mh2 = fs.resolve("images/.gvfs_meta.vm.vmss").unwrap();
         let size2 = fs.size(mh2).unwrap();
         let (bytes2, _) = fs.read(mh2, 0, size2 as usize, 0).unwrap();
-        assert!(MetaFile::from_bytes(&bytes2).unwrap().zero_map.is_none());
+        assert!(MetaFile::from_bytes(&bytes2.to_vec())
+            .unwrap()
+            .zero_map
+            .is_none());
     }
 }

@@ -63,7 +63,7 @@ fn put_file(fs: &Mutex<Fs>, name: &str, data: &[u8]) -> Handle {
 }
 
 fn contents(fs: &Mutex<Fs>, h: Handle) -> Vec<u8> {
-    fs.lock().read(h, 0, 1 << 20, 0).unwrap().0
+    fs.lock().read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
 }
 
 /// `chunks` distinct chunks plus a half-chunk tail.

@@ -236,7 +236,7 @@ fn render_fixture() -> String {
             .unwrap();
         {
             let mut f = fs2.lock();
-            let (back, _) = f.read(scratch, 0, new.len() + 1, 0).unwrap();
+            let back = f.read(scratch, 0, new.len() + 1, 0).unwrap().0.to_vec();
             assert_eq!(back.len(), new.len());
             assert_eq!(&back[..64], &[9u8; 64]);
             assert_eq!(&back[64..CHUNK as usize], &new[64..CHUNK as usize]);

@@ -212,7 +212,7 @@ fn run_schedule(
         .counter_sum("gvfs", ".cow.ref_installs");
     let (before, after) = std::mem::take(&mut *out.lock());
     let mut f = rig.fs.lock();
-    let (server, _) = f.read(fh, 0, LEN as usize, 0).unwrap();
+    let server = f.read(fh, 0, LEN as usize, 0).unwrap().0.to_vec();
     (before, after, server, installs)
 }
 

@@ -222,7 +222,7 @@ fn run_schedule(
     sim.run();
     let skips = rig.proxy.stats().dedup_acked_skips;
     let mut f = rig.fs.lock();
-    let (bytes, _) = f.read(fh, 0, (BLOCKS * BS) as usize, 0).unwrap();
+    let bytes = f.read(fh, 0, (BLOCKS * BS) as usize, 0).unwrap().0.to_vec();
     (bytes, skips)
 }
 
@@ -334,7 +334,7 @@ fn unchanged_redirty_skips_and_restart_invalidates() {
         // Server ends byte-exact either way.
         let mut f = fs.lock();
         for b in 0..BLOCKS {
-            let (data, _) = f.read(fh, b * BS, BS as usize, 0).unwrap();
+            let data = f.read(fh, b * BS, BS as usize, 0).unwrap().0.to_vec();
             assert_eq!(data, payload(b, 1), "block {b} corrupt");
         }
     });
@@ -503,7 +503,7 @@ fn lost_reply_write_invalidates_acked_digest() {
             "no skip may validate against the dead ack"
         );
         let mut f = fs.lock();
-        let (data, _) = f.read(fh, 0, BS as usize, 0).unwrap();
+        let data = f.read(fh, 0, BS as usize, 0).unwrap().0.to_vec();
         assert_eq!(data, payload(0, 0), "server must end on v0");
     });
     sim.run();
@@ -602,7 +602,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
         );
         {
             let mut f = fs2.lock();
-            let (got, _) = f.read(fh, 0, LEN, 0).unwrap();
+            let got = f.read(fh, 0, LEN, 0).unwrap().0.to_vec();
             assert_ne!(got, a, "rig: at least one B chunk must land (torn)");
         }
 
@@ -625,7 +625,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
             "completed repair reinstates the synced digest"
         );
         let mut f = fs2.lock();
-        let (got, _) = f.read(fh, 0, LEN, 0).unwrap();
+        let got = f.read(fh, 0, LEN, 0).unwrap().0.to_vec();
         assert_eq!(got, a, "server must hold A after the repair upload");
     });
     sim.run();

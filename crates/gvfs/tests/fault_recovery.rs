@@ -144,7 +144,7 @@ fn dirty_all(env: &Env, nfs: &Nfs3Client, fh: Handle) {
 fn assert_server_bytes_exact(fs: &Arc<Mutex<Fs>>, fh: Handle) {
     let mut f = fs.lock();
     for b in 0..BLOCKS {
-        let (data, _) = f.read(fh, b * BS, BS as usize, 0).unwrap();
+        let data = f.read(fh, b * BS, BS as usize, 0).unwrap().0.to_vec();
         assert_eq!(data, block_data(b), "block {b} corrupt on server");
     }
 }
@@ -374,10 +374,10 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
     );
     // Block 0 — the lowest tag — is the one that was shed.
     let mut f = rig.fs.lock();
-    let (first, _) = f.read(fh, 0, SMALL as usize, 0).unwrap();
+    let first = f.read(fh, 0, SMALL as usize, 0).unwrap().0.to_vec();
     assert_eq!(first, vec![0u8; SMALL as usize]);
     for b in 1..=CAP {
-        let (data, _) = f.read(fh, b * SMALL, SMALL as usize, 0).unwrap();
+        let data = f.read(fh, b * SMALL, SMALL as usize, 0).unwrap().0.to_vec();
         assert_eq!(data, small_block(b), "block {b} lost");
     }
 }

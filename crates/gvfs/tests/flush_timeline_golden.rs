@@ -350,7 +350,7 @@ fn render_session(flush_window: usize) -> String {
     // What the origin ends up holding, per file.
     let mut f = fs.lock();
     for (name, fh) in [("a", a), ("b", b), ("full", full), ("ref", refd)] {
-        let (bytes, _) = f.read(fh, 0, 1 << 20, 0).unwrap();
+        let bytes = f.read(fh, 0, 1 << 20, 0).unwrap().0.to_vec();
         out.push_str(&format!(
             "origin {name} len={} {}\n",
             bytes.len(),

@@ -22,7 +22,7 @@ use nfs3::{KernelClient, KernelConfig, Nfs3Client, Nfs3Server};
 use oncrpc::{OpaqueAuth, RpcClient, WireSpec};
 use parking_lot::Mutex;
 use simnet::{Env, Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel, FileIo, Fs};
+use vfs::{Disk, DiskModel, FileIo, Fs, Payload};
 
 /// Everything a test needs from a wired GVFS deployment.
 struct Rig {
@@ -400,7 +400,7 @@ fn write_back_absorbs_writes_and_flushes_on_signal() {
         assert_eq!(report.block_bytes, 1 << 20);
         // Server now has the data, byte-exact.
         let mut f = fs.lock();
-        let (data, _) = f.read(fh, 0, 1 << 20, 0).unwrap();
+        let data = f.read(fh, 0, 1 << 20, 0).unwrap().0.to_vec();
         assert_eq!(data.len(), 1 << 20);
         assert!(data.iter().all(|&b| b == 0x7B));
     });
@@ -588,7 +588,7 @@ fn kernel_client_end_to_end_through_proxy_chain() {
         let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
         let h = kc.create_path(&env, "vm/scratch.dat").unwrap();
         let data: Vec<u8> = (0..200_000u32).map(|i| (i % 199) as u8).collect();
-        kc.write(&env, h, 0, &data).unwrap();
+        kc.write(&env, h, 0, &Payload::from(&data[..])).unwrap();
         kc.close(&env, h).unwrap();
         kc.invalidate_caches();
         let back = kc.read(&env, h, 0, 200_000).unwrap();

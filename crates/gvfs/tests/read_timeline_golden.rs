@@ -51,7 +51,7 @@ use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, RpcMessage, WireSpec};
 use parking_lot::Mutex;
 use simnet::{Env, Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel, FileIo, Fs, Handle};
+use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload};
 use xdr::Decode;
 
 const FIXTURE: &str = include_str!("golden/read_timeline.txt");
@@ -236,7 +236,7 @@ fn render_session(read_ahead: usize) -> String {
         }
         let check = |fh: Handle, off: u64, data: &[u8]| {
             let (want, _) = fs2.lock().read(fh, off, data.len(), 0).unwrap();
-            assert_eq!(data, &want[..], "fh {fh:?} off {off}");
+            assert_eq!(want, data, "fh {fh:?} off {off}");
         };
         let read = |env: &Env, fh: Handle, block: u64| {
             let r = nfs.read(env, fh, block * BS, BS as u32).unwrap();
@@ -299,10 +299,15 @@ fn render_session(read_ahead: usize) -> String {
             let kh = kc.lookup_path(&env, name).unwrap();
             assert_eq!(kh, fh);
             let got = kc.read(&env, kh, 0, (24 * BS) as u32).unwrap();
-            check(fh, 0, &got);
+            check(fh, 0, &got.to_vec());
             // Dirty six blocks (the first one partially) and close.
-            kc.write(&env, kh, 2 * BS + 77, &vec![0xCD; (6 * BS - 77) as usize])
-                .unwrap();
+            kc.write(
+                &env,
+                kh,
+                2 * BS + 77,
+                &Payload::from(vec![0xCD; (6 * BS - 77) as usize]),
+            )
+            .unwrap();
             kc.close(&env, kh).unwrap();
         }
         let report = proxy2.flush(&env, &cred);

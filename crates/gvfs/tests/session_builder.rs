@@ -27,7 +27,7 @@ use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, Serv
 use oncrpc::{Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use parking_lot::Mutex;
 use simnet::{first_divergence, Env, EventRecord, Link, SimDuration, SimHandle, Simulation};
-use vfs::{Disk, DiskModel, FileIo, Fs};
+use vfs::{Disk, DiskModel, FileIo, Fs, Payload};
 
 const BS: u64 = 32 * 1024;
 const CACHE_BYTES: u64 = 1 << 30;
@@ -188,11 +188,11 @@ fn run_script(build: fn(&SimHandle) -> Chain) -> (Vec<EventRecord>, String) {
         assert_eq!(warm, cold);
 
         let mem = kc.lookup_path(&env, "mem.vmss").unwrap();
-        let state = kc.read(&env, mem, 0, (48 * BS) as u32).unwrap();
+        let state = kc.read(&env, mem, 0, (48 * BS) as u32).unwrap().to_vec();
         assert_eq!(&state[..(16 * BS) as usize], &pattern(2, 16 * BS)[..]);
         assert!(state[(16 * BS) as usize..].iter().all(|&b| b == 0));
 
-        kc.write(&env, data, 3 * BS + 100, &pattern(3, 4 * BS))
+        kc.write(&env, data, 3 * BS + 100, &Payload::from(pattern(3, 4 * BS)))
             .unwrap();
         kc.close(&env, data).unwrap();
         let report = proxy.flush(&env, &cred);

@@ -131,8 +131,12 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
     let report = out.lock().unwrap();
     let contents = {
         let mut f = fs.lock();
-        let (mut data, _) = f.read(fhs[0], 0, 20 * 32 * 1024, 0).unwrap();
-        let (more, _) = f.read(fhs[1], 0, 12 * 32 * 1024 + 1000, 0).unwrap();
+        let mut data = f.read(fhs[0], 0, 20 * 32 * 1024, 0).unwrap().0.to_vec();
+        let more = f
+            .read(fhs[1], 0, 12 * 32 * 1024 + 1000, 0)
+            .unwrap()
+            .0
+            .to_vec();
         data.extend(more);
         data
     };

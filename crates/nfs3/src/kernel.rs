@@ -31,7 +31,8 @@ use parking_lot::Mutex;
 use simnet::telemetry::Counter;
 use simnet::{run_windowed, Env, SimDuration};
 use vfs::{
-    share, share_slice, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, SharedBytes,
+    share, share_slice, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, Payload,
+    PayloadRef, SharedBytes,
 };
 
 use crate::client::{Nfs3Client, NfsError};
@@ -434,48 +435,41 @@ impl FileIo for KernelClient {
         self.cached_attr(env, h)
     }
 
-    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Vec<u8>> {
+    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Payload> {
         let attr = self.cached_attr(env, h)?;
         if attr.ftype != FileType::Regular {
             return Err(IoError::BadType);
         }
         if offset >= attr.size {
-            return Ok(Vec::new());
+            return Ok(Payload::new());
         }
         let len = (len as u64).min(attr.size - offset) as usize;
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(Payload::new());
         }
         let bs = self.bs();
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
 
-        // The part of block `b` the request covers, as a range of the
-        // block and as the offset of its first byte in the result.
+        // The part of block `b` the request covers.
         let end = offset + len as u64;
         let span = |b: u64| {
             let block_start = b * bs;
-            let from = offset.max(block_start);
-            let to = end.min(block_start + bs);
-            (
-                (from - block_start) as usize..(to - block_start) as usize,
-                (from - offset) as usize,
-            )
+            (offset.max(block_start) - block_start) as usize
+                ..(end.min(block_start + bs) - block_start) as usize
         };
 
-        // Scan the cache in block order: hits are copied straight into
-        // the result, misses leave a gap of zeros for the fetch to fill.
-        let mut out = Vec::with_capacity(len);
+        // Scan the cache in block order: hits are taken by reference,
+        // misses are fetched and join them.
+        let mut blocks: Vec<(u64, SharedBytes)> = Vec::with_capacity((last - first + 1) as usize);
         let mut misses = Vec::new();
         {
             let mut st = self.state.lock();
             for b in first..=last {
-                let (range, _) = span(b);
                 if let Some(blk) = st.cache.get(&(h.fileid, b)) {
-                    out.extend_from_slice(&blk.data[range]);
+                    blocks.push((b, Arc::clone(&blk.data)));
                     self.tel.cache_hits.inc();
                 } else {
-                    out.resize(out.len() + range.len(), 0);
                     misses.push(b);
                     self.tel.cache_misses.inc();
                 }
@@ -490,8 +484,7 @@ impl FileIo for KernelClient {
             {
                 let mut st = self.state.lock();
                 for (b, data) in fetched {
-                    let (range, at) = span(b);
-                    out[at..at + range.len()].copy_from_slice(&data[range]);
+                    blocks.push((b, Arc::clone(&data)));
                     let clean = Block { data, dirty: None };
                     if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                         evicted_all.push(ev);
@@ -499,11 +492,16 @@ impl FileIo for KernelClient {
                 }
             }
             self.writeback_evicted(env, evicted_all)?;
+            blocks.sort_unstable_by_key(|(b, _)| *b);
+        }
+        let mut out = Payload::new();
+        for (b, data) in blocks {
+            out.push_shared(data, span(b));
         }
         Ok(out)
     }
 
-    fn write(&self, env: &Env, h: Handle, offset: u64, data: &[u8]) -> IoResult<()> {
+    fn write(&self, env: &Env, h: Handle, offset: u64, data: &Payload) -> IoResult<()> {
         if data.is_empty() {
             return Ok(());
         }
@@ -545,16 +543,17 @@ impl FileIo for KernelClient {
 
         // Apply the write into cache blocks, marking dirty.
         {
+            let payload = PayloadRef::from(data);
             let mut st = self.state.lock();
             for b in first..=last {
                 let bstart = b * bs;
                 let from = offset.max(bstart);
                 let to = (offset + data.len() as u64).min(bstart + bs);
-                let src = &data[(from - offset) as usize..(to - offset) as usize];
+                let src = (from - offset) as usize..(to - offset) as usize;
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
                 let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
-                    Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
+                    payload.copy_to(src, &mut Arc::make_mut(&mut blk.data)[within]);
                     blk.dirty.replace(h).is_some()
                 } else {
                     // Not cached. A block this call's own inserts evicted
@@ -569,7 +568,7 @@ impl FileIo for KernelClient {
                             dirty: None,
                         },
                     };
-                    Arc::make_mut(&mut blk.data)[within].copy_from_slice(src);
+                    payload.copy_to(src, &mut Arc::make_mut(&mut blk.data)[within]);
                     let was = blk.dirty.replace(h).is_some();
                     if let Some(ev) = st.cache.insert(key, blk) {
                         evicted_all.push(ev);
@@ -777,6 +776,35 @@ mod tests {
             for (_, blk) in st.cache.iter_mru() {
                 assert_eq!(blk.data.len(), 1024);
             }
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_write_into_a_block_a_live_read_holds_leaves_the_read_unchanged() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        ep.listener.serve("generous", Arc::new(generous_server), 2);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        sim.spawn("client", move |env| {
+            let cfg = KernelConfig {
+                rsize: 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let f = kc.root();
+            let want: Vec<u8> = (0u64..2048).map(|at| (at % 251) as u8).collect();
+            let before = kc.read(&env, f, 0, 2048).expect("read");
+            assert_eq!(before, want);
+            // Both blocks are now the kernel buffer's and the payload's.
+            kc.write(&env, f, 1000, &Payload::from(vec![0xEE; 100]))
+                .expect("write");
+            assert_eq!(before, want, "the live read kept its bytes");
+            let after = kc.read(&env, f, 0, 2048).expect("read");
+            assert_eq!(after.to_vec()[1000..1100], [0xEE; 100]);
+            assert_eq!(after.to_vec()[..1000], want[..1000]);
         });
         sim.run();
     }

@@ -15,7 +15,7 @@
 //! in: one copy on the sending side, none on the receiving side.
 
 use oncrpc::msg::REPLY_HEADROOM;
-use vfs::{Attr, Handle};
+use vfs::{Attr, Handle, PayloadRef};
 use xdr::{Bytes, Decode, Decoder, Encode, Encoder};
 
 use crate::client::{NfsError, NfsResult};
@@ -95,14 +95,17 @@ pub fn decode_lookup(results: &[u8]) -> NfsResult<(Handle, Option<Attr>)> {
 }
 
 /// READ3resok (decoded as a [`ReadRes`]): the one copy `data` gets on
-/// its way out, into a buffer sized for it.
-pub fn encode_read(attr: Option<Attr>, data: &[u8], eof: bool) -> Bytes {
+/// its way out, into a buffer sized for it, piece by piece from where
+/// the bytes lie.
+pub fn encode_read<'a>(attr: Option<Attr>, data: impl Into<PayloadRef<'a>>, eof: bool) -> Bytes {
+    let data = data.into();
+    let n = data.len();
     // post_op_attr, count, eof and the length word precede the payload.
-    let mut enc = sized_header(Status::Ok, 88 + 12 + xdr::padded(data.len()));
+    let mut enc = sized_header(Status::Ok, 88 + 12 + xdr::padded(n));
     PostOpAttr(attr).encode(&mut enc);
-    enc.put_u32(data.len() as u32);
+    enc.put_u32(n as u32);
     enc.put_bool(eof);
-    enc.put_opaque_var(data);
+    enc.put_opaque_var_with(n, |buf| data.extend_vec(0..n, buf));
     enc.into_shared()
 }
 
@@ -189,7 +192,7 @@ mod tests {
             data: b"payload".into(),
             eof: true,
         };
-        let wire = encode_read(read.attr.clone(), &read.data, read.eof);
+        let wire = encode_read(read.attr.clone(), &read.data[..], read.eof);
         assert_eq!(decode_read(&wire).unwrap(), read);
         let write = WriteRes {
             attr: None,

@@ -938,7 +938,7 @@ mod tests {
             srv.restart(env.now().as_nanos());
             let v1 = srv.write_verf();
             assert_ne!(v0, v1, "crash must rotate the write verifier");
-            let (data, _) = fs2.lock().read(file, 0, 200, 1).unwrap();
+            let data = fs2.lock().read(file, 0, 200, 1).unwrap().0.to_vec();
             assert_eq!(&data[..100], &[1u8; 100][..], "synced data survives");
             assert_eq!(&data[100..], &[0u8; 100][..], "unstable data is lost");
             // Once committed, a crash no longer loses the bytes.

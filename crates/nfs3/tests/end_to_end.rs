@@ -6,7 +6,7 @@ use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, Serv
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use proptest::prelude::*;
 use simnet::{Env, Link, SimDuration, SimHandle, Simulation};
-use vfs::{Disk, DiskModel, FileIo, FileType};
+use vfs::{Disk, DiskModel, FileIo, FileType, Payload};
 
 /// Wire up a server exporting a fresh Fs and return a connected kernel
 /// client factory plus the server handle.
@@ -137,7 +137,7 @@ fn kernel_client_reads_hit_buffer_cache_on_reread() {
         let kc = KernelClient::mount(&env, nfs.clone(), "/", KernelConfig::default()).unwrap();
         // Write through the kernel client, then close (flushes).
         let data: Vec<u8> = (0..4u32 * 1024 * 1024).map(|i| (i % 251) as u8).collect();
-        kc.write(&env, file, 0, &data).unwrap();
+        kc.write(&env, file, 0, &Payload::from(&data[..])).unwrap();
         kc.close(&env, file).unwrap();
 
         let t0 = env.now();
@@ -169,7 +169,8 @@ fn kernel_client_write_staging_flushes_on_close() {
         let h = kc.create_path(&env, "out.log").unwrap();
         // Small writes stage in memory: no WRITE RPCs yet.
         for i in 0..16u64 {
-            kc.write(&env, h, i * 1000, &[0xAB; 1000]).unwrap();
+            kc.write(&env, h, i * 1000, &Payload::from(&[0xAB; 1000]))
+                .unwrap();
         }
         assert_eq!(kc.stats().write_rpcs, 0);
         kc.close(&env, h).unwrap();
@@ -189,14 +190,15 @@ fn kernel_client_partial_block_write_preserves_neighbors() {
     sim.spawn("client", move |env: Env| {
         let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
         let h = kc.create_path(&env, "f").unwrap();
-        kc.write(&env, h, 0, &vec![1u8; 64 * 1024]).unwrap();
+        kc.write(&env, h, 0, &Payload::from(vec![1u8; 64 * 1024]))
+            .unwrap();
         kc.close(&env, h).unwrap();
         kc.invalidate_caches();
         // Partial overwrite in the middle of block 0 (read-modify-write).
-        kc.write(&env, h, 100, b"XYZ").unwrap();
+        kc.write(&env, h, 100, &Payload::from(b"XYZ")).unwrap();
         kc.close(&env, h).unwrap();
         kc.invalidate_caches();
-        let data = kc.read(&env, h, 0, 64 * 1024).unwrap();
+        let data = kc.read(&env, h, 0, 64 * 1024).unwrap().to_vec();
         assert_eq!(&data[..100], &vec![1u8; 100][..]);
         assert_eq!(&data[100..103], b"XYZ");
         assert_eq!(&data[103..], &vec![1u8; 64 * 1024 - 103][..]);
@@ -323,7 +325,7 @@ proptest! {
                     6 => {
                         let off = off % model.len();
                         let bytes = vec![byte; n.min(model.len() - off)];
-                        kc.write(&env, h, off as u64, &bytes).unwrap();
+                        kc.write(&env, h, off as u64, &Payload::from(&bytes[..])).unwrap();
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
                     7 => remount(&kc),

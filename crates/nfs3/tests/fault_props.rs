@@ -184,7 +184,7 @@ proptest! {
         let seen = observed.lock();
         let mut f = fs.lock();
         let check = |f: &mut Fs, fh: Handle, b: u64| -> Vec<u8> {
-            f.read(fh, b * BS, BS as usize, 0).map(|(d, _)| d).unwrap_or_default()
+            f.read(fh, b * BS, BS as usize, 0).map(|(d, _)| d.to_vec()).unwrap_or_default()
         };
         for b in 0..NBLOCKS as usize {
             if seen.synced.get(b).copied().unwrap_or(false) {

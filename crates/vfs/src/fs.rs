@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::payload::{Payload, PayloadRef};
 use crate::sparse::SparseBytes;
 
 /// Inode number.
@@ -520,14 +521,14 @@ impl Fs {
     }
 
     /// Read up to `len` bytes at `offset`; short only at EOF. Returns the
-    /// data and an EOF flag.
+    /// data, by reference to the file's chunks, and an EOF flag.
     pub fn read(
         &mut self,
         h: Handle,
         offset: u64,
         len: usize,
         now_ns: u64,
-    ) -> FsResult<(Vec<u8>, bool)> {
+    ) -> FsResult<(Payload, bool)> {
         let i = self.check_mut(h)?;
         let s = match &i.data {
             NodeData::File(s) => s,
@@ -542,7 +543,13 @@ impl Fs {
 
     /// Write `data` at `offset`, extending the file as needed. Returns the
     /// new file size.
-    pub fn write(&mut self, h: Handle, offset: u64, data: &[u8], now_ns: u64) -> FsResult<u64> {
+    pub fn write<'a>(
+        &mut self,
+        h: Handle,
+        offset: u64,
+        data: impl Into<PayloadRef<'a>>,
+        now_ns: u64,
+    ) -> FsResult<u64> {
         let i = self.check_mut(h)?;
         let s = match &mut i.data {
             NodeData::File(s) => s,
@@ -587,8 +594,7 @@ mod tests {
         assert_eq!(f.lookup(root, "data.bin").unwrap(), file);
         f.write(file, 5, b"world", 2).unwrap();
         let (data, eof) = f.read(file, 0, 100, 3).unwrap();
-        assert_eq!(&data[..5], &[0; 5]);
-        assert_eq!(&data[5..], b"world");
+        assert_eq!(data, b"\0\0\0\0\0world");
         assert!(eof);
     }
 

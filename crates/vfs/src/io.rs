@@ -19,6 +19,7 @@ use simnet::Env;
 use crate::disk::Disk;
 use crate::fs::{Attr, Fs, FsError, Handle};
 use crate::lru::LruMap;
+use crate::payload::Payload;
 
 /// Errors surfaced by host file I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,10 +83,11 @@ pub trait FileIo: Send + Sync {
     fn lookup_path(&self, env: &Env, path: &str) -> IoResult<Handle>;
     /// Attributes of a handle.
     fn getattr(&self, env: &Env, h: Handle) -> IoResult<Attr>;
-    /// Read up to `len` bytes at `offset` (short only at EOF).
-    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Vec<u8>>;
+    /// Read up to `len` bytes at `offset` (short only at EOF), by
+    /// reference to the backend's cached bytes.
+    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Payload>;
     /// Write bytes at `offset`.
-    fn write(&self, env: &Env, h: Handle, offset: u64, data: &[u8]) -> IoResult<()>;
+    fn write(&self, env: &Env, h: Handle, offset: u64, data: &Payload) -> IoResult<()>;
     /// Create a regular file (parent directories must exist).
     fn create_path(&self, env: &Env, path: &str) -> IoResult<Handle>;
     /// Create a directory.
@@ -292,7 +294,7 @@ impl FileIo for LocalIo {
         Ok(self.state.lock().fs.getattr(h)?)
     }
 
-    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Vec<u8>> {
+    fn read(&self, env: &Env, h: Handle, offset: u64, len: u32) -> IoResult<Payload> {
         let data = {
             let mut st = self.state.lock();
             let now = env.now().as_nanos();
@@ -306,7 +308,7 @@ impl FileIo for LocalIo {
         Ok(data)
     }
 
-    fn write(&self, env: &Env, h: Handle, offset: u64, data: &[u8]) -> IoResult<()> {
+    fn write(&self, env: &Env, h: Handle, offset: u64, data: &Payload) -> IoResult<()> {
         {
             let mut st = self.state.lock();
             let now = env.now().as_nanos();
@@ -499,7 +501,7 @@ mod tests {
         sim.spawn("t", move |env| {
             io.mkdir_path(&env, "vm").unwrap();
             let h = io.create_path(&env, "vm/disk.vmdk").unwrap();
-            io.write(&env, h, 0, b"hello vm").unwrap();
+            io.write(&env, h, 0, &Payload::from(b"hello vm")).unwrap();
             let back = io.read(&env, h, 0, 100).unwrap();
             assert_eq!(back, b"hello vm");
             io.close(&env, h).unwrap();
@@ -513,7 +515,8 @@ mod tests {
         let io = local(&sim);
         sim.spawn("t", move |env| {
             let h = io.create_path(&env, "big").unwrap();
-            io.write(&env, h, 0, &vec![7u8; 1 << 20]).unwrap();
+            io.write(&env, h, 0, &Payload::from(vec![7u8; 1 << 20]))
+                .unwrap();
             io.close(&env, h).unwrap();
             let t0 = env.now();
             io.read(&env, h, 0, 1 << 20).unwrap();
@@ -554,7 +557,9 @@ mod tests {
             .mount("/mnt/gvfs", images.clone());
         sim.spawn("t", move |env| {
             let gh = images.create_path(&env, "golden.vmdk").unwrap();
-            images.write(&env, gh, 0, b"GOLDEN").unwrap();
+            images
+                .write(&env, gh, 0, &Payload::from(b"GOLDEN"))
+                .unwrap();
             localfs.mkdir_path(&env, "vm").unwrap();
             localfs
                 .symlink_path(&env, "vm/disk.vmdk", "/mnt/gvfs/golden.vmdk")

@@ -3,10 +3,11 @@
 //! An inode-based, sparse, in-memory filesystem ([`Fs`]) with
 //! generation-checked handles; a disk timing model ([`Disk`],
 //! [`DiskModel`]); an O(1) [`LruMap`] used to model bounded memory
-//! buffer caches; and the content pool ([`share`], [`share_slice`],
+//! buffer caches; the content pool ([`share`], [`share_slice`],
 //! [`SharedBytes`])
 //! through which every store of immutable payload keeps identical
-//! bytes once on the host.
+//! bytes once on the host; and [`Payload`], the shared pieces and zero
+//! runs a file read hands out instead of a copy.
 //!
 //! The simulated kernel NFS servers (image/data servers) export an `Fs`;
 //! compute servers use one as the local disk filesystem; VM state files
@@ -19,6 +20,7 @@ mod disk;
 mod fs;
 pub mod io;
 mod lru;
+mod payload;
 mod shared;
 mod sparse;
 
@@ -26,5 +28,6 @@ pub use disk::{Disk, DiskModel};
 pub use fs::{Attr, FileId, FileType, Fs, FsError, FsResult, Handle};
 pub use io::{FileIo, IoError, IoResult, LocalIo, LocalIoConfig, MountTable, OpenFile};
 pub use lru::LruMap;
+pub use payload::{Payload, PayloadRef, Piece};
 pub use shared::{share, share_slice, SharedBytes};
 pub use sparse::{SparseBytes, CHUNK_SIZE};

@@ -23,6 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::payload::{is_zero, Payload, PayloadRef};
 use crate::shared::{share, SharedBytes};
 
 /// Chunk granularity for sparse allocation (64 KB).
@@ -85,60 +86,60 @@ impl SparseBytes {
         self.len = new_len;
     }
 
-    /// Read a range as a fresh vector (short at EOF).
-    pub fn read_range(&self, offset: u64, len: usize) -> Vec<u8> {
-        // Allocated zeroed at its final length: holes need no second fill.
-        let mut buf = vec![0u8; self.readable(offset, len)];
-        self.copy_into_zeroed(offset, &mut buf);
-        buf
+    /// Read a range (short at EOF): the chunks' bytes by reference, and
+    /// holes and short-chunk tails as zero runs.
+    pub fn read_range(&self, offset: u64, len: usize) -> Payload {
+        let mut out = Payload::new();
+        let n = (self.len.saturating_sub(offset)).min(len as u64);
+        if n == 0 {
+            return out;
+        }
+        let end = offset + n;
+        let first = offset / CHUNK_SIZE as u64;
+        let last = (end - 1) / CHUNK_SIZE as u64;
+        // Up to `at` the payload is built.
+        let mut at = offset;
+        for (idx, chunk) in self.chunks.range(first..=last) {
+            let chunk_start = idx * CHUNK_SIZE as u64;
+            // Past the chunk's own end the span stays zero.
+            let hi = end.min(chunk_start + chunk.len() as u64);
+            if at.max(chunk_start) < hi {
+                let lo = at.max(chunk_start);
+                out.push_zeros((lo - at) as usize);
+                let range = (lo - chunk_start) as usize..(hi - chunk_start) as usize;
+                out.push_shared(Arc::clone(chunk), range);
+                at = hi;
+            }
+        }
+        out.push_zeros((end - at) as usize);
+        out
     }
 
-    /// How many of `len` bytes at `offset` lie inside the file.
-    fn readable(&self, offset: u64, len: usize) -> usize {
-        (self.len.saturating_sub(offset)).min(len as u64) as usize
-    }
-
-    /// Copy the allocated bytes of `[offset, offset + out.len())`, which
-    /// lies inside the file, over an all-zero `out`.
-    fn copy_into_zeroed(&self, offset: u64, out: &mut [u8]) {
-        let n = out.len();
+    /// Write `data` at `offset`, extending the logical length if needed.
+    /// Writing all-zero data into a hole does not allocate a chunk (over
+    /// an existing chunk it keeps it allocated); a zero run of a
+    /// [`Payload`] is not even scanned. A zero-length write still
+    /// extends the file to `offset` (it behaves like the degenerate end
+    /// of a write ending at `offset`), matching the dense reference
+    /// model the property tests check against.
+    pub fn write_at<'a>(&mut self, offset: u64, data: impl Into<PayloadRef<'a>>) {
+        let data = data.into();
+        let n = data.len();
+        let end = offset + n as u64;
         let mut pos = 0usize;
         while pos < n {
             let abs = offset + pos as u64;
             let chunk_idx = abs / CHUNK_SIZE as u64;
             let within = (abs % CHUNK_SIZE as u64) as usize;
             let take = (CHUNK_SIZE - within).min(n - pos);
-            if let Some(chunk) = self.chunks.get(&chunk_idx) {
-                // Past the chunk's own end the span stays zero.
-                if within < chunk.len() {
-                    let have = take.min(chunk.len() - within);
-                    out[pos..pos + have].copy_from_slice(&chunk[within..within + have]);
-                }
-            }
-            pos += take;
-        }
-    }
-
-    /// Write `data` at `offset`, extending the logical length if needed.
-    /// Writing all-zero data into a hole does not allocate a chunk (over
-    /// an existing chunk it keeps it allocated). A zero-length write
-    /// still extends the file to `offset` (it behaves like the
-    /// degenerate end of a write ending at `offset`), matching the dense
-    /// reference model the property tests check against.
-    pub fn write_at(&mut self, offset: u64, data: &[u8]) {
-        let end = offset + data.len() as u64;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let chunk_idx = abs / CHUNK_SIZE as u64;
-            let within = (abs % CHUNK_SIZE as u64) as usize;
-            let take = (CHUNK_SIZE - within).min(data.len() - pos);
-            let src = &data[pos..pos + take];
-            let nonzero = || src.iter().any(|&b| b != 0);
+            let src = pos..pos + take;
             if take == CHUNK_SIZE {
-                // A whole chunk replaces what was there: shared content.
-                if self.chunks.contains_key(&chunk_idx) || nonzero() {
-                    self.chunks.insert(chunk_idx, share(src.to_vec()));
+                // A whole chunk replaces what was there: gathered once
+                // and pooled as shared content.
+                if self.chunks.contains_key(&chunk_idx) || !data.is_zero(src.clone()) {
+                    let mut chunk = Vec::with_capacity(CHUNK_SIZE);
+                    data.extend_vec(src, &mut chunk);
+                    self.chunks.insert(chunk_idx, share(chunk));
                 }
             } else if let Some(chunk) = self.chunks.get_mut(&chunk_idx) {
                 let chunk = Arc::make_mut(chunk);
@@ -147,11 +148,11 @@ impl SparseBytes {
                     chunk.reserve_exact(chunk_capacity(end) - chunk.len());
                     chunk.resize(end, 0);
                 }
-                chunk[within..end].copy_from_slice(src);
-            } else if nonzero() {
+                data.copy_to(src, &mut chunk[within..end]);
+            } else if !data.is_zero(src.clone()) {
                 let mut chunk = Vec::with_capacity(chunk_capacity(within + take));
                 chunk.resize(within, 0);
-                chunk.extend_from_slice(src);
+                data.extend_vec(src, &mut chunk);
                 self.chunks.insert(chunk_idx, Arc::new(chunk));
             }
             pos += take;
@@ -172,7 +173,7 @@ impl SparseBytes {
             // Clipped to the chunk's own end: beyond it the span is zero.
             let lo = offset.saturating_sub(chunk_start).min(chunk.len() as u64) as usize;
             let hi = (end - chunk_start).min(chunk.len() as u64) as usize;
-            if chunk[lo..hi].iter().any(|&b| b != 0) {
+            if !is_zero(&chunk[lo..hi]) {
                 return false;
             }
         }
@@ -183,6 +184,7 @@ impl SparseBytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::Piece;
 
     #[test]
     fn reads_from_empty_are_empty() {
@@ -229,7 +231,7 @@ mod tests {
         assert_eq!(s.len(), 100);
         // Re-extend: bytes past 100 must read zero even inside the kept chunk.
         s.truncate(200);
-        let r = s.read_range(0, 200);
+        let r = s.read_range(0, 200).to_vec();
         assert!(r[..100].iter().all(|&b| b == 0xAB));
         assert!(r[100..].iter().all(|&b| b == 0));
     }
@@ -297,6 +299,52 @@ mod tests {
         s.truncate(20);
         assert_eq!(s.read_range(10, 10), [b'd', b'a', 0, 0, 0, 0, 0, 0, 0, 0]);
         assert!(capacity(&s) <= 4096);
+    }
+
+    #[test]
+    fn a_read_hands_out_the_chunks_and_zero_runs() {
+        let mut s = SparseBytes::new();
+        s.write_at(0, &vec![3u8; CHUNK_SIZE]);
+        s.write_at(2 * CHUNK_SIZE as u64 + 10, b"tail");
+        s.truncate(3 * CHUNK_SIZE as u64);
+        let read = s.read_range(100, 3 * CHUNK_SIZE);
+        let pieces: Vec<Piece<'_>> = read.pieces().collect();
+        let chunk0 = s.chunks[&0].as_ptr();
+        assert!(matches!(pieces[0], Piece::Bytes(b) if b.as_ptr() == chunk0.wrapping_add(100)));
+        // The hole of chunk 1, then chunk 2 up to its end and its tail.
+        assert_eq!(pieces[1], Piece::Zeros(CHUNK_SIZE));
+        assert_eq!(pieces[2], Piece::Bytes(b"\0\0\0\0\0\0\0\0\0\0tail"));
+        assert_eq!(pieces[3], Piece::Zeros(CHUNK_SIZE - 14));
+        assert_eq!(read.len(), 3 * CHUNK_SIZE - 100);
+    }
+
+    #[test]
+    fn a_write_leaves_a_live_read_of_the_chunk_unchanged() {
+        let mut s = SparseBytes::new();
+        s.write_at(0, &[5u8; 1000]);
+        let before = s.read_range(0, 1000);
+        s.write_at(10, &[6u8; 20]);
+        s.write_at(0, &vec![7u8; CHUNK_SIZE]);
+        assert_eq!(before, [5u8; 1000]);
+        assert_eq!(s.read_range(0, 2).to_vec(), [7, 7]);
+    }
+
+    #[test]
+    fn a_payload_write_matches_the_same_bytes_written_as_a_slice() {
+        let mut src = SparseBytes::new();
+        src.write_at(CHUNK_SIZE as u64 - 5, &[9u8; 10]);
+        src.truncate(3 * CHUNK_SIZE as u64);
+        let payload = src.read_range(0, 3 * CHUNK_SIZE);
+        let mut a = SparseBytes::new();
+        let mut b = SparseBytes::new();
+        a.write_at(3, &payload);
+        b.write_at(3, &payload.to_vec());
+        assert_eq!(
+            a.read_range(0, 4 * CHUNK_SIZE),
+            b.read_range(0, 4 * CHUNK_SIZE).to_vec()
+        );
+        assert_eq!(a.allocated(), b.allocated());
+        assert_eq!(a.allocated(), 2 * CHUNK_SIZE as u64);
     }
 
     #[test]

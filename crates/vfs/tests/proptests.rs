@@ -4,7 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use vfs::{share, share_slice, Fs, LruMap, SharedBytes, SparseBytes, CHUNK_SIZE};
+use vfs::{share, share_slice, Fs, LruMap, Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE};
 
 /// A `SparseBytes` next to the dense model it must match and the set of
 /// chunks the allocation rule says exist: a chunk is allocated by the
@@ -20,6 +20,16 @@ struct Modelled {
 impl Modelled {
     fn write(&mut self, off: usize, data: &[u8]) {
         self.sparse.write_at(off as u64, data);
+        self.model_write(off, data);
+    }
+
+    /// The same write, handed over as a payload's pieces.
+    fn write_payload(&mut self, off: usize, data: &Payload) {
+        self.sparse.write_at(off as u64, data);
+        self.model_write(off, &data.to_vec());
+    }
+
+    fn model_write(&mut self, off: usize, data: &[u8]) {
         let end = off + data.len();
         if self.dense.len() < end {
             self.dense.resize(end, 0);
@@ -63,6 +73,18 @@ impl Modelled {
     }
 }
 
+/// Op arguments packed into the op's byte vector, and read back.
+fn words(values: &[usize]) -> Vec<u8> {
+    values
+        .iter()
+        .flat_map(|v| (*v as u64).to_le_bytes())
+        .collect()
+}
+
+fn word(data: &[u8], i: usize) -> usize {
+    u64::from_le_bytes(data[i * 8..i * 8 + 8].try_into().unwrap()) as usize
+}
+
 /// Whole-chunk contents that recur, so chunk-aligned writes share: all
 /// zeros (allocates nothing in a hole, keeps an existing chunk), a
 /// fill, and a pattern.
@@ -83,7 +105,11 @@ proptest! {
     /// two stores, one of which is replaced mid-sequence by a `clone()`
     /// of the other. Both keep taking writes and both are compared in
     /// full after every step: a write through one owner of a shared
-    /// chunk must never show through another.
+    /// chunk must never show through another. Payloads go both ways: a
+    /// range of one store — holes, short-chunk tails, chunk-crossing —
+    /// is read as a payload and written into the other, a payload held
+    /// across later writes keeps its bytes, and a zero run written over
+    /// an existing chunk keeps it allocated as a byte write does.
     #[test]
     fn sparse_bytes_matches_dense_model(
         ops in proptest::collection::vec(
@@ -102,6 +128,10 @@ proptest! {
                 (0usize..CHUNK_SIZE, 0usize..CHUNK_SIZE).prop_map(|(cut, grow)| (4u8, cut, vec![0; grow])),
                 // replace this store by a clone of the other
                 (0usize..1).prop_map(|n| (2u8, n, Vec::new())),
+                // (destination, [source, length]) payload copy from the other store
+                (0usize..300_000, 0usize..300_000, 0usize..150_000).prop_map(|(o, src, n)| (5u8, o, words(&[src, n]))),
+                // (offset, [length]) zero run
+                (0usize..300_000, 0usize..150_000).prop_map(|(o, n)| (6u8, o, words(&[n]))),
             ]),
             1..25
         )
@@ -113,6 +143,29 @@ proptest! {
                 0 => stores[which].write(off, &data),
                 1 => stores[which].truncate(off),
                 2 => stores[which] = stores[1 - which].clone(),
+                5 => {
+                    let (src, n) = (word(&data, 0), word(&data, 1));
+                    let other = &stores[1 - which];
+                    let read = other.sparse.read_range(src as u64, n);
+                    let dense = &other.dense;
+                    let want = dense[src.min(dense.len())..(src + n).min(dense.len())].to_vec();
+                    prop_assert!(read == want);
+                    // A zero run stands only for zeros.
+                    for piece in read.pieces() {
+                        prop_assert!(!piece.is_empty());
+                    }
+                    let zero_runs: usize = read.pieces().filter_map(|p| match p {
+                        Piece::Zeros(n) => Some(n),
+                        Piece::Bytes(_) => None,
+                    }).sum();
+                    prop_assert!(zero_runs <= want.iter().filter(|&&b| b == 0).count());
+                    stores[which].write_payload(off, &read);
+                    // The read is a live reference: a later write into the
+                    // chunks it came from leaves it as it was.
+                    stores[1 - which].write(src, &vec![0x77; n.min(3_000)]);
+                    prop_assert!(read == want);
+                }
+                6 => stores[which].write_payload(off, &Payload::zeros(word(&data, 0))),
                 3 => for _ in 0..off {
                     let end = stores[which].dense.len();
                     stores[which].write(end, &data);

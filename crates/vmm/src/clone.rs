@@ -12,7 +12,7 @@
 //! accesses fault blocks over on demand.
 
 use simnet::{Env, SimDuration, SimTime};
-use vfs::{IoResult, MountTable};
+use vfs::{IoResult, MountTable, Payload};
 
 use crate::image::VmImageSpec;
 use crate::monitor::{VmConfig, VmMonitor};
@@ -157,7 +157,7 @@ pub fn clone_vm(
         spec.name
     );
     let size = local_io.getattr(env, vmx)?.size;
-    local_io.write(env, vmx, size, patch.as_bytes())?;
+    local_io.write(env, vmx, size, &Payload::from(patch.into_bytes()))?;
     local_io.close(env, vmx)?;
     env.sleep(cfg.configure_cpu);
     times.configure = env.now() - t;
@@ -287,7 +287,7 @@ mod tests {
         let (_local, images, table) = hosts(&sim);
         let before: Vec<u8> = images.with_fs(|fs| {
             let h = fs.resolve("images/golden.vmdk").unwrap();
-            fs.read(h, 0, 1 << 20, 0).unwrap().0
+            fs.read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
         });
         let images2 = images.clone();
         sim.spawn("cloner", move |env| {
@@ -310,7 +310,7 @@ mod tests {
             .unwrap();
             let after: Vec<u8> = images2.with_fs(|fs| {
                 let h = fs.resolve("images/golden.vmdk").unwrap();
-                fs.read(h, 0, 1 << 20, 0).unwrap().0
+                fs.read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
             });
             assert_eq!(before, after, "golden vmdk must stay pristine");
         });
@@ -326,7 +326,7 @@ mod tests {
         let (local, images, table) = hosts(&sim);
         let before: Vec<u8> = images.with_fs(|fs| {
             let h = fs.resolve("images/golden.vmss").unwrap();
-            fs.read(h, 0, 1 << 20, 0).unwrap().0
+            fs.read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
         });
         let images2 = images.clone();
         sim.spawn("cloner", move |env| {
@@ -353,7 +353,7 @@ mod tests {
             assert!(times.copy_memory < times.resume);
             let after: Vec<u8> = images2.with_fs(|fs| {
                 let h = fs.resolve("images/golden.vmss").unwrap();
-                fs.read(h, 0, 1 << 20, 0).unwrap().0
+                fs.read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
             });
             assert_eq!(before, after, "golden vmss must stay pristine");
         });
@@ -392,7 +392,7 @@ mod tests {
                     let want = (1u64 << 20).min(size - off) as u32;
                     let data = f.io.read(&env, f.handle, off, want).unwrap();
                     off += data.len() as u64;
-                    bytes.extend_from_slice(&data);
+                    bytes.extend_from_slice(&data.to_vec());
                 }
                 bytes
             };

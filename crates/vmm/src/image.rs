@@ -316,8 +316,8 @@ mod tests {
             let mut fs = Fs::new(0);
             let root = fs.root();
             let img = install_image(&mut fs, root, &small_spec()).unwrap();
-            let (a, _) = fs.read(img.vmss, 0, 1 << 20, 0).unwrap();
-            let (b, _) = fs.read(img.vmdk, 0, 1 << 20, 0).unwrap();
+            let a = fs.read(img.vmss, 0, 1 << 20, 0).unwrap().0.to_vec();
+            let b = fs.read(img.vmdk, 0, 1 << 20, 0).unwrap().0.to_vec();
             (a, b)
         };
         assert_eq!(build(), build());
@@ -333,8 +333,10 @@ mod tests {
             if let Some(seed) = diverge {
                 diverge_image(&mut fs, &img, &spec, seed, 0.04).unwrap();
             }
-            let (bytes, _) = fs.read(img.vmss, 0, spec.memory_bytes as usize, 0).unwrap();
-            bytes
+            fs.read(img.vmss, 0, spec.memory_bytes as usize, 0)
+                .unwrap()
+                .0
+                .to_vec()
         };
         let base = build(None);
         let sib_a = build(Some(7));
@@ -377,14 +379,22 @@ mod tests {
             let mut fs = Fs::new(0);
             let root = fs.root();
             let img = install_image(&mut fs, root, &spec).unwrap();
-            let (before, _) = fs.read(img.vmss, 0, spec.memory_bytes as usize, 0).unwrap();
+            let before = fs
+                .read(img.vmss, 0, spec.memory_bytes as usize, 0)
+                .unwrap()
+                .0
+                .to_vec();
             diverge_image(&mut fs, &img, &spec, seed, 1.0).unwrap();
             assert_eq!(
                 fs.size(img.vmss).unwrap(),
                 spec.memory_bytes,
                 "seed {seed}: divergence must never extend the image"
             );
-            let (after, _) = fs.read(img.vmss, 0, spec.memory_bytes as usize, 0).unwrap();
+            let after = fs
+                .read(img.vmss, 0, spec.memory_bytes as usize, 0)
+                .unwrap()
+                .0
+                .to_vec();
             if before[tail_lo..] != after[tail_lo..] {
                 tail_hit = true;
             }
@@ -403,10 +413,18 @@ mod tests {
         let mut fs = Fs::new(0);
         let root = fs.root();
         let img = install_image(&mut fs, root, &spec).unwrap();
-        let (before, _) = fs.read(img.vmss, 0, spec.memory_bytes as usize, 0).unwrap();
+        let before = fs
+            .read(img.vmss, 0, spec.memory_bytes as usize, 0)
+            .unwrap()
+            .0
+            .to_vec();
         diverge_image(&mut fs, &img, &spec, 9, 0.02).unwrap();
         assert_eq!(fs.size(img.vmss).unwrap(), spec.memory_bytes);
-        let (after, _) = fs.read(img.vmss, 0, spec.memory_bytes as usize, 0).unwrap();
+        let after = fs
+            .read(img.vmss, 0, spec.memory_bytes as usize, 0)
+            .unwrap()
+            .0
+            .to_vec();
         assert_ne!(before, after, "small image must still diverge");
     }
 
@@ -447,7 +465,7 @@ mod tests {
         let root = fs.root();
         let img = install_image(&mut fs, root, &small_spec()).unwrap();
         let size = fs.size(img.vmx).unwrap();
-        let (bytes, _) = fs.read(img.vmx, 0, size as usize, 0).unwrap();
+        let bytes = fs.read(img.vmx, 0, size as usize, 0).unwrap().0.to_vec();
         let text = String::from_utf8(bytes).unwrap();
         assert!(text.contains("test.vmdk"));
         assert!(text.contains("test.vmss"));

@@ -16,7 +16,7 @@
 
 use parking_lot::Mutex;
 use simnet::{Env, SimDuration};
-use vfs::{IoError, IoResult, LruMap, MountTable, OpenFile};
+use vfs::{IoError, IoResult, LruMap, MountTable, OpenFile, Payload};
 
 use crate::image::VmImageSpec;
 use crate::redo::RedoLog;
@@ -299,8 +299,10 @@ impl VmMonitor {
                 st.stats.host_bytes_written += data.len() as u64;
             }
             None => {
+                let n = data.len() as u64;
+                let data = Payload::from(data);
                 self.vmdk.io.write(env, self.vmdk.handle, offset, &data)?;
-                self.state.lock().stats.host_bytes_written += data.len() as u64;
+                self.state.lock().stats.host_bytes_written += n;
             }
         }
         Ok(())
@@ -328,6 +330,7 @@ impl VmMonitor {
                 }
                 p += 4096;
             }
+            let data = Payload::from(data);
             self.vmss.io.write(env, self.vmss.handle, off, &data)?;
             off += n;
         }

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use simnet::Env;
-use vfs::{FileIo, Handle, IoResult};
+use vfs::{FileIo, Handle, IoResult, Payload};
 
 /// A redo log bound to an open log file.
 pub struct RedoLog {
@@ -83,16 +83,18 @@ impl RedoLog {
         rec.extend_from_slice(&offset.to_be_bytes());
         rec.extend_from_slice(&(data.len() as u32).to_be_bytes());
         rec.extend_from_slice(data);
-        io.write(env, self.file, self.tail, &rec)?;
+        let rec_len = rec.len() as u64;
+        io.write(env, self.file, self.tail, &Payload::from(rec))?;
         let data_pos = self.tail + RECORD_HEADER;
-        self.tail += rec.len() as u64;
+        self.tail += rec_len;
         self.punch(offset, offset + data.len() as u64);
         self.index.insert(offset, (data_pos, data.len() as u32));
         Ok(())
     }
 
     /// Read `len` guest bytes at `offset`: redo extents override the base
-    /// disk, which is read through `base_io`/`base`.
+    /// disk, which is read through `base_io`/`base`. The result splices
+    /// the two reads' pieces; past the base's end it reads as zeros.
     pub fn read(
         &self,
         env: &Env,
@@ -101,12 +103,16 @@ impl RedoLog {
         base: Handle,
         offset: u64,
         len: u32,
-    ) -> IoResult<Vec<u8>> {
+    ) -> IoResult<Payload> {
         let end = offset + len as u64;
-        let mut out = vec![0u8; len as usize];
         // Base first (one read), then overlay redo extents.
         let base_data = base_io.read(env, base, offset, len)?;
-        out[..base_data.len()].copy_from_slice(&base_data);
+        // `base[lo..hi]` of the request, zero past the base's end.
+        let splice_base = |out: &mut Payload, lo: usize, hi: usize| {
+            let have = hi.min(base_data.len()).max(lo);
+            out.append(&base_data, lo..have);
+            out.push_zeros(hi - have);
+        };
         // Find overlapping extents.
         let mut overlaps: Vec<(u64, (u64, u32))> = Vec::new();
         if let Some((&gs, &v)) = self.index.range(..offset).next_back() {
@@ -117,6 +123,9 @@ impl RedoLog {
         for (&gs, &v) in self.index.range(offset..end) {
             overlaps.push((gs, v));
         }
+        let mut out = Payload::new();
+        // Up to `at` (relative to `offset`) the result is built.
+        let mut at = 0usize;
         for (gs, (lo, elen)) in overlaps {
             let ge = gs + elen as u64;
             let from = gs.max(offset);
@@ -126,9 +135,14 @@ impl RedoLog {
             }
             let log_off = lo + (from - gs);
             let chunk = io.read(env, self.file, log_off, (to - from) as u32)?;
-            out[(from - offset) as usize..(from - offset) as usize + chunk.len()]
-                .copy_from_slice(&chunk);
+            let (from, to) = ((from - offset) as usize, (to - offset) as usize);
+            splice_base(&mut out, at, from);
+            out.append(&chunk, 0..chunk.len());
+            // A short log read leaves the base showing through.
+            splice_base(&mut out, from + chunk.len(), to);
+            at = to;
         }
+        splice_base(&mut out, at, len as usize);
         Ok(out)
     }
 }
@@ -154,10 +168,11 @@ mod tests {
         let io = setup(&sim);
         sim.spawn("t", move |env| {
             let base = io.create_path(&env, "base.vmdk").unwrap();
-            io.write(&env, base, 0, b"BASEDATA").unwrap();
+            io.write(&env, base, 0, &Payload::from(b"BASEDATA"))
+                .unwrap();
             let log_file = io.create_path(&env, "clone.REDO").unwrap();
             let redo = RedoLog::new(log_file);
-            let got = redo.read(&env, &*io, &*io, base, 0, 8).unwrap();
+            let got = redo.read(&env, &*io, &*io, base, 0, 8).unwrap().to_vec();
             assert_eq!(got, b"BASEDATA");
         });
         sim.run();
@@ -169,11 +184,12 @@ mod tests {
         let io = setup(&sim);
         sim.spawn("t", move |env| {
             let base = io.create_path(&env, "base.vmdk").unwrap();
-            io.write(&env, base, 0, &[0xBB; 100]).unwrap();
+            io.write(&env, base, 0, &Payload::from(&[0xBB; 100]))
+                .unwrap();
             let log_file = io.create_path(&env, "clone.REDO").unwrap();
             let mut redo = RedoLog::new(log_file);
             redo.write(&env, &*io, 10, b"XXXXX").unwrap();
-            let got = redo.read(&env, &*io, &*io, base, 0, 100).unwrap();
+            let got = redo.read(&env, &*io, &*io, base, 0, 100).unwrap().to_vec();
             assert_eq!(&got[..10], &[0xBB; 10]);
             assert_eq!(&got[10..15], b"XXXXX");
             assert_eq!(&got[15..], &[0xBB; 85]);
@@ -187,13 +203,13 @@ mod tests {
         let io = setup(&sim);
         sim.spawn("t", move |env| {
             let base = io.create_path(&env, "base.vmdk").unwrap();
-            io.write(&env, base, 0, &[0u8; 64]).unwrap();
+            io.write(&env, base, 0, &Payload::from(&[0u8; 64])).unwrap();
             let log_file = io.create_path(&env, "c.REDO").unwrap();
             let mut redo = RedoLog::new(log_file);
             redo.write(&env, &*io, 0, &[1u8; 32]).unwrap();
             redo.write(&env, &*io, 16, &[2u8; 32]).unwrap(); // overlaps tail
             redo.write(&env, &*io, 8, &[3u8; 4]).unwrap(); // punches a hole
-            let got = redo.read(&env, &*io, &*io, base, 0, 64).unwrap();
+            let got = redo.read(&env, &*io, &*io, base, 0, 64).unwrap().to_vec();
             assert_eq!(&got[0..8], &[1u8; 8]);
             assert_eq!(&got[8..12], &[3u8; 4]);
             assert_eq!(&got[12..16], &[1u8; 4]);
@@ -224,16 +240,40 @@ mod tests {
         let io = setup(&sim);
         sim.spawn("t", move |env| {
             let base = io.create_path(&env, "base.vmdk").unwrap();
-            io.write(&env, base, 0, &[9u8; 200]).unwrap();
+            io.write(&env, base, 0, &Payload::from(&[9u8; 200]))
+                .unwrap();
             let log_file = io.create_path(&env, "c.REDO").unwrap();
             let mut redo = RedoLog::new(log_file);
             redo.write(&env, &*io, 50, &[7u8; 100]).unwrap();
             // Read a window that cuts the extent on both sides.
-            let got = redo.read(&env, &*io, &*io, base, 60, 50).unwrap();
+            let got = redo.read(&env, &*io, &*io, base, 60, 50).unwrap().to_vec();
             assert_eq!(got, vec![7u8; 50]);
-            let got2 = redo.read(&env, &*io, &*io, base, 140, 40).unwrap();
+            let got2 = redo.read(&env, &*io, &*io, base, 140, 40).unwrap().to_vec();
             assert_eq!(&got2[..10], &[7u8; 10]);
             assert_eq!(&got2[10..], &[9u8; 30]);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_read_past_the_base_splices_extents_over_zeros() {
+        let sim = Simulation::new();
+        let io = setup(&sim);
+        sim.spawn("t", move |env| {
+            let base = io.create_path(&env, "base.vmdk").unwrap();
+            io.write(&env, base, 0, &Payload::from(&[9u8; 100]))
+                .unwrap();
+            let log_file = io.create_path(&env, "c.REDO").unwrap();
+            let mut redo = RedoLog::new(log_file);
+            redo.write(&env, &*io, 90, &[7u8; 20]).unwrap();
+            redo.write(&env, &*io, 150, &[5u8; 10]).unwrap();
+            let got = redo.read(&env, &*io, &*io, base, 80, 100).unwrap();
+            let mut want = vec![9u8; 10];
+            want.extend([7u8; 20]);
+            want.extend([0u8; 40]);
+            want.extend([5u8; 10]);
+            want.extend([0u8; 20]);
+            assert_eq!(got, want);
         });
         sim.run();
     }

@@ -95,12 +95,21 @@ impl Encoder {
 
     /// Append variable-length opaque data (length word, data, padding).
     pub fn put_opaque_var(&mut self, data: &[u8]) {
+        self.put_opaque_var_with(data.len(), |buf| buf.extend_from_slice(data));
+    }
+
+    /// [`Encoder::put_opaque_var`] for `len` bytes held in pieces: `fill`
+    /// appends exactly them to the buffer, straight from where they lie.
+    pub fn put_opaque_var_with(&mut self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) {
         assert!(
-            data.len() <= u32::MAX as usize,
+            len <= u32::MAX as usize,
             "XDR opaque data longer than u32::MAX"
         );
-        self.put_u32(data.len() as u32);
-        self.put_opaque_fixed(data);
+        self.put_u32(len as u32);
+        let start = self.buf.len();
+        fill(&mut self.buf);
+        assert_eq!(self.buf.len() - start, len, "opaque data length");
+        self.pad_to_boundary(len);
     }
 
     /// Append a UTF-8 string as variable-length opaque data.

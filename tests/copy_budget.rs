@@ -8,7 +8,8 @@
 //! sees them all: this test drives one operation of each kind through
 //! kernel client ← caching proxy ← NFS server and pins the number of
 //! allocations of 16 KiB or more it caused, on every thread of the
-//! process. The payloads are resident in the content pool beforehand, so
+//! process. A read hands the guest the cached blocks by reference
+//! (`vfs::Payload`), so a read the kernel buffer answers allocates none. The payloads are resident in the content pool beforehand, so
 //! interning a clean block is a pool hit and allocates nothing.
 //!
 //! One `#[test]` in a binary of its own: the counter is process-wide,
@@ -23,7 +24,7 @@ use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
 use simnet::{Link, SimDuration, SimHandle, Simulation};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vfs::{Disk, DiskModel, FileIo};
+use vfs::{Disk, DiskModel, FileIo, Payload};
 
 const BLOCK: usize = 32 * 1024;
 /// Allocations at least this large are payload-sized.
@@ -81,19 +82,27 @@ fn lan(h: &SimHandle, name: &str) -> Link {
 }
 
 /// A READ the proxy answers from its block cache: the frame is encoded
-/// into the reply (1) and the kernel client copies the reply's payload
-/// into the guest's buffer (2). Before "one copy per hop": 5.
-const WARM_READ: usize = 2;
-/// A READ the proxy forwards: the server's store read (1), its reply
-/// (2), the guest's buffer (3) — the proxy adds none. Before: 7.
-const FORWARDED_READ: usize = 3;
+/// into the reply (1); the kernel client hands the guest the block it
+/// interned out of the reply, by reference. Before "one copy per hop":
+/// 5; before reads by reference: 2.
+const WARM_READ: usize = 1;
+/// A READ the proxy forwards: the server encodes its store's chunk into
+/// the reply (1) — the store read is by reference, and the proxy adds
+/// nothing. Before "one copy per hop": 7; before reads by reference: 3.
+const FORWARDED_READ: usize = 1;
+/// A READ the kernel buffer answers: its blocks, by reference.
+const KERNEL_HIT_READ: usize = 0;
+/// A 1 MiB read of blocks the kernel buffer holds, the shape of a
+/// resume reading a memory state file: 32 blocks, by reference.
+const RESUME_READ: usize = 0;
 /// A WRITE the proxy absorbs: the kernel client's dirty block (1), the
 /// WRITE call (2), the proxy's dirty frame (3). Before: 6.
 const ABSORBED_WRITE: usize = 3;
 
 #[test]
 fn a_block_operation_stays_inside_its_copy_budget() {
-    const BLOCKS: u64 = 8;
+    const BLOCKS: u64 = 40;
+    const RESUME: u32 = 1 << 20;
     let sim = Simulation::new();
     let h = sim.handle();
 
@@ -164,9 +173,23 @@ fn a_block_operation_stays_inside_its_copy_budget() {
             2,
             "the second read of a block is a proxy hit"
         );
+        let (data, kernel_hit) = read(1);
+        assert_eq!(data, block(1));
+        assert_eq!(cache.stats().hits, 2, "the third is a kernel-buffer hit");
+
+        // A resume-shaped read: 1 MiB of blocks the kernel buffer holds.
+        let resume = |off: u64| big_allocs(|| kc.read(&env, f, off, RESUME).unwrap());
+        let first = 4;
+        let (cold, _) = resume(at(first));
+        let (data, resumed) = resume(at(first));
+        assert_eq!(data, cold);
+        let want: Vec<u8> = (first..first + RESUME as u64 / BLOCK as u64)
+            .flat_map(block)
+            .collect();
+        assert_eq!(data, want);
 
         let write = |b: u64| {
-            let payload = block(b + 100);
+            let payload = Payload::from(block(b + 100));
             big_allocs(|| {
                 kc.write(&env, f, at(b), &payload).unwrap();
                 kc.close(&env, f).unwrap();
@@ -182,6 +205,11 @@ fn a_block_operation_stays_inside_its_copy_budget() {
             (warm, forwarded, absorbed),
             (WARM_READ, FORWARDED_READ, ABSORBED_WRITE),
             "payload-sized allocations per warm READ / forwarded READ / absorbed WRITE"
+        );
+        assert_eq!(
+            (kernel_hit, resumed),
+            (KERNEL_HIT_READ, RESUME_READ),
+            "payload-sized allocations per kernel-buffer hit READ / 1 MiB cached read"
         );
     });
     sim.run();

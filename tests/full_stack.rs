@@ -9,7 +9,7 @@ use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{OpaqueAuth, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Link, SimDuration, Simulation};
-use vfs::FileIo;
+use vfs::{FileIo, Payload};
 use vmm::{install_image, VmImageSpec};
 
 /// The image server behind the paper's WAN.
@@ -185,7 +185,8 @@ fn end_to_end_byte_integrity_survives_cache_invalidation() {
         // Read everything (populates caches), overwrite a slice, close.
         let before = kc.read(&env, fh, 0, 2_000_000).unwrap();
         assert_eq!(before, payload);
-        kc.write(&env, fh, 777_777, b"GVFS-WAS-HERE").unwrap();
+        kc.write(&env, fh, 777_777, &Payload::from(b"GVFS-WAS-HERE"))
+            .unwrap();
         kc.close(&env, fh).unwrap();
         // Middleware flushes write-back data to the server.
         session.flush(&env);
@@ -194,7 +195,7 @@ fn end_to_end_byte_integrity_survives_cache_invalidation() {
         expect[777_777..777_790].copy_from_slice(b"GVFS-WAS-HERE");
         {
             let mut f = fs2.lock();
-            let (server_bytes, _) = f.read(fh, 0, 2_000_000, 0).unwrap();
+            let server_bytes = f.read(fh, 0, 2_000_000, 0).unwrap().0.to_vec();
             assert_eq!(server_bytes, expect);
         }
         // Fresh kernel caches, reread through warm proxy: still identical.
@@ -271,7 +272,7 @@ fn direct_unproxied_mount_works() {
         let nfs = Nfs3Client::new(RpcClient::new(server.channel.clone(), cred));
         let kc = KernelClient::mount(&env, nfs, "/exports", KernelConfig::default()).unwrap();
         let f = kc.create_path(&env, "hello").unwrap();
-        kc.write(&env, f, 0, b"world").unwrap();
+        kc.write(&env, f, 0, &Payload::from(b"world")).unwrap();
         kc.close(&env, f).unwrap();
         assert_eq!(kc.read(&env, f, 0, 5).unwrap(), b"world");
     });
