@@ -19,14 +19,18 @@
 //! chunks by digest and `FETCH_BLOBS` (singly or in `FETCH_BLOBS_BATCH`
 //! envelopes) moves only the chunks the near side does not hold.
 //!
-//! Every args and reply shape of the program is encoded and decoded in
-//! the wire-codec section below and nowhere else; the origin, the client
-//! and the proxies along the path all call it.
+//! Every args and reply shape of the program is a typed message in the
+//! wire-codec section below ([`ChunkArgs`], [`RecipeArgs`],
+//! [`BlobArgs`], [`UploadArgs`], [`GossipDigests`] and the
+//! status-prefixed [`Reply`]s), encoded and decoded through
+//! `xdr::{Encode, Decode}` and nowhere else; the origin, the client and
+//! the proxies along the path all use them.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use nfs3::Fh3;
 use oncrpc::{OpaqueAuth, ProgramError, RpcClient, RpcProgram};
 use parking_lot::Mutex;
 use simnet::{run_windowed, Env, Resource, TransferTel};
@@ -40,7 +44,7 @@ use crate::meta::ContentMap;
 
 /// Cap on recipe records a client will decode from a reply (matches the
 /// meta parser's bound: 16 M records ≈ 16 TB at 1 MB chunks).
-const MAX_RECIPE_RECORDS: u64 = 1 << 24;
+const MAX_RECIPE_RECORDS: usize = 1 << 24;
 
 /// Cap on the bytes a client will materialize from one recipe's `total`
 /// (the same 16 TB ceiling the records bound implies at 1 MB chunks).
@@ -104,7 +108,7 @@ pub fn batchable(proc: u32) -> bool {
     )
 }
 
-/// Channel status codes.
+/// Channel status codes: the word every reply opens with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChanStatus {
     /// Success.
@@ -118,31 +122,26 @@ pub enum ChanStatus {
 }
 
 impl ChanStatus {
-    fn as_u32(self) -> u32 {
-        match self {
-            ChanStatus::Ok => 0,
-            ChanStatus::NoEnt => 2,
-            ChanStatus::Stale => 70,
-            ChanStatus::BadStream => 9000,
-        }
-    }
-
-    fn from_u32(v: u32) -> Option<Self> {
-        Some(match v {
-            0 => ChanStatus::Ok,
-            2 => ChanStatus::NoEnt,
-            70 => ChanStatus::Stale,
-            9000 => ChanStatus::BadStream,
-            _ => return None,
-        })
-    }
-
     fn from_fs(e: vfs::FsError) -> ChanStatus {
         match e {
             vfs::FsError::Stale => ChanStatus::Stale,
             _ => ChanStatus::NoEnt,
         }
     }
+}
+
+/// What disagreed in a reply that decoded but cannot be right.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mismatch {
+    /// A reply holds a different number of bytes or items than it
+    /// declares, or than the call asked for.
+    ReplyLength,
+    /// A recipe's records do not add up to its total.
+    RecipeSpan,
+    /// A slot of a transfer window never ran.
+    WindowSlot,
+    /// A content-store entry's length is not its recipe record's.
+    CasLength,
 }
 
 /// Errors surfaced by the client half.
@@ -152,328 +151,299 @@ pub enum ChannelError {
     Rpc(oncrpc::RpcError),
     /// Channel-level status.
     Status(ChanStatus),
-    /// Reply malformed.
-    Decode,
-    /// A fetched chunk is larger than the whole local CAS, which does
-    /// not retain it, so it cannot anchor a reference file.
+    /// A reply did not decode; what the decoder said.
+    Decode(xdr::Error),
+    /// A reply decoded but disagrees with what it must match.
+    Mismatch(Mismatch),
+    /// A chunk the recipe needs is not in the local CAS after its
+    /// fetch: one larger than the whole CAS is not retained, so it
+    /// cannot anchor a reference file.
     NotRetained,
 }
 
 impl From<xdr::Error> for ChannelError {
-    fn from(_: xdr::Error) -> Self {
-        ChannelError::Decode
+    fn from(e: xdr::Error) -> Self {
+        ChannelError::Decode(e)
+    }
+}
+
+impl From<Mismatch> for ChannelError {
+    fn from(m: Mismatch) -> Self {
+        ChannelError::Mismatch(m)
     }
 }
 
 // -- wire codec -------------------------------------------------------------
+//
+// Every message of the program is one of the types below; senders write
+// `xdr::to_bytes(&msg)` and receivers `xdr::from_bytes::<T>(bytes)`, which
+// refuses a message that is not consumed exactly.
 
 /// Cap on digests per [`chanproc::GOSSIP_DIGESTS`] message in either
-/// direction, enforced by the bounded decoder below (lint:
+/// direction, enforced by [`GossipDigests`]' decoder (lint:
 /// bounded-decode). The proxy's gossip message size must stay at or
 /// below this.
 pub const MAX_GOSSIP_DIGESTS: usize = 1024;
 
-fn put_digest(enc: &mut Encoder, d: &Digest) {
-    enc.put_u64(d.0);
-    enc.put_u64(d.1);
+/// `FETCH_CHUNK` args: a byte range of a file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkArgs {
+    /// The file.
+    pub file: Fh3,
+    /// Byte offset.
+    pub offset: u64,
+    /// Byte count.
+    pub count: u32,
+}
+xdr::record! { ChunkArgs { file, offset, count } }
+
+/// `FETCH_RECIPE` args: a file and the chunk size to digest it at.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecipeArgs {
+    /// The file.
+    pub file: Fh3,
+    /// Chunk granularity of the recipe.
+    pub chunk_bytes: u32,
+}
+xdr::record! { RecipeArgs { file, chunk_bytes } }
+
+/// `FETCH_BLOBS` / `FETCH_BLOBS_PEER` args: a byte range of a file and
+/// the digest its contents should have. The origin serves by range and
+/// the client verifies; the digest rides along so proxies can serve and
+/// coalesce by content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlobArgs {
+    /// The file.
+    pub file: Fh3,
+    /// Byte offset.
+    pub offset: u64,
+    /// Byte count.
+    pub len: u32,
+    /// The expected content digest.
+    pub want: Digest,
+}
+xdr::record! { BlobArgs { file, offset, len, want } }
+
+/// `UPLOAD_CHUNK` args: a chunk of a file whose final size is `total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UploadArgs<'a> {
+    /// The file.
+    pub file: Fh3,
+    /// Where the chunk goes.
+    pub offset: u64,
+    /// The file's final size.
+    pub total: u64,
+    /// Whether `payload` is a [`codec`] stream.
+    pub compressed: bool,
+    /// The chunk, as sent: a slice of the call.
+    pub payload: &'a [u8],
+}
+xdr::record! { UploadArgs<'a> { file, offset, total, compressed, payload } }
+
+/// `GOSSIP_DIGESTS` args and reply: the sending shard and a delta of
+/// digests it holds (a reply's sender is the replying shard).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GossipDigests {
+    /// Shard id of the sender.
+    pub sender: u32,
+    /// At most [`MAX_GOSSIP_DIGESTS`] digests.
+    pub digests: Vec<Digest>,
 }
 
-fn get_digest(dec: &mut Decoder) -> xdr::Result<Digest> {
-    Ok(Digest(dec.get_u64()?, dec.get_u64()?))
-}
-
-/// Encode a gossip message: sender shard id + digest delta. Used for
-/// both the call args and the reply body (the reply's "sender" is the
-/// replying shard).
-pub fn encode_gossip(sender: u32, digests: &[Digest]) -> Vec<u8> {
-    debug_assert!(digests.len() <= MAX_GOSSIP_DIGESTS);
-    let mut enc = Encoder::new();
-    enc.put_u32(sender);
-    enc.put_u32(digests.len() as u32);
-    for d in digests {
-        put_digest(&mut enc, d);
+impl Encode for GossipDigests {
+    fn encode(&self, enc: &mut Encoder) {
+        debug_assert!(self.digests.len() <= MAX_GOSSIP_DIGESTS);
+        enc.put_u32(self.sender);
+        enc.put_array(&self.digests, |enc, d| d.encode(enc));
     }
-    enc.into_bytes()
 }
 
-/// Decode a gossip message, rejecting counts beyond
-/// [`MAX_GOSSIP_DIGESTS`] *before* allocating (a hostile length prefix
-/// must not size an allocation — the bounded-decode rule all channel
-/// procs follow).
-pub fn decode_gossip(bytes: &[u8]) -> Option<(u32, Vec<Digest>)> {
-    let mut dec = Decoder::new(bytes);
-    let sender = dec.get_u32().ok()?;
-    let n = dec.get_u32().ok()? as usize;
-    let mut digests: Vec<Digest> = xdr::bounded_alloc(n, MAX_GOSSIP_DIGESTS).ok()?;
-    for _ in 0..n {
-        digests.push(get_digest(&mut dec).ok()?);
+impl Decode<'_> for GossipDigests {
+    // A count over the cap is refused before it sizes an allocation.
+    fn decode(dec: &mut Decoder<'_>) -> xdr::Result<Self> {
+        let sender = dec.get_u32()?;
+        let n = dec.get_u32()? as usize;
+        let mut digests = xdr::bounded_alloc(n, MAX_GOSSIP_DIGESTS)?;
+        for _ in 0..n {
+            digests.push(Digest::decode(dec)?);
+        }
+        Ok(GossipDigests { sender, digests })
     }
-    Some((sender, digests))
 }
 
-/// Args that open with the file handle, as every file procedure's do.
-fn fh_args(h: Handle, rest: impl FnOnce(&mut Encoder)) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    nfs3::Fh3(h).encode(&mut enc);
-    rest(&mut enc);
-    enc.into_bytes()
+/// A reply: a [`ChanStatus`] word, then the body `T` only when the
+/// status is `Ok` (so `Err` never holds `Ok`). `FETCH_CHUNK` replies
+/// with a [`ChunkBody`], `FETCH_BLOBS` with a [`WirePayload`] and
+/// `FETCH_RECIPE` with a [`ContentMap`]; `UPLOAD_CHUNK`'s reply is the
+/// bare status.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Reply<T>(pub Result<T, ChanStatus>);
+
+impl<T: Encode> Encode for Reply<T> {
+    fn encode(&self, enc: &mut Encoder) {
+        match &self.0 {
+            Ok(body) => {
+                ChanStatus::Ok.encode(enc);
+                body.encode(enc);
+            }
+            Err(status) => status.encode(enc),
+        }
+    }
 }
 
-fn get_fh(dec: &mut Decoder) -> xdr::Result<Handle> {
-    Ok(nfs3::Fh3::decode(dec)?.0)
+impl<'a, T: Decode<'a>> Decode<'a> for Reply<T> {
+    fn decode(dec: &mut Decoder<'a>) -> xdr::Result<Self> {
+        Ok(Reply(match ChanStatus::decode(dec)? {
+            ChanStatus::Ok => Ok(T::decode(dec)?),
+            status => Err(status),
+        }))
+    }
+}
+
+impl Encode for ChanStatus {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u32(match self {
+            ChanStatus::Ok => 0,
+            ChanStatus::NoEnt => 2,
+            ChanStatus::Stale => 70,
+            ChanStatus::BadStream => 9000,
+        });
+    }
+}
+
+impl Decode<'_> for ChanStatus {
+    fn decode(dec: &mut Decoder<'_>) -> xdr::Result<Self> {
+        Ok(match dec.get_u32()? {
+            0 => ChanStatus::Ok,
+            2 => ChanStatus::NoEnt,
+            70 => ChanStatus::Stale,
+            9000 => ChanStatus::BadStream,
+            other => return Err(xdr::Error::InvalidDiscriminant(other)),
+        })
+    }
+}
+
+/// A chunk as it crosses the wire: its uncompressed length, whether it
+/// travels compressed, and the bytes sent (a slice of the message).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WirePayload<'a> {
+    /// Uncompressed length.
+    pub len: u64,
+    /// Whether `data` is a [`codec`] stream.
+    pub compressed: bool,
+    /// The bytes on the wire.
+    pub data: &'a [u8],
+}
+xdr::record! { WirePayload<'a> { len, compressed, data } }
+
+/// The body of a `FETCH_CHUNK` reply: the file's size, then the chunk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChunkBody<'a> {
+    /// The file's size.
+    pub total: u64,
+    /// The chunk.
+    pub payload: WirePayload<'a>,
+}
+xdr::record! { ChunkBody<'a> { total, payload } }
+
+/// The channel's form of a recipe: total, chunk size, a hyper record
+/// count, then `(digest, len)` records. (Meta files lay a content map
+/// out their own way: [`crate::meta::MetaFile::to_bytes`].)
+impl Encode for ContentMap {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_u64(self.total);
+        enc.put_u32(self.chunk_bytes);
+        enc.put_u64(self.records.len() as u64);
+        for (d, l) in &self.records {
+            d.encode(enc);
+            enc.put_u32(*l);
+        }
+    }
+}
+
+impl Decode<'_> for ContentMap {
+    fn decode(dec: &mut Decoder<'_>) -> xdr::Result<Self> {
+        let total = dec.get_u64()?;
+        let chunk_bytes = dec.get_u32()?;
+        if chunk_bytes == 0 {
+            return Err(xdr::Error::OutOfRange("chunk_bytes"));
+        }
+        let count = dec.get_u64()?;
+        let mut records = xdr::bounded_alloc(
+            usize::try_from(count).unwrap_or(usize::MAX),
+            MAX_RECIPE_RECORDS,
+        )?;
+        for _ in 0..count {
+            records.push((Digest::decode(dec)?, dec.get_u32()?));
+        }
+        Ok(ContentMap {
+            chunk_bytes,
+            total,
+            records,
+        })
+    }
 }
 
 /// The file a call's args name: every channel procedure that has one
-/// leads with its handle.
-pub(crate) fn decode_args_file(args: &[u8]) -> Option<Handle> {
-    get_fh(&mut Decoder::new(args)).ok()
+/// leads with its handle, so only that prefix is decoded.
+pub(crate) fn decode_args_file(args: &[u8]) -> xdr::Result<Handle> {
+    Ok(Fh3::decode(&mut Decoder::new(args))?.0)
 }
 
-/// `FETCH_CHUNK` args: file, byte offset, byte count.
-fn encode_chunk_args(h: Handle, offset: u64, count: u32) -> Vec<u8> {
-    fh_args(h, |enc| {
-        enc.put_u64(offset);
-        enc.put_u32(count);
-    })
+/// Decode a whole reply, surfacing a status other than `Ok` as the error.
+fn read_reply<'a, T: Decode<'a>>(res: &'a [u8]) -> Result<T, ChannelError> {
+    xdr::from_bytes::<Reply<T>>(res)?
+        .0
+        .map_err(ChannelError::Status)
 }
 
-/// Decode `FETCH_CHUNK` args.
-pub(crate) fn decode_chunk_args(args: &[u8]) -> Option<(Handle, u64, u32)> {
-    let mut dec = Decoder::new(args);
-    Some((
-        get_fh(&mut dec).ok()?,
-        dec.get_u64().ok()?,
-        dec.get_u32().ok()?,
-    ))
-}
-
-/// `FETCH_RECIPE` args: file, chunk size.
-fn encode_recipe_args(h: Handle, chunk_bytes: u32) -> Vec<u8> {
-    fh_args(h, |enc| enc.put_u32(chunk_bytes))
-}
-
-/// Decode `FETCH_RECIPE` args.
-pub(crate) fn decode_recipe_args(args: &[u8]) -> Option<(Handle, u32)> {
-    let mut dec = Decoder::new(args);
-    Some((get_fh(&mut dec).ok()?, dec.get_u32().ok()?))
-}
-
-/// `FETCH_BLOBS` / `FETCH_BLOBS_PEER` args: file, byte range, and the
-/// expected content digest. The origin serves by range and the client
-/// verifies; the digest rides along so proxies can serve and coalesce by
-/// content.
-fn encode_blob_args(h: Handle, offset: u64, len: u32, want: Digest) -> Vec<u8> {
-    fh_args(h, |enc| {
-        enc.put_u64(offset);
-        enc.put_u32(len);
-        put_digest(enc, &want);
-    })
-}
-
-/// Decode `FETCH_BLOBS` / `FETCH_BLOBS_PEER` args.
-pub(crate) fn decode_blob_args(args: &[u8]) -> Option<(Handle, u64, u32, Digest)> {
-    let mut dec = Decoder::new(args);
-    Some((
-        get_fh(&mut dec).ok()?,
-        dec.get_u64().ok()?,
-        dec.get_u32().ok()?,
-        get_digest(&mut dec).ok()?,
-    ))
-}
-
-/// A reply that is only a status word.
-fn status_reply(status: ChanStatus) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(status.as_u32());
-    enc.into_bytes()
-}
-
-/// Check a reply's leading status word.
-fn read_status(dec: &mut Decoder) -> Result<(), ChannelError> {
-    match ChanStatus::from_u32(dec.get_u32()?).ok_or(ChannelError::Decode)? {
-        ChanStatus::Ok => Ok(()),
-        status => Err(ChannelError::Status(status)),
-    }
-}
-
-/// A payload reply: `Ok | [total] | len | compressed | payload`, where
-/// `total` (the file size) is present in `FETCH_CHUNK` replies only and
-/// `len` is the payload's uncompressed length.
-fn payload_reply(total: Option<u64>, len: u64, compressed: bool, payload: &[u8]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(ChanStatus::Ok.as_u32());
-    if let Some(total) = total {
-        enc.put_u64(total);
-    }
-    enc.put_u64(len);
-    enc.put_bool(compressed);
-    enc.put_opaque_var(payload);
-    enc.into_bytes()
-}
-
-/// The `len | compressed | payload` tail of a payload reply, decoded.
-struct Payload {
-    /// The uncompressed length the reply declares.
-    len: u64,
-    contents: Vec<u8>,
-    /// The compressed stream `contents` was decoded from, if the payload
+impl WirePayload<'_> {
+    /// The chunk's contents, decompressed (charging `codec`) if it
     /// travelled compressed.
-    packed: Option<Vec<u8>>,
-    /// Bytes the payload cost on the wire.
-    wire: u64,
-}
-
-/// Decode a payload reply's tail, decompressing it (charging `codec`).
-fn decode_payload(
-    env: &Env,
-    codec: &CodecModel,
-    dec: &mut Decoder,
-) -> Result<Payload, ChannelError> {
-    let len = dec.get_u64()?;
-    let compressed = dec.get_bool()?;
-    let payload = dec.get_opaque_var()?;
-    let wire = payload.len() as u64;
-    let (contents, packed) = if compressed {
-        env.sleep(codec.decompress_time(len));
-        let contents =
-            codec::decompress(&payload).map_err(|_| ChannelError::Status(ChanStatus::BadStream))?;
-        (contents, Some(payload))
-    } else {
-        (payload, None)
-    };
-    Ok(Payload {
-        len,
-        contents,
-        packed,
-        wire,
-    })
-}
-
-/// Read a blob payload off a reply: decompress, then digest the contents
-/// (both charged to `codec`) and verify length and digest against what
-/// the recipe promised. Only a payload that passes becomes a [`Blob`] —
-/// this is the one place that makes one.
-fn read_payload(
-    env: &Env,
-    codec: &CodecModel,
-    dec: &mut Decoder,
-    want: Digest,
-) -> BlobFetchResult<Vec<u8>> {
-    let p = decode_payload(env, codec, dec)?;
-    // Verify the content actually matches the recipe (a regenerated
-    // server file would silently corrupt the reassembly otherwise).
-    env.sleep(codec.digest_time(p.contents.len() as u64));
-    if p.contents.len() as u64 != p.len || digest(&p.contents) != want {
-        return Err(ChannelError::Status(ChanStatus::BadStream));
+    fn unpack(&self, env: &Env, codec: &CodecModel) -> Result<Vec<u8>, ChannelError> {
+        if !self.compressed {
+            return Ok(self.data.to_vec());
+        }
+        env.sleep(codec.decompress_time(self.len));
+        codec::decompress(self.data).map_err(|_| ChannelError::Status(ChanStatus::BadStream))
     }
-    let blob = Blob::verified(want, &p.contents, p.packed);
-    Ok((blob, p.contents, p.wire))
-}
-
-/// Read a `FETCH_CHUNK` reply: `(file total, chunk contents, wire bytes)`.
-fn read_chunk_reply(
-    env: &Env,
-    codec: &CodecModel,
-    res: &[u8],
-) -> Result<(u64, Vec<u8>, u64), ChannelError> {
-    let mut dec = Decoder::new(res);
-    read_status(&mut dec)?;
-    let total = dec.get_u64()?;
-    let p = decode_payload(env, codec, &mut dec)?;
-    if p.contents.len() as u64 != p.len {
-        return Err(ChannelError::Decode);
-    }
-    Ok((total, p.contents, p.wire))
 }
 
 /// Read a `FETCH_BLOBS` reply — a single call's, a batch item's or a
-/// peer's — verifying the contents against `want`: `(blob, contents,
-/// wire bytes)`. Proxies call this before a reply may enter their
-/// content store; the decompression and digest CPU it charges is the
-/// price of guarding a shared store against a range-serving origin.
+/// peer's: decompress, then digest the contents (both charged to
+/// `codec`) and verify length and digest against what the recipe
+/// promised. Only a payload that passes becomes a [`Blob`] — this is the
+/// one place that makes one. Proxies call this before a reply may enter
+/// their content store; the CPU it charges is the price of guarding a
+/// shared store against a range-serving origin. Returns `(blob,
+/// contents, wire bytes)`.
 pub(crate) fn read_blob_reply(
     env: &Env,
     codec: &CodecModel,
     res: &[u8],
     want: Digest,
 ) -> BlobFetchResult<Vec<u8>> {
-    let mut dec = Decoder::new(res);
-    read_status(&mut dec)?;
-    read_payload(env, codec, &mut dec, want)
+    let p: WirePayload = read_reply(res)?;
+    let contents = p.unpack(env, codec)?;
+    // Verify the content actually matches the recipe (a regenerated
+    // server file would silently corrupt the reassembly otherwise).
+    env.sleep(codec.digest_time(contents.len() as u64));
+    if contents.len() as u64 != p.len || digest(&contents) != want {
+        return Err(ChannelError::Status(ChanStatus::BadStream));
+    }
+    let blob = Blob::verified(want, &contents, p.compressed.then(|| p.data.to_vec()));
+    Ok((blob, contents, p.data.len() as u64))
 }
 
 /// A `FETCH_BLOBS` reply carrying a chunk of logical length `len` as the
 /// compressed stream `packed`: what a proxy answers out of its content
 /// store.
 pub(crate) fn blob_reply(len: u32, packed: &[u8]) -> Vec<u8> {
-    payload_reply(None, len as u64, true, packed)
-}
-
-/// `UPLOAD_CHUNK` args: file, byte offset, final file size, and the
-/// (optionally compressed) chunk payload.
-fn encode_upload_args(
-    h: Handle,
-    offset: u64,
-    total: u64,
-    compressed: bool,
-    payload: &[u8],
-) -> Vec<u8> {
-    fh_args(h, |enc| {
-        enc.put_u64(offset);
-        enc.put_u64(total);
-        enc.put_bool(compressed);
-        enc.put_opaque_var(payload);
-    })
-}
-
-/// Decode `UPLOAD_CHUNK` args: `(file, offset, total, compressed, payload)`.
-fn decode_upload_args(args: &[u8]) -> Option<(Handle, u64, u64, bool, Vec<u8>)> {
-    let mut dec = Decoder::new(args);
-    Some((
-        get_fh(&mut dec).ok()?,
-        dec.get_u64().ok()?,
-        dec.get_u64().ok()?,
-        dec.get_bool().ok()?,
-        dec.get_opaque_var().ok()?,
-    ))
-}
-
-/// A `FETCH_RECIPE` reply: `Ok | total | chunk_bytes | count | records`.
-fn recipe_reply(recipe: &ContentMap) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(ChanStatus::Ok.as_u32());
-    enc.put_u64(recipe.total);
-    enc.put_u32(recipe.chunk_bytes);
-    enc.put_u64(recipe.records.len() as u64);
-    for (d, l) in &recipe.records {
-        put_digest(&mut enc, d);
-        enc.put_u32(*l);
-    }
-    enc.into_bytes()
-}
-
-/// Read a `FETCH_RECIPE` reply.
-fn read_recipe_reply(res: &[u8]) -> Result<ContentMap, ChannelError> {
-    let mut dec = Decoder::new(res);
-    read_status(&mut dec)?;
-    let total = dec.get_u64()?;
-    let chunk_bytes = dec.get_u32()?;
-    let count = dec.get_u64()?;
-    if chunk_bytes == 0 || count > MAX_RECIPE_RECORDS {
-        return Err(ChannelError::Decode);
-    }
-    // Growth is bounded by the actual reply length: each record costs
-    // 20 reply bytes, so a truncated stream fails before the Vec grows.
-    let mut records = Vec::new();
-    for _ in 0..count {
-        let d = get_digest(&mut dec)?;
-        records.push((d, dec.get_u32()?));
-    }
-    Ok(ContentMap {
-        chunk_bytes,
-        total,
-        records,
-    })
+    xdr::to_bytes(&Reply(Ok(WirePayload {
+        len: len.into(),
+        compressed: true,
+        data: packed,
+    })))
 }
 
 /// One slot of a `FETCH_BLOBS_BATCH` reply envelope: the sub-call's
@@ -517,31 +487,21 @@ enum DiskCharge {
 }
 
 impl FileChannelServer {
-    /// Create a channel server over the image server's filesystem/disk.
-    pub fn new(fs: Arc<Mutex<Fs>>, disk: Disk, codec: CodecModel, compress: bool) -> Arc<Self> {
-        Arc::new(FileChannelServer {
-            fs,
-            disk,
-            codec,
-            compress,
-            cpu: None,
-        })
-    }
-
-    /// As [`FileChannelServer::new`], with a bounded CPU resource.
-    pub fn with_cpu(
+    /// Create a channel server over the image server's filesystem/disk,
+    /// its compressions serialized on `cpu` if given.
+    pub fn new(
         fs: Arc<Mutex<Fs>>,
         disk: Disk,
         codec: CodecModel,
         compress: bool,
-        cpu: Resource,
+        cpu: Option<Resource>,
     ) -> Arc<Self> {
         Arc::new(FileChannelServer {
             fs,
             disk,
             codec,
             compress,
-            cpu: Some(cpu),
+            cpu,
         })
     }
 
@@ -572,7 +532,7 @@ impl FileChannelServer {
         };
         let (size, contents) = match read {
             Ok(r) => r,
-            Err(e) => return status_reply(ChanStatus::from_fs(e)),
+            Err(e) => return xdr::to_bytes(&ChanStatus::from_fs(e)),
         };
         let len = contents.len() as u64;
         match charge {
@@ -590,25 +550,37 @@ impl FileChannelServer {
         } else {
             &contents
         };
-        payload_reply(with_total.then_some(size), len, self.compress, payload)
+        let payload = WirePayload {
+            len,
+            compressed: self.compress,
+            data: payload,
+        };
+        if with_total {
+            xdr::to_bytes(&Reply(Ok(ChunkBody {
+                total: size,
+                payload,
+            })))
+        } else {
+            xdr::to_bytes(&Reply(Ok(payload)))
+        }
     }
 
     /// Apply one `UPLOAD_CHUNK`: set the file's length to `total`, then
     /// write the chunk at its offset.
     fn apply_upload(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
-        let (h, offset, total, compressed, payload) =
-            decode_upload_args(args).ok_or(ProgramError::GarbageArgs)?;
-        let contents = if compressed {
-            match codec::decompress(&payload) {
+        let a: UploadArgs = garbage_unless(args)?;
+        let (h, offset, total) = (a.file.0, a.offset, a.total);
+        let contents = if a.compressed {
+            match codec::decompress(a.payload) {
                 Ok(c) => {
                     let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
                     env.sleep(self.codec.decompress_time(c.len() as u64));
-                    c
+                    Cow::Owned(c)
                 }
-                Err(_) => return Ok(status_reply(ChanStatus::BadStream)),
+                Err(_) => return Ok(xdr::to_bytes(&ChanStatus::BadStream)),
             }
         } else {
-            payload
+            Cow::Borrowed(a.payload)
         };
         // Setting the length to the final size is idempotent across
         // chunks only while every chunk lies inside [0, total): then the
@@ -620,14 +592,14 @@ impl FileChannelServer {
             .checked_add(contents.len() as u64)
             .is_some_and(|end| end <= total);
         if !inside {
-            return Ok(status_reply(ChanStatus::BadStream));
+            return Ok(xdr::to_bytes(&ChanStatus::BadStream));
         }
         let status = {
             let mut fs = self.fs.lock();
             let now = env.now().as_nanos();
             match fs
                 .setattr(h, Some(total), None, now)
-                .and_then(|_| fs.write(h, offset, &contents, now))
+                .and_then(|_| fs.write(h, offset, &contents[..], now))
             {
                 Ok(_) => ChanStatus::Ok,
                 Err(e) => ChanStatus::from_fs(e),
@@ -636,13 +608,14 @@ impl FileChannelServer {
         if status == ChanStatus::Ok {
             self.disk.sequential_io(env, contents.len() as u64);
         }
-        Ok(status_reply(status))
+        Ok(xdr::to_bytes(&status))
     }
 
     /// Compute a file's recipe at `chunk_bytes` granularity: the server
     /// scans and digests the whole file.
     fn serve_recipe(&self, env: &Env, args: &[u8]) -> Result<Vec<u8>, ProgramError> {
-        let (h, chunk_bytes) = decode_recipe_args(args).ok_or(ProgramError::GarbageArgs)?;
+        let a: RecipeArgs = garbage_unless(args)?;
+        let (h, chunk_bytes) = (a.file.0, a.chunk_bytes);
         if chunk_bytes == 0 {
             return Err(ProgramError::GarbageArgs);
         }
@@ -650,21 +623,21 @@ impl FileChannelServer {
             let mut fs = self.fs.lock();
             let total = match fs.size(h) {
                 Ok(s) => s,
-                Err(e) => return Ok(status_reply(ChanStatus::from_fs(e))),
+                Err(e) => return Ok(xdr::to_bytes(&ChanStatus::from_fs(e))),
             };
             let now = env.now().as_nanos();
             let nchunks = total.div_ceil(chunk_bytes as u64);
             // `nchunks` is server-derived, but the client caps the
             // records it will decode at the same bound, so refuse here
             // instead of encoding a reply the peer must reject.
-            let mut records = xdr::bounded_alloc(nchunks as usize, MAX_RECIPE_RECORDS as usize)
+            let mut records = xdr::bounded_alloc(nchunks as usize, MAX_RECIPE_RECORDS)
                 .map_err(|_| ProgramError::GarbageArgs)?;
             for c in 0..nchunks {
                 let off = c * chunk_bytes as u64;
                 let len = ((total - off).min(chunk_bytes as u64)) as usize;
                 match fs.read(h, off, len, now) {
                     Ok((data, _)) => records.push((digest(&data.contiguous()), len as u32)),
-                    Err(e) => return Ok(status_reply(ChanStatus::from_fs(e))),
+                    Err(e) => return Ok(xdr::to_bytes(&ChanStatus::from_fs(e))),
                 }
             }
             ContentMap {
@@ -680,7 +653,7 @@ impl FileChannelServer {
             let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
             env.sleep(self.codec.digest_time(recipe.total));
         }
-        Ok(recipe_reply(&recipe))
+        Ok(xdr::to_bytes(&Reply(Ok(recipe))))
     }
 
     /// Serve a `FETCH_BLOBS_BATCH` envelope item by item. Each item
@@ -707,7 +680,8 @@ impl FileChannelServer {
             let reply = if !batchable(item.proc) {
                 None
             } else if item.proc == chanproc::FETCH_BLOBS {
-                decode_blob_args(&item.args).map(|(h, offset, len, _)| {
+                xdr::from_bytes(&item.args).ok().map(|a: BlobArgs| {
+                    let (h, offset, len) = (a.file.0, a.offset, a.len);
                     let charge = if prev == Some((h, offset)) {
                         DiskCharge::Continuation
                     } else {
@@ -737,23 +711,41 @@ impl FileChannelServer {
         match proc {
             chanproc::NULL => Ok(Vec::new()),
             chanproc::FETCH_CHUNK => {
-                let (h, offset, count) =
-                    decode_chunk_args(args).ok_or(ProgramError::GarbageArgs)?;
-                Ok(self.serve_range(env, h, offset, count, DiskCharge::Positioned, true))
+                let a: ChunkArgs = garbage_unless(args)?;
+                Ok(self.serve_range(
+                    env,
+                    a.file.0,
+                    a.offset,
+                    a.count,
+                    DiskCharge::Positioned,
+                    true,
+                ))
             }
             chanproc::UPLOAD_CHUNK => self.apply_upload(env, args),
             chanproc::FETCH_RECIPE => self.serve_recipe(env, args),
             chanproc::FETCH_BLOBS => {
                 // The trailing digest is for proxies along the path; the
                 // origin serves by range and the client verifies.
-                let (h, offset, len, _) =
-                    decode_blob_args(args).ok_or(ProgramError::GarbageArgs)?;
-                Ok(self.serve_range(env, h, offset, len, DiskCharge::Positioned, false))
+                let a: BlobArgs = garbage_unless(args)?;
+                Ok(self.serve_range(
+                    env,
+                    a.file.0,
+                    a.offset,
+                    a.len,
+                    DiskCharge::Positioned,
+                    false,
+                ))
             }
             chanproc::FETCH_BLOBS_BATCH => self.serve_envelope(env, cred, args),
             _ => Err(ProgramError::ProcUnavail),
         }
     }
+}
+
+/// Decode a call's args, which must be all of `args`; anything else is
+/// `GARBAGE_ARGS`.
+fn garbage_unless<'a, T: Decode<'a>>(args: &'a [u8]) -> Result<T, ProgramError> {
+    xdr::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)
 }
 
 impl RpcProgram for FileChannelServer {
@@ -876,7 +868,7 @@ fn plan_recipe<L>(
 ) -> Result<(Vec<Slot<L>>, Vec<Group>), ChannelError> {
     let mut groups: Vec<Group> = Vec::new();
     let mut group_of: BTreeMap<Digest, usize> = BTreeMap::new();
-    let mut plan = xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS as usize)?;
+    let mut plan = xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS)?;
     let mut off = 0u64;
     for (d, l) in &recipe.records {
         plan.push(if let Some(&gi) = group_of.get(d) {
@@ -912,7 +904,7 @@ fn pin_resident(
     }
     pins.push(*d);
     if rq.cas.len_of(d) != Some(l) {
-        return Err(ChannelError::Decode);
+        return Err(Mismatch::CasLength.into());
     }
     recipe_hit(rq.dtel, l);
     Ok(true)
@@ -953,9 +945,18 @@ impl ChannelClient {
         offset: u64,
         count: u32,
     ) -> Result<(u64, Vec<u8>, u64), ChannelError> {
-        let args = encode_chunk_args(h, offset, count);
+        let args = xdr::to_bytes(&ChunkArgs {
+            file: Fh3(h),
+            offset,
+            count,
+        });
         let res = self.call(env, chanproc::FETCH_CHUNK, &args)?;
-        read_chunk_reply(env, &self.codec, &res)
+        let ChunkBody { total, payload } = read_reply(&res)?;
+        let contents = payload.unpack(env, &self.codec)?;
+        if contents.len() as u64 != payload.len {
+            return Err(Mismatch::ReplyLength.into());
+        }
+        Ok((total, contents, payload.data.len() as u64))
     }
 
     /// Fetch and decompress a whole file in pipelined chunks: up to
@@ -989,12 +990,12 @@ impl ChannelClient {
         let mut contents = first;
         let mut wire = first_wire;
         for slot in slots {
-            let (_, data, w) = slot.ok_or(ChannelError::Decode)??;
+            let (_, data, w) = slot.ok_or(Mismatch::WindowSlot)??;
             contents.extend_from_slice(&data);
             wire += w;
         }
         if contents.len() as u64 != total {
-            return Err(ChannelError::Decode);
+            return Err(Mismatch::ReplyLength.into());
         }
         Ok((contents, wire))
     }
@@ -1008,8 +1009,11 @@ impl ChannelClient {
         h: Handle,
         chunk_bytes: u32,
     ) -> Result<ContentMap, ChannelError> {
-        let args = encode_recipe_args(h, chunk_bytes);
-        read_recipe_reply(&self.call(env, chanproc::FETCH_RECIPE, &args)?)
+        let args = xdr::to_bytes(&RecipeArgs {
+            file: Fh3(h),
+            chunk_bytes,
+        });
+        read_reply(&self.call(env, chanproc::FETCH_RECIPE, &args)?)
     }
 
     /// Fetch one recipe chunk's payload; the expected digest travels in
@@ -1022,7 +1026,12 @@ impl ChannelClient {
         (offset, len, want): Group,
         keep: Keep<T>,
     ) -> BlobFetchResult<T> {
-        let args = encode_blob_args(h, offset, len, want);
+        let args = xdr::to_bytes(&BlobArgs {
+            file: Fh3(h),
+            offset,
+            len,
+            want,
+        });
         let res = self.call(env, chanproc::FETCH_BLOBS, &args)?;
         let (blob, contents, wire) = read_blob_reply(env, &self.codec, &res, want)?;
         Ok((blob, keep(contents), wire))
@@ -1045,14 +1054,19 @@ impl ChannelClient {
             .iter()
             .map(|&(offset, len, want)| oncrpc::BatchItem {
                 proc: chanproc::FETCH_BLOBS,
-                args: encode_blob_args(h, offset, len, want),
+                args: xdr::to_bytes(&BlobArgs {
+                    file: Fh3(h),
+                    offset,
+                    len,
+                    want,
+                }),
             })
             .collect();
         let args = oncrpc::batch::encode_batch(&items);
         let res = self.call(env, chanproc::FETCH_BLOBS_BATCH, &args)?;
         let replies = oncrpc::batch::decode_batch_reply(&res)?;
         if replies.len() != wants.len() {
-            return Err(ChannelError::Decode);
+            return Err(Mismatch::ReplyLength.into());
         }
         Ok(replies
             .iter()
@@ -1089,7 +1103,7 @@ impl ChannelClient {
         };
         let span: u64 = recipe.records.iter().map(|(_, l)| *l as u64).sum();
         if span != recipe.total {
-            return Err(ChannelError::Decode);
+            return Err(Mismatch::RecipeSpan.into());
         }
         Ok(recipe)
     }
@@ -1109,7 +1123,7 @@ impl ChannelClient {
     ) -> Result<Vec<BlobFetchResult<T>>, ChannelError> {
         let me = self.clone();
         let window = rq.window.max(1);
-        let slots: Vec<BlobFetchResult<T>> = if rq.batch > 1 {
+        if rq.batch > 1 {
             let envelopes: Vec<Vec<Group>> = groups.chunks(rq.batch).map(|c| c.to_vec()).collect();
             let rounds = run_windowed(
                 env,
@@ -1119,13 +1133,13 @@ impl ChannelClient {
                 rq.tel,
                 move |env, wants| Some(me.fetch_blobs_batch(env, h, &wants, keep)),
             );
-            let mut flat = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS as usize)?;
+            let mut flat = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS)?;
             for round in rounds {
-                flat.extend(round.ok_or(ChannelError::Decode)??);
+                flat.extend(round.ok_or(Mismatch::WindowSlot)??);
             }
-            flat
+            Ok(flat)
         } else {
-            run_windowed(
+            Ok(run_windowed(
                 env,
                 "chan-dedup",
                 window,
@@ -1134,13 +1148,9 @@ impl ChannelClient {
                 move |env, group| Some(me.fetch_blob(env, h, group, keep)),
             )
             .into_iter()
-            .map(|slot| slot.unwrap_or(Err(ChannelError::Decode)))
-            .collect()
-        };
-        if slots.len() != groups.len() {
-            return Err(ChannelError::Decode);
+            .map(|slot| slot.unwrap_or(Err(Mismatch::WindowSlot.into())))
+            .collect())
         }
-        Ok(slots)
     }
 
     /// Fetch a whole file by recipe: serve every chunk whose digest the
@@ -1159,7 +1169,7 @@ impl ChannelClient {
     ) -> Result<DedupFetch, ChannelError> {
         let recipe = self.recipe_for(env, h, rq)?;
         let (plan, groups) = plan_recipe(&recipe, |d, l| match rq.cas.get(d) {
-            Some(bytes) if bytes.len() != l as usize => Err(ChannelError::Decode),
+            Some(bytes) if bytes.len() != l as usize => Err(Mismatch::CasLength.into()),
             held => Ok(held),
         })?;
         for (slot, (_, l)) in plan.iter().zip(&recipe.records) {
@@ -1167,8 +1177,7 @@ impl ChannelClient {
                 recipe_hit(rq.dtel, *l);
             }
         }
-        let mut fetched: Vec<Vec<u8>> =
-            xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS as usize)?;
+        let mut fetched: Vec<Vec<u8>> = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS)?;
         let mut wire = 0u64;
         let mut fresh_bytes = 0u64;
         for slot in self.fetch_groups(env, h, &groups, rq, std::convert::identity)? {
@@ -1187,7 +1196,7 @@ impl ChannelClient {
             });
         }
         if contents.len() as u64 != recipe.total {
-            return Err(ChannelError::Decode);
+            return Err(Mismatch::RecipeSpan.into());
         }
         Ok(DedupFetch {
             contents,
@@ -1212,8 +1221,7 @@ impl ChannelClient {
     ) -> Result<PinnedRecipe, ChannelError> {
         let recipe = self.recipe_for(env, h, rq)?.into_owned();
         // Pins taken so far, released in bulk if anything goes wrong.
-        let mut pins: Vec<Digest> =
-            xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS as usize)?;
+        let mut pins: Vec<Digest> = xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS)?;
         match self.pin_records(env, h, rq, &recipe, &mut pins) {
             Ok((wire, fresh_bytes)) => Ok(PinnedRecipe {
                 recipe,
@@ -1273,7 +1281,7 @@ impl ChannelClient {
         // race an eviction.
         for (slot, (d, l)) in plan.iter().zip(&recipe.records) {
             if matches!(slot, Slot::Dup(_)) && !pin_resident(rq, pins, d, *l)? {
-                return Err(ChannelError::Decode);
+                return Err(ChannelError::NotRetained);
             }
         }
         Ok((wire, fresh_bytes))
@@ -1290,10 +1298,18 @@ impl ChannelClient {
     ) -> Result<u64, ChannelError> {
         env.sleep(self.codec.compress_time(data.len() as u64));
         let payload = codec::compress(data);
-        let args = encode_upload_args(h, offset, total, true, &payload);
+        let args = xdr::to_bytes(&UploadArgs {
+            file: Fh3(h),
+            offset,
+            total,
+            compressed: true,
+            payload: &payload,
+        });
         let res = self.call(env, chanproc::UPLOAD_CHUNK, &args)?;
-        read_status(&mut Decoder::new(&res))?;
-        Ok(payload.len() as u64)
+        match xdr::from_bytes(&res)? {
+            ChanStatus::Ok => Ok(payload.len() as u64),
+            status => Err(ChannelError::Status(status)),
+        }
     }
 
     /// Compress and upload byte ranges of a file whose final size is
@@ -1325,25 +1341,8 @@ impl ChannelClient {
             move |env, (off, data)| Some(me.upload_chunk(env, h, off, total, &data)),
         );
         slots.into_iter().try_fold(0u64, |wire, slot| {
-            Ok(wire + slot.ok_or(ChannelError::Decode)??)
+            Ok(wire + slot.ok_or(Mismatch::WindowSlot)??)
         })
-    }
-
-    /// Compress and upload a whole file in pipelined chunks (write-back
-    /// path), the reverse of [`ChannelClient::fetch_chunked`]: client
-    /// compression of chunk `k+1` overlaps the WAN transfer of chunk
-    /// `k`. The file is cut by [`chunk_ranges`].
-    pub fn upload_chunked(
-        &self,
-        env: &Env,
-        h: Handle,
-        contents: &[u8],
-        chunk_bytes: u32,
-        window: usize,
-        tel: Option<&TransferTel>,
-    ) -> Result<u64, ChannelError> {
-        let chunks = chunk_ranges(contents, chunk_bytes);
-        self.upload_ranges(env, h, contents.len() as u64, chunks, window, tel)
     }
 }
 
@@ -1381,7 +1380,8 @@ mod tests {
         let h = sim.handle();
         let fs = Arc::new(Mutex::new(Fs::new(0)));
         let disk = Disk::new(&h, DiskModel::server_array());
-        let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress);
+        let server =
+            FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress, None);
         let up = Link::from_mbps(&h, "up", mbps, SimDuration::from_millis(17));
         let down = Link::from_mbps(&h, "down", mbps, SimDuration::from_millis(17));
         let ep = oncrpc::endpoint(&h, up, down.clone(), WireSpec::ssh_tunnel(50e6));
@@ -1464,10 +1464,13 @@ mod tests {
             // Upload new contents of a different (shorter) length, split
             // and pipelined; then a small file, unsplit and serial.
             let new: Vec<u8> = (0..(2 << 20) + 7u32).map(|i| (i % 13) as u8).collect();
-            chan.upload_chunked(&env, fh, &new, 1 << 20, 4, None)
+            let len = new.len() as u64;
+            chan.upload_ranges(&env, fh, len, chunk_ranges(&new, 1 << 20), 4, None)
                 .unwrap();
             let small: Vec<u8> = (0..100_000u32).map(|i| (i % 13) as u8).collect();
-            chan.upload_chunked(&env, redo, &small, 0, 1, None).unwrap();
+            let len = small.len() as u64;
+            chan.upload_ranges(&env, redo, len, chunk_ranges(&small, 0), 1, None)
+                .unwrap();
             let mut f = fs2.lock();
             for (h, want) in [(fh, &new), (redo, &small)] {
                 assert_eq!(f.size(h).unwrap(), want.len() as u64);

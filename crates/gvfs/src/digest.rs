@@ -31,6 +31,20 @@ impl Digest {
     }
 }
 
+/// On the wire a digest is its two lanes as XDR hypers.
+impl xdr::Encode for Digest {
+    fn encode(&self, enc: &mut xdr::Encoder) {
+        enc.put_u64(self.0);
+        enc.put_u64(self.1);
+    }
+}
+
+impl xdr::Decode<'_> for Digest {
+    fn decode(dec: &mut xdr::Decoder<'_>) -> xdr::Result<Self> {
+        Ok(Digest(dec.get_u64()?, dec.get_u64()?))
+    }
+}
+
 /// splitmix64 finalizer — the same avalanche the block cache's set-index
 /// hash uses, reused here as the per-word mixer.
 #[inline]

@@ -117,7 +117,7 @@ pub struct ContentMap {
 
 /// Cap on content-map records a parser will materialize: 16 M records
 /// cover a 16 TB file at 1 MB chunks, far beyond any VM state file.
-const MAX_CONTENT_RECORDS: u64 = 1 << 24;
+const MAX_CONTENT_RECORDS: usize = 1 << 24;
 
 /// Parsed meta-data for one file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,91 +174,114 @@ impl MetaFile {
         out
     }
 
-    /// Parse the on-disk representation.
-    pub fn from_bytes(data: &[u8]) -> Option<MetaFile> {
-        let mut p = 0usize;
-        let take = |p: &mut usize, n: usize| -> Option<&[u8]> {
-            if data.len() < *p + n {
-                return None;
-            }
-            let s = &data[*p..*p + n];
-            *p += n;
-            Some(s)
-        };
-        if take(&mut p, 10)? != b"GVFSMETA1\n" {
-            return None;
+    /// Parse the on-disk representation. A refusal says why: a cut-off
+    /// file is `UnexpectedEof`, a section tag other than 0 or 1
+    /// `InvalidDiscriminant`, a count the rest of the input cannot hold
+    /// `LengthOverLimit` (refused before it sizes an allocation), a wrong
+    /// magic or a zero granularity `OutOfRange`, and bytes after the last
+    /// section `TrailingBytes`.
+    pub fn from_bytes(data: &[u8]) -> xdr::Result<MetaFile> {
+        let mut r = Reader(data);
+        if &r.take::<10>()? != b"GVFSMETA1\n" {
+            return Err(xdr::Error::OutOfRange("magic"));
         }
-        let file_size = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-        let channel = match take(&mut p, 1)?[0] {
-            0 => None,
-            1 => {
-                let flags = take(&mut p, 2)?;
-                Some(FileChannelSpec {
-                    compress: flags[0] != 0,
-                    writeback: flags[1] != 0,
-                })
-            }
-            _ => return None,
+        let file_size = u64::from_be_bytes(r.take()?);
+        let channel = if r.tag()? {
+            let [compress, writeback] = r.take()?;
+            Some(FileChannelSpec {
+                compress: compress != 0,
+                writeback: writeback != 0,
+            })
+        } else {
+            None
         };
-        let zero_map = match take(&mut p, 1)?[0] {
-            0 => None,
-            1 => {
-                let block_size = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
-                let nblocks = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                if block_size == 0 || nblocks > (1 << 40) {
-                    return None;
-                }
-                // Remaining input bounds the word count before any
-                // allocation: 8 bytes per word.
-                let nwords = nblocks.div_ceil(64) as usize;
-                let mut bits = xdr::bounded_alloc(nwords, (data.len() - p) / 8).ok()?;
-                for _ in 0..nwords {
-                    bits.push(u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?));
-                }
-                Some(ZeroMap {
-                    block_size,
-                    nblocks,
-                    bits,
-                })
+        let zero_map = if r.tag()? {
+            let block_size = u32::from_be_bytes(r.take()?);
+            let nblocks = u64::from_be_bytes(r.take()?);
+            if block_size == 0 {
+                return Err(xdr::Error::OutOfRange("block_size"));
             }
-            _ => return None,
-        };
-        let content_map = match take(&mut p, 1)?[0] {
-            0 => None,
-            1 => {
-                let chunk_bytes = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
-                let total = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                let nrecords = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                if chunk_bytes == 0 || nrecords > MAX_CONTENT_RECORDS {
-                    return None;
-                }
-                // Remaining input bounds the record count before any
-                // allocation: 20 bytes per record.
-                let mut records =
-                    xdr::bounded_alloc(nrecords as usize, (data.len() - p) / 20).ok()?;
-                for _ in 0..nrecords {
-                    let d0 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                    let d1 = u64::from_be_bytes(take(&mut p, 8)?.try_into().ok()?);
-                    let len = u32::from_be_bytes(take(&mut p, 4)?.try_into().ok()?);
-                    records.push((Digest(d0, d1), len));
-                }
-                Some(ContentMap {
-                    chunk_bytes,
-                    total,
-                    records,
-                })
+            // 8 bytes per word.
+            let nwords = nblocks.div_ceil(64);
+            let mut bits = r.bounded(nwords, 8, usize::MAX)?;
+            for _ in 0..nwords {
+                bits.push(u64::from_be_bytes(r.take()?));
             }
-            _ => return None,
+            Some(ZeroMap {
+                block_size,
+                nblocks,
+                bits,
+            })
+        } else {
+            None
         };
-        if p != data.len() {
-            return None;
+        let content_map = if r.tag()? {
+            let chunk_bytes = u32::from_be_bytes(r.take()?);
+            let total = u64::from_be_bytes(r.take()?);
+            let nrecords = u64::from_be_bytes(r.take()?);
+            if chunk_bytes == 0 {
+                return Err(xdr::Error::OutOfRange("chunk_bytes"));
+            }
+            // 20 bytes per record.
+            let mut records = r.bounded(nrecords, 20, MAX_CONTENT_RECORDS)?;
+            for _ in 0..nrecords {
+                records.push((
+                    Digest(u64::from_be_bytes(r.take()?), u64::from_be_bytes(r.take()?)),
+                    u32::from_be_bytes(r.take()?),
+                ));
+            }
+            Some(ContentMap {
+                chunk_bytes,
+                total,
+                records,
+            })
+        } else {
+            None
+        };
+        if !r.0.is_empty() {
+            return Err(xdr::Error::TrailingBytes {
+                remaining: r.0.len(),
+            });
         }
-        Some(MetaFile {
+        Ok(MetaFile {
             file_size,
             zero_map,
             channel,
             content_map,
         })
+    }
+}
+
+/// The unread rest of a meta file: big-endian integers and one-byte
+/// section tags, unpadded.
+struct Reader<'a>(&'a [u8]);
+
+impl Reader<'_> {
+    fn take<const N: usize>(&mut self) -> xdr::Result<[u8; N]> {
+        let Some((head, rest)) = self.0.split_first_chunk::<N>() else {
+            return Err(xdr::Error::UnexpectedEof {
+                needed: N,
+                remaining: self.0.len(),
+            });
+        };
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// A section tag: whether the section follows.
+    fn tag(&mut self) -> xdr::Result<bool> {
+        match self.take::<1>()? {
+            [0] => Ok(false),
+            [1] => Ok(true),
+            [t] => Err(xdr::Error::InvalidDiscriminant(t.into())),
+        }
+    }
+
+    /// Room for `count` items of `size` bytes each, refused when the
+    /// rest of the input cannot hold them or there are over `limit`.
+    fn bounded<T>(&self, count: u64, size: usize, limit: usize) -> xdr::Result<Vec<T>> {
+        let count = usize::try_from(count).unwrap_or(usize::MAX);
+        xdr::bounded_alloc(count, (self.0.len() / size).min(limit))
     }
 }
 
@@ -393,14 +416,28 @@ mod tests {
             },
         ] {
             let bytes = meta.to_bytes();
-            assert_eq!(MetaFile::from_bytes(&bytes), Some(meta));
+            assert_eq!(MetaFile::from_bytes(&bytes), Ok(meta));
         }
+    }
+
+    /// Why `bytes` is not a meta file.
+    fn refused(bytes: &[u8]) -> xdr::Error {
+        MetaFile::from_bytes(bytes).expect_err("not a meta file")
+    }
+
+    fn eof(needed: usize, remaining: usize) -> xdr::Error {
+        xdr::Error::UnexpectedEof { needed, remaining }
+    }
+
+    fn over(declared: u32, limit: u32) -> xdr::Error {
+        xdr::Error::LengthOverLimit { declared, limit }
     }
 
     #[test]
     fn malformed_meta_is_rejected() {
-        assert_eq!(MetaFile::from_bytes(b""), None);
-        assert_eq!(MetaFile::from_bytes(b"GVFSMETA1\n"), None);
+        assert_eq!(refused(b""), eof(10, 0));
+        assert_eq!(refused(b"GVFSMETA1\n"), eof(8, 0));
+        assert_eq!(refused(b"GVFSMETA2\n"), xdr::Error::OutOfRange("magic"));
         let good = MetaFile {
             file_size: 10,
             zero_map: None,
@@ -412,12 +449,14 @@ mod tests {
             }),
         }
         .to_bytes();
-        // Truncation inside the content-map section is rejected.
-        assert_eq!(MetaFile::from_bytes(&good[..good.len() - 1]), None);
-        assert_eq!(MetaFile::from_bytes(&good[..good.len() - 21]), None);
+        // Truncation inside the content-map section is rejected: a
+        // record count the rest cannot hold, or a cut-off count.
+        assert_eq!(refused(&good[..good.len() - 1]), over(1, 0));
+        assert_eq!(refused(&good[..good.len() - 21]), eof(8, 7));
         let mut trailing = good.clone();
         trailing.push(0);
-        assert_eq!(MetaFile::from_bytes(&trailing), None);
+        let one_left = xdr::Error::TrailingBytes { remaining: 1 };
+        assert_eq!(refused(&trailing), one_left);
         // A bogus section tag is rejected.
         let mut bad_tag = MetaFile {
             file_size: 10,
@@ -427,14 +466,14 @@ mod tests {
         }
         .to_bytes();
         *bad_tag.last_mut().unwrap() = 7;
-        assert_eq!(MetaFile::from_bytes(&bad_tag), None);
+        assert_eq!(refused(&bad_tag), xdr::Error::InvalidDiscriminant(7));
         // A record count far beyond the remaining input is rejected
         // without allocating.
         let mut huge = good.clone();
         // count field lives right after tag(1)+chunk_bytes(4)+total(8).
         let count_at = good.len() - 20 - 8;
         huge[count_at..count_at + 8].copy_from_slice(&(1u64 << 20).to_be_bytes());
-        assert_eq!(MetaFile::from_bytes(&huge), None);
+        assert_eq!(refused(&huge), over(1 << 20, 1));
         // The pre-content-map layout, which ends right after the zero-map
         // section, is not a meta file.
         let tagged = MetaFile {
@@ -444,7 +483,7 @@ mod tests {
             content_map: None,
         }
         .to_bytes();
-        assert_eq!(MetaFile::from_bytes(&tagged[..tagged.len() - 1]), None);
+        assert_eq!(refused(&tagged[..tagged.len() - 1]), eof(1, 0));
     }
 
     #[test]
@@ -458,7 +497,7 @@ mod tests {
         header.extend_from_slice(&4096u32.to_be_bytes());
         header.extend_from_slice(&(1u64 << 40).to_be_bytes());
         assert_eq!(header.len(), 32);
-        assert_eq!(MetaFile::from_bytes(&header), None);
+        assert_eq!(refused(&header), over(u32::MAX, 0));
     }
 
     #[test]
@@ -489,7 +528,7 @@ mod tests {
             channel: None,
             content_map: Some(cm),
         };
-        assert_eq!(MetaFile::from_bytes(&meta.to_bytes()), Some(meta));
+        assert_eq!(MetaFile::from_bytes(&meta.to_bytes()), Ok(meta));
     }
 
     #[test]

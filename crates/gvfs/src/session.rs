@@ -238,7 +238,7 @@ impl ImageServer {
         // The paper's image servers are dual-processor nodes: two gzip
         // streams at a time.
         let cpu = Resource::new(h, 2);
-        let chan = FileChannelServer::with_cpu(fs.clone(), disk, CodecModel::default(), true, cpu);
+        let chan = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, Some(cpu));
         let nfsd = Dispatcher::new()
             .register(server.clone())
             .register(mount)

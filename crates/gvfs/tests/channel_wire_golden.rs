@@ -10,10 +10,12 @@
 //! it stood *before* the channel was folded onto one wire codec — so the
 //! args each client emits and the reply bytes each server returns are
 //! pinned from outside the module that now encodes them. (The recording
-//! ran this very scenario; only the three client calls whose signatures
-//! that change altered were spelled the old way: `upload_chunked` and
-//! `upload_ranges` still took their always-`true` compress flag, and
-//! `fetch_dedup` was `fetch_dedup_batched` with positional arguments.)
+//! ran this very scenario; only the client calls whose signatures have
+//! changed since were spelled the old way: the whole-file upload was
+//! `upload_chunked`, which has since become `upload_ranges` over
+//! `chunk_ranges`; both uploads still took their always-`true` compress
+//! flag; and `fetch_dedup` was `fetch_dedup_batched` with positional
+//! arguments.)
 //! Regenerate (only when the wire format intentionally changes) with:
 //!
 //! ```text
@@ -26,11 +28,11 @@
 
 use std::sync::Arc;
 
-use gvfs::channel::{chanproc, RecipeFetch};
+use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch};
 use gvfs::digest::{digest, Digest};
 use gvfs::{
-    encode_gossip, ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer,
-    FleetTuning, Proxy, ProxyConfig, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, FleetTuning,
+    GossipDigests, Proxy, ProxyConfig, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{
@@ -174,7 +176,8 @@ fn render_fixture() -> String {
     };
     let origin = |compress: bool| {
         let disk = Disk::new(&h, DiskModel::server_array());
-        let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress);
+        let server =
+            FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress, None);
         Dispatcher::new().register(server).into_handler()
     };
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
@@ -229,7 +232,8 @@ fn render_fixture() -> String {
         // 4 UPLOAD_CHUNK: a chunked whole-file upload, a ranged upload,
         // a corrupt stream, a stale handle.
         let new: Vec<u8> = (0..2 * CHUNK + 100).map(|i| (i % 3) as u8).collect();
-        chan.upload_chunked(&env, scratch, &new, CHUNK, 4, None)
+        let whole = chunk_ranges(&new, CHUNK);
+        chan.upload_ranges(&env, scratch, new.len() as u64, whole, 4, None)
             .unwrap();
         let ranges = vec![(0u64, vec![9u8; 64]), (CHUNK as u64, vec![8u8; 32])];
         chan.upload_ranges(&env, scratch, new.len() as u64, ranges, 4, None)
@@ -372,7 +376,10 @@ fn render_fixture() -> String {
             &env,
             &origin_rpc,
             chanproc::GOSSIP_DIGESTS,
-            &encode_gossip(7, &[d0]),
+            &xdr::to_bytes(&GossipDigests {
+                sender: 7,
+                digests: vec![d0],
+            }),
         );
         raw(
             &env,
@@ -459,7 +466,7 @@ fn retired_whole_file_procedures_answer_proc_unavail() {
         fh
     };
     let disk = Disk::new(&h, DiskModel::server_array());
-    let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
+    let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
     let origin = Dispatcher::new().register(server).into_handler();
     let origin_rpc = RpcClient::new(serve_tapped(&h, "origin", origin, &log), cred.clone());

@@ -724,7 +724,7 @@ fn recipe_outcomes_leave_the_cas_as_they_always_did() {
     let h = sim.handle();
     let fs = Arc::new(Mutex::new(Fs::new(0)));
     let disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true);
+    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
     let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));

@@ -76,7 +76,7 @@ struct Tap {
 fn describe(prog: u32, proc: u32, args: &[u8]) -> String {
     let fh = |h: Handle| format!("fh={}.{}", h.fileid, h.generation);
     if prog == NFS_PROGRAM && proc == proc3::WRITE {
-        let w = WriteArgs::from_bytes(args).unwrap();
+        let w = xdr::from_bytes::<WriteArgs>(args).unwrap();
         return format!(
             "{} off={} len={} stable={:?}",
             fh(w.file.0),
@@ -168,7 +168,8 @@ fn render_session(flush_window: usize) -> String {
     let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
     let chan_disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), chan_disk, CodecModel::default(), true);
+    let chan_server =
+        FileChannelServer::new(fs.clone(), chan_disk, CodecModel::default(), true, None);
     let origin = Dispatcher::new()
         .register(server)
         .register(mount)

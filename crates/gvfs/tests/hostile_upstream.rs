@@ -1,0 +1,115 @@
+//! A proxy's meta-data discovery (paper §3.2.2) against an upstream
+//! that lies: whatever the upstream claims about a meta file, the
+//! LOOKUP that triggered the discovery still answers, and no claim sizes
+//! an allocation or keeps the proxy reading.
+
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use gvfs::{Proxy, ProxyConfig};
+use nfs3::proto::proc3;
+use nfs3::results::{encode_lookup, encode_read};
+use oncrpc::{OpaqueAuth, RpcClient, RpcMessage, WireSpec};
+use parking_lot::Mutex;
+use simnet::{Env, Link, SimDuration, Simulation};
+use vfs::Handle;
+
+/// The file a hostile upstream's every LOOKUP names.
+const HOSTILE_FILE: Handle = Handle {
+    fileid: 7,
+    generation: 1,
+};
+
+/// LOOKUP `vm.vmss` through a proxy whose upstream names a 2^40-byte
+/// [`HOSTILE_FILE`] for every LOOKUP and answers every READ with what `read`
+/// returns: `(data, eof)`. Returns what the client got.
+fn lookup_through_hostile_upstream(
+    read: impl Fn() -> (Vec<u8>, bool) + Send + Sync + 'static,
+) -> Result<Handle, nfs3::NfsError> {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(10));
+    let fh = HOSTILE_FILE;
+    let attr = vfs::Attr {
+        ftype: vfs::FileType::Regular,
+        mode: 0o644,
+        nlink: 1,
+        uid: 0,
+        gid: 0,
+        size: 1 << 40,
+        used: 0,
+        fileid: fh.fileid,
+        atime_ns: 0,
+        mtime_ns: 0,
+        ctime_ns: 0,
+    };
+    let upstream = oncrpc::endpoint(&h, link("up"), link("down"), WireSpec::plain());
+    let hostile = move |_env: &Env, request: &[u8]| -> Vec<u8> {
+        let Ok(RpcMessage::Call { header: call, .. }) =
+            RpcMessage::decode_shared(&request.to_vec().into())
+        else {
+            panic!("the proxy sends calls");
+        };
+        let results = match call.proc {
+            proc3::LOOKUP => encode_lookup(fh, Some(attr.clone()), None),
+            proc3::READ => {
+                let (data, eof) = read();
+                encode_read(Some(attr.clone()), &data, eof)
+            }
+            other => panic!("unexpected procedure {other}"),
+        };
+        RpcMessage::success(call.xid, results).into_wire().to_vec()
+    };
+    upstream.listener.serve("hostile", Arc::new(hostile), 1);
+    let cfg = ProxyConfig {
+        name: "px".into(),
+        ..ProxyConfig::default()
+    };
+    let proxy = Proxy::new(cfg, RpcClient::new(upstream.channel, OpaqueAuth::none()));
+    let front = oncrpc::endpoint(&h, link("c-up"), link("c-down"), WireSpec::plain());
+    front.listener.serve("px", Arc::new(proxy), 1);
+    let client = nfs3::Nfs3Client::new(RpcClient::new(front.channel, OpaqueAuth::none()));
+    let found = Arc::new(Mutex::new(None));
+    let out = found.clone();
+    sim.spawn("client", move |env| {
+        *out.lock() = Some(client.lookup(&env, fh, "vm.vmss").map(|(h, _)| h));
+    });
+    sim.run();
+    let found = found.lock().take();
+    found.expect("the LOOKUP finished")
+}
+
+#[test]
+fn lookup_finishes_when_the_upstream_claims_a_huge_meta_file() {
+    // Every READ returns 32 bytes of meta header claiming 2^40
+    // blocks. Neither that claim nor the LOOKUP's file size may size
+    // an allocation in the proxy.
+    let mut header = b"GVFSMETA1\n".to_vec();
+    header.extend_from_slice(&0u64.to_be_bytes());
+    header.extend_from_slice(&[0, 1]);
+    header.extend_from_slice(&4096u32.to_be_bytes());
+    header.extend_from_slice(&(1u64 << 40).to_be_bytes());
+    let found = lookup_through_hostile_upstream(move || (header.clone(), true));
+    assert_eq!(found.ok(), Some(HOSTILE_FILE));
+}
+
+#[test]
+fn lookup_finishes_when_the_upstream_never_says_eof() {
+    // Every READ returns 32 KiB and no `eof`. The proxy stops once a
+    // meta file reaches `xdr::DEFAULT_MAX_LEN` bytes; one that kept
+    // reading would trip the panic instead of hanging the test.
+    const BLOCK: usize = 32 * 1024;
+    let limit = xdr::DEFAULT_MAX_LEN as usize / BLOCK + 1;
+    let reads = Arc::new(AtomicUsize::new(0));
+    let counted = reads.clone();
+    let found = lookup_through_hostile_upstream(move || {
+        let n = counted.fetch_add(1, Ordering::Relaxed) + 1;
+        assert!(n <= limit, "READ #{n}: the meta loop is unbounded");
+        (vec![0; BLOCK], false)
+    });
+    assert_eq!(found.ok(), Some(HOSTILE_FILE));
+    let reads = reads.load(Ordering::Relaxed);
+    assert_eq!(reads, xdr::DEFAULT_MAX_LEN as usize / BLOCK);
+}

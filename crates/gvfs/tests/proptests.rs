@@ -1,6 +1,7 @@
 //! Property-based invariants for the GVFS data structures.
 
 use gvfs::block_cache::{BlockCache, BlockCacheConfig, Tag};
+use gvfs::channel::chunk_ranges;
 use gvfs::meta::{generate_content_map, ContentMap, MetaFile, ZeroMap};
 use gvfs::{codec, Digest, FileChannelSpec};
 use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, RecipeFetch};
@@ -314,7 +315,9 @@ proptest! {
             let chunk = chunk_kib << 10;
             let (got, _) = chan.fetch_chunked(&env, fh, chunk, window, None).unwrap();
             assert_eq!(got, data, "fetch chunk={chunk} window={window}");
-            chan.upload_chunked(&env, fh, &reversed, chunk, window, None).unwrap();
+            let len = reversed.len() as u64;
+            chan.upload_ranges(&env, fh, len, chunk_ranges(&reversed, chunk), window, None)
+                .unwrap();
             let mut f = fs2.lock();
             assert_eq!(f.size(fh).unwrap() as usize, reversed.len());
             if !reversed.is_empty() {
@@ -610,7 +613,7 @@ proptest! {
             channel: with_channel.then_some(FileChannelSpec { compress, writeback }),
             content_map,
         };
-        prop_assert_eq!(MetaFile::from_bytes(&m.to_bytes()), Some(m));
+        prop_assert_eq!(MetaFile::from_bytes(&m.to_bytes()), Ok(m));
     }
 
     /// Arbitrary bytes never panic the meta parser.

@@ -724,7 +724,9 @@ fn relay_serves_the_new_bytes_after_an_upload_it_forwarded() {
         assert_eq!(fetch(&env), relay_image(0));
         // Served from the relay's reply cache.
         assert_eq!(fetch(&env), relay_image(0));
-        chan.upload_chunked(&env, fh, &relay_image(1), RELAY_CHUNK, 2, None)
+        let image = relay_image(1);
+        let ranges = gvfs::channel::chunk_ranges(&image, RELAY_CHUNK);
+        chan.upload_ranges(&env, fh, image.len() as u64, ranges, 2, None)
             .unwrap();
         assert_eq!(
             fetch(&env),
@@ -758,7 +760,9 @@ fn relay_serves_the_new_recipe_after_an_upload_it_forwarded() {
         };
         let fetch = |env: &Env| chan.fetch_dedup(env, fh, &rq).unwrap().contents;
         assert_eq!(fetch(&env), relay_image(0));
-        chan.upload_chunked(&env, fh, &relay_image(1), RELAY_CHUNK, 2, None)
+        let image = relay_image(1);
+        let ranges = gvfs::channel::chunk_ranges(&image, RELAY_CHUNK);
+        chan.upload_ranges(&env, fh, image.len() as u64, ranges, 2, None)
             .unwrap();
         assert_eq!(
             fetch(&env),

@@ -79,7 +79,7 @@ fn describe(prog: u32, proc: u32, args: &[u8]) -> String {
             format!("{} off={} len={}", fh(r.file.0), r.offset, r.count)
         }
         proc3::WRITE => {
-            let w = WriteArgs::from_bytes(args).unwrap();
+            let w = xdr::from_bytes::<WriteArgs>(args).unwrap();
             format!(
                 "{} off={} len={} stable={:?}",
                 fh(w.file.0),

@@ -66,8 +66,13 @@ fn by_hand(h: &SimHandle) -> Chain {
     let (fs, server) = Nfs3Server::with_new_fs(h, server_disk.clone(), ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string(), "/exports".to_string()]);
     let cpu = simnet::Resource::new(h, 2);
-    let chan_server =
-        FileChannelServer::with_cpu(fs.clone(), server_disk, CodecModel::default(), true, cpu);
+    let chan_server = FileChannelServer::new(
+        fs.clone(),
+        server_disk,
+        CodecModel::default(),
+        true,
+        Some(cpu),
+    );
     let nfsd = Dispatcher::new()
         .register(server)
         .register(mount)

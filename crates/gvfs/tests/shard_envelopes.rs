@@ -120,6 +120,7 @@ fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
         Disk::new(&h, DiskModel::server_array()),
         CodecModel::default(),
         true,
+        None,
     );
     let origin = Tap {
         inner: Dispatcher::new().register(server).into_handler(),

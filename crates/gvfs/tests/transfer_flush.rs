@@ -39,7 +39,7 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
     let recording: Arc<dyn RpcHandler> = Arc::new(move |env: &Env, req: &[u8]| {
         if let Ok(oncrpc::RpcMessage::Call { header, args }) = xdr::from_bytes(req) {
             if header.prog == NFS_PROGRAM && header.proc == nfs3::proto::proc3::WRITE {
-                if let Ok(w) = WriteArgs::from_bytes(&args) {
+                if let Ok(w) = xdr::from_bytes::<WriteArgs>(&args) {
                     log2.lock().insert((
                         w.file.0.fileid,
                         w.file.0.generation,

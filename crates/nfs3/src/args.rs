@@ -39,7 +39,7 @@ impl Encode for ReadArgs {
     }
 }
 
-impl Decode for ReadArgs {
+impl Decode<'_> for ReadArgs {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let a = ReadArgs {
             file: Fh3::decode(dec)?,
@@ -68,23 +68,22 @@ pub struct WriteArgs<'a> {
     pub data: &'a [u8],
 }
 
-impl<'a> WriteArgs<'a> {
+impl WriteArgs<'_> {
     /// Bytes of the encoded arguments in front of the payload: handle,
     /// offset, count, stability and the length word.
     pub const HEAD_LEN: usize = 20 + 20;
+}
 
-    /// Decode the arguments of a WRITE call, which must be all of `args`.
-    pub fn from_bytes(args: &'a [u8]) -> XdrResult<Self> {
-        let mut dec = Decoder::new(args);
+impl<'a> Decode<'a> for WriteArgs<'a> {
+    fn decode(dec: &mut Decoder<'a>) -> XdrResult<Self> {
         let a = WriteArgs {
-            file: Fh3::decode(&mut dec)?,
+            file: Fh3::decode(dec)?,
             offset: dec.get_u64()?,
             count: dec.get_u32()?,
             stable: StableHow::from_u32(dec.get_u32()?)?,
             data: dec.get_opaque_var_ref()?,
         };
         check_range(a.offset, a.count.max(a.data.len() as u32))?;
-        dec.finish()?;
         Ok(a)
     }
 }
@@ -116,7 +115,7 @@ impl Encode for SetattrArgs {
     }
 }
 
-impl Decode for SetattrArgs {
+impl Decode<'_> for SetattrArgs {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let file = Fh3::decode(dec)?;
         let attrs = Sattr3::decode(dec)?;
@@ -146,7 +145,7 @@ impl Encode for CreateArgs {
     }
 }
 
-impl Decode for CreateArgs {
+impl Decode<'_> for CreateArgs {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let whereto = DirOpArgs3::decode(dec)?;
         let how = dec.get_u32()?;
@@ -173,23 +172,7 @@ pub struct SymlinkArgs {
     pub target: String,
 }
 
-impl Encode for SymlinkArgs {
-    fn encode(&self, enc: &mut Encoder) {
-        self.whereto.encode(enc);
-        self.attrs.encode(enc);
-        enc.put_string(&self.target);
-    }
-}
-
-impl Decode for SymlinkArgs {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(SymlinkArgs {
-            whereto: DirOpArgs3::decode(dec)?,
-            attrs: Sattr3::decode(dec)?,
-            target: dec.get_string()?,
-        })
-    }
-}
+xdr::record! { SymlinkArgs { whereto, attrs, target } }
 
 /// RENAME3 arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,21 +183,7 @@ pub struct RenameArgs {
     pub to: DirOpArgs3,
 }
 
-impl Encode for RenameArgs {
-    fn encode(&self, enc: &mut Encoder) {
-        self.from.encode(enc);
-        self.to.encode(enc);
-    }
-}
-
-impl Decode for RenameArgs {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(RenameArgs {
-            from: DirOpArgs3::decode(dec)?,
-            to: DirOpArgs3::decode(dec)?,
-        })
-    }
-}
+xdr::record! { RenameArgs { from, to } }
 
 /// READDIR3 arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,25 +198,7 @@ pub struct ReaddirArgs {
     pub count: u32,
 }
 
-impl Encode for ReaddirArgs {
-    fn encode(&self, enc: &mut Encoder) {
-        self.dir.encode(enc);
-        enc.put_u64(self.cookie);
-        enc.put_u64(self.cookieverf);
-        enc.put_u32(self.count);
-    }
-}
-
-impl Decode for ReaddirArgs {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(ReaddirArgs {
-            dir: Fh3::decode(dec)?,
-            cookie: dec.get_u64()?,
-            cookieverf: dec.get_u64()?,
-            count: dec.get_u32()?,
-        })
-    }
-}
+xdr::record! { ReaddirArgs { dir, cookie, cookieverf, count } }
 
 /// COMMIT3 arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -260,23 +211,7 @@ pub struct CommitArgs {
     pub count: u32,
 }
 
-impl Encode for CommitArgs {
-    fn encode(&self, enc: &mut Encoder) {
-        self.file.encode(enc);
-        enc.put_u64(self.offset);
-        enc.put_u32(self.count);
-    }
-}
-
-impl Decode for CommitArgs {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(CommitArgs {
-            file: Fh3::decode(dec)?,
-            offset: dec.get_u64()?,
-            count: dec.get_u32()?,
-        })
-    }
-}
+xdr::record! { CommitArgs { file, offset, count } }
 
 #[cfg(test)]
 mod tests {
@@ -322,7 +257,7 @@ mod tests {
                 stable: StableHow::Unstable,
                 data: &vec![1; len],
             });
-            WriteArgs::from_bytes(&wire).map(|_| ())
+            xdr::from_bytes::<WriteArgs>(&wire).map(|_| ())
         };
         assert!(write(MAX_FILE_SIZE - 8, 8, 8).is_ok());
         // Neither the declared count nor the payload may overhang.
@@ -341,7 +276,7 @@ mod tests {
             data: b"hello",
         };
         let wire = xdr::to_bytes(&a);
-        let back = WriteArgs::from_bytes(&wire).unwrap();
+        let back = xdr::from_bytes::<WriteArgs>(&wire).unwrap();
         assert_eq!(back, a);
         // The payload is a slice of the call, not a copy of it.
         assert!(wire.as_ptr_range().contains(&back.data.as_ptr()));

@@ -258,6 +258,7 @@ impl KernelClient {
                     share_slice(&res.data[..bs as usize])
                 } else {
                     let mut padded = res.data.to_vec();
+                    // lint:allow(bounded-decode): pads to the mount's own block size, not to a decoded length
                     padded.resize(bs as usize, 0);
                     share(padded)
                 };
@@ -314,14 +315,14 @@ impl KernelClient {
             .filter(|((f, _), blk)| blk.dirty.is_some() && only_file.is_none_or(|of| *f == of))
             .map(|(k, _)| *k)
             .collect();
-        let mut out = Vec::with_capacity(keys.len());
-        for k in keys {
-            if let Some(blk) = st.cache.get_mut(&k) {
-                if let Some(h) = blk.dirty.take() {
-                    out.push((h, k.1, Arc::clone(&blk.data)));
-                }
-            }
-        }
+        let mut out: Vec<_> = keys
+            .into_iter()
+            .filter_map(|k| {
+                let blk = st.cache.get_mut(&k)?;
+                let h = blk.dirty.take()?;
+                Some((h, k.1, Arc::clone(&blk.data)))
+            })
+            .collect();
         st.dirty_bytes = st.dirty_bytes.saturating_sub(out.len() as u64 * self.bs());
         out.sort_unstable_by_key(|(_, b, _)| *b);
         out
@@ -461,6 +462,7 @@ impl FileIo for KernelClient {
 
         // Scan the cache in block order: hits are taken by reference,
         // misses are fetched and join them.
+        // lint:allow(bounded-decode): the block span of the caller's own read, not of decoded bytes
         let mut blocks: Vec<(u64, SharedBytes)> = Vec::with_capacity((last - first + 1) as usize);
         let mut misses = Vec::new();
         {
@@ -564,6 +566,7 @@ impl FileIo for KernelClient {
                     let mut blk = match evicted_all.iter().rposition(|(k, _)| *k == key) {
                         Some(i) => evicted_all.remove(i).1,
                         None => Block {
+                            // lint:allow(bounded-decode): one block of the mount's own block size
                             data: Arc::new(vec![0u8; bs as usize]),
                             dirty: None,
                         },

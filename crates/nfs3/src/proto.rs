@@ -222,7 +222,7 @@ impl Encode for Fh3 {
     }
 }
 
-impl Decode for Fh3 {
+impl Decode<'_> for Fh3 {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let bytes = dec.get_opaque_var_ref()?;
         Handle::from_bytes(bytes)
@@ -270,7 +270,7 @@ impl Encode for Fattr3 {
     }
 }
 
-impl Decode for Fattr3 {
+impl Decode<'_> for Fattr3 {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let ftype = match dec.get_u32()? {
             1 => FileType::Regular,
@@ -323,7 +323,7 @@ impl Encode for PostOpAttr {
     }
 }
 
-impl Decode for PostOpAttr {
+impl Decode<'_> for PostOpAttr {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         if dec.get_bool()? {
             Ok(PostOpAttr(Some(Fattr3::decode(dec)?.0)))
@@ -345,7 +345,7 @@ impl Encode for WccData {
     }
 }
 
-impl Decode for WccData {
+impl Decode<'_> for WccData {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let has_pre = dec.get_bool()?;
         if has_pre {
@@ -390,7 +390,7 @@ impl Encode for Sattr3 {
     }
 }
 
-impl Decode for Sattr3 {
+impl Decode<'_> for Sattr3 {
     fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
         let mode = if dec.get_bool()? {
             Some(dec.get_u32()?)
@@ -429,21 +429,7 @@ pub struct DirOpArgs3 {
     pub name: String,
 }
 
-impl Encode for DirOpArgs3 {
-    fn encode(&self, enc: &mut Encoder) {
-        self.dir.encode(enc);
-        enc.put_string(&self.name);
-    }
-}
-
-impl Decode for DirOpArgs3 {
-    fn decode(dec: &mut Decoder<'_>) -> XdrResult<Self> {
-        Ok(DirOpArgs3 {
-            dir: Fh3::decode(dec)?,
-            name: dec.get_string()?,
-        })
-    }
-}
+xdr::record! { DirOpArgs3 { dir, name } }
 
 /// Write stability levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -249,7 +249,7 @@ impl Nfs3Server {
             let mut fs = self.fs.lock();
             for ranges in lost.into_values() {
                 for (h, offset, len) in ranges {
-                    let zeros = vec![0u8; len as usize];
+                    let zeros = vfs::Payload::zeros(len as usize);
                     let _ = fs.write(h, offset, &zeros, now_ns);
                 }
             }
@@ -430,7 +430,7 @@ impl Nfs3Server {
     }
 
     fn proc_write(&self, env: &Env, args: &[u8]) -> Result<Bytes, ProgramError> {
-        let a = WriteArgs::from_bytes(args).map_err(|_| ProgramError::GarbageArgs)?;
+        let a = xdr::from_bytes::<WriteArgs>(args).map_err(|_| ProgramError::GarbageArgs)?;
         let now = env.now().as_nanos();
         let res = self.fs.lock().write(a.file.0, a.offset, a.data, now);
         match res {

@@ -124,7 +124,7 @@ fn a_write_at_the_top_of_the_offset_space_does_not_decode() {
         stable: StableHow::Unstable,
         data: &[7u8; 32],
     });
-    assert!(WriteArgs::from_bytes(&wire).is_err());
+    assert!(xdr::from_bytes::<WriteArgs>(&wire).is_err());
     assert!(owned_write(&wire).is_none());
 }
 
@@ -168,7 +168,7 @@ proptest! {
             data: &payload,
         });
         let wire = spoil(wire, damage);
-        match (WriteArgs::from_bytes(&wire), owned_write(&wire)) {
+        match (xdr::from_bytes::<WriteArgs>(&wire), owned_write(&wire)) {
             (Ok(a), Some((file, offset, count, stable, data))) => {
                 prop_assert_eq!(a.file, file);
                 prop_assert_eq!((a.offset, a.count, a.stable), (offset, count, stable));

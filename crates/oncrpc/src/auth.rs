@@ -106,7 +106,7 @@ impl Encode for OpaqueAuth {
     }
 }
 
-impl Decode for OpaqueAuth {
+impl Decode<'_> for OpaqueAuth {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         let flavor = AuthFlavor::from_u32(dec.get_u32()?);
         let body = dec.get_opaque_var()?;
@@ -152,7 +152,7 @@ impl Encode for AuthSys {
     }
 }
 
-impl Decode for AuthSys {
+impl Decode<'_> for AuthSys {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         Ok(AuthSys {
             stamp: dec.get_u32()?,
@@ -177,23 +177,7 @@ pub struct AuthGvfs {
     pub expires_at: u64,
 }
 
-impl Encode for AuthGvfs {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.put_u64(self.session_id);
-        enc.put_string(&self.grid_user);
-        enc.put_u64(self.expires_at);
-    }
-}
-
-impl Decode for AuthGvfs {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
-        Ok(AuthGvfs {
-            session_id: dec.get_u64()?,
-            grid_user: dec.get_string()?,
-            expires_at: dec.get_u64()?,
-        })
-    }
-}
+xdr::record! { AuthGvfs { session_id, grid_user, expires_at } }
 
 #[cfg(test)]
 mod tests {

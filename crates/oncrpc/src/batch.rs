@@ -26,7 +26,7 @@
 //! success; non-zero marks that item failed on the server (the other
 //! items' results remain usable).
 
-use xdr::{bounded_alloc, Decoder, Encoder, Result};
+use xdr::{bounded_alloc, Decode, Decoder, Encode, Encoder, Result};
 
 /// Cap on sub-calls per envelope; a hostile count word must not cause a
 /// large allocation ([`bounded_alloc`] enforces it on decode).
@@ -56,6 +56,9 @@ pub struct BatchReplyItem {
     pub result: Vec<u8>,
 }
 
+xdr::record! { BatchItem { proc, args } }
+xdr::record! { BatchReplyItem { stat, result } }
+
 impl BatchReplyItem {
     /// Whether this item's sub-call succeeded.
     pub fn ok(&self) -> bool {
@@ -70,52 +73,40 @@ pub fn encode_batch(items: &[BatchItem]) -> Vec<u8> {
         "batch of {} exceeds MAX_BATCH_ITEMS",
         items.len()
     );
-    let mut enc = Encoder::new();
-    enc.put_u32(items.len() as u32);
-    for item in items {
-        enc.put_u32(item.proc);
-        enc.put_opaque_var(&item.args);
-    }
-    enc.into_bytes()
+    encode_envelope(items)
 }
 
 /// Decode a batch request envelope (server side).
 pub fn decode_batch(bytes: &[u8]) -> Result<Vec<BatchItem>> {
-    let mut dec = Decoder::new(bytes);
-    let count = dec.get_u32()? as usize;
-    let mut items = bounded_alloc(count, MAX_BATCH_ITEMS)?;
-    for _ in 0..count {
-        items.push(BatchItem {
-            proc: dec.get_u32()?,
-            args: dec.get_opaque_var()?,
-        });
-    }
-    dec.finish()?;
-    Ok(items)
+    decode_envelope(bytes)
 }
 
 /// Encode a batch reply envelope (the result bytes of the enclosing
 /// call).
 pub fn encode_batch_reply(items: &[BatchReplyItem]) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u32(items.len() as u32);
-    for item in items {
-        enc.put_u32(item.stat);
-        enc.put_opaque_var(&item.result);
-    }
-    enc.into_bytes()
+    encode_envelope(items)
 }
 
 /// Decode a batch reply envelope (client side).
 pub fn decode_batch_reply(bytes: &[u8]) -> Result<Vec<BatchReplyItem>> {
+    decode_envelope(bytes)
+}
+
+/// An envelope: a count word, then each item.
+fn encode_envelope<T: Encode>(items: &[T]) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    enc.put_array(items, |enc, item| item.encode(enc));
+    enc.into_bytes()
+}
+
+/// Decode a whole envelope, refusing a count over [`MAX_BATCH_ITEMS`]
+/// before allocating for it.
+fn decode_envelope<'a, T: Decode<'a>>(bytes: &'a [u8]) -> Result<Vec<T>> {
     let mut dec = Decoder::new(bytes);
     let count = dec.get_u32()? as usize;
     let mut items = bounded_alloc(count, MAX_BATCH_ITEMS)?;
     for _ in 0..count {
-        items.push(BatchReplyItem {
-            stat: dec.get_u32()?,
-            result: dec.get_opaque_var()?,
-        });
+        items.push(T::decode(&mut dec)?);
     }
     dec.finish()?;
     Ok(items)

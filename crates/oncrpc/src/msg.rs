@@ -290,7 +290,7 @@ impl RpcMessage {
     }
 }
 
-impl Decode for RpcMessage {
+impl Decode<'_> for RpcMessage {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         decode_inner(dec, &|s| Bytes::from(s))
     }

@@ -30,6 +30,9 @@ pub enum Error {
     NonZeroPadding,
     /// An enum/union discriminant had no matching arm.
     InvalidDiscriminant(u32),
+    /// A field decoded to a value its type does not allow, such as a
+    /// zero chunk size; names the field.
+    OutOfRange(&'static str),
     /// Input remained after a complete top-level decode.
     TrailingBytes {
         /// Number of unconsumed bytes.
@@ -54,6 +57,7 @@ impl fmt::Display for Error {
             Error::InvalidDiscriminant(d) => {
                 write!(f, "XDR union discriminant {d} has no matching arm")
             }
+            Error::OutOfRange(field) => write!(f, "XDR field `{field}` is out of range"),
             Error::TrailingBytes { remaining } => {
                 write!(f, "{remaining} bytes remain after a complete XDR decode")
             }

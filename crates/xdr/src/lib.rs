@@ -80,10 +80,54 @@ pub trait Encode {
     fn encode(&self, enc: &mut Encoder);
 }
 
-/// Types that deserialize from XDR.
-pub trait Decode: Sized {
+/// Types that deserialize from XDR. `'a` is the lifetime of the bytes
+/// being decoded: a type that borrows from its message (a payload decoded
+/// as a slice of it) implements `Decode<'a>` for its own `'a`; an owned
+/// type implements it for every `'a`.
+pub trait Decode<'a>: Sized {
     /// Parse a value of this type from the decoder.
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self>;
+    fn decode(dec: &mut Decoder<'a>) -> Result<Self>;
+}
+
+/// Implement [`Encode`] and [`Decode`] for a struct that is a plain
+/// sequence of XDR fields, encoded in the order listed with no checks
+/// between them. A struct with one lifetime (`Args<'a>`) decodes with
+/// its borrowed fields as slices of the message. Structs that validate
+/// what they decode write their impls by hand.
+///
+/// ```
+/// # #[derive(Debug, PartialEq)]
+/// struct Range { offset: u64, count: u32 }
+/// xdr::record! { Range { offset, count } }
+/// let r = Range { offset: 7, count: 9 };
+/// assert_eq!(xdr::from_bytes(&xdr::to_bytes(&r)), Ok(r));
+/// ```
+#[macro_export]
+macro_rules! record {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, enc: &mut $crate::Encoder) {
+                $($crate::Encode::encode(&self.$field, enc);)+
+            }
+        }
+        impl $crate::Decode<'_> for $ty {
+            fn decode(dec: &mut $crate::Decoder<'_>) -> $crate::Result<Self> {
+                Ok($ty { $($field: $crate::Decode::decode(dec)?,)+ })
+            }
+        }
+    };
+    ($ty:ident<$lt:lifetime> { $($field:ident),+ $(,)? }) => {
+        impl $crate::Encode for $ty<'_> {
+            fn encode(&self, enc: &mut $crate::Encoder) {
+                $($crate::Encode::encode(&self.$field, enc);)+
+            }
+        }
+        impl<$lt> $crate::Decode<$lt> for $ty<$lt> {
+            fn decode(dec: &mut $crate::Decoder<$lt>) -> $crate::Result<Self> {
+                Ok($ty { $($field: $crate::Decode::decode(dec)?,)+ })
+            }
+        }
+    };
 }
 
 impl Encode for u32 {
@@ -91,7 +135,7 @@ impl Encode for u32 {
         enc.put_u32(*self);
     }
 }
-impl Decode for u32 {
+impl Decode<'_> for u32 {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_u32()
     }
@@ -101,7 +145,7 @@ impl Encode for u64 {
         enc.put_u64(*self);
     }
 }
-impl Decode for u64 {
+impl Decode<'_> for u64 {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_u64()
     }
@@ -111,7 +155,7 @@ impl Encode for i32 {
         enc.put_i32(*self);
     }
 }
-impl Decode for i32 {
+impl Decode<'_> for i32 {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_i32()
     }
@@ -121,7 +165,7 @@ impl Encode for i64 {
         enc.put_i64(*self);
     }
 }
-impl Decode for i64 {
+impl Decode<'_> for i64 {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_i64()
     }
@@ -131,7 +175,7 @@ impl Encode for bool {
         enc.put_bool(*self);
     }
 }
-impl Decode for bool {
+impl Decode<'_> for bool {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_bool()
     }
@@ -141,7 +185,7 @@ impl Encode for String {
         enc.put_string(self);
     }
 }
-impl Decode for String {
+impl Decode<'_> for String {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_string()
     }
@@ -151,9 +195,20 @@ impl Encode for Vec<u8> {
         enc.put_opaque_var(self);
     }
 }
-impl Decode for Vec<u8> {
+impl Decode<'_> for Vec<u8> {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
         dec.get_opaque_var()
+    }
+}
+impl Encode for &[u8] {
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_opaque_var(self);
+    }
+}
+impl<'a> Decode<'a> for &'a [u8] {
+    // Borrowed: a slice of the message, not a copy.
+    fn decode(dec: &mut Decoder<'a>) -> Result<Self> {
+        dec.get_opaque_var_ref()
     }
 }
 
@@ -169,8 +224,8 @@ impl<T: Encode> Encode for Option<T> {
         }
     }
 }
-impl<T: Decode> Decode for Option<T> {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self> {
+impl<'a, T: Decode<'a>> Decode<'a> for Option<T> {
+    fn decode(dec: &mut Decoder<'a>) -> Result<Self> {
         if dec.get_bool()? {
             Ok(Some(T::decode(dec)?))
         } else {
@@ -188,7 +243,7 @@ pub fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
 
 /// Decode a value from a byte slice, requiring the slice to be fully
 /// consumed.
-pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
+pub fn from_bytes<'a, T: Decode<'a>>(bytes: &'a [u8]) -> Result<T> {
     let mut dec = Decoder::new(bytes);
     let v = T::decode(&mut dec)?;
     dec.finish()?;

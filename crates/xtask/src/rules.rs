@@ -56,18 +56,23 @@ pub struct Violation {
 /// switch and stack mappings.
 const UNSAFE_HOME: &str = "crates/simnet/src/engine.rs";
 
-/// Scope of the bounded-decode rule: modules that decode untrusted wire
-/// bytes into sized allocations.
+/// Scope of the bounded-decode rule: every module that decodes untrusted
+/// wire bytes into sized allocations — all of the XDR, ONC-RPC and NFS
+/// crates, and the four gvfs codec modules: the stream codec, the file
+/// channel (whose gossip and recipe counts come from sibling shards and
+/// the origin), meta-data files (which arrive as upstream READ replies,
+/// paper §3.2.2) and the digest.
 fn bounded_decode_scope(path: &str) -> bool {
-    path.starts_with("crates/xdr/src/")
-        || path == "crates/oncrpc/src/msg.rs"
-        || path == "crates/nfs3/src/proto.rs"
-        || path == "crates/gvfs/src/codec.rs"
-        // The channel's gossip codec decodes digest inventories pushed
-        // by *sibling shards* — still untrusted wire bytes.
-        || path == "crates/gvfs/src/channel.rs"
-        // Meta-data files arrive as upstream READ replies (paper §3.2.2).
-        || path == "crates/gvfs/src/meta.rs"
+    ["crates/xdr/src/", "crates/oncrpc/src/", "crates/nfs3/src/"]
+        .iter()
+        .any(|scope| path.starts_with(scope))
+        || matches!(
+            path,
+            "crates/gvfs/src/codec.rs"
+                | "crates/gvfs/src/channel.rs"
+                | "crates/gvfs/src/meta.rs"
+                | "crates/gvfs/src/digest.rs"
+        )
 }
 
 /// Scope of the exact-accounting rule: byte-accounting and counter
