@@ -40,7 +40,7 @@ use xdr::{Decode, Decoder, Encode, Encoder};
 use crate::cas::{Blob, ContentStore, DedupTel};
 use crate::codec::{self, CodecModel};
 use crate::digest::{digest, Digest};
-use crate::meta::ContentMap;
+use crate::meta::{scan_content_map, ContentMap};
 
 /// Cap on recipe records a client will decode from a reply (matches the
 /// meta parser's bound: 16 M records ≈ 16 TB at 1 MB chunks).
@@ -625,25 +625,15 @@ impl FileChannelServer {
                 Ok(s) => s,
                 Err(e) => return Ok(xdr::to_bytes(&ChanStatus::from_fs(e))),
             };
-            let now = env.now().as_nanos();
-            let nchunks = total.div_ceil(chunk_bytes as u64);
-            // `nchunks` is server-derived, but the client caps the
+            // The chunk count is server-derived, but the client caps the
             // records it will decode at the same bound, so refuse here
             // instead of encoding a reply the peer must reject.
-            let mut records = xdr::bounded_alloc(nchunks as usize, MAX_RECIPE_RECORDS)
-                .map_err(|_| ProgramError::GarbageArgs)?;
-            for c in 0..nchunks {
-                let off = c * chunk_bytes as u64;
-                let len = ((total - off).min(chunk_bytes as u64)) as usize;
-                match fs.read(h, off, len, now) {
-                    Ok((data, _)) => records.push((digest(&data.contiguous()), len as u32)),
-                    Err(e) => return Ok(xdr::to_bytes(&ChanStatus::from_fs(e))),
-                }
+            if total.div_ceil(chunk_bytes as u64) > MAX_RECIPE_RECORDS as u64 {
+                return Err(ProgramError::GarbageArgs);
             }
-            ContentMap {
-                chunk_bytes,
-                total,
-                records,
+            match scan_content_map(&mut fs, h, chunk_bytes, env.now().as_nanos()) {
+                Ok(recipe) => recipe,
+                Err(e) => return Ok(xdr::to_bytes(&ChanStatus::from_fs(e))),
             }
         };
         // Computing a recipe streams the whole file off the disk and

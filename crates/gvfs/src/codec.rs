@@ -22,7 +22,13 @@ use simnet::SimDuration;
 
 const MAGIC: &[u8; 4] = b"GZRL";
 /// Minimum run length worth encoding as a run record.
+///
+/// Any 15 consecutive bytes contain an 8-byte word aligned to the start
+/// of the input, so every run of `MIN_RUN` or more equal bytes covers an
+/// aligned word whose bytes are all equal: [`compress`] finds every run
+/// it must encode by testing aligned words only.
 const MIN_RUN: usize = 16;
+const _: () = assert!(MIN_RUN >= 15, "the aligned-word scan misses shorter runs");
 /// Largest length a single record can carry (its length field is a u32).
 /// Longer runs and literals are split across consecutive records; the
 /// previous `as u32` casts silently truncated them instead, corrupting
@@ -42,27 +48,46 @@ fn compress_with_record_cap(data: &[u8], cap: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 + data.len() / 8);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(data.len() as u64).to_be_bytes());
-    let mut i = 0;
     let mut lit_start = 0;
-    while i < data.len() {
-        // Measure the run starting at i.
-        let b = data[i];
-        let mut j = i + 1;
-        while j < data.len() && data[j] == b {
+    let mut w = 0;
+    while let Some(word) = word_at(data, w) {
+        // Every run of `MIN_RUN` or more covers a word of equal bytes.
+        if word != word.rotate_left(8) {
+            w += 8;
+            continue;
+        }
+        let b = word as u8;
+        // Widen it to the maximal run: back over at most the open
+        // literal, forward a word at a time, then byte by byte.
+        let mut i = w;
+        while i > lit_start && data[i - 1] == b {
+            i -= 1;
+        }
+        let mut j = w + 8;
+        while word_at(data, j) == Some(word) {
+            j += 8;
+        }
+        while data.get(j) == Some(&b) {
             j += 1;
         }
-        let run = j - i;
-        if run >= MIN_RUN {
+        if j - i >= MIN_RUN {
             flush_literal(&mut out, &data[lit_start..i], cap);
-            push_run(&mut out, b, run, cap);
-            i = j;
-            lit_start = i;
-        } else {
-            i = j;
+            push_run(&mut out, b, j - i, cap);
+            lit_start = j;
         }
+        // The word holding `j` has a byte other than `b` past the run,
+        // so the next candidate is the first word at or after `j`.
+        w = j.next_multiple_of(8);
     }
     flush_literal(&mut out, &data[lit_start..], cap);
     out
+}
+
+/// The little-endian word at `at`, when 8 bytes remain there.
+#[inline]
+fn word_at(data: &[u8], at: usize) -> Option<u64> {
+    let bytes = data.get(at..)?.first_chunk::<8>()?;
+    Some(u64::from_le_bytes(*bytes))
 }
 
 /// Emit a run of `run` copies of `b`, split into records of at most `cap`.
@@ -439,6 +464,93 @@ mod tests {
         assert_eq!(decompress(&c).unwrap(), data);
         // And the default cap produces the same bytes back too.
         assert_eq!(decompress(&compress(&data)).unwrap(), data);
+    }
+
+    /// The byte scan `compress` used before it scanned by word: measure
+    /// the maximal run at each position, emit the ones of `MIN_RUN` or
+    /// more.
+    fn byte_scan(data: &[u8], cap: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&(data.len() as u64).to_be_bytes());
+        let mut i = 0;
+        let mut lit_start = 0;
+        while i < data.len() {
+            let b = data[i];
+            let mut j = i + 1;
+            while j < data.len() && data[j] == b {
+                j += 1;
+            }
+            if j - i >= MIN_RUN {
+                flush_literal(&mut out, &data[lit_start..i], cap);
+                push_run(&mut out, b, j - i, cap);
+                lit_start = j;
+            }
+            i = j;
+        }
+        flush_literal(&mut out, &data[lit_start..], cap);
+        out
+    }
+
+    /// Runs of random bytes and lengths (many near `MIN_RUN`) between
+    /// random literals.
+    fn runs_and_literals(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut data = Vec::new();
+        while data.len() < len {
+            let r = next();
+            let n = match r % 4 {
+                0 => 1 + (r >> 8) % 40,
+                1 => 12 + (r >> 8) % 8,
+                _ => 1 + (r >> 8) % 12,
+            } as usize;
+            let b = [0u8, 0xFF, (r >> 40) as u8][(r >> 32) as usize % 3];
+            if r % 4 == 3 {
+                data.extend((0..n).map(|_| next() as u8));
+            } else {
+                data.extend(std::iter::repeat_n(b, n));
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    #[test]
+    fn word_scan_emits_what_the_byte_scan_emitted() {
+        for seed in 0..200u64 {
+            let data = runs_and_literals(seed, 1 + (seed as usize * 37) % 3000);
+            // Every start offset shifts which bytes share a word.
+            for off in 0..8.min(data.len()) {
+                let d = &data[off..];
+                assert_eq!(compress(d), byte_scan(d, MAX_RECORD), "seed {seed} +{off}");
+                let small = compress_with_record_cap(d, 7);
+                assert_eq!(small, byte_scan(d, 7), "seed {seed} +{off}, cap 7");
+            }
+        }
+    }
+
+    #[test]
+    fn runs_near_the_threshold_straddling_a_word_are_found_exactly() {
+        // A run of 14-17 bytes at every offset across a word boundary,
+        // between literal bytes that all differ from the run's byte.
+        for run in 14..=17 {
+            for start in 0..24 {
+                for b in [0u8, 0x5A] {
+                    let mut data: Vec<u8> = (0..start).map(|i| (i as u8) * 3 + 1).collect();
+                    data.extend(std::iter::repeat_n(b, run));
+                    data.extend((0..9u8).map(|i| i * 5 + 2));
+                    let want = byte_scan(&data, MAX_RECORD);
+                    assert_eq!(compress(&data), want, "run {run} at {start}");
+                    assert_eq!(decompress(&want).unwrap(), data);
+                }
+            }
+        }
     }
 
     #[test]

@@ -259,11 +259,11 @@ enum Synced {
     Unknown,
     /// Contents with this digest.
     Digest(Digest),
-    /// Exactly the recipe a reference entry was installed from, whose
-    /// contents nobody has had to digest yet. Only a reference with an
-    /// empty overlay is ever in this state: [`FileCache::write`]
-    /// resolves it before the first copy-on-write break.
-    Recipe,
+    /// Exactly the contents the entry was installed with, which nobody
+    /// has had to digest yet. Only an entry no write has touched is ever
+    /// in this state: [`FileCache::write`] resolves it before the first
+    /// byte lands.
+    Pristine,
 }
 
 struct CachedFile {
@@ -280,18 +280,26 @@ struct CachedFile {
 }
 
 impl CachedFile {
-    /// The synced digest, first digesting the pristine contents of a
-    /// reference whose digest was left unresolved at install (a
+    /// The synced digest, first digesting the pristine contents of an
+    /// entry whose digest was left unresolved at install (a
     /// non-persistent clone's memory state is never asked, and never
-    /// pays for assembling the file).
+    /// pays for digesting the file or assembling a reference).
     fn resolve_synced(&mut self) -> Result<Option<Digest>, BrokenPin> {
-        if let (Synced::Recipe, Backing::Reference(r)) = (&self.synced, &self.backing) {
-            debug_assert!(r.overlay.is_empty(), "unresolved digest after a break");
-            self.synced = Synced::Digest(digest(&r.assemble()?));
+        if let Synced::Pristine = self.synced {
+            let d = match &self.backing {
+                Backing::Full(sparse) => {
+                    digest(&sparse.read_range(0, self.size as usize).contiguous())
+                }
+                Backing::Reference(r) => {
+                    debug_assert!(r.overlay.is_empty(), "unresolved digest after a break");
+                    digest(&r.assemble()?)
+                }
+            };
+            self.synced = Synced::Digest(d);
         }
         Ok(match self.synced {
             Synced::Digest(d) => Some(d),
-            Synced::Unknown | Synced::Recipe => None,
+            Synced::Unknown | Synced::Pristine => None,
         })
     }
 
@@ -388,7 +396,9 @@ impl FileCache {
                     size,
                     dirty: false,
                     last_use: stamp,
-                    synced: Synced::Digest(digest(contents)),
+                    // The contents came *from* upstream; their digest is
+                    // resolved on demand.
+                    synced: Synced::Pristine,
                 },
             ) {
                 let old_bytes = old.disk_bytes();
@@ -442,7 +452,7 @@ impl FileCache {
                     last_use: stamp,
                     // The recipe came *from* upstream, so upstream holds
                     // exactly this; its digest is resolved on demand.
-                    synced: Synced::Recipe,
+                    synced: Synced::Pristine,
                 },
             ) {
                 let old_bytes = old.disk_bytes();
@@ -901,6 +911,24 @@ mod tests {
             assert_ne!(cc.synced_digest(key(1)).unwrap(), Some(digest(&contents)));
             cc.set_synced(key(1), digest(&contents));
             assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(digest(&contents)));
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn a_full_install_owes_its_digest_until_the_first_write() {
+        let sim = Simulation::new();
+        let c = cache(&sim.handle(), 1 << 20);
+        let cc = c.clone();
+        sim.spawn("t", move |env| {
+            // Sparse contents: a hole between two written ranges.
+            let mut a = vec![0u8; 200_000];
+            a[..5].copy_from_slice(b"state");
+            a[150_000..150_004].copy_from_slice(b"tail");
+            cc.install(&env, key(1), &a);
+            // Nobody asks for the digest before the write lands.
+            assert!(cc.write(&env, key(1), 0, b"STATE").unwrap());
+            assert_eq!(cc.synced_digest(key(1)).unwrap(), Some(digest(&a)));
         });
         sim.run();
     }

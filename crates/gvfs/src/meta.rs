@@ -21,7 +21,8 @@
 //! content-addressed store, and fetch only the missing payloads through
 //! the channel's `FETCH_BLOBS` procedure.
 
-use crate::digest::{digest, Digest};
+use crate::digest::{digest, digest4, Digest};
+use vfs::{Payload, PayloadRef, Piece};
 
 /// Special file-name prefix for meta-data files.
 pub const META_PREFIX: &str = ".gvfs_meta.";
@@ -311,22 +312,88 @@ pub fn generate_content_map(
     h: vfs::Handle,
     chunk_bytes: u32,
 ) -> vfs::FsResult<ContentMap> {
+    scan_content_map(fs, h, chunk_bytes, 0)
+}
+
+/// The content map of `h`, read at virtual instant `now` (the reads set
+/// the file's atime): the one scanner behind [`generate_content_map`]
+/// and the channel's `FETCH_RECIPE`. Full-length chunks are digested
+/// four at a time ([`digest4`]); a chunk that is a hole reuses the
+/// digest of the last hole of its length; a chunk read as one piece is
+/// digested in place, any other is gathered into one of four buffers the
+/// whole scan reuses.
+pub(crate) fn scan_content_map(
+    fs: &mut vfs::Fs,
+    h: vfs::Handle,
+    chunk_bytes: u32,
+    now: u64,
+) -> vfs::FsResult<ContentMap> {
     assert!(chunk_bytes > 0);
     let total = fs.size(h)?;
     let nchunks = total.div_ceil(chunk_bytes as u64);
     // lint:allow(bounded-decode): a local generator's recipe, sized from a file this process scanned, not from decoded bytes
     let mut records = Vec::with_capacity(nchunks as usize);
+    let mut bufs: [Vec<u8>; 4] = Default::default();
+    // Full chunks waiting for a lockstep group, with their record slots.
+    let mut group: Vec<(usize, Payload)> = Vec::with_capacity(4);
+    let mut last_hole: Option<(usize, Digest)> = None;
     for c in 0..nchunks {
         let off = c * chunk_bytes as u64;
         let len = ((total - off).min(chunk_bytes as u64)) as u32;
-        let (data, _) = fs.read(h, off, len as usize, 0)?;
-        records.push((digest(&data.contiguous()), len));
+        let (data, _) = fs.read(h, off, len as usize, now)?;
+        let d = if data.pieces().all(|p| matches!(p, Piece::Zeros(_))) {
+            match last_hole {
+                Some((n, d)) if n == data.len() => d,
+                _ => {
+                    let d = digest(gather(&data, &mut bufs[0]));
+                    last_hole = Some((data.len(), d));
+                    d
+                }
+            }
+        } else if data.len() == chunk_bytes as usize {
+            group.push((records.len(), data));
+            records.push((Digest(0, 0), len));
+            if let [(i0, p0), (i1, p1), (i2, p2), (i3, p3)] = group.as_slice() {
+                let [b0, b1, b2, b3] = &mut bufs;
+                let ds = digest4([
+                    gather(p0, b0),
+                    gather(p1, b1),
+                    gather(p2, b2),
+                    gather(p3, b3),
+                ]);
+                for (i, d) in [i0, i1, i2, i3].into_iter().zip(ds) {
+                    records[*i].0 = d;
+                }
+                group.clear();
+            }
+            continue;
+        } else {
+            digest(gather(&data, &mut bufs[0]))
+        };
+        records.push((d, len));
+    }
+    // Fewer than four full chunks left: one at a time.
+    for (i, data) in &group {
+        records[*i].0 = digest(gather(data, &mut bufs[0]));
     }
     Ok(ContentMap {
         chunk_bytes,
         total,
         records,
     })
+}
+
+/// The bytes of `data`: its one piece in place, or gathered into `buf`.
+fn gather<'a>(data: &'a Payload, buf: &'a mut Vec<u8>) -> &'a [u8] {
+    let mut pieces = data.pieces();
+    if let (Some(Piece::Bytes(b)), None) = (pieces.next(), pieces.next()) {
+        return b;
+    }
+    buf.clear();
+    // lint:allow(bounded-decode): one chunk of a file this process scans, reserved once per scan buffer
+    buf.reserve(data.len());
+    PayloadRef::from(data).extend_vec(0..data.len(), buf);
+    buf
 }
 
 #[cfg(test)]

@@ -125,20 +125,18 @@ fn page_payload(rng: &mut Prng, len: usize) -> Vec<u8> {
     while out.len() < len {
         let r = rng.next_u64();
         if r.is_multiple_of(4) {
-            let run = 32 + (r >> 8) % 224;
+            let run = (32 + (r >> 8) % 224) as usize;
             let b = (r >> 32) as u8;
-            for _ in 0..run.min((len - out.len()) as u64) {
-                out.push(b);
-            }
+            out.resize(out.len() + run.min(len - out.len()), b);
         } else {
             let n = (16 + (r >> 8) % 48).min((len - out.len()) as u64);
             let mut x = r;
-            for _ in 0..n {
+            out.extend((0..n).map(|_| {
                 x = x
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
-                out.push((x >> 56) as u8);
-            }
+                (x >> 56) as u8
+            }));
         }
     }
     out
@@ -321,6 +319,39 @@ mod tests {
             (a, b)
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn page_payload_matches_the_byte_at_a_time_generator() {
+        // The generator as it pushed one byte at a time: the bytes it
+        // makes are every image's contents, so they must not move.
+        fn one_at_a_time(rng: &mut Prng, len: usize) -> Vec<u8> {
+            let mut out = Vec::new();
+            while out.len() < len {
+                let r = rng.next_u64();
+                if r.is_multiple_of(4) {
+                    for _ in 0..(32 + (r >> 8) % 224).min((len - out.len()) as u64) {
+                        out.push((r >> 32) as u8);
+                    }
+                } else {
+                    let mut x = r;
+                    for _ in 0..(16 + (r >> 8) % 48).min((len - out.len()) as u64) {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        out.push((x >> 56) as u8);
+                    }
+                }
+            }
+            out
+        }
+        for seed in 0..16 {
+            for len in [0, 1, 31, 4096, 65536 + 7] {
+                let (mut a, mut b) = (Prng::new(seed), Prng::new(seed));
+                assert_eq!(page_payload(&mut a, len), one_at_a_time(&mut b, len));
+                assert_eq!(a.next_u64(), b.next_u64(), "seed {seed}, len {len}");
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub const RULE_CANONICAL_DIGEST: &str = "canonical-digest";
 pub const RULE_ALLOC_FREE_RECORD: &str = "allocation-free-record";
 pub const RULE_CAS_EVICTION: &str = "cas-eviction";
 pub const RULE_UNSAFE_CONFINED: &str = "unsafe-confined";
+pub const RULE_DECODE_RESULT: &str = "decode-result";
 pub const RULE_CYCLE: &str = "lock-order-cycle";
 pub const RULE_GUARD_SUSPEND: &str = "lock-guard-suspend";
 pub const RULE_DOUBLE_ACQUIRE: &str = "lock-double-acquire";
@@ -37,6 +38,7 @@ pub const ALL_RULES: &[&str] = &[
     RULE_ALLOC_FREE_RECORD,
     RULE_CAS_EVICTION,
     RULE_UNSAFE_CONFINED,
+    RULE_DECODE_RESULT,
     RULE_CYCLE,
     RULE_GUARD_SUSPEND,
     RULE_DOUBLE_ACQUIRE,
@@ -142,6 +144,7 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Violation> {
     rule_determinism(path, toks, &mask, &mut out);
     if bounded_decode_scope(path) {
         rule_bounded_decode(path, toks, &mask, &mut out);
+        rule_decode_result(path, toks, &mask, &mut out);
     }
     if exact_accounting_scope(path) {
         rule_exact_accounting(path, toks, &mask, &mut out);
@@ -1088,4 +1091,74 @@ fn has_safety_comment(comments: &[Comment], line: u32) -> bool {
             .trim_start()
             .starts_with("SAFETY:")
     })
+}
+
+// ---------------------------------------------------------------------------
+// Rule 10: decode-result
+// ---------------------------------------------------------------------------
+
+/// A decoder in the bounded-decode scope — a function named `decode*` or
+/// `from_bytes` — returns a `Result` whose error says why the bytes were
+/// refused; an `Option` drops the cause (truncated? over a limit? a bad
+/// tag?) before anyone can log or count it.
+fn rule_decode_result(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
+    for i in 0..toks.len() {
+        if mask[i] || !toks[i].is_ident("fn") {
+            continue;
+        }
+        let Some(name) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) else {
+            continue;
+        };
+        if !(name.text.starts_with("decode") || name.text == "from_bytes") {
+            continue;
+        }
+        if let Some(ret) = return_type_head(toks, i + 2).filter(|t| t.is_ident("Option")) {
+            out.push(Violation {
+                rule: RULE_DECODE_RESULT,
+                file: path.to_string(),
+                line: ret.line,
+                col: ret.col,
+                message: format!(
+                    "decoder `{}` returns `Option`; return a `Result` whose error says \
+                     why the bytes were refused",
+                    name.text
+                ),
+            });
+        }
+    }
+}
+
+/// The last path segment of the return type of the signature starting
+/// at `i` (after the name): `Option` for `-> std::option::Option<T>`.
+/// `None` when the function returns `()`. An arrow inside the parameters
+/// (`f: impl Fn(u8) -> u8`) is skipped whole.
+fn return_type_head(toks: &[Tok], mut i: usize) -> Option<&Tok> {
+    let mut depth = 0i32;
+    while let Some(t) = toks.get(i) {
+        let arrow = t.is_punct("-") && toks.get(i + 1).is_some_and(|t| t.is_punct(">"));
+        if arrow && depth == 0 {
+            let mut head = None;
+            for t in &toks[i + 2..] {
+                if t.kind == TokKind::Ident && t.text != "where" {
+                    head = Some(t);
+                } else if !(t.is_punct(":") || t.is_punct("&")) {
+                    break;
+                }
+            }
+            return head;
+        }
+        if arrow {
+            i += 2;
+            continue;
+        }
+        if t.is_punct("(") || t.is_punct("[") || t.is_punct("<") {
+            depth += 1;
+        } else if t.is_punct(")") || t.is_punct("]") || t.is_punct(">") {
+            depth -= 1;
+        } else if (t.is_punct("{") || t.is_punct(";")) && depth == 0 {
+            return None;
+        }
+        i += 1;
+    }
+    None
 }

@@ -2,12 +2,12 @@
 //! test code, which the lint exempts.
 pub fn dispatch(args: &[u8]) -> Result<Vec<u8>, u32> {
     let first = *args.first().ok_or(1u32)?;
-    let v = decode(args).ok_or(2u32)?;
+    let v = decode(args)?;
     Ok(vec![first, v as u8])
 }
 
-fn decode(args: &[u8]) -> Option<u32> {
-    args.get(1).map(|b| *b as u32)
+fn decode(args: &[u8]) -> Result<u32, u32> {
+    args.get(1).map(|b| *b as u32).ok_or(2)
 }
 
 #[cfg(test)]

@@ -44,6 +44,14 @@ fn cases() -> Vec<Case> {
             include_str!("fixtures/bounded-decode-range/good.rs"),
         ),
         (
+            // Every module in the bounded-decode scope answers refused
+            // bytes with a cause, never a bare `None`.
+            "decode-result",
+            "crates/nfs3/src/fixture.rs",
+            include_str!("fixtures/decode-result/bad.rs"),
+            include_str!("fixtures/decode-result/good.rs"),
+        ),
+        (
             "exact-accounting",
             "crates/gvfs/src/file_cache.rs",
             include_str!("fixtures/exact-accounting/bad.rs"),
