@@ -3,12 +3,12 @@
 //! Generalizes the zero-block map into "serve locally anything whose
 //! bytes the near side already has": every file-channel chunk a proxy
 //! fetches is indexed by its [`crate::digest`] digest, and the file
-//! channel's recipe path consults the index before asking the WAN for a
-//! payload — in either of its outcomes:
-//! [`crate::channel::ChannelClient::fetch_dedup`] copies resident
-//! chunks out to assemble the file,
-//! [`crate::channel::ChannelClient::fetch_recipe_pinned`] pins them in
-//! place for a reference file.
+//! channel's one recipe fetch,
+//! [`crate::channel::ChannelClient::fetch_recipe_pinned`], consults the
+//! index before asking the WAN for a payload and pins what it finds in
+//! place: for a reference file, or for
+//! [`crate::channel::PinnedRecipe::materialize`] to read the file back
+//! out through the pins.
 //!
 //! ## Cost model
 //!

@@ -27,7 +27,7 @@
 //! the proxies along the path all use them.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use nfs3::Fh3;
@@ -155,9 +155,9 @@ pub enum ChannelError {
     Decode(xdr::Error),
     /// A reply decoded but disagrees with what it must match.
     Mismatch(Mismatch),
-    /// A chunk the recipe needs is not in the local CAS after its
-    /// fetch: one larger than the whole CAS is not retained, so it
-    /// cannot anchor a reference file.
+    /// A chunk the recipe needs is not in the local CAS: one larger
+    /// than the whole CAS is not retained after its fetch, so it can be
+    /// neither pinned nor read back through a pin.
     NotRetained,
 }
 
@@ -413,16 +413,17 @@ impl WirePayload<'_> {
 /// peer's: decompress, then digest the contents (both charged to
 /// `codec`) and verify length and digest against what the recipe
 /// promised. Only a payload that passes becomes a [`Blob`] — this is the
-/// one place that makes one. Proxies call this before a reply may enter
-/// their content store; the CPU it charges is the price of guarding a
-/// shared store against a range-serving origin. Returns `(blob,
-/// contents, wire bytes)`.
+/// one place that makes one — and the contents are dropped here, so a
+/// verified chunk lives on in its wire form alone. Proxies call this
+/// before a reply may enter their content store; the CPU it charges is
+/// the price of guarding a shared store against a range-serving origin.
+/// Returns `(blob, wire bytes)`.
 pub(crate) fn read_blob_reply(
     env: &Env,
     codec: &CodecModel,
     res: &[u8],
     want: Digest,
-) -> BlobFetchResult<Vec<u8>> {
+) -> BlobFetchResult {
     let p: WirePayload = read_reply(res)?;
     let contents = p.unpack(env, codec)?;
     // Verify the content actually matches the recipe (a regenerated
@@ -432,7 +433,7 @@ pub(crate) fn read_blob_reply(
         return Err(ChannelError::Status(ChanStatus::BadStream));
     }
     let blob = Blob::verified(want, &contents, p.compressed.then(|| p.data.to_vec()));
-    Ok((blob, contents, p.data.len() as u64))
+    Ok((blob, p.data.len() as u64))
 }
 
 /// A `FETCH_BLOBS` reply carrying a chunk of logical length `len` as the
@@ -771,23 +772,11 @@ pub(crate) fn call(
     rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args)
 }
 
-/// Result of a materializing recipe fetch ([`ChannelClient::fetch_dedup`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DedupFetch {
-    /// The reassembled file contents (byte-identical to what
-    /// [`ChannelClient::fetch_chunked`] would have returned).
-    pub contents: Vec<u8>,
-    /// Compressed bytes that crossed the wire.
-    pub wire: u64,
-    /// Logical bytes of the chunks actually fetched (the rest came out
-    /// of the local CAS or rode a duplicate in-file digest).
-    pub fresh_bytes: u64,
-}
-
 /// Result of [`ChannelClient::fetch_recipe_pinned`]: every record of
 /// `recipe` is CAS-resident and holds one pin per record occurrence.
-/// Ownership of those pins passes to the caller (normally straight into
-/// [`crate::FileCache::install_reference`]).
+/// Ownership of those pins passes to the caller: straight into
+/// [`crate::FileCache::install_reference`], or back to the store through
+/// [`PinnedRecipe::materialize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PinnedRecipe {
     /// The recipe, fully resolved against the local CAS.
@@ -799,21 +788,40 @@ pub struct PinnedRecipe {
     pub fresh_bytes: u64,
 }
 
+impl PinnedRecipe {
+    /// The file's contents, read out of `cas` — the store the fetch
+    /// pinned its records in — through those pins, which are released
+    /// whether the read succeeds or fails. A read that finds a pinned
+    /// record gone is [`ChannelError::NotRetained`].
+    pub fn materialize(self, cas: &ContentStore) -> Result<Vec<u8>, ChannelError> {
+        let records = &self.recipe.records;
+        let read = xdr::bounded_alloc(self.recipe.total as usize, MAX_RECIPE_BYTES as usize)
+            .map_err(ChannelError::from)
+            .and_then(|out| {
+                records.iter().try_fold(out, |mut out, (d, _)| {
+                    let chunk = cas
+                        .get_pinned_range(d, 0, usize::MAX)
+                        .map_err(|_| ChannelError::NotRetained)?;
+                    out.extend_from_slice(&chunk);
+                    Ok(out)
+                })
+            });
+        for (d, _) in records {
+            cas.unpin(d);
+        }
+        let contents = read?;
+        if contents.len() as u64 != self.recipe.total {
+            return Err(Mismatch::RecipeSpan.into());
+        }
+        Ok(contents)
+    }
+}
+
 /// One blob's outcome inside a fetch: the verified chunk in its wire
-/// form, what the caller kept of its contents (`T`), and the wire bytes
-/// it cost — or that slot's failure.
-pub type BlobFetchResult<T> = Result<(Blob, T, u64), ChannelError>;
+/// form and the wire bytes it cost — or that slot's failure.
+type BlobFetchResult = Result<(Blob, u64), ChannelError>;
 
-/// What a fetch keeps of each verified blob's decompressed contents,
-/// applied inside the transfer worker the moment the blob is verified:
-/// everything ([`std::convert::identity`], to assemble a file) or
-/// nothing ([`drop`], when only the CAS entry is wanted — the worker then
-/// holds the compressed form alone while the rest of the window lands).
-pub type Keep<T> = fn(Vec<u8>) -> T;
-
-/// What a recipe-driven fetch resolves against and how its misses
-/// travel; shared by both outcomes ([`ChannelClient::fetch_dedup`]
-/// materializes, [`ChannelClient::fetch_recipe_pinned`] pins).
+/// What a recipe fetch resolves against and how its misses travel.
 pub struct RecipeFetch<'a> {
     /// The file's recipe when middleware meta carried a content map;
     /// `None` asks the server for one (`FETCH_RECIPE`).
@@ -838,51 +846,9 @@ pub struct RecipeFetch<'a> {
 /// recipe record.
 type Group = (u64, u32, Digest);
 
-/// How one recipe record is satisfied.
-enum Slot<L> {
-    /// Held locally (whatever the outcome keeps of it).
-    Local(L),
-    /// First occurrence of a missing digest: fetch group `.0`.
-    Fetch(usize),
-    /// Later occurrence of a digest already being fetched as group `.0`:
-    /// no extra wire bytes.
-    Dup(usize),
-}
-
-/// Plan each record of `recipe`: held locally (as `local` reports it),
-/// or member of a fetch group — one group per distinct missing digest,
-/// duplicates within the file ride the first fetch.
-fn plan_recipe<L>(
-    recipe: &ContentMap,
-    mut local: impl FnMut(&Digest, u32) -> Result<Option<L>, ChannelError>,
-) -> Result<(Vec<Slot<L>>, Vec<Group>), ChannelError> {
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of: BTreeMap<Digest, usize> = BTreeMap::new();
-    let mut plan = xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS)?;
-    let mut off = 0u64;
-    for (d, l) in &recipe.records {
-        plan.push(if let Some(&gi) = group_of.get(d) {
-            Slot::Dup(gi)
-        } else if let Some(held) = local(d, *l)? {
-            Slot::Local(held)
-        } else {
-            group_of.insert(*d, groups.len());
-            groups.push((off, *l, *d));
-            Slot::Fetch(groups.len() - 1)
-        });
-        off += *l as u64;
-    }
-    Ok((plan, groups))
-}
-
-/// Count one recipe record satisfied without a blob fetch.
-fn recipe_hit(dtel: &DedupTel, len: u32) {
-    dtel.recipe_hits.inc();
-    dtel.bytes_avoided.add(len as u64);
-}
-
 /// Take one pin on `d` if it is resident (`Ok(false)` if not), recording
-/// it in `pins` before anything can fail so the caller's unwind sees it.
+/// it in `pins` before anything can fail so the caller's unwind sees it,
+/// and count the record as satisfied without a blob fetch.
 fn pin_resident(
     rq: &RecipeFetch<'_>,
     pins: &mut Vec<Digest>,
@@ -896,7 +862,8 @@ fn pin_resident(
     if rq.cas.len_of(d) != Some(l) {
         return Err(Mismatch::CasLength.into());
     }
-    recipe_hit(rq.dtel, l);
+    rq.dtel.recipe_hits.inc();
+    rq.dtel.bytes_avoided.add(l as u64);
     Ok(true)
 }
 
@@ -990,32 +957,10 @@ impl ChannelClient {
         Ok((contents, wire))
     }
 
-    /// Fetch the per-chunk digest recipe of a file from the server. Used
-    /// when the middleware meta carries no content map; the server scans
-    /// and digests the file (disk + CPU time charged there).
-    pub fn fetch_recipe(
-        &self,
-        env: &Env,
-        h: Handle,
-        chunk_bytes: u32,
-    ) -> Result<ContentMap, ChannelError> {
-        let args = xdr::to_bytes(&RecipeArgs {
-            file: Fh3(h),
-            chunk_bytes,
-        });
-        read_reply(&self.call(env, chanproc::FETCH_RECIPE, &args)?)
-    }
-
     /// Fetch one recipe chunk's payload; the expected digest travels in
     /// the request (content-addressed proxy caching) and is verified
     /// against the decompressed bytes here.
-    fn fetch_blob<T>(
-        &self,
-        env: &Env,
-        h: Handle,
-        (offset, len, want): Group,
-        keep: Keep<T>,
-    ) -> BlobFetchResult<T> {
+    fn fetch_blob(&self, env: &Env, h: Handle, (offset, len, want): Group) -> BlobFetchResult {
         let args = xdr::to_bytes(&BlobArgs {
             file: Fh3(h),
             offset,
@@ -1023,23 +968,20 @@ impl ChannelClient {
             want,
         });
         let res = self.call(env, chanproc::FETCH_BLOBS, &args)?;
-        let (blob, contents, wire) = read_blob_reply(env, &self.codec, &res, want)?;
-        Ok((blob, keep(contents), wire))
+        read_blob_reply(env, &self.codec, &res, want)
     }
 
     /// Fetch several recipe chunks in one `FETCH_BLOBS_BATCH` envelope —
     /// one upstream round-trip for the whole slice. Each returned slot
     /// is what the equivalent single `FETCH_BLOBS` call would produce,
-    /// verified against its digest (`keep` runs on an item's contents
-    /// before the next item is decoded); a per-item server failure
-    /// surfaces as that slot's error without poisoning its neighbours.
-    pub fn fetch_blobs_batch<T>(
+    /// verified against its digest; a per-item server failure surfaces
+    /// as that slot's error without poisoning its neighbours.
+    fn fetch_blobs_batch(
         &self,
         env: &Env,
         h: Handle,
-        wants: &[(u64, u32, Digest)],
-        keep: Keep<T>,
-    ) -> Result<Vec<BlobFetchResult<T>>, ChannelError> {
+        wants: &[Group],
+    ) -> Result<Vec<BlobFetchResult>, ChannelError> {
         let items: Vec<oncrpc::BatchItem> = wants
             .iter()
             .map(|&(offset, len, want)| oncrpc::BatchItem {
@@ -1065,30 +1007,33 @@ impl ChannelClient {
                 if !r.ok() {
                     return Err(ChannelError::Status(ChanStatus::BadStream));
                 }
-                let (blob, contents, wire) = read_blob_reply(env, &self.codec, &r.result, want)?;
-                Ok((blob, keep(contents), wire))
+                read_blob_reply(env, &self.codec, &r.result, want)
             })
             .collect())
     }
 
     /// The recipe a fetch runs by: the caller's hint, or the server's
-    /// answer to `FETCH_RECIPE`; either way its records must span
+    /// answer to `FETCH_RECIPE` (it scans and digests the file, disk and
+    /// CPU time charged there); either way its records must span
     /// exactly the file total.
-    fn recipe_for<'a>(
+    fn recipe_for(
         &self,
         env: &Env,
         h: Handle,
-        rq: &RecipeFetch<'a>,
-    ) -> Result<Cow<'a, ContentMap>, ChannelError> {
+        rq: &RecipeFetch<'_>,
+    ) -> Result<ContentMap, ChannelError> {
         let recipe = match rq.recipe_hint {
-            Some(r) => Cow::Borrowed(r),
+            Some(r) => r.clone(),
             None => {
-                let cb = if rq.chunk_bytes == 0 {
-                    1 << 20
-                } else {
-                    rq.chunk_bytes
-                };
-                Cow::Owned(self.fetch_recipe(env, h, cb)?)
+                let args = xdr::to_bytes(&RecipeArgs {
+                    file: Fh3(h),
+                    chunk_bytes: if rq.chunk_bytes == 0 {
+                        1 << 20
+                    } else {
+                        rq.chunk_bytes
+                    },
+                });
+                read_reply(&self.call(env, chanproc::FETCH_RECIPE, &args)?)?
             }
         };
         let span: u64 = recipe.records.iter().map(|(_, l)| *l as u64).sum();
@@ -1102,15 +1047,15 @@ impl ChannelClient {
     /// `FETCH_BLOBS` per group, or with `rq.batch > 1` envelopes of
     /// `rq.batch` groups. One slot per group, in order; item-level
     /// failures surface in their slot, an envelope-level failure fails
-    /// the whole fetch.
-    fn fetch_groups<T: Send + 'static>(
+    /// the whole fetch. Each blob is held in its wire form alone from
+    /// the moment it is verified, while the rest of the window lands.
+    fn fetch_groups(
         &self,
         env: &Env,
         h: Handle,
         groups: &[Group],
         rq: &RecipeFetch<'_>,
-        keep: Keep<T>,
-    ) -> Result<Vec<BlobFetchResult<T>>, ChannelError> {
+    ) -> Result<Vec<BlobFetchResult>, ChannelError> {
         let me = self.clone();
         let window = rq.window.max(1);
         if rq.batch > 1 {
@@ -1121,7 +1066,7 @@ impl ChannelClient {
                 window,
                 envelopes,
                 rq.tel,
-                move |env, wants| Some(me.fetch_blobs_batch(env, h, &wants, keep)),
+                move |env, wants| Some(me.fetch_blobs_batch(env, h, &wants)),
             );
             let mut flat = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS)?;
             for round in rounds {
@@ -1135,7 +1080,7 @@ impl ChannelClient {
                 window,
                 groups.to_vec(),
                 rq.tel,
-                move |env, group| Some(me.fetch_blob(env, h, group, keep)),
+                move |env, group| Some(me.fetch_blob(env, h, group)),
             )
             .into_iter()
             .map(|slot| slot.unwrap_or(Err(Mismatch::WindowSlot.into())))
@@ -1143,73 +1088,21 @@ impl ChannelClient {
         }
     }
 
-    /// Fetch a whole file by recipe: serve every chunk whose digest the
-    /// local CAS already holds, fetch only the missing payloads (one per
-    /// *distinct* missing digest) and reassemble. `contents`/`wire`
-    /// match what [`ChannelClient::fetch_chunked`] would return;
-    /// `fresh_bytes` is the logical size of the chunks that actually
-    /// crossed the wire (what a dedup-aware cache install must charge to
-    /// disk). Any error leaves the caller free to fall back to the plain
-    /// chunked transfer.
-    pub fn fetch_dedup(
-        &self,
-        env: &Env,
-        h: Handle,
-        rq: &RecipeFetch<'_>,
-    ) -> Result<DedupFetch, ChannelError> {
-        let recipe = self.recipe_for(env, h, rq)?;
-        let (plan, groups) = plan_recipe(&recipe, |d, l| match rq.cas.get(d) {
-            Some(bytes) if bytes.len() != l as usize => Err(Mismatch::CasLength.into()),
-            held => Ok(held),
-        })?;
-        for (slot, (_, l)) in plan.iter().zip(&recipe.records) {
-            if !matches!(slot, Slot::Fetch(_)) {
-                recipe_hit(rq.dtel, *l);
-            }
-        }
-        let mut fetched: Vec<Vec<u8>> = xdr::bounded_alloc(groups.len(), MAX_RECIPE_RECORDS)?;
-        let mut wire = 0u64;
-        let mut fresh_bytes = 0u64;
-        for slot in self.fetch_groups(env, h, &groups, rq, std::convert::identity)? {
-            let (blob, data, w) = slot?;
-            rq.dtel.blob_fetches.inc();
-            wire += w;
-            fresh_bytes += data.len() as u64;
-            rq.cas.insert_blob(blob, false);
-            fetched.push(data);
-        }
-        let mut contents = xdr::bounded_alloc(recipe.total as usize, MAX_RECIPE_BYTES as usize)?;
-        for slot in &plan {
-            contents.extend_from_slice(match slot {
-                Slot::Local(bytes) => bytes,
-                Slot::Fetch(gi) | Slot::Dup(gi) => &fetched[*gi],
-            });
-        }
-        if contents.len() as u64 != recipe.total {
-            return Err(Mismatch::RecipeSpan.into());
-        }
-        Ok(DedupFetch {
-            contents,
-            wire,
-            fresh_bytes,
-        })
-    }
-
-    /// Resolve a whole file's recipe into the local CAS *without*
-    /// assembling the contents, taking one pin per record occurrence:
-    /// resident chunks are pinned in place, missing ones are fetched
-    /// (planned and transported exactly like
-    /// [`ChannelClient::fetch_dedup`]) and inserted pre-pinned. On
-    /// success the returned [`PinnedRecipe`] carries ownership of every
-    /// pin; on any error all pins taken so far are released, so the
-    /// caller can simply fall back to a materializing fetch.
+    /// Fetch a whole file by recipe into the local CAS, taking one pin
+    /// per record occurrence: every chunk whose digest the CAS already
+    /// holds is pinned in place, and only the missing payloads (one per
+    /// *distinct* missing digest) cross the wire and are inserted
+    /// pre-pinned. On success the returned [`PinnedRecipe`] carries
+    /// ownership of every pin; on any error all pins taken so far are
+    /// released, so the caller can simply fall back to
+    /// [`ChannelClient::fetch_chunked`].
     pub fn fetch_recipe_pinned(
         &self,
         env: &Env,
         h: Handle,
         rq: &RecipeFetch<'_>,
     ) -> Result<PinnedRecipe, ChannelError> {
-        let recipe = self.recipe_for(env, h, rq)?.into_owned();
+        let recipe = self.recipe_for(env, h, rq)?;
         // Pins taken so far, released in bulk if anything goes wrong.
         let mut pins: Vec<Digest> = xdr::bounded_alloc(recipe.records.len(), MAX_RECIPE_RECORDS)?;
         match self.pin_records(env, h, rq, &recipe, &mut pins) {
@@ -1239,28 +1132,37 @@ impl ChannelClient {
         pins: &mut Vec<Digest>,
     ) -> Result<(u64, u64), ChannelError> {
         let cas = rq.cas;
-        // First pass: pin what is resident; duplicate occurrences of a
-        // missing digest wait for the third pass.
-        let (plan, groups) = plan_recipe(recipe, |d, l| {
-            Ok(pin_resident(rq, pins, d, l)?.then_some(()))
-        })?;
+        // First pass: pin what is resident, and plan one fetch group per
+        // distinct missing digest. Later occurrences of a missing digest
+        // ride its group's fetch and wait for the third pass.
+        let mut groups: Vec<Group> = Vec::new();
+        let mut missing: BTreeSet<Digest> = BTreeSet::new();
+        let mut dups: Vec<(Digest, u32)> = Vec::new();
+        let mut off = 0u64;
+        for &(d, l) in &recipe.records {
+            if missing.contains(&d) {
+                dups.push((d, l));
+            } else if !pin_resident(rq, pins, &d, l)? {
+                missing.insert(d);
+                groups.push((off, l, d));
+            }
+            off += l as u64;
+        }
         // Second pass: fetch the misses and insert them pre-pinned.
         let mut wire = 0u64;
         let mut fresh_bytes = 0u64;
-        // Nothing here looks at contents, so each blob's are dropped the
-        // moment it is verified and the window waits in compressed form.
         for (slot, (_, _, d)) in self
-            .fetch_groups(env, h, &groups, rq, drop)?
+            .fetch_groups(env, h, &groups, rq)?
             .into_iter()
             .zip(&groups)
         {
-            let (blob, (), w) = slot?;
+            let (blob, w) = slot?;
             rq.dtel.blob_fetches.inc();
             wire += w;
             fresh_bytes += blob.len() as u64;
             cas.insert_blob(blob, true);
             // An oversized payload is not retained by the CAS and
-            // therefore cannot anchor a reference file.
+            // therefore cannot be pinned.
             if !cas.contains(d) {
                 return Err(ChannelError::NotRetained);
             }
@@ -1269,8 +1171,8 @@ impl ChannelClient {
         // Third pass: duplicate occurrences each take their own pin —
         // their digest is resident by now (pinned above), so this cannot
         // race an eviction.
-        for (slot, (d, l)) in plan.iter().zip(&recipe.records) {
-            if matches!(slot, Slot::Dup(_)) && !pin_resident(rq, pins, d, *l)? {
+        for (d, l) in dups {
+            if !pin_resident(rq, pins, &d, l)? {
                 return Err(ChannelError::NotRetained);
             }
         }
@@ -1491,6 +1393,17 @@ mod tests {
         );
     }
 
+    /// A recipe fetch materialized: pin, read through the pins, unpin.
+    fn fetch_whole(
+        chan: &ChannelClient,
+        env: &Env,
+        fh: Handle,
+        rq: &RecipeFetch<'_>,
+    ) -> Result<(Vec<u8>, PinnedRecipe), ChannelError> {
+        let pr = chan.fetch_recipe_pinned(env, fh, rq)?;
+        Ok((pr.clone().materialize(rq.cas)?, pr))
+    }
+
     #[test]
     fn dedup_fetch_reassembles_and_dedupes() {
         let sim = Simulation::new();
@@ -1507,29 +1420,47 @@ mod tests {
             let dtel = DedupTel::unregistered();
             // Cold CAS, meta-data recipe: the duplicate chunk rides its
             // twin's fetch; the bytes are the plain chunked fetch's.
-            let cold = chan
-                .fetch_dedup(&env, fh, &rq(Some(&recipe), 1 << 20, &cas, &dtel))
-                .unwrap();
+            let (cold, pr) =
+                fetch_whole(&chan, &env, fh, &rq(Some(&recipe), 1 << 20, &cas, &dtel)).unwrap();
             let (mono, _) = chan.fetch_chunked(&env, fh, 1 << 20, 4, None).unwrap();
-            assert_eq!(cold.contents, mono);
-            assert_eq!(cold.contents, data);
+            assert_eq!(cold, mono);
+            assert_eq!(cold, data);
+            assert_eq!(cas.pinned_bytes(), 0, "materializing releases every pin");
             assert_eq!(dtel.blob_fetches.get(), 4, "4 distinct MB chunks");
             assert_eq!(dtel.recipe_hits.get(), 1, "duplicate chunk served locally");
             assert_eq!(dtel.bytes_avoided.get(), 1 << 20);
-            assert!(cold.wire > 0);
-            assert_eq!(cold.fresh_bytes, 4 << 20, "4 distinct MB chunks fetched");
+            assert!(pr.wire > 0);
+            assert_eq!(pr.fresh_bytes, 4 << 20, "4 distinct MB chunks fetched");
             let wire_after_first = down.total_bytes();
             // Warm CAS, server's recipe: all local, only the recipe crosses.
-            let warm = chan
-                .fetch_dedup(&env, fh, &rq(None, 1 << 20, &cas, &dtel))
-                .unwrap();
-            assert_eq!(warm.contents, data);
-            assert_eq!(warm.wire, 0);
-            assert_eq!(warm.fresh_bytes, 0);
+            let (warm, pr) = fetch_whole(&chan, &env, fh, &rq(None, 1 << 20, &cas, &dtel)).unwrap();
+            assert_eq!(warm, data);
+            assert_eq!(pr.wire, 0);
+            assert_eq!(pr.fresh_bytes, 0);
             assert_eq!(dtel.blob_fetches.get(), 4);
             assert_eq!(dtel.recipe_hits.get(), 6);
             // Only the recipe reply crossed the link the second time.
             assert!(down.total_bytes() - wire_after_first < 4096);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn materialize_reports_a_broken_pin_and_releases_every_pin() {
+        let sim = Simulation::new();
+        let (fs, chan, _down) = rig(&sim, 100.0, true);
+        let data: Vec<u8> = (0..1 << 20u32).map(|i| (i % 241) as u8).collect();
+        let fh = put_file(&fs, "vm.vmss", &data, 0);
+        sim.spawn("client", move |env| {
+            let cas = ContentStore::new(1 << 30);
+            let dtel = DedupTel::unregistered();
+            let pr = chan
+                .fetch_recipe_pinned(&env, fh, &rq(None, 1 << 18, &cas, &dtel))
+                .unwrap();
+            assert_eq!(cas.pinned_bytes(), 1 << 20);
+            cas.corrupt_entry(&pr.recipe.records[1].0);
+            assert_eq!(pr.materialize(&cas), Err(ChannelError::NotRetained));
+            assert_eq!(cas.pinned_bytes(), 0);
         });
         sim.run();
     }
@@ -1546,10 +1477,11 @@ mod tests {
         sim.spawn("client", move |env| {
             let cas = ContentStore::new(1 << 30);
             let dtel = DedupTel::unregistered();
-            match chan.fetch_dedup(&env, fh, &rq(Some(&recipe), 1 << 18, &cas, &dtel)) {
+            match chan.fetch_recipe_pinned(&env, fh, &rq(Some(&recipe), 1 << 18, &cas, &dtel)) {
                 Err(ChannelError::Status(ChanStatus::BadStream)) => {}
                 other => panic!("expected BadStream on digest mismatch, got {other:?}"),
             }
+            assert_eq!(cas.pinned_bytes(), 0, "pins leaked");
         });
         sim.run();
     }

@@ -47,8 +47,8 @@ pub mod transfer;
 pub use block_cache::{BlockCache, BlockCacheConfig, BlockCacheStats, Tag, WritePolicy};
 pub use cas::{ContentStore, DedupTel, DedupTuning};
 pub use channel::{
-    ChannelClient, DedupFetch, FileChannelServer, GossipDigests, PinnedRecipe, RecipeFetch,
-    CHANNEL_PROGRAM, CHANNEL_V1, MAX_GOSSIP_DIGESTS,
+    ChannelClient, FileChannelServer, GossipDigests, PinnedRecipe, RecipeFetch, CHANNEL_PROGRAM,
+    CHANNEL_V1, MAX_GOSSIP_DIGESTS,
 };
 pub use codec::CodecModel;
 pub use digest::Digest;

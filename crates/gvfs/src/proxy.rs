@@ -1411,7 +1411,12 @@ impl Proxy {
     }
 
     /// The file channel's action list for `h`, ending in the install;
-    /// returns the compressed bytes that crossed the wire.
+    /// returns the compressed bytes that crossed the wire. With dedup on
+    /// the file travels by recipe, pinned into the CAS, and installs as
+    /// a reference with copy-on-write on (zero cache-disk install for
+    /// resident content) or else is read out through its pins and
+    /// installed in full. Any failure there falls back once, counted, to
+    /// the plain chunked transfer: correctness never depends on the CAS.
     fn fetch_and_install(
         &self,
         env: &Env,
@@ -1421,7 +1426,6 @@ impl Proxy {
         chan: &ChannelClient,
     ) -> Result<u64, channel::ChannelError> {
         let t = &self.cfg.transfer;
-        let mut deduped = None;
         if let Some(cas) = &self.cas {
             let rq = RecipeFetch {
                 recipe_hint: m.content_map.as_ref(),
@@ -1440,13 +1444,9 @@ impl Proxy {
                 dtel: &self.wb.dtel,
                 tel: Some(&self.wb.ttel),
             };
-            // Copy-on-write: resolve the recipe straight into the CAS
-            // (pinning every record) and install the file as a reference
-            // — zero cache-disk install for resident content, a warm
-            // clone's dominant saving. Any failure falls back to the
-            // materializing fetch; the helper released its pins.
-            if self.cfg.cow.enabled {
-                if let Ok(pr) = chan.fetch_recipe_pinned(env, h, &rq) {
+            let by_recipe = chan.fetch_recipe_pinned(env, h, &rq).and_then(|pr| {
+                let wire = pr.wire;
+                if self.cfg.cow.enabled {
                     fc.install_reference(
                         env,
                         h,
@@ -1456,27 +1456,24 @@ impl Proxy {
                         pr.fresh_bytes,
                     );
                     self.cow_installs.inc();
-                    return Ok(pr.wire);
+                } else {
+                    fc.install(env, h, &pr.materialize(cas)?);
                 }
-            }
-            // Recipe-driven fetch when dedup is on: chunks the CAS
-            // already holds never cross the WAN. Any dedup failure falls
-            // back to the plain chunked transfer (correctness never
-            // depends on the CAS).
-            match chan.fetch_dedup(env, h, &rq) {
-                Ok(df) => deduped = Some((df.contents, df.wire)),
-                Err(_) => self.tel.recovered_errors.inc(),
+                Ok(wire)
+            });
+            let Err(e) = by_recipe else { return by_recipe };
+            self.tel.recovered_errors.inc();
+            let tr = &self.tel.registry;
+            if tr.trace_enabled() {
+                tr.trace(
+                    TraceEvent::new(env.now(), "gvfs", "channel_fallback")
+                        .label("proxy", self.tel.inst.clone())
+                        .label("error", format!("{e:?}")),
+                );
             }
         }
-        let (contents, wire) = match deduped {
-            Some(fetched) => fetched,
-            None => {
-                chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.wb.ttel))?
-            }
-        };
-        // Dedup saves WAN transfer and origin work; the assembled file
-        // is written to the local cache disk in full either way (a CAS
-        // hit is host memory, not cache-disk residency).
+        let (contents, wire) =
+            chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.wb.ttel))?;
         fc.install(env, h, &contents);
         Ok(wire)
     }

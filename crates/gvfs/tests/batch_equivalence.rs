@@ -85,7 +85,7 @@ impl FaultPlan {
 
 /// One fetch run: an origin channel server behind a faulted WAN, an
 /// optional shard proxy (dedup + the given fleet tuning) in between, and
-/// a single client doing `fetch_dedup` with the given envelope
+/// a single client doing a materialized recipe fetch with the given envelope
 /// size. Returns the reassembled contents and, when a shard was present,
 /// its `(envelopes, sub-calls)` batch counters.
 fn run_fetch(
@@ -146,8 +146,8 @@ fn run_fetch(
     sim.spawn("cloner", move |env: Env| {
         let cas = ContentStore::new(1 << 30);
         let dtel = DedupTel::unregistered();
-        let df = chan
-            .fetch_dedup(
+        let pr = chan
+            .fetch_recipe_pinned(
                 &env,
                 fh,
                 &RecipeFetch {
@@ -161,7 +161,7 @@ fn run_fetch(
                 },
             )
             .unwrap();
-        *got2.lock() = Some(df.contents);
+        *got2.lock() = Some(pr.materialize(&cas).unwrap());
     });
     sim.run();
     let batch_stats = shard_proxy.map(|p| p.fleet_batch_stats()).unwrap_or((0, 0));

@@ -6,27 +6,34 @@
 //! * an `UPLOAD_CHUNK` that overhangs the file's final size is refused
 //!   before the filesystem is touched, so a valid chunk set ends at
 //!   exactly `total` whatever order it lands in;
-//! * both recipe outcomes (materialize, pin) report the error that
-//!   actually happened, and the pinning one releases every pin it took;
+//! * both outcomes of the recipe fetch (keep the pins, materialize
+//!   through them) report the error that actually happened, and a
+//!   failed fetch or a materialize releases every pin it took;
 //! * a `FETCH_BLOBS` reply whose payload is not the recipe's chunk never
 //!   becomes a `cas::Blob`: nothing reaches the CAS but by passing the
-//!   digest check.
+//!   digest check;
+//! * a proxy whose recipe fetch fails falls back to the chunked transfer
+//!   once, without trying the recipe again.
 
 // Test-harness code: clippy's allow-unwrap-in-tests only covers
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gvfs::channel::{chanproc, ChanStatus, ChannelError};
 use gvfs::meta::{generate_content_map, ContentMap};
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, DedupTel, Digest, FleetTuning, ImageServer, Listen,
-    ProxyConfig, RecipeFetch, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, Digest, FileChannelServer,
+    FileChannelSpec, FleetTuning, ImageServer, Listen, Middleware, ProxyConfig, RecipeFetch, Tier,
+    TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
+use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
+use oncrpc::transport::RpcHandler;
 use oncrpc::{
     AuthSys, BatchItem, BatchReplyItem, Dispatcher, OpaqueAuth, ProgramError, RetryPolicy,
-    RpcChannel, RpcClient, RpcError, RpcProgram, WireSpec, BATCH_OK,
+    RpcChannel, RpcClient, RpcError, RpcMessage, RpcProgram, WireSpec, BATCH_OK,
 };
 use parking_lot::Mutex;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, Simulation};
@@ -242,32 +249,44 @@ fn any_arrival_order_of_a_valid_chunk_set_ends_at_total() {
     sim.run();
 }
 
-/// Run both recipe outcomes against `cas` (chunk 0 of the image already
-/// resident, so the pinning outcome takes a pin before anything fails)
-/// and hand back what each reported plus the pinned bytes left behind.
+/// Run both recipe outcomes, one store each: a fetch into `cas[0]` whose
+/// pins are kept, and a fetch into `cas[1]` materialized through its
+/// pins (a store that already holds chunk 0 makes each fetch take a pin
+/// before anything fails). Hands back what each reported (the second
+/// with the bytes it read) and the pinned bytes each store is left with.
 fn resolve_both(
     env: &Env,
     chan: &ChannelClient,
     fh: Handle,
     recipe: &ContentMap,
     batch: usize,
-    cas: &ContentStore,
-) -> (Result<(), ChannelError>, Result<(), ChannelError>, u64) {
+    cas: &[ContentStore; 2],
+) -> Outcomes {
     let dtel = DedupTel::unregistered();
-    let rq = RecipeFetch {
-        recipe_hint: Some(recipe),
-        chunk_bytes: CHUNK,
-        window: 2,
-        batch,
-        cas,
-        dtel: &dtel,
-        tel: None,
+    let fetch = |cas| {
+        let rq = RecipeFetch {
+            recipe_hint: Some(recipe),
+            chunk_bytes: CHUNK,
+            window: 2,
+            batch,
+            cas,
+            dtel: &dtel,
+            tel: None,
+        };
+        chan.fetch_recipe_pinned(env, fh, &rq)
     };
-    let pinned = chan.fetch_recipe_pinned(env, fh, &rq).map(|_| ());
-    let left = cas.pinned_bytes();
-    let materialized = chan.fetch_dedup(env, fh, &rq).map(|_| ());
+    let pinned = fetch(&cas[0]).map(|_| ());
+    let materialized = fetch(&cas[1]).and_then(|pr| pr.materialize(&cas[1]));
+    let left = (cas[0].pinned_bytes(), cas[1].pinned_bytes());
     (pinned, materialized, left)
 }
+
+/// What [`resolve_both`] reports.
+type Outcomes = (
+    Result<(), ChannelError>,
+    Result<Vec<u8>, ChannelError>,
+    (u64, u64),
+);
 
 #[test]
 fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
@@ -293,6 +312,7 @@ fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
             cas.insert(&data[..CHUNK as usize]);
             cas
         };
+        let warm = || [warm(), warm()];
         let bad_stream = Err(ChannelError::Status(ChanStatus::BadStream));
         let stale_handle = Err(ChannelError::Status(ChanStatus::Stale));
         let gone = Handle {
@@ -305,29 +325,28 @@ fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
         let mut stale = recipe.clone();
         stale.records[2].0 = Digest(1, 2);
         for batch in [1, 4] {
-            let cas = warm();
-            let (pinned, materialized, left) = resolve_both(&env, &chan, fh, &stale, batch, &cas);
+            let (pinned, materialized, left) =
+                resolve_both(&env, &chan, fh, &stale, batch, &warm());
             assert_eq!(pinned, bad_stream, "batch {batch}");
-            assert_eq!(materialized, bad_stream, "batch {batch}");
-            assert_eq!(left, 0, "batch {batch}: pins leaked");
+            assert_eq!(materialized.map(drop), bad_stream, "batch {batch}");
+            assert_eq!(left, (0, 0), "batch {batch}: pins leaked");
         }
 
         // Item failure: every blob of a vanished file answers Stale in
         // its own slot of an otherwise healthy envelope.
-        let cas = warm();
-        let (pinned, materialized, left) = resolve_both(&env, &chan, gone, &recipe, 4, &cas);
+        let (pinned, materialized, left) = resolve_both(&env, &chan, gone, &recipe, 4, &warm());
         assert_eq!(pinned, stale_handle);
-        assert_eq!(materialized, stale_handle);
-        assert_eq!(left, 0, "pins leaked");
+        assert_eq!(materialized.map(drop), stale_handle);
+        assert_eq!(left, (0, 0), "pins leaked");
 
         // Oversized blob: a CAS smaller than one chunk retains nothing,
-        // so nothing can be pinned — but materializing needs no
-        // residency and succeeds.
-        let tiny = ContentStore::new(CHUNK as u64 / 2);
+        // so nothing can be pinned, and a materialized fetch, which
+        // reads through pins, cannot succeed either.
+        let tiny = [0, 1].map(|_| ContentStore::new(CHUNK as u64 / 2));
         let (pinned, materialized, left) = resolve_both(&env, &chan, fh, &recipe, 4, &tiny);
         assert_eq!(pinned, Err(ChannelError::NotRetained));
-        assert_eq!(materialized, Ok(()));
-        assert_eq!(left, 0, "pins leaked");
+        assert_eq!(materialized, Err(ChannelError::NotRetained));
+        assert_eq!(left, (0, 0), "pins leaked");
 
         // Envelope RPC failure: the WAN goes dark for longer than the
         // client is willing to retransmit.
@@ -337,11 +356,10 @@ fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
         up.install_faults(dark(1));
         down.install_faults(dark(3));
         let timed_out = Err(ChannelError::Rpc(RpcError::TimedOut));
-        let cas = warm();
-        let (pinned, materialized, left) = resolve_both(&env, &impatient, fh, &recipe, 4, &cas);
+        let (pinned, materialized, left) = resolve_both(&env, &impatient, fh, &recipe, 4, &warm());
         assert_eq!(pinned, timed_out);
-        assert_eq!(materialized, timed_out);
-        assert_eq!(left, 0, "pins leaked");
+        assert_eq!(materialized.map(drop), timed_out);
+        assert_eq!(left, (0, 0), "pins leaked");
     });
     sim.run();
 }
@@ -446,21 +464,153 @@ fn a_blob_reply_that_fails_verification_never_reaches_the_cas() {
                 generation: 1,
             };
             for batch in [1, 4] {
-                let cas = ContentStore::new(1 << 20);
+                let cas = [0, 1].map(|_| ContentStore::new(1 << 20));
                 let (pinned, materialized, left) =
                     resolve_both(&env, &chan, fh, &recipe, batch, &cas);
                 if honest {
-                    assert_eq!((pinned, materialized), (Ok(()), Ok(())), "{what}");
-                    assert_eq!(cas.get(&recipe.records[0].0).unwrap(), chunk, "{what}");
-                    assert_eq!(left, CHUNK as u64, "{what}");
+                    assert_eq!(pinned, Ok(()), "{what}");
+                    assert_eq!(materialized.as_ref(), Ok(&chunk), "{what}");
+                    for cas in &cas {
+                        assert_eq!(cas.get(&recipe.records[0].0).unwrap(), chunk, "{what}");
+                    }
+                    assert_eq!(left, (CHUNK as u64, 0), "{what}");
                 } else {
                     let bad_stream = Err(ChannelError::Status(ChanStatus::BadStream));
                     assert_eq!(pinned, bad_stream, "{what}, batch {batch}");
-                    assert_eq!(materialized, bad_stream, "{what}, batch {batch}");
-                    assert_eq!((cas.entries(), left), (0, 0), "{what}: reached the CAS");
+                    assert_eq!(materialized.map(drop), bad_stream, "{what}, batch {batch}");
+                    let entries = cas.each_ref().map(|c| c.entries());
+                    assert_eq!((entries, left), ([0, 0], (0, 0)), "{what}: reached the CAS");
                 }
             }
         });
         sim.run();
     }
+}
+
+/// Counts the blobs asked of `inner`: one per `FETCH_BLOBS` call and one
+/// per item of a `FETCH_BLOBS_BATCH` envelope.
+struct CountBlobs {
+    inner: Arc<dyn RpcHandler>,
+    blobs: Arc<AtomicU64>,
+}
+
+impl RpcHandler for CountBlobs {
+    fn handle(&self, env: &Env, request: &xdr::Bytes) -> xdr::Bytes {
+        if let Ok(RpcMessage::Call { header, args }) = RpcMessage::decode_shared(request) {
+            let asked = match (header.prog, header.proc) {
+                (CHANNEL_PROGRAM, chanproc::FETCH_BLOBS) => 1,
+                (CHANNEL_PROGRAM, chanproc::FETCH_BLOBS_BATCH) => {
+                    oncrpc::batch::decode_batch(&args).map_or(0, |items| items.len() as u64)
+                }
+                _ => 0,
+            };
+            self.blobs.fetch_add(asked, Ordering::Relaxed);
+        }
+        self.inner.handle(env, request)
+    }
+}
+
+/// A copy-on-write proxy whose content-map hint went stale (the origin's
+/// file changed after its meta-data was made) tries the recipe once:
+/// every blob is asked for in one attempt, the failure is counted and
+/// traced once, and the guest reads the origin's bytes through the one
+/// chunked fallback.
+#[test]
+fn a_failed_recipe_fetch_is_tried_once() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    h.telemetry().set_trace(true);
+    let disk = Disk::new(&h, DiskModel::server_array());
+    let (fs, server) = Nfs3Server::with_new_fs(&h, disk.clone(), ServerConfig::default());
+    let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
+    let chan = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
+    let nfsd = Dispatcher::new()
+        .register(server)
+        .register(mount)
+        .register(chan)
+        .into_handler();
+    let blobs = Arc::new(AtomicU64::new(0));
+    let up = Link::from_mbps(&h, "wan-up", 100.0, SimDuration::from_millis(5));
+    let down = Link::from_mbps(&h, "wan-down", 100.0, SimDuration::from_millis(5));
+    let wan = oncrpc::endpoint(&h, up, down, WireSpec::plain());
+    let counted = CountBlobs {
+        inner: nfsd,
+        blobs: blobs.clone(),
+    };
+    wan.listener.serve("nfsd", Arc::new(counted), 8);
+
+    // Five distinct records; then record 2 changes under the meta-data.
+    let data = image(4);
+    let fh = put_file(&fs, "golden.vmss", &data);
+    let spec = FileChannelSpec {
+        compress: true,
+        writeback: false,
+    };
+    let meta = Middleware::generate_meta_chunked(
+        &mut fs.lock(),
+        "",
+        "golden.vmss",
+        CHUNK,
+        CHUNK,
+        false,
+        Some(spec),
+    )
+    .unwrap();
+    assert_eq!(meta.content_map.unwrap().records.len(), 5);
+    let mut now = data;
+    now[2 * CHUNK as usize] ^= 0xFF;
+    fs.lock().write(fh, 0, &now, 0).unwrap();
+
+    let tier = Tier::start(
+        ProxyConfig {
+            name: "cow-proxy".into(),
+            transfer: TransferTuning {
+                chunk_bytes: CHUNK,
+                read_ahead: 0,
+                ..TransferTuning::default()
+            },
+            cow: CowTuning::on(),
+            ..ProxyConfig::default()
+        },
+        None,
+        Some(64 << 20),
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(wan.channel, cred()),
+        Listen::loopback(&h),
+    );
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred()));
+    let want = now.clone();
+    sim.spawn("guest", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        let (f, _) = nfs.lookup(&env, root, "golden.vmss").unwrap();
+        let mut got = Vec::new();
+        while got.len() < want.len() {
+            let r = nfs.read(&env, f, got.len() as u64, CHUNK).unwrap();
+            got.extend_from_slice(&r.data);
+        }
+        assert_eq!(got, want, "the guest must read the origin's bytes");
+    });
+    sim.run();
+
+    assert_eq!(
+        blobs.load(Ordering::Relaxed),
+        5,
+        "the recipe was tried again"
+    );
+    let snap = h.telemetry().snapshot();
+    assert_eq!(snap.counter_sum("gvfs", ".recovered_errors"), 1);
+    assert_eq!(snap.counter_sum("gvfs", ".cow.ref_installs"), 0);
+    let fallbacks: Vec<_> = snap
+        .events
+        .iter()
+        .filter(|e| e.kind == "channel_fallback")
+        .collect();
+    assert_eq!(fallbacks.len(), 1);
+    assert!(
+        fallbacks[0]
+            .labels
+            .contains(&("error", "Status(BadStream)".to_string())),
+        "{:?}",
+        fallbacks[0].labels
+    );
 }

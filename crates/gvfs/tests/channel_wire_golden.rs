@@ -4,18 +4,22 @@
 //! and in front of two sibling shard proxies; a fixed scenario drives
 //! every live channel procedure (3–9: chunk, upload-chunk, recipe, blob,
 //! batch envelope, gossip, peer blob) through the public client entry
-//! points and, for the error replies, through raw calls. Every call the
-//! taps see is rendered as `hop proc args -> reply` and compared with
-//! `tests/golden/channel_wire.txt`, which was recorded from the code as
-//! it stood *before* the channel was folded onto one wire codec — so the
-//! args each client emits and the reply bytes each server returns are
-//! pinned from outside the module that now encodes them. (The recording
-//! ran this very scenario; only the client calls whose signatures have
-//! changed since were spelled the old way: the whole-file upload was
-//! `upload_chunked`, which has since become `upload_ranges` over
-//! `chunk_ranges`; both uploads still took their always-`true` compress
-//! flag; and `fetch_dedup` was `fetch_dedup_batched` with positional
-//! arguments.)
+//! points, and the rest — the served `FETCH_RECIPE`, the client's
+//! `FETCH_BLOBS_BATCH` envelope and every error reply — through raw
+//! calls. Every call the taps see is rendered as `hop proc args ->
+//! reply` and compared with `tests/golden/channel_wire.txt`, which was
+//! recorded from the code as it stood *before* the channel was folded
+//! onto one wire codec — so the args each client emits and the reply
+//! bytes each server returns are pinned from outside the module that now
+//! encodes them. (The recording ran this very scenario; only the calls
+//! whose spelling has changed since went the old way: the whole-file
+//! upload was `upload_chunked`, which has since become `upload_ranges`
+//! over `chunk_ranges`; both uploads still took their always-`true`
+//! compress flag; the blob fetch was `fetch_dedup_batched` with
+//! positional arguments, and is now `fetch_recipe_pinned` materialized
+//! through its pins; and the served recipe and the client's envelope
+//! were `ChannelClient::{fetch_recipe, fetch_blobs_batch}`, now private,
+//! whose argument bytes the raw calls repeat.)
 //! Regenerate (only when the wire format intentionally changes) with:
 //!
 //! ```text
@@ -28,8 +32,9 @@
 
 use std::sync::Arc;
 
-use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch};
+use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch, Reply};
 use gvfs::digest::{digest, Digest};
+use gvfs::meta::ContentMap;
 use gvfs::{
     ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, FleetTuning,
     GossipDigests, Proxy, ProxyConfig, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
@@ -131,9 +136,10 @@ fn blob_args(h: Handle, offset: u64, len: u32, d: Digest) -> Vec<u8> {
     })
 }
 
-/// A raw channel call whose outcome only the tap cares about.
-fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) {
-    let _ = rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args);
+/// A raw channel call. Most callers leave its outcome to the tap; those
+/// that read it get the result bytes of a served call.
+fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) -> Option<xdr::Bytes> {
+    rpc.call(env, CHANNEL_PROGRAM, CHANNEL_V1, proc, args).ok()
 }
 
 /// A cacheless proxy (nothing on its disk) over `upstream`, for the
@@ -269,9 +275,18 @@ fn render_fixture() -> String {
 
         // 5 FETCH_RECIPE: served, stale, and the zero chunk size the
         // origin refuses as garbage.
-        let recipe = chan.fetch_recipe(&env, fh, CHUNK).unwrap();
-        assert_eq!(recipe.total, data.len() as u64);
         let recipe_args = |h: Handle, cb: u32| fh_args(h, |enc| enc.put_u32(cb));
+        let served = raw(
+            &env,
+            &origin_rpc,
+            chanproc::FETCH_RECIPE,
+            &recipe_args(fh, CHUNK),
+        );
+        let recipe = xdr::from_bytes::<Reply<ContentMap>>(&served.unwrap())
+            .unwrap()
+            .0
+            .unwrap();
+        assert_eq!(recipe.total, data.len() as u64);
         raw(
             &env,
             &origin_rpc,
@@ -289,8 +304,8 @@ fn render_fixture() -> String {
         // an uncompressed reply, a stale handle.
         let cas = ContentStore::new(1 << 30);
         let dtel = DedupTel::unregistered();
-        let df = chan
-            .fetch_dedup(
+        let pr = chan
+            .fetch_recipe_pinned(
                 &env,
                 fh,
                 &RecipeFetch {
@@ -304,7 +319,7 @@ fn render_fixture() -> String {
                 },
             )
             .unwrap();
-        assert_eq!(df.contents, data);
+        assert_eq!(pr.materialize(&cas).unwrap(), data);
         let d0 = recipe.records[0].0;
         raw(
             &env,
@@ -321,10 +336,14 @@ fn render_fixture() -> String {
 
         // 7 FETCH_BLOBS_BATCH: the client's envelope, then a mixed one —
         // a stale blob, a mutation (refused), a chunk, a recipe, garbage.
-        let wants: Vec<(u64, u32, Digest)> =
-            vec![(0, CHUNK, d0), (CHUNK as u64, CHUNK, recipe.records[1].0)];
-        let slots = chan.fetch_blobs_batch(&env, fh, &wants, drop).unwrap();
-        assert!(slots.iter().all(|s| s.is_ok()));
+        let wants = [(0, CHUNK, d0), (CHUNK as u64, CHUNK, recipe.records[1].0)];
+        let envelope = oncrpc::batch::encode_batch(&wants.map(|(offset, len, d)| BatchItem {
+            proc: chanproc::FETCH_BLOBS,
+            args: blob_args(fh, offset, len, d),
+        }));
+        let served = raw(&env, &origin_rpc, chanproc::FETCH_BLOBS_BATCH, &envelope);
+        let slots = oncrpc::batch::decode_batch_reply(&served.unwrap()).unwrap();
+        assert!(slots.iter().all(|s| s.ok()));
         let mixed = oncrpc::batch::encode_batch(&[
             BatchItem {
                 proc: chanproc::FETCH_BLOBS,

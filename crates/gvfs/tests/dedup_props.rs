@@ -387,8 +387,8 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
         joins.push(sim.spawn(format!("cloner-{i}"), move |env: Env| {
             let cas = ContentStore::new(1 << 30);
             let dtel = DedupTel::unregistered();
-            let df = chan
-                .fetch_dedup(
+            let pr = chan
+                .fetch_recipe_pinned(
                     &env,
                     fh,
                     &RecipeFetch {
@@ -402,7 +402,8 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
                     },
                 )
                 .unwrap();
-            assert_eq!(df.contents, want, "client {i} got wrong bytes");
+            let got = pr.materialize(&cas).unwrap();
+            assert_eq!(got, want, "client {i} got wrong bytes");
         }));
     }
     let _ = joins;
@@ -710,12 +711,14 @@ fn blob_cache_rejects_payload_digest_mismatch() {
     sim.run();
 }
 
-/// Both outcomes of one recipe — pinned in place, materialized — against
-/// the numbers the same fetch produced before fetched blobs kept their
-/// wire form into the CAS: same wire and fresh bytes, same CAS contents
-/// and pins, same virtual instant at the end. What moved is host-side
-/// only: the CAS no longer digests and compresses what the reply reader
-/// just decompressed and verified.
+/// Both outcomes of one recipe fetch — pinned in place, materialized
+/// through its pins — against the numbers it produced before fetched
+/// blobs kept their wire form into the CAS: same wire and fresh bytes,
+/// same CAS contents and pins, same virtual instant at the end. What
+/// moved is host-side only: the CAS no longer digests and compresses
+/// what the reply reader just decompressed and verified, and a
+/// materialized fetch no longer copies resident chunks before it
+/// fetches.
 #[test]
 fn recipe_outcomes_leave_the_cas_as_they_always_did() {
     const CHUNK: u32 = 64 * 1024;
@@ -780,16 +783,17 @@ fn recipe_outcomes_leave_the_cas_as_they_always_did() {
                 dtel: &dtel,
                 tel: None,
             };
-            let pinned = chan
-                .fetch_recipe_pinned(&env, fh, &rq(&pinned_cas))
-                .unwrap();
-            let copied = chan.fetch_dedup(&env, fh, &rq(&copied_cas)).unwrap();
-            assert_eq!(copied.contents, data);
+            // One fetch per store; the second store's is then
+            // materialized, which releases its pins.
+            let fetch = |cas| chan.fetch_recipe_pinned(&env, fh, &rq(cas)).unwrap();
+            let (pinned, copied) = (fetch(&pinned_cas), fetch(&copied_cas));
+            assert_eq!(pinned, copied);
             assert_eq!(pinned.recipe, recipe);
-            assert_eq!((pinned.wire, copied.wire), (wire, wire), "batch {batch}");
+            assert_eq!(pinned.wire, wire, "batch {batch}");
             // Six distinct chunks cross the wire; the repeat rides its twin.
             let fresh = 5 * CHUNK as u64 + 1000;
-            assert_eq!((pinned.fresh_bytes, copied.fresh_bytes), (fresh, fresh));
+            assert_eq!(pinned.fresh_bytes, fresh);
+            assert_eq!(copied.materialize(&copied_cas).unwrap(), data);
             for cas in [&pinned_cas, &copied_cas] {
                 assert_eq!((cas.entries(), cas.logical_bytes()), (6, fresh));
                 for ((d, l), chunk) in recipe.records.iter().zip(data.chunks(CHUNK as usize)) {

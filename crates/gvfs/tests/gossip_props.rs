@@ -215,8 +215,8 @@ fn run_pair(
             env.sleep(SimDuration::from_millis(delay_ms));
             let cas = ContentStore::new(1 << 30);
             let dtel = DedupTel::unregistered();
-            let df = chan
-                .fetch_dedup(
+            let pr = chan
+                .fetch_recipe_pinned(
                     &env,
                     fh,
                     &RecipeFetch {
@@ -230,11 +230,12 @@ fn run_pair(
                     },
                 )
                 .unwrap();
+            let contents = pr.materialize(&cas).unwrap();
             let mut o = out2.lock();
             if slot == 0 {
-                o.0 = Some(df.contents);
+                o.0 = Some(contents);
             } else {
-                o.1 = Some(df.contents);
+                o.1 = Some(contents);
             }
             done2.fetch_add(1, Ordering::Release);
         });

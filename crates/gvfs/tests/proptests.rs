@@ -377,16 +377,17 @@ proptest! {
                 dtel: &dtel,
                 tel: None,
             };
-            let df = chan.fetch_dedup(&env, fh, &rq).unwrap();
-            assert_eq!(df.contents, data, "chunk={chunk} window={window}");
-            assert!(df.fresh_bytes <= len as u64);
+            let pr = chan.fetch_recipe_pinned(&env, fh, &rq).unwrap();
+            let fresh_bytes = pr.fresh_bytes;
+            assert_eq!(pr.materialize(&cas).unwrap(), data, "chunk={chunk} window={window}");
+            assert!(fresh_bytes <= len as u64);
             // Every byte either crossed the wire or was avoided.
-            assert_eq!(df.fresh_bytes + dtel.bytes_avoided.get(), len as u64);
+            assert_eq!(fresh_bytes + dtel.bytes_avoided.get(), len as u64);
             // Every chunk is now CAS-resident: a second fetch is pure hits.
-            let df2 = chan.fetch_dedup(&env, fh, &rq).unwrap();
-            assert_eq!(df2.contents, data);
-            assert_eq!(df2.fresh_bytes, 0);
-            assert_eq!(df2.wire, 0);
+            let pr = chan.fetch_recipe_pinned(&env, fh, &rq).unwrap();
+            assert_eq!((pr.fresh_bytes, pr.wire), (0, 0));
+            assert_eq!(pr.materialize(&cas).unwrap(), data);
+            assert_eq!(cas.pinned_bytes(), 0);
         });
         sim.run();
     }

@@ -758,7 +758,10 @@ fn relay_serves_the_new_recipe_after_an_upload_it_forwarded() {
             dtel: &dtel,
             tel: None,
         };
-        let fetch = |env: &Env| chan.fetch_dedup(env, fh, &rq).unwrap().contents;
+        let fetch = |env: &Env| {
+            let pr = chan.fetch_recipe_pinned(env, fh, &rq).unwrap();
+            pr.materialize(&cas).unwrap()
+        };
         assert_eq!(fetch(&env), relay_image(0));
         let image = relay_image(1);
         let ranges = gvfs::channel::chunk_ranges(&image, RELAY_CHUNK);
