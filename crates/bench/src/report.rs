@@ -1,9 +1,9 @@
-//! Plain-text table rendering for the figure/table binaries, plus the
-//! paper's reference numbers for side-by-side comparison — and the JSON
-//! report emitted by every binary from the telemetry registry.
+//! Plain-text table rendering for the scenarios, the [`Check`] rows that
+//! hold each paper shape and contract, and the JSON report every scenario
+//! writes from the telemetry registry.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use simnet::{JsonValue, Snapshot};
 
@@ -61,72 +61,112 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// JSON reports
+// Checked rows
 
-/// Command-line options shared by every bench binary:
-/// `--json <path>` overrides the report location (default
-/// `reports/<name>.json`), `--trace` turns on trace-event collection so
-/// the report carries the structured event log, `--no-json` suppresses
-/// the report file, `--no-dedup` runs with `DedupTuning::off()` (the
-/// pre-CAS data paths) in the binaries that honor it, `--no-cow` runs
-/// with `CowTuning::off()` (materialized clone installs; DESIGN.md
-/// §5.9) in the binaries that honor it, and `--write-baseline` makes the
-/// ablation binaries regenerate their off-lane baseline file.
-#[derive(Debug, Clone)]
-pub struct BenchCli {
-    /// Where to write the JSON report; `None` with `--no-json`.
-    pub json_path: Option<PathBuf>,
-    /// Collect and dump the virtual-time-stamped trace event log.
-    pub trace: bool,
-    /// Disable content-addressed dedup (DESIGN.md §5.5).
-    pub no_dedup: bool,
-    /// Disable copy-on-write reference cloning (DESIGN.md §5.9).
-    pub no_cow: bool,
-    /// Regenerate the off-lane baseline file (ablation binaries).
-    pub write_baseline: bool,
+/// What a [`Check`] holds its measured value to. Every comparison is
+/// strict, so a value exactly on its bound fails, and so does NaN.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// Below the limit: an upper bound, or the ordering `value < other`
+    /// when the limit is itself measured.
+    Below(f64),
+    /// Above the limit.
+    Above(f64),
+    /// Strictly between the two.
+    Within(f64, f64),
 }
 
-impl BenchCli {
-    /// Parse `std::env::args()` for the binary named `name`.
-    pub fn parse(name: &str) -> BenchCli {
-        let mut cli = BenchCli {
-            json_path: Some(PathBuf::from(format!("reports/{name}.json"))),
-            trace: false,
-            no_dedup: false,
-            no_cow: false,
-            write_baseline: false,
-        };
-        let mut args = std::env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--trace" => cli.trace = true,
-                "--no-json" => cli.json_path = None,
-                "--no-dedup" => cli.no_dedup = true,
-                "--no-cow" => cli.no_cow = true,
-                "--write-baseline" => cli.write_baseline = true,
-                "--json" => {
-                    let p = args.next().unwrap_or_else(|| {
-                        eprintln!("--json requires a path argument");
-                        std::process::exit(2);
-                    });
-                    cli.json_path = Some(PathBuf::from(p));
-                }
-                "--help" | "-h" => {
-                    eprintln!(
-                        "usage: {name} [--json PATH] [--no-json] [--trace] [--no-dedup] \
-                         [--no-cow] [--write-baseline]"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown argument: {other}");
-                    std::process::exit(2);
-                }
-            }
+impl Bound {
+    /// The band a paper shape is held to: the paper's value within a
+    /// factor of two either way. The substrate is a calibrated simulator,
+    /// not the 2004 testbed, so the check is who wins and by roughly what
+    /// factor, not the magnitude.
+    pub fn near(paper: f64) -> Bound {
+        Bound::Within(paper / 2.0, paper * 2.0)
+    }
+
+    /// Whether `value` is inside the bound.
+    pub fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::Below(max) => value < max,
+            Bound::Above(min) => value > min,
+            Bound::Within(lo, hi) => lo < value && value < hi,
         }
-        cli
     }
 }
+
+/// One checked row: a paper shape or a scenario's contract, the value
+/// measured for it, and the bound it must hold.
+#[derive(Debug, Clone)]
+pub struct Check {
+    /// What is measured.
+    pub name: String,
+    /// The paper's value, or "contract" for a scenario's own gate.
+    pub paper: &'static str,
+    /// The measured value.
+    pub value: f64,
+    /// Unit of the value and of its bound ("s", "%", "×", or a noun).
+    pub unit: &'static str,
+    /// The bound the value must hold.
+    pub bound: Bound,
+    /// Why the row holds and why its bound is that wide, in one line.
+    pub why: &'static str,
+}
+
+impl Check {
+    /// Whether the measured value holds its bound.
+    pub fn passed(&self) -> bool {
+        self.bound.holds(self.value)
+    }
+}
+
+/// Four significant digits, trailing zeros trimmed.
+fn num(x: f64) -> String {
+    if !x.is_finite() || x == 0.0 {
+        return format!("{x}");
+    }
+    let decimals = (3 - x.abs().log10().floor() as i32).clamp(0, 6) as usize;
+    let s = format!("{x:.decimals$}");
+    if s.contains('.') {
+        s.trim_end_matches('0').trim_end_matches('.').to_string()
+    } else {
+        s
+    }
+}
+
+/// The rows as one markdown table: shape, paper, measured, the bound,
+/// the verdict and the reason.
+pub fn render_checks(checks: &[Check]) -> String {
+    let with_unit = |x: f64, unit: &str| match unit {
+        "" => num(x),
+        "×" => format!("{}×", num(x)),
+        _ => format!("{} {unit}", num(x)),
+    };
+    let mut out = String::from(
+        "| shape | paper | measured | check | result | why |\n|---|---|---|---|---|---|\n",
+    );
+    for c in checks {
+        let bound = match c.bound {
+            Bound::Below(max) => format!("< {}", with_unit(max, c.unit)),
+            Bound::Above(min) => format!("> {}", with_unit(min, c.unit)),
+            Bound::Within(lo, hi) => {
+                format!("in ({}, {})", with_unit(lo, c.unit), with_unit(hi, c.unit))
+            }
+        };
+        let result = if c.passed() { "pass" } else { "**FAIL**" };
+        out.push_str(&format!(
+            "| {} | {} | {} | {bound} | {result} | {} |\n",
+            c.name,
+            c.paper,
+            with_unit(c.value, c.unit),
+            c.why
+        ));
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// JSON reports
 
 /// Build one scenario's slice of a report from its telemetry snapshot:
 /// total virtual time, RPC counts by procedure, block-cache and
@@ -263,6 +303,50 @@ mod tests {
         let err = written.expect_err("a report under a regular file cannot be written");
         assert!(err.to_string().contains("r.json"), "{err}");
         assert!(!path.exists());
+    }
+
+    /// `inside` holds; the bound's edges, `outside` and NaN do not.
+    fn holds_only_inside(bound: Bound, inside: f64, edges: &[f64], outside: &[f64]) {
+        assert!(bound.holds(inside), "{bound:?} must hold {inside}");
+        for &x in edges.iter().chain(outside).chain(&[f64::NAN]) {
+            assert!(!bound.holds(x), "{bound:?} must fail {x}");
+        }
+    }
+
+    #[test]
+    fn below_passes_under_its_limit_only() {
+        holds_only_inside(Bound::Below(10.0), 9.99, &[10.0], &[10.01, f64::INFINITY]);
+    }
+
+    #[test]
+    fn above_passes_over_its_limit_only() {
+        holds_only_inside(Bound::Above(30.0), 30.01, &[30.0], &[29.99, -1.0]);
+    }
+
+    #[test]
+    fn within_passes_strictly_inside_its_band_only() {
+        holds_only_inside(Bound::Within(1.0, 8.0), 2.1, &[1.0, 8.0], &[0.5, 8.5]);
+        assert_eq!(Bound::near(2.1), Bound::Within(1.05, 4.2));
+    }
+
+    #[test]
+    fn a_failed_row_is_marked_in_the_markdown() {
+        let row = |value| Check {
+            name: "first iteration".into(),
+            paper: "217.3 s < 225.7 s",
+            value,
+            unit: "s",
+            bound: Bound::Below(265.1),
+            why: "caching pays on the cold iteration",
+        };
+        let md = render_checks(&[row(223.86), row(277.3)]);
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines.len(), 4, "{md}");
+        assert!(lines[2].contains("| 223.9 s | < 265.1 s | pass |"), "{md}");
+        assert!(
+            lines[3].contains("| 277.3 s | < 265.1 s | **FAIL** |"),
+            "{md}"
+        );
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! seeds. Two runs with the same arrival seed must render byte-identical
 //! report bodies, and a distinct seed or arrival mode must actually change
 //! the report. CI enforces the same property end-to-end on
-//! `reports/fleet.json` via the `fleet` binary.
+//! `reports/fleet.json` via `gvfs-bench fleet`.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gvfs_bench::fleet::{run_fleet, ArrivalMode, FleetParams};
 
-/// The report body the `fleet` binary writes for this run
+/// The report body the `fleet` scenario writes for this run
 /// ([`gvfs_bench::FleetResult::report`]).
 fn report_bytes(params: &FleetParams) -> String {
     let r = run_fleet(params);

@@ -1,5 +1,5 @@
 //! The one JSON reader and the one JSON writer agree on every committed
-//! artifact: each scenario report a bench binary writes, and both frozen
+//! artifact: each report a `gvfs-bench` scenario writes, and both frozen
 //! wall-clock trajectories, parse with `perfjson::JsonReader` and print
 //! back through `simnet::JsonValue` byte for byte. This keeps the frozen
 //! `BENCH_*.json` files readable and makes a parsed report a faithful
@@ -10,29 +10,15 @@
 use std::path::Path;
 
 use gvfs_bench::perfjson::JsonReader;
-
-/// Every `reports/*.json` a bench binary writes, then the trajectories.
-const ARTIFACTS: &[&str] = &[
-    "reports/fig3_specseis.json",
-    "reports/fig4_latex.json",
-    "reports/fig5_kernel.json",
-    "reports/fig6_cloning.json",
-    "reports/table1_parallel.json",
-    "reports/ablations.json",
-    "reports/dedup_ablation.json",
-    "reports/cow_ablation.json",
-    "reports/fault_recovery.json",
-    "reports/fleet.json",
-    "reports/fleet10k.json",
-    "BENCH_perf.json",
-    "BENCH_fleet.json",
-];
+use gvfs_bench::suite::SCENARIOS;
 
 #[test]
 fn committed_artifacts_round_trip_through_reader_and_writer() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    for rel in ARTIFACTS {
-        let text = std::fs::read_to_string(root.join(rel))
+    let reports = SCENARIOS.iter().map(|s| format!("reports/{}.json", s.name));
+    let trajectories = ["BENCH_perf.json", "BENCH_fleet.json"].map(String::from);
+    for rel in reports.chain(trajectories) {
+        let text = std::fs::read_to_string(root.join(&rel))
             .unwrap_or_else(|e| panic!("{rel}: cannot read: {e}"));
         let doc = JsonReader::parse(&text).unwrap_or_else(|e| panic!("{rel}: {e}"));
         let printed = format!("{doc}\n");
