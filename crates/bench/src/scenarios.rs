@@ -25,7 +25,7 @@ use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
 use parking_lot::Mutex;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation, Snapshot};
-use vfs::{Disk, DiskModel, FileType, Fs, LocalIo, LocalIoConfig, MountTable};
+use vfs::{Disk, DiskModel, FileType, Fs, LocalIo, LocalIoConfig, MountTable, Payload};
 use vmm::{install_image, VmConfig, VmImageSpec, VmMonitor};
 use workloads::Workload;
 
@@ -206,8 +206,10 @@ pub struct AppResult {
 /// are walked in 64 KB steps of the file offset, an all-zero step only
 /// lengthens the current zero run, and a run is mixed in as its length.
 /// The steps are a function of the contents alone, so a hole and a
-/// stored all-zero chunk digest identically. The value is only ever
-/// compared between runs of one build, never recorded.
+/// stored all-zero chunk digest identically. Data steps are digested
+/// four at a time ([`gvfs::digest::digest4`]) and mixed in file order.
+/// The value is only ever compared between runs of one build, never
+/// recorded.
 pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
     const STEP: u64 = 64 * 1024;
     // Domain separators: a zero run's length can never pass for data.
@@ -227,6 +229,21 @@ pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
             mix_word(h, *zeros);
             *zeros = 0;
         }
+    }
+    /// Mix in the data steps read since the last mix, in order, and
+    /// forget them: four through `digest4`, fewer one at a time.
+    fn mix_data(h: &mut u64, steps: &mut Vec<Payload>) {
+        let bytes: Vec<_> = steps.iter().map(Payload::contiguous).collect();
+        let digests = match bytes.as_slice() {
+            [a, b, c, d] => gvfs::digest::digest4([a, b, c, d]).to_vec(),
+            some => some.iter().map(|b| gvfs::digest::digest(b)).collect(),
+        };
+        for d in digests {
+            mix_word(h, DATA);
+            mix_word(h, d.0);
+            mix_word(h, d.1);
+        }
+        steps.clear();
     }
     let mut f = fs.lock();
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -248,22 +265,27 @@ pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
             match attr.ftype {
                 FileType::Directory => stack.push((p, handle)),
                 FileType::Regular => {
-                    let mut zeros = 0u64;
+                    // Zero steps mix pending data first: file order holds.
+                    let (mut zeros, mut data) = (0u64, Vec::with_capacity(4));
                     let mut off = 0u64;
                     while off < attr.size {
                         let len = (attr.size - off).min(STEP);
                         if f.is_zero_range(handle, off, len as usize) == Ok(true) {
+                            mix_data(&mut h, &mut data);
                             zeros += len;
                         } else {
-                            let Ok((data, _)) = f.read(handle, off, len as usize, 0) else {
+                            let Ok((bytes, _)) = f.read(handle, off, len as usize, 0) else {
                                 break;
                             };
                             end_zero_run(&mut h, &mut zeros);
-                            mix_word(&mut h, DATA);
-                            mix(&mut h, &data.contiguous());
+                            data.push(bytes);
+                            if data.len() == 4 {
+                                mix_data(&mut h, &mut data);
+                            }
                         }
                         off += len;
                     }
+                    mix_data(&mut h, &mut data);
                     end_zero_run(&mut h, &mut zeros);
                 }
                 FileType::Symlink => {
@@ -473,6 +495,103 @@ mod tests {
         }
         fs.setattr(file, Some(size), None, 0).unwrap();
         Arc::new(Mutex::new(fs))
+    }
+
+    /// `fs_digest` as it was before it digested four steps at a time:
+    /// each data step digested and mixed as it is read.
+    fn fs_digest_one_at_a_time(fs: &Arc<Mutex<Fs>>) -> u64 {
+        const STEP: u64 = 64 * 1024;
+        // Domain separators: a zero run's length can never pass for data.
+        const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;
+        const DATA: u64 = 0x4441_5441_5f5f_5f5f;
+        fn mix_word(h: &mut u64, w: u64) {
+            *h = (*h ^ w).wrapping_mul(0x100_0000_01b3);
+        }
+        fn mix(h: &mut u64, bytes: &[u8]) {
+            let d = gvfs::digest::digest(bytes);
+            mix_word(h, d.0);
+            mix_word(h, d.1);
+        }
+        fn end_zero_run(h: &mut u64, zeros: &mut u64) {
+            if *zeros > 0 {
+                mix_word(h, ZERO_RUN);
+                mix_word(h, *zeros);
+                *zeros = 0;
+            }
+        }
+        let mut f = fs.lock();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut stack = vec![(String::new(), f.root())];
+        while let Some((path, dir)) = stack.pop() {
+            let Ok(mut entries) = f.readdir(dir) else {
+                continue;
+            };
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            // The stack pops in reverse push order; push reversed so the walk
+            // visits entries in sorted order.
+            for (name, handle) in entries.into_iter().rev() {
+                let p = format!("{path}/{name}");
+                let Ok(attr) = f.getattr(handle) else {
+                    continue;
+                };
+                mix(&mut h, p.as_bytes());
+                mix_word(&mut h, attr.size);
+                match attr.ftype {
+                    FileType::Directory => stack.push((p, handle)),
+                    FileType::Regular => {
+                        let mut zeros = 0u64;
+                        let mut off = 0u64;
+                        while off < attr.size {
+                            let len = (attr.size - off).min(STEP);
+                            if f.is_zero_range(handle, off, len as usize) == Ok(true) {
+                                zeros += len;
+                            } else {
+                                let Ok((data, _)) = f.read(handle, off, len as usize, 0) else {
+                                    break;
+                                };
+                                end_zero_run(&mut h, &mut zeros);
+                                mix_word(&mut h, DATA);
+                                mix(&mut h, &data.contiguous());
+                            }
+                            off += len;
+                        }
+                        end_zero_run(&mut h, &mut zeros);
+                    }
+                    FileType::Symlink => {
+                        if let Ok(target) = f.readlink(handle) {
+                            mix(&mut h, target.as_bytes());
+                        }
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn four_steps_at_a_time_mix_what_one_at_a_time_mixed() {
+        let step = 64 * 1024;
+        let data: Vec<u8> = (0..9 * step).map(|i| (i * 13 % 251) as u8 | 1).collect();
+        // Runs of 1-9 data steps after 0-2 holes, in files whose last
+        // step is whole, short and a hole, or short and data.
+        for run in 1..=9 {
+            for gap in [0, 1, 2] {
+                for (tail, tail_data) in [(0, false), (100, false), (100, true), (step - 1, true)] {
+                    let at = (gap * step) as u64;
+                    let size = at + (run * step + gap * step + tail) as u64;
+                    let mut writes = vec![(at, &data[..run * step])];
+                    if tail_data {
+                        writes.push((size - tail as u64, &data[..100]));
+                    }
+                    let fs = fs_with(size, &writes);
+                    assert_eq!(
+                        fs_digest(&fs),
+                        fs_digest_one_at_a_time(&fs),
+                        "run {run}, gap {gap}, tail {tail} {tail_data}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

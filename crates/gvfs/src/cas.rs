@@ -34,6 +34,10 @@
 //! against on arrival (a [`Blob`]); only bytes that reach the store
 //! uncompressed are digested and compressed here.
 //!
+//! A stream is validated once, by the walk that builds its record index
+//! as it enters (one that fails is not retained); a read seeks with the
+//! index and decodes only its range, onto the caller's buffer.
+//!
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
 
@@ -42,7 +46,7 @@ use simnet::{Counter, Telemetry};
 use std::collections::BTreeMap;
 use vfs::{share, SharedBytes};
 
-use crate::codec;
+use crate::codec::{self, RecordIndex};
 use crate::digest::{digest, Digest};
 
 /// Knobs for content-addressed redundancy elimination, carried by
@@ -124,6 +128,8 @@ struct Entry {
     /// store holding the same chunk (memory economy only; the simulated
     /// bytes live on the cache disk).
     packed: SharedBytes,
+    /// Where `packed`'s records lie.
+    index: RecordIndex,
     /// Logical (uncompressed) length.
     len: u32,
     /// Last-touch stamp (monotonic).
@@ -277,6 +283,8 @@ impl ContentStore {
 
     /// The body of every insert: index `len` logical bytes under `d`,
     /// asking for the compressed stream only when the content is new.
+    /// A new stream that fails its index walk, or is not `len` bytes
+    /// long, is not retained.
     fn index(&self, d: Digest, len: u64, pin: bool, packed: impl FnOnce() -> Vec<u8>) {
         if len > self.capacity {
             return;
@@ -288,14 +296,19 @@ impl ContentStore {
             }
             return;
         }
+        let packed = packed();
+        let index = RecordIndex::build(&packed).ok();
+        let Some(index) = index.filter(|index| index.len() as u64 == len) else {
+            return;
+        };
         inner.stamp += 1;
         let stamp = inner.stamp;
-        let packed = share(packed());
         inner.bytes += len;
         inner.map.insert(
             d,
             Entry {
-                packed,
+                packed: share(packed),
+                index,
                 len: len as u32,
                 stamp,
                 pins: u32::from(pin),
@@ -384,14 +397,23 @@ impl ContentStore {
     }
 
     /// Fetch `[offset, offset + len)` of `d`'s preimage (clipped to its
-    /// length), refreshing its recency. Decodes only the bytes it
-    /// returns ([`codec::decompress_range`]). Recency moves only after a
-    /// successful decode, so a corrupt entry keeps its one LRU row.
+    /// length), refreshing its recency, in a vector of exactly that size.
     pub fn get_range(&self, d: &Digest, offset: usize, len: usize) -> Option<Vec<u8>> {
+        let size = (self.len_of(d)? as usize).saturating_sub(offset).min(len);
+        let mut out = Vec::with_capacity(size);
+        self.read_into(d, offset, len, &mut out)?;
+        Some(out)
+    }
+
+    /// Append `[offset, offset + len)` of `d`'s preimage (clipped) to
+    /// `out`. Recency moves only after a successful decode, so a corrupt
+    /// entry keeps its one LRU row.
+    fn read_into(&self, d: &Digest, offset: usize, len: usize, out: &mut Vec<u8>) -> Option<()> {
         let mut inner = self.inner.lock();
-        let bytes = codec::decompress_range(&inner.map.get(d)?.packed, offset, len).ok()?;
+        let e = inner.map.get(d)?;
+        e.index.read_into(&e.packed, offset, len, out).ok()?;
         inner.touch(d);
-        Some(bytes)
+        Some(())
     }
 
     /// `d`'s entry as stored — its logical length and its compressed
@@ -404,25 +426,28 @@ impl ContentStore {
     }
 
     /// [`ContentStore::get_range`] for a chunk the caller holds a pin
-    /// on. The pin guarantees residency, so a miss (or an entry that no
-    /// longer decodes) is a broken pin: it is counted and reported.
+    /// on, appended to `out`, the buffer the caller is building. The pin
+    /// guarantees residency, so a miss (or an entry that no longer
+    /// decodes) is a broken pin: it is counted and reported.
     pub(crate) fn get_pinned_range(
         &self,
         d: &Digest,
         offset: usize,
         len: usize,
-    ) -> Result<Vec<u8>, BrokenPin> {
-        self.get_range(d, offset, len).ok_or_else(|| {
+        out: &mut Vec<u8>,
+    ) -> Result<(), BrokenPin> {
+        self.read_into(d, offset, len, out).ok_or_else(|| {
             self.broken_pins.inc();
             BrokenPin
         })
     }
 
-    /// Damage `d`'s stored stream so every decode of it fails.
+    /// Damage `d`'s stored stream so every decode of it fails: cut to its
+    /// 12-byte header, it lacks the record any read seeks to.
     #[cfg(test)]
     pub(crate) fn corrupt_entry(&self, d: &Digest) {
         if let Some(e) = self.inner.lock().map.get_mut(d) {
-            std::sync::Arc::make_mut(&mut e.packed).pop();
+            std::sync::Arc::make_mut(&mut e.packed).truncate(12);
         }
     }
 
@@ -499,18 +524,29 @@ mod tests {
         assert_eq!(cas.inner.lock().lru.len(), 2);
     }
 
+    /// [`ContentStore::get_pinned_range`] into a fresh vector.
+    fn pinned(
+        cas: &ContentStore,
+        d: &Digest,
+        offset: usize,
+        len: usize,
+    ) -> Result<Vec<u8>, BrokenPin> {
+        let mut out = Vec::new();
+        cas.get_pinned_range(d, offset, len, &mut out).map(|()| out)
+    }
+
     #[test]
     fn a_read_through_a_broken_pin_is_counted_and_reported() {
         let broken = Counter::new();
         let cas = ContentStore::new(1 << 20).with_broken_pin_counter(broken.clone());
         let a = vec![7u8; 1000];
         let d = cas.insert_pinned(&a);
-        assert_eq!(cas.get_pinned_range(&d, 990, 50), Ok(vec![7u8; 10]));
+        assert_eq!(pinned(&cas, &d, 990, 50), Ok(vec![7u8; 10]));
         assert_eq!(broken.get(), 0);
         let gone = digest(b"never inserted");
-        assert_eq!(cas.get_pinned_range(&gone, 990, 50), Err(BrokenPin));
+        assert_eq!(pinned(&cas, &gone, 990, 50), Err(BrokenPin));
         cas.corrupt_entry(&d);
-        assert_eq!(cas.get_pinned_range(&d, 0, 1000), Err(BrokenPin));
+        assert_eq!(pinned(&cas, &d, 0, 1000), Err(BrokenPin));
         assert_eq!(broken.get(), 2);
     }
 
@@ -640,6 +676,32 @@ mod tests {
         cas.insert_blob(blob_of(&big), true);
         assert!(!cas.contains(&digest(&big)));
         assert_eq!((cas.logical_bytes(), cas.pinned_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn a_damaged_stream_is_refused_on_the_way_in() {
+        let a: Vec<u8> = (0..5000u32).map(|i| (i / 9) as u8).collect();
+        let good = codec::compress(&a);
+        let mut unknown_tag = good.clone();
+        unknown_tag[12] = 9;
+        // A zero run of twice the declared length.
+        let mut past_the_end = good[..12].to_vec();
+        past_the_end.push(0);
+        past_the_end.extend_from_slice(&10_000u32.to_be_bytes());
+        for (what, stream) in [
+            ("truncated", good[..good.len() - 1].to_vec()),
+            ("unknown tag", unknown_tag),
+            ("record past the end", past_the_end),
+            ("other length", codec::compress(&a[..4999])),
+        ] {
+            let cas = ContentStore::new(1 << 20);
+            let d = digest(&a);
+            cas.insert_blob(Blob::verified(d, &a, Some(stream)), true);
+            assert!(!cas.contains(&d), "{what}");
+            assert!(!cas.pin(&d), "{what}");
+            assert_eq!((cas.entries(), cas.logical_bytes()), (0, 0), "{what}");
+            assert_eq!(cas.pinned_bytes(), 0, "{what}");
+        }
     }
 
     #[test]

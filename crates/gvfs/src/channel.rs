@@ -799,10 +799,8 @@ impl PinnedRecipe {
             .map_err(ChannelError::from)
             .and_then(|out| {
                 records.iter().try_fold(out, |mut out, (d, _)| {
-                    let chunk = cas
-                        .get_pinned_range(d, 0, usize::MAX)
+                    cas.get_pinned_range(d, 0, usize::MAX, &mut out)
                         .map_err(|_| ChannelError::NotRetained)?;
-                    out.extend_from_slice(&chunk);
                     Ok(out)
                 })
             });

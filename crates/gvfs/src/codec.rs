@@ -17,6 +17,11 @@
 //!   1 = byte run:   u32 len, u8 value
 //!   2 = literal:    u32 len, bytes
 //! ```
+//!
+//! One record walker decodes: a validating walk builds a stream's record
+//! index (one seek per 32 KiB of original bytes), and a range read seeks
+//! with it and decodes only the records it overlaps, onto the caller's
+//! buffer. The content store keeps each entry's index beside its stream.
 
 use simnet::SimDuration;
 
@@ -153,76 +158,120 @@ pub fn decompress(stream: &[u8]) -> Result<Vec<u8>, CodecError> {
 }
 
 /// Decompress only `[offset, offset + len)` of the original bytes
-/// (clipped to the original length). The result equals that slice of
-/// [`decompress`]'s output and fails exactly when `decompress` fails —
-/// every record header is walked and validated either way — but only the
-/// overlap is allocated and materialised, so a 32 KB read of a 1 MiB
-/// chunk costs 32 KB of host work plus the header walk.
+/// (clipped to the original length): index the stream, then read the
+/// range. The result equals that slice of [`decompress`]'s output and
+/// fails exactly when `decompress` fails — every record is validated
+/// either way — but only the overlap is allocated and materialised.
 pub fn decompress_range(stream: &[u8], offset: usize, len: usize) -> Result<Vec<u8>, CodecError> {
-    if stream.len() < 12 || &stream[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let orig_len = be_u64(&stream[4..12])? as usize;
-    if orig_len > MAX_DECOMPRESS_LEN {
-        return Err(CodecError::TooLarge);
-    }
-    let start = offset.min(orig_len);
-    let end = offset.saturating_add(len).min(orig_len);
+    let index = RecordIndex::build(stream)?;
+    let end = offset.saturating_add(len).min(index.len);
     // Blessed sink for the wire-declared length: caps the speculative
-    // reservation, while the check above bounds all later growth.
-    let mut out: Vec<u8> =
-        xdr::bounded_alloc(end - start, MAX_DECOMPRESS_LEN).map_err(|_| CodecError::TooLarge)?;
-    // Original bytes accounted for by the records walked so far.
-    let mut pos = 0usize;
-    let mut i = 12;
-    while i < stream.len() {
-        let tag = stream[i];
-        i += 1;
-        if stream.len() < i + 4 {
-            return Err(CodecError::Truncated);
+    // reservation, while the index bounds all later growth.
+    let mut out: Vec<u8> = xdr::bounded_alloc(end.saturating_sub(offset), MAX_DECOMPRESS_LEN)
+        .map_err(|_| CodecError::TooLarge)?;
+    index.read_into(stream, offset, len, &mut out)?;
+    Ok(out)
+}
+
+/// Original bytes between two entries of a [`RecordIndex`]: a range read
+/// walks at most one stride's records before it reaches its start.
+const INDEX_STRIDE: usize = 32 * 1024;
+
+/// Where a stream's records lie. Only [`RecordIndex::build`], which
+/// validates every record, makes one, so a stream with an index decodes.
+pub(crate) struct RecordIndex {
+    /// Original (decoded) length.
+    len: usize,
+    /// Entry `k`: the stream offset and the original offset of the
+    /// record holding original byte `k * INDEX_STRIDE`.
+    seeks: Box<[(u32, u32)]>,
+}
+
+impl RecordIndex {
+    /// Walk and validate every record of `stream`. Fails exactly when,
+    /// and as, [`decompress`] fails; a stream past 4 GiB is `TooLarge`.
+    pub(crate) fn build(stream: &[u8]) -> Result<RecordIndex, CodecError> {
+        if stream.len() < 12 || &stream[..4] != MAGIC {
+            return Err(CodecError::BadMagic);
         }
-        let rec = be_u32(&stream[i..i + 4])? as usize;
-        i += 4;
-        // A record claiming to expand past the declared original length
-        // can only come from a corrupt stream; bail before allocating —
-        // run-length records otherwise let a few bytes of header demand
-        // gigabytes of output.
-        if pos + rec > orig_len {
+        let len = be_u64(&stream[4..12])? as usize;
+        if len > MAX_DECOMPRESS_LEN {
+            return Err(CodecError::TooLarge);
+        }
+        let (mut seeks, mut i, mut pos) = (Vec::new(), 12, 0);
+        while i < stream.len() {
+            let (n, _, next) = record_at(stream, i, len - pos)?;
+            let at = u32::try_from(i).map_err(|_| CodecError::TooLarge)?;
+            // Every stride that starts inside this record seeks to it.
+            while seeks.len() * INDEX_STRIDE < pos + n {
+                seeks.push((at, pos as u32));
+            }
+            (i, pos) = (next, pos + n);
+        }
+        if pos != len {
             return Err(CodecError::LengthMismatch);
         }
-        // The part of this record the caller asked for.
-        let lo = start.max(pos);
-        let take = end.min(pos + rec).saturating_sub(lo);
-        match tag {
-            // lint:allow(bounded-decode): growth bounded by orig_len <= MAX_DECOMPRESS_LEN above
-            0 => out.resize(out.len() + take, 0),
-            1 => {
-                if stream.len() < i + 1 {
-                    return Err(CodecError::Truncated);
-                }
-                let b = stream[i];
-                i += 1;
-                // lint:allow(bounded-decode): growth bounded by orig_len <= MAX_DECOMPRESS_LEN above
-                out.resize(out.len() + take, b);
-            }
-            2 => {
-                if stream.len() < i + rec {
-                    return Err(CodecError::Truncated);
-                }
-                if take > 0 {
-                    let from = i + (lo - pos);
-                    out.extend_from_slice(&stream[from..from + take]);
-                }
-                i += rec;
-            }
-            _ => return Err(CodecError::Truncated),
-        }
-        pos += rec;
+        let seeks = seeks.into_boxed_slice();
+        Ok(RecordIndex { len, seeks })
     }
-    if pos != orig_len {
+
+    /// Original (decoded) length of the indexed stream.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Append `[offset, offset + len)` of the original bytes (clipped) to
+    /// `out`, decoding only the records that overlap it. A `stream` other
+    /// than the indexed one fails where it disagrees, never out of bounds.
+    pub(crate) fn read_into(
+        &self,
+        stream: &[u8],
+        offset: usize,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CodecError> {
+        let end = offset.saturating_add(len).min(self.len);
+        if offset >= end {
+            return Ok(());
+        }
+        let (at, from) = self.seeks[offset / INDEX_STRIDE];
+        let (mut i, mut pos) = (at as usize, from as usize);
+        while pos < end {
+            let (n, fill, next) = record_at(stream, i, self.len - pos)?;
+            // The part of this record the caller asked for.
+            let (lo, hi) = (offset.max(pos) - pos, end.min(pos + n) - pos);
+            match fill {
+                _ if lo >= hi => {}
+                // lint:allow(bounded-decode): hi - lo <= end - offset, the clipped request
+                Some(b) => out.resize(out.len() + hi - lo, b),
+                None => out.extend_from_slice(&stream[next - n + lo..next - n + hi]),
+            }
+            (i, pos) = (next, pos + n);
+        }
+        Ok(())
+    }
+}
+
+/// The one record walker: the record whose header starts at `s[i]`, with
+/// at most `room` original bytes left to account for, as its original
+/// length `n`, its fill byte (`None` for a literal, whose bytes are the
+/// `n` before the next header) and where the next header starts.
+fn record_at(s: &[u8], i: usize, room: usize) -> Result<(usize, Option<u8>, usize), CodecError> {
+    let tag = *s.get(i).ok_or(CodecError::Truncated)?;
+    let n = be_u32(s.get(i + 1..i + 5).ok_or(CodecError::Truncated)?)? as usize;
+    // A record claiming to expand past the declared original length can
+    // only come from a corrupt stream: run-length records otherwise let
+    // a few bytes of header demand gigabytes of output.
+    if n > room {
         return Err(CodecError::LengthMismatch);
     }
-    Ok(out)
+    let at = i + 5;
+    match (tag, s.get(at)) {
+        (0, _) => Ok((n, Some(0), at)),
+        (1, Some(&b)) => Ok((n, Some(b), at + 1)),
+        (2, _) if s.len() - at >= n => Ok((n, None, at + n)),
+        _ => Err(CodecError::Truncated),
+    }
 }
 
 /// CPU-time model for the codec (GZIP-class throughputs on 2004 CPUs).
@@ -551,6 +600,162 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The range decoder before the record index: walk and validate
+    /// every record header from the start of the stream, materialising
+    /// the overlap with the request.
+    fn whole_walk(stream: &[u8], offset: usize, len: usize) -> Result<Vec<u8>, CodecError> {
+        if stream.len() < 12 || &stream[..4] != MAGIC {
+            return Err(CodecError::BadMagic);
+        }
+        let orig_len = be_u64(&stream[4..12])? as usize;
+        if orig_len > MAX_DECOMPRESS_LEN {
+            return Err(CodecError::TooLarge);
+        }
+        let start = offset.min(orig_len);
+        let end = offset.saturating_add(len).min(orig_len);
+        let mut out = Vec::new();
+        let (mut pos, mut i) = (0usize, 12);
+        while i < stream.len() {
+            let tag = stream[i];
+            i += 1;
+            if stream.len() < i + 4 {
+                return Err(CodecError::Truncated);
+            }
+            let rec = be_u32(&stream[i..i + 4])? as usize;
+            i += 4;
+            if pos + rec > orig_len {
+                return Err(CodecError::LengthMismatch);
+            }
+            let lo = start.max(pos);
+            let take = end.min(pos + rec).saturating_sub(lo);
+            match tag {
+                0 => out.resize(out.len() + take, 0),
+                1 => {
+                    if stream.len() < i + 1 {
+                        return Err(CodecError::Truncated);
+                    }
+                    out.resize(out.len() + take, stream[i]);
+                    i += 1;
+                }
+                2 => {
+                    if stream.len() < i + rec {
+                        return Err(CodecError::Truncated);
+                    }
+                    if take > 0 {
+                        let from = i + (lo - pos);
+                        out.extend_from_slice(&stream[from..from + take]);
+                    }
+                    i += rec;
+                }
+                _ => return Err(CodecError::Truncated),
+            }
+            pos += rec;
+        }
+        if pos != orig_len {
+            return Err(CodecError::LengthMismatch);
+        }
+        Ok(out)
+    }
+
+    /// `runs_and_literals` pieces between long runs, some longer than an
+    /// index stride.
+    fn strided(seed: u64, len: usize) -> Vec<u8> {
+        let mut data = Vec::new();
+        let mut k = seed;
+        while data.len() < len {
+            k = k
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let n = 1 + (k >> 20) as usize % 3000;
+            match k >> 60 {
+                0..=3 => data.extend(std::iter::repeat_n((k >> 8) as u8 & 1, n * 25)),
+                _ => data.extend(runs_and_literals(k, n)),
+            }
+        }
+        data.truncate(len);
+        data
+    }
+
+    #[test]
+    fn the_indexed_read_equals_the_whole_walk() {
+        let mut k = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            k ^= k << 13;
+            k ^= k >> 7;
+            k ^= k << 17;
+            (k % n as u64) as usize
+        };
+        for seed in 0..12u64 {
+            let data = strided(seed, next(3 * INDEX_STRIDE));
+            for cap in [MAX_RECORD, 7, 1000, INDEX_STRIDE + 3] {
+                let s = compress_with_record_cap(&data, cap);
+                let n = data.len();
+                let index = RecordIndex::build(&s).unwrap();
+                assert_eq!(index.len(), n);
+                // Offsets on and beside every stride and some record edges.
+                let mut edges = vec![0, 1, n.saturating_sub(1), n, n + 1, n + INDEX_STRIDE];
+                for k in 1..=n / INDEX_STRIDE + 1 {
+                    edges.extend([k * INDEX_STRIDE - 1, k * INDEX_STRIDE, k * INDEX_STRIDE + 1]);
+                }
+                let (mut i, mut pos) = (12, 0);
+                while i < s.len() {
+                    let (len, _, after) = record_at(&s, i, n - pos).unwrap();
+                    if next(8) == 0 {
+                        edges.extend([pos, pos + 1, pos + len]);
+                    }
+                    (i, pos) = (after, pos + len);
+                }
+                for _ in 0..64 {
+                    let off = edges[next(edges.len())];
+                    let len = match next(4) {
+                        0 => 0,
+                        1 => usize::MAX,
+                        2 => next(3 * INDEX_STRIDE),
+                        _ => edges[next(edges.len())].saturating_sub(off),
+                    };
+                    let want = whole_walk(&s, off, len).unwrap();
+                    assert_eq!(want, &data[off.min(n)..off.saturating_add(len).min(n)]);
+                    let mut out = vec![0xEE; 3];
+                    index.read_into(&s, off, len, &mut out).unwrap();
+                    assert_eq!(out[3..], want, "seed {seed} cap {cap}: {off}+{len}");
+                    assert_eq!(out[..3], [0xEE; 3]);
+                    assert_eq!(decompress_range(&s, off, len).unwrap(), want);
+                }
+                // Damaged anywhere, it fails exactly as the whole walk does.
+                for _ in 0..20 {
+                    let mut bad = s.clone();
+                    let at = next(bad.len());
+                    if next(2) == 0 {
+                        bad.truncate(at);
+                    } else {
+                        bad[at] ^= 1 + next(255) as u8;
+                    }
+                    let (off, len) = (next(n + 2), next(2 * INDEX_STRIDE));
+                    assert_eq!(
+                        decompress_range(&bad, off, len),
+                        whole_walk(&bad, off, len),
+                        "seed {seed} cap {cap}: damage at {at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_stream_is_indexed_once_per_stride() {
+        // 100 KiB of zeros in 1000-byte records: four strides, each
+        // seeking to the record that holds its first byte.
+        let s = compress_with_record_cap(&[0u8; 100 * 1024], 1000);
+        let index = RecordIndex::build(&s).unwrap();
+        let starts: Vec<u32> = index.seeks.iter().map(|&(_, pos)| pos).collect();
+        assert_eq!(starts, [0, 32_000, 65_000, 98_000]);
+        assert!(index
+            .seeks
+            .iter()
+            .all(|&(at, pos)| at == 12 + pos / 1000 * 5));
+        assert!(RecordIndex::build(&compress(b"")).unwrap().seeks.is_empty());
     }
 
     #[test]

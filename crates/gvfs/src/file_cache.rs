@@ -84,21 +84,14 @@ impl RefFile {
         self.recipe.iter().map(|(_, l)| *l as u64).sum()
     }
 
-    /// `[off, off + len)` of the still-shared chunk `i`, decoded out of
-    /// its pinned CAS entry. Pins guarantee residency; a miss is a broken
-    /// pin, which the store counts and this reports.
-    fn shared_range(&self, i: usize, off: usize, len: usize) -> Result<Vec<u8>, BrokenPin> {
-        self.cas.get_pinned_range(&self.recipe[i].0, off, len)
-    }
-
     /// Assemble the full current contents (host-side; no time charged,
     /// mirroring the uncharged digest in [`FileCache::install`]).
     fn assemble(&self) -> Result<Vec<u8>, BrokenPin> {
         let mut out = Vec::with_capacity(self.total() as usize);
-        for (i, &(_, clen)) in self.recipe.iter().enumerate() {
+        for (i, (d, clen)) in self.recipe.iter().enumerate() {
             match self.overlay.get(&(i as u32)) {
                 Some(b) => out.extend_from_slice(b),
-                None => out.extend_from_slice(&self.shared_range(i, 0, clen as usize)?),
+                None => self.cas.get_pinned_range(d, 0, *clen as usize, &mut out)?,
             }
         }
         Ok(out)
@@ -112,6 +105,8 @@ impl RefFile {
     /// Read `[offset, offset+len)` clipped to the recipe, returning the
     /// bytes and how many of them came off the disk (private overlay —
     /// shared chunks serve from the pinned host-memory CAS for free).
+    /// Shared chunks decode straight into the one vector returned, which
+    /// the READ reply is then encoded from.
     fn read_range(&self, offset: u64, len: usize) -> Result<(Vec<u8>, u64), BrokenPin> {
         let total = self.total();
         if offset >= total || len == 0 {
@@ -137,7 +132,9 @@ impl RefFile {
                     disk += e - s;
                     out.extend_from_slice(&b[lo..lo + n]);
                 }
-                None => out.extend_from_slice(&self.shared_range(i, lo, n)?),
+                None => self
+                    .cas
+                    .get_pinned_range(&self.recipe[i].0, lo, n, &mut out)?,
             }
         }
         Ok((out, disk))
@@ -179,7 +176,10 @@ impl RefFile {
             } else {
                 io += clen as u64;
                 grew += clen as u64;
-                Some(self.shared_range(i, 0, clen as usize)?)
+                let mut buf = Vec::with_capacity(clen as usize);
+                self.cas
+                    .get_pinned_range(&self.recipe[i].0, 0, clen as usize, &mut buf)?;
+                Some(buf)
             };
             spans.push((i, cstart, s, e, shared));
         }
