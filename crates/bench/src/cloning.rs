@@ -17,7 +17,7 @@
 //! * Baselines: full-image SCP copy, and cloning over pure NFS (no GVFS:
 //!   8 KB blocks, no pipelining, no caches).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{
     BlockCacheConfig, CowTuning, DedupTuning, FileChannelSpec, FleetTuning, IdentityMapper,
@@ -25,7 +25,7 @@ use gvfs::{
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{AuthSys, OpaqueAuth, RpcChannel, RpcClient};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, SimHandle, Simulation, Snapshot};
 use vfs::{Disk, DiskModel, Fs, LocalIo, LocalIoConfig, MountTable};
 use vmm::{clone_vm, diverge_image, install_image, CloneConfig, CloneTimes, VmConfig, VmImageSpec};
@@ -249,11 +249,7 @@ fn install_fleet_image(
 
 /// Install `n` golden images (+ their middleware meta-data) under
 /// `/exports` of the image-server fs. Returns their specs.
-pub(crate) fn install_goldens(
-    fs: &Arc<Mutex<Fs>>,
-    params: &CloneParams,
-    n: usize,
-) -> Vec<VmImageSpec> {
+pub(crate) fn install_goldens(fs: &Shared<Fs>, params: &CloneParams, n: usize) -> Vec<VmImageSpec> {
     let fs = &mut *fs.lock();
     let root = fs.root();
     let dir = fs.mkdir(root, "exports", 0o755, 0).unwrap();
@@ -294,7 +290,7 @@ fn build_wan_server(h: &SimHandle, params: &CloneParams) -> ImageServer {
 /// its clonings run against.
 pub(crate) fn build_compute_host(
     mw: &Middleware,
-    mapper: &Arc<IdentityMapper>,
+    mapper: &Rc<IdentityMapper>,
     user: &str,
     upstream: RpcChannel,
     params: &CloneParams,
@@ -347,7 +343,7 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
     if params.trace {
         h.telemetry().set_trace(true);
     }
-    let out: Arc<Mutex<Vec<CloneTimes>>> = Arc::new(Mutex::new(Vec::new()));
+    let out: Shared<Vec<CloneTimes>> = Shared::new(Vec::new());
     let n = params.clones;
     let kcfg = KernelConfig {
         cache_bytes: params.kernel_cache_bytes,
@@ -480,9 +476,7 @@ pub fn run_cloning(scenario: CloneScenario, params: &CloneParams) -> CloneResult
     }
 
     let end = sim.run();
-    let times = Arc::try_unwrap(out)
-        .map(|m| m.into_inner())
-        .unwrap_or_default();
+    let times = out.try_unwrap().unwrap_or_default();
     CloneResult {
         scenario: scenario.label().to_string(),
         times,
@@ -545,7 +539,7 @@ fn run_two_pass_cloning(params: &CloneParams, parallel: bool) -> ParallelResult 
         cache_bytes: params.kernel_cache_bytes,
         ..KernelConfig::default()
     };
-    let pass_secs = Arc::new(Mutex::new([0.0f64; 2]));
+    let pass_secs = Shared::new([0.0f64; 2]);
     let params2 = *params;
     let pass_secs2 = pass_secs.clone();
     let mapper = server.mapper.clone();
@@ -563,7 +557,7 @@ fn run_two_pass_cloning(params: &CloneParams, parallel: bool) -> ParallelResult 
                 build_compute_host(&mw, &mapper, &user, channel.clone(), &params2, kcfg, &env)
             })
             .collect();
-        let shared = Arc::new((hosts, specs));
+        let shared = Rc::new((hosts, specs));
         let tag = if parallel { 'p' } else { 's' };
         for pass in 0..2 {
             let t0 = env.now();
@@ -647,7 +641,7 @@ pub fn pure_nfs_clone_secs(params: &CloneParams) -> f64 {
         install_image(&mut fs, dir, &spec).unwrap();
         spec
     };
-    let out = Arc::new(Mutex::new(0.0f64));
+    let out = Shared::new(0.0f64);
     let out2 = out.clone();
     let params2 = *params;
     sim.spawn("cloner", move |env: Env| {

@@ -18,7 +18,8 @@
 //! report can state p50/p95/p99 under bursty arrivals instead of a mean
 //! that hides the tail.
 
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use gvfs::{CowTuning, DedupTuning, FleetTuning, ImageServer, Listen, Middleware, Tier};
 use nfs3::KernelConfig;
@@ -420,7 +421,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
     // this exists — no peers, no drivers, no extra events — so the
     // gossip-off timeline is untouched.
     let gossip_on = params.fleet.gossip() && params.dedup.enabled && params.sites > 1;
-    let gossip_stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let gossip_stop = Rc::new(Cell::new(false));
     if gossip_on {
         assert!(
             params.regions >= 1 && params.sites.is_multiple_of(params.regions.max(1)),
@@ -445,7 +446,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
             let stop = gossip_stop.clone();
             let mut rng = simnet::DetRng::new(params.seed ^ 0x60551F ^ s as u64);
             sim.spawn(format!("gossip{s}"), move |env: Env| {
-                while !stop.load(std::sync::atomic::Ordering::Acquire) {
+                while !stop.get() {
                     // Deterministic per-round jitter (up to a quarter
                     // period) desynchronizes the shards' rounds so a
                     // region's pushes do not arrive in lockstep.
@@ -500,8 +501,8 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
                     .collect()
             })
             .collect();
-        let hosts = Arc::new(hosts);
-        let specs = Arc::new(specs);
+        let hosts = Rc::new(hosts);
+        let specs = Rc::new(specs);
         // Warm-site prestage (CoW lanes only): before the arrival clock
         // starts, every host touches exactly the golden memory states
         // its site's future arrivals will request — pulling their
@@ -572,7 +573,7 @@ pub fn run_fleet(params: &FleetParams) -> FleetResult {
         }
         // Release the gossip drivers; each exits on its next tick, so
         // quiescence follows within one gossip period.
-        stop.store(true, std::sync::atomic::Ordering::Release);
+        stop.set(true);
     });
 
     let end = sim.run();

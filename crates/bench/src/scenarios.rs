@@ -16,14 +16,12 @@
 //! `Local`, `LAN`, `WAN` (GVFS proxies + SSH tunnels, no disk cache),
 //! `WAN+C` (client-side proxy disk caching enabled).
 
-use std::sync::Arc;
-
 use gvfs::{
     BlockCacheConfig, DedupTuning, GvfsSession, ImageServer, Listen, Middleware, ProxyConfig,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation, Snapshot};
 use vfs::{Disk, DiskModel, FileType, Fs, LocalIo, LocalIoConfig, MountTable, Payload};
 use vmm::{install_image, VmConfig, VmImageSpec, VmMonitor};
@@ -210,7 +208,7 @@ pub struct AppResult {
 /// four at a time ([`gvfs::digest::digest4`]) and mixed in file order.
 /// The value is only ever compared between runs of one build, never
 /// recorded.
-pub fn fs_digest(fs: &Arc<Mutex<Fs>>) -> u64 {
+pub fn fs_digest(fs: &Shared<Fs>) -> u64 {
     const STEP: u64 = 64 * 1024;
     // Domain separators: a zero run's length can never pass for data.
     const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;
@@ -315,7 +313,7 @@ pub fn run_app_scenario(
         h.telemetry().set_trace(true);
     }
     let image = VmImageSpec::app_benchmark("appvm");
-    let results: Arc<Mutex<AppResult>> = Arc::new(Mutex::new(AppResult {
+    let results: Shared<AppResult> = Shared::new(AppResult {
         scenario: kind.label().to_string(),
         runs: Vec::new(),
         flush_secs: None,
@@ -324,8 +322,8 @@ pub fn run_app_scenario(
         server_fs_digest: None,
         events_processed: 0,
         processes_spawned: 0,
-    }));
-    let mut server_fs: Option<Arc<Mutex<Fs>>> = None;
+    });
+    let mut server_fs: Option<Shared<Fs>> = None;
 
     let kcfg = KernelConfig {
         cache_bytes: params.kernel_cache_bytes,
@@ -438,9 +436,9 @@ pub fn run_app_scenario(
     }
 
     let end = sim.run();
-    let mut res = Arc::try_unwrap(results)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone());
+    let mut res = results
+        .try_unwrap()
+        .unwrap_or_else(|shared| shared.lock().clone());
     res.total_virtual_secs = end.as_secs_f64();
     res.snapshot = h.telemetry().snapshot();
     res.server_fs_digest = server_fs.as_ref().map(fs_digest);
@@ -455,7 +453,7 @@ fn drive_runs(
     vm: &VmMonitor,
     wl: &Workload,
     runs: usize,
-    out: &Arc<Mutex<AppResult>>,
+    out: &Shared<AppResult>,
     session: Option<GvfsSession>,
 ) {
     for _run in 0..runs {
@@ -485,7 +483,7 @@ mod tests {
 
     /// A filesystem holding one file, `size` bytes long, with `writes`
     /// applied in order.
-    fn fs_with(size: u64, writes: &[(u64, &[u8])]) -> Arc<Mutex<Fs>> {
+    fn fs_with(size: u64, writes: &[(u64, &[u8])]) -> Shared<Fs> {
         let mut fs = Fs::new(0);
         let root = fs.root();
         let dir = fs.mkdir(root, "vm", 0o755, 0).unwrap();
@@ -494,12 +492,12 @@ mod tests {
             fs.write(file, *off, *bytes, 0).unwrap();
         }
         fs.setattr(file, Some(size), None, 0).unwrap();
-        Arc::new(Mutex::new(fs))
+        Shared::new(fs)
     }
 
     /// `fs_digest` as it was before it digested four steps at a time:
     /// each data step digested and mixed as it is read.
-    fn fs_digest_one_at_a_time(fs: &Arc<Mutex<Fs>>) -> u64 {
+    fn fs_digest_one_at_a_time(fs: &Shared<Fs>) -> u64 {
         const STEP: u64 = 64 * 1024;
         // Domain separators: a zero run's length can never pass for data.
         const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;

@@ -689,7 +689,7 @@ fn zero_filter_counts(memory_mb: u64, with_meta: bool, trace: bool) -> (u64, u64
         Some(BlockCacheConfig::paper(8 << 30)),
         Some(8 << 30),
     );
-    let out = std::sync::Arc::new(parking_lot::Mutex::new((0u64, 0u64)));
+    let out = simnet::Shared::new((0u64, 0u64));
     let out2 = out.clone();
     sim.spawn("resume", move |env| {
         let nfs = Nfs3Client::new(session.rpc());

@@ -20,7 +20,7 @@
 //! by content ([`vfs::share`]) — a guest disk is mostly holes, and the
 //! zero block, or any block the kernel client's buffer also holds, exists
 //! once however many frames carry it. A frame born dirty is private.
-//! Every mutation goes through [`Arc::make_mut`]: it writes in place
+//! Every mutation goes through [`Rc::make_mut`]: it writes in place
 //! when the frame is the only holder and copies first when the pool, a
 //! twin frame or a flush in progress ([`BlockCache::take_dirty`] hands
 //! out references, not copies) still reads the old bytes. None of this
@@ -28,10 +28,10 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::telemetry::Counter;
+use simnet::Shared;
 use simnet::{Env, SimHandle};
 use vfs::{share, Disk, SharedBytes};
 
@@ -153,7 +153,7 @@ impl BcTel {
 struct Frame {
     tag: Tag,
     /// Pooled by content when inserted clean, private when born dirty;
-    /// mutated only through [`Arc::make_mut`].
+    /// mutated only through [`Rc::make_mut`].
     data: SharedBytes,
     dirty: bool,
     stamp: u64,
@@ -201,7 +201,7 @@ pub struct BlockCache {
     cfg: BlockCacheConfig,
     disk: Disk,
     tel: BcTel,
-    inner: Mutex<Inner>,
+    inner: Shared<Inner>,
 }
 
 fn mix(fileid: u64, generation: u64) -> u64 {
@@ -225,7 +225,7 @@ impl BlockCache {
             cfg,
             disk,
             tel: BcTel::register(handle),
-            inner: Mutex::new(Inner {
+            inner: Shared::new(Inner {
                 sets: (0..cfg.total_sets()).map(|_| Vec::new()).collect(),
                 banks_created: vec![false; cfg.banks],
                 stamp: 0,
@@ -333,7 +333,7 @@ impl BlockCache {
                 f.stamp = stamp;
                 let len = f.data.len();
                 let range = start.min(len)..start.saturating_add(count).min(len);
-                (Arc::clone(&f.data), range)
+                (Rc::clone(&f.data), range)
             })
         };
         if found.is_some() {
@@ -371,11 +371,11 @@ impl BlockCache {
     ) -> Option<(Tag, SharedBytes)> {
         // A frame born dirty is about to be written again and stays
         // private.
-        let data = if dirty { Arc::new(data) } else { share(data) };
+        let data = if dirty { Rc::new(data) } else { share(data) };
         self.insert_shared(env, tag, data, dirty)
     }
 
-    /// [`BlockCache::insert`] of a payload already behind an `Arc` — a
+    /// [`BlockCache::insert`] of a payload already behind an `Rc` — a
     /// clean block the caller pooled by content where it arrived
     /// ([`vfs::share_slice`]), before any cache lock is taken: the pool
     /// stays a leaf lock.
@@ -478,7 +478,7 @@ impl BlockCache {
                     };
                     // Copies first when the pool or a flush in progress
                     // still holds these bytes; writes in place otherwise.
-                    let data = Arc::make_mut(&mut f.data);
+                    let data = Rc::make_mut(&mut f.data);
                     if old_len < end {
                         data.resize(end, 0);
                     }
@@ -522,7 +522,7 @@ impl BlockCache {
                 for f in set.iter_mut() {
                     if f.dirty {
                         f.dirty = false;
-                        out.push((f.tag, Arc::clone(&f.data)));
+                        out.push((f.tag, Rc::clone(&f.data)));
                     }
                 }
             }
@@ -595,7 +595,7 @@ mod tests {
     #[test]
     fn insert_then_lookup_hits() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let cache = Rc::new(small_cache(&sim.handle(), 4));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             assert!(c.lookup(&env, tag(1, 0)).is_none());
@@ -623,7 +623,7 @@ mod tests {
     #[test]
     fn set_eviction_is_lru_and_prefers_clean_victims() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 2));
+        let cache = Rc::new(small_cache(&sim.handle(), 2));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             // Three blocks mapping to the same set: same file, strides of
@@ -654,7 +654,7 @@ mod tests {
     #[test]
     fn update_merges_into_existing_frame() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let cache = Rc::new(small_cache(&sim.handle(), 4));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             c.insert(&env, tag(2, 0), vec![0xAA; 1024], false);
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn take_dirty_returns_sorted_and_clears() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let cache = Rc::new(small_cache(&sim.handle(), 4));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             c.insert(&env, tag(5, 3), vec![3; 1024], true);
@@ -694,18 +694,18 @@ mod tests {
             let frame = inner.sets[self.set_index(&tag)]
                 .iter()
                 .find(|f| f.tag == tag)?;
-            Some(Arc::clone(&frame.data))
+            Some(Rc::clone(&frame.data))
         }
     }
 
     #[test]
     fn clean_frames_of_equal_content_are_one_allocation_and_writes_unshare() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let cache = Rc::new(small_cache(&sim.handle(), 4));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             let same =
-                |a: Tag, b: Tag| Arc::ptr_eq(&c.frame_data(a).unwrap(), &c.frame_data(b).unwrap());
+                |a: Tag, b: Tag| Rc::ptr_eq(&c.frame_data(a).unwrap(), &c.frame_data(b).unwrap());
             c.insert(&env, tag(1, 0), vec![5; 1024], false);
             c.insert(&env, tag(2, 7), vec![5; 1024], false);
             c.insert(&env, tag(3, 1), vec![5; 1024], true);
@@ -720,7 +720,7 @@ mod tests {
             // snapshot: the next write leaves what it was handed alone.
             let flushed = c.take_dirty(&env);
             let (_, held) = flushed.iter().find(|(t, _)| *t == tag(3, 1)).unwrap();
-            assert!(Arc::ptr_eq(held, &c.frame_data(tag(3, 1)).unwrap()));
+            assert!(Rc::ptr_eq(held, &c.frame_data(tag(3, 1)).unwrap()));
             assert!(c.update(&env, tag(3, 1), 0, b"later", true));
             assert_eq!(**held, vec![5; 1024]);
             assert_eq!(&c.lookup(&env, tag(3, 1)).unwrap()[..5], b"later");
@@ -740,7 +740,7 @@ mod tests {
                 bytes_per_sec: 40e6,
             },
         );
-        let cache = std::sync::Arc::new(BlockCache::new(
+        let cache = Rc::new(BlockCache::new(
             &h,
             disk,
             BlockCacheConfig::with_capacity(64 << 20, 8, 4, 32 * 1024),
@@ -772,7 +772,7 @@ mod tests {
     #[test]
     fn byte_accounting_is_exact_for_tail_blocks() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 2));
+        let cache = Rc::new(small_cache(&sim.handle(), 2));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             // A short "tail" block must be accounted at its real length,
@@ -799,7 +799,7 @@ mod tests {
     #[test]
     fn eviction_debits_victim_length_not_block_size() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 2));
+        let cache = Rc::new(small_cache(&sim.handle(), 2));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             // Same set (stride = total_sets = 4), short payloads. With the
@@ -826,7 +826,7 @@ mod tests {
     #[test]
     fn clear_empties_cache() {
         let sim = Simulation::new();
-        let cache = std::sync::Arc::new(small_cache(&sim.handle(), 4));
+        let cache = Rc::new(small_cache(&sim.handle(), 4));
         let c = cache.clone();
         sim.spawn("t", move |env| {
             c.insert(&env, tag(1, 0), vec![1; 1024], false);

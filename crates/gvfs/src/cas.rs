@@ -41,7 +41,7 @@
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
 
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Counter, Telemetry};
 use std::collections::BTreeMap;
 use vfs::{share, SharedBytes};
@@ -207,7 +207,7 @@ impl Blob {
 /// only constructor runs after the same digest was verified — so the
 /// index can never claim a digest it does not hold the preimage of.
 pub struct ContentStore {
-    inner: Mutex<Inner>,
+    inner: Shared<Inner>,
     capacity: u64,
     /// Incremented when an insert ends over capacity because every
     /// remaining eviction candidate is pinned (`cas.pin_blocked_evictions`
@@ -224,7 +224,7 @@ impl ContentStore {
     /// A store bounded at `capacity` logical bytes.
     pub fn new(capacity: u64) -> Self {
         ContentStore {
-            inner: Mutex::new(Inner {
+            inner: Shared::new(Inner {
                 map: BTreeMap::new(),
                 lru: BTreeMap::new(),
                 bytes: 0,
@@ -447,7 +447,7 @@ impl ContentStore {
     #[cfg(test)]
     pub(crate) fn corrupt_entry(&self, d: &Digest) {
         if let Some(e) = self.inner.lock().map.get_mut(d) {
-            std::sync::Arc::make_mut(&mut e.packed).truncate(12);
+            std::rc::Rc::make_mut(&mut e.packed).truncate(12);
         }
     }
 

@@ -28,11 +28,11 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use nfs3::Fh3;
 use oncrpc::{OpaqueAuth, ProgramError, RpcClient, RpcProgram};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{run_windowed, Env, Resource, TransferTel};
 use vfs::{Disk, Fs, Handle};
 use xdr::{Decode, Decoder, Encode, Encoder};
@@ -466,7 +466,7 @@ pub(crate) fn batch_reply_item(result: Option<Vec<u8>>) -> oncrpc::BatchReplyIte
 
 /// Server half of the file channel (runs with the server-side proxy).
 pub struct FileChannelServer {
-    fs: Arc<Mutex<Fs>>,
+    fs: Shared<Fs>,
     disk: Disk,
     codec: CodecModel,
     /// When false, fetches return raw bytes (ablation: channel without
@@ -491,13 +491,13 @@ impl FileChannelServer {
     /// Create a channel server over the image server's filesystem/disk,
     /// its compressions serialized on `cpu` if given.
     pub fn new(
-        fs: Arc<Mutex<Fs>>,
+        fs: Shared<Fs>,
         disk: Disk,
         codec: CodecModel,
         compress: bool,
         cpu: Option<Resource>,
-    ) -> Arc<Self> {
-        Arc::new(FileChannelServer {
+    ) -> Rc<Self> {
+        Rc::new(FileChannelServer {
             fs,
             disk,
             codec,
@@ -1264,11 +1264,11 @@ mod tests {
     use simnet::{Link, SimDuration, Simulation};
     use vfs::DiskModel;
 
-    type Rig = (Arc<Mutex<Fs>>, ChannelClient, Link);
+    type Rig = (Shared<Fs>, ChannelClient, Link);
 
     fn rig(sim: &Simulation, mbps: f64, compress: bool) -> Rig {
         let h = sim.handle();
-        let fs = Arc::new(Mutex::new(Fs::new(0)));
+        let fs = Shared::new(Fs::new(0));
         let disk = Disk::new(&h, DiskModel::server_array());
         let server =
             FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress, None);
@@ -1282,7 +1282,7 @@ mod tests {
     }
 
     /// Create `name` holding `data`, then grow it (sparsely) to `size`.
-    fn put_file(fs: &Mutex<Fs>, name: &str, data: &[u8], size: u64) -> Handle {
+    fn put_file(fs: &Shared<Fs>, name: &str, data: &[u8], size: u64) -> Handle {
         let mut f = fs.lock();
         let root = f.root();
         let h = f.create(root, name, 0o644, 0).unwrap();

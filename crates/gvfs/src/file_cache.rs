@@ -24,10 +24,10 @@
 //! recomputes it from scratch.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::Env;
+use simnet::Shared;
 use vfs::{Disk, Payload, SparseBytes};
 
 use crate::cas::{BrokenPin, ContentStore};
@@ -62,7 +62,7 @@ impl CowTuning {
 struct RefFile {
     /// The store the recipe resolves through; shared chunks hold pins in
     /// it until broken or the entry is dropped.
-    cas: Arc<ContentStore>,
+    cas: Rc<ContentStore>,
     /// Recipe grid (last chunk may be short).
     chunk_bytes: u32,
     /// `(digest, len)` per chunk, covering `[0, size)`.
@@ -342,7 +342,7 @@ struct Inner {
 pub struct FileCache {
     disk: Disk,
     capacity_bytes: u64,
-    inner: Mutex<Inner>,
+    inner: Shared<Inner>,
 }
 
 impl FileCache {
@@ -351,7 +351,7 @@ impl FileCache {
         FileCache {
             disk,
             capacity_bytes,
-            inner: Mutex::new(Inner {
+            inner: Shared::new(Inner {
                 files: BTreeMap::new(),
                 bytes: 0,
                 stamp: 0,
@@ -426,7 +426,7 @@ impl FileCache {
         &self,
         env: &Env,
         key: FileKey,
-        cas: Arc<ContentStore>,
+        cas: Rc<ContentStore>,
         chunk_bytes: u32,
         recipe: Vec<(Digest, u32)>,
         fresh_bytes: u64,
@@ -801,11 +801,11 @@ impl FileCache {
 mod tests {
     use super::*;
     use simnet::{SimDuration, SimHandle, Simulation};
-    use std::sync::Arc;
+    use std::rc::Rc;
     use vfs::DiskModel;
 
-    fn cache(h: &SimHandle, cap: u64) -> Arc<FileCache> {
-        Arc::new(FileCache::new(
+    fn cache(h: &SimHandle, cap: u64) -> Rc<FileCache> {
+        Rc::new(FileCache::new(
             Disk::new(
                 h,
                 DiskModel {
@@ -976,7 +976,7 @@ mod tests {
     /// Chunk `content` onto `cas` with one pin per record occurrence —
     /// exactly what the proxy's reference-install path does before
     /// handing the recipe (and pin ownership) to `install_reference`.
-    fn pinned_recipe(cas: &Arc<ContentStore>, content: &[u8], chunk: u32) -> Vec<(Digest, u32)> {
+    fn pinned_recipe(cas: &Rc<ContentStore>, content: &[u8], chunk: u32) -> Vec<(Digest, u32)> {
         content
             .chunks(chunk as usize)
             .map(|c| {
@@ -1000,7 +1000,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(2500);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1027,7 +1027,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(3000);
             let eager = digest(&content);
             for k in 1..=4 {
@@ -1059,7 +1059,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(4096);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1110,7 +1110,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(3000);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1144,7 +1144,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(2048);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1172,7 +1172,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(2000);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1197,7 +1197,7 @@ mod tests {
         let c = cache(&sim.handle(), 2500);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(2048);
             let recipe = pinned_recipe(&cas, &content, 1024);
             cc.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
@@ -1229,7 +1229,7 @@ mod tests {
         let c = cache(&sim.handle(), 1 << 20);
         let cc = c.clone();
         sim.spawn("t", move |env| {
-            let cas = Arc::new(ContentStore::new(1 << 20));
+            let cas = Rc::new(ContentStore::new(1 << 20));
             let content = golden(3072);
             for k in [1, 2] {
                 let recipe = pinned_recipe(&cas, &content, 1024);

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use oncrpc::msg::auth_stat;
 use oncrpc::{AuthGvfs, AuthSys, OpaqueAuth, ProgramError};
-use parking_lot::Mutex;
+use simnet::Shared;
 
 /// The local account a session maps to.
 #[derive(Debug, Clone)]
@@ -27,7 +27,7 @@ pub struct MappedAccount {
 /// Session registry held by a server-side proxy.
 #[derive(Default)]
 pub struct IdentityMapper {
-    sessions: Mutex<HashMap<u64, MappedAccount>>,
+    sessions: Shared<HashMap<u64, MappedAccount>>,
 }
 
 impl IdentityMapper {

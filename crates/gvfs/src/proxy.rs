@@ -19,13 +19,13 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::RangeInclusive;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use oncrpc::msg::{AcceptStat, CallHeader, RejectStat, ReplyBody, RpcMessage};
 use oncrpc::transport::RpcHandler;
 use oncrpc::{ProgramError, RpcClient, RpcError};
-use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
+use simnet::Shared;
 use simnet::{run_windowed, Env, SimDuration, TransferTel};
 use vfs::{share_slice, Handle, Payload, PayloadRef, SharedBytes};
 
@@ -203,7 +203,7 @@ struct PxTel {
     /// Per-NFS-procedure call counters, registered on first use and then
     /// recorded through shared cells: the dispatch path must not take the
     /// registry lock (or build a `String` key) per request.
-    nfs_procs: parking_lot::Mutex<Vec<(u32, Counter)>>,
+    nfs_procs: Shared<Vec<(u32, Counter)>>,
     calls: Counter,
     reads: Counter,
     writes: Counter,
@@ -256,7 +256,7 @@ impl PxTel {
             wb_drained: c("wb_drained"),
             verf_mismatches: c("verf_mismatches"),
             flush_retry_rounds: c("flush_retry_rounds"),
-            nfs_procs: parking_lot::Mutex::new(Vec::new()),
+            nfs_procs: Shared::new(Vec::new()),
             inst,
             registry,
         }
@@ -391,7 +391,7 @@ const _: () = assert!(GOSSIP_BATCH <= MAX_GOSSIP_DIGESTS);
 
 #[derive(Default)]
 struct ProxyState {
-    meta: HashMap<FileKey, Option<Arc<MetaFile>>>,
+    meta: HashMap<FileKey, Option<Rc<MetaFile>>>,
     sizes: HashMap<FileKey, u64>,
     /// Single-flight guard ([`Proxy::join_or_claim`]): fetches in
     /// progress, each with the signal its waiters park on. Concurrent
@@ -461,12 +461,13 @@ struct ProxyState {
 }
 
 impl ProxyState {
-    /// Forget every cached chunk and recipe reply of `key`. Runs *before*
-    /// a mutation of the file goes upstream, not after: a mutation whose
-    /// reply is lost may still have changed the origin, and a relay may
-    /// be stale about other sites' writes but never about one it
-    /// forwarded itself. Digest-keyed blob replies are content-addressed
-    /// and stay.
+    /// Forget every cached chunk and recipe reply of `key`. A forwarded
+    /// mutation runs it *before* going upstream: one whose reply is lost
+    /// may still have changed the origin, and a relay may be stale about
+    /// other sites' writes but never about one it forwarded itself. An
+    /// absorbed write runs it *after* its delivery (`WbSink`), failed or
+    /// not, so a reply cached while the delivery was in flight goes too.
+    /// Digest-keyed blob replies are content-addressed and stay.
     fn forget_file_replies(&mut self, key: FileKey) {
         self.chan_chunk_replies
             .forget((key, 0, 0)..=(key, u64::MAX, u32::MAX));
@@ -529,16 +530,16 @@ const MAX_FLIGHT_ATTEMPTS: u32 = 3;
 /// push dirty blocks and dirty cached files upstream or, failing that, to
 /// park a block on the retry queue. Owned by the proxy and cloned into
 /// its detached read-ahead workers, whose inserts evict too, and into the
-/// flush's file helper (the proxy itself sits behind an `Arc` owned by
+/// flush's file helper (the proxy itself sits behind an `Rc` owned by
 /// the listener; workers only hold the pieces they touch).
 #[derive(Clone)]
 struct WbSink {
     upstream: RpcClient,
-    // Arc: detached prefetch workers share the state (and the Mutex
-    // inside keeps critical sections short — no suspends under it).
-    state: Arc<Mutex<ProxyState>>,
+    // Shared: detached prefetch workers share the state (critical
+    // sections stay short — no suspends under it).
+    state: Shared<ProxyState>,
     /// The file cache and the channel that fills and flushes it.
-    files: Option<(Arc<FileCache>, ChannelClient)>,
+    files: Option<(Rc<FileCache>, ChannelClient)>,
     /// Block size of the attached block cache (32 KB until one is).
     bs: u64,
     /// Whether dedup is on: flush sends are digested and may be skipped.
@@ -648,7 +649,7 @@ impl WbSink {
                 // payload travels as the frame's own allocation.
                 let keep = (s - off).min(bs) as usize;
                 if keep < data.len() {
-                    data = Arc::new(data[..keep].to_vec());
+                    data = Rc::new(data[..keep].to_vec());
                 }
             }
             let d = may_skip.then(|| {
@@ -695,6 +696,7 @@ impl WbSink {
                 Some((block, data, d, verf))
             },
         );
+        self.state.lock().forget_file_replies(key);
         (slots, skips)
     }
 
@@ -775,7 +777,9 @@ impl WbSink {
             DirtyFile::Whole(c) => (c.len() as u64, chunk_ranges(c, self.transfer.chunk_bytes)),
         };
         let window = self.transfer.channel_window;
-        match chan.upload_ranges(env, *key, total, ranges, window, Some(&self.ttel)) {
+        let sent = chan.upload_ranges(env, *key, total, ranges, window, Some(&self.ttel));
+        self.state.lock().forget_file_replies(*key);
+        match sent {
             Ok(wire) => {
                 report.files += 1;
                 report.file_wire_bytes += wire;
@@ -813,7 +817,7 @@ struct GossipPeers {
 /// Gossip runtime state + telemetry. The peer table is present iff
 /// `cfg.fleet.gossip()` and dedup are both on; the counters always are.
 struct GossipCtl {
-    peers: Option<Mutex<GossipPeers>>,
+    peers: Option<Shared<GossipPeers>>,
     /// Anti-entropy rounds this shard initiated.
     rounds: Counter,
     /// Digests learned about peers (both directions).
@@ -843,13 +847,13 @@ impl GossipCtl {
 /// into an [`oncrpc::Listener`].
 pub struct Proxy {
     cfg: ProxyConfig,
-    block_cache: Option<Arc<BlockCache>>,
-    identity: Option<Arc<IdentityMapper>>,
+    block_cache: Option<Rc<BlockCache>>,
+    identity: Option<Rc<IdentityMapper>>,
     tel: PxTel,
     /// Content-addressed store over the chunks this proxy fetched for
     /// itself or relayed for a proxy below it (present iff
     /// `cfg.dedup.enabled`).
-    cas: Option<Arc<ContentStore>>,
+    cas: Option<Rc<ContentStore>>,
     /// Per-instance write verifier returned in absorbed WRITE/COMMIT
     /// replies (write-back mode answers both locally, so it speaks for
     /// the stability of its own cache disk).
@@ -869,7 +873,7 @@ pub struct Proxy {
     /// CAS evictions refused under pin pressure (the counter is shared
     /// with the content store).
     cow_pin_blocked: Counter,
-    state: Arc<Mutex<ProxyState>>,
+    state: Shared<ProxyState>,
 }
 
 /// Forget, and return the number of, prefetched blocks that fell out of
@@ -926,7 +930,7 @@ impl Proxy {
             let store = ContentStore::new(cfg.dedup.cas_bytes)
                 .with_broken_pin_counter(tel.recovered_errors.clone())
                 .with_pin_blocked_counter(cow_pin_blocked.clone());
-            Arc::new(store)
+            Rc::new(store)
         });
         // The fleet presets bound the write-back retry queue along with
         // batching blob misses.
@@ -936,7 +940,7 @@ impl Proxy {
         // as the store peer fetches are served from, so it is inert
         // without dedup (same dependency as batching).
         let gossip = GossipCtl {
-            peers: (cfg.fleet.gossip() && cfg.dedup.enabled).then(Mutex::default),
+            peers: (cfg.fleet.gossip() && cfg.dedup.enabled).then(Shared::default),
             rounds: counter("gossip.rounds"),
             digests_learned: counter("gossip.digests_learned"),
             peer_hits: counter("gossip.peer_hits"),
@@ -944,7 +948,7 @@ impl Proxy {
             peer_misses: counter("gossip.peer_misses"),
             peer_served: counter("gossip.peer_served"),
         };
-        let state = Arc::new(Mutex::new(ProxyState::default()));
+        let state = Shared::new(ProxyState::default());
         let wb = WbSink {
             upstream,
             state: state.clone(),
@@ -979,28 +983,28 @@ impl Proxy {
     }
 
     /// Attach a block-based disk cache.
-    pub fn with_block_cache(mut self, cache: Arc<BlockCache>) -> Self {
+    pub fn with_block_cache(mut self, cache: Rc<BlockCache>) -> Self {
         self.wb.bs = cache.config().block_size as u64;
         self.block_cache = Some(cache);
         self
     }
 
     /// Attach a file cache and the channel client used to fill it.
-    pub fn with_file_channel(mut self, cache: Arc<FileCache>, chan: ChannelClient) -> Self {
+    pub fn with_file_channel(mut self, cache: Rc<FileCache>, chan: ChannelClient) -> Self {
         self.wb.codec = *chan.codec();
         self.wb.files = Some((cache, chan));
         self
     }
 
     /// Attach identity mapping (server-side proxies).
-    pub fn with_identity(mut self, mapper: Arc<IdentityMapper>) -> Self {
+    pub fn with_identity(mut self, mapper: Rc<IdentityMapper>) -> Self {
         self.identity = Some(mapper);
         self
     }
 
     /// Finalize into a handler for an RPC listener.
-    pub fn into_handler(self) -> Arc<Proxy> {
-        Arc::new(self)
+    pub fn into_handler(self) -> Rc<Proxy> {
+        Rc::new(self)
     }
 
     /// Counter snapshot (reads the shared telemetry counters).
@@ -1043,17 +1047,17 @@ impl Proxy {
     }
 
     /// The content-addressed store, when dedup is enabled.
-    pub fn content_store(&self) -> Option<&Arc<ContentStore>> {
+    pub fn content_store(&self) -> Option<&Rc<ContentStore>> {
         self.cas.as_ref()
     }
 
     /// The attached block cache, if any.
-    pub fn block_cache(&self) -> Option<&Arc<BlockCache>> {
+    pub fn block_cache(&self) -> Option<&Rc<BlockCache>> {
         self.block_cache.as_ref()
     }
 
     /// The attached file cache, if any.
-    pub fn file_cache(&self) -> Option<&Arc<FileCache>> {
+    pub fn file_cache(&self) -> Option<&Rc<FileCache>> {
         self.wb.files.as_ref().map(|(cache, _)| cache)
     }
 
@@ -1115,7 +1119,7 @@ impl Proxy {
         // an `eof`: an upstream that never says it cannot keep the
         // proxy reading.
         const MAX_META_BYTES: u64 = xdr::DEFAULT_MAX_LEN as u64;
-        let meta = (|| -> Option<Arc<MetaFile>> {
+        let meta = (|| -> Option<Rc<MetaFile>> {
             // The buffer grows with the READs that arrive: the size the
             // upstream's attributes claim is not worth a reservation.
             let (meta_fh, _) = nfs.lookup(env, dir, &meta_name_for(name)).ok()?;
@@ -1133,12 +1137,12 @@ impl Proxy {
                     return None;
                 }
             }
-            MetaFile::from_bytes(&contents).ok().map(Arc::new)
+            MetaFile::from_bytes(&contents).ok().map(Rc::new)
         })();
         self.state.lock().meta.insert(subject, meta);
     }
 
-    fn meta_for(&self, key: FileKey) -> Option<Arc<MetaFile>> {
+    fn meta_for(&self, key: FileKey) -> Option<Rc<MetaFile>> {
         self.state.lock().meta.get(&key).cloned().flatten()
     }
 
@@ -1257,7 +1261,7 @@ impl Proxy {
             let in_block = a.offset % bs;
             if in_block + a.count as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
-                // Atomically either join an in-flight prefetch of this
+                // Under one lock, either join an in-flight prefetch of this
                 // block (wait for it to land rather than duplicating the
                 // WAN READ), or claim the block as an in-flight demand
                 // read so the read-ahead engine skips it as a candidate.
@@ -1720,7 +1724,7 @@ impl Proxy {
                         data.resize(boff, 0);
                         data.extend_from_slice(chunk);
                         self.wb
-                            .insert_block(env, cred, bc, tag, Arc::new(data), true);
+                            .insert_block(env, cred, bc, tag, Rc::new(data), true);
                     } else {
                         let nfs = nfs3::Nfs3Client::new(self.wb.upstream.with_cred(cred.clone()));
                         let mut base = match nfs.read(env, a.file.0, bstart, bs as u32) {
@@ -1738,7 +1742,7 @@ impl Proxy {
                         }
                         base[boff..boff + take].copy_from_slice(chunk);
                         self.wb
-                            .insert_block(env, cred, bc, tag, Arc::new(base), true);
+                            .insert_block(env, cred, bc, tag, Rc::new(base), true);
                     }
                 }
                 pos += take as u64;
@@ -1954,7 +1958,7 @@ impl Proxy {
         // First upload attempt of every dirty cached file: what it sent,
         // and the uploads that failed, kept with their payload for the
         // retry rounds.
-        let uploaded: Arc<Mutex<(FlushReport, Vec<PendingUpload>)>> = Arc::default();
+        let uploaded: Shared<(FlushReport, Vec<PendingUpload>)> = Shared::default();
         let mut upload_files = None;
         if let Some((fc, _)) = &self.wb.files {
             let dirty_files = fc.dirty_files();

@@ -23,12 +23,12 @@
 //! order, and link and process names are metric keys.
 //! `tests/session_builder.rs` pins both against a hand-wired chain.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use nfs3::{MountServer, Nfs3Server, ServerConfig};
 use oncrpc::{AuthGvfs, Dispatcher, OpaqueAuth, RpcChannel, RpcClient, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, Resource, SimDuration, SimHandle};
 use vfs::{Disk, DiskModel, Fs};
 
@@ -51,16 +51,16 @@ pub const CONTENT_MAP_CHUNK_BYTES: u32 = 1 << 20;
 /// Middleware-side helpers: things the Grid middleware does outside the
 /// data path (meta-data generation, account allocation).
 pub struct Middleware {
-    next_session: AtomicU64,
-    next_shadow_uid: AtomicU64,
+    next_session: Cell<u64>,
+    next_shadow_uid: Cell<u64>,
 }
 
 impl Middleware {
     /// Fresh middleware instance.
     pub fn new() -> Self {
         Middleware {
-            next_session: AtomicU64::new(1),
-            next_shadow_uid: AtomicU64::new(6000),
+            next_session: Cell::new(1),
+            next_shadow_uid: Cell::new(6000),
         }
     }
 
@@ -135,8 +135,8 @@ impl Middleware {
     /// Establish a session: allocate a session id + shadow account,
     /// register with the server-side mapper, and mint the user credential.
     pub fn establish_session(&self, mapper: &IdentityMapper, grid_user: &str) -> (u64, OpaqueAuth) {
-        let session_id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        let uid = self.next_shadow_uid.fetch_add(1, Ordering::Relaxed) as u32;
+        let session_id = self.next_session.replace(self.next_session.get() + 1);
+        let uid = self.next_shadow_uid.replace(self.next_shadow_uid.get() + 1) as u32;
         mapper.register(
             session_id,
             MappedAccount {
@@ -162,7 +162,7 @@ impl Middleware {
     /// carries; its credential is replaced by the session's.
     pub fn start_session(
         &self,
-        mapper: &Arc<IdentityMapper>,
+        mapper: &Rc<IdentityMapper>,
         grid_user: &str,
         upstream: &RpcClient,
         cfg: ProxyConfig,
@@ -206,11 +206,11 @@ const SESSION_LIFETIME_NS: u64 = u64::MAX / 2;
 /// (identity mapping) listening on the external link pair.
 pub struct ImageServer {
     /// Image-server filesystem (pre-populate via this).
-    pub fs: Arc<Mutex<Fs>>,
+    pub fs: Shared<Fs>,
     /// Kernel NFS server.
-    pub server: Arc<Nfs3Server>,
+    pub server: Rc<Nfs3Server>,
     /// Identity registry of the server-side proxy.
-    pub mapper: Arc<IdentityMapper>,
+    pub mapper: Rc<IdentityMapper>,
     /// Channel into the machine from the external network.
     pub channel: RpcChannel,
 }
@@ -244,7 +244,7 @@ impl ImageServer {
             .register(mount)
             .register(chan)
             .into_handler();
-        let mapper = Arc::new(IdentityMapper::new());
+        let mapper = Rc::new(IdentityMapper::new());
         let ext = oncrpc::endpoint(h, listen.up, listen.down, listen.wire);
         if proxied {
             let lo = oncrpc::endpoint(
@@ -326,7 +326,7 @@ impl Listen {
 /// One running proxy tier.
 pub struct Tier {
     /// The tier's proxy.
-    pub proxy: Arc<Proxy>,
+    pub proxy: Rc<Proxy>,
     /// Channel into the tier from the side it listens on.
     pub channel: RpcChannel,
 }
@@ -345,15 +345,15 @@ impl Tier {
         file_bytes: Option<u64>,
         disk: &Disk,
         upstream: RpcClient,
-    ) -> Arc<Proxy> {
+    ) -> Rc<Proxy> {
         let h = upstream.channel().handle().clone();
         let mut proxy = Proxy::new(cfg, upstream.clone());
         if let Some(geometry) = block {
-            proxy = proxy.with_block_cache(Arc::new(BlockCache::new(&h, disk.clone(), geometry)));
+            proxy = proxy.with_block_cache(Rc::new(BlockCache::new(&h, disk.clone(), geometry)));
         }
         if let Some(bytes) = file_bytes {
             proxy = proxy.with_file_channel(
-                Arc::new(FileCache::new(disk.clone(), bytes)),
+                Rc::new(FileCache::new(disk.clone(), bytes)),
                 ChannelClient::new(upstream, CodecModel::default()),
             );
         }
@@ -390,13 +390,13 @@ pub struct GvfsSession {
     /// Middleware credential presented on every call.
     pub cred: OpaqueAuth,
     /// The session's client-side proxy.
-    pub proxy: Arc<Proxy>,
+    pub proxy: Rc<Proxy>,
     /// Loopback channel the host's kernel client mounts through.
     pub channel: RpcChannel,
     /// The compute host's local disk, which the proxy's caches live on
     /// (the cloning scenarios share it with the host's local I/O).
     pub cache_disk: Disk,
-    mapper: Arc<IdentityMapper>,
+    mapper: Rc<IdentityMapper>,
 }
 
 impl GvfsSession {

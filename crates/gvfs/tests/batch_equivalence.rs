@@ -11,16 +11,14 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use gvfs::digest::digest;
 use gvfs::{
     ChannelClient, CodecModel, ContentStore, DedupTel, FleetTuning, ImageServer, Listen,
     ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Disk, DiskModel};
 
@@ -141,7 +139,7 @@ fn run_fetch(
         RpcClient::new(client_channel, cred).with_policy(RetryPolicy::wan()),
         CodecModel::default(),
     );
-    let got: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
+    let got: Shared<Option<Vec<u8>>> = Shared::new(None);
     let got2 = got.clone();
     sim.spawn("cloner", move |env: Env| {
         let cas = ContentStore::new(1 << 30);

@@ -19,8 +19,8 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use gvfs::channel::{chanproc, ChanStatus, ChannelError};
 use gvfs::meta::{generate_content_map, ContentMap};
@@ -35,7 +35,7 @@ use oncrpc::{
     AuthSys, BatchItem, BatchReplyItem, Dispatcher, OpaqueAuth, ProgramError, RetryPolicy,
     RpcChannel, RpcClient, RpcError, RpcMessage, RpcProgram, WireSpec, BATCH_OK,
 };
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Decoder, Encode, Encoder};
@@ -48,7 +48,7 @@ fn cred() -> OpaqueAuth {
 
 /// An origin channel server over a fresh filesystem, behind a WAN whose
 /// links the caller may fault.
-fn origin(sim: &Simulation) -> (Arc<Mutex<Fs>>, RpcChannel, Link, Link) {
+fn origin(sim: &Simulation) -> (Shared<Fs>, RpcChannel, Link, Link) {
     let h = sim.handle();
     let up = Link::from_mbps(&h, "wan-up", 100.0, SimDuration::from_millis(5));
     let down = Link::from_mbps(&h, "wan-down", 100.0, SimDuration::from_millis(5));
@@ -61,7 +61,7 @@ fn origin(sim: &Simulation) -> (Arc<Mutex<Fs>>, RpcChannel, Link, Link) {
     (server.fs, server.channel, up, down)
 }
 
-fn put_file(fs: &Mutex<Fs>, name: &str, data: &[u8]) -> Handle {
+fn put_file(fs: &Shared<Fs>, name: &str, data: &[u8]) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let h = f.create(root, name, 0o644, 0).unwrap();
@@ -69,7 +69,7 @@ fn put_file(fs: &Mutex<Fs>, name: &str, data: &[u8]) -> Handle {
     h
 }
 
-fn contents(fs: &Mutex<Fs>, h: Handle) -> Vec<u8> {
+fn contents(fs: &Shared<Fs>, h: Handle) -> Vec<u8> {
     fs.lock().read(h, 0, 1 << 20, 0).unwrap().0.to_vec()
 }
 
@@ -454,7 +454,7 @@ fn a_blob_reply_that_fails_verification_never_reaches_the_cas() {
         let up = Link::new(&h, "up", 1e9, SimDuration::from_micros(100));
         let down = Link::new(&h, "down", 1e9, SimDuration::from_micros(100));
         let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
-        let origin = Dispatcher::new().register(Arc::new(CannedOrigin(reply)));
+        let origin = Dispatcher::new().register(Rc::new(CannedOrigin(reply)));
         ep.listener.serve("origin", origin.into_handler(), 2);
         let chan = ChannelClient::new(RpcClient::new(ep.channel, cred()), CodecModel::default());
         let (recipe, chunk) = (recipe.clone(), chunk.clone());
@@ -490,8 +490,8 @@ fn a_blob_reply_that_fails_verification_never_reaches_the_cas() {
 /// Counts the blobs asked of `inner`: one per `FETCH_BLOBS` call and one
 /// per item of a `FETCH_BLOBS_BATCH` envelope.
 struct CountBlobs {
-    inner: Arc<dyn RpcHandler>,
-    blobs: Arc<AtomicU64>,
+    inner: Rc<dyn RpcHandler>,
+    blobs: Rc<Cell<u64>>,
 }
 
 impl RpcHandler for CountBlobs {
@@ -504,7 +504,7 @@ impl RpcHandler for CountBlobs {
                 }
                 _ => 0,
             };
-            self.blobs.fetch_add(asked, Ordering::Relaxed);
+            self.blobs.set(self.blobs.get() + asked);
         }
         self.inner.handle(env, request)
     }
@@ -529,7 +529,7 @@ fn a_failed_recipe_fetch_is_tried_once() {
         .register(mount)
         .register(chan)
         .into_handler();
-    let blobs = Arc::new(AtomicU64::new(0));
+    let blobs = Rc::new(Cell::new(0));
     let up = Link::from_mbps(&h, "wan-up", 100.0, SimDuration::from_millis(5));
     let down = Link::from_mbps(&h, "wan-down", 100.0, SimDuration::from_millis(5));
     let wan = oncrpc::endpoint(&h, up, down, WireSpec::plain());
@@ -537,7 +537,7 @@ fn a_failed_recipe_fetch_is_tried_once() {
         inner: nfsd,
         blobs: blobs.clone(),
     };
-    wan.listener.serve("nfsd", Arc::new(counted), 8);
+    wan.listener.serve("nfsd", Rc::new(counted), 8);
 
     // Five distinct records; then record 2 changes under the meta-data.
     let data = image(4);
@@ -592,11 +592,7 @@ fn a_failed_recipe_fetch_is_tried_once() {
     });
     sim.run();
 
-    assert_eq!(
-        blobs.load(Ordering::Relaxed),
-        5,
-        "the recipe was tried again"
-    );
+    assert_eq!(blobs.get(), 5, "the recipe was tried again");
     let snap = h.telemetry().snapshot();
     assert_eq!(snap.counter_sum("gvfs", ".recovered_errors"), 1);
     assert_eq!(snap.counter_sum("gvfs", ".cow.ref_installs"), 0);

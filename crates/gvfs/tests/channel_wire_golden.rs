@@ -30,7 +30,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch, Reply};
 use gvfs::digest::{digest, Digest};
@@ -44,7 +44,7 @@ use oncrpc::{
     AcceptStat, AuthSys, BatchItem, Dispatcher, OpaqueAuth, ReplyBody, RpcChannel, RpcClient,
     RpcMessage, WireSpec,
 };
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, SimHandle, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Encode, Encoder};
@@ -56,13 +56,13 @@ fn to_hex(bytes: &[u8]) -> String {
     bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
-type Log = Arc<Mutex<Vec<String>>>;
+type Log = Shared<Vec<String>>;
 
 /// Records every channel-program call that reaches `inner`, with the
 /// reply `inner` gave: result bytes on success, `!stat` otherwise.
 struct Tap {
     hop: &'static str,
-    inner: Arc<dyn RpcHandler>,
+    inner: Rc<dyn RpcHandler>,
     log: Log,
 }
 
@@ -105,13 +105,13 @@ impl RpcHandler for Tap {
 fn serve_tapped(
     h: &SimHandle,
     hop: &'static str,
-    inner: Arc<dyn RpcHandler>,
+    inner: Rc<dyn RpcHandler>,
     log: &Log,
 ) -> RpcChannel {
     let up = Link::new(h, format!("{hop}-up"), 1e9, SimDuration::from_micros(100));
     let down = Link::new(h, format!("{hop}-down"), 1e9, SimDuration::from_micros(100));
     let ep = oncrpc::endpoint(h, up, down, WireSpec::plain());
-    let tap = Arc::new(Tap {
+    let tap = Rc::new(Tap {
         hop,
         inner,
         log: log.clone(),
@@ -144,12 +144,12 @@ fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) -> Option<xdr::Bytes>
 
 /// A cacheless proxy (nothing on its disk) over `upstream`, for the
 /// caller to serve behind a tap.
-fn cacheless(cfg: ProxyConfig, upstream: RpcClient) -> Arc<Proxy> {
+fn cacheless(cfg: ProxyConfig, upstream: RpcClient) -> Rc<Proxy> {
     let disk = Disk::new(upstream.channel().handle(), DiskModel::server_array());
     Tier::build(cfg, None, None, &disk, upstream)
 }
 
-fn shard(name: &str, upstream: RpcClient) -> Arc<Proxy> {
+fn shard(name: &str, upstream: RpcClient) -> Rc<Proxy> {
     let cfg = ProxyConfig {
         name: name.into(),
         write_policy: WritePolicy::WriteThrough,
@@ -171,8 +171,8 @@ fn image() -> Vec<u8> {
 fn render_fixture() -> String {
     let sim = Simulation::new();
     let h = sim.handle();
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
+    let log: Log = Shared::new(Vec::new());
+    let fs = Shared::new(Fs::new(0));
     let (fh, scratch) = {
         let mut f = fs.lock();
         let root = f.root();
@@ -475,8 +475,8 @@ fn fixture_covers_every_live_procedure_and_an_error_of_each() {
 fn retired_whole_file_procedures_answer_proc_unavail() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
+    let log: Log = Shared::new(Vec::new());
+    let fs = Shared::new(Fs::new(0));
     let fh = {
         let mut f = fs.lock();
         let root = f.root();

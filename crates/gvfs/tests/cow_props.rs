@@ -9,7 +9,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{
     CowTuning, FileChannelSpec, ImageServer, Listen, Middleware, Proxy, ProxyConfig, Tier,
@@ -17,8 +17,8 @@ use gvfs::{
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 
@@ -31,8 +31,8 @@ fn ms(v: u64) -> SimTime {
 }
 
 struct Rig {
-    fs: Arc<Mutex<Fs>>,
-    proxy: Arc<Proxy>,
+    fs: Shared<Fs>,
+    proxy: Rc<Proxy>,
     nfs: Nfs3Client,
     cred: OpaqueAuth,
     wan_up: Link,
@@ -98,7 +98,7 @@ fn payload(b: u64, v: u8) -> Vec<u8> {
 /// Seed the golden image on the origin and publish its middleware meta
 /// (content map + channel spec) so the proxy's first READ installs it
 /// through the file channel.
-fn seed_golden(fs: &Arc<Mutex<Fs>>) -> Handle {
+fn seed_golden(fs: &Shared<Fs>) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let fh = f.create(root, "golden.vmss", 0o644, 0).unwrap();
@@ -152,7 +152,7 @@ fn run_schedule(
     // Quiet point: past the outage (loss alone is ridden out by the
     // retransmission policy).
     let quiet = outage_start + outage_len + 500;
-    let out = Arc::new(Mutex::new((Vec::new(), Vec::new())));
+    let out = Shared::new((Vec::new(), Vec::new()));
     let out2 = out.clone();
     let (nfs, proxy, cred) = (rig.nfs, rig.proxy.clone(), rig.cred.clone());
     let rounds2 = rounds.to_vec();

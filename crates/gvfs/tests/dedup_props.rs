@@ -9,7 +9,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::channel::chanproc;
 use gvfs::digest::{chunk_digests, digest};
@@ -20,8 +20,8 @@ use gvfs::{
 };
 use nfs3::{Fh3, Nfs3Client, Nfs3Server};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcChannel, RpcClient, WireSpec};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimHandle, SimTime, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Encode, Encoder};
@@ -64,9 +64,9 @@ fn lan_share(h: &SimHandle, origin: RpcChannel, cred: &OpaqueAuth) -> Tier {
 }
 
 struct Rig {
-    fs: Arc<Mutex<Fs>>,
-    server: Arc<Nfs3Server>,
-    proxy: Arc<Proxy>,
+    fs: Shared<Fs>,
+    server: Rc<Nfs3Server>,
+    proxy: Rc<Proxy>,
     nfs: Nfs3Client,
     cred: OpaqueAuth,
     wan_up: Link,
@@ -131,7 +131,7 @@ fn build_rig_with(
     }
 }
 
-fn seed_file(fs: &Arc<Mutex<Fs>>, name: &str) -> Handle {
+fn seed_file(fs: &Shared<Fs>, name: &str) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let fh = f.create(root, name, 0o644, 0).unwrap();
@@ -725,7 +725,7 @@ fn recipe_outcomes_leave_the_cas_as_they_always_did() {
 
     let sim = Simulation::new();
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
+    let fs = Shared::new(Fs::new(0));
     let disk = Disk::new(&h, DiskModel::server_array());
     let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));

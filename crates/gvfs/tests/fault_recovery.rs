@@ -9,7 +9,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{
     BlockCacheConfig, DedupTuning, FlushReport, GvfsSession, IdentityMapper, ImageServer, Listen,
@@ -17,7 +17,7 @@ use gvfs::{
 };
 use nfs3::{Nfs3Client, Nfs3Server};
 use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Fs, Handle};
 
@@ -29,12 +29,12 @@ fn secs(s: u64) -> SimTime {
 }
 
 struct Rig {
-    fs: Arc<Mutex<Fs>>,
-    server: Arc<Nfs3Server>,
+    fs: Shared<Fs>,
+    server: Rc<Nfs3Server>,
     /// Identity registry of the server-side proxy.
-    mapper: Arc<IdentityMapper>,
+    mapper: Rc<IdentityMapper>,
     /// The session: client-side proxy, credential, flush and terminate.
-    session: Arc<GvfsSession>,
+    session: Rc<GvfsSession>,
     /// Client stub below the proxy (loopback, no faults).
     nfs: Nfs3Client,
     wan_up: Link,
@@ -104,14 +104,14 @@ fn build_rig_with(
         server: server.server,
         mapper: server.mapper,
         nfs: Nfs3Client::new(session.rpc()),
-        session: Arc::new(session),
+        session: Rc::new(session),
         wan_up,
         wan_down,
     }
 }
 
 /// Seed a server file of `BLOCKS` blocks and return its handle.
-fn seed_file(fs: &Arc<Mutex<Fs>>, name: &str) -> Handle {
+fn seed_file(fs: &Shared<Fs>, name: &str) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let fh = f.create(root, name, 0o644, 0).unwrap();
@@ -141,7 +141,7 @@ fn dirty_all(env: &Env, nfs: &Nfs3Client, fh: Handle) {
     nfs.commit(env, fh).unwrap();
 }
 
-fn assert_server_bytes_exact(fs: &Arc<Mutex<Fs>>, fh: Handle) {
+fn assert_server_bytes_exact(fs: &Shared<Fs>, fh: Handle) {
     let mut f = fs.lock();
     for b in 0..BLOCKS {
         let data = f.read(fh, b * BS, BS as usize, 0).unwrap().0.to_vec();
@@ -171,7 +171,7 @@ fn flush_rides_out_wan_outage_losslessly() {
     );
 
     let tel = sim.handle().telemetry().clone();
-    let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
+    let out: Shared<Option<FlushReport>> = Shared::new(None);
     let out2 = out.clone();
     let (nfs, session) = (rig.nfs, rig.session.clone());
     sim.spawn("client", move |env: Env| {
@@ -215,7 +215,7 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
         server.restart(env.now().as_nanos());
     });
 
-    let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
+    let out: Shared<Option<FlushReport>> = Shared::new(None);
     let out2 = out.clone();
     let (nfs, session) = (rig.nfs, rig.session.clone());
     sim.spawn("client", move |env: Env| {
@@ -263,7 +263,7 @@ fn evicted_dirty_blocks_survive_a_server_restart_before_the_flush() {
     );
     let fh = seed_file(&rig.fs, "evict.img");
 
-    let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
+    let out: Shared<Option<FlushReport>> = Shared::new(None);
     let out2 = out.clone();
     let (nfs, session, server) = (rig.nfs, rig.session.clone(), rig.server.clone());
     sim.spawn("client", move |env: Env| {

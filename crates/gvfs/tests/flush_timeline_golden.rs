@@ -37,7 +37,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::channel::chanproc;
 use gvfs::digest::digest;
@@ -51,7 +51,7 @@ use nfs3::proto::{proc3, StableHow};
 use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM};
 use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, RpcMessage, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Decode, Decoder};
@@ -63,11 +63,11 @@ const CHUNK: u32 = 8 * 1024;
 /// Chunks in each golden `.vmss`.
 const CHUNKS: u64 = 6;
 
-type Log = Arc<Mutex<Vec<String>>>;
+type Log = Shared<Vec<String>>;
 
 /// Records every call that reaches `inner`, stamped with its arrival time.
 struct Tap {
-    inner: Arc<dyn RpcHandler>,
+    inner: Rc<dyn RpcHandler>,
     log: Log,
 }
 
@@ -142,7 +142,7 @@ fn payload(what: u64, version: u64, len: usize) -> Vec<u8> {
 /// Seed a golden `.vmss` of [`CHUNKS`] chunks and publish its meta
 /// (content map + channel spec), so the proxy's first READ installs it
 /// through the file channel.
-fn seed_vmss(fs: &Arc<Mutex<Fs>>, name: &str, what: u64) -> Handle {
+fn seed_vmss(fs: &Shared<Fs>, name: &str, what: u64) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let fh = f.create(root, name, 0o644, 0).unwrap();
@@ -162,7 +162,7 @@ fn seed_vmss(fs: &Arc<Mutex<Fs>>, name: &str, what: u64) -> Handle {
 fn render_session(flush_window: usize) -> String {
     let sim = Simulation::new();
     let h = sim.handle();
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
+    let log: Log = Shared::new(Vec::new());
 
     let server_disk = Disk::new(&h, DiskModel::server_array());
     let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
@@ -175,7 +175,7 @@ fn render_session(flush_window: usize) -> String {
         .register(mount)
         .register(chan_server)
         .into_handler();
-    let tap = Arc::new(Tap {
+    let tap = Rc::new(Tap {
         inner: origin,
         log: log.clone(),
     });
@@ -208,12 +208,12 @@ fn render_session(flush_window: usize) -> String {
     // on a disk each here, a tier keeps both on one, and the pinned
     // instants at `flush_window` 8 move by a disk access when uploads and
     // block write-backs queue on the same arm.
-    let fc = Arc::new(FileCache::new(
+    let fc = Rc::new(FileCache::new(
         Disk::new(&h, DiskModel::scsi_2004()),
         256 << 20,
     ));
     // Four frames (two sets of two): ten dirty blocks cannot all stay.
-    let bc = Arc::new(BlockCache::new(
+    let bc = Rc::new(BlockCache::new(
         &h,
         Disk::new(&h, DiskModel::scsi_2004()),
         BlockCacheConfig {
@@ -263,7 +263,7 @@ fn render_session(flush_window: usize) -> String {
         link.install_faults(LinkFaultPlan::new(seed).outage(secs(60), secs(62)));
     }
 
-    let reports: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+    let reports: Shared<Vec<String>> = Shared::new(Vec::new());
     let reports2 = reports.clone();
     let proxy2 = proxy.clone();
     sim.spawn("guest", move |env: Env| {

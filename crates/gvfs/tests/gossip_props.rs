@@ -12,9 +12,9 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::digest::digest;
 use gvfs::{
@@ -22,15 +22,15 @@ use gvfs::{
     Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Disk, DiskModel};
 
 const CHUNK: u32 = 8 * 1024;
 
 /// Guest-visible bytes read by the two cloners (slot 0 = cloner-a).
-type ClonerOut = Mutex<(Option<Vec<u8>>, Option<Vec<u8>>)>;
+type ClonerOut = Shared<(Option<Vec<u8>>, Option<Vec<u8>>)>;
 
 fn ms(v: u64) -> SimTime {
     SimTime::from_nanos(v * 1_000_000)
@@ -189,11 +189,11 @@ fn run_pair(
     shard_a.set_gossip_peers(0, vec![(1, RpcClient::new(chan_b.clone(), cred.clone()))]);
     shard_b.set_gossip_peers(1, vec![(0, RpcClient::new(chan_a.clone(), cred.clone()))]);
 
-    let done = Arc::new(AtomicUsize::new(0));
+    let done = Rc::new(Cell::new(0));
     if gossip {
         let (a2, b2, done2) = (shard_a.clone(), shard_b.clone(), done.clone());
         sim.spawn("gossip-driver", move |env: Env| {
-            while done2.load(Ordering::Acquire) < 2 {
+            while done2.get() < 2 {
                 env.sleep(SimDuration::from_millis(20));
                 a2.gossip_round(&env);
                 b2.gossip_round(&env);
@@ -201,7 +201,7 @@ fn run_pair(
         });
     }
 
-    let out: Arc<ClonerOut> = Arc::new(Mutex::new((None, None)));
+    let out: ClonerOut = Shared::new((None, None));
     for (name, chan, delay_ms, slot) in [
         ("cloner-a", chan_a, 0u64, 0usize),
         ("cloner-b", chan_b, stagger_ms, 1),
@@ -237,7 +237,7 @@ fn run_pair(
             } else {
                 o.1 = Some(contents);
             }
-            done2.fetch_add(1, Ordering::Release);
+            done2.set(done2.get() + 1);
         });
     }
     sim.run();

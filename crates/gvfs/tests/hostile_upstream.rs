@@ -5,14 +5,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use gvfs::{Proxy, ProxyConfig};
 use nfs3::proto::proc3;
 use nfs3::results::{encode_lookup, encode_read};
 use oncrpc::{OpaqueAuth, RpcClient, RpcMessage, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::Handle;
 
@@ -26,7 +26,7 @@ const HOSTILE_FILE: Handle = Handle {
 /// [`HOSTILE_FILE`] for every LOOKUP and answers every READ with what `read`
 /// returns: `(data, eof)`. Returns what the client got.
 fn lookup_through_hostile_upstream(
-    read: impl Fn() -> (Vec<u8>, bool) + Send + Sync + 'static,
+    read: impl Fn() -> (Vec<u8>, bool) + 'static,
 ) -> Result<Handle, nfs3::NfsError> {
     let sim = Simulation::new();
     let h = sim.handle();
@@ -62,16 +62,16 @@ fn lookup_through_hostile_upstream(
         };
         RpcMessage::success(call.xid, results).into_wire().to_vec()
     };
-    upstream.listener.serve("hostile", Arc::new(hostile), 1);
+    upstream.listener.serve("hostile", Rc::new(hostile), 1);
     let cfg = ProxyConfig {
         name: "px".into(),
         ..ProxyConfig::default()
     };
     let proxy = Proxy::new(cfg, RpcClient::new(upstream.channel, OpaqueAuth::none()));
     let front = oncrpc::endpoint(&h, link("c-up"), link("c-down"), WireSpec::plain());
-    front.listener.serve("px", Arc::new(proxy), 1);
+    front.listener.serve("px", Rc::new(proxy), 1);
     let client = nfs3::Nfs3Client::new(RpcClient::new(front.channel, OpaqueAuth::none()));
-    let found = Arc::new(Mutex::new(None));
+    let found = Shared::new(None);
     let out = found.clone();
     sim.spawn("client", move |env| {
         *out.lock() = Some(client.lookup(&env, fh, "vm.vmss").map(|(h, _)| h));
@@ -102,14 +102,15 @@ fn lookup_finishes_when_the_upstream_never_says_eof() {
     // reading would trip the panic instead of hanging the test.
     const BLOCK: usize = 32 * 1024;
     let limit = xdr::DEFAULT_MAX_LEN as usize / BLOCK + 1;
-    let reads = Arc::new(AtomicUsize::new(0));
+    let reads = Rc::new(Cell::new(0));
     let counted = reads.clone();
     let found = lookup_through_hostile_upstream(move || {
-        let n = counted.fetch_add(1, Ordering::Relaxed) + 1;
+        let n = counted.get() + 1;
+        counted.set(n);
         assert!(n <= limit, "READ #{n}: the meta loop is unbounded");
         (vec![0; BLOCK], false)
     });
     assert_eq!(found.ok(), Some(HOSTILE_FILE));
-    let reads = reads.load(Ordering::Relaxed);
+    let reads = reads.get();
     assert_eq!(reads, xdr::DEFAULT_MAX_LEN as usize / BLOCK);
 }

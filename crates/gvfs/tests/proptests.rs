@@ -8,12 +8,13 @@ use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, RecipeFetch};
 use gvfs::{FileCache, FileKey, ImageServer, Listen};
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Link, SimDuration, Simulation};
-use std::sync::Arc;
+use std::rc::Rc;
 use vfs::{Disk, DiskModel, Fs};
 
 /// An origin behind a fast link: its filesystem and a channel client.
-fn channel_origin(sim: &Simulation) -> (Arc<parking_lot::Mutex<Fs>>, ChannelClient) {
+fn channel_origin(sim: &Simulation) -> (Shared<Fs>, ChannelClient) {
     let h = sim.handle();
     let up = Link::from_mbps(&h, "up", 1000.0, SimDuration::from_micros(100));
     let down = Link::from_mbps(&h, "down", 1000.0, SimDuration::from_micros(100));
@@ -39,7 +40,7 @@ proptest! {
         let disk = Disk::new(&h, DiskModel::scsi_2004());
         // 2 banks × 2 sets × 2-way, 1 KB blocks: 8 frames total, so a
         // few dozen inserts guarantee heavy eviction traffic.
-        let cache = std::sync::Arc::new(BlockCache::new(
+        let cache = Rc::new(BlockCache::new(
             &h,
             disk,
             BlockCacheConfig {
@@ -111,7 +112,7 @@ proptest! {
         }
         let sim = Simulation::new();
         let h = sim.handle();
-        let cache = Arc::new(BlockCache::new(
+        let cache = Rc::new(BlockCache::new(
             &h,
             Disk::new(&h, DiskModel::scsi_2004()),
             BlockCacheConfig {
@@ -214,8 +215,8 @@ proptest! {
         let h = sim.handle();
         let disk = Disk::new(&h, DiskModel::scsi_2004());
         // Small enough that a handful of installs forces evictions.
-        let cache = Arc::new(FileCache::new(disk, 4096));
-        let cas = Arc::new(ContentStore::new(1 << 20));
+        let cache = Rc::new(FileCache::new(disk, 4096));
+        let cas = Rc::new(ContentStore::new(1 << 20));
         let cas2 = cas.clone();
         let c = cache.clone();
         sim.spawn("ops", move |env| {
@@ -514,8 +515,8 @@ proptest! {
     ) {
         let sim = Simulation::new();
         let h = sim.handle();
-        let cache = Arc::new(FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 20));
-        let cas = Arc::new(ContentStore::new(1 << 20));
+        let cache = Rc::new(FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 20));
+        let cas = Rc::new(ContentStore::new(1 << 20));
         let mul = seed | 1;
         let golden: Vec<u8> = (0..len as u64).map(|i| (i.wrapping_mul(mul) >> 7) as u8).collect();
         sim.spawn("ops", move |env| {

@@ -12,7 +12,7 @@
 // #[test]-marked fns, not integration-test helpers like seed_file.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{
     BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileChannelSpec, ImageServer, Listen,
@@ -20,15 +20,15 @@ use gvfs::{
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client, Nfs3Server};
 use oncrpc::{OpaqueAuth, RpcClient, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, FileIo, Fs, Payload};
 
 /// Everything a test needs from a wired GVFS deployment.
 struct Rig {
-    fs: Arc<Mutex<Fs>>,
-    server: Arc<Nfs3Server>,
-    proxy: Arc<Proxy>,
+    fs: Shared<Fs>,
+    server: Rc<Nfs3Server>,
+    proxy: Rc<Proxy>,
     session_cred: OpaqueAuth,
     client_rpc: RpcClient,
     wan_up: Link,
@@ -96,7 +96,7 @@ fn build_rig_with(
 }
 
 /// Pre-populate a file on the image server without simulation cost.
-fn seed_file(fs: &Arc<Mutex<Fs>>, path: &str, contents: &[u8], size: Option<u64>) -> vfs::Handle {
+fn seed_file(fs: &Shared<Fs>, path: &str, contents: &[u8], size: Option<u64>) -> vfs::Handle {
     let mut f = fs.lock();
     let (dir_path, name) = match path.rfind('/') {
         Some(i) => (&path[..i], &path[i + 1..]),
@@ -676,7 +676,18 @@ fn hostile_offsets_are_refused_for_a_file_resident_in_the_file_cache() {
 /// cacheless write-through relay — a LAN second-level proxy — whose only
 /// state is its channel reply caches. Returns the origin's filesystem
 /// and a stub that reaches the origin through the relay.
-fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Arc<Mutex<Fs>>, RpcClient) {
+fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Shared<Fs>, RpcClient) {
+    let (fs, rpc, _) = start_relay(sim, dedup, None);
+    (fs, rpc)
+}
+
+/// [`build_relay`], write-back over a block cache of `blocks` if given;
+/// also returns the relay's proxy and the credential it serves.
+fn start_relay(
+    sim: &Simulation,
+    dedup: DedupTuning,
+    blocks: Option<BlockCacheConfig>,
+) -> (Shared<Fs>, RpcClient, Rc<Proxy>) {
     let h = sim.handle();
     let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(17));
@@ -684,21 +695,25 @@ fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Arc<Mutex<Fs>>, RpcClie
     let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
     let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
     let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+    let write_policy = match blocks {
+        Some(_) => WritePolicy::WriteBack,
+        None => WritePolicy::WriteThrough,
+    };
     let relay = Tier::start(
         ProxyConfig {
             name: "relay".into(),
-            write_policy: WritePolicy::WriteThrough,
+            write_policy,
             meta_handling: false,
             dedup,
             ..ProxyConfig::default()
         },
-        None,
+        blocks,
         None,
         &Disk::new(&h, DiskModel::scsi_2004()),
         RpcClient::new(origin.channel, cred.clone()),
         Listen::plain(lan_up, lan_down),
     );
-    (origin.fs, RpcClient::new(relay.channel, cred))
+    (origin.fs, RpcClient::new(relay.channel, cred), relay.proxy)
 }
 
 const RELAY_CHUNK: u32 = 1024;
@@ -801,6 +816,43 @@ fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
     sim.run();
 }
 
+/// A write-back relay absorbs a write and delivers it upstream only at
+/// its flush; from then on the chunk replies it cached before are stale,
+/// so they go with the delivery.
+#[test]
+fn write_back_relay_serves_the_new_bytes_after_its_flush() {
+    let sim = Simulation::new();
+    let geometry = BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024);
+    let (fs, rpc, relay) = start_relay(&sim, DedupTuning::off(), Some(geometry));
+    let fh = seed_file(&fs, "img", &relay_image(0), None);
+    let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
+    let chan = ChannelClient::new(rpc.clone(), CodecModel::default());
+    let nfs = Nfs3Client::new(rpc);
+    sim.spawn("client", move |env: Env| {
+        let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
+        assert_eq!(fetch(&env), relay_image(0));
+        nfs.write(
+            &env,
+            fh,
+            0,
+            relay_image(1),
+            nfs3::proto::StableHow::Unstable,
+        )
+        .unwrap();
+        assert_eq!(relay.stats().writes_absorbed, 1);
+        // Until the flush the origin, and so the channel, has the old bytes.
+        assert_eq!(fetch(&env), relay_image(0));
+        let report = relay.flush(&env, &cred);
+        assert_eq!(report.blocks, 1);
+        assert_eq!(
+            fetch(&env),
+            relay_image(1),
+            "the relay replayed chunks from before its flush"
+        );
+    });
+    sim.run();
+}
+
 /// An upstream that answers every READ with `answer` bytes of payload —
 /// whatever was asked for — and remembers where each reply it sent lay
 /// in memory (and, if `keep`, the reply itself, like a server's
@@ -808,7 +860,7 @@ fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
 struct CannedReads {
     answer: usize,
     keep: bool,
-    sent: Mutex<Vec<(usize, xdr::Bytes)>>,
+    sent: Shared<Vec<(usize, xdr::Bytes)>>,
 }
 
 impl CannedReads {
@@ -840,10 +892,10 @@ impl oncrpc::transport::RpcHandler for CannedReads {
 /// `read_ahead` blocks) in front of `upstream`.
 fn proxy_over_canned_reads(
     sim: &Simulation,
-    upstream: Arc<CannedReads>,
+    upstream: Rc<CannedReads>,
     cache: bool,
     read_ahead: usize,
-) -> Arc<Proxy> {
+) -> Rc<Proxy> {
     let h = sim.handle();
     let up = Link::new(&h, "canned-up", 1e9, SimDuration::from_micros(100));
     let down = Link::new(&h, "canned-down", 1e9, SimDuration::from_micros(100));
@@ -898,10 +950,10 @@ fn read_call(xid: u32, offset: u64, count: u32) -> xdr::Bytes {
 fn a_reply_longer_than_asked_is_forwarded_but_never_installed() {
     use oncrpc::transport::RpcHandler;
     let sim = Simulation::new();
-    let upstream = Arc::new(CannedReads {
+    let upstream = Rc::new(CannedReads {
         answer: 40 * 1024,
         keep: false,
-        sent: Mutex::new(Vec::new()),
+        sent: Shared::new(Vec::new()),
     });
     let proxy = proxy_over_canned_reads(&sim, upstream.clone(), true, 2);
     sim.spawn("client", move |env: Env| {
@@ -948,10 +1000,10 @@ fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
     use oncrpc::transport::RpcHandler;
     for (cache, keep) in [(false, false), (true, false), (false, true), (true, true)] {
         let sim = Simulation::new();
-        let upstream = Arc::new(CannedReads {
+        let upstream = Rc::new(CannedReads {
             answer: 32 * 1024,
             keep,
-            sent: Mutex::new(Vec::new()),
+            sent: Shared::new(Vec::new()),
         });
         let proxy = proxy_over_canned_reads(&sim, upstream.clone(), cache, 0);
         sim.spawn("client", move |env: Env| {

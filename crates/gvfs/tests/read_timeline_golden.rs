@@ -39,7 +39,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{BlockCacheConfig, DedupTuning, Middleware, ProxyConfig, Tier, TransferTuning};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
@@ -49,7 +49,7 @@ use nfs3::{
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, RpcMessage, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload};
 use xdr::Decode;
@@ -57,12 +57,12 @@ use xdr::Decode;
 const FIXTURE: &str = include_str!("golden/read_timeline.txt");
 const BS: u64 = 32 * 1024;
 
-type Log = Arc<Mutex<Vec<String>>>;
+type Log = Shared<Vec<String>>;
 
 /// Records every call that reaches `inner`, stamped with its arrival time.
 struct Tap {
     hop: &'static str,
-    inner: Arc<dyn RpcHandler>,
+    inner: Rc<dyn RpcHandler>,
     log: Log,
 }
 
@@ -127,7 +127,7 @@ fn contents(what: u64, blocks: u64, tail: u64) -> Vec<u8> {
         .collect()
 }
 
-fn seed(fs: &Arc<Mutex<Fs>>, name: &str, data: &[u8]) -> Handle {
+fn seed(fs: &Shared<Fs>, name: &str, data: &[u8]) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let h = f.create(root, name, 0o644, 0).unwrap();
@@ -138,7 +138,7 @@ fn seed(fs: &Arc<Mutex<Fs>>, name: &str, data: &[u8]) -> Handle {
 fn render_session(read_ahead: usize) -> String {
     let sim = Simulation::new();
     let h = sim.handle();
-    let log: Log = Arc::new(Mutex::new(Vec::new()));
+    let log: Log = Shared::new(Vec::new());
 
     let server_disk = Disk::new(&h, DiskModel::server_array());
     let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
@@ -152,7 +152,7 @@ fn render_session(read_ahead: usize) -> String {
     let ep = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
     ep.listener.serve(
         "origin",
-        Arc::new(Tap {
+        Rc::new(Tap {
             hop: "o",
             inner: origin,
             log: log.clone(),
@@ -189,7 +189,7 @@ fn render_session(read_ahead: usize) -> String {
     let lo = oncrpc::endpoint(&h, lo_up, lo_down, WireSpec::plain());
     lo.listener.serve(
         "proxy",
-        Arc::new(Tap {
+        Rc::new(Tap {
             hop: "p",
             inner: proxy.clone(),
             log: log.clone(),
@@ -246,7 +246,7 @@ fn render_session(read_ahead: usize) -> String {
         // A second reader that asks for `block` one millisecond after
         // the main one — while the block's prefetch is still in flight.
         let late_reader = |env: &Env, fh: Handle, block: u64| {
-            let (nfs, got) = (nfs.clone(), Arc::new(Mutex::new(None)));
+            let (nfs, got) = (nfs.clone(), Shared::new(None));
             let got2 = got.clone();
             let reader = env.spawn("late-reader", move |env| {
                 env.sleep(SimDuration::from_millis(1));

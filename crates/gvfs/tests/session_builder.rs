@@ -16,7 +16,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{
     BlockCache, BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileCache,
@@ -25,7 +25,7 @@ use gvfs::{
 };
 use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{Dispatcher, OpaqueAuth, RpcClient, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{first_divergence, Env, EventRecord, Link, SimDuration, SimHandle, Simulation};
 use vfs::{Disk, DiskModel, FileIo, Fs, Payload};
 
@@ -36,9 +36,9 @@ const CACHE_BYTES: u64 = 1 << 30;
 /// identity registry, the client-side proxy with the session credential,
 /// and a stub into that proxy.
 type Chain = (
-    Arc<Mutex<Fs>>,
-    Arc<IdentityMapper>,
-    Arc<Proxy>,
+    Shared<Fs>,
+    Rc<IdentityMapper>,
+    Rc<Proxy>,
     OpaqueAuth,
     RpcClient,
 );
@@ -85,7 +85,7 @@ fn by_hand(h: &SimHandle) -> Chain {
         WireSpec::plain(),
     );
     srv_lo.listener.serve("nfsd", nfsd, 8);
-    let mapper = Arc::new(IdentityMapper::new());
+    let mapper = Rc::new(IdentityMapper::new());
     let srv_proxy = Proxy::new(
         ProxyConfig {
             name: "server-proxy".into(),
@@ -107,13 +107,13 @@ fn by_hand(h: &SimHandle) -> Chain {
     let cache_disk = Disk::new(h, DiskModel::scsi_2004());
     let upstream = RpcClient::new(wan_ep.channel, cred.clone());
     let proxy = Proxy::new(client_config(), upstream.clone())
-        .with_block_cache(Arc::new(BlockCache::new(
+        .with_block_cache(Rc::new(BlockCache::new(
             h,
             cache_disk.clone(),
             BlockCacheConfig::paper(CACHE_BYTES),
         )))
         .with_file_channel(
-            Arc::new(FileCache::new(cache_disk, CACHE_BYTES)),
+            Rc::new(FileCache::new(cache_disk, CACHE_BYTES)),
             ChannelClient::new(upstream, CodecModel::default()),
         )
         .into_handler();

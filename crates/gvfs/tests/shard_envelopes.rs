@@ -9,7 +9,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::channel::chanproc;
 use gvfs::meta::generate_content_map;
@@ -19,7 +19,7 @@ use gvfs::{
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, BatchItem, Dispatcher, OpaqueAuth, RpcChannel, RpcClient, RpcMessage};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, SimHandle, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 use xdr::{Decoder, Encode, Encoder};
@@ -27,7 +27,7 @@ use xdr::{Decoder, Encode, Encoder};
 const CHUNK: u32 = 1024;
 
 /// `(proc, digests asked for)` per channel call that reached the origin.
-type Log = Arc<Mutex<Vec<(u32, Vec<Digest>)>>>;
+type Log = Shared<Vec<(u32, Vec<Digest>)>>;
 
 /// The digest a `FETCH_BLOBS` args body ends with.
 fn wanted(args: &[u8]) -> Digest {
@@ -38,7 +38,7 @@ fn wanted(args: &[u8]) -> Digest {
 
 /// Records the blob fetches that reach `inner`.
 struct Tap {
-    inner: Arc<dyn RpcHandler>,
+    inner: Rc<dyn RpcHandler>,
     log: Log,
 }
 
@@ -66,12 +66,7 @@ fn lan(h: &SimHandle, name: &str, latency: SimDuration) -> (Link, Link) {
 }
 
 /// Serve `inner` on a fresh link pair; returns the channel into it.
-fn serve(
-    h: &SimHandle,
-    name: &str,
-    latency: SimDuration,
-    inner: Arc<dyn RpcHandler>,
-) -> RpcChannel {
+fn serve(h: &SimHandle, name: &str, latency: SimDuration, inner: Rc<dyn RpcHandler>) -> RpcChannel {
     let (up, down) = lan(h, name, latency);
     let ep = oncrpc::endpoint(h, up, down, oncrpc::WireSpec::plain());
     ep.listener.serve(name, inner, 8);
@@ -101,7 +96,7 @@ fn payload(reply: &[u8]) -> Vec<u8> {
 fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
     let sim = Simulation::new();
     let h = sim.handle();
-    let fs = Arc::new(Mutex::new(Fs::new(0)));
+    let fs = Shared::new(Fs::new(0));
     let data: Vec<u8> = (0..5 * CHUNK)
         .map(|i| (i / CHUNK * 41 + i % 13) as u8)
         .collect();
@@ -114,7 +109,7 @@ fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
     };
     let d: Vec<Digest> = recipe.records.iter().map(|(d, _)| *d).collect();
 
-    let log: Log = Arc::default();
+    let log: Log = Shared::default();
     let server = FileChannelServer::new(
         fs.clone(),
         Disk::new(&h, DiskModel::server_array()),
@@ -128,7 +123,7 @@ fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
     };
     let cred = OpaqueAuth::sys(&AuthSys::new("fleet", 1, 1));
     // A WAN round trip (10 ms) outlasts every client's arrival.
-    let wan = serve(&h, "wan", SimDuration::from_millis(5), Arc::new(origin));
+    let wan = serve(&h, "wan", SimDuration::from_millis(5), Rc::new(origin));
     let shard = Tier::build(
         ProxyConfig {
             name: "shard".into(),

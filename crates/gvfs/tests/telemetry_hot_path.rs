@@ -1,9 +1,9 @@
 //! Regression: the per-request record paths (RPC client, proxy
 //! dispatch, NFS server) must not touch the telemetry registry once
-//! their handles are registered. Every get-or-register resolution takes
-//! a global lock and formats a `String` key, so a resolution inside the
-//! hot path turns the registry mutex into a per-event serialization
-//! point. Debug builds count resolutions; this test drives a warm-up
+//! their handles are registered. Every get-or-register resolution locks
+//! the registry and formats a `String` key, so a resolution inside the
+//! hot path costs a map lookup and an allocation per event. Debug
+//! builds count resolutions; this test drives a warm-up
 //! burst through the full client → proxy → server chain, then asserts
 //! the count stays flat across a second, larger burst of the same
 //! operation mix.
@@ -12,15 +12,13 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use gvfs::{
     BlockCacheConfig, DedupTuning, ImageServer, Listen, ProxyConfig, Tier, TransferTuning,
     WritePolicy,
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel};
 
@@ -69,7 +67,7 @@ fn record_paths_stay_registry_free_after_warmup() {
 
     let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
 
-    let resolutions = Arc::new(Mutex::new((0u64, 0u64)));
+    let resolutions = Shared::new((0u64, 0u64));
     let resolutions2 = resolutions.clone();
     sim.spawn("client", move |env: Env| {
         // One operation mix, reused for both bursts: GETATTR + READ +

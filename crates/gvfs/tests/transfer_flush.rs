@@ -8,18 +8,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use gvfs::{BlockCacheConfig, DedupTuning, FlushReport, Listen, ProxyConfig, Tier, TransferTuning};
 use nfs3::{args::WriteArgs, MountServer, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM};
 use oncrpc::{transport::RpcHandler, AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel};
 
 /// One WRITE observed at the server: (fileid, generation, offset, data).
 type WriteRec = (u64, u64, u64, Vec<u8>);
-type WriteLog = Arc<Mutex<BTreeSet<WriteRec>>>;
+type WriteLog = Shared<BTreeSet<WriteRec>>;
 
 /// Run one dirty-cache flush with the given window and return what the
 /// server saw: the WRITE set, the flush report, and the file contents.
@@ -34,9 +34,9 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
         .register(server)
         .register(mount)
         .into_handler();
-    let log: WriteLog = Arc::new(Mutex::new(BTreeSet::new()));
+    let log: WriteLog = Shared::new(BTreeSet::new());
     let log2 = log.clone();
-    let recording: Arc<dyn RpcHandler> = Arc::new(move |env: &Env, req: &[u8]| {
+    let recording: Rc<dyn RpcHandler> = Rc::new(move |env: &Env, req: &[u8]| {
         if let Ok(oncrpc::RpcMessage::Call { header, args }) = xdr::from_bytes(req) {
             if header.prog == NFS_PROGRAM && header.proc == nfs3::proto::proc3::WRITE {
                 if let Ok(w) = xdr::from_bytes::<WriteArgs>(&args) {
@@ -99,7 +99,7 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
 
     let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
-    let out: Arc<Mutex<Option<FlushReport>>> = Arc::new(Mutex::new(None));
+    let out: Shared<Option<FlushReport>> = Shared::new(None);
     let out2 = out.clone();
     let proxy2 = proxy.clone();
     sim.spawn("client", move |env: Env| {

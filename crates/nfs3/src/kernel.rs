@@ -25,10 +25,10 @@
 //! have a chain of GVFS proxies behind it.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::telemetry::Counter;
+use simnet::Shared;
 use simnet::{run_windowed, Env, SimDuration};
 use vfs::{
     share, share_slice, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, Payload,
@@ -96,7 +96,7 @@ pub struct KernelStats {
 
 struct Block {
     /// Clean blocks read from the server are pooled by content; a block
-    /// born dirty is private, and writes go through `Arc::make_mut`.
+    /// born dirty is private, and writes go through `Rc::make_mut`.
     data: SharedBytes,
     /// While the block is dirty, the handle it was dirtied through: what
     /// its write-back goes through, whichever file's traffic evicts it.
@@ -144,7 +144,7 @@ pub struct KernelClient {
     nfs: Nfs3Client,
     root: Handle,
     cfg: KernelConfig,
-    state: Mutex<KcState>,
+    state: Shared<KcState>,
     tel: KcTel,
 }
 
@@ -155,13 +155,13 @@ impl KernelClient {
         nfs: Nfs3Client,
         export: &str,
         cfg: KernelConfig,
-    ) -> IoResult<Arc<Self>> {
+    ) -> IoResult<Rc<Self>> {
         let root = nfs.mount(env, export).map_err(map_err)?;
-        Ok(Arc::new(KernelClient {
+        Ok(Rc::new(KernelClient {
             nfs,
             root,
             cfg,
-            state: Mutex::new(KcState {
+            state: Shared::new(KcState {
                 cache: LruMap::new(((cfg.cache_bytes / cfg.rsize as u64) as usize).max(1)),
                 dirty_bytes: 0,
                 dcache: BTreeMap::new(),
@@ -239,9 +239,7 @@ impl KernelClient {
     /// returns (block, data) pairs in the order asked for. Data is padded
     /// or cut to the block size and pooled by content where it arrives,
     /// in the worker that decoded the reply: a full block is hashed and
-    /// compared inside the reply and copied only if the pool lacks it
-    /// (and the copy is then made by the thread that made the reply
-    /// buffers, which is what keeps the allocator's arenas compact).
+    /// compared inside the reply and copied only if the pool lacks it.
     fn fetch_blocks(
         &self,
         env: &Env,
@@ -320,7 +318,7 @@ impl KernelClient {
             .filter_map(|k| {
                 let blk = st.cache.get_mut(&k)?;
                 let h = blk.dirty.take()?;
-                Some((h, k.1, Arc::clone(&blk.data)))
+                Some((h, k.1, Rc::clone(&blk.data)))
             })
             .collect();
         st.dirty_bytes = st.dirty_bytes.saturating_sub(out.len() as u64 * self.bs());
@@ -469,7 +467,7 @@ impl FileIo for KernelClient {
             let mut st = self.state.lock();
             for b in first..=last {
                 if let Some(blk) = st.cache.get(&(h.fileid, b)) {
-                    blocks.push((b, Arc::clone(&blk.data)));
+                    blocks.push((b, Rc::clone(&blk.data)));
                     self.tel.cache_hits.inc();
                 } else {
                     misses.push(b);
@@ -486,7 +484,7 @@ impl FileIo for KernelClient {
             {
                 let mut st = self.state.lock();
                 for (b, data) in fetched {
-                    blocks.push((b, Arc::clone(&data)));
+                    blocks.push((b, Rc::clone(&data)));
                     let clean = Block { data, dirty: None };
                     if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
                         evicted_all.push(ev);
@@ -555,7 +553,7 @@ impl FileIo for KernelClient {
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
                 let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
-                    payload.copy_to(src, &mut Arc::make_mut(&mut blk.data)[within]);
+                    payload.copy_to(src, &mut Rc::make_mut(&mut blk.data)[within]);
                     blk.dirty.replace(h).is_some()
                 } else {
                     // Not cached. A block this call's own inserts evicted
@@ -567,11 +565,11 @@ impl FileIo for KernelClient {
                         Some(i) => evicted_all.remove(i).1,
                         None => Block {
                             // lint:allow(bounded-decode): one block of the mount's own block size
-                            data: Arc::new(vec![0u8; bs as usize]),
+                            data: Rc::new(vec![0u8; bs as usize]),
                             dirty: None,
                         },
                     };
-                    payload.copy_to(src, &mut Arc::make_mut(&mut blk.data)[within]);
+                    payload.copy_to(src, &mut Rc::make_mut(&mut blk.data)[within]);
                     let was = blk.dirty.replace(h).is_some();
                     if let Some(ev) = st.cache.insert(key, blk) {
                         evicted_all.push(ev);
@@ -763,7 +761,7 @@ mod tests {
         let h = sim.handle();
         let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
         let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
-        ep.listener.serve("generous", Arc::new(generous_server), 2);
+        ep.listener.serve("generous", Rc::new(generous_server), 2);
         let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
         sim.spawn("client", move |env| {
             let cfg = KernelConfig {
@@ -789,7 +787,7 @@ mod tests {
         let h = sim.handle();
         let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
         let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
-        ep.listener.serve("generous", Arc::new(generous_server), 2);
+        ep.listener.serve("generous", Rc::new(generous_server), 2);
         let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
         sim.spawn("client", move |env| {
             let cfg = KernelConfig {

@@ -10,11 +10,11 @@
 //! system purely with user-level proxies in front of this server.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use oncrpc::{OpaqueAuth, ProgramError, RpcProgram};
-use parking_lot::Mutex;
 use simnet::telemetry::{Counter, Telemetry};
+use simnet::Shared;
 use simnet::{splitmix64, Env, SimDuration, SimHandle};
 use vfs::{Disk, Fs, FsResult, Handle, LruMap};
 use xdr::{Bytes, Decode, Encode, Encoder};
@@ -142,7 +142,7 @@ struct SrvTel {
     /// Per-procedure call counters, cached after first registration so the
     /// dispatch path never takes the registry lock (or formats a `String`
     /// key) per request.
-    procs: Mutex<Vec<(u32, Counter)>>,
+    procs: Shared<Vec<(u32, Counter)>>,
     /// Retransmits answered from the duplicate-request cache.
     drc_hits: Counter,
     reads: Counter,
@@ -167,7 +167,7 @@ impl SrvTel {
             cache_misses: c("buffer_cache.misses"),
             calls: c("calls"),
             drc_hits: c("drc.hits"),
-            procs: Mutex::new(Vec::new()),
+            procs: Shared::new(Vec::new()),
             registry: registry.clone(),
             inst,
         }
@@ -191,25 +191,25 @@ impl SrvTel {
 
 /// The NFSv3 server program.
 pub struct Nfs3Server {
-    fs: Arc<Mutex<Fs>>,
+    fs: Shared<Fs>,
     disk: Disk,
-    state: Mutex<SrvState>,
+    state: Shared<SrvState>,
     cfg: ServerConfig,
     tel: SrvTel,
 }
 
 impl Nfs3Server {
     /// Create a server exporting `fs`, storing data on `disk`.
-    pub fn new(handle: &SimHandle, fs: Arc<Mutex<Fs>>, disk: Disk, cfg: ServerConfig) -> Arc<Self> {
+    pub fn new(handle: &SimHandle, fs: Shared<Fs>, disk: Disk, cfg: ServerConfig) -> Rc<Self> {
         let cache_blocks = ((cfg.memory_cache_bytes / cfg.block_size as u64) as usize).max(1);
         let tel = SrvTel::register(handle.telemetry());
         // Boot 0's verifier: a pure function of the instance name, so
         // runs replay identically; restart() rotates it.
         let write_verf = splitmix64(fnv1a(tel.inst.as_bytes()));
-        Arc::new(Nfs3Server {
+        Rc::new(Nfs3Server {
             fs,
             disk,
-            state: Mutex::new(SrvState {
+            state: Shared::new(SrvState {
                 cache: LruMap::new(cache_blocks),
                 next_seq_offset: HashMap::new(),
                 unstable_bytes: HashMap::new(),
@@ -265,8 +265,8 @@ impl Nfs3Server {
         handle: &SimHandle,
         disk: Disk,
         cfg: ServerConfig,
-    ) -> (Arc<Mutex<Fs>>, Arc<Self>) {
-        let fs = Arc::new(Mutex::new(Fs::new(handle.now().as_nanos())));
+    ) -> (Shared<Fs>, Rc<Self>) {
+        let fs = Shared::new(Fs::new(handle.now().as_nanos()));
         let srv = Self::new(handle, fs.clone(), disk, cfg);
         (fs, srv)
     }
@@ -285,7 +285,7 @@ impl Nfs3Server {
     }
 
     /// Shared filesystem (scenario setup pre-populates images through it).
-    pub fn fs(&self) -> Arc<Mutex<Fs>> {
+    pub fn fs(&self) -> Shared<Fs> {
         self.fs.clone()
     }
 
@@ -745,14 +745,14 @@ impl RpcProgram for Nfs3Server {
 
 /// The MOUNT v3 program: maps export paths to root file handles.
 pub struct MountServer {
-    fs: Arc<Mutex<Fs>>,
+    fs: Shared<Fs>,
     exports: Vec<String>,
 }
 
 impl MountServer {
     /// Serve mounts of `exports` (paths inside `fs`; `/` exports the root).
-    pub fn new(fs: Arc<Mutex<Fs>>, exports: Vec<String>) -> Arc<Self> {
-        Arc::new(MountServer { fs, exports })
+    pub fn new(fs: Shared<Fs>, exports: Vec<String>) -> Rc<Self> {
+        Rc::new(MountServer { fs, exports })
     }
 }
 
@@ -808,7 +808,7 @@ mod tests {
     use simnet::Simulation;
     use vfs::DiskModel;
 
-    fn setup(sim: &Simulation) -> (Arc<Mutex<Fs>>, Arc<Nfs3Server>) {
+    fn setup(sim: &Simulation) -> (Shared<Fs>, Rc<Nfs3Server>) {
         let h = sim.handle();
         let disk = Disk::new(&h, DiskModel::server_array());
         Nfs3Server::with_new_fs(&h, disk, ServerConfig::default())

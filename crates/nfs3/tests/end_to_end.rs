@@ -1,6 +1,6 @@
 //! End-to-end NFSv3 tests: kernel client ↔ server over simulated links.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
@@ -10,7 +10,7 @@ use vfs::{Disk, DiskModel, FileIo, FileType, Payload};
 
 /// Wire up a server exporting a fresh Fs and return a connected kernel
 /// client factory plus the server handle.
-fn rig(sim: &Simulation, latency: SimDuration, mbps: f64) -> (Arc<Nfs3Server>, Nfs3Client) {
+fn rig(sim: &Simulation, latency: SimDuration, mbps: f64) -> (Rc<Nfs3Server>, Nfs3Client) {
     let h: SimHandle = sim.handle();
     let disk = Disk::new(&h, DiskModel::server_array());
     let (fs, server) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
@@ -30,7 +30,7 @@ fn rig(sim: &Simulation, latency: SimDuration, mbps: f64) -> (Arc<Nfs3Server>, N
     (server, Nfs3Client::new(rpc))
 }
 
-fn fast(sim: &Simulation) -> (Arc<Nfs3Server>, Nfs3Client) {
+fn fast(sim: &Simulation) -> (Rc<Nfs3Server>, Nfs3Client) {
     rig(sim, SimDuration::from_micros(100), 1000.0)
 }
 
@@ -236,7 +236,7 @@ fn wan_latency_dominates_small_reads() {
     let run = |latency_ms: u64| -> f64 {
         let sim = Simulation::new();
         let (_server, nfs) = rig(&sim, SimDuration::from_millis(latency_ms), 100.0);
-        let out = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let out = Rc::new(std::cell::Cell::new(0u64));
         let out2 = out.clone();
         sim.spawn("client", move |env: Env| {
             let root = nfs.mount(&env, "/").unwrap();
@@ -246,13 +246,10 @@ fn wan_latency_dominates_small_reads() {
             let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
             let t0 = env.now();
             kc.read(&env, f, 0, 100).unwrap();
-            out2.store(
-                (env.now() - t0).as_nanos(),
-                std::sync::atomic::Ordering::SeqCst,
-            );
+            out2.set((env.now() - t0).as_nanos());
         });
         sim.run();
-        out.load(std::sync::atomic::Ordering::SeqCst) as f64 / 1e6
+        out.get() as f64 / 1e6
     };
     let wan_ms = run(17);
     let lan_ms = run(0);

@@ -9,13 +9,11 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use nfs3::proto::{StableHow, Status};
 use nfs3::{MountServer, Nfs3Client, Nfs3Server, NfsError, ServerConfig};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 
@@ -110,7 +108,7 @@ proptest! {
             RpcClient::new(ep.channel, cred).with_policy(RetryPolicy::wan()),
         );
         let no_restarts = restarts.is_empty();
-        let observed: Arc<Mutex<Observed>> = Arc::new(Mutex::new(Observed::default()));
+        let observed: Shared<Observed> = Shared::new(Observed::default());
         let obs = observed.clone();
         sim.spawn("client", move |env: Env| {
             let mut seen = Observed::default();

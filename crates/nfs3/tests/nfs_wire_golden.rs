@@ -26,14 +26,12 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::sync::Arc;
-
 use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig, Tier};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, StableHow};
 use nfs3::{Fh3, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM, NFS_V3};
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient, RpcProgram};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
 use vfs::{Disk, DiskModel, Fs, Handle};
 
@@ -85,7 +83,7 @@ fn lookup_args(dir: Handle, name: &str) -> Vec<u8> {
     })
 }
 
-fn seed(fs: &Arc<Mutex<Fs>>, name: &str, contents: &[u8], size: Option<u64>) -> Handle {
+fn seed(fs: &Shared<Fs>, name: &str, contents: &[u8], size: Option<u64>) -> Handle {
     let mut f = fs.lock();
     let root = f.root();
     let h = f.create(root, name, 0o644, 0).unwrap();
@@ -112,7 +110,7 @@ fn render_server() -> String {
         fileid: 999,
         generation: 9,
     };
-    let out: Arc<Mutex<Vec<String>>> = Arc::default();
+    let out: Shared<Vec<String>> = Shared::default();
     let out2 = out.clone();
     sim.spawn("t", move |env| {
         let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
@@ -204,7 +202,7 @@ fn render_proxy() -> String {
     );
     let rpc = RpcClient::new(front.channel, cred);
 
-    let out: Arc<Mutex<Vec<String>>> = Arc::default();
+    let out: Shared<Vec<String>> = Shared::default();
     let out2 = out.clone();
     sim.spawn("guest", move |env: Env| {
         let nfs = Nfs3Client::new(rpc.clone());

@@ -1,9 +1,9 @@
 //! RPC client stub.
 
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{splitmix64, Counter, Env, Gauge, PercentileSketch, SimDuration, Telemetry};
 use xdr::{Bytes, Encoder};
 
@@ -117,8 +117,8 @@ enum ReplyMatch {
 }
 
 /// Telemetry handles for one program, resolved against the registry once
-/// (on the program's first call) and then recorded through lock-free
-/// shared cells. The failure counters register with `calls`, so every
+/// (on the program's first call) and then recorded through the shared
+/// cells. The failure counters register with `calls`, so every
 /// program a client spoke carries the same counter set, zero or not.
 struct ProgTel {
     prog: u32,
@@ -130,7 +130,7 @@ struct ProgTel {
     retransmits: Counter,
     /// Per-procedure latency histograms; procedure numbers are tiny and
     /// few, so a sorted vec beats a map.
-    procs: Mutex<Vec<(u32, PercentileSketch)>>,
+    procs: Shared<Vec<(u32, PercentileSketch)>>,
 }
 
 impl ProgTel {
@@ -145,7 +145,7 @@ impl ProgTel {
             stale_replies: c("stale_replies"),
             timeouts: c("timeouts"),
             retransmits: c("retransmits"),
-            procs: Mutex::new(Vec::new()),
+            procs: Shared::new(Vec::new()),
         }
     }
 
@@ -168,18 +168,18 @@ impl ProgTel {
 /// [`RpcClient::with_cred`]/[`with_policy`](RpcClient::with_policy)
 /// derive, so a proxy's per-user stubs all record through one set of
 /// cells. One client talks to at most a handful of programs.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct TelCache {
-    progs: Mutex<Vec<Arc<ProgTel>>>,
+    progs: Shared<Vec<Rc<ProgTel>>>,
 }
 
 impl TelCache {
-    fn prog(&self, tel: &Telemetry, prog: u32) -> Arc<ProgTel> {
+    fn prog(&self, tel: &Telemetry, prog: u32) -> Rc<ProgTel> {
         let mut progs = self.progs.lock();
         match progs.binary_search_by_key(&prog, |pt| pt.prog) {
             Ok(i) => progs[i].clone(),
             Err(i) => {
-                let pt = Arc::new(ProgTel::register(tel, prog));
+                let pt = Rc::new(ProgTel::register(tel, prog));
                 progs.insert(i, pt.clone());
                 pt
             }
@@ -189,14 +189,14 @@ impl TelCache {
 
 /// A client stub bound to one transport channel and one credential.
 /// Cloneable and shareable across simulated processes; xids are allocated
-/// from a shared atomic counter so concurrent callers never collide.
+/// from one shared counter so concurrent callers never collide.
 #[derive(Clone)]
 pub struct RpcClient {
     chan: RpcChannel,
     cred: OpaqueAuth,
-    next_xid: Arc<AtomicU32>,
+    next_xid: Rc<Cell<u32>>,
     policy: Option<RetryPolicy>,
-    tel: Arc<TelCache>,
+    tel: TelCache,
 }
 
 impl RpcClient {
@@ -205,9 +205,9 @@ impl RpcClient {
         RpcClient {
             chan,
             cred,
-            next_xid: Arc::new(AtomicU32::new(1)),
+            next_xid: Rc::new(Cell::new(1)),
             policy: None,
-            tel: Arc::new(TelCache::default()),
+            tel: TelCache::default(),
         }
     }
 
@@ -292,7 +292,8 @@ impl RpcClient {
         // One xid and one encoded request for the whole logical call:
         // retransmits send views of the same buffer, byte-identical by
         // construction, which is how the server's DRC recognises them.
-        let xid = self.next_xid.fetch_add(1, Ordering::Relaxed);
+        let xid = self.next_xid.get();
+        self.next_xid.set(xid.wrapping_add(1));
         let header = CallHeader {
             xid,
             prog,
@@ -452,7 +453,7 @@ mod tests {
     use crate::auth::AuthSys;
     use crate::transport::{endpoint, WireSpec};
     use simnet::{Link, LinkFaultPlan, SimHandle, SimTime, Simulation};
-    use std::sync::atomic::AtomicU32 as TestCounter;
+    use std::cell::Cell;
 
     const PROG: u32 = 200_000;
 
@@ -479,7 +480,7 @@ mod tests {
     fn client_over(
         sim: &Simulation,
         up: Link,
-        handler: Arc<dyn crate::transport::RpcHandler>,
+        handler: Rc<dyn crate::transport::RpcHandler>,
     ) -> RpcClient {
         let h = sim.handle();
         let ep = endpoint(&h, up, fast_link(&h, "down"), WireSpec::plain());
@@ -497,11 +498,12 @@ mod tests {
         // previously fatal — count it, time out, and retransmit.
         let sim = Simulation::new();
         let h = sim.handle();
-        let served = Arc::new(TestCounter::new(0));
+        let served = Rc::new(Cell::new(0u32));
         let s2 = served.clone();
-        let handler = Arc::new(move |_env: &Env, req: &[u8]| {
+        let handler = Rc::new(move |_env: &Env, req: &[u8]| {
             let xid = request_xid(req);
-            let k = s2.fetch_add(1, Ordering::SeqCst);
+            let k = s2.get();
+            s2.set(k + 1);
             let reply_xid = if k == 0 { xid.wrapping_add(7_000) } else { xid };
             xdr::to_bytes(&RpcMessage::success(reply_xid, xdr::to_bytes(&5u32)))
         });
@@ -520,7 +522,7 @@ mod tests {
         );
         assert_eq!(tel.counter("rpc", "client.prog200000.timeouts").get(), 1);
         assert_eq!(tel.counter("rpc", "client.prog200000.retransmits").get(), 1);
-        assert_eq!(served.load(Ordering::SeqCst), 2);
+        assert_eq!(served.get(), 2);
     }
 
     #[test]
@@ -534,11 +536,11 @@ mod tests {
         up.install_faults(
             LinkFaultPlan::new(11).outage(SimTime::ZERO, SimTime::ZERO + SimDuration::from_secs(7)),
         );
-        let served = Arc::new(TestCounter::new(0));
+        let served = Rc::new(Cell::new(0u32));
         let s2 = served.clone();
-        let handler = Arc::new(move |_env: &Env, req: &[u8]| {
+        let handler = Rc::new(move |_env: &Env, req: &[u8]| {
             let xid = request_xid(req);
-            s2.fetch_add(1, Ordering::SeqCst);
+            s2.set(s2.get() + 1);
             xdr::to_bytes(&RpcMessage::success(xid, xdr::to_bytes(&9u32)))
         });
         let client = client_over(&sim, up, handler).with_policy(test_policy(1, 8, 8));
@@ -555,7 +557,7 @@ mod tests {
         assert_eq!(tel.counter("rpc", "client.prog200000.timeouts").get(), 3);
         assert_eq!(tel.counter("rpc", "client.prog200000.retransmits").get(), 3);
         // Only the post-recovery retransmit reached the server.
-        assert_eq!(served.load(Ordering::SeqCst), 1);
+        assert_eq!(served.get(), 1);
     }
 
     #[test]
@@ -564,7 +566,7 @@ mod tests {
         let h = sim.handle();
         let up = fast_link(&h, "up");
         up.install_faults(LinkFaultPlan::new(3).drop_prob(1.0));
-        let handler = Arc::new(|_env: &Env, req: &[u8]| {
+        let handler = Rc::new(|_env: &Env, req: &[u8]| {
             let xid = request_xid(req);
             xdr::to_bytes(&RpcMessage::success(xid, Vec::new()))
         });
@@ -586,7 +588,7 @@ mod tests {
     fn call_without_policy_is_a_single_shot() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let handler = Arc::new(|_env: &Env, req: &[u8]| {
+        let handler = Rc::new(|_env: &Env, req: &[u8]| {
             let xid = request_xid(req);
             xdr::to_bytes(&RpcMessage::success(xid, xdr::to_bytes(&1u32)))
         });

@@ -1,7 +1,8 @@
 //! Server-side call dispatch.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 use simnet::{Counter, Env};
 use xdr::Bytes;
@@ -25,7 +26,7 @@ pub enum ProgramError {
 }
 
 /// A versioned RPC program (NFS, MOUNT, the GVFS control program, ...).
-pub trait RpcProgram: Send + Sync + 'static {
+pub trait RpcProgram: 'static {
     /// Program number (e.g. 100003 for NFS).
     fn program(&self) -> u32;
     /// Supported version.
@@ -64,14 +65,14 @@ pub trait RpcProgram: Send + Sync + 'static {
 /// correct replies for every failure mode (unknown program, version
 /// mismatch, bad procedure, garbage args, auth errors).
 pub struct Dispatcher {
-    programs: HashMap<u32, Arc<dyn RpcProgram>>,
+    programs: HashMap<u32, Rc<dyn RpcProgram>>,
     /// `served.calls` / `served.garbage_requests`, resolved against the
     /// registry on the first request and shared cells thereafter: a
     /// dispatcher is built without a registry (`Dispatcher::new()` takes
     /// none), so the request's [`Env`] is the first place one exists.
     /// These are the only counters that register after construction.
-    served: OnceLock<Counter>,
-    garbage: OnceLock<Counter>,
+    served: OnceCell<Counter>,
+    garbage: OnceCell<Counter>,
 }
 
 impl Dispatcher {
@@ -79,21 +80,21 @@ impl Dispatcher {
     pub fn new() -> Self {
         Dispatcher {
             programs: HashMap::new(),
-            served: OnceLock::new(),
-            garbage: OnceLock::new(),
+            served: OnceCell::new(),
+            garbage: OnceCell::new(),
         }
     }
 
     /// Register a program; replaces any prior registration of the same
     /// program number.
-    pub fn register(mut self, prog: Arc<dyn RpcProgram>) -> Self {
+    pub fn register(mut self, prog: Rc<dyn RpcProgram>) -> Self {
         self.programs.insert(prog.program(), prog);
         self
     }
 
     /// Finish construction.
-    pub fn into_handler(self) -> Arc<dyn RpcHandler> {
-        Arc::new(self)
+    pub fn into_handler(self) -> Rc<dyn RpcHandler> {
+        Rc::new(self)
     }
 }
 
@@ -203,7 +204,7 @@ mod tests {
         let up = Link::new(&h, "up", 1e9, SimDuration::from_micros(50));
         let down = Link::new(&h, "down", 1e9, SimDuration::from_micros(50));
         let ep = endpoint(&h, up, down, WireSpec::plain());
-        let handler = Dispatcher::new().register(Arc::new(Doubler)).into_handler();
+        let handler = Dispatcher::new().register(Rc::new(Doubler)).into_handler();
         ep.listener.serve("doubler", handler, 2);
         RpcClient::new(
             ep.channel,
@@ -286,7 +287,7 @@ mod tests {
         let up = Link::new(&h, "up", 1e9, SimDuration::from_micros(50));
         let down = Link::new(&h, "down", 1e9, SimDuration::from_micros(50));
         let ep = endpoint(&h, up, down, WireSpec::plain());
-        let handler = Dispatcher::new().register(Arc::new(Doubler)).into_handler();
+        let handler = Dispatcher::new().register(Rc::new(Doubler)).into_handler();
         ep.listener.serve("doubler", handler, 1);
         let tel = h.telemetry().clone();
         sim.spawn("c", move |env| {
@@ -315,7 +316,7 @@ mod tests {
 
     #[test]
     fn served_counters_stay_out_of_snapshots_until_first_request() {
-        // Both dispatcher counters resolve lazily (OnceLock): a server
+        // Both dispatcher counters resolve lazily (OnceCell): a server
         // that never saw traffic must not add `served.*` lines to the
         // report snapshot, and a server that saw only well-formed calls
         // must not register the garbage counter.

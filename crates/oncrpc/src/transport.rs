@@ -11,7 +11,7 @@
 //! hop, so arbitrary proxy chains (client proxy → LAN cache proxy →
 //! server proxy → kernel server) compose from these endpoints.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use simnet::{
     channel, Env, Link, Receiver, RecvTimeoutError, Sender, SimDuration, SimHandle, SimTime,
@@ -147,7 +147,7 @@ impl RpcChannel {
         PendingCall { reply_rx }
     }
 
-    /// Send `request` and wait for the reply bytes.
+    /// Transmit `request` and wait for the reply bytes.
     ///
     /// Returns `None` if the listener was dropped (connection refused /
     /// reset), which callers surface as an RPC transport error.
@@ -183,7 +183,7 @@ impl RpcChannel {
 /// [`Listener::serve`] to start worker processes.
 pub struct Listener {
     handle: SimHandle,
-    rx: Arc<Receiver<Envelope>>,
+    rx: Rc<Receiver<Envelope>>,
     down: Link,
     wire: WireSpec,
 }
@@ -191,7 +191,7 @@ pub struct Listener {
 /// Something that services raw RPC request bytes. Handlers run inside a
 /// simulated worker process and may block in virtual time (disk access,
 /// upstream RPC calls, cache operations).
-pub trait RpcHandler: Send + Sync + 'static {
+pub trait RpcHandler: 'static {
     /// Service one request, returning the reply message bytes. The
     /// request is a shared view of the envelope the client sent; replies
     /// served from a cache can hand back a clone without copying.
@@ -200,7 +200,7 @@ pub trait RpcHandler: Send + Sync + 'static {
 
 impl<F> RpcHandler for F
 where
-    F: Fn(&Env, &[u8]) -> Vec<u8> + Send + Sync + 'static,
+    F: Fn(&Env, &[u8]) -> Vec<u8> + 'static,
 {
     fn handle(&self, env: &Env, request: &Bytes) -> Bytes {
         self(env, request).into()
@@ -212,7 +212,7 @@ impl Listener {
     /// run the handler, pay the reply's cipher + downlink cost, respond.
     /// Worker count bounds server-side concurrency the way `nfsd` thread
     /// count does on a real server.
-    pub fn serve(self, name: &str, handler: Arc<dyn RpcHandler>, workers: usize) {
+    pub fn serve(self, name: &str, handler: Rc<dyn RpcHandler>, workers: usize) {
         assert!(workers > 0);
         for w in 0..workers {
             let rx = self.rx.clone();
@@ -262,7 +262,7 @@ pub fn endpoint(handle: &SimHandle, up: Link, down: Link, wire: WireSpec) -> End
         },
         listener: Listener {
             handle: handle.clone(),
-            rx: Arc::new(rx),
+            rx: Rc::new(rx),
             down,
             wire,
         },
@@ -273,7 +273,7 @@ pub fn endpoint(handle: &SimHandle, up: Link, down: Link, wire: WireSpec) -> End
 mod tests {
     use super::*;
     use simnet::{SimTime, Simulation};
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::cell::Cell;
 
     fn fast_link(h: &SimHandle, name: &str) -> Link {
         Link::new(h, name, 1e9, SimDuration::from_millis(1))
@@ -290,7 +290,7 @@ mod tests {
             WireSpec::plain(),
         );
         ep.listener
-            .serve("echo", Arc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
+            .serve("echo", Rc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
         let chan = ep.channel;
         sim.spawn("client", move |env| {
             let reply = chan.call_raw(&env, b"ping".to_vec()).unwrap();
@@ -309,17 +309,17 @@ mod tests {
         let down = Link::new(&h, "down", 1e12, SimDuration::from_millis(17));
         let ep = endpoint(&h, up, down, WireSpec::plain());
         ep.listener
-            .serve("null", Arc::new(|_: &Env, _: &[u8]| vec![0u8; 4]), 1);
+            .serve("null", Rc::new(|_: &Env, _: &[u8]| vec![0u8; 4]), 1);
         let chan = ep.channel;
-        let rtt_ns = Arc::new(AtomicU64::new(0));
+        let rtt_ns = Rc::new(Cell::new(0));
         let r2 = rtt_ns.clone();
         sim.spawn("client", move |env| {
             let t0 = env.now();
             chan.call_raw(&env, vec![0u8; 4]).unwrap();
-            r2.store((env.now() - t0).as_nanos(), AO::SeqCst);
+            r2.set((env.now() - t0).as_nanos());
         });
         sim.run();
-        let rtt_ms = rtt_ns.load(AO::SeqCst) as f64 / 1e6;
+        let rtt_ms = rtt_ns.get() as f64 / 1e6;
         assert!(
             (rtt_ms - 34.0).abs() < 0.1,
             "expected ~34 ms RTT, got {rtt_ms} ms"
@@ -335,18 +335,18 @@ mod tests {
             let down = Link::from_mbps(&h, "down", 100.0, SimDuration::from_micros(100));
             let ep = endpoint(&h, up, down, wire);
             ep.listener
-                .serve("srv", Arc::new(|_: &Env, _: &[u8]| vec![0u8; 32768]), 1);
+                .serve("srv", Rc::new(|_: &Env, _: &[u8]| vec![0u8; 32768]), 1);
             let chan = ep.channel;
-            let done = Arc::new(AtomicU64::new(0));
+            let done = Rc::new(Cell::new(0));
             let d2 = done.clone();
             sim.spawn("client", move |env| {
                 for _ in 0..10 {
                     chan.call_raw(&env, vec![0u8; 128]).unwrap();
                 }
-                d2.store(env.now().as_nanos(), AO::SeqCst);
+                d2.set(env.now().as_nanos());
             });
             sim.run();
-            done.load(AO::SeqCst)
+            done.get()
         };
         let plain = run(WireSpec::plain());
         let tunneled = run(WireSpec::ssh_tunnel(50e6));
@@ -371,7 +371,7 @@ mod tests {
             );
             ep.listener.serve(
                 "slow",
-                Arc::new(|env: &Env, _: &[u8]| {
+                Rc::new(|env: &Env, _: &[u8]| {
                     env.sleep(SimDuration::from_secs(1));
                     vec![0u8; 4]
                 }),
@@ -403,7 +403,7 @@ mod tests {
             WireSpec::plain(),
         );
         ep.listener
-            .serve("echo", Arc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
+            .serve("echo", Rc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
         let chan = ep.channel;
         sim.spawn("client", move |env| {
             let deadline = env.now() + SimDuration::from_secs(5);
@@ -425,7 +425,7 @@ mod tests {
         up.install_faults(simnet::LinkFaultPlan::new(3).drop_prob(1.0));
         let ep = endpoint(&h, up, fast_link(&h, "down"), WireSpec::plain());
         ep.listener
-            .serve("echo", Arc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
+            .serve("echo", Rc::new(|_env: &Env, req: &[u8]| req.to_vec()), 1);
         let chan = ep.channel;
         sim.spawn("client", move |env| {
             let deadline = env.now() + SimDuration::from_secs(2);
@@ -444,12 +444,12 @@ mod tests {
         let down = fast_link(&h, "down");
         down.install_faults(simnet::LinkFaultPlan::new(4).drop_prob(1.0));
         let ep = endpoint(&h, fast_link(&h, "up"), down, WireSpec::plain());
-        let served = Arc::new(AtomicU64::new(0));
+        let served = Rc::new(Cell::new(0));
         let s2 = served.clone();
         ep.listener.serve(
             "echo",
-            Arc::new(move |_env: &Env, req: &[u8]| {
-                s2.fetch_add(1, AO::SeqCst);
+            Rc::new(move |_env: &Env, req: &[u8]| {
+                s2.set(s2.get() + 1);
                 req.to_vec()
             }),
             1,
@@ -464,7 +464,7 @@ mod tests {
         });
         sim.run();
         // The server DID execute the request — only the reply vanished.
-        assert_eq!(served.load(AO::SeqCst), 1);
+        assert_eq!(served.get(), 1);
     }
 
     #[test]

@@ -39,11 +39,9 @@ use std::cell::{Cell, RefCell};
 use std::ffi::c_void;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU8, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
-
+use crate::shared::Shared;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
@@ -125,7 +123,7 @@ fn install_quiet_abort_hook() {
 }
 
 /// The message of a caught panic, for the failure list `run()` re-raises.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &dyn Any) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
@@ -138,76 +136,113 @@ enum EventKind {
     /// the dispatch hot path never indexes the (cache-cold, randomly
     /// accessed) `procs` table: the reference is cloned at schedule time,
     /// when the control block's cache line is typically already warm.
-    Wake(Pid, Arc<ProcCtl>),
+    Wake(Pid, Rc<ProcCtl>),
     /// Run an arbitrary callback on the scheduler's stack (used by the
     /// fluid-flow link model to complete transfers).
-    Call(Box<dyn FnOnce() + Send>),
+    Call(Box<dyn FnOnce()>),
     /// Like `Call`, but carries a cancellation flag. A cancelled event is
     /// skipped by the scheduler *without* advancing `now` or counting as
     /// processed, so an unfired timeout leaves the timeline untouched —
     /// essential for deadline timers that almost never fire.
-    CancellableCall(Arc<AtomicBool>, Box<dyn FnOnce() + Send>),
+    CancellableCall(Rc<Cell<bool>>, Box<dyn FnOnce()>),
 }
 
 /// Token returned by [`SimHandle::schedule_call_cancellable`]; cancelling
 /// it makes the scheduled callback a no-op that does not advance simulated
 /// time when its slot comes up.
 #[derive(Clone)]
-pub struct CancelToken(Arc<AtomicBool>);
+pub struct CancelToken(Rc<Cell<bool>>);
 
 impl CancelToken {
     /// Prevent the associated callback from running (idempotent).
     pub fn cancel(&self) {
-        self.0.store(true, AtomicOrdering::Relaxed);
+        self.0.set(true);
     }
 }
 
-/// Process states, stored in [`ProcCtl::state`] as a `u8`.
+/// Process states, stored in [`ProcCtl::state`].
 const PROC_WAITING: u8 = 0;
 const PROC_RUNNING: u8 = 1;
 const PROC_DONE: u8 = 2;
 
 /// A process body, boxed until its coroutine first runs.
-type Job = Box<dyn FnOnce() + Send>;
+type Job = Box<dyn FnOnce()>;
 
-/// Per-process control block. Apart from `body`, filled in at spawn, its
-/// fields are read and written only by the thread inside the simulation's
-/// `run` (the scheduler and the one coroutine it has switched into), so
-/// relaxed atomics suffice; they are atomics only so that the block can
-/// ride in `Send` events.
+/// Per-process control block, read and written only by the thread inside
+/// the simulation's `run` (the scheduler and the one coroutine it has
+/// switched into).
 pub(crate) struct ProcCtl {
-    state: AtomicU8,
-    abort: AtomicBool,
+    state: Cell<u8>,
+    abort: Cell<bool>,
     /// Saved stack pointer while the coroutine is switched out; null
     /// until the process first runs.
-    sp: AtomicPtr<u8>,
+    sp: Cell<*mut u8>,
     /// Base of the process's stack mapping while it holds one.
-    stack: AtomicPtr<u8>,
+    stack: Cell<*mut u8>,
     /// The body, taken by the coroutine when it first runs (or dropped
     /// unrun when the simulation shuts down first).
-    body: Mutex<Option<Job>>,
+    body: Cell<Option<Job>>,
+    /// Debug builds: where this process took each [`Shared`] guard it
+    /// still holds. Every suspend asserts that there are none.
+    #[cfg(debug_assertions)]
+    guards: RefCell<Vec<&'static panic::Location<'static>>>,
     name: String,
 }
 
 impl ProcCtl {
     fn new(name: String) -> Self {
         ProcCtl {
-            state: AtomicU8::new(PROC_WAITING),
-            abort: AtomicBool::new(false),
-            sp: AtomicPtr::new(ptr::null_mut()),
-            stack: AtomicPtr::new(ptr::null_mut()),
-            body: Mutex::new(None),
+            state: Cell::new(PROC_WAITING),
+            abort: Cell::new(false),
+            sp: Cell::new(ptr::null_mut()),
+            stack: Cell::new(ptr::null_mut()),
+            body: Cell::new(None),
+            #[cfg(debug_assertions)]
+            guards: RefCell::new(Vec::new()),
             name,
         }
     }
 
     #[inline]
     fn state(&self) -> u8 {
-        self.state.load(AtomicOrdering::Relaxed)
+        self.state.get()
     }
 
     fn set_state(&self, state: u8) {
-        self.state.store(state, AtomicOrdering::Relaxed);
+        self.state.set(state);
+    }
+}
+
+/// The process switched into on this thread, if any.
+#[cfg(debug_assertions)]
+fn running_proc<'a>() -> Option<&'a ProcCtl> {
+    SchedCtx::on_this_thread().and_then(SchedCtx::current_proc)
+}
+
+/// Debug builds: record a [`Shared`] guard taken `at` by the running
+/// process. Returns that process's identity for [`guard_released`], null
+/// outside a process (scheduler callbacks, code around a run).
+#[cfg(debug_assertions)]
+pub(crate) fn guard_taken(at: &'static panic::Location<'static>) -> *const () {
+    match running_proc() {
+        Some(ctl) => {
+            ctl.guards.borrow_mut().push(at);
+            ptr::from_ref(ctl).cast()
+        }
+        None => ptr::null(),
+    }
+}
+
+/// Debug builds: forget the guard taken `at` that [`guard_taken`]
+/// recorded for `owner`, if `owner` is still the running process (a
+/// guard dropped elsewhere spanned a suspend, which already failed).
+#[cfg(debug_assertions)]
+pub(crate) fn guard_released(owner: *const (), at: &'static panic::Location<'static>) {
+    if let Some(ctl) = running_proc().filter(|c| ptr::eq(ptr::from_ref(*c).cast(), owner)) {
+        let mut held = ctl.guards.borrow_mut();
+        if let Some(i) = held.iter().rposition(|l| ptr::eq(*l, at)) {
+            held.remove(i);
+        }
     }
 }
 
@@ -354,7 +389,7 @@ extern "C" fn coro_entry() -> ! {
     let ctl = sched
         .current_proc()
         .expect("a coroutine started with no process to run");
-    let body = ctl.body.lock().take();
+    let body = ctl.body.take();
     if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(body) = body {
             body();
@@ -417,7 +452,7 @@ impl SchedCtx {
 
     /// The process this scheduler has switched into, if any.
     fn current_proc(&self) -> Option<&ProcCtl> {
-        // SAFETY: `current` is set from a live `Arc<ProcCtl>` that
+        // SAFETY: `current` is set from a live `Rc<ProcCtl>` that
         // `resume`'s caller holds for the whole time the process runs, and
         // is cleared when control comes back to the scheduler.
         unsafe { self.current.get().as_ref() }
@@ -425,20 +460,20 @@ impl SchedCtx {
 
     /// Switch from the scheduler into `ctl`'s coroutine, starting it on a
     /// stack of its own the first time, until it suspends or finishes.
-    fn resume(&self, ctl: &Arc<ProcCtl>) {
+    fn resume(&self, ctl: &Rc<ProcCtl>) {
         debug_assert_eq!(ctl.state(), PROC_WAITING, "woke a process that is running");
-        if ctl.sp.load(AtomicOrdering::Relaxed).is_null() {
+        if ctl.sp.get().is_null() {
             let stack = self.free.borrow_mut().pop().unwrap_or_else(map_stack);
-            ctl.stack.store(stack.as_ptr(), AtomicOrdering::Relaxed);
-            ctl.sp.store(start_frame(stack), AtomicOrdering::Relaxed);
+            ctl.stack.set(stack.as_ptr());
+            ctl.sp.set(start_frame(stack));
         }
         ctl.set_state(PROC_RUNNING);
-        self.current.set(Arc::as_ptr(ctl));
+        self.current.set(Rc::as_ptr(ctl));
         // SAFETY: `ctl.sp` is either the start frame of a stack owned by
         // this process or the value its own last `switch_out` saved; it
         // was suspended on this thread (the `Env::suspend` affinity
         // assert), so its registers and stack are exactly as it left them.
-        unsafe { simnet_coro_switch(self.sp.as_ptr(), ctl.sp.load(AtomicOrdering::Relaxed)) };
+        unsafe { simnet_coro_switch(self.sp.as_ptr(), ctl.sp.get()) };
         self.current.set(ptr::null());
         if ctl.state() == PROC_DONE {
             self.reclaim_stack(ctl);
@@ -458,8 +493,8 @@ impl SchedCtx {
     /// Put a process's stack back on the free list. Only for a process
     /// that will never run again: finished, or abandoned at shutdown.
     fn reclaim_stack(&self, ctl: &ProcCtl) {
-        ctl.sp.store(ptr::null_mut(), AtomicOrdering::Relaxed);
-        let stack = ctl.stack.swap(ptr::null_mut(), AtomicOrdering::Relaxed);
+        ctl.sp.set(ptr::null_mut());
+        let stack = ctl.stack.replace(ptr::null_mut());
         if let Some(stack) = NonNull::new(stack) {
             self.free.borrow_mut().push(stack);
         }
@@ -525,7 +560,7 @@ struct KernelInner {
     wheel: TimingWheel<EventKind>,
     now: SimTime,
     seq: u64,
-    procs: Vec<Arc<ProcCtl>>,
+    procs: Vec<Rc<ProcCtl>>,
     failures: Vec<String>,
     events_processed: u64,
     /// Set once `run()` observes quiescence; nothing dispatches any more
@@ -541,7 +576,7 @@ struct KernelInner {
 /// schedule wake-ups and callbacks.
 #[derive(Clone)]
 pub struct SimHandle {
-    inner: Arc<Mutex<KernelInner>>,
+    inner: Shared<KernelInner>,
     telemetry: Telemetry,
 }
 
@@ -622,11 +657,7 @@ impl SimHandle {
     /// Spawn a process; it becomes runnable at the current instant. This is
     /// the same operation as [`Simulation::spawn`] / [`Env::spawn`], exposed
     /// on the handle so library code (e.g. RPC servers) can start workers.
-    pub fn spawn(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce(Env) + Send + 'static,
-    ) -> ProcessHandle {
+    pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(Env) + 'static) -> ProcessHandle {
         spawn_with_handle(self, name.into(), f)
     }
 
@@ -641,7 +672,7 @@ impl SimHandle {
     /// Schedule an arbitrary callback to run on the scheduler's stack at
     /// `time`. The callback must not block; it may schedule further events
     /// and wake processes.
-    pub fn schedule_call(&self, time: SimTime, f: impl FnOnce() + Send + 'static) {
+    pub fn schedule_call(&self, time: SimTime, f: impl FnOnce() + 'static) {
         let mut k = self.inner.lock();
         let seq = k.seq;
         k.seq += 1;
@@ -657,9 +688,9 @@ impl SimHandle {
     pub fn schedule_call_cancellable(
         &self,
         time: SimTime,
-        f: impl FnOnce() + Send + 'static,
+        f: impl FnOnce() + 'static,
     ) -> CancelToken {
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Rc::new(Cell::new(false));
         let mut k = self.inner.lock();
         let seq = k.seq;
         k.seq += 1;
@@ -671,8 +702,8 @@ impl SimHandle {
         CancelToken(flag)
     }
 
-    fn spawn_inner(&self, name: String, f: impl FnOnce(Env) + Send + 'static) {
-        let ctl = Arc::new(ProcCtl::new(name));
+    fn spawn_inner(&self, name: String, f: impl FnOnce(Env) + 'static) {
+        let ctl = Rc::new(ProcCtl::new(name));
         let pid = {
             let mut k = self.inner.lock();
             assert!(
@@ -689,7 +720,7 @@ impl SimHandle {
         };
         // The body is in place before the wake that starts it is queued.
         let body: Job = Box::new(move || f(env));
-        *ctl.body.lock() = Some(body);
+        ctl.body.set(Some(body));
         let mut k = self.inner.lock();
         let time = k.now;
         let seq = k.seq;
@@ -702,14 +733,14 @@ impl SimHandle {
     /// inline, on the calling (scheduler) stack. Wakes for finished
     /// processes are skipped — their timers may outlive them — but still
     /// advance `now` and count as processed.
-    fn dispatch_until_wake(&self) -> Option<Arc<ProcCtl>> {
+    fn dispatch_until_wake(&self) -> Option<Rc<ProcCtl>> {
         loop {
             let call = {
                 let mut k = self.inner.lock();
                 loop {
                     let (time, seq, kind) = k.wheel.pop()?;
                     if let EventKind::CancellableCall(flag, _) = &kind {
-                        if flag.load(AtomicOrdering::Relaxed) {
+                        if flag.get() {
                             // Cancelled timer: discard without touching
                             // `now` or the processed-event count, so it
                             // leaves no trace on the timeline.
@@ -742,11 +773,21 @@ impl SimHandle {
 
 /// The per-process capability handle, passed to every process body. All
 /// blocking simulation primitives go through an `Env`.
+///
+/// A process runs on the thread inside its simulation's `run`, and its
+/// `Env` cannot leave that thread:
+///
+/// ```compile_fail,E0277
+/// let sim = simnet::Simulation::new();
+/// sim.spawn("p", |env| {
+///     std::thread::spawn(move || env.sleep(simnet::SimDuration::from_secs(1)));
+/// });
+/// ```
 #[derive(Clone)]
 pub struct Env {
     handle: SimHandle,
     pid: Pid,
-    ctl: Arc<ProcCtl>,
+    ctl: Rc<ProcCtl>,
 }
 
 impl Env {
@@ -789,11 +830,7 @@ impl Env {
     }
 
     /// Spawn a child process; it becomes runnable at the current instant.
-    pub fn spawn(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce(Env) + Send + 'static,
-    ) -> ProcessHandle {
+    pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(Env) + 'static) -> ProcessHandle {
         spawn_with_handle(&self.handle, name.into(), f)
     }
 
@@ -808,8 +845,10 @@ impl Env {
     /// be lost in between.
     ///
     /// Panics unless called from this process's own body, on the thread
-    /// inside its simulation's `run`: an `Env` moved to another thread or
-    /// into another process must not switch stacks it does not own.
+    /// inside its simulation's `run`: an `Env` moved into another process
+    /// must not switch stacks it does not own. Debug builds also panic if
+    /// the process holds a [`Shared`] guard, which another process could
+    /// then find taken.
     pub(crate) fn suspend(&self) {
         self.suspend_after(|_| {});
     }
@@ -818,22 +857,34 @@ impl Env {
     /// control leaves the process; `sleep` passes its wake push here.
     fn suspend_after<F: FnOnce(&mut KernelInner)>(&self, pre: F) {
         let sched = SchedCtx::on_this_thread()
-            .filter(|s| ptr::eq(s.current.get(), Arc::as_ptr(&self.ctl)))
+            .filter(|s| ptr::eq(s.current.get(), Rc::as_ptr(&self.ctl)))
             .unwrap_or_else(|| {
                 panic!(
                     "process '{}' must suspend on the thread running its own Simulation::run, \
-                     from its own body (was its Env moved to another thread or process?)",
+                     from its own body (was its Env moved into another process?)",
                     self.ctl.name
                 )
             });
         debug_assert_eq!(self.ctl.state(), PROC_RUNNING);
+        #[cfg(debug_assertions)]
+        {
+            let held = self.ctl.guards.borrow();
+            if !held.is_empty() {
+                let sites: Vec<String> = held.iter().map(|l| l.to_string()).collect();
+                panic!(
+                    "process '{}' suspends holding a Shared guard taken at {}",
+                    self.ctl.name,
+                    sites.join(", ")
+                );
+            }
+        }
         {
             let mut k = self.handle.inner.lock();
             pre(&mut k);
         }
         self.ctl.set_state(PROC_WAITING);
         sched.switch_out(&self.ctl);
-        if self.ctl.abort.load(AtomicOrdering::Relaxed) {
+        if self.ctl.abort.get() {
             install_quiet_abort_hook();
             panic::panic_any(SimAbort);
         }
@@ -855,7 +906,7 @@ impl ProcessHandle {
 fn spawn_with_handle(
     handle: &SimHandle,
     name: String,
-    f: impl FnOnce(Env) + Send + 'static,
+    f: impl FnOnce(Env) + 'static,
 ) -> ProcessHandle {
     let done = crate::sync::Signal::new(handle);
     let done2 = done.clone();
@@ -876,7 +927,7 @@ impl Simulation {
     pub fn new() -> Self {
         Simulation {
             handle: SimHandle {
-                inner: Arc::new(Mutex::new(KernelInner {
+                inner: Shared::new(KernelInner {
                     wheel: TimingWheel::new(),
                     now: SimTime::ZERO,
                     seq: 0,
@@ -885,7 +936,7 @@ impl Simulation {
                     events_processed: 0,
                     shutting_down: false,
                     trace: None,
-                })),
+                }),
                 telemetry: Telemetry::new(),
             },
         }
@@ -898,11 +949,7 @@ impl Simulation {
 
     /// Spawn a root process; it becomes runnable at time zero (or the
     /// current time, if spawned mid-run from outside — not typical).
-    pub fn spawn(
-        &self,
-        name: impl Into<String>,
-        f: impl FnOnce(Env) + Send + 'static,
-    ) -> ProcessHandle {
+    pub fn spawn(&self, name: impl Into<String>, f: impl FnOnce(Env) + 'static) -> ProcessHandle {
         spawn_with_handle(&self.handle, name.into(), f)
     }
 
@@ -955,10 +1002,10 @@ impl Simulation {
             if ctl.state() == PROC_DONE {
                 continue;
             }
-            ctl.abort.store(true, AtomicOrdering::Relaxed);
-            if ctl.sp.load(AtomicOrdering::Relaxed).is_null() {
+            ctl.abort.set(true);
+            if ctl.sp.get().is_null() {
                 // Never started: drop the body unrun.
-                drop(ctl.body.lock().take());
+                drop(ctl.body.take());
                 ctl.set_state(PROC_DONE);
             } else {
                 sched.resume(ctl);
@@ -988,7 +1035,7 @@ impl Default for Simulation {
 mod tests {
     use super::*;
     use crate::fault::splitmix64;
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::cell::Cell;
 
     #[test]
     fn empty_simulation_finishes_at_zero() {
@@ -1001,35 +1048,35 @@ mod tests {
         // Processes that never suspend: each runs to completion on its
         // first switch, and the run ends when the last one finishes.
         let sim = Simulation::new();
-        let ran = Arc::new(AtomicU64::new(0));
+        let ran = Rc::new(Cell::new(0));
         for i in 0..16 {
             let ran = ran.clone();
             sim.spawn(format!("f{i}"), move |_env| {
-                ran.fetch_add(1, AO::SeqCst);
+                ran.set(ran.get() + 1);
             });
         }
         assert_eq!(sim.run(), SimTime::ZERO, "no process advanced time");
-        assert_eq!(ran.load(AO::SeqCst), 16, "every process ran");
+        assert_eq!(ran.get(), 16, "every process ran");
     }
 
     #[test]
     fn sleep_advances_virtual_time() {
         let sim = Simulation::new();
-        let observed = Arc::new(AtomicU64::new(0));
+        let observed = Rc::new(Cell::new(0));
         let obs = observed.clone();
         sim.spawn("sleeper", move |env| {
             env.sleep(SimDuration::from_millis(250));
-            obs.store(env.now().as_nanos(), AO::SeqCst);
+            obs.set(env.now().as_nanos());
         });
         let end = sim.run();
-        assert_eq!(observed.load(AO::SeqCst), 250_000_000);
+        assert_eq!(observed.get(), 250_000_000);
         assert_eq!(end.as_nanos(), 250_000_000);
     }
 
     #[test]
     fn equal_time_events_fire_in_spawn_order() {
         let sim = Simulation::new();
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Shared::new(Vec::new());
         for i in 0..5 {
             let order = order.clone();
             sim.spawn(format!("p{i}"), move |env| {
@@ -1044,7 +1091,7 @@ mod tests {
     #[test]
     fn nested_spawn_and_join() {
         let sim = Simulation::new();
-        let total = Arc::new(AtomicU64::new(0));
+        let total = Rc::new(Cell::new(0));
         let t2 = total.clone();
         sim.spawn("parent", move |env| {
             let mut children = Vec::new();
@@ -1052,7 +1099,7 @@ mod tests {
                 let t = t2.clone();
                 children.push(env.spawn(format!("child{i}"), move |env| {
                     env.sleep(SimDuration::from_secs(i));
-                    t.fetch_add(i, AO::SeqCst);
+                    t.set(t.get() + i);
                 }));
             }
             for c in &children {
@@ -1062,7 +1109,7 @@ mod tests {
             assert_eq!(env.now(), SimTime::ZERO + SimDuration::from_secs(4));
         });
         let end = sim.run();
-        assert_eq!(total.load(AO::SeqCst), 10);
+        assert_eq!(total.get(), 10);
         assert_eq!(end.as_nanos(), SimDuration::from_secs(4).as_nanos());
     }
 
@@ -1116,44 +1163,22 @@ mod tests {
     }
 
     #[test]
-    fn env_sent_to_another_thread_panics_at_sleep() {
-        let sim = Simulation::new();
-        let message = Arc::new(Mutex::new(String::new()));
-        let m = message.clone();
-        sim.spawn("p", move |env| {
-            let moved = env.clone();
-            let err = std::thread::spawn(move || moved.sleep(SimDuration::from_secs(5)))
-                .join()
-                .expect_err("a sleep on a foreign thread must panic");
-            *m.lock() = panic_message(&*err);
-            // The refused sleep scheduled nothing; the process still works.
-            env.sleep(SimDuration::from_secs(1));
-        });
-        assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_secs(1));
-        let message = message.lock().clone();
-        assert!(
-            message.contains("must suspend on the thread running its own Simulation::run"),
-            "{message}"
-        );
-    }
-
-    #[test]
     fn ten_thousand_live_processes_reuse_their_stacks() {
         const LIVE: usize = 10_000;
-        fn wave(h: &SimHandle, done: &Arc<AtomicU64>) {
+        fn wave(h: &SimHandle, done: &Rc<Cell<u64>>) {
             for i in 0..LIVE {
                 let done = done.clone();
                 h.spawn(format!("w{i}"), move |env| {
                     // Touch 64 KiB of this process's stack.
                     std::hint::black_box(&mut [0u8; 64 << 10]);
                     env.sleep(SimDuration::from_secs(1));
-                    done.fetch_add(1, AO::SeqCst);
+                    done.set(done.get() + 1);
                 });
             }
         }
         let sim = Simulation::new();
         let h = sim.handle();
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Rc::new(Cell::new(0));
         // First wave: all alive at once, sleeping. The second starts from a
         // callback after the first has finished, so it runs entirely on
         // recycled stacks.
@@ -1164,7 +1189,7 @@ mod tests {
         });
         let mapped_before = stacks_mapped();
         assert_eq!(sim.run(), SimTime::ZERO + SimDuration::from_secs(3));
-        assert_eq!(done.load(AO::SeqCst), 2 * LIVE as u64);
+        assert_eq!(done.get(), 2 * LIVE as u64);
         assert_eq!(
             stacks_mapped() - mapped_before,
             LIVE as u64,
@@ -1176,17 +1201,17 @@ mod tests {
     fn cancelled_callback_does_not_advance_time() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let fired = Arc::new(AtomicU64::new(0));
+        let fired = Rc::new(Cell::new(0));
         let f2 = fired.clone();
         // A timer far in the future, cancelled before the run: the
         // simulation must end at the last *live* event, not at the timer.
         let token = h.schedule_call_cancellable(SimTime::from_nanos(1_000_000), move || {
-            f2.store(1, AO::SeqCst);
+            f2.set(1);
         });
         sim.spawn("worker", |env| env.sleep(SimDuration::from_nanos(10)));
         token.cancel();
         let end = sim.run();
-        assert_eq!(fired.load(AO::SeqCst), 0);
+        assert_eq!(fired.get(), 0);
         assert_eq!(end.as_nanos(), 10);
     }
 
@@ -1194,14 +1219,14 @@ mod tests {
     fn uncancelled_cancellable_callback_fires() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let fired = Arc::new(AtomicU64::new(0));
+        let fired = Rc::new(Cell::new(0));
         let f2 = fired.clone();
         let h2 = h.clone();
         let _token = h.schedule_call_cancellable(SimTime::from_nanos(77), move || {
-            f2.store(h2.now().as_nanos(), AO::SeqCst);
+            f2.set(h2.now().as_nanos());
         });
         sim.run();
-        assert_eq!(fired.load(AO::SeqCst), 77);
+        assert_eq!(fired.get(), 77);
     }
 
     #[test]
@@ -1294,14 +1319,14 @@ mod tests {
     fn scheduler_callback_runs_at_requested_time() {
         let sim = Simulation::new();
         let h = sim.handle();
-        let fired = Arc::new(AtomicU64::new(0));
+        let fired = Rc::new(Cell::new(0));
         let f2 = fired.clone();
         let h2 = h.clone();
         h.schedule_call(SimTime::from_nanos(42), move || {
-            f2.store(h2.now().as_nanos(), AO::SeqCst);
+            f2.set(h2.now().as_nanos());
         });
         sim.run();
-        assert_eq!(fired.load(AO::SeqCst), 42);
+        assert_eq!(fired.get(), 42);
     }
 
     #[test]
@@ -1311,7 +1336,7 @@ mod tests {
         // must fire them in exact (time, seq) order.
         let sim = Simulation::new();
         let h = sim.handle();
-        let fired = Arc::new(Mutex::new(Vec::new()));
+        let fired = Shared::new(Vec::new());
         let mut times: Vec<u64> = (0..200)
             .map(|i| splitmix64(i as u64 ^ 0xABCD) % 60_000_000_000)
             .collect();

@@ -21,9 +21,9 @@
 //! tick-for-tick a serial loop.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use crate::shared::Shared;
 
 use crate::telemetry::{Counter, Gauge, PercentileSketch, Telemetry};
 use crate::Env;
@@ -70,9 +70,9 @@ pub fn run_windowed<I, T, F>(
     f: F,
 ) -> Vec<Option<T>>
 where
-    I: Send + 'static,
-    T: Send + 'static,
-    F: Fn(&Env, I) -> Option<T> + Send + Sync + 'static,
+    I: 'static,
+    T: 'static,
+    F: Fn(&Env, I) -> Option<T> + 'static,
 {
     let n = items.len();
     if n == 0 {
@@ -100,10 +100,9 @@ where
         }
         return out;
     }
-    let queue: Arc<Mutex<VecDeque<(usize, I)>>> =
-        Arc::new(Mutex::new(items.into_iter().enumerate().collect()));
-    let results: Arc<Mutex<Vec<(usize, T)>>> = Arc::new(Mutex::new(Vec::with_capacity(n)));
-    let f = Arc::new(f);
+    let queue: Shared<VecDeque<(usize, I)>> = Shared::new(items.into_iter().enumerate().collect());
+    let results: Shared<Vec<(usize, T)>> = Shared::new(Vec::with_capacity(n));
+    let f = Rc::new(f);
     let t0 = env.now();
     let mut joins = Vec::with_capacity(workers);
     for w in 0..workers {
@@ -137,9 +136,8 @@ where
     for j in joins {
         j.join(env);
     }
-    let mut collected = match Arc::try_unwrap(results) {
-        Ok(m) => m.into_inner(),
-        Err(_) => return out, // worker leak: every slot reads as failed
+    let Ok(mut collected) = results.try_unwrap() else {
+        return out; // worker leak: every slot reads as failed
     };
     collected.sort_unstable_by_key(|(i, _)| *i);
     for (i, v) in collected {

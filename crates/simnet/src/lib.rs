@@ -36,6 +36,7 @@ mod engine;
 mod fanout;
 pub mod fault;
 mod link;
+mod shared;
 pub mod sync;
 pub mod telemetry;
 mod time;
@@ -49,6 +50,7 @@ pub use engine::{
 pub use fanout::{run_windowed, TransferTel};
 pub use fault::{splitmix64, DetRng, LinkFaultPlan, OutageWindow};
 pub use link::{Link, TransferOutcome};
+pub use shared::{Shared, SharedGuard};
 pub use sync::{
     channel, Disconnected, Receiver, RecvTimeoutError, Resource, ResourceGuard, Sender, Signal,
 };

@@ -10,9 +10,9 @@
 //! parts share the pipe.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use crate::shared::Shared;
 
 use crate::engine::{Env, Pid, SimHandle};
 use crate::fault::{DetRng, LinkFaultPlan};
@@ -82,8 +82,8 @@ struct LinkState {
 #[derive(Clone)]
 pub struct Link {
     handle: SimHandle,
-    name: Arc<str>,
-    state: Arc<Mutex<LinkState>>,
+    name: Rc<str>,
+    state: Shared<LinkState>,
     /// Telemetry-backed byte/message counters. Registered by name, so two
     /// `Link`s created with the same name on one simulation share them —
     /// the counters then report the aggregate over both (used by the
@@ -110,7 +110,7 @@ impl Link {
             bytes_per_sec.is_finite() && bytes_per_sec > 0.0,
             "link bandwidth must be positive"
         );
-        let name: Arc<str> = name.into().into();
+        let name: Rc<str> = name.into().into();
         let tel = handle.telemetry();
         Link {
             handle: handle.clone(),
@@ -120,7 +120,7 @@ impl Link {
             severed: tel.counter("link", format!("{name}.severed")),
             transfer_times: tel.histogram("link", format!("{name}.transfer")),
             name,
-            state: Arc::new(Mutex::new(LinkState {
+            state: Shared::new(LinkState {
                 bytes_per_sec,
                 latency,
                 flows: BTreeMap::new(),
@@ -129,7 +129,7 @@ impl Link {
                 timer_gen: 0,
                 faults: None,
                 completed_buf: Vec::new(),
-            })),
+            }),
         }
     }
 
@@ -425,7 +425,7 @@ impl Link {
 mod tests {
     use super::*;
     use crate::engine::Simulation;
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::cell::Cell;
 
     fn secs(t: SimTime) -> f64 {
         t.as_secs_f64()
@@ -471,25 +471,25 @@ mod tests {
         let link = Link::new(&h, "l", 1_000_000.0, SimDuration::ZERO);
         let l1 = link.clone();
         let l2 = link.clone();
-        let t1 = Arc::new(AtomicU64::new(0));
-        let t2 = Arc::new(AtomicU64::new(0));
+        let t1 = Rc::new(Cell::new(0));
+        let t2 = Rc::new(Cell::new(0));
         let t1c = t1.clone();
         let t2c = t2.clone();
         sim.spawn("early", move |env| {
             l1.transfer(&env, 2_000_000);
-            t1c.store(env.now().as_nanos(), AO::SeqCst);
+            t1c.set(env.now().as_nanos());
         });
         sim.spawn("late", move |env| {
             env.sleep(SimDuration::from_secs(1));
             l2.transfer(&env, 500_000);
-            t2c.store(env.now().as_nanos(), AO::SeqCst);
+            t2c.set(env.now().as_nanos());
         });
         sim.run();
         // Early: 1 MB in the first second alone, then shares.
         // Late: 0.5 MB at 0.5 MB/s => finishes at t=2.0.
         // Early then has 0.5 MB left at full rate => t=2.5.
-        assert!((t2.load(AO::SeqCst) as f64 / 1e9 - 2.0).abs() < 1e-6);
-        assert!((t1.load(AO::SeqCst) as f64 / 1e9 - 2.5).abs() < 1e-6);
+        assert!((t2.get() as f64 / 1e9 - 2.0).abs() < 1e-6);
+        assert!((t1.get() as f64 / 1e9 - 2.5).abs() < 1e-6);
     }
 
     #[test]
@@ -550,12 +550,13 @@ mod tests {
             let h = sim.handle();
             let link = Link::new(&h, "l", 1_000_000.0, SimDuration::ZERO);
             link.install_faults(LinkFaultPlan::new(seed).drop_prob(0.3));
-            let outcomes = Arc::new(Mutex::new(Vec::new()));
+            let outcomes = Shared::new(Vec::new());
             let l = link.clone();
             let o = outcomes.clone();
             sim.spawn("xfer", move |env| {
                 for _ in 0..50 {
-                    o.lock().push(l.transfer_checked(&env, 10_000));
+                    let outcome = l.transfer_checked(&env, 10_000);
+                    o.lock().push(outcome);
                 }
             });
             let end = sim.run();

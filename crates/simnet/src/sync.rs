@@ -7,9 +7,8 @@
 //! is free of lost-wakeup races (see [`crate::engine`]).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
+use crate::shared::Shared;
 
 use crate::engine::{Env, Pid, SimHandle};
 
@@ -28,7 +27,7 @@ struct SignalInner {
 #[derive(Clone)]
 pub struct Signal {
     handle: SimHandle,
-    inner: Arc<Mutex<SignalInner>>,
+    inner: Shared<SignalInner>,
 }
 
 impl Signal {
@@ -36,10 +35,10 @@ impl Signal {
     pub fn new(handle: &SimHandle) -> Self {
         Signal {
             handle: handle.clone(),
-            inner: Arc::new(Mutex::new(SignalInner {
+            inner: Shared::new(SignalInner {
                 set: false,
                 waiters: Vec::new(),
-            })),
+            }),
         }
     }
 
@@ -96,13 +95,13 @@ struct ChannelInner<T> {
 /// when all senders drop, blocked receivers observe disconnection.
 pub struct Sender<T> {
     handle: SimHandle,
-    inner: Arc<Mutex<ChannelInner<T>>>,
+    inner: Shared<ChannelInner<T>>,
 }
 
 /// Receiving half of a simulated channel. Dropping the receiver discards
 /// queued messages and makes subsequent sends no-ops.
 pub struct Receiver<T> {
-    inner: Arc<Mutex<ChannelInner<T>>>,
+    inner: Shared<ChannelInner<T>>,
 }
 
 impl<T> Drop for Receiver<T> {
@@ -133,14 +132,14 @@ pub enum RecvTimeoutError {
 }
 
 /// Create an unbounded simulated channel.
-pub fn channel<T: Send + 'static>(handle: &SimHandle) -> (Sender<T>, Receiver<T>) {
-    let inner = Arc::new(Mutex::new(ChannelInner {
+pub fn channel<T: 'static>(handle: &SimHandle) -> (Sender<T>, Receiver<T>) {
+    let inner = Shared::new(ChannelInner {
         queue: VecDeque::new(),
         waiters: VecDeque::new(),
         timed_out: Vec::new(),
         senders: 1,
         receiver_alive: true,
-    }));
+    });
     (
         Sender {
             handle: handle.clone(),
@@ -178,7 +177,7 @@ impl<T> Drop for Sender<T> {
     }
 }
 
-impl<T: Send + 'static> Sender<T> {
+impl<T: 'static> Sender<T> {
     /// Enqueue a message at the current instant, waking one blocked
     /// receiver if present. Never blocks (unbounded queue). If the
     /// receiver has been dropped the value is discarded — this is what
@@ -198,7 +197,7 @@ impl<T: Send + 'static> Sender<T> {
     }
 }
 
-impl<T: Send + 'static> Receiver<T> {
+impl<T: 'static> Receiver<T> {
     /// Dequeue the next message, blocking in virtual time until one is
     /// available. Returns `Err(Disconnected)` once the queue is drained and
     /// every sender has been dropped.
@@ -307,7 +306,7 @@ struct ResourceInner {
 #[derive(Clone)]
 pub struct Resource {
     handle: SimHandle,
-    inner: Arc<Mutex<ResourceInner>>,
+    inner: Shared<ResourceInner>,
 }
 
 /// RAII guard for a [`Resource`] grant.
@@ -321,11 +320,11 @@ impl Resource {
         assert!(capacity > 0, "resource capacity must be positive");
         Resource {
             handle: handle.clone(),
-            inner: Arc::new(Mutex::new(ResourceInner {
+            inner: Shared::new(ResourceInner {
                 capacity,
                 in_use: 0,
                 waiters: VecDeque::new(),
-            })),
+            }),
         }
     }
 
@@ -383,18 +382,20 @@ mod tests {
     use super::*;
     use crate::engine::Simulation;
     use crate::time::{SimDuration, SimTime};
-    use std::sync::atomic::{AtomicU64, Ordering as AO};
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     #[test]
     fn channel_delivers_in_fifo_order_without_time_cost() {
         let sim = Simulation::new();
         let h = sim.handle();
         let (tx, rx) = channel::<u32>(&h);
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Shared::new(Vec::new());
         let got2 = got.clone();
         sim.spawn("recv", move |env| {
             for _ in 0..3 {
-                got2.lock().push(rx.recv(&env).unwrap());
+                let v = rx.recv(&env).unwrap();
+                got2.lock().push(v);
             }
             assert_eq!(env.now(), SimTime::ZERO + SimDuration::from_secs(1));
         });
@@ -497,7 +498,7 @@ mod tests {
         let sim = Simulation::new();
         let h = sim.handle();
         let res = Resource::new(&h, 1);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Shared::new(Vec::new());
         for i in 0..3u32 {
             let res = res.clone();
             let order = order.clone();
@@ -521,22 +522,23 @@ mod tests {
         let sim = Simulation::new();
         let h = sim.handle();
         let res = Resource::new(&h, 2);
-        let max_concurrent = Arc::new(AtomicU64::new(0));
-        let cur = Arc::new(AtomicU64::new(0));
+        let max_concurrent = Rc::new(Cell::new(0));
+        let cur = Rc::new(Cell::new(0));
         for i in 0..4u32 {
             let res = res.clone();
             let max_concurrent = max_concurrent.clone();
             let cur = cur.clone();
             sim.spawn(format!("p{i}"), move |env| {
                 let _g = res.acquire(&env);
-                let c = cur.fetch_add(1, AO::SeqCst) + 1;
-                max_concurrent.fetch_max(c, AO::SeqCst);
+                let c = cur.get() + 1;
+                cur.set(c);
+                max_concurrent.set(max_concurrent.get().max(c));
                 env.sleep(SimDuration::from_secs(1));
-                cur.fetch_sub(1, AO::SeqCst);
+                cur.set(cur.get() - 1);
             });
         }
         let end = sim.run();
-        assert_eq!(max_concurrent.load(AO::SeqCst), 2);
+        assert_eq!(max_concurrent.get(), 2);
         assert_eq!(end.as_nanos(), 2_000_000_000);
     }
 
@@ -545,13 +547,13 @@ mod tests {
         let sim = Simulation::new();
         let h = sim.handle();
         let sig = Signal::new(&h);
-        let woken = Arc::new(AtomicU64::new(0));
+        let woken = Rc::new(Cell::new(0));
         for i in 0..3 {
             let sig = sig.clone();
             let woken = woken.clone();
             sim.spawn(format!("w{i}"), move |env| {
                 sig.wait(&env);
-                woken.fetch_add(1, AO::SeqCst);
+                woken.set(woken.get() + 1);
                 assert_eq!(env.now(), SimTime::ZERO + SimDuration::from_secs(2));
             });
         }
@@ -562,7 +564,7 @@ mod tests {
             sig2.set(); // idempotent
         });
         sim.run();
-        assert_eq!(woken.load(AO::SeqCst), 3);
+        assert_eq!(woken.get(), 3);
         assert!(sig.is_set());
     }
 }

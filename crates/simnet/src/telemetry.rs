@@ -4,9 +4,9 @@
 //! Every [`crate::Simulation`] owns one [`Telemetry`] registry, reachable
 //! from any process via [`crate::Env::handle`]`().telemetry()`. Layers
 //! (links, RPC endpoints, caches, proxies) register named metrics once and
-//! then update them through lock-free atomics — a metric update on a hot
-//! path is one `fetch_add`, never a registry lock. The registry lock is
-//! only taken at registration and snapshot time.
+//! then update them through the shared cells they got back — a metric
+//! update on a hot path is one add to a `Cell`, never a registry lookup.
+//! The registry is only locked at registration and snapshot time.
 //!
 //! Naming convention: every metric lives under a `layer` (e.g. `"link"`,
 //! `"rpc"`, `"nfs3"`, `"gvfs"`) and a dotted `name` whose first segment is
@@ -15,7 +15,7 @@
 //! cloning spawns eight identical client proxies) disambiguate through
 //! [`Telemetry::instance_name`], which yields `base`, `base#2`, `base#3`…
 //! Two components that register the *same* fully-qualified metric share
-//! the underlying atomic — for same-named links this is deliberate and
+//! the underlying cell — for same-named links this is deliberate and
 //! gives aggregate semantics.
 //!
 //! Every distribution — RPC latency, link transfer time, clone latency —
@@ -33,12 +33,12 @@
 //! append [`TraceEvent`]s (virtual-time-stamped, structured) to a bounded
 //! ring; overflow drops the oldest events and counts the drops.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
+use crate::shared::Shared;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -54,7 +54,7 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 /// hold the same `Counter`.
 #[derive(Clone, Default)]
 pub struct Counter {
-    cell: Arc<AtomicU64>,
+    cell: Rc<Cell<u64>>,
 }
 
 impl Counter {
@@ -66,7 +66,7 @@ impl Counter {
     /// Add `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cell.fetch_add(n, Ordering::Relaxed);
+        self.cell.set(self.cell.get() + n);
     }
 
     /// Increment by one.
@@ -78,7 +78,7 @@ impl Counter {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.cell.load(Ordering::Relaxed)
+        self.cell.get()
     }
 }
 
@@ -92,8 +92,8 @@ impl std::fmt::Debug for Counter {
 // Gauge
 
 struct GaugeInner {
-    value: AtomicU64,
-    max: AtomicU64,
+    value: Cell<u64>,
+    max: Cell<u64>,
 }
 
 /// An up/down occupancy gauge with a high-water mark (e.g. in-flight RPCs
@@ -101,15 +101,15 @@ struct GaugeInner {
 /// contract as [`Counter`]).
 #[derive(Clone)]
 pub struct Gauge {
-    inner: Arc<GaugeInner>,
+    inner: Rc<GaugeInner>,
 }
 
 impl Default for Gauge {
     fn default() -> Self {
         Gauge {
-            inner: Arc::new(GaugeInner {
-                value: AtomicU64::new(0),
-                max: AtomicU64::new(0),
+            inner: Rc::new(GaugeInner {
+                value: Cell::new(0),
+                max: Cell::new(0),
             }),
         }
     }
@@ -125,8 +125,9 @@ impl Gauge {
     /// new value.
     #[inline]
     pub fn add(&self, n: u64) -> u64 {
-        let now = self.inner.value.fetch_add(n, Ordering::Relaxed) + n;
-        self.inner.max.fetch_max(now, Ordering::Relaxed);
+        let now = self.inner.value.get() + n;
+        self.inner.value.set(now);
+        self.inner.max.set(self.inner.max.get().max(now));
         now
     }
 
@@ -141,8 +142,9 @@ impl Gauge {
     /// silently clamped.
     #[inline]
     pub fn sub(&self, n: u64) {
-        let prev = self.inner.value.fetch_sub(n, Ordering::Relaxed);
+        let prev = self.inner.value.get();
         debug_assert!(prev >= n, "gauge underflow: {prev} - {n}");
+        self.inner.value.set(prev - n);
     }
 
     /// Lower by one.
@@ -154,13 +156,13 @@ impl Gauge {
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        self.inner.value.load(Ordering::Relaxed)
+        self.inner.value.get()
     }
 
     /// Highest value ever reached.
     #[inline]
     pub fn high_water(&self) -> u64 {
-        self.inner.max.load(Ordering::Relaxed)
+        self.inner.max.get()
     }
 }
 
@@ -218,33 +220,33 @@ fn sketch_upper_bound(idx: usize) -> u64 {
 }
 
 struct SketchInner {
-    buckets: [AtomicU64; SKETCH_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
+    buckets: [Cell<u64>; SKETCH_BUCKETS],
+    count: Cell<u64>,
+    sum_ns: Cell<u64>,
+    max_ns: Cell<u64>,
 }
 
 /// The one distribution type (registered by [`Telemetry::histogram`]):
 /// fixed log-linear buckets (8 linear sub-buckets per power-of-two
 /// octave) holding nanosecond samples, with relative quantile error
 /// ≤ 12.5% and exact count, sum and maximum. The record path is index
-/// arithmetic plus four relaxed `fetch_add`/`fetch_max` operations — no
+/// arithmetic plus four `Cell` updates — no
 /// locks and no allocation, ever (the `allocation-free-record` lint rule
 /// pins this).
 /// Cloning shares the underlying cells (same contract as [`Counter`]).
 #[derive(Clone)]
 pub struct PercentileSketch {
-    inner: Arc<SketchInner>,
+    inner: Rc<SketchInner>,
 }
 
 impl Default for PercentileSketch {
     fn default() -> Self {
         PercentileSketch {
-            inner: Arc::new(SketchInner {
-                buckets: [const { AtomicU64::new(0) }; SKETCH_BUCKETS],
-                count: AtomicU64::new(0),
-                sum_ns: AtomicU64::new(0),
-                max_ns: AtomicU64::new(0),
+            inner: Rc::new(SketchInner {
+                buckets: [const { Cell::new(0) }; SKETCH_BUCKETS],
+                count: Cell::new(0),
+                sum_ns: Cell::new(0),
+                max_ns: Cell::new(0),
             }),
         }
     }
@@ -267,25 +269,26 @@ impl PercentileSketch {
     #[inline]
     pub fn record_ns(&self, ns: u64) {
         let s = &*self.inner;
-        s.buckets[sketch_index(ns)].fetch_add(1, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        s.max_ns.fetch_max(ns, Ordering::Relaxed);
+        let bucket = &s.buckets[sketch_index(ns)];
+        bucket.set(bucket.get() + 1);
+        s.count.set(s.count.get() + 1);
+        s.sum_ns.set(s.sum_ns.get() + ns);
+        s.max_ns.set(s.max_ns.get().max(ns));
     }
 
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.inner.count.get()
     }
 
     /// Sum of all samples, in nanoseconds.
     pub fn sum_ns(&self) -> u64 {
-        self.inner.sum_ns.load(Ordering::Relaxed)
+        self.inner.sum_ns.get()
     }
 
     /// Largest recorded sample, in nanoseconds.
     pub fn max_ns(&self) -> u64 {
-        self.inner.max_ns.load(Ordering::Relaxed)
+        self.inner.max_ns.get()
     }
 
     /// Mean sample value in nanoseconds (0 when empty).
@@ -303,7 +306,7 @@ impl PercentileSketch {
         let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b.get();
             if seen >= rank {
                 return sketch_upper_bound(i).min(self.max_ns());
             }
@@ -386,24 +389,24 @@ struct Ring {
 // Registry
 
 struct TelemetryInner {
-    counters: Mutex<BTreeMap<(&'static str, String), Counter>>,
-    gauges: Mutex<BTreeMap<(&'static str, String), Gauge>>,
-    histograms: Mutex<BTreeMap<(&'static str, String), PercentileSketch>>,
-    instances: Mutex<BTreeMap<String, u64>>,
-    ring: Mutex<Ring>,
-    trace_enabled: AtomicBool,
+    counters: Shared<BTreeMap<(&'static str, String), Counter>>,
+    gauges: Shared<BTreeMap<(&'static str, String), Gauge>>,
+    histograms: Shared<BTreeMap<(&'static str, String), PercentileSketch>>,
+    instances: Shared<BTreeMap<String, u64>>,
+    ring: Shared<Ring>,
+    trace_enabled: Cell<bool>,
     /// Debug builds count every get-or-register resolution so tests can
     /// assert that hot record paths cache their handles instead of taking
     /// this registry's locks per event (see `debug_resolutions`).
     #[cfg(debug_assertions)]
-    resolutions: std::sync::atomic::AtomicU64,
+    resolutions: Cell<u64>,
 }
 
 /// The per-simulation metric registry and trace sink. Cheap to clone;
 /// all clones share state.
 #[derive(Clone)]
 pub struct Telemetry {
-    inner: Arc<TelemetryInner>,
+    inner: Rc<TelemetryInner>,
 }
 
 impl Default for Telemetry {
@@ -416,19 +419,19 @@ impl Telemetry {
     /// An empty registry with tracing disabled.
     pub fn new() -> Self {
         Telemetry {
-            inner: Arc::new(TelemetryInner {
-                counters: Mutex::new(BTreeMap::new()),
-                gauges: Mutex::new(BTreeMap::new()),
-                histograms: Mutex::new(BTreeMap::new()),
-                instances: Mutex::new(BTreeMap::new()),
-                ring: Mutex::new(Ring {
+            inner: Rc::new(TelemetryInner {
+                counters: Shared::new(BTreeMap::new()),
+                gauges: Shared::new(BTreeMap::new()),
+                histograms: Shared::new(BTreeMap::new()),
+                instances: Shared::new(BTreeMap::new()),
+                ring: Shared::new(Ring {
                     events: VecDeque::new(),
                     capacity: DEFAULT_TRACE_CAPACITY,
                     dropped: 0,
                 }),
-                trace_enabled: AtomicBool::new(false),
+                trace_enabled: Cell::new(false),
                 #[cfg(debug_assertions)]
-                resolutions: std::sync::atomic::AtomicU64::new(0),
+                resolutions: Cell::new(0),
             }),
         }
     }
@@ -476,9 +479,7 @@ impl Telemetry {
     #[inline]
     fn note_resolution(&self) {
         #[cfg(debug_assertions)]
-        self.inner
-            .resolutions
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.resolutions.set(self.inner.resolutions.get() + 1);
     }
 
     /// Total get-or-register resolutions performed on this registry
@@ -490,9 +491,7 @@ impl Telemetry {
     pub fn debug_resolutions(&self) -> u64 {
         #[cfg(debug_assertions)]
         {
-            self.inner
-                .resolutions
-                .load(std::sync::atomic::Ordering::Relaxed)
+            self.inner.resolutions.get()
         }
         #[cfg(not(debug_assertions))]
         {
@@ -517,14 +516,14 @@ impl Telemetry {
 
     /// Enable or disable trace-event collection.
     pub fn set_trace(&self, enabled: bool) {
-        self.inner.trace_enabled.store(enabled, Ordering::Relaxed);
+        self.inner.trace_enabled.set(enabled);
     }
 
     /// Whether trace-event collection is on. Callers building expensive
     /// labels should check this first; [`Telemetry::trace`] also checks.
     #[inline]
     pub fn trace_enabled(&self) -> bool {
-        self.inner.trace_enabled.load(Ordering::Relaxed)
+        self.inner.trace_enabled.get()
     }
 
     /// Append an event to the ring (no-op while tracing is disabled).

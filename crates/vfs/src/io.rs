@@ -11,10 +11,10 @@
 //!   cloned VM's local directory holds symlinks into the NFS-mounted
 //!   image-server directory.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
-use parking_lot::Mutex;
 use simnet::Env;
+use simnet::Shared;
 
 use crate::disk::Disk;
 use crate::fs::{Attr, Fs, FsError, Handle};
@@ -78,7 +78,7 @@ pub type IoResult<T> = Result<T, IoError>;
 /// Blocking (in virtual time) file operations against one mounted
 /// filesystem. Paths are relative to the mount root; handles come from
 /// `lookup_path`/`create_path` and stay valid until removal.
-pub trait FileIo: Send + Sync {
+pub trait FileIo {
     /// Resolve a path to a handle.
     fn lookup_path(&self, env: &Env, path: &str) -> IoResult<Handle>;
     /// Attributes of a handle.
@@ -157,16 +157,16 @@ struct LocalState {
 /// detected and skip positioning); writes are write-back into the page
 /// cache, flushed on [`FileIo::close`]/[`FileIo::sync`].
 pub struct LocalIo {
-    state: Mutex<LocalState>,
+    state: Shared<LocalState>,
     disk: Disk,
     cfg: LocalIoConfig,
 }
 
 impl LocalIo {
     /// Create a local filesystem over `disk`.
-    pub fn new(disk: Disk, cfg: LocalIoConfig, now_ns: u64) -> Arc<Self> {
-        Arc::new(LocalIo {
-            state: Mutex::new(LocalState {
+    pub fn new(disk: Disk, cfg: LocalIoConfig, now_ns: u64) -> Rc<Self> {
+        Rc::new(LocalIo {
+            state: Shared::new(LocalState {
                 fs: Fs::new(now_ns),
                 cache: LruMap::new(((cfg.cache_bytes / cfg.block_size as u64) as usize).max(1)),
                 dirty_blocks: 0,
@@ -395,7 +395,7 @@ impl FileIo for LocalIo {
 /// points into the NFS mount). This is the compute-server "host kernel
 /// VFS" glue.
 pub struct MountTable {
-    mounts: Vec<(String, Arc<dyn FileIo>)>,
+    mounts: Vec<(String, Rc<dyn FileIo>)>,
 }
 
 /// A handle plus the backend it belongs to, as returned by
@@ -403,7 +403,7 @@ pub struct MountTable {
 #[derive(Clone)]
 pub struct OpenFile {
     /// Backend serving this file.
-    pub io: Arc<dyn FileIo>,
+    pub io: Rc<dyn FileIo>,
     /// Backend-local handle.
     pub handle: Handle,
 }
@@ -415,7 +415,7 @@ impl MountTable {
     }
 
     /// Mount `io` at absolute path `prefix` (e.g. `/vm` or `/mnt/gvfs`).
-    pub fn mount(mut self, prefix: impl Into<String>, io: Arc<dyn FileIo>) -> Self {
+    pub fn mount(mut self, prefix: impl Into<String>, io: Rc<dyn FileIo>) -> Self {
         let mut p = prefix.into();
         if !p.starts_with('/') {
             p.insert(0, '/');
@@ -433,7 +433,7 @@ impl MountTable {
     }
 
     /// Find the backend and mount-relative path for an absolute path.
-    pub fn route(&self, path: &str) -> IoResult<(Arc<dyn FileIo>, String)> {
+    pub fn route(&self, path: &str) -> IoResult<(Rc<dyn FileIo>, String)> {
         for (prefix, io) in &self.mounts {
             let rel = if prefix == "/" {
                 Some(path.trim_start_matches('/'))
@@ -486,7 +486,7 @@ mod tests {
     use crate::disk::DiskModel;
     use simnet::{SimDuration, Simulation};
 
-    fn local(sim: &Simulation) -> Arc<LocalIo> {
+    fn local(sim: &Simulation) -> Rc<LocalIo> {
         LocalIo::new(
             Disk::new(&sim.handle(), DiskModel::scsi_2004()),
             LocalIoConfig::default(),

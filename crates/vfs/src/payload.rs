@@ -6,7 +6,7 @@
 //! ordered list of pieces, each a range of a shared allocation or a run
 //! of zeros (a hole, or the tail of a short chunk), and handing one out
 //! bumps reference counts. Owners mutate shared bytes only through
-//! [`Arc::make_mut`], so a live payload keeps the bytes it was read
+//! [`Rc::make_mut`], so a live payload keeps the bytes it was read
 //! with whatever is written after it.
 //!
 //! The write side takes a [`PayloadRef`]: a borrowed slice or a borrowed
@@ -16,7 +16,7 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::shared::SharedBytes;
 
@@ -134,7 +134,7 @@ impl Payload {
             let hi = range.end.min(at) - start;
             match part {
                 Part::Shared(bytes, r) => {
-                    self.push_shared(Arc::clone(bytes), r.start + lo..r.start + hi)
+                    self.push_shared(Rc::clone(bytes), r.start + lo..r.start + hi)
                 }
                 Part::Zeros(_) => self.push_zeros(hi - lo),
             }
@@ -172,7 +172,7 @@ impl From<Vec<u8>> for Payload {
     fn from(bytes: Vec<u8>) -> Self {
         let mut p = Payload::new();
         let n = bytes.len();
-        p.push_shared(Arc::new(bytes), 0..n);
+        p.push_shared(Rc::new(bytes), 0..n);
         p
     }
 }
@@ -347,7 +347,7 @@ mod tests {
     use super::*;
 
     fn shared(bytes: &[u8]) -> SharedBytes {
-        Arc::new(bytes.to_vec())
+        Rc::new(bytes.to_vec())
     }
 
     /// `ab` + three zeros + `cdef`[1..3].
@@ -403,7 +403,7 @@ mod tests {
     fn contiguous_borrows_a_single_piece() {
         let v = shared(&[7u8; 100]);
         let mut p = Payload::new();
-        p.push_shared(Arc::clone(&v), 10..90);
+        p.push_shared(Rc::clone(&v), 10..90);
         assert!(matches!(p.contiguous(), Cow::Borrowed(b) if b.as_ptr() == v[10..].as_ptr()));
         assert!(matches!(sample().contiguous(), Cow::Owned(_)));
         assert_eq!(Payload::zeros(3).contiguous().as_ref(), [0, 0, 0]);
@@ -422,8 +422,8 @@ mod tests {
     fn a_live_payload_keeps_its_bytes_through_a_later_write() {
         let mut block = shared(&[1u8; 64]);
         let mut p = Payload::new();
-        p.push_shared(Arc::clone(&block), 0..64);
-        Arc::make_mut(&mut block)[..8].fill(9);
+        p.push_shared(Rc::clone(&block), 0..64);
+        Rc::make_mut(&mut block)[..8].fill(9);
         assert_eq!(p, [1u8; 64]);
         assert_eq!(block[0], 9);
     }

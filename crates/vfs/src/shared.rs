@@ -5,7 +5,7 @@
 //! proxy's content store — and between any two of those holders the
 //! bytes cross codecs, links and copy buffers, so no *allocation*
 //! survives the path; only the *content* does. [`share`] therefore
-//! interns by content: a process-wide pool of weak references, keyed by
+//! interns by content: a per-thread pool of weak references, keyed by
 //! a hash of the bytes, hands back the live allocation that already
 //! holds exactly these bytes, or pools the vector it was given without
 //! copying it ([`share_slice`], for a borrowed block, copies on that
@@ -15,46 +15,56 @@
 //!   collision costs a compare and never correctness. The hash is
 //!   process-local, never stored and never on the wire — it is not a
 //!   content digest (`gvfs::digest` stays the only one).
-//! * [`SharedBytes`] is `Arc<Vec<u8>>`, not `Arc<[u8]>`: the pool's
+//! * The pool is per thread because a simulation's objects never leave
+//!   the thread that runs it, so concurrent simulations (test threads)
+//!   never share or contend for one table.
+//! * [`SharedBytes`] is `Rc<Vec<u8>>`, not `Rc<[u8]>`: the pool's
 //!   `Weak` then pins a 40-byte husk once the last owner drops, not the
 //!   payload, and a miss moves the vector instead of copying it.
-//! * Owners mutate only through [`Arc::make_mut`]. While the pool holds
+//! * Owners mutate only through [`Rc::make_mut`]. While the pool holds
 //!   a `Weak`, `make_mut` never writes in place — it clones the bytes
 //!   when another owner exists and moves them to a fresh, unpooled
-//!   `Arc` when none does — so an allocation the pool can still reach
+//!   `Rc` when none does — so an allocation the pool can still reach
 //!   never changes, which is what keeps its hash → bytes mapping true.
 //!
 //! Host side only: the pool charges no virtual time and counts nothing.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::rc::{Rc, Weak};
 
 /// Immutable payload that may be held by many owners; see [`share`].
-pub type SharedBytes = Arc<Vec<u8>>;
+/// It stays on the thread that made it:
+///
+/// ```compile_fail,E0277
+/// let bytes = vfs::share(vec![1, 2, 3]);
+/// std::thread::spawn(move || bytes.len());
+/// ```
+pub type SharedBytes = Rc<Vec<u8>>;
 
-/// The shared allocation holding exactly `bytes`: a live one from the
-/// process-wide pool if there is one, otherwise `bytes` itself, moved
-/// (not copied) behind an `Arc` and pooled for later callers.
+/// The shared allocation holding exactly `bytes`: a live one from this
+/// thread's pool if there is one, otherwise `bytes` itself, moved (not
+/// copied) behind an `Rc` and pooled for later callers.
 pub fn share(bytes: Vec<u8>) -> SharedBytes {
-    POOL.share(bytes)
+    POOL.with(|pool| pool.share(bytes))
 }
 
 /// [`share`] for bytes the caller only borrows — a block inside a
 /// message off the wire: hashed and compared where they lie, and copied
 /// only when the pool has no live allocation holding them.
 pub fn share_slice(bytes: &[u8]) -> SharedBytes {
-    POOL.share(bytes)
+    POOL.with(|pool| pool.share(bytes))
 }
 
-static POOL: Pool = Pool::new();
+thread_local! {
+    static POOL: Pool = const { Pool::new() };
+}
 
 /// Below this many entries the table is never swept as a whole.
 const SWEEP_FLOOR: usize = 64;
 
 struct Pool {
-    table: Mutex<Table>,
+    table: RefCell<Table>,
 }
 
 struct Table {
@@ -69,7 +79,7 @@ struct Table {
 impl Pool {
     const fn new() -> Self {
         Pool {
-            table: Mutex::new(Table {
+            table: RefCell::new(Table {
                 buckets: BTreeMap::new(),
                 entries: 0,
                 swept: 0,
@@ -84,7 +94,7 @@ impl Pool {
     /// A miss pools `bytes.into()`: an owned vector moves, a slice is
     /// copied.
     fn share_in_bucket(&self, key: u64, bytes: impl AsRef<[u8]> + Into<Vec<u8>>) -> SharedBytes {
-        let mut guard = self.table.lock();
+        let mut guard = self.table.borrow_mut();
         let table = &mut *guard;
         let bucket = table.buckets.entry(key).or_default();
         // Every visit drops the bucket's husks on its way to a match.
@@ -103,8 +113,8 @@ impl Pool {
         if let Some(hit) = hit {
             return hit;
         }
-        let fresh = Arc::new(bytes.into());
-        bucket.push(Arc::downgrade(&fresh));
+        let fresh = Rc::new(bytes.into());
+        bucket.push(Rc::downgrade(&fresh));
         table.entries += 1;
         // Husks in buckets nobody visits again go when the table has
         // doubled since it was last swept: amortised O(1) per call.
@@ -158,7 +168,6 @@ fn hash(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
     const PAYLOAD: usize = 64 * 1024;
 
@@ -170,7 +179,7 @@ mod tests {
 
     impl Pool {
         fn entries(&self) -> usize {
-            let table = self.table.lock();
+            let table = self.table.borrow();
             assert_eq!(
                 table.entries,
                 table.buckets.values().map(Vec::len).sum::<usize>()
@@ -179,7 +188,7 @@ mod tests {
         }
 
         fn upgradable(&self) -> usize {
-            let table = self.table.lock();
+            let table = self.table.borrow();
             let live = |w: &&Weak<Vec<u8>>| w.strong_count() > 0;
             table.buckets.values().flatten().filter(live).count()
         }
@@ -191,8 +200,8 @@ mod tests {
         let a = pool.share_in_bucket(7, payload(1));
         let b = pool.share_in_bucket(7, payload(2));
         let a2 = pool.share_in_bucket(7, payload(1));
-        assert!(Arc::ptr_eq(&a, &a2));
-        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(Rc::ptr_eq(&a, &a2));
+        assert!(!Rc::ptr_eq(&a, &b));
         assert_eq!(*b, payload(2));
         assert_eq!(pool.entries(), 2);
     }
@@ -217,12 +226,12 @@ mod tests {
         assert_ne!(from_slice.as_ptr(), v.as_ptr());
         assert_eq!(*from_slice, v);
         // From then on either entry is a hit on that one allocation.
-        assert!(Arc::ptr_eq(&from_slice, &pool.share(&v[..])));
-        assert!(Arc::ptr_eq(&from_slice, &pool.share(v)));
+        assert!(Rc::ptr_eq(&from_slice, &pool.share(&v[..])));
+        assert!(Rc::ptr_eq(&from_slice, &pool.share(v)));
         assert_eq!(pool.entries(), 1);
-        // And through the process-wide pool.
+        // And through this thread's pool.
         let x = payload(0xB0_44_0E_ED);
-        assert!(Arc::ptr_eq(&share_slice(&x), &share(x.to_vec())));
+        assert!(Rc::ptr_eq(&share_slice(&x), &share(x.to_vec())));
     }
 
     #[test]
@@ -236,7 +245,7 @@ mod tests {
             if live.len() > 100 {
                 live.pop_front();
             }
-            let table = pool.table.lock();
+            let table = pool.table.borrow();
             assert!(table.entries <= 2 * table.swept.max(SWEEP_FLOOR));
             // The last sweep kept only live entries.
             assert!(table.swept <= 101);
@@ -252,40 +261,21 @@ mod tests {
     }
 
     #[test]
-    fn threads_sharing_one_payload_end_up_pointer_equal() {
-        let pool = Pool::new();
-        let barrier = Barrier::new(8);
-        let got: Vec<SharedBytes> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    s.spawn(|| {
-                        barrier.wait();
-                        pool.share(payload(42))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
-        assert_eq!(pool.entries(), 1);
-    }
-
-    #[test]
     fn overwriting_a_shared_chunk_leaves_pool_and_other_holders_unchanged() {
         let pool = Pool::new();
         let mut mine = pool.share(payload(5));
         let theirs = pool.share(payload(5));
-        Arc::make_mut(&mut mine)[100..200].fill(0xEE);
+        Rc::make_mut(&mut mine)[100..200].fill(0xEE);
         assert_eq!(*theirs, payload(5));
-        assert!(Arc::ptr_eq(&theirs, &pool.share(payload(5))));
+        assert!(Rc::ptr_eq(&theirs, &pool.share(payload(5))));
         // Sole owner of a pooled allocation: the write moves the bytes
-        // to an unpooled `Arc`, so the pool never sees changed bytes.
+        // to an unpooled `Rc`, so the pool never sees changed bytes.
         let mut sole = pool.share(payload(6));
         let at = sole.as_ptr();
-        Arc::make_mut(&mut sole)[0] ^= 1;
+        Rc::make_mut(&mut sole)[0] ^= 1;
         assert_eq!(sole.as_ptr(), at, "a sole owner's write copies nothing");
         let fresh = pool.share(payload(6));
-        assert!(!Arc::ptr_eq(&fresh, &sole));
+        assert!(!Rc::ptr_eq(&fresh, &sole));
         assert_eq!(*fresh, payload(6));
     }
 

@@ -18,10 +18,10 @@
 //! content pool ([`share`]), so the clones of one golden image — and a
 //! `clone()` of a store — hold one host copy of it between them, and a
 //! later partial write copies the chunk first when anyone else holds it
-//! ([`Arc::make_mut`]). Sharing is invisible to every accessor here.
+//! ([`Rc::make_mut`]). Sharing is invisible to every accessor here.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::payload::{is_zero, Payload, PayloadRef};
 use crate::shared::{share, SharedBytes};
@@ -77,7 +77,7 @@ impl SparseBytes {
             let within = (new_len % CHUNK_SIZE as u64) as usize;
             if let Some(chunk) = self.chunks.get_mut(&boundary) {
                 if chunk.len() > within {
-                    let chunk = Arc::make_mut(chunk);
+                    let chunk = Rc::make_mut(chunk);
                     chunk.truncate(within);
                     chunk.shrink_to(chunk_capacity(within));
                 }
@@ -107,7 +107,7 @@ impl SparseBytes {
                 let lo = at.max(chunk_start);
                 out.push_zeros((lo - at) as usize);
                 let range = (lo - chunk_start) as usize..(hi - chunk_start) as usize;
-                out.push_shared(Arc::clone(chunk), range);
+                out.push_shared(Rc::clone(chunk), range);
                 at = hi;
             }
         }
@@ -142,7 +142,7 @@ impl SparseBytes {
                     self.chunks.insert(chunk_idx, share(chunk));
                 }
             } else if let Some(chunk) = self.chunks.get_mut(&chunk_idx) {
-                let chunk = Arc::make_mut(chunk);
+                let chunk = Rc::make_mut(chunk);
                 let end = within + take;
                 if chunk.len() < end {
                     chunk.reserve_exact(chunk_capacity(end) - chunk.len());
@@ -153,7 +153,7 @@ impl SparseBytes {
                 let mut chunk = Vec::with_capacity(chunk_capacity(within + take));
                 chunk.resize(within, 0);
                 data.extend_vec(src, &mut chunk);
-                self.chunks.insert(chunk_idx, Arc::new(chunk));
+                self.chunks.insert(chunk_idx, Rc::new(chunk));
             }
             pos += take;
         }

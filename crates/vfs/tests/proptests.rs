@@ -1,7 +1,7 @@
 //! Property-based invariants for the filesystem substrate.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use vfs::{share, share_slice, Fs, LruMap, Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE};
@@ -200,7 +200,7 @@ proptest! {
     /// borrowed — it comes back as the allocation every other pooled
     /// holder of those bytes has, holding exactly those bytes; dropping
     /// holders never breaks that for the rest; and a write through one
-    /// holder (`Arc::make_mut`) shows through no other.
+    /// holder (`Rc::make_mut`) shows through no other.
     #[test]
     fn pool_hands_out_one_allocation_per_content_through_either_entry(
         ops in proptest::collection::vec((0u8..4, 0usize..6, any::<bool>()), 1..60)
@@ -221,7 +221,7 @@ proptest! {
                     prop_assert_eq!(&*got, &content(pick));
                     for (held, pooled) in &holders {
                         if *pooled && **held == *got {
-                            prop_assert!(Arc::ptr_eq(held, &got));
+                            prop_assert!(Rc::ptr_eq(held, &got));
                         }
                     }
                     holders.push((got, true));
@@ -233,7 +233,7 @@ proptest! {
                     let at = pick % holders.len();
                     let before: Vec<Vec<u8>> = holders.iter().map(|(h, _)| h.to_vec()).collect();
                     let (held, pooled) = &mut holders[at];
-                    Arc::make_mut(held)[0] ^= 0xFF;
+                    Rc::make_mut(held)[0] ^= 0xFF;
                     *pooled = false;
                     for (i, (h, _)) in holders.iter().enumerate() {
                         if i != at {

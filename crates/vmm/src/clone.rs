@@ -187,7 +187,7 @@ mod tests {
     use crate::image::install_image;
     use crate::monitor::GuestOp;
     use simnet::Simulation;
-    use std::sync::Arc;
+    use std::rc::Rc;
     use vfs::{Disk, DiskModel, FileIo, LocalIo, LocalIoConfig};
 
     fn spec() -> VmImageSpec {
@@ -203,7 +203,7 @@ mod tests {
 
     /// Both "image server" and compute server on local disks — exercises
     /// the mechanics; the WAN behaviour is covered by the bench crate.
-    fn hosts(sim: &Simulation) -> (Arc<LocalIo>, Arc<LocalIo>, MountTable) {
+    fn hosts(sim: &Simulation) -> (Rc<LocalIo>, Rc<LocalIo>, MountTable) {
         let local = LocalIo::new(
             Disk::new(&sim.handle(), DiskModel::scsi_2004()),
             LocalIoConfig::default(),

@@ -14,7 +14,7 @@
 //!   (non-persistent mode).
 //! * `suspend` writes the memory image back out.
 
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Env, SimDuration};
 use vfs::{IoError, IoResult, LruMap, MountTable, OpenFile, Payload};
 
@@ -102,7 +102,7 @@ pub struct VmMonitor {
     vmdk: OpenFile,
     /// Backend holding the redo log file (when non-persistent).
     redo_io: Option<OpenFile>,
-    state: Mutex<VmState>,
+    state: Shared<VmState>,
 }
 
 impl VmMonitor {
@@ -143,7 +143,7 @@ impl VmMonitor {
             vmss,
             vmdk,
             redo_io,
-            state: Mutex::new(VmState {
+            state: Shared::new(VmState {
                 guest_cache: LruMap::new(cache_blocks),
                 redo,
                 stats: VmStats::default(),
@@ -396,7 +396,7 @@ mod tests {
     use super::*;
     use crate::image::{install_image, VmImageSpec};
     use simnet::Simulation;
-    use std::sync::Arc;
+    use std::rc::Rc;
     use vfs::{Disk, DiskModel, FileIo, LocalIo, LocalIoConfig};
 
     #[test]
@@ -419,7 +419,7 @@ mod tests {
         }
     }
 
-    fn host(sim: &Simulation) -> (Arc<LocalIo>, MountTable) {
+    fn host(sim: &Simulation) -> (Rc<LocalIo>, MountTable) {
         let local = LocalIo::new(
             Disk::new(&sim.handle(), DiskModel::scsi_2004()),
             LocalIoConfig::default(),

@@ -151,10 +151,10 @@ impl RedoLog {
 mod tests {
     use super::*;
     use simnet::Simulation;
-    use std::sync::Arc;
+    use std::rc::Rc;
     use vfs::{Disk, DiskModel, LocalIo, LocalIoConfig};
 
-    fn setup(sim: &Simulation) -> Arc<LocalIo> {
+    fn setup(sim: &Simulation) -> Rc<LocalIo> {
         LocalIo::new(
             Disk::new(&sim.handle(), DiskModel::scsi_2004()),
             LocalIoConfig::default(),

@@ -3,14 +3,14 @@
 //! The RPC data path used to copy each message body several times on its
 //! way from the wire into the caches: `oncrpc::msg` re-vec'd call and
 //! reply bodies, the transport copied envelopes, and the proxy caches
-//! copied payloads again. [`Bytes`] is a `(Arc<Vec<u8>>, offset, len)`
+//! copied payloads again. [`Bytes`] is a `(Rc<Vec<u8>>, offset, len)`
 //! view: cloning it is a reference-count bump, and slicing it shares the
 //! same backing allocation, so a reply body can travel codec → channel →
 //! block/file cache without a single copy.
 
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// An immutable, reference-counted byte slice.
 ///
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// backing buffer is freed when the last view drops.
 #[derive(Clone)]
 pub struct Bytes {
-    buf: Arc<Vec<u8>>,
+    buf: Rc<Vec<u8>>,
     off: usize,
     len: usize,
 }
@@ -26,9 +26,11 @@ pub struct Bytes {
 impl Bytes {
     /// An empty slice. All empty views share one backing buffer.
     pub fn new() -> Bytes {
-        static EMPTY: std::sync::OnceLock<Arc<Vec<u8>>> = std::sync::OnceLock::new();
+        thread_local! {
+            static EMPTY: Rc<Vec<u8>> = Rc::new(Vec::new());
+        }
         Bytes {
-            buf: Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new()))),
+            buf: EMPTY.with(Rc::clone),
             off: 0,
             len: 0,
         }
@@ -38,7 +40,7 @@ impl Bytes {
     pub fn from_vec(v: Vec<u8>) -> Bytes {
         let len = v.len();
         Bytes {
-            buf: Arc::new(v),
+            buf: Rc::new(v),
             off: 0,
             len,
         }
@@ -49,7 +51,7 @@ impl Bytes {
     pub(crate) fn past_headroom(v: Vec<u8>, headroom: usize) -> Bytes {
         let len = v.len() - headroom;
         Bytes {
-            buf: Arc::new(v),
+            buf: Rc::new(v),
             off: headroom,
             len,
         }
@@ -63,7 +65,7 @@ impl Bytes {
     pub fn prepend(mut self, prefix: &[u8]) -> Bytes {
         if let (Some(off), Some(buf)) = (
             self.off.checked_sub(prefix.len()),
-            Arc::get_mut(&mut self.buf),
+            Rc::get_mut(&mut self.buf),
         ) {
             buf[off..self.off].copy_from_slice(prefix);
             self.off = off;
@@ -90,7 +92,7 @@ impl Bytes {
     pub fn slice(&self, start: usize, end: usize) -> Bytes {
         assert!(start <= end && end <= self.len, "Bytes::slice out of range");
         Bytes {
-            buf: Arc::clone(&self.buf),
+            buf: Rc::clone(&self.buf),
             off: self.off + start,
             len: end - start,
         }

@@ -2,11 +2,11 @@
 //!
 //! One task: `lint`, the static-analysis pass. It runs the per-file
 //! invariant rules (determinism, bounded decode, exact accounting,
-//! panic-free dispatch, …) and the lock-order analysis, which tracks
-//! live guards through scopes, builds the cross-crate lock-order graph,
-//! and flags cycles, guards held across suspend points, and double
-//! acquisition. See DESIGN.md §5.2 / §5.7 and `lint-baseline.txt` for
-//! the grandfathering workflow.
+//! panic-free dispatch, …) and the lock walker, which tracks live guards
+//! through scopes and flags guards held across suspend points and double
+//! acquisition: the static half of `simnet::Shared`'s runtime checks.
+//! See DESIGN.md §5.2 / §5.7 and `lint-baseline.txt` for the
+//! grandfathering workflow.
 
 pub mod json;
 pub mod lexer;

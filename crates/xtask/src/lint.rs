@@ -1,11 +1,11 @@
 //! The `lint` subcommand, the workspace's one static-analysis pass: one
 //! walk over `crates/*/src`, the per-file rules ([`crate::rules`]) and
-//! the lock-order analysis ([`crate::lockgraph`]) over each lexed file,
-//! one waiver application, one baseline, and one human/JSON/DOT report.
+//! the lock walker ([`crate::lockgraph`]) over each lexed file, one
+//! waiver application, one baseline, and one human/JSON report.
 
 use crate::json::Json;
 use crate::lexer::{lex, Comment, Lexed};
-use crate::lockgraph::{self, Analysis};
+use crate::lockgraph;
 use crate::rules::{self, Violation};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -27,8 +27,6 @@ pub struct LintResult {
     /// Every rule's findings that no waiver covers, plus the `waiver`
     /// findings, sorted by file, line, column and rule.
     pub violations: Vec<Violation>,
-    /// The lock-order graph; its own findings are in `violations`.
-    pub graph: Analysis,
     pub waivers_declared: usize,
     pub waivers_used: usize,
 }
@@ -85,16 +83,16 @@ pub fn parse_waivers(path: &str, comments: &[Comment], out: &mut Vec<Violation>)
 }
 
 /// Run every rule over a set of (workspace-relative path, source) pairs:
-/// lex each file once, run the per-file rules and the lock-order
-/// analysis on it, then cancel the violations covered by waivers. Unused
+/// lex each file once, run the per-file rules and the lock walker on
+/// it, then cancel the violations covered by waivers. Unused
 /// waivers are themselves reported (a stale suppression hides the day
 /// the code regresses for real).
 pub fn lint_sources(files: &[(String, String)]) -> LintResult {
     let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
-    let mut graph = lockgraph::analyze(files.iter().map(|(path, _)| path.as_str()).zip(&lexed));
-    let mut violations = std::mem::take(&mut graph.violations);
+    let mut violations = Vec::new();
     let mut waivers: Vec<(&str, Waiver)> = Vec::new();
     for ((path, _), lexed) in files.iter().zip(&lexed) {
+        violations.extend(lockgraph::check_file(path, lexed));
         violations.extend(rules::check_file(path, lexed));
         for w in parse_waivers(path, &lexed.comments, &mut violations) {
             waivers.push((path, w));
@@ -127,7 +125,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintResult {
         .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     LintResult {
         violations,
-        graph,
         waivers_declared: waivers.len(),
         waivers_used: used.iter().filter(|u| **u).count(),
     }
@@ -180,7 +177,6 @@ pub fn render_baseline(keys: &[String]) -> String {
 struct Options {
     root: PathBuf,
     json_path: Option<PathBuf>,
-    dot_path: Option<PathBuf>,
     baseline_path: PathBuf,
     write_baseline: bool,
 }
@@ -188,7 +184,6 @@ struct Options {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut root = None;
     let mut json_path = None;
-    let mut dot_path = None;
     let mut baseline_path = None;
     let mut write_baseline = false;
     let mut it = args.iter();
@@ -196,7 +191,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         match a.as_str() {
             "--root" => root = Some(PathBuf::from(it.next().ok_or("--root needs a value")?)),
             "--json" => json_path = Some(PathBuf::from(it.next().ok_or("--json needs a value")?)),
-            "--dot" => dot_path = Some(PathBuf::from(it.next().ok_or("--dot needs a value")?)),
             "--baseline" => {
                 baseline_path = Some(PathBuf::from(it.next().ok_or("--baseline needs a value")?))
             }
@@ -209,7 +203,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(Options {
         root,
         json_path,
-        dot_path,
         baseline_path,
         write_baseline,
     })
@@ -367,9 +360,8 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
         })
         .collect();
     counts.sort_by(|a, b| a.0.cmp(&b.0));
-    let graph = &r.result.graph;
     Json::Object(vec![
-        ("schema".into(), Json::Str("gvfs.lint.v2".into())),
+        ("schema".into(), Json::Str("gvfs.lint.v3".into())),
         ("root".into(), Json::Str(report_root(root))),
         ("files_scanned".into(), Json::Uint(r.files_scanned as u64)),
         (
@@ -412,49 +404,6 @@ fn report_json(r: &RunReport, root: &Path, baseline_entries: usize) -> Json {
                 ("matched".into(), Json::Uint(r.baselined as u64)),
                 ("stale".into(), strs(&r.stale_baseline)),
             ]),
-        ),
-        (
-            "nodes".into(),
-            Json::Array(
-                graph
-                    .nodes
-                    .iter()
-                    .map(|(class, (count, files))| {
-                        Json::Object(vec![
-                            ("class".into(), Json::Str(class.clone())),
-                            ("acquisitions".into(), Json::Uint(*count)),
-                            ("files".into(), strs(files)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "edges".into(),
-            Json::Array(
-                graph
-                    .edges
-                    .iter()
-                    .map(|((from, to), sites)| {
-                        let in_cycle = graph.cycle_edges.contains(&(from.clone(), to.clone()));
-                        let count = sites.len() as u64;
-                        let sites = sites.iter().take(8).map(|s| {
-                            Json::Object(vec![
-                                ("file".into(), Json::Str(s.file.clone())),
-                                ("line".into(), Json::Uint(s.line as u64)),
-                                ("held_since_line".into(), Json::Uint(s.held_line as u64)),
-                            ])
-                        });
-                        Json::Object(vec![
-                            ("from".into(), Json::Str(from.clone())),
-                            ("to".into(), Json::Str(to.clone())),
-                            ("count".into(), Json::Uint(count)),
-                            ("in_cycle".into(), Json::Bool(in_cycle)),
-                            ("sites".into(), Json::Array(sites.collect())),
-                        ])
-                    })
-                    .collect(),
-            ),
         ),
     ])
 }
@@ -499,18 +448,9 @@ pub fn run(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let json = opts.json_path.iter().map(|path| {
-        (
-            path,
-            report_json(&report, &opts.root, baseline_entries).pretty(),
-        )
-    });
-    let dot = opts
-        .dot_path
-        .iter()
-        .map(|path| (path, lockgraph::render_dot(&report.result.graph)));
-    for (path, contents) in json.chain(dot) {
-        if let Err(e) = write_report(path, contents) {
+    if let Some(path) = &opts.json_path {
+        let json = report_json(&report, &opts.root, baseline_entries).pretty();
+        if let Err(e) = write_report(path, json) {
             eprintln!("xtask lint: {e}");
             return ExitCode::from(2);
         }
@@ -525,14 +465,10 @@ pub fn run(args: &[String]) -> ExitCode {
     for key in &report.stale_baseline {
         println!("stale-baseline: entry no longer matches any violation: {key}");
     }
-    let graph = &report.result.graph;
     println!(
-        "xtask lint: {} files scanned, {} lock classes, {} edges ({} in cycles), \
-         {} violations ({} baselined), {} stale baseline entries, waivers {}/{} used",
+        "xtask lint: {} files scanned, {} violations ({} baselined), \
+         {} stale baseline entries, waivers {}/{} used",
         report.files_scanned,
-        graph.nodes.len(),
-        graph.edges.len(),
-        graph.cycle_edges.len(),
         report.fresh.len(),
         report.baselined,
         report.stale_baseline.len(),

@@ -18,7 +18,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!(
-        "usage: cargo run -p xtask -- lint [--json <path>] [--dot <path>] \
-         [--baseline <path>] [--write-baseline] [--root <dir>]"
+        "usage: cargo run -p xtask -- lint [--json <path>] [--baseline <path>] \
+         [--write-baseline] [--root <dir>]"
     );
 }

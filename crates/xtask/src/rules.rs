@@ -10,8 +10,8 @@ use crate::lexer::{Comment, Lexed, Tok, TokKind};
 use std::collections::BTreeSet;
 
 /// Rule identifiers, in report order. The per-file token rules live in
-/// this module; the three lock rules come from the lock-order analysis
-/// in [`crate::lockgraph`], which needs every file before it can judge.
+/// this module; the two lock rules come from the lock walker in
+/// [`crate::lockgraph`].
 pub const RULE_DETERMINISM: &str = "determinism";
 pub const RULE_BOUNDED_DECODE: &str = "bounded-decode";
 pub const RULE_EXACT_ACCOUNTING: &str = "exact-accounting";
@@ -22,7 +22,6 @@ pub const RULE_ALLOC_FREE_RECORD: &str = "allocation-free-record";
 pub const RULE_CAS_EVICTION: &str = "cas-eviction";
 pub const RULE_UNSAFE_CONFINED: &str = "unsafe-confined";
 pub const RULE_DECODE_RESULT: &str = "decode-result";
-pub const RULE_CYCLE: &str = "lock-order-cycle";
 pub const RULE_GUARD_SUSPEND: &str = "lock-guard-suspend";
 pub const RULE_DOUBLE_ACQUIRE: &str = "lock-double-acquire";
 /// Meta-rule: malformed or unused waiver comments.
@@ -39,7 +38,6 @@ pub const ALL_RULES: &[&str] = &[
     RULE_CAS_EVICTION,
     RULE_UNSAFE_CONFINED,
     RULE_DECODE_RESULT,
-    RULE_CYCLE,
     RULE_GUARD_SUSPEND,
     RULE_DOUBLE_ACQUIRE,
     RULE_WAIVER,
@@ -887,7 +885,7 @@ fn alloc_token(toks: &[Tok], k: usize) -> Option<String> {
 
 /// The telemetry `record*` methods are the per-sample hot path: every
 /// simulated I/O completion, RPC round-trip and clone latency sample
-/// lands in one. They must touch atomics only — no heap traffic. The
+/// lands in one. They must touch `Cell`s only — no heap traffic. The
 /// rule scans each `fn record*` body for allocating macros, allocating
 /// associated functions and (re)allocating method calls.
 fn rule_alloc_free_record(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec<Violation>) {
@@ -949,7 +947,7 @@ fn rule_alloc_free_record(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec
                         message: format!(
                             "`{what}` allocates inside `{fn_name}`; telemetry record paths \
                              run once per simulated sample and must stay allocation-free \
-                             (atomics into preallocated buckets only)"
+                             (cells in preallocated buckets only)"
                         ),
                     });
                 }
@@ -970,7 +968,7 @@ fn rule_alloc_free_record(path: &str, toks: &[Tok], mask: &[bool], out: &mut Vec
 const CAS_EVICTION_METHODS: &[&str] = &["remove", "clear", "drain", "retain", "truncate", "pop"];
 
 /// Collect names bound to a `ContentStore` in this file — fields or
-/// locals annotated `name: [&][Arc<]ContentStore`, plus
+/// locals annotated `name: [&][Rc<]ContentStore`, plus
 /// `let [mut] name = ContentStore::new(..)` bindings — and the
 /// conventional receiver name `cas` itself. Lexical over-approximation
 /// in the style of `hashmap_names`; bridge intentional exceptions with
@@ -982,7 +980,7 @@ fn cas_names(toks: &[Tok]) -> BTreeSet<String> {
         if !toks[i].is_ident("ContentStore") {
             continue;
         }
-        // Step back over wrapper generics: `Arc<`, `Option<Arc<`, …
+        // Step back over wrapper generics: `Rc<`, `Option<Rc<`, …
         let mut j = i;
         while j >= 2 && toks[j - 1].is_punct("<") && toks[j - 2].kind == TokKind::Ident {
             j -= 2;

@@ -1,5 +1,5 @@
 //! The real tree against the committed (empty) baseline: no
-//! non-baselined finding of any rule — per-file or lock-order — and no
+//! non-baselined finding of any rule — per-file or lock walker — and no
 //! stale baseline entry or unused waiver (exit 0). This is the same
 //! invocation CI gates merges on.
 

@@ -3,18 +3,18 @@
 //! so a digest a live reference file still resolves through can vanish
 //! while `cas.pin_blocked_evictions` reports nothing.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cas::ContentStore;
 use crate::digest::Digest;
 
-pub fn make_room(cas: &Arc<ContentStore>, victims: &[Digest]) {
+pub fn make_room(cas: &Rc<ContentStore>, victims: &[Digest]) {
     for d in victims {
         cas.remove(d);
     }
 }
 
-pub fn reset(store: Arc<ContentStore>) {
+pub fn reset(store: Rc<ContentStore>) {
     store.clear();
 }
 

@@ -2,16 +2,16 @@
 //! behind the pin check — and callers express chunk lifetime through
 //! the pin/unpin API instead of dropping entries directly.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::cas::ContentStore;
 use crate::digest::Digest;
 
-pub fn install(cas: &Arc<ContentStore>, chunk: &[u8]) -> Digest {
+pub fn install(cas: &Rc<ContentStore>, chunk: &[u8]) -> Digest {
     cas.insert_pinned(chunk)
 }
 
-pub fn release(cas: &Arc<ContentStore>, recipe: &[Digest]) {
+pub fn release(cas: &Rc<ContentStore>, recipe: &[Digest]) {
     for d in recipe {
         cas.unpin(d);
     }

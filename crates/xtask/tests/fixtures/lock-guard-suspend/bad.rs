@@ -1,6 +1,6 @@
-//! Bad: lock guards held across suspending calls. In the cooperative
-//! simnet scheduler another process must run to release the condition,
-//! so parking with the guard live deadlocks the whole simulation.
+//! Bad: lock guards held across suspending calls. Another process
+//! could find the lock taken while this one is parked; `Shared` panics
+//! at such a suspend in debug builds.
 pub fn drain(env: &Env, state: &State) {
     let mut st = state.inner.lock();
     st.pending += 1;

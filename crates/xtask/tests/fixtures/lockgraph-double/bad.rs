@@ -1,11 +1,11 @@
 //! Bad: the same lock class acquired while its guard is still live —
-//! with a non-reentrant mutex this self-deadlocks at runtime.
+//! `Shared::lock` panics here at run time, naming both sites.
 
 impl Cache {
     pub fn promote(&self, key: Key) {
         let inner = self.inner.lock();
         if inner.contains(key) {
-            // Deadlock: `inner` is still held here.
+            // Re-entry: `inner` is still held here.
             let again = self.inner.lock();
             again.touch(key);
         }

@@ -6,7 +6,7 @@
 impl Mover {
     pub fn migrate(&self, key: Key) {
         let w = self.warm.state.lock();
-        // lint:allow(lock-double-acquire): warm.state and cold.state are distinct mutexes conflated by class naming; acquisition order warm-then-cold is fixed
+        // lint:allow(lock-double-acquire): warm.state and cold.state are distinct cells conflated by class naming
         let c = self.cold.state.lock();
         c.insert(key, w.remove(key));
     }

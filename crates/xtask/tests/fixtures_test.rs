@@ -166,7 +166,7 @@ fn json_report_is_written_in_telemetry_style() {
     let out = run_lint(&root, &[Path::new("--json"), &json_path]);
     assert!(!out.status.success());
     let text = std::fs::read_to_string(&json_path).expect("json written even on failure");
-    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v2\",\n"));
+    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v3\",\n"));
     assert!(text.contains("\"violations\": ["));
     assert!(text.contains("\"rule\": \"determinism\""));
     assert!(text.contains("\"clean\": false"));

@@ -1,8 +1,10 @@
-//! Fixture-based self-tests for the lock-order analysis, run through
-//! `xtask lint`: each bad fixture must trigger exactly its lock rule
+//! Fixture-based self-tests for the lock walker, run through `xtask
+//! lint`: each bad fixture must trigger exactly its lock rule
 //! (in-process and via the CLI exit code), each good fixture must pass
-//! clean, the JSON and DOT reports must carry the graph, and the real
-//! tree's lock graph must be clean against the committed baseline.
+//! clean, the JSON report must carry the findings, and the real tree
+//! must be clean of both lock rules against the committed baseline.
+//! The same fixture bugs, run as simulations, panic in
+//! `crates/simnet/tests/lock_checks.rs`.
 
 mod common;
 
@@ -16,12 +18,6 @@ const LOCK_LABEL: &str = "crates/gvfs/src/fixture.rs";
 
 fn cases() -> Vec<Case> {
     vec![
-        (
-            "lock-order-cycle",
-            LOCK_LABEL,
-            include_str!("fixtures/lockgraph-cycle/bad.rs"),
-            include_str!("fixtures/lockgraph-cycle/good.rs"),
-        ),
         (
             // Let-bound guards held across a sleep and a `wait(env)`.
             "lock-guard-suspend",
@@ -44,7 +40,7 @@ fn cases() -> Vec<Case> {
         ),
         (
             // A stale lock-rule waiver; the good one waives a real
-            // finding of the lock-order analysis.
+            // finding of the lock walker.
             "waiver",
             LOCK_LABEL,
             include_str!("fixtures/lockgraph-waived/bad.rs"),
@@ -92,23 +88,6 @@ fn waived_good_fixture_actually_exercises_the_waiver() {
 }
 
 #[test]
-fn cycle_fixture_marks_both_edges() {
-    let graph = lint_source(LOCK_LABEL, include_str!("fixtures/lockgraph-cycle/bad.rs")).graph;
-    assert_eq!(
-        graph.cycle_edges.len(),
-        2,
-        "AB and BA edges both in the cycle"
-    );
-    let graph = lint_source(LOCK_LABEL, include_str!("fixtures/lockgraph-cycle/good.rs")).graph;
-    assert!(graph.cycle_edges.is_empty());
-    assert_eq!(
-        graph.edges.len(),
-        1,
-        "consistent order still builds the edge"
-    );
-}
-
-#[test]
 fn cli_exits_nonzero_on_every_bad_fixture() {
     check_cli_exit("lockgraph", &cases(), true);
 }
@@ -119,55 +98,34 @@ fn cli_exits_zero_on_every_good_fixture() {
 }
 
 #[test]
-fn json_and_dot_reports_are_written() {
+fn json_report_is_written() {
     let root = std::env::temp_dir().join("xtask-lockgraph-json");
     write_tree(
         &root,
         LOCK_LABEL,
-        include_str!("fixtures/lockgraph-cycle/bad.rs"),
+        include_str!("fixtures/lockgraph-double/bad.rs"),
     );
     let json_path = root.join("reports/lint.json");
-    let dot_path = root.join("reports/lockgraph.dot");
-    let out = run_lint(
-        &root,
-        &[
-            Path::new("--json"),
-            &json_path,
-            Path::new("--dot"),
-            &dot_path,
-        ],
-    );
+    let out = run_lint(&root, &[Path::new("--json"), &json_path]);
     assert!(!out.status.success());
     let text = std::fs::read_to_string(&json_path).expect("json written even on failure");
-    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v2\",\n"));
-    assert!(text.contains("\"rule\": \"lock-order-cycle\""));
+    assert!(text.starts_with("{\n  \"schema\": \"gvfs.lint.v3\",\n"));
+    assert!(text.contains("\"rule\": \"lock-double-acquire\""));
+    assert!(text.contains("`gvfs::fixture::inner`"));
     assert!(text.contains("\"clean\": false"));
-    assert!(text.contains("\"class\": \"gvfs::fixture::routing\""));
-    assert!(text.contains("\"in_cycle\": true"));
-    let dot = std::fs::read_to_string(&dot_path).expect("dot written even on failure");
-    assert!(dot.starts_with("// Lock-order graph"));
-    assert!(dot.contains("color=red"), "cycle edges highlighted:\n{dot}");
+    assert!(!text.contains("\"edges\""), "the lock graph is gone");
 }
 
 #[test]
 fn real_tree_is_clean_against_committed_baseline() {
-    // The acceptance bar for the lock half of the pass on the actual
-    // workspace: exit 0 with the committed baseline, no lock finding in
-    // the report, and no edge of the graph in a cycle.
+    // The acceptance bar for the lock rules on the actual workspace:
+    // exit 0 with the committed baseline and no lock finding in the
+    // report.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let out_dir = std::env::temp_dir().join("xtask-lockgraph-real-tree");
     let _ = std::fs::remove_dir_all(&out_dir);
     let json_path = out_dir.join("lint.json");
-    let dot_path = out_dir.join("lockgraph.dot");
-    let out = run_lint(
-        &root,
-        &[
-            Path::new("--json"),
-            &json_path,
-            Path::new("--dot"),
-            &dot_path,
-        ],
-    );
+    let out = run_lint(&root, &[Path::new("--json"), &json_path]);
     assert!(
         out.status.success(),
         "lint failed on the real tree:\n{}",
@@ -175,17 +133,10 @@ fn real_tree_is_clean_against_committed_baseline() {
     );
     let text = std::fs::read_to_string(&json_path).expect("json written");
     assert!(text.contains("\"clean\": true"));
-    for rule in [
-        "lock-order-cycle",
-        "lock-guard-suspend",
-        "lock-double-acquire",
-    ] {
+    for rule in ["lock-guard-suspend", "lock-double-acquire"] {
         assert!(
             text.contains(&format!("\"{rule}\": 0")),
             "{rule} counted on the real tree"
         );
     }
-    assert!(!text.contains("\"in_cycle\": true"));
-    let dot = std::fs::read_to_string(&dot_path).expect("dot written");
-    assert!(!dot.contains("color=red"), "cycle in the real tree:\n{dot}");
 }

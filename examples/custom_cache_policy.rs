@@ -8,13 +8,11 @@
 //!
 //! Run with: `cargo run --release --example custom_cache_policy`
 
-use std::sync::Arc;
-
 use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig, WritePolicy};
 use nfs3::proto::StableHow;
 use nfs3::Nfs3Client;
 use oncrpc::{OpaqueAuth, RpcClient};
-use simnet::{Link, SimDuration, Simulation};
+use simnet::{Link, Shared, SimDuration, Simulation};
 
 fn run_with_policy(policy: WritePolicy) -> (f64, f64) {
     let sim = Simulation::new();
@@ -43,7 +41,7 @@ fn run_with_policy(policy: WritePolicy) -> (f64, f64) {
         None,
     );
 
-    let out = Arc::new(parking_lot::Mutex::new((0.0f64, 0.0f64)));
+    let out = Shared::new((0.0f64, 0.0f64));
     let out2 = out.clone();
     sim.spawn("batch-task", move |env| {
         let nfs = Nfs3Client::new(session.rpc());

@@ -1,27 +1,34 @@
 //! A counting global allocator for the host-cost gates without a clock:
-//! every allocation of at least [`BIG`] bytes is counted, on every
-//! thread of the process. A test binary that includes this module
-//! measures with [`big_allocs`]; keep one `#[test]` per binary, since the
-//! counter is process-wide.
+//! every allocation of at least [`BIG`] bytes is counted against the
+//! thread that makes it. A simulation runs on the thread that calls its
+//! `run`, so [`big_allocs`] counts exactly what one test's operation
+//! allocated, while the other tests of the binary run on threads of
+//! their own.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 /// Allocations at least this large are payload-sized.
 pub const BIG: usize = 16 * 1024;
 
 struct Counting;
 
-static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// `const`-initialised, no destructor: touching it never allocates,
+    /// so the allocator itself may use it.
+    static BIG_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
 
 fn note(size: usize) {
     if size >= BIG {
-        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A thread being torn down has no counter left; its allocations
+        // are not any test's.
+        let _ = BIG_ALLOCS.try_with(|n| n.set(n.get() + 1));
     }
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counter is a
-// relaxed atomic that publishes nothing.
+// thread-local `Cell` that neither allocates nor runs a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
@@ -43,9 +50,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// Payload-sized allocations made, by any thread, while `op` ran.
+/// Payload-sized allocations this thread made while `op` ran.
 pub fn big_allocs<T>(op: impl FnOnce() -> T) -> (T, usize) {
-    let before = BIG_ALLOCS.load(Ordering::Relaxed);
+    let before = BIG_ALLOCS.with(Cell::get);
     let out = op();
-    (out, BIG_ALLOCS.load(Ordering::Relaxed) - before)
+    (out, BIG_ALLOCS.with(Cell::get) - before)
 }

@@ -1,13 +1,11 @@
 //! Cross-crate integration tests: the full GVFS deployment exercised
 //! end-to-end, including the paper's in-text claims.
 
-use std::sync::Arc;
-
 use gvfs::{BlockCacheConfig, GvfsSession, ImageServer, Listen, Middleware, ProxyConfig};
 use gvfs_bench::{run_cloning, CloneParams, CloneScenario, NetParams};
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{OpaqueAuth, RpcClient};
-use parking_lot::Mutex;
+use simnet::Shared;
 use simnet::{Link, SimDuration, Simulation};
 use vfs::{FileIo, Payload};
 use vmm::{install_image, VmImageSpec};
@@ -235,7 +233,7 @@ fn concurrent_sessions_are_isolated_by_identity() {
         fs.mkdir(root, "exports", 0o755, 0).unwrap();
     }
     let mw = Middleware::new();
-    let uids = Arc::new(Mutex::new(Vec::new()));
+    let uids = Shared::new(Vec::new());
     for i in 0..3 {
         let (_sid, cred) = mw.establish_session(&server.mapper, &format!("user{i}"));
         let channel = server.channel.clone();

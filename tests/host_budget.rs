@@ -1,0 +1,314 @@
+//! Host-cost gates without a clock: how many payload-sized allocations
+//! (16 KiB or more, counted by the allocator in `common`) an operation
+//! makes. Every copy of a payload lands in a fresh allocation of at least
+//! its size, so the count is the number of copies.
+//!
+//! - **One NFS block operation** through kernel client ← caching proxy ←
+//!   NFS server. A 32 KiB READ or WRITE payload should be copied once per
+//!   hop on the sending side and not at all on the receiving side
+//!   (DESIGN.md §5.11, "One copy per hop"). A read hands the guest the
+//!   cached blocks by reference (`vfs::Payload`), so a read the kernel
+//!   buffer answers allocates none. The payloads are resident in the
+//!   content pool beforehand, so interning a clean block is a pool hit
+//!   and allocates nothing.
+//! - **The middleware's content-map scan.** A chunk read as several
+//!   pieces is gathered into one of four buffers the whole scan reuses,
+//!   and a hole is digested once, so the count does not grow with the
+//!   file.
+//! - **A reference READ**: a 32 KiB read of a copy-on-write clone's
+//!   chunk, which lives codec-compressed in the proxy's content store.
+//!   The store seeks to the range with the entry's record index and
+//!   decodes it straight into the one vector the READ reply is encoded
+//!   from, so each read makes one payload-sized allocation, however many
+//!   records the chunk's stream holds.
+//!
+//! The counter is per thread and a simulation runs on the thread that
+//! calls its `run`, one process at a time, so between two reads of the
+//! counter only the measured operation allocates, whatever the other
+//! tests of this binary do meanwhile.
+
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+mod common;
+
+use std::rc::Rc;
+
+use common::big_allocs;
+use gvfs::digest::digest;
+use gvfs::{
+    BlockCacheConfig, ContentStore, DedupTuning, FileCache, ImageServer, Listen, ProxyConfig, Tier,
+    TransferTuning,
+};
+use nfs3::{KernelClient, KernelConfig, Nfs3Client};
+use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
+use simnet::{Link, SimDuration, SimHandle, Simulation};
+use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload, CHUNK_SIZE};
+
+// ---------------------------------------------------------------------------
+// One NFS block operation
+
+const BLOCK: usize = 32 * 1024;
+
+/// Block `b` of the test file: dense, and different from every other.
+fn block(b: u64) -> Vec<u8> {
+    (0..BLOCK as u64)
+        .map(|i| (i.wrapping_mul(31).wrapping_add(b * 7) % 253) as u8)
+        .collect()
+}
+
+fn lan(h: &SimHandle, name: &str) -> Link {
+    Link::new(h, name, 1e9, SimDuration::from_micros(50))
+}
+
+/// A READ the proxy answers from its block cache: the frame is encoded
+/// into the reply (1); the kernel client hands the guest the block it
+/// interned out of the reply, by reference. Before "one copy per hop":
+/// 5; before reads by reference: 2.
+const WARM_READ: usize = 1;
+/// A READ the proxy forwards: the server encodes its store's chunk into
+/// the reply (1) — the store read is by reference, and the proxy adds
+/// nothing. Before "one copy per hop": 7; before reads by reference: 3.
+const FORWARDED_READ: usize = 1;
+/// A READ the kernel buffer answers: its blocks, by reference.
+const KERNEL_HIT_READ: usize = 0;
+/// A 1 MiB read of blocks the kernel buffer holds, the shape of a
+/// resume reading a memory state file: 32 blocks, by reference.
+const RESUME_READ: usize = 0;
+/// A WRITE the proxy absorbs: the kernel client's dirty block (1), the
+/// WRITE call (2), the proxy's dirty frame (3). Before: 6.
+const ABSORBED_WRITE: usize = 3;
+
+#[test]
+fn a_block_operation_stays_inside_its_copy_budget() {
+    const BLOCKS: u64 = 40;
+    const RESUME: u32 = 1 << 20;
+    let sim = Simulation::new();
+    let h = sim.handle();
+
+    // NFS server holding `/f`.
+    let origin = ImageServer::start(
+        &h,
+        Listen::plain(lan(&h, "up"), lan(&h, "down")),
+        768 << 20,
+        false,
+    );
+    {
+        let mut fs = origin.fs.lock();
+        let root = fs.root();
+        let f = fs.create(root, "f", 0o644, 0).unwrap();
+        for b in 0..BLOCKS {
+            fs.write(f, b * BLOCK as u64, &block(b), 0).unwrap();
+        }
+    }
+
+    // Write-back caching proxy in front of it, read-ahead off.
+    let cred = OpaqueAuth::sys(&AuthSys::new("guest", 500, 500));
+    let tier = Tier::start(
+        ProxyConfig {
+            name: "proxy".into(),
+            meta_handling: false,
+            transfer: TransferTuning {
+                read_ahead: 0,
+                ..TransferTuning::default()
+            },
+            dedup: DedupTuning::off(),
+            ..ProxyConfig::default()
+        },
+        Some(BlockCacheConfig::with_capacity(
+            64 << 20,
+            4,
+            16,
+            BLOCK as u32,
+        )),
+        None,
+        &Disk::new(&h, DiskModel::scsi_2004()),
+        RpcClient::new(origin.channel, cred.clone()),
+        Listen::plain(lan(&h, "lo-up"), lan(&h, "lo-down")),
+    );
+    let cache = tier.proxy.block_cache().unwrap().clone();
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
+
+    sim.spawn("guest", move |env| {
+        // Every clean payload the run interns is already pooled.
+        let _resident: Vec<_> = (0..BLOCKS).map(|b| vfs::share(block(b))).collect();
+        let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
+        let f = kc.lookup_path(&env, "/f").unwrap();
+        let at = |b: u64| b * BLOCK as u64;
+        let read = |b: u64| big_allocs(|| kc.read(&env, f, at(b), BLOCK as u32).unwrap());
+
+        // Block 0 takes each path once first, so lazily built state
+        // (telemetry cells, queues) is not billed to the measured run.
+        read(0);
+        kc.invalidate_caches();
+        read(0);
+
+        let (data, forwarded) = read(1);
+        assert_eq!(data, block(1));
+        kc.invalidate_caches();
+        let (data, warm) = read(1);
+        assert_eq!(data, block(1));
+        assert_eq!(
+            cache.stats().hits,
+            2,
+            "the second read of a block is a proxy hit"
+        );
+        let (data, kernel_hit) = read(1);
+        assert_eq!(data, block(1));
+        assert_eq!(cache.stats().hits, 2, "the third is a kernel-buffer hit");
+
+        // A resume-shaped read: 1 MiB of blocks the kernel buffer holds.
+        let resume = |off: u64| big_allocs(|| kc.read(&env, f, off, RESUME).unwrap());
+        let first = 4;
+        let (cold, _) = resume(at(first));
+        let (data, resumed) = resume(at(first));
+        assert_eq!(data, cold);
+        let want: Vec<u8> = (first..first + RESUME as u64 / BLOCK as u64)
+            .flat_map(block)
+            .collect();
+        assert_eq!(data, want);
+
+        let write = |b: u64| {
+            let payload = Payload::from(block(b + 100));
+            big_allocs(|| {
+                kc.write(&env, f, at(b), &payload).unwrap();
+                kc.close(&env, f).unwrap();
+            })
+            .1
+        };
+        write(2);
+        let absorbed = write(3);
+        assert_eq!(cache.dirty_frames(), 2, "both WRITEs were absorbed");
+        cache.validate_accounting();
+
+        assert_eq!(
+            (warm, forwarded, absorbed),
+            (WARM_READ, FORWARDED_READ, ABSORBED_WRITE),
+            "payload-sized allocations per warm READ / forwarded READ / absorbed WRITE"
+        );
+        assert_eq!(
+            (kernel_hit, resumed),
+            (KERNEL_HIT_READ, RESUME_READ),
+            "payload-sized allocations per kernel-buffer hit READ / 1 MiB cached read"
+        );
+    });
+    sim.run();
+}
+
+// ---------------------------------------------------------------------------
+// The content-map scan
+
+/// Content-map chunks span two store chunks, so every written one is
+/// read as two pieces (or a piece and a zero run) and must be gathered.
+const MAP_CHUNK: usize = 2 * CHUNK_SIZE;
+
+/// A file of `chunks` map chunks: every third a hole, every fifth
+/// written only in its first half, the rest dense.
+fn map_file(chunks: usize) -> (Fs, Handle, Vec<u8>) {
+    let mut fs = Fs::new(0);
+    let root = fs.root();
+    let h = fs.create(root, "vmss", 0o644, 0).unwrap();
+    let mut bytes = vec![0u8; chunks * MAP_CHUNK];
+    for (c, chunk) in bytes.chunks_mut(MAP_CHUNK).enumerate() {
+        let written = match (c % 3, c % 5) {
+            (0, _) => 0,
+            (_, 0) => MAP_CHUNK / 2,
+            _ => MAP_CHUNK,
+        };
+        for (i, b) in chunk[..written].iter_mut().enumerate() {
+            *b = (i.wrapping_mul(31).wrapping_add(c * 7) % 251) as u8 | 1;
+        }
+        if written > 0 {
+            fs.write(h, (c * MAP_CHUNK) as u64, &chunk[..written], 0)
+                .unwrap();
+        }
+    }
+    fs.setattr(h, Some(bytes.len() as u64), None, 0).unwrap();
+    (fs, h, bytes)
+}
+
+#[test]
+fn a_content_map_gathers_into_four_reused_buffers() {
+    let mut counts = Vec::new();
+    for chunks in [16, 64] {
+        let (mut fs, h, bytes) = map_file(chunks);
+        let (map, allocs) =
+            big_allocs(|| gvfs::generate_content_map(&mut fs, h, MAP_CHUNK as u32).unwrap());
+        let want: Vec<_> = bytes
+            .chunks(MAP_CHUNK)
+            .map(|c| (digest(c), c.len() as u32))
+            .collect();
+        assert_eq!(map.records, want, "{chunks} chunks");
+        counts.push(allocs);
+    }
+    assert!(
+        counts[1] <= 8,
+        "a 64-chunk scan made {} payload-sized allocations",
+        counts[1]
+    );
+    assert_eq!(
+        counts[0], counts[1],
+        "payload-sized allocations of a 16-chunk and a 64-chunk scan"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// A reference READ
+
+const REF_CHUNK: usize = 1 << 20;
+const REF_READ: usize = 32 * 1024;
+
+/// A dense chunk: a single literal record.
+fn few_records() -> Vec<u8> {
+    (0..REF_CHUNK).map(|i| (i % 251) as u8 | 1).collect()
+}
+
+/// A memory-image-like chunk: short literals between short zero and
+/// byte runs, a few thousand records.
+fn many_records() -> Vec<u8> {
+    (0..REF_CHUNK)
+        .map(|i| match i % 320 {
+            0..=99 => 0,
+            100..=199 => 0x5A,
+            r => (r * 7 % 251) as u8 | 1,
+        })
+        .collect()
+}
+
+#[test]
+fn a_reference_read_decodes_into_its_one_reply_vector() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let cache = FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 30);
+    sim.spawn("reader", move |env| {
+        let cas = Rc::new(ContentStore::new(1 << 30));
+        for (file, chunk) in [few_records(), many_records()].into_iter().enumerate() {
+            let key = Handle {
+                fileid: file as u64 + 1,
+                generation: 0,
+            };
+            let d = cas.insert_pinned(&chunk);
+            cache.install_reference(
+                &env,
+                key,
+                cas.clone(),
+                REF_CHUNK as u32,
+                vec![(d, REF_CHUNK as u32)],
+                0,
+            );
+            for at in (0..REF_CHUNK).step_by(REF_READ) {
+                let (read, allocs) = big_allocs(|| {
+                    cache
+                        .read(&env, key, at as u64, REF_READ as u32)
+                        .unwrap()
+                        .unwrap()
+                });
+                assert_eq!(read.0, &chunk[at..at + REF_READ], "file {file} at {at}");
+                assert_eq!(
+                    allocs, 1,
+                    "file {file}: payload-sized allocations of the read at {at}"
+                );
+            }
+        }
+    });
+    sim.run();
+}
