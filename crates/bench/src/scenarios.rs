@@ -201,15 +201,17 @@ pub struct AppResult {
 ///
 /// Word-at-a-time (FNV-1a over 64-bit words, byte strings entering as
 /// their canonical [`gvfs::digest`]) and never reads zeros: file contents
-/// are walked in 64 KB steps of the file offset, an all-zero step only
-/// lengthens the current zero run, and a run is mixed in as its length.
+/// are walked in steps of one store chunk ([`vfs::CHUNK_SIZE`]), so a
+/// stored step is read as one piece and digested where it lies; an
+/// all-zero step only lengthens the current zero run, and a run is
+/// mixed in as its length.
 /// The steps are a function of the contents alone, so a hole and a
 /// stored all-zero chunk digest identically. Data steps are digested
 /// four at a time ([`gvfs::digest::digest4`]) and mixed in file order.
 /// The value is only ever compared between runs of one build, never
 /// recorded.
 pub fn fs_digest(fs: &Shared<Fs>) -> u64 {
-    const STEP: u64 = 64 * 1024;
+    const STEP: u64 = vfs::CHUNK_SIZE as u64;
     // Domain separators: a zero run's length can never pass for data.
     const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;
     const DATA: u64 = 0x4441_5441_5f5f_5f5f;
@@ -498,7 +500,7 @@ mod tests {
     /// `fs_digest` as it was before it digested four steps at a time:
     /// each data step digested and mixed as it is read.
     fn fs_digest_one_at_a_time(fs: &Shared<Fs>) -> u64 {
-        const STEP: u64 = 64 * 1024;
+        const STEP: u64 = vfs::CHUNK_SIZE as u64;
         // Domain separators: a zero run's length can never pass for data.
         const ZERO_RUN: u64 = 0x5a45_524f_5f52_554e;
         const DATA: u64 = 0x4441_5441_5f5f_5f5f;

@@ -25,6 +25,7 @@
 //! have a chain of GVFS proxies behind it.
 
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
 
 use simnet::telemetry::Counter;
@@ -95,8 +96,9 @@ pub struct KernelStats {
 }
 
 struct Block {
-    /// Clean blocks read from the server are pooled by content; a block
-    /// born dirty is private, and writes go through `Rc::make_mut`.
+    /// Clean blocks read from the server are pooled by content; a write
+    /// over a whole block keeps the block it is given, any other dirty
+    /// block is private, and partial writes go through `Rc::make_mut`.
     data: SharedBytes,
     /// While the block is dirty, the handle it was dirtied through: what
     /// its write-back goes through, whichever file's traffic evicts it.
@@ -378,6 +380,34 @@ fn clip_to_size(b: u64, len: usize, bs: u64, size: Option<u64>) -> (u64, usize) 
     }
 }
 
+/// Write `payload[src]` over `block[within]` of a `bs`-byte block. A
+/// write over the whole block replaces it — by reference when the range
+/// is one whole shared block, otherwise gathered once — so old bytes are
+/// never copied or zeroed only to be overwritten. A partial write copies
+/// the block first when anyone else holds it, and zero-fills an empty
+/// one.
+fn overwrite(
+    block: &mut SharedBytes,
+    payload: PayloadRef<'_>,
+    src: Range<usize>,
+    within: Range<usize>,
+    bs: usize,
+) {
+    if within.len() == bs {
+        *block = payload.whole_allocation(src.clone()).unwrap_or_else(|| {
+            // lint:allow(bounded-decode): one block of the mount's own block size
+            let mut gathered = Vec::with_capacity(bs);
+            payload.extend_vec(src, &mut gathered);
+            Rc::new(gathered)
+        });
+    } else {
+        let block = Rc::make_mut(block);
+        // lint:allow(bounded-decode): one block of the mount's own block size
+        block.resize(bs, 0);
+        payload.copy_to(src, &mut block[within]);
+    }
+}
+
 /// The results of one windowed batch of RPCs, or the first failure in it
 /// (an empty slot is a worker that died with its job).
 fn all_sent<T>(slots: Vec<Option<Result<T, NfsError>>>) -> IoResult<Vec<T>> {
@@ -553,23 +583,22 @@ impl FileIo for KernelClient {
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
                 let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
-                    payload.copy_to(src, &mut Rc::make_mut(&mut blk.data)[within]);
+                    overwrite(&mut blk.data, payload, src, within, bs as usize);
                     blk.dirty.replace(h).is_some()
                 } else {
                     // Not cached. A block this call's own inserts evicted
                     // a moment ago — an edge block cached or just fetched
                     // for its bytes outside the write — is taken back
                     // from the eviction list with those bytes (and its
-                    // dirty accounting); anything else starts from zeros.
+                    // dirty accounting); anything else starts empty.
                     let mut blk = match evicted_all.iter().rposition(|(k, _)| *k == key) {
                         Some(i) => evicted_all.remove(i).1,
                         None => Block {
-                            // lint:allow(bounded-decode): one block of the mount's own block size
-                            data: Rc::new(vec![0u8; bs as usize]),
+                            data: SharedBytes::default(),
                             dirty: None,
                         },
                     };
-                    payload.copy_to(src, &mut Rc::make_mut(&mut blk.data)[within]);
+                    overwrite(&mut blk.data, payload, src, within, bs as usize);
                     let was = blk.dirty.replace(h).is_some();
                     if let Some(ev) = st.cache.insert(key, blk) {
                         evicted_all.push(ev);
@@ -806,6 +835,63 @@ mod tests {
             let after = kc.read(&env, f, 0, 2048).expect("read");
             assert_eq!(after.to_vec()[1000..1100], [0xEE; 100]);
             assert_eq!(after.to_vec()[..1000], want[..1000]);
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn the_default_block_is_the_sparse_stores_chunk() {
+        let cfg = KernelConfig::default();
+        assert_eq!(cfg.rsize as usize, vfs::CHUNK_SIZE);
+        assert_eq!(cfg.wsize, cfg.rsize);
+    }
+
+    #[test]
+    fn a_whole_block_write_keeps_the_writers_block_and_a_partial_one_copies_it() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        ep.listener.serve("generous", Rc::new(generous_server), 2);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        sim.spawn("client", move |env| {
+            let cfg = KernelConfig {
+                rsize: 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let f = kc.root();
+            let cached = |b: u64| {
+                Rc::clone(
+                    &kc.state
+                        .lock()
+                        .cache
+                        .get(&(f.fileid, b))
+                        .expect("cached")
+                        .data,
+                )
+            };
+            // Block 0 cached clean first, block 1 not cached at all.
+            kc.read(&env, f, 0, 1024).expect("read");
+            let block: SharedBytes = Rc::new(vec![0xAB; 1024]);
+            let mut whole = Payload::new();
+            whole.push_shared(Rc::clone(&block), 0..1024);
+            for b in [0, 1] {
+                kc.write(&env, f, b * 1024, &whole).expect("write");
+                assert!(Rc::ptr_eq(&cached(b), &block), "block {b}");
+            }
+            // Two halves are gathered into a block of their own.
+            let mut halves = Payload::new();
+            halves.push_shared(Rc::clone(&block), 0..512);
+            halves.push_shared(Rc::new(vec![0xCD; 512]), 0..512);
+            kc.write(&env, f, 2048, &halves).expect("write");
+            assert_eq!(*cached(2), [[0xAB; 512], [0xCD; 512]].concat());
+            // A partial write leaves the writer's block as it was.
+            kc.write(&env, f, 1030, &Payload::from(vec![1u8; 4]))
+                .expect("write");
+            assert_eq!(*block, vec![0xAB; 1024]);
+            let got = kc.read(&env, f, 1028, 8).expect("read");
+            assert_eq!(got, [0xAB, 0xAB, 1, 1, 1, 1, 0xAB, 0xAB]);
         });
         sim.run();
     }

@@ -30,4 +30,4 @@ pub use io::{FileIo, IoError, IoResult, LocalIo, LocalIoConfig, MountTable, Open
 pub use lru::LruMap;
 pub use payload::{Payload, PayloadRef, Piece};
 pub use shared::{share, share_slice, SharedBytes};
-pub use sparse::{SparseBytes, CHUNK_SIZE};
+pub use sparse::{SparseBytes, CHUNK_SIZE, USED_SPAN};

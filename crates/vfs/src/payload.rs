@@ -10,8 +10,10 @@
 //! with whatever is written after it.
 //!
 //! The write side takes a [`PayloadRef`]: a borrowed slice or a borrowed
-//! payload, so callers holding either reach one routine, and a zero run
-//! stays a zero run all the way into the store.
+//! payload, so callers holding either reach one routine, a zero run
+//! stays a zero run all the way into the store, and a store that takes
+//! a whole block keeps the block it is given
+//! ([`PayloadRef::whole_allocation`]).
 
 use std::borrow::Cow;
 use std::fmt;
@@ -281,6 +283,32 @@ impl<'a> PayloadRef<'a> {
         })
     }
 
+    /// The shared allocation `range` is, when it is one piece covering a
+    /// whole allocation: a store that takes a block whole can keep this
+    /// one instead of a copy.
+    pub fn whole_allocation(self, range: Range<usize>) -> Option<SharedBytes> {
+        let PayloadRef::Payload(p) = self else {
+            return None;
+        };
+        let mut at = 0;
+        for part in &p.parts {
+            let start = at;
+            at += part.len();
+            if at <= range.start {
+                continue;
+            }
+            return match part {
+                Part::Shared(bytes, r)
+                    if start == range.start && at == range.end && r.len() == bytes.len() =>
+                {
+                    Some(Rc::clone(bytes))
+                }
+                _ => None,
+            };
+        }
+        None
+    }
+
     /// Copy `range` over `out`, which is exactly as long.
     pub fn copy_to(self, range: Range<usize>, out: &mut [u8]) {
         assert_eq!(range.len(), out.len(), "copy target length");
@@ -416,6 +444,25 @@ mod tests {
         let at = v.as_ptr();
         let p = Payload::from(v);
         assert!(matches!(p.pieces().next(), Some(Piece::Bytes(b)) if b.as_ptr() == at));
+    }
+
+    #[test]
+    fn only_a_whole_allocation_is_handed_out_whole() {
+        let block = shared(&[4u8; 64]);
+        let mut p = Payload::new();
+        p.push_zeros(8);
+        p.push_shared(Rc::clone(&block), 0..64);
+        p.push_shared(shared(&[5u8; 64]), 0..32);
+        let whole = |range| PayloadRef::from(&p).whole_allocation(range);
+        assert!(whole(8..72).is_some_and(|b| Rc::ptr_eq(&b, &block)));
+        // A part of the piece, more than the piece, a sub-range of an
+        // allocation, a zero run, a slice.
+        for range in [8..40, 0..72, 8..104, 72..104, 0..8, 8..8] {
+            assert!(whole(range.clone()).is_none(), "{range:?}");
+        }
+        assert!(PayloadRef::from(&block[..])
+            .whole_allocation(0..64)
+            .is_none());
     }
 
     #[test]

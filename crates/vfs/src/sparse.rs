@@ -5,29 +5,50 @@
 //! is overwhelmingly zero-filled after boot (the paper's zero-block
 //! filtering removes 60,452 of 65,750 reads when resuming such a VM).
 //! Storing them densely would make the reproduction needlessly heavy, so
-//! file contents live in chunks of a fixed *span* allocated on first
-//! write; reads of unwritten ranges yield zeros, exactly like holes in a
-//! real filesystem. A chunk's vector ends where its data ends — at the
-//! highest byte ever written into its span — and the rest of the span
-//! reads as zeros like any hole, so a 159-byte config file or a short
-//! redo log costs the host a page, not 64 KB. [`SparseBytes::allocated`]
-//! still counts whole chunks: it is what the modelled filesystem reports
-//! as used, not what the host holds.
+//! file contents live in chunks allocated on first write; reads of
+//! unwritten ranges yield zeros, exactly like holes in a real filesystem.
 //!
-//! Chunks are [`SharedBytes`]: a chunk written whole goes through the
-//! content pool ([`share`]), so the clones of one golden image — and a
-//! `clone()` of a store — hold one host copy of it between them, and a
-//! later partial write copies the chunk first when anyone else holds it
-//! ([`Rc::make_mut`]). Sharing is invisible to every accessor here.
+//! A chunk spans one NFS block ([`CHUNK_SIZE`], 32 KiB, the kernel
+//! client's `rsize`/`wsize`), so the unit every layer above moves is the
+//! unit stored here: a whole-block write whose source is one whole
+//! shared block keeps that block by reference — no gather, no hash, no
+//! compare — and any other whole-chunk write is gathered once and
+//! pooled as shared content ([`share`]), so the clones of one golden
+//! image — and a `clone()` of a store — hold one host copy of it between
+//! them. A chunk's vector ends where its data ends — at the highest byte
+//! ever written into its span — and the rest of the span reads as zeros
+//! like any hole, so a 159-byte config file or a short redo log costs the
+//! host a page, not a block. Chunks change only through [`Rc::make_mut`],
+//! so a later partial write copies a chunk anyone else holds first, and
+//! sharing is invisible to every accessor here.
+//!
+//! The modelled filesystem does not allocate by host chunk:
+//! [`SparseBytes::allocated`], the NFS `used` attribute, counts the
+//! [`USED_SPAN`] (64 KiB) spans that hold a chunk, kept up to date where
+//! chunks enter and leave — not what the host holds.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::Rc;
 
 use crate::payload::{is_zero, Payload, PayloadRef};
 use crate::shared::{share, SharedBytes};
 
-/// Chunk granularity for sparse allocation (64 KB).
-pub const CHUNK_SIZE: usize = 64 * 1024;
+/// Chunk granularity for sparse allocation: one 32 KiB NFS block.
+pub const CHUNK_SIZE: usize = 32 * 1024;
+
+/// The modelled filesystem's allocation unit (64 KiB): what
+/// [`SparseBytes::allocated`] counts.
+pub const USED_SPAN: usize = 64 * 1024;
+
+const CHUNKS_PER_SPAN: u64 = (USED_SPAN / CHUNK_SIZE) as u64;
+const _: () = assert!(USED_SPAN.is_multiple_of(CHUNK_SIZE));
+
+/// The chunk indices of the span chunk `idx` lies in.
+fn span_of(idx: u64) -> Range<u64> {
+    let first = idx - idx % CHUNKS_PER_SPAN;
+    first..first + CHUNKS_PER_SPAN
+}
 
 /// Host capacity for a chunk holding `len` bytes: the next 4 KB multiple.
 /// Exact growth in page steps — `Vec`'s doubling would hand back half of
@@ -42,6 +63,8 @@ fn chunk_capacity(len: usize) -> usize {
 pub struct SparseBytes {
     len: u64,
     chunks: BTreeMap<u64, SharedBytes>,
+    /// [`USED_SPAN`]s holding at least one chunk.
+    spans: u64,
 }
 
 impl SparseBytes {
@@ -60,17 +83,37 @@ impl SparseBytes {
         self.len == 0
     }
 
-    /// Bytes actually allocated (the "used" attribute NFS reports).
+    /// Bytes actually allocated (the "used" attribute NFS reports), in
+    /// whole [`USED_SPAN`]s.
     pub fn allocated(&self) -> u64 {
-        self.chunks.len() as u64 * CHUNK_SIZE as u64
+        self.spans * USED_SPAN as u64
+    }
+
+    /// Store chunk `idx`, counting its span if it is the span's first.
+    fn insert(&mut self, idx: u64, chunk: SharedBytes) {
+        if self.chunks.insert(idx, chunk).is_none()
+            && self.chunks.range(span_of(idx)).nth(1).is_none()
+        {
+            self.spans += 1;
+        }
     }
 
     /// Set the logical length; shrinking drops whole chunks beyond the new
-    /// end and shortens the boundary chunk.
+    /// end and shortens the boundary chunk. A span the new end cuts
+    /// through stays allocated, as the modelled filesystem's unit: if it
+    /// keeps no chunk, an empty one marks it.
     pub fn truncate(&mut self, new_len: u64) {
         if new_len < self.len {
-            let first_dead_chunk = new_len.div_ceil(CHUNK_SIZE as u64);
-            self.chunks.retain(|&idx, _| idx < first_dead_chunk);
+            let cut = new_len.div_ceil(CHUNK_SIZE as u64);
+            let mut lost: Vec<u64> = (self.chunks.split_off(&cut).into_keys())
+                .map(|idx| span_of(idx).start)
+                .collect();
+            lost.dedup();
+            if lost.first().is_some_and(|&span| span < cut) {
+                lost.remove(0);
+                self.chunks.entry(cut - 1).or_default();
+            }
+            self.spans -= lost.len() as u64;
             // End the boundary chunk at the new length so a later
             // re-extend reads zeros there.
             let boundary = new_len / CHUNK_SIZE as u64;
@@ -134,12 +177,17 @@ impl SparseBytes {
             let take = (CHUNK_SIZE - within).min(n - pos);
             let src = pos..pos + take;
             if take == CHUNK_SIZE {
-                // A whole chunk replaces what was there: gathered once
-                // and pooled as shared content.
+                // A whole chunk replaces what was there: the caller's
+                // block itself when the source is one whole shared
+                // block, otherwise gathered once and pooled as shared
+                // content.
                 if self.chunks.contains_key(&chunk_idx) || !data.is_zero(src.clone()) {
-                    let mut chunk = Vec::with_capacity(CHUNK_SIZE);
-                    data.extend_vec(src, &mut chunk);
-                    self.chunks.insert(chunk_idx, share(chunk));
+                    let chunk = data.whole_allocation(src.clone()).unwrap_or_else(|| {
+                        let mut chunk = Vec::with_capacity(CHUNK_SIZE);
+                        data.extend_vec(src, &mut chunk);
+                        share(chunk)
+                    });
+                    self.insert(chunk_idx, chunk);
                 }
             } else if let Some(chunk) = self.chunks.get_mut(&chunk_idx) {
                 let chunk = Rc::make_mut(chunk);
@@ -153,7 +201,7 @@ impl SparseBytes {
                 let mut chunk = Vec::with_capacity(chunk_capacity(within + take));
                 chunk.resize(within, 0);
                 data.extend_vec(src, &mut chunk);
-                self.chunks.insert(chunk_idx, Rc::new(chunk));
+                self.insert(chunk_idx, Rc::new(chunk));
             }
             pos += take;
         }
@@ -220,7 +268,7 @@ mod tests {
         assert_eq!(s.allocated(), 0);
         // But nonzero writes do.
         s.write_at(0, &[1]);
-        assert_eq!(s.allocated(), CHUNK_SIZE as u64);
+        assert_eq!(s.allocated(), USED_SPAN as u64);
     }
 
     #[test]
@@ -257,7 +305,7 @@ mod tests {
         s.write_at(0, &[b'x'; 159]);
         assert!(capacity(&s) <= 4096, "held {}", capacity(&s));
         // What the modelled filesystem reports as used does not change.
-        assert_eq!(s.allocated(), CHUNK_SIZE as u64);
+        assert_eq!(s.allocated(), USED_SPAN as u64);
         assert_eq!(s.read_range(0, 200), vec![b'x'; 159]);
     }
 
@@ -268,7 +316,7 @@ mod tests {
             s.write_at(i * 4096, &[i as u8 + 1; 4096]);
             assert_eq!(capacity(&s), (i as usize + 1) * 4096);
         }
-        assert_eq!(capacity(&s), CHUNK_SIZE);
+        assert_eq!(capacity(&s), USED_SPAN);
         // Records smaller than a page reallocate once a page, not once
         // a record.
         let mut s = SparseBytes::new();
@@ -332,7 +380,7 @@ mod tests {
     #[test]
     fn a_payload_write_matches_the_same_bytes_written_as_a_slice() {
         let mut src = SparseBytes::new();
-        src.write_at(CHUNK_SIZE as u64 - 5, &[9u8; 10]);
+        src.write_at(USED_SPAN as u64 - 5, &[9u8; 10]);
         src.truncate(3 * CHUNK_SIZE as u64);
         let payload = src.read_range(0, 3 * CHUNK_SIZE);
         let mut a = SparseBytes::new();
@@ -344,7 +392,108 @@ mod tests {
             b.read_range(0, 4 * CHUNK_SIZE).to_vec()
         );
         assert_eq!(a.allocated(), b.allocated());
-        assert_eq!(a.allocated(), 2 * CHUNK_SIZE as u64);
+        assert_eq!(a.allocated(), 2 * USED_SPAN as u64);
+    }
+
+    /// A payload of whole shared blocks, one per fill byte.
+    fn blocks(fills: &[u8]) -> (Payload, Vec<SharedBytes>) {
+        let mut p = Payload::new();
+        let blocks: Vec<SharedBytes> = fills.iter().map(|&f| share(vec![f; CHUNK_SIZE])).collect();
+        for b in &blocks {
+            p.push_shared(Rc::clone(b), 0..CHUNK_SIZE);
+        }
+        (p, blocks)
+    }
+
+    #[test]
+    fn a_whole_shared_block_is_kept_by_reference() {
+        let (p, blocks) = blocks(&[1, 2, 3]);
+        let mut s = SparseBytes::new();
+        s.write_at(CHUNK_SIZE as u64, &p);
+        for (i, block) in blocks.iter().enumerate() {
+            assert!(
+                Rc::ptr_eq(&s.chunks[&(i as u64 + 1)], block),
+                "chunk {}",
+                i + 1
+            );
+        }
+        let mut want = vec![0u8; CHUNK_SIZE];
+        want.extend(p.to_vec());
+        assert_eq!(s.read_range(0, 4 * CHUNK_SIZE), want);
+    }
+
+    #[test]
+    fn a_whole_zero_block_leaves_a_hole() {
+        let (p, _) = blocks(&[0, 0]);
+        let mut s = SparseBytes::new();
+        s.write_at(0, &p);
+        assert!(s.chunks.is_empty());
+        assert_eq!(s.allocated(), 0);
+        assert_eq!(s.len(), 2 * CHUNK_SIZE as u64);
+        // Over an existing chunk it replaces the chunk, which stays.
+        s.write_at(10, b"x");
+        s.write_at(0, &p);
+        assert_eq!(s.chunks.len(), 1);
+        assert_eq!(s.read_range(0, 20), [0u8; 20]);
+    }
+
+    #[test]
+    fn a_later_partial_write_leaves_the_callers_block_untouched() {
+        let (p, blocks) = blocks(&[4]);
+        let mut s = SparseBytes::new();
+        s.write_at(0, &p);
+        s.write_at(100, b"new");
+        assert_eq!(*blocks[0], vec![4u8; CHUNK_SIZE]);
+        assert!(!Rc::ptr_eq(&s.chunks[&0], &blocks[0]));
+        assert_eq!(s.read_range(99, 5), [4, b'n', b'e', b'w', 4]);
+    }
+
+    #[test]
+    fn a_sub_range_or_two_halves_are_gathered() {
+        let big: SharedBytes = Rc::new((0..2 * CHUNK_SIZE).map(|i| i as u8 | 1).collect());
+        let mut sub = Payload::new();
+        sub.push_shared(Rc::clone(&big), 0..CHUNK_SIZE);
+        let mut halves = Payload::new();
+        halves.push_shared(Rc::clone(&big), CHUNK_SIZE..CHUNK_SIZE + CHUNK_SIZE / 2);
+        halves.push_shared(Rc::clone(&big), CHUNK_SIZE + CHUNK_SIZE / 2..2 * CHUNK_SIZE);
+        let mut s = SparseBytes::new();
+        s.write_at(0, &sub);
+        s.write_at(CHUNK_SIZE as u64, &halves);
+        for chunk in s.chunks.values() {
+            assert!(!std::ptr::eq(chunk.as_ptr(), big.as_ptr()));
+            assert!(!std::ptr::eq(chunk.as_ptr(), big[CHUNK_SIZE..].as_ptr()));
+        }
+        assert_eq!(s.read_range(0, 2 * CHUNK_SIZE), *big);
+    }
+
+    #[test]
+    fn allocated_counts_used_spans_not_chunks() {
+        let per_span = USED_SPAN / CHUNK_SIZE;
+        let mut s = SparseBytes::new();
+        // Two chunks of one span.
+        s.write_at(10, b"a");
+        s.write_at(CHUNK_SIZE as u64 + 10, b"b");
+        assert_eq!(s.chunks.len(), per_span);
+        assert_eq!(s.allocated(), USED_SPAN as u64);
+        // A chunk in a second span.
+        s.write_at(2 * USED_SPAN as u64, b"c");
+        assert_eq!(s.allocated(), 2 * USED_SPAN as u64);
+        // Truncation recounts: a cut at a span's end drops the span after
+        // it; a cut through a span keeps it, even when the chunks left of
+        // the cut are holes.
+        s.truncate(USED_SPAN as u64);
+        assert_eq!(s.allocated(), USED_SPAN as u64);
+        let mut t = SparseBytes::new();
+        t.write_at(CHUNK_SIZE as u64, b"d");
+        t.write_at(USED_SPAN as u64 + 1, b"e");
+        t.truncate(100);
+        assert_eq!(t.allocated(), USED_SPAN as u64);
+        assert_eq!(t.read_range(0, 200), [0u8; 100]);
+        t.write_at(CHUNK_SIZE as u64, b"f");
+        assert_eq!(t.allocated(), USED_SPAN as u64);
+        t.truncate(0);
+        assert_eq!(t.allocated(), 0);
+        assert!(t.chunks.is_empty());
     }
 
     #[test]

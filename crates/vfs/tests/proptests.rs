@@ -4,17 +4,20 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use vfs::{share, share_slice, Fs, LruMap, Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE};
+use vfs::{
+    share, share_slice, Fs, LruMap, Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE, USED_SPAN,
+};
 
 /// A `SparseBytes` next to the dense model it must match and the set of
-/// chunks the allocation rule says exist: a chunk is allocated by the
-/// first non-zero byte written into it and stays until truncated away,
-/// whatever is written over it and however its bytes are held.
+/// used spans the allocation rule says exist: a [`USED_SPAN`] is
+/// allocated by the first non-zero byte written into it and stays until
+/// truncated away, whatever is written over it, however its bytes are
+/// held and however many store chunks it holds.
 #[derive(Clone, Default)]
 struct Modelled {
     sparse: SparseBytes,
     dense: Vec<u8>,
-    chunks: BTreeSet<usize>,
+    spans: BTreeSet<usize>,
 }
 
 impl Modelled {
@@ -38,9 +41,9 @@ impl Modelled {
         let mut pos = 0;
         while pos < data.len() {
             let abs = off + pos;
-            let take = (CHUNK_SIZE - abs % CHUNK_SIZE).min(data.len() - pos);
+            let take = (USED_SPAN - abs % USED_SPAN).min(data.len() - pos);
             if data[pos..pos + take].iter().any(|&b| b != 0) {
-                self.chunks.insert(abs / CHUNK_SIZE);
+                self.spans.insert(abs / USED_SPAN);
             }
             pos += take;
         }
@@ -49,7 +52,7 @@ impl Modelled {
     fn truncate(&mut self, n: usize) {
         self.sparse.truncate(n as u64);
         if n < self.dense.len() {
-            self.chunks.retain(|&c| c < n.div_ceil(CHUNK_SIZE));
+            self.spans.retain(|&c| c < n.div_ceil(USED_SPAN));
         }
         self.dense.resize(n, 0);
     }
@@ -58,7 +61,7 @@ impl Modelled {
         prop_assert_eq!(self.sparse.len(), self.dense.len() as u64);
         prop_assert_eq!(
             self.sparse.allocated(),
-            (self.chunks.len() * CHUNK_SIZE) as u64
+            (self.spans.len() * USED_SPAN) as u64
         );
         prop_assert!(self.sparse.read_range(0, self.dense.len() + 1) == self.dense);
         // The file's last chunk-length of bytes: where a short chunk's
@@ -107,8 +110,9 @@ proptest! {
     /// full after every step: a write through one owner of a shared
     /// chunk must never show through another. Payloads go both ways: a
     /// range of one store — holes, short-chunk tails, chunk-crossing —
-    /// is read as a payload and written into the other, a payload held
-    /// across later writes keeps its bytes, and a zero run written over
+    /// is read as a payload and written into the other (chunk-aligned,
+    /// so whole chunks are kept by reference), a payload held across
+    /// later writes keeps its bytes, and a zero run written over
     /// an existing chunk keeps it allocated as a byte write does.
     #[test]
     fn sparse_bytes_matches_dense_model(
@@ -130,6 +134,8 @@ proptest! {
                 (0usize..1).prop_map(|n| (2u8, n, Vec::new())),
                 // (destination, [source, length]) payload copy from the other store
                 (0usize..300_000, 0usize..300_000, 0usize..150_000).prop_map(|(o, src, n)| (5u8, o, words(&[src, n]))),
+                // the same, chunk-aligned: whole shared chunks, kept by reference
+                (0usize..8, 0usize..8, 1usize..4).prop_map(|(o, src, n)| (5u8, o * CHUNK_SIZE, words(&[src * CHUNK_SIZE, n * CHUNK_SIZE]))),
                 // (offset, [length]) zero run
                 (0usize..300_000, 0usize..150_000).prop_map(|(o, n)| (6u8, o, words(&[n]))),
             ]),
