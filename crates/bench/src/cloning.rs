@@ -20,8 +20,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCacheConfig, CowTuning, DedupTuning, FileChannelSpec, FleetTuning, IdentityMapper,
-    ImageServer, Listen, Middleware, ProxyConfig, Tier, WritePolicy,
+    BlockCacheConfig, CacheVolume, CowTuning, DedupTuning, FileChannelSpec, FleetTuning,
+    IdentityMapper, ImageServer, Listen, Middleware, ProxyConfig, Tier, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{AuthSys, OpaqueAuth, RpcChannel, RpcClient};
@@ -178,14 +178,16 @@ impl CloneParams {
             let name = format!("{links}-{dir}");
             Link::from_mbps(h, name, self.net.lan_mbps, self.net.lan_oneway)
         };
+        let cfg = ProxyConfig {
+            write_policy: WritePolicy::WriteThrough,
+            ..self.tier_config(name)
+        };
+        let disk = Disk::new(h, DiskModel::server_array());
+        let geometry = BlockCacheConfig::paper(self.proxy_cache_bytes);
+        let volume = CacheVolume::new(h, disk, &cfg, Some(geometry), None);
         Tier::start(
-            ProxyConfig {
-                write_policy: WritePolicy::WriteThrough,
-                ..self.tier_config(name)
-            },
-            Some(BlockCacheConfig::paper(self.proxy_cache_bytes)),
-            None,
-            &Disk::new(h, DiskModel::server_array()),
+            cfg,
+            &volume,
             upstream,
             Listen::tunnel(lan("up"), lan("down")),
         )
@@ -307,7 +309,7 @@ pub(crate) fn build_compute_host(
     );
     let kc =
         KernelClient::mount(env, Nfs3Client::new(session.rpc()), "/exports", kernel_cfg).unwrap();
-    let local = LocalIo::new(session.cache_disk, LocalIoConfig::default(), 0);
+    let local = LocalIo::new(session.volume.disk.clone(), LocalIoConfig::default(), 0);
     MountTable::new().mount("/", local).mount("/mnt/gvfs", kc)
 }
 

@@ -149,6 +149,14 @@ struct Inner {
     /// Sum of logical lengths of resident entries.
     bytes: u64,
     stamp: u64,
+    /// Incremented when an insert ends over capacity because every
+    /// remaining eviction candidate is pinned (`cas.pin_blocked_evictions`
+    /// once a proxy counts into it).
+    pin_blocked: Counter,
+    /// Incremented when a reference file asks for a chunk it holds a pin
+    /// on and the chunk is not resident — a pin-discipline bug, reported
+    /// as [`BrokenPin`] (into the proxy's `recovered_errors`).
+    broken_pins: Counter,
 }
 
 impl Inner {
@@ -209,15 +217,6 @@ impl Blob {
 pub struct ContentStore {
     inner: Shared<Inner>,
     capacity: u64,
-    /// Incremented when an insert ends over capacity because every
-    /// remaining eviction candidate is pinned (`cas.pin_blocked_evictions`
-    /// when registered; unregistered otherwise).
-    pin_blocked: Counter,
-    /// Incremented when a reference file asks for a chunk it holds a pin
-    /// on and the chunk is not resident — a pin-discipline bug, reported
-    /// as [`BrokenPin`] (the proxy attaches its `recovered_errors`
-    /// counter).
-    broken_pins: Counter,
 }
 
 impl ContentStore {
@@ -229,25 +228,20 @@ impl ContentStore {
                 lru: BTreeMap::new(),
                 bytes: 0,
                 stamp: 0,
+                pin_blocked: Counter::new(),
+                broken_pins: Counter::new(),
             }),
             capacity,
-            pin_blocked: Counter::new(),
-            broken_pins: Counter::new(),
         }
     }
 
-    /// Attach a registered counter surfacing pin-blocked evictions
-    /// (builder-style, before the store is shared).
-    pub fn with_pin_blocked_counter(mut self, counter: Counter) -> Self {
-        self.pin_blocked = counter;
-        self
-    }
-
-    /// Attach the counter that surfaces reads through a pin that found
-    /// no resident entry (builder-style, before the store is shared).
-    pub fn with_broken_pin_counter(mut self, counter: Counter) -> Self {
-        self.broken_pins = counter;
-        self
+    /// Count pin-blocked evictions and reads through a broken pin into
+    /// these counters from now on: the store outlives the proxy that
+    /// counts, and a restarted proxy brings its own.
+    pub fn count_into(&self, pin_blocked: Counter, broken_pins: Counter) {
+        let mut inner = self.inner.lock();
+        inner.pin_blocked = pin_blocked;
+        inner.broken_pins = broken_pins;
     }
 
     /// Index `bytes`, returning their digest. Re-inserting existing
@@ -329,7 +323,7 @@ impl ContentStore {
                 .find(|(_, d2)| inner.map.get(d2).is_none_or(|e| e.pins == 0))
                 .map(|(&s, &d2)| (s, d2));
             let Some((old_stamp, victim)) = victim else {
-                self.pin_blocked.inc();
+                inner.pin_blocked.inc();
                 break;
             };
             cursor = old_stamp + 1;
@@ -437,7 +431,7 @@ impl ContentStore {
         out: &mut Vec<u8>,
     ) -> Result<(), BrokenPin> {
         self.read_into(d, offset, len, out).ok_or_else(|| {
-            self.broken_pins.inc();
+            self.inner.lock().broken_pins.inc();
             BrokenPin
         })
     }
@@ -538,7 +532,8 @@ mod tests {
     #[test]
     fn a_read_through_a_broken_pin_is_counted_and_reported() {
         let broken = Counter::new();
-        let cas = ContentStore::new(1 << 20).with_broken_pin_counter(broken.clone());
+        let cas = ContentStore::new(1 << 20);
+        cas.count_into(Counter::new(), broken.clone());
         let a = vec![7u8; 1000];
         let d = cas.insert_pinned(&a);
         assert_eq!(pinned(&cas, &d, 990, 50), Ok(vec![7u8; 10]));
@@ -748,7 +743,7 @@ mod tests {
         assert!(cas.contains(&da), "pinned LRU entry was evicted");
         assert!(!cas.contains(&db), "unpinned newer entry should have paid");
         assert_eq!(cas.logical_bytes(), 4096);
-        assert_eq!(cas.pin_blocked.get(), 0);
+        assert_eq!(cas.inner.lock().pin_blocked.get(), 0);
         // Once unpinned, ordinary LRU pressure applies again.
         cas.unpin(&da);
         let dc = cas.insert(&vec![3u8; 4096]);
@@ -766,7 +761,7 @@ mod tests {
         assert!(cas.contains(&da));
         assert!(cas.contains(&db));
         assert_eq!(cas.logical_bytes(), 8192);
-        assert_eq!(cas.pin_blocked.get(), 1);
+        assert_eq!(cas.inner.lock().pin_blocked.get(), 1);
         assert_eq!(cas.pinned_bytes(), 8192);
     }
 

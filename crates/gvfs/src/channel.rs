@@ -878,14 +878,6 @@ impl ChannelClient {
         ChannelClient { rpc, codec }
     }
 
-    /// The CPU-cost model this client charges for codec and digest work.
-    /// The proxy copies it so its own dedup bookkeeping (flush-side
-    /// digesting, blob verification) prices CPU consistently with the
-    /// fetch paths.
-    pub fn codec(&self) -> &CodecModel {
-        &self.codec
-    }
-
     fn call(&self, env: &Env, proc: u32, args: &[u8]) -> Result<xdr::Bytes, ChannelError> {
         call(&self.rpc, env, proc, args).map_err(ChannelError::Rpc)
     }

@@ -19,6 +19,8 @@
 //! * [`IdentityMapper`] — cross-domain authentication: short-lived
 //!   middleware credentials mapped to local shadow accounts by
 //!   server-side proxies.
+//! * [`CacheVolume`] — what a proxy keeps on its local disk (caches,
+//!   CAS, parked write-backs), so a restarted proxy resumes over it.
 //! * [`session`] — middleware session management: establish per-user
 //!   proxy chains, signal write-back flushes (session-based consistency).
 //! * [`transfer`] — the knobs of the overlapped WAN paths (chunked file
@@ -43,6 +45,7 @@ pub mod meta;
 pub mod proxy;
 pub mod session;
 pub mod transfer;
+pub mod volume;
 
 pub use block_cache::{BlockCache, BlockCacheConfig, BlockCacheStats, Tag, WritePolicy};
 pub use cas::{ContentStore, DedupTel, DedupTuning};
@@ -62,3 +65,4 @@ pub use meta::{
 pub use proxy::{FlushReport, Proxy, ProxyConfig, ProxyStats};
 pub use session::{GvfsSession, ImageServer, Listen, Middleware, Tier};
 pub use transfer::TransferTuning;
+pub use volume::CacheVolume;

@@ -56,7 +56,7 @@ use nfs3::results::{
 };
 
 use crate::block_cache::{BlockCache, Tag, WritePolicy};
-use crate::cas::{Blob, BrokenPin, ContentStore, DedupTel, DedupTuning};
+use crate::cas::{Blob, BrokenPin, DedupTel, DedupTuning};
 use crate::channel::{
     self, batchable, chanproc, chunk_ranges, decode_args_file, read_blob_reply, BlobArgs,
     ChannelClient, ChunkArgs, GossipDigests, RecipeArgs, RecipeFetch, CHANNEL_PROGRAM, CHANNEL_V1,
@@ -69,6 +69,7 @@ use crate::fleet::FleetTuning;
 use crate::identity::IdentityMapper;
 use crate::meta::{is_meta_name, meta_name_for, MetaFile};
 use crate::transfer::TransferTuning;
+use crate::volume::CacheVolume;
 
 /// Proxy configuration — middleware sets these per user / per application.
 #[derive(Debug, Clone)]
@@ -82,9 +83,9 @@ pub struct ProxyConfig {
     /// Overlapped-WAN-transfer knobs: file-channel chunking, flush
     /// write-back window, sequential read-ahead depth.
     pub transfer: TransferTuning,
-    /// Content-addressed redundancy elimination knobs. With
-    /// [`DedupTuning::off()`] every WAN path behaves exactly as before
-    /// the CAS existed (byte-for-byte identical reports).
+    /// Content-addressed redundancy elimination: [`CacheVolume::new`]
+    /// builds the CAS from it. With [`DedupTuning::off()`] every WAN path
+    /// behaves as before the CAS existed (byte-identical reports).
     pub dedup: DedupTuning,
     /// Fleet preset (blob batching + write-back queue cap, then digest
     /// gossip). [`FleetTuning::off()`], the default, leaves every path
@@ -279,10 +280,10 @@ impl PxTel {
     }
 }
 
-/// A channel reply cache with the same bounded discipline as
-/// [`ContentStore`]: a monotonic touch stamp drives deterministic
-/// least-recently-touched eviction, and the stored reply bytes never
-/// exceed the byte budget. One type behind both caches: chunk replies by
+/// A channel reply cache with the same bounded discipline as the
+/// [`ContentStore`](crate::cas::ContentStore): a monotonic touch stamp
+/// drives deterministic least-recently-touched eviction, and the stored
+/// reply bytes never exceed the byte budget. One type behind both caches: chunk replies by
 /// (file, offset, count), recipe replies by (file, chunk size). Blob
 /// replies need no cache of their own: a relay answers them out of its
 /// CAS.
@@ -392,7 +393,6 @@ const _: () = assert!(GOSSIP_BATCH <= MAX_GOSSIP_DIGESTS);
 #[derive(Default)]
 struct ProxyState {
     meta: HashMap<FileKey, Option<Rc<MetaFile>>>,
-    sizes: HashMap<FileKey, u64>,
     /// Single-flight guard ([`Proxy::join_or_claim`]): fetches in
     /// progress, each with the signal its waiters park on. Concurrent
     /// READ misses on the same file (the kernel client's parallel read
@@ -416,12 +416,6 @@ struct ProxyState {
     /// back to the count from before its insert when a block becomes
     /// `Prefetched` (`reclaim_wasted_prefetches`).
     prefetched_checked_at: u64,
-    /// Degraded-mode write-back retry queue: dirty blocks whose upstream
-    /// WRITE (or the covering COMMIT) failed. Flush drains it with
-    /// bounded-backoff retry rounds; until then the bytes live here
-    /// instead of being dropped. BTreeMap: drained in deterministic
-    /// order (lint: determinism).
-    wb_queue: BTreeMap<Tag, SharedBytes>,
     /// Per-block digest + write verifier upstream last *durably*
     /// acknowledged (WRITE and COMMIT verifiers agreed, RFC 1813
     /// §3.3.7). A later flush finding the same digest under the same
@@ -538,17 +532,13 @@ struct WbSink {
     // Shared: detached prefetch workers share the state (critical
     // sections stay short — no suspends under it).
     state: Shared<ProxyState>,
-    /// The file cache and the channel that fills and flushes it.
-    files: Option<(Rc<FileCache>, ChannelClient)>,
-    /// Block size of the attached block cache (32 KB until one is).
+    /// What the proxy keeps on its disk: the caches, the CAS (dedup is
+    /// on iff there is one), the parked blocks and the file sizes.
+    vol: CacheVolume,
+    /// The channel that fills and flushes the volume's file cache.
+    chan: Option<ChannelClient>,
+    /// Block size of the volume's block cache (32 KB without one).
     bs: u64,
-    /// Whether dedup is on: flush sends are digested and may be skipped.
-    dedup: bool,
-    /// CPU-cost model for the proxy's own digest/codec work (flush-side
-    /// digesting, blob verification). Mirrors the channel client's model
-    /// when a file channel is attached, so dedup CPU is priced the same
-    /// on every path.
-    codec: CodecModel,
     /// Chunk size and window of file uploads.
     transfer: TransferTuning,
     ttel: TransferTel,
@@ -574,19 +564,21 @@ impl WbSink {
         }
     }
 
-    /// Park a failed write-back on the retry queue, enforcing the fleet
-    /// cap. Must run under the state lock (takes `&mut ProxyState`);
-    /// shedding is deterministic (lowest tag in `BTreeMap` order first).
-    fn park(&self, st: &mut ProxyState, tag: Tag, data: SharedBytes) {
+    /// Park a failed write-back on the volume's retry queue, enforcing
+    /// the fleet cap. Shedding is deterministic (lowest tag in `BTreeMap`
+    /// order first).
+    fn park(&self, tag: Tag, data: SharedBytes) {
         self.wb_queued.inc();
-        st.wb_queue.insert(tag, data);
+        let mut ledger = self.vol.ledger.lock();
+        let parked = &mut ledger.parked;
+        parked.insert(tag, data);
         // Bounded memory beats durability of the oldest parked block
         // under a sustained upstream outage; the shed is surfaced via
         // telemetry rather than silently dropped.
-        if self.capped && st.wb_queue.len() > WB_QUEUE_CAP && st.wb_queue.pop_first().is_some() {
+        if self.capped && parked.len() > WB_QUEUE_CAP && parked.pop_first().is_some() {
             self.shed.inc();
         }
-        let depth = st.wb_queue.len() as u64;
+        let depth = parked.len() as u64;
         let seen = self.high_water.get();
         if depth > seen {
             self.high_water.add(depth - seen);
@@ -596,16 +588,13 @@ impl WbSink {
     /// Best known size of a file: local override (absorbed writes), then
     /// meta-data, then the file cache.
     fn known_size(&self, key: FileKey) -> Option<u64> {
-        {
-            let st = self.state.lock();
-            if let Some(s) = st.sizes.get(&key) {
-                return Some(*s);
-            }
-            if let Some(Some(m)) = st.meta.get(&key) {
-                return Some(m.file_size);
-            }
+        if let Some(s) = self.vol.ledger.lock().sizes.get(&key) {
+            return Some(*s);
         }
-        self.files.as_ref().and_then(|(fc, _)| fc.size_of(key))
+        if let Some(Some(m)) = self.state.lock().meta.get(&key) {
+            return Some(m.file_size);
+        }
+        self.vol.file_cache.as_ref().and_then(|fc| fc.size_of(key))
     }
 
     /// The one way a dirty block leaves the proxy: WRITE `blocks` of file
@@ -632,7 +621,7 @@ impl WbSink {
     ) -> (Vec<WriteBackSlot>, Vec<SkipCandidate>) {
         let bs = self.bs;
         let size = self.known_size(key);
-        let may_skip = self.dedup && stable == StableHow::Unstable;
+        let may_skip = self.vol.cas.is_some() && stable == StableHow::Unstable;
         // Every block that may skip is digested once here, *outside* the
         // state lock (digesting suspends; no suspend may run under a
         // lock), at the codec's digest throughput — the CPU price the
@@ -653,7 +642,7 @@ impl WbSink {
                 }
             }
             let d = may_skip.then(|| {
-                env.sleep(self.codec.digest_time(data.len() as u64));
+                env.sleep(CodecModel::default().digest_time(data.len() as u64));
                 digest::digest(&data)
             });
             clipped.push((block, data, d));
@@ -718,7 +707,7 @@ impl WbSink {
                 self.written_back.inc();
             } else {
                 self.recovered_errors.inc();
-                self.park(&mut self.state.lock(), tag, payload);
+                self.park(tag, payload);
             }
         }
     }
@@ -746,7 +735,7 @@ impl WbSink {
     /// `false` the caller keeps the payload for a retry round.
     fn upload_file(&self, env: &Env, up: &PendingUpload, report: &mut FlushReport) -> bool {
         let (key, dirty, digest) = up;
-        let Some((fc, chan)) = &self.files else {
+        let (Some(fc), Some(chan)) = (&self.vol.file_cache, &self.chan) else {
             return false;
         };
         // Dedup: a dirty file rewritten with the exact bytes upstream
@@ -847,19 +836,15 @@ impl GossipCtl {
 /// into an [`oncrpc::Listener`].
 pub struct Proxy {
     cfg: ProxyConfig,
-    block_cache: Option<Rc<BlockCache>>,
     identity: Option<Rc<IdentityMapper>>,
     tel: PxTel,
-    /// Content-addressed store over the chunks this proxy fetched for
-    /// itself or relayed for a proxy below it (present iff
-    /// `cfg.dedup.enabled`).
-    cas: Option<Rc<ContentStore>>,
     /// Per-instance write verifier returned in absorbed WRITE/COMMIT
     /// replies (write-back mode answers both locally, so it speaks for
     /// the stability of its own cache disk).
     write_verf: u64,
-    /// The way out for dirty data, with the upstream client, caches'
-    /// channel and transfer/dedup telemetry the read side shares with it.
+    /// The way out for dirty data, with the upstream client, the volume,
+    /// its channel and transfer/dedup telemetry the read side shares
+    /// with it.
     wb: WbSink,
     /// Upstream batch envelopes issued by fleet blob coalescing, and the
     /// sub-calls they carried (`items / batches` = achieved coalescing
@@ -910,10 +895,12 @@ fn tag_of(key: FileKey, block: u64) -> Tag {
 }
 
 impl Proxy {
-    /// Build a proxy forwarding to `upstream`. Counters register in the
-    /// telemetry registry of the simulation the upstream channel belongs
-    /// to, under `gvfs/<cfg.name>.*`.
-    pub fn new(cfg: ProxyConfig, upstream: RpcClient) -> Self {
+    /// Build a proxy over `volume` forwarding to `upstream`, which also
+    /// carries the channel that fills the volume's file cache. Counters
+    /// register in the telemetry registry of the simulation the upstream
+    /// channel belongs to, under `gvfs/<cfg.name>.*`. A proxy built over
+    /// a volume another proxy used resumes everything on it.
+    pub fn new(cfg: ProxyConfig, upstream: RpcClient, volume: &CacheVolume) -> Self {
         let registry = upstream.channel().handle().telemetry().clone();
         let tel = PxTel::register(registry, &cfg.name);
         // Per-instance seed for the write verifier (RFC 1813 requires the
@@ -926,12 +913,9 @@ impl Proxy {
         };
         let cow_installs = counter("cow.ref_installs");
         let cow_pin_blocked = counter("cas.pin_blocked_evictions");
-        let cas = cfg.dedup.enabled.then(|| {
-            let store = ContentStore::new(cfg.dedup.cas_bytes)
-                .with_broken_pin_counter(tel.recovered_errors.clone())
-                .with_pin_blocked_counter(cow_pin_blocked.clone());
-            Rc::new(store)
-        });
+        if let Some(cas) = &volume.cas {
+            cas.count_into(cow_pin_blocked.clone(), tel.recovered_errors.clone());
+        }
         // The fleet presets bound the write-back retry queue along with
         // batching blob misses.
         let batching = cfg.fleet.batching();
@@ -940,7 +924,7 @@ impl Proxy {
         // as the store peer fetches are served from, so it is inert
         // without dedup (same dependency as batching).
         let gossip = GossipCtl {
-            peers: (cfg.fleet.gossip() && cfg.dedup.enabled).then(Shared::default),
+            peers: (cfg.fleet.gossip() && volume.cas.is_some()).then(Shared::default),
             rounds: counter("gossip.rounds"),
             digests_learned: counter("gossip.digests_learned"),
             peer_hits: counter("gossip.peer_hits"),
@@ -949,13 +933,16 @@ impl Proxy {
             peer_served: counter("gossip.peer_served"),
         };
         let state = Shared::new(ProxyState::default());
+        let chan = ChannelClient::new(upstream.clone(), CodecModel::default());
         let wb = WbSink {
             upstream,
             state: state.clone(),
-            files: None,
-            bs: 32 * 1024,
-            dedup: cfg.dedup.enabled,
-            codec: CodecModel::default(),
+            vol: volume.clone(),
+            chan: volume.file_cache.is_some().then_some(chan),
+            bs: volume
+                .block_cache
+                .as_ref()
+                .map_or(32 << 10, |bc| bc.config().block_size) as u64,
             transfer: cfg.transfer,
             ttel: TransferTel::register(&tel.registry, "gvfs", &tel.inst),
             dtel: DedupTel::register(&tel.registry, &tel.inst),
@@ -968,10 +955,8 @@ impl Proxy {
         };
         Proxy {
             cfg,
-            block_cache: None,
             identity: None,
             tel,
-            cas,
             write_verf,
             wb,
             fleet_batches,
@@ -980,20 +965,6 @@ impl Proxy {
             cow_pin_blocked,
             state,
         }
-    }
-
-    /// Attach a block-based disk cache.
-    pub fn with_block_cache(mut self, cache: Rc<BlockCache>) -> Self {
-        self.wb.bs = cache.config().block_size as u64;
-        self.block_cache = Some(cache);
-        self
-    }
-
-    /// Attach a file cache and the channel client used to fill it.
-    pub fn with_file_channel(mut self, cache: Rc<FileCache>, chan: ChannelClient) -> Self {
-        self.wb.codec = *chan.codec();
-        self.wb.files = Some((cache, chan));
-        self
     }
 
     /// Attach identity mapping (server-side proxies).
@@ -1035,30 +1006,10 @@ impl Proxy {
         }
     }
 
-    /// Dirty blocks currently parked on the write-back retry queue.
-    pub fn wb_queue_len(&self) -> usize {
-        self.state.lock().wb_queue.len()
-    }
-
     /// `(envelopes, sub-calls)` issued by fleet blob coalescing (their
     /// ratio is the achieved batching factor); zeros when batching is off.
     pub fn fleet_batch_stats(&self) -> (u64, u64) {
         (self.fleet_batches.0.get(), self.fleet_batches.1.get())
-    }
-
-    /// The content-addressed store, when dedup is enabled.
-    pub fn content_store(&self) -> Option<&Rc<ContentStore>> {
-        self.cas.as_ref()
-    }
-
-    /// The attached block cache, if any.
-    pub fn block_cache(&self) -> Option<&Rc<BlockCache>> {
-        self.block_cache.as_ref()
-    }
-
-    /// The attached file cache, if any.
-    pub fn file_cache(&self) -> Option<&Rc<FileCache>> {
-        self.wb.files.as_ref().map(|(cache, _)| cache)
     }
 
     // -- forwarding ---------------------------------------------------------
@@ -1147,8 +1098,8 @@ impl Proxy {
     }
 
     fn bump_size(&self, key: FileKey, end: u64) {
-        let mut st = self.state.lock();
-        let e = st.sizes.entry(key).or_insert(0);
+        let mut ledger = self.wb.vol.ledger.lock();
+        let e = ledger.sizes.entry(key).or_insert(0);
         *e = (*e).max(end);
     }
 
@@ -1158,7 +1109,7 @@ impl Proxy {
     /// have mutated the server copy, the old ack can no longer justify
     /// a dedup skip (A-B-A).
     fn invalidate_acked_range(&self, key: FileKey, offset: u64, len: u64) {
-        if self.cas.is_none() || len == 0 {
+        if self.wb.vol.cas.is_none() || len == 0 {
             return;
         }
         let bs = self.wb.bs;
@@ -1213,7 +1164,7 @@ impl Proxy {
         let key = a.file.0;
 
         // 1. File cache ("read locally" of an installed file).
-        if let Some((fc, _)) = &self.wb.files {
+        if let Some(fc) = &self.wb.vol.file_cache {
             if let Some(reply) = self.file_cache_read(env, xid, fc, &a) {
                 return reply;
             }
@@ -1226,7 +1177,7 @@ impl Proxy {
         };
 
         // 2. File channel: fetch the whole file on first access.
-        if let (Some(m), Some((fc, chan))) = (&meta, &self.wb.files) {
+        if let (Some(m), Some(fc), Some(chan)) = (&meta, &self.wb.vol.file_cache, &self.wb.chan) {
             if m.channel.is_some() {
                 if let Some(reply) = self.read_via_channel(c, &a, m, fc, chan) {
                     return reply;
@@ -1256,7 +1207,7 @@ impl Proxy {
         // without it only the 1-in-4 block-aligned read ever hits, and a
         // prefetched block pays for 32 KB of WAN transfer but saves only
         // 8 KB of forwards.
-        if let Some(bc) = &self.block_cache {
+        if let Some(bc) = &self.wb.vol.block_cache {
             let bs = bc.config().block_size as u64;
             let in_block = a.offset % bs;
             if in_block + a.count as u64 <= bs {
@@ -1430,7 +1381,7 @@ impl Proxy {
         chan: &ChannelClient,
     ) -> Result<u64, channel::ChannelError> {
         let t = &self.cfg.transfer;
-        if let Some(cas) = &self.cas {
+        if let Some(cas) = &self.wb.vol.cas {
             let rq = RecipeFetch {
                 recipe_hint: m.content_map.as_ref(),
                 chunk_bytes: t.chunk_bytes,
@@ -1555,7 +1506,7 @@ impl Proxy {
         if depth == 0 {
             return;
         }
-        let Some(bc) = self.block_cache.clone() else {
+        let Some(bc) = self.wb.vol.block_cache.clone() else {
             return;
         };
         let zero_map = meta.and_then(|m| m.zero_map.as_ref());
@@ -1677,7 +1628,7 @@ impl Proxy {
         // File-cache resident files absorb writes there (dirty upload on
         // flush). A write that needs a chunk behind a broken CAS pin
         // fails with `NFS3ERR_IO` and changes nothing.
-        if let Some((fc, _)) = &self.wb.files {
+        if let Some(fc) = &self.wb.vol.file_cache {
             match fc.write(env, key, a.offset, a.data) {
                 Ok(true) => {
                     self.bump_size(key, a.offset + a.data.len() as u64);
@@ -1699,7 +1650,7 @@ impl Proxy {
             if self.cfg.write_policy != WritePolicy::WriteBack {
                 break 'write_back;
             }
-            let Some(bc) = self.block_cache.as_ref() else {
+            let Some(bc) = self.wb.vol.block_cache.as_ref() else {
                 self.tel.recovered_errors.inc();
                 break 'write_back;
             };
@@ -1714,12 +1665,13 @@ impl Proxy {
                 let chunk = &a.data[(pos - a.offset) as usize..(pos - a.offset) as usize + take];
                 let tag = tag_of(key, block);
                 if !bc.update(env, tag, boff, chunk, true) {
-                    // Absent frame. Full-block writes insert directly;
-                    // partial writes within the current file need
-                    // read-modify-write from upstream first.
+                    // Absent frame. Full-block writes and writes past a
+                    // known EOF insert directly; any other partial write
+                    // (also one of unknown size: a zero-filled head would
+                    // reach the origin) reads-modifies-writes upstream.
                     let full = boff == 0 && take as u64 == bs;
-                    let existing_size = self.wb.known_size(key).unwrap_or(0);
-                    if full || bstart >= existing_size {
+                    let past_eof = self.wb.known_size(key).is_some_and(|s| bstart >= s);
+                    if full || past_eof {
                         let mut data = Vec::with_capacity(boff + take);
                         data.resize(boff, 0);
                         data.extend_from_slice(chunk);
@@ -1753,7 +1705,7 @@ impl Proxy {
         }
 
         // Write-through: keep the cache coherent, then forward.
-        if let Some(bc) = &self.block_cache {
+        if let Some(bc) = &self.wb.vol.block_cache {
             let bs = bc.config().block_size as u64;
             if a.offset % bs == 0 && a.data.len() as u64 <= bs {
                 let tag = tag_of(key, a.offset / bs);
@@ -1798,11 +1750,9 @@ impl Proxy {
             Err(_) => return reply,
         };
         let key = fh.0;
-        let override_size = {
-            let st = self.state.lock();
-            st.sizes.get(&key).copied()
-        };
-        let fc_size = self.wb.files.as_ref().and_then(|(fc, _)| fc.size_of(key));
+        let override_size = self.wb.vol.ledger.lock().sizes.get(&key).copied();
+        let fc = self.wb.vol.file_cache.as_ref();
+        let fc_size = fc.and_then(|fc| fc.size_of(key));
         let local = match (override_size, fc_size) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
@@ -1828,7 +1778,7 @@ impl Proxy {
     }
 
     fn handle_commit(&self, c: Call<'_>, args: xdr::Bytes) -> RpcMessage {
-        if self.cfg.write_policy == WritePolicy::WriteBack && self.block_cache.is_some() {
+        if self.cfg.write_policy == WritePolicy::WriteBack && self.wb.vol.block_cache.is_some() {
             // Data is stable on the proxy's local cache disk; the real
             // upstream flush happens on a middleware signal.
             return RpcMessage::success(c.xid, encode_commit(None, self.write_verf));
@@ -1960,11 +1910,12 @@ impl Proxy {
         // retry rounds.
         let uploaded: Shared<(FlushReport, Vec<PendingUpload>)> = Shared::default();
         let mut upload_files = None;
-        if let Some((fc, _)) = &self.wb.files {
+        if let Some(fc) = &self.wb.vol.file_cache {
             let dirty_files = fc.dirty_files();
             if !dirty_files.is_empty() {
                 let (fc, sink, out) = (fc.clone(), self.wb.clone(), uploaded.clone());
-                let cow_on = self.cfg.cow.enabled && sink.dedup;
+                let dedup = sink.vol.cas.is_some();
+                let cow_on = self.cfg.cow.enabled && dedup;
                 upload_files = Some(move |env: &Env| {
                     let (mut sent, mut failed) = (FlushReport::default(), Vec::new());
                     for key in dirty_files {
@@ -1991,13 +1942,13 @@ impl Proxy {
                                 total, full_digest, ..
                             } => (*total, Some(*full_digest)),
                             DirtyFile::Whole(c) => {
-                                (c.len() as u64, sink.dedup.then(|| digest::digest(c)))
+                                (c.len() as u64, dedup.then(|| digest::digest(c)))
                             }
                         };
                         // The digest is charged at codec throughput — the
                         // same CPU the fetch path pays per verified blob.
                         if d.is_some() {
-                            env.sleep(sink.codec.digest_time(total));
+                            env.sleep(CodecModel::default().digest_time(total));
                         }
                         let mut up = (key, dirty, d);
                         if sink.upload_file(env, &up, &mut sent) {
@@ -2038,9 +1989,9 @@ impl Proxy {
         // still parked on the retry queue from earlier failed evictions
         // or a previous degraded flush.
         let mut pending: DirtyByFile = BTreeMap::new();
-        if let Some(bc) = &self.block_cache {
+        if let Some(bc) = &self.wb.vol.block_cache {
             let dirty = bc.take_dirty(env);
-            let mut blocks = { std::mem::take(&mut self.state.lock().wb_queue) };
+            let mut blocks = { std::mem::take(&mut self.wb.vol.ledger.lock().parked) };
             self.tel.wb_drained.add(blocks.len() as u64);
             // A fresher dirty copy of the same block wins. Tag order is
             // file, then block: each file's run comes out sorted.
@@ -2081,8 +2032,7 @@ impl Proxy {
             for (block, data) in blocks {
                 report.failed_blocks += 1;
                 report.failed_block_bytes += data.len() as u64;
-                self.wb
-                    .park(&mut self.state.lock(), tag_of(key, block), data);
+                self.wb.park(tag_of(key, block), data);
             }
         }
         for (key, ..) in failed_files {
@@ -2090,7 +2040,7 @@ impl Proxy {
             // The contents are still resident in the file cache; re-mark
             // the file dirty so the next flush retries the upload (the
             // synced digest stays cleared until an upload completes).
-            if let Some((fc, _)) = &self.wb.files {
+            if let Some(fc) = &self.wb.vol.file_cache {
                 fc.mark_dirty(key);
             }
         }
@@ -2098,15 +2048,10 @@ impl Proxy {
         // Wasted-prefetch reconciliation piggybacks on the flush signal,
         // so the counter converges even when no further misses
         // re-trigger `maybe_prefetch`.
-        if let Some(bc) = &self.block_cache {
+        if let Some(bc) = &self.wb.vol.block_cache {
             let wasted = reclaim_wasted_prefetches(&mut self.state.lock(), bc);
             self.tel.prefetch_wasted.add(wasted);
         }
-        // Size overrides deliberately survive the flush: `known_size` is
-        // consulted by later write-backs and GETATTR patching, and the
-        // meta-data fallback still reports the pre-session file size.
-        // Clearing here made a post-flush eviction truncate its payload
-        // to the stale meta size, silently dropping appended bytes.
         report
     }
 
@@ -2199,7 +2144,7 @@ impl Proxy {
     /// upstream: the requester owns the fallback, so two shards can never
     /// ping-pong or double-fetch a miss.
     fn handle_channel_blob_peer(&self, env: &Env, xid: u32, args: &[u8]) -> RpcMessage {
-        let (Some(cas), Some(_)) = (&self.cas, &self.gossip.peers) else {
+        let (Some(cas), Some(_)) = (&self.wb.vol.cas, &self.gossip.peers) else {
             return RpcMessage::accept_error(xid, AcceptStat::ProcUnavail);
         };
         let Ok(BlobArgs { want, .. }) = xdr::from_bytes(args) else {
@@ -2248,7 +2193,8 @@ impl Proxy {
         let fetched = channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args)
             .ok()
             .and_then(|results| {
-                let (blob, ..) = read_blob_reply(env, &self.wb.codec, &results, want).ok()?;
+                let (blob, ..) =
+                    read_blob_reply(env, &CodecModel::default(), &results, want).ok()?;
                 Some((blob, results))
             });
         if let Some((blob, _)) = &fetched {
@@ -2268,7 +2214,7 @@ impl Proxy {
 
     fn handle_channel(&self, c: Call<'_>, proc: u32, args: xdr::Bytes) -> RpcMessage {
         let Call { env, xid, .. } = c;
-        let dedup = self.cas.is_some();
+        let dedup = self.wb.vol.cas.is_some();
         match proc {
             // Second-level caching for the chunked channel: each
             // compressed chunk reply is replayed from local state, so an
@@ -2339,7 +2285,7 @@ impl Proxy {
     /// first serve after a batch round is the original requester — its
     /// bytes DID cross once, so `batch_uncounted` excludes it.)
     fn cached_blob(&self, env: &Env, want: Digest) -> Option<Vec<u8>> {
-        let (len, packed) = self.cas.as_ref()?.get_packed(&want)?;
+        let (len, packed) = self.wb.vol.cas.as_ref()?.get_packed(&want)?;
         let count_hit = !self.state.lock().batch_uncounted.remove(&want);
         env.sleep(PER_OP_CPU);
         if count_hit {
@@ -2354,7 +2300,7 @@ impl Proxy {
     /// after a batch round, marking it uncounted for its original
     /// requester), then wake that digest's waiters.
     fn land_blob(&self, want: Digest, verified: Option<Blob>, from_batch: bool) {
-        if let (Some(blob), Some(cas)) = (verified, &self.cas) {
+        if let (Some(blob), Some(cas)) = (verified, &self.wb.vol.cas) {
             cas.insert_blob(blob, false);
             let mut st = self.state.lock();
             if from_batch {
@@ -2417,7 +2363,7 @@ impl Proxy {
         // Decompression and digesting are charged at codec throughput,
         // like the client-side verification.
         let verified = success_results(&reply)
-            .and_then(|results| read_blob_reply(env, &self.wb.codec, results, want).ok())
+            .and_then(|results| read_blob_reply(env, &CodecModel::default(), results, want).ok())
             .map(|(blob, ..)| blob);
         self.land_blob(want, verified, false);
         reply
@@ -2488,7 +2434,9 @@ impl Proxy {
             // Ok whose payload actually hashes to the requested digest
             // may be keyed by it.
             let verified = result
-                .and_then(|results| read_blob_reply(env, &self.wb.codec, &results, *want).ok())
+                .and_then(|results| {
+                    read_blob_reply(env, &CodecModel::default(), &results, *want).ok()
+                })
                 .map(|(blob, ..)| blob);
             self.land_blob(*want, verified, true);
         }
@@ -2514,6 +2462,7 @@ impl Proxy {
         // Phase 1: the CAS is asked first and the state lock taken once
         // after it — nothing suspends in between, so no other handler
         // can land or claim a digest in the gap.
+        let cas = self.wb.vol.cas.as_ref();
         let uncached: Vec<(Digest, &[u8])> = items
             .iter()
             .filter(|item| item.proc == chanproc::FETCH_BLOBS)
@@ -2521,7 +2470,7 @@ impl Proxy {
                 let BlobArgs { want, .. } = xdr::from_bytes(&item.args).ok()?;
                 Some((want, item.args.as_slice()))
             })
-            .filter(|(want, _)| !self.cas.as_ref().is_some_and(|cas| cas.contains(want)))
+            .filter(|(want, _)| !cas.is_some_and(|cas| cas.contains(want)))
             .collect();
         let fresh: Vec<(Digest, xdr::Bytes)> = {
             let mut st = self.state.lock();
@@ -2704,7 +2653,10 @@ mod tests {
                 cow,
                 ..ProxyConfig::default()
             };
-            let _proxy = Proxy::new(cfg, RpcClient::new(ep.channel, oncrpc::OpaqueAuth::none()));
+            let disk = vfs::Disk::new(&h, vfs::DiskModel::scsi_2004());
+            let volume = CacheVolume::new(&h, disk, &cfg, None, None);
+            let upstream = RpcClient::new(ep.channel, oncrpc::OpaqueAuth::none());
+            let _proxy = Proxy::new(cfg, upstream, &volume);
             h.telemetry()
                 .snapshot()
                 .counters

@@ -7,9 +7,9 @@
 //! * [`ImageServer::start`] — the image-server machine: kernel NFS
 //!   server, MOUNT and the file-channel program on a loopback endpoint,
 //!   fronted by the identity-mapping server-side proxy.
-//! * [`Tier::start`] — one proxy tier over its cache disk, listening on
-//!   a link pair: a compute host's client-side proxy, a LAN second-level
-//!   cache and a fleet shard are the same call.
+//! * [`Tier::start`] — one proxy tier over its [`CacheVolume`],
+//!   listening on a link pair: a compute host's client-side proxy, a LAN
+//!   second-level cache and a fleet shard are the same call.
 //! * [`Middleware::start_session`] — a user's session on a compute
 //!   host: a short-lived identity registered with the server-side proxy
 //!   plus the client-side tier. The [`GvfsSession`] later drives
@@ -32,16 +32,16 @@ use simnet::Shared;
 use simnet::{Env, Link, Resource, SimDuration, SimHandle};
 use vfs::{Disk, DiskModel, Fs};
 
-use crate::block_cache::{BlockCache, BlockCacheConfig, WritePolicy};
+use crate::block_cache::{BlockCacheConfig, WritePolicy};
 use crate::cas::DedupTuning;
-use crate::channel::{ChannelClient, FileChannelServer};
+use crate::channel::FileChannelServer;
 use crate::codec::CodecModel;
-use crate::file_cache::FileCache;
 use crate::identity::{IdentityMapper, MappedAccount};
 use crate::meta::{
     generate_content_map, generate_zero_map, meta_name_for, FileChannelSpec, MetaFile,
 };
 use crate::proxy::{FlushReport, Proxy, ProxyConfig};
+use crate::volume::CacheVolume;
 
 /// Chunk granularity for middleware-generated content maps (matches the
 /// channel's transfer chunk so recipe records line up with `FETCH_BLOBS`
@@ -155,11 +155,12 @@ impl Middleware {
 
     /// Start `grid_user`'s session on a compute host: establish the
     /// identity with `mapper` (the image server's), then start the
-    /// client-side tier — `cfg`, `block` and `file_bytes` as in
-    /// [`Tier::build`] — on a fresh local disk and the host's loopback.
-    /// `upstream` is the stub toward the next hop (the image server, or a
-    /// LAN tier in front of it) with whatever retransmission policy it
-    /// carries; its credential is replaced by the session's.
+    /// client-side tier on the host's loopback, over a volume on a fresh
+    /// local disk (`cfg`, `block` and `file_bytes` as in
+    /// [`CacheVolume::new`]). `upstream` is the stub toward the next hop
+    /// (the image server, or a LAN tier in front of it) with whatever
+    /// retransmission policy it carries; its credential is replaced by the
+    /// session's.
     pub fn start_session(
         &self,
         mapper: &Rc<IdentityMapper>,
@@ -171,16 +172,17 @@ impl Middleware {
     ) -> GvfsSession {
         let h = upstream.channel().handle().clone();
         let (session_id, cred) = self.establish_session(mapper, grid_user);
-        let cache_disk = Disk::new(&h, DiskModel::scsi_2004());
+        let disk = Disk::new(&h, DiskModel::scsi_2004());
         let upstream = upstream.with_cred(cred.clone());
         let listen = Listen::loopback(&h);
-        let tier = Tier::start(cfg, block, file_bytes, &cache_disk, upstream, listen);
+        let volume = CacheVolume::new(&h, disk, &cfg, block, file_bytes);
+        let tier = Tier::start(cfg, &volume, upstream, listen);
         GvfsSession {
             session_id,
             cred,
             proxy: tier.proxy,
             channel: tier.channel,
-            cache_disk,
+            volume,
             mapper: mapper.clone(),
         }
     }
@@ -226,6 +228,17 @@ impl ImageServer {
         proxied: bool,
     ) -> ImageServer {
         let disk = Disk::new(h, DiskModel::server_array());
+        let srv_cfg = ProxyConfig {
+            name: "server-proxy".into(),
+            write_policy: WritePolicy::WriteThrough,
+            meta_handling: false,
+            // The server-side proxy sits on the server's own LAN; a CAS
+            // there can never avoid WAN bytes.
+            dedup: DedupTuning::off(),
+            ..ProxyConfig::default()
+        };
+        // Identity mapping is all it does: its volume holds nothing.
+        let srv_volume = CacheVolume::new(h, disk.clone(), &srv_cfg, None, None);
         let (fs, server) = Nfs3Server::with_new_fs(
             h,
             disk.clone(),
@@ -255,16 +268,9 @@ impl ImageServer {
             );
             lo.listener.serve("nfsd", nfsd, 8);
             let srv_proxy = Proxy::new(
-                ProxyConfig {
-                    name: "server-proxy".into(),
-                    write_policy: WritePolicy::WriteThrough,
-                    meta_handling: false,
-                    // The server-side proxy sits on the server's own
-                    // LAN; a CAS there can never avoid WAN bytes.
-                    dedup: DedupTuning::off(),
-                    ..ProxyConfig::default()
-                },
+                srv_cfg,
                 RpcClient::new(lo.channel, OpaqueAuth::none()),
+                &srv_volume,
             )
             .with_identity(mapper.clone())
             .into_handler();
@@ -332,47 +338,17 @@ pub struct Tier {
 }
 
 impl Tier {
-    /// Build a tier's proxy over its caches on `disk`, without a
-    /// listener: `block` attaches a block cache of that geometry,
-    /// `file_bytes` a file cache of that capacity plus a channel client
-    /// that shares the proxy's `upstream` stub (and so its credential
-    /// and retransmission policy). For the caller that serves the proxy
-    /// itself, e.g. behind a recording tap; everyone else wants
-    /// [`Tier::start`].
-    pub fn build(
-        cfg: ProxyConfig,
-        block: Option<BlockCacheConfig>,
-        file_bytes: Option<u64>,
-        disk: &Disk,
-        upstream: RpcClient,
-    ) -> Rc<Proxy> {
-        let h = upstream.channel().handle().clone();
-        let mut proxy = Proxy::new(cfg, upstream.clone());
-        if let Some(geometry) = block {
-            proxy = proxy.with_block_cache(Rc::new(BlockCache::new(&h, disk.clone(), geometry)));
-        }
-        if let Some(bytes) = file_bytes {
-            proxy = proxy.with_file_channel(
-                Rc::new(FileCache::new(disk.clone(), bytes)),
-                ChannelClient::new(upstream, CodecModel::default()),
-            );
-        }
-        proxy.into_handler()
-    }
-
-    /// [`Tier::build`], then serve the proxy on `listen` with worker
-    /// processes named after `cfg.name`.
+    /// A proxy over `volume` (see [`Proxy::new`]) served on `listen` with
+    /// worker processes named after `cfg.name`.
     pub fn start(
         cfg: ProxyConfig,
-        block: Option<BlockCacheConfig>,
-        file_bytes: Option<u64>,
-        disk: &Disk,
+        volume: &CacheVolume,
         upstream: RpcClient,
         listen: Listen,
     ) -> Tier {
         let h = upstream.channel().handle().clone();
         let name = cfg.name.clone();
-        let proxy = Tier::build(cfg, block, file_bytes, disk, upstream);
+        let proxy = Proxy::new(cfg, upstream, volume).into_handler();
         let ep = oncrpc::endpoint(&h, listen.up, listen.down, listen.wire);
         ep.listener.serve(&name, proxy.clone(), listen.workers);
         Tier {
@@ -393,9 +369,9 @@ pub struct GvfsSession {
     pub proxy: Rc<Proxy>,
     /// Loopback channel the host's kernel client mounts through.
     pub channel: RpcChannel,
-    /// The compute host's local disk, which the proxy's caches live on
-    /// (the cloning scenarios share it with the host's local I/O).
-    pub cache_disk: Disk,
+    /// What the proxy keeps on the compute host's local disk (the
+    /// cloning scenarios share that disk with the host's local I/O).
+    pub volume: CacheVolume,
     mapper: Rc<IdentityMapper>,
 }
 

@@ -13,8 +13,8 @@
 
 use gvfs::digest::digest;
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, DedupTel, FleetTuning, ImageServer, Listen,
-    ProxyConfig, RecipeFetch, Tier, WritePolicy,
+    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, FleetTuning, ImageServer,
+    Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use proptest::prelude::*;
@@ -117,17 +117,18 @@ fn run_fetch(
         Some(fleet) => {
             let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
             let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
+            let cfg = ProxyConfig {
+                name: "shard".into(),
+                write_policy: WritePolicy::WriteThrough,
+                meta_handling: false,
+                fleet,
+                ..ProxyConfig::default()
+            };
+            let disk = Disk::new(&h, DiskModel::server_array());
+            let volume = CacheVolume::new(&h, disk, &cfg, None, None);
             let tier = Tier::start(
-                ProxyConfig {
-                    name: "shard".into(),
-                    write_policy: WritePolicy::WriteThrough,
-                    meta_handling: false,
-                    fleet,
-                    ..ProxyConfig::default()
-                },
-                None,
-                None,
-                &Disk::new(&h, DiskModel::server_array()),
+                cfg,
+                &volume,
                 RpcClient::new(origin.channel, cred.clone()).with_policy(RetryPolicy::wan()),
                 Listen::plain(lan_up, lan_down),
             );

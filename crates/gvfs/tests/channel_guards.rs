@@ -25,9 +25,9 @@ use std::rc::Rc;
 use gvfs::channel::{chanproc, ChanStatus, ChannelError};
 use gvfs::meta::{generate_content_map, ContentMap};
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, Digest, FileChannelServer,
-    FileChannelSpec, FleetTuning, ImageServer, Listen, Middleware, ProxyConfig, RecipeFetch, Tier,
-    TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    CacheVolume, ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, Digest,
+    FileChannelServer, FileChannelSpec, FleetTuning, ImageServer, Listen, Middleware, ProxyConfig,
+    RecipeFetch, Tier, TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::transport::RpcHandler;
@@ -126,20 +126,22 @@ fn mutation_in_an_envelope_is_refused_by_a_batching_shard() {
 
     let lan_up = Link::new(&h, "lan-up", 1e9, SimDuration::from_micros(100));
     let lan_down = Link::new(&h, "lan-down", 1e9, SimDuration::from_micros(100));
-    let shard = Tier::start(
-        ProxyConfig {
-            name: "shard".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            fleet: FleetTuning::shard(),
-            ..ProxyConfig::default()
-        },
+    let cfg = ProxyConfig {
+        name: "shard".into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        fleet: FleetTuning::shard(),
+        ..ProxyConfig::default()
+    };
+    let volume = CacheVolume::new(
+        &h,
+        Disk::new(&h, DiskModel::server_array()),
+        &cfg,
         None,
         None,
-        &Disk::new(&h, DiskModel::server_array()),
-        RpcClient::new(wan, cred()),
-        Listen::plain(lan_up, lan_down),
     );
+    let listen = Listen::plain(lan_up, lan_down);
+    let shard = Tier::start(cfg, &volume, RpcClient::new(wan, cred()), listen);
     let rpc = RpcClient::new(shard.channel, cred());
 
     let fs2 = fs.clone();
@@ -561,23 +563,20 @@ fn a_failed_recipe_fetch_is_tried_once() {
     now[2 * CHUNK as usize] ^= 0xFF;
     fs.lock().write(fh, 0, &now, 0).unwrap();
 
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "cow-proxy".into(),
-            transfer: TransferTuning {
-                chunk_bytes: CHUNK,
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            cow: CowTuning::on(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "cow-proxy".into(),
+        transfer: TransferTuning {
+            chunk_bytes: CHUNK,
+            read_ahead: 0,
+            ..TransferTuning::default()
         },
-        None,
-        Some(64 << 20),
-        &Disk::new(&h, DiskModel::scsi_2004()),
-        RpcClient::new(wan.channel, cred()),
-        Listen::loopback(&h),
-    );
+        cow: CowTuning::on(),
+        ..ProxyConfig::default()
+    };
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, None, Some(64 << 20));
+    let upstream = RpcClient::new(wan.channel, cred());
+    let tier = Tier::start(cfg, &volume, upstream, Listen::loopback(&h));
     let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred()));
     let want = now.clone();
     sim.spawn("guest", move |env: Env| {

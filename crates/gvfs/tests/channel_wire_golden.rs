@@ -36,8 +36,8 @@ use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch, Reply};
 use gvfs::digest::{digest, Digest};
 use gvfs::meta::ContentMap;
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, FleetTuning,
-    GossipDigests, Proxy, ProxyConfig, Tier, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, FleetTuning,
+    GossipDigests, Proxy, ProxyConfig, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{
@@ -145,8 +145,10 @@ fn raw(env: &Env, rpc: &RpcClient, proc: u32, args: &[u8]) -> Option<xdr::Bytes>
 /// A cacheless proxy (nothing on its disk) over `upstream`, for the
 /// caller to serve behind a tap.
 fn cacheless(cfg: ProxyConfig, upstream: RpcClient) -> Rc<Proxy> {
-    let disk = Disk::new(upstream.channel().handle(), DiskModel::server_array());
-    Tier::build(cfg, None, None, &disk, upstream)
+    let h = upstream.channel().handle().clone();
+    let disk = Disk::new(&h, DiskModel::server_array());
+    let volume = CacheVolume::new(&h, disk, &cfg, None, None);
+    Proxy::new(cfg, upstream, &volume).into_handler()
 }
 
 fn shard(name: &str, upstream: RpcClient) -> Rc<Proxy> {

@@ -12,8 +12,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    CowTuning, FileChannelSpec, ImageServer, Listen, Middleware, Proxy, ProxyConfig, Tier,
-    TransferTuning,
+    CacheVolume, CowTuning, FileChannelSpec, ImageServer, Listen, Middleware, Proxy, ProxyConfig,
+    Tier, TransferTuning,
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
@@ -56,20 +56,21 @@ fn build_rig(sim: &Simulation, cow: CowTuning) -> Rig {
     let fs = origin.fs;
 
     let cred = OpaqueAuth::sys(&AuthSys::new("cow", 1, 1));
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "cow-proxy".into(),
-            transfer: TransferTuning {
-                chunk_bytes: CHUNK,
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            cow,
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "cow-proxy".into(),
+        transfer: TransferTuning {
+            chunk_bytes: CHUNK,
+            read_ahead: 0,
+            ..TransferTuning::default()
         },
-        None,
-        Some(256 << 20),
-        &Disk::new(&h, DiskModel::scsi_2004()),
+        cow,
+        ..ProxyConfig::default()
+    };
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, None, Some(256 << 20));
+    let tier = Tier::start(
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()).with_policy(RetryPolicy::wan()),
         Listen::loopback(&h),
     );

@@ -14,8 +14,8 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::digest::{chunk_digests, digest};
 use gvfs::{
-    BlockCacheConfig, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, Digest,
-    FileChannelServer, FileKey, ImageServer, Listen, Proxy, ProxyConfig, RecipeFetch, Tier,
+    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
+    Digest, FileChannelServer, FileKey, ImageServer, Listen, Proxy, ProxyConfig, RecipeFetch, Tier,
     TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use nfs3::{Fh3, Nfs3Client, Nfs3Server};
@@ -48,16 +48,16 @@ fn wan_origin(h: &SimHandle) -> (ImageServer, Link, Link) {
 fn lan_share(h: &SimHandle, origin: RpcChannel, cred: &OpaqueAuth) -> Tier {
     let lan_up = Link::new(h, "lan-up", 1e9, SimDuration::from_micros(100));
     let lan_down = Link::new(h, "lan-down", 1e9, SimDuration::from_micros(100));
+    let cfg = ProxyConfig {
+        name: "lan-share".into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        ..ProxyConfig::default()
+    };
+    let volume = CacheVolume::new(h, Disk::new(h, DiskModel::server_array()), &cfg, None, None);
     Tier::start(
-        ProxyConfig {
-            name: "lan-share".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            ..ProxyConfig::default()
-        },
-        None,
-        None,
-        &Disk::new(h, DiskModel::server_array()),
+        cfg,
+        &volume,
         RpcClient::new(origin, cred.clone()).with_policy(RetryPolicy::wan()),
         Listen::plain(lan_up, lan_down),
     )
@@ -98,22 +98,19 @@ fn build_rig_with(
     let (fs, server) = (origin.fs, origin.server);
 
     let cred = OpaqueAuth::sys(&AuthSys::new("dedup", 1, 1));
+    let cfg = ProxyConfig {
+        name: "dedup-proxy".into(),
+        meta_handling: false,
+        transfer,
+        dedup,
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
     let tier = Tier::start(
-        ProxyConfig {
-            name: "dedup-proxy".into(),
-            meta_handling: false,
-            transfer,
-            dedup,
-            ..ProxyConfig::default()
-        },
-        Some(BlockCacheConfig::with_capacity(
-            256 << 20,
-            64,
-            16,
-            BS as u32,
-        )),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()).with_policy(policy),
         Listen::loopback(&h),
     );
@@ -530,27 +527,28 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
     wan_down.install_faults(LinkFaultPlan::new(13).outage(ms(5_250), ms(30_000)));
 
     let cred = OpaqueAuth::sys(&AuthSys::new("dedup", 1, 1));
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "upload-proxy".into(),
-            meta_handling: false,
-            transfer: TransferTuning {
-                chunk_bytes: CHUNK,
-                channel_window: 2,
-                read_ahead: 0,
-                flush_retry_rounds: 0,
-                ..TransferTuning::default()
-            },
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "upload-proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            chunk_bytes: CHUNK,
+            channel_window: 2,
+            read_ahead: 0,
+            flush_retry_rounds: 0,
+            ..TransferTuning::default()
         },
-        None,
-        Some(256 << 20),
-        &Disk::new(&h, DiskModel::scsi_2004()),
+        ..ProxyConfig::default()
+    };
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, None, Some(256 << 20));
+    let tier = Tier::start(
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()).with_policy(tight_policy()),
         Listen::loopback(&h),
     );
     let proxy = tier.proxy;
-    let fc = proxy.file_cache().unwrap().clone();
+    let fc = volume.file_cache.as_ref().unwrap().clone();
     let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred.clone()));
 
     // Pseudo-random (incompressible) so every chunk really occupies the

@@ -1,9 +1,10 @@
 //! Failure-domain integration tests: the proxy chain must survive WAN
-//! packet loss, a multi-second WAN outage killed mid-flush, and a server
-//! restart that discards unstable writes — without losing a single
-//! acknowledged byte. Reads keep being served from the caches while the
-//! WAN is down (degraded mode), and misses fail cleanly instead of
-//! hanging forever.
+//! packet loss, a multi-second WAN outage killed mid-flush, a server
+//! restart that discards unstable writes and a restart of the proxy
+//! itself — without losing a single acknowledged byte. Reads keep being
+//! served from the caches while the WAN is down (degraded mode), and
+//! misses fail cleanly instead of hanging forever. Every test ends by
+//! auditing its volume's cache accounting at quiescence.
 
 // Test-harness code: clippy's allow-unwrap-in-tests only covers
 // #[test]-marked fns, not integration-test helpers.
@@ -12,14 +13,15 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCacheConfig, DedupTuning, FlushReport, GvfsSession, IdentityMapper, ImageServer, Listen,
-    Middleware, ProxyConfig, TransferTuning,
+    BlockCacheConfig, CacheVolume, DedupTuning, FlushReport, GvfsSession, IdentityMapper,
+    ImageServer, Listen, Middleware, Proxy, ProxyConfig, TransferTuning,
 };
 use nfs3::{Nfs3Client, Nfs3Server};
-use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient};
+use oncrpc::transport::RpcHandler;
+use oncrpc::{OpaqueAuth, RetryPolicy, RpcClient, WireSpec};
 use simnet::Shared;
 use simnet::{Env, Link, LinkFaultPlan, SimDuration, SimTime, Simulation};
-use vfs::{Fs, Handle};
+use vfs::{Disk, DiskModel, Fs, Handle};
 
 const BS: u64 = 32 * 1024;
 const BLOCKS: u64 = 32;
@@ -141,6 +143,15 @@ fn dirty_all(env: &Env, nfs: &Nfs3Client, fh: Handle) {
     nfs.commit(env, fh).unwrap();
 }
 
+/// The audit at quiescence: the byte accounting of the volume's block
+/// cache, and of its file cache where it has one.
+fn audit(volume: &CacheVolume) {
+    volume.block_cache.as_ref().unwrap().validate_accounting();
+    if let Some(fc) = volume.file_cache.as_ref() {
+        fc.validate_accounting();
+    }
+}
+
 fn assert_server_bytes_exact(fs: &Shared<Fs>, fh: Handle) {
     let mut f = fs.lock();
     for b in 0..BLOCKS {
@@ -191,11 +202,12 @@ fn flush_rides_out_wan_outage_losslessly() {
     assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
     assert_eq!(report.blocks, BLOCKS);
     assert_eq!(report.block_bytes, BLOCKS * BS);
-    assert_eq!(rig.session.proxy.wb_queue_len(), 0);
+    assert_eq!(rig.session.volume.parked_blocks(), 0);
     assert_server_bytes_exact(&rig.fs, fh);
     // The outage was actually felt: calls retransmitted and/or timed out.
     let retrans = tel.counter("rpc", "client.nfs3.retransmits").get();
     assert!(retrans > 0, "expected retransmissions, got {retrans}");
+    audit(&rig.session.volume);
 }
 
 /// The server restarts in the middle of the flush, discarding its
@@ -240,6 +252,7 @@ fn server_restart_mid_flush_resends_discarded_blocks() {
     );
     assert!(stats.flush_retry_rounds >= 1);
     assert_server_bytes_exact(&rig.fs, fh);
+    audit(&rig.session.volume);
 }
 
 /// A block cache too small for the dirty set evicts most of it before
@@ -276,18 +289,14 @@ fn evicted_dirty_blocks_survive_a_server_restart_before_the_flush() {
     sim.run();
 
     let report = out.lock().unwrap();
-    let evicted = rig
-        .session
-        .proxy
-        .block_cache()
-        .unwrap()
-        .stats()
-        .dirty_evictions;
+    let bc = rig.session.volume.block_cache.as_ref().unwrap();
+    let evicted = bc.stats().dirty_evictions;
     assert_eq!(evicted, BLOCKS - 8, "the cache must evict dirty blocks");
     assert_eq!(report.failed_blocks, 0, "no block may be lost: {report:?}");
     assert_eq!(report.blocks, 8, "the flush carries what stayed resident");
     assert_eq!(rig.session.proxy.stats().blocks_written_back, BLOCKS);
     assert_server_bytes_exact(&rig.fs, fh);
+    audit(&rig.session.volume);
 }
 
 /// Under a fleet preset the write-back retry queue is capped. A flush
@@ -349,12 +358,12 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
         env.sleep(secs(10).saturating_since(now));
         let dead = session.flush(&env);
         assert_eq!((dead.blocks, dead.failed_blocks), (0, CAP + 1));
-        assert_eq!(session.proxy.wb_queue_len() as u64, CAP);
+        assert_eq!(session.volume.parked_blocks() as u64, CAP);
         let now = env.now();
         env.sleep(secs(1000).saturating_since(now));
         let healed = session.flush(&env);
         assert_eq!((healed.blocks, healed.failed_blocks), (CAP, 0));
-        assert_eq!(session.proxy.wb_queue_len(), 0);
+        assert_eq!(session.volume.parked_blocks(), 0);
     });
     let tel = sim.handle().telemetry().clone();
     sim.run();
@@ -363,15 +372,8 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
     assert_eq!(snap.counter_sum("gvfs", ".wb_shed"), 1);
     assert_eq!(snap.counter_sum("gvfs", ".wb_high_water"), CAP);
     assert_eq!(rig.session.proxy.stats().wb_queued, CAP + 1);
-    assert_eq!(
-        rig.session
-            .proxy
-            .block_cache()
-            .unwrap()
-            .stats()
-            .dirty_evictions,
-        0
-    );
+    let bc = rig.session.volume.block_cache.as_ref().unwrap();
+    assert_eq!(bc.stats().dirty_evictions, 0);
     // Block 0 — the lowest tag — is the one that was shed.
     let mut f = rig.fs.lock();
     let first = f.read(fh, 0, SMALL as usize, 0).unwrap().0.to_vec();
@@ -380,6 +382,7 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
         let data = f.read(fh, b * SMALL, SMALL as usize, 0).unwrap().0.to_vec();
         assert_eq!(data, small_block(b), "block {b} lost");
     }
+    audit(&rig.session.volume);
 }
 
 /// Degraded mode: while the WAN is down, reads that hit the proxy's
@@ -428,6 +431,7 @@ fn cache_hits_serve_during_outage_and_misses_fail_cleanly() {
         assert!(err.is_err(), "miss during outage must error, got {err:?}");
     });
     sim.run();
+    audit(&rig.session.volume);
 }
 
 /// The user logs off during a WAN outage. `terminate` flushes, the flush
@@ -476,17 +480,140 @@ fn terminate_during_an_outage_keeps_the_identity_until_the_data_is_out() {
             "the first terminate outlived the outage"
         );
         assert_eq!((stranded.blocks, stranded.failed_blocks), (0, BLOCKS));
-        assert_eq!(session.proxy.wb_queue_len() as u64, BLOCKS);
+        assert_eq!(session.volume.parked_blocks() as u64, BLOCKS);
         assert_eq!(mapper.len(), 1, "revoked with acknowledged data queued");
 
         let now = env.now();
         env.sleep(secs(200).saturating_since(now));
         let drained = session.terminate(&env);
         assert_eq!((drained.blocks, drained.failed_blocks), (BLOCKS, 0));
-        assert_eq!(session.proxy.wb_queue_len(), 0);
+        assert_eq!(session.volume.parked_blocks(), 0);
         assert_eq!(mapper.len(), 0, "a clean terminate revokes the identity");
     });
     sim.run();
     // What a fault-free session would have left on the server.
     assert_server_bytes_exact(&rig.fs, fh);
+    audit(&rig.session.volume);
+}
+
+/// A proxy process the host's loopback hands every call to: whichever
+/// proxy is running right now.
+struct Running(Shared<Rc<Proxy>>);
+
+impl RpcHandler for Running {
+    fn handle(&self, env: &Env, request: &xdr::Bytes) -> xdr::Bytes {
+        let proxy = self.0.lock().clone();
+        proxy.handle(env, request)
+    }
+}
+
+/// What a proxy promised lives on its volume, not in the process. A
+/// write-back proxy absorbs a file's writes, one of them an append past
+/// the origin's EOF, while the WAN is down: its evictions fail and park,
+/// and so does its flush. The process is then replaced by a fresh
+/// `Proxy::new` over the same volume. Once the WAN heals, GETATTR through
+/// the new proxy reports the appended size, and its first flush delivers
+/// every acknowledged byte.
+#[test]
+fn a_restarted_proxy_resumes_its_volume_and_loses_no_acknowledged_byte() {
+    const TAIL: u64 = 1000;
+    let tail = || vec![0xA5u8; TAIL as usize];
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
+    let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
+    for (link, seed) in [(&wan_up, 61), (&wan_down, 62)] {
+        link.install_faults(LinkFaultPlan::new(seed).outage(secs(10), secs(1000)));
+    }
+    let server = ImageServer::start(&h, Listen::tunnel(wan_up, wan_down), 768 << 20, true);
+    let fh = seed_file(&server.fs, "restart.img");
+    let (_sid, cred) = Middleware::new().establish_session(&server.mapper, "restart");
+
+    let cfg = ProxyConfig {
+        name: "fault-proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            read_ahead: 0,
+            ..TransferTuning::default()
+        },
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    // One eight-frame set for 33 dirty blocks: most leave by eviction.
+    let geometry = BlockCacheConfig {
+        banks: 1,
+        sets_per_bank: 1,
+        assoc: 8,
+        block_size: BS as u32,
+    };
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
+    // Calls into the outage give up instead of riding it out.
+    let upstream = RpcClient::new(server.channel, cred.clone()).with_policy(RetryPolicy {
+        first_timeout: SimDuration::from_secs(2),
+        max_timeout: SimDuration::from_secs(2),
+        max_attempts: 2,
+        jitter_frac: 0.0,
+    });
+    let start = {
+        let (cfg, upstream, volume) = (cfg.clone(), upstream.clone(), volume.clone());
+        move || Proxy::new(cfg.clone(), upstream.clone(), &volume).into_handler()
+    };
+    let running = Shared::new(start());
+    let loopback = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(20));
+    let lo = oncrpc::endpoint(
+        &h,
+        loopback("cl-lo-up"),
+        loopback("cl-lo-down"),
+        WireSpec::plain(),
+    );
+    lo.listener
+        .serve("fault-proxy", Rc::new(Running(running.clone())), 8);
+    let nfs = Nfs3Client::new(RpcClient::new(lo.channel, cred.clone()));
+
+    let report: Shared<Option<FlushReport>> = Shared::new(None);
+    let (out, vol) = (report.clone(), volume.clone());
+    sim.spawn("client", move |env: Env| {
+        let root = nfs.mount(&env, "/").unwrap();
+        nfs.lookup(&env, root, "restart.img").unwrap();
+        let now = env.now();
+        env.sleep(secs(10).saturating_since(now));
+
+        // Acknowledged while the WAN is down.
+        dirty_all(&env, &nfs, fh);
+        let how = nfs3::proto::StableHow::Unstable;
+        nfs.write(&env, fh, BLOCKS * BS, tail(), how).unwrap();
+        nfs.commit(&env, fh).unwrap();
+        // All but the eight resident blocks were evicted, and parked.
+        assert_eq!(vol.parked_blocks() as u64, BLOCKS + 1 - 8);
+        let current = || running.lock().clone();
+        let dead = current().flush(&env, &cred);
+        assert_eq!((dead.blocks, dead.failed_blocks), (0, BLOCKS + 1));
+        assert_eq!(vol.parked_blocks() as u64, BLOCKS + 1);
+
+        // The proxy process goes; a new one mounts the same volume.
+        let old = Rc::downgrade(&running.lock());
+        *running.lock() = start();
+        assert!(old.upgrade().is_none(), "the old proxy is still alive");
+
+        let now = env.now();
+        assert!(now < secs(1000), "the failed flush outlived the outage");
+        env.sleep(secs(1000).saturating_since(now));
+        let attr = nfs.getattr(&env, fh).unwrap();
+        assert_eq!(attr.size, BLOCKS * BS + TAIL, "the appended size was lost");
+        let healed = current().flush(&env, &cred);
+        *out.lock() = Some(healed);
+    });
+    sim.run();
+
+    let report = report.lock().unwrap();
+    assert_eq!((report.blocks, report.failed_blocks), (BLOCKS + 1, 0));
+    assert_eq!(volume.parked_blocks(), 0);
+    assert_server_bytes_exact(&server.fs, fh);
+    let mut f = server.fs.lock();
+    assert_eq!(f.size(fh).unwrap(), BLOCKS * BS + TAIL);
+    let appended = f.read(fh, BLOCKS * BS, TAIL as usize, 0).unwrap().0;
+    assert_eq!(appended.to_vec(), tail());
+    drop(f);
+    audit(&volume);
 }

@@ -42,9 +42,8 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, CowTuning, FileCache,
-    FileChannelServer, FileChannelSpec, FileKey, Middleware, Proxy, ProxyConfig, TransferTuning,
-    CHANNEL_PROGRAM,
+    BlockCacheConfig, CacheVolume, CodecModel, CowTuning, FileCache, FileChannelServer,
+    FileChannelSpec, FileKey, Middleware, Proxy, ProxyConfig, TransferTuning, CHANNEL_PROGRAM,
 };
 use nfs3::args::{ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, StableHow};
@@ -199,47 +198,34 @@ fn render_session(flush_window: usize) -> String {
         jitter_frac: 0.0,
     };
     let cred = OpaqueAuth::sys(&AuthSys::new("timeline", 1, 1));
-    let upstream = RpcClient::new(ep.channel.clone(), cred.clone()).with_policy(policy);
-    let chan = ChannelClient::new(
-        RpcClient::new(ep.channel, cred.clone()).with_policy(policy),
-        CodecModel::default(),
-    );
-    // Hand-wired, not `gvfs::Tier`: the file cache and the block cache sit
-    // on a disk each here, a tier keeps both on one, and the pinned
-    // instants at `flush_window` 8 move by a disk access when uploads and
-    // block write-backs queue on the same arm.
-    let fc = Rc::new(FileCache::new(
-        Disk::new(&h, DiskModel::scsi_2004()),
-        256 << 20,
-    ));
+    let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(policy);
+    let cfg = ProxyConfig {
+        name: "timeline-proxy".into(),
+        transfer: TransferTuning {
+            chunk_bytes: CHUNK,
+            flush_window,
+            read_ahead: 0,
+            ..TransferTuning::default()
+        },
+        cow: CowTuning::on(),
+        ..ProxyConfig::default()
+    };
     // Four frames (two sets of two): ten dirty blocks cannot all stay.
-    let bc = Rc::new(BlockCache::new(
-        &h,
-        Disk::new(&h, DiskModel::scsi_2004()),
-        BlockCacheConfig {
-            banks: 1,
-            sets_per_bank: 2,
-            assoc: 2,
-            block_size: BS as u32,
-        },
-    ));
-    let proxy = Proxy::new(
-        ProxyConfig {
-            name: "timeline-proxy".into(),
-            transfer: TransferTuning {
-                chunk_bytes: CHUNK,
-                flush_window,
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            cow: CowTuning::on(),
-            ..ProxyConfig::default()
-        },
-        upstream,
-    )
-    .with_block_cache(bc.clone())
-    .with_file_channel(fc.clone(), chan)
-    .into_handler();
+    let geometry = BlockCacheConfig {
+        banks: 1,
+        sets_per_bank: 2,
+        assoc: 2,
+        block_size: BS as u32,
+    };
+    // The file cache sits on a disk of its own: the pinned instants at
+    // `flush_window` 8 move by a disk access when uploads and block
+    // write-backs queue on one arm.
+    let disk = || Disk::new(&h, DiskModel::scsi_2004());
+    let mut volume = CacheVolume::new(&h, disk(), &cfg, Some(geometry), None);
+    let fc = Rc::new(FileCache::new(disk(), 256 << 20));
+    volume.file_cache = Some(fc.clone());
+    let bc = volume.block_cache.clone().unwrap();
+    let proxy = Proxy::new(cfg, upstream, &volume).into_handler();
 
     let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
     let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));

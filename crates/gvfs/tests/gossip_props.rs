@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use gvfs::digest::digest;
 use gvfs::{
-    ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FleetTuning, ImageServer,
-    Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
+    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FleetTuning,
+    ImageServer, Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use proptest::prelude::*;
@@ -152,38 +152,32 @@ fn run_pair(
             let name = format!("{name}-lan-{dir}");
             Link::new(&h, name, 1e9, SimDuration::from_micros(100))
         };
-        let tier = Tier::start(
-            ProxyConfig {
-                name: name.into(),
-                write_policy: WritePolicy::WriteThrough,
-                meta_handling: false,
-                dedup: DedupTuning {
-                    enabled: true,
-                    cas_bytes,
-                },
-                fleet,
-                ..ProxyConfig::default()
+        let cfg = ProxyConfig {
+            name: name.into(),
+            write_policy: WritePolicy::WriteThrough,
+            meta_handling: false,
+            dedup: DedupTuning {
+                enabled: true,
+                cas_bytes,
             },
-            None,
-            None,
-            &Disk::new(&h, DiskModel::server_array()),
+            fleet,
+            ..ProxyConfig::default()
+        };
+        let disk = Disk::new(&h, DiskModel::server_array());
+        let volume = CacheVolume::new(&h, disk, &cfg, None, None);
+        let tier = Tier::start(
+            cfg,
+            &volume,
             RpcClient::new(origin.channel.clone(), cred.clone()).with_policy(RetryPolicy::wan()),
             Listen::plain(lan("up"), lan("down")),
         );
-        (tier.proxy, tier.channel)
+        (tier.proxy, tier.channel, volume)
     };
-    let (shard_a, chan_a) = mk_shard("shardA");
-    let (shard_b, chan_b) = mk_shard("shardB");
+    let (shard_a, chan_a, _) = mk_shard("shardA");
+    let (shard_b, chan_b, volume_b) = mk_shard("shardB");
+    let cas_b = volume_b.cas.as_ref().expect("dedup on implies a CAS");
 
-    let pinned_digests: Vec<_> = pinned
-        .iter()
-        .map(|p| {
-            shard_b
-                .content_store()
-                .expect("dedup on implies a CAS")
-                .insert_pinned(p)
-        })
-        .collect();
+    let pinned_digests: Vec<_> = pinned.iter().map(|p| cas_b.insert_pinned(p)).collect();
 
     // Region wiring (no-ops when the proxies were built gossip-off).
     shard_a.set_gossip_peers(0, vec![(1, RpcClient::new(chan_b.clone(), cred.clone()))]);
@@ -243,7 +237,6 @@ fn run_pair(
     sim.run();
 
     let snapshot = h.telemetry().snapshot();
-    let cas_b = shard_b.content_store().expect("dedup on implies a CAS");
     let pins_surviving = pinned_digests.iter().filter(|d| cas_b.contains(d)).count();
     let file_digests: BTreeSet<_> = data.chunks(CHUNK as usize).map(digest).collect();
     let file_chunks_in_b = file_digests.iter().filter(|d| cas_b.contains(d)).count();

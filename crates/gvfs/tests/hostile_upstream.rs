@@ -8,13 +8,13 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use gvfs::{Proxy, ProxyConfig};
+use gvfs::{CacheVolume, Proxy, ProxyConfig};
 use nfs3::proto::proc3;
 use nfs3::results::{encode_lookup, encode_read};
 use oncrpc::{OpaqueAuth, RpcClient, RpcMessage, WireSpec};
 use simnet::Shared;
 use simnet::{Env, Link, SimDuration, Simulation};
-use vfs::Handle;
+use vfs::{Disk, DiskModel, Handle};
 
 /// The file a hostile upstream's every LOOKUP names.
 const HOSTILE_FILE: Handle = Handle {
@@ -67,7 +67,12 @@ fn lookup_through_hostile_upstream(
         name: "px".into(),
         ..ProxyConfig::default()
     };
-    let proxy = Proxy::new(cfg, RpcClient::new(upstream.channel, OpaqueAuth::none()));
+    let volume = CacheVolume::new(&h, Disk::new(&h, DiskModel::scsi_2004()), &cfg, None, None);
+    let proxy = Proxy::new(
+        cfg,
+        RpcClient::new(upstream.channel, OpaqueAuth::none()),
+        &volume,
+    );
     let front = oncrpc::endpoint(&h, link("c-up"), link("c-down"), WireSpec::plain());
     front.listener.serve("px", Rc::new(proxy), 1);
     let client = nfs3::Nfs3Client::new(RpcClient::new(front.channel, OpaqueAuth::none()));

@@ -15,8 +15,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileChannelSpec, ImageServer, Listen,
-    Middleware, Proxy, ProxyConfig, Tier, TransferTuning, WritePolicy,
+    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, DedupTuning, FileChannelSpec,
+    ImageServer, Listen, Middleware, Proxy, ProxyConfig, Tier, TransferTuning, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client, Nfs3Server};
 use oncrpc::{OpaqueAuth, RpcClient, WireSpec};
@@ -29,6 +29,7 @@ struct Rig {
     fs: Shared<Fs>,
     server: Rc<Nfs3Server>,
     proxy: Rc<Proxy>,
+    volume: CacheVolume,
     session_cred: OpaqueAuth,
     client_rpc: RpcClient,
     wan_up: Link,
@@ -89,6 +90,7 @@ fn build_rig_with(
         server: server.server,
         client_rpc: session.rpc(),
         proxy: session.proxy,
+        volume: session.volume,
         session_cred: session.cred,
         wan_up,
         wan_down,
@@ -160,7 +162,7 @@ fn second_read_hits_proxy_disk_cache_and_skips_wan() {
     let payload = vec![0x5Au8; 1 << 20];
     seed_file(&rig.fs, "vm.vmdk", &payload, None);
     let nfs = Nfs3Client::new(rig.client_rpc.clone());
-    let proxy = rig.proxy.clone();
+    let (proxy, volume) = (rig.proxy.clone(), rig.volume.clone());
     let wan_up = rig.wan_up.clone();
     sim.spawn("client", move |env: Env| {
         let root = nfs.mount(&env, "/").unwrap();
@@ -191,7 +193,7 @@ fn second_read_hits_proxy_disk_cache_and_skips_wan() {
         );
         let st = proxy.stats();
         assert_eq!(st.reads, 64);
-        let bc = proxy.block_cache().unwrap().stats();
+        let bc = volume.block_cache.as_ref().unwrap().stats();
         assert_eq!(bc.hits, 32);
         assert_eq!(bc.misses, 32);
     });
@@ -526,7 +528,7 @@ fn telemetry_registry_reconciles_with_stats_views_and_bytes_moved() {
     assert!(st.reads >= 32, "expected two full passes of reads");
 
     // Same for the block cache.
-    let bc = proxy.block_cache().unwrap().stats();
+    let bc = rig.volume.block_cache.as_ref().unwrap().stats();
     assert_eq!(snap.counter("gvfs", "block-cache.hits"), bc.hits);
     assert_eq!(snap.counter("gvfs", "block-cache.misses"), bc.misses);
     assert_eq!(
@@ -677,17 +679,17 @@ fn hostile_offsets_are_refused_for_a_file_resident_in_the_file_cache() {
 /// state is its channel reply caches. Returns the origin's filesystem
 /// and a stub that reaches the origin through the relay.
 fn build_relay(sim: &Simulation, dedup: DedupTuning) -> (Shared<Fs>, RpcClient) {
-    let (fs, rpc, _) = start_relay(sim, dedup, None);
+    let (fs, rpc, ..) = start_relay(sim, dedup, None);
     (fs, rpc)
 }
 
 /// [`build_relay`], write-back over a block cache of `blocks` if given;
-/// also returns the relay's proxy and the credential it serves.
+/// also returns the relay's proxy and its volume.
 fn start_relay(
     sim: &Simulation,
     dedup: DedupTuning,
     blocks: Option<BlockCacheConfig>,
-) -> (Shared<Fs>, RpcClient, Rc<Proxy>) {
+) -> (Shared<Fs>, RpcClient, Rc<Proxy>, CacheVolume) {
     let h = sim.handle();
     let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 25.0, SimDuration::from_millis(17));
@@ -699,21 +701,32 @@ fn start_relay(
         Some(_) => WritePolicy::WriteBack,
         None => WritePolicy::WriteThrough,
     };
-    let relay = Tier::start(
-        ProxyConfig {
-            name: "relay".into(),
-            write_policy,
-            meta_handling: false,
-            dedup,
-            ..ProxyConfig::default()
-        },
+    let cfg = ProxyConfig {
+        name: "relay".into(),
+        write_policy,
+        meta_handling: false,
+        dedup,
+        ..ProxyConfig::default()
+    };
+    let volume = CacheVolume::new(
+        &h,
+        Disk::new(&h, DiskModel::scsi_2004()),
+        &cfg,
         blocks,
         None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
+    );
+    let relay = Tier::start(
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()),
         Listen::plain(lan_up, lan_down),
     );
-    (origin.fs, RpcClient::new(relay.channel, cred), relay.proxy)
+    (
+        origin.fs,
+        RpcClient::new(relay.channel, cred),
+        relay.proxy,
+        volume,
+    )
 }
 
 const RELAY_CHUNK: u32 = 1024;
@@ -823,7 +836,7 @@ fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
 fn write_back_relay_serves_the_new_bytes_after_its_flush() {
     let sim = Simulation::new();
     let geometry = BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024);
-    let (fs, rpc, relay) = start_relay(&sim, DedupTuning::off(), Some(geometry));
+    let (fs, rpc, relay, _) = start_relay(&sim, DedupTuning::off(), Some(geometry));
     let fh = seed_file(&fs, "img", &relay_image(0), None);
     let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
     let chan = ChannelClient::new(rpc.clone(), CodecModel::default());
@@ -851,6 +864,37 @@ fn write_back_relay_serves_the_new_bytes_after_its_flush() {
         );
     });
     sim.run();
+}
+
+/// A partial WRITE into an absent block of a file whose size the proxy
+/// does not know reads the block's base upstream first: a zero-filled
+/// head would reach the origin at the flush, over the origin's bytes.
+#[test]
+fn a_partial_write_of_a_file_of_unknown_size_keeps_the_origin_bytes_around_it() {
+    let sim = Simulation::new();
+    let geometry = BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024);
+    let (fs, rpc, relay, _) = start_relay(&sim, DedupTuning::off(), Some(geometry));
+    let origin: Vec<u8> = (0..8 * 1024u32).map(|i| (i % 251) as u8 + 1).collect();
+    let fh = seed_file(&fs, "img", &origin, None);
+    let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
+    let nfs = Nfs3Client::new(rpc);
+    let patch = vec![0xEEu8; 100];
+    let sent = patch.clone();
+    sim.spawn("client", move |env: Env| {
+        nfs.write(&env, fh, 1500, sent, nfs3::proto::StableHow::Unstable)
+            .unwrap();
+        assert_eq!(relay.stats().writes_absorbed, 1);
+        assert_eq!(relay.flush(&env, &cred).blocks, 1);
+    });
+    sim.run();
+    let mut want = origin;
+    want[1500..1600].copy_from_slice(&patch);
+    let got = fs.lock().read(fh, 0, want.len(), 0).unwrap().0.to_vec();
+    assert!(
+        got[..1500] == want[..1500],
+        "the flush zeroed the origin's head"
+    );
+    assert!(got == want, "the flush moved bytes it was not given");
 }
 
 /// An upstream that answers every READ with `answer` bytes of payload —
@@ -889,34 +933,33 @@ impl oncrpc::transport::RpcHandler for CannedReads {
 }
 
 /// A client proxy (block cache of 32 KiB frames if `cache`, read-ahead
-/// `read_ahead` blocks) in front of `upstream`.
+/// `read_ahead` blocks) in front of `upstream`, and its volume.
 fn proxy_over_canned_reads(
     sim: &Simulation,
     upstream: Rc<CannedReads>,
     cache: bool,
     read_ahead: usize,
-) -> Rc<Proxy> {
+) -> (Rc<Proxy>, CacheVolume) {
     let h = sim.handle();
     let up = Link::new(&h, "canned-up", 1e9, SimDuration::from_micros(100));
     let down = Link::new(&h, "canned-down", 1e9, SimDuration::from_micros(100));
     let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
     ep.listener.serve("canned", upstream, 4);
-    Tier::build(
-        ProxyConfig {
-            name: "client-proxy".into(),
-            meta_handling: false,
-            transfer: TransferTuning {
-                read_ahead,
-                ..TransferTuning::default()
-            },
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "client-proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            read_ahead,
+            ..TransferTuning::default()
         },
-        cache.then(|| BlockCacheConfig::with_capacity(64 << 20, 4, 16, 32 * 1024)),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
-        RpcClient::new(ep.channel, OpaqueAuth::none()),
-    )
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let geometry = cache.then(|| BlockCacheConfig::with_capacity(64 << 20, 4, 16, 32 * 1024));
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, geometry, None);
+    let upstream = RpcClient::new(ep.channel, OpaqueAuth::none());
+    (Proxy::new(cfg, upstream, &volume).into_handler(), volume)
 }
 
 fn read_call(xid: u32, offset: u64, count: u32) -> xdr::Bytes {
@@ -955,7 +998,7 @@ fn a_reply_longer_than_asked_is_forwarded_but_never_installed() {
         keep: false,
         sent: Shared::new(Vec::new()),
     });
-    let proxy = proxy_over_canned_reads(&sim, upstream.clone(), true, 2);
+    let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), true, 2);
     sim.spawn("client", move |env: Env| {
         for (xid, block) in [(1u32, 0u64), (2, 0), (3, 5)] {
             let reply = proxy.handle(&env, &read_call(xid, block * 32 * 1024, 32 * 1024));
@@ -973,7 +1016,7 @@ fn a_reply_longer_than_asked_is_forwarded_but_never_installed() {
         }
         // Let the read-ahead workers finish.
         env.sleep(SimDuration::from_millis(100));
-        let bc = proxy.block_cache().unwrap();
+        let bc = volume.block_cache.as_ref().unwrap();
         assert_eq!(bc.bytes_stored(), 0, "an over-long block was installed");
         bc.validate_accounting();
         let st = proxy.stats();
@@ -1005,7 +1048,7 @@ fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
             keep,
             sent: Shared::new(Vec::new()),
         });
-        let proxy = proxy_over_canned_reads(&sim, upstream.clone(), cache, 0);
+        let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), cache, 0);
         sim.spawn("client", move |env: Env| {
             let reply = proxy.handle(&env, &read_call(0xABCD, 0, 32 * 1024));
             let (sent_at, sent) = upstream.sent.lock()[0].clone();
@@ -1018,7 +1061,7 @@ fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
                 "cache {cache}, upstream keeps its reply {keep}"
             );
             if cache {
-                let bc = proxy.block_cache().unwrap();
+                let bc = volume.block_cache.as_ref().unwrap();
                 assert_eq!(bc.bytes_stored(), 32 * 1024);
             }
         });

@@ -41,7 +41,9 @@
 
 use std::rc::Rc;
 
-use gvfs::{BlockCacheConfig, DedupTuning, Middleware, ProxyConfig, Tier, TransferTuning};
+use gvfs::{
+    BlockCacheConfig, CacheVolume, DedupTuning, Middleware, Proxy, ProxyConfig, TransferTuning,
+};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, StableHow};
 use nfs3::{
@@ -161,28 +163,27 @@ fn render_session(read_ahead: usize) -> String {
     );
 
     let cred = OpaqueAuth::sys(&AuthSys::new("timeline", 1, 1));
-    let proxy = Tier::build(
-        ProxyConfig {
-            name: "timeline-proxy".into(),
-            transfer: TransferTuning {
-                read_ahead,
-                ..TransferTuning::default()
-            },
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "timeline-proxy".into(),
+        transfer: TransferTuning {
+            read_ahead,
+            ..TransferTuning::default()
         },
-        // One fully associative set of 16 frames: plain LRU, so which
-        // blocks the second stream pushes out is easy to follow.
-        Some(BlockCacheConfig {
-            banks: 1,
-            sets_per_bank: 1,
-            assoc: 16,
-            block_size: BS as u32,
-        }),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
-        RpcClient::new(ep.channel, cred.clone()),
-    );
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    // One fully associative set of 16 frames: plain LRU, so which
+    // blocks the second stream pushes out is easy to follow.
+    let geometry = BlockCacheConfig {
+        banks: 1,
+        sets_per_bank: 1,
+        assoc: 16,
+        block_size: BS as u32,
+    };
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
+    let upstream = RpcClient::new(ep.channel, cred.clone());
+    let proxy = Proxy::new(cfg, upstream, &volume).into_handler();
 
     let lo_up = Link::new(&h, "lo-up", 1e9, SimDuration::from_micros(20));
     let lo_down = Link::new(&h, "lo-down", 1e9, SimDuration::from_micros(20));

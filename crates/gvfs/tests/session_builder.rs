@@ -19,9 +19,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCache, BlockCacheConfig, ChannelClient, CodecModel, DedupTuning, FileCache,
-    FileChannelServer, FileChannelSpec, IdentityMapper, ImageServer, Listen, Middleware, Proxy,
-    ProxyConfig, WritePolicy,
+    BlockCacheConfig, CacheVolume, CodecModel, DedupTuning, FileChannelServer, FileChannelSpec,
+    IdentityMapper, ImageServer, Listen, Middleware, Proxy, ProxyConfig, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{Dispatcher, OpaqueAuth, RpcClient, WireSpec};
@@ -63,6 +62,14 @@ fn by_hand(h: &SimHandle) -> Chain {
 
     // --- image server machine -------------------------------------------
     let server_disk = Disk::new(h, DiskModel::server_array());
+    let srv_cfg = ProxyConfig {
+        name: "server-proxy".into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let srv_volume = CacheVolume::new(h, server_disk.clone(), &srv_cfg, None, None);
     let (fs, server) = Nfs3Server::with_new_fs(h, server_disk.clone(), ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string(), "/exports".to_string()]);
     let cpu = simnet::Resource::new(h, 2);
@@ -87,14 +94,9 @@ fn by_hand(h: &SimHandle) -> Chain {
     srv_lo.listener.serve("nfsd", nfsd, 8);
     let mapper = Rc::new(IdentityMapper::new());
     let srv_proxy = Proxy::new(
-        ProxyConfig {
-            name: "server-proxy".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
-        },
+        srv_cfg,
         RpcClient::new(srv_lo.channel, OpaqueAuth::none()),
+        &srv_volume,
     )
     .with_identity(mapper.clone())
     .into_handler();
@@ -106,17 +108,10 @@ fn by_hand(h: &SimHandle) -> Chain {
     let (_sid, cred) = Middleware::new().establish_session(&mapper, "alice");
     let cache_disk = Disk::new(h, DiskModel::scsi_2004());
     let upstream = RpcClient::new(wan_ep.channel, cred.clone());
-    let proxy = Proxy::new(client_config(), upstream.clone())
-        .with_block_cache(Rc::new(BlockCache::new(
-            h,
-            cache_disk.clone(),
-            BlockCacheConfig::paper(CACHE_BYTES),
-        )))
-        .with_file_channel(
-            Rc::new(FileCache::new(cache_disk, CACHE_BYTES)),
-            ChannelClient::new(upstream, CodecModel::default()),
-        )
-        .into_handler();
+    let cfg = client_config();
+    let geometry = BlockCacheConfig::paper(CACHE_BYTES);
+    let volume = CacheVolume::new(h, cache_disk, &cfg, Some(geometry), Some(CACHE_BYTES));
+    let proxy = Proxy::new(cfg, upstream, &volume).into_handler();
     let cl_lo = oncrpc::endpoint(
         h,
         loopback("cl-lo-up"),

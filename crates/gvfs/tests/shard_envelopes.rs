@@ -14,8 +14,8 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::meta::generate_content_map;
 use gvfs::{
-    CodecModel, Digest, FileChannelServer, FleetTuning, ProxyConfig, Tier, WritePolicy,
-    CHANNEL_PROGRAM, CHANNEL_V1,
+    CacheVolume, CodecModel, Digest, FileChannelServer, FleetTuning, Proxy, ProxyConfig,
+    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, BatchItem, Dispatcher, OpaqueAuth, RpcChannel, RpcClient, RpcMessage};
@@ -124,19 +124,21 @@ fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
     let cred = OpaqueAuth::sys(&AuthSys::new("fleet", 1, 1));
     // A WAN round trip (10 ms) outlasts every client's arrival.
     let wan = serve(&h, "wan", SimDuration::from_millis(5), Rc::new(origin));
-    let shard = Tier::build(
-        ProxyConfig {
-            name: "shard".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            fleet: FleetTuning::shard(),
-            ..ProxyConfig::default()
-        },
+    let cfg = ProxyConfig {
+        name: "shard".into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        fleet: FleetTuning::shard(),
+        ..ProxyConfig::default()
+    };
+    let volume = CacheVolume::new(
+        &h,
+        Disk::new(&h, DiskModel::server_array()),
+        &cfg,
         None,
         None,
-        &Disk::new(&h, DiskModel::server_array()),
-        RpcClient::new(wan, cred.clone()),
     );
+    let shard = Proxy::new(cfg, RpcClient::new(wan, cred.clone()), &volume).into_handler();
     let shard_chan = serve(&h, "lan", SimDuration::from_micros(100), shard);
 
     // A lone miss at t=0, then two envelopes overlapping in chunks 1-2.

@@ -13,8 +13,8 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gvfs::{
-    BlockCacheConfig, DedupTuning, ImageServer, Listen, ProxyConfig, Tier, TransferTuning,
-    WritePolicy,
+    BlockCacheConfig, CacheVolume, DedupTuning, ImageServer, Listen, ProxyConfig, Tier,
+    TransferTuning, WritePolicy,
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
@@ -33,29 +33,22 @@ fn record_paths_stay_registry_free_after_warmup() {
     let fs = origin.fs;
 
     let cred = OpaqueAuth::sys(&AuthSys::new("tel", 1, 1));
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "tel-proxy".into(),
-            write_policy: WritePolicy::WriteThrough,
-            meta_handling: false,
-            transfer: TransferTuning {
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "tel-proxy".into(),
+        write_policy: WritePolicy::WriteThrough,
+        meta_handling: false,
+        transfer: TransferTuning {
+            read_ahead: 0,
+            ..TransferTuning::default()
         },
-        Some(BlockCacheConfig::with_capacity(
-            256 << 20,
-            64,
-            16,
-            32 * 1024,
-        )),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
-        RpcClient::new(origin.channel, cred.clone()),
-        Listen::loopback(&h),
-    );
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig::with_capacity(256 << 20, 64, 16, 32 * 1024);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
+    let upstream = RpcClient::new(origin.channel, cred.clone());
+    let tier = Tier::start(cfg, &volume, upstream, Listen::loopback(&h));
 
     let fh = {
         let mut f = fs.lock();

@@ -10,7 +10,10 @@
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use gvfs::{BlockCacheConfig, DedupTuning, FlushReport, Listen, ProxyConfig, Tier, TransferTuning};
+use gvfs::{
+    BlockCacheConfig, CacheVolume, DedupTuning, FlushReport, Listen, ProxyConfig, Tier,
+    TransferTuning,
+};
 use nfs3::{args::WriteArgs, MountServer, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM};
 use oncrpc::{transport::RpcHandler, AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use simnet::Shared;
@@ -58,30 +61,23 @@ fn run_flush(flush_window: usize) -> (BTreeSet<WriteRec>, FlushReport, Vec<u8>) 
     ep.listener.serve("nfsd", recording, 8);
 
     let cred = OpaqueAuth::sys(&AuthSys::new("flush", 1, 1));
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "flush-proxy".into(),
-            meta_handling: false,
-            transfer: TransferTuning {
-                flush_window,
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            // Exact WRITE/COMMIT interleavings are pinned here.
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "flush-proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            flush_window,
+            read_ahead: 0,
+            ..TransferTuning::default()
         },
-        Some(BlockCacheConfig::with_capacity(
-            256 << 20,
-            64,
-            16,
-            32 * 1024,
-        )),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
-        RpcClient::new(ep.channel, cred.clone()),
-        Listen::loopback(&h),
-    );
+        // Exact WRITE/COMMIT interleavings are pinned here.
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig::with_capacity(256 << 20, 64, 16, 32 * 1024);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
+    let upstream = RpcClient::new(ep.channel, cred.clone());
+    let tier = Tier::start(cfg, &volume, upstream, Listen::loopback(&h));
     let proxy = tier.proxy;
 
     // Seed two files on the server so the flush covers several files with

@@ -26,7 +26,7 @@
 // #[test]-marked fns, not integration-test helpers.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gvfs::{BlockCacheConfig, ImageServer, Listen, Middleware, ProxyConfig, Tier};
+use gvfs::{BlockCacheConfig, CacheVolume, ImageServer, Listen, Middleware, ProxyConfig, Tier};
 use nfs3::args::{CommitArgs, ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, DirOpArgs3, StableHow};
 use nfs3::{Fh3, Nfs3Client, Nfs3Server, ServerConfig, NFS_PROGRAM, NFS_V3};
@@ -184,19 +184,26 @@ fn render_proxy() -> String {
     Middleware::generate_meta(&mut fs.lock(), "", "mem", BS, true, None).unwrap();
 
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
-    let front = Tier::start(
-        ProxyConfig {
-            name: "golden-proxy".into(),
-            ..ProxyConfig::default()
-        },
-        Some(BlockCacheConfig {
-            banks: 1,
-            sets_per_bank: 4,
-            assoc: 4,
-            block_size: BS,
-        }),
+    let cfg = ProxyConfig {
+        name: "golden-proxy".into(),
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig {
+        banks: 1,
+        sets_per_bank: 4,
+        assoc: 4,
+        block_size: BS,
+    };
+    let volume = CacheVolume::new(
+        &h,
+        Disk::new(&h, DiskModel::scsi_2004()),
+        &cfg,
+        Some(geometry),
         None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
+    );
+    let front = Tier::start(
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()),
         Listen::plain(link("p-up"), link("p-down")),
     );

@@ -74,7 +74,7 @@ fn main() {
             "proxy: {} reads, {} forwarded upstream, cache hits {}",
             st.reads,
             st.forwarded,
-            session.proxy.block_cache().unwrap().stats().hits
+            session.volume.block_cache.as_ref().unwrap().stats().hits
         );
         println!("live middleware sessions: {}", server.mapper.len());
         // The user logs off: flush, then revoke the identity.

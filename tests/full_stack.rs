@@ -63,7 +63,7 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
             .unwrap();
     }
     let session = session(&server, "alice", 2 << 30, true);
-    let proxy = session.proxy.clone();
+    let (proxy, volume) = (session.proxy.clone(), session.volume.clone());
     let srv = server.server.clone();
     sim.spawn("resumer", move |env| {
         let nfs = Nfs3Client::new(session.rpc());
@@ -101,7 +101,7 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
         // the proxy's block cache served (sub-block hits on installed
         // 32 KB blocks), plus the proxy's own read-ahead fetches —
         // exact accounting, no unexplained upstream traffic.
-        let bc_hits = proxy.block_cache().unwrap().stats().hits;
+        let bc_hits = volume.block_cache.as_ref().unwrap().stats().hits;
         let upstream_reads = srv.stats().reads - reads_before;
         assert_eq!(
             upstream_reads + bc_hits,

@@ -41,8 +41,8 @@ use std::rc::Rc;
 use common::big_allocs;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCacheConfig, ContentStore, DedupTuning, FileCache, ImageServer, Listen, ProxyConfig, Tier,
-    TransferTuning,
+    BlockCacheConfig, CacheVolume, ContentStore, DedupTuning, FileCache, ImageServer, Listen,
+    ProxyConfig, Tier, TransferTuning,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
@@ -110,29 +110,26 @@ fn a_block_operation_stays_inside_its_copy_budget() {
 
     // Write-back caching proxy in front of it, read-ahead off.
     let cred = OpaqueAuth::sys(&AuthSys::new("guest", 500, 500));
-    let tier = Tier::start(
-        ProxyConfig {
-            name: "proxy".into(),
-            meta_handling: false,
-            transfer: TransferTuning {
-                read_ahead: 0,
-                ..TransferTuning::default()
-            },
-            dedup: DedupTuning::off(),
-            ..ProxyConfig::default()
+    let cfg = ProxyConfig {
+        name: "proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            read_ahead: 0,
+            ..TransferTuning::default()
         },
-        Some(BlockCacheConfig::with_capacity(
-            64 << 20,
-            4,
-            16,
-            BLOCK as u32,
-        )),
-        None,
-        &Disk::new(&h, DiskModel::scsi_2004()),
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig::with_capacity(64 << 20, 4, 16, BLOCK as u32);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), None);
+    let tier = Tier::start(
+        cfg,
+        &volume,
         RpcClient::new(origin.channel, cred.clone()),
         Listen::plain(lan(&h, "lo-up"), lan(&h, "lo-down")),
     );
-    let cache = tier.proxy.block_cache().unwrap().clone();
+    let cache = volume.block_cache.as_ref().unwrap().clone();
     let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
 
     sim.spawn("guest", move |env| {
