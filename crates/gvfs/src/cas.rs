@@ -34,6 +34,12 @@
 //! against on arrival (a [`Blob`]); only bytes that reach the store
 //! uncompressed are digested and compressed here.
 //!
+//! A fetched stream is verified once per host thread. [`Blob::verify`]
+//! decodes and digests a reply's stream in full the first time, then
+//! keeps a `Weak` to it by digest; a later reply that repeats it byte
+//! for byte shares that allocation. The virtual clock cannot tell: a
+//! repeat is charged the same decompress and digest as the first.
+//!
 //! A stream is validated once, by the walk that builds its record index
 //! as it enters (one that fails is not retained); a read seeks with the
 //! index and decodes only its range, onto the caller's buffer.
@@ -42,11 +48,14 @@
 //! least-recently-touched, deterministic via a monotonic touch stamp.
 
 use simnet::Shared;
-use simnet::{Counter, Telemetry};
+use simnet::{Counter, Env, Telemetry};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use vfs::{share, SharedBytes};
+use std::rc::{Rc, Weak};
+use vfs::{share, share_slice, SharedBytes};
 
-use crate::codec::{self, RecordIndex};
+use crate::channel::WirePayload;
+use crate::codec::{self, CodecModel, RecordIndex};
 use crate::digest::{digest, Digest};
 
 /// Knobs for content-addressed redundancy elimination, carried by
@@ -178,30 +187,106 @@ impl Inner {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BrokenPin;
 
-/// A chunk in the form it crossed the wire — codec-compressed — together
-/// with the digest and length its decompressed bytes have been checked
-/// against. The fields are private and the constructor has exactly one
-/// caller, the branch of the channel's reply reader that has just passed
-/// that check, so a `Blob` is the proof that `digest` names `packed`'s
-/// preimage: [`ContentStore::insert_blob`] indexes it without digesting
-/// or compressing the bytes a second time.
+/// A chunk in the stream it crossed the wire in — a codec stream, or raw
+/// bytes — held by reference, together with the digest and length that
+/// stream was verified against. The fields are private and
+/// [`Blob::verify`] is the only constructor, so a `Blob` is the proof
+/// that `digest` names `wire`'s preimage: a stream verified once per
+/// host thread, in full or by a byte compare with a live stream that
+/// was. [`ContentStore::insert_blob`] indexes it without digesting the
+/// bytes a second time.
 #[derive(Debug)]
 pub struct Blob {
     digest: Digest,
     len: u32,
-    packed: Vec<u8>,
+    compressed: bool,
+    wire: SharedBytes,
+}
+
+/// A stream [`Blob::verify`] has passed in full: the reply fields it
+/// was checked with, and the allocation it lives in, unowned.
+struct Verified {
+    compressed: bool,
+    len: u64,
+    wire: Weak<Vec<u8>>,
+}
+
+/// Below this many entries the verified table is never swept.
+const SWEEP_FLOOR: usize = 64;
+
+struct VerifiedTable {
+    // BTreeMap: the sweep iterates it (lint: determinism).
+    streams: BTreeMap<Digest, Verified>,
+    /// `streams.len()` right after the last sweep.
+    swept: usize,
+}
+
+thread_local! {
+    /// Per thread, like [`vfs::share`]'s pool and for the same reason:
+    /// a simulation's objects never leave the thread that runs it.
+    static VERIFIED: RefCell<VerifiedTable> = const {
+        RefCell::new(VerifiedTable {
+            streams: BTreeMap::new(),
+            swept: 0,
+        })
+    };
 }
 
 impl Blob {
-    /// Wrap `contents`, which the caller has just verified to digest to
-    /// `digest`. `wire` is the compressed stream they were decoded from,
-    /// moved in; a reply that travelled uncompressed is compressed here.
-    pub(crate) fn verified(digest: Digest, contents: &[u8], wire: Option<Vec<u8>>) -> Blob {
-        Blob {
-            digest,
-            len: contents.len() as u32,
-            packed: wire.unwrap_or_else(|| codec::compress(contents)),
-        }
+    /// Verify a `FETCH_BLOBS` reply's payload `p` against `want`,
+    /// charging `codec` for a decompress (if `p` is compressed) and a
+    /// digest of `p.len` bytes. A payload whose flag, length and stream
+    /// all equal those of a live stream that passed in full for `want`
+    /// is that stream: it shares its allocation and is neither decoded
+    /// nor digested again. Any other payload is unpacked, digested and
+    /// length-checked; one that passes is kept for later replies. The
+    /// table holds no strong reference, and an allocation reachable
+    /// through a `Weak` never changes in place ([`vfs::share`]), so a
+    /// match is with bytes that did pass.
+    pub(crate) fn verify(
+        env: &Env,
+        codec: &CodecModel,
+        want: Digest,
+        p: &WirePayload<'_>,
+    ) -> Option<Blob> {
+        let wire = match Blob::known(want, p) {
+            Some(wire) => {
+                if p.compressed {
+                    env.sleep(codec.decompress_time(p.len));
+                }
+                env.sleep(codec.digest_time(p.len));
+                wire
+            }
+            None => {
+                let contents = p.unpack(env, codec).ok()?;
+                env.sleep(codec.digest_time(contents.len() as u64));
+                if contents.len() as u64 != p.len || digest(&contents) != want {
+                    return None;
+                }
+                let wire = share_slice(p.data);
+                VERIFIED.with(|table| table.borrow_mut().register(want, p, &wire));
+                wire
+            }
+        };
+        Some(Blob {
+            digest: want,
+            len: p.len as u32,
+            compressed: p.compressed,
+            wire,
+        })
+    }
+
+    /// The live stream that passed in full for `want` if `p` repeats
+    /// it: the same flag, the same length and the same bytes.
+    fn known(want: Digest, p: &WirePayload<'_>) -> Option<SharedBytes> {
+        VERIFIED.with(|table| {
+            let table = table.borrow();
+            let v = table.streams.get(&want)?;
+            if v.compressed != p.compressed || v.len != p.len {
+                return None;
+            }
+            v.wire.upgrade().filter(|wire| wire[..] == *p.data)
+        })
     }
 
     /// Logical (uncompressed) length.
@@ -210,10 +295,29 @@ impl Blob {
     }
 }
 
+impl VerifiedTable {
+    /// Keep `wire` as the stream `p` verified to for `want`. Entries of
+    /// dropped streams go when the table has doubled since it was last
+    /// swept: amortised O(1) per call, as in [`vfs::share`]'s pool.
+    fn register(&mut self, want: Digest, p: &WirePayload<'_>, wire: &SharedBytes) {
+        let v = Verified {
+            compressed: p.compressed,
+            len: p.len,
+            wire: Rc::downgrade(wire),
+        };
+        self.streams.insert(want, v);
+        if self.streams.len() > 2 * self.swept.max(SWEEP_FLOOR) {
+            self.streams.retain(|_, v| v.wire.strong_count() > 0);
+            self.swept = self.streams.len();
+        }
+    }
+}
+
 /// The content-addressed store. A key is either computed from the stored
 /// bytes inside [`ContentStore::insert`] or carried by a [`Blob`], whose
-/// only constructor runs after the same digest was verified — so the
-/// index can never claim a digest it does not hold the preimage of.
+/// only constructor checks the same digest (on the stream itself, or on
+/// the byte-identical stream it repeats) — so the index can never claim
+/// a digest it does not hold the preimage of.
 pub struct ContentStore {
     inner: Shared<Inner>,
     capacity: u64,
@@ -262,24 +366,37 @@ impl ContentStore {
 
     fn insert_inner(&self, bytes: &[u8], pin: bool) -> Digest {
         let d = digest(bytes);
-        self.index(d, bytes.len() as u64, pin, || codec::compress(bytes));
+        self.index(d, bytes.len() as u64, pin, || share(codec::compress(bytes)));
         d
     }
 
-    /// Index a fetched chunk in the wire form it was verified in, taking
-    /// a pin on it if `pin`: [`ContentStore::insert`] /
-    /// [`ContentStore::insert_pinned`] without the digest and the
-    /// compression, which the blob's one constructor vouches for. An
-    /// oversized blob is not retained.
+    /// Index a fetched chunk in the stream it was verified in, by
+    /// reference, taking a pin on it if `pin`: [`ContentStore::insert`] /
+    /// [`ContentStore::insert_pinned`] without the digest, which the
+    /// blob's one constructor vouches for. A chunk that travelled raw is
+    /// compressed only if it is new here. An oversized blob is not
+    /// retained.
     pub fn insert_blob(&self, blob: Blob, pin: bool) {
-        self.index(blob.digest, blob.len as u64, pin, || blob.packed);
+        let Blob {
+            digest,
+            len,
+            compressed,
+            wire,
+        } = blob;
+        self.index(digest, len as u64, pin, || {
+            if compressed {
+                wire
+            } else {
+                share(codec::compress(&wire))
+            }
+        });
     }
 
     /// The body of every insert: index `len` logical bytes under `d`,
-    /// asking for the compressed stream only when the content is new.
-    /// A new stream that fails its index walk, or is not `len` bytes
-    /// long, is not retained.
-    fn index(&self, d: Digest, len: u64, pin: bool, packed: impl FnOnce() -> Vec<u8>) {
+    /// asking for the shared compressed stream only when the content is
+    /// new. A new stream that fails its index walk, or is not `len`
+    /// bytes long, is not retained.
+    fn index(&self, d: Digest, len: u64, pin: bool, packed: impl FnOnce() -> SharedBytes) {
         if len > self.capacity {
             return;
         }
@@ -301,7 +418,7 @@ impl ContentStore {
         inner.map.insert(
             d,
             Entry {
-                packed: share(packed),
+                packed,
                 index,
                 len: len as u32,
                 stamp,
@@ -459,6 +576,8 @@ impl ContentStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channel::{read_blob_reply, ChanStatus, ChannelError, Reply};
+    use simnet::SimDuration;
 
     #[test]
     fn insert_get_round_trips_and_dedupes() {
@@ -588,9 +707,22 @@ mod tests {
         assert_eq!(cas.logical_bytes(), 0);
     }
 
+    impl Blob {
+        /// `wire` claimed for `digest` without a check: for the store's
+        /// own refusals, which a verified blob never reaches.
+        fn unchecked(digest: Digest, len: usize, compressed: bool, wire: Vec<u8>) -> Blob {
+            Blob {
+                digest,
+                len: len as u32,
+                compressed,
+                wire: Rc::new(wire),
+            }
+        }
+    }
+
     /// `bytes` as the blob a verified fetch reply would have made of it.
     fn blob_of(bytes: &[u8]) -> Blob {
-        Blob::verified(digest(bytes), bytes, Some(codec::compress(bytes)))
+        Blob::unchecked(digest(bytes), bytes.len(), true, codec::compress(bytes))
     }
 
     #[test]
@@ -691,7 +823,7 @@ mod tests {
         ] {
             let cas = ContentStore::new(1 << 20);
             let d = digest(&a);
-            cas.insert_blob(Blob::verified(d, &a, Some(stream)), true);
+            cas.insert_blob(Blob::unchecked(d, a.len(), true, stream), true);
             assert!(!cas.contains(&d), "{what}");
             assert!(!cas.pin(&d), "{what}");
             assert_eq!((cas.entries(), cas.logical_bytes()), (0, 0), "{what}");
@@ -703,8 +835,143 @@ mod tests {
     fn a_blob_of_an_uncompressed_reply_is_compressed_on_the_way_in() {
         let cas = ContentStore::new(1 << 20);
         let a: Vec<u8> = (0..5000u32).map(|i| (i / 9) as u8).collect();
-        cas.insert_blob(Blob::verified(digest(&a), &a, None), false);
+        cas.insert_blob(
+            Blob::unchecked(digest(&a), a.len(), false, a.clone()),
+            false,
+        );
         assert_eq!(cas.get(&digest(&a)).unwrap(), a);
+    }
+
+    /// Run `body` as the one process of a fresh simulation.
+    fn in_sim(body: impl FnOnce(&Env) + 'static) {
+        let sim = simnet::Simulation::new();
+        sim.spawn("verify", move |env| body(&env));
+        sim.run();
+    }
+
+    /// A `FETCH_BLOBS` reply carrying `data`, read and verified against
+    /// `want` by the channel: the outcome, and the virtual time it took.
+    fn read_reply(
+        env: &Env,
+        want: Digest,
+        compressed: bool,
+        len: usize,
+        data: &[u8],
+    ) -> (Result<Blob, ChannelError>, SimDuration) {
+        let reply = xdr::to_bytes(&Reply(Ok(WirePayload {
+            len: len as u64,
+            compressed,
+            data,
+        })));
+        let start = env.now();
+        let blob = read_blob_reply(env, &CodecModel::default(), &reply, want).map(|(b, _)| b);
+        (blob, env.now() - start)
+    }
+
+    /// Whether `data` would be taken as a repeat of a verified stream.
+    fn repeats(want: Digest, compressed: bool, len: usize, data: &[u8]) -> bool {
+        let p = WirePayload {
+            len: len as u64,
+            compressed,
+            data,
+        };
+        Blob::known(want, &p).is_some()
+    }
+
+    /// A 64 KiB chunk of literals between runs, as memory images are.
+    fn chunk(seed: u8) -> Vec<u8> {
+        (0..64 * 1024u32)
+            .map(|i| match i % 512 {
+                0..=199 => 0,
+                r => (r as u8).wrapping_mul(seed) | 1,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_stream_that_differs_from_a_verified_one_in_any_field_is_refused() {
+        in_sim(|env| {
+            let a = chunk(3);
+            let want = digest(&a);
+            let honest = codec::compress(&a);
+            let (first, _) = read_reply(env, want, true, a.len(), &honest);
+            let first = first.unwrap();
+            let mut one_byte = honest.clone();
+            let at = honest.len() / 2;
+            one_byte[at] ^= 0x40;
+            let bad: [(&str, bool, usize, &[u8]); 3] = [
+                ("one byte changed", true, a.len(), &one_byte),
+                ("flagged uncompressed", false, a.len(), &honest),
+                ("another length", true, a.len() + 1, &honest),
+            ];
+            for (what, compressed, len, data) in bad {
+                let (blob, _) = read_reply(env, want, compressed, len, data);
+                assert_eq!(
+                    blob.err(),
+                    Some(ChannelError::Status(ChanStatus::BadStream)),
+                    "{what}"
+                );
+                assert!(!repeats(want, compressed, len, data), "{what}");
+                // The refusal left the verified stream in place.
+                assert!(repeats(want, true, a.len(), &honest), "after {what}");
+                let (again, _) = read_reply(env, want, true, a.len(), &honest);
+                let again = again.unwrap();
+                assert!(Rc::ptr_eq(&again.wire, &first.wire), "after {what}");
+                assert_eq!((again.digest, again.len), (want, a.len() as u32));
+            }
+        });
+    }
+
+    #[test]
+    fn a_repeat_charges_what_the_full_verify_charged() {
+        in_sim(|env| {
+            for compressed in [true, false] {
+                let a = chunk(5 + u8::from(compressed));
+                let want = digest(&a);
+                let wire = if compressed {
+                    codec::compress(&a)
+                } else {
+                    a.clone()
+                };
+                assert!(!repeats(want, compressed, a.len(), &wire));
+                let (first, full) = read_reply(env, want, compressed, a.len(), &wire);
+                let _first = first.unwrap();
+                assert!(repeats(want, compressed, a.len(), &wire));
+                let (second, repeat) = read_reply(env, want, compressed, a.len(), &wire);
+                second.unwrap();
+                assert!(full > SimDuration::ZERO, "compressed: {compressed}");
+                assert_eq!(repeat, full, "compressed: {compressed}");
+            }
+        });
+    }
+
+    #[test]
+    fn a_stream_no_store_holds_is_verified_in_full_again() {
+        in_sim(|env| {
+            let (a, b) = (chunk(7), chunk(9));
+            let (da, db) = (digest(&a), digest(&b));
+            let wire = codec::compress(&a);
+            let fetch = |cas: &ContentStore| {
+                let (blob, charged) = read_reply(env, da, true, a.len(), &wire);
+                cas.insert_blob(blob.unwrap(), false);
+                charged
+            };
+            // Dropped with its store.
+            let cas = ContentStore::new(1 << 20);
+            let full = fetch(&cas);
+            assert!(repeats(da, true, a.len(), &wire));
+            drop(cas);
+            assert!(!repeats(da, true, a.len(), &wire), "dropped with its store");
+            // Evicted: `b` takes the only room.
+            let cas = ContentStore::new(a.len() as u64);
+            assert_eq!(fetch(&cas), full);
+            assert!(repeats(da, true, a.len(), &wire));
+            cas.insert(&b);
+            assert!(cas.contains(&db) && !cas.contains(&da));
+            assert!(!repeats(da, true, a.len(), &wire), "evicted");
+            assert_eq!(fetch(&cas), full);
+            assert_eq!(cas.get(&da).unwrap(), a);
+        });
     }
 
     #[test]

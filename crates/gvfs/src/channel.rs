@@ -39,7 +39,7 @@ use xdr::{Decode, Decoder, Encode, Encoder};
 
 use crate::cas::{Blob, ContentStore, DedupTel};
 use crate::codec::{self, CodecModel};
-use crate::digest::{digest, Digest};
+use crate::digest::Digest;
 use crate::meta::{scan_content_map, ContentMap};
 
 /// Cap on recipe records a client will decode from a reply (matches the
@@ -397,27 +397,32 @@ fn read_reply<'a, T: Decode<'a>>(res: &'a [u8]) -> Result<T, ChannelError> {
         .map_err(ChannelError::Status)
 }
 
-impl WirePayload<'_> {
+impl<'a> WirePayload<'a> {
     /// The chunk's contents, decompressed (charging `codec`) if it
-    /// travelled compressed.
-    fn unpack(&self, env: &Env, codec: &CodecModel) -> Result<Vec<u8>, ChannelError> {
+    /// travelled compressed, borrowed from the message if not.
+    pub(crate) fn unpack(
+        &self,
+        env: &Env,
+        codec: &CodecModel,
+    ) -> Result<Cow<'a, [u8]>, ChannelError> {
         if !self.compressed {
-            return Ok(self.data.to_vec());
+            return Ok(Cow::Borrowed(self.data));
         }
         env.sleep(codec.decompress_time(self.len));
-        codec::decompress(self.data).map_err(|_| ChannelError::Status(ChanStatus::BadStream))
+        codec::decompress(self.data)
+            .map(Cow::Owned)
+            .map_err(|_| ChannelError::Status(ChanStatus::BadStream))
     }
 }
 
 /// Read a `FETCH_BLOBS` reply — a single call's, a batch item's or a
-/// peer's: decompress, then digest the contents (both charged to
-/// `codec`) and verify length and digest against what the recipe
-/// promised. Only a payload that passes becomes a [`Blob`] — this is the
-/// one place that makes one — and the contents are dropped here, so a
-/// verified chunk lives on in its wire form alone. Proxies call this
-/// before a reply may enter their content store; the CPU it charges is
-/// the price of guarding a shared store against a range-serving origin.
-/// Returns `(blob, wire bytes)`.
+/// peer's — and verify its payload against the digest the recipe
+/// promised with [`Blob::verify`], the one place that makes a [`Blob`]:
+/// a decompress and a digest charged to `codec`, run in full the first
+/// time this thread sees the stream. A verified chunk lives on in its
+/// wire form alone. Proxies call this before a reply may enter their
+/// content store; the CPU it charges is the price of guarding a shared
+/// store against a range-serving origin. Returns `(blob, wire bytes)`.
 pub(crate) fn read_blob_reply(
     env: &Env,
     codec: &CodecModel,
@@ -425,14 +430,10 @@ pub(crate) fn read_blob_reply(
     want: Digest,
 ) -> BlobFetchResult {
     let p: WirePayload = read_reply(res)?;
-    let contents = p.unpack(env, codec)?;
     // Verify the content actually matches the recipe (a regenerated
     // server file would silently corrupt the reassembly otherwise).
-    env.sleep(codec.digest_time(contents.len() as u64));
-    if contents.len() as u64 != p.len || digest(&contents) != want {
-        return Err(ChannelError::Status(ChanStatus::BadStream));
-    }
-    let blob = Blob::verified(want, &contents, p.compressed.then(|| p.data.to_vec()));
+    let blob =
+        Blob::verify(env, codec, want, &p).ok_or(ChannelError::Status(ChanStatus::BadStream))?;
     Ok((blob, p.data.len() as u64))
 }
 
@@ -899,7 +900,7 @@ impl ChannelClient {
         });
         let res = self.call(env, chanproc::FETCH_CHUNK, &args)?;
         let ChunkBody { total, payload } = read_reply(&res)?;
-        let contents = payload.unpack(env, &self.codec)?;
+        let contents = payload.unpack(env, &self.codec)?.into_owned();
         if contents.len() as u64 != payload.len {
             return Err(Mismatch::ReplyLength.into());
         }

@@ -26,6 +26,10 @@
 //!   decodes it straight into the one vector the READ reply is encoded
 //!   from, so each read makes one payload-sized allocation, however many
 //!   records the chunk's stream holds.
+//! - **A recipe fetch into a second store.** A `FETCH_BLOBS` reply that
+//!   repeats a stream this thread already verified for its digest is
+//!   taken by a byte compare: the proxy decodes and copies nothing, and
+//!   the second store shares the first one's allocation.
 //!
 //! The counter is per thread and a simulation runs on the thread that
 //! calls its `run`, one process at a time, so between two reads of the
@@ -41,12 +45,13 @@ use std::rc::Rc;
 use common::big_allocs;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCacheConfig, CacheVolume, ContentStore, DedupTuning, FileCache, ImageServer, Listen,
-    ProxyConfig, Tier, TransferTuning,
+    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
+    FileCache, FileChannelServer, ImageServer, Listen, ProxyConfig, RecipeFetch, Tier,
+    TransferTuning,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
-use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
-use simnet::{Link, SimDuration, SimHandle, Simulation};
+use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+use simnet::{Link, Shared, SimDuration, SimHandle, Simulation};
 use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload, CHUNK_SIZE};
 
 // ---------------------------------------------------------------------------
@@ -393,6 +398,93 @@ fn a_reference_read_decodes_into_its_one_reply_vector() {
                 );
             }
         }
+    });
+    sim.run();
+}
+
+// ---------------------------------------------------------------------------
+// A recipe fetch into a second store
+
+/// Blobs in the fetched file: dense 32 KiB chunks, one literal record
+/// each, so a chunk's stream is larger than the chunk.
+const FETCH_BLOBS: u64 = 4;
+/// A recipe fetch into a fresh store: per blob, 4 on the way to the
+/// proxy (the origin's compressed stream as it grows, and the reply it
+/// is encoded into), then the buffer the stream is decoded into to be
+/// digested (1) and the stream kept for the store (1).
+const FIRST_FETCH: usize = 6 * FETCH_BLOBS as usize;
+/// The same fetch into a second store on the same thread: each reply
+/// repeats a stream already verified for its digest, so the proxy
+/// neither decodes it nor copies it, and shares the first store's
+/// allocation. Before a stream was verified once per host: 24, the
+/// first fetch's count (a decode buffer and a wire copy per blob).
+const SECOND_FETCH: usize = 4 * FETCH_BLOBS as usize;
+
+#[test]
+fn a_second_store_fetching_verified_streams_decodes_and_copies_none() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let fs = Shared::new(Fs::new(0));
+    let f = {
+        let mut fs = fs.lock();
+        let root = fs.root();
+        let f = fs.create(root, "vmss", 0o644, 0).unwrap();
+        for b in 0..FETCH_BLOBS {
+            fs.write(f, b * BLOCK as u64, &block(b), 0).unwrap();
+        }
+        f
+    };
+    let recipe = gvfs::generate_content_map(&mut fs.lock(), f, BLOCK as u32).unwrap();
+    let server = FileChannelServer::new(
+        fs.clone(),
+        Disk::new(&h, DiskModel::server_array()),
+        CodecModel::default(),
+        true,
+        None,
+    );
+    let ep = oncrpc::endpoint(
+        &h,
+        lan(&h, "up"),
+        lan(&h, "down"),
+        WireSpec::ssh_tunnel(50e6),
+    );
+    ep.listener
+        .serve("chan", Dispatcher::new().register(server).into_handler(), 2);
+    let cred = OpaqueAuth::sys(&AuthSys::new("proxy", 1, 1));
+    let chan = ChannelClient::new(RpcClient::new(ep.channel, cred), CodecModel::default());
+    sim.spawn("proxy", move |env| {
+        let dtel = DedupTel::unregistered();
+        let stores = [ContentStore::new(1 << 30), ContentStore::new(1 << 30)];
+        let counts: Vec<usize> = stores
+            .iter()
+            .map(|cas| {
+                let rq = RecipeFetch {
+                    recipe_hint: Some(&recipe),
+                    chunk_bytes: BLOCK as u32,
+                    window: 1,
+                    batch: 1,
+                    cas,
+                    dtel: &dtel,
+                    tel: None,
+                };
+                let (pinned, allocs) =
+                    big_allocs(|| chan.fetch_recipe_pinned(&env, f, &rq).unwrap());
+                let want: Vec<u8> = (0..FETCH_BLOBS).flat_map(block).collect();
+                assert_eq!(pinned.materialize(cas).unwrap(), want);
+                allocs
+            })
+            .collect();
+        assert_eq!(dtel.blob_fetches.get(), 2 * FETCH_BLOBS);
+        for (d, _) in &recipe.records {
+            let [a, b] = stores.each_ref().map(|cas| cas.get_packed(d).unwrap().1);
+            assert!(Rc::ptr_eq(&a, &b), "both stores hold one stream");
+        }
+        assert_eq!(
+            counts,
+            [FIRST_FETCH, SECOND_FETCH],
+            "payload-sized allocations of a {FETCH_BLOBS}-blob recipe fetch into a fresh \
+             store / into a second store on the same thread"
+        );
     });
     sim.run();
 }
