@@ -376,9 +376,9 @@ impl BlockCache {
     }
 
     /// [`BlockCache::insert`] of a payload already behind an `Rc` — a
-    /// clean block the caller pooled by content where it arrived
-    /// ([`vfs::share_slice`]), before any cache lock is taken: the pool
-    /// stays a leaf lock.
+    /// clean block the caller pooled where it arrived
+    /// (`nfs3::proto::ReadRes::pooled_block`), before any cache lock is
+    /// taken: the pool stays a leaf lock.
     pub fn insert_shared(
         &self,
         env: &Env,

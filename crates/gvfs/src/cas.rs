@@ -44,13 +44,29 @@
 //! as it enters (one that fails is not retained); a read seeks with the
 //! index and decodes only its range, onto the caller's buffer.
 //!
+//! A pinned file's contents are read a 32 KiB file block at a time
+//! ([`vfs::CHUNK_SIZE`], the NFS block every layer above moves), and a
+//! block is assembled once per host thread ([`ContentStore::pinned_block`]).
+//! A per-thread block table maps the slices a block is made of — each a
+//! stream allocation and a range of its original bytes — to a `Weak` to
+//! the pooled block decoded from them. The table holds `Weak`s to the
+//! streams too, which keeps their addresses from being reused, and a
+//! stream reachable through a `Weak` never changes in place, so a hit is
+//! a pure function of the bytes and trusts no digest. The table is keyed
+//! by file block, not by stream block: a recipe of 8 KiB chunks still
+//! yields 32 KiB blocks. A block lives as long as someone holds it — a
+//! kernel client adopts it from the READ reply it was encoded into — so
+//! the next clone's read of that block decodes nothing.
+//!
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
 
 use simnet::Shared;
 use simnet::{Counter, Env, Telemetry};
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::rc::{Rc, Weak};
 use vfs::{share, share_slice, SharedBytes};
 
@@ -295,6 +311,87 @@ impl Blob {
     }
 }
 
+/// A slice of a file block: `lo..hi` of the original bytes of the
+/// stream `stream`. Ordered by the stream's address, which its `Weak`
+/// keeps from being reused.
+struct StreamSlice {
+    stream: Weak<Vec<u8>>,
+    lo: u32,
+    hi: u32,
+}
+
+impl StreamSlice {
+    fn key(&self) -> (usize, u32, u32) {
+        (self.stream.as_ptr() as usize, self.lo, self.hi)
+    }
+}
+
+impl PartialEq for StreamSlice {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for StreamSlice {}
+
+impl PartialOrd for StreamSlice {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for StreamSlice {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// A block's slices: the first inline, the rest (none, for a block
+/// inside one chunk) behind a box that is empty then.
+type BlockKey = (StreamSlice, Box<[StreamSlice]>);
+
+struct BlockTable {
+    // BTreeMap: the sweep iterates it (lint: determinism).
+    blocks: BTreeMap<BlockKey, Weak<Vec<u8>>>,
+    /// `blocks.len()` right after the last sweep.
+    swept: usize,
+}
+
+thread_local! {
+    /// The block table of the module docs, per thread like `VERIFIED`.
+    static BLOCKS: RefCell<BlockTable> = const {
+        RefCell::new(BlockTable {
+            blocks: BTreeMap::new(),
+            swept: 0,
+        })
+    };
+}
+
+impl BlockTable {
+    /// The live block `key` names, or the one `decode` makes, kept for
+    /// later callers. Entries whose block or any stream died go when
+    /// the table has doubled since it was last swept.
+    fn get_or_decode(
+        &mut self,
+        key: BlockKey,
+        decode: impl FnOnce() -> Option<SharedBytes>,
+    ) -> Option<SharedBytes> {
+        if let Some(block) = self.blocks.get(&key).and_then(Weak::upgrade) {
+            return Some(block);
+        }
+        let block = decode()?;
+        self.blocks.insert(key, Rc::downgrade(&block));
+        if self.blocks.len() > 2 * self.swept.max(SWEEP_FLOOR) {
+            self.blocks.retain(|(first, rest), block| {
+                let live = |s: &StreamSlice| s.stream.strong_count() > 0;
+                block.strong_count() > 0 && live(first) && rest.iter().all(live)
+            });
+            self.swept = self.blocks.len();
+        }
+        Some(block)
+    }
+}
+
 impl VerifiedTable {
     /// Keep `wire` as the stream `p` verified to for `want`. Entries of
     /// dropped streams go when the table has doubled since it was last
@@ -525,6 +622,62 @@ impl ContentStore {
         e.index.read_into(&e.packed, offset, len, out).ok()?;
         inner.touch(d);
         Some(())
+    }
+
+    /// The file block `slices` make up — ranges of chunks the caller
+    /// holds pins on, in file order — as one pooled allocation, decoded
+    /// once per host thread while anyone holds it (the module docs);
+    /// then the chunks of `slices[touch]`, the part the caller reads,
+    /// move up in recency as a read of them does. A chunk that is not
+    /// resident, or does not decode to its range, is a broken pin.
+    pub(crate) fn pinned_block(
+        &self,
+        slices: &[(Digest, Range<usize>)],
+        touch: Range<usize>,
+    ) -> Result<SharedBytes, BrokenPin> {
+        let mut inner = self.inner.lock();
+        let block = Self::block(&inner, slices);
+        match block {
+            Some(block) => {
+                for (d, _) in &slices[touch] {
+                    inner.touch(d);
+                }
+                Ok(block)
+            }
+            None => {
+                inner.broken_pins.inc();
+                Err(BrokenPin)
+            }
+        }
+    }
+
+    /// The body of [`ContentStore::pinned_block`]: the block table's
+    /// entry, or the slices decoded into one vector and pooled.
+    fn block(inner: &Inner, slices: &[(Digest, Range<usize>)]) -> Option<SharedBytes> {
+        let slice = |(d, r): &(Digest, Range<usize>)| {
+            let e = inner.map.get(d)?;
+            Some(StreamSlice {
+                stream: Rc::downgrade(&e.packed),
+                lo: u32::try_from(r.start).ok()?,
+                hi: u32::try_from(r.end).ok()?,
+            })
+        };
+        let (first, rest) = slices.split_first()?;
+        let rest = rest.iter().map(slice).collect::<Option<Box<[_]>>>()?;
+        let key = (slice(first)?, rest);
+        BLOCKS.with(|table| {
+            table.borrow_mut().get_or_decode(key, || {
+                let len = slices.iter().map(|(_, r)| r.len()).sum();
+                let mut out = Vec::with_capacity(len);
+                for (d, r) in slices {
+                    let e = inner.map.get(d)?;
+                    e.index
+                        .read_into(&e.packed, r.start, r.len(), &mut out)
+                        .ok()?;
+                }
+                (out.len() == len).then(|| share(out))
+            })
+        })
     }
 
     /// `d`'s entry as stored — its logical length and its compressed

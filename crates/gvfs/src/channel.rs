@@ -34,10 +34,10 @@ use nfs3::Fh3;
 use oncrpc::{OpaqueAuth, ProgramError, RpcClient, RpcProgram};
 use simnet::Shared;
 use simnet::{run_windowed, Env, Resource, TransferTel};
-use vfs::{Disk, Fs, Handle};
+use vfs::{Disk, Fs, Handle, Payload, CHUNK_SIZE};
 use xdr::{Decode, Decoder, Encode, Encoder};
 
-use crate::cas::{Blob, ContentStore, DedupTel};
+use crate::cas::{Blob, BrokenPin, ContentStore, DedupTel};
 use crate::codec::{self, CodecModel};
 use crate::digest::Digest;
 use crate::meta::{scan_content_map, ContentMap};
@@ -792,28 +792,58 @@ pub struct PinnedRecipe {
 impl PinnedRecipe {
     /// The file's contents, read out of `cas` — the store the fetch
     /// pinned its records in — through those pins, which are released
-    /// whether the read succeeds or fails. A read that finds a pinned
+    /// whether the read succeeds or fails: one pooled 32 KiB block per
+    /// file block, assembled once per host thread
+    /// ([`ContentStore::pinned_block`]). A read that finds a pinned
     /// record gone is [`ChannelError::NotRetained`].
-    pub fn materialize(self, cas: &ContentStore) -> Result<Vec<u8>, ChannelError> {
+    pub fn materialize(self, cas: &ContentStore) -> Result<Payload, ChannelError> {
         let records = &self.recipe.records;
-        let read = xdr::bounded_alloc(self.recipe.total as usize, MAX_RECIPE_BYTES as usize)
-            .map_err(ChannelError::from)
-            .and_then(|out| {
-                records.iter().try_fold(out, |mut out, (d, _)| {
-                    cas.get_pinned_range(d, 0, usize::MAX, &mut out)
-                        .map_err(|_| ChannelError::NotRetained)?;
-                    Ok(out)
-                })
-            });
+        let total = self.recipe.total;
+        let span: u64 = records.iter().map(|(_, l)| *l as u64).sum();
+        let read = if total > MAX_RECIPE_BYTES {
+            Err(ChannelError::from(xdr::Error::LengthOverLimit {
+                declared: u32::try_from(total).unwrap_or(u32::MAX),
+                limit: u32::MAX,
+            }))
+        } else if span != total {
+            Err(Mismatch::RecipeSpan.into())
+        } else {
+            recipe_blocks(cas, records, total).map_err(|_| ChannelError::NotRetained)
+        };
         for (d, _) in records {
             cas.unpin(d);
         }
-        let contents = read?;
-        if contents.len() as u64 != self.recipe.total {
-            return Err(Mismatch::RecipeSpan.into());
-        }
-        Ok(contents)
+        read
     }
+}
+
+/// The first `total` bytes `records` lay out, in file order, as pooled
+/// 32 KiB blocks: each record is cut where blocks end, and a block is
+/// asked for once its slices fill it.
+fn recipe_blocks(
+    cas: &ContentStore,
+    records: &[(Digest, u32)],
+    total: u64,
+) -> Result<Payload, BrokenPin> {
+    let mut out = Payload::new();
+    let mut slices = Vec::new();
+    let (mut at, mut block_end) = (0u64, total.min(CHUNK_SIZE as u64));
+    for &(d, len) in records {
+        let mut lo = 0u64;
+        while lo < len as u64 && at < total {
+            let n = (len as u64 - lo).min(block_end - at);
+            slices.push((d, lo as usize..(lo + n) as usize));
+            (lo, at) = (lo + n, at + n);
+            if at == block_end {
+                let block = cas.pinned_block(&slices, 0..slices.len())?;
+                let n = block.len();
+                out.push_shared(block, 0..n);
+                slices.clear();
+                block_end = total.min(block_end + CHUNK_SIZE as u64);
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// One blob's outcome inside a fetch: the verified chunk in its wire
@@ -1392,7 +1422,7 @@ mod tests {
         rq: &RecipeFetch<'_>,
     ) -> Result<(Vec<u8>, PinnedRecipe), ChannelError> {
         let pr = chan.fetch_recipe_pinned(env, fh, rq)?;
-        Ok((pr.clone().materialize(rq.cas)?, pr))
+        Ok((pr.clone().materialize(rq.cas)?.to_vec(), pr))
     }
 
     #[test]
@@ -1434,6 +1464,47 @@ mod tests {
             assert!(down.total_bytes() - wire_after_first < 4096);
         });
         sim.run();
+    }
+
+    #[test]
+    fn materialize_cuts_records_of_any_length_into_whole_blocks() {
+        let cas = ContentStore::new(1 << 30);
+        let lens = [5_000usize, 70_000, 1, 12_345, 32 * 1024];
+        let mut want = Vec::new();
+        let records: Vec<(Digest, u32)> = lens
+            .iter()
+            .enumerate()
+            .map(|(r, &n)| {
+                let chunk: Vec<u8> = (0..n).map(|i| (i * 7 + r * 13) as u8 | 1).collect();
+                want.extend_from_slice(&chunk);
+                (cas.insert_pinned(&chunk), n as u32)
+            })
+            .collect();
+        let pinned = |total: u64| PinnedRecipe {
+            recipe: ContentMap {
+                chunk_bytes: 1 << 16,
+                total,
+                records: records.clone(),
+            },
+            wire: 0,
+            fresh_bytes: 0,
+        };
+        let got = pinned(want.len() as u64).materialize(&cas).unwrap();
+        assert_eq!(got, want);
+        let sizes: Vec<usize> = got.pieces().map(|p| p.len()).collect();
+        let tail = want.len() % CHUNK_SIZE;
+        assert_eq!(sizes.len(), want.len().div_ceil(CHUNK_SIZE));
+        assert!(sizes[..sizes.len() - 1].iter().all(|&n| n == CHUNK_SIZE));
+        assert_eq!(sizes.last(), Some(&tail));
+        assert_eq!(cas.pinned_bytes(), 0, "materializing releases every pin");
+        // A recipe whose records do not add up to its total still
+        // releases its pins.
+        for (d, _) in &records {
+            assert!(cas.pin(d));
+        }
+        let short = pinned(want.len() as u64 + 1).materialize(&cas);
+        assert_eq!(short, Err(Mismatch::RecipeSpan.into()));
+        assert_eq!(cas.pinned_bytes(), 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use simnet::Env;
 use simnet::Shared;
-use vfs::{Disk, Payload, SparseBytes};
+use vfs::{Disk, Payload, PayloadRef, SparseBytes, CHUNK_SIZE};
 
 use crate::cas::{BrokenPin, ContentStore};
 use crate::digest::{digest, Digest};
@@ -87,12 +87,10 @@ impl RefFile {
     /// Assemble the full current contents (host-side; no time charged,
     /// mirroring the uncharged digest in [`FileCache::install`]).
     fn assemble(&self) -> Result<Vec<u8>, BrokenPin> {
-        let mut out = Vec::with_capacity(self.total() as usize);
-        for (i, (d, clen)) in self.recipe.iter().enumerate() {
-            match self.overlay.get(&(i as u32)) {
-                Some(b) => out.extend_from_slice(b),
-                None => self.cas.get_pinned_range(d, 0, *clen as usize, &mut out)?,
-            }
+        let total = self.total();
+        let mut out = Vec::with_capacity(total as usize);
+        if total > 0 {
+            self.gather(0..total, &mut out)?;
         }
         Ok(out)
     }
@@ -105,24 +103,60 @@ impl RefFile {
     /// Read `[offset, offset+len)` clipped to the recipe, returning the
     /// bytes and how many of them came off the disk (private overlay —
     /// shared chunks serve from the pinned host-memory CAS for free).
-    /// Shared chunks decode straight into the one vector returned, which
-    /// the READ reply is then encoded from.
-    fn read_range(&self, offset: u64, len: usize) -> Result<(Vec<u8>, u64), BrokenPin> {
+    /// One step per 32 KiB file block the range touches: a block of
+    /// shared chunks is the CAS's pooled block, by reference
+    /// ([`ContentStore::pinned_block`]); a block with a private chunk is
+    /// gathered, the part of it read, into a vector of its own.
+    fn read_range(&self, offset: u64, len: usize) -> Result<(Payload, u64), BrokenPin> {
         let total = self.total();
+        let mut out = Payload::new();
         if offset >= total || len == 0 {
-            return Ok((Vec::new(), 0));
+            return Ok((out, 0));
         }
         let end = total.min(offset + len as u64);
-        let cb = self.chunk_bytes as u64;
-        let first = (offset / cb) as usize;
-        let last = ((end - 1) / cb) as usize;
-        let mut out = Vec::with_capacity((end - offset) as usize);
+        let (cb, bs) = (self.chunk_bytes as u64, CHUNK_SIZE as u64);
+        let chunk_of = |at: u64| (at / cb) as usize;
         let mut disk = 0u64;
-        for i in first..=last {
+        for b in offset / bs..=(end - 1) / bs {
+            let block = b * bs..total.min(b * bs + bs);
+            let (s, e) = (offset.max(block.start), end.min(block.end));
+            let chunks = chunk_of(block.start)..chunk_of(block.end - 1) + 1;
+            let private = |i: usize| self.overlay.contains_key(&(i as u32));
+            if chunks.clone().any(private) {
+                let mut buf = Vec::with_capacity((e - s) as usize);
+                disk += self.gather(s..e, &mut buf)?;
+                out.push_shared(Rc::new(buf), 0..(e - s) as usize);
+                continue;
+            }
+            let slices: Vec<_> = chunks
+                .clone()
+                .map(|i| {
+                    let (d, clen) = self.recipe[i];
+                    let cstart = self.chunk_offset(i);
+                    let lo = block.start.max(cstart) - cstart;
+                    let hi = block.end.min(cstart + clen as u64) - cstart;
+                    (d, lo as usize..hi as usize)
+                })
+                .collect();
+            // The chunks the read itself covers.
+            let read = chunk_of(s) - chunks.start..chunk_of(e - 1) + 1 - chunks.start;
+            let shared = self.cas.pinned_block(&slices, read)?;
+            let within = s - block.start..e - block.start;
+            out.push_shared(shared, within.start as usize..within.end as usize);
+        }
+        Ok((out, disk))
+    }
+
+    /// Append `range` (inside the recipe) to `out` chunk by chunk, from
+    /// the private overlay or through the pins; returns the overlay
+    /// bytes, which a read pays disk time for.
+    fn gather(&self, range: std::ops::Range<u64>, out: &mut Vec<u8>) -> Result<u64, BrokenPin> {
+        let cb = self.chunk_bytes as u64;
+        let mut disk = 0u64;
+        for i in (range.start / cb) as usize..=((range.end - 1) / cb) as usize {
             let cstart = self.chunk_offset(i);
             let clen = self.recipe[i].1 as u64;
-            let s = offset.max(cstart);
-            let e = end.min(cstart + clen);
+            let (s, e) = (range.start.max(cstart), range.end.min(cstart + clen));
             if s >= e {
                 continue;
             }
@@ -132,12 +166,10 @@ impl RefFile {
                     disk += e - s;
                     out.extend_from_slice(&b[lo..lo + n]);
                 }
-                None => self
-                    .cas
-                    .get_pinned_range(&self.recipe[i].0, lo, n, &mut out)?,
+                None => self.cas.get_pinned_range(&self.recipe[i].0, lo, n, out)?,
             }
         }
-        Ok((out, disk))
+        Ok(disk)
     }
 
     /// Copy-on-write break: materialize every chunk `[offset,
@@ -380,8 +412,10 @@ impl FileCache {
     /// not the local write of the assembled file; CAS entries live in
     /// host memory, so a CAS hit is no guarantee the bytes are still on
     /// this cache disk). Evicts least-recently-used clean files if over
-    /// capacity.
-    pub fn install(&self, env: &Env, key: FileKey, contents: &[u8]) {
+    /// capacity. A payload of whole pooled blocks — a materialized
+    /// recipe — is kept by reference, block for block.
+    pub fn install<'a>(&self, env: &Env, key: FileKey, contents: impl Into<PayloadRef<'a>>) {
+        let contents = contents.into();
         {
             let mut inner = self.inner.lock();
             inner.stamp += 1;
@@ -566,10 +600,7 @@ impl FileCache {
                     let n = data.len().max(1) as u64;
                     (data, n)
                 }
-                Backing::Reference(r) => {
-                    let (data, disk_bytes) = r.read_range(offset, len as usize)?;
-                    (Payload::from(data), disk_bytes)
-                }
+                Backing::Reference(r) => r.read_range(offset, len as usize)?,
             };
             let eof = offset + data.len() as u64 >= f.size;
             inner.stats.read_hits += 1;

@@ -49,7 +49,7 @@ type SkipCandidate = (u64, SharedBytes, u64);
 type PendingUpload = (FileKey, DirtyFile, Option<Digest>);
 
 use nfs3::args::{ReadArgs, SetattrArgs, WriteArgs};
-use nfs3::proto::{proc3, DirOpArgs3, Fh3, ReadRes, StableHow, Status, NFS_PROGRAM, NFS_V3};
+use nfs3::proto::{proc3, DirOpArgs3, Fh3, StableHow, Status, NFS_PROGRAM, NFS_V3};
 use nfs3::results::{
     decode_getattr, decode_lookup, decode_read, encode_commit, encode_fail_postop, encode_fail_wcc,
     encode_getattr, encode_read, encode_write,
@@ -1231,11 +1231,13 @@ impl Proxy {
                 }
                 // A hit encodes only the bytes this READ asked for (none
                 // when it starts past the end of a short EOF-tail block),
-                // straight out of the frame.
+                // straight out of the frame — as a piece of it, so a
+                // whole-frame reply carries the frame along.
                 if let Some((frame, range)) =
                     bc.lookup_range(env, tag, in_block as usize, a.count as usize)
                 {
-                    let data = &frame[range];
+                    let mut data = Payload::new();
+                    data.push_shared(frame.clone(), range);
                     let was_prefetched = {
                         let mut st = self.state.lock();
                         let was = matches!(st.flights.get(&tag), Some(BlockFlight::Prefetched));
@@ -1256,7 +1258,7 @@ impl Proxy {
                             .known_size(key)
                             .map(|s| a.offset + data.len() as u64 >= s)
                             .unwrap_or(false);
-                    return Self::local_read(xid, data.into(), eof);
+                    return Self::local_read(xid, (&data).into(), eof);
                 }
                 // Miss: start read-ahead for a detected sequential
                 // stream, then forward. The prefetch workers run
@@ -1276,21 +1278,23 @@ impl Proxy {
                     }
                 }
                 let fetched = success_results(&reply).and_then(|res| decode_read(res).ok());
-                if let Some(ReadRes { data, eof, .. }) = fetched {
-                    if eof {
+                if let Some(res) = fetched {
+                    let n = res.data.len();
+                    if res.eof {
                         // Server-confirmed size: lets warm hits report
                         // EOF without re-asking upstream.
-                        self.bump_size(key, a.offset + data.len() as u64);
+                        self.bump_size(key, a.offset + n as u64);
                     }
                     // Only a block-aligned reply covers the block from
                     // its first byte, so only that can be installed — and
                     // only one no longer than was asked for fits a frame.
-                    // The block is pooled out of the reply, and the view
-                    // of it dropped, before the reply goes downstream:
-                    // it then travels as the allocation it arrived in.
-                    if !data.is_empty() && in_block == 0 && data.len() as u64 <= bs {
-                        self.wb
-                            .insert_block(env, cred, bc, tag, share_slice(&data), false);
+                    // The block is pooled out of the reply (or is the
+                    // block it carries), and the view of it dropped,
+                    // before the reply goes downstream: it then travels
+                    // as the allocation it arrived in.
+                    if n > 0 && in_block == 0 && n as u64 <= bs {
+                        let block = res.pooled_block(n);
+                        self.wb.insert_block(env, cred, bc, tag, block, false);
                     }
                 }
                 return reply;
@@ -1586,7 +1590,7 @@ impl Proxy {
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
                             let removals = bc.removals();
-                            let data = share_slice(&r.data);
+                            let data = r.pooled_block(bs as usize);
                             sink.insert_block(env, sink.upstream.cred(), &bc, t, data, false);
                             let mut st = sink.state.lock();
                             st.prefetched_checked_at = st.prefetched_checked_at.min(removals);

@@ -160,7 +160,7 @@ fn run_fetch(
                 },
             )
             .unwrap();
-        *got2.lock() = Some(pr.materialize(&cas).unwrap());
+        *got2.lock() = Some(pr.materialize(&cas).unwrap().to_vec());
     });
     sim.run();
     let batch_stats = shard_proxy.map(|p| p.fleet_batch_stats()).unwrap_or((0, 0));

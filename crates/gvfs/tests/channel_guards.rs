@@ -278,7 +278,9 @@ fn resolve_both(
         chan.fetch_recipe_pinned(env, fh, &rq)
     };
     let pinned = fetch(&cas[0]).map(|_| ());
-    let materialized = fetch(&cas[1]).and_then(|pr| pr.materialize(&cas[1]));
+    let materialized = fetch(&cas[1])
+        .and_then(|pr| pr.materialize(&cas[1]))
+        .map(|p| p.to_vec());
     let left = (cas[0].pinned_bytes(), cas[1].pinned_bytes());
     (pinned, materialized, left)
 }

@@ -224,7 +224,7 @@ fn run_pair(
                     },
                 )
                 .unwrap();
-            let contents = pr.materialize(&cas).unwrap();
+            let contents = pr.materialize(&cas).unwrap().to_vec();
             let mut o = out2.lock();
             if slot == 0 {
                 o.0 = Some(contents);

@@ -32,8 +32,8 @@ use simnet::telemetry::Counter;
 use simnet::Shared;
 use simnet::{run_windowed, Env, SimDuration};
 use vfs::{
-    share, share_slice, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, Payload,
-    PayloadRef, SharedBytes,
+    share, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, Payload, PayloadRef,
+    SharedBytes,
 };
 
 use crate::client::{Nfs3Client, NfsError};
@@ -240,8 +240,10 @@ impl KernelClient {
     /// Fetch the given blocks, at most `max_inflight` READs in flight;
     /// returns (block, data) pairs in the order asked for. Data is padded
     /// or cut to the block size and pooled by content where it arrives,
-    /// in the worker that decoded the reply: a full block is hashed and
-    /// compared inside the reply and copied only if the pool lacks it.
+    /// in the worker that decoded the reply: a full block is the pooled
+    /// block the reply was encoded from when it says so, and is
+    /// otherwise hashed and compared inside the reply and copied only if
+    /// the pool lacks it ([`crate::proto::ReadRes::pooled_block`]).
     fn fetch_blocks(
         &self,
         env: &Env,
@@ -255,7 +257,7 @@ impl KernelClient {
         let slots = run_windowed(env, "nfs-read", window, blocks, None, move |env, b| {
             Some(nfs.read(env, h, b * bs, bs as u32).map(|res| {
                 let data = if res.data.len() >= bs as usize {
-                    share_slice(&res.data[..bs as usize])
+                    res.pooled_block(bs as usize)
                 } else {
                     let mut padded = res.data.to_vec();
                     // lint:allow(bounded-decode): pads to the mount's own block size, not to a decoded length

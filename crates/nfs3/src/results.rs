@@ -12,10 +12,14 @@
 //! Results are encoded behind room for the RPC reply header
 //! ([`REPLY_HEADROOM`]), so the message that carries them is completed in
 //! place, and a READ payload is decoded as a view of the reply it came
-//! in: one copy on the sending side, none on the receiving side.
+//! in: one copy on the sending side, none on the receiving side. A READ
+//! payload that is one pooled block also travels, host side, as that
+//! block: the reply carries it as an attachment ([`xdr::Bytes::attach`]),
+//! so the receiver adopts the allocation instead of finding it again by
+//! hashing ([`ReadRes::pooled_block`]). The wire bytes are the same.
 
 use oncrpc::msg::REPLY_HEADROOM;
-use vfs::{Attr, Handle, PayloadRef};
+use vfs::{share_rc, share_slice, Attr, Handle, PayloadRef, SharedBytes};
 use xdr::{Bytes, Decode, Decoder, Encode, Encoder};
 
 use crate::client::{NfsError, NfsResult};
@@ -96,7 +100,8 @@ pub fn decode_lookup(results: &[u8]) -> NfsResult<(Handle, Option<Attr>)> {
 
 /// READ3resok (decoded as a [`ReadRes`]): the one copy `data` gets on
 /// its way out, into a buffer sized for it, piece by piece from where
-/// the bytes lie.
+/// the bytes lie. When `data` is one pooled block ([`PayloadRef::block`])
+/// the reply carries that block as its attachment.
 pub fn encode_read<'a>(attr: Option<Attr>, data: impl Into<PayloadRef<'a>>, eof: bool) -> Bytes {
     let data = data.into();
     let n = data.len();
@@ -105,8 +110,13 @@ pub fn encode_read<'a>(attr: Option<Attr>, data: impl Into<PayloadRef<'a>>, eof:
     PostOpAttr(attr).encode(&mut enc);
     enc.put_u32(n as u32);
     enc.put_bool(eof);
+    let start = enc.len() + 4;
     enc.put_opaque_var_with(n, |buf| data.extend_vec(0..n, buf));
-    enc.into_shared()
+    let reply = enc.into_shared();
+    match data.block(0..n) {
+        Some(block) => reply.attach(start, block),
+        None => reply,
+    }
 }
 
 /// Decode READ3res; the data is a view of `results`, not a copy. A
@@ -126,6 +136,20 @@ pub fn decode_read(results: &Bytes) -> NfsResult<ReadRes> {
     }
     let data = results.slice_ref(data);
     Ok(ReadRes { attr, data, eof })
+}
+
+impl ReadRes {
+    /// The first `bs` bytes of the data (all of it when shorter) as
+    /// pooled content: the block the reply was encoded from when it
+    /// carries exactly those bytes, adopted by address; otherwise hashed
+    /// and compared where they lie, and copied only on a pool miss.
+    pub fn pooled_block(&self, bs: usize) -> SharedBytes {
+        let data = self.data.slice(0, bs.min(self.data.len()));
+        match data.attached() {
+            Some(block) => share_rc(block.clone()),
+            None => share_slice(&data),
+        }
+    }
 }
 
 /// WRITE3resok (decoded as a [`WriteRes`]).

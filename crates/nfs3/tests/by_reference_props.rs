@@ -8,14 +8,22 @@
 //! lengths, ranges past the maximum file size — and decode the same
 //! values. The one deliberate difference is modelled in the reference: a
 //! READ3res whose `count` disagrees with its data no longer decodes.
+//!
+//! A READ reply encoded from one pooled block also carries that block,
+//! host side, as its attachment. The last properties check when it
+//! does — exactly for a whole allocation or one block of zeros — that
+//! the attachment equals the data it stands for, and that it survives a
+//! relay that forwards the results it decoded.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use nfs3::args::WriteArgs;
 use nfs3::proto::{Fh3, PostOpAttr, StableHow, Status, MAX_FILE_SIZE};
 use nfs3::results::{decode_read, encode_read};
+use oncrpc::{AcceptStat, ReplyBody, RpcMessage};
 use proptest::prelude::*;
-use vfs::{Attr, FileType, Handle};
+use std::rc::Rc;
+use vfs::{Attr, FileType, Handle, Payload, PayloadRef, SharedBytes, CHUNK_SIZE};
 use xdr::{Bytes, Decode, Decoder, Encode};
 
 fn attr() -> Attr {
@@ -181,6 +189,110 @@ proptest! {
             }
             (Err(_), None) => {}
             (by_ref, owned) => prop_assert!(false, "by reference {by_ref:?}, owned {owned:?}"),
+        }
+    }
+}
+
+/// A payload of one of six shapes, `n` bytes long (at least 2), and the
+/// allocation a reply encoded from it should carry: a whole piece, a
+/// piece of the zero block, a sub-range of a piece, two pieces, a zero
+/// run, and a plain slice (`bytes`, kept by the caller).
+fn shaped(shape: u8, n: usize, bytes: &[u8]) -> (Option<Payload>, Option<SharedBytes>) {
+    let piece: SharedBytes = Rc::new(bytes[..n].to_vec());
+    let mut p = Payload::new();
+    let carried = match shape {
+        0 => {
+            p.push_shared(Rc::clone(&piece), 0..n);
+            Some(piece)
+        }
+        1 => {
+            let zero = vfs::zero_block();
+            p.push_shared(Rc::clone(&zero), 0..CHUNK_SIZE);
+            Some(zero)
+        }
+        2 => {
+            let wider: SharedBytes = Rc::new(bytes.to_vec());
+            p.push_shared(wider, 1..n);
+            None
+        }
+        3 => {
+            p.push_shared(Rc::clone(&piece), 0..n / 2);
+            p.push_shared(piece, n / 2..n);
+            None
+        }
+        4 => {
+            p.push_zeros(n);
+            (n == CHUNK_SIZE).then(vfs::zero_block)
+        }
+        _ => return (None, None),
+    };
+    (Some(p), carried)
+}
+
+/// The results of a successful reply message.
+fn results_of(wire: &Bytes) -> Bytes {
+    match RpcMessage::decode_shared(wire).unwrap() {
+        RpcMessage::Reply {
+            body:
+                ReplyBody::Accepted {
+                    stat: AcceptStat::Success,
+                    results,
+                    ..
+                },
+            ..
+        } => results,
+        other => panic!("not a successful reply: {other:?}"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_read_reply_carries_exactly_the_one_block_it_was_encoded_from(
+        shape in 0u8..6,
+        one_block in any::<bool>(),
+        len in 2usize..3000,
+        eof in any::<bool>(),
+    ) {
+        let n = if one_block { CHUNK_SIZE } else { len };
+        let bytes: Vec<u8> = (0..=n).map(|i| (i * 13 + 5) as u8).collect();
+        let (payload, carried) = shaped(shape, n, &bytes);
+        let data = match &payload {
+            Some(p) => PayloadRef::from(p),
+            None => PayloadRef::from(&bytes[..n]),
+        };
+        let reply = encode_read(Some(attr()), data, eof);
+        let res = decode_read(&reply).unwrap();
+        let mut want = Vec::new();
+        data.extend_vec(0..data.len(), &mut want);
+        prop_assert_eq!(&res.data[..], &want[..]);
+        match (res.data.attached(), &carried) {
+            (Some(got), Some(block)) => {
+                prop_assert!(Rc::ptr_eq(got, block), "shape {shape}: another allocation");
+                prop_assert_eq!(&got[..], &res.data[..]);
+            }
+            (None, None) => {}
+            (got, _) => prop_assert!(false, "shape {shape}, {n} bytes: attached {:?}", got.is_some()),
+        }
+        // Through a relay: the server's reply on the wire, its results
+        // forwarded under the relay's xid — in place, or copied when the
+        // relay still holds the message — and decoded at the client.
+        for relay_keeps_it in [false, true] {
+            let upstream = RpcMessage::success(7, reply.clone()).into_wire();
+            let results = results_of(&upstream);
+            let kept = relay_keeps_it.then(|| results.clone());
+            drop(upstream);
+            let downstream = RpcMessage::success(8, results).into_wire();
+            let res = decode_read(&results_of(&downstream)).unwrap();
+            prop_assert_eq!(&res.data[..], &want[..]);
+            match (res.data.attached(), &carried) {
+                (Some(got), Some(block)) => {
+                    prop_assert!(Rc::ptr_eq(got, block));
+                    prop_assert_eq!(&got[..], &res.data[..]);
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "the relay changed what the reply carries"),
+            }
+            drop(kept);
         }
     }
 }

@@ -20,7 +20,8 @@ use std::fmt;
 use std::ops::Range;
 use std::rc::Rc;
 
-use crate::shared::SharedBytes;
+use crate::shared::{is_zero_block, zero_block, SharedBytes};
+use crate::sparse::CHUNK_SIZE;
 
 /// One piece of a payload, borrowed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,12 +276,28 @@ impl<'a> PayloadRef<'a> {
         slice.into_iter().chain(clipped)
     }
 
-    /// Whether every byte of `range` is zero; a zero run is not scanned.
+    /// Whether every byte of `range` is zero; neither a zero run nor a
+    /// piece of the pool's zero block is scanned.
     pub(crate) fn is_zero(self, range: Range<usize>) -> bool {
         self.pieces(range).all(|piece| match piece {
-            Piece::Bytes(b) => is_zero(b),
+            Piece::Bytes(b) => is_zero_block(b) || is_zero(b),
             Piece::Zeros(_) => true,
         })
+    }
+
+    /// The one shared allocation holding exactly `range`, when there is
+    /// one without a copy: a whole allocation
+    /// ([`PayloadRef::whole_allocation`]), or the pool's
+    /// [`zero_block`](crate::zero_block) for a zero run of exactly one
+    /// block.
+    pub fn block(self, range: Range<usize>) -> Option<SharedBytes> {
+        if range.len() == CHUNK_SIZE {
+            let mut pieces = self.pieces(range.clone());
+            if let (Some(Piece::Zeros(_)), None) = (pieces.next(), pieces.next()) {
+                return Some(zero_block());
+            }
+        }
+        self.whole_allocation(range)
     }
 
     /// The shared allocation `range` is, when it is one piece covering a
@@ -463,6 +480,27 @@ mod tests {
         assert!(PayloadRef::from(&block[..])
             .whole_allocation(0..64)
             .is_none());
+    }
+
+    #[test]
+    fn a_block_is_a_whole_allocation_or_one_zero_block() {
+        let block = shared(&[4u8; 64]);
+        let mut p = Payload::zeros(CHUNK_SIZE);
+        p.push_shared(Rc::clone(&block), 0..64);
+        p.push_zeros(CHUNK_SIZE);
+        let of = |range| PayloadRef::from(&p).block(range);
+        assert!(of(CHUNK_SIZE..CHUNK_SIZE + 64).is_some_and(|b| Rc::ptr_eq(&b, &block)));
+        assert!(of(0..CHUNK_SIZE).is_some_and(|b| Rc::ptr_eq(&b, &zero_block())));
+        // Zeros, but not one block of them; or not one run.
+        for range in [0..CHUNK_SIZE - 1, 1..CHUNK_SIZE + 1, 64..CHUNK_SIZE + 64] {
+            assert!(of(range.clone()).is_none(), "{range:?}");
+        }
+        let zeros = vec![0u8; CHUNK_SIZE];
+        assert!(PayloadRef::from(&zeros).block(0..CHUNK_SIZE).is_none());
+        // A piece of the zero block tests as zero by where it lies.
+        let mut z = Payload::new();
+        z.push_shared(zero_block(), 8..CHUNK_SIZE);
+        assert!(PayloadRef::from(&z).is_zero(0..CHUNK_SIZE - 8));
     }
 
     #[test]

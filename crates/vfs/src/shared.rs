@@ -27,11 +27,23 @@
 //!   `Rc` when none does — so an allocation the pool can still reach
 //!   never changes, which is what keeps its hash → bytes mapping true.
 //!
+//! * A shared allocation that comes back ([`share_rc`]: the block a
+//!   READ reply says it was encoded from) is found by its address, not
+//!   its bytes: a member index beside the buckets lists the address of
+//!   every allocation they hold a `Weak` to. The index is exact — a
+//!   `Weak` keeps its allocation's address from being reused, and a
+//!   husk leaves the index when it leaves its bucket.
+//! * [`zero_block`] is this thread's pooled all-zero block: a hole read
+//!   as one whole block is that allocation, so a zero test of it is a
+//!   pointer test ([`is_zero_block`]).
+//!
 //! Host side only: the pool charges no virtual time and counts nothing.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{OnceCell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::{Rc, Weak};
+
+use crate::sparse::CHUNK_SIZE;
 
 /// Immutable payload that may be held by many owners; see [`share`].
 /// It stays on the thread that made it:
@@ -56,8 +68,33 @@ pub fn share_slice(bytes: &[u8]) -> SharedBytes {
     POOL.with(|pool| pool.share(bytes))
 }
 
+/// [`share`] for an allocation the caller already shares: a pool member
+/// comes back as is, found by its address without reading a byte; any
+/// other allocation is hashed and compared, and on a miss pooled itself,
+/// without a copy.
+pub fn share_rc(bytes: SharedBytes) -> SharedBytes {
+    POOL.with(|pool| pool.share_rc(bytes))
+}
+
+/// This thread's pooled block of [`CHUNK_SIZE`] zeros.
+pub fn zero_block() -> SharedBytes {
+    ZERO.with(|zero| Rc::clone(zero.get_or_init(|| share(vec![0; CHUNK_SIZE]))))
+}
+
+/// Whether `bytes` lie inside this thread's [`zero_block`]: zeros
+/// without a scan. Asking makes no zero block.
+pub fn is_zero_block(bytes: &[u8]) -> bool {
+    ZERO.with(|zero| {
+        zero.get().is_some_and(|zero| {
+            let (zero, bytes) = (zero.as_ptr_range(), bytes.as_ptr_range());
+            zero.start <= bytes.start && bytes.end <= zero.end
+        })
+    })
+}
+
 thread_local! {
     static POOL: Pool = const { Pool::new() };
+    static ZERO: OnceCell<SharedBytes> = const { OnceCell::new() };
 }
 
 /// Below this many entries the table is never swept as a whole.
@@ -69,11 +106,47 @@ struct Pool {
 
 struct Table {
     // BTreeMap: the sweep iterates it (lint: determinism).
-    buckets: BTreeMap<u64, Vec<Weak<Vec<u8>>>>,
-    /// `Weak`s in `buckets`, dead ones included.
-    entries: usize,
-    /// `entries` right after the last whole-table sweep.
+    /// `(bucket key, address)` of every pooled allocation, unowned: a
+    /// bucket is a key's range, with no vector of its own.
+    buckets: BTreeMap<(u64, usize), Weak<Vec<u8>>>,
+    /// The address of every allocation `buckets` holds a `Weak` to.
+    members: BTreeSet<usize>,
+    /// `buckets.len()` right after the last whole-table sweep.
     swept: usize,
+}
+
+/// What a pool miss keeps: the caller's vector moved, a borrowed slice
+/// copied, or the caller's own allocation.
+trait Pooled {
+    fn bytes(&self) -> &[u8];
+    fn into_shared(self) -> SharedBytes;
+}
+
+impl Pooled for Vec<u8> {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+    fn into_shared(self) -> SharedBytes {
+        Rc::new(self)
+    }
+}
+
+impl Pooled for &[u8] {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+    fn into_shared(self) -> SharedBytes {
+        Rc::new(self.to_vec())
+    }
+}
+
+impl Pooled for SharedBytes {
+    fn bytes(&self) -> &[u8] {
+        self
+    }
+    fn into_shared(self) -> SharedBytes {
+        self
+    }
 }
 
 impl Pool {
@@ -81,50 +154,67 @@ impl Pool {
         Pool {
             table: RefCell::new(Table {
                 buckets: BTreeMap::new(),
-                entries: 0,
+                members: BTreeSet::new(),
                 swept: 0,
             }),
         }
     }
 
-    fn share(&self, bytes: impl AsRef<[u8]> + Into<Vec<u8>>) -> SharedBytes {
-        self.share_in_bucket(hash(bytes.as_ref()), bytes)
+    fn share(&self, bytes: impl Pooled) -> SharedBytes {
+        self.share_in_bucket(hash(bytes.bytes()), bytes)
     }
 
-    /// A miss pools `bytes.into()`: an owned vector moves, a slice is
-    /// copied.
-    fn share_in_bucket(&self, key: u64, bytes: impl AsRef<[u8]> + Into<Vec<u8>>) -> SharedBytes {
+    fn share_rc(&self, bytes: SharedBytes) -> SharedBytes {
+        let member = self
+            .table
+            .borrow()
+            .members
+            .contains(&(Rc::as_ptr(&bytes) as usize));
+        if member {
+            return bytes;
+        }
+        self.share(bytes)
+    }
+
+    fn share_in_bucket(&self, key: u64, bytes: impl Pooled) -> SharedBytes {
         let mut guard = self.table.borrow_mut();
         let table = &mut *guard;
-        let bucket = table.buckets.entry(key).or_default();
         // Every visit drops the bucket's husks on its way to a match.
-        let before = bucket.len();
         let mut hit = None;
-        bucket.retain(|weak| match weak.upgrade() {
-            Some(live) => {
-                if hit.is_none() && **live == *bytes.as_ref() {
-                    hit = Some(live);
+        let mut husks = Vec::new();
+        for (&(_, at), weak) in table.buckets.range((key, 0)..=(key, usize::MAX)) {
+            match weak.upgrade() {
+                Some(live) => {
+                    if hit.is_none() && **live == *bytes.bytes() {
+                        hit = Some(live);
+                    }
                 }
-                true
+                None => husks.push(at),
             }
-            None => false,
-        });
-        table.entries -= before - bucket.len();
+        }
+        for at in husks {
+            table.buckets.remove(&(key, at));
+            table.members.remove(&at);
+        }
         if let Some(hit) = hit {
             return hit;
         }
-        let fresh = Rc::new(bytes.into());
-        bucket.push(Rc::downgrade(&fresh));
-        table.entries += 1;
+        let fresh = bytes.into_shared();
+        let at = Rc::as_ptr(&fresh) as usize;
+        table.buckets.insert((key, at), Rc::downgrade(&fresh));
+        table.members.insert(at);
         // Husks in buckets nobody visits again go when the table has
         // doubled since it was last swept: amortised O(1) per call.
-        if table.entries > 2 * table.swept.max(SWEEP_FLOOR) {
-            table.buckets.retain(|_, bucket| {
-                bucket.retain(|weak| weak.strong_count() > 0);
-                !bucket.is_empty()
+        if table.buckets.len() > 2 * table.swept.max(SWEEP_FLOOR) {
+            let members = &mut table.members;
+            table.buckets.retain(|&(_, at), weak| {
+                let live = weak.strong_count() > 0;
+                if !live {
+                    members.remove(&at);
+                }
+                live
             });
-            table.entries = table.buckets.values().map(Vec::len).sum();
-            table.swept = table.entries;
+            table.swept = table.buckets.len();
         }
         fresh
     }
@@ -178,19 +268,22 @@ mod tests {
     }
 
     impl Pool {
+        /// Entries in the buckets, checking the member index and every
+        /// entry's address against them.
         fn entries(&self) -> usize {
             let table = self.table.borrow();
-            assert_eq!(
-                table.entries,
-                table.buckets.values().map(Vec::len).sum::<usize>()
-            );
-            table.entries
+            let addresses: BTreeSet<usize> = table.buckets.keys().map(|&(_, at)| at).collect();
+            assert_eq!(table.members, addresses, "member index out of step");
+            for (&(_, at), weak) in &table.buckets {
+                assert_eq!(weak.as_ptr() as usize, at, "an entry under another address");
+            }
+            table.buckets.len()
         }
 
         fn upgradable(&self) -> usize {
             let table = self.table.borrow();
             let live = |w: &&Weak<Vec<u8>>| w.strong_count() > 0;
-            table.buckets.values().flatten().filter(live).count()
+            table.buckets.values().filter(live).count()
         }
     }
 
@@ -245,8 +338,9 @@ mod tests {
             if live.len() > 100 {
                 live.pop_front();
             }
+            let entries = pool.entries();
             let table = pool.table.borrow();
-            assert!(table.entries <= 2 * table.swept.max(SWEEP_FLOOR));
+            assert!(entries <= 2 * table.swept.max(SWEEP_FLOOR));
             // The last sweep kept only live entries.
             assert!(table.swept <= 101);
         }
@@ -258,6 +352,46 @@ mod tests {
         let before = pool.entries();
         drop(pool.share_in_bucket(9_999, payload(9_999)));
         assert_eq!(pool.entries(), before);
+    }
+
+    #[test]
+    fn share_rc_finds_a_member_by_address_and_pools_a_stranger_as_is() {
+        let pool = Pool::new();
+        let member = pool.share(payload(7));
+        // A member comes back as itself.
+        assert!(Rc::ptr_eq(&pool.share_rc(Rc::clone(&member)), &member));
+        // An equal allocation outside the pool is traded for the member.
+        let stranger = Rc::new(payload(7));
+        assert!(Rc::ptr_eq(&pool.share_rc(stranger), &member));
+        // A new one is pooled as the very allocation it was given.
+        let fresh = Rc::new(payload(8));
+        let at = fresh.as_ptr();
+        let pooled = pool.share_rc(Rc::clone(&fresh));
+        assert!(Rc::ptr_eq(&pooled, &fresh));
+        assert_eq!(pooled.as_ptr(), at, "a miss must not copy");
+        assert!(Rc::ptr_eq(&pool.share(payload(8)), &fresh));
+        assert_eq!(pool.entries(), 2);
+        // A dead member's husk leaves the index with its bucket entry.
+        drop((member, pooled, fresh));
+        let again = pool.share_rc(Rc::new(payload(7)));
+        assert_eq!(pool.entries(), 2);
+        assert!(Rc::ptr_eq(&pool.share_rc(Rc::clone(&again)), &again));
+    }
+
+    #[test]
+    fn the_zero_block_is_pooled_and_known_by_address() {
+        let zero = zero_block();
+        assert_eq!(*zero, vec![0u8; CHUNK_SIZE]);
+        assert!(Rc::ptr_eq(&zero, &share(vec![0; CHUNK_SIZE])));
+        assert!(Rc::ptr_eq(&zero, &share_rc(Rc::new(vec![0; CHUNK_SIZE]))));
+        assert!(is_zero_block(&zero[..]));
+        assert!(is_zero_block(&zero[100..200]));
+        assert!(!is_zero_block(&[0u8; 64]));
+        // Copy-on-write leaves the pooled block as it was.
+        let mut mine = zero_block();
+        Rc::make_mut(&mut mine)[0] = 1;
+        assert!(!is_zero_block(&mine[..]));
+        assert_eq!(zero_block()[0], 0);
     }
 
     #[test]

@@ -7,6 +7,15 @@
 //! view: cloning it is a reference-count bump, and slicing it shares the
 //! same backing allocation, so a reply body can travel codec → channel →
 //! block/file cache without a single copy.
+//!
+//! A view may also carry an *attachment*: a separate shared allocation
+//! whose bytes equal a sub-range of the buffer — the pooled block a READ
+//! reply was encoded from. It never reaches the wire, which stays one
+//! contiguous buffer; it lets the host side that decodes the reply take
+//! that block by reference instead of hashing the bytes to find it
+//! again ([`Bytes::attached`]). Views keep it only while it lies inside
+//! them, and a buffer built afresh (a batch envelope, a hand-built
+//! reply) starts without one.
 
 use std::fmt;
 use std::ops::Deref;
@@ -21,6 +30,9 @@ pub struct Bytes {
     buf: Rc<Vec<u8>>,
     off: usize,
     len: usize,
+    /// A shared allocation equal to `buf[at..at + len]`, held strongly,
+    /// so no owner can change it in place ([`Rc::make_mut`] clones it).
+    attachment: Option<(Rc<Vec<u8>>, usize)>,
 }
 
 impl Bytes {
@@ -33,6 +45,7 @@ impl Bytes {
             buf: EMPTY.with(Rc::clone),
             off: 0,
             len: 0,
+            attachment: None,
         }
     }
 
@@ -43,6 +56,7 @@ impl Bytes {
             buf: Rc::new(v),
             off: 0,
             len,
+            attachment: None,
         }
     }
 
@@ -54,6 +68,7 @@ impl Bytes {
             buf: Rc::new(v),
             off: headroom,
             len,
+            attachment: None,
         }
     }
 
@@ -61,7 +76,8 @@ impl Bytes {
     /// of room in front of this view and no other view shares it, the
     /// prefix is written there and the payload is not touched; otherwise
     /// both are copied into a fresh buffer. Either way no other view
-    /// ever sees a byte change.
+    /// ever sees a byte change, and the attachment stays with the bytes
+    /// it equals.
     pub fn prepend(mut self, prefix: &[u8]) -> Bytes {
         if let (Some(off), Some(buf)) = (
             self.off.checked_sub(prefix.len()),
@@ -72,7 +88,32 @@ impl Bytes {
             self.len += prefix.len();
             return self;
         }
-        Bytes::from_vec([prefix, self.as_slice()].concat())
+        let mut copied = Bytes::from_vec([prefix, self.as_slice()].concat());
+        copied.attachment = self
+            .attachment
+            .map(|(block, at)| (block, at - self.off + prefix.len()));
+        copied
+    }
+
+    /// `self` with `block` attached at `start`: the host-side record
+    /// that `self[start..start + block.len()]` was encoded from that
+    /// allocation. The bytes must be equal (checked in debug builds).
+    pub fn attach(mut self, start: usize, block: Rc<Vec<u8>>) -> Bytes {
+        assert!(start + block.len() <= self.len, "attachment past the view");
+        debug_assert!(
+            self[start..start + block.len()] == block[..],
+            "an attachment must equal the bytes it stands for"
+        );
+        self.attachment = Some((block, self.off + start));
+        self
+    }
+
+    /// The attached allocation, when it holds exactly this view's bytes.
+    pub fn attached(&self) -> Option<&Rc<Vec<u8>>> {
+        self.attachment
+            .as_ref()
+            .filter(|(block, at)| *at == self.off && block.len() == self.len)
+            .map(|(block, _)| block)
     }
 
     /// Length of this view in bytes.
@@ -89,12 +130,20 @@ impl Bytes {
     ///
     /// # Panics
     /// Panics if the range is out of bounds, mirroring slice indexing.
+    /// The attachment comes along while it lies inside the sub-view.
     pub fn slice(&self, start: usize, end: usize) -> Bytes {
         assert!(start <= end && end <= self.len, "Bytes::slice out of range");
+        let (off, len) = (self.off + start, end - start);
+        let attachment = self
+            .attachment
+            .as_ref()
+            .filter(|(block, at)| *at >= off && at + block.len() <= off + len)
+            .cloned();
         Bytes {
             buf: Rc::clone(&self.buf),
-            off: self.off + start,
-            len: end - start,
+            off,
+            len,
+            attachment,
         }
     }
 
@@ -271,6 +320,74 @@ mod tests {
         let again = joined.prepend(&[0xCC]);
         assert_eq!(again.len(), 17);
         assert_ne!(again.as_slice()[9..].as_ptr(), at);
+    }
+
+    /// A 16-byte buffer whose bytes 8..12 are `block`, attached, behind
+    /// 4 bytes of headroom — the shape of an encoded READ reply.
+    fn with_block() -> (Bytes, Rc<Vec<u8>>) {
+        let block = Rc::new(vec![7u8; 4]);
+        let mut v: Vec<u8> = (0u8..20).collect();
+        v[12..16].copy_from_slice(&block);
+        let view = Bytes::past_headroom(v, 4).attach(8, Rc::clone(&block));
+        (view, block)
+    }
+
+    fn attached_is(view: &Bytes, block: &Rc<Vec<u8>>) -> bool {
+        view.attached().is_some_and(|b| Rc::ptr_eq(b, block))
+    }
+
+    #[test]
+    fn an_attachment_is_kept_by_views_that_contain_it_and_exact_only_alone() {
+        let (view, block) = with_block();
+        assert!(view.attached().is_none(), "the view is more than the block");
+        assert!(attached_is(&view.slice(8, 12), &block));
+        assert!(attached_is(&view.slice_ref(&view[8..12]), &block));
+        // A containing slice keeps it, and a slice of that finds it again.
+        let around = view.slice(6, 14);
+        assert!(around.attached().is_none());
+        assert!(attached_is(&around.slice(2, 6), &block));
+        // A slice that cuts it drops it, for good.
+        for (lo, hi) in [(9, 12), (8, 11), (0, 10), (10, 16)] {
+            let cut = view.slice(lo, hi);
+            assert!(cut.attachment.is_none(), "{lo}..{hi}");
+        }
+        assert!(view.slice(0, 10).slice(8, 10).attached().is_none());
+    }
+
+    #[test]
+    fn prepend_keeps_the_attachment_in_place_and_shifts_it_when_copying() {
+        let (view, block) = with_block();
+        let at = view[8..].as_ptr();
+        // Sole owner with headroom: written in front, nothing moves.
+        let joined = view.prepend(&[0xAA; 4]);
+        assert_eq!(joined[12..].as_ptr(), at);
+        assert!(attached_is(&joined.slice(12, 16), &block));
+        // No headroom left: a copy, and the attachment follows its bytes.
+        let copied = joined.prepend(&[0xBB; 3]);
+        assert_ne!(copied[15..].as_ptr(), at);
+        assert_eq!(&copied[15..19], &block[..]);
+        assert!(attached_is(&copied.slice(15, 19), &block));
+        assert!(copied.slice(14, 18).attached().is_none());
+        // A view another holder shares copies too, and shifts the same.
+        let (view, block) = with_block();
+        let keep = view.clone();
+        let copied = view.slice(8, 12).prepend(&[1, 2]);
+        assert!(attached_is(&copied.slice(2, 6), &block));
+        assert_eq!(&keep[..4], &[4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn a_fresh_buffer_carries_no_attachment() {
+        let (view, _) = with_block();
+        assert!(Bytes::from_vec(view.to_vec()).attachment.is_none());
+        assert!(Bytes::from(&view[8..12]).attached().is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must equal")]
+    fn an_attachment_that_differs_from_its_bytes_is_refused() {
+        let _ = Bytes::from_vec(vec![0; 8]).attach(2, Rc::new(vec![1; 4]));
     }
 
     #[test]

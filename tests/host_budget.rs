@@ -30,6 +30,13 @@
 //!   repeats a stream this thread already verified for its digest is
 //!   taken by a byte compare: the proxy decodes and copies nothing, and
 //!   the second store shares the first one's allocation.
+//! - **A block crosses the host once.** A READ reply encoded from one
+//!   pooled block carries it, and the kernel client adopts that very
+//!   allocation: its block is the proxy's frame on a warm hit, the file
+//!   cache's chunk on a file-cache hit, and the pool's zero block for a
+//!   hole. A reference file's block is assembled once while anyone holds
+//!   it, so a second reader allocates only its reply, and a materialized
+//!   recipe of live blocks installs without allocating a block.
 //!
 //! The counter is per thread and a simulation runs on the thread that
 //! calls its `run`, one process at a time, so between two reads of the
@@ -45,14 +52,14 @@ use std::rc::Rc;
 use common::big_allocs;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
-    FileCache, FileChannelServer, ImageServer, Listen, ProxyConfig, RecipeFetch, Tier,
-    TransferTuning,
+    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentMap, ContentStore, DedupTel,
+    DedupTuning, FileCache, FileChannelServer, ImageServer, Listen, PinnedRecipe, ProxyConfig,
+    RecipeFetch, Tag, Tier, TransferTuning,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use simnet::{Link, Shared, SimDuration, SimHandle, Simulation};
-use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload, CHUNK_SIZE};
+use vfs::{Disk, DiskModel, FileIo, Fs, Handle, Payload, Piece, CHUNK_SIZE};
 
 // ---------------------------------------------------------------------------
 // One NFS block operation
@@ -485,6 +492,272 @@ fn a_second_store_fetching_verified_streams_decodes_and_copies_none() {
             "payload-sized allocations of a {FETCH_BLOBS}-blob recipe fetch into a fresh \
              store / into a second store on the same thread"
         );
+    });
+    sim.run();
+}
+
+// ---------------------------------------------------------------------------
+// A block crosses the host once
+
+/// The bytes of `p`, which is one piece of bytes.
+fn only_piece(p: &Payload) -> &[u8] {
+    let pieces: Vec<Piece<'_>> = p.pieces().collect();
+    let [Piece::Bytes(b)] = pieces[..] else {
+        panic!("not one piece of bytes");
+    };
+    b
+}
+
+/// Whether `p` is one piece, all of the allocation `block` starts.
+fn is_block(p: &Payload, block: &[u8]) -> bool {
+    let b = only_piece(p);
+    b.as_ptr() == block.as_ptr() && b.len() == block.len()
+}
+
+#[test]
+fn the_kernel_client_holds_the_block_the_proxy_served() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let origin = ImageServer::start(
+        &h,
+        Listen::plain(lan(&h, "up"), lan(&h, "down")),
+        64 << 20,
+        false,
+    );
+    // `f`'s blocks are whole allocations outside the pool: a copy of
+    // one anywhere on the way would show as another address.
+    let (origin_chunks, g) = {
+        let mut fs = origin.fs.lock();
+        let root = fs.root();
+        let f = fs.create(root, "f", 0o644, 0).unwrap();
+        for b in 0..2 {
+            fs.write(f, b * BLOCK as u64, &Payload::from(block(b)), 0)
+                .unwrap();
+        }
+        let chunks = [0, 1].map(|b| fs.read(f, b * BLOCK as u64, BLOCK, 0).unwrap().0);
+        let g = fs.create(root, "g", 0o644, 0).unwrap();
+        (chunks, g)
+    };
+    let cred = OpaqueAuth::sys(&AuthSys::new("guest", 500, 500));
+    let cfg = ProxyConfig {
+        name: "proxy".into(),
+        meta_handling: false,
+        transfer: TransferTuning {
+            read_ahead: 0,
+            ..TransferTuning::default()
+        },
+        dedup: DedupTuning::off(),
+        ..ProxyConfig::default()
+    };
+    let geometry = BlockCacheConfig::with_capacity(16 << 20, 4, 16, BLOCK as u32);
+    let disk = Disk::new(&h, DiskModel::scsi_2004());
+    let volume = CacheVolume::new(&h, disk, &cfg, Some(geometry), Some(64 << 20));
+    let direct = Nfs3Client::new(RpcClient::new(origin.channel.clone(), cred.clone()));
+    let tier = Tier::start(
+        cfg,
+        &volume,
+        RpcClient::new(origin.channel, cred.clone()),
+        Listen::plain(lan(&h, "lo-up"), lan(&h, "lo-down")),
+    );
+    let cache = volume.block_cache.clone().unwrap();
+    let files = volume.file_cache.clone().unwrap();
+    let nfs = Nfs3Client::new(RpcClient::new(tier.channel, cred));
+    sim.spawn("guest", move |env| {
+        // `g` lives in the proxy's file cache: a pooled block, then a
+        // hole.
+        let mut contents = Payload::new();
+        contents.push_shared(vfs::share(block(7)), 0..BLOCK);
+        contents.push_zeros(BLOCK);
+        files.install(&env, g, &contents);
+        let raw = nfs.clone();
+        let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
+        let at = |b: u64| b * BLOCK as u64;
+        // What a READ through the proxy carries besides its bytes.
+        let carried = |h: Handle, b: u64| {
+            let res = raw.read(&env, h, at(b), BLOCK as u32).unwrap();
+            let block = res
+                .data
+                .attached()
+                .expect("a whole-block reply carries its block");
+            block.as_ptr()
+        };
+        let f = kc.lookup_path(&env, "/f").unwrap();
+        // Straight from the origin: the kernel adopts the chunk the
+        // reply was encoded from, which no pool held before.
+        let bare = KernelClient::mount(&env, direct, "/", KernelConfig::default()).unwrap();
+        let read = bare.read(&env, f, 0, BLOCK as u32).unwrap();
+        assert!(
+            is_block(&read, only_piece(&origin_chunks[0])),
+            "a READ from the origin: the kernel holds the origin's chunk"
+        );
+        // A forwarded READ fills the frame with the origin's chunk; the
+        // second is a warm hit.
+        let forwarded = kc.read(&env, f, at(1), BLOCK as u32).unwrap();
+        assert!(
+            is_block(&forwarded, only_piece(&origin_chunks[1])),
+            "a forwarded READ: the kernel holds the origin's chunk"
+        );
+        kc.invalidate_caches();
+        let warm = kc.read(&env, f, at(1), BLOCK as u32).unwrap();
+        assert_eq!(cache.stats().hits, 1, "the second read is a proxy hit");
+        let tag = Tag {
+            fileid: f.fileid,
+            generation: f.generation,
+            block: 1,
+        };
+        let (frame, _) = cache.lookup_range(&env, tag, 0, BLOCK).unwrap();
+        assert!(
+            is_block(&warm, &frame),
+            "a warm hit: the kernel holds the frame"
+        );
+        assert_eq!(
+            carried(f, 1),
+            frame.as_ptr(),
+            "a warm hit carries the frame"
+        );
+
+        let g = kc.lookup_path(&env, "/g").unwrap();
+        let cached = kc.read(&env, g, 0, BLOCK as u32).unwrap();
+        let (chunk, _) = files.read(&env, g, 0, BLOCK as u32).unwrap().unwrap();
+        let chunk = only_piece(&chunk);
+        assert!(
+            is_block(&cached, chunk),
+            "a file-cache hit: the kernel holds the cache's chunk"
+        );
+        assert_eq!(
+            carried(g, 0),
+            chunk.as_ptr(),
+            "a file-cache hit carries the chunk"
+        );
+        let zero = vfs::zero_block();
+        let hole = kc.read(&env, g, at(1), BLOCK as u32).unwrap();
+        assert!(is_block(&hole, &zero), "a hole is the zero block");
+        assert_eq!(
+            carried(g, 1),
+            zero.as_ptr(),
+            "a hole carries the zero block"
+        );
+    });
+    sim.run();
+}
+
+/// A reference file of one `REF_CHUNK` chunk in a fresh store.
+fn reference_file(env: &simnet::Env, cache: &FileCache, key: Handle, chunk: &[u8]) {
+    let cas = Rc::new(ContentStore::new(1 << 30));
+    let d = cas.insert_pinned(chunk);
+    cache.install_reference(
+        env,
+        key,
+        cas,
+        REF_CHUNK as u32,
+        vec![(d, REF_CHUNK as u32)],
+        0,
+    );
+}
+
+#[test]
+fn a_second_reader_of_a_reference_block_allocates_only_its_reply() {
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let cache = FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 30);
+    sim.spawn("reader", move |env| {
+        let key = Handle {
+            fileid: 1,
+            generation: 0,
+        };
+        let chunk = many_records();
+        reference_file(&env, &cache, key, &chunk);
+        let at = 3 * REF_READ as u64;
+        let read = || {
+            cache
+                .read(&env, key, at, REF_READ as u32)
+                .unwrap()
+                .unwrap()
+                .0
+        };
+        let reply = |data: &Payload| nfs3::results::encode_read(None, data, false);
+        let (first, decoded) = big_allocs(read);
+        assert_eq!(decoded, 1, "the first read decodes the block");
+        let (wire, allocs) = big_allocs(|| reply(&read()));
+        assert_eq!(
+            allocs, 1,
+            "payload-sized allocations of a second reader's READ, reply included"
+        );
+        let res = nfs3::results::decode_read(&wire).unwrap();
+        assert_eq!(res.data, &chunk[at as usize..at as usize + REF_READ]);
+        let carried = res
+            .data
+            .attached()
+            .expect("a whole-block reply carries its block");
+        assert!(is_block(&first, carried), "both readers hold one block");
+    });
+    sim.run();
+}
+
+#[test]
+fn a_materialized_install_of_live_blocks_allocates_no_block() {
+    /// The fleets' recipe grain: four records to a block.
+    const RECORD: usize = 8 * 1024;
+    const BLOCKS: u64 = 8;
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let cache = FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 30);
+    sim.spawn("installer", move |env| {
+        let cas = ContentStore::new(1 << 30);
+        let bytes: Vec<u8> = (0..BLOCKS).flat_map(block).collect();
+        let records: Vec<_> = bytes
+            .chunks(RECORD)
+            .map(|c| (cas.insert(c), RECORD as u32))
+            .collect();
+        let pinned = || {
+            for (d, _) in &records {
+                assert!(cas.pin(d));
+            }
+            PinnedRecipe {
+                recipe: ContentMap {
+                    chunk_bytes: RECORD as u32,
+                    total: bytes.len() as u64,
+                    records: records.clone(),
+                },
+                wire: 0,
+                fresh_bytes: 0,
+            }
+        };
+        let (live, decoded) = big_allocs(|| pinned().materialize(&cas).unwrap());
+        assert_eq!(live, bytes);
+        assert_eq!(
+            decoded, BLOCKS as usize,
+            "the first materialize decodes each block"
+        );
+        let key = Handle {
+            fileid: 1,
+            generation: 0,
+        };
+        let (_, allocs) = big_allocs(|| {
+            let contents = pinned().materialize(&cas).unwrap();
+            cache.install(&env, key, &contents);
+        });
+        assert_eq!(
+            allocs, 0,
+            "payload-sized allocations of a {BLOCKS}-block materialized install of live blocks"
+        );
+        assert_eq!(cas.pinned_bytes(), 0);
+        let (read, _) = cache
+            .read(&env, key, 0, bytes.len() as u32)
+            .unwrap()
+            .unwrap();
+        assert_eq!(read, bytes);
+        let mut whole = Payload::new();
+        for (b, piece) in live.pieces().enumerate() {
+            let Piece::Bytes(piece) = piece else {
+                panic!("block {b} is not bytes");
+            };
+            let at = b as u64 * BLOCK as u64;
+            let (installed, _) = cache.read(&env, key, at, BLOCK as u32).unwrap().unwrap();
+            assert!(is_block(&installed, piece), "block {b} by reference");
+            whole.append(&installed, 0..BLOCK);
+        }
+        assert_eq!(whole, bytes);
     });
     sim.run();
 }
