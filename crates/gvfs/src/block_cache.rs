@@ -376,8 +376,8 @@ impl BlockCache {
     }
 
     /// [`BlockCache::insert`] of a payload already behind an `Rc` — a
-    /// clean block the caller pooled where it arrived
-    /// (`nfs3::proto::ReadRes::pooled_block`), before any cache lock is
+    /// clean block as it arrived in a READ reply, or pooled out of it
+    /// (`nfs3::proto::ReadRes::shared_block`), before any cache lock is
     /// taken: the pool stays a leaf lock.
     pub fn insert_shared(
         &self,

@@ -42,11 +42,14 @@
 //!
 //! A stream is validated once, by the walk that builds its record index
 //! as it enters (one that fails is not retained); a read seeks with the
-//! index and decodes only its range, onto the caller's buffer.
+//! index and decodes only its range, onto the buffer it builds.
 //!
-//! A pinned file's contents are read a 32 KiB file block at a time
-//! ([`vfs::CHUNK_SIZE`], the NFS block every layer above moves), and a
-//! block is assembled once per host thread ([`ContentStore::pinned_block`]).
+//! A pinned file's contents are read only through
+//! [`ContentStore::pinned_block`], a 32 KiB file block at a time
+//! ([`vfs::CHUNK_SIZE`], the NFS block every layer above moves): a
+//! reference file asks for the run of shared chunks a read touches in a
+//! block, each cut to the block, so a whole-block read asks for the
+//! whole block. A block is assembled once per host thread.
 //! A per-thread block table maps the slices a block is made of — each a
 //! stream allocation and a range of its original bytes — to a `Weak` to
 //! the pooled block decoded from them. The table holds `Weak`s to the
@@ -55,8 +58,8 @@
 //! a pure function of the bytes and trusts no digest. The table is keyed
 //! by file block, not by stream block: a recipe of 8 KiB chunks still
 //! yields 32 KiB blocks. A block lives as long as someone holds it — a
-//! kernel client adopts it from the READ reply it was encoded into — so
-//! the next clone's read of that block decodes nothing.
+//! kernel client keeps it as the READ reply it was encoded into carries
+//! it — so the next clone's read of that block decodes nothing.
 //!
 //! Capacity is bounded (logical bytes indexed); eviction is
 //! least-recently-touched, deterministic via a monotonic touch stamp.
@@ -68,7 +71,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::{Rc, Weak};
-use vfs::{share, share_slice, SharedBytes};
+use vfs::{share, share_slice, SharedBytes, WeakTable};
 
 use crate::channel::WirePayload;
 use crate::codec::{self, CodecModel, RecordIndex};
@@ -227,25 +230,11 @@ struct Verified {
     wire: Weak<Vec<u8>>,
 }
 
-/// Below this many entries the verified table is never swept.
-const SWEEP_FLOOR: usize = 64;
-
-struct VerifiedTable {
-    // BTreeMap: the sweep iterates it (lint: determinism).
-    streams: BTreeMap<Digest, Verified>,
-    /// `streams.len()` right after the last sweep.
-    swept: usize,
-}
-
 thread_local! {
     /// Per thread, like [`vfs::share`]'s pool and for the same reason:
     /// a simulation's objects never leave the thread that runs it.
-    static VERIFIED: RefCell<VerifiedTable> = const {
-        RefCell::new(VerifiedTable {
-            streams: BTreeMap::new(),
-            swept: 0,
-        })
-    };
+    static VERIFIED: RefCell<WeakTable<Digest, Verified>> =
+        const { RefCell::new(WeakTable::new()) };
 }
 
 impl Blob {
@@ -280,7 +269,15 @@ impl Blob {
                     return None;
                 }
                 let wire = share_slice(p.data);
-                VERIFIED.with(|table| table.borrow_mut().register(want, p, &wire));
+                // Kept for later replies; entries of dropped streams go
+                // in the table's sweep.
+                let v = Verified {
+                    compressed: p.compressed,
+                    len: p.len,
+                    wire: Rc::downgrade(&wire),
+                };
+                let live = |_: &Digest, v: &mut Verified| v.wire.strong_count() > 0;
+                VERIFIED.with(|table| table.borrow_mut().insert(want, v, live));
                 wire
             }
         };
@@ -297,7 +294,7 @@ impl Blob {
     fn known(want: Digest, p: &WirePayload<'_>) -> Option<SharedBytes> {
         VERIFIED.with(|table| {
             let table = table.borrow();
-            let v = table.streams.get(&want)?;
+            let v = table.map.get(&want)?;
             if v.compressed != p.compressed || v.len != p.len {
                 return None;
             }
@@ -350,64 +347,10 @@ impl Ord for StreamSlice {
 /// inside one chunk) behind a box that is empty then.
 type BlockKey = (StreamSlice, Box<[StreamSlice]>);
 
-struct BlockTable {
-    // BTreeMap: the sweep iterates it (lint: determinism).
-    blocks: BTreeMap<BlockKey, Weak<Vec<u8>>>,
-    /// `blocks.len()` right after the last sweep.
-    swept: usize,
-}
-
 thread_local! {
     /// The block table of the module docs, per thread like `VERIFIED`.
-    static BLOCKS: RefCell<BlockTable> = const {
-        RefCell::new(BlockTable {
-            blocks: BTreeMap::new(),
-            swept: 0,
-        })
-    };
-}
-
-impl BlockTable {
-    /// The live block `key` names, or the one `decode` makes, kept for
-    /// later callers. Entries whose block or any stream died go when
-    /// the table has doubled since it was last swept.
-    fn get_or_decode(
-        &mut self,
-        key: BlockKey,
-        decode: impl FnOnce() -> Option<SharedBytes>,
-    ) -> Option<SharedBytes> {
-        if let Some(block) = self.blocks.get(&key).and_then(Weak::upgrade) {
-            return Some(block);
-        }
-        let block = decode()?;
-        self.blocks.insert(key, Rc::downgrade(&block));
-        if self.blocks.len() > 2 * self.swept.max(SWEEP_FLOOR) {
-            self.blocks.retain(|(first, rest), block| {
-                let live = |s: &StreamSlice| s.stream.strong_count() > 0;
-                block.strong_count() > 0 && live(first) && rest.iter().all(live)
-            });
-            self.swept = self.blocks.len();
-        }
-        Some(block)
-    }
-}
-
-impl VerifiedTable {
-    /// Keep `wire` as the stream `p` verified to for `want`. Entries of
-    /// dropped streams go when the table has doubled since it was last
-    /// swept: amortised O(1) per call, as in [`vfs::share`]'s pool.
-    fn register(&mut self, want: Digest, p: &WirePayload<'_>, wire: &SharedBytes) {
-        let v = Verified {
-            compressed: p.compressed,
-            len: p.len,
-            wire: Rc::downgrade(wire),
-        };
-        self.streams.insert(want, v);
-        if self.streams.len() > 2 * self.swept.max(SWEEP_FLOOR) {
-            self.streams.retain(|_, v| v.wire.strong_count() > 0);
-            self.swept = self.streams.len();
-        }
-    }
+    static BLOCKS: RefCell<WeakTable<BlockKey, Weak<Vec<u8>>>> =
+        const { RefCell::new(WeakTable::new()) };
 }
 
 /// The content-addressed store. A key is either computed from the stored
@@ -600,46 +543,35 @@ impl ContentStore {
 
     /// Fetch the preimage of `d`, refreshing its recency. Host-side
     /// only; see the module docs for why no simulation time is charged.
+    /// Recency moves only after a successful decode, so a corrupt entry
+    /// keeps its one LRU row.
     pub fn get(&self, d: &Digest) -> Option<Vec<u8>> {
-        self.get_range(d, 0, usize::MAX)
-    }
-
-    /// Fetch `[offset, offset + len)` of `d`'s preimage (clipped to its
-    /// length), refreshing its recency, in a vector of exactly that size.
-    pub fn get_range(&self, d: &Digest, offset: usize, len: usize) -> Option<Vec<u8>> {
-        let size = (self.len_of(d)? as usize).saturating_sub(offset).min(len);
-        let mut out = Vec::with_capacity(size);
-        self.read_into(d, offset, len, &mut out)?;
+        let mut inner = self.inner.lock();
+        let e = inner.map.get(d)?;
+        let mut out = Vec::with_capacity(e.len as usize);
+        e.index
+            .read_into(&e.packed, 0, e.len as usize, &mut out)
+            .ok()?;
+        inner.touch(d);
         Some(out)
     }
 
-    /// Append `[offset, offset + len)` of `d`'s preimage (clipped) to
-    /// `out`. Recency moves only after a successful decode, so a corrupt
-    /// entry keeps its one LRU row.
-    fn read_into(&self, d: &Digest, offset: usize, len: usize, out: &mut Vec<u8>) -> Option<()> {
-        let mut inner = self.inner.lock();
-        let e = inner.map.get(d)?;
-        e.index.read_into(&e.packed, offset, len, out).ok()?;
-        inner.touch(d);
-        Some(())
-    }
-
-    /// The file block `slices` make up — ranges of chunks the caller
-    /// holds pins on, in file order — as one pooled allocation, decoded
-    /// once per host thread while anyone holds it (the module docs);
-    /// then the chunks of `slices[touch]`, the part the caller reads,
-    /// move up in recency as a read of them does. A chunk that is not
-    /// resident, or does not decode to its range, is a broken pin.
+    /// The bytes `slices` make up — ranges of chunks the caller holds
+    /// pins on, in file order, inside one file block — as one pooled
+    /// allocation, decoded once per host thread while anyone holds it
+    /// (the module docs); then their chunks move up in recency, in
+    /// order, as a read of them does. A chunk that is not resident, or
+    /// does not decode to its range, is a broken pin: counted, and
+    /// recency left as it was.
     pub(crate) fn pinned_block(
         &self,
         slices: &[(Digest, Range<usize>)],
-        touch: Range<usize>,
     ) -> Result<SharedBytes, BrokenPin> {
         let mut inner = self.inner.lock();
         let block = Self::block(&inner, slices);
         match block {
             Some(block) => {
-                for (d, _) in &slices[touch] {
+                for (d, _) in slices {
                     inner.touch(d);
                 }
                 Ok(block)
@@ -652,7 +584,9 @@ impl ContentStore {
     }
 
     /// The body of [`ContentStore::pinned_block`]: the block table's
-    /// entry, or the slices decoded into one vector and pooled.
+    /// live entry, or the slices decoded into one vector, pooled and
+    /// kept for later callers (entries whose block or any stream died
+    /// go in the table's sweep).
     fn block(inner: &Inner, slices: &[(Digest, Range<usize>)]) -> Option<SharedBytes> {
         let slice = |(d, r): &(Digest, Range<usize>)| {
             let e = inner.map.get(d)?;
@@ -666,44 +600,34 @@ impl ContentStore {
         let rest = rest.iter().map(slice).collect::<Option<Box<[_]>>>()?;
         let key = (slice(first)?, rest);
         BLOCKS.with(|table| {
-            table.borrow_mut().get_or_decode(key, || {
-                let len = slices.iter().map(|(_, r)| r.len()).sum();
-                let mut out = Vec::with_capacity(len);
-                for (d, r) in slices {
-                    let e = inner.map.get(d)?;
-                    e.index
-                        .read_into(&e.packed, r.start, r.len(), &mut out)
-                        .ok()?;
-                }
-                (out.len() == len).then(|| share(out))
-            })
+            let mut table = table.borrow_mut();
+            if let Some(block) = table.map.get(&key).and_then(Weak::upgrade) {
+                return Some(block);
+            }
+            let len = slices.iter().map(|(_, r)| r.len()).sum();
+            let mut out = Vec::with_capacity(len);
+            for (d, r) in slices {
+                let e = inner.map.get(d)?;
+                e.index
+                    .read_into(&e.packed, r.start, r.len(), &mut out)
+                    .ok()?;
+            }
+            let block = (out.len() == len).then(|| share(out))?;
+            table.insert(key, Rc::downgrade(&block), |(first, rest), block| {
+                let live = |s: &StreamSlice| s.stream.strong_count() > 0;
+                block.strong_count() > 0 && live(first) && rest.iter().all(live)
+            });
+            Some(block)
         })
     }
 
     /// `d`'s entry as stored — its logical length and its compressed
-    /// stream — refreshing its recency like [`ContentStore::get_range`]
-    /// but decoding nothing: what a relay answers a `FETCH_BLOBS` with.
+    /// stream — refreshing its recency like [`ContentStore::get`] but
+    /// decoding nothing: what a relay answers a `FETCH_BLOBS` with.
     pub fn get_packed(&self, d: &Digest) -> Option<(u32, SharedBytes)> {
         let mut inner = self.inner.lock();
         let e = inner.touch(d)?;
         Some((e.len, e.packed.clone()))
-    }
-
-    /// [`ContentStore::get_range`] for a chunk the caller holds a pin
-    /// on, appended to `out`, the buffer the caller is building. The pin
-    /// guarantees residency, so a miss (or an entry that no longer
-    /// decodes) is a broken pin: it is counted and reported.
-    pub(crate) fn get_pinned_range(
-        &self,
-        d: &Digest,
-        offset: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), BrokenPin> {
-        self.read_into(d, offset, len, out).ok_or_else(|| {
-            self.inner.lock().broken_pins.inc();
-            BrokenPin
-        })
     }
 
     /// Damage `d`'s stored stream so every decode of it fails: cut to its
@@ -747,16 +671,17 @@ mod tests {
     }
 
     #[test]
-    fn get_range_slices_the_preimage_and_touches_recency() {
+    fn pinned_block_slices_the_preimage_and_touches_recency() {
         let cas = ContentStore::new(10_000);
         let a: Vec<u8> = (0..4096u32).map(|i| (i * 7) as u8).collect();
         let b = vec![9u8; 4096];
         let da = cas.insert(&a);
         let db = cas.insert(&b);
-        assert_eq!(cas.get_range(&da, 100, 50).unwrap(), &a[100..150]);
-        assert_eq!(cas.get_range(&da, 4090, 50).unwrap(), &a[4090..]);
-        assert!(cas.get_range(&da, 5000, 50).unwrap().is_empty());
-        assert!(cas.get_range(&digest(b"absent"), 0, 1).is_none());
+        let block = |r: Range<usize>| cas.pinned_block(&[(da, r)]).map(|b| b.to_vec());
+        assert_eq!(block(100..150).unwrap(), &a[100..150]);
+        assert_eq!(block(4090..4096).unwrap(), &a[4090..]);
+        // A range past the chunk does not decode to its length.
+        assert_eq!(block(4090..4140), Err(BrokenPin));
         // The range read made `a` the most recent: `b` pays.
         cas.insert(&[3u8; 4096]);
         assert!(cas.contains(&da));
@@ -775,7 +700,7 @@ mod tests {
         let db = cas.insert(&[2u8; 4096]);
         cas.corrupt_entry(&da);
         assert!(cas.get(&da).is_none());
-        assert!(cas.get_range(&da, 0, 16).is_none());
+        assert_eq!(cas.pinned_block(&[(da, 0..16)]), Err(BrokenPin));
         {
             let inner = cas.inner.lock();
             assert_eq!(inner.lru.len(), inner.map.len(), "duplicate LRU rows");
@@ -790,15 +715,9 @@ mod tests {
         assert_eq!(cas.inner.lock().lru.len(), 2);
     }
 
-    /// [`ContentStore::get_pinned_range`] into a fresh vector.
-    fn pinned(
-        cas: &ContentStore,
-        d: &Digest,
-        offset: usize,
-        len: usize,
-    ) -> Result<Vec<u8>, BrokenPin> {
-        let mut out = Vec::new();
-        cas.get_pinned_range(d, offset, len, &mut out).map(|()| out)
+    /// [`ContentStore::pinned_block`] of one range of `d`, as a vector.
+    fn pinned(cas: &ContentStore, d: &Digest, r: Range<usize>) -> Result<Vec<u8>, BrokenPin> {
+        cas.pinned_block(&[(*d, r)]).map(|b| b.to_vec())
     }
 
     #[test]
@@ -808,12 +727,12 @@ mod tests {
         cas.count_into(Counter::new(), broken.clone());
         let a = vec![7u8; 1000];
         let d = cas.insert_pinned(&a);
-        assert_eq!(pinned(&cas, &d, 990, 50), Ok(vec![7u8; 10]));
+        assert_eq!(pinned(&cas, &d, 990..1000), Ok(vec![7u8; 10]));
         assert_eq!(broken.get(), 0);
         let gone = digest(b"never inserted");
-        assert_eq!(pinned(&cas, &gone, 990, 50), Err(BrokenPin));
+        assert_eq!(pinned(&cas, &gone, 990..1000), Err(BrokenPin));
         cas.corrupt_entry(&d);
-        assert_eq!(pinned(&cas, &d, 0, 1000), Err(BrokenPin));
+        assert_eq!(pinned(&cas, &d, 0..1000), Err(BrokenPin));
         assert_eq!(broken.get(), 2);
     }
 
@@ -928,10 +847,6 @@ mod tests {
             same(&format!("step {step}"));
             // Reads — which move recency, and so the next victim — agree.
             assert_eq!(by_bytes.get(&d), by_blob.get(&d), "step {step}");
-            assert_eq!(
-                by_bytes.get_range(&d, 100, 50),
-                by_blob.get_range(&d, 100, 50)
-            );
             if by_bytes.contains(&d) {
                 assert_eq!(by_blob.get(&d).unwrap(), bytes);
             }

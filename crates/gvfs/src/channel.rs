@@ -835,7 +835,7 @@ fn recipe_blocks(
             slices.push((d, lo as usize..(lo + n) as usize));
             (lo, at) = (lo + n, at + n);
             if at == block_end {
-                let block = cas.pinned_block(&slices, 0..slices.len())?;
+                let block = cas.pinned_block(&slices)?;
                 let n = block.len();
                 out.push_shared(block, 0..n);
                 slices.clear();

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use simnet::Env;
 use simnet::Shared;
-use vfs::{Disk, Payload, PayloadRef, SparseBytes, CHUNK_SIZE};
+use vfs::{Disk, Payload, PayloadRef, SharedBytes, SparseBytes, CHUNK_SIZE};
 
 use crate::cas::{BrokenPin, ContentStore};
 use crate::digest::{digest, Digest};
@@ -67,8 +67,10 @@ struct RefFile {
     chunk_bytes: u32,
     /// `(digest, len)` per chunk, covering `[0, size)`.
     recipe: Vec<(Digest, u32)>,
-    /// Chunk index → privately materialized bytes (sharing broken).
-    overlay: BTreeMap<u32, Vec<u8>>,
+    /// Chunk index → privately materialized bytes (sharing broken),
+    /// written through `Rc::make_mut`: a read hands them out by
+    /// reference.
+    overlay: BTreeMap<u32, SharedBytes>,
     /// Chunks diverged since the last flush (always ⊆ overlay keys).
     dirty_chunks: BTreeSet<u32>,
 }
@@ -84,17 +86,6 @@ impl RefFile {
         self.recipe.iter().map(|(_, l)| *l as u64).sum()
     }
 
-    /// Assemble the full current contents (host-side; no time charged,
-    /// mirroring the uncharged digest in [`FileCache::install`]).
-    fn assemble(&self) -> Result<Vec<u8>, BrokenPin> {
-        let total = self.total();
-        let mut out = Vec::with_capacity(total as usize);
-        if total > 0 {
-            self.gather(0..total, &mut out)?;
-        }
-        Ok(out)
-    }
-
     /// Byte offset where chunk `i` starts.
     fn chunk_offset(&self, i: usize) -> u64 {
         i as u64 * self.chunk_bytes as u64
@@ -103,10 +94,12 @@ impl RefFile {
     /// Read `[offset, offset+len)` clipped to the recipe, returning the
     /// bytes and how many of them came off the disk (private overlay —
     /// shared chunks serve from the pinned host-memory CAS for free).
-    /// One step per 32 KiB file block the range touches: a block of
-    /// shared chunks is the CAS's pooled block, by reference
-    /// ([`ContentStore::pinned_block`]); a block with a private chunk is
-    /// gathered, the part of it read, into a vector of its own.
+    /// Every byte is by reference, one step per 32 KiB file block the
+    /// range touches. Of the chunks the read touches in a block, each
+    /// cut to the block, a run of shared ones is one CAS block
+    /// ([`ContentStore::pinned_block`]) and a private one its overlay
+    /// allocation: a whole-block read of shared chunks asks for the
+    /// whole block, and a read beside a broken pin never asks for it.
     fn read_range(&self, offset: u64, len: usize) -> Result<(Payload, u64), BrokenPin> {
         let total = self.total();
         let mut out = Payload::new();
@@ -115,61 +108,44 @@ impl RefFile {
         }
         let end = total.min(offset + len as u64);
         let (cb, bs) = (self.chunk_bytes as u64, CHUNK_SIZE as u64);
-        let chunk_of = |at: u64| (at / cb) as usize;
+        let private = |i: usize| self.overlay.get(&(i as u32));
         let mut disk = 0u64;
         for b in offset / bs..=(end - 1) / bs {
             let block = b * bs..total.min(b * bs + bs);
             let (s, e) = (offset.max(block.start), end.min(block.end));
-            let chunks = chunk_of(block.start)..chunk_of(block.end - 1) + 1;
-            let private = |i: usize| self.overlay.contains_key(&(i as u32));
-            if chunks.clone().any(private) {
-                let mut buf = Vec::with_capacity((e - s) as usize);
-                disk += self.gather(s..e, &mut buf)?;
-                out.push_shared(Rc::new(buf), 0..(e - s) as usize);
-                continue;
+            let last = ((e - 1) / cb) as usize;
+            let mut i = (s / cb) as usize;
+            while i <= last {
+                let at = self.chunk_offset(i);
+                if let Some(bytes) = private(i) {
+                    let (lo, hi) = (s.max(at), e.min(at + self.recipe[i].1 as u64));
+                    disk += hi - lo;
+                    out.push_shared(Rc::clone(bytes), (lo - at) as usize..(hi - at) as usize);
+                    i += 1;
+                    continue;
+                }
+                let run = i..(i..=last)
+                    .find(|&j| private(j).is_some())
+                    .unwrap_or(last + 1);
+                let slices: Vec<_> = run
+                    .clone()
+                    .map(|j| {
+                        let (d, clen) = self.recipe[j];
+                        let cstart = self.chunk_offset(j);
+                        let lo = block.start.max(cstart) - cstart;
+                        let hi = block.end.min(cstart + clen as u64) - cstart;
+                        (d, lo as usize..hi as usize)
+                    })
+                    .collect();
+                let shared = self.cas.pinned_block(&slices)?;
+                let from = block.start.max(at);
+                let to = from + shared.len() as u64;
+                let within = s.max(from) - from..e.min(to) - from;
+                out.push_shared(shared, within.start as usize..within.end as usize);
+                i = run.end;
             }
-            let slices: Vec<_> = chunks
-                .clone()
-                .map(|i| {
-                    let (d, clen) = self.recipe[i];
-                    let cstart = self.chunk_offset(i);
-                    let lo = block.start.max(cstart) - cstart;
-                    let hi = block.end.min(cstart + clen as u64) - cstart;
-                    (d, lo as usize..hi as usize)
-                })
-                .collect();
-            // The chunks the read itself covers.
-            let read = chunk_of(s) - chunks.start..chunk_of(e - 1) + 1 - chunks.start;
-            let shared = self.cas.pinned_block(&slices, read)?;
-            let within = s - block.start..e - block.start;
-            out.push_shared(shared, within.start as usize..within.end as usize);
         }
         Ok((out, disk))
-    }
-
-    /// Append `range` (inside the recipe) to `out` chunk by chunk, from
-    /// the private overlay or through the pins; returns the overlay
-    /// bytes, which a read pays disk time for.
-    fn gather(&self, range: std::ops::Range<u64>, out: &mut Vec<u8>) -> Result<u64, BrokenPin> {
-        let cb = self.chunk_bytes as u64;
-        let mut disk = 0u64;
-        for i in (range.start / cb) as usize..=((range.end - 1) / cb) as usize {
-            let cstart = self.chunk_offset(i);
-            let clen = self.recipe[i].1 as u64;
-            let (s, e) = (range.start.max(cstart), range.end.min(cstart + clen));
-            if s >= e {
-                continue;
-            }
-            let (lo, n) = ((s - cstart) as usize, (e - s) as usize);
-            match self.overlay.get(&(i as u32)) {
-                Some(b) => {
-                    disk += e - s;
-                    out.extend_from_slice(&b[lo..lo + n]);
-                }
-                None => self.cas.get_pinned_range(&self.recipe[i].0, lo, n, out)?,
-            }
-        }
-        Ok(disk)
     }
 
     /// Copy-on-write break: materialize every chunk `[offset,
@@ -208,22 +184,19 @@ impl RefFile {
             } else {
                 io += clen as u64;
                 grew += clen as u64;
-                let mut buf = Vec::with_capacity(clen as usize);
-                self.cas
-                    .get_pinned_range(&self.recipe[i].0, 0, clen as usize, &mut buf)?;
-                Some(buf)
+                Some(self.read_range(cstart, clen as usize)?.0)
             };
             spans.push((i, cstart, s, e, shared));
         }
         let mut breaks = 0u64;
         for (i, cstart, s, e, shared) in spans {
-            if let Some(buf) = shared {
+            if let Some(chunk) = shared {
                 self.cas.unpin(&self.recipe[i].0);
-                self.overlay.insert(i as u32, buf);
+                self.overlay.insert(i as u32, Rc::new(chunk.to_vec()));
                 breaks += 1;
             }
             if let Some(chunk) = self.overlay.get_mut(&(i as u32)) {
-                chunk[(s - cstart) as usize..(e - cstart) as usize]
+                Rc::make_mut(chunk)[(s - cstart) as usize..(e - cstart) as usize]
                     .copy_from_slice(&bytes[(s - offset) as usize..(e - offset) as usize]);
                 self.dirty_chunks.insert(i as u32);
             }
@@ -324,7 +297,7 @@ impl CachedFile {
                 }
                 Backing::Reference(r) => {
                     debug_assert!(r.overlay.is_empty(), "unresolved digest after a break");
-                    digest(&r.assemble()?)
+                    digest(&r.read_range(0, self.size as usize)?.0.contiguous())
                 }
             };
             self.synced = Synced::Digest(d);
@@ -638,13 +611,14 @@ impl FileCache {
                     f.resolve_synced()?;
                     // Growth is incompatible with a recipe-bounded
                     // backing: materialize to a full entry first (the
-                    // assembled shared bytes become disk-resident and
-                    // the ledger charges them; `RefFile::drop` releases
-                    // the pins).
+                    // shared bytes become disk-resident and the ledger
+                    // charges them, while the sparse store keeps each
+                    // whole shared block by reference; `RefFile::drop`
+                    // releases the pins).
                     let mut materialize_delta = 0u64;
                     if let Backing::Reference(r) = &f.backing {
                         if offset + bytes.len() as u64 > f.size {
-                            let full = r.assemble()?;
+                            let (full, _) = r.read_range(0, f.size as usize)?;
                             materialize_delta = f.size - r.overlay_bytes();
                             let mut sparse = SparseBytes::new();
                             sparse.write_at(0, &full);
@@ -719,7 +693,7 @@ impl FileCache {
                     (DirtyFile::Whole(data), n)
                 }
                 Backing::Reference(r) if diverged_only && !r.dirty_chunks.is_empty() => {
-                    let full_digest = digest(&r.assemble()?);
+                    let full_digest = digest(&r.read_range(0, total as usize)?.0.contiguous());
                     let mut ranges = Vec::with_capacity(r.dirty_chunks.len());
                     let mut disk = 0u64;
                     for &i in r.dirty_chunks.iter() {
@@ -728,7 +702,7 @@ impl FileCache {
                             continue;
                         };
                         disk += b.len() as u64;
-                        ranges.push((r.chunk_offset(i as usize), b.clone()));
+                        ranges.push((r.chunk_offset(i as usize), b.to_vec()));
                     }
                     r.dirty_chunks.clear();
                     let diverged = DirtyFile::Diverged {
@@ -739,7 +713,7 @@ impl FileCache {
                     (diverged, disk)
                 }
                 Backing::Reference(r) => {
-                    let whole = DirtyFile::Whole(r.assemble()?);
+                    let whole = DirtyFile::Whole(r.read_range(0, total as usize)?.0.to_vec());
                     r.dirty_chunks.clear();
                     (whole, r.overlay_bytes())
                 }

@@ -1288,12 +1288,12 @@ impl Proxy {
                     // Only a block-aligned reply covers the block from
                     // its first byte, so only that can be installed — and
                     // only one no longer than was asked for fits a frame.
-                    // The block is pooled out of the reply (or is the
-                    // block it carries), and the view of it dropped,
+                    // The block is the one the reply carries (or is
+                    // pooled out of it), and the view of it dropped,
                     // before the reply goes downstream: it then travels
                     // as the allocation it arrived in.
                     if n > 0 && in_block == 0 && n as u64 <= bs {
-                        let block = res.pooled_block(n);
+                        let block = res.shared_block(n);
                         self.wb.insert_block(env, cred, bc, tag, block, false);
                     }
                 }
@@ -1590,7 +1590,7 @@ impl Proxy {
                             // evicted again while the insert still pays
                             // its disk time or the write-back below runs.
                             let removals = bc.removals();
-                            let data = r.pooled_block(bs as usize);
+                            let data = r.shared_block(bs as usize);
                             sink.insert_block(env, sink.upstream.cred(), &bc, t, data, false);
                             let mut st = sink.state.lock();
                             st.prefetched_checked_at = st.prefetched_checked_at.min(removals);

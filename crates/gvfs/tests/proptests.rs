@@ -497,19 +497,21 @@ proptest! {
     }
 
     /// A reference-backed file reads like the dense bytes it stands for:
-    /// random in-bounds writes (copy-on-write breaks), chunk-wise dirty
-    /// takes (overlay chunks that are clean again) and unaligned reads
-    /// straddling shared chunks, private chunks and the end, against a
-    /// plain `Vec<u8>` model. The synced digest, whenever it is first
-    /// asked for — before or after the first write — is the digest of the
-    /// pristine contents.
+    /// random in-bounds writes (copy-on-write breaks), chunk-wise and
+    /// whole dirty takes (overlay chunks that are clean again) and
+    /// unaligned reads straddling shared chunks, private chunks, 32 KiB
+    /// file blocks that mix the two, and the end, against a plain
+    /// `Vec<u8>` model. A write past the end turns the entry into a full
+    /// file, which still reads, and is taken whole, as the model. The
+    /// synced digest, whenever it is first asked for — before or after
+    /// the first write — is the digest of the pristine contents.
     #[test]
     fn reference_file_reads_like_its_dense_model(
-        len in 1usize..5_000,
+        len in 1usize..4 * 32_768 + 1_000,
         seed in any::<u64>(),
         ask_synced_at in 0usize..40,
         ops in proptest::collection::vec(
-            (0u8..4, 0usize..5_200, 1usize..1_500, any::<u8>()),
+            (0u8..6, 0usize..1 << 20, 1usize..40_000, any::<u8>()),
             1..40,
         ),
     ) {
@@ -527,46 +529,68 @@ proptest! {
                 .collect();
             cache.install_reference(&env, key, cas.clone(), 512, recipe, 0);
             let mut model = golden.clone();
+            let mut grown = false;
             for (step, (op, off, n, byte)) in ops.into_iter().enumerate() {
                 if step == ask_synced_at {
                     assert_eq!(cache.synced_digest(key).unwrap(), Some(gvfs::digest::digest(&golden)));
                 }
+                let size = model.len();
                 match op {
                     0 | 1 => {
+                        // Reads reach a little past the end.
+                        let off = off % (size + 512);
                         let (data, eof) = cache.read(&env, key, off as u64, n as u32).unwrap().unwrap();
-                        let end = (off + n).min(len);
-                        assert_eq!(data, &model[off.min(len)..end], "read {off}+{n}");
-                        assert_eq!(eof, off + data.len() >= len);
+                        let end = (off + n).min(size);
+                        assert_eq!(data, &model[off.min(size)..end], "read {off}+{n}");
+                        assert_eq!(eof, off + data.len() >= size);
                     }
                     2 => {
-                        // In bounds: the entry stays a reference.
-                        let off = off % len;
-                        let bytes = vec![byte; n.min(len - off)];
+                        // In bounds: a reference stays a reference.
+                        let off = off % size;
+                        let bytes = vec![byte; (n % 1_500 + 1).min(size - off)];
                         assert!(cache.write(&env, key, off as u64, &bytes).unwrap());
                         model[off..off + bytes.len()].copy_from_slice(&bytes);
                     }
                     3 => {
                         match cache.take_dirty(&env, key, true).unwrap() {
                             Some(gvfs::DirtyFile::Diverged { total, ranges, full_digest }) => {
-                                assert_eq!(total, len as u64);
+                                assert!(!grown, "a full file is taken whole");
+                                assert_eq!(total, size as u64);
                                 assert_eq!(full_digest, gvfs::digest::digest(&model));
                                 for (at, bytes) in ranges {
                                     let at = at as usize;
                                     assert_eq!(bytes, &model[at..at + bytes.len()]);
                                 }
                             }
-                            Some(gvfs::DirtyFile::Whole(_)) => {
-                                panic!("an in-bounds write must leave a chunk set")
+                            Some(gvfs::DirtyFile::Whole(whole)) => {
+                                assert!(grown, "an in-bounds write must leave a chunk set");
+                                assert_eq!(whole, model);
                             }
                             None => {}
                         }
                     }
+                    4 => match cache.take_dirty(&env, key, false).unwrap() {
+                        Some(gvfs::DirtyFile::Whole(whole)) => assert_eq!(whole, model),
+                        Some(gvfs::DirtyFile::Diverged { .. }) => panic!("asked for it whole"),
+                        None => {}
+                    },
+                    5 => {
+                        // Past the end, from anywhere in the last chunk
+                        // or at the end itself.
+                        let off = size - off % size.min(512);
+                        let bytes = vec![byte; size - off + n % 1_500 + 1];
+                        assert!(cache.write(&env, key, off as u64, &bytes).unwrap());
+                        model.resize(off + bytes.len(), 0);
+                        model[off..].copy_from_slice(&bytes);
+                        grown = true;
+                    }
                     _ => unreachable!(),
                 }
-                assert!(cache.is_reference(key));
+                assert_eq!(cache.is_reference(key), !grown);
                 cache.validate_accounting();
             }
-            assert_eq!(cache.read(&env, key, 0, len as u32).unwrap().unwrap().0, model);
+            let size = model.len();
+            assert_eq!(cache.read(&env, key, 0, size as u32).unwrap().unwrap().0, model);
         });
         sim.run();
     }

@@ -239,11 +239,11 @@ impl KernelClient {
 
     /// Fetch the given blocks, at most `max_inflight` READs in flight;
     /// returns (block, data) pairs in the order asked for. Data is padded
-    /// or cut to the block size and pooled by content where it arrives,
-    /// in the worker that decoded the reply: a full block is the pooled
-    /// block the reply was encoded from when it says so, and is
-    /// otherwise hashed and compared inside the reply and copied only if
-    /// the pool lacks it ([`crate::proto::ReadRes::pooled_block`]).
+    /// or cut to the block size and shared where it arrives, in the
+    /// worker that decoded the reply: a full block is the very block the
+    /// reply was encoded from when it carries one, kept as it arrives,
+    /// and is otherwise hashed and compared inside the reply and copied
+    /// only if the pool lacks it ([`crate::proto::ReadRes::shared_block`]).
     fn fetch_blocks(
         &self,
         env: &Env,
@@ -257,7 +257,7 @@ impl KernelClient {
         let slots = run_windowed(env, "nfs-read", window, blocks, None, move |env, b| {
             Some(nfs.read(env, h, b * bs, bs as u32).map(|res| {
                 let data = if res.data.len() >= bs as usize {
-                    res.pooled_block(bs as usize)
+                    res.shared_block(bs as usize)
                 } else {
                     let mut padded = res.data.to_vec();
                     // lint:allow(bounded-decode): pads to the mount's own block size, not to a decoded length

@@ -13,13 +13,14 @@
 //! ([`REPLY_HEADROOM`]), so the message that carries them is completed in
 //! place, and a READ payload is decoded as a view of the reply it came
 //! in: one copy on the sending side, none on the receiving side. A READ
-//! payload that is one pooled block also travels, host side, as that
-//! block: the reply carries it as an attachment ([`xdr::Bytes::attach`]),
-//! so the receiver adopts the allocation instead of finding it again by
-//! hashing ([`ReadRes::pooled_block`]). The wire bytes are the same.
+//! payload that is one whole shared block also travels, host side, as
+//! that block: the reply carries it as an attachment
+//! ([`xdr::Bytes::attach`]), and the receiver keeps that very allocation
+//! instead of finding it again by hashing ([`ReadRes::shared_block`]).
+//! The wire bytes are the same.
 
 use oncrpc::msg::REPLY_HEADROOM;
-use vfs::{share_rc, share_slice, Attr, Handle, PayloadRef, SharedBytes};
+use vfs::{share_slice, Attr, Handle, PayloadRef, SharedBytes};
 use xdr::{Bytes, Decode, Decoder, Encode, Encoder};
 
 use crate::client::{NfsError, NfsResult};
@@ -140,13 +141,15 @@ pub fn decode_read(results: &Bytes) -> NfsResult<ReadRes> {
 
 impl ReadRes {
     /// The first `bs` bytes of the data (all of it when shorter) as
-    /// pooled content: the block the reply was encoded from when it
-    /// carries exactly those bytes, adopted by address; otherwise hashed
-    /// and compared where they lie, and copied only on a pool miss.
-    pub fn pooled_block(&self, bs: usize) -> SharedBytes {
+    /// shared content: the block the reply was encoded from when it
+    /// carries exactly those bytes, kept as it arrives (the attachment
+    /// was checked equal to the data when it was made); otherwise
+    /// pooled, hashed and compared where they lie and copied only on a
+    /// pool miss.
+    pub fn shared_block(&self, bs: usize) -> SharedBytes {
         let data = self.data.slice(0, bs.min(self.data.len()));
         match data.attached() {
-            Some(block) => share_rc(block.clone()),
+            Some(block) => block.clone(),
             None => share_slice(&data),
         }
     }
@@ -191,6 +194,7 @@ pub fn decode_commit(results: &[u8]) -> NfsResult<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::rc::Rc;
     use vfs::FileType;
 
     fn attr() -> Attr {
@@ -234,6 +238,24 @@ mod tests {
         };
         let looked_up = decode_lookup(&encode_lookup(h, Some(attr()), None)).unwrap();
         assert_eq!(looked_up, (h, Some(attr())));
+    }
+
+    #[test]
+    fn a_carried_block_is_kept_as_it_arrives() {
+        let bytes = vec![0xA5u8; 4096];
+        // The pool holds these bytes in an allocation of its own; the
+        // reply carries another one, equal to it, that it never saw.
+        let member = vfs::share(bytes.clone());
+        let carried = Rc::new(bytes);
+        let mut data = vfs::Payload::new();
+        data.push_shared(carried.clone(), 0..carried.len());
+        let res = decode_read(&encode_read(None, &data, false)).unwrap();
+        let block = res.shared_block(8192);
+        assert!(Rc::ptr_eq(&block, &carried), "the carried block itself");
+        assert!(!Rc::ptr_eq(&block, &member));
+        // Without an attachment the bytes are pooled.
+        let bare = decode_read(&encode_read(None, &carried[..], false)).unwrap();
+        assert!(Rc::ptr_eq(&bare.shared_block(8192), &member));
     }
 
     #[test]

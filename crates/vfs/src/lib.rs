@@ -4,7 +4,7 @@
 //! generation-checked handles; a disk timing model ([`Disk`],
 //! [`DiskModel`]); an O(1) [`LruMap`] used to model bounded memory
 //! buffer caches; the content pool ([`share`], [`share_slice`],
-//! [`share_rc`], [`zero_block`], [`SharedBytes`])
+//! [`zero_block`], [`SharedBytes`])
 //! through which every store of immutable payload keeps identical
 //! bytes once on the host; and [`Payload`], the shared pieces and zero
 //! runs a file read hands out instead of a copy.
@@ -29,5 +29,5 @@ pub use fs::{Attr, FileId, FileType, Fs, FsError, FsResult, Handle};
 pub use io::{FileIo, IoError, IoResult, LocalIo, LocalIoConfig, MountTable, OpenFile};
 pub use lru::LruMap;
 pub use payload::{Payload, PayloadRef, Piece};
-pub use shared::{is_zero_block, share, share_rc, share_slice, zero_block, SharedBytes};
+pub use shared::{is_zero_block, share, share_slice, zero_block, SharedBytes, WeakTable};
 pub use sparse::{SparseBytes, CHUNK_SIZE, USED_SPAN};

@@ -27,12 +27,13 @@
 //!   `Rc` when none does — so an allocation the pool can still reach
 //!   never changes, which is what keeps its hash → bytes mapping true.
 //!
-//! * A shared allocation that comes back ([`share_rc`]: the block a
-//!   READ reply says it was encoded from) is found by its address, not
-//!   its bytes: a member index beside the buckets lists the address of
-//!   every allocation they hold a `Weak` to. The index is exact — a
-//!   `Weak` keeps its allocation's address from being reused, and a
-//!   husk leaves the index when it leaves its bucket.
+//! * A block that arrives already shared — the one a READ reply says it
+//!   was encoded from (`nfs3`'s `ReadRes::shared_block`) — is kept as
+//!   it is and never visits the pool. If the pool never saw it, no pool
+//!   `Weak` reaches it, so a `make_mut` on it breaks nothing here.
+//! * Every per-thread table of `Weak`s — this pool, and the tables of
+//!   `gvfs::cas` — drops its dead entries once it has doubled since it
+//!   was last swept ([`WeakTable`]): amortised O(1) per insert.
 //! * [`zero_block`] is this thread's pooled all-zero block: a hole read
 //!   as one whole block is that allocation, so a zero test of it is a
 //!   pointer test ([`is_zero_block`]).
@@ -40,7 +41,7 @@
 //! Host side only: the pool charges no virtual time and counts nothing.
 
 use std::cell::{OnceCell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::rc::{Rc, Weak};
 
 use crate::sparse::CHUNK_SIZE;
@@ -68,14 +69,6 @@ pub fn share_slice(bytes: &[u8]) -> SharedBytes {
     POOL.with(|pool| pool.share(bytes))
 }
 
-/// [`share`] for an allocation the caller already shares: a pool member
-/// comes back as is, found by its address without reading a byte; any
-/// other allocation is hashed and compared, and on a miss pooled itself,
-/// without a copy.
-pub fn share_rc(bytes: SharedBytes) -> SharedBytes {
-    POOL.with(|pool| pool.share_rc(bytes))
-}
-
 /// This thread's pooled block of [`CHUNK_SIZE`] zeros.
 pub fn zero_block() -> SharedBytes {
     ZERO.with(|zero| Rc::clone(zero.get_or_init(|| share(vec![0; CHUNK_SIZE]))))
@@ -97,26 +90,51 @@ thread_local! {
     static ZERO: OnceCell<SharedBytes> = const { OnceCell::new() };
 }
 
-/// Below this many entries the table is never swept as a whole.
+/// Below this many entries a [`WeakTable`] is never swept as a whole.
 const SWEEP_FLOOR: usize = 64;
 
-struct Pool {
-    table: RefCell<Table>,
-}
-
-struct Table {
+/// A per-thread table whose entries hold `Weak`s — the pool's buckets,
+/// and the tables of `gvfs::cas` — and whose dead entries go once it
+/// has doubled since it was last swept: amortised O(1) per insert.
+#[derive(Default)]
+pub struct WeakTable<K, V> {
     // BTreeMap: the sweep iterates it (lint: determinism).
-    /// `(bucket key, address)` of every pooled allocation, unowned: a
-    /// bucket is a key's range, with no vector of its own.
-    buckets: BTreeMap<(u64, usize), Weak<Vec<u8>>>,
-    /// The address of every allocation `buckets` holds a `Weak` to.
-    members: BTreeSet<usize>,
-    /// `buckets.len()` right after the last whole-table sweep.
+    /// The entries.
+    pub map: BTreeMap<K, V>,
+    /// `map.len()` right after the last sweep.
     swept: usize,
 }
 
-/// What a pool miss keeps: the caller's vector moved, a borrowed slice
-/// copied, or the caller's own allocation.
+impl<K: Ord, V> WeakTable<K, V> {
+    /// An empty table.
+    pub const fn new() -> Self {
+        WeakTable {
+            map: BTreeMap::new(),
+            swept: 0,
+        }
+    }
+
+    /// Insert `value` under `key`; then, if the table has doubled since
+    /// it was last swept, keep only the entries `live` accepts.
+    pub fn insert(&mut self, key: K, value: V, live: impl FnMut(&K, &mut V) -> bool) {
+        self.map.insert(key, value);
+        if self.map.len() > 2 * self.swept.max(SWEEP_FLOOR) {
+            self.map.retain(live);
+            self.swept = self.map.len();
+        }
+    }
+}
+
+/// `(bucket key, address)` of every pooled allocation, unowned: a
+/// bucket is a key's range, with no vector of its own.
+type Buckets = WeakTable<(u64, usize), Weak<Vec<u8>>>;
+
+struct Pool {
+    table: RefCell<Buckets>,
+}
+
+/// What a pool miss keeps: the caller's vector moved, or a borrowed
+/// slice copied.
 trait Pooled {
     fn bytes(&self) -> &[u8];
     fn into_shared(self) -> SharedBytes;
@@ -140,23 +158,10 @@ impl Pooled for &[u8] {
     }
 }
 
-impl Pooled for SharedBytes {
-    fn bytes(&self) -> &[u8] {
-        self
-    }
-    fn into_shared(self) -> SharedBytes {
-        self
-    }
-}
-
 impl Pool {
     const fn new() -> Self {
         Pool {
-            table: RefCell::new(Table {
-                buckets: BTreeMap::new(),
-                members: BTreeSet::new(),
-                swept: 0,
-            }),
+            table: RefCell::new(WeakTable::new()),
         }
     }
 
@@ -164,25 +169,12 @@ impl Pool {
         self.share_in_bucket(hash(bytes.bytes()), bytes)
     }
 
-    fn share_rc(&self, bytes: SharedBytes) -> SharedBytes {
-        let member = self
-            .table
-            .borrow()
-            .members
-            .contains(&(Rc::as_ptr(&bytes) as usize));
-        if member {
-            return bytes;
-        }
-        self.share(bytes)
-    }
-
     fn share_in_bucket(&self, key: u64, bytes: impl Pooled) -> SharedBytes {
-        let mut guard = self.table.borrow_mut();
-        let table = &mut *guard;
+        let mut table = self.table.borrow_mut();
         // Every visit drops the bucket's husks on its way to a match.
         let mut hit = None;
         let mut husks = Vec::new();
-        for (&(_, at), weak) in table.buckets.range((key, 0)..=(key, usize::MAX)) {
+        for (&(_, at), weak) in table.map.range((key, 0)..=(key, usize::MAX)) {
             match weak.upgrade() {
                 Some(live) => {
                     if hit.is_none() && **live == *bytes.bytes() {
@@ -193,29 +185,17 @@ impl Pool {
             }
         }
         for at in husks {
-            table.buckets.remove(&(key, at));
-            table.members.remove(&at);
+            table.map.remove(&(key, at));
         }
         if let Some(hit) = hit {
             return hit;
         }
         let fresh = bytes.into_shared();
         let at = Rc::as_ptr(&fresh) as usize;
-        table.buckets.insert((key, at), Rc::downgrade(&fresh));
-        table.members.insert(at);
-        // Husks in buckets nobody visits again go when the table has
-        // doubled since it was last swept: amortised O(1) per call.
-        if table.buckets.len() > 2 * table.swept.max(SWEEP_FLOOR) {
-            let members = &mut table.members;
-            table.buckets.retain(|&(_, at), weak| {
-                let live = weak.strong_count() > 0;
-                if !live {
-                    members.remove(&at);
-                }
-                live
-            });
-            table.swept = table.buckets.len();
-        }
+        // Husks in buckets nobody visits again go in the sweep.
+        table.insert((key, at), Rc::downgrade(&fresh), |_, weak| {
+            weak.strong_count() > 0
+        });
         fresh
     }
 }
@@ -268,22 +248,19 @@ mod tests {
     }
 
     impl Pool {
-        /// Entries in the buckets, checking the member index and every
-        /// entry's address against them.
+        /// Entries in the buckets, checking every entry's address.
         fn entries(&self) -> usize {
             let table = self.table.borrow();
-            let addresses: BTreeSet<usize> = table.buckets.keys().map(|&(_, at)| at).collect();
-            assert_eq!(table.members, addresses, "member index out of step");
-            for (&(_, at), weak) in &table.buckets {
+            for (&(_, at), weak) in &table.map {
                 assert_eq!(weak.as_ptr() as usize, at, "an entry under another address");
             }
-            table.buckets.len()
+            table.map.len()
         }
 
         fn upgradable(&self) -> usize {
             let table = self.table.borrow();
             let live = |w: &&Weak<Vec<u8>>| w.strong_count() > 0;
-            table.buckets.values().filter(live).count()
+            table.map.values().filter(live).count()
         }
     }
 
@@ -355,35 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn share_rc_finds_a_member_by_address_and_pools_a_stranger_as_is() {
-        let pool = Pool::new();
-        let member = pool.share(payload(7));
-        // A member comes back as itself.
-        assert!(Rc::ptr_eq(&pool.share_rc(Rc::clone(&member)), &member));
-        // An equal allocation outside the pool is traded for the member.
-        let stranger = Rc::new(payload(7));
-        assert!(Rc::ptr_eq(&pool.share_rc(stranger), &member));
-        // A new one is pooled as the very allocation it was given.
-        let fresh = Rc::new(payload(8));
-        let at = fresh.as_ptr();
-        let pooled = pool.share_rc(Rc::clone(&fresh));
-        assert!(Rc::ptr_eq(&pooled, &fresh));
-        assert_eq!(pooled.as_ptr(), at, "a miss must not copy");
-        assert!(Rc::ptr_eq(&pool.share(payload(8)), &fresh));
-        assert_eq!(pool.entries(), 2);
-        // A dead member's husk leaves the index with its bucket entry.
-        drop((member, pooled, fresh));
-        let again = pool.share_rc(Rc::new(payload(7)));
-        assert_eq!(pool.entries(), 2);
-        assert!(Rc::ptr_eq(&pool.share_rc(Rc::clone(&again)), &again));
-    }
-
-    #[test]
     fn the_zero_block_is_pooled_and_known_by_address() {
         let zero = zero_block();
         assert_eq!(*zero, vec![0u8; CHUNK_SIZE]);
         assert!(Rc::ptr_eq(&zero, &share(vec![0; CHUNK_SIZE])));
-        assert!(Rc::ptr_eq(&zero, &share_rc(Rc::new(vec![0; CHUNK_SIZE]))));
         assert!(is_zero_block(&zero[..]));
         assert!(is_zero_block(&zero[100..200]));
         assert!(!is_zero_block(&[0u8; 64]));

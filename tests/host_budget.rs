@@ -31,12 +31,14 @@
 //!   taken by a byte compare: the proxy decodes and copies nothing, and
 //!   the second store shares the first one's allocation.
 //! - **A block crosses the host once.** A READ reply encoded from one
-//!   pooled block carries it, and the kernel client adopts that very
-//!   allocation: its block is the proxy's frame on a warm hit, the file
+//!   whole shared block carries it, and the kernel client keeps that
+//!   very allocation as it arrives, with no pool lookup: its block is
+//!   the origin's chunk, the proxy's frame on a warm hit, the file
 //!   cache's chunk on a file-cache hit, and the pool's zero block for a
 //!   hole. A reference file's block is assembled once while anyone holds
-//!   it, so a second reader allocates only its reply, and a materialized
-//!   recipe of live blocks installs without allocating a block.
+//!   it, so a second reader allocates only its reply, and neither a
+//!   materialized recipe of live blocks nor a reference of live blocks
+//!   that grows into a full file allocates a block.
 //!
 //! The counter is per thread and a simulation runs on the thread that
 //! calls its `run`, one process at a time, so between two reads of the
@@ -582,8 +584,9 @@ fn the_kernel_client_holds_the_block_the_proxy_served() {
             block.as_ptr()
         };
         let f = kc.lookup_path(&env, "/f").unwrap();
-        // Straight from the origin: the kernel adopts the chunk the
-        // reply was encoded from, which no pool held before.
+        // Straight from the origin: the kernel keeps the chunk the reply
+        // was encoded from as it arrives, without looking it up in the
+        // pool.
         let bare = KernelClient::mount(&env, direct, "/", KernelConfig::default()).unwrap();
         let read = bare.read(&env, f, 0, BLOCK as u32).unwrap();
         assert!(
@@ -758,6 +761,46 @@ fn a_materialized_install_of_live_blocks_allocates_no_block() {
             whole.append(&installed, 0..BLOCK);
         }
         assert_eq!(whole, bytes);
+    });
+    sim.run();
+}
+
+#[test]
+fn a_reference_of_live_blocks_grows_without_allocating_a_block() {
+    const BLOCKS: u64 = 8;
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let cache = FileCache::new(Disk::new(&h, DiskModel::scsi_2004()), 1 << 30);
+    sim.spawn("writer", move |env| {
+        let cas = Rc::new(ContentStore::new(1 << 30));
+        let recipe: Vec<_> = (0..BLOCKS)
+            .map(|b| (cas.insert_pinned(&block(b)), BLOCK as u32))
+            .collect();
+        let key = Handle {
+            fileid: 1,
+            generation: 0,
+        };
+        cache.install_reference(&env, key, cas, BLOCK as u32, recipe, 0);
+        let size = BLOCKS * BLOCK as u64;
+        // Readers hold every block, as a kernel client would.
+        let (live, _) = cache.read(&env, key, 0, size as u32).unwrap().unwrap();
+        cache.synced_digest(key).unwrap();
+        let (grew, allocs) = big_allocs(|| cache.write(&env, key, size, b"tail").unwrap());
+        assert!(grew && !cache.is_reference(key));
+        assert_eq!(
+            allocs, 0,
+            "payload-sized allocations of a {BLOCKS}-block reference growing by 4 bytes"
+        );
+        for (b, piece) in live.pieces().enumerate() {
+            let Piece::Bytes(piece) = piece else {
+                panic!("block {b} is not bytes");
+            };
+            let at = b as u64 * BLOCK as u64;
+            let (kept, _) = cache.read(&env, key, at, BLOCK as u32).unwrap().unwrap();
+            assert!(is_block(&kept, piece), "block {b} by reference");
+        }
+        let (tail, _) = cache.read(&env, key, size, 4).unwrap().unwrap();
+        assert_eq!(tail, b"tail");
     });
     sim.run();
 }
