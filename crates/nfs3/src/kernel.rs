@@ -95,22 +95,44 @@ pub struct KernelStats {
     pub bytes_written: u64,
 }
 
-struct Block {
+/// A block the cache pushed out, with the handle it was dirtied through
+/// if it was dirty.
+type Evicted = ((u64, u64), SharedBytes, Option<Handle>);
+
+struct KcState {
     /// Clean blocks read from the server are pooled by content; a write
     /// over a whole block keeps the block it is given, any other dirty
     /// block is private, and partial writes go through `Rc::make_mut`.
-    data: SharedBytes,
-    /// While the block is dirty, the handle it was dirtied through: what
-    /// its write-back goes through, whichever file's traffic evicts it.
-    dirty: Option<Handle>,
-}
-
-struct KcState {
-    cache: LruMap<(u64, u64), Block>,
-    dirty_bytes: u64,
+    cache: LruMap<(u64, u64), SharedBytes>,
+    /// The cached blocks not yet written back, by `(fileid, block)`, each
+    /// with the handle it was dirtied through: what its write-back goes
+    /// through, whichever file's traffic evicts it. A flush reads its
+    /// file's range instead of scanning the cache.
+    dirty: BTreeMap<(u64, u64), Handle>,
     dcache: BTreeMap<String, (Handle, u64)>, // path -> (handle, expires_ns)
     acache: BTreeMap<Handle, (Attr, u64)>,
     local_size: HashMap<u64, u64>, // fileid -> size as seen through our writes
+}
+
+impl KcState {
+    /// Cache `data` as block `key`, dirtied through `dirty` or clean. A
+    /// block the insert pushes out leaves the dirty index with it.
+    fn insert(
+        &mut self,
+        key: (u64, u64),
+        data: SharedBytes,
+        dirty: Option<Handle>,
+    ) -> Option<Evicted> {
+        let evicted = self.cache.insert(key, data).map(|(k, data)| {
+            let h = self.dirty.remove(&k);
+            (k, data, h)
+        });
+        match dirty {
+            Some(h) => self.dirty.insert(key, h),
+            None => self.dirty.remove(&key),
+        };
+        evicted
+    }
 }
 
 /// Telemetry counters backing [`KernelStats`]; registered once at mount.
@@ -165,7 +187,7 @@ impl KernelClient {
             cfg,
             state: Shared::new(KcState {
                 cache: LruMap::new(((cfg.cache_bytes / cfg.rsize as u64) as usize).max(1)),
-                dirty_bytes: 0,
+                dirty: BTreeMap::new(),
                 dcache: BTreeMap::new(),
                 acache: BTreeMap::new(),
                 local_size: HashMap::new(),
@@ -198,7 +220,7 @@ impl KernelClient {
     /// mounting the virtual file system").
     pub fn invalidate_caches(&self) {
         let mut st = self.state.lock();
-        assert_eq!(st.dirty_bytes, 0, "invalidate with dirty data pending");
+        assert!(st.dirty.is_empty(), "invalidate with dirty data pending");
         st.cache.clear();
         st.dcache.clear();
         st.acache.clear();
@@ -305,34 +327,32 @@ impl KernelClient {
         Ok(())
     }
 
-    /// Take dirty blocks (for `only_file` if given) out of the cache's
-    /// dirty set, returning them for writeback. Blocks stay cached clean,
-    /// and the payloads returned are references to them: a write into
-    /// one while its write-back is in flight copies it first.
-    fn collect_dirty(&self, only_file: Option<u64>) -> Vec<(Handle, u64, SharedBytes)> {
+    /// Take `file`'s dirty blocks out of the index, returning them for
+    /// writeback in block order. Blocks stay cached clean, and the
+    /// payloads returned are references to them: a write into one while
+    /// its write-back is in flight copies it first.
+    fn collect_dirty(&self, file: u64) -> Vec<(u64, SharedBytes)> {
         let mut st = self.state.lock();
-        let keys: Vec<(u64, u64)> = st
+        let st = &mut *st;
+        let n = st.dirty.range((file, 0)..=(file, u64::MAX)).count();
+        // A flushed block becomes most recently used, the most recent one
+        // first.
+        let flushed = st
             .cache
-            .iter_mru()
-            .filter(|((f, _), blk)| blk.dirty.is_some() && only_file.is_none_or(|of| *f == of))
-            .map(|(k, _)| *k)
-            .collect();
-        let mut out: Vec<_> = keys
+            .touch_most_recent(n, |k| k.0 == file && st.dirty.contains_key(k));
+        let mut out: Vec<_> = flushed
             .into_iter()
-            .filter_map(|k| {
-                let blk = st.cache.get_mut(&k)?;
-                let h = blk.dirty.take()?;
-                Some((h, k.1, Rc::clone(&blk.data)))
+            .map(|(k, data)| {
+                st.dirty.remove(&k);
+                (k.1, data)
             })
             .collect();
-        st.dirty_bytes = st.dirty_bytes.saturating_sub(out.len() as u64 * self.bs());
-        out.sort_unstable_by_key(|(_, b, _)| *b);
+        out.sort_unstable_by_key(|(b, _)| *b);
         out
     }
 
     fn flush_file(&self, env: &Env, h: Handle) -> IoResult<()> {
-        let dirty = self.collect_dirty(Some(h.fileid));
-        let blocks = dirty.into_iter().map(|(_, b, d)| (b, d)).collect();
+        let blocks = self.collect_dirty(h.fileid);
         self.write_blocks(env, h, blocks)
     }
 
@@ -341,28 +361,18 @@ impl KernelClient {
     /// coalesces write-back rather than dribbling single pages) — through
     /// the handle the block was dirtied through, so a block pushed out by
     /// a read or write of another file is written back like any other.
-    fn writeback_evicted(&self, env: &Env, evicted: Vec<((u64, u64), Block)>) -> IoResult<()> {
-        let bs = self.bs();
+    fn writeback_evicted(&self, env: &Env, evicted: Vec<Evicted>) -> IoResult<()> {
         // BTreeMap: one batch per file, in fileid order (lint: determinism).
         let mut stragglers: BTreeMap<Handle, Vec<(u64, SharedBytes)>> = BTreeMap::new();
-        for ((_, b), blk) in evicted {
-            if let Some(h) = blk.dirty {
-                {
-                    let mut st = self.state.lock();
-                    st.dirty_bytes = st.dirty_bytes.saturating_sub(bs);
-                }
-                let blocks = stragglers.entry(h).or_default();
-                blocks.push((b, blk.data));
+        for ((_, b), data, dirty) in evicted {
+            if let Some(h) = dirty {
+                stragglers.entry(h).or_default().push((b, data));
             }
         }
         for (h, stragglers) in stragglers {
             // The evicted blocks themselves plus everything else dirty in
             // the file, in one pipelined batch.
-            let mut batch: Vec<(u64, SharedBytes)> = self
-                .collect_dirty(Some(h.fileid))
-                .into_iter()
-                .map(|(_, b, d)| (b, d))
-                .collect();
+            let mut batch = self.collect_dirty(h.fileid);
             batch.extend(stragglers);
             batch.sort_unstable_by_key(|(b, _)| *b);
             batch.dedup_by_key(|(b, _)| *b);
@@ -498,8 +508,8 @@ impl FileIo for KernelClient {
         {
             let mut st = self.state.lock();
             for b in first..=last {
-                if let Some(blk) = st.cache.get(&(h.fileid, b)) {
-                    blocks.push((b, Rc::clone(&blk.data)));
+                if let Some(data) = st.cache.get(&(h.fileid, b)) {
+                    blocks.push((b, Rc::clone(data)));
                     self.tel.cache_hits.inc();
                 } else {
                     misses.push(b);
@@ -517,8 +527,7 @@ impl FileIo for KernelClient {
                 let mut st = self.state.lock();
                 for (b, data) in fetched {
                     blocks.push((b, Rc::clone(&data)));
-                    let clean = Block { data, dirty: None };
-                    if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
+                    if let Some(ev) = st.insert((h.fileid, b), data, None) {
                         evicted_all.push(ev);
                     }
                 }
@@ -566,8 +575,7 @@ impl FileIo for KernelClient {
             let fetched = self.fetch_blocks(env, h, rmw)?;
             let mut st = self.state.lock();
             for (b, data) in fetched {
-                let clean = Block { data, dirty: None };
-                if let Some(ev) = st.cache.insert((h.fileid, b), clean) {
+                if let Some(ev) = st.insert((h.fileid, b), data, None) {
                     evicted_all.push(ev);
                 }
             }
@@ -584,31 +592,23 @@ impl FileIo for KernelClient {
                 let src = (from - offset) as usize..(to - offset) as usize;
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
-                let was_dirty = if let Some(blk) = st.cache.get_mut(&key) {
-                    overwrite(&mut blk.data, payload, src, within, bs as usize);
-                    blk.dirty.replace(h).is_some()
+                if let Some(block) = st.cache.get_mut(&key) {
+                    overwrite(block, payload, src, within, bs as usize);
+                    st.dirty.insert(key, h);
                 } else {
                     // Not cached. A block this call's own inserts evicted
                     // a moment ago — an edge block cached or just fetched
                     // for its bytes outside the write — is taken back
-                    // from the eviction list with those bytes (and its
-                    // dirty accounting); anything else starts empty.
-                    let mut blk = match evicted_all.iter().rposition(|(k, _)| *k == key) {
+                    // from the eviction list with those bytes; anything
+                    // else starts empty.
+                    let mut block = match evicted_all.iter().rposition(|(k, ..)| *k == key) {
                         Some(i) => evicted_all.remove(i).1,
-                        None => Block {
-                            data: SharedBytes::default(),
-                            dirty: None,
-                        },
+                        None => SharedBytes::default(),
                     };
-                    overwrite(&mut blk.data, payload, src, within, bs as usize);
-                    let was = blk.dirty.replace(h).is_some();
-                    if let Some(ev) = st.cache.insert(key, blk) {
+                    overwrite(&mut block, payload, src, within, bs as usize);
+                    if let Some(ev) = st.insert(key, block, Some(h)) {
                         evicted_all.push(ev);
                     }
-                    was
-                };
-                if !was_dirty {
-                    st.dirty_bytes += bs;
                 }
             }
             let end = offset + data.len() as u64;
@@ -626,7 +626,8 @@ impl FileIo for KernelClient {
 
         // Back-pressure: too much dirty data forces a synchronous flush,
         // like the kernel's dirty-ratio writeback.
-        let over_limit = { self.state.lock().dirty_bytes > self.cfg.dirty_limit_bytes };
+        let over_limit =
+            { self.state.lock().dirty.len() as u64 * self.bs() > self.cfg.dirty_limit_bytes };
         if over_limit {
             self.flush_file(env, h)?;
         }
@@ -714,33 +715,36 @@ impl FileIo for KernelClient {
     }
 
     fn sync(&self, env: &Env) -> IoResult<()> {
-        // Flush every file with dirty blocks, each through the handle
-        // its blocks were dirtied through.
+        // Flush every file with dirty blocks, the file of the most
+        // recently used one first, each through the handle its blocks
+        // were dirtied through.
         loop {
-            let next = {
-                self.state
-                    .lock()
-                    .cache
-                    .iter_mru()
-                    .find_map(|(_, blk)| blk.dirty)
-            };
+            let st = self.state.lock();
+            if st.dirty.is_empty() {
+                return Ok(());
+            }
+            let next = st
+                .cache
+                .iter_mru()
+                .find_map(|(k, _)| st.dirty.get(k).copied());
+            drop(st);
             match next {
                 Some(h) => self.flush_file(env, h)?,
-                None => break,
+                None => return Ok(()),
             }
         }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::ReadArgs;
+    use crate::args::{ReadArgs, WriteArgs};
     use crate::proto::{proc3, Fh3, MOUNT_PROGRAM};
-    use crate::results::{encode_getattr, encode_read};
+    use crate::results::{encode_commit, encode_getattr, encode_read, encode_write};
     use oncrpc::{endpoint, OpaqueAuth, RpcClient, RpcMessage, WireSpec};
     use simnet::{Link, Simulation};
+    use std::cell::RefCell;
     use xdr::{Encode, Encoder};
 
     /// A server whose READ replies carry twice what was asked for.
@@ -805,8 +809,8 @@ mod tests {
             assert_eq!(got, want);
             let st = kc.state.lock();
             assert_eq!(st.cache.len(), 4);
-            for (_, blk) in st.cache.iter_mru() {
-                assert_eq!(blk.data.len(), 1024);
+            for (_, data) in st.cache.iter_mru() {
+                assert_eq!(data.len(), 1024);
             }
         });
         sim.run();
@@ -841,6 +845,116 @@ mod tests {
         sim.run();
     }
 
+    /// A server that takes WRITEs and COMMITs to any file, each file
+    /// empty until written, and logs every WRITE as `(fileid, offset)`.
+    fn logging_server(log: Rc<RefCell<Vec<(u64, u64)>>>) -> impl Fn(&Env, &[u8]) -> Vec<u8> {
+        move |_env, request| {
+            let Ok(RpcMessage::Call { header, args }) = xdr::from_bytes(request) else {
+                panic!("a call");
+            };
+            let results = match (header.prog, header.proc) {
+                (MOUNT_PROGRAM, _) => {
+                    let mut enc = Encoder::new();
+                    enc.put_u32(0);
+                    Fh3(Handle {
+                        fileid: 1,
+                        generation: 1,
+                    })
+                    .encode(&mut enc);
+                    enc.into_shared()
+                }
+                (_, proc3::GETATTR) => {
+                    let Fh3(h) = xdr::from_bytes(&args).expect("GETATTR args");
+                    encode_getattr(Attr {
+                        ftype: FileType::Regular,
+                        mode: 0o644,
+                        nlink: 1,
+                        uid: 0,
+                        gid: 0,
+                        size: 0,
+                        used: 0,
+                        fileid: h.fileid,
+                        atime_ns: 0,
+                        mtime_ns: 0,
+                        ctime_ns: 0,
+                    })
+                }
+                (_, proc3::WRITE) => {
+                    let a: WriteArgs = xdr::from_bytes(&args).expect("WRITE args");
+                    log.borrow_mut().push((a.file.0.fileid, a.offset));
+                    encode_write(None, a.count, StableHow::Unstable, 0)
+                }
+                (_, proc3::COMMIT) => encode_commit(None, 0),
+                other => panic!("unexpected call {other:?}"),
+            };
+            RpcMessage::success(header.xid, results)
+                .into_wire()
+                .to_vec()
+        }
+    }
+
+    #[test]
+    fn a_close_writes_back_its_file_and_leaves_it_most_recent_first() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        ep.listener
+            .serve("logging", Rc::new(logging_server(Rc::clone(&log))), 1);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        sim.spawn("client", move |env| {
+            let cfg = KernelConfig {
+                rsize: 1024,
+                wsize: 1024,
+                cache_bytes: 16 * 1024,
+                dirty_limit_bytes: 6 * 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let file = |fileid| Handle {
+                fileid,
+                generation: 1,
+            };
+            let (a, b) = (file(3), file(4));
+            let block = Payload::from(vec![7u8; 1024]);
+            let lru = || -> Vec<(u64, u64)> {
+                kc.state.lock().cache.iter_mru().map(|(k, _)| *k).collect()
+            };
+            // A's dirty blocks at depths 0, 1 and 3, B's between them.
+            for (f, blk) in [(a, 0), (b, 0), (a, 1), (b, 1), (a, 2), (a, 0)] {
+                kc.write(&env, f, blk * 1024, &block).expect("write");
+            }
+            assert_eq!(lru(), [(3, 0), (3, 2), (4, 1), (3, 1), (4, 0)]);
+            assert!(log.borrow().is_empty(), "under the dirty limit");
+            kc.close(&env, a).expect("close");
+            assert_eq!(*log.borrow(), [(3, 0), (3, 1024), (3, 2048)]);
+            // Each flushed block was made most recent in turn, the most
+            // recent first; B's blocks stayed where they were.
+            assert_eq!(lru(), [(3, 1), (3, 2), (3, 0), (4, 1), (4, 0)]);
+            // B holds two dirty blocks; the seventh dirty block passes
+            // the 6 KiB limit and writes back B's seven.
+            for blk in 2..7 {
+                kc.write(&env, b, blk * 1024, &block).expect("write");
+                assert_eq!(
+                    log.borrow().len(),
+                    if blk < 6 { 3 } else { 10 },
+                    "block {blk}"
+                );
+            }
+            let b_writes: Vec<u64> = log.borrow()[3..]
+                .iter()
+                .map(|(_, off)| off / 1024)
+                .collect();
+            assert_eq!(b_writes, (0..7).collect::<Vec<_>>());
+            let b_first: Vec<(u64, u64)> = (0..7).map(|blk| (4, blk)).collect();
+            assert_eq!(lru()[..7], b_first);
+            kc.sync(&env).expect("sync");
+            assert_eq!(log.borrow().len(), 10, "nothing left dirty");
+        });
+        sim.run();
+    }
+
     #[test]
     fn the_default_block_is_the_sparse_stores_chunk() {
         let cfg = KernelConfig::default();
@@ -863,16 +977,8 @@ mod tests {
             };
             let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
             let f = kc.root();
-            let cached = |b: u64| {
-                Rc::clone(
-                    &kc.state
-                        .lock()
-                        .cache
-                        .get(&(f.fileid, b))
-                        .expect("cached")
-                        .data,
-                )
-            };
+            let cached =
+                |b: u64| Rc::clone(kc.state.lock().cache.get(&(f.fileid, b)).expect("cached"));
             // Block 0 cached clean first, block 1 not cached at all.
             kc.read(&env, f, 0, 1024).expect("read");
             let block: SharedBytes = Rc::new(vec![0xAB; 1024]);

@@ -11,6 +11,7 @@
 //!   cloned VM's local directory holds symlinks into the NFS-mounted
 //!   image-server directory.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use simnet::Env;
@@ -147,8 +148,10 @@ impl Default for LocalIoConfig {
 
 struct LocalState {
     fs: Fs,
-    cache: LruMap<(u64, u64), bool>, // (fileid, block) -> dirty
-    dirty_blocks: u64,
+    cache: LruMap<(u64, u64), ()>,
+    /// The cached blocks not yet written back, by `(fileid, block)`: a
+    /// flush reads its file's range instead of scanning the cache.
+    dirty: BTreeSet<(u64, u64)>,
     last_block_read: Option<(u64, u64)>,
 }
 
@@ -169,7 +172,7 @@ impl LocalIo {
             state: Shared::new(LocalState {
                 fs: Fs::new(now_ns),
                 cache: LruMap::new(((cfg.cache_bytes / cfg.block_size as u64) as usize).max(1)),
-                dirty_blocks: 0,
+                dirty: BTreeSet::new(),
                 last_block_read: None,
             }),
             disk,
@@ -181,6 +184,16 @@ impl LocalIo {
     /// scenario setup code to pre-populate images without timing cost).
     pub fn with_fs<R>(&self, f: impl FnOnce(&mut Fs) -> R) -> R {
         f(&mut self.state.lock().fs)
+    }
+
+    /// The page cache from most to least recently used: each block as
+    /// `(fileid, block)`, with whether it is dirty.
+    pub fn cached_blocks(&self) -> Vec<((u64, u64), bool)> {
+        let st = self.state.lock();
+        st.cache
+            .iter_mru()
+            .map(|(k, ())| (*k, st.dirty.contains(k)))
+            .collect()
     }
 
     fn block_range(&self, offset: u64, len: usize) -> (u64, u64) {
@@ -205,9 +218,8 @@ impl LocalIo {
                 let sequential = st.last_block_read == Some((fileid, b.wrapping_sub(1)));
                 st.last_block_read = Some((fileid, b));
                 if !hit {
-                    if let Some(((_ef, _eb), dirty)) = st.cache.insert((fileid, b), false) {
-                        if dirty {
-                            st.dirty_blocks = st.dirty_blocks.saturating_sub(1);
+                    if let Some((evicted, ())) = st.cache.insert((fileid, b), ()) {
+                        if st.dirty.remove(&evicted) {
                             // Evicted dirty page: background write-back
                             // coalesces, so charge streaming time.
                             drop(st);
@@ -238,18 +250,9 @@ impl LocalIo {
         for b in first..=last {
             let evicted_dirty = {
                 let mut st = self.state.lock();
-                let was_dirty = st.cache.get(&(fileid, b)).copied().unwrap_or(false);
-                let evicted = st.cache.insert((fileid, b), true);
-                if !was_dirty {
-                    st.dirty_blocks += 1;
-                }
-                match evicted {
-                    Some((_, true)) => {
-                        st.dirty_blocks = st.dirty_blocks.saturating_sub(1);
-                        true
-                    }
-                    _ => false,
-                }
+                let evicted = st.cache.insert((fileid, b), ());
+                st.dirty.insert((fileid, b));
+                evicted.is_some_and(|(key, ())| st.dirty.remove(&key))
             };
             env.sleep(self.cfg.hit_cost);
             if evicted_dirty {
@@ -259,24 +262,26 @@ impl LocalIo {
     }
 
     fn flush_dirty(&self, env: &Env, only_file: Option<u64>) {
-        // Collect dirty blocks, clear their dirty bits, then pay one
-        // sequential streaming charge — matching how a real page cache
-        // coalesces write-back.
+        // Take the dirty blocks out of the index, then pay one sequential
+        // streaming charge — matching how a real page cache coalesces
+        // write-back.
         let flushed = {
             let mut st = self.state.lock();
-            let keys: Vec<(u64, u64)> = st
+            let st = &mut *st;
+            let files = match only_file {
+                Some(f) => (f, 0)..=(f, u64::MAX),
+                None => (0, 0)..=(u64::MAX, u64::MAX),
+            };
+            let n = st.dirty.range(files.clone()).count();
+            // A flushed block becomes most recently used, the most recent
+            // one first.
+            let touched = st
                 .cache
-                .iter_mru()
-                .filter(|((f, _), dirty)| **dirty && only_file.is_none_or(|of| *f == of))
-                .map(|(k, _)| *k)
-                .collect();
-            for k in &keys {
-                if let Some(d) = st.cache.get_mut(k) {
-                    *d = false;
-                }
+                .touch_most_recent(n, |k| files.contains(k) && st.dirty.contains(k));
+            for (k, ()) in &touched {
+                st.dirty.remove(k);
             }
-            st.dirty_blocks = st.dirty_blocks.saturating_sub(keys.len() as u64);
-            keys.len() as u64
+            n as u64
         };
         if flushed > 0 {
             self.disk

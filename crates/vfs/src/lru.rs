@@ -6,7 +6,42 @@
 //! memory caches suffer capacity misses on multi-gigabyte VM state.
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+
+/// The index's hasher: one multiply per word (the Fx hash). Keys are block
+/// numbers, file ids and RPC xids, and nothing iterates the index, so
+/// SipHash's flooding resistance would buy nothing here but its cost: a
+/// crafted key can at worst lengthen a probe in a bounded map.
+#[derive(Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Doubly-linked-list node stored in a slab.
 struct Node<K, V> {
@@ -22,7 +57,7 @@ const NIL: usize = usize::MAX;
 /// evicts the least-recently-used entry and returns it.
 pub struct LruMap<K, V> {
     capacity: usize,
-    map: HashMap<K, usize>,
+    map: HashMap<K, usize, BuildHasherDefault<KeyHasher>>,
     slab: Vec<Option<Node<K, V>>>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -35,7 +70,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         assert!(capacity > 0, "LRU capacity must be positive");
         LruMap {
             capacity,
-            map: HashMap::new(),
+            map: HashMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -167,6 +202,37 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         evicted
     }
 
+    /// Walk from the most recently used entry until `n` keys that `pick`
+    /// accepts are found, then mark each most-recently-used in turn, the
+    /// most recent first — which leaves them at the head in reverse of
+    /// their old order. Returns them with their values in their old order.
+    /// Costs the depth of the `n`-th key picked, not the map's length.
+    pub fn touch_most_recent(&mut self, n: usize, mut pick: impl FnMut(&K) -> bool) -> Vec<(K, V)>
+    where
+        V: Clone,
+    {
+        let mut picked = Vec::with_capacity(n);
+        let mut idx = self.head;
+        while picked.len() < n && idx != NIL {
+            let node = self.node(idx);
+            if pick(&node.key) {
+                picked.push(idx);
+            }
+            idx = node.next;
+        }
+        picked
+            .into_iter()
+            .map(|idx| {
+                if idx != self.head {
+                    self.unlink(idx);
+                    self.push_front(idx);
+                }
+                let node = self.node(idx);
+                (node.key.clone(), node.value.clone())
+            })
+            .collect()
+    }
+
     /// Remove a key, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.map.remove(key)?;
@@ -258,6 +324,29 @@ mod tests {
         lru.get(&1);
         let keys: Vec<i32> = lru.iter_mru().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn touch_most_recent_replays_touches_from_the_most_recent_down() {
+        let mut lru = LruMap::new(8);
+        for i in 0..6 {
+            lru.insert(i, i * 10);
+        }
+        // Recency 5, 4, 3, 2, 1, 0; the odd keys, most recent first.
+        let touched = lru.touch_most_recent(3, |k| k % 2 == 1);
+        assert_eq!(touched, vec![(5, 50), (3, 30), (1, 10)]);
+        let keys: Vec<i32> = lru.iter_mru().map(|(k, _)| *k).collect();
+        assert_eq!(keys, vec![1, 3, 5, 4, 2, 0]);
+        // The same order as a `get` of each, most recent first.
+        let mut by_get = LruMap::new(8);
+        for i in 0..6 {
+            by_get.insert(i, i * 10);
+        }
+        for k in [5, 3, 1] {
+            by_get.get(&k);
+        }
+        assert!(by_get.iter_mru().map(|(k, _)| *k).eq(keys));
+        assert!(lru.touch_most_recent(0, |_| true).is_empty());
     }
 
     #[test]

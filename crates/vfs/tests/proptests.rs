@@ -1,11 +1,14 @@
 //! Property-based invariants for the filesystem substrate.
 
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use proptest::prelude::*;
+use simnet::{Env, SimDuration, Simulation};
 use vfs::{
-    share, share_slice, Fs, LruMap, Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE, USED_SPAN,
+    share, share_slice, Disk, DiskModel, FileIo, Fs, LocalIo, LocalIoConfig, LruMap, Payload,
+    Piece, SharedBytes, SparseBytes, CHUNK_SIZE, USED_SPAN,
 };
 
 /// A `SparseBytes` next to the dense model it must match and the set of
@@ -99,7 +102,171 @@ fn palette(pick: u8) -> Vec<u8> {
     }
 }
 
+/// `LocalIo`'s page-cache charges as they were made before the dirty
+/// index: every flush scans the whole LRU for dirty blocks, then marks
+/// each one most recently used, the most recent one first. The model the
+/// indexed write-back must reproduce to the virtual nanosecond.
+struct ScanModel {
+    cache: LruMap<(u64, u64), bool>, // (fileid, block) -> dirty
+    last_block_read: Option<(u64, u64)>,
+    disk: Disk,
+    cfg: LocalIoConfig,
+}
+
+impl ScanModel {
+    fn block_range(&self, offset: u64, len: usize) -> (u64, u64) {
+        let bs = self.cfg.block_size as u64;
+        (offset / bs, (offset + len as u64 - 1) / bs)
+    }
+
+    fn read(&mut self, env: &Env, fileid: u64, offset: u64, len: usize) {
+        let (first, last) = self.block_range(offset, len);
+        let bs = self.cfg.block_size as u64;
+        for b in first..=last {
+            let hit = self.cache.get(&(fileid, b)).is_some();
+            let sequential = self.last_block_read == Some((fileid, b.wrapping_sub(1)));
+            self.last_block_read = Some((fileid, b));
+            if hit {
+                env.sleep(self.cfg.hit_cost);
+            } else if let Some((_, true)) = self.cache.insert((fileid, b), false) {
+                self.disk.stream_io(env, bs);
+                env.sleep(self.cfg.hit_cost);
+            } else if sequential {
+                self.disk.stream_io(env, bs);
+            } else {
+                self.disk.random_io(env, bs);
+            }
+        }
+    }
+
+    fn write(&mut self, env: &Env, fileid: u64, offset: u64, len: usize) {
+        let (first, last) = self.block_range(offset, len);
+        for b in first..=last {
+            let evicted = self.cache.insert((fileid, b), true);
+            env.sleep(self.cfg.hit_cost);
+            if let Some((_, true)) = evicted {
+                self.disk.stream_io(env, self.cfg.block_size as u64);
+            }
+        }
+    }
+
+    fn flush(&mut self, env: &Env, only_file: Option<u64>) -> u64 {
+        let keys: Vec<(u64, u64)> = self
+            .cache
+            .iter_mru()
+            .filter(|((f, _), dirty)| **dirty && only_file.is_none_or(|of| *f == of))
+            .map(|(k, _)| *k)
+            .collect();
+        for k in &keys {
+            *self.cache.get_mut(k).expect("cached") = false;
+        }
+        let n = keys.len() as u64;
+        if n > 0 {
+            self.disk.sequential_io(env, n * self.cfg.block_size as u64);
+        }
+        n
+    }
+
+    fn cached_blocks(&self) -> Vec<((u64, u64), bool)> {
+        self.cache.iter_mru().map(|(k, d)| (*k, *d)).collect()
+    }
+}
+
+/// One step of [`local_io_write_back_matches_the_full_scan`]: kind
+/// (0–2 read, 3–5 write, 6 close, 7 sync), file, byte offset, length.
+type CacheOp = (u8, usize, u64, u64);
+
+/// Runs `ops` against a `LocalIo` and a [`ScanModel`] with an 8-block
+/// cache over four files; the first disagreement, if any.
+fn diverges_from_the_scan(ops: Vec<CacheOp>) -> Option<String> {
+    const BS: u64 = 4096;
+    let sim = Simulation::new();
+    let h = sim.handle();
+    let cfg = LocalIoConfig {
+        block_size: BS as u32,
+        cache_bytes: 8 * BS,
+        hit_cost: SimDuration::from_micros(20),
+    };
+    let io = LocalIo::new(Disk::new(&h, DiskModel::scsi_2004()), cfg, 0);
+    let mut model = ScanModel {
+        cache: LruMap::new(8),
+        last_block_read: None,
+        disk: Disk::new(&h, DiskModel::scsi_2004()),
+        cfg,
+    };
+    let found = Rc::new(RefCell::new(None));
+    let report = Rc::clone(&found);
+    sim.spawn("ops", move |env| {
+        let files: Vec<_> = (0..4)
+            .map(|i| io.create_path(&env, &format!("f{i}")).expect("create"))
+            .collect();
+        let dirty = |blocks: &[((u64, u64), bool)]| blocks.iter().filter(|(_, d)| *d).count();
+        for (step, (kind, file, offset, len)) in ops.into_iter().enumerate() {
+            let f = files[file];
+            let before = dirty(&io.cached_blocks());
+            let t0 = env.now();
+            let mut model_flushed = None;
+            let t1 = match kind {
+                0..=2 => {
+                    let got = io.read(&env, f, offset, len as u32).expect("read").len();
+                    let t1 = env.now();
+                    if got > 0 {
+                        model.read(&env, f.fileid, offset, got);
+                    }
+                    t1
+                }
+                3..=5 => {
+                    let data = Payload::from(vec![kind; len as usize]);
+                    io.write(&env, f, offset, &data).expect("write");
+                    let t1 = env.now();
+                    model.write(&env, f.fileid, offset, len as usize);
+                    t1
+                }
+                6 => {
+                    io.close(&env, f).expect("close");
+                    let t1 = env.now();
+                    model_flushed = Some(model.flush(&env, Some(f.fileid)));
+                    t1
+                }
+                _ => {
+                    io.sync(&env).expect("sync");
+                    let t1 = env.now();
+                    model_flushed = Some(model.flush(&env, None));
+                    t1
+                }
+            };
+            let (io_took, model_took) = (t1 - t0, env.now() - t1);
+            let cached = io.cached_blocks();
+            let what = if io_took != model_took {
+                format!("took {io_took}, the scan {model_took}")
+            } else if cached != model.cached_blocks() {
+                format!("cache {cached:?}, the scan {:?}", model.cached_blocks())
+            } else if model_flushed.is_some_and(|n| before != dirty(&cached) + n as usize) {
+                let flushed = before - dirty(&cached);
+                format!("flushed {flushed}, the scan {model_flushed:?}")
+            } else {
+                continue;
+            };
+            *report.borrow_mut() = Some(format!("step {step} (op {kind}): {what}"));
+            return;
+        }
+    });
+    sim.run();
+    found.take()
+}
+
 proptest! {
+    /// `LocalIo`'s indexed write-back flushes, charges and reorders its
+    /// page cache exactly as a scan of the whole cache did, with dirty
+    /// blocks evicted by reads and writes along the way.
+    #[test]
+    fn local_io_write_back_matches_the_full_scan(
+        ops in proptest::collection::vec((0u8..8, 0usize..4, 0u64..24 * 4096, 1u64..5 * 4096), 1..120)
+    ) {
+        let found = diverges_from_the_scan(ops);
+        prop_assert!(found.is_none(), "{}", found.unwrap_or_default());
+    }
+
     /// SparseBytes matches a dense reference model under arbitrary
     /// write/truncate/read sequences — unaligned writes, chunk-aligned
     /// whole-chunk writes of recurring content, truncation, and what
