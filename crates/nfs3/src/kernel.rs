@@ -32,7 +32,7 @@ use simnet::telemetry::Counter;
 use simnet::Shared;
 use simnet::{run_windowed, Env, SimDuration};
 use vfs::{
-    share, Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap, Payload, PayloadRef,
+    share, Attr, FileIo, FileType, Handle, IoError, IoResult, PageCache, Payload, PayloadRef,
     SharedBytes,
 };
 
@@ -95,44 +95,19 @@ pub struct KernelStats {
     pub bytes_written: u64,
 }
 
-/// A block the cache pushed out, with the handle it was dirtied through
-/// if it was dirty.
-type Evicted = ((u64, u64), SharedBytes, Option<Handle>);
+/// A block the cache pushed out, with its dirtying handle if it was dirty.
+type Evicted = vfs::Evicted<SharedBytes, Handle>;
 
 struct KcState {
     /// Clean blocks read from the server are pooled by content; a write
     /// over a whole block keeps the block it is given, any other dirty
     /// block is private, and partial writes go through `Rc::make_mut`.
-    cache: LruMap<(u64, u64), SharedBytes>,
-    /// The cached blocks not yet written back, by `(fileid, block)`, each
-    /// with the handle it was dirtied through: what its write-back goes
-    /// through, whichever file's traffic evicts it. A flush reads its
-    /// file's range instead of scanning the cache.
-    dirty: BTreeMap<(u64, u64), Handle>,
+    /// A dirty block's tag is the handle it was dirtied through: what its
+    /// write-back goes through, whichever file's traffic evicts it.
+    cache: PageCache<SharedBytes, Handle>,
     dcache: BTreeMap<String, (Handle, u64)>, // path -> (handle, expires_ns)
     acache: BTreeMap<Handle, (Attr, u64)>,
     local_size: HashMap<u64, u64>, // fileid -> size as seen through our writes
-}
-
-impl KcState {
-    /// Cache `data` as block `key`, dirtied through `dirty` or clean. A
-    /// block the insert pushes out leaves the dirty index with it.
-    fn insert(
-        &mut self,
-        key: (u64, u64),
-        data: SharedBytes,
-        dirty: Option<Handle>,
-    ) -> Option<Evicted> {
-        let evicted = self.cache.insert(key, data).map(|(k, data)| {
-            let h = self.dirty.remove(&k);
-            (k, data, h)
-        });
-        match dirty {
-            Some(h) => self.dirty.insert(key, h),
-            None => self.dirty.remove(&key),
-        };
-        evicted
-    }
 }
 
 /// Telemetry counters backing [`KernelStats`]; registered once at mount.
@@ -186,8 +161,7 @@ impl KernelClient {
             root,
             cfg,
             state: Shared::new(KcState {
-                cache: LruMap::new(((cfg.cache_bytes / cfg.rsize as u64) as usize).max(1)),
-                dirty: BTreeMap::new(),
+                cache: PageCache::new(((cfg.cache_bytes / cfg.rsize as u64) as usize).max(1)),
                 dcache: BTreeMap::new(),
                 acache: BTreeMap::new(),
                 local_size: HashMap::new(),
@@ -220,7 +194,10 @@ impl KernelClient {
     /// mounting the virtual file system").
     pub fn invalidate_caches(&self) {
         let mut st = self.state.lock();
-        assert!(st.dirty.is_empty(), "invalidate with dirty data pending");
+        assert!(
+            st.cache.dirty_len() == 0,
+            "invalidate with dirty data pending"
+        );
         st.cache.clear();
         st.dcache.clear();
         st.acache.clear();
@@ -327,32 +304,19 @@ impl KernelClient {
         Ok(())
     }
 
-    /// Take `file`'s dirty blocks out of the index, returning them for
-    /// writeback in block order. Blocks stay cached clean, and the
-    /// payloads returned are references to them: a write into one while
-    /// its write-back is in flight copies it first.
-    fn collect_dirty(&self, file: u64) -> Vec<(u64, SharedBytes)> {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let n = st.dirty.range((file, 0)..=(file, u64::MAX)).count();
-        // A flushed block becomes most recently used, the most recent one
-        // first.
-        let flushed = st
-            .cache
-            .touch_most_recent(n, |k| k.0 == file && st.dirty.contains_key(k));
-        let mut out: Vec<_> = flushed
+    /// Write back `h`'s file: its dirty blocks, taken out of the cache,
+    /// plus `evicted` ones, in block order. Taken blocks stay cached clean,
+    /// and the payloads written are references to them: a write into one
+    /// while its write-back is in flight copies it first.
+    fn flush_file(&self, env: &Env, h: Handle, evicted: Vec<(u64, SharedBytes)>) -> IoResult<()> {
+        let taken = self.state.lock().cache.take_dirty(Some(h.fileid));
+        let mut blocks: Vec<_> = taken
             .into_iter()
-            .map(|(k, data)| {
-                st.dirty.remove(&k);
-                (k.1, data)
-            })
+            .map(|((_, b), data, _)| (b, data))
             .collect();
-        out.sort_unstable_by_key(|(b, _)| *b);
-        out
-    }
-
-    fn flush_file(&self, env: &Env, h: Handle) -> IoResult<()> {
-        let blocks = self.collect_dirty(h.fileid);
+        blocks.extend(evicted);
+        blocks.sort_unstable_by_key(|(b, _)| *b);
+        blocks.dedup_by_key(|(b, _)| *b);
         self.write_blocks(env, h, blocks)
     }
 
@@ -370,13 +334,7 @@ impl KernelClient {
             }
         }
         for (h, stragglers) in stragglers {
-            // The evicted blocks themselves plus everything else dirty in
-            // the file, in one pipelined batch.
-            let mut batch = self.collect_dirty(h.fileid);
-            batch.extend(stragglers);
-            batch.sort_unstable_by_key(|(b, _)| *b);
-            batch.dedup_by_key(|(b, _)| *b);
-            self.write_blocks(env, h, batch)?;
+            self.flush_file(env, h, stragglers)?;
         }
         Ok(())
     }
@@ -526,10 +484,11 @@ impl FileIo for KernelClient {
             {
                 let mut st = self.state.lock();
                 for (b, data) in fetched {
-                    blocks.push((b, Rc::clone(&data)));
-                    if let Some(ev) = st.insert((h.fileid, b), data, None) {
-                        evicted_all.push(ev);
-                    }
+                    // A block another process wrote meanwhile is read as
+                    // written.
+                    let (held, evicted) = st.cache.fill((h.fileid, b), data);
+                    blocks.push((b, Rc::clone(held)));
+                    evicted_all.extend(evicted);
                 }
             }
             self.writeback_evicted(env, evicted_all)?;
@@ -575,9 +534,7 @@ impl FileIo for KernelClient {
             let fetched = self.fetch_blocks(env, h, rmw)?;
             let mut st = self.state.lock();
             for (b, data) in fetched {
-                if let Some(ev) = st.insert((h.fileid, b), data, None) {
-                    evicted_all.push(ev);
-                }
+                evicted_all.extend(st.cache.fill((h.fileid, b), data).1);
             }
         }
 
@@ -592,9 +549,8 @@ impl FileIo for KernelClient {
                 let src = (from - offset) as usize..(to - offset) as usize;
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
-                if let Some(block) = st.cache.get_mut(&key) {
+                if let Some(block) = st.cache.get_mut(&key, h) {
                     overwrite(block, payload, src, within, bs as usize);
-                    st.dirty.insert(key, h);
                 } else {
                     // Not cached. A block this call's own inserts evicted
                     // a moment ago — an edge block cached or just fetched
@@ -606,9 +562,7 @@ impl FileIo for KernelClient {
                         None => SharedBytes::default(),
                     };
                     overwrite(&mut block, payload, src, within, bs as usize);
-                    if let Some(ev) = st.insert(key, block, Some(h)) {
-                        evicted_all.push(ev);
-                    }
+                    evicted_all.extend(st.cache.insert(key, block, h));
                 }
             }
             let end = offset + data.len() as u64;
@@ -627,9 +581,9 @@ impl FileIo for KernelClient {
         // Back-pressure: too much dirty data forces a synchronous flush,
         // like the kernel's dirty-ratio writeback.
         let over_limit =
-            { self.state.lock().dirty.len() as u64 * self.bs() > self.cfg.dirty_limit_bytes };
+            { self.state.lock().cache.dirty_len() as u64 * self.bs() > self.cfg.dirty_limit_bytes };
         if over_limit {
-            self.flush_file(env, h)?;
+            self.flush_file(env, h, Vec::new())?;
         }
         Ok(())
     }
@@ -709,7 +663,7 @@ impl FileIo for KernelClient {
     fn close(&self, env: &Env, h: Handle) -> IoResult<()> {
         // Close-to-open consistency: flush dirty data and drop the
         // attribute cache entry so the next open revalidates.
-        self.flush_file(env, h)?;
+        self.flush_file(env, h, Vec::new())?;
         self.state.lock().acache.remove(&h);
         Ok(())
     }
@@ -719,17 +673,9 @@ impl FileIo for KernelClient {
         // recently used one first, each through the handle its blocks
         // were dirtied through.
         loop {
-            let st = self.state.lock();
-            if st.dirty.is_empty() {
-                return Ok(());
-            }
-            let next = st
-                .cache
-                .iter_mru()
-                .find_map(|(k, _)| st.dirty.get(k).copied());
-            drop(st);
+            let next = self.state.lock().cache.most_recent_dirty().copied();
             match next {
-                Some(h) => self.flush_file(env, h)?,
+                Some(h) => self.flush_file(env, h, Vec::new())?,
                 None => return Ok(()),
             }
         }
@@ -843,6 +789,103 @@ mod tests {
             assert_eq!(after.to_vec()[..1000], want[..1000]);
         });
         sim.run();
+    }
+
+    /// The WRITEs a server took, each as `(offset, data)`.
+    type Writes = Vec<(u64, Vec<u8>)>;
+
+    /// `generous_server` that also takes WRITEs and COMMITs, and logs
+    /// every WRITE.
+    fn generous_logging_server(log: Rc<RefCell<Writes>>) -> impl Fn(&Env, &[u8]) -> Vec<u8> {
+        move |env, request| {
+            let Ok(RpcMessage::Call { header, args }) = xdr::from_bytes(request) else {
+                panic!("a call");
+            };
+            let results = match (header.prog, header.proc) {
+                (MOUNT_PROGRAM, _) => return generous_server(env, request),
+                (_, proc3::WRITE) => {
+                    let a: WriteArgs = xdr::from_bytes(&args).expect("WRITE args");
+                    log.borrow_mut().push((a.offset, a.data.to_vec()));
+                    encode_write(None, a.count, StableHow::Unstable, 0)
+                }
+                (_, proc3::COMMIT) => encode_commit(None, 0),
+                _ => return generous_server(env, request),
+            };
+            RpcMessage::success(header.xid, results)
+                .into_wire()
+                .to_vec()
+        }
+    }
+
+    /// Runs `first` on a 1 KiB-block mount of `generous_server` while a
+    /// second process writes 0xEE over all of block 0, 60 µs in: inside
+    /// the READ of block 0 that `first` issues. Returns what `first`
+    /// returned, block 0 as the next read sees it, and the WRITEs a close
+    /// then sends.
+    fn race_a_whole_block_write(
+        first: impl FnOnce(&Env, &KernelClient) -> Vec<u8> + 'static,
+    ) -> (Vec<u8>, Vec<u8>, Writes) {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let server = generous_logging_server(Rc::clone(&log));
+        ep.listener.serve("generous", Rc::new(server), 2);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        let seen = Rc::new(RefCell::new(None));
+        let report = Rc::clone(&seen);
+        sim.spawn("client", move |env| {
+            let cfg = KernelConfig {
+                rsize: 1024,
+                wsize: 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let f = kc.root();
+            // Attributes cached, so neither process sends a GETATTR.
+            kc.getattr(&env, f).expect("getattr");
+            let racing = Rc::new(RefCell::new(Vec::new()));
+            let (kc1, out) = (Rc::clone(&kc), Rc::clone(&racing));
+            let one = env.spawn("first", move |env| *out.borrow_mut() = first(&env, &kc1));
+            let kc2 = Rc::clone(&kc);
+            let two = env.spawn("writer", move |env| {
+                env.sleep(SimDuration::from_micros(60));
+                kc2.write(&env, f, 0, &Payload::from(vec![0xEE; 1024]))
+                    .expect("write");
+            });
+            one.join(&env);
+            two.join(&env);
+            let next = kc.read(&env, f, 0, 1024).expect("read").to_vec();
+            kc.close(&env, f).expect("close");
+            *report.borrow_mut() = Some((racing.take(), next));
+        });
+        sim.run();
+        let (racing, next) = seen.take().expect("client finished");
+        (racing, next, log.take())
+    }
+
+    #[test]
+    fn a_read_racing_a_write_of_its_block_keeps_the_write() {
+        let (racing, next, writes) = race_a_whole_block_write(|env, kc| {
+            kc.read(env, kc.root(), 0, 1024).expect("read").to_vec()
+        });
+        assert_eq!(racing, [0xEE; 1024], "the read returns the cached block");
+        assert_eq!(next, [0xEE; 1024], "the write is read back");
+        assert_eq!(writes, [(0, vec![0xEE; 1024])], "and written back");
+    }
+
+    #[test]
+    fn a_read_modify_write_racing_a_write_of_its_block_keeps_both() {
+        let (_, next, writes) = race_a_whole_block_write(|env, kc| {
+            kc.write(env, kc.root(), 10, &Payload::from(vec![1u8; 4]))
+                .expect("write");
+            Vec::new()
+        });
+        let mut want = vec![0xEE; 1024];
+        want[10..14].fill(1);
+        assert_eq!(next, want);
+        assert_eq!(writes, [(0, want)]);
     }
 
     /// A server that takes WRITEs and COMMITs to any file, each file

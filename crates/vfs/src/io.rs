@@ -11,7 +11,6 @@
 //!   cloned VM's local directory holds symlinks into the NFS-mounted
 //!   image-server directory.
 
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use simnet::Env;
@@ -19,7 +18,7 @@ use simnet::Shared;
 
 use crate::disk::Disk;
 use crate::fs::{Attr, Fs, FsError, Handle};
-use crate::lru::LruMap;
+use crate::lru::PageCache;
 use crate::payload::Payload;
 
 /// Errors surfaced by host file I/O.
@@ -148,10 +147,7 @@ impl Default for LocalIoConfig {
 
 struct LocalState {
     fs: Fs,
-    cache: LruMap<(u64, u64), ()>,
-    /// The cached blocks not yet written back, by `(fileid, block)`: a
-    /// flush reads its file's range instead of scanning the cache.
-    dirty: BTreeSet<(u64, u64)>,
+    cache: PageCache<(), ()>,
     last_block_read: Option<(u64, u64)>,
 }
 
@@ -171,8 +167,7 @@ impl LocalIo {
         Rc::new(LocalIo {
             state: Shared::new(LocalState {
                 fs: Fs::new(now_ns),
-                cache: LruMap::new(((cfg.cache_bytes / cfg.block_size as u64) as usize).max(1)),
-                dirty: BTreeSet::new(),
+                cache: PageCache::new(((cfg.cache_bytes / cfg.block_size as u64) as usize).max(1)),
                 last_block_read: None,
             }),
             disk,
@@ -192,68 +187,46 @@ impl LocalIo {
         let st = self.state.lock();
         st.cache
             .iter_mru()
-            .map(|(k, ())| (*k, st.dirty.contains(k)))
+            .map(|(k, ())| (*k, st.cache.is_dirty(k)))
             .collect()
     }
 
+    /// The first and last block of `len > 0` bytes at `offset`.
     fn block_range(&self, offset: u64, len: usize) -> (u64, u64) {
         let bs = self.cfg.block_size as u64;
-        let first = offset / bs;
-        let last = if len == 0 {
-            first
-        } else {
-            (offset + len as u64 - 1) / bs
-        };
-        (first, last)
+        (offset / bs, (offset + len as u64 - 1) / bs)
     }
 
-    /// Charge time for touching blocks `[first..=last]` of `fileid`;
-    /// returns the number of cache misses.
-    fn charge_read(&self, env: &Env, fileid: u64, first: u64, last: u64) -> u64 {
-        let mut misses = 0;
+    /// Charge time for touching blocks `[first..=last]` of `fileid`.
+    fn charge_read(&self, env: &Env, fileid: u64, first: u64, last: u64) {
         for b in first..=last {
-            let (hit, sequential) = {
+            let (hit, sequential, evicted) = {
                 let mut st = self.state.lock();
                 let hit = st.cache.get(&(fileid, b)).is_some();
                 let sequential = st.last_block_read == Some((fileid, b.wrapping_sub(1)));
                 st.last_block_read = Some((fileid, b));
-                if !hit {
-                    if let Some((evicted, ())) = st.cache.insert((fileid, b), ()) {
-                        if st.dirty.remove(&evicted) {
-                            // Evicted dirty page: background write-back
-                            // coalesces, so charge streaming time.
-                            drop(st);
-                            self.disk.stream_io(env, self.cfg.block_size as u64);
-                            misses += 1;
-                            env.sleep(self.cfg.hit_cost);
-                            continue;
-                        }
-                    }
-                }
-                (hit, sequential)
+                let evicted = (!hit).then(|| st.cache.fill((fileid, b), ()).1);
+                (hit, sequential, evicted.flatten())
             };
-            if hit {
+            if let Some((_, (), Some(()))) = evicted {
+                // Evicted dirty page: background write-back coalesces, so
+                // charge streaming time.
+                self.disk.stream_io(env, self.cfg.block_size as u64);
                 env.sleep(self.cfg.hit_cost);
+            } else if hit {
+                env.sleep(self.cfg.hit_cost);
+            } else if sequential {
+                self.disk.stream_io(env, self.cfg.block_size as u64);
             } else {
-                misses += 1;
-                if sequential {
-                    self.disk.stream_io(env, self.cfg.block_size as u64);
-                } else {
-                    self.disk.random_io(env, self.cfg.block_size as u64);
-                }
+                self.disk.random_io(env, self.cfg.block_size as u64);
             }
         }
-        misses
     }
 
     fn charge_write(&self, env: &Env, fileid: u64, first: u64, last: u64) {
         for b in first..=last {
-            let evicted_dirty = {
-                let mut st = self.state.lock();
-                let evicted = st.cache.insert((fileid, b), ());
-                st.dirty.insert((fileid, b));
-                evicted.is_some_and(|(key, ())| st.dirty.remove(&key))
-            };
+            let evicted = self.state.lock().cache.insert((fileid, b), (), ());
+            let evicted_dirty = matches!(evicted, Some((_, (), Some(()))));
             env.sleep(self.cfg.hit_cost);
             if evicted_dirty {
                 self.disk.stream_io(env, self.cfg.block_size as u64);
@@ -262,27 +235,10 @@ impl LocalIo {
     }
 
     fn flush_dirty(&self, env: &Env, only_file: Option<u64>) {
-        // Take the dirty blocks out of the index, then pay one sequential
-        // streaming charge — matching how a real page cache coalesces
-        // write-back.
-        let flushed = {
-            let mut st = self.state.lock();
-            let st = &mut *st;
-            let files = match only_file {
-                Some(f) => (f, 0)..=(f, u64::MAX),
-                None => (0, 0)..=(u64::MAX, u64::MAX),
-            };
-            let n = st.dirty.range(files.clone()).count();
-            // A flushed block becomes most recently used, the most recent
-            // one first.
-            let touched = st
-                .cache
-                .touch_most_recent(n, |k| files.contains(k) && st.dirty.contains(k));
-            for (k, ()) in &touched {
-                st.dirty.remove(k);
-            }
-            n as u64
-        };
+        // Take the dirty blocks out of the cache's index, then pay one
+        // sequential streaming charge — matching how a real page cache
+        // coalesces write-back.
+        let flushed = self.state.lock().cache.take_dirty(only_file).len() as u64;
         if flushed > 0 {
             self.disk
                 .sequential_io(env, flushed * self.cfg.block_size as u64);

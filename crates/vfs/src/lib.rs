@@ -3,7 +3,8 @@
 //! An inode-based, sparse, in-memory filesystem ([`Fs`]) with
 //! generation-checked handles; a disk timing model ([`Disk`],
 //! [`DiskModel`]); an O(1) [`LruMap`] used to model bounded memory
-//! buffer caches; the content pool ([`share`], [`share_slice`],
+//! buffer caches, and the write-back [`PageCache`] of the host's local
+//! disk and kernel NFS client; the content pool ([`share`], [`share_slice`],
 //! [`zero_block`], [`SharedBytes`])
 //! through which every store of immutable payload keeps identical
 //! bytes once on the host; and [`Payload`], the shared pieces and zero
@@ -27,7 +28,7 @@ mod sparse;
 pub use disk::{Disk, DiskModel};
 pub use fs::{Attr, FileId, FileType, Fs, FsError, FsResult, Handle};
 pub use io::{FileIo, IoError, IoResult, LocalIo, LocalIoConfig, MountTable, OpenFile};
-pub use lru::LruMap;
+pub use lru::{Evicted, LruMap, PageCache};
 pub use payload::{Payload, PayloadRef, Piece};
 pub use shared::{is_zero_block, share, share_slice, zero_block, SharedBytes, WeakTable};
 pub use sparse::{SparseBytes, CHUNK_SIZE, USED_SPAN};

@@ -1,11 +1,12 @@
-//! A small O(1) LRU map used for buffer-cache models.
+//! A small O(1) LRU map used for buffer-cache models, and the write-back
+//! page cache built on it.
 //!
 //! Both the NFS server's memory cache and the kernel NFS client's buffer
 //! cache are modelled as block-granular LRU sets with bounded capacity —
 //! the paper's motivation for proxy *disk* caches is precisely that these
 //! memory caches suffer capacity misses on multi-gigabyte VM state.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The index's hasher: one multiply per word (the Fx hash). Keys are block
@@ -88,11 +89,6 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.map.is_empty()
     }
 
-    /// Maximum entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn node(&self, idx: usize) -> &Node<K, V> {
         self.slab[idx].as_ref().expect("live LRU slot")
     }
@@ -134,23 +130,30 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         }
     }
 
-    /// Look up a key, marking it most-recently-used on hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
+    /// Unlink slot `idx` and free it, returning its node.
+    fn take(&mut self, idx: usize) -> Node<K, V> {
+        self.unlink(idx);
+        self.free.push(idx);
+        self.slab[idx].take().expect("live LRU slot")
+    }
+
+    /// Mark slot `idx` most-recently-used.
+    fn touch(&mut self, idx: usize) {
         if idx != self.head {
             self.unlink(idx);
             self.push_front(idx);
         }
-        Some(&self.node(idx).value)
+    }
+
+    /// Look up a key, marking it most-recently-used on hit.
+    pub fn get(&mut self, key: &K) -> Option<&V> {
+        self.get_mut(key).map(|v| &*v)
     }
 
     /// Mutable lookup, marking the key most-recently-used on hit.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let idx = *self.map.get(key)?;
-        if idx != self.head {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
+        self.touch(idx);
         Some(&mut self.node_mut(idx).value)
     }
 
@@ -164,23 +167,14 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         if let Some(&idx) = self.map.get(&key) {
             self.node_mut(idx).value = value;
-            if idx != self.head {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
+            self.touch(idx);
             return None;
         }
-        let evicted = if self.map.len() >= self.capacity {
-            let tail = self.tail;
-            debug_assert_ne!(tail, NIL);
-            self.unlink(tail);
-            let node = self.slab[tail].take().expect("live LRU tail");
+        let evicted = (self.map.len() >= self.capacity).then(|| {
+            let node = self.take(self.tail);
             self.map.remove(&node.key);
-            self.free.push(tail);
-            Some((node.key, node.value))
-        } else {
-            None
-        };
+            (node.key, node.value)
+        });
         let node = Node {
             key: key.clone(),
             value,
@@ -202,12 +196,10 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         evicted
     }
 
-    /// Walk from the most recently used entry until `n` keys that `pick`
-    /// accepts are found, then mark each most-recently-used in turn, the
-    /// most recent first — which leaves them at the head in reverse of
-    /// their old order. Returns them with their values in their old order.
-    /// Costs the depth of the `n`-th key picked, not the map's length.
-    pub fn touch_most_recent(&mut self, n: usize, mut pick: impl FnMut(&K) -> bool) -> Vec<(K, V)>
+    /// Walk from the head to the `n`-th key `pick` accepts, then mark each
+    /// picked key most-recently-used in turn, the most recent first (which
+    /// reverses their order); returns them with their values, as found.
+    fn touch_most_recent(&mut self, n: usize, mut pick: impl FnMut(&K) -> bool) -> Vec<(K, V)>
     where
         V: Clone,
     {
@@ -223,10 +215,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         picked
             .into_iter()
             .map(|idx| {
-                if idx != self.head {
-                    self.unlink(idx);
-                    self.push_front(idx);
-                }
+                self.touch(idx);
                 let node = self.node(idx);
                 (node.key.clone(), node.value.clone())
             })
@@ -236,10 +225,7 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
     /// Remove a key, returning its value.
     pub fn remove(&mut self, key: &K) -> Option<V> {
         let idx = self.map.remove(key)?;
-        self.unlink(idx);
-        let node = self.slab[idx].take().expect("live LRU slot");
-        self.free.push(idx);
-        Some(node.value)
+        Some(self.take(idx).value)
     }
 
     /// Drop every entry.
@@ -262,6 +248,129 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
             idx = n.next;
             Some((&n.key, &n.value))
         })
+    }
+}
+
+/// A block an insert pushed out: its `(fileid, block)` key, its value
+/// and, if it was dirty, its dirty tag.
+pub type Evicted<V, D> = ((u64, u64), V, Option<D>);
+
+/// A write-back page cache: an [`LruMap`] of blocks keyed by
+/// `(fileid, block)`, and an index by key of the dirty ones, each with a
+/// tag for its write-back (such as the handle it was dirtied through). A
+/// key is indexed exactly while its block is cached and dirty, and a
+/// fetched block never replaces a dirty one.
+pub struct PageCache<V, D> {
+    blocks: LruMap<(u64, u64), V>,
+    dirty: BTreeMap<(u64, u64), D>,
+}
+
+impl<V: Clone, D> PageCache<V, D> {
+    /// A cache holding at most `capacity` blocks.
+    pub fn new(capacity: usize) -> Self {
+        PageCache {
+            blocks: LruMap::new(capacity),
+            dirty: BTreeMap::new(),
+        }
+    }
+
+    /// Number of cached blocks.
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Whether no block is cached.
+    pub fn is_empty(&self) -> bool {
+        self.blocks.is_empty()
+    }
+
+    /// Number of dirty blocks.
+    pub fn dirty_len(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Whether a block is cached, *without* touching recency.
+    pub fn contains(&self, key: &(u64, u64)) -> bool {
+        self.blocks.contains(key)
+    }
+
+    /// Whether a block is cached and dirty, without touching recency.
+    pub fn is_dirty(&self, key: &(u64, u64)) -> bool {
+        self.dirty.contains_key(key)
+    }
+
+    /// Look up a block, marking it most recently used on hit.
+    pub fn get(&mut self, key: &(u64, u64)) -> Option<&V> {
+        self.blocks.get(key)
+    }
+
+    /// A write into a cached block: marks it most recently used and dirty
+    /// through `tag`.
+    pub fn get_mut(&mut self, key: &(u64, u64), tag: D) -> Option<&mut V> {
+        let value = self.blocks.get_mut(key)?;
+        self.dirty.insert(*key, tag);
+        Some(value)
+    }
+
+    /// Cache a written block, most recently used and dirty through `tag`.
+    /// Returns the block it pushed out.
+    pub fn insert(&mut self, key: (u64, u64), value: V, tag: D) -> Option<Evicted<V, D>> {
+        let evicted = self.push(key, value);
+        self.dirty.insert(key, tag);
+        evicted
+    }
+
+    /// Cache a fetched block clean — unless `key` turned dirty while the
+    /// fetch was in flight: then the written block stays. Returns what the
+    /// cache holds for `key`, now most recently used, and the evicted block.
+    pub fn fill(&mut self, key: (u64, u64), value: V) -> (&V, Option<Evicted<V, D>>) {
+        let evicted = if self.dirty.contains_key(&key) {
+            None
+        } else {
+            self.push(key, value)
+        };
+        (self.blocks.get(&key).expect("just cached"), evicted)
+    }
+
+    /// Take the dirty blocks of `file` (of every file if `None`) out of the
+    /// index, most recent first, leaving them cached clean. Each is made
+    /// most recently used in that order, as a flush's scan of the whole
+    /// cache did, at the cost of a head walk to the least recent one.
+    pub fn take_dirty(&mut self, file: Option<u64>) -> Vec<((u64, u64), V, D)> {
+        let range = file.map_or((0, 0)..=(u64::MAX, u64::MAX), |f| (f, 0)..=(f, u64::MAX));
+        let n = self.dirty.range(range.clone()).count();
+        let dirty = &self.dirty;
+        let taken = self
+            .blocks
+            .touch_most_recent(n, |k| range.contains(k) && dirty.contains_key(k));
+        let mut tag = |k: &(u64, u64)| self.dirty.remove(k).expect("a taken block is dirty");
+        taken.into_iter().map(|(k, v)| (k, v, tag(&k))).collect()
+    }
+
+    /// The tag of the most recently used dirty block.
+    pub fn most_recent_dirty(&self) -> Option<&D> {
+        if self.dirty.is_empty() {
+            return None;
+        }
+        self.blocks.iter_mru().find_map(|(k, _)| self.dirty.get(k))
+    }
+
+    /// Drop every block, dirty or not.
+    pub fn clear(&mut self) {
+        self.blocks.clear();
+        self.dirty.clear();
+    }
+
+    /// Iterate over `(key, value)` pairs from most- to least-recently-used.
+    pub fn iter_mru(&self) -> impl Iterator<Item = (&(u64, u64), &V)> {
+        self.blocks.iter_mru()
+    }
+
+    /// Insert into the LRU; the victim leaves the dirty index with its tag.
+    fn push(&mut self, key: (u64, u64), value: V) -> Option<Evicted<V, D>> {
+        let (k, v) = self.blocks.insert(key, value)?;
+        let tag = self.dirty.remove(&k);
+        Some((k, v, tag))
     }
 }
 
@@ -327,29 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn touch_most_recent_replays_touches_from_the_most_recent_down() {
-        let mut lru = LruMap::new(8);
-        for i in 0..6 {
-            lru.insert(i, i * 10);
-        }
-        // Recency 5, 4, 3, 2, 1, 0; the odd keys, most recent first.
-        let touched = lru.touch_most_recent(3, |k| k % 2 == 1);
-        assert_eq!(touched, vec![(5, 50), (3, 30), (1, 10)]);
-        let keys: Vec<i32> = lru.iter_mru().map(|(k, _)| *k).collect();
-        assert_eq!(keys, vec![1, 3, 5, 4, 2, 0]);
-        // The same order as a `get` of each, most recent first.
-        let mut by_get = LruMap::new(8);
-        for i in 0..6 {
-            by_get.insert(i, i * 10);
-        }
-        for k in [5, 3, 1] {
-            by_get.get(&k);
-        }
-        assert!(by_get.iter_mru().map(|(k, _)| *k).eq(keys));
-        assert!(lru.touch_most_recent(0, |_| true).is_empty());
-    }
-
-    #[test]
     fn clear_resets_everything() {
         let mut lru = LruMap::new(2);
         lru.insert(1, 1);
@@ -372,5 +458,70 @@ mod tests {
             }
             assert!(lru.len() <= 64);
         }
+    }
+
+    /// A cache of blocks `(file, b)` with value `b * 10`, inserted in
+    /// `order` (the last one most recently used), the ones in `dirty`
+    /// dirtied through their file.
+    fn page_cache(order: &[(u64, u64)], dirty: &[(u64, u64)]) -> PageCache<u64, u64> {
+        let mut pc = PageCache::new(8);
+        for &key in order {
+            if dirty.contains(&key) {
+                pc.insert(key, key.1 * 10, key.0);
+            } else {
+                pc.fill(key, key.1 * 10);
+            }
+        }
+        pc
+    }
+
+    fn keys(pc: &PageCache<u64, u64>) -> Vec<(u64, u64)> {
+        pc.iter_mru().map(|(k, _)| *k).collect()
+    }
+
+    #[test]
+    fn take_dirty_replays_touches_from_the_most_recent_down() {
+        let order: Vec<_> = (0..6).map(|b| (b % 2, b)).collect();
+        let mut pc = page_cache(&order, &order);
+        // Recency 5, 4, 3, 2, 1, 0; file 1 holds the odd blocks.
+        let taken = pc.take_dirty(Some(1));
+        assert_eq!(
+            taken,
+            vec![((1, 5), 50, 1), ((1, 3), 30, 1), ((1, 1), 10, 1)]
+        );
+        assert_eq!(keys(&pc), [(1, 1), (1, 3), (1, 5), (0, 4), (0, 2), (0, 0)]);
+        assert_eq!(pc.dirty_len(), 3);
+        // The same order as a `get` of each, most recent first.
+        let mut by_get = page_cache(&order, &[]);
+        for b in [5, 3, 1] {
+            by_get.get(&(1, b));
+        }
+        assert_eq!(keys(&by_get), keys(&pc));
+        assert!(pc.take_dirty(Some(1)).is_empty());
+        assert_eq!(pc.take_dirty(None).len(), 3);
+        assert_eq!(pc.dirty_len(), 0);
+    }
+
+    #[test]
+    fn an_evicted_block_leaves_the_dirty_index_with_its_tag() {
+        let order: Vec<_> = (0..8).map(|b| (7, b)).collect();
+        let mut pc = page_cache(&order, &[(7, 0)]);
+        assert_eq!(pc.fill((9, 0), 0).1, Some(((7, 0), 0, Some(7))));
+        assert!(!pc.is_dirty(&(7, 0)));
+        assert_eq!(pc.insert((9, 1), 0, 9), Some(((7, 1), 10, None)));
+        assert_eq!(pc.dirty_len(), 1);
+        assert_eq!(pc.most_recent_dirty(), Some(&9));
+    }
+
+    #[test]
+    fn a_fill_keeps_a_block_that_turned_dirty() {
+        let mut pc = page_cache(&[(1, 0), (1, 1)], &[]);
+        *pc.get_mut(&(1, 0), 1).expect("cached") = 99;
+        assert_eq!(pc.fill((1, 0), 0), (&99, None));
+        assert!(pc.is_dirty(&(1, 0)));
+        assert_eq!(pc.fill((1, 1), 11), (&11, None));
+        assert_eq!(pc.fill((1, 2), 20), (&20, None));
+        assert_eq!(keys(&pc), [(1, 2), (1, 1), (1, 0)]);
+        assert_eq!(pc.most_recent_dirty(), Some(&1));
     }
 }

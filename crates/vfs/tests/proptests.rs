@@ -7,8 +7,8 @@ use std::rc::Rc;
 use proptest::prelude::*;
 use simnet::{Env, SimDuration, Simulation};
 use vfs::{
-    share, share_slice, Disk, DiskModel, FileIo, Fs, LocalIo, LocalIoConfig, LruMap, Payload,
-    Piece, SharedBytes, SparseBytes, CHUNK_SIZE, USED_SPAN,
+    share, share_slice, Disk, DiskModel, FileIo, Fs, LocalIo, LocalIoConfig, LruMap, PageCache,
+    Payload, Piece, SharedBytes, SparseBytes, CHUNK_SIZE, USED_SPAN,
 };
 
 /// A `SparseBytes` next to the dense model it must match and the set of
@@ -172,6 +172,150 @@ impl ScanModel {
     }
 }
 
+/// A cached block as [`RecencyList`] holds it: key, value, dirty tag.
+type Entry = ((u64, u64), u32, Option<u8>);
+
+/// The plain model of a `PageCache`: its blocks in a list, most recently
+/// used first, each with its dirty tag.
+struct RecencyList {
+    capacity: usize,
+    entries: Vec<Entry>,
+}
+
+impl RecencyList {
+    fn position(&self, key: (u64, u64)) -> Option<usize> {
+        self.entries.iter().position(|(k, ..)| *k == key)
+    }
+
+    /// Moves the entry at `at` to the front.
+    fn touch(&mut self, at: usize) -> &mut Entry {
+        let entry = self.entries.remove(at);
+        self.entries.insert(0, entry);
+        &mut self.entries[0]
+    }
+
+    fn insert(&mut self, key: (u64, u64), value: u32, dirty: Option<u8>) -> Option<Entry> {
+        if let Some(at) = self.position(key) {
+            *self.touch(at) = (key, value, dirty);
+            return None;
+        }
+        let evicted = (self.entries.len() == self.capacity).then(|| self.entries.pop().unwrap());
+        self.entries.insert(0, (key, value, dirty));
+        evicted
+    }
+
+    fn fill(&mut self, key: (u64, u64), value: u32) -> (u32, Option<Entry>) {
+        match self.position(key) {
+            Some(at) if self.entries[at].2.is_some() => (self.touch(at).1, None),
+            _ => (value, self.insert(key, value, None)),
+        }
+    }
+
+    /// The dirty blocks `pick` accepts, most recent first, each touched in
+    /// that order and left clean.
+    fn take_dirty(&mut self, pick: impl Fn(u64) -> bool) -> Vec<((u64, u64), u32, u8)> {
+        let taken: Vec<_> = self
+            .entries
+            .iter()
+            .filter_map(|&(k, v, d)| Some((k, v, d.filter(|_| pick(k.0))?)))
+            .collect();
+        for (key, ..) in &taken {
+            let at = self.position(*key).unwrap();
+            self.touch(at).2 = None;
+        }
+        taken
+    }
+}
+
+/// One step of [`page_cache_matches_a_recency_list`]: kind (0 insert of
+/// a written block, 1 `get_mut`, 2 fill, 3 `get`, 4 take one file's dirty
+/// blocks, 5 take all), file, block, dirty tag.
+type PageOp = (u8, u64, u64, u8);
+
+/// Runs `ops` against a `PageCache` of `capacity` blocks and a
+/// [`RecencyList`]; the first disagreement, if any.
+fn page_cache_diverges(capacity: usize, ops: Vec<PageOp>) -> Option<String> {
+    let mut cache: PageCache<u32, u8> = PageCache::new(capacity);
+    let mut model = RecencyList {
+        capacity,
+        entries: Vec::new(),
+    };
+    for (step, (kind, file, block, tag)) in ops.into_iter().enumerate() {
+        let (key, value) = ((file, block), step as u32);
+        let (got, want) = match kind {
+            0 => {
+                let got = cache.insert(key, value, tag);
+                let want = model.insert(key, value, Some(tag));
+                (format!("{got:?}"), format!("{want:?}"))
+            }
+            1 => {
+                let got = cache
+                    .get_mut(&key, tag)
+                    .map(|v| std::mem::replace(v, value));
+                let want = model.position(key).map(|at| {
+                    let entry = model.touch(at);
+                    entry.2 = Some(tag);
+                    std::mem::replace(&mut entry.1, value)
+                });
+                (format!("{got:?}"), format!("{want:?}"))
+            }
+            2 => {
+                let (held, evicted) = cache.fill(key, value);
+                (
+                    format!("{:?}", (*held, evicted)),
+                    format!("{:?}", model.fill(key, value)),
+                )
+            }
+            3 => {
+                let got = cache.get(&key).copied();
+                let want = model.position(key).map(|at| model.touch(at).1);
+                (format!("{got:?}"), format!("{want:?}"))
+            }
+            4 => (
+                format!("{:?}", cache.take_dirty(Some(file))),
+                format!("{:?}", model.take_dirty(|f| f == file)),
+            ),
+            _ => (
+                format!("{:?}", cache.take_dirty(None)),
+                format!("{:?}", model.take_dirty(|_| true)),
+            ),
+        };
+        let order: Vec<Entry> = cache
+            .iter_mru()
+            .map(|(k, v)| (*k, *v, cache.is_dirty(k).then_some(0)))
+            .collect();
+        let model_order: Vec<Entry> = model
+            .entries
+            .iter()
+            .map(|&(k, v, d)| (k, v, d.map(|_| 0)))
+            .collect();
+        let dirty_len = model.entries.iter().filter(|e| e.2.is_some()).count();
+        let stray = (0..3)
+            .flat_map(|f| (0..4).map(move |b| (f, b)))
+            .find(|k| cache.is_dirty(k) && !cache.contains(k));
+        let what = if got != want {
+            format!("returned {got}, the model {want}")
+        } else if order != model_order {
+            format!("cache {order:?}, the model {model_order:?}")
+        } else if cache.dirty_len() != dirty_len || cache.len() != model.entries.len() {
+            format!(
+                "{} dirty of {}, the model {dirty_len} of {}",
+                cache.dirty_len(),
+                cache.len(),
+                model.entries.len()
+            )
+        } else if let Some(k) = stray {
+            format!("{k:?} is dirty-indexed but not cached")
+        } else if cache.most_recent_dirty() != model.entries.iter().find_map(|e| e.2.as_ref()) {
+            format!("most recent dirty tag {:?}", cache.most_recent_dirty())
+        } else {
+            continue;
+        };
+        return Some(format!("step {step} (op {kind}): {what}"));
+    }
+    None
+}
+
 /// One step of [`local_io_write_back_matches_the_full_scan`]: kind
 /// (0–2 read, 3–5 write, 6 close, 7 sync), file, byte offset, length.
 type CacheOp = (u8, usize, u64, u64);
@@ -264,6 +408,20 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0usize..4, 0u64..24 * 4096, 1u64..5 * 4096), 1..120)
     ) {
         let found = diverges_from_the_scan(ops);
+        prop_assert!(found.is_none(), "{}", found.unwrap_or_default());
+    }
+
+    /// `PageCache` against a list in recency order with a dirty tag per
+    /// block: the evicted and taken blocks, the recency order, the dirty
+    /// count and that only cached blocks are dirty-indexed, after every
+    /// dirty insert, clean fill, `get_mut`, `get`, one file's flush and a
+    /// flush of all, over three files in a 4–8-block cache.
+    #[test]
+    fn page_cache_matches_a_recency_list(
+        capacity in 4usize..9,
+        ops in proptest::collection::vec((0u8..6, 0u64..3, 0u64..4, 0u8..3), 1..150)
+    ) {
+        let found = page_cache_diverges(capacity, ops);
         prop_assert!(found.is_none(), "{}", found.unwrap_or_default());
     }
 
