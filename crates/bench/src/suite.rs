@@ -1103,7 +1103,7 @@ fn fleet10k(cli: &BenchCli) -> io::Result<Outcome> {
             paper: "contract",
             value: wall,
             unit: "s",
-            bound: Bound::Below(300.0),
+            bound: Bound::Below(30.0),
             why: "a lane that no longer fits means the engine or the fleet wiring regressed",
         });
     }

@@ -108,6 +108,33 @@ struct KcState {
     dcache: BTreeMap<String, (Handle, u64)>, // path -> (handle, expires_ns)
     acache: BTreeMap<Handle, (Attr, u64)>,
     local_size: HashMap<u64, u64>, // fileid -> size as seen through our writes
+    /// Blocks a read has asked the server for and not yet cached.
+    fetching: HashMap<(u64, u64), Fetching>,
+}
+
+/// The READs in flight for one block.
+#[derive(Default)]
+struct Fetching {
+    readers: usize,
+    /// Written through this mount since the first of them missed.
+    written: bool,
+}
+
+impl KcState {
+    /// A READ of `key` has returned, or failed: whether this mount wrote
+    /// the block while it was in flight (or may have: a READ no miss
+    /// registered is never cached).
+    fn fetched(&mut self, key: (u64, u64)) -> bool {
+        let Some(f) = self.fetching.get_mut(&key) else {
+            return true;
+        };
+        f.readers -= 1;
+        let written = f.written;
+        if f.readers == 0 {
+            self.fetching.remove(&key);
+        }
+        written
+    }
 }
 
 /// Telemetry counters backing [`KernelStats`]; registered once at mount.
@@ -165,6 +192,7 @@ impl KernelClient {
                 dcache: BTreeMap::new(),
                 acache: BTreeMap::new(),
                 local_size: HashMap::new(),
+                fetching: HashMap::new(),
             }),
             tel: KcTel::register(env),
         }))
@@ -471,6 +499,7 @@ impl FileIo for KernelClient {
                     self.tel.cache_hits.inc();
                 } else {
                     misses.push(b);
+                    st.fetching.entry((h.fileid, b)).or_default().readers += 1;
                     self.tel.cache_misses.inc();
                 }
             }
@@ -479,16 +508,26 @@ impl FileIo for KernelClient {
             env.sleep(self.cfg.hit_cost);
         }
         if !misses.is_empty() {
-            let fetched = self.fetch_blocks(env, h, misses)?;
+            let fetched = self.fetch_blocks(env, h, misses.clone());
             let mut evicted_all = Vec::new();
             {
                 let mut st = self.state.lock();
-                for (b, data) in fetched {
-                    // A block another process wrote meanwhile is read as
-                    // written.
-                    let (held, evicted) = st.cache.fill((h.fileid, b), data);
-                    blocks.push((b, Rc::clone(held)));
-                    evicted_all.extend(evicted);
+                let written: Vec<bool> =
+                    misses.iter().map(|&b| st.fetched((h.fileid, b))).collect();
+                for ((b, data), written) in fetched?.into_iter().zip(written) {
+                    let key = (h.fileid, b);
+                    let data = if written {
+                        // This mount wrote the block while the READ was
+                        // in flight, so the reply may be older than the
+                        // write: read the written block if it is still
+                        // cached, and otherwise return the reply uncached.
+                        st.cache.get(&key).map_or(data, Rc::clone)
+                    } else {
+                        let (held, evicted) = st.cache.fill(key, data);
+                        evicted_all.extend(evicted);
+                        Rc::clone(held)
+                    };
+                    blocks.push((b, data));
                 }
             }
             self.writeback_evicted(env, evicted_all)?;
@@ -549,6 +588,9 @@ impl FileIo for KernelClient {
                 let src = (from - offset) as usize..(to - offset) as usize;
                 let key = (h.fileid, b);
                 let within = (from - bstart) as usize..(to - bstart) as usize;
+                if let Some(f) = st.fetching.get_mut(&key) {
+                    f.written = true;
+                }
                 if let Some(block) = st.cache.get_mut(&key, h) {
                     overwrite(block, payload, src, within, bs as usize);
                 } else {
@@ -886,6 +928,83 @@ mod tests {
         want[10..14].fill(1);
         assert_eq!(next, want);
         assert_eq!(writes, [(0, want)]);
+    }
+
+    #[test]
+    fn a_read_racing_a_write_that_is_written_back_does_not_cache_its_reply() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let link = |name: &str| Link::new(&h, name, 1e9, SimDuration::from_micros(50));
+        let ep = endpoint(&h, link("up"), link("down"), WireSpec::plain());
+        // The server keeps what is written to the file: READs of block 0
+        // return `old` until a WRITE of it lands.
+        let old: Vec<u8> = (0u64..1024).map(|at| (at % 251) as u8).collect();
+        let file = Rc::new(RefCell::new([old.clone(), old.clone()].concat()));
+        let held = Rc::clone(&file);
+        let server = move |env: &Env, request: &[u8]| {
+            let Ok(RpcMessage::Call { header, args }) = xdr::from_bytes(request) else {
+                panic!("a call");
+            };
+            let results = match (header.prog, header.proc) {
+                (MOUNT_PROGRAM, _) => return generous_server(env, request),
+                (_, proc3::READ) => {
+                    let a: ReadArgs = xdr::from_bytes(&args).expect("READ args");
+                    let at = a.offset as usize;
+                    encode_read(None, &held.borrow()[at..at + a.count as usize], false)
+                }
+                (_, proc3::WRITE) => {
+                    let a: WriteArgs = xdr::from_bytes(&args).expect("WRITE args");
+                    let at = a.offset as usize;
+                    held.borrow_mut()[at..at + a.data.len()].copy_from_slice(a.data);
+                    encode_write(None, a.count, StableHow::Unstable, 0)
+                }
+                (_, proc3::COMMIT) => encode_commit(None, 0),
+                _ => return generous_server(env, request),
+            };
+            RpcMessage::success(header.xid, results)
+                .into_wire()
+                .to_vec()
+        };
+        ep.listener.serve("storing", Rc::new(server), 2);
+        let nfs = Nfs3Client::new(RpcClient::new(ep.channel, OpaqueAuth::none()));
+        let seen = Rc::new(RefCell::new(None));
+        let report = Rc::clone(&seen);
+        sim.spawn("client", move |env| {
+            // A buffer of one block: the writer's second block evicts its
+            // first, and the write-back sends it while the READ of it is
+            // in flight.
+            let cfg = KernelConfig {
+                rsize: 1024,
+                wsize: 1024,
+                cache_bytes: 1024,
+                ..KernelConfig::default()
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
+            let f = kc.root();
+            kc.getattr(&env, f).expect("getattr");
+            let racing = Rc::new(RefCell::new(Vec::new()));
+            let (kc1, out) = (Rc::clone(&kc), Rc::clone(&racing));
+            let one = env.spawn("reader", move |env| {
+                *out.borrow_mut() = kc1.read(&env, f, 0, 1024).expect("read").to_vec();
+            });
+            let kc2 = Rc::clone(&kc);
+            let two = env.spawn("writer", move |env| {
+                env.sleep(SimDuration::from_micros(60));
+                for (b, byte) in [(0, 0xEE), (1, 0xDD)] {
+                    kc2.write(&env, f, b * 1024, &Payload::from(vec![byte; 1024]))
+                        .expect("write");
+                }
+            });
+            one.join(&env);
+            two.join(&env);
+            let next = kc.read(&env, f, 0, 1024).expect("read").to_vec();
+            *report.borrow_mut() = Some((racing.take(), next));
+        });
+        sim.run();
+        let (racing, next) = seen.take().expect("client finished");
+        assert_eq!(racing, old, "the READ was served before the write-back");
+        assert_eq!(next, [0xEE; 1024], "and its reply was not cached");
+        assert_eq!(file.borrow()[..1024], [0xEE; 1024]);
     }
 
     /// A server that takes WRITEs and COMMITs to any file, each file

@@ -19,9 +19,8 @@
 //! on the run's free list, so a run maps as many stacks as it has
 //! processes alive at its peak.
 //!
-//! The event queue is a hierarchical timing wheel ([`crate::wheel`]) rather
-//! than a global binary heap, which keeps dispatch cheap at fleet scale
-//! (10k+ processes).
+//! The event queue is one binary heap ordered by `(time, seq)`, and every
+//! event takes its sequence number in one place, `KernelInner::push`.
 //!
 //! All of the crate's `unsafe` code lives in this file (`xtask lint`'s
 //! `unsafe-confined` rule), and it rests on one checked invariant: a
@@ -36,6 +35,8 @@ compile_error!(
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::ffi::c_void;
 use std::panic::{self, AssertUnwindSafe};
 use std::ptr::{self, NonNull};
@@ -44,7 +45,6 @@ use std::rc::Rc;
 use crate::shared::Shared;
 use crate::telemetry::Telemetry;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimingWheel;
 
 /// One dispatched event, as recorded by the event trace (see
 /// [`SimHandle::enable_event_trace`]). Two runs of the same workload
@@ -556,9 +556,36 @@ impl TraceBuf {
     }
 }
 
+/// A queued event. The queue pops the earliest `(time, seq)` first.
+struct Event {
+    time: SimTime,
+    seq: u64,
+    kind: EventKind,
+}
+
+impl PartialEq for Event {
+    fn eq(&self, other: &Self) -> bool {
+        (self.time, self.seq) == (other.time, other.seq)
+    }
+}
+impl Eq for Event {}
+impl PartialOrd for Event {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Event {
+    // `BinaryHeap` is a max-heap: the reversed key pops the earliest first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
+    }
+}
+
 struct KernelInner {
-    wheel: TimingWheel<EventKind>,
+    queue: BinaryHeap<Event>,
     now: SimTime,
+    /// The next event's sequence number: events at one instant fire in
+    /// the order they were queued.
     seq: u64,
     procs: Vec<Rc<ProcCtl>>,
     failures: Vec<String>,
@@ -569,6 +596,16 @@ struct KernelInner {
     /// When `Some`, every dispatched event is appended (cancelled events
     /// are skipped: they never advance time).
     trace: Option<TraceBuf>,
+}
+
+impl KernelInner {
+    /// Queue `kind` at `time`, behind every event already queued for
+    /// that instant (the FIFO tie-break).
+    fn push(&mut self, time: SimTime, kind: EventKind) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.queue.push(Event { time, seq, kind });
+    }
 }
 
 /// Shared, cloneable handle to the simulation kernel. Synchronization
@@ -664,19 +701,14 @@ impl SimHandle {
     pub(crate) fn schedule_wake(&self, time: SimTime, pid: Pid) {
         let mut k = self.inner.lock();
         let ctl = k.procs[pid].clone();
-        let seq = k.seq;
-        k.seq += 1;
-        k.wheel.push(time, seq, EventKind::Wake(pid, ctl));
+        k.push(time, EventKind::Wake(pid, ctl));
     }
 
     /// Schedule an arbitrary callback to run on the scheduler's stack at
     /// `time`. The callback must not block; it may schedule further events
     /// and wake processes.
     pub fn schedule_call(&self, time: SimTime, f: impl FnOnce() + 'static) {
-        let mut k = self.inner.lock();
-        let seq = k.seq;
-        k.seq += 1;
-        k.wheel.push(time, seq, EventKind::Call(Box::new(f)));
+        self.inner.lock().push(time, EventKind::Call(Box::new(f)));
     }
 
     /// Schedule a callback like [`SimHandle::schedule_call`], returning a
@@ -691,14 +723,9 @@ impl SimHandle {
         f: impl FnOnce() + 'static,
     ) -> CancelToken {
         let flag = Rc::new(Cell::new(false));
-        let mut k = self.inner.lock();
-        let seq = k.seq;
-        k.seq += 1;
-        k.wheel.push(
-            time,
-            seq,
-            EventKind::CancellableCall(flag.clone(), Box::new(f)),
-        );
+        self.inner
+            .lock()
+            .push(time, EventKind::CancellableCall(flag.clone(), Box::new(f)));
         CancelToken(flag)
     }
 
@@ -722,10 +749,8 @@ impl SimHandle {
         let body: Job = Box::new(move || f(env));
         ctl.body.set(Some(body));
         let mut k = self.inner.lock();
-        let time = k.now;
-        let seq = k.seq;
-        k.seq += 1;
-        k.wheel.push(time, seq, EventKind::Wake(pid, ctl));
+        let now = k.now;
+        k.push(now, EventKind::Wake(pid, ctl));
     }
 
     /// Pop and dispatch events until one wakes a process (its control
@@ -738,7 +763,7 @@ impl SimHandle {
             let call = {
                 let mut k = self.inner.lock();
                 loop {
-                    let (time, seq, kind) = k.wheel.pop()?;
+                    let Event { time, seq, kind } = k.queue.pop()?;
                     if let EventKind::CancellableCall(flag, _) = &kind {
                         if flag.get() {
                             // Cancelled timer: discard without touching
@@ -814,13 +839,10 @@ impl Env {
     /// Advance simulated time by `d` for this process.
     pub fn sleep(&self, d: SimDuration) {
         // The wake push is fused into one kernel-lock acquisition: reading
-        // `now`, allocating the sequence number and pushing the wake.
+        // `now` and queueing the wake.
         self.suspend_after(|k| {
             let t = k.now + d;
-            let seq = k.seq;
-            k.seq += 1;
-            k.wheel
-                .push(t, seq, EventKind::Wake(self.pid, self.ctl.clone()));
+            k.push(t, EventKind::Wake(self.pid, self.ctl.clone()));
         });
     }
 
@@ -928,7 +950,7 @@ impl Simulation {
         Simulation {
             handle: SimHandle {
                 inner: Shared::new(KernelInner {
-                    wheel: TimingWheel::new(),
+                    queue: BinaryHeap::new(),
                     now: SimTime::ZERO,
                     seq: 0,
                     procs: Vec::new(),
@@ -1035,6 +1057,7 @@ impl Default for Simulation {
 mod tests {
     use super::*;
     use crate::fault::splitmix64;
+    use proptest::prelude::*;
     use std::cell::Cell;
 
     #[test]
@@ -1331,9 +1354,8 @@ mod tests {
 
     #[test]
     fn deep_timer_spread_dispatches_in_order() {
-        // Timers spanning the wheel's level-0 window, level-1 window and
-        // the overflow heap, scheduled by a single process: the kernel
-        // must fire them in exact (time, seq) order.
+        // Timers from nanoseconds to a day ahead, armed out of time
+        // order: the kernel must fire them in exact (time, seq) order.
         let sim = Simulation::new();
         let h = sim.handle();
         let fired = Shared::new(Vec::new());
@@ -1341,7 +1363,7 @@ mod tests {
             .map(|i| splitmix64(i as u64 ^ 0xABCD) % 60_000_000_000)
             .collect();
         times.push(0);
-        times.push(90_000_000_000_000); // deep overflow
+        times.push(90_000_000_000_000);
         for &t in &times {
             let fired = fired.clone();
             h.schedule_call(SimTime::from_nanos(t), move || {
@@ -1353,5 +1375,180 @@ mod tests {
         let mut want = times.clone();
         want.sort_unstable();
         assert_eq!(got, want);
+    }
+
+    /// Where an armed event of the order oracle stands.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Armed {
+        Pending,
+        Fired,
+        Cancelled,
+    }
+
+    /// One step of the order oracle's plan: what to arm (0 a call, 1 a
+    /// cancellable call, 2 a sleep), how far ahead, when to cancel it
+    /// (0 never, 1 at once, 2 when the next event fires) and how many
+    /// further steps its firing arms.
+    #[derive(Clone, Copy, Debug)]
+    struct Step {
+        kind: u8,
+        delay: u64,
+        cancel: u8,
+        children: u8,
+    }
+
+    /// Arms the plan's steps from outside the run, from callbacks and
+    /// from processes, and records what fired when.
+    struct Oracle {
+        h: SimHandle,
+        plan: RefCell<std::collections::VecDeque<Step>>,
+        /// Per event, in arm order: its time and where it stands.
+        armed: RefCell<Vec<(SimTime, Armed)>>,
+        /// `(event, now)` per firing, in firing order.
+        fired: RefCell<Vec<(usize, SimTime)>>,
+        /// Cancellable events the next firing cancels.
+        to_cancel: RefCell<Vec<(usize, CancelToken)>>,
+        spawned: Cell<u64>,
+    }
+
+    impl Oracle {
+        fn note_armed(&self, delay: u64) -> (usize, SimTime) {
+            let at = self.h.now() + SimDuration::from_nanos(delay);
+            let mut armed = self.armed.borrow_mut();
+            armed.push((at, Armed::Pending));
+            (armed.len() - 1, at)
+        }
+
+        /// Move event `id` from `Pending` to `to`; any other state stays.
+        fn settle(&self, id: usize, to: Armed) {
+            let mut armed = self.armed.borrow_mut();
+            if armed[id].1 == Armed::Pending {
+                armed[id].1 = to;
+            }
+        }
+
+        fn cancel(&self, id: usize, token: &CancelToken) {
+            token.cancel();
+            self.settle(id, Armed::Cancelled);
+        }
+
+        fn arm_next(self: &Rc<Self>, n: u8) {
+            for _ in 0..n {
+                let Some(step) = self.plan.borrow_mut().pop_front() else {
+                    return;
+                };
+                let me = Rc::clone(self);
+                if step.kind == 2 {
+                    self.spawned.set(self.spawned.get() + 1);
+                    self.h.spawn("sleeper", move |env| {
+                        let (id, _) = me.note_armed(step.delay);
+                        env.sleep(SimDuration::from_nanos(step.delay));
+                        me.fire(id, step.children);
+                    });
+                    continue;
+                }
+                let (id, at) = self.note_armed(step.delay);
+                let fire = move || me.fire(id, step.children);
+                if step.kind == 0 {
+                    self.h.schedule_call(at, fire);
+                    continue;
+                }
+                let token = self.h.schedule_call_cancellable(at, fire);
+                match step.cancel {
+                    1 => self.cancel(id, &token),
+                    2 => self.to_cancel.borrow_mut().push((id, token)),
+                    _ => {}
+                }
+            }
+        }
+
+        fn fire(self: &Rc<Self>, id: usize, children: u8) {
+            // A cancelled event that runs anyway stays `Cancelled` and
+            // fails the property.
+            self.settle(id, Armed::Fired);
+            self.fired.borrow_mut().push((id, self.h.now()));
+            for (id, token) in self.to_cancel.take() {
+                self.cancel(id, &token);
+            }
+            self.arm_next(children);
+        }
+    }
+
+    proptest! {
+        /// Random mixes of calls, cancellable calls and sleeps, armed
+        /// before the run, from callbacks and from processes, often at
+        /// one instant, with a random subset cancelled: events fire in
+        /// `(time, arm order)`, a cancelled one never runs and moves
+        /// neither `now` nor the processed count, and the event trace is
+        /// strictly increasing in `(time, seq)`.
+        #[test]
+        fn events_fire_in_time_then_arm_order(
+            roots in 1u8..5,
+            raw in collection::vec(
+                (0u8..3, 0u8..6, any::<u64>(), 0u8..3, 0u8..4),
+                1..64,
+            ),
+        ) {
+            let sim = Simulation::new();
+            let h = sim.handle();
+            h.enable_event_trace();
+            let plan = raw
+                .iter()
+                .map(|&(kind, class, r, cancel, children)| Step {
+                    kind,
+                    delay: match class {
+                        0 => 0,
+                        1 => r % 3,
+                        2 => 1_000,
+                        3 => r % 5_000_000,
+                        4 => r % 60_000_000_000,
+                        _ => r % 90_000_000_000_000,
+                    },
+                    cancel,
+                    children,
+                })
+                .collect();
+            let oracle = Rc::new(Oracle {
+                h: h.clone(),
+                plan: RefCell::new(plan),
+                armed: RefCell::new(Vec::new()),
+                fired: RefCell::new(Vec::new()),
+                to_cancel: RefCell::new(Vec::new()),
+                spawned: Cell::new(0),
+            });
+            oracle.arm_next(roots);
+            let end = sim.run();
+
+            let armed = oracle.armed.borrow();
+            let fired = oracle.fired.borrow();
+            for (id, (_, state)) in armed.iter().enumerate() {
+                prop_assert!(*state != Armed::Pending, "event {} never fired", id);
+            }
+            let runs: Vec<usize> = fired.iter().map(|&(id, _)| id).collect();
+            let want: Vec<usize> = (0..armed.len())
+                .filter(|&id| armed[id].1 == Armed::Fired)
+                .collect();
+            let mut got = runs.clone();
+            got.sort_unstable();
+            prop_assert_eq!(got, want);
+            for &(id, at) in fired.iter() {
+                prop_assert_eq!(at, armed[id].0);
+            }
+            let order: Vec<(SimTime, usize)> = fired.iter().map(|&(id, at)| (at, id)).collect();
+            prop_assert!(
+                order.windows(2).all(|w| w[0] < w[1]),
+                "fired out of (time, arm order): {:?}",
+                order
+            );
+            let last = order.last().map_or(SimTime::ZERO, |&(at, _)| at);
+            prop_assert_eq!(end, last);
+            let events = h.events_processed();
+            prop_assert_eq!(events, fired.len() as u64 + oracle.spawned.get());
+            let trace = h.take_event_trace();
+            prop_assert_eq!(trace.len() as u64, events);
+            prop_assert!(trace
+                .windows(2)
+                .all(|w| (w[0].time_ns, w[0].seq) < (w[1].time_ns, w[1].seq)));
+        }
     }
 }

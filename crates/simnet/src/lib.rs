@@ -40,7 +40,6 @@ mod shared;
 pub mod sync;
 pub mod telemetry;
 mod time;
-mod wheel;
 
 pub use arrival::ArrivalProcess;
 pub use engine::{
