@@ -239,32 +239,28 @@ thread_local! {
 
 impl Blob {
     /// Verify a `FETCH_BLOBS` reply's payload `p` against `want`,
-    /// charging `codec` for a decompress (if `p` is compressed) and a
-    /// digest of `p.len` bytes. A payload whose flag, length and stream
-    /// all equal those of a live stream that passed in full for `want`
-    /// is that stream: it shares its allocation and is neither decoded
-    /// nor digested again. Any other payload is unpacked, digested and
-    /// length-checked; one that passes is kept for later replies. The
-    /// table holds no strong reference, and an allocation reachable
-    /// through a `Weak` never changes in place ([`vfs::share`]), so a
-    /// match is with bytes that did pass.
-    pub(crate) fn verify(
-        env: &Env,
-        codec: &CodecModel,
-        want: Digest,
-        p: &WirePayload<'_>,
-    ) -> Option<Blob> {
+    /// charging the codec model for a decompress (if `p` is compressed)
+    /// and a digest of `p.len` bytes. A payload whose flag, length and
+    /// stream all equal those of a live stream that passed in full for
+    /// `want` is that stream: it shares its allocation and is neither
+    /// decoded nor digested again. Any other payload is unpacked,
+    /// digested and length-checked; one that passes is kept for later
+    /// replies. The table holds no strong reference, and an allocation
+    /// reachable through a `Weak` never changes in place
+    /// ([`vfs::share`]), so a match is with bytes that did pass.
+    pub(crate) fn verify(env: &Env, want: Digest, p: &WirePayload<'_>) -> Option<Blob> {
+        let model = CodecModel::default();
         let wire = match Blob::known(want, p) {
             Some(wire) => {
                 if p.compressed {
-                    env.sleep(codec.decompress_time(p.len));
+                    env.sleep(model.decompress_time(p.len));
                 }
-                env.sleep(codec.digest_time(p.len));
+                env.sleep(model.digest_time(p.len));
                 wire
             }
             None => {
-                let contents = p.unpack(env, codec).ok()?;
-                env.sleep(codec.digest_time(contents.len() as u64));
+                let contents = p.unpack(env).ok()?;
+                env.sleep(model.digest_time(contents.len() as u64));
                 if contents.len() as u64 != p.len || digest(&contents) != want {
                     return None;
                 }
@@ -932,7 +928,7 @@ mod tests {
             data,
         })));
         let start = env.now();
-        let blob = read_blob_reply(env, &CodecModel::default(), &reply, want).map(|(b, _)| b);
+        let blob = read_blob_reply(env, &reply, want).map(|(b, _)| b);
         (blob, env.now() - start)
     }
 

@@ -398,17 +398,13 @@ fn read_reply<'a, T: Decode<'a>>(res: &'a [u8]) -> Result<T, ChannelError> {
 }
 
 impl<'a> WirePayload<'a> {
-    /// The chunk's contents, decompressed (charging `codec`) if it
-    /// travelled compressed, borrowed from the message if not.
-    pub(crate) fn unpack(
-        &self,
-        env: &Env,
-        codec: &CodecModel,
-    ) -> Result<Cow<'a, [u8]>, ChannelError> {
+    /// The chunk's contents, decompressed (charging the codec model) if
+    /// it travelled compressed, borrowed from the message if not.
+    pub(crate) fn unpack(&self, env: &Env) -> Result<Cow<'a, [u8]>, ChannelError> {
         if !self.compressed {
             return Ok(Cow::Borrowed(self.data));
         }
-        env.sleep(codec.decompress_time(self.len));
+        env.sleep(CodecModel::default().decompress_time(self.len));
         codec::decompress(self.data)
             .map(Cow::Owned)
             .map_err(|_| ChannelError::Status(ChanStatus::BadStream))
@@ -418,22 +414,16 @@ impl<'a> WirePayload<'a> {
 /// Read a `FETCH_BLOBS` reply — a single call's, a batch item's or a
 /// peer's — and verify its payload against the digest the recipe
 /// promised with [`Blob::verify`], the one place that makes a [`Blob`]:
-/// a decompress and a digest charged to `codec`, run in full the first
-/// time this thread sees the stream. A verified chunk lives on in its
-/// wire form alone. Proxies call this before a reply may enter their
+/// a decompress and a digest charged to the codec model, run in full the
+/// first time this thread sees the stream. A verified chunk lives on in
+/// its wire form alone. Proxies call this before a reply may enter their
 /// content store; the CPU it charges is the price of guarding a shared
 /// store against a range-serving origin. Returns `(blob, wire bytes)`.
-pub(crate) fn read_blob_reply(
-    env: &Env,
-    codec: &CodecModel,
-    res: &[u8],
-    want: Digest,
-) -> BlobFetchResult {
+pub(crate) fn read_blob_reply(env: &Env, res: &[u8], want: Digest) -> BlobFetchResult {
     let p: WirePayload = read_reply(res)?;
     // Verify the content actually matches the recipe (a regenerated
     // server file would silently corrupt the reassembly otherwise).
-    let blob =
-        Blob::verify(env, codec, want, &p).ok_or(ChannelError::Status(ChanStatus::BadStream))?;
+    let blob = Blob::verify(env, want, &p).ok_or(ChannelError::Status(ChanStatus::BadStream))?;
     Ok((blob, p.data.len() as u64))
 }
 
@@ -469,7 +459,6 @@ pub(crate) fn batch_reply_item(result: Option<Vec<u8>>) -> oncrpc::BatchReplyIte
 pub struct FileChannelServer {
     fs: Shared<Fs>,
     disk: Disk,
-    codec: CodecModel,
     /// When false, fetches return raw bytes (ablation: channel without
     /// compression).
     compress: bool,
@@ -491,17 +480,10 @@ enum DiskCharge {
 impl FileChannelServer {
     /// Create a channel server over the image server's filesystem/disk,
     /// its compressions serialized on `cpu` if given.
-    pub fn new(
-        fs: Shared<Fs>,
-        disk: Disk,
-        codec: CodecModel,
-        compress: bool,
-        cpu: Option<Resource>,
-    ) -> Rc<Self> {
+    pub fn new(fs: Shared<Fs>, disk: Disk, compress: bool, cpu: Option<Resource>) -> Rc<Self> {
         Rc::new(FileChannelServer {
             fs,
             disk,
-            codec,
             compress,
             cpu,
         })
@@ -546,7 +528,7 @@ impl FileChannelServer {
         let packed;
         let payload: &[u8] = if self.compress {
             let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
-            env.sleep(self.codec.compress_time(len));
+            env.sleep(CodecModel::default().compress_time(len));
             packed = codec::compress(&contents);
             &packed
         } else {
@@ -576,7 +558,7 @@ impl FileChannelServer {
             match codec::decompress(a.payload) {
                 Ok(c) => {
                     let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
-                    env.sleep(self.codec.decompress_time(c.len() as u64));
+                    env.sleep(CodecModel::default().decompress_time(c.len() as u64));
                     Cow::Owned(c)
                 }
                 Err(_) => return Ok(xdr::to_bytes(&ChanStatus::BadStream)),
@@ -643,7 +625,7 @@ impl FileChannelServer {
         self.disk.sequential_io(env, recipe.total);
         {
             let _cpu = self.cpu.as_ref().map(|c| c.acquire(env));
-            env.sleep(self.codec.digest_time(recipe.total));
+            env.sleep(CodecModel::default().digest_time(recipe.total));
         }
         Ok(xdr::to_bytes(&Reply(Ok(recipe))))
     }
@@ -900,13 +882,12 @@ fn pin_resident(
 #[derive(Clone)]
 pub struct ChannelClient {
     rpc: RpcClient,
-    codec: CodecModel,
 }
 
 impl ChannelClient {
     /// Bind to an RPC stub whose endpoint serves [`FileChannelServer`].
-    pub fn new(rpc: RpcClient, codec: CodecModel) -> Self {
-        ChannelClient { rpc, codec }
+    pub fn new(rpc: RpcClient) -> Self {
+        ChannelClient { rpc }
     }
 
     fn call(&self, env: &Env, proc: u32, args: &[u8]) -> Result<xdr::Bytes, ChannelError> {
@@ -930,7 +911,7 @@ impl ChannelClient {
         });
         let res = self.call(env, chanproc::FETCH_CHUNK, &args)?;
         let ChunkBody { total, payload } = read_reply(&res)?;
-        let contents = payload.unpack(env, &self.codec)?.into_owned();
+        let contents = payload.unpack(env)?.into_owned();
         if contents.len() as u64 != payload.len {
             return Err(Mismatch::ReplyLength.into());
         }
@@ -989,7 +970,7 @@ impl ChannelClient {
             want,
         });
         let res = self.call(env, chanproc::FETCH_BLOBS, &args)?;
-        read_blob_reply(env, &self.codec, &res, want)
+        read_blob_reply(env, &res, want)
     }
 
     /// Fetch several recipe chunks in one `FETCH_BLOBS_BATCH` envelope —
@@ -1028,7 +1009,7 @@ impl ChannelClient {
                 if !r.ok() {
                     return Err(ChannelError::Status(ChanStatus::BadStream));
                 }
-                read_blob_reply(env, &self.codec, &r.result, want)
+                read_blob_reply(env, &r.result, want)
             })
             .collect())
     }
@@ -1209,7 +1190,7 @@ impl ChannelClient {
         total: u64,
         data: &[u8],
     ) -> Result<u64, ChannelError> {
-        env.sleep(self.codec.compress_time(data.len() as u64));
+        env.sleep(CodecModel::default().compress_time(data.len() as u64));
         let payload = codec::compress(data);
         let args = xdr::to_bytes(&UploadArgs {
             file: Fh3(h),
@@ -1293,15 +1274,14 @@ mod tests {
         let h = sim.handle();
         let fs = Shared::new(Fs::new(0));
         let disk = Disk::new(&h, DiskModel::server_array());
-        let server =
-            FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress, None);
+        let server = FileChannelServer::new(fs.clone(), disk, compress, None);
         let up = Link::from_mbps(&h, "up", mbps, SimDuration::from_millis(17));
         let down = Link::from_mbps(&h, "down", mbps, SimDuration::from_millis(17));
         let ep = oncrpc::endpoint(&h, up, down.clone(), WireSpec::ssh_tunnel(50e6));
         ep.listener
             .serve("chan", Dispatcher::new().register(server).into_handler(), 2);
         let rpc = RpcClient::new(ep.channel, OpaqueAuth::sys(&AuthSys::new("c", 1, 1)));
-        (fs, ChannelClient::new(rpc, CodecModel::default()), down)
+        (fs, ChannelClient::new(rpc), down)
     }
 
     /// Create `name` holding `data`, then grow it (sparsely) to `size`.

@@ -23,9 +23,6 @@
 //!   CAS, parked write-backs), so a restarted proxy resumes over it.
 //! * [`session`] — middleware session management: establish per-user
 //!   proxy chains, signal write-back flushes (session-based consistency).
-//! * [`transfer`] — the knobs of the overlapped WAN paths (chunked file
-//!   channel, parallel write-back flush, proxy read-ahead), which all
-//!   fan out through [`simnet::run_windowed`].
 //! * [`digest`] + [`cas`] — content-addressed redundancy elimination:
 //!   the canonical 128-bit content hash, per-proxy content store, and
 //!   the recipe/blob channel path that ships only bytes the near side
@@ -44,7 +41,6 @@ pub mod identity;
 pub mod meta;
 pub mod proxy;
 pub mod session;
-pub mod transfer;
 pub mod volume;
 
 pub use block_cache::{BlockCache, BlockCacheConfig, BlockCacheStats, Tag, WritePolicy};
@@ -64,5 +60,4 @@ pub use meta::{
 };
 pub use proxy::{FlushReport, Proxy, ProxyConfig, ProxyStats};
 pub use session::{GvfsSession, ImageServer, Listen, Middleware, Tier};
-pub use transfer::TransferTuning;
 pub use volume::CacheVolume;

@@ -68,7 +68,6 @@ use crate::file_cache::{CowTuning, DirtyFile, FileCache, FileKey};
 use crate::fleet::FleetTuning;
 use crate::identity::IdentityMapper;
 use crate::meta::{is_meta_name, meta_name_for, MetaFile};
-use crate::transfer::TransferTuning;
 use crate::volume::CacheVolume;
 
 /// Proxy configuration — middleware sets these per user / per application.
@@ -80,9 +79,6 @@ pub struct ProxyConfig {
     pub write_policy: WritePolicy,
     /// Interpret meta-data files (zero maps, file channel).
     pub meta_handling: bool,
-    /// Overlapped-WAN-transfer knobs: file-channel chunking, flush
-    /// write-back window, sequential read-ahead depth.
-    pub transfer: TransferTuning,
     /// Content-addressed redundancy elimination: [`CacheVolume::new`]
     /// builds the CAS from it. With [`DedupTuning::off()`] every WAN path
     /// behaves as before the CAS existed (byte-identical reports).
@@ -105,7 +101,6 @@ impl Default for ProxyConfig {
             name: "gvfs-proxy".into(),
             write_policy: WritePolicy::WriteBack,
             meta_handling: true,
-            transfer: TransferTuning::default(),
             dedup: DedupTuning::default(),
             fleet: FleetTuning::off(),
             cow: CowTuning::off(),
@@ -383,6 +378,25 @@ const WB_QUEUE_CAP: usize = 4096;
 /// round, capped at 8x.
 const FLUSH_RETRY_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
+/// Retry rounds [`Proxy::flush`] runs to drain write-backs that failed
+/// upstream (WAN outage, server restart mid-flush) before it parks them
+/// for the next flush signal.
+const FLUSH_RETRY_ROUNDS: u32 = 4;
+
+/// File-channel chunk size: a whole-file transfer travels in pieces of
+/// this size, so compression, WAN transfer and decompression of
+/// successive chunks overlap.
+const CHUNK_BYTES: u32 = 1 << 20;
+
+/// Chunk RPCs in flight per file-channel fetch or upload.
+const CHANNEL_WINDOW: usize = 4;
+
+/// UNSTABLE WRITEs in flight per file during a flush's write-back pass.
+const FLUSH_WINDOW: usize = 8;
+
+/// Blocks a sequential miss stream prefetches ahead (per file).
+const READ_AHEAD: usize = 8;
+
 /// Digests per gossip message in either direction: 64 KiB chunks × 512 ≈
 /// one golden image's working set crosses the inventory channel in a
 /// handful of rounds. Bounds the decode cost (lint: bounded-decode) and
@@ -539,8 +553,6 @@ struct WbSink {
     chan: Option<ChannelClient>,
     /// Block size of the volume's block cache (32 KB without one).
     bs: u64,
-    /// Chunk size and window of file uploads.
-    transfer: TransferTuning,
     ttel: TransferTel,
     dtel: DedupTel,
     written_back: Counter,
@@ -729,10 +741,11 @@ impl WbSink {
     }
 
     /// The one way a dirty cached file leaves the proxy: upload what must
-    /// travel of a file whose contents digest to `digest`, counting it
-    /// into `report` — unless upstream is known to hold exactly that
-    /// already. Returns whether upstream now holds the contents; on
-    /// `false` the caller keeps the payload for a retry round.
+    /// travel of a file whose contents digest to `digest` ([`CHUNK_BYTES`]
+    /// chunks, [`CHANNEL_WINDOW`] in flight), counting it into `report` —
+    /// unless upstream is known to hold exactly that already. Returns
+    /// whether upstream now holds the contents; on `false` the caller
+    /// keeps the payload for a retry round.
     fn upload_file(&self, env: &Env, up: &PendingUpload, report: &mut FlushReport) -> bool {
         let (key, dirty, digest) = up;
         let (Some(fc), Some(chan)) = (&self.vol.file_cache, &self.chan) else {
@@ -763,10 +776,9 @@ impl WbSink {
         fc.clear_synced(*key);
         let (total, ranges) = match dirty {
             DirtyFile::Diverged { total, ranges, .. } => (*total, ranges.clone()),
-            DirtyFile::Whole(c) => (c.len() as u64, chunk_ranges(c, self.transfer.chunk_bytes)),
+            DirtyFile::Whole(c) => (c.len() as u64, chunk_ranges(c, CHUNK_BYTES)),
         };
-        let window = self.transfer.channel_window;
-        let sent = chan.upload_ranges(env, *key, total, ranges, window, Some(&self.ttel));
+        let sent = chan.upload_ranges(env, *key, total, ranges, CHANNEL_WINDOW, Some(&self.ttel));
         self.state.lock().forget_file_replies(*key);
         match sent {
             Ok(wire) => {
@@ -933,7 +945,7 @@ impl Proxy {
             peer_served: counter("gossip.peer_served"),
         };
         let state = Shared::new(ProxyState::default());
-        let chan = ChannelClient::new(upstream.clone(), CodecModel::default());
+        let chan = ChannelClient::new(upstream.clone());
         let wb = WbSink {
             upstream,
             state: state.clone(),
@@ -943,7 +955,6 @@ impl Proxy {
                 .block_cache
                 .as_ref()
                 .map_or(32 << 10, |bc| bc.config().block_size) as u64,
-            transfer: cfg.transfer,
             ttel: TransferTel::register(&tel.registry, "gvfs", &tel.inst),
             dtel: DedupTel::register(&tel.registry, &tel.inst),
             written_back: tel.blocks_written_back.clone(),
@@ -1384,12 +1395,11 @@ impl Proxy {
         fc: &FileCache,
         chan: &ChannelClient,
     ) -> Result<u64, channel::ChannelError> {
-        let t = &self.cfg.transfer;
         if let Some(cas) = &self.wb.vol.cas {
             let rq = RecipeFetch {
                 recipe_hint: m.content_map.as_ref(),
-                chunk_bytes: t.chunk_bytes,
-                window: t.channel_window,
+                chunk_bytes: CHUNK_BYTES,
+                window: CHANNEL_WINDOW,
                 // With fleet batching on, the misses travel in
                 // multi-digest envelopes: `MAX_BATCH` records per
                 // upstream round-trip instead of one, windows of
@@ -1432,7 +1442,7 @@ impl Proxy {
             }
         }
         let (contents, wire) =
-            chan.fetch_chunked(env, h, t.chunk_bytes, t.channel_window, Some(&self.wb.ttel))?;
+            chan.fetch_chunked(env, h, CHUNK_BYTES, CHANNEL_WINDOW, Some(&self.wb.ttel))?;
         fc.install(env, h, &contents);
         Ok(wire)
     }
@@ -1480,8 +1490,8 @@ impl Proxy {
     }
 
     /// Sequential read-ahead: track per-file block streaks; once two
-    /// consecutive blocks have been requested, fetch the next
-    /// `transfer.read_ahead` blocks upstream into the block cache from a
+    /// consecutive blocks have been requested, fetch up to the next
+    /// [`READ_AHEAD`] blocks upstream into the block cache from a
     /// detached worker. The workers' READs queue behind the triggering
     /// demand miss on the WAN, so the stream's next blocks arrive while
     /// the application consumes the current one. A racing demand miss on
@@ -1506,10 +1516,6 @@ impl Proxy {
         meta: Option<&MetaFile>,
     ) {
         let (key, bs) = (tag_key(tag), self.wb.bs);
-        let depth = self.cfg.transfer.read_ahead;
-        if depth == 0 {
-            return;
-        }
         let Some(bc) = self.wb.vol.block_cache.clone() else {
             return;
         };
@@ -1540,7 +1546,7 @@ impl Proxy {
             let depth = match run {
                 1 => 1,
                 2 | 3 => return,
-                _ => depth as u64,
+                _ => READ_AHEAD as u64,
             };
             let wasted = reclaim_wasted_prefetches(&mut st, &bc);
             let mut cands: Vec<Tag> = Vec::new();
@@ -1574,12 +1580,11 @@ impl Proxy {
         self.tel.prefetch_issued.add(candidates.len() as u64);
         let sink = self.wb.with_cred(cred);
         let ttel = sink.ttel.clone();
-        let window = depth.max(1);
         env.spawn(format!("{}-prefetch", self.tel.inst), move |env| {
             run_windowed(
                 &env,
                 "prefetch",
-                window,
+                READ_AHEAD,
                 candidates,
                 Some(&ttel),
                 move |env, t| {
@@ -1818,16 +1823,15 @@ impl Proxy {
         pending: DirtyByFile,
         report: &mut FlushReport,
     ) -> DirtyByFile {
-        let fw = self.cfg.transfer.flush_window.max(1);
         let sink = self.wb.with_cred(cred);
         let nfs = nfs3::Nfs3Client::new(sink.upstream.clone());
         let mut requeue: DirtyByFile = BTreeMap::new();
         for (key, blocks) in pending {
-            // Bounded in-flight UNSTABLE WRITEs per file (a window of 1
-            // is the serial flush: the sends run inline, one at a time);
-            // the COMMIT below only runs once all of them returned, so
-            // ordering toward the server stays deterministic.
-            let (slots, skips) = sink.send_blocks(env, key, blocks, StableHow::Unstable, fw);
+            // Bounded in-flight UNSTABLE WRITEs per file; the COMMIT
+            // below only runs once all of them returned, so ordering
+            // toward the server stays deterministic.
+            let (slots, skips) =
+                sink.send_blocks(env, key, blocks, StableHow::Unstable, FLUSH_WINDOW);
             if slots.is_empty() && skips.is_empty() {
                 continue;
             }
@@ -1898,29 +1902,32 @@ impl Proxy {
     /// to the proxy process; here the scenario driver calls it directly
     /// (session-based consistency, §3.2.1).
     ///
+    /// Dirty cached files upload on a helper process while this one
+    /// writes the dirty blocks back, so the two overlap on the WAN.
+    ///
     /// Degraded mode: write-backs that fail upstream (WAN outage, server
-    /// restart) are retried in up to `transfer.flush_retry_rounds`
-    /// rounds with doubling backoff; whatever survives the rounds parks
-    /// on the retry queue (blocks) or stays dirty in the file cache
-    /// (files) and is reported in `FlushReport::failed_*` — the next
-    /// flush signal picks it all up again. No acknowledged byte is ever
-    /// dropped.
+    /// restart) are retried in up to [`FLUSH_RETRY_ROUNDS`] rounds with
+    /// doubling backoff; whatever survives the rounds parks on the retry
+    /// queue (blocks) or stays dirty in the file cache (files) and is
+    /// reported in `FlushReport::failed_*` — the next flush signal picks
+    /// it all up again. No acknowledged byte is ever dropped.
     pub fn flush(&self, env: &Env, cred: &oncrpc::OpaqueAuth) -> FlushReport {
         let mut report = FlushReport::default();
-        let tuning = self.cfg.transfer;
 
         // First upload attempt of every dirty cached file: what it sent,
         // and the uploads that failed, kept with their payload for the
         // retry rounds.
         let uploaded: Shared<(FlushReport, Vec<PendingUpload>)> = Shared::default();
-        let mut upload_files = None;
+        let mut helper = None;
         if let Some(fc) = &self.wb.vol.file_cache {
             let dirty_files = fc.dirty_files();
             if !dirty_files.is_empty() {
                 let (fc, sink, out) = (fc.clone(), self.wb.clone(), uploaded.clone());
                 let dedup = sink.vol.cas.is_some();
                 let cow_on = self.cfg.cow.enabled && dedup;
-                upload_files = Some(move |env: &Env| {
+                let name = format!("{}-flush-files", self.tel.inst);
+                helper = Some(env.spawn(name, move |env| {
+                    let env = &env;
                     let (mut sent, mut failed) = (FlushReport::default(), Vec::new());
                     for key in dirty_files {
                         // Diverged-only flush: a dirty *reference* file
@@ -1974,20 +1981,9 @@ impl Proxy {
                         failed.push(up);
                     }
                     *out.lock() = (sent, failed);
-                });
+                }));
             }
         }
-        // Dirty file-cache uploads overlap the block write-back: one
-        // helper process drives the channel uploads while this process
-        // drives the block path. With a serial window the uploads run
-        // inline after the blocks, preserving the old RPC order.
-        let helper = upload_files
-            .take_if(|_| tuning.flush_window > 1)
-            .map(|upload| {
-                env.spawn(format!("{}-flush-files", self.tel.inst), move |env| {
-                    upload(&env)
-                })
-            });
 
         // Block write-back: dirty blocks from the cache, plus everything
         // still parked on the retry queue from earlier failed evictions
@@ -2006,10 +2002,6 @@ impl Proxy {
             }
         }
         let mut remaining = self.write_back_pass(env, cred, pending, &mut report);
-
-        if let Some(upload) = upload_files {
-            upload(env);
-        }
         if let Some(j) = helper {
             j.join(env);
         }
@@ -2021,7 +2013,7 @@ impl Proxy {
         // Degraded-mode drain: bounded retry rounds with doubling
         // backoff, resending both failed blocks and failed file uploads
         // until they land or the rounds run out.
-        for round in 0..tuning.flush_retry_rounds {
+        for round in 0..FLUSH_RETRY_ROUNDS {
             if remaining.is_empty() && failed_files.is_empty() {
                 break;
             }
@@ -2197,8 +2189,7 @@ impl Proxy {
         let fetched = channel::call(&client, env, chanproc::FETCH_BLOBS_PEER, args)
             .ok()
             .and_then(|results| {
-                let (blob, ..) =
-                    read_blob_reply(env, &CodecModel::default(), &results, want).ok()?;
+                let (blob, ..) = read_blob_reply(env, &results, want).ok()?;
                 Some((blob, results))
             });
         if let Some((blob, _)) = &fetched {
@@ -2367,7 +2358,7 @@ impl Proxy {
         // Decompression and digesting are charged at codec throughput,
         // like the client-side verification.
         let verified = success_results(&reply)
-            .and_then(|results| read_blob_reply(env, &CodecModel::default(), results, want).ok())
+            .and_then(|results| read_blob_reply(env, results, want).ok())
             .map(|(blob, ..)| blob);
         self.land_blob(want, verified, false);
         reply
@@ -2438,9 +2429,7 @@ impl Proxy {
             // Ok whose payload actually hashes to the requested digest
             // may be keyed by it.
             let verified = result
-                .and_then(|results| {
-                    read_blob_reply(env, &CodecModel::default(), &results, *want).ok()
-                })
+                .and_then(|results| read_blob_reply(env, &results, *want).ok())
                 .map(|(blob, ..)| blob);
             self.land_blob(*want, verified, true);
         }

@@ -35,7 +35,6 @@ use vfs::{Disk, DiskModel, Fs};
 use crate::block_cache::{BlockCacheConfig, WritePolicy};
 use crate::cas::DedupTuning;
 use crate::channel::FileChannelServer;
-use crate::codec::CodecModel;
 use crate::identity::{IdentityMapper, MappedAccount};
 use crate::meta::{
     generate_content_map, generate_zero_map, meta_name_for, FileChannelSpec, MetaFile,
@@ -251,7 +250,7 @@ impl ImageServer {
         // The paper's image servers are dual-processor nodes: two gzip
         // streams at a time.
         let cpu = Resource::new(h, 2);
-        let chan = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, Some(cpu));
+        let chan = FileChannelServer::new(fs.clone(), disk, true, Some(cpu));
         let nfsd = Dispatcher::new()
             .register(server.clone())
             .register(mount)

@@ -13,8 +13,8 @@
 
 use gvfs::digest::digest;
 use gvfs::{
-    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, FleetTuning, ImageServer,
-    Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
+    CacheVolume, ChannelClient, ContentStore, DedupTel, FleetTuning, ImageServer, Listen,
+    ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use proptest::prelude::*;
@@ -136,10 +136,8 @@ fn run_fetch(
         }
     };
 
-    let chan = ChannelClient::new(
-        RpcClient::new(client_channel, cred).with_policy(RetryPolicy::wan()),
-        CodecModel::default(),
-    );
+    let chan =
+        ChannelClient::new(RpcClient::new(client_channel, cred).with_policy(RetryPolicy::wan()));
     let got: Shared<Option<Vec<u8>>> = Shared::new(None);
     let got2 = got.clone();
     sim.spawn("cloner", move |env: Env| {

@@ -25,9 +25,9 @@ use std::rc::Rc;
 use gvfs::channel::{chanproc, ChanStatus, ChannelError};
 use gvfs::meta::{generate_content_map, ContentMap};
 use gvfs::{
-    CacheVolume, ChannelClient, CodecModel, ContentStore, CowTuning, DedupTel, Digest,
-    FileChannelServer, FileChannelSpec, FleetTuning, ImageServer, Listen, Middleware, ProxyConfig,
-    RecipeFetch, Tier, TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    CacheVolume, ChannelClient, ContentStore, CowTuning, DedupTel, Digest, FileChannelServer,
+    FileChannelSpec, FleetTuning, ImageServer, Listen, Middleware, ProxyConfig, RecipeFetch, Tier,
+    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use nfs3::{MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::transport::RpcHandler;
@@ -299,17 +299,14 @@ fn recipe_outcomes_report_the_real_error_and_release_their_pins() {
     let data = image(4);
     let fh = put_file(&fs, "img", &data);
     let recipe = generate_content_map(&mut fs.lock(), fh, CHUNK).unwrap();
-    let chan = ChannelClient::new(RpcClient::new(wan.clone(), cred()), CodecModel::default());
+    let chan = ChannelClient::new(RpcClient::new(wan.clone(), cred()));
     // A client that gives up: two attempts, 200 ms apart.
-    let impatient = ChannelClient::new(
-        RpcClient::new(wan, cred()).with_policy(RetryPolicy {
-            first_timeout: SimDuration::from_millis(200),
-            max_timeout: SimDuration::from_millis(200),
-            max_attempts: 2,
-            jitter_frac: 0.0,
-        }),
-        CodecModel::default(),
-    );
+    let impatient = ChannelClient::new(RpcClient::new(wan, cred()).with_policy(RetryPolicy {
+        first_timeout: SimDuration::from_millis(200),
+        max_timeout: SimDuration::from_millis(200),
+        max_attempts: 2,
+        jitter_frac: 0.0,
+    }));
     sim.spawn("client", move |env: Env| {
         let warm = || {
             let cas = ContentStore::new(1 << 20);
@@ -460,7 +457,7 @@ fn a_blob_reply_that_fails_verification_never_reaches_the_cas() {
         let ep = oncrpc::endpoint(&h, up, down, WireSpec::plain());
         let origin = Dispatcher::new().register(Rc::new(CannedOrigin(reply)));
         ep.listener.serve("origin", origin.into_handler(), 2);
-        let chan = ChannelClient::new(RpcClient::new(ep.channel, cred()), CodecModel::default());
+        let chan = ChannelClient::new(RpcClient::new(ep.channel, cred()));
         let (recipe, chunk) = (recipe.clone(), chunk.clone());
         sim.spawn("client", move |env: Env| {
             let fh = Handle {
@@ -527,7 +524,7 @@ fn a_failed_recipe_fetch_is_tried_once() {
     let disk = Disk::new(&h, DiskModel::server_array());
     let (fs, server) = Nfs3Server::with_new_fs(&h, disk.clone(), ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
-    let chan = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
+    let chan = FileChannelServer::new(fs.clone(), disk, true, None);
     let nfsd = Dispatcher::new()
         .register(server)
         .register(mount)
@@ -567,11 +564,6 @@ fn a_failed_recipe_fetch_is_tried_once() {
 
     let cfg = ProxyConfig {
         name: "cow-proxy".into(),
-        transfer: TransferTuning {
-            chunk_bytes: CHUNK,
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         cow: CowTuning::on(),
         ..ProxyConfig::default()
     };

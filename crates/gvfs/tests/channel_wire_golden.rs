@@ -36,7 +36,7 @@ use gvfs::channel::{chanproc, chunk_ranges, RecipeFetch, Reply};
 use gvfs::digest::{digest, Digest};
 use gvfs::meta::ContentMap;
 use gvfs::{
-    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, FileChannelServer, FleetTuning,
+    CacheVolume, ChannelClient, ContentStore, DedupTel, FileChannelServer, FleetTuning,
     GossipDigests, Proxy, ProxyConfig, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
@@ -184,8 +184,7 @@ fn render_fixture() -> String {
     };
     let origin = |compress: bool| {
         let disk = Disk::new(&h, DiskModel::server_array());
-        let server =
-            FileChannelServer::new(fs.clone(), disk, CodecModel::default(), compress, None);
+        let server = FileChannelServer::new(fs.clone(), disk, compress, None);
         Dispatcher::new().register(server).into_handler()
     };
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
@@ -210,7 +209,7 @@ fn render_fixture() -> String {
     };
     let fs2 = fs.clone();
     sim.spawn("driver", move |env: Env| {
-        let chan = ChannelClient::new(origin_rpc.clone(), CodecModel::default());
+        let chan = ChannelClient::new(origin_rpc.clone());
         let data = image();
 
         // 3 FETCH_CHUNK: a windowed whole-file fetch, a read past EOF,
@@ -487,7 +486,7 @@ fn retired_whole_file_procedures_answer_proc_unavail() {
         fh
     };
     let disk = Disk::new(&h, DiskModel::server_array());
-    let server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
+    let server = FileChannelServer::new(fs.clone(), disk, true, None);
     let cred = OpaqueAuth::sys(&AuthSys::new("golden", 1, 1));
     let origin = Dispatcher::new().register(server).into_handler();
     let origin_rpc = RpcClient::new(serve_tapped(&h, "origin", origin, &log), cred.clone());

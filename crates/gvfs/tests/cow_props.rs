@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use gvfs::{
     CacheVolume, CowTuning, FileChannelSpec, ImageServer, Listen, Middleware, Proxy, ProxyConfig,
-    Tier, TransferTuning,
+    Tier,
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
@@ -58,11 +58,6 @@ fn build_rig(sim: &Simulation, cow: CowTuning) -> Rig {
     let cred = OpaqueAuth::sys(&AuthSys::new("cow", 1, 1));
     let cfg = ProxyConfig {
         name: "cow-proxy".into(),
-        transfer: TransferTuning {
-            chunk_bytes: CHUNK,
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         cow,
         ..ProxyConfig::default()
     };

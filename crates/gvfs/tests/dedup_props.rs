@@ -14,9 +14,9 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::digest::{chunk_digests, digest};
 use gvfs::{
-    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning,
-    Digest, FileChannelServer, FileKey, ImageServer, Listen, Proxy, ProxyConfig, RecipeFetch, Tier,
-    TransferTuning, WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    BlockCacheConfig, CacheVolume, ChannelClient, ContentStore, DedupTel, DedupTuning, Digest,
+    FileChannelServer, FileKey, ImageServer, Listen, Proxy, ProxyConfig, RecipeFetch, Tier,
+    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use nfs3::{Fh3, Nfs3Client, Nfs3Server};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RetryPolicy, RpcChannel, RpcClient, WireSpec};
@@ -76,23 +76,10 @@ struct Rig {
 /// A write-back client proxy over a faultable WAN (the fault_recovery
 /// rig, parameterized on dedup).
 fn build_rig(sim: &Simulation, dedup: DedupTuning) -> Rig {
-    build_rig_with(
-        sim,
-        dedup,
-        TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
-        RetryPolicy::wan(),
-    )
+    build_rig_with(sim, dedup, RetryPolicy::wan())
 }
 
-fn build_rig_with(
-    sim: &Simulation,
-    dedup: DedupTuning,
-    transfer: TransferTuning,
-    policy: RetryPolicy,
-) -> Rig {
+fn build_rig_with(sim: &Simulation, dedup: DedupTuning, policy: RetryPolicy) -> Rig {
     let h = sim.handle();
     let (origin, wan_up, wan_down) = wan_origin(&h);
     let (fs, server) = (origin.fs, origin.server);
@@ -101,7 +88,6 @@ fn build_rig_with(
     let cfg = ProxyConfig {
         name: "dedup-proxy".into(),
         meta_handling: false,
-        transfer,
         dedup,
         ..ProxyConfig::default()
     };
@@ -376,10 +362,7 @@ fn shared_proxy_coalesces_blob_fetches_on_digest() {
 
     let mut joins = Vec::new();
     for (i, fh) in [(0, f1), (1, f2)] {
-        let chan = ChannelClient::new(
-            RpcClient::new(lan.channel.clone(), cred.clone()),
-            CodecModel::default(),
-        );
+        let chan = ChannelClient::new(RpcClient::new(lan.channel.clone(), cred.clone()));
         let want = data.clone();
         joins.push(sim.spawn(format!("cloner-{i}"), move |env: Env| {
             let cas = ContentStore::new(1 << 30);
@@ -443,21 +426,14 @@ fn tight_policy() -> RetryPolicy {
 #[test]
 fn lost_reply_write_invalidates_acked_digest() {
     let sim = Simulation::new();
-    let rig = build_rig_with(
-        &sim,
-        DedupTuning::default(),
-        TransferTuning {
-            read_ahead: 0,
-            flush_retry_rounds: 0,
-            ..TransferTuning::default()
-        },
-        tight_policy(),
-    );
+    let rig = build_rig_with(&sim, DedupTuning::default(), tight_policy());
     let fh = seed_file(&rig.fs, "vm.img");
-    // Replies (only) vanish from t=5 s to t=20 s: requests keep landing
+    // Replies (only) vanish from t=5 s to t=60 s: requests keep landing
     // on the server, so its state moves while the proxy sees failures.
+    // The outage outlasts the flush's four retry rounds (7.5 s of
+    // backoff plus a timed-out WRITE and COMMIT per pass).
     rig.wan_down
-        .install_faults(LinkFaultPlan::new(7).outage(ms(5_000), ms(20_000)));
+        .install_faults(LinkFaultPlan::new(7).outage(ms(5_000), ms(60_000)));
     let proxy = rig.proxy.clone();
     let (nfs, cred) = (rig.nfs, rig.cred.clone());
     let fs = rig.fs.clone();
@@ -482,13 +458,18 @@ fn lost_reply_write_invalidates_acked_digest() {
         let r2 = proxy.flush(&env, &cred);
         assert_eq!(r2.blocks, 0, "outage flush must not complete: {r2:?}");
         assert_eq!(r2.failed_blocks, 1, "outage flush must park v1: {r2:?}");
+        assert_eq!(
+            proxy.stats().flush_retry_rounds,
+            4,
+            "every retry round ran dry"
+        );
 
         // Revert to v0 — the A-B-A bait: identical to the acked bytes,
         // different from what the server now (silently) holds.
         write0(&env, 0);
 
         let now = env.now();
-        env.sleep(ms(21_000).saturating_since(now));
+        env.sleep(ms(61_000).saturating_since(now));
         let r3 = proxy.flush(&env, &cred);
         assert_eq!(r3.failed_blocks, 0, "healed flush must drain: {r3:?}");
         assert_eq!(
@@ -514,29 +495,24 @@ fn lost_reply_write_invalidates_acked_digest() {
 /// upload — leaving the torn file upstream forever.
 #[test]
 fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
-    const CHUNK: u32 = 64 * 1024;
-    const LEN: usize = 6 * CHUNK as usize;
+    // Two upload chunks: a 1 MiB head and a 256 KiB tail, in flight
+    // together.
+    const LEN: usize = (1 << 20) + (256 << 10);
 
     let sim = Simulation::new();
     let h = sim.handle();
     let (origin, wan_up, wan_down) = wan_origin(&h);
     let fs = origin.fs;
-    // Both directions die after the first upload chunk (or two) lands,
-    // and stay dead through the tight policy's retransmits.
-    wan_up.install_faults(LinkFaultPlan::new(11).outage(ms(5_250), ms(30_000)));
-    wan_down.install_faults(LinkFaultPlan::new(13).outage(ms(5_250), ms(30_000)));
+    // Both directions die after the tail chunk lands and before the head
+    // does, and stay dead through the tight policy's retransmits and the
+    // flush's four retry rounds.
+    wan_up.install_faults(LinkFaultPlan::new(11).outage(ms(6_000), ms(60_000)));
+    wan_down.install_faults(LinkFaultPlan::new(13).outage(ms(6_000), ms(60_000)));
 
     let cred = OpaqueAuth::sys(&AuthSys::new("dedup", 1, 1));
     let cfg = ProxyConfig {
         name: "upload-proxy".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            chunk_bytes: CHUNK,
-            channel_window: 2,
-            read_ahead: 0,
-            flush_retry_rounds: 0,
-            ..TransferTuning::default()
-        },
         ..ProxyConfig::default()
     };
     let disk = Disk::new(&h, DiskModel::scsi_2004());
@@ -563,6 +539,7 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
     };
     let a = gen(1);
     let b = gen(2);
+    let b2 = b.clone();
     let fh = {
         let mut f = fs.lock();
         let root = f.root();
@@ -603,13 +580,14 @@ fn failed_upload_clears_synced_digest_and_repairs_torn_file() {
             let mut f = fs2.lock();
             let got = f.read(fh, 0, LEN, 0).unwrap().0.to_vec();
             assert_ne!(got, a, "rig: at least one B chunk must land (torn)");
+            assert_ne!(got, b2, "rig: at least one B chunk must not land (torn)");
         }
 
         // The VM rewrites the original bytes A — the stale-digest bait.
         nfs.write(&env, fh2, 0, a.clone(), nfs3::proto::StableHow::Unstable)
             .unwrap();
         let now = env.now();
-        env.sleep(ms(31_000).saturating_since(now));
+        env.sleep(ms(61_000).saturating_since(now));
         let r2 = proxy.flush(&env, &cred);
         assert_eq!(r2.failed_files, 0, "healed flush must drain: {r2:?}");
         assert_eq!(r2.files, 1, "repair upload must run, not skip: {r2:?}");
@@ -725,7 +703,7 @@ fn recipe_outcomes_leave_the_cas_as_they_always_did() {
     let h = sim.handle();
     let fs = Shared::new(Fs::new(0));
     let disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server = FileChannelServer::new(fs.clone(), disk, CodecModel::default(), true, None);
+    let chan_server = FileChannelServer::new(fs.clone(), disk, true, None);
     let wan_up = Link::from_mbps(&h, "wan-up", 6.0, SimDuration::from_millis(17));
     let wan_down = Link::from_mbps(&h, "wan-down", 14.0, SimDuration::from_millis(17));
     let wan = oncrpc::endpoint(&h, wan_up, wan_down, WireSpec::ssh_tunnel(50e6));
@@ -762,10 +740,8 @@ fn recipe_outcomes_leave_the_cas_as_they_always_did() {
     };
     let recipe = gvfs::generate_content_map(&mut fs.lock(), fh, CHUNK).unwrap();
     let cred = OpaqueAuth::sys(&AuthSys::new("c", 1, 1));
-    let chan = ChannelClient::new(
-        RpcClient::new(wan.channel, cred).with_policy(RetryPolicy::wan()),
-        CodecModel::default(),
-    );
+    let chan =
+        ChannelClient::new(RpcClient::new(wan.channel, cred).with_policy(RetryPolicy::wan()));
     sim.spawn("client", move |env: Env| {
         // (records per envelope, wire bytes of either outcome, virtual
         // nanoseconds when both are done) — recorded at PR 18.

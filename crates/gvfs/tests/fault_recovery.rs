@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 use gvfs::{
     BlockCacheConfig, CacheVolume, DedupTuning, FlushReport, GvfsSession, IdentityMapper,
-    ImageServer, Listen, Middleware, Proxy, ProxyConfig, TransferTuning,
+    ImageServer, Listen, Middleware, Proxy, ProxyConfig,
 };
 use nfs3::{Nfs3Client, Nfs3Server};
 use oncrpc::transport::RpcHandler;
@@ -55,23 +55,12 @@ fn build_rig(sim: &Simulation) -> Rig {
 }
 
 fn build_rig_with_cache(sim: &Simulation, cache: BlockCacheConfig) -> Rig {
-    let transfer = TransferTuning {
-        read_ahead: 0,
-        ..TransferTuning::default()
-    };
-    build_rig_with(
-        sim,
-        cache,
-        transfer,
-        gvfs::FleetTuning::off(),
-        RetryPolicy::wan(),
-    )
+    build_rig_with(sim, cache, gvfs::FleetTuning::off(), RetryPolicy::wan())
 }
 
 fn build_rig_with(
     sim: &Simulation,
     cache: BlockCacheConfig,
-    transfer: TransferTuning,
     fleet: gvfs::FleetTuning,
     policy: RetryPolicy,
 ) -> Rig {
@@ -91,7 +80,6 @@ fn build_rig_with(
         ProxyConfig {
             name: "fault-proxy".into(),
             meta_handling: false,
-            transfer,
             // These tests pin exact write/commit counts per fault
             // schedule; the dedup'd flush path has its own suite.
             dedup: DedupTuning::off(),
@@ -320,12 +308,8 @@ fn retry_queue_at_its_cap_sheds_the_lowest_tag_and_counts_it() {
             assoc: 256,
             block_size: SMALL as u32,
         },
-        // No retry rounds: what fails is parked at once.
-        TransferTuning {
-            read_ahead: 0,
-            flush_retry_rounds: 0,
-            ..TransferTuning::default()
-        },
+        // The flush's retry rounds run dry inside the outage, so what
+        // fails is parked.
         gvfs::FleetTuning::shard(),
         // Calls into the outage give up quickly instead of riding it out.
         RetryPolicy {
@@ -447,10 +431,6 @@ fn terminate_during_an_outage_keeps_the_identity_until_the_data_is_out() {
     let rig = build_rig_with(
         &sim,
         BlockCacheConfig::with_capacity(256 << 20, 64, 16, BS as u32),
-        TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         gvfs::FleetTuning::off(),
         // Calls into the outage give up instead of riding it out, so the
         // flush's own retry rounds run dry inside it.
@@ -532,10 +512,6 @@ fn a_restarted_proxy_resumes_its_volume_and_loses_no_acknowledged_byte() {
     let cfg = ProxyConfig {
         name: "fault-proxy".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         dedup: DedupTuning::off(),
         ..ProxyConfig::default()
     };

@@ -16,18 +16,24 @@
 //! 4. a WAN outage over the next flush, which fails the block WRITE and
 //!    the reference file's ranges upload into the whole-file retry round.
 //!
-//! The session runs at `flush_window` 1 and 8; the log, each
-//! [`FlushReport`] and the final synced digests are compared with
-//! `tests/golden/flush_timeline.txt`, recorded from the code as it stood
-//! *before* eviction, the flush pass and the retry rounds were folded
-//! onto one block sender and one file uploader. That change had to
-//! reproduce the recording byte for byte. The fixture was then
-//! regenerated exactly once, for the fix that sends eviction write-backs
-//! `FILE_SYNC`: the eviction rows' `stable` column changed, and — because
-//! the server pays a synchronous disk write before it answers them —
-//! every later instant moved by that disk time; no row appeared,
-//! vanished or changed place. Regenerate (only when the write-back
-//! behaviour intentionally changes) with:
+//! The session runs under the proxy's one transfer policy (a flush
+//! window of 8, file uploads overlapping the block pass, 1 MiB upload
+//! chunks); the log, each [`FlushReport`], the final synced digests and
+//! the origin's bytes are compared with `tests/golden/flush_timeline.txt`,
+//! recorded from the code as it stood *before* eviction, the flush pass
+//! and the retry rounds were folded onto one block sender and one file
+//! uploader. That change had to reproduce the recording byte for byte.
+//! The fixture was then regenerated twice. Once for the fix that sends
+//! eviction write-backs `FILE_SYNC`: the eviction rows' `stable` column
+//! changed, and — because the server pays a synchronous disk write
+//! before it answers them — every later instant moved by that disk time;
+//! no row appeared, vanished or changed place. And once when the
+//! transfer settings became proxy constants: the serial-window session
+//! went, and the remaining session's whole-file uploads now travel as one
+//! 1 MiB chunk instead of 8 KiB pieces, so their rows merged and the
+//! later instants moved; the origin's bytes and the synced digests stayed
+//! as recorded. Regenerate (only when the write-back behaviour
+//! intentionally changes) with:
 //!
 //! ```text
 //! GOLDEN_REGEN=1 cargo test -p gvfs --test flush_timeline_golden
@@ -42,8 +48,8 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCacheConfig, CacheVolume, CodecModel, CowTuning, FileCache, FileChannelServer,
-    FileChannelSpec, FileKey, Middleware, Proxy, ProxyConfig, TransferTuning, CHANNEL_PROGRAM,
+    BlockCacheConfig, CacheVolume, CowTuning, FileCache, FileChannelServer, FileChannelSpec,
+    FileKey, Middleware, Proxy, ProxyConfig, CHANNEL_PROGRAM,
 };
 use nfs3::args::{ReadArgs, WriteArgs};
 use nfs3::proto::{proc3, StableHow};
@@ -57,7 +63,7 @@ use xdr::{Decode, Decoder};
 
 const FIXTURE: &str = include_str!("golden/flush_timeline.txt");
 const BS: u64 = 32 * 1024;
-/// File-channel chunk (and content-map record) size.
+/// Content-map record size of the golden `.vmss` files.
 const CHUNK: u32 = 8 * 1024;
 /// Chunks in each golden `.vmss`.
 const CHUNKS: u64 = 6;
@@ -158,7 +164,7 @@ fn seed_vmss(fs: &Shared<Fs>, name: &str, what: u64) -> Handle {
     fh
 }
 
-fn render_session(flush_window: usize) -> String {
+fn render_session() -> String {
     let sim = Simulation::new();
     let h = sim.handle();
     let log: Log = Shared::new(Vec::new());
@@ -167,8 +173,7 @@ fn render_session(flush_window: usize) -> String {
     let (fs, server) = Nfs3Server::with_new_fs(&h, server_disk, ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
     let chan_disk = Disk::new(&h, DiskModel::server_array());
-    let chan_server =
-        FileChannelServer::new(fs.clone(), chan_disk, CodecModel::default(), true, None);
+    let chan_server = FileChannelServer::new(fs.clone(), chan_disk, true, None);
     let origin = Dispatcher::new()
         .register(server)
         .register(mount)
@@ -201,12 +206,6 @@ fn render_session(flush_window: usize) -> String {
     let upstream = RpcClient::new(ep.channel, cred.clone()).with_policy(policy);
     let cfg = ProxyConfig {
         name: "timeline-proxy".into(),
-        transfer: TransferTuning {
-            chunk_bytes: CHUNK,
-            flush_window,
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         cow: CowTuning::on(),
         ..ProxyConfig::default()
     };
@@ -217,9 +216,9 @@ fn render_session(flush_window: usize) -> String {
         assoc: 2,
         block_size: BS as u32,
     };
-    // The file cache sits on a disk of its own: the pinned instants at
-    // `flush_window` 8 move by a disk access when uploads and block
-    // write-backs queue on one arm.
+    // The file cache sits on a disk of its own: the pinned instants move
+    // by a disk access when uploads and block write-backs queue on one
+    // arm.
     let disk = || Disk::new(&h, DiskModel::scsi_2004());
     let mut volume = CacheVolume::new(&h, disk(), &cfg, Some(geometry), None);
     let fc = Rc::new(FileCache::new(disk(), 256 << 20));
@@ -321,7 +320,7 @@ fn render_session(flush_window: usize) -> String {
         "the outage must force a retry"
     );
 
-    let mut out = format!("# flush_window={flush_window}\n");
+    let mut out = String::from("# flush_window=8\n");
     out.push_str(&log.lock().join("\n"));
     out.push('\n');
     out.push_str(&reports.lock().join("\n"));
@@ -349,7 +348,7 @@ fn render_session(flush_window: usize) -> String {
 
 #[test]
 fn flush_timeline_is_byte_identical() {
-    let rendered: String = [1usize, 8].map(render_session).concat();
+    let rendered = render_session();
     if std::env::var("GOLDEN_REGEN").is_ok() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),

@@ -18,8 +18,8 @@ use std::rc::Rc;
 
 use gvfs::digest::digest;
 use gvfs::{
-    CacheVolume, ChannelClient, CodecModel, ContentStore, DedupTel, DedupTuning, FleetTuning,
-    ImageServer, Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
+    CacheVolume, ChannelClient, ContentStore, DedupTel, DedupTuning, FleetTuning, ImageServer,
+    Listen, ProxyConfig, RecipeFetch, Tier, WritePolicy,
 };
 use oncrpc::{AuthSys, OpaqueAuth, RetryPolicy, RpcClient};
 use proptest::prelude::*;
@@ -200,10 +200,8 @@ fn run_pair(
         ("cloner-a", chan_a, 0u64, 0usize),
         ("cloner-b", chan_b, stagger_ms, 1),
     ] {
-        let chan = ChannelClient::new(
-            RpcClient::new(chan, cred.clone()).with_policy(RetryPolicy::wan()),
-            CodecModel::default(),
-        );
+        let chan =
+            ChannelClient::new(RpcClient::new(chan, cred.clone()).with_policy(RetryPolicy::wan()));
         let (out2, done2) = (out.clone(), done.clone());
         sim.spawn(name, move |env: Env| {
             env.sleep(SimDuration::from_millis(delay_ms));

@@ -10,7 +10,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use gvfs::{BlockCacheConfig, CacheVolume, Proxy, ProxyConfig, TransferTuning};
+use gvfs::{BlockCacheConfig, CacheVolume, Proxy, ProxyConfig};
 use nfs3::proto::proc3;
 use nfs3::results::{encode_lookup, encode_read};
 use oncrpc::{OpaqueAuth, RpcClient, RpcMessage, WireSpec};
@@ -155,10 +155,6 @@ fn a_reply_rebuilt_on_its_way_installs_the_bytes_it_carries() {
     let cfg = ProxyConfig {
         name: "px".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         ..ProxyConfig::default()
     };
     let geometry = BlockCacheConfig::with_capacity(1 << 20, 1, 4, BLOCK as u32);

@@ -4,7 +4,7 @@ use gvfs::block_cache::{BlockCache, BlockCacheConfig, Tag};
 use gvfs::channel::chunk_ranges;
 use gvfs::meta::{generate_content_map, ContentMap, MetaFile, ZeroMap};
 use gvfs::{codec, Digest, FileChannelSpec};
-use gvfs::{ChannelClient, CodecModel, ContentStore, DedupTel, RecipeFetch};
+use gvfs::{ChannelClient, ContentStore, DedupTel, RecipeFetch};
 use gvfs::{FileCache, FileKey, ImageServer, Listen};
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
 use proptest::prelude::*;
@@ -20,7 +20,7 @@ fn channel_origin(sim: &Simulation) -> (Shared<Fs>, ChannelClient) {
     let down = Link::from_mbps(&h, "down", 1000.0, SimDuration::from_micros(100));
     let origin = ImageServer::start(&h, Listen::plain(up, down), 768 << 20, false);
     let rpc = RpcClient::new(origin.channel, OpaqueAuth::sys(&AuthSys::new("c", 1, 1)));
-    (origin.fs, ChannelClient::new(rpc, CodecModel::default()))
+    (origin.fs, ChannelClient::new(rpc))
 }
 
 proptest! {

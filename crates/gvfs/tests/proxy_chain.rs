@@ -15,8 +15,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, DedupTuning, FileChannelSpec,
-    ImageServer, Listen, Middleware, Proxy, ProxyConfig, Tier, TransferTuning, WritePolicy,
+    BlockCacheConfig, CacheVolume, ChannelClient, DedupTuning, FileChannelSpec, ImageServer,
+    Listen, Middleware, Proxy, ProxyConfig, Tier, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client, Nfs3Server};
 use oncrpc::{OpaqueAuth, RpcClient, WireSpec};
@@ -42,9 +42,9 @@ struct Rig {
 /// RPC client authenticated with the session credential.
 fn build_rig(sim: &Simulation, write_policy: WritePolicy, meta_handling: bool) -> Rig {
     // Most tests pin exact hit/miss and wire-byte counts, so they keep
-    // read-ahead off and the cache far larger than anything they read.
+    // the cache far larger than anything they read.
     let geometry = BlockCacheConfig::with_capacity(2 << 30, 64, 16, 32 * 1024);
-    build_rig_with(sim, write_policy, meta_handling, geometry, 0)
+    build_rig_with(sim, write_policy, meta_handling, geometry)
 }
 
 fn build_rig_with(
@@ -52,7 +52,6 @@ fn build_rig_with(
     write_policy: WritePolicy,
     meta_handling: bool,
     geometry: BlockCacheConfig,
-    read_ahead: usize,
 ) -> Rig {
     let h = sim.handle();
     let wan_up = Link::from_mbps(&h, "wan-up", 25.0, SimDuration::from_millis(17));
@@ -71,12 +70,6 @@ fn build_rig_with(
             name: "client-proxy".into(),
             write_policy,
             meta_handling,
-            // Chunking stays on (1 MiB files are a single chunk,
-            // preserving the channel-fetch assertions).
-            transfer: TransferTuning {
-                read_ahead,
-                ..TransferTuning::default()
-            },
             // These tests pin exact wire-byte counts for the plain
             // chunked channel; dedup'd fetches are covered separately.
             dedup: DedupTuning::off(),
@@ -177,10 +170,17 @@ fn second_read_hits_proxy_disk_cache_and_skips_wan() {
                 }
             }
         };
+        let bc = volume.block_cache.as_ref().unwrap();
         let t0 = env.now();
         read_all(&env);
         let cold = env.now() - t0;
         let wan_msgs_after_cold = wan_up.total_messages();
+        // Read-ahead makes hits of all but three of the 32 blocks. The
+        // last block is a prefetch hit, which cannot tell EOF, so the
+        // cold pass ends with one more READ (a miss) that finds it.
+        let after_cold = bc.stats();
+        assert_eq!((after_cold.hits, after_cold.misses), (29, 4));
+        assert_eq!(proxy.stats().reads, 33);
 
         let t1 = env.now();
         read_all(&env);
@@ -191,11 +191,11 @@ fn second_read_hits_proxy_disk_cache_and_skips_wan() {
             warm.as_secs_f64() < cold.as_secs_f64() / 5.0,
             "warm {warm} vs cold {cold}"
         );
-        let st = proxy.stats();
-        assert_eq!(st.reads, 64);
-        let bc = volume.block_cache.as_ref().unwrap().stats();
-        assert_eq!(bc.hits, 32);
-        assert_eq!(bc.misses, 32);
+        // The warm pass is 32 hits.
+        assert_eq!(proxy.stats().reads, 33 + 32);
+        let after_warm = bc.stats();
+        assert_eq!(after_warm.hits - after_cold.hits, 32);
+        assert_eq!(after_warm.misses, after_cold.misses);
     });
     sim.run();
 }
@@ -216,7 +216,7 @@ fn prefetch_accounting_under_eviction_matches_the_eager_scan() {
         assoc: 4,
         block_size: 32 * 1024,
     };
-    let rig = build_rig_with(&sim, WritePolicy::WriteBack, false, geometry, 8);
+    let rig = build_rig_with(&sim, WritePolicy::WriteBack, false, geometry);
     let payload: Vec<u8> = (0..48u32 * 32 * 1024)
         .map(|i| (i % 239) as u8 | 1)
         .collect();
@@ -746,7 +746,7 @@ fn relay_serves_the_new_bytes_after_an_upload_it_forwarded() {
     let sim = Simulation::new();
     let (fs, rpc) = build_relay(&sim, DedupTuning::off());
     let fh = seed_file(&fs, "img", &relay_image(0), None);
-    let chan = ChannelClient::new(rpc, CodecModel::default());
+    let chan = ChannelClient::new(rpc);
     sim.spawn("client", move |env: Env| {
         let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
         assert_eq!(fetch(&env), relay_image(0));
@@ -773,7 +773,7 @@ fn relay_serves_the_new_recipe_after_an_upload_it_forwarded() {
     let sim = Simulation::new();
     let (fs, rpc) = build_relay(&sim, DedupTuning::default());
     let fh = seed_file(&fs, "img", &relay_image(0), None);
-    let chan = ChannelClient::new(rpc, CodecModel::default());
+    let chan = ChannelClient::new(rpc);
     sim.spawn("client", move |env: Env| {
         let cas = gvfs::ContentStore::new(1 << 20);
         let dtel = gvfs::DedupTel::unregistered();
@@ -811,7 +811,7 @@ fn relay_serves_the_new_bytes_after_an_nfs_write_it_forwarded() {
     let sim = Simulation::new();
     let (fs, rpc) = build_relay(&sim, DedupTuning::off());
     let fh = seed_file(&fs, "img", &relay_image(0), None);
-    let chan = ChannelClient::new(rpc.clone(), CodecModel::default());
+    let chan = ChannelClient::new(rpc.clone());
     let nfs = Nfs3Client::new(rpc);
     sim.spawn("client", move |env: Env| {
         let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
@@ -839,7 +839,7 @@ fn write_back_relay_serves_the_new_bytes_after_its_flush() {
     let (fs, rpc, relay, _) = start_relay(&sim, DedupTuning::off(), Some(geometry));
     let fh = seed_file(&fs, "img", &relay_image(0), None);
     let cred = OpaqueAuth::sys(&oncrpc::AuthSys::new("relay-test", 1, 1));
-    let chan = ChannelClient::new(rpc.clone(), CodecModel::default());
+    let chan = ChannelClient::new(rpc.clone());
     let nfs = Nfs3Client::new(rpc);
     sim.spawn("client", move |env: Env| {
         let fetch = |env: &Env| chan.fetch_chunked(env, fh, RELAY_CHUNK, 2, None).unwrap().0;
@@ -932,13 +932,12 @@ impl oncrpc::transport::RpcHandler for CannedReads {
     }
 }
 
-/// A client proxy (block cache of 32 KiB frames if `cache`, read-ahead
-/// `read_ahead` blocks) in front of `upstream`, and its volume.
+/// A client proxy (block cache of 32 KiB frames if `cache`) in front of
+/// `upstream`, and its volume.
 fn proxy_over_canned_reads(
     sim: &Simulation,
     upstream: Rc<CannedReads>,
     cache: bool,
-    read_ahead: usize,
 ) -> (Rc<Proxy>, CacheVolume) {
     let h = sim.handle();
     let up = Link::new(&h, "canned-up", 1e9, SimDuration::from_micros(100));
@@ -948,10 +947,6 @@ fn proxy_over_canned_reads(
     let cfg = ProxyConfig {
         name: "client-proxy".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead,
-            ..TransferTuning::default()
-        },
         dedup: DedupTuning::off(),
         ..ProxyConfig::default()
     };
@@ -998,7 +993,7 @@ fn a_reply_longer_than_asked_is_forwarded_but_never_installed() {
         keep: false,
         sent: Shared::new(Vec::new()),
     });
-    let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), true, 2);
+    let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), true);
     sim.spawn("client", move |env: Env| {
         for (xid, block) in [(1u32, 0u64), (2, 0), (3, 5)] {
             let reply = proxy.handle(&env, &read_call(xid, block * 32 * 1024, 32 * 1024));
@@ -1048,7 +1043,7 @@ fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
             keep,
             sent: Shared::new(Vec::new()),
         });
-        let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), cache, 0);
+        let (proxy, volume) = proxy_over_canned_reads(&sim, upstream.clone(), cache);
         sim.spawn("client", move |env: Env| {
             let reply = proxy.handle(&env, &read_call(0xABCD, 0, 32 * 1024));
             let (sent_at, sent) = upstream.sent.lock()[0].clone();
@@ -1061,8 +1056,10 @@ fn a_forwarded_read_is_the_upstream_allocation_with_the_xid_rewritten() {
                 "cache {cache}, upstream keeps its reply {keep}"
             );
             if cache {
+                // Block 0, and block 1, which read-ahead fetched beside
+                // it (a fresh position speculates one block).
                 let bc = volume.block_cache.as_ref().unwrap();
-                assert_eq!(bc.bytes_stored(), 32 * 1024);
+                assert_eq!(bc.bytes_stored(), 2 * 32 * 1024);
             }
         });
         sim.run();

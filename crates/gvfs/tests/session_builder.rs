@@ -19,8 +19,8 @@
 use std::rc::Rc;
 
 use gvfs::{
-    BlockCacheConfig, CacheVolume, CodecModel, DedupTuning, FileChannelServer, FileChannelSpec,
-    IdentityMapper, ImageServer, Listen, Middleware, Proxy, ProxyConfig, WritePolicy,
+    BlockCacheConfig, CacheVolume, DedupTuning, FileChannelServer, FileChannelSpec, IdentityMapper,
+    ImageServer, Listen, Middleware, Proxy, ProxyConfig, WritePolicy,
 };
 use nfs3::{KernelClient, KernelConfig, MountServer, Nfs3Client, Nfs3Server, ServerConfig};
 use oncrpc::{Dispatcher, OpaqueAuth, RpcClient, WireSpec};
@@ -73,13 +73,7 @@ fn by_hand(h: &SimHandle) -> Chain {
     let (fs, server) = Nfs3Server::with_new_fs(h, server_disk.clone(), ServerConfig::default());
     let mount = MountServer::new(fs.clone(), vec!["/".to_string(), "/exports".to_string()]);
     let cpu = simnet::Resource::new(h, 2);
-    let chan_server = FileChannelServer::new(
-        fs.clone(),
-        server_disk,
-        CodecModel::default(),
-        true,
-        Some(cpu),
-    );
+    let chan_server = FileChannelServer::new(fs.clone(), server_disk, true, Some(cpu));
     let nfsd = Dispatcher::new()
         .register(server)
         .register(mount)

@@ -14,8 +14,8 @@ use std::rc::Rc;
 use gvfs::channel::chanproc;
 use gvfs::meta::generate_content_map;
 use gvfs::{
-    CacheVolume, CodecModel, Digest, FileChannelServer, FleetTuning, Proxy, ProxyConfig,
-    WritePolicy, CHANNEL_PROGRAM, CHANNEL_V1,
+    CacheVolume, Digest, FileChannelServer, FleetTuning, Proxy, ProxyConfig, WritePolicy,
+    CHANNEL_PROGRAM, CHANNEL_V1,
 };
 use oncrpc::transport::RpcHandler;
 use oncrpc::{AuthSys, BatchItem, Dispatcher, OpaqueAuth, RpcChannel, RpcClient, RpcMessage};
@@ -113,7 +113,6 @@ fn a_shard_groups_misses_only_in_the_envelopes_clients_send() {
     let server = FileChannelServer::new(
         fs.clone(),
         Disk::new(&h, DiskModel::server_array()),
-        CodecModel::default(),
         true,
         None,
     );

@@ -13,8 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gvfs::{
-    BlockCacheConfig, CacheVolume, DedupTuning, ImageServer, Listen, ProxyConfig, Tier,
-    TransferTuning, WritePolicy,
+    BlockCacheConfig, CacheVolume, DedupTuning, ImageServer, Listen, ProxyConfig, Tier, WritePolicy,
 };
 use nfs3::Nfs3Client;
 use oncrpc::{AuthSys, OpaqueAuth, RpcClient};
@@ -37,10 +36,6 @@ fn record_paths_stay_registry_free_after_warmup() {
         name: "tel-proxy".into(),
         write_policy: WritePolicy::WriteThrough,
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         dedup: DedupTuning::off(),
         ..ProxyConfig::default()
     };

@@ -146,8 +146,9 @@ fn pipelined_readahead_never_duplicates_upstream_reads() {
         let block = 32 * 1024;
         let blocks = file_bytes / block;
         // Every block crosses the WAN at most once (the read-ahead tail
-        // may speculate a few junk blocks past the end of the stream).
-        let tail = gvfs::TransferTuning::default().read_ahead as u64;
+        // may speculate a few junk blocks past the end of the stream):
+        // at most one read-ahead window, the proxy's `READ_AHEAD` of 8.
+        let tail = 8;
         let upstream_reads = srv.stats().reads - reads_before;
         assert!(
             upstream_reads <= blocks + tail,

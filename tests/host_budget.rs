@@ -54,9 +54,9 @@ use std::rc::Rc;
 use common::big_allocs;
 use gvfs::digest::digest;
 use gvfs::{
-    BlockCacheConfig, CacheVolume, ChannelClient, CodecModel, ContentMap, ContentStore, DedupTel,
-    DedupTuning, FileCache, FileChannelServer, ImageServer, Listen, PinnedRecipe, ProxyConfig,
-    RecipeFetch, Tag, Tier, TransferTuning,
+    BlockCacheConfig, CacheVolume, ChannelClient, ContentMap, ContentStore, DedupTel, DedupTuning,
+    FileCache, FileChannelServer, ImageServer, Listen, PinnedRecipe, ProxyConfig, RecipeFetch, Tag,
+    Tier,
 };
 use nfs3::{KernelClient, KernelConfig, Nfs3Client};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
@@ -122,15 +122,11 @@ fn a_block_operation_stays_inside_its_copy_budget() {
         }
     }
 
-    // Write-back caching proxy in front of it, read-ahead off.
+    // Write-back caching proxy in front of it.
     let cred = OpaqueAuth::sys(&AuthSys::new("guest", 500, 500));
     let cfg = ProxyConfig {
         name: "proxy".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         dedup: DedupTuning::off(),
         ..ProxyConfig::default()
     };
@@ -160,24 +156,32 @@ fn a_block_operation_stays_inside_its_copy_budget() {
         kc.invalidate_caches();
         read(0);
 
-        let (data, forwarded) = read(1);
-        assert_eq!(data, block(1));
+        // Block 1 was read ahead beside block 0. The last block is a
+        // fresh position no read has prefetched, so its READ is
+        // forwarded, and the one block read-ahead speculates after it
+        // lies past EOF: no second block lands inside the measurement.
+        let fresh = BLOCKS - 1;
+        let (data, forwarded) = read(fresh);
+        assert_eq!(data, block(fresh));
         kc.invalidate_caches();
-        let (data, warm) = read(1);
-        assert_eq!(data, block(1));
+        let (data, warm) = read(fresh);
+        assert_eq!(data, block(fresh));
         assert_eq!(
             cache.stats().hits,
             2,
             "the second read of a block is a proxy hit"
         );
-        let (data, kernel_hit) = read(1);
-        assert_eq!(data, block(1));
+        let (data, kernel_hit) = read(fresh);
+        assert_eq!(data, block(fresh));
         assert_eq!(cache.stats().hits, 2, "the third is a kernel-buffer hit");
 
         // A resume-shaped read: 1 MiB of blocks the kernel buffer holds.
         let resume = |off: u64| big_allocs(|| kc.read(&env, f, off, RESUME).unwrap());
         let first = 4;
         let (cold, _) = resume(at(first));
+        // The read-ahead the cold pass started lands before the
+        // measured pass.
+        env.sleep(SimDuration::from_secs(1));
         let (data, resumed) = resume(at(first));
         assert_eq!(data, cold);
         let want: Vec<u8> = (first..first + RESUME as u64 / BLOCK as u64)
@@ -447,7 +451,6 @@ fn a_second_store_fetching_verified_streams_decodes_and_copies_none() {
     let server = FileChannelServer::new(
         fs.clone(),
         Disk::new(&h, DiskModel::server_array()),
-        CodecModel::default(),
         true,
         None,
     );
@@ -460,7 +463,7 @@ fn a_second_store_fetching_verified_streams_decodes_and_copies_none() {
     ep.listener
         .serve("chan", Dispatcher::new().register(server).into_handler(), 2);
     let cred = OpaqueAuth::sys(&AuthSys::new("proxy", 1, 1));
-    let chan = ChannelClient::new(RpcClient::new(ep.channel, cred), CodecModel::default());
+    let chan = ChannelClient::new(RpcClient::new(ep.channel, cred));
     sim.spawn("proxy", move |env| {
         let dtel = DedupTel::unregistered();
         let stores = [ContentStore::new(1 << 30), ContentStore::new(1 << 30)];
@@ -544,10 +547,6 @@ fn the_kernel_client_holds_the_block_the_proxy_served() {
     let cfg = ProxyConfig {
         name: "proxy".into(),
         meta_handling: false,
-        transfer: TransferTuning {
-            read_ahead: 0,
-            ..TransferTuning::default()
-        },
         dedup: DedupTuning::off(),
         ..ProxyConfig::default()
     };
