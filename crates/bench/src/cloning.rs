@@ -655,7 +655,6 @@ pub fn pure_nfs_clone_secs(params: &CloneParams) -> f64 {
             "/exports",
             KernelConfig {
                 rsize: 8 * 1024,
-                wsize: 8 * 1024,
                 max_inflight: 1,
                 cache_bytes: params2.kernel_cache_bytes,
                 ..KernelConfig::default()

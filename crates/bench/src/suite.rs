@@ -699,7 +699,6 @@ fn zero_filter_counts(memory_mb: u64, with_meta: bool, trace: bool) -> (u64, u64
             "/exports",
             KernelConfig {
                 rsize: 8 * 1024,
-                wsize: 8 * 1024,
                 ..KernelConfig::default()
             },
         )

@@ -61,17 +61,17 @@
 //! kernel client keeps it as the READ reply it was encoded into carries
 //! it — so the next clone's read of that block decodes nothing.
 //!
-//! Capacity is bounded (logical bytes indexed); eviction is
-//! least-recently-touched, deterministic via a monotonic touch stamp.
+//! Capacity is bounded (logical bytes indexed); eviction takes the
+//! least-recently-touched unpinned entries, in the recency order of a
+//! [`vfs::LruMap`].
 
 use simnet::Shared;
 use simnet::{Counter, Env, Telemetry};
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::{Rc, Weak};
-use vfs::{share, share_slice, SharedBytes, WeakTable};
+use vfs::{share, share_slice, LruMap, SharedBytes, WeakTable};
 
 use crate::channel::WirePayload;
 use crate::codec::{self, CodecModel, RecordIndex};
@@ -160,8 +160,6 @@ struct Entry {
     index: RecordIndex,
     /// Logical (uncompressed) length.
     len: u32,
-    /// Last-touch stamp (monotonic).
-    stamp: u64,
     /// Live references from reference-backed file-cache entries
     /// (copy-on-write clones, DESIGN.md §5.9). A pinned entry is the
     /// proxy's residency guarantee for recipe-served bytes, so LRU
@@ -170,13 +168,11 @@ struct Entry {
 }
 
 struct Inner {
-    map: BTreeMap<Digest, Entry>,
-    /// stamp -> digest, for deterministic LRU eviction. Stamps are
-    /// unique, so this is a total order of recency.
-    lru: BTreeMap<u64, Digest>,
+    /// The entries in recency order; the byte budget, not the map's
+    /// count bound, limits them.
+    map: LruMap<Digest, Entry>,
     /// Sum of logical lengths of resident entries.
     bytes: u64,
-    stamp: u64,
     /// Incremented when an insert ends over capacity because every
     /// remaining eviction candidate is pinned (`cas.pin_blocked_evictions`
     /// once a proxy counts into it).
@@ -185,18 +181,6 @@ struct Inner {
     /// on and the chunk is not resident — a pin-discipline bug, reported
     /// as [`BrokenPin`] (into the proxy's `recovered_errors`).
     broken_pins: Counter,
-}
-
-impl Inner {
-    /// `d`'s entry, made the most recently touched.
-    fn touch(&mut self, d: &Digest) -> Option<&mut Entry> {
-        let e = self.map.get_mut(d)?;
-        self.stamp += 1;
-        self.lru.remove(&e.stamp);
-        e.stamp = self.stamp;
-        self.lru.insert(e.stamp, *d);
-        Some(e)
-    }
 }
 
 /// A read through a CAS pin that found no resident, decodable entry: the
@@ -364,10 +348,8 @@ impl ContentStore {
     pub fn new(capacity: u64) -> Self {
         ContentStore {
             inner: Shared::new(Inner {
-                map: BTreeMap::new(),
-                lru: BTreeMap::new(),
+                map: LruMap::new(usize::MAX),
                 bytes: 0,
-                stamp: 0,
                 pin_blocked: Counter::new(),
                 broken_pins: Counter::new(),
             }),
@@ -437,7 +419,7 @@ impl ContentStore {
             return;
         }
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.touch(&d) {
+        if let Some(e) = inner.map.get_mut(&d) {
             if pin {
                 e.pins += 1;
             }
@@ -448,8 +430,6 @@ impl ContentStore {
         let Some(index) = index.filter(|index| index.len() as u64 == len) else {
             return;
         };
-        inner.stamp += 1;
-        let stamp = inner.stamp;
         inner.bytes += len;
         inner.map.insert(
             d,
@@ -457,35 +437,34 @@ impl ContentStore {
                 packed,
                 index,
                 len: len as u32,
-                stamp,
                 pins: u32::from(pin),
             },
         );
-        inner.lru.insert(stamp, d);
         // Evict least-recently-touched *unpinned* entries until back
-        // under capacity. Pinned entries are skipped — a live reference
-        // file is still serving reads out of them — so under enough pin
-        // pressure the store is allowed to overrun its capacity rather
-        // than silently drop bytes a recipe still resolves through; that
-        // condition is surfaced on the pin-blocked counter.
-        let mut cursor = 0u64;
-        while inner.bytes > self.capacity {
-            let victim = inner
-                .lru
-                .range(cursor..)
-                .find(|(_, d2)| inner.map.get(d2).is_none_or(|e| e.pins == 0))
-                .map(|(&s, &d2)| (s, d2));
-            let Some((old_stamp, victim)) = victim else {
-                inner.pin_blocked.inc();
+        // under capacity, in one walk from the least recent. Pinned
+        // entries are skipped — a live reference file is still serving
+        // reads out of them — so under enough pin pressure the store is
+        // allowed to overrun its capacity rather than silently drop bytes
+        // a recipe still resolves through; that condition is surfaced on
+        // the pin-blocked counter.
+        let mut bytes = inner.bytes;
+        let mut victims = Vec::new();
+        for (d2, e) in inner.map.iter_lru() {
+            if bytes <= self.capacity {
                 break;
-            };
-            cursor = old_stamp + 1;
-            inner.lru.remove(&old_stamp);
-            if let Some(e) = inner.map.remove(&victim) {
-                debug_assert!(inner.bytes >= e.len as u64, "CAS byte accounting drifted");
-                inner.bytes -= e.len as u64;
+            }
+            if e.pins == 0 {
+                bytes -= e.len as u64;
+                victims.push(*d2);
             }
         }
+        if bytes > self.capacity {
+            inner.pin_blocked.inc();
+        }
+        for victim in victims {
+            inner.map.remove(&victim);
+        }
+        inner.bytes = bytes;
     }
 
     /// Take a pin on `d`, preventing its eviction until a matching
@@ -494,7 +473,7 @@ impl ContentStore {
     /// Pins nest: each successful `pin` needs its own `unpin`.
     pub fn pin(&self, d: &Digest) -> bool {
         let mut inner = self.inner.lock();
-        match inner.map.get_mut(d) {
+        match inner.map.peek_mut(d) {
             Some(e) => {
                 e.pins += 1;
                 true
@@ -508,7 +487,7 @@ impl ContentStore {
     /// eagerly.
     pub fn unpin(&self, d: &Digest) {
         let mut inner = self.inner.lock();
-        if let Some(e) = inner.map.get_mut(d) {
+        if let Some(e) = inner.map.peek_mut(d) {
             debug_assert!(e.pins > 0, "unpin without a matching pin");
             if e.pins > 0 {
                 e.pins -= 1;
@@ -521,34 +500,34 @@ impl ContentStore {
         let inner = self.inner.lock();
         inner
             .map
-            .values()
-            .filter(|e| e.pins > 0)
-            .map(|e| e.len as u64)
+            .iter_lru()
+            .filter(|(_, e)| e.pins > 0)
+            .map(|(_, e)| e.len as u64)
             .sum()
     }
 
     /// Whether `d`'s preimage is resident (does not refresh recency).
     pub fn contains(&self, d: &Digest) -> bool {
-        self.inner.lock().map.contains_key(d)
+        self.inner.lock().map.contains(d)
     }
 
     /// Logical length of `d`'s preimage if resident (no recency refresh).
     pub fn len_of(&self, d: &Digest) -> Option<u32> {
-        self.inner.lock().map.get(d).map(|e| e.len)
+        self.inner.lock().map.peek(d).map(|e| e.len)
     }
 
     /// Fetch the preimage of `d`, refreshing its recency. Host-side
     /// only; see the module docs for why no simulation time is charged.
     /// Recency moves only after a successful decode, so a corrupt entry
-    /// keeps its one LRU row.
+    /// keeps its place.
     pub fn get(&self, d: &Digest) -> Option<Vec<u8>> {
         let mut inner = self.inner.lock();
-        let e = inner.map.get(d)?;
+        let e = inner.map.peek(d)?;
         let mut out = Vec::with_capacity(e.len as usize);
         e.index
             .read_into(&e.packed, 0, e.len as usize, &mut out)
             .ok()?;
-        inner.touch(d);
+        inner.map.get(d);
         Some(out)
     }
 
@@ -568,7 +547,7 @@ impl ContentStore {
         match block {
             Some(block) => {
                 for (d, _) in slices {
-                    inner.touch(d);
+                    inner.map.get(d);
                 }
                 Ok(block)
             }
@@ -585,7 +564,7 @@ impl ContentStore {
     /// go in the table's sweep).
     fn block(inner: &Inner, slices: &[(Digest, Range<usize>)]) -> Option<SharedBytes> {
         let slice = |(d, r): &(Digest, Range<usize>)| {
-            let e = inner.map.get(d)?;
+            let e = inner.map.peek(d)?;
             Some(StreamSlice {
                 stream: Rc::downgrade(&e.packed),
                 lo: u32::try_from(r.start).ok()?,
@@ -603,7 +582,7 @@ impl ContentStore {
             let len = slices.iter().map(|(_, r)| r.len()).sum();
             let mut out = Vec::with_capacity(len);
             for (d, r) in slices {
-                let e = inner.map.get(d)?;
+                let e = inner.map.peek(d)?;
                 e.index
                     .read_into(&e.packed, r.start, r.len(), &mut out)
                     .ok()?;
@@ -622,7 +601,7 @@ impl ContentStore {
     /// decoding nothing: what a relay answers a `FETCH_BLOBS` with.
     pub fn get_packed(&self, d: &Digest) -> Option<(u32, SharedBytes)> {
         let mut inner = self.inner.lock();
-        let e = inner.touch(d)?;
+        let e = inner.map.get(d)?;
         Some((e.len, e.packed.clone()))
     }
 
@@ -630,7 +609,7 @@ impl ContentStore {
     /// 12-byte header, it lacks the record any read seeks to.
     #[cfg(test)]
     pub(crate) fn corrupt_entry(&self, d: &Digest) {
-        if let Some(e) = self.inner.lock().map.get_mut(d) {
+        if let Some(e) = self.inner.lock().map.peek_mut(d) {
             std::rc::Rc::make_mut(&mut e.packed).truncate(12);
         }
     }
@@ -686,10 +665,9 @@ mod tests {
 
     #[test]
     fn failed_decode_leaves_recency_untouched() {
-        // Touching the stamp before a decode that then fails would
-        // strand the old LRU row: the next touch adds a second row for
-        // the digest, and evicting through the stale one drops an entry
-        // the fresh row still lists.
+        // A read that fails to decode must not refresh recency: `a` stays
+        // the least recently touched and pays for the next insert, and
+        // `b` is still resident after it.
         let cas = ContentStore::new(10_000);
         let a: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
         let da = cas.insert(&a);
@@ -697,18 +675,10 @@ mod tests {
         cas.corrupt_entry(&da);
         assert!(cas.get(&da).is_none());
         assert_eq!(cas.pinned_block(&[(da, 0..16)]), Err(BrokenPin));
-        {
-            let inner = cas.inner.lock();
-            assert_eq!(inner.lru.len(), inner.map.len(), "duplicate LRU rows");
-            let rows: Vec<Digest> = inner.lru.values().copied().collect();
-            assert_eq!(rows, [da, db], "a failed read must not refresh recency");
-            assert!(inner.lru.iter().all(|(s, d)| inner.map[d].stamp == *s));
-        }
-        // `a` is still the LRU victim, and leaves exactly one row behind.
         cas.insert(&[3u8; 4096]);
         assert!(!cas.contains(&da));
         assert!(cas.contains(&db));
-        assert_eq!(cas.inner.lock().lru.len(), 2);
+        assert_eq!((cas.entries(), cas.logical_bytes()), (2, 8192));
     }
 
     /// [`ContentStore::pinned_block`] of one range of `d`, as a vector.
@@ -1063,7 +1033,7 @@ mod tests {
     #[test]
     fn eviction_skips_pinned_entries() {
         // The evict-while-referenced race: `a` is the LRU victim by
-        // stamp order, but a live reference pins it; capacity pressure
+        // recency, but a live reference pins it; capacity pressure
         // must take the next unpinned entry instead.
         let cas = ContentStore::new(6000);
         let a = vec![1u8; 4096];
@@ -1106,5 +1076,169 @@ mod tests {
         assert_eq!(cas.pinned_bytes(), 2048);
         cas.unpin(&d);
         assert_eq!(cas.pinned_bytes(), 0);
+    }
+
+    /// Lengths of the model test's contents, the last longer than the
+    /// whole store, and the store's budget.
+    const MODEL_LENS: [usize; 8] = [1000, 2000, 3000, 1000, 2000, 3000, 1500, 8000];
+    const MODEL_CAP: u64 = 7000;
+
+    /// One resident entry of the model: which content, its pin count, and
+    /// whether its stream was damaged.
+    struct Modelled {
+        chunk: usize,
+        pins: u32,
+        corrupt: bool,
+    }
+
+    proptest::proptest! {
+        /// Random inserts, pins, touching and non-touching reads and
+        /// damaged streams against a small budget behave as a list in
+        /// recency order (least recent first) that evicts the oldest
+        /// unpinned entries until the store fits, and counts one
+        /// pin-blocked eviction when it cannot.
+        #[test]
+        fn cas_matches_a_recency_list(
+            ops in proptest::collection::vec(
+                (0u8..16, 0usize..8, 0usize..8, proptest::prelude::any::<u16>()),
+                1..150,
+            ),
+        ) {
+            let chunks: Vec<Vec<u8>> = (0..MODEL_LENS.len())
+                .map(|i| (0..MODEL_LENS[i]).map(|j| (j * (i + 3) / 5) as u8 ^ i as u8).collect())
+                .collect();
+            let ds: Vec<Digest> = chunks.iter().map(|c| digest(c)).collect();
+            let (blocked, broken) = (Counter::new(), Counter::new());
+            let cas = ContentStore::new(MODEL_CAP);
+            cas.count_into(blocked.clone(), broken.clone());
+            let mut model: Vec<Modelled> = Vec::new();
+            let (mut blocked_n, mut broken_n) = (0u64, 0u64);
+            let at = |model: &[Modelled], i: usize| model.iter().position(|m| m.chunk == i);
+            let touch = |model: &mut Vec<Modelled>, p: usize| {
+                let m = model.remove(p);
+                model.push(m);
+            };
+            for (op, i, j, r) in ops {
+                let range = |c: usize| {
+                    let len = MODEL_LENS[c];
+                    let lo = r as usize % len;
+                    lo..lo + 1 + (r as usize / 7) % (len - lo)
+                };
+                match op {
+                    0..=3 => {
+                        let pin = op == 3;
+                        let d = if pin {
+                            cas.insert_pinned(&chunks[i])
+                        } else {
+                            cas.insert(&chunks[i])
+                        };
+                        proptest::prop_assert_eq!(d, ds[i]);
+                        match at(&model, i) {
+                            Some(p) => {
+                                model[p].pins += u32::from(pin);
+                                touch(&mut model, p);
+                            }
+                            None if MODEL_LENS[i] as u64 <= MODEL_CAP => {
+                                let pins = u32::from(pin);
+                                model.push(Modelled { chunk: i, pins, corrupt: false });
+                                let mut bytes: u64 =
+                                    model.iter().map(|m| MODEL_LENS[m.chunk] as u64).sum();
+                                let mut from = 0;
+                                while bytes > MODEL_CAP {
+                                    let Some(q) = model[from..].iter().position(|m| m.pins == 0)
+                                    else {
+                                        blocked_n += 1;
+                                        break;
+                                    };
+                                    from += q;
+                                    bytes -= MODEL_LENS[model.remove(from).chunk] as u64;
+                                }
+                            }
+                            None => {}
+                        }
+                    }
+                    4 => {
+                        let p = at(&model, i);
+                        proptest::prop_assert_eq!(cas.pin(&ds[i]), p.is_some());
+                        if let Some(p) = p {
+                            model[p].pins += 1;
+                        }
+                    }
+                    5 | 6 => {
+                        if let Some(p) = at(&model, i).filter(|&p| model[p].pins > 0) {
+                            cas.unpin(&ds[i]);
+                            model[p].pins -= 1;
+                        }
+                    }
+                    7 => {
+                        let got = cas.get_packed(&ds[i]).map(|(len, _)| len as usize);
+                        let p = at(&model, i);
+                        proptest::prop_assert_eq!(got, p.map(|_| MODEL_LENS[i]));
+                        if let Some(p) = p {
+                            touch(&mut model, p);
+                        }
+                    }
+                    8..=10 => {
+                        let got = cas.get(&ds[i]);
+                        match at(&model, i).filter(|&p| !model[p].corrupt) {
+                            Some(p) => {
+                                proptest::prop_assert_eq!(got.as_ref(), Some(&chunks[i]));
+                                touch(&mut model, p);
+                            }
+                            None => proptest::prop_assert_eq!(got, None),
+                        }
+                    }
+                    11 | 12 => {
+                        let picked: &[usize] = if op == 11 { &[i] } else { &[i, j] };
+                        let slices: Vec<_> = picked.iter().map(|&c| (ds[c], range(c))).collect();
+                        let got = cas.pinned_block(&slices).map(|b| b.to_vec());
+                        let whole = picked
+                            .iter()
+                            .all(|&c| at(&model, c).is_some_and(|p| !model[p].corrupt));
+                        if whole {
+                            let want: Vec<u8> =
+                                picked.iter().flat_map(|&c| chunks[c][range(c)].to_vec()).collect();
+                            proptest::prop_assert_eq!(got, Ok(want));
+                            for &c in picked {
+                                let p = at(&model, c).expect("resident");
+                                touch(&mut model, p);
+                            }
+                        } else {
+                            proptest::prop_assert_eq!(got, Err(BrokenPin));
+                            broken_n += 1;
+                        }
+                    }
+                    13 => {
+                        proptest::prop_assert_eq!(cas.contains(&ds[i]), at(&model, i).is_some());
+                    }
+                    14 => {
+                        let want = at(&model, i).map(|_| MODEL_LENS[i] as u32);
+                        proptest::prop_assert_eq!(cas.len_of(&ds[i]), want);
+                    }
+                    _ => {
+                        cas.corrupt_entry(&ds[i]);
+                        if let Some(p) = at(&model, i) {
+                            model[p].corrupt = true;
+                        }
+                    }
+                }
+                let mut resident: Vec<usize> = model.iter().map(|m| m.chunk).collect();
+                resident.sort_unstable();
+                let held: Vec<usize> = (0..ds.len()).filter(|&c| cas.len_of(&ds[c]).is_some()).collect();
+                proptest::prop_assert_eq!(held, resident);
+                proptest::prop_assert_eq!(cas.entries(), model.len());
+                let bytes = |pinned: bool| -> u64 {
+                    model
+                        .iter()
+                        .filter(|m| !pinned || m.pins > 0)
+                        .map(|m| MODEL_LENS[m.chunk] as u64)
+                        .sum()
+                };
+                proptest::prop_assert_eq!(cas.logical_bytes(), bytes(false));
+                proptest::prop_assert_eq!(cas.pinned_bytes(), bytes(true));
+                proptest::prop_assert_eq!(blocked.get(), blocked_n);
+                proptest::prop_assert_eq!(broken.get(), broken_n);
+            }
+        }
     }
 }

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use simnet::Env;
 use simnet::Shared;
-use vfs::{Disk, Payload, PayloadRef, SharedBytes, SparseBytes, CHUNK_SIZE};
+use vfs::{Disk, LruMap, Payload, PayloadRef, SharedBytes, SparseBytes, CHUNK_SIZE};
 
 use crate::cas::{BrokenPin, ContentStore};
 use crate::digest::{digest, Digest};
@@ -275,7 +275,6 @@ struct CachedFile {
     backing: Backing,
     size: u64,
     dirty: bool,
-    last_use: u64,
     /// The contents upstream last acknowledged holding (set on install —
     /// the file arrived *from* upstream — and after a successful
     /// upload). A dirty file whose current digest still matches was
@@ -335,12 +334,28 @@ pub struct FileCacheStats {
 }
 
 struct Inner {
-    // BTreeMap: victim selection and dirty_files() iterate this map, so
-    // its order must be deterministic (lint: determinism).
-    files: BTreeMap<FileKey, CachedFile>,
+    /// The resident files in recency order; the byte budget, not the
+    /// map's count bound, limits them.
+    files: LruMap<FileKey, CachedFile>,
     bytes: u64,
-    stamp: u64,
     stats: FileCacheStats,
+}
+
+impl Inner {
+    /// Make `f` the most recently used entry for `key`, debiting the disk
+    /// bytes of the entry it replaces and crediting its own.
+    fn put(&mut self, key: FileKey, f: CachedFile) {
+        if let Some(old) = self.files.remove(&key) {
+            let old_bytes = old.disk_bytes();
+            debug_assert!(
+                self.bytes >= old_bytes,
+                "file-cache byte accounting underflow"
+            );
+            self.bytes -= old_bytes;
+        }
+        self.bytes += f.disk_bytes();
+        self.files.insert(key, f);
+    }
 }
 
 /// Whole-file cache on the proxy's local disk.
@@ -357,9 +372,8 @@ impl FileCache {
             disk,
             capacity_bytes,
             inner: Shared::new(Inner {
-                files: BTreeMap::new(),
+                files: LruMap::new(usize::MAX),
                 bytes: 0,
-                stamp: 0,
                 stats: FileCacheStats::default(),
             }),
         }
@@ -372,7 +386,7 @@ impl FileCache {
 
     /// Whether a file is resident.
     pub fn contains(&self, key: FileKey) -> bool {
-        self.inner.lock().files.contains_key(&key)
+        self.inner.lock().files.contains(&key)
     }
 
     /// Bytes resident.
@@ -391,31 +405,20 @@ impl FileCache {
         let contents = contents.into();
         {
             let mut inner = self.inner.lock();
-            inner.stamp += 1;
-            let stamp = inner.stamp;
             let mut data = SparseBytes::new();
             data.write_at(0, contents);
             let size = contents.len() as u64;
-            if let Some(old) = inner.files.insert(
+            inner.put(
                 key,
                 CachedFile {
                     backing: Backing::Full(data),
                     size,
                     dirty: false,
-                    last_use: stamp,
                     // The contents came *from* upstream; their digest is
                     // resolved on demand.
                     synced: Synced::Pristine,
                 },
-            ) {
-                let old_bytes = old.disk_bytes();
-                debug_assert!(
-                    inner.bytes >= old_bytes,
-                    "file-cache byte accounting underflow"
-                );
-                inner.bytes -= old_bytes;
-            }
-            inner.bytes += size;
+            );
             inner.stats.installs += 1;
             Self::evict_for_capacity(&mut inner, self.capacity_bytes, key);
         }
@@ -448,28 +451,18 @@ impl FileCache {
         let size = rf.total();
         {
             let mut inner = self.inner.lock();
-            inner.stamp += 1;
-            let stamp = inner.stamp;
-            if let Some(old) = inner.files.insert(
+            // A fresh reference has no overlay: zero disk-resident bytes.
+            inner.put(
                 key,
                 CachedFile {
                     backing: Backing::Reference(rf),
                     size,
                     dirty: false,
-                    last_use: stamp,
                     // The recipe came *from* upstream, so upstream holds
                     // exactly this; its digest is resolved on demand.
                     synced: Synced::Pristine,
                 },
-            ) {
-                let old_bytes = old.disk_bytes();
-                debug_assert!(
-                    inner.bytes >= old_bytes,
-                    "file-cache byte accounting underflow"
-                );
-                inner.bytes -= old_bytes;
-            }
-            // A fresh reference has no overlay: zero disk-resident bytes.
+            );
             inner.stats.installs += 1;
             inner.stats.ref_installs += 1;
             Self::evict_for_capacity(&mut inner, self.capacity_bytes, key);
@@ -486,15 +479,14 @@ impl FileCache {
         while inner.bytes > capacity_bytes {
             let victim = inner
                 .files
-                .iter()
+                .iter_lru()
                 .filter(|(k, f)| !f.dirty && **k != just_installed)
                 // A reference with no overlay occupies no disk: evicting
                 // it frees nothing and would only drop useful pins.
-                .filter(|(_, f)| match &f.backing {
+                .find(|(_, f)| match &f.backing {
                     Backing::Full(_) => true,
                     Backing::Reference(r) => r.overlay_bytes() > 0,
                 })
-                .min_by_key(|(_, f)| f.last_use)
                 .map(|(k, _)| *k);
             match victim.and_then(|k| inner.files.remove(&k)) {
                 Some(f) => {
@@ -514,7 +506,7 @@ impl FileCache {
     /// on a broken pin.
     pub fn synced_digest(&self, key: FileKey) -> Result<Option<Digest>, BrokenPin> {
         let mut inner = self.inner.lock();
-        match inner.files.get_mut(&key) {
+        match inner.files.peek_mut(&key) {
             Some(f) => f.resolve_synced(),
             None => Ok(None),
         }
@@ -524,7 +516,7 @@ impl FileCache {
     /// (called after a successful channel upload). No-op when absent.
     pub fn set_synced(&self, key: FileKey, d: Digest) {
         let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(&key) {
+        if let Some(f) = inner.files.peek_mut(&key) {
             f.synced = Synced::Digest(d);
         }
     }
@@ -538,7 +530,7 @@ impl FileCache {
     /// repair upload forever. No-op when absent.
     pub fn clear_synced(&self, key: FileKey) {
         let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(&key) {
+        if let Some(f) = inner.files.peek_mut(&key) {
             f.synced = Synced::Unknown;
         }
     }
@@ -558,12 +550,11 @@ impl FileCache {
     ) -> Result<Option<(Payload, bool)>, BrokenPin> {
         let (data, eof, disk_bytes) = {
             let mut inner = self.inner.lock();
-            inner.stamp += 1;
-            let stamp = inner.stamp;
+            // Refreshed on lookup, even if the read then meets a broken
+            // pin.
             let Some(f) = inner.files.get_mut(&key) else {
                 return Ok(None);
             };
-            f.last_use = stamp;
             let (data, disk_bytes) = match &f.backing {
                 Backing::Full(sparse) => {
                     let data = sparse.read_range(offset, len as usize);
@@ -601,9 +592,7 @@ impl FileCache {
     ) -> Result<bool, BrokenPin> {
         let io_bytes = {
             let mut inner = self.inner.lock();
-            inner.stamp += 1;
-            let stamp = inner.stamp;
-            match inner.files.get_mut(&key) {
+            match inner.files.peek_mut(&key) {
                 Some(f) => {
                     // A reference still owing its synced digest settles
                     // it now: past this write the pristine contents can
@@ -646,7 +635,8 @@ impl FileCache {
                         }
                     };
                     f.dirty = true;
-                    f.last_use = stamp;
+                    // Recency moves only once the write has landed.
+                    inner.files.get(&key);
                     inner.bytes += grew + materialize_delta;
                     inner.stats.cow_breaks += breaks;
                     Some(io + materialize_delta)
@@ -682,7 +672,7 @@ impl FileCache {
     ) -> Result<Option<DirtyFile>, BrokenPin> {
         let (out, disk_read) = {
             let mut inner = self.inner.lock();
-            let Some(f) = inner.files.get_mut(&key).filter(|f| f.dirty) else {
+            let Some(f) = inner.files.peek_mut(&key).filter(|f| f.dirty) else {
                 return Ok(None);
             };
             let total = f.size;
@@ -728,7 +718,7 @@ impl FileCache {
     /// Whether a resident file is reference-backed.
     pub fn is_reference(&self, key: FileKey) -> bool {
         matches!(
-            self.inner.lock().files.get(&key).map(|f| &f.backing),
+            self.inner.lock().files.peek(&key).map(|f| &f.backing),
             Some(Backing::Reference(_))
         )
     }
@@ -739,7 +729,7 @@ impl FileCache {
     pub fn validate_accounting(&self) {
         let inner = self.inner.lock();
         let mut total = 0u64;
-        for (k, f) in inner.files.iter() {
+        for (k, f) in inner.files.iter_lru() {
             match &f.backing {
                 Backing::Full(_) => total += f.size,
                 Backing::Reference(r) => {
@@ -771,7 +761,7 @@ impl FileCache {
     /// flush instead of being silently dropped. No-op when absent.
     pub fn mark_dirty(&self, key: FileKey) {
         let mut inner = self.inner.lock();
-        if let Some(f) = inner.files.get_mut(&key) {
+        if let Some(f) = inner.files.peek_mut(&key) {
             f.dirty = true;
         }
     }
@@ -781,7 +771,7 @@ impl FileCache {
         let inner = self.inner.lock();
         let mut v: Vec<FileKey> = inner
             .files
-            .iter()
+            .iter_lru()
             .filter(|(_, f)| f.dirty)
             .map(|(k, _)| *k)
             .collect();
@@ -791,7 +781,7 @@ impl FileCache {
 
     /// The size of a resident file.
     pub fn size_of(&self, key: FileKey) -> Option<u64> {
-        self.inner.lock().files.get(&key).map(|f| f.size)
+        self.inner.lock().files.peek(&key).map(|f| f.size)
     }
 
     /// Drop everything (dirty data must have been flushed).
@@ -1263,6 +1253,72 @@ mod tests {
                 assert_eq!(cc.dirty_files(), vec![key(1)]);
             }
             cc.validate_accounting();
+        });
+        sim.run();
+    }
+
+    #[test]
+    fn recency_moves_on_reads_landed_writes_and_reinstalls_only() {
+        // Each case leaves two clean, evictable files and installs a
+        // third that pushes the cache over its 3500 bytes: the victim
+        // is whichever of the two the case left least recently used.
+        let sim = Simulation::new();
+        let h = sim.handle();
+        sim.spawn("t", move |env| {
+            let content = golden(3072);
+            // Key 1 is a reference with its first chunk private (so it
+            // is evictable) and clean, key 2 a full file installed after
+            // it; chunk 1's CAS entry is damaged if `broken`.
+            let setup = |broken: bool| {
+                let c = cache(&h, 3500);
+                let cas = Rc::new(ContentStore::new(1 << 20));
+                let recipe = pinned_recipe(&cas, &content, 1024);
+                c.install_reference(&env, key(1), cas.clone(), 1024, recipe, 0);
+                assert!(c.write(&env, key(1), 0, b"p").unwrap());
+                assert!(c.take_dirty(&env, key(1), true).unwrap().is_some());
+                c.install(&env, key(2), &[2u8; 1000]);
+                if broken {
+                    cas.corrupt_entry(&digest(&content[1024..2048]));
+                }
+                (c, cas)
+            };
+            let evicts = |c: &FileCache, victim: u64, survivor: u64| {
+                c.install(&env, key(3), &[3u8; 1500]);
+                assert!(!c.contains(key(victim)), "key {victim} stayed");
+                assert!(c.contains(key(survivor)), "key {survivor} went");
+                c.validate_accounting();
+            };
+            // Untouched, key 1 is the least recently used.
+            let (c, _cas) = setup(false);
+            evicts(&c, 1, 2);
+            // A read that meets a broken pin still refreshes key 1.
+            let (c, _cas) = setup(true);
+            assert_eq!(c.read(&env, key(1), 1100, 100), Err(BrokenPin));
+            evicts(&c, 2, 1);
+            // A write that fails on a broken pin does not.
+            let (c, _cas) = setup(true);
+            assert_eq!(c.write(&env, key(1), 1500, b"x"), Err(BrokenPin));
+            evicts(&c, 1, 2);
+            // One that lands does, and stays refreshed once flushed.
+            let (c, _cas) = setup(false);
+            assert!(c.write(&env, key(1), 10, b"x").unwrap());
+            assert!(c.take_dirty(&env, key(1), true).unwrap().is_some());
+            evicts(&c, 2, 1);
+            // A re-install moves key 1 to the most recent and debits the
+            // overlay it replaces: 1100 + 1000 bytes before key 3 lands.
+            let (c, cas) = setup(false);
+            c.install(&env, key(1), &[1u8; 1100]);
+            assert_eq!((c.bytes_stored(), cas.pinned_bytes()), (2100, 0));
+            c.validate_accounting();
+            evicts(&c, 2, 1);
+            assert_eq!(c.bytes_stored(), 2600);
+            // A re-install as a reference debits the whole file it
+            // replaces: only key 1's overlay is left on the disk.
+            let (c, cas) = setup(false);
+            let recipe = pinned_recipe(&cas, &content[..2048], 1024);
+            c.install_reference(&env, key(2), cas.clone(), 1024, recipe, 0);
+            assert_eq!(c.bytes_stored(), 1024);
+            c.validate_accounting();
         });
         sim.run();
     }

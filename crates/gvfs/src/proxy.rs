@@ -18,7 +18,7 @@
 //! through `WbSink`: the one block sender and the one file uploader.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::RangeInclusive;
+use std::hash::Hash;
 use std::rc::Rc;
 
 use oncrpc::msg::{AcceptStat, CallHeader, RejectStat, ReplyBody, RpcMessage};
@@ -27,7 +27,7 @@ use oncrpc::{ProgramError, RpcClient, RpcError};
 use simnet::telemetry::{Counter, Telemetry, TraceEvent};
 use simnet::Shared;
 use simnet::{run_windowed, Env, SimDuration, TransferTel};
-use vfs::{share_slice, Handle, Payload, PayloadRef, SharedBytes};
+use vfs::{share_slice, Handle, LruMap, Payload, PayloadRef, SharedBytes};
 
 /// Dirty blocks grouped by file: `(block, data)` runs awaiting
 /// write-back. BTreeMap: flush() iterates it, and write-back order must
@@ -275,54 +275,40 @@ impl PxTel {
     }
 }
 
-/// A channel reply cache with the same bounded discipline as the
-/// [`ContentStore`](crate::cas::ContentStore): a monotonic touch stamp
-/// drives deterministic least-recently-touched eviction, and the stored
-/// reply bytes never exceed the byte budget. One type behind both caches: chunk replies by
-/// (file, offset, count), recipe replies by (file, chunk size). Blob
-/// replies need no cache of their own: a relay answers them out of its
-/// CAS.
+/// A channel reply cache bounded like the
+/// [`ContentStore`](crate::cas::ContentStore): least-recently-touched
+/// replies go first, in the recency order of a [`vfs::LruMap`], and the
+/// stored reply bytes never exceed the byte budget. One type behind both
+/// caches: chunk replies by (file, offset, count), recipe replies by
+/// (file, chunk size). Blob replies need no cache of their own: a relay
+/// answers them out of its CAS.
 struct ReplyCache<K> {
-    // BTreeMap both ways: iteration feeds eviction, which must be
-    // deterministic (lint: determinism).
-    entries: BTreeMap<K, (u64, xdr::Bytes)>,
-    /// Touch stamp → key, oldest first.
-    lru: BTreeMap<u64, K>,
+    replies: LruMap<K, xdr::Bytes>,
     bytes: u64,
     cap: u64,
-    stamp: u64,
 }
 
 /// Byte budget of a reply cache unless told otherwise: the default CAS
 /// budget. The chunk- and the recipe-reply cache have it each.
 const REPLY_CACHE_BYTES: u64 = 4 << 30;
 
-impl<K> Default for ReplyCache<K> {
+impl<K: Eq + Hash + Copy> Default for ReplyCache<K> {
     fn default() -> Self {
         ReplyCache {
-            entries: BTreeMap::new(),
-            lru: BTreeMap::new(),
+            replies: LruMap::new(usize::MAX),
             bytes: 0,
             cap: REPLY_CACHE_BYTES,
-            stamp: 0,
         }
     }
 }
 
-impl<K: Ord + Copy> ReplyCache<K> {
+impl<K: Eq + Hash + Copy> ReplyCache<K> {
     fn get(&mut self, k: &K) -> Option<xdr::Bytes> {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let e = self.entries.get_mut(k)?;
-        self.lru.remove(&e.0);
-        e.0 = stamp;
-        self.lru.insert(stamp, *k);
-        Some(e.1.clone())
+        self.replies.get(k).cloned()
     }
 
     fn remove(&mut self, k: &K) {
-        if let Some((stamp, body)) = self.entries.remove(k) {
-            self.lru.remove(&stamp);
+        if let Some(body) = self.replies.remove(k) {
             self.bytes -= body.len() as u64;
         }
     }
@@ -334,21 +320,23 @@ impl<K: Ord + Copy> ReplyCache<K> {
         }
         self.remove(&k);
         while self.bytes + len > self.cap {
-            let Some((_, &victim)) = self.lru.iter().next() else {
+            let Some((&victim, _)) = self.replies.iter_lru().next() else {
                 break;
             };
             self.remove(&victim);
         }
-        self.stamp += 1;
-        let stamp = self.stamp;
         self.bytes += len;
-        self.entries.insert(k, (stamp, reply));
-        self.lru.insert(stamp, k);
+        self.replies.insert(k, reply);
     }
 
-    /// Drop every reply keyed inside `keys`.
-    fn forget(&mut self, keys: RangeInclusive<K>) {
-        let doomed: Vec<K> = self.entries.range(keys).map(|(k, _)| *k).collect();
+    /// Drop every reply whose key `doomed` accepts, walking them all.
+    fn forget(&mut self, doomed: impl Fn(&K) -> bool) {
+        let doomed: Vec<K> = self
+            .replies
+            .iter_lru()
+            .filter(|(k, _)| doomed(k))
+            .map(|(k, _)| *k)
+            .collect();
         for k in doomed {
             self.remove(&k);
         }
@@ -477,9 +465,8 @@ impl ProxyState {
     /// not, so a reply cached while the delivery was in flight goes too.
     /// Digest-keyed blob replies are content-addressed and stay.
     fn forget_file_replies(&mut self, key: FileKey) {
-        self.chan_chunk_replies
-            .forget((key, 0, 0)..=(key, u64::MAX, u32::MAX));
-        self.chan_recipe_replies.forget((key, 0)..=(key, u32::MAX));
+        self.chan_chunk_replies.forget(|k| k.0 == key);
+        self.chan_recipe_replies.forget(|k| k.0 == key);
     }
 
     /// Up to [`GOSSIP_BATCH`] entries of the gossip log from `cursor` on,
@@ -2251,7 +2238,7 @@ impl Proxy {
     /// Replay a cached reply for `key` from the cache `cache` selects, or
     /// forward the call and remember a successful reply under it (a call
     /// whose args did not decode has no key and is only forwarded).
-    fn replay_or_forward<K: Ord + Copy>(
+    fn replay_or_forward<K: Eq + Hash + Copy>(
         &self,
         c: Call<'_>,
         proc: u32,
@@ -2621,12 +2608,12 @@ mod tests {
         // A reply over the whole budget is not cached; one that fits
         // pushes out as many as it takes, oldest first.
         cache.insert((file(3), 0, 0), reply(101));
-        assert_eq!((cache.bytes, cache.entries.len()), (80, 2));
+        assert_eq!((cache.bytes, cache.replies.len()), (80, 2));
         cache.insert((file(3), 0, 0), reply(90));
-        assert_eq!((cache.bytes, cache.entries.len()), (90, 1));
+        assert_eq!((cache.bytes, cache.replies.len()), (90, 1));
         // Replacing a key accounts the size difference.
         cache.insert((file(3), 0, 0), reply(10));
-        assert_eq!((cache.bytes, cache.lru.len()), (10, 1));
+        assert_eq!((cache.bytes, cache.replies.len()), (10, 1));
     }
 
     #[test]
@@ -2683,8 +2670,8 @@ mod tests {
         }
         st.forget_file_replies(file(2));
         let (chunks, recipes) = (&mut st.chan_chunk_replies, &mut st.chan_recipe_replies);
-        assert_eq!((chunks.entries.len(), chunks.bytes), (4, 32));
-        assert_eq!((recipes.entries.len(), recipes.bytes), (2, 16));
+        assert_eq!((chunks.replies.len(), chunks.bytes), (4, 32));
+        assert_eq!((recipes.replies.len(), recipes.bytes), (2, 16));
         assert!(chunks.get(&(file(2), 0, 1024)).is_none());
         assert!(chunks.get(&(file(1), u64::MAX, u32::MAX)).is_some());
         assert!(recipes.get(&(file(3), 1024)).is_some());

@@ -42,35 +42,33 @@ use crate::proto::{StableHow, Status};
 /// Kernel client tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfig {
-    /// READ transfer size (bytes per READ RPC).
+    /// Transfer size: the bytes of one READ or WRITE RPC, and the buffer
+    /// cache's block.
     pub rsize: u32,
-    /// WRITE transfer size.
-    pub wsize: u32,
     /// Buffer cache capacity in bytes.
     pub cache_bytes: u64,
     /// Dirty bytes allowed before writers block on writeback.
     pub dirty_limit_bytes: u64,
     /// Maximum concurrent RPCs for read gathering / write flushing.
     pub max_inflight: usize,
-    /// CPU cost of serving one block from the buffer cache.
-    pub hit_cost: SimDuration,
-    /// Attribute/dentry cache lifetime.
-    pub attr_timeout: SimDuration,
 }
 
 impl Default for KernelConfig {
     fn default() -> Self {
         KernelConfig {
             rsize: 32 * 1024,
-            wsize: 32 * 1024,
             cache_bytes: 256 * 1024 * 1024,
             dirty_limit_bytes: 16 * 1024 * 1024,
             max_inflight: 8,
-            hit_cost: SimDuration::from_micros(25),
-            attr_timeout: SimDuration::from_secs(30),
         }
     }
 }
+
+/// CPU cost of serving one block from the buffer cache.
+const HIT_COST: SimDuration = SimDuration::from_micros(25);
+
+/// Attribute/dentry cache lifetime.
+const ATTR_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 /// RPC/cache counters for reports and tests.
 ///
@@ -255,7 +253,7 @@ impl KernelClient {
         let attr = self.nfs.getattr(env, h).map_err(map_err)?;
         self.tel.meta_rpcs.inc();
         let mut st = self.state.lock();
-        let exp = now + self.cfg.attr_timeout.as_nanos();
+        let exp = now + ATTR_TIMEOUT.as_nanos();
         st.acache.insert(h, (attr.clone(), exp));
         let mut a = attr;
         if let Some(sz) = st.local_size.get(&h.fileid) {
@@ -453,7 +451,7 @@ impl FileIo for KernelClient {
         }
         self.tel.meta_rpcs.add(rpcs);
         let mut st = self.state.lock();
-        let exp = now + self.cfg.attr_timeout.as_nanos();
+        let exp = now + ATTR_TIMEOUT.as_nanos();
         st.dcache.insert(key, (h, exp));
         Ok(h)
     }
@@ -505,7 +503,7 @@ impl FileIo for KernelClient {
             }
         }
         for _ in first..=last {
-            env.sleep(self.cfg.hit_cost);
+            env.sleep(HIT_COST);
         }
         if !misses.is_empty() {
             let fetched = self.fetch_blocks(env, h, misses.clone());
@@ -616,7 +614,7 @@ impl FileIo for KernelClient {
             }
         }
         for _ in first..=last {
-            env.sleep(self.cfg.hit_cost);
+            env.sleep(HIT_COST);
         }
         self.writeback_evicted(env, evicted_all)?;
 
@@ -639,7 +637,7 @@ impl FileIo for KernelClient {
         let mut st = self.state.lock();
         st.dcache.insert(
             path.trim_matches('/').to_string(),
-            (h, now + self.cfg.attr_timeout.as_nanos()),
+            (h, now + ATTR_TIMEOUT.as_nanos()),
         );
         st.local_size.insert(h.fileid, 0);
         Ok(h)
@@ -880,7 +878,6 @@ mod tests {
         sim.spawn("client", move |env| {
             let cfg = KernelConfig {
                 rsize: 1024,
-                wsize: 1024,
                 ..KernelConfig::default()
             };
             let kc = KernelClient::mount(&env, nfs, "/", cfg).expect("mount");
@@ -975,7 +972,6 @@ mod tests {
             // in flight.
             let cfg = KernelConfig {
                 rsize: 1024,
-                wsize: 1024,
                 cache_bytes: 1024,
                 ..KernelConfig::default()
             };
@@ -1068,7 +1064,6 @@ mod tests {
         sim.spawn("client", move |env| {
             let cfg = KernelConfig {
                 rsize: 1024,
-                wsize: 1024,
                 cache_bytes: 16 * 1024,
                 dirty_limit_bytes: 6 * 1024,
                 ..KernelConfig::default()
@@ -1121,7 +1116,6 @@ mod tests {
     fn the_default_block_is_the_sparse_stores_chunk() {
         let cfg = KernelConfig::default();
         assert_eq!(cfg.rsize as usize, vfs::CHUNK_SIZE);
-        assert_eq!(cfg.wsize, cfg.rsize);
     }
 
     #[test]

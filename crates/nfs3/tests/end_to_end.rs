@@ -294,7 +294,6 @@ proptest! {
         sim.spawn("client", move |env: Env| {
             let cfg = KernelConfig {
                 rsize: BS,
-                wsize: BS,
                 cache_bytes: 6 * BS as u64,
                 max_inflight: 3,
                 ..KernelConfig::default()

@@ -1,18 +1,25 @@
-//! A small O(1) LRU map used for buffer-cache models, and the write-back
-//! page cache built on it.
+//! A small O(1) LRU map — the one recency order of every fully
+//! associative cache in the tree — and the write-back page cache built on
+//! it.
 //!
-//! Both the NFS server's memory cache and the kernel NFS client's buffer
-//! cache are modelled as block-granular LRU sets with bounded capacity —
-//! the paper's motivation for proxy *disk* caches is precisely that these
-//! memory caches suffer capacity misses on multi-gigabyte VM state.
+//! The NFS server's memory cache and DRC, the VM guest cache and the host
+//! page caches are count-bounded `LruMap`s: block-granular LRU sets, the
+//! memory caches whose capacity misses on multi-gigabyte VM state are the
+//! paper's motivation for proxy *disk* caches. The proxy's CAS, whole-file
+//! cache and channel-reply caches budget bytes instead: each keeps its own
+//! ledger and its own rule for which entries may go, over an `LruMap`
+//! whose count bound never binds (`LruMap::new(usize::MAX)`), and walks
+//! [`LruMap::iter_lru`] for its victims. The proxy's set-associative
+//! block cache keeps a stamp per frame instead: it picks a set's victim
+//! by dirtiness before recency.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// The index's hasher: one multiply per word (the Fx hash). Keys are block
-/// numbers, file ids and RPC xids, and nothing iterates the index, so
-/// SipHash's flooding resistance would buy nothing here but its cost: a
-/// crafted key can at worst lengthen a probe in a bounded map.
+/// numbers, file ids, RPC xids and content digests, and nothing iterates
+/// the index, so SipHash's flooding resistance would buy nothing here but
+/// its cost: a crafted key can at worst lengthen a probe.
 #[derive(Default, Clone, Copy)]
 struct KeyHasher(u64);
 
@@ -162,6 +169,18 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
         self.map.contains_key(key)
     }
 
+    /// Look up a key *without* touching recency.
+    pub fn peek(&self, key: &K) -> Option<&V> {
+        let idx = *self.map.get(key)?;
+        Some(&self.node(idx).value)
+    }
+
+    /// Mutable lookup *without* touching recency.
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.map.get(key)?;
+        Some(&mut self.node_mut(idx).value)
+    }
+
     /// Insert or update a key, marking it most-recently-used. Returns the
     /// evicted `(key, value)` if capacity was exceeded.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
@@ -239,13 +258,27 @@ impl<K: Eq + Hash + Clone, V> LruMap<K, V> {
 
     /// Iterate over `(key, value)` pairs from most- to least-recently-used.
     pub fn iter_mru(&self) -> impl Iterator<Item = (&K, &V)> {
-        let mut idx = self.head;
+        self.walk(self.head, |n| n.next)
+    }
+
+    /// Iterate over `(key, value)` pairs from least- to most-recently-used:
+    /// the eviction order.
+    pub fn iter_lru(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.walk(self.tail, |n| n.prev)
+    }
+
+    /// The nodes from `idx` on, following `step`.
+    fn walk(
+        &self,
+        mut idx: usize,
+        step: fn(&Node<K, V>) -> usize,
+    ) -> impl Iterator<Item = (&K, &V)> {
         std::iter::from_fn(move || {
             if idx == NIL {
                 return None;
             }
             let n = self.node(idx);
-            idx = n.next;
+            idx = step(n);
             Some((&n.key, &n.value))
         })
     }
@@ -433,6 +466,19 @@ mod tests {
         lru.get(&1);
         let keys: Vec<i32> = lru.iter_mru().map(|(k, _)| *k).collect();
         assert_eq!(keys, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn peek_leaves_recency_alone() {
+        let mut lru = LruMap::new(2);
+        lru.insert(1, 10);
+        lru.insert(2, 20);
+        assert_eq!(lru.peek(&1), Some(&10));
+        *lru.peek_mut(&1).expect("present") = 11;
+        assert_eq!(lru.peek(&3), None);
+        let lru_first: Vec<i32> = lru.iter_lru().map(|(k, _)| *k).collect();
+        assert_eq!(lru_first, [1, 2]);
+        assert_eq!(lru.insert(3, 30), Some((1, 11)));
     }
 
     #[test]

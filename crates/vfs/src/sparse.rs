@@ -9,10 +9,10 @@
 //! unwritten ranges yield zeros, exactly like holes in a real filesystem.
 //!
 //! A chunk spans one NFS block ([`CHUNK_SIZE`], 32 KiB, the kernel
-//! client's `rsize`/`wsize`), so the unit every layer above moves is the
-//! unit stored here: a whole-block write whose source is one whole
-//! shared block keeps that block by reference — no gather, no hash, no
-//! compare — and any other whole-chunk write is gathered once and
+//! client's `rsize`, its READ and WRITE size), so the unit every layer
+//! above moves is the unit stored here: a whole-block write whose source
+//! is one whole shared block keeps that block by reference — no gather,
+//! no hash, no compare — and any other whole-chunk write is gathered once and
 //! pooled as shared content ([`share`]), so the clones of one golden
 //! image — and a `clone()` of a store — hold one host copy of it between
 //! them. A chunk's vector ends where its data ends — at the highest byte

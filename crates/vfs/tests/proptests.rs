@@ -577,35 +577,59 @@ proptest! {
         }
     }
 
-    /// The LRU map never exceeds capacity, and membership matches a
-    /// naive model.
+    /// The LRU map never exceeds capacity, and membership, values and
+    /// recency match a naive model through inserts, touching lookups,
+    /// removals and lookups that must leave recency alone (`peek`,
+    /// `peek_mut`); `iter_lru` is `iter_mru` reversed throughout.
     #[test]
     fn lru_matches_naive_model(
         cap in 1usize..20,
-        ops in proptest::collection::vec((0u32..40, any::<bool>()), 1..200)
+        ops in proptest::collection::vec((0u8..5, 0u32..40), 1..200)
     ) {
         let mut lru = LruMap::new(cap);
-        let mut model: Vec<u32> = Vec::new(); // MRU-first
-        for (key, is_insert) in ops {
-            if is_insert {
-                lru.insert(key, ());
-                model.retain(|&k| k != key);
-                model.insert(0, key);
-                model.truncate(cap);
-            } else {
-                let hit = lru.get(&key).is_some();
-                let model_hit = model.contains(&key);
-                prop_assert_eq!(hit, model_hit);
-                if model_hit {
-                    model.retain(|&k| k != key);
-                    model.insert(0, key);
+        let mut model: Vec<(u32, u32)> = Vec::new(); // (key, value), MRU-first
+        for (op, key) in ops {
+            let at = model.iter().position(|&(k, _)| k == key);
+            let value = at.map(|i| model[i].1);
+            match op {
+                0 => {
+                    lru.insert(key, 0);
+                    model.retain(|&(k, _)| k != key);
+                    model.insert(0, (key, 0));
+                    model.truncate(cap);
+                }
+                1 => {
+                    prop_assert_eq!(lru.get(&key).copied(), value);
+                    if let Some(i) = at {
+                        let entry = model.remove(i);
+                        model.insert(0, entry);
+                    }
+                }
+                2 => prop_assert_eq!(lru.peek(&key).copied(), value),
+                3 => {
+                    let bumped = lru.peek_mut(&key).map(|v| {
+                        *v += 1;
+                        *v
+                    });
+                    prop_assert_eq!(bumped, value.map(|v| v + 1));
+                    if let Some(i) = at {
+                        model[i].1 += 1;
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(lru.remove(&key), value);
+                    if let Some(i) = at {
+                        model.remove(i);
+                    }
                 }
             }
             prop_assert!(lru.len() <= cap);
-            prop_assert_eq!(lru.len(), model.len());
+            let order: Vec<(u32, u32)> = lru.iter_mru().map(|(k, v)| (*k, *v)).collect();
+            prop_assert_eq!(&order, &model);
+            let mut lru_first: Vec<(u32, u32)> = lru.iter_lru().map(|(k, v)| (*k, *v)).collect();
+            lru_first.reverse();
+            prop_assert_eq!(lru_first, order);
         }
-        let order: Vec<u32> = lru.iter_mru().map(|(k, _)| *k).collect();
-        prop_assert_eq!(order, model);
     }
 
     /// Filesystem namespace operations keep lookup/readdir consistent.

@@ -73,7 +73,6 @@ fn zero_map_filters_the_large_majority_of_memory_state_reads() {
             "/exports",
             KernelConfig {
                 rsize: 8 * 1024,
-                wsize: 8 * 1024,
                 ..KernelConfig::default()
             },
         )
